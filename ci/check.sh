@@ -22,6 +22,29 @@ cargo test -q
 echo "==> workspace tests"
 cargo test --workspace -q
 
+echo "==> surface ratchet: the vetting/core entry-point lattice stays collapsed"
+surface=$(grep -rn 'pub fn \(execute\|gpu_analyze\)' crates/vetting/src crates/core/src | wc -l)
+[ "$surface" -le 7 ] || {
+  echo "surface ratchet: $surface public execute*/gpu_analyze* entry points (ceiling 7) —" \
+    "extend ExecPlan/ExecCtx instead of adding a wrapper" >&2
+  exit 1
+}
+
+echo "==> bench drift: the cheap committed goldens match a regeneration"
+cargo build --release -p gdroid-bench --bin figures
+repo_root=$PWD
+drift_dir=$(mktemp -d)
+trap 'rm -rf "$drift_dir"' EXIT
+for bench in trace targeted sumstore; do
+  (cd "$drift_dir" && "$repo_root/target/release/figures" "$bench" >/dev/null)
+  cmp "$drift_dir/BENCH_$bench.json" "BENCH_$bench.json" || {
+    echo "bench drift: BENCH_$bench.json is stale — a modeled number moved;" \
+      "regenerate it with \`figures $bench\` in the same change" >&2
+    exit 1
+  }
+done
+rm -rf "$drift_dir"
+
 echo "==> serve smoke: 10 apps through the vetting service"
 serve_out=$(./target/release/gdroid serve --apps 10 --workers 2 --devices 2 --json)
 echo "$serve_out" | grep -q '"quarantined":0,' || {
@@ -58,7 +81,6 @@ if echo "$warm_json" | grep -q '"sumstore":{"hits":0,'; then
 fi
 
 echo "==> batch smoke: co-residency sweep is byte-deterministic and batches form"
-repo_root=$PWD
 batch_dir=$(mktemp -d)
 trap 'rm -rf "$trace_dir" "$store_dir" "$batch_dir"' EXIT
 (cd "$batch_dir" && "$repo_root/target/release/figures" batch --apps 8 >/dev/null && mv BENCH_batch.json a.json)

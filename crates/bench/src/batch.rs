@@ -14,9 +14,8 @@
 
 use crate::corpus::corpus_preps;
 use gdroid_apk::GenConfig;
-use gdroid_core::OptConfig;
 use gdroid_gpusim::{Device, DeviceConfig};
-use gdroid_vetting::{execute_vetting_batch_on_device, execute_vetting_on_device, PreparedApp};
+use gdroid_vetting::{execute, execute_vetting_batch_on_device, ExecCtx, ExecPlan, PreparedApp};
 
 /// One co-residency-degree measurement.
 pub struct BatchPoint {
@@ -79,7 +78,7 @@ pub fn run_batch_point(
     for (chunk_idx, chunk) in preps.chunks(coresident.max(1)).enumerate() {
         let refs: Vec<&PreparedApp> = chunk.iter().collect();
         let (runs, batch) =
-            execute_vetting_batch_on_device(&refs, &mut device, OptConfig::gdroid())
+            execute_vetting_batch_on_device(&refs, &mut device, ExecPlan::default())
                 .expect("no fault plan installed");
         let base = chunk_idx * coresident.max(1);
         let mut group_solo_ns = 0.0;
@@ -121,8 +120,9 @@ pub fn batch_benchmark(apps: usize) -> (String, String) {
     let mut solo_refs = Vec::with_capacity(apps);
     let mut solo_ns = Vec::with_capacity(apps);
     for prep in &preps {
-        let run = execute_vetting_on_device(prep, &mut device, OptConfig::gdroid())
-            .expect("no fault plan installed");
+        let run = execute(prep, ExecPlan::default(), &mut ExecCtx::new(&mut device))
+            .expect("no fault plan installed")
+            .run;
         solo_ns.push(run.outcome.timing.idfg_ns);
         solo_refs.push(run.outcome.to_json());
     }

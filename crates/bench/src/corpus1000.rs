@@ -25,8 +25,7 @@ use gdroid_core::OptConfig;
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_serve::fnv1a;
 use gdroid_vetting::{
-    execute_vetting_batch_on_device, execute_vetting_on_device,
-    execute_vetting_on_device_with_store, execute_vetting_targeted_on_device, prepare_vetting,
+    execute, execute_vetting_batch_on_device, prepare_vetting, Engine, ExecCtx, ExecPlan,
     PreparedApp,
 };
 
@@ -218,8 +217,10 @@ pub fn corpus1000_benchmark(apps: usize, scale: f64) -> (String, String) {
         let mut gdroid_refs: Vec<String> = Vec::with_capacity(window.len());
         for (index, prep) in &window {
             for (r, (_, opt)) in RUNGS.iter().enumerate() {
-                let run = execute_vetting_on_device(prep, &mut devices[r], opt())
-                    .expect("no fault plan installed");
+                let rung = ExecPlan::new(Engine::Gpu(opt()));
+                let run = execute(prep, rung, &mut ExecCtx::new(&mut devices[r]))
+                    .expect("no fault plan installed")
+                    .run;
                 rung_ns[r] += run.outcome.timing.idfg_ns;
                 if r == RUNGS.len() - 1 {
                     solo_makespan_ns += run.outcome.timing.idfg_ns;
@@ -237,12 +238,10 @@ pub fn corpus1000_benchmark(apps: usize, scale: f64) -> (String, String) {
                     gdroid_refs.push(run.outcome.report.to_json());
                 }
             }
-            let t = execute_vetting_targeted_on_device(
-                prep,
-                &mut devices[RUNGS.len()],
-                OptConfig::gdroid(),
-            )
-            .expect("no fault plan installed");
+            let targeted = ExecPlan { targeted: true, ..ExecPlan::default() };
+            let t = execute(prep, targeted, &mut ExecCtx::new(&mut devices[RUNGS.len()]))
+                .expect("no fault plan installed")
+                .run;
             assert_eq!(
                 t.outcome.report.to_json(),
                 gdroid_refs.last().expect("gdroid rung ran first").as_str(),
@@ -255,7 +254,7 @@ pub fn corpus1000_benchmark(apps: usize, scale: f64) -> (String, String) {
             for (chunk_base, chunk) in window.chunks(*k).enumerate() {
                 let preps: Vec<&PreparedApp> = chunk.iter().map(|(_, p)| p).collect();
                 let (runs, b) =
-                    execute_vetting_batch_on_device(&preps, &mut batch_device, OptConfig::gdroid())
+                    execute_vetting_batch_on_device(&preps, &mut batch_device, ExecPlan::default())
                         .expect("no fault plan installed");
                 for (j, run) in runs.iter().enumerate() {
                     assert_eq!(
@@ -281,16 +280,13 @@ pub fn corpus1000_benchmark(apps: usize, scale: f64) -> (String, String) {
     let mut sumstore_baseline_ns = 0.0;
     for (_, app) in lib_corpus.stream_all() {
         let prep = prepare_vetting(app);
-        let baseline = execute_vetting_on_device(&prep, &mut store_device, OptConfig::gdroid())
-            .expect("no fault plan installed");
+        let baseline = execute(&prep, ExecPlan::default(), &mut ExecCtx::new(&mut store_device))
+            .expect("no fault plan installed")
+            .run;
         sumstore_baseline_ns += baseline.outcome.timing.idfg_ns;
-        let (run, _) = execute_vetting_on_device_with_store(
-            &prep,
-            &mut store_device,
-            OptConfig::gdroid(),
-            &store,
-        )
-        .expect("no fault plan installed");
+        let with_store = &mut ExecCtx { store: Some(&store), ..ExecCtx::new(&mut store_device) };
+        let run =
+            execute(&prep, ExecPlan::default(), with_store).expect("no fault plan installed").run;
         assert_eq!(
             run.outcome.report.to_json(),
             baseline.outcome.report.to_json(),

@@ -22,12 +22,10 @@
 use crate::corpus::corpus_prep;
 use crate::rel::fact_digest;
 use gdroid_apk::{Corpus, GenConfig, PAPER_MASTER_SEED};
-use gdroid_core::{EngineKind, ExecMode};
+use gdroid_core::ExecMode;
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_serve::fnv1a;
-use gdroid_vetting::{
-    execute_vetting_engine_on_device_mode, prepare_vetting, PreparedApp, VettingRun,
-};
+use gdroid_vetting::{execute, prepare_vetting, ExecCtx, ExecPlan, PreparedApp, VettingRun};
 
 /// Window size of the streamed corpus section.
 pub const PERSIST_WINDOW: usize = 8;
@@ -69,25 +67,19 @@ impl PersistPoint {
     }
 }
 
+/// The worklist engine in `exec` mode on a fault-free device.
+fn run_mode(prep: &PreparedApp, device: &mut Device, exec: ExecMode) -> VettingRun {
+    let plan = ExecPlan { exec, ..ExecPlan::default() };
+    execute(prep, plan, &mut ExecCtx::new(device)).expect("no fault plan installed").run
+}
+
 /// Runs one app in both modes on fresh devices, asserting fact and
 /// verdict identity, and returns both runs beside their launch counts.
 fn run_both_modes(prep: &PreparedApp, label: usize) -> (VettingRun, VettingRun, u64, u64) {
     let mut md = Device::new(DeviceConfig::tesla_p40());
-    let multi = execute_vetting_engine_on_device_mode(
-        prep,
-        &mut md,
-        EngineKind::Worklist,
-        ExecMode::MultiLaunch,
-    )
-    .expect("a fresh device has no fault plan");
+    let multi = run_mode(prep, &mut md, ExecMode::MultiLaunch);
     let mut pd = Device::new(DeviceConfig::tesla_p40());
-    let per = execute_vetting_engine_on_device_mode(
-        prep,
-        &mut pd,
-        EngineKind::Worklist,
-        ExecMode::Persistent,
-    )
-    .expect("a fresh device has no fault plan");
+    let per = run_mode(prep, &mut pd, ExecMode::Persistent);
     assert_eq!(
         per.outcome.report.to_json(),
         multi.outcome.report.to_json(),
@@ -170,20 +162,8 @@ pub fn persist_benchmark(detail_apps: usize, corpus_apps: usize, scale: f64) -> 
         let window: Vec<_> = stream.by_ref().take(PERSIST_WINDOW).collect();
         for (index, app) in window {
             let prep = prepare_vetting(app);
-            let m = execute_vetting_engine_on_device_mode(
-                &prep,
-                &mut multi_device,
-                EngineKind::Worklist,
-                ExecMode::MultiLaunch,
-            )
-            .expect("no fault plan installed");
-            let p = execute_vetting_engine_on_device_mode(
-                &prep,
-                &mut persist_device,
-                EngineKind::Worklist,
-                ExecMode::Persistent,
-            )
-            .expect("no fault plan installed");
+            let m = run_mode(&prep, &mut multi_device, ExecMode::MultiLaunch);
+            let p = run_mode(&prep, &mut persist_device, ExecMode::Persistent);
             assert_eq!(
                 p.outcome.report.to_json(),
                 m.outcome.report.to_json(),

@@ -26,7 +26,7 @@ use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_ir::MethodId;
 use gdroid_serve::fnv1a;
 use gdroid_vetting::{
-    execute_vetting, execute_vetting_engine_on_device, prepare_vetting, Engine, VettingRun,
+    execute, prepare_vetting, vet_prepared, Engine, ExecCtx, ExecPlan, VettingRun,
 };
 
 /// Window size of the streamed corpus section.
@@ -93,15 +93,12 @@ pub fn fact_digest(run: &VettingRun) -> u64 {
 /// engines, with fact and verdict identity asserted across the engines.
 pub fn run_rel_point(app: usize) -> RelPoint {
     let prep = corpus_prep(app, &GenConfig::tiny());
-    let mat = execute_vetting(&prep, Engine::Gpu(OptConfig::mat()));
-    let matgrp = execute_vetting(&prep, Engine::Gpu(OptConfig::mat_grp()));
+    let mat = vet_prepared(&prep, ExecPlan::new(Engine::Gpu(OptConfig::mat()))).outcome;
+    let matgrp = vet_prepared(&prep, ExecPlan::new(Engine::Gpu(OptConfig::mat_grp()))).outcome;
 
     let mut runs = Vec::with_capacity(EngineKind::ALL.len());
     for kind in EngineKind::ALL {
-        let mut device = Device::new(DeviceConfig::tesla_p40());
-        let run = execute_vetting_engine_on_device(&prep, &mut device, kind)
-            .expect("a fresh device has no fault plan");
-        runs.push(run);
+        runs.push(vet_prepared(&prep, ExecPlan::new(kind)));
     }
     let [worklist, rel, cpu] = <[VettingRun; 3]>::try_from(runs)
         .unwrap_or_else(|_| unreachable!("EngineKind::ALL has three kinds"));
@@ -170,11 +167,13 @@ pub fn rel_benchmark(detail_apps: usize, corpus_apps: usize, scale: f64) -> (Str
         let window: Vec<_> = stream.by_ref().take(REL_WINDOW).collect();
         for (index, app) in window {
             let prep = prepare_vetting(app);
-            let w =
-                execute_vetting_engine_on_device(&prep, &mut worklist_device, EngineKind::Worklist)
-                    .expect("no fault plan installed");
-            let r = execute_vetting_engine_on_device(&prep, &mut rel_device, EngineKind::Rel)
-                .expect("no fault plan installed");
+            let on = |device: &mut Device, kind: EngineKind| {
+                execute(&prep, ExecPlan::new(kind), &mut ExecCtx::new(device))
+                    .expect("no fault plan installed")
+                    .run
+            };
+            let w = on(&mut worklist_device, EngineKind::Worklist);
+            let r = on(&mut rel_device, EngineKind::Rel);
             assert_eq!(
                 r.outcome.report.to_json(),
                 w.outcome.report.to_json(),

@@ -25,9 +25,9 @@ use gdroid_apk::GenConfig;
 use gdroid_campaign::{
     config_digest, read_shard_records, segment_path, CampaignConfig, CampaignOutcome, FleetReport,
 };
-use gdroid_core::OptConfig;
+use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_sumstore::SumStore;
-use gdroid_vetting::{execute_vetting_full_with_store, Engine, PreparedApp};
+use gdroid_vetting::{execute, ExecCtx, ExecPlan, PreparedApp};
 use std::path::{Path, PathBuf};
 
 /// Journal rotation threshold (records per segment) at full 10k scale.
@@ -182,8 +182,12 @@ fn store_sweep(preps: &[PreparedApp], shards: usize, stores: &[&SumStore]) -> Ve
     let mut per_shard = vec![ShardHits::default(); shards];
     for (index, prep) in preps.iter().enumerate() {
         let shard = index % shards;
-        let (_, used) =
-            execute_vetting_full_with_store(prep, Engine::Gpu(OptConfig::gdroid()), stores[shard]);
+        let mut device = Device::new(DeviceConfig::tesla_p40());
+        let ctx = &mut ExecCtx { store: Some(stores[shard]), ..ExecCtx::new(&mut device) };
+        let used = execute(prep, ExecPlan::default(), ctx)
+            .expect("a fresh device has no fault plan")
+            .store_use
+            .expect("a store was attached");
         per_shard[shard].hits += used.hits;
         per_shard[shard].misses += used.misses;
     }

@@ -16,9 +16,9 @@
 
 use crate::corpus::corpus_preps;
 use gdroid_apk::GenConfig;
-use gdroid_core::OptConfig;
+use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_sumstore::SumStore;
-use gdroid_vetting::{execute_vetting_full_with_store, Engine, PreparedApp};
+use gdroid_vetting::{execute, ExecCtx, ExecPlan, PreparedApp};
 
 /// Library packages each app draws from the shared pool.
 const LIBS_PER_APP: usize = 3;
@@ -76,8 +76,10 @@ fn sweep(preps: &[PreparedApp], store: &SumStore) -> (f64, Vec<String>, u64, u64
     let mut total_ns = 0.0;
     let mut verdicts = Vec::with_capacity(preps.len());
     for prep in preps {
-        let (run, _) =
-            execute_vetting_full_with_store(prep, Engine::Gpu(OptConfig::gdroid()), store);
+        let mut device = Device::new(DeviceConfig::tesla_p40());
+        let ctx = &mut ExecCtx { store: Some(store), ..ExecCtx::new(&mut device) };
+        let run =
+            execute(prep, ExecPlan::default(), ctx).expect("a fresh device has no fault plan").run;
         total_ns += run.outcome.timing.idfg_ns;
         verdicts.push(run.outcome.report.to_json());
     }

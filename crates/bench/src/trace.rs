@@ -12,10 +12,10 @@
 
 use crate::corpus::corpus_prep;
 use gdroid_apk::GenConfig;
-use gdroid_core::OptConfig;
+use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_serve::fnv1a;
 use gdroid_trace::{Phase, Tracer};
-use gdroid_vetting::{execute_vetting, execute_vetting_gpu_traced, Engine};
+use gdroid_vetting::{execute, vet_prepared, ExecCtx, ExecPlan};
 
 /// Per-app result of the invariance + breakdown run.
 pub struct TracePoint {
@@ -60,9 +60,12 @@ impl TracePoint {
 /// Vets one prepared corpus app traced and untraced; folds the trace.
 fn run_point(index: usize, cfg: &GenConfig) -> TracePoint {
     let prep = corpus_prep(index, cfg);
-    let untraced = execute_vetting(&prep, Engine::Gpu(OptConfig::gdroid()));
+    let untraced = vet_prepared(&prep, ExecPlan::default()).outcome;
     let tracer = Tracer::enabled_new();
-    let traced = execute_vetting_gpu_traced(&prep, OptConfig::gdroid(), &tracer);
+    let mut device = Device::new(DeviceConfig::tesla_p40());
+    let ctx = &mut ExecCtx { tracer: &tracer, ..ExecCtx::new(&mut device) };
+    let traced =
+        execute(&prep, ExecPlan::default(), ctx).expect("a fresh device has no fault plan").run;
 
     let events = tracer.events();
     let mut layer_ns = (0u64, 0u64, 0u64);

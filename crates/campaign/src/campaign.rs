@@ -56,7 +56,7 @@ pub struct CampaignConfig {
     pub sumstore: bool,
     /// Analysis engine every shard service vets with. Non-worklist
     /// engines bypass the per-shard result cache and co-resident
-    /// batching (see [`EngineKind::caps`]); journaled verdicts and leak
+    /// batching (see `gdroid_vetting::ExecPlan`); journaled verdicts and leak
     /// counts are engine-invariant, but modeled timings are not, so the
     /// engine participates in [`config_digest`].
     pub engine: EngineKind,

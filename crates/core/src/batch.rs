@@ -47,7 +47,7 @@ use gdroid_analysis::{
     derive_summary, merge_site_summaries, FactStore, Geometry, MatrixStore, MethodSpace,
     MethodSummary, SummaryMap, WorklistTelemetry,
 };
-use gdroid_gpusim::{dual_buffered, Device, DeviceConfig, DeviceFault};
+use gdroid_gpusim::{dual_buffered, Device, DeviceFault};
 use gdroid_icfg::{CallGraph, CallLayers, Cfg};
 use gdroid_ir::{MethodId, Program, StmtIdx};
 use std::collections::{HashMap, HashSet};
@@ -213,16 +213,6 @@ impl<'a> AppCursor<'a> {
         let d2h = self.pending.iter().map(|m| self.layout.methods[m].d2h_bytes).sum();
         (h2d, d2h)
     }
-}
-
-/// Analyzes several independent apps co-resident on one fresh device.
-pub fn gpu_analyze_batch(
-    apps: &[BatchApp<'_>],
-    device_config: DeviceConfig,
-    opts: OptConfig,
-) -> BatchAnalysis {
-    let mut device = Device::new(device_config);
-    gpu_analyze_batch_on(&mut device, apps, opts).expect("a fresh device has no fault plan")
 }
 
 /// Analyzes several independent apps co-resident on an existing device.
@@ -474,6 +464,7 @@ mod tests {
     use super::*;
     use crate::driver::{gpu_analyze_app, gpu_analyze_app_on};
     use gdroid_apk::{generate_app, GenConfig};
+    use gdroid_gpusim::DeviceConfig;
     use gdroid_icfg::prepare_app;
 
     fn prepared(seed: u64) -> (gdroid_apk::App, CallGraph, Vec<MethodId>) {
@@ -481,6 +472,15 @@ mod tests {
         let (envs, cg) = prepare_app(&mut app);
         let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
         (app, cg, roots)
+    }
+
+    fn gpu_analyze_batch(
+        apps: &[BatchApp<'_>],
+        device_config: DeviceConfig,
+        opts: OptConfig,
+    ) -> BatchAnalysis {
+        let mut device = Device::new(device_config);
+        gpu_analyze_batch_on(&mut device, apps, opts).expect("a fresh device has no fault plan")
     }
 
     fn assert_matches_solo(batched: &GpuAnalysis, solo: &GpuAnalysis, ctx: &str) {
@@ -563,8 +563,17 @@ mod tests {
         let mut device = Device::new(DeviceConfig::tesla_p40());
         // Dirty the device first, then batch on it.
         let (warm, warm_cg, warm_roots) = prepared(7008);
-        gpu_analyze_app_on(&mut device, &warm.program, &warm_cg, &warm_roots, OptConfig::gdroid())
-            .unwrap();
+        gpu_analyze_app_on(
+            &mut device,
+            &warm.program,
+            &warm_cg,
+            &warm_roots,
+            OptConfig::gdroid(),
+            &HashMap::new(),
+            None,
+            crate::ExecMode::MultiLaunch,
+        )
+        .unwrap();
         let reused = gpu_analyze_batch_on(&mut device, &apps, OptConfig::gdroid()).unwrap();
         let fresh = gpu_analyze_batch(&apps, DeviceConfig::tesla_p40(), OptConfig::gdroid());
         for i in 0..apps.len() {

@@ -45,7 +45,8 @@ pub struct GpuAnalysis {
     pub sanitizer: Option<gdroid_gpusim::SanReport>,
 }
 
-/// Analyzes one app on a fresh simulated GPU.
+/// Analyzes one app on a fresh simulated GPU: a full multi-launch run
+/// with nothing pre-solved.
 pub fn gpu_analyze_app(
     program: &Program,
     cg: &CallGraph,
@@ -54,130 +55,48 @@ pub fn gpu_analyze_app(
     opts: OptConfig,
 ) -> GpuAnalysis {
     let mut device = Device::new(device_config);
-    gpu_analyze_app_on(&mut device, program, cg, roots, opts)
-        .expect("a fresh device has no fault plan")
-}
-
-/// Analyzes one app on an existing, long-lived device — the serving path,
-/// where one device outlives many apps. The device is [`Device::reset`]
-/// first (each app gets a clean arena), and any injected fault
-/// ([`gdroid_gpusim::FaultPlan`]) aborts the analysis mid-flight with an
-/// `Err` the caller can retry.
-pub fn gpu_analyze_app_on(
-    device: &mut Device,
-    program: &Program,
-    cg: &CallGraph,
-    roots: &[MethodId],
-    opts: OptConfig,
-) -> Result<GpuAnalysis, DeviceFault> {
-    gpu_analyze_app_presolved_on(device, program, cg, roots, opts, &HashMap::new())
-}
-
-/// [`gpu_analyze_app_on`] with a set of *pre-solved* methods (summary-store
-/// hits) whose summaries and node facts are injected instead of computed.
-///
-/// Pre-solved methods are treated as leaves by the layer schedule: their
-/// subtrees never enter a kernel launch, no device buffers are planned for
-/// them, and no bytes are transferred — that is the warm-corpus win. The
-/// caller must pass a *closed* set: every internal callee of a pre-solved
-/// method is itself pre-solved (otherwise its summary would never become
-/// available, since cut subtrees are unscheduled).
-pub fn gpu_analyze_app_presolved_on(
-    device: &mut Device,
-    program: &Program,
-    cg: &CallGraph,
-    roots: &[MethodId],
-    opts: OptConfig,
-    presolved: &HashMap<MethodId, (gdroid_analysis::MethodSummary, MatrixStore)>,
-) -> Result<GpuAnalysis, DeviceFault> {
-    gpu_analyze_app_restricted_on(
-        device,
-        program,
-        cg,
-        roots,
-        opts,
-        presolved,
-        None,
-        ExecMode::MultiLaunch,
-    )
-}
-
-/// The fully general entry point: pre-solved hits, an optional slice, and
-/// an [`ExecMode`]. `ExecMode::Persistent` runs the whole fixpoint inside
-/// ONE resident kernel launch: blocks pull work from a device-side queue,
-/// rounds are separated by a modeled grid-wide sync instead of a kernel
-/// boundary, and the host uploads inputs once and downloads results once
-/// — facts and summaries stay byte-identical to the multi-launch path
-/// (the fixpoint is unique; only the modeled cost differs).
-#[allow(clippy::too_many_arguments)]
-pub fn gpu_analyze_app_exec_on(
-    device: &mut Device,
-    program: &Program,
-    cg: &CallGraph,
-    roots: &[MethodId],
-    opts: OptConfig,
-    presolved: &HashMap<MethodId, (gdroid_analysis::MethodSummary, MatrixStore)>,
-    slice: Option<&std::collections::HashSet<MethodId>>,
-    exec: ExecMode,
-) -> Result<GpuAnalysis, DeviceFault> {
-    gpu_analyze_app_restricted_on(device, program, cg, roots, opts, presolved, slice, exec)
-}
-
-/// Sliced (demand-driven) analysis: the worklist seeds and launches only
-/// methods in `slice`, with call edges leaving the slice cut from the
-/// schedule. The slice must be caller-closed over the reachable set (see
-/// `gdroid_analysis::BackwardSlice`) for the facts at sink statements to
-/// match a full run. An empty slice performs zero launches.
-pub fn gpu_analyze_app_sliced_on(
-    device: &mut Device,
-    program: &Program,
-    cg: &CallGraph,
-    roots: &[MethodId],
-    opts: OptConfig,
-    slice: &std::collections::HashSet<MethodId>,
-) -> Result<GpuAnalysis, DeviceFault> {
-    gpu_analyze_app_restricted_on(
-        device,
+    gpu_analyze_app_on(
+        &mut device,
         program,
         cg,
         roots,
         opts,
         &HashMap::new(),
-        Some(slice),
+        None,
         ExecMode::MultiLaunch,
     )
+    .expect("a fresh device has no fault plan")
 }
 
-/// [`gpu_analyze_app_sliced_on`] with pre-solved summary-store hits. The
-/// presolved set must already be restricted to slice members that are
-/// closed under slice-internal call edges.
-pub fn gpu_analyze_app_sliced_presolved_on(
-    device: &mut Device,
-    program: &Program,
-    cg: &CallGraph,
-    roots: &[MethodId],
-    opts: OptConfig,
-    presolved: &HashMap<MethodId, (gdroid_analysis::MethodSummary, MatrixStore)>,
-    slice: &std::collections::HashSet<MethodId>,
-) -> Result<GpuAnalysis, DeviceFault> {
-    gpu_analyze_app_restricted_on(
-        device,
-        program,
-        cg,
-        roots,
-        opts,
-        presolved,
-        Some(slice),
-        ExecMode::MultiLaunch,
-    )
-}
-
-/// Shared driver body: a full schedule when `restrict` is `None`, a
-/// slice-restricted one otherwise; one kernel launch per round under
-/// `ExecMode::MultiLaunch`, one resident launch for the whole fixpoint
-/// under `ExecMode::Persistent`.
+/// Analyzes one app on an existing, long-lived device — the one general
+/// entry point. The device is [`Device::reset`] first (each app gets a
+/// clean arena), and any injected fault ([`gdroid_gpusim::FaultPlan`])
+/// aborts the analysis mid-flight with an `Err` the caller can retry.
+///
+/// `presolved` methods (summary-store hits) have their summaries and node
+/// facts injected instead of computed. The layer schedule treats them as
+/// leaves: their subtrees never enter a kernel launch, no device buffers
+/// are planned for them, and no bytes are transferred — that is the
+/// warm-corpus win. The set must be *closed*: every internal callee of a
+/// pre-solved method is itself pre-solved (otherwise its summary would
+/// never become available, since cut subtrees are unscheduled); under a
+/// slice, closed over slice-internal call edges.
+///
+/// `slice` (demand-driven analysis) seeds and launches only its members,
+/// with call edges leaving it cut from the schedule. It must be
+/// caller-closed over the reachable set (see
+/// `gdroid_analysis::BackwardSlice`) for the facts at sink statements to
+/// match a full run. An empty slice performs zero launches.
+///
+/// `exec` maps fixpoint rounds onto launches. `ExecMode::Persistent` runs
+/// the whole fixpoint inside ONE resident kernel launch: blocks pull work
+/// from a device-side queue, rounds are separated by a modeled grid-wide
+/// sync instead of a kernel boundary, and the host uploads inputs once
+/// and downloads results once — facts and summaries stay byte-identical
+/// to the multi-launch path (the fixpoint is unique; only the modeled
+/// cost differs).
 #[allow(clippy::too_many_arguments)]
-fn gpu_analyze_app_restricted_on(
+pub fn gpu_analyze_app_on(
     device: &mut Device,
     program: &Program,
     cg: &CallGraph,
@@ -511,6 +430,18 @@ mod tests {
         (app, cg, roots)
     }
 
+    /// A full, nothing-pre-solved GDroid run on an existing device.
+    fn analyze_on(
+        device: &mut Device,
+        app: &gdroid_apk::App,
+        cg: &CallGraph,
+        roots: &[MethodId],
+        exec: ExecMode,
+    ) -> Result<GpuAnalysis, DeviceFault> {
+        let none = HashMap::new();
+        gpu_analyze_app_on(device, &app.program, cg, roots, OptConfig::gdroid(), &none, None, exec)
+    }
+
     #[test]
     fn gpu_analysis_matches_cpu_reference_exactly() {
         let (app, cg, roots) = prepared(4001);
@@ -622,9 +553,8 @@ mod tests {
         let mut device = Device::new(DeviceConfig::tiny());
         for seed in [4007u64, 4008] {
             let (app, cg, roots) = prepared(seed);
-            let reused =
-                gpu_analyze_app_on(&mut device, &app.program, &cg, &roots, OptConfig::gdroid())
-                    .expect("no fault plan installed");
+            let reused = analyze_on(&mut device, &app, &cg, &roots, ExecMode::MultiLaunch)
+                .expect("no fault plan installed");
             let fresh = gpu_analyze_app(
                 &app.program,
                 &cg,
@@ -641,31 +571,10 @@ mod tests {
     fn persistent_matches_multi_launch_facts_with_one_launch() {
         for seed in [4101u64, 4102, 4103] {
             let (app, cg, roots) = prepared(seed);
-            let none = HashMap::new();
             let mut md = Device::new(DeviceConfig::tiny());
-            let multi = gpu_analyze_app_exec_on(
-                &mut md,
-                &app.program,
-                &cg,
-                &roots,
-                OptConfig::gdroid(),
-                &none,
-                None,
-                ExecMode::MultiLaunch,
-            )
-            .unwrap();
+            let multi = analyze_on(&mut md, &app, &cg, &roots, ExecMode::MultiLaunch).unwrap();
             let mut pd = Device::new(DeviceConfig::tiny());
-            let per = gpu_analyze_app_exec_on(
-                &mut pd,
-                &app.program,
-                &cg,
-                &roots,
-                OptConfig::gdroid(),
-                &none,
-                None,
-                ExecMode::Persistent,
-            )
-            .unwrap();
+            let per = analyze_on(&mut pd, &app, &cg, &roots, ExecMode::Persistent).unwrap();
             // The fixpoint is unique: facts and summaries byte-identical.
             assert_eq!(per.summaries, multi.summaries, "seed {seed}");
             assert_eq!(per.facts.len(), multi.facts.len());
@@ -693,31 +602,12 @@ mod tests {
     fn persistent_fault_at_submission_aborts_and_retry_succeeds() {
         use gdroid_gpusim::FaultPlan;
         let (app, cg, roots) = prepared(4104);
-        let none = HashMap::new();
         let mut device = Device::new(DeviceConfig::tiny());
         device.set_fault_plan(Some(FaultPlan { period: 1, budget: 1 }));
-        let err = gpu_analyze_app_exec_on(
-            &mut device,
-            &app.program,
-            &cg,
-            &roots,
-            OptConfig::gdroid(),
-            &none,
-            None,
-            ExecMode::Persistent,
-        );
+        let err = analyze_on(&mut device, &app, &cg, &roots, ExecMode::Persistent);
         assert!(err.is_err(), "the one resident launch must fault");
-        let retry = gpu_analyze_app_exec_on(
-            &mut device,
-            &app.program,
-            &cg,
-            &roots,
-            OptConfig::gdroid(),
-            &none,
-            None,
-            ExecMode::Persistent,
-        )
-        .expect("budget exhausted, retry must succeed");
+        let retry = analyze_on(&mut device, &app, &cg, &roots, ExecMode::Persistent)
+            .expect("budget exhausted, retry must succeed");
         let fresh =
             gpu_analyze_app(&app.program, &cg, &roots, DeviceConfig::tiny(), OptConfig::gdroid());
         assert_eq!(retry.summaries, fresh.summaries);
@@ -731,10 +621,10 @@ mod tests {
         let mut device = Device::new(DeviceConfig::tiny());
         // Fault the very first launch, once.
         device.set_fault_plan(Some(FaultPlan { period: 1, budget: 1 }));
-        let err = gpu_analyze_app_on(&mut device, &app.program, &cg, &roots, OptConfig::gdroid());
+        let err = analyze_on(&mut device, &app, &cg, &roots, ExecMode::MultiLaunch);
         assert!(err.is_err(), "first launch must fault");
         // The retry runs fault-free (budget exhausted) and matches fresh.
-        let retry = gpu_analyze_app_on(&mut device, &app.program, &cg, &roots, OptConfig::gdroid())
+        let retry = analyze_on(&mut device, &app, &cg, &roots, ExecMode::MultiLaunch)
             .expect("budget exhausted, retry must succeed");
         let fresh =
             gpu_analyze_app(&app.program, &cg, &roots, DeviceConfig::tiny(), OptConfig::gdroid());

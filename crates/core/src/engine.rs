@@ -9,7 +9,7 @@
 //! Engines differ only in modeled cost (`stats`, `idfg_ns`) and telemetry
 //! shape — the fixpoint is unique, the road to it is not.
 
-use crate::driver::{gpu_analyze_app_exec_on, GpuAnalysis};
+use crate::driver::{gpu_analyze_app_on, GpuAnalysis};
 use crate::opts::OptConfig;
 use crate::stats::GpuRunStats;
 use gdroid_analysis::{
@@ -66,7 +66,7 @@ impl std::fmt::Display for ExecMode {
 /// The selectable engines, in CLI order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EngineKind {
-    /// The paper's worklist-GPU driver (`gpu_analyze_app*`).
+    /// The paper's worklist-GPU driver (`gpu_analyze_app_on`).
     Worklist,
     /// The relational (semi-naive Datalog) GPU backend (`gdroid-rel`).
     Rel,
@@ -96,54 +96,12 @@ impl EngineKind {
             _ => None,
         }
     }
-
-    /// What the engine composes with (gates serve dispatch and the CLI).
-    pub fn caps(self) -> EngineCaps {
-        match self {
-            EngineKind::Worklist => EngineCaps {
-                sumstore: true,
-                targeted: true,
-                batching: true,
-                persistent: true,
-                note: "the paper's worklist-GPU kernels (MAT+GRP+MER); the default",
-            },
-            EngineKind::Rel => EngineCaps {
-                sumstore: true,
-                targeted: true,
-                batching: false,
-                persistent: false,
-                note: "semi-naive relational GPU joins over delta relations",
-            },
-            EngineKind::Cpu => EngineCaps {
-                sumstore: false,
-                targeted: false,
-                batching: false,
-                persistent: false,
-                note: "sequential CPU reference solver — the differential oracle",
-            },
-        }
-    }
 }
 
 impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
-}
-
-/// What an [`EngineKind`] composes with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineCaps {
-    /// Summary-store pre-solving (`--sumstore`).
-    pub sumstore: bool,
-    /// Demand-driven sink slicing (`--targeted`).
-    pub targeted: bool,
-    /// Co-resident multi-app batching (serve `coresident > 1`).
-    pub batching: bool,
-    /// Persistent-kernel execution ([`ExecMode::Persistent`]).
-    pub persistent: bool,
-    /// One-line description for `gdroid engines`.
-    pub note: &'static str,
 }
 
 /// What every engine returns: the engine-invariant fixpoint (facts,
@@ -197,8 +155,9 @@ pub trait AnalysisEngine: Send + Sync {
     ///
     /// `presolved` injects summary-store hits; `slice`, when `Some`,
     /// restricts the schedule to the given methods (targeted vetting).
-    /// Callers must check [`EngineKind::caps`] before passing a non-empty
-    /// `presolved` or a slice to an engine that does not support them.
+    /// Callers must not pass a non-empty `presolved` or a slice to an
+    /// engine that does not support them (`gdroid-vetting`'s `ExecPlan`
+    /// capability table is the gate).
     fn analyze_on(
         &self,
         device: &mut Device,
@@ -210,7 +169,7 @@ pub trait AnalysisEngine: Send + Sync {
     ) -> Result<EngineAnalysis, DeviceFault>;
 }
 
-/// The worklist-GPU engine: today's `gpu_analyze_app*` family.
+/// The worklist-GPU engine: `gpu_analyze_app_on` behind the trait.
 pub struct WorklistEngine {
     /// Optimization-ladder rung the kernels run at.
     pub opts: OptConfig,
@@ -244,9 +203,8 @@ impl AnalysisEngine for WorklistEngine {
         presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
         slice: Option<&HashSet<MethodId>>,
     ) -> Result<EngineAnalysis, DeviceFault> {
-        let gpu = gpu_analyze_app_exec_on(
-            device, program, cg, roots, self.opts, presolved, slice, self.exec,
-        )?;
+        let gpu =
+            gpu_analyze_app_on(device, program, cg, roots, self.opts, presolved, slice, self.exec)?;
         Ok(gpu.into())
     }
 }
@@ -269,7 +227,7 @@ impl AnalysisEngine for CpuEngine {
         presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
         slice: Option<&HashSet<MethodId>>,
     ) -> Result<EngineAnalysis, DeviceFault> {
-        assert!(slice.is_none(), "the cpu engine does not support targeted slicing (see caps)");
+        assert!(slice.is_none(), "the cpu engine does not support targeted slicing");
         let analysis = analyze_app_presolved(program, cg, roots, StoreKind::Matrix, presolved);
         let idfg_ns = CpuCostModel::amandroid().sequential_ns(&analysis);
         let mut stats = GpuRunStats::default();
@@ -301,17 +259,6 @@ mod tests {
             assert_eq!(format!("{kind}"), kind.as_str());
         }
         assert_eq!(EngineKind::parse("gdroid"), None);
-    }
-
-    #[test]
-    fn caps_match_the_documented_matrix() {
-        assert!(EngineKind::Worklist.caps().batching);
-        assert!(EngineKind::Worklist.caps().persistent);
-        assert!(!EngineKind::Rel.caps().batching);
-        assert!(!EngineKind::Rel.caps().persistent);
-        assert!(EngineKind::Rel.caps().sumstore && EngineKind::Rel.caps().targeted);
-        let cpu = EngineKind::Cpu.caps();
-        assert!(!cpu.sumstore && !cpu.targeted && !cpu.batching && !cpu.persistent);
     }
 
     #[test]

@@ -35,15 +35,10 @@ pub mod opts;
 pub mod stats;
 
 pub use autotune::{tune_blocks_per_sm, TuneResult};
-pub use batch::{gpu_analyze_batch, gpu_analyze_batch_on, BatchAnalysis, BatchApp, BatchStats};
-pub use engine::{
-    AnalysisEngine, CpuEngine, EngineAnalysis, EngineCaps, EngineKind, ExecMode, WorklistEngine,
-};
+pub use batch::{gpu_analyze_batch_on, BatchAnalysis, BatchApp, BatchStats};
+pub use engine::{AnalysisEngine, CpuEngine, EngineAnalysis, EngineKind, ExecMode, WorklistEngine};
 
-pub use driver::{
-    gpu_analyze_app, gpu_analyze_app_exec_on, gpu_analyze_app_on, gpu_analyze_app_presolved_on,
-    gpu_analyze_app_sliced_on, gpu_analyze_app_sliced_presolved_on, GpuAnalysis,
-};
+pub use driver::{gpu_analyze_app, gpu_analyze_app_on, GpuAnalysis};
 pub use kernel::run_method_block;
 pub use layout::{plan_layout, AppLayout, MethodLayout};
 pub use multigpu::{

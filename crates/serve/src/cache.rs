@@ -263,7 +263,7 @@ impl ResultCache {
 mod tests {
     use super::*;
     use gdroid_apk::{generate_app, GenConfig};
-    use gdroid_vetting::{execute_vetting_full, prepare_vetting, Engine};
+    use gdroid_vetting::{prepare_vetting, vet_prepared, Engine, ExecPlan};
 
     fn run_for(seed: u64) -> (u64, String, VettingRun, HashMap<MethodId, u64>, u64) {
         let app = generate_app(0, seed, &GenConfig::tiny());
@@ -272,7 +272,7 @@ mod tests {
         let prep = prepare_vetting(app);
         let mh = method_hashes(&prep.app.program);
         let fp = interner_fingerprint(&prep.app.program.interner);
-        let run = execute_vetting_full(&prep, Engine::AmandroidCpu);
+        let run = vet_prepared(&prep, ExecPlan::new(Engine::AmandroidCpu));
         (hash, package, run, mh, fp)
     }
 

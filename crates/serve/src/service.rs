@@ -28,17 +28,12 @@ use crate::pool::DevicePool;
 use crate::queue::{SubmitError, SubmitQueue};
 use crate::scheduler::{block_demand, work_estimate, DispatchHeap, ReadyJob};
 use gdroid_apk::{generate_app, load_bundle, App};
-use gdroid_core::{EngineKind, ExecMode, OptConfig};
+use gdroid_core::{EngineKind, ExecMode};
 use gdroid_gpusim::{DeviceConfig, FaultPlan};
 use gdroid_sumstore::SumStore;
 use gdroid_vetting::{
-    execute_vetting_batch_on_device, execute_vetting_engine_on_device_mode,
-    execute_vetting_engine_on_device_with_store_mode,
-    execute_vetting_engine_targeted_on_device_mode,
-    execute_vetting_engine_targeted_on_device_with_store_mode, execute_vetting_incremental,
-    execute_vetting_on_device, execute_vetting_on_device_with_store,
-    execute_vetting_targeted_on_device, execute_vetting_targeted_on_device_with_store,
-    prepare_vetting, PreparedApp, StoreUse, VettingRun,
+    execute, execute_vetting_batch_on_device, execute_vetting_incremental, prepare_vetting,
+    ExecCtx, ExecPlan, PreparedApp, VettingRun,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -70,8 +65,6 @@ pub struct ServiceConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Simulated device model.
     pub device_config: DeviceConfig,
-    /// Kernel optimization ladder rung to vet with.
-    pub opt: OptConfig,
     /// Optional cross-app summary store shared by every executor. Full
     /// runs pre-solve store-hit methods and feed fresh summaries back;
     /// `None` disables the store entirely.
@@ -88,21 +81,20 @@ pub struct ServiceConfig {
     /// `1` (the default) disables batching. Ignored when a summary store
     /// is configured (store pre-solving is a per-app path).
     pub coresident: usize,
-    /// Engine jobs run under (see [`EngineKind::caps`]). Non-worklist
-    /// engines bypass the result cache and incremental warm starts (both
-    /// hold worklist-profiled outcomes) and never join a co-resident
-    /// batch. Targeted submissions fall back to the worklist engine when
-    /// the configured engine's caps lack `targeted` (only the CPU
-    /// reference does).
+    /// Engine jobs run under; the worklist engine runs the full-GDroid
+    /// rung. Together with `exec` and the per-submission targeted flag it
+    /// forms each job's [`ExecPlan`], whose lane predicates decide what
+    /// the job may use: only full multi-launch worklist jobs touch the
+    /// result cache, warm-start incrementally, or join a co-resident
+    /// batch (cached outcomes embed that one cost profile). A combination
+    /// the plan would refuse is rerouted by [`ExecPlan::fallback`], never
+    /// failed: targeted submissions to a service whose engine cannot
+    /// slice (only the CPU reference) run on the worklist engine.
     pub engine: EngineKind,
-    /// Kernel execution mode worklist jobs run under. Under
-    /// [`ExecMode::Persistent`] each app's fixpoint runs as one resident
-    /// mega-kernel launch; verdicts and facts stay byte-identical to
-    /// multi-launch, but the cost profile differs, so persistent jobs
-    /// bypass the result cache (both directions), skip the incremental
-    /// warm start, and never join a co-resident batch. Jobs running on an
-    /// engine whose caps lack `persistent` fall back to
-    /// [`ExecMode::MultiLaunch`].
+    /// Kernel execution mode. Under [`ExecMode::Persistent`] each app's
+    /// fixpoint runs as one resident mega-kernel launch; verdicts and
+    /// facts stay byte-identical to multi-launch. Jobs on an engine that
+    /// cannot run persistent fall back to multi-launch.
     pub exec: ExecMode,
 }
 
@@ -118,7 +110,6 @@ impl Default for ServiceConfig {
             job_timeout_ms: 30_000,
             fault_plan: None,
             device_config: DeviceConfig::tesla_p40(),
-            opt: OptConfig::gdroid(),
             sumstore: None,
             result_cache: None,
             coresident: 1,
@@ -138,11 +129,10 @@ struct ServiceState {
     results_cv: std::sync::Condvar,
     max_retries: u32,
     timeout: Duration,
-    opt: OptConfig,
     sumstore: Option<Arc<SumStore>>,
     coresident: usize,
-    engine: EngineKind,
-    exec: ExecMode,
+    /// The untargeted plan every submission starts from.
+    plan: ExecPlan,
     /// Total block slots of one device (`sm_count × blocks_per_sm`) — the
     /// budget co-resident top-ups must fit into.
     block_slots: u64,
@@ -187,11 +177,9 @@ impl VettingService {
             results_cv: std::sync::Condvar::new(),
             max_retries: config.max_retries,
             timeout: Duration::from_millis(config.job_timeout_ms.max(1)),
-            opt: config.opt,
             sumstore: config.sumstore,
             coresident: config.coresident.max(1),
-            engine: config.engine,
-            exec: config.exec,
+            plan: ExecPlan { exec: config.exec, ..ExecPlan::new(config.engine) },
             block_slots: (config.device_config.sm_count as u64)
                 * (config.device_config.blocks_per_sm as u64),
         });
@@ -213,17 +201,8 @@ impl VettingService {
 
     fn spec(&self, priority: Priority, source: JobSource, targeted: bool) -> JobSpec {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // Targeted jobs need a slicing-capable engine; the worklist engine
-        // is the documented fallback for the one kind (cpu) that lacks it.
-        let engine = if targeted && !self.state.engine.caps().targeted {
-            EngineKind::Worklist
-        } else {
-            self.state.engine
-        };
-        // Engines without persistent caps (rel, cpu) run multi-launch; a
-        // persistent service setting only applies where it is meaningful.
-        let exec = if engine.caps().persistent { self.state.exec } else { ExecMode::MultiLaunch };
-        JobSpec { id, priority, source, submitted_at: Instant::now(), targeted, engine, exec }
+        let plan = ExecPlan { targeted, ..self.state.plan }.fallback();
+        JobSpec { id, priority, source, submitted_at: Instant::now(), plan }
     }
 
     /// Blocking submission (backpressure when the queue is full).
@@ -367,15 +346,7 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
         let content_hash = app_content_hash(&app);
         let package = app.manifest.package.clone();
 
-        // Targeted jobs bypass the lookup: the cache only ever holds full
-        // outcomes, and a `take_previous`-style probe would invalidate a
-        // perfectly good full entry. Non-worklist engines bypass too —
-        // cached outcomes embed the worklist cost profile, which a rel or
-        // cpu job must not be served. Persistent jobs likewise: their
-        // cost profile (one launch per app) differs from the cached
-        // multi-launch one.
-        if !job.targeted && job.engine == EngineKind::Worklist && job.exec == ExecMode::MultiLaunch
-        {
+        if job.plan.cacheable() {
             if let Some(outcome) = state.cache.lookup(content_hash) {
                 Counters::bump(&state.metrics.counters.cache_hits);
                 state.deliver(JobResult {
@@ -408,9 +379,7 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
         let ready = ReadyJob {
             id: job.id,
             priority: job.priority,
-            targeted: job.targeted,
-            engine: job.engine,
-            exec: job.exec,
+            plan: job.plan,
             estimate,
             block_demand: block_demand(&prep),
             prep,
@@ -475,16 +444,8 @@ fn exec_loop(state: &ServiceState) {
         // combined block demand still fits its block slots. Extras run
         // through the incremental path first — a warm-startable job never
         // burns device time just because it was popped as a co-resident.
-        // Only worklist jobs batch (the batch driver runs the worklist
-        // kernels); a popped non-worklist extra runs solo afterwards.
         let mut group = vec![job];
-        let mut stragglers: Vec<ReadyJob> = Vec::new();
-        if state.coresident > 1
-            && state.sumstore.is_none()
-            && !group[0].targeted
-            && group[0].engine == EngineKind::Worklist
-            && group[0].exec == ExecMode::MultiLaunch
-        {
+        if state.coresident > 1 && state.sumstore.is_none() && group[0].plan.batchable() {
             let mut demand = group[0].block_demand;
             while group.len() < state.coresident && demand < state.block_slots {
                 let Some(extra) = state.dispatch.try_pop_coresident(state.block_slots - demand)
@@ -492,10 +453,6 @@ fn exec_loop(state: &ServiceState) {
                     break;
                 };
                 let Some(extra) = try_incremental(state, extra) else { continue };
-                if extra.engine != EngineKind::Worklist || extra.exec != ExecMode::MultiLaunch {
-                    stragglers.push(extra);
-                    continue;
-                }
                 demand += extra.block_demand;
                 group.push(extra);
             }
@@ -506,25 +463,17 @@ fn exec_loop(state: &ServiceState) {
         } else {
             exec_batch(state, group);
         }
-        for straggler in stragglers {
-            exec_solo(state, straggler);
-        }
     }
 }
 
 /// Attempts an incremental warm start — only on the first attempt, and
 /// only when a previous version of the same package is cached (the stale
 /// entry is invalidated either way). Returns the job back when it still
-/// needs a full device run. Targeted jobs always do: their sliced path
-/// must neither consume nor invalidate cached full analyses. Non-worklist
-/// jobs always do too — the cache is a worklist-engine artifact — and so
-/// do persistent jobs, whose cost profile the cached entries don't match.
+/// needs a full device run, as every job whose plan is not
+/// [`ExecPlan::warm_startable`] does: a targeted job's sliced path, say,
+/// must neither consume nor invalidate cached full analyses.
 fn try_incremental(state: &ServiceState, job: ReadyJob) -> Option<ReadyJob> {
-    if job.failures == 0
-        && !job.targeted
-        && job.engine == EngineKind::Worklist
-        && job.exec == ExecMode::MultiLaunch
-    {
+    if job.failures == 0 && job.plan.warm_startable() {
         if let Some(prev) = state.cache.take_previous(&job.package, job.content_hash) {
             if let Some(changed) =
                 changed_methods(&prev, &job.method_hashes, job.interner_fingerprint)
@@ -555,67 +504,19 @@ fn try_incremental(state: &ServiceState, job: ReadyJob) -> Option<ReadyJob> {
 fn exec_solo(state: &ServiceState, mut job: ReadyJob) {
     let mut lease = state.pool.lease();
     let t = Instant::now();
-    // Engines without sumstore caps (only the CPU reference) skip the
-    // store rather than fault; targeted dispatch was already routed to a
-    // slicing-capable engine at submission.
-    let store = state.sumstore.as_deref().filter(|_| job.engine.caps().sumstore);
-    // Store-backed runs report which methods *this* execution hit; the
-    // counters keep that attribution service-local, because the store's
-    // own global stats can't when the store Arc is shared across shards.
-    let account = |used: StoreUse| {
-        state.metrics.counters.store_hits.fetch_add(used.hits, Ordering::Relaxed);
-        state.metrics.counters.store_misses.fetch_add(used.misses, Ordering::Relaxed);
-    };
-    // Multi-launch worklist jobs keep the legacy opt-configurable path;
-    // everything else (other engines, persistent execution) goes through
-    // the engine dispatch layer, which owns the exec-mode plumbing.
-    let attempt = match (job.engine, job.exec, job.targeted, store) {
-        (EngineKind::Worklist, ExecMode::MultiLaunch, true, Some(store)) => {
-            execute_vetting_targeted_on_device_with_store(&job.prep, &mut lease, state.opt, store)
-                .map(|(run, used)| {
-                    account(used);
-                    run
-                })
-        }
-        (EngineKind::Worklist, ExecMode::MultiLaunch, true, None) => {
-            execute_vetting_targeted_on_device(&job.prep, &mut lease, state.opt)
-        }
-        (EngineKind::Worklist, ExecMode::MultiLaunch, false, Some(store)) => {
-            execute_vetting_on_device_with_store(&job.prep, &mut lease, state.opt, store).map(
-                |(run, used)| {
-                    account(used);
-                    run
-                },
-            )
-        }
-        (EngineKind::Worklist, ExecMode::MultiLaunch, false, None) => {
-            execute_vetting_on_device(&job.prep, &mut lease, state.opt)
-        }
-        (engine, exec, true, Some(store)) => {
-            execute_vetting_engine_targeted_on_device_with_store_mode(
-                &job.prep, &mut lease, engine, store, exec,
-            )
-            .map(|(run, used)| {
-                account(used);
-                run
-            })
-        }
-        (engine, exec, true, None) => {
-            execute_vetting_engine_targeted_on_device_mode(&job.prep, &mut lease, engine, exec)
-        }
-        (engine, exec, false, Some(store)) => execute_vetting_engine_on_device_with_store_mode(
-            &job.prep, &mut lease, engine, store, exec,
-        )
-        .map(|(run, used)| {
-            account(used);
-            run
-        }),
-        (engine, exec, false, None) => {
-            execute_vetting_engine_on_device_mode(&job.prep, &mut lease, engine, exec)
-        }
-    };
-    match attempt {
-        Ok(run) => {
+    // Engines that cannot use the store (only the CPU reference) skip it
+    // rather than fault.
+    let store = state.sumstore.as_deref().filter(|_| job.plan.engine.caps().sumstore);
+    match execute(&job.prep, job.plan, &mut ExecCtx { store, ..ExecCtx::new(&mut lease) }) {
+        Ok(done) => {
+            // Store-backed runs report which methods *this* execution hit;
+            // the counters keep that attribution service-local, because the
+            // store's own global stats can't when the store Arc is shared
+            // across shards.
+            if let Some(used) = done.store_use {
+                state.metrics.counters.store_hits.fetch_add(used.hits, Ordering::Relaxed);
+                state.metrics.counters.store_misses.fetch_add(used.misses, Ordering::Relaxed);
+            }
             let exec_wall_ns = t.elapsed().as_nanos() as u64;
             drop(lease);
             if t.elapsed() > state.timeout {
@@ -624,7 +525,7 @@ fn exec_solo(state: &ServiceState, mut job: ReadyJob) {
                 retry_or_quarantine(state, job, exec_wall_ns);
             } else {
                 Counters::bump(&state.metrics.counters.executed);
-                finish(state, job, run, exec_wall_ns, CacheDisposition::Miss);
+                finish(state, job, done.run, exec_wall_ns, CacheDisposition::Miss);
             }
         }
         Err(_fault) => {
@@ -646,7 +547,7 @@ fn exec_batch(state: &ServiceState, group: Vec<ReadyJob>) {
     let mut lease = state.pool.lease();
     let t = Instant::now();
     let preps: Vec<&PreparedApp> = group.iter().map(|j| &j.prep).collect();
-    let attempt = execute_vetting_batch_on_device(&preps, &mut lease, state.opt);
+    let attempt = execute_vetting_batch_on_device(&preps, &mut lease, group[0].plan);
     let exec_wall_ns = t.elapsed().as_nanos() as u64;
     drop(lease);
     match attempt {
@@ -685,16 +586,16 @@ fn finish(
     state.metrics.exec_wall.record(exec_wall_ns);
     state.metrics.kernel_model.record(run.outcome.timing.idfg_ns as u64);
     state.metrics.taint_model.record(run.outcome.timing.taint_ns as u64);
-    match job.engine {
-        EngineKind::Worklist => {}
-        EngineKind::Rel => Counters::bump(&state.metrics.counters.rel_jobs),
-        EngineKind::Cpu => Counters::bump(&state.metrics.counters.cpu_jobs),
+    match job.plan.engine.kind() {
+        Some(EngineKind::Rel) => Counters::bump(&state.metrics.counters.rel_jobs),
+        Some(EngineKind::Cpu) => Counters::bump(&state.metrics.counters.cpu_jobs),
+        _ => {}
     }
-    if job.exec == ExecMode::Persistent {
+    if job.plan.exec == ExecMode::Persistent {
         Counters::bump(&state.metrics.counters.persistent_jobs);
     }
     let outcome = run.outcome.clone();
-    if job.targeted {
+    if job.plan.targeted {
         // Never cache a targeted outcome as a full one; account the
         // sliced fraction instead (micro-units keep the counter atomic).
         Counters::bump(&state.metrics.counters.targeted_jobs);
@@ -705,10 +606,7 @@ fn finish(
                 .sliced_fraction_micros
                 .fetch_add((prov.sliced_fraction * 1e6).round() as u64, Ordering::Relaxed);
         }
-    } else if job.engine == EngineKind::Worklist && job.exec == ExecMode::MultiLaunch {
-        // Only multi-launch worklist outcomes enter the cache: a hit is
-        // served verbatim, so its embedded cost profile must match the
-        // engine and exec mode future worklist jobs expect.
+    } else if job.plan.cacheable() {
         state.cache.insert(
             job.content_hash,
             &job.package,
@@ -763,6 +661,7 @@ fn retry_or_quarantine(state: &ServiceState, mut job: ReadyJob, exec_wall_ns: u6
 mod tests {
     use super::*;
     use gdroid_apk::GenConfig;
+    use gdroid_core::OptConfig;
     use gdroid_vetting::vet_app;
 
     fn seed_source(index: usize, seed: u64) -> JobSource {
@@ -997,9 +896,7 @@ mod tests {
         ReadyJob {
             id,
             priority: Priority::Standard,
-            targeted: false,
-            engine: EngineKind::Worklist,
-            exec: ExecMode::MultiLaunch,
+            plan: ExecPlan::default(),
             estimate: work_estimate(&prep),
             block_demand: block_demand(&prep),
             content_hash: app_content_hash(&prep.app),
@@ -1031,12 +928,10 @@ mod tests {
             results_cv: std::sync::Condvar::new(),
             max_retries: 3,
             timeout: Duration::from_millis(30_000),
-            opt: OptConfig::gdroid(),
             sumstore: None,
             coresident: 4,
             block_slots: 120,
-            engine: EngineKind::Worklist,
-            exec: ExecMode::MultiLaunch,
+            plan: ExecPlan::default(),
         };
         for id in 0..5u64 {
             assert!(state.dispatch.push(ready_job(id, 5500 + id)).is_ok());

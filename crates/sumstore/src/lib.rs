@@ -24,7 +24,7 @@
 //!
 //! Store-hit methods are treated as pre-summarized leaves by the ICFG
 //! layering and never enter the GPU worklist; see
-//! `gdroid_vetting::execute_vetting_full_with_store` for the wiring.
+//! `gdroid_vetting::execute` (an `ExecCtx` with a store) for the wiring.
 
 #![warn(missing_docs)]
 

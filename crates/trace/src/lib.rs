@@ -124,7 +124,7 @@ pub struct Tracer {
 
 impl Tracer {
     /// A disabled tracer (the no-op sink).
-    pub fn disabled() -> Tracer {
+    pub const fn disabled() -> Tracer {
         Tracer { buf: None }
     }
 

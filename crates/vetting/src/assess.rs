@@ -179,12 +179,12 @@ pub fn band_of_outcome(outcome: &VettingOutcome) -> RiskBand {
 }
 
 /// Re-export used by `band_of_outcome` callers that still need an engine.
-pub use crate::pipeline::Engine as AssessEngine;
+pub use crate::plan::Engine as AssessEngine;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{vet_app, Engine};
+    use crate::{vet_app, Engine};
     use gdroid_apk::{generate_app, Corpus, GenConfig};
 
     #[test]

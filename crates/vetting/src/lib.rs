@@ -10,29 +10,39 @@
 //! * [`taint`] — instance-labeling taint propagation over the node-wise
 //!   points-to facts, intra- and inter-procedural;
 //! * [`report`] — leak reports and verdicts;
-//! * [`pipeline`] — the end-to-end vetting run (environment → call graph →
-//!   IDFG → taint) with the per-stage timing behind Fig. 1, runnable
-//!   against any engine: sequential Amandroid-style CPU, the
-//!   multithreaded-C baseline, or the simulated GPU with any optimization
-//!   ladder rung;
-//! * [`engines`] — the [`gdroid_core::AnalysisEngine`]-based dispatch:
-//!   per-job engine selection (worklist-GPU, relational-GPU, CPU
-//!   reference) with byte-identical reports across engines;
-//! * [`store_exec`] — the same pipeline backed by a cross-app
-//!   [`gdroid_sumstore::SumStore`]: store-hit library methods are
-//!   pre-solved and never scheduled;
-//! * [`targeted`] — demand-driven vetting: a backward slice from the sink
-//!   statements restricts the GPU worklist to the methods that can
-//!   influence a sink verdict, with byte-identical reports;
+//! * [`pipeline`] — the stages around the IDFG (environment → call graph
+//!   → … → taint) with the per-stage timing behind Fig. 1;
+//! * [`plan`] — [`ExecPlan`] (engine × exec mode × targeted), its
+//!   capability table, and [`execute`], the one function that runs a
+//!   plan against an [`ExecCtx`] (device, summary store, tracer) with
+//!   byte-identical reports across every accepted combination;
+//! * [`store_exec`] — the summary-store steps of a run: store-hit library
+//!   methods are pre-solved and never scheduled, fresh solves feed the
+//!   cross-app [`gdroid_sumstore::SumStore`];
+//! * [`targeted`] — the demand-driven step: a backward slice from the
+//!   sink statements restricts the engine to the methods that can
+//!   influence a sink verdict;
 //! * [`plugins`] — further IDFG-reuse plugins in the Amandroid style:
 //!   intent exposure, hardcoded payloads, permission audit;
 //! * [`assess`] — the composite, reviewer-auditable risk assessment
 //!   aggregating every plugin into one scored verdict.
+//!
+//! ## Entry points
+//!
+//! [`prepare_vetting`] runs the host-side prep stage once per app. Then:
+//!
+//! * [`execute`]`(&prep, plan, &mut ctx)` — every single-app run;
+//! * [`vet_prepared`] / [`vet_app`] — `execute` on a fresh device with
+//!   no store and no tracer (the latter prepares the app itself);
+//! * [`execute_vetting_incremental`] — re-vet an updated app from a
+//!   previous analysis;
+//! * [`execute_vetting_batch_on_device`] — several apps co-resident in
+//!   shared kernel launches.
 
 pub mod assess;
-pub mod engines;
 pub mod json;
 pub mod pipeline;
+pub mod plan;
 pub mod plugins;
 pub mod registry;
 pub mod report;
@@ -41,20 +51,13 @@ pub mod taint;
 pub mod targeted;
 
 pub use assess::{assess_app, Assessment, RiskBand, Signal};
-pub use engines::{
-    engine_for, engine_for_mode, execute_vetting_engine, execute_vetting_engine_mode,
-    execute_vetting_engine_on_device, execute_vetting_engine_on_device_mode,
-    execute_vetting_engine_on_device_with_store, execute_vetting_engine_on_device_with_store_mode,
-    execute_vetting_engine_targeted_on_device, execute_vetting_engine_targeted_on_device_mode,
-    execute_vetting_engine_targeted_on_device_with_store,
-    execute_vetting_engine_targeted_on_device_with_store_mode, execute_vetting_engine_traced,
-    execute_vetting_engine_traced_mode,
-};
 pub use pipeline::{
-    execute_vetting, execute_vetting_batch_on_device, execute_vetting_full,
-    execute_vetting_gpu_traced, execute_vetting_incremental, execute_vetting_on_device,
-    prepare_vetting, trace_stage_spans, vet_app, Engine, PreparedApp, VettingOutcome, VettingRun,
-    VettingTiming,
+    execute_vetting_batch_on_device, execute_vetting_incremental, prepare_vetting,
+    trace_stage_spans, vet_app, PreparedApp, VettingOutcome, VettingRun, VettingTiming,
+};
+pub use plan::{
+    engine_for_mode, execute, vet_prepared, Engine, EngineCaps, ExecCtx, ExecPlan, Executed,
+    PlanRefusal,
 };
 pub use plugins::{
     hardcoded_payloads, intent_exposure, permission_audit, ExposureFinding, HardcodedFinding,
@@ -62,12 +65,6 @@ pub use plugins::{
 };
 pub use registry::{SourceId, SourceSinkRegistry};
 pub use report::{Leak, Verdict, VettingReport};
-pub use store_exec::{
-    execute_vetting_full_with_store, execute_vetting_gpu_traced_with_store,
-    execute_vetting_on_device_with_store, execute_vetting_targeted_on_device_with_store, StoreUse,
-};
+pub use store_exec::StoreUse;
 pub use taint::{TaintAnalysis, TaintStats};
-pub use targeted::{
-    compute_vetting_slice, execute_vetting_targeted, execute_vetting_targeted_on_device,
-    execute_vetting_targeted_traced, sink_reachability_findings, TargetedProvenance,
-};
+pub use targeted::{compute_vetting_slice, sink_reachability_findings, TargetedProvenance};

@@ -6,27 +6,17 @@
 //! stage so Fig. 1's total-vs-IDFG breakdown can be regenerated; per the
 //! paper, IDFG construction takes 58–96% of the total.
 
+use crate::plan::{vet_prepared, Engine, ExecPlan};
 use crate::registry::SourceSinkRegistry;
 use crate::report::VettingReport;
 use crate::taint::TaintAnalysis;
-use gdroid_analysis::{analyze_app, AppAnalysis, CpuCostModel, FactStore, StoreKind};
+use gdroid_analysis::{AppAnalysis, CpuCostModel, FactStore, StoreKind};
 use gdroid_apk::App;
-use gdroid_core::{gpu_analyze_app, gpu_analyze_app_on, OptConfig};
-use gdroid_gpusim::{Device, DeviceConfig, DeviceFault};
+use gdroid_core::EngineAnalysis;
+use gdroid_gpusim::{Device, DeviceFault};
 use gdroid_icfg::{prepare_app, CallGraph, EnvironmentInfo};
 use gdroid_ir::MethodId;
 use serde::{Deserialize, Serialize};
-
-/// Which engine constructs the IDFG.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// Sequential Amandroid-style CPU run (Fig. 1).
-    AmandroidCpu,
-    /// The multithreaded-C CPU baseline (Fig. 4's CPU side).
-    MultithreadedCpu,
-    /// Simulated GPU with the given optimizations.
-    Gpu(OptConfig),
-}
 
 /// Modeled per-stage times, nanoseconds.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
@@ -179,17 +169,18 @@ pub(crate) fn finish_vetting(
     VettingRun { outcome, analysis }
 }
 
-/// Folds a GPU analysis into the CPU-shaped [`AppAnalysis`] a cache or
-/// incremental re-analysis consumes (the facts/summaries are bit-identical
-/// across engines; only cost models differ).
-pub(crate) fn gpu_to_app_analysis(gpu: gdroid_core::GpuAnalysis) -> AppAnalysis {
-    let store_bytes = gpu.facts.values().map(FactStore::memory_bytes).sum();
+/// Folds an engine's analysis into the CPU-shaped [`AppAnalysis`] the
+/// taint plugin, a cache, or an incremental re-analysis consumes (the
+/// facts/summaries are bit-identical across engines; only cost models
+/// differ).
+pub(crate) fn to_app_analysis(ea: EngineAnalysis) -> AppAnalysis {
+    let store_bytes = ea.facts.values().map(FactStore::memory_bytes).sum();
     AppAnalysis {
-        spaces: gpu.spaces,
-        cfgs: gpu.cfgs,
-        facts: gpu.facts,
-        summaries: gpu.summaries,
-        telemetry: gpu.telemetry,
+        spaces: ea.spaces,
+        cfgs: ea.cfgs,
+        facts: ea.facts,
+        summaries: ea.summaries,
+        telemetry: ea.telemetry,
         per_method: std::collections::HashMap::new(),
         store_bytes,
         store_kind: StoreKind::Matrix,
@@ -197,73 +188,25 @@ pub(crate) fn gpu_to_app_analysis(gpu: gdroid_core::GpuAnalysis) -> AppAnalysis 
     }
 }
 
-/// Executes the IDFG + taint stages on a prepared app, borrowing it (no
-/// per-engine deep copy), and returns the analysis alongside the outcome.
-pub fn execute_vetting_full(prep: &PreparedApp, engine: Engine) -> VettingRun {
-    let program = &prep.app.program;
-    match engine {
-        Engine::AmandroidCpu => {
-            let analysis = analyze_app(program, &prep.cg, &prep.roots, StoreKind::Set);
-            let idfg_ns = CpuCostModel::amandroid().sequential_ns(&analysis);
-            finish_vetting(prep, analysis, idfg_ns)
-        }
-        Engine::MultithreadedCpu => {
-            let analysis = gdroid_analysis::analyze_app_parallel(
-                program,
-                &prep.cg,
-                &prep.roots,
-                StoreKind::Set,
-            );
-            let idfg_ns = CpuCostModel::multithreaded_c().parallel_ns(&analysis);
-            finish_vetting(prep, analysis, idfg_ns)
-        }
-        Engine::Gpu(opts) => {
-            let gpu =
-                gpu_analyze_app(program, &prep.cg, &prep.roots, DeviceConfig::tesla_p40(), opts);
-            let idfg_ns = gpu.stats.total_ns;
-            // GPU engines report device memory, not host stores (the
-            // historical `store_bytes: 0` contract of `vet_app`).
-            let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-            run.outcome.store_bytes = 0;
-            run
-        }
-    }
-}
-
-/// Like [`execute_vetting_full`] without retaining the analysis.
-pub fn execute_vetting(prep: &PreparedApp, engine: Engine) -> VettingOutcome {
-    execute_vetting_full(prep, engine).outcome
-}
-
-/// GPU execution on an existing long-lived device — the serving path. An
-/// injected [`DeviceFault`] surfaces as `Err` so the caller can retry the
-/// job on the same or another device.
-pub fn execute_vetting_on_device(
-    prep: &PreparedApp,
-    device: &mut Device,
-    opts: OptConfig,
-) -> Result<VettingRun, DeviceFault> {
-    let gpu = gpu_analyze_app_on(device, &prep.app.program, &prep.cg, &prep.roots, opts)?;
-    let idfg_ns = gpu.stats.total_ns;
-    let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-    run.outcome.store_bytes = 0;
-    Ok(run)
-}
-
 /// Co-resident batch execution of several prepared apps on one device
 /// (the serving layer's batch-forming mode): their per-layer launches are
 /// interleaved into shared kernels by [`gdroid_core::gpu_analyze_batch_on`]
 /// so small apps stop wasting block slots. Each returned [`VettingRun`] —
 /// report, timing, telemetry, the whole outcome JSON — is bit-identical
-/// to [`execute_vetting_on_device`] for the same app; the returned
+/// to [`crate::execute`] of the same plan for the same app; the returned
 /// [`gdroid_core::BatchStats`] carries the shared-pipeline makespan and
 /// coresidency. An injected fault aborts the whole batch, and the caller
-/// retries the member jobs individually.
+/// retries the member jobs individually. Panics unless
+/// [`ExecPlan::batchable`].
 pub fn execute_vetting_batch_on_device(
     preps: &[&PreparedApp],
     device: &mut Device,
-    opts: OptConfig,
+    plan: ExecPlan,
 ) -> Result<(Vec<VettingRun>, gdroid_core::BatchStats), DeviceFault> {
+    let opts = match plan.engine {
+        Engine::Gpu(opts) if plan.batchable() => opts,
+        _ => panic!("{plan:?} cannot run co-resident"),
+    };
     let apps: Vec<gdroid_core::BatchApp<'_>> = preps
         .iter()
         .map(|p| gdroid_core::BatchApp { program: &p.app.program, cg: &p.cg, roots: &p.roots })
@@ -275,7 +218,7 @@ pub fn execute_vetting_batch_on_device(
         .zip(preps)
         .map(|(gpu, prep)| {
             let idfg_ns = gpu.stats.total_ns;
-            let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
+            let mut run = finish_vetting(prep, to_app_analysis(gpu.into()), idfg_ns);
             run.outcome.store_bytes = 0;
             run
         })
@@ -309,7 +252,7 @@ pub fn execute_vetting_incremental(
 /// Vets one app end to end. The `app` must be freshly generated (not yet
 /// prepared); the pipeline synthesizes environments itself.
 pub fn vet_app(app: App, engine: Engine) -> VettingOutcome {
-    execute_vetting(&prepare_vetting(app), engine)
+    vet_prepared(&prepare_vetting(app), ExecPlan::new(engine)).outcome
 }
 
 /// Emits the pipeline's four stage spans — envgen, callgraph, idfg,
@@ -336,36 +279,13 @@ pub fn trace_stage_spans(
     t
 }
 
-/// GPU execution with tracing: a fresh device records its kernel-launch
-/// and driver events into `tracer`, with its modeled clock advanced past
-/// the prep stages so those events nest inside the `idfg` stage span;
-/// the four stage spans are emitted once the run finishes. With a
-/// disabled tracer this is exactly [`execute_vetting_full`] on a GPU
-/// engine (asserted in tests and the tier-1 trace gate).
-pub fn execute_vetting_gpu_traced(
-    prep: &PreparedApp,
-    opts: OptConfig,
-    tracer: &gdroid_trace::Tracer,
-) -> VettingRun {
-    let mut device = Device::new(DeviceConfig::tesla_p40());
-    device.set_tracer(tracer.clone());
-    let prep_ns = prep.prep_timing.envgen_ns + prep.prep_timing.callgraph_ns;
-    device.advance_clock(prep_ns.round() as u64);
-    let gpu = gpu_analyze_app_on(&mut device, &prep.app.program, &prep.cg, &prep.roots, opts)
-        .expect("a fresh device has no fault plan");
-    let idfg_ns = gpu.stats.total_ns;
-    let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-    run.outcome.store_bytes = 0;
-    if tracer.enabled() {
-        trace_stage_spans(tracer, &run.outcome.timing, 0, 0);
-    }
-    run
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{execute, ExecCtx};
     use gdroid_apk::{generate_app, GenConfig};
+    use gdroid_core::OptConfig;
+    use gdroid_gpusim::DeviceConfig;
 
     #[test]
     fn pipeline_produces_report_and_timing() {
@@ -392,7 +312,7 @@ mod tests {
             ]
             .into_iter()
             .map(|e| {
-                let o = execute_vetting(&prep, e);
+                let o = vet_prepared(&prep, ExecPlan::new(e)).outcome;
                 (o.report.verdict, o.report.leaks.len())
             })
             .collect();
@@ -405,7 +325,7 @@ mod tests {
     #[test]
     fn staged_pipeline_matches_vet_app() {
         let prep = prepare_vetting(generate_app(0, 6400, &GenConfig::tiny()));
-        let staged = execute_vetting(&prep, Engine::AmandroidCpu);
+        let staged = vet_prepared(&prep, ExecPlan::new(Engine::AmandroidCpu)).outcome;
         let whole = vet_app(generate_app(0, 6400, &GenConfig::tiny()), Engine::AmandroidCpu);
         assert_eq!(staged.report.verdict, whole.report.verdict);
         assert_eq!(staged.report.leaks, whole.report.leaks);
@@ -417,20 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn device_execution_matches_fresh_device_path() {
-        use gdroid_gpusim::{Device, DeviceConfig};
-        let prep = prepare_vetting(generate_app(0, 6401, &GenConfig::tiny()));
-        let mut device = Device::new(DeviceConfig::tesla_p40());
-        let on_device = execute_vetting_on_device(&prep, &mut device, OptConfig::gdroid())
-            .expect("no fault plan");
-        let fresh = execute_vetting(&prep, Engine::Gpu(OptConfig::gdroid()));
-        assert_eq!(on_device.outcome.report.to_json(), fresh.report.to_json());
-        assert_eq!(on_device.outcome.timing.idfg_ns, fresh.timing.idfg_ns);
-    }
-
-    #[test]
     fn batch_execution_matches_solo_byte_for_byte() {
-        use gdroid_gpusim::{Device, DeviceConfig};
         let preps: Vec<PreparedApp> = [6403u64, 6404, 6405]
             .iter()
             .map(|&s| prepare_vetting(generate_app(0, s, &GenConfig::tiny())))
@@ -438,14 +345,15 @@ mod tests {
         let refs: Vec<&PreparedApp> = preps.iter().collect();
         let mut device = Device::new(DeviceConfig::tesla_p40());
         let (runs, batch) =
-            execute_vetting_batch_on_device(&refs, &mut device, OptConfig::gdroid())
+            execute_vetting_batch_on_device(&refs, &mut device, ExecPlan::default())
                 .expect("no fault plan");
         assert_eq!(runs.len(), preps.len());
         let mut solo_sum = 0.0f64;
         for (prep, run) in preps.iter().zip(&runs) {
             let mut solo_dev = Device::new(DeviceConfig::tesla_p40());
-            let solo = execute_vetting_on_device(prep, &mut solo_dev, OptConfig::gdroid())
-                .expect("no fault plan");
+            let solo = execute(prep, ExecPlan::default(), &mut ExecCtx::new(&mut solo_dev))
+                .expect("no fault plan")
+                .run;
             assert_eq!(run.outcome.to_json(), solo.outcome.to_json());
             solo_sum += solo.outcome.timing.idfg_ns;
         }
@@ -456,8 +364,8 @@ mod tests {
     #[test]
     fn outcome_json_is_stable_and_wellformed() {
         let prep = prepare_vetting(generate_app(0, 6402, &GenConfig::tiny()));
-        let a = execute_vetting(&prep, Engine::AmandroidCpu).to_json();
-        let b = execute_vetting(&prep, Engine::AmandroidCpu).to_json();
+        let a = vet_prepared(&prep, ExecPlan::new(Engine::AmandroidCpu)).outcome.to_json();
+        let b = vet_prepared(&prep, ExecPlan::new(Engine::AmandroidCpu)).outcome.to_json();
         assert_eq!(a, b, "identical runs must serialize identically");
         assert!(a.starts_with('{') && a.ends_with('}'));
         assert!(a.contains("\"report\":"));
@@ -467,10 +375,15 @@ mod tests {
     #[test]
     fn traced_run_matches_untraced_and_trace_is_deterministic() {
         let prep = prepare_vetting(generate_app(0, 6500, &GenConfig::tiny()));
-        let untraced = execute_vetting(&prep, Engine::Gpu(OptConfig::gdroid()));
+        let untraced = vet_prepared(&prep, ExecPlan::default()).outcome;
+        let traced = |tracer: &gdroid_trace::Tracer| {
+            let mut device = Device::new(DeviceConfig::tesla_p40());
+            let ctx = &mut ExecCtx { tracer, ..ExecCtx::new(&mut device) };
+            execute(&prep, ExecPlan::default(), ctx).expect("no fault plan").run
+        };
         let run_traced = || {
             let tracer = gdroid_trace::Tracer::enabled_new();
-            let run = execute_vetting_gpu_traced(&prep, OptConfig::gdroid(), &tracer);
+            let run = traced(&tracer);
             (run.outcome.to_json(), tracer.to_chrome_json())
         };
         let (json_a, trace_a) = run_traced();
@@ -483,8 +396,7 @@ mod tests {
         }
         // Disabled tracer records nothing and still matches.
         let off = gdroid_trace::Tracer::disabled();
-        let run = execute_vetting_gpu_traced(&prep, OptConfig::gdroid(), &off);
-        assert_eq!(run.outcome.to_json(), json_a);
+        assert_eq!(traced(&off).outcome.to_json(), json_a);
         assert!(off.events().is_empty());
     }
 

@@ -1,4 +1,5 @@
-//! Summary-store-aware vetting execution.
+//! Summary-store lookup and feed — the two store steps of
+//! [`crate::execute`].
 //!
 //! The warm-corpus path: before the IDFG stage runs, every reachable
 //! method's canonical hash is looked up in a shared
@@ -12,16 +13,8 @@
 //! verdicts are byte-identical to a store-disabled run (tier-1 tested);
 //! only the modeled IDFG time shrinks.
 
-use crate::pipeline::{
-    execute_vetting_full, finish_vetting, gpu_to_app_analysis, trace_stage_spans, Engine,
-    PreparedApp, VettingRun,
-};
-use gdroid_analysis::{
-    analyze_app_presolved, CpuCostModel, Geometry, MatrixStore, MethodSpace, MethodSummary,
-    StoreKind,
-};
-use gdroid_core::gpu_analyze_app_presolved_on;
-use gdroid_gpusim::{Device, DeviceConfig, DeviceFault};
+use crate::pipeline::PreparedApp;
+use gdroid_analysis::{Geometry, MatrixStore, MethodSpace, MethodSummary};
 use gdroid_icfg::Cfg;
 use gdroid_ir::{MethodId, Program};
 use gdroid_sumstore::{canonical_hashes, RelocSummary, StoredMethod, SumStore};
@@ -144,160 +137,21 @@ pub(crate) fn absorb_into_store(
     }
 }
 
-/// [`execute_vetting_full`] backed by a summary store.
-///
-/// Supported engines: [`Engine::AmandroidCpu`] (pre-solved sequential
-/// solver) and [`Engine::Gpu`] (pre-solved leaves never launch). The
-/// multithreaded CPU baseline has no pre-solved variant; it runs the
-/// plain pipeline and only *feeds* the store (every method a miss).
-pub fn execute_vetting_full_with_store(
-    prep: &PreparedApp,
-    engine: Engine,
-    store: &SumStore,
-) -> (VettingRun, StoreUse) {
-    let program = &prep.app.program;
-    let (presolved, hashes) = match engine {
-        Engine::MultithreadedCpu => {
-            (HashMap::new(), canonical_hashes(program, &prep.cg, &prep.roots))
-        }
-        _ => collect_presolved(prep, store),
-    };
-    let run = match engine {
-        Engine::AmandroidCpu => {
-            let analysis =
-                analyze_app_presolved(program, &prep.cg, &prep.roots, StoreKind::Set, &presolved);
-            let idfg_ns = CpuCostModel::amandroid().sequential_ns(&analysis);
-            finish_vetting(prep, analysis, idfg_ns)
-        }
-        Engine::MultithreadedCpu => execute_vetting_full(prep, engine),
-        Engine::Gpu(opts) => {
-            let mut device = Device::new(DeviceConfig::tesla_p40());
-            let gpu = gpu_analyze_app_presolved_on(
-                &mut device,
-                program,
-                &prep.cg,
-                &prep.roots,
-                opts,
-                &presolved,
-            )
-            .expect("a fresh device has no fault plan");
-            let idfg_ns = gpu.stats.total_ns;
-            let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-            run.outcome.store_bytes = 0;
-            run
-        }
-    };
-    let store_use = absorb_into_store(program, store, &hashes, &presolved, &run.analysis, None);
-    (run, store_use)
-}
-
-/// [`crate::execute_vetting_gpu_traced`] backed by a summary store: the
-/// traced GPU path with pre-solved leaves. Store hits short-circuit whole
-/// subtrees out of the kernel schedule, so the trace records them as one
-/// `sumstore` instant (hit/miss counts and the hit methods) at the start
-/// of the IDFG stage rather than as launch spans.
-pub fn execute_vetting_gpu_traced_with_store(
-    prep: &PreparedApp,
-    opts: gdroid_core::OptConfig,
-    store: &SumStore,
-    tracer: &gdroid_trace::Tracer,
-) -> (VettingRun, StoreUse) {
-    let program = &prep.app.program;
-    let (presolved, hashes) = collect_presolved(prep, store);
-    let mut device = Device::new(DeviceConfig::tesla_p40());
-    device.set_tracer(tracer.clone());
-    let prep_ns = prep.prep_timing.envgen_ns + prep.prep_timing.callgraph_ns;
-    device.advance_clock(prep_ns.round() as u64);
-    if tracer.enabled() {
-        tracer.instant(
-            "vetting",
-            "sumstore",
-            device.clock_ns(),
-            0,
-            vec![
-                ("hits", (presolved.len() as u64).into()),
-                ("candidates", (hashes.len() as u64).into()),
-                ("package", prep.app.name.as_str().into()),
-            ],
-        );
-    }
-    let gpu =
-        gpu_analyze_app_presolved_on(&mut device, program, &prep.cg, &prep.roots, opts, &presolved)
-            .expect("a fresh device has no fault plan");
-    let idfg_ns = gpu.stats.total_ns;
-    let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-    run.outcome.store_bytes = 0;
-    if tracer.enabled() {
-        trace_stage_spans(tracer, &run.outcome.timing, 0, 0);
-    }
-    let store_use = absorb_into_store(program, store, &hashes, &presolved, &run.analysis, None);
-    (run, store_use)
-}
-
-/// [`crate::execute_vetting_on_device`] backed by a summary store — the
-/// serving path. Store lookups happen before the device is touched; an
-/// injected fault surfaces as `Err` and the retry re-resolves against
-/// the store (counters may count the lookups twice; they are
-/// diagnostics, not accounting).
-pub fn execute_vetting_on_device_with_store(
-    prep: &PreparedApp,
-    device: &mut Device,
-    opts: gdroid_core::OptConfig,
-    store: &SumStore,
-) -> Result<(VettingRun, StoreUse), DeviceFault> {
-    let program = &prep.app.program;
-    let (presolved, hashes) = collect_presolved(prep, store);
-    let gpu =
-        gpu_analyze_app_presolved_on(device, program, &prep.cg, &prep.roots, opts, &presolved)?;
-    let idfg_ns = gpu.stats.total_ns;
-    let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-    run.outcome.store_bytes = 0;
-    let store_use = absorb_into_store(program, store, &hashes, &presolved, &run.analysis, None);
-    Ok((run, store_use))
-}
-
-/// [`crate::execute_vetting_targeted_on_device`] backed by a summary
-/// store: pre-solved hits are restricted to slice members (the
-/// intersection stays closed under slice-internal callee edges, since the
-/// presolved set is closed under *all* callee edges), and post-run
-/// insertion is restricted to the slice's exact members so partial-root
-/// results never enter the store.
-pub fn execute_vetting_targeted_on_device_with_store(
-    prep: &PreparedApp,
-    device: &mut Device,
-    opts: gdroid_core::OptConfig,
-    store: &SumStore,
-) -> Result<(VettingRun, StoreUse), DeviceFault> {
-    let program = &prep.app.program;
-    let slice = crate::targeted::compute_vetting_slice(prep);
-    let (all_presolved, hashes) = collect_presolved(prep, store);
-    let presolved: HashMap<MethodId, (MethodSummary, MatrixStore)> =
-        all_presolved.into_iter().filter(|(m, _)| slice.members.contains(m)).collect();
-    let gpu = gdroid_core::gpu_analyze_app_sliced_presolved_on(
-        device,
-        program,
-        &prep.cg,
-        &prep.roots,
-        opts,
-        &presolved,
-        &slice.members,
-    )?;
-    let idfg_ns = gpu.stats.total_ns;
-    let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-    run.outcome.store_bytes = 0;
-    run.outcome.targeted = Some(crate::targeted::TargetedProvenance::of(&slice));
-    let store_use =
-        absorb_into_store(program, store, &hashes, &presolved, &run.analysis, Some(&slice.exact));
-    Ok((run, store_use))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::prepare_vetting;
+    use crate::pipeline::{prepare_vetting, VettingRun};
+    use crate::plan::{execute, vet_prepared, Engine, ExecCtx, ExecPlan};
     use gdroid_analysis::FactStore;
     use gdroid_apk::{generate_app, GenConfig};
-    use gdroid_core::OptConfig;
+    use gdroid_gpusim::{Device, DeviceConfig};
+
+    fn with_store(prep: &PreparedApp, plan: ExecPlan, store: &SumStore) -> (VettingRun, StoreUse) {
+        let mut device = Device::new(DeviceConfig::tesla_p40());
+        let ctx = &mut ExecCtx { store: Some(store), ..ExecCtx::new(&mut device) };
+        let done = execute(prep, plan, ctx).expect("no fault plan");
+        (done.run, done.store_use.expect("a store was attached"))
+    }
 
     fn facts_digest(analysis: &gdroid_analysis::AppAnalysis) -> Vec<(MethodId, Vec<u64>)> {
         let mut out: Vec<(MethodId, Vec<u64>)> =
@@ -309,19 +163,19 @@ mod tests {
     #[test]
     fn warm_run_hits_and_matches_cold_and_disabled() {
         let cfg = GenConfig::tiny().with_libraries(2, 2);
-        let engine = Engine::Gpu(OptConfig::gdroid());
+        let engine = ExecPlan::default();
         let store = SumStore::new();
         let prep_a = prepare_vetting(generate_app(0, 9500, &cfg));
         let prep_b = prepare_vetting(generate_app(1, 9501, &cfg));
 
-        let disabled_b = execute_vetting_full(&prep_b, engine);
-        let (cold_a, use_a) = execute_vetting_full_with_store(&prep_a, engine, &store);
+        let disabled_b = vet_prepared(&prep_b, engine);
+        let (cold_a, use_a) = with_store(&prep_a, engine, &store);
         assert_eq!(use_a.hits, 0, "fresh store cannot hit");
         assert!(use_a.misses > 0);
         assert!(!cold_a.analysis.facts.is_empty());
 
         // App B bundles the same library packages: warm run must hit.
-        let (warm_b, use_b) = execute_vetting_full_with_store(&prep_b, engine, &store);
+        let (warm_b, use_b) = with_store(&prep_b, engine, &store);
         assert!(use_b.hits > 0, "no store hits on a shared-library corpus");
         assert_eq!(
             warm_b.outcome.report.to_json(),
@@ -348,9 +202,10 @@ mod tests {
         let store = SumStore::new();
         let prep_a = prepare_vetting(generate_app(0, 9502, &cfg));
         let prep_b = prepare_vetting(generate_app(1, 9503, &cfg));
-        let disabled = execute_vetting_full(&prep_b, Engine::AmandroidCpu);
-        let (_, _) = execute_vetting_full_with_store(&prep_a, Engine::AmandroidCpu, &store);
-        let (warm, used) = execute_vetting_full_with_store(&prep_b, Engine::AmandroidCpu, &store);
+        let amandroid = ExecPlan::new(Engine::AmandroidCpu);
+        let disabled = vet_prepared(&prep_b, amandroid);
+        let (_, _) = with_store(&prep_a, amandroid, &store);
+        let (warm, used) = with_store(&prep_b, amandroid, &store);
         assert!(used.hits > 0);
         assert_eq!(warm.outcome.report.to_json(), disabled.outcome.report.to_json());
         assert_eq!(facts_digest(&warm.analysis), facts_digest(&disabled.analysis));
@@ -362,17 +217,11 @@ mod tests {
         let store = SumStore::new();
         let prep_a = prepare_vetting(generate_app(0, 9505, &cfg));
         let prep_b = prepare_vetting(generate_app(1, 9506, &cfg));
-        let mut device = Device::new(DeviceConfig::tesla_p40());
+        let targeted = ExecPlan { targeted: true, ..ExecPlan::default() };
 
         // Cold targeted run populates the store with exact members only.
         let slice_a = crate::targeted::compute_vetting_slice(&prep_a);
-        let (run_a, use_a) = execute_vetting_targeted_on_device_with_store(
-            &prep_a,
-            &mut device,
-            OptConfig::gdroid(),
-            &store,
-        )
-        .expect("no fault plan");
+        let (run_a, use_a) = with_store(&prep_a, targeted, &store);
         assert!(run_a.outcome.targeted.is_some());
         let hashes_a = canonical_hashes(&prep_a.app.program, &prep_a.cg, &prep_a.roots);
         for root in &slice_a.roots {
@@ -384,14 +233,8 @@ mod tests {
         assert_eq!(use_a.hits, 0);
 
         // A warm targeted run agrees with a store-free full run.
-        let disabled = execute_vetting_full(&prep_b, Engine::Gpu(OptConfig::gdroid()));
-        let (warm_b, _) = execute_vetting_targeted_on_device_with_store(
-            &prep_b,
-            &mut device,
-            OptConfig::gdroid(),
-            &store,
-        )
-        .expect("no fault plan");
+        let disabled = vet_prepared(&prep_b, ExecPlan::default());
+        let (warm_b, _) = with_store(&prep_b, targeted, &store);
         assert_eq!(warm_b.outcome.report.to_json(), disabled.outcome.report.to_json());
     }
 
@@ -400,10 +243,8 @@ mod tests {
         let cfg = GenConfig::tiny();
         let store = SumStore::new();
         let prep = prepare_vetting(generate_app(0, 9504, &cfg));
-        let (_, first) =
-            execute_vetting_full_with_store(&prep, Engine::Gpu(OptConfig::gdroid()), &store);
-        let (again, second) =
-            execute_vetting_full_with_store(&prep, Engine::Gpu(OptConfig::gdroid()), &store);
+        let (_, first) = with_store(&prep, ExecPlan::default(), &store);
+        let (again, second) = with_store(&prep, ExecPlan::default(), &store);
         assert_eq!(second.misses, 0, "identical app must fully pre-solve");
         assert_eq!(second.hits, first.misses);
         assert!(again.analysis.facts.values().any(|f| f.memory_bytes() > 0));

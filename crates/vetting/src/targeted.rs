@@ -2,21 +2,17 @@
 //!
 //! Most vetting queries are "does anything flow into these sinks?" — the
 //! BackDroid observation. Instead of building the full IDFG, the targeted
-//! path computes a [`BackwardSlice`] from the taint registry's sink call
-//! sites and runs the GPU driver over slice members only
-//! ([`gdroid_core::gpu_analyze_app_sliced_on`]). Because the slice
+//! path ([`crate::ExecPlan::targeted`]) computes a [`BackwardSlice`] from
+//! the taint registry's sink call sites and runs the engine over slice
+//! members only. Because the slice
 //! over-approximates everything that can influence a sink verdict (see
 //! `gdroid_analysis::slice` for the argument), the report is byte-identical
 //! to a full run — enforced by the tier-1 gate `tests/targeted_gate.rs` —
 //! while the modeled IDFG time shrinks with the sliced fraction.
 
-use crate::pipeline::{
-    finish_vetting, gpu_to_app_analysis, trace_stage_spans, PreparedApp, VettingRun,
-};
+use crate::pipeline::PreparedApp;
 use crate::registry::SourceSinkRegistry;
 use gdroid_analysis::BackwardSlice;
-use gdroid_core::{gpu_analyze_app_sliced_on, OptConfig};
-use gdroid_gpusim::{Device, DeviceConfig, DeviceFault};
 use gdroid_ir::{MethodId, Program, Stmt, StmtIdx};
 
 /// Provenance of a targeted run, rendered into the outcome JSON as the
@@ -131,96 +127,23 @@ pub fn compute_vetting_slice(prep: &PreparedApp) -> BackwardSlice {
     BackwardSlice::compute(&prep.app.program, &prep.cg, &prep.roots, &sites)
 }
 
-/// Targeted vetting on an existing long-lived device — the fast-lane
-/// serving path. Slices, launches slice members only, and attaches the
-/// [`TargetedProvenance`] to the outcome.
-pub fn execute_vetting_targeted_on_device(
-    prep: &PreparedApp,
-    device: &mut Device,
-    opts: OptConfig,
-) -> Result<VettingRun, DeviceFault> {
-    let slice = compute_vetting_slice(prep);
-    let gpu = gpu_analyze_app_sliced_on(
-        device,
-        &prep.app.program,
-        &prep.cg,
-        &prep.roots,
-        opts,
-        &slice.members,
-    )?;
-    let idfg_ns = gpu.stats.total_ns;
-    let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-    run.outcome.store_bytes = 0;
-    run.outcome.targeted = Some(TargetedProvenance::of(&slice));
-    Ok(run)
-}
-
-/// Targeted vetting on a fresh device.
-pub fn execute_vetting_targeted(prep: &PreparedApp, opts: OptConfig) -> VettingRun {
-    let mut device = Device::new(DeviceConfig::tesla_p40());
-    execute_vetting_targeted_on_device(prep, &mut device, opts)
-        .expect("a fresh device has no fault plan")
-}
-
-/// Targeted vetting with tracing: mirrors
-/// [`crate::execute_vetting_gpu_traced`], plus a `targeted-slice` instant
-/// carrying the slice shape. A disabled tracer reproduces
-/// [`execute_vetting_targeted`] exactly (tier-1 invariance).
-pub fn execute_vetting_targeted_traced(
-    prep: &PreparedApp,
-    opts: OptConfig,
-    tracer: &gdroid_trace::Tracer,
-) -> VettingRun {
-    let mut device = Device::new(DeviceConfig::tesla_p40());
-    device.set_tracer(tracer.clone());
-    let prep_ns = prep.prep_timing.envgen_ns + prep.prep_timing.callgraph_ns;
-    device.advance_clock(prep_ns.round() as u64);
-    let slice = compute_vetting_slice(prep);
-    if tracer.enabled() {
-        tracer.instant(
-            "vetting",
-            "targeted-slice",
-            device.clock_ns(),
-            0,
-            vec![
-                ("slice_methods", slice.len().into()),
-                ("total_reachable", slice.total_reachable.into()),
-                ("sink_methods", slice.sink_methods.len().into()),
-                ("partial_roots", slice.roots.len().into()),
-            ],
-        );
-    }
-    let gpu = gpu_analyze_app_sliced_on(
-        &mut device,
-        &prep.app.program,
-        &prep.cg,
-        &prep.roots,
-        opts,
-        &slice.members,
-    )
-    .expect("a fresh device has no fault plan");
-    let idfg_ns = gpu.stats.total_ns;
-    let mut run = finish_vetting(prep, gpu_to_app_analysis(gpu), idfg_ns);
-    run.outcome.store_bytes = 0;
-    run.outcome.targeted = Some(TargetedProvenance::of(&slice));
-    if tracer.enabled() {
-        trace_stage_spans(tracer, &run.outcome.timing, 0, 0);
-    }
-    run
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{execute_vetting, prepare_vetting, Engine};
+    use crate::pipeline::prepare_vetting;
+    use crate::plan::{vet_prepared, ExecPlan};
     use gdroid_apk::{generate_app, GenConfig};
+
+    fn targeted_plan() -> ExecPlan {
+        ExecPlan { targeted: true, ..ExecPlan::default() }
+    }
 
     #[test]
     fn targeted_report_matches_full_and_carries_provenance() {
         for seed in [7100u64, 7101, 7102] {
             let prep = prepare_vetting(generate_app(0, seed, &GenConfig::tiny()));
-            let full = execute_vetting(&prep, Engine::Gpu(OptConfig::gdroid()));
-            let targeted = execute_vetting_targeted(&prep, OptConfig::gdroid());
+            let full = vet_prepared(&prep, ExecPlan::default()).outcome;
+            let targeted = vet_prepared(&prep, targeted_plan());
             assert_eq!(
                 targeted.outcome.report.to_json(),
                 full.report.to_json(),
@@ -239,8 +162,8 @@ mod tests {
     #[test]
     fn targeted_is_deterministic() {
         let prep = prepare_vetting(generate_app(0, 7103, &GenConfig::tiny()));
-        let a = execute_vetting_targeted(&prep, OptConfig::gdroid());
-        let b = execute_vetting_targeted(&prep, OptConfig::gdroid());
+        let a = vet_prepared(&prep, targeted_plan());
+        let b = vet_prepared(&prep, targeted_plan());
         assert_eq!(a.outcome.to_json(), b.outcome.to_json());
     }
 
@@ -259,7 +182,7 @@ mod tests {
             }
             // A sink flagged as source-unreachable must never appear as a
             // leak — the slice over-approximates every possible flow.
-            let full = execute_vetting(&prep, Engine::Gpu(OptConfig::gdroid()));
+            let full = vet_prepared(&prep, ExecPlan::default()).outcome;
             for leak in &full.report.leaks {
                 assert!(
                     !findings.iter().any(|(m, i, _)| *m == leak.method && *i == leak.stmt),
@@ -276,7 +199,7 @@ mod tests {
         for seed in 7104..7112u64 {
             let prep = prepare_vetting(generate_app(0, seed, &GenConfig::tiny()));
             let slice = compute_vetting_slice(&prep);
-            let full = execute_vetting(&prep, Engine::Gpu(OptConfig::gdroid()));
+            let full = vet_prepared(&prep, ExecPlan::default()).outcome;
             for leak in &full.report.leaks {
                 assert!(slice.members.contains(&leak.method), "leak outside slice, seed {seed}");
             }

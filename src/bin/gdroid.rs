@@ -72,16 +72,18 @@
 //! summary store; `--scale F` scales the generator profile (default is
 //! the `small` profile, 0.25).
 //!
-//! `--engine` selects how the IDFG fixpoint is computed. `vet` accepts
-//! the worklist ladder rungs (`plain|mat|matgrp|gdroid`), the CPU
-//! baselines (`mtcpu|amandroid`), and the `AnalysisEngine` kinds
-//! behind the engine trait: `worklist` (the full-GDroid rung), `rel`
-//! (the relational semi-naive GPU backend), and `cpu` (the sequential
-//! reference solver). `serve`, `batch`, and `campaign` accept
-//! `--engine worklist|rel|cpu`; non-worklist engines bypass the result
-//! cache and co-resident batching (see `gdroid engines`). Facts and
-//! verdicts are byte-identical across engines — only modeled timing
-//! differs.
+//! `--engine`, `--exec`, `--targeted`, `--sumstore` and `--trace` are
+//! parsed once (`PlanFlags`) into the `ExecPlan` every vetting verb runs.
+//! `--engine` selects how the IDFG fixpoint is computed: `worklist` (the
+//! full-GDroid rung; `gdroid` is the same value), `rel` (the relational
+//! semi-naive GPU backend), `cpu` (the sequential reference solver), and
+//! — for `vet` only — the lower ladder rungs `plain|mat|matgrp` and the
+//! CPU baselines `mtcpu|amandroid`. Facts and verdicts are byte-identical
+//! across engines; only modeled timing differs. `gdroid engines` prints
+//! the capability table: `vet` refuses (exit 2) a combination an engine
+//! lacks, the service verbs reroute the job to the nearest plan that
+//! runs, and only full multi-launch worklist jobs use the result cache,
+//! the incremental warm start and co-resident batching.
 //!
 //! `--exec persistent` switches the worklist engine to the
 //! persistent-kernel mode: each app's whole fixpoint runs as one
@@ -89,11 +91,7 @@
 //! launch overhead per app instead of one per round, with a modeled
 //! grid-wide sync between rounds and host↔device traffic collapsed to
 //! the initial upload plus the final download. Facts and verdicts are
-//! byte-identical to multi-launch; only the cost profile changes, so
-//! persistent service jobs bypass the result cache and incremental warm
-//! starts and never join a co-resident batch (`vet`, `serve`, `batch`,
-//! and `campaign` all accept the flag; only the worklist engine supports
-//! it — see `gdroid engines`).
+//! byte-identical to multi-launch; only the cost profile changes.
 //!
 //! Apps can come from a `.jil` file (the textual IR) or be generated on
 //! the fly from a numeric seed.
@@ -102,7 +100,8 @@ use gdroid::analysis::{analyze_app, StoreKind};
 use gdroid::apk::{
     generate_app, App, AppStats, Category, Corpus, CorpusStats, GenConfig, Manifest,
 };
-use gdroid::core::{EngineKind, ExecMode, OptConfig};
+use gdroid::core::{EngineKind, ExecMode};
+use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::icfg::prepare_app;
 use gdroid::ir::text::{parse_program, print_program};
 use gdroid::ir::MethodId;
@@ -113,13 +112,7 @@ use gdroid::serve::{
 use gdroid::sumstore::SumStore;
 use gdroid::trace::Tracer;
 use gdroid::vetting::{
-    execute_vetting, execute_vetting_engine_on_device_mode,
-    execute_vetting_engine_on_device_with_store_mode,
-    execute_vetting_engine_targeted_on_device_mode,
-    execute_vetting_engine_targeted_on_device_with_store_mode, execute_vetting_full_with_store,
-    execute_vetting_gpu_traced, execute_vetting_gpu_traced_with_store, execute_vetting_targeted,
-    execute_vetting_targeted_on_device_with_store, execute_vetting_targeted_traced,
-    prepare_vetting, sink_reachability_findings, trace_stage_spans, vet_app, Engine,
+    execute, prepare_vetting, sink_reachability_findings, Engine, ExecCtx, ExecPlan,
 };
 use std::process::exit;
 use std::sync::Arc;
@@ -161,21 +154,69 @@ fn flag_str<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
-/// Parses `--engine worklist|rel|cpu` for the service-backed verbs
-/// (serve, batch, campaign). Defaults to the worklist engine.
-fn service_engine(args: &[String]) -> EngineKind {
-    match flag_str(args, "--engine") {
-        None => EngineKind::Worklist,
-        Some(s) => EngineKind::parse(s).unwrap_or_else(|| usage()),
-    }
+/// The execution flags `vet`, `serve`, `batch` and `campaign` share.
+struct PlanFlags<'a> {
+    /// `--engine`, `--exec`, `--targeted`.
+    plan: ExecPlan,
+    /// `--sumstore` was given…
+    sumstore: bool,
+    /// …and its directory, for the verbs that persist the store (`vet`,
+    /// `serve`, `batch`; a campaign's stores live in memory).
+    store_dir: Option<&'a str>,
+    /// `--trace <out.json>` (`vet`) or `--trace-dir <dir>` (the service
+    /// verbs).
+    trace: Option<&'a str>,
 }
 
-/// Parses `--exec multi|persistent` for the verbs that run worklist
-/// kernels. Defaults to classic per-round multi-launch execution.
-fn service_exec(args: &[String]) -> ExecMode {
-    match flag_str(args, "--exec") {
-        None => ExecMode::MultiLaunch,
-        Some(s) => ExecMode::parse(s).unwrap_or_else(|| usage()),
+impl<'a> PlanFlags<'a> {
+    fn parse(args: &'a [String]) -> PlanFlags<'a> {
+        let engine = flag_str(args, "--engine")
+            .map_or(ExecPlan::default().engine, |s| Engine::parse(s).unwrap_or_else(|| usage()));
+        let exec = flag_str(args, "--exec")
+            .map_or(ExecMode::default(), |s| ExecMode::parse(s).unwrap_or_else(|| usage()));
+        let targeted = args.iter().any(|a| a == "--targeted");
+        PlanFlags {
+            plan: ExecPlan { engine, exec, targeted },
+            sumstore: args.iter().any(|a| a == "--sumstore"),
+            store_dir: flag_str(args, "--sumstore"),
+            trace: flag_str(args, "--trace").or_else(|| flag_str(args, "--trace-dir")),
+        }
+    }
+
+    /// `vet` runs exactly the plan it is given, so it refuses (exit 2)
+    /// what the plan cannot do; the service verbs reroute instead
+    /// (`ExecPlan::fallback`).
+    fn check_or_exit(&self) {
+        if let Err(refusal) = self.plan.check(self.sumstore) {
+            eprintln!("{refusal} (see `gdroid engines`)");
+            exit(2);
+        }
+    }
+
+    /// The engine of a service-backed verb: one of the three kinds a
+    /// service selects between.
+    fn service_engine(&self) -> EngineKind {
+        self.plan.engine.kind().unwrap_or_else(|| {
+            eprintln!(
+                "engine {} runs under `gdroid vet` only; serve, batch and campaign take \
+                 worklist|rel|cpu",
+                self.plan.engine
+            );
+            exit(2)
+        })
+    }
+
+    /// The service configuration `serve` and `batch` share.
+    fn service_config(&self, args: &[String]) -> ServiceConfig {
+        ServiceConfig {
+            prep_workers: flag_value(args, "--workers").unwrap_or(2),
+            devices: flag_value(args, "--devices").unwrap_or(2),
+            sumstore: self.store_dir.map(|dir| Arc::new(open_sumstore(dir))),
+            coresident: flag_value(args, "--coresident").unwrap_or(1),
+            engine: self.service_engine(),
+            exec: self.plan.exec,
+            ..ServiceConfig::default()
+        }
     }
 }
 
@@ -198,9 +239,14 @@ fn save_sumstore(store: &SumStore, dir: &str) {
 /// Drains a service, prints results (`--json` for the machine-readable
 /// report), and returns the process exit code: nonzero when any job was
 /// quarantined, failed, or never produced a result.
-fn finish_service(svc: VettingService, args: &[String], expected: usize) -> i32 {
+fn finish_service(
+    svc: VettingService,
+    args: &[String],
+    trace_dir: Option<&str>,
+    expected: usize,
+) -> i32 {
     let (report, results) = svc.drain();
-    if let Some(dir) = flag_str(args, "--trace-dir") {
+    if let Some(dir) = trace_dir {
         match gdroid::serve::write_job_traces(&results, std::path::Path::new(dir)) {
             Ok(paths) => eprintln!("wrote {} modeled-time trace(s) under {dir}", paths.len()),
             Err(e) => {
@@ -375,192 +421,22 @@ fn main() {
         }
         "vet" => {
             let Some(target) = args.get(1) else { usage() };
-            // The ladder rungs and CPU baselines keep their legacy
-            // dispatch; the trait-backed kinds go through the engine
-            // layer. `cpu` is the sequential reference engine; the old
-            // multithreaded baseline is spelled `mtcpu`.
-            enum VetEngine {
-                Legacy(Engine),
-                Kind(EngineKind),
-            }
-            let vet_engine = match args.iter().position(|a| a == "--engine") {
-                Some(i) => match args.get(i + 1).map(String::as_str) {
-                    Some("plain") => VetEngine::Legacy(Engine::Gpu(OptConfig::plain())),
-                    Some("mat") => VetEngine::Legacy(Engine::Gpu(OptConfig::mat())),
-                    Some("matgrp") => VetEngine::Legacy(Engine::Gpu(OptConfig::mat_grp())),
-                    Some("gdroid") => VetEngine::Legacy(Engine::Gpu(OptConfig::gdroid())),
-                    Some("mtcpu") => VetEngine::Legacy(Engine::MultithreadedCpu),
-                    Some("amandroid") => VetEngine::Legacy(Engine::AmandroidCpu),
-                    Some(s) => match EngineKind::parse(s) {
-                        Some(kind) => VetEngine::Kind(kind),
-                        None => usage(),
-                    },
-                    None => usage(),
-                },
-                None => VetEngine::Legacy(Engine::Gpu(OptConfig::gdroid())),
-            };
-            let exec = service_exec(&args);
-            let vet_engine = match (exec, vet_engine) {
-                (ExecMode::MultiLaunch, e) => e,
-                (ExecMode::Persistent, VetEngine::Kind(kind)) => {
-                    if !kind.caps().persistent {
-                        eprintln!(
-                            "engine {kind} does not support --exec persistent \
-                             (see `gdroid engines`)"
-                        );
-                        exit(2);
-                    }
-                    VetEngine::Kind(kind)
-                }
-                (ExecMode::Persistent, VetEngine::Legacy(_)) => {
-                    if args.iter().any(|a| a == "--engine") {
-                        eprintln!(
-                            "--exec persistent requires the worklist engine (see `gdroid engines`)"
-                        );
-                        exit(2);
-                    }
-                    // Default engine: route through the worklist engine
-                    // kind, whose dispatch owns the exec-mode plumbing.
-                    VetEngine::Kind(EngineKind::Worklist)
-                }
-            };
-            let app = load_app(target);
-            let trace_path = flag_str(&args, "--trace");
+            let flags = PlanFlags::parse(&args);
+            flags.check_or_exit();
+            let prep = prepare_vetting(load_app(target));
             let tracer =
-                if trace_path.is_some() { Tracer::enabled_new() } else { Tracer::disabled() };
-            let outcome = if let VetEngine::Kind(kind) = &vet_engine {
-                let kind = *kind;
-                let targeted = args.iter().any(|a| a == "--targeted");
-                if targeted && !kind.caps().targeted {
-                    eprintln!("engine {kind} does not support --targeted (see `gdroid engines`)");
-                    exit(2);
-                }
-                let store_dir = flag_str(&args, "--sumstore");
-                if store_dir.is_some() && !kind.caps().sumstore {
-                    eprintln!("engine {kind} does not support --sumstore (see `gdroid engines`)");
-                    exit(2);
-                }
-                let prep = prepare_vetting(app);
-                let mut device =
-                    gdroid::gpusim::Device::new(gdroid::gpusim::DeviceConfig::tesla_p40());
-                if tracer.enabled() {
-                    // Nest device events inside the idfg stage span, as
-                    // the traced pipeline paths do.
-                    device.set_tracer(tracer.clone());
-                    let prep_ns = prep.prep_timing.envgen_ns + prep.prep_timing.callgraph_ns;
-                    device.advance_clock(prep_ns.round() as u64);
-                }
-                let run = match store_dir {
-                    Some(dir) => {
-                        let store = open_sumstore(dir);
-                        let (run, used) = if targeted {
-                            execute_vetting_engine_targeted_on_device_with_store_mode(
-                                &prep,
-                                &mut device,
-                                kind,
-                                &store,
-                                exec,
-                            )
-                        } else {
-                            execute_vetting_engine_on_device_with_store_mode(
-                                &prep,
-                                &mut device,
-                                kind,
-                                &store,
-                                exec,
-                            )
-                        }
-                        .expect("a fresh device has no fault plan");
-                        save_sumstore(&store, dir);
-                        eprintln!("sumstore: {} hit(s), {} miss(es)", used.hits, used.misses);
-                        run
-                    }
-                    None if targeted => execute_vetting_engine_targeted_on_device_mode(
-                        &prep,
-                        &mut device,
-                        kind,
-                        exec,
-                    )
-                    .expect("a fresh device has no fault plan"),
-                    None => execute_vetting_engine_on_device_mode(&prep, &mut device, kind, exec)
-                        .expect("a fresh device has no fault plan"),
-                };
-                if tracer.enabled() {
-                    trace_stage_spans(&tracer, &run.outcome.timing, 0, 0);
-                }
-                run.outcome
-            } else if args.iter().any(|a| a == "--targeted") {
-                let VetEngine::Legacy(engine) = vet_engine else { unreachable!() };
-                let Engine::Gpu(opts) = engine else {
-                    eprintln!("--targeted requires a GPU engine (the sliced worklist)");
-                    exit(2);
-                };
-                let prep = prepare_vetting(app);
-                match flag_str(&args, "--sumstore") {
-                    Some(dir) => {
-                        let store = open_sumstore(dir);
-                        let mut device =
-                            gdroid::gpusim::Device::new(gdroid::gpusim::DeviceConfig::tesla_p40());
-                        let (run, used) = execute_vetting_targeted_on_device_with_store(
-                            &prep,
-                            &mut device,
-                            opts,
-                            &store,
-                        )
-                        .expect("a fresh device has no fault plan");
-                        save_sumstore(&store, dir);
-                        eprintln!("sumstore: {} hit(s), {} miss(es)", used.hits, used.misses);
-                        if tracer.enabled() {
-                            trace_stage_spans(&tracer, &run.outcome.timing, 0, 0);
-                        }
-                        run.outcome
-                    }
-                    None if tracer.enabled() => {
-                        execute_vetting_targeted_traced(&prep, opts, &tracer).outcome
-                    }
-                    None => execute_vetting_targeted(&prep, opts).outcome,
-                }
-            } else {
-                let VetEngine::Legacy(engine) = vet_engine else { unreachable!() };
-                match flag_str(&args, "--sumstore") {
-                    Some(dir) => {
-                        let store = open_sumstore(dir);
-                        let prep = prepare_vetting(app);
-                        let (run, used) = match engine {
-                            Engine::Gpu(opts) if tracer.enabled() => {
-                                execute_vetting_gpu_traced_with_store(&prep, opts, &store, &tracer)
-                            }
-                            engine => {
-                                let (run, used) =
-                                    execute_vetting_full_with_store(&prep, engine, &store);
-                                if tracer.enabled() {
-                                    // CPU engines trace stage spans only.
-                                    trace_stage_spans(&tracer, &run.outcome.timing, 0, 0);
-                                }
-                                (run, used)
-                            }
-                        };
-                        save_sumstore(&store, dir);
-                        eprintln!("sumstore: {} hit(s), {} miss(es)", used.hits, used.misses);
-                        run.outcome
-                    }
-                    None if tracer.enabled() => {
-                        let prep = prepare_vetting(app);
-                        match engine {
-                            Engine::Gpu(opts) => {
-                                execute_vetting_gpu_traced(&prep, opts, &tracer).outcome
-                            }
-                            engine => {
-                                let outcome = execute_vetting(&prep, engine);
-                                trace_stage_spans(&tracer, &outcome.timing, 0, 0);
-                                outcome
-                            }
-                        }
-                    }
-                    None => vet_app(app, engine),
-                }
-            };
-            if let Some(path) = trace_path {
+                if flags.trace.is_some() { Tracer::enabled_new() } else { Tracer::disabled() };
+            let store = flags.store_dir.map(open_sumstore);
+            let mut device = Device::new(DeviceConfig::tesla_p40());
+            let ctx = &mut ExecCtx { device: &mut device, store: store.as_ref(), tracer: &tracer };
+            let done = execute(&prep, flags.plan, ctx).expect("a fresh device has no fault plan");
+            if let (Some(dir), Some(store), Some(used)) = (flags.store_dir, &store, &done.store_use)
+            {
+                save_sumstore(store, dir);
+                eprintln!("sumstore: {} hit(s), {} miss(es)", used.hits, used.misses);
+            }
+            let outcome = done.run.outcome;
+            if let Some(path) = flags.trace {
                 std::fs::write(path, tracer.to_chrome_json()).unwrap_or_else(|e| {
                     eprintln!("cannot write {path}: {e}");
                     exit(1)
@@ -597,11 +473,11 @@ fn main() {
                 "engine", "sumstore", "targeted", "batching", "persistent"
             );
             let mark = |b: bool| if b { "yes" } else { "no" };
-            for kind in EngineKind::ALL {
-                let caps = kind.caps();
+            for engine in Engine::all() {
+                let caps = engine.caps();
                 println!(
                     "{:<10} {:<9} {:<9} {:<9} {:<11} {}",
-                    kind.as_str(),
+                    engine.name(),
                     mark(caps.sumstore),
                     mark(caps.targeted),
                     mark(caps.batching),
@@ -684,8 +560,7 @@ fn main() {
         }
         "serve" => {
             let Some(apps) = flag_value(&args, "--apps") else { usage() };
-            let workers = flag_value(&args, "--workers").unwrap_or(2);
-            let devices = flag_value(&args, "--devices").unwrap_or(2);
+            let flags = PlanFlags::parse(&args);
             let fault_plan = args.iter().position(|a| a == "--faults").map(|i| {
                 let spec = args.get(i + 1).unwrap_or_else(|| usage());
                 let (p, b) = spec.split_once(':').unwrap_or_else(|| usage());
@@ -694,18 +569,9 @@ fn main() {
                     budget: b.parse().unwrap_or_else(|_| usage()),
                 }
             });
-            let store_dir = flag_str(&args, "--sumstore");
-            let sumstore = store_dir.map(|dir| Arc::new(open_sumstore(dir)));
-            let svc = VettingService::start(ServiceConfig {
-                prep_workers: workers,
-                devices,
-                fault_plan,
-                sumstore: sumstore.clone(),
-                coresident: flag_value(&args, "--coresident").unwrap_or(1),
-                engine: service_engine(&args),
-                exec: service_exec(&args),
-                ..ServiceConfig::default()
-            });
+            let config = ServiceConfig { fault_plan, ..flags.service_config(&args) };
+            let sumstore = config.sumstore.clone();
+            let svc = VettingService::start(config);
             let targeted_lane = args.iter().any(|a| a == "--targeted-lane");
             for i in 0..apps {
                 let source = JobSource::Seed {
@@ -726,16 +592,15 @@ fn main() {
                     exit(1)
                 });
             }
-            let code = finish_service(svc, &args, apps);
-            if let (Some(dir), Some(store)) = (store_dir, &sumstore) {
+            let code = finish_service(svc, &args, flags.trace, apps);
+            if let (Some(dir), Some(store)) = (flags.store_dir, &sumstore) {
                 save_sumstore(store, dir);
             }
             exit(code);
         }
         "batch" => {
             let Some(dir) = args.get(1) else { usage() };
-            let workers = flag_value(&args, "--workers").unwrap_or(2);
-            let devices = flag_value(&args, "--devices").unwrap_or(2);
+            let flags = PlanFlags::parse(&args);
             let mut bundles: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
                 .unwrap_or_else(|e| {
                     eprintln!("cannot read {dir}: {e}");
@@ -752,25 +617,17 @@ fn main() {
                 exit(1);
             }
             let n = bundles.len();
-            let store_dir = flag_str(&args, "--sumstore");
-            let sumstore = store_dir.map(|dir| Arc::new(open_sumstore(dir)));
-            let svc = VettingService::start(ServiceConfig {
-                prep_workers: workers,
-                devices,
-                sumstore: sumstore.clone(),
-                coresident: flag_value(&args, "--coresident").unwrap_or(1),
-                engine: service_engine(&args),
-                exec: service_exec(&args),
-                ..ServiceConfig::default()
-            });
+            let config = flags.service_config(&args);
+            let sumstore = config.sumstore.clone();
+            let svc = VettingService::start(config);
             for path in bundles {
                 svc.submit(Priority::Standard, JobSource::Bundle(path)).unwrap_or_else(|e| {
                     eprintln!("submit failed: {e}");
                     exit(1)
                 });
             }
-            let code = finish_service(svc, &args, n);
-            if let (Some(dir), Some(store)) = (store_dir, &sumstore) {
+            let code = finish_service(svc, &args, flags.trace, n);
+            if let (Some(dir), Some(store)) = (flags.store_dir, &sumstore) {
                 save_sumstore(store, dir);
             }
             exit(code);
@@ -811,6 +668,7 @@ fn main() {
         }
         "campaign" => {
             let Some(apps) = flag_value(&args, "--apps") else { usage() };
+            let flags = PlanFlags::parse(&args);
             let shards = flag_value(&args, "--shards").unwrap_or(1);
             let journal_dir = flag_str(&args, "--journal-dir").unwrap_or("campaign.journal");
             if args.iter().any(|a| a == "--fresh") {
@@ -856,11 +714,11 @@ fn main() {
                 prep_workers: flag_value(&args, "--workers").unwrap_or(2),
                 devices: flag_value(&args, "--devices").unwrap_or(2),
                 coresident: flag_value(&args, "--coresident").unwrap_or(1),
-                targeted: args.iter().any(|a| a == "--targeted"),
-                sumstore: args.iter().any(|a| a == "--sumstore"),
-                engine: service_engine(&args),
-                exec: service_exec(&args),
-                trace_dir: flag_str(&args, "--trace-dir").map(Into::into),
+                targeted: flags.plan.targeted,
+                sumstore: flags.sumstore,
+                engine: flags.service_engine(),
+                exec: flags.plan.exec,
+                trace_dir: flags.trace.map(Into::into),
                 rotate_records,
                 shared_stores: args.iter().any(|a| a == "--shared-store"),
                 delta_base: flag_str(&args, "--delta").map(Into::into),

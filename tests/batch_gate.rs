@@ -4,10 +4,9 @@
 //! tracing.
 
 use gdroid::apk::{generate_app, GenConfig, PAPER_MASTER_SEED};
-use gdroid::core::OptConfig;
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::vetting::{
-    execute_vetting_batch_on_device, execute_vetting_on_device, prepare_vetting, PreparedApp,
+    execute, execute_vetting_batch_on_device, prepare_vetting, ExecCtx, ExecPlan, PreparedApp,
 };
 
 const CORPUS: usize = 20;
@@ -27,8 +26,9 @@ fn batched_outcomes_are_byte_identical_to_solo_across_coresidency() {
     let mut solo_json = Vec::with_capacity(CORPUS);
     let mut solo_ns = Vec::with_capacity(CORPUS);
     for prep in &preps {
-        let run = execute_vetting_on_device(prep, &mut device, OptConfig::gdroid())
-            .expect("no fault plan installed");
+        let run = execute(prep, ExecPlan::default(), &mut ExecCtx::new(&mut device))
+            .expect("no fault plan installed")
+            .run;
         solo_ns.push(run.outcome.timing.idfg_ns);
         solo_json.push(run.outcome.to_json());
     }
@@ -38,7 +38,7 @@ fn batched_outcomes_are_byte_identical_to_solo_across_coresidency() {
         for (chunk_idx, chunk) in preps.chunks(coresident).enumerate() {
             let refs: Vec<&PreparedApp> = chunk.iter().collect();
             let (runs, batch) =
-                execute_vetting_batch_on_device(&refs, &mut device, OptConfig::gdroid())
+                execute_vetting_batch_on_device(&refs, &mut device, ExecPlan::default())
                     .expect("no fault plan installed");
             assert_eq!(runs.len(), chunk.len());
             let base = chunk_idx * coresident;
@@ -76,13 +76,13 @@ fn tracing_does_not_perturb_batched_results() {
 
     let mut plain_dev = Device::new(DeviceConfig::tesla_p40());
     let (plain_runs, plain_batch) =
-        execute_vetting_batch_on_device(&refs, &mut plain_dev, OptConfig::gdroid())
+        execute_vetting_batch_on_device(&refs, &mut plain_dev, ExecPlan::default())
             .expect("no fault plan installed");
 
     let mut traced_dev = Device::new(DeviceConfig::tesla_p40());
     traced_dev.set_tracer(gdroid::trace::Tracer::enabled_new());
     let (traced_runs, traced_batch) =
-        execute_vetting_batch_on_device(&refs, &mut traced_dev, OptConfig::gdroid())
+        execute_vetting_batch_on_device(&refs, &mut traced_dev, ExecPlan::default())
             .expect("no fault plan installed");
 
     for (p, t) in plain_runs.iter().zip(&traced_runs) {

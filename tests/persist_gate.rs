@@ -11,13 +11,12 @@
 //!   launch span and stays byte-identical to the untraced run.
 
 use gdroid::apk::{generate_app, GenConfig, PAPER_MASTER_SEED};
-use gdroid::core::{EngineKind, ExecMode};
+use gdroid::core::ExecMode;
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::ir::MethodId;
 use gdroid::trace::Tracer;
 use gdroid::vetting::{
-    execute_vetting_engine_mode, execute_vetting_engine_on_device_mode,
-    execute_vetting_engine_traced_mode, prepare_vetting, PreparedApp, VettingRun,
+    execute, prepare_vetting, vet_prepared, ExecCtx, ExecPlan, PreparedApp, VettingRun,
 };
 use std::collections::BTreeMap;
 
@@ -25,6 +24,12 @@ const GATE_APPS: usize = 20;
 
 fn gate_prep(index: usize) -> PreparedApp {
     prepare_vetting(generate_app(index, PAPER_MASTER_SEED ^ index as u64, &GenConfig::tiny()))
+}
+
+/// The worklist engine in `exec` mode, fault-free.
+fn run_mode(prep: &PreparedApp, ctx: &mut ExecCtx<'_>, exec: ExecMode) -> VettingRun {
+    let plan = ExecPlan { exec, ..ExecPlan::default() };
+    execute(prep, plan, ctx).expect("a fresh device has no fault plan").run
 }
 
 /// The mode-invariant fixpoint, in comparable form: per-method bitmap
@@ -41,21 +46,9 @@ fn persistent_matches_multi_launch_over_the_gate_corpus() {
     for index in 0..GATE_APPS {
         let prep = gate_prep(index);
         let mut md = Device::new(DeviceConfig::tesla_p40());
-        let multi = execute_vetting_engine_on_device_mode(
-            &prep,
-            &mut md,
-            EngineKind::Worklist,
-            ExecMode::MultiLaunch,
-        )
-        .expect("a fresh device has no fault plan");
+        let multi = run_mode(&prep, &mut ExecCtx::new(&mut md), ExecMode::MultiLaunch);
         let mut pd = Device::new(DeviceConfig::tesla_p40());
-        let persist = execute_vetting_engine_on_device_mode(
-            &prep,
-            &mut pd,
-            EngineKind::Worklist,
-            ExecMode::Persistent,
-        )
-        .expect("a fresh device has no fault plan");
+        let persist = run_mode(&prep, &mut ExecCtx::new(&mut pd), ExecMode::Persistent);
 
         assert_eq!(
             persist.outcome.report.to_json(),
@@ -96,14 +89,11 @@ fn traced_persistent_runs_nest_rounds_inside_one_launch_span() {
     for index in 0..4 {
         let prep = gate_prep(index);
         let untraced =
-            execute_vetting_engine_mode(&prep, EngineKind::Worklist, ExecMode::Persistent);
+            vet_prepared(&prep, ExecPlan { exec: ExecMode::Persistent, ..ExecPlan::default() });
         let tracer = Tracer::enabled_new();
-        let traced = execute_vetting_engine_traced_mode(
-            &prep,
-            EngineKind::Worklist,
-            ExecMode::Persistent,
-            &tracer,
-        );
+        let mut device = Device::new(DeviceConfig::tesla_p40());
+        let traced_ctx = &mut ExecCtx { tracer: &tracer, ..ExecCtx::new(&mut device) };
+        let traced = run_mode(&prep, traced_ctx, ExecMode::Persistent);
         assert_eq!(
             traced.outcome.to_json(),
             untraced.outcome.to_json(),

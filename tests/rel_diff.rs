@@ -7,7 +7,7 @@
 use gdroid::apk::{generate_app, GenConfig};
 use gdroid::core::EngineKind;
 use gdroid::ir::MethodId;
-use gdroid::vetting::{execute_vetting_engine, prepare_vetting, VettingRun};
+use gdroid::vetting::{prepare_vetting, vet_prepared, ExecPlan, VettingRun};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -21,9 +21,9 @@ proptest! {
     #[test]
     fn engines_agree_on_random_apps(seed in 0u64..500) {
         let prep = prepare_vetting(generate_app(0, seed, &GenConfig::tiny()));
-        let worklist = execute_vetting_engine(&prep, EngineKind::Worklist);
-        let rel = execute_vetting_engine(&prep, EngineKind::Rel);
-        let cpu = execute_vetting_engine(&prep, EngineKind::Cpu);
+        let worklist = vet_prepared(&prep, ExecPlan::new(EngineKind::Worklist));
+        let rel = vet_prepared(&prep, ExecPlan::new(EngineKind::Rel));
+        let cpu = vet_prepared(&prep, ExecPlan::new(EngineKind::Cpu));
 
         let reference = worklist.outcome.report.to_json();
         prop_assert_eq!(&rel.outcome.report.to_json(), &reference, "rel report diverged");

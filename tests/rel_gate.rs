@@ -16,9 +16,7 @@ use gdroid::ir::MethodId;
 use gdroid::sumstore::SumStore;
 use gdroid::trace::Tracer;
 use gdroid::vetting::{
-    execute_vetting_engine, execute_vetting_engine_on_device,
-    execute_vetting_engine_on_device_with_store, execute_vetting_engine_targeted_on_device,
-    execute_vetting_engine_traced, prepare_vetting, PreparedApp, VettingRun,
+    execute, prepare_vetting, vet_prepared, ExecCtx, ExecPlan, Executed, PreparedApp, VettingRun,
 };
 use std::collections::BTreeMap;
 
@@ -26,6 +24,12 @@ const GATE_APPS: usize = 20;
 
 fn gate_prep(index: usize) -> PreparedApp {
     prepare_vetting(generate_app(index, PAPER_MASTER_SEED ^ index as u64, &GenConfig::tiny()))
+}
+
+/// The rel engine on `device`, fault-free.
+fn rel_on(prep: &PreparedApp, ctx: &mut ExecCtx<'_>, targeted: bool) -> Executed {
+    let plan = ExecPlan { targeted, ..ExecPlan::new(EngineKind::Rel) };
+    execute(prep, plan, ctx).expect("a fresh device has no fault plan")
 }
 
 /// The engine-invariant fixpoint, in comparable form: per-method bitmap
@@ -40,12 +44,7 @@ fn three_engines_agree_over_the_gate_corpus() {
         let prep = gate_prep(index);
         let mut runs = Vec::new();
         for kind in EngineKind::ALL {
-            let mut device = Device::new(DeviceConfig::tesla_p40());
-            runs.push((
-                kind,
-                execute_vetting_engine_on_device(&prep, &mut device, kind)
-                    .expect("a fresh device has no fault plan"),
-            ));
+            runs.push((kind, vet_prepared(&prep, ExecPlan::new(kind))));
         }
         let (_, reference) = &runs[0];
         let reference_report = reference.outcome.report.to_json();
@@ -72,14 +71,9 @@ fn rel_composes_with_the_summary_store() {
     let mut device = Device::new(DeviceConfig::tesla_p40());
     for index in 0..4 {
         let prep = prepare_vetting(generate_app(index, PAPER_MASTER_SEED ^ index as u64, &config));
-        let baseline = execute_vetting_engine(&prep, EngineKind::Rel);
-        let (run, _) = execute_vetting_engine_on_device_with_store(
-            &prep,
-            &mut device,
-            EngineKind::Rel,
-            &store,
-        )
-        .expect("a fresh device has no fault plan");
+        let baseline = vet_prepared(&prep, ExecPlan::new(EngineKind::Rel));
+        let with_store = &mut ExecCtx { store: Some(&store), ..ExecCtx::new(&mut device) };
+        let run = rel_on(&prep, with_store, false).run;
         assert_eq!(
             run.outcome.report.to_json(),
             baseline.outcome.report.to_json(),
@@ -90,14 +84,14 @@ fn rel_composes_with_the_summary_store() {
     // Warm pass over the same corpus: the shared-library pool must hit.
     let before = store.stats().hits;
     let prep = prepare_vetting(generate_app(0, PAPER_MASTER_SEED, &config));
-    let (warm, used) =
-        execute_vetting_engine_on_device_with_store(&prep, &mut device, EngineKind::Rel, &store)
-            .expect("a fresh device has no fault plan");
+    let with_store = &mut ExecCtx { store: Some(&store), ..ExecCtx::new(&mut device) };
+    let Executed { run: warm, store_use } = rel_on(&prep, with_store, false);
+    let used = store_use.expect("a store was attached");
     assert!(used.hits > 0, "warm rel pass must pre-solve from the store");
     assert!(store.stats().hits > before);
     assert_eq!(
         warm.outcome.report.to_json(),
-        execute_vetting_engine(&prep, EngineKind::Rel).outcome.report.to_json(),
+        vet_prepared(&prep, ExecPlan::new(EngineKind::Rel)).outcome.report.to_json(),
     );
 }
 
@@ -106,10 +100,8 @@ fn rel_composes_with_targeted_slicing() {
     for index in 0..6 {
         let prep = gate_prep(index);
         let mut device = Device::new(DeviceConfig::tesla_p40());
-        let full = execute_vetting_engine_on_device(&prep, &mut device, EngineKind::Rel)
-            .expect("a fresh device has no fault plan");
-        let sliced = execute_vetting_engine_targeted_on_device(&prep, &mut device, EngineKind::Rel)
-            .expect("a fresh device has no fault plan");
+        let full = rel_on(&prep, &mut ExecCtx::new(&mut device), false).run;
+        let sliced = rel_on(&prep, &mut ExecCtx::new(&mut device), true).run;
         assert_eq!(
             sliced.outcome.report.to_json(),
             full.outcome.report.to_json(),
@@ -128,9 +120,11 @@ fn rel_composes_with_targeted_slicing() {
 fn tracing_never_perturbs_rel_outcomes() {
     for index in 0..6 {
         let prep = gate_prep(index);
-        let untraced = execute_vetting_engine(&prep, EngineKind::Rel);
+        let untraced = vet_prepared(&prep, ExecPlan::new(EngineKind::Rel));
         let tracer = Tracer::enabled_new();
-        let traced = execute_vetting_engine_traced(&prep, EngineKind::Rel, &tracer);
+        let mut device = Device::new(DeviceConfig::tesla_p40());
+        let traced_ctx = &mut ExecCtx { tracer: &tracer, ..ExecCtx::new(&mut device) };
+        let traced = rel_on(&prep, traced_ctx, false).run;
         assert_eq!(
             traced.outcome.to_json(),
             untraced.outcome.to_json(),

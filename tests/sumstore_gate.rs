@@ -9,11 +9,11 @@
 
 use gdroid::analysis::AppAnalysis;
 use gdroid::apk::{generate_app, GenConfig, PAPER_MASTER_SEED};
-use gdroid::core::OptConfig;
+use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::ir::MethodId;
 use gdroid::sumstore::SumStore;
 use gdroid::vetting::{
-    execute_vetting_full, execute_vetting_full_with_store, prepare_vetting, Engine, PreparedApp,
+    execute, prepare_vetting, vet_prepared, ExecCtx, ExecPlan, PreparedApp, StoreUse, VettingRun,
 };
 
 const APPS: usize = 20;
@@ -29,24 +29,29 @@ fn facts_digest(analysis: &AppAnalysis) -> Vec<(MethodId, Vec<u64>)> {
     out
 }
 
+/// Full GDroid on a fresh device against `store`.
+fn with_store(prep: &PreparedApp, store: &SumStore) -> (VettingRun, StoreUse) {
+    let mut device = Device::new(DeviceConfig::tesla_p40());
+    let ctx = &mut ExecCtx { store: Some(store), ..ExecCtx::new(&mut device) };
+    let done = execute(prep, ExecPlan::default(), ctx).expect("a fresh device has no fault plan");
+    (done.run, done.store_use.expect("a store was attached"))
+}
+
 #[test]
 fn store_is_behaviorally_invisible_across_cold_and_warm_sweeps() {
     let pool = APPS * LIBS_PER_APP / DUP;
     let cfg = GenConfig::tiny().with_libraries(LIBS_PER_APP, pool);
-    let engine = Engine::Gpu(OptConfig::gdroid());
     let preps: Vec<PreparedApp> = (0..APPS)
         .map(|i| prepare_vetting(generate_app(i, PAPER_MASTER_SEED ^ i as u64, &cfg)))
         .collect();
 
     // Reference sweep: the store disabled entirely.
-    let disabled: Vec<_> = preps.iter().map(|p| execute_vetting_full(p, engine)).collect();
+    let disabled: Vec<_> = preps.iter().map(|p| vet_prepared(p, ExecPlan::default())).collect();
 
     let store = SumStore::new();
-    let cold: Vec<_> =
-        preps.iter().map(|p| execute_vetting_full_with_store(p, engine, &store)).collect();
+    let cold: Vec<_> = preps.iter().map(|p| with_store(p, &store)).collect();
     let after_cold = store.stats();
-    let warm: Vec<_> =
-        preps.iter().map(|p| execute_vetting_full_with_store(p, engine, &store)).collect();
+    let warm: Vec<_> = preps.iter().map(|p| with_store(p, &store)).collect();
     let after_warm = store.stats();
 
     let mut warm_hits = 0;
@@ -90,11 +95,10 @@ fn app_local_update_resummarizes_no_library_methods() {
     use gdroid::ir::{Expr, Lhs, Stmt, StmtIdx};
 
     let cfg = GenConfig::tiny().with_libraries(3, 3);
-    let engine = Engine::Gpu(OptConfig::gdroid());
     let store = SumStore::new();
 
     let prep = prepare_vetting(generate_app(0, 7777, &cfg));
-    let (_, cold_use) = execute_vetting_full_with_store(&prep, engine, &store);
+    let (_, cold_use) = with_store(&prep, &store);
     assert!(cold_use.misses > 0, "cold run must populate the store");
 
     // The same app regenerated, then one *app-local* method updated before
@@ -129,7 +133,7 @@ fn app_local_update_resummarizes_no_library_methods() {
     app.program.rebuild_lookups();
 
     let prep2 = prepare_vetting(app);
-    let (_, warm_use) = execute_vetting_full_with_store(&prep2, engine, &store);
+    let (_, warm_use) = with_store(&prep2, &store);
 
     assert!(warm_use.hits > 0, "unchanged library methods must pre-solve");
     assert!(warm_use.misses > 0, "the update must re-summarize the changed code");

@@ -8,21 +8,27 @@
 use std::collections::HashSet;
 
 use gdroid::apk::{generate_app, GenConfig, PAPER_MASTER_SEED};
-use gdroid::core::OptConfig;
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::ir::MethodId;
 use gdroid::sumstore::SumStore;
 use gdroid::vetting::{
-    compute_vetting_slice, execute_vetting_full, execute_vetting_on_device,
-    execute_vetting_targeted, execute_vetting_targeted_on_device,
-    execute_vetting_targeted_on_device_with_store, execute_vetting_targeted_traced,
-    prepare_vetting, Engine, PreparedApp,
+    compute_vetting_slice, execute, prepare_vetting, vet_prepared, ExecCtx, ExecPlan, PreparedApp,
+    VettingRun,
 };
 
 const CORPUS: usize = 20;
 
+fn targeted_plan() -> ExecPlan {
+    ExecPlan { targeted: true, ..ExecPlan::default() }
+}
+
 fn corpus_app(index: usize) -> PreparedApp {
     prepare_vetting(generate_app(index, PAPER_MASTER_SEED ^ index as u64, &GenConfig::tiny()))
+}
+
+/// `plan` in `ctx`, fault-free.
+fn run(prep: &PreparedApp, plan: ExecPlan, ctx: &mut ExecCtx<'_>) -> VettingRun {
+    execute(prep, plan, ctx).expect("no fault plan installed").run
 }
 
 /// For all 20 corpus apps: the targeted report (verdict plus every
@@ -36,10 +42,8 @@ fn targeted_verdicts_agree_with_full_across_the_corpus() {
     let mut fractions = Vec::with_capacity(CORPUS);
     for i in 0..CORPUS {
         let prep = corpus_app(i);
-        let full = execute_vetting_on_device(&prep, &mut device, OptConfig::gdroid())
-            .expect("no fault plan installed");
-        let targeted = execute_vetting_targeted_on_device(&prep, &mut device, OptConfig::gdroid())
-            .expect("no fault plan installed");
+        let full = run(&prep, ExecPlan::default(), &mut ExecCtx::new(&mut device));
+        let targeted = run(&prep, targeted_plan(), &mut ExecCtx::new(&mut device));
         assert_eq!(
             targeted.outcome.report.to_json(),
             full.outcome.report.to_json(),
@@ -78,9 +82,11 @@ fn targeted_verdicts_agree_with_full_across_the_corpus() {
 fn tracing_does_not_perturb_targeted_results() {
     for i in 0..4 {
         let prep = corpus_app(i);
-        let plain = execute_vetting_targeted(&prep, OptConfig::gdroid());
+        let plain = vet_prepared(&prep, targeted_plan());
         let tracer = gdroid::trace::Tracer::enabled_new();
-        let traced = execute_vetting_targeted_traced(&prep, OptConfig::gdroid(), &tracer);
+        let mut device = Device::new(DeviceConfig::tesla_p40());
+        let traced_ctx = &mut ExecCtx { tracer: &tracer, ..ExecCtx::new(&mut device) };
+        let traced = run(&prep, targeted_plan(), traced_ctx);
         assert_eq!(
             plain.outcome.to_json(),
             traced.outcome.to_json(),
@@ -104,14 +110,9 @@ fn sumstore_targeted_runs_agree_with_full() {
     let prep_a = prepare_vetting(generate_app(0, PAPER_MASTER_SEED ^ 0x7a11, &cfg));
     let prep_b = prepare_vetting(generate_app(1, PAPER_MASTER_SEED ^ 0x7a12, &cfg));
 
-    let full_a = execute_vetting_full(&prep_a, Engine::Gpu(OptConfig::gdroid()));
-    let (cold_a, _) = execute_vetting_targeted_on_device_with_store(
-        &prep_a,
-        &mut device,
-        OptConfig::gdroid(),
-        &store,
-    )
-    .expect("no fault plan installed");
+    let full_a = vet_prepared(&prep_a, ExecPlan::default());
+    let with_store = &mut ExecCtx { store: Some(&store), ..ExecCtx::new(&mut device) };
+    let cold_a = run(&prep_a, targeted_plan(), with_store);
     assert_eq!(
         cold_a.outcome.report.to_json(),
         full_a.outcome.report.to_json(),
@@ -120,14 +121,8 @@ fn sumstore_targeted_runs_agree_with_full() {
 
     // App B bundles the same library packages: the warm run may reuse
     // summaries but must still agree with a store-free full run.
-    let full_b = execute_vetting_full(&prep_b, Engine::Gpu(OptConfig::gdroid()));
-    let (warm_b, _) = execute_vetting_targeted_on_device_with_store(
-        &prep_b,
-        &mut device,
-        OptConfig::gdroid(),
-        &store,
-    )
-    .expect("no fault plan installed");
+    let full_b = vet_prepared(&prep_b, ExecPlan::default());
+    let warm_b = run(&prep_b, targeted_plan(), with_store);
     assert_eq!(
         warm_b.outcome.report.to_json(),
         full_b.outcome.report.to_json(),

@@ -3,12 +3,21 @@
 //! analysis results the rest of the stack depends on.
 
 use gdroid::apk::{generate_app, GenConfig, PAPER_MASTER_SEED};
-use gdroid::core::OptConfig;
+use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::trace::Tracer;
-use gdroid::vetting::{execute_vetting, execute_vetting_gpu_traced, prepare_vetting, Engine};
+use gdroid::vetting::{
+    execute, prepare_vetting, vet_prepared, ExecCtx, ExecPlan, PreparedApp, VettingRun,
+};
 
-fn corpus_app(index: usize) -> gdroid::vetting::PreparedApp {
+fn corpus_app(index: usize) -> PreparedApp {
     prepare_vetting(generate_app(index, PAPER_MASTER_SEED ^ index as u64, &GenConfig::tiny()))
+}
+
+/// Full GDroid on a fresh device, recording into `tracer`.
+fn traced(prep: &PreparedApp, tracer: &Tracer) -> VettingRun {
+    let mut device = Device::new(DeviceConfig::tesla_p40());
+    let ctx = &mut ExecCtx { tracer, ..ExecCtx::new(&mut device) };
+    execute(prep, ExecPlan::default(), ctx).expect("a fresh device has no fault plan").run
 }
 
 /// Two traced runs of the same seed write byte-identical Chrome JSON, and
@@ -18,8 +27,8 @@ fn same_seed_traces_are_byte_identical_across_layers() {
     let prep = corpus_app(3);
     let ta = Tracer::enabled_new();
     let tb = Tracer::enabled_new();
-    execute_vetting_gpu_traced(&prep, OptConfig::gdroid(), &ta);
-    execute_vetting_gpu_traced(&prep, OptConfig::gdroid(), &tb);
+    traced(&prep, &ta);
+    traced(&prep, &tb);
     let ja = ta.to_chrome_json();
     assert_eq!(ja, tb.to_chrome_json(), "same-seed traces must be byte-identical");
     for cat in ["\"cat\":\"gpusim\"", "\"cat\":\"driver\"", "\"cat\":\"vetting\""] {
@@ -36,11 +45,11 @@ fn same_seed_traces_are_byte_identical_across_layers() {
 fn tracing_never_perturbs_outcomes() {
     for index in [0usize, 5, 11] {
         let prep = corpus_app(index);
-        let plain = execute_vetting(&prep, Engine::Gpu(OptConfig::gdroid()));
+        let plain = vet_prepared(&prep, ExecPlan::default()).outcome;
         let off = Tracer::disabled();
-        let disabled = execute_vetting_gpu_traced(&prep, OptConfig::gdroid(), &off);
+        let disabled = traced(&prep, &off);
         let on = Tracer::enabled_new();
-        let enabled = execute_vetting_gpu_traced(&prep, OptConfig::gdroid(), &on);
+        let enabled = traced(&prep, &on);
         assert_eq!(
             plain.to_json(),
             disabled.outcome.to_json(),
@@ -67,7 +76,7 @@ fn tracing_never_perturbs_outcomes() {
 fn gpu_events_nest_inside_the_idfg_stage() {
     let prep = corpus_app(7);
     let tracer = Tracer::enabled_new();
-    let run = execute_vetting_gpu_traced(&prep, OptConfig::gdroid(), &tracer);
+    let run = traced(&prep, &tracer);
     let t = &run.outcome.timing;
     let prep_ns = (t.envgen_ns + t.callgraph_ns).round() as u64;
     let idfg_end_ns = prep_ns + t.idfg_ns.round() as u64;
