@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, bench compilation, and the tier-1 suite.
+# Repo gate: formatting, lints, the tier-1 suite, the design ratchets, the
+# bench drift gate, and the CLI smokes.
 #
 # Runs entirely offline — all third-party crates are vendored under
 # vendor/ (see README.md, "Offline builds").
@@ -12,9 +13,6 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo check --benches"
-cargo check --workspace --benches
-
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -22,13 +20,29 @@ cargo test -q
 echo "==> workspace tests"
 cargo test --workspace -q
 
-echo "==> surface ratchet: the vetting/core entry-point lattice stays collapsed"
-surface=$(grep -rn 'pub fn \(execute\|gpu_analyze\)' crates/vetting/src crates/core/src | wc -l)
-[ "$surface" -le 7 ] || {
-  echo "surface ratchet: $surface public execute*/gpu_analyze* entry points (ceiling 7) —" \
-    "extend ExecPlan/ExecCtx instead of adding a wrapper" >&2
+echo "==> surface ratchet: the vetting/core/rel entry-point lattice stays collapsed"
+surface=$(grep -rn 'pub fn \(execute\|gpu_analyze\|rel_analyze\)' \
+  crates/vetting/src crates/core/src crates/rel/src | wc -l)
+[ "$surface" -le 9 ] || {
+  echo "surface ratchet: $surface public execute*/gpu_analyze*/rel_analyze* entry points" \
+    "(ceiling 9) — extend ExecPlan/ExecCtx instead of adding a wrapper" >&2
   exit 1
 }
+
+echo "==> one-host-loop ratchet: the layered-fixpoint schedule is stated once"
+# Outside #[cfg(test)], summaries are derived and SCC recursion is decided
+# in exactly one place (core::fixpoint); every driver is a launch policy.
+for call in 'derive_summary(' '.is_recursive('; do
+  sites=$(for f in crates/core/src/*.rs crates/rel/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f"
+  done | grep -cF "$call" || true)
+  [ "$sites" -eq 1 ] || {
+    echo "one-host-loop ratchet: $sites non-test call sites of \`$call\` under" \
+      "crates/{core,rel}/src (want exactly 1) — drive gdroid_core::Fixpoint instead" \
+      "of re-spelling the schedule" >&2
+    exit 1
+  }
+done
 
 echo "==> bench drift: the cheap committed goldens match a regeneration"
 cargo build --release -p gdroid-bench --bin figures

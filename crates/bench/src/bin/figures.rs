@@ -3,7 +3,11 @@
 //! ```text
 //! figures <experiment> [--apps N] [--scale S]
 //!
-//! experiments: table1 fig1 fig4 fig8 fig9 fig10 fig11 fig12 table2 all serve sumstore batch
+//! experiments (the 24 modes `usage()` accepts):
+//!   paper        table1 fig1 fig4 fig8 fig9 fig10 fig11 fig12 table2 all
+//!   extensions   multigpu autotune sancheck
+//!   BENCH_*.json serve sumstore trace batch targeted corpus1000 rel persist snapshot10k
+//!   dumps        csv debug
 //!   --apps N   analyze the first N corpus apps (default 100; paper: 1000)
 //!   --scale S  generator scale factor (default 1.0 = Table I calibration)
 //! ```
@@ -28,7 +32,12 @@
 //! `persist` pits persistent-kernel execution (one resident launch per
 //! app) against classic per-round multi-launch on a per-app detail set
 //! and a streamed corpus — facts and verdicts asserted mode-identical —
-//! and writes the byte-deterministic `BENCH_persist.json`.
+//! and writes the byte-deterministic `BENCH_persist.json`. `snapshot10k`
+//! streams a rotated-journal campaign with a shared-store lane and a
+//! daily-delta lane and writes the byte-deterministic
+//! `BENCH_snapshot10k.json`. `multigpu` and `autotune` print the
+//! future-work scaling curves, `sancheck` sweeps the sanitizer and lints
+//! over the corpus (exit 1 unless CLEAN), `csv`/`debug` dump per-app rows.
 
 use gdroid_apk::Corpus;
 use gdroid_bench::{

@@ -1,21 +1,18 @@
 //! Co-resident multi-app batching: shared kernel launches over several
 //! apps' pending methods.
 //!
-//! The solo driver ([`crate::driver`]) launches one kernel per call-graph
-//! layer per app — a small app with three pending methods occupies all of
-//! the device's SMs while most block slots idle. This module interleaves
-//! the per-layer launches of several *independent* apps into shared
-//! launches: each super-round picks apps round-robin until their combined
-//! pending-method count covers the SM count, launches one kernel with all
-//! their blocks (tagged by app via
-//! [`gdroid_gpusim::Device::try_launch_sourced`]), and derives summaries
-//! host-side per app exactly as the solo driver does.
+//! Solo, a small app with three pending methods occupies the whole device
+//! while most block slots idle. This policy runs several *independent*
+//! apps' [`Fixpoint`]s side by side: each super-round picks apps
+//! round-robin until their combined pending-method count covers the SM
+//! count and launches all their blocks as one kernel, tagged by app via
+//! [`gdroid_gpusim::Device::try_launch_sourced`].
 //!
 //! ## Attribution rules (DESIGN.md §11)
 //!
 //! * **Outcomes are solo-bit-identical.** Apps share no call-graph edges,
 //!   blocks execute functionally in submission order, and facts are
-//!   derived host-side from each block's own [`MatrixStore`] — batching
+//!   derived host-side from each block's own `MatrixStore` — batching
 //!   changes *when* blocks run, never what they compute. Per-app layouts
 //!   are planned sequentially into disjoint arena regions; because the
 //!   arena allocator aligns to 256 bytes (a multiple of the 128-byte
@@ -39,18 +36,15 @@
 //! dual-buffering pipeline; sharing launch and transfer overheads across
 //! apps is what makes it no worse than the sum of solo makespans.
 
-use crate::driver::{trace_method_worklist, GpuAnalysis};
+use crate::driver::{GpuAnalysis, WorklistKernel};
+use crate::fixpoint::{Fixpoint, MethodKernel};
 use crate::layout::{plan_layout, AppLayout};
 use crate::opts::OptConfig;
-use crate::stats::{GpuRunStats, WorklistProfile};
-use gdroid_analysis::{
-    derive_summary, merge_site_summaries, FactStore, Geometry, MatrixStore, MethodSpace,
-    MethodSummary, SummaryMap, WorklistTelemetry,
-};
+use crate::stats::GpuRunStats;
 use gdroid_gpusim::{dual_buffered, Device, DeviceFault};
-use gdroid_icfg::{CallGraph, CallLayers, Cfg};
-use gdroid_ir::{MethodId, Program, StmtIdx};
-use std::collections::{HashMap, HashSet};
+use gdroid_icfg::CallGraph;
+use gdroid_ir::{MethodId, Program};
+use std::collections::HashMap;
 
 /// One app of a co-resident batch.
 #[derive(Clone, Copy)]
@@ -96,134 +90,22 @@ pub struct BatchAnalysis {
     pub batch: BatchStats,
 }
 
-/// Per-app progress through its own layer schedule.
+/// One app's fixpoint plus its solo-equivalent accounting.
 struct AppCursor<'a> {
-    app: BatchApp<'a>,
-    layers: CallLayers,
-    spaces: HashMap<MethodId, MethodSpace>,
-    cfgs: HashMap<MethodId, Cfg>,
+    fx: Fixpoint<'a>,
+    /// Planned into the app's own arena region of the shared device.
     layout: AppLayout,
-    summaries: SummaryMap,
-    facts: HashMap<MethodId, MatrixStore>,
-    telemetry: WorklistTelemetry,
     stats: GpuRunStats,
     /// This app's own `(h2d, kernel ns, d2h)` chunks — the solo sequence.
     chunks: Vec<(u64, f64, u64)>,
-    layer_idx: usize,
-    pending: Vec<MethodId>,
     mallocs: u64,
     malloc_bytes: u64,
 }
 
-impl<'a> AppCursor<'a> {
-    /// Prepares one app on the shared device: layer schedule, pools, CFGs,
-    /// and a layout planned into the app's own arena region.
-    fn prepare(app: BatchApp<'a>, device: &mut Device, opts: OptConfig) -> AppCursor<'a> {
-        let layers = CallLayers::compute_with_leaves(app.cg, app.roots, &HashSet::new());
-        let mut methods: Vec<MethodId> = layers.scc_of.keys().copied().collect();
-        methods.sort_unstable();
-        let mut spaces = HashMap::new();
-        let mut cfgs = HashMap::new();
-        for &mid in &methods {
-            spaces.insert(mid, MethodSpace::build(app.program, mid));
-            cfgs.insert(mid, Cfg::build(&app.program.methods[mid]));
-        }
-        let layout = plan_layout(app.program, device, &spaces, &cfgs, &methods, opts);
-        let mut cursor = AppCursor {
-            app,
-            layers,
-            spaces,
-            cfgs,
-            layout,
-            summaries: HashMap::new(),
-            facts: HashMap::new(),
-            telemetry: WorklistTelemetry::default(),
-            stats: GpuRunStats::default(),
-            chunks: Vec::new(),
-            layer_idx: 0,
-            pending: Vec::new(),
-            mallocs: 0,
-            malloc_bytes: 0,
-        };
-        cursor.pending = cursor.layer_pending(0);
-        cursor.skip_empty_layers();
-        cursor
-    }
-
-    /// The initial pending set of one layer, in the solo driver's order.
-    fn layer_pending(&self, layer_idx: usize) -> Vec<MethodId> {
-        let mut pending: Vec<MethodId> = self
-            .layers
-            .scc_members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.layers.scc_layer[*i] as usize == layer_idx)
-            .flat_map(|(_, members)| members.iter().copied())
-            .collect();
-        pending.sort_unstable();
-        pending
-    }
-
-    /// Advances past layers with nothing to launch.
-    fn skip_empty_layers(&mut self) {
-        while self.pending.is_empty() && self.layer_idx < self.layers.layer_count() {
-            self.layer_idx += 1;
-            if self.layer_idx < self.layers.layer_count() {
-                self.pending = self.layer_pending(self.layer_idx);
-            }
-        }
-    }
-
-    /// All layers drained?
-    fn done(&self) -> bool {
-        self.layer_idx >= self.layers.layer_count()
-    }
-
-    /// Re-iteration decision after one launch, mirroring the solo driver:
-    /// only recursive SCCs whose summaries changed re-launch; otherwise
-    /// the cursor moves to its next layer.
-    fn advance(&mut self, changed: &HashSet<MethodId>) {
-        let mut next: Vec<MethodId> = self
-            .layers
-            .scc_members
-            .iter()
-            .enumerate()
-            .filter(|(i, members)| {
-                self.layers.scc_layer[*i] as usize == self.layer_idx
-                    && (members.len() > 1 || self.layers.is_recursive(members[0], self.app.cg))
-                    && members.iter().any(|m| changed.contains(m))
-            })
-            .flat_map(|(_, members)| members.iter().copied())
-            .collect();
-        next.sort_unstable();
-        next.dedup();
-        self.pending = next;
-        if self.pending.is_empty() {
-            self.layer_idx += 1;
-            if self.layer_idx < self.layers.layer_count() {
-                self.pending = self.layer_pending(self.layer_idx);
-            }
-            self.skip_empty_layers();
-        }
-    }
-
-    /// `(h2d, d2h)` bytes of the current pending set.
-    fn pending_bytes(&self) -> (u64, u64) {
-        let h2d = self.pending.iter().map(|m| self.layout.methods[m].h2d_bytes).sum();
-        let d2h = self.pending.iter().map(|m| self.layout.methods[m].d2h_bytes).sum();
-        (h2d, d2h)
-    }
-}
-
-/// Analyzes several independent apps co-resident on an existing device.
-///
-/// The device is [`Device::reset`] once; per-app layouts land in disjoint
-/// arena regions. Each super-round fills one shared kernel launch with
-/// pending-method blocks from apps picked round-robin until the SM count
-/// is covered, so small apps stop wasting block slots. Per-app facts,
-/// summaries, and stats are bit-identical to running each app alone (see
-/// the module docs for the attribution rules); an injected fault aborts
-/// the whole batch with an `Err` the caller can retry app by app.
+/// Analyzes several independent apps co-resident on an existing device
+/// (policy and attribution rules: see the module docs). The device is
+/// [`Device::reset`] once; an injected fault aborts the whole batch with an
+/// `Err` the caller can retry app by app.
 pub fn gpu_analyze_batch_on(
     device: &mut Device,
     apps: &[BatchApp<'_>],
@@ -231,8 +113,22 @@ pub fn gpu_analyze_batch_on(
 ) -> Result<BatchAnalysis, DeviceFault> {
     device.reset();
     let tracer = device.tracer().clone();
-    let mut cursors: Vec<AppCursor<'_>> =
-        apps.iter().map(|&app| AppCursor::prepare(app, device, opts)).collect();
+    let warp = device.config.warp_size;
+    let mut cursors: Vec<AppCursor<'_>> = apps
+        .iter()
+        .map(|app| {
+            let fx = Fixpoint::new(app.program, app.cg, app.roots, &HashMap::new(), None);
+            let layout = plan_layout(app.program, device, &fx.spaces, &fx.cfgs, fx.methods(), opts);
+            AppCursor {
+                fx,
+                layout,
+                stats: GpuRunStats::default(),
+                chunks: Vec::new(),
+                mallocs: 0,
+                malloc_bytes: 0,
+            }
+        })
+        .collect();
     if tracer.enabled() {
         tracer.instant(
             "batch",
@@ -254,97 +150,65 @@ pub fn gpu_analyze_batch_on(
     let mut batch = BatchStats { apps: apps.len(), ..Default::default() };
     let mut utilization_sum = 0.0f64;
     let mut coresidency_sum = 0usize;
-    let mut super_round = 0usize;
 
     loop {
-        let active: Vec<usize> = (0..cursors.len()).filter(|&i| !cursors[i].done()).collect();
+        let active: Vec<usize> = (0..cursors.len()).filter(|&i| !cursors[i].fx.done()).collect();
         if active.is_empty() {
             break;
         }
         // Round-robin fill: rotate the starting app each super-round so no
         // app's layers consistently wait behind another's, and add apps
         // until the combined pending blocks cover the SMs.
+        let super_round = batch_chunks.len();
         let start = super_round % active.len();
-        let target = device.config.sm_count;
         let mut chosen: Vec<usize> = Vec::new();
         let mut demand = 0usize;
         for k in 0..active.len() {
             let idx = active[(start + k) % active.len()];
             chosen.push(idx);
-            demand += cursors[idx].pending.len();
-            if demand >= target {
+            demand += cursors[idx].fx.pending().len();
+            if demand >= device.config.sm_count {
                 break;
             }
         }
         chosen.sort_unstable();
 
+        // --- one shared launch: every chosen app's pending blocks, per
+        // app in its solo order, tagged with the app's index -------------
         let round_start_ns = device.clock_ns();
-        // --- one shared launch: blocks from every chosen app ------------
-        let block_results: Vec<(usize, MethodId, MatrixStore, WorklistTelemetry)>;
-        let sourced;
-        {
-            // Per-block inputs, per app in its solo (sorted) order.
-            let inputs: Vec<(usize, MethodId, HashMap<StmtIdx, Option<MethodSummary>>)> = chosen
-                .iter()
-                .flat_map(|&i| {
-                    let c = &cursors[i];
-                    c.pending.iter().map(move |&mid| {
-                        (i, mid, merge_site_summaries(c.app.program, mid, &c.summaries, c.app.cg))
-                    })
-                })
-                .collect();
-            let results = std::cell::RefCell::new(Vec::with_capacity(inputs.len()));
-            let blocks: Vec<(u32, gdroid_gpusim::BlockFn<'_>)> = inputs
-                .iter()
-                .map(|(i, mid, site)| {
-                    let (i, mid) = (*i, *mid);
-                    let c = &cursors[i];
-                    let space = &c.spaces[&mid];
-                    let cfg = &c.cfgs[&mid];
-                    let ml = &c.layout.methods[&mid];
-                    let program = c.app.program;
-                    let results = &results;
-                    (
-                        i as u32,
-                        Box::new(move |ctx: &mut gdroid_gpusim::BlockCtx<'_>| {
-                            let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
-                            store.seed(
-                                cfg.entry() as usize,
-                                &space.entry_facts(&program.methods[mid]),
-                            );
-                            let tele = crate::kernel::run_method_block(
-                                ctx,
-                                &program.methods[mid],
-                                space,
-                                cfg,
-                                ml,
-                                site,
-                                opts,
-                                &mut store,
-                            );
-                            results.borrow_mut().push((i, mid, store, tele));
-                        }) as gdroid_gpusim::BlockFn<'_>,
-                    )
-                })
-                .collect();
-            sourced = device.try_launch_sourced(blocks)?;
-            block_results = results.into_inner();
-        }
+        let blocks: Vec<(u32, gdroid_gpusim::BlockFn<'_>)> = chosen
+            .iter()
+            .flat_map(|&i| {
+                let c = &cursors[i];
+                let kernel = WorklistKernel { layout: &c.layout, opts, warp };
+                c.fx.blocks(c.fx.pending(), kernel, false).into_iter().map(move |b| (i as u32, b))
+            })
+            .collect();
+        let sourced = device.try_launch_sourced(blocks)?;
+        let now_ns = device.clock_ns();
 
-        // --- attribution: each app's blocks re-packed as a solo launch ---
-        let mut combined_h2d = 0u64;
-        let mut combined_d2h = 0u64;
+        // --- attribution: each app's blocks re-packed as a solo launch,
+        // then its results absorbed and its own schedule advanced ---------
+        let (mut combined_h2d, mut combined_d2h) = (0u64, 0u64);
         for &i in &chosen {
             let own = sourced.blocks_of(i as u32);
-            let kernel = device.repack(&own);
+            let packed = device.repack(&own);
             let c = &mut cursors[i];
+            let kernel = WorklistKernel { layout: &c.layout, opts, warp };
             c.mallocs += own.iter().map(|b| b.mallocs).sum::<u64>();
             c.malloc_bytes += own.iter().map(|b| b.malloc_bytes).sum::<u64>();
-            let (h2d, d2h) = c.pending_bytes();
+            let (h2d, d2h) = c.fx.pending_bytes(kernel);
             combined_h2d += h2d;
             combined_d2h += d2h;
-            c.chunks.push((h2d, kernel.time_ns(&device.config), d2h));
-            c.stats.absorb_kernel(&kernel);
+            c.chunks.push((h2d, packed.time_ns(&device.config), d2h));
+            c.stats.absorb_kernel(&packed);
+            c.fx.absorb(|mid, tele| {
+                if tracer.enabled() {
+                    kernel.trace(&tracer, now_ns, mid, tele);
+                }
+                c.stats.record_method(tele);
+            });
+            c.fx.advance();
         }
         batch_chunks.push((combined_h2d, sourced.combined.time_ns(&device.config), combined_d2h));
         let device_span =
@@ -355,51 +219,12 @@ pub fn gpu_analyze_batch_on(
             1.0
         };
         coresidency_sum += chosen.len();
-
-        // --- host side: derive summaries per app, solo order -------------
-        let mut changed: HashMap<usize, HashSet<MethodId>> = HashMap::new();
-        for (i, mid, store, tele) in block_results {
-            let c = &mut cursors[i];
-            if tracer.enabled() {
-                trace_method_worklist(
-                    &tracer,
-                    device.clock_ns(),
-                    mid,
-                    &tele,
-                    opts,
-                    device.config.warp_size,
-                );
-            }
-            c.telemetry.absorb(&tele);
-            c.stats.record_method(&tele);
-            let space = &c.spaces[&mid];
-            let cfg = &c.cfgs[&mid];
-            let store_ref = &store;
-            let node_facts = |n: usize| store_ref.snapshot(n);
-            let summary = derive_summary(
-                &c.app.program.methods[mid],
-                space,
-                &node_facts,
-                cfg.exit() as usize,
-            );
-            let summary_changed = c.summaries.get(&mid) != Some(&summary);
-            c.summaries.insert(mid, summary);
-            c.facts.insert(mid, store);
-            if summary_changed {
-                changed.entry(i).or_default().insert(mid);
-            }
-        }
-        for &i in &chosen {
-            let empty = HashSet::new();
-            let app_changed = changed.get(&i).unwrap_or(&empty);
-            cursors[i].advance(app_changed);
-        }
         if tracer.enabled() {
             tracer.span(
                 "batch",
                 format!("batch round {super_round}"),
                 round_start_ns,
-                device.clock_ns() - round_start_ns,
+                now_ns - round_start_ns,
                 0,
                 vec![
                     ("apps", chosen.len().into()),
@@ -409,7 +234,6 @@ pub fn gpu_analyze_batch_on(
                 ],
             );
         }
-        super_round += 1;
     }
 
     // --- finish: per-app solo pipelines + the combined batch pipeline ---
@@ -443,17 +267,7 @@ pub fn gpu_analyze_batch_on(
         .map(|mut c| {
             let pipeline = dual_buffered(&device.config, &c.chunks);
             c.stats.finish(pipeline, &device.config, c.mallocs, c.malloc_bytes);
-            c.stats.profile =
-                WorklistProfile::from_round_sizes(&c.telemetry.round_sizes, c.telemetry.rounds);
-            GpuAnalysis {
-                facts: c.facts,
-                summaries: c.summaries,
-                spaces: c.spaces,
-                cfgs: c.cfgs,
-                stats: c.stats,
-                telemetry: c.telemetry,
-                sanitizer: sanitizer.clone(),
-            }
+            c.fx.finish(c.stats, sanitizer.clone())
         })
         .collect();
     Ok(BatchAnalysis { apps: results, batch })
@@ -463,6 +277,7 @@ pub fn gpu_analyze_batch_on(
 mod tests {
     use super::*;
     use crate::driver::{gpu_analyze_app, gpu_analyze_app_on};
+    use gdroid_analysis::FactStore;
     use gdroid_apk::{generate_app, GenConfig};
     use gdroid_gpusim::DeviceConfig;
     use gdroid_icfg::prepare_app;

@@ -1,29 +1,32 @@
-//! The GPU analysis driver: layered kernel launches with dual-buffered
-//! transfers, producing the IDFG and the simulated execution time.
+//! The solo launch policy: one app alone on one device, producing the
+//! IDFG and the simulated execution time.
 //!
-//! Structure per app (mirroring Alg. 2's host side):
+//! The schedule — bottom-up over call-graph layers, one block per method,
+//! SCCs re-launched until their summaries stabilize, summaries derived
+//! host-side between launches — lives in [`crate::fixpoint`]. What this
+//! module adds is how a round reaches the device and what it costs:
 //!
-//! 1. plan the device layout for all reachable methods;
-//! 2. bottom-up over call-graph layers: launch one kernel per layer with
-//!    one block per method (SCCs re-launch until their summaries
-//!    stabilize, each re-launch paying real kernel time);
-//! 3. layer inputs stream host→device ahead of each launch and results
-//!    stream back, overlapped through the dual-buffering pipeline;
-//! 4. summaries are derived host-side between launches (as Amandroid's
-//!    driver does between worklist passes).
+//! * **multi-launch**: one kernel launch per round, each a
+//!   `(h2d, kernel, d2h)` chunk of the dual-buffering pipeline;
+//! * **persistent**: every round runs inside ONE resident launch behind a
+//!   grid-wide sync, and chunks collapse to one per *layer* — the layer
+//!   schedule is static, so inputs stream ahead of the resident kernel and
+//!   SCC re-rounds stay device-side and transfer nothing.
+//!
+//! [`run_solo`] is generic over the [`MethodKernel`], so the relational
+//! engine (`gdroid-rel`) runs this very policy with its own kernel.
 
 use crate::engine::ExecMode;
+use crate::fixpoint::{Fixpoint, MethodBlock, MethodKernel};
 use crate::kernel::run_method_block;
 use crate::layout::{plan_layout, AppLayout};
 use crate::opts::OptConfig;
-use crate::stats::{GpuRunStats, WorklistProfile};
-use gdroid_analysis::{
-    derive_summary, merge_site_summaries, FactStore, Geometry, MatrixStore, MethodSpace,
-    SummaryMap, WorklistTelemetry,
-};
-use gdroid_gpusim::{dual_buffered, Device, DeviceConfig, DeviceFault};
-use gdroid_icfg::{CallGraph, CallLayers, Cfg};
+use crate::stats::GpuRunStats;
+use gdroid_analysis::{MatrixStore, MethodSpace, SummaryMap, WorklistTelemetry};
+use gdroid_gpusim::{dual_buffered, BlockCtx, Device, DeviceConfig, DeviceFault};
+use gdroid_icfg::{CallGraph, Cfg};
 use gdroid_ir::{MethodId, Program};
+use gdroid_trace::Tracer;
 use std::collections::HashMap;
 
 /// Result of a GPU analysis run.
@@ -73,28 +76,14 @@ pub fn gpu_analyze_app(
 /// clean arena), and any injected fault ([`gdroid_gpusim::FaultPlan`])
 /// aborts the analysis mid-flight with an `Err` the caller can retry.
 ///
-/// `presolved` methods (summary-store hits) have their summaries and node
-/// facts injected instead of computed. The layer schedule treats them as
-/// leaves: their subtrees never enter a kernel launch, no device buffers
-/// are planned for them, and no bytes are transferred — that is the
-/// warm-corpus win. The set must be *closed*: every internal callee of a
-/// pre-solved method is itself pre-solved (otherwise its summary would
-/// never become available, since cut subtrees are unscheduled); under a
-/// slice, closed over slice-internal call edges.
+/// `presolved` and `slice` shape the schedule as [`Fixpoint::new`]
+/// documents: store hits are injected and never launch (no device buffers,
+/// no bytes moved — the warm-corpus win), a slice launches only its
+/// members, and an empty slice performs zero launches.
 ///
-/// `slice` (demand-driven analysis) seeds and launches only its members,
-/// with call edges leaving it cut from the schedule. It must be
-/// caller-closed over the reachable set (see
-/// `gdroid_analysis::BackwardSlice`) for the facts at sink statements to
-/// match a full run. An empty slice performs zero launches.
-///
-/// `exec` maps fixpoint rounds onto launches. `ExecMode::Persistent` runs
-/// the whole fixpoint inside ONE resident kernel launch: blocks pull work
-/// from a device-side queue, rounds are separated by a modeled grid-wide
-/// sync instead of a kernel boundary, and the host uploads inputs once
-/// and downloads results once — facts and summaries stay byte-identical
-/// to the multi-launch path (the fixpoint is unique; only the modeled
-/// cost differs).
+/// `exec` maps fixpoint rounds onto launches (see the module docs). Facts
+/// and summaries are byte-identical in both modes — the fixpoint is
+/// unique; only the modeled cost differs.
 #[allow(clippy::too_many_arguments)]
 pub fn gpu_analyze_app_on(
     device: &mut Device,
@@ -103,33 +92,14 @@ pub fn gpu_analyze_app_on(
     roots: &[MethodId],
     opts: OptConfig,
     presolved: &HashMap<MethodId, (gdroid_analysis::MethodSummary, MatrixStore)>,
-    restrict: Option<&std::collections::HashSet<MethodId>>,
+    slice: Option<&std::collections::HashSet<MethodId>>,
     exec: ExecMode,
 ) -> Result<GpuAnalysis, DeviceFault> {
     device.reset();
-    let tracer = device.tracer().clone();
-    let leaf_set: std::collections::HashSet<MethodId> = presolved.keys().copied().collect();
-    let layers = match restrict {
-        None => CallLayers::compute_with_leaves(cg, roots, &leaf_set),
-        Some(allowed) => CallLayers::compute_within_with_leaves(cg, roots, allowed, &leaf_set),
-    };
-    // Methods that actually run on the device: scheduled and not pre-solved.
-    let methods: Vec<MethodId> = {
-        let mut m: Vec<MethodId> =
-            layers.scc_of.keys().copied().filter(|m| !leaf_set.contains(m)).collect();
-        m.sort_unstable();
-        m
-    };
-    let mut spaces: HashMap<MethodId, MethodSpace> = HashMap::new();
-    let mut cfgs: HashMap<MethodId, Cfg> = HashMap::new();
-    for &mid in methods.iter().chain(presolved.keys()) {
-        spaces.insert(mid, MethodSpace::build(program, mid));
-        cfgs.insert(mid, Cfg::build(&program.methods[mid]));
-    }
-
-    let layout: AppLayout = plan_layout(program, device, &spaces, &cfgs, &methods, opts);
-    if tracer.enabled() {
-        tracer.instant(
+    let fx = Fixpoint::new(program, cg, roots, presolved, slice);
+    let layout = plan_layout(program, device, &fx.spaces, &fx.cfgs, fx.methods(), opts);
+    if device.tracer().enabled() {
+        device.tracer().instant(
             "driver",
             "opt-config",
             device.clock_ns(),
@@ -138,230 +108,105 @@ pub fn gpu_analyze_app_on(
                 ("mat", opts.mat.into()),
                 ("grp", opts.grp.into()),
                 ("mer", opts.mer.into()),
-                ("methods", methods.len().into()),
+                ("methods", fx.methods().len().into()),
                 ("presolved", presolved.len().into()),
-                ("layers", layers.layer_count().into()),
+                ("layers", fx.layer_count().into()),
             ],
         );
     }
+    let kernel = WorklistKernel { layout: &layout, opts, warp: device.config.warp_size };
+    run_solo(device, fx, kernel, exec)
+}
 
-    let mut summaries: SummaryMap = HashMap::new();
-    let mut facts: HashMap<MethodId, MatrixStore> = HashMap::new();
-    // Inject pre-solved results before any launch so callers' call sites
-    // resolve against final summaries from the first kernel on.
-    for (&mid, (summary, store)) in presolved {
-        summaries.insert(mid, summary.clone());
-        facts.insert(mid, store.clone());
-    }
-    let mut telemetry = WorklistTelemetry::default();
+/// The solo policy over an already-scheduled app whose layout `kernel`
+/// carries: launches round by round (or inside one persistent session),
+/// runs the chunks through dual buffering, and returns the finished
+/// analysis. The caller has reset the device and planned the layout.
+pub fn run_solo<K: MethodKernel>(
+    device: &mut Device,
+    mut fx: Fixpoint<'_>,
+    kernel: K,
+    exec: ExecMode,
+) -> Result<GpuAnalysis, DeviceFault> {
+    let tracer = device.tracer().clone();
     let mut stats = GpuRunStats::default();
-    // (h2d bytes, kernel ns, d2h bytes) per launch, for the transfer
-    // pipeline model. Persistent mode collapses this to one chunk per
-    // *layer*: the layer schedule is static (computed host-side before
-    // the resident launch), so per-layer inputs stream ahead of the
-    // kernel on the copy engine and results stream back as each layer
-    // retires — SCC re-rounds stay device-side and transfer nothing.
+    // (h2d bytes, kernel ns, d2h bytes) per launch — per layer when
+    // persistent — for the transfer pipeline model.
     let mut chunks: Vec<(u64, f64, u64)> = Vec::new();
+    let mut layer_chunk = (0u64, 0.0f64, 0u64);
 
-    // Persistent mode: submit the one resident launch up front. It pays
-    // the launch overhead (and faces the fault plan) exactly once; every
-    // fixpoint round below then runs inside it.
-    let persistent = exec == ExecMode::Persistent && !methods.is_empty();
+    // The one resident launch pays the launch overhead (and faces the
+    // fault plan) exactly once; every round below then runs inside it.
+    let persistent = exec == ExecMode::Persistent && !fx.done();
     if persistent {
         device.begin_persistent()?;
     }
 
-    for layer_idx in 0..layers.layer_count() {
-        let layer_sccs: Vec<&Vec<MethodId>> = layers
-            .scc_members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| layers.scc_layer[*i] as usize == layer_idx)
-            .map(|(_, m)| m)
-            .collect();
-
-        // Methods still needing a solve in this layer (SCC iteration).
-        // Pre-solved leaves are scheduled (they occupy layer slots) but
-        // never launch.
-        let mut pending: Vec<MethodId> = layer_sccs
-            .iter()
-            .flat_map(|s| s.iter().copied())
-            .filter(|m| !leaf_set.contains(m))
-            .collect();
-        pending.sort_unstable();
-
-        // Persistent-mode per-layer chunk accumulators: a layer's bytes
-        // move once (inputs before its first round, results after its
-        // last) while its kernel time sums every round, SCC re-rounds
-        // included.
-        let mut layer_kernel_ns = 0.0f64;
-        let mut layer_bytes = (0u64, 0u64);
-        let mut round = 0usize;
-        while !pending.is_empty() {
-            let round_start_ns = device.clock_ns();
-            let round_bytes: (u64, u64); // (h2d, d2h)
-                                         // --- one kernel launch: one block per pending method --------
-            let block_results: Vec<(MethodId, MatrixStore, WorklistTelemetry)>;
-            {
-                // Pre-compute per-method inputs.
-                let inputs: Vec<(MethodId, HashMap<gdroid_ir::StmtIdx, Option<_>>)> = pending
-                    .iter()
-                    .map(|&mid| (mid, merge_site_summaries(program, mid, &summaries, cg)))
-                    .collect();
-                let results = std::cell::RefCell::new(Vec::with_capacity(pending.len()));
-                let blocks: Vec<gdroid_gpusim::BlockFn<'_>> = inputs
-                    .iter()
-                    .map(|(mid, site)| {
-                        let mid = *mid;
-                        let space = &spaces[&mid];
-                        let cfg = &cfgs[&mid];
-                        let ml = &layout.methods[&mid];
-                        let results = &results;
-                        Box::new(move |ctx: &mut gdroid_gpusim::BlockCtx<'_>| {
-                            if persistent {
-                                // The resident kernel's block dequeues its
-                                // method from the device-side worklist…
-                                ctx.queue_pop(1);
-                            }
-                            let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
-                            store.seed(
-                                cfg.entry() as usize,
-                                &space.entry_facts(&program.methods[mid]),
-                            );
-                            let tele = run_method_block(
-                                ctx,
-                                &program.methods[mid],
-                                space,
-                                cfg,
-                                ml,
-                                site,
-                                opts,
-                                &mut store,
-                            );
-                            if persistent {
-                                // …and publishes its summary-changed flag
-                                // back for the next round's scheduling.
-                                ctx.queue_push(1);
-                            }
-                            results.borrow_mut().push((mid, store, tele));
-                        }) as gdroid_gpusim::BlockFn<'_>
-                    })
-                    .collect();
-
-                if persistent {
-                    // One round inside the resident launch: no launch
-                    // overhead, no per-round transfer — just the packed
-                    // work plus a grid-wide sync.
-                    let kernel_stats = device.persistent_round(blocks);
-                    if round == 0 {
-                        layer_bytes.0 = pending.iter().map(|m| layout.methods[m].h2d_bytes).sum();
-                        layer_bytes.1 = pending.iter().map(|m| layout.methods[m].d2h_bytes).sum();
-                    }
-                    layer_kernel_ns += device.config.cycles_to_ns(kernel_stats.makespan_cycles);
-                    round_bytes = (0, 0);
-                    stats.absorb_round(&kernel_stats);
-                } else {
-                    let kernel_stats = device.try_launch(blocks)?;
-                    let h2d: u64 = pending.iter().map(|m| layout.methods[m].h2d_bytes).sum();
-                    let d2h: u64 = pending.iter().map(|m| layout.methods[m].d2h_bytes).sum();
-                    chunks.push((h2d, kernel_stats.time_ns(&device.config), d2h));
-                    round_bytes = (h2d, d2h);
-                    stats.absorb_kernel(&kernel_stats);
-                }
-                block_results = results.into_inner();
+    while !fx.done() {
+        let ((layer, round), launched) = (fx.position(), fx.pending().len());
+        let round_start_ns = device.clock_ns();
+        let (h2d, d2h) = fx.pending_bytes(kernel);
+        let blocks = fx.blocks(fx.pending(), kernel, persistent);
+        let round_bytes = if persistent {
+            let kernel_stats = device.persistent_round(blocks);
+            if round == 0 {
+                (layer_chunk.0, layer_chunk.2) = (h2d, d2h);
             }
+            layer_chunk.1 += device.config.cycles_to_ns(kernel_stats.makespan_cycles);
+            stats.absorb_round(&kernel_stats);
+            (0, 0)
+        } else {
+            let kernel_stats = device.try_launch(blocks)?;
+            chunks.push((h2d, kernel_stats.time_ns(&device.config), d2h));
+            stats.absorb_kernel(&kernel_stats);
+            (h2d, d2h)
+        };
 
-            // --- host side: derive summaries, decide SCC re-iteration ---
-            let launched = pending.len();
-            // Membership is queried per SCC member below; a set keeps wide
-            // layers linear. Re-launch ordering stays deterministic because
-            // `pending` is rebuilt from `layer_sccs` order and re-sorted.
-            let mut changed_methods: std::collections::HashSet<MethodId> =
-                std::collections::HashSet::new();
-            for (mid, store, tele) in block_results {
-                if tracer.enabled() {
-                    trace_method_worklist(
-                        &tracer,
-                        device.clock_ns(),
-                        mid,
-                        &tele,
-                        opts,
-                        device.config.warp_size,
-                    );
-                }
-                telemetry.absorb(&tele);
-                stats.record_method(&tele);
-                let space = &spaces[&mid];
-                let cfg = &cfgs[&mid];
-                let store_ref = &store;
-                let node_facts = |n: usize| store_ref.snapshot(n);
-                let summary =
-                    derive_summary(&program.methods[mid], space, &node_facts, cfg.exit() as usize);
-                let changed = summaries.get(&mid) != Some(&summary);
-                summaries.insert(mid, summary);
-                facts.insert(mid, store);
-                if changed {
-                    changed_methods.insert(mid);
-                }
-            }
-
-            // Only recursive SCCs with changed summaries re-launch.
-            pending = layer_sccs
-                .iter()
-                .filter(|scc| {
-                    (scc.len() > 1 || layers.is_recursive(scc[0], cg))
-                        && scc.iter().any(|m| changed_methods.contains(m))
-                })
-                .flat_map(|s| s.iter().copied())
-                .filter(|m| !leaf_set.contains(m))
-                .collect();
-            pending.sort_unstable();
-            pending.dedup();
-            // A changed singleton recursive SCC stabilizes once its
-            // summary stops changing — guaranteed by monotonicity.
+        let now_ns = device.clock_ns();
+        fx.absorb(|mid, tele| {
             if tracer.enabled() {
-                tracer.span(
-                    "driver",
-                    format!("layer {layer_idx} round {round}"),
-                    round_start_ns,
-                    device.clock_ns() - round_start_ns,
-                    0,
-                    vec![
-                        ("methods_launched", launched.into()),
-                        ("summaries_changed", changed_methods.len().into()),
-                        ("h2d_bytes", round_bytes.0.into()),
-                        ("d2h_bytes", round_bytes.1.into()),
-                    ],
-                );
+                kernel.trace(&tracer, now_ns, mid, tele);
             }
-            round += 1;
+            stats.record_method(tele);
+        });
+        let (changed, layer_done) = fx.advance();
+        if tracer.enabled() {
+            tracer.span(
+                K::CATEGORY,
+                format!("layer {layer} round {round}"),
+                round_start_ns,
+                now_ns - round_start_ns,
+                0,
+                vec![
+                    ("methods_launched", launched.into()),
+                    ("summaries_changed", changed.into()),
+                    ("h2d_bytes", round_bytes.0.into()),
+                    ("d2h_bytes", round_bytes.1.into()),
+                ],
+            );
         }
-
-        if persistent && layer_kernel_ns > 0.0 {
+        if persistent && layer_done {
+            let mut chunk = std::mem::take(&mut layer_chunk);
             // The session's single launch overhead lands on the first
             // layer chunk, rounded exactly as KernelStats::time_ns and
             // the device clock round it.
             if chunks.is_empty() {
-                layer_kernel_ns += (device.config.launch_overhead_us * 1e3).round();
+                chunk.1 += (device.config.launch_overhead_us * 1e3).round();
             }
-            chunks.push((layer_bytes.0, layer_kernel_ns, layer_bytes.1));
+            chunks.push(chunk);
         }
     }
 
     if persistent {
-        // Fixpoint reached: the resident kernel exits. Its traffic and
-        // compute are already in the per-layer chunks above; closing the
-        // session emits the single launch span. The whole fixpoint was
-        // ONE launch no matter how many rounds it looped.
+        // Closing the session emits the single launch span.
         device.end_persistent();
         stats.launches = 1;
     }
 
-    // Transfer pipeline: the per-launch chunks ran through dual buffering.
     let pipeline = dual_buffered(&device.config, &chunks);
     if tracer.enabled() {
         tracer.instant(
-            "driver",
+            K::CATEGORY,
             "transfer-pipeline",
             device.clock_ns(),
             0,
@@ -375,51 +220,66 @@ pub fn gpu_analyze_app_on(
         );
     }
     stats.finish(pipeline, &device.config, device.heap.allocations, device.heap.bytes);
-    stats.profile = WorklistProfile::from_round_sizes(&telemetry.round_sizes, telemetry.rounds);
-
-    let sanitizer = device.san_report();
-    Ok(GpuAnalysis { facts, summaries, spaces, cfgs, stats, telemetry, sanitizer })
+    Ok(fx.finish(stats, device.san_report()))
 }
 
-/// Emits one instant per solved method with its worklist telemetry,
-/// including the per-round head/tail split the MER regime induces (head =
-/// the warp-sized list the kernel processes, tail = the postponed rest).
-/// Only called when tracing is enabled.
-pub(crate) fn trace_method_worklist(
-    tracer: &gdroid_trace::Tracer,
-    ts_ns: u64,
-    mid: MethodId,
-    tele: &WorklistTelemetry,
-    opts: OptConfig,
-    warp: usize,
-) {
-    use std::fmt::Write;
-    let mut head_tail = String::new();
-    for (i, &size) in tele.round_sizes.iter().enumerate() {
-        let head = if opts.mer { (size as usize).min(warp) } else { size as usize };
-        if i > 0 {
-            head_tail.push(' ');
-        }
-        write!(head_tail, "{head}/{}", size as usize - head).unwrap();
+/// The paper's worklist kernel ([`run_method_block`]) over one planned
+/// [`AppLayout`], at one rung of the optimization ladder.
+#[derive(Clone, Copy)]
+pub(crate) struct WorklistKernel<'a> {
+    pub(crate) layout: &'a AppLayout,
+    pub(crate) opts: OptConfig,
+    /// The device's warp size (the MER head-list length).
+    pub(crate) warp: usize,
+}
+
+impl MethodKernel for WorklistKernel<'_> {
+    const CATEGORY: &'static str = "driver";
+
+    fn bytes(&self, mid: MethodId) -> (u64, u64) {
+        let ml = &self.layout.methods[&mid];
+        (ml.h2d_bytes, ml.d2h_bytes)
     }
-    tracer.instant(
-        "driver",
-        format!("worklist {mid:?}"),
-        ts_ns,
-        1,
-        vec![
-            ("rounds", tele.rounds.into()),
-            ("nodes_processed", tele.nodes_processed.into()),
-            ("max_worklist", tele.max_worklist.into()),
-            ("head_tail_per_round", head_tail.into()),
-        ],
-    );
+
+    fn run(&self, ctx: &mut BlockCtx<'_>, b: &mut MethodBlock<'_>) -> WorklistTelemetry {
+        let ml = &self.layout.methods[&b.mid];
+        run_method_block(ctx, b.method, b.space, b.cfg, ml, &b.sites, self.opts, &mut b.store)
+    }
+
+    /// One instant per solved method with its worklist telemetry,
+    /// including the per-round head/tail split the MER regime induces
+    /// (head = the warp-sized list the kernel processes, tail = the
+    /// postponed rest).
+    fn trace(&self, tracer: &Tracer, ts_ns: u64, mid: MethodId, tele: &WorklistTelemetry) {
+        use std::fmt::Write;
+        let mut head_tail = String::new();
+        for (i, &size) in tele.round_sizes.iter().enumerate() {
+            let size = size as usize;
+            let head = if self.opts.mer { size.min(self.warp) } else { size };
+            if i > 0 {
+                head_tail.push(' ');
+            }
+            write!(head_tail, "{head}/{}", size - head).unwrap();
+        }
+        tracer.instant(
+            Self::CATEGORY,
+            format!("worklist {mid:?}"),
+            ts_ns,
+            1,
+            vec![
+                ("rounds", tele.rounds.into()),
+                ("nodes_processed", tele.nodes_processed.into()),
+                ("max_worklist", tele.max_worklist.into()),
+                ("head_tail_per_round", head_tail.into()),
+            ],
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdroid_analysis::{analyze_app, StoreKind};
+    use gdroid_analysis::{analyze_app, FactStore, StoreKind};
     use gdroid_apk::{generate_app, GenConfig};
     use gdroid_icfg::prepare_app;
 

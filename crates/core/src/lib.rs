@@ -12,13 +12,20 @@
 //! * [`kernel`] — the warp-centric block program: one method per thread
 //!   block, one worklist node per lane, with branch partitions, memory
 //!   address generation, and set growth modeled per configuration;
-//! * [`driver`] — layered kernel launches with dual-buffered transfers and
-//!   host-side summary derivation;
+//! * [`fixpoint`] — Alg. 2's host loop, stated once: SBDA layers
+//!   bottom-up, one block per method, recursive SCCs re-launched until
+//!   their summaries stabilize, summaries derived host-side;
+//! * the *launch policies* over it, which decide only how a round's blocks
+//!   reach a device and how modeled time is accounted — [`driver`] (solo:
+//!   one launch per round through the dual-buffering pipeline, or one
+//!   persistent session), [`batch`] (co-resident apps sharing launches,
+//!   attributed per app by re-packing) and [`multigpu`] (the paper's
+//!   future-work extension, §VIII: LPT partition of each round over several
+//!   simulated GPUs with a summary all-gather in between);
+//! * [`engine`] — the `AnalysisEngine` boundary the vetting layers select
+//!   an engine through;
 //! * [`stats`] — the measured quantities behind Figs. 4 and 8–12 and
-//!   Table II;
-//! * [`multigpu`] — the paper's future-work extension (§VIII): layer-wise
-//!   method partitioning over multiple simulated GPUs with summary
-//!   all-gather between layers.
+//!   Table II.
 //!
 //! Every configuration computes the *identical* IDFG (cross-checked
 //! against the CPU reference in tests); the flags only change simulated
@@ -28,6 +35,7 @@ pub mod autotune;
 pub mod batch;
 pub mod driver;
 pub mod engine;
+pub mod fixpoint;
 pub mod kernel;
 pub mod layout;
 pub mod multigpu;
@@ -38,7 +46,8 @@ pub use autotune::{tune_blocks_per_sm, TuneResult};
 pub use batch::{gpu_analyze_batch_on, BatchAnalysis, BatchApp, BatchStats};
 pub use engine::{AnalysisEngine, CpuEngine, EngineAnalysis, EngineKind, ExecMode, WorklistEngine};
 
-pub use driver::{gpu_analyze_app, gpu_analyze_app_on, GpuAnalysis};
+pub use driver::{gpu_analyze_app, gpu_analyze_app_on, run_solo, GpuAnalysis};
+pub use fixpoint::{Fixpoint, MethodBlock, MethodKernel};
 pub use kernel::run_method_block;
 pub use layout::{plan_layout, AppLayout, MethodLayout};
 pub use multigpu::{

@@ -18,15 +18,13 @@
 //!   the functional result is identical to the single-GPU run (asserted
 //!   in tests).
 
-use crate::kernel::run_method_block;
+use crate::driver::WorklistKernel;
+use crate::fixpoint::Fixpoint;
 use crate::layout::plan_layout;
 use crate::opts::OptConfig;
-use gdroid_analysis::{
-    derive_summary, merge_site_summaries, FactStore, Geometry, MatrixStore, MethodSpace,
-    SummaryMap, WorklistTelemetry,
-};
+use gdroid_analysis::{Geometry, MatrixStore, SummaryMap, WorklistTelemetry};
 use gdroid_gpusim::{Device, DeviceConfig};
-use gdroid_icfg::{CallGraph, CallLayers, Cfg};
+use gdroid_icfg::CallGraph;
 use gdroid_ir::{MethodId, Program};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -137,30 +135,16 @@ pub fn gpu_analyze_app_multi(
     if config.devices == 0 {
         return Err(MultiGpuError::NoDevices);
     }
-    let layers = CallLayers::compute(cg, roots);
-    let methods: Vec<MethodId> = {
-        let mut m: Vec<MethodId> = layers.scc_of.keys().copied().collect();
-        m.sort_unstable();
-        m
-    };
-    let mut spaces: HashMap<MethodId, MethodSpace> = HashMap::new();
-    let mut cfgs: HashMap<MethodId, Cfg> = HashMap::new();
-    for &mid in &methods {
-        spaces.insert(mid, MethodSpace::build(program, mid));
-        cfgs.insert(mid, Cfg::build(&program.methods[mid]));
-    }
+    let mut fx = Fixpoint::new(program, cg, roots, &HashMap::new(), None);
 
     // One simulated device (heap + address space + layout) per GPU.
     let mut devices: Vec<Device> =
         (0..config.devices).map(|_| Device::new(config.device)).collect();
     let layouts: Vec<_> = devices
         .iter_mut()
-        .map(|d| plan_layout(program, d, &spaces, &cfgs, &methods, opts))
+        .map(|d| plan_layout(program, d, &fx.spaces, &fx.cfgs, fx.methods(), opts))
         .collect();
 
-    let mut summaries: SummaryMap = HashMap::new();
-    let mut facts: HashMap<MethodId, MatrixStore> = HashMap::new();
-    let mut telemetry = WorklistTelemetry::default();
     let mut stats = MultiGpuStats {
         devices: config.devices,
         methods_per_device: vec![0; config.devices],
@@ -169,147 +153,78 @@ pub fn gpu_analyze_app_multi(
     let mut balance_acc = 0.0;
     let mut balance_samples = 0usize;
 
-    for layer_idx in 0..layers.layer_count() {
-        let layer_sccs: Vec<&Vec<MethodId>> = layers
-            .scc_members
+    while !fx.done() {
+        // --- partition: greedy LPT on static work estimates --------------
+        let mut est: Vec<(MethodId, u64)> = fx
+            .pending()
             .iter()
-            .enumerate()
-            .filter(|(i, _)| layers.scc_layer[*i] as usize == layer_idx)
-            .map(|(_, m)| m)
+            .map(|&m| {
+                let g = Geometry::of(&fx.spaces[&m]);
+                (m, (fx.cfgs[&m].len() * g.words().max(1)) as u64)
+            })
             .collect();
-        let mut pending: Vec<MethodId> =
-            layer_sccs.iter().flat_map(|s| s.iter().copied()).collect();
-        pending.sort_unstable();
-
-        while !pending.is_empty() {
-            // --- partition: greedy LPT on static work estimates ----------
-            let mut est: Vec<(MethodId, u64)> = pending
-                .iter()
-                .map(|&m| {
-                    let g = Geometry::of(&spaces[&m]);
-                    (m, (cfgs[&m].len() * g.words().max(1)) as u64)
-                })
-                .collect();
-            est.sort_by_key(|&(m, w)| (std::cmp::Reverse(w), m));
-            let mut assignment: Vec<Vec<MethodId>> = vec![Vec::new(); config.devices];
-            let mut loads = vec![0u64; config.devices];
-            for (m, w) in est {
-                let dev = (0..config.devices)
-                    .min_by_key(|&d| loads[d])
-                    .expect("devices > 0 validated at entry");
-                assignment[dev].push(m);
-                loads[dev] += w;
-                stats.methods_per_device[dev] += 1;
-            }
-
-            // --- per-device launches --------------------------------------
-            let mut layer_kernel_ns: f64 = 0.0;
-            let mut device_work: Vec<f64> = Vec::with_capacity(config.devices);
-            let mut changed_methods: Vec<MethodId> = Vec::new();
-            for (dev_idx, group) in assignment.iter().enumerate() {
-                if group.is_empty() {
-                    device_work.push(0.0);
-                    continue;
-                }
-                let inputs: Vec<(MethodId, HashMap<gdroid_ir::StmtIdx, _>)> = group
-                    .iter()
-                    .map(|&mid| (mid, merge_site_summaries(program, mid, &summaries, cg)))
-                    .collect();
-                let results = std::cell::RefCell::new(Vec::new());
-                let blocks: Vec<gdroid_gpusim::BlockFn<'_>> = inputs
-                    .iter()
-                    .map(|(mid, site)| {
-                        let mid = *mid;
-                        let space = &spaces[&mid];
-                        let cfg = &cfgs[&mid];
-                        let ml = &layouts[dev_idx].methods[&mid];
-                        let results = &results;
-                        Box::new(move |ctx: &mut gdroid_gpusim::BlockCtx<'_>| {
-                            let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
-                            store.seed(
-                                cfg.entry() as usize,
-                                &space.entry_facts(&program.methods[mid]),
-                            );
-                            let tele = run_method_block(
-                                ctx,
-                                &program.methods[mid],
-                                space,
-                                cfg,
-                                ml,
-                                site,
-                                opts,
-                                &mut store,
-                            );
-                            results.borrow_mut().push((mid, store, tele));
-                        }) as _
-                    })
-                    .collect();
-                let kstats = devices[dev_idx].launch(blocks);
-                let t = kstats.time_ns(&config.device);
-                device_work.push(t);
-                layer_kernel_ns = layer_kernel_ns.max(t);
-
-                for (mid, store, tele) in results.into_inner() {
-                    telemetry.absorb(&tele);
-                    let space = &spaces[&mid];
-                    let cfg = &cfgs[&mid];
-                    let store_ref = &store;
-                    let node_facts = |n: usize| store_ref.snapshot(n);
-                    let summary = derive_summary(
-                        &program.methods[mid],
-                        space,
-                        &node_facts,
-                        cfg.exit() as usize,
-                    );
-                    if summaries.get(&mid) != Some(&summary) {
-                        changed_methods.push(mid);
-                    }
-                    summaries.insert(mid, summary);
-                    facts.insert(mid, store);
-                }
-            }
-            stats.kernel_ns += layer_kernel_ns;
-
-            // Load balance sample.
-            let max_w = device_work.iter().copied().fold(0.0f64, f64::max);
-            if max_w > 0.0 {
-                let mean_w: f64 = device_work.iter().sum::<f64>() / config.devices as f64;
-                balance_acc += mean_w / max_w;
-                balance_samples += 1;
-            }
-
-            // --- summary all-gather between layers ------------------------
-            if config.devices > 1 {
-                let bytes: u64 =
-                    pending.iter().filter_map(|m| summaries.get(m)).map(summary_bytes).sum();
-                let gather_ns = config.interconnect_latency_us * 1e3
-                    + (bytes * (config.devices as u64 - 1)) as f64 / config.interconnect_gbps;
-                stats.exchange_ns += gather_ns;
-            }
-
-            // SCC re-iteration, as in the single-GPU driver.
-            pending = layer_sccs
-                .iter()
-                .filter(|scc| {
-                    (scc.len() > 1 || layers.is_recursive(scc[0], cg))
-                        && scc.iter().any(|m| changed_methods.contains(m))
-                })
-                .flat_map(|s| s.iter().copied())
-                .collect();
-            pending.sort_unstable();
-            pending.dedup();
+        est.sort_by_key(|&(m, w)| (std::cmp::Reverse(w), m));
+        let mut assignment: Vec<Vec<MethodId>> = vec![Vec::new(); config.devices];
+        let mut loads = vec![0u64; config.devices];
+        for (m, w) in est {
+            let dev = (0..config.devices)
+                .min_by_key(|&d| loads[d])
+                .expect("devices > 0 validated at entry");
+            assignment[dev].push(m);
+            loads[dev] += w;
+            stats.methods_per_device[dev] += 1;
         }
+
+        // --- per-device launches; the round costs the slowest device -----
+        // Each device's results are absorbed before the next device's
+        // inputs are merged, so later devices see this round's summaries.
+        let device_work: Vec<f64> = (0..config.devices)
+            .map(|d| {
+                if assignment[d].is_empty() {
+                    return 0.0;
+                }
+                let kernel =
+                    WorklistKernel { layout: &layouts[d], opts, warp: config.device.warp_size };
+                let kstats = devices[d].launch(fx.blocks(&assignment[d], kernel, false));
+                fx.absorb(|_, _| {});
+                kstats.time_ns(&config.device)
+            })
+            .collect();
+        let max_w = device_work.iter().copied().fold(0.0f64, f64::max);
+        stats.kernel_ns += max_w;
+
+        if max_w > 0.0 {
+            let mean_w: f64 = device_work.iter().sum::<f64>() / config.devices as f64;
+            balance_acc += mean_w / max_w;
+            balance_samples += 1;
+        }
+
+        // --- summary all-gather before the next launch --------------------
+        if config.devices > 1 {
+            let bytes: u64 =
+                fx.pending().iter().filter_map(|m| fx.summaries.get(m)).map(summary_bytes).sum();
+            let gather_ns = config.interconnect_latency_us * 1e3
+                + (bytes * (config.devices as u64 - 1)) as f64 / config.interconnect_gbps;
+            stats.exchange_ns += gather_ns;
+        }
+        fx.advance();
     }
 
     stats.total_ns = stats.kernel_ns + stats.exchange_ns;
     stats.balance = if balance_samples == 0 { 1.0 } else { balance_acc / balance_samples as f64 };
-    Ok(MultiGpuAnalysis { summaries, facts, telemetry, stats })
+    Ok(MultiGpuAnalysis {
+        summaries: fx.summaries,
+        facts: fx.facts,
+        telemetry: fx.telemetry,
+        stats,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::gpu_analyze_app;
+    use gdroid_analysis::FactStore;
     use gdroid_apk::{generate_app, GenConfig};
     use gdroid_icfg::prepare_app;
 

@@ -1,25 +1,22 @@
-//! The relational analysis driver: layered kernel launches whose blocks
-//! run semi-naive evaluation instead of a worklist.
+//! The relational analysis driver: `gdroid-core`'s solo launch policy over
+//! a kernel whose blocks run semi-naive evaluation instead of a worklist.
 //!
-//! The host side is deliberately identical to the worklist driver in
-//! `gdroid-core` — same layer schedule, same SCC re-launch rule, same
-//! dual-buffered transfer pipeline, same host-side summary derivation —
-//! so the two engines differ *only* in the device-side evaluation
-//! strategy and its modeled cost. That is what makes the engine ladder in
-//! `BENCH_rel.json` an apples-to-apples comparison, and it is why this
-//! driver returns the same [`GpuAnalysis`] type.
+//! The host side is not a copy of the worklist driver's — it *is* the
+//! worklist driver's: [`Fixpoint`] holds the schedule and [`run_solo`] the
+//! launch loop and dual-buffered transfer pipeline (DESIGN.md §18). This
+//! module supplies only the [`MethodKernel`], so the engines differ in the
+//! device-side evaluation strategy and its modeled cost *by construction*
+//! — what makes `BENCH_rel.json` an apples-to-apples comparison.
 
 use crate::kernel::run_method_rel;
 use crate::layout::{plan_rel_layout, RelLayout};
-use gdroid_analysis::{
-    derive_summary, merge_site_summaries, FactStore, Geometry, MatrixStore, MethodSpace,
-    SummaryMap, WorklistTelemetry,
-};
-use gdroid_core::{GpuAnalysis, GpuRunStats, WorklistProfile};
-use gdroid_gpusim::{dual_buffered, Device, DeviceConfig, DeviceFault};
-use gdroid_icfg::{CallGraph, CallLayers, Cfg};
+use gdroid_analysis::{MatrixStore, MethodSummary, WorklistTelemetry};
+use gdroid_core::{run_solo, ExecMode, Fixpoint, GpuAnalysis, MethodBlock, MethodKernel};
+use gdroid_gpusim::{BlockCtx, Device, DeviceConfig, DeviceFault};
+use gdroid_icfg::CallGraph;
 use gdroid_ir::{MethodId, Program};
-use std::collections::HashMap;
+use gdroid_trace::Tracer;
+use std::collections::{HashMap, HashSet};
 
 /// Analyzes one app relationally on a fresh simulated GPU.
 pub fn rel_analyze_app(
@@ -29,264 +26,77 @@ pub fn rel_analyze_app(
     device_config: DeviceConfig,
 ) -> GpuAnalysis {
     let mut device = Device::new(device_config);
-    rel_analyze_app_on(&mut device, program, cg, roots).expect("a fresh device has no fault plan")
+    rel_analyze_app_on(&mut device, program, cg, roots, &HashMap::new(), None)
+        .expect("a fresh device has no fault plan")
 }
 
-/// Analyzes one app relationally on an existing, long-lived device.
+/// Analyzes one app relationally on an existing, long-lived device, with
+/// the same `presolved` (closed set of summary-store hits) and `slice`
+/// (caller-closed demand-driven restriction) contracts as
+/// `gdroid_core::gpu_analyze_app_on`.
 pub fn rel_analyze_app_on(
     device: &mut Device,
     program: &Program,
     cg: &CallGraph,
     roots: &[MethodId],
-) -> Result<GpuAnalysis, DeviceFault> {
-    rel_analyze_app_presolved_on(device, program, cg, roots, &HashMap::new())
-}
-
-/// [`rel_analyze_app_on`] with pre-solved summary-store hits, same closure
-/// contract as the worklist driver: every internal callee of a pre-solved
-/// method is itself pre-solved.
-pub fn rel_analyze_app_presolved_on(
-    device: &mut Device,
-    program: &Program,
-    cg: &CallGraph,
-    roots: &[MethodId],
-    presolved: &HashMap<MethodId, (gdroid_analysis::MethodSummary, MatrixStore)>,
-) -> Result<GpuAnalysis, DeviceFault> {
-    rel_analyze_app_restricted_on(device, program, cg, roots, presolved, None)
-}
-
-/// Sliced (demand-driven) relational analysis, same slice contract as the
-/// worklist driver: caller-closed over the reachable set.
-pub fn rel_analyze_app_sliced_on(
-    device: &mut Device,
-    program: &Program,
-    cg: &CallGraph,
-    roots: &[MethodId],
-    slice: &std::collections::HashSet<MethodId>,
-) -> Result<GpuAnalysis, DeviceFault> {
-    rel_analyze_app_restricted_on(device, program, cg, roots, &HashMap::new(), Some(slice))
-}
-
-/// [`rel_analyze_app_sliced_on`] with pre-solved hits.
-pub fn rel_analyze_app_sliced_presolved_on(
-    device: &mut Device,
-    program: &Program,
-    cg: &CallGraph,
-    roots: &[MethodId],
-    presolved: &HashMap<MethodId, (gdroid_analysis::MethodSummary, MatrixStore)>,
-    slice: &std::collections::HashSet<MethodId>,
-) -> Result<GpuAnalysis, DeviceFault> {
-    rel_analyze_app_restricted_on(device, program, cg, roots, presolved, Some(slice))
-}
-
-/// Shared driver body, mirroring the worklist driver's restricted entry.
-fn rel_analyze_app_restricted_on(
-    device: &mut Device,
-    program: &Program,
-    cg: &CallGraph,
-    roots: &[MethodId],
-    presolved: &HashMap<MethodId, (gdroid_analysis::MethodSummary, MatrixStore)>,
-    restrict: Option<&std::collections::HashSet<MethodId>>,
+    presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
+    slice: Option<&HashSet<MethodId>>,
 ) -> Result<GpuAnalysis, DeviceFault> {
     device.reset();
-    let tracer = device.tracer().clone();
-    let leaf_set: std::collections::HashSet<MethodId> = presolved.keys().copied().collect();
-    let layers = match restrict {
-        None => CallLayers::compute_with_leaves(cg, roots, &leaf_set),
-        Some(allowed) => CallLayers::compute_within_with_leaves(cg, roots, allowed, &leaf_set),
-    };
-    let methods: Vec<MethodId> = {
-        let mut m: Vec<MethodId> =
-            layers.scc_of.keys().copied().filter(|m| !leaf_set.contains(m)).collect();
-        m.sort_unstable();
-        m
-    };
-    let mut spaces: HashMap<MethodId, MethodSpace> = HashMap::new();
-    let mut cfgs: HashMap<MethodId, Cfg> = HashMap::new();
-    for &mid in methods.iter().chain(presolved.keys()) {
-        spaces.insert(mid, MethodSpace::build(program, mid));
-        cfgs.insert(mid, Cfg::build(&program.methods[mid]));
-    }
-
-    let layout: RelLayout = plan_rel_layout(device, &spaces, &cfgs, &methods);
-    if tracer.enabled() {
-        tracer.instant(
+    let fx = Fixpoint::new(program, cg, roots, presolved, slice);
+    let layout = plan_rel_layout(device, &fx.spaces, &fx.cfgs, fx.methods());
+    if device.tracer().enabled() {
+        device.tracer().instant(
             "rel-driver",
             "rel-config",
             device.clock_ns(),
             0,
             vec![
-                ("methods", methods.len().into()),
+                ("methods", fx.methods().len().into()),
                 ("presolved", presolved.len().into()),
-                ("layers", layers.layer_count().into()),
+                ("layers", fx.layer_count().into()),
             ],
         );
     }
+    run_solo(device, fx, RelKernel(&layout), ExecMode::MultiLaunch)
+}
 
-    let mut summaries: SummaryMap = HashMap::new();
-    let mut facts: HashMap<MethodId, MatrixStore> = HashMap::new();
-    for (&mid, (summary, store)) in presolved {
-        summaries.insert(mid, summary.clone());
-        facts.insert(mid, store.clone());
-    }
-    let mut telemetry = WorklistTelemetry::default();
-    let mut stats = GpuRunStats::default();
-    let mut chunks: Vec<(u64, f64, u64)> = Vec::new();
+/// Semi-naive evaluation ([`run_method_rel`]) over one planned layout.
+#[derive(Clone, Copy)]
+struct RelKernel<'a>(&'a RelLayout);
 
-    for layer_idx in 0..layers.layer_count() {
-        let layer_sccs: Vec<&Vec<MethodId>> = layers
-            .scc_members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| layers.scc_layer[*i] as usize == layer_idx)
-            .map(|(_, m)| m)
-            .collect();
+impl MethodKernel for RelKernel<'_> {
+    const CATEGORY: &'static str = "rel-driver";
 
-        let mut pending: Vec<MethodId> = layer_sccs
-            .iter()
-            .flat_map(|s| s.iter().copied())
-            .filter(|m| !leaf_set.contains(m))
-            .collect();
-        pending.sort_unstable();
-
-        let mut round = 0usize;
-        while !pending.is_empty() {
-            let round_start_ns = device.clock_ns();
-            let round_bytes: (u64, u64);
-            let block_results: Vec<(MethodId, MatrixStore, WorklistTelemetry)>;
-            {
-                let inputs: Vec<(MethodId, HashMap<gdroid_ir::StmtIdx, Option<_>>)> = pending
-                    .iter()
-                    .map(|&mid| (mid, merge_site_summaries(program, mid, &summaries, cg)))
-                    .collect();
-                let results = std::cell::RefCell::new(Vec::with_capacity(pending.len()));
-                let blocks: Vec<gdroid_gpusim::BlockFn<'_>> = inputs
-                    .iter()
-                    .map(|(mid, site)| {
-                        let mid = *mid;
-                        let space = &spaces[&mid];
-                        let cfg = &cfgs[&mid];
-                        let ml = &layout.methods[&mid];
-                        let results = &results;
-                        Box::new(move |ctx: &mut gdroid_gpusim::BlockCtx<'_>| {
-                            let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
-                            store.seed(
-                                cfg.entry() as usize,
-                                &space.entry_facts(&program.methods[mid]),
-                            );
-                            let tele = run_method_rel(
-                                ctx,
-                                &program.methods[mid],
-                                space,
-                                cfg,
-                                ml,
-                                site,
-                                &mut store,
-                            );
-                            results.borrow_mut().push((mid, store, tele));
-                        }) as gdroid_gpusim::BlockFn<'_>
-                    })
-                    .collect();
-
-                let kernel_stats = device.try_launch(blocks)?;
-                let h2d: u64 = pending.iter().map(|m| layout.methods[m].h2d_bytes).sum();
-                let d2h: u64 = pending.iter().map(|m| layout.methods[m].d2h_bytes).sum();
-                chunks.push((h2d, kernel_stats.time_ns(&device.config), d2h));
-                round_bytes = (h2d, d2h);
-                stats.absorb_kernel(&kernel_stats);
-                block_results = results.into_inner();
-            }
-
-            let launched = pending.len();
-            let mut changed_methods: std::collections::HashSet<MethodId> =
-                std::collections::HashSet::new();
-            for (mid, store, tele) in block_results {
-                if tracer.enabled() {
-                    tracer.instant(
-                        "rel-driver",
-                        format!("semi-naive {mid:?}"),
-                        device.clock_ns(),
-                        1,
-                        vec![
-                            ("rounds", tele.rounds.into()),
-                            ("nodes_processed", tele.nodes_processed.into()),
-                            ("max_delta", tele.max_worklist.into()),
-                        ],
-                    );
-                }
-                telemetry.absorb(&tele);
-                stats.record_method(&tele);
-                let space = &spaces[&mid];
-                let cfg = &cfgs[&mid];
-                let store_ref = &store;
-                let node_facts = |n: usize| store_ref.snapshot(n);
-                let summary =
-                    derive_summary(&program.methods[mid], space, &node_facts, cfg.exit() as usize);
-                let changed = summaries.get(&mid) != Some(&summary);
-                summaries.insert(mid, summary);
-                facts.insert(mid, store);
-                if changed {
-                    changed_methods.insert(mid);
-                }
-            }
-
-            pending = layer_sccs
-                .iter()
-                .filter(|scc| {
-                    (scc.len() > 1 || layers.is_recursive(scc[0], cg))
-                        && scc.iter().any(|m| changed_methods.contains(m))
-                })
-                .flat_map(|s| s.iter().copied())
-                .filter(|m| !leaf_set.contains(m))
-                .collect();
-            pending.sort_unstable();
-            pending.dedup();
-            if tracer.enabled() {
-                tracer.span(
-                    "rel-driver",
-                    format!("layer {layer_idx} round {round}"),
-                    round_start_ns,
-                    device.clock_ns() - round_start_ns,
-                    0,
-                    vec![
-                        ("methods_launched", launched.into()),
-                        ("summaries_changed", changed_methods.len().into()),
-                        ("h2d_bytes", round_bytes.0.into()),
-                        ("d2h_bytes", round_bytes.1.into()),
-                    ],
-                );
-            }
-            round += 1;
-        }
+    fn bytes(&self, mid: MethodId) -> (u64, u64) {
+        let ml = &self.0.methods[&mid];
+        (ml.h2d_bytes, ml.d2h_bytes)
     }
 
-    let pipeline = dual_buffered(&device.config, &chunks);
-    if tracer.enabled() {
+    fn run(&self, ctx: &mut BlockCtx<'_>, b: &mut MethodBlock<'_>) -> WorklistTelemetry {
+        let ml = &self.0.methods[&b.mid];
+        run_method_rel(ctx, b.method, b.space, b.cfg, ml, &b.sites, &mut b.store)
+    }
+
+    fn trace(&self, tracer: &Tracer, ts_ns: u64, mid: MethodId, tele: &WorklistTelemetry) {
         tracer.instant(
-            "rel-driver",
-            "transfer-pipeline",
-            device.clock_ns(),
-            0,
+            Self::CATEGORY,
+            format!("semi-naive {mid:?}"),
+            ts_ns,
+            1,
             vec![
-                ("launches", chunks.len().into()),
-                ("h2d_bytes", chunks.iter().map(|c| c.0).sum::<u64>().into()),
-                ("d2h_bytes", chunks.iter().map(|c| c.2).sum::<u64>().into()),
-                ("exposed_copy_ns", pipeline.exposed_copy_ns.into()),
-                ("total_ns", pipeline.total_ns.into()),
+                ("rounds", tele.rounds.into()),
+                ("nodes_processed", tele.nodes_processed.into()),
+                ("max_delta", tele.max_worklist.into()),
             ],
         );
     }
-    stats.finish(pipeline, &device.config, device.heap.allocations, device.heap.bytes);
-    stats.profile = WorklistProfile::from_round_sizes(&telemetry.round_sizes, telemetry.rounds);
-
-    let sanitizer = device.san_report();
-    Ok(GpuAnalysis { facts, summaries, spaces, cfgs, stats, telemetry, sanitizer })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdroid_analysis::{analyze_app, StoreKind};
+    use gdroid_analysis::{analyze_app, FactStore, StoreKind};
     use gdroid_apk::{generate_app, GenConfig};
     use gdroid_core::{gpu_analyze_app, OptConfig};
     use gdroid_icfg::prepare_app;
@@ -361,12 +171,53 @@ mod tests {
             cg.reachable_from(&roots).into_iter().collect();
         let full = rel_analyze_app(&app.program, &cg, &roots, DeviceConfig::tiny());
         let mut device = Device::new(DeviceConfig::tiny());
-        let sliced = rel_analyze_app_sliced_on(&mut device, &app.program, &cg, &roots, &slice)
-            .expect("no fault plan");
+        let none = HashMap::new();
+        let sliced =
+            rel_analyze_app_on(&mut device, &app.program, &cg, &roots, &none, Some(&slice))
+                .expect("no fault plan");
         assert_eq!(sliced.summaries, full.summaries);
         assert_eq!(sliced.facts.len(), full.facts.len());
         for (mid, f) in &full.facts {
             assert_eq!(f.flat_words(), sliced.facts[mid].flat_words(), "{mid:?}");
+        }
+    }
+
+    /// The rel row of the launch-policy conformance table
+    /// (`crates/core/tests/policy_conformance.rs`): same recursion-heavy
+    /// app, with and without a pre-solved bottom half of the schedule.
+    #[test]
+    fn rel_policy_reaches_the_reference_fixpoint_under_recursion() {
+        use gdroid_icfg::CallLayers;
+        let config = GenConfig { recursion_prob: 0.5, ..GenConfig::tiny() };
+        let mut app = generate_app(0, 0x5cc, &config);
+        let (envs, cg) = prepare_app(&mut app);
+        let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
+        let cpu = analyze_app(&app.program, &cg, &roots, StoreKind::Matrix);
+        let layers = CallLayers::compute(&cg, &roots);
+        assert!(layers.scc_members.iter().any(|m| m.len() > 1), "no multi-member SCC generated");
+        // Calls only go down (or stay inside an SCC), so the layers below
+        // a cut are callee-closed.
+        let cut = (layers.layer_count() / 2) as u32;
+        let presolved: HashMap<_, _> = layers
+            .scc_of
+            .keys()
+            .filter(|&&m| layers.layer_of(m).unwrap() < cut)
+            .map(|&m| (m, (cpu.summaries[&m].clone(), cpu.facts[&m].clone())))
+            .collect();
+        assert!(!presolved.is_empty());
+        for (label, pre) in [("cold", &HashMap::new()), ("presolved", &presolved)] {
+            let mut device = Device::new(DeviceConfig::tiny());
+            let rel = rel_analyze_app_on(&mut device, &app.program, &cg, &roots, pre, None)
+                .expect("no fault plan");
+            assert_eq!(rel.summaries, cpu.summaries, "rel {label}");
+            assert_eq!(rel.facts.len(), cpu.facts.len(), "rel {label}");
+            for (mid, f) in &cpu.facts {
+                assert_eq!(f.flat_words(), rel.facts[mid].flat_words(), "rel {label} {mid:?}");
+            }
+            if pre.is_empty() {
+                // More launches than layers: some SCC went round again.
+                assert!(rel.stats.launches > layers.layer_count(), "no SCC re-launched");
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! [`RelEngine`]: the relational backend behind the
 //! [`gdroid_core::AnalysisEngine`] boundary.
 
-use crate::driver::{rel_analyze_app_presolved_on, rel_analyze_app_sliced_presolved_on};
+use crate::driver::rel_analyze_app_on;
 use gdroid_analysis::{MatrixStore, MethodSummary};
 use gdroid_core::{AnalysisEngine, EngineAnalysis, EngineKind};
 use gdroid_gpusim::{Device, DeviceFault};
@@ -28,13 +28,7 @@ impl AnalysisEngine for RelEngine {
         presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
         slice: Option<&HashSet<MethodId>>,
     ) -> Result<EngineAnalysis, DeviceFault> {
-        let gpu = match slice {
-            None => rel_analyze_app_presolved_on(device, program, cg, roots, presolved)?,
-            Some(s) => {
-                rel_analyze_app_sliced_presolved_on(device, program, cg, roots, presolved, s)?
-            }
-        };
-        Ok(gpu.into())
+        Ok(rel_analyze_app_on(device, program, cg, roots, presolved, slice)?.into())
     }
 }
 

@@ -33,10 +33,7 @@ pub mod engine;
 pub mod kernel;
 pub mod layout;
 
-pub use driver::{
-    rel_analyze_app, rel_analyze_app_on, rel_analyze_app_presolved_on, rel_analyze_app_sliced_on,
-    rel_analyze_app_sliced_presolved_on,
-};
+pub use driver::{rel_analyze_app, rel_analyze_app_on};
 pub use engine::RelEngine;
 pub use kernel::run_method_rel;
 pub use layout::{index_cap, plan_rel_layout, MethodRelLayout, RelLayout};
