@@ -29,20 +29,44 @@ surface=$(grep -rn 'pub fn \(execute\|gpu_analyze\|rel_analyze\)' \
   exit 1
 }
 
-echo "==> one-host-loop ratchet: the layered-fixpoint schedule is stated once"
-# Outside #[cfg(test)], summaries are derived and SCC recursion is decided
-# in exactly one place (core::fixpoint); every driver is a launch policy.
-for call in 'derive_summary(' '.is_recursive('; do
-  sites=$(for f in crates/core/src/*.rs crates/rel/src/*.rs; do
+echo "==> one-host-loop ratchet: the layered schedule is stated once per side"
+# Outside #[cfg(test)], each side of the CPU/GPU divide derives summaries
+# in exactly one place — core::fixpoint for every GPU launch policy,
+# analysis::solver for every CPU entry point (whose layer map is the one
+# par_iter) — and neither decides SCC recursion: CallLayers::sccs_by_layer
+# does, once per SCC, from the one definition of is_recursive.
+non_test_sites() { # <fixed string> <dir>...
+  local call=$1; shift
+  for f in $(find "$@" -name '*.rs'); do
     awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f"
-  done | grep -cF "$call" || true)
-  [ "$sites" -eq 1 ] || {
-    echo "one-host-loop ratchet: $sites non-test call sites of \`$call\` under" \
-      "crates/{core,rel}/src (want exactly 1) — drive gdroid_core::Fixpoint instead" \
-      "of re-spelling the schedule" >&2
+  done | grep -cF "$call" || true
+}
+ratchet() { # <want> <fixed string> <hint> <dir>...
+  local want=$1 call=$2 hint=$3; shift 3
+  local sites; sites=$(non_test_sites "$call" "$@")
+  [ "$sites" -eq "$want" ] || {
+    echo "one-host-loop ratchet: $sites non-test sites of \`$call\` under $*" \
+      "(want exactly $want) — $hint" >&2
     exit 1
   }
-done
+}
+gpu_hint="drive gdroid_core::Fixpoint instead of re-spelling the schedule"
+cpu_hint="extend solver::drive and its known-result hook instead of adding a loop"
+ratchet 1 'derive_summary(' "$gpu_hint" crates/core/src crates/rel/src
+# The definition and the driver's one call.
+ratchet 2 'derive_summary(' "$cpu_hint" crates/analysis/src
+ratchet 1 'par_iter(' "$cpu_hint" crates/analysis/src
+ratchet 0 '.is_recursive(' "read CallLayers::sccs_by_layer" \
+  crates/core/src crates/rel/src crates/analysis/src
+ratchet 1 'pub fn is_recursive(' "one definition" crates/icfg/src
+
+echo "==> constructor ratchet: CallLayers has compute and one cut constructor"
+constructors=$(grep -c 'pub fn compute' crates/icfg/src/layers.rs)
+[ "$constructors" -le 2 ] || {
+  echo "constructor ratchet: $constructors \`pub fn compute*\` in crates/icfg/src/layers.rs" \
+    "(ceiling 2) — add a parameter to compute_cut instead of a constructor" >&2
+  exit 1
+}
 
 echo "==> bench drift: the cheap committed goldens match a regeneration"
 cargo build --release -p gdroid-bench --bin figures

@@ -14,14 +14,11 @@
 //! bit-identical to a from-scratch analysis (tested), typically at a small
 //! fraction of the work.
 
-use crate::fact::MethodSpace;
-use crate::solver::{solve_method, AppAnalysis, StoreKind, WorklistTelemetry};
-use crate::store::{FactStore, Geometry, MatrixStore};
-use crate::summary::{derive_summary, SummaryMap};
-use gdroid_icfg::{CallGraph, CallLayers, Cfg};
+use crate::solver::{drive, AppAnalysis, StoreKind};
+use gdroid_icfg::CallGraph;
 use gdroid_ir::{MethodId, Program};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Work accounting of an incremental run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,8 +34,8 @@ pub struct IncrementalStats {
 /// `changed` lists the methods whose bodies differ from the previous
 /// version. Methods not in `changed` must be body-identical between the
 /// two versions (the caller guarantees this — e.g. by diffing `.jil`
-/// text); their spaces, CFGs, facts, and summaries are reused unless a
-/// callee's summary changed.
+/// text); their facts and summaries are reused unless a callee's summary
+/// changed.
 pub fn analyze_app_incremental(
     program: &Program,
     cg: &CallGraph,
@@ -46,115 +43,33 @@ pub fn analyze_app_incremental(
     prev: &AppAnalysis,
     changed: &[MethodId],
 ) -> (AppAnalysis, IncrementalStats) {
-    let layers = CallLayers::compute(cg, roots);
-    let changed_set: HashSet<MethodId> = changed.iter().copied().collect();
-
-    let mut spaces: HashMap<MethodId, MethodSpace> = HashMap::new();
-    let mut cfgs: HashMap<MethodId, Cfg> = HashMap::new();
-    for mid in layers.scc_of.keys() {
-        // Structure (pools, CFG) is cheap; rebuild for changed methods and
-        // methods absent from the previous run, reuse otherwise.
-        if changed_set.contains(mid) || !prev.spaces.contains_key(mid) {
-            spaces.insert(*mid, MethodSpace::build(program, *mid));
-            cfgs.insert(*mid, Cfg::build(&program.methods[*mid]));
-        } else {
-            spaces.insert(*mid, prev.spaces[mid].clone());
-            cfgs.insert(*mid, prev.cfgs[mid].clone());
+    let changed: HashSet<MethodId> = changed.iter().copied().collect();
+    let analysis = drive(program, cg, roots, StoreKind::Matrix, |scc, below| {
+        // Dirtiness propagates bottom-up through the summaries themselves:
+        // a callee below this SCC is dirty iff what it published differs
+        // from the previous run (a reused callee published the previous
+        // summary; a same-SCC callee has published nothing yet).
+        let dirty = |c: &MethodId| below.get(c).is_some_and(|s| prev.summaries.get(c) != Some(s));
+        if scc.iter().any(|m| changed.contains(m) || cg.callees_of(*m).iter().any(dirty)) {
+            return None;
         }
-    }
-
-    let mut summaries: SummaryMap = HashMap::new();
-    let mut facts: HashMap<MethodId, MatrixStore> = HashMap::new();
-    let mut telemetry = WorklistTelemetry::default();
-    let mut per_method: HashMap<MethodId, WorklistTelemetry> = HashMap::new();
-    let mut stats = IncrementalStats::default();
-    // Methods whose summary differs from the previous run (dirtiness
-    // propagates to callers).
-    let mut dirty: HashSet<MethodId> = HashSet::new();
-
-    for layer_idx in 0..layers.layer_count() {
-        let sccs: Vec<&Vec<MethodId>> = layers
-            .scc_members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| layers.scc_layer[*i] as usize == layer_idx)
-            .map(|(_, m)| m)
-            .collect();
-        for scc in sccs {
-            let needs_solve = scc.iter().any(|m| {
-                changed_set.contains(m)
-                    || !prev.facts.contains_key(m)
-                    || cg.callees_of(*m).iter().any(|c| dirty.contains(c))
-            });
-            if !needs_solve {
-                // Reuse the previous run wholesale.
-                for &mid in scc {
-                    summaries.insert(mid, prev.summaries[&mid].clone());
-                    facts.insert(mid, prev.facts[&mid].clone());
-                    stats.reused += 1;
-                }
-                continue;
-            }
-            // Solve the SCC to its summary fixed point, as in analyze_app.
-            loop {
-                let mut scc_changed = false;
-                for &mid in scc {
-                    let space = &spaces[&mid];
-                    let cfg = &cfgs[&mid];
-                    let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
-                    let tele = solve_method(program, mid, space, cfg, &mut store, &summaries, cg);
-                    telemetry.absorb(&tele);
-                    per_method.entry(mid).or_default().absorb(&tele);
-                    let store_ref = &store;
-                    let node_facts = |n: usize| store_ref.snapshot(n);
-                    let summary = derive_summary(
-                        &program.methods[mid],
-                        space,
-                        &node_facts,
-                        cfg.exit() as usize,
-                    );
-                    if summaries.get(&mid) != Some(&summary) {
-                        scc_changed = true;
-                    }
-                    summaries.insert(mid, summary);
-                    facts.insert(mid, store);
-                }
-                if !scc_changed || scc.len() == 1 && !layers.is_recursive(scc[0], cg) {
-                    break;
-                }
-            }
-            for &mid in scc {
-                stats.resolved += 1;
-                // Dirty iff the new summary differs from the previous run's.
-                if prev.summaries.get(&mid) != summaries.get(&mid) {
-                    dirty.insert(mid);
-                }
-            }
-        }
-    }
-
-    let store_bytes = facts.values().map(|s| s.memory_bytes()).sum();
-    let analysis = AppAnalysis {
-        spaces,
-        cfgs,
-        facts,
-        summaries,
-        telemetry,
-        per_method,
-        store_bytes,
-        store_kind: StoreKind::Matrix,
-        schedule: layers.layers.clone(),
-    };
+        // Methods absent from the previous run have nothing to reuse.
+        scc.iter().map(|m| Some((prev.summaries.get(m)?, prev.facts.get(m)?))).collect()
+    });
+    let resolved = analysis.per_method.len();
+    let stats = IncrementalStats { resolved, reused: analysis.facts.len() - resolved };
     (analysis, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::analyze_app;
+    use crate::solver::{analyze_app, analyze_app_presolved};
+    use crate::store::FactStore;
     use gdroid_apk::{generate_app, GenConfig};
     use gdroid_icfg::prepare_app;
     use gdroid_ir::{Expr, JType, Lhs, Stmt};
+    use std::collections::HashMap;
 
     /// Simulates an app update: appends `x = new T` into one method whose
     /// body ends with a return, re-deriving the call graph.
@@ -251,5 +166,89 @@ mod tests {
         assert_eq!(incr.summaries, full.summaries);
         // The victim was re-solved; callers only if its summary changed.
         assert!(stats.resolved >= 1);
+    }
+
+    fn assert_same_results(row: &str, got: &AppAnalysis, want: &AppAnalysis) {
+        assert_eq!(got.summaries, want.summaries, "{row}: summaries");
+        assert_eq!(got.facts.len(), want.facts.len(), "{row}: fact-map size");
+        for (mid, facts) in &want.facts {
+            assert_eq!(got.facts[mid].flat_words(), facts.flat_words(), "{row}: facts at {mid:?}");
+        }
+    }
+
+    fn assert_same_telemetry(row: &str, got: &AppAnalysis, want: &AppAnalysis) {
+        assert_eq!(format!("{:?}", got.telemetry), format!("{:?}", want.telemetry), "{row}");
+        assert_eq!(got.per_method.len(), want.per_method.len(), "{row}: per-method size");
+        for (mid, t) in &want.per_method {
+            assert_eq!(format!("{:?}", got.per_method[mid]), format!("{t:?}"), "{row}: {mid:?}");
+        }
+    }
+
+    /// The one driver under every hook: {cold, callee-closed pre-solved
+    /// bottom half} × {Set, Matrix} × {full, incremental with nothing /
+    /// one leaf / everything changed}, on an app whose recursion forces SCC
+    /// re-iteration.
+    #[test]
+    fn one_driver_table_agrees_with_a_cold_run() {
+        let config = GenConfig { recursion_prob: 0.5, ..GenConfig::tiny() };
+        let mut app = generate_app(0, 0x5cc, &config);
+        let (envs, cg) = prepare_app(&mut app);
+        let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
+        let layers = gdroid_icfg::CallLayers::compute(&cg, &roots);
+        assert!(layers.scc_members.iter().any(|m| m.len() > 1), "no multi-member SCC generated");
+        let count = layers.method_count();
+        let cold_matrix = analyze_app(&app.program, &cg, &roots, StoreKind::Matrix);
+
+        // Calls only go down (or stay inside an SCC), so the bottom half of
+        // the layers is callee-closed.
+        let cut = (layers.layer_count() / 2) as u32;
+        let bottom: HashMap<_, _> = layers
+            .scc_of
+            .keys()
+            .filter(|&&m| layers.layer_of(m).unwrap() < cut)
+            .map(|&m| (m, (cold_matrix.summaries[&m].clone(), cold_matrix.facts[&m].clone())))
+            .collect();
+        assert!(!bottom.is_empty() && bottom.len() < count);
+
+        let leaf = layers.layers[0][0];
+        let updated = update_one_method(&app, leaf);
+        let cg2 = gdroid_icfg::CallGraph::build(&updated);
+        let cold_updated = analyze_app(&updated, &cg2, &roots, StoreKind::Matrix);
+        let everything: Vec<MethodId> = layers.scc_of.keys().copied().collect();
+
+        for kind in [StoreKind::Set, StoreKind::Matrix] {
+            let cold = analyze_app(&app.program, &cg, &roots, kind);
+            assert_same_results(&format!("{kind:?} cold"), &cold, &cold_matrix);
+            for (label, presolved) in [("cold", HashMap::new()), ("presolved", bottom.clone())] {
+                let row = format!("{kind:?} {label}");
+                let full = analyze_app_presolved(&app.program, &cg, &roots, kind, &presolved);
+                assert_same_results(&format!("{row} full"), &full, &cold);
+                assert_eq!(full.per_method.len(), count - presolved.len(), "{row}: solved");
+                if presolved.is_empty() {
+                    assert_same_telemetry(&format!("{row} full"), &full, &cold);
+                    assert_eq!(full.store_bytes, cold.store_bytes, "{row}");
+                }
+
+                let incremental = |program, cg, changed: &[MethodId]| {
+                    let (incr, stats) =
+                        analyze_app_incremental(program, cg, &roots, &full, changed);
+                    assert_eq!(stats.resolved + stats.reused, count, "{row}: {changed:?}");
+                    (incr, stats)
+                };
+                let (same, stats) = incremental(&app.program, &cg, &[]);
+                assert_same_results(&format!("{row} unchanged"), &same, &cold);
+                assert_eq!((stats.resolved, stats.reused), (0, count), "{row} unchanged");
+
+                let (one, stats) = incremental(&updated, &cg2, &[leaf]);
+                assert_same_results(&format!("{row} one leaf"), &one, &cold_updated);
+                assert!(stats.resolved >= 1 && stats.reused > 0, "{row} one leaf: {stats:?}");
+
+                let (all, stats) = incremental(&app.program, &cg, &everything);
+                assert_same_results(&format!("{row} everything"), &all, &cold);
+                assert_eq!(stats.reused, 0, "{row} everything");
+                assert_same_telemetry(&format!("{row} everything"), &all, &cold_matrix);
+                assert_eq!(all.store_bytes, cold_matrix.store_bytes, "{row} everything");
+            }
+        }
     }
 }

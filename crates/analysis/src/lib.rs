@@ -12,10 +12,10 @@
 //! * [`transfer`] — gen/kill transfer functions (`ProcessNode`), shared by
 //!   every solver in the repository;
 //! * [`summary`] — SBDA heap-manipulation summaries;
-//! * [`solver`] — the sequential worklist solver (Alg. 1) and bottom-up
-//!   app driver;
-//! * [`parallel`] — the multithreaded CPU baseline (the paper's
-//!   "multithreading C" Amandroid re-implementation);
+//! * [`solver`] — the sequential worklist solver (Alg. 1) and the one
+//!   bottom-up app driver, layer-parallel over SCCs — which makes it the
+//!   multithreaded CPU baseline too (the paper's "multithreading C"
+//!   Amandroid re-implementation);
 //! * [`costmodel`] — the calibrated CPU timing model (see DESIGN.md for
 //!   why time is modeled rather than measured);
 //! * [`concrete`] — a concrete IR interpreter used as a dynamic soundness
@@ -31,7 +31,6 @@ pub mod concrete;
 pub mod costmodel;
 pub mod fact;
 pub mod incremental;
-pub mod parallel;
 pub mod slice;
 pub mod solver;
 pub mod store;
@@ -43,8 +42,10 @@ pub use concrete::{check_soundness, validate_app, InterpConfig, Interpreter, Vio
 pub use costmodel::{ns_to_ms, ns_to_s, CpuCostModel};
 pub use fact::{Fact, Instance, InstanceIdx, MethodSpace, Slot, SlotIdx};
 pub use incremental::{analyze_app_incremental, IncrementalStats};
-pub use parallel::analyze_app_parallel;
 pub use slice::BackwardSlice;
+/// The multithreaded CPU baseline's entry point: [`analyze_app`] *is*
+/// layer-parallel, so this is the same function under its historical name.
+pub use solver::analyze_app as analyze_app_parallel;
 pub use solver::{
     analyze_app, analyze_app_presolved, merge_site_summaries, solve_method, AppAnalysis, StoreKind,
     WorklistTelemetry,

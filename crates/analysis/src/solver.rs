@@ -11,8 +11,9 @@ use crate::fact::MethodSpace;
 use crate::store::{FactStore, Geometry, MatrixStore, NodeFacts, SetStore};
 use crate::summary::{derive_summary, MethodSummary, SummaryMap};
 use crate::transfer::{CallResolution, TransferCtx};
-use gdroid_icfg::{CallGraph, CallTarget, Cfg};
+use gdroid_icfg::{CallGraph, CallLayers, CallTarget, Cfg, LayerScc};
 use gdroid_ir::{MethodId, Program};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -236,15 +237,15 @@ pub fn analyze_app(
     roots: &[MethodId],
     store_kind: StoreKind,
 ) -> AppAnalysis {
-    analyze_app_presolved(program, cg, roots, store_kind, &HashMap::new())
+    drive(program, cg, roots, store_kind, |_, _| None)
 }
 
 /// [`analyze_app`] with a set of *pre-solved* methods whose summaries and
-/// node facts are already known (summary-store hits). Pre-solved methods
-/// are never re-solved: their results are injected up front and their
-/// callers consume the summaries as usual. Callers must guarantee the
-/// injected results are what solving would have produced (the summary
-/// store's canonical-hash contract).
+/// node facts are already known (summary-store hits). An SCC whose
+/// members are all pre-solved is never solved: its results are published
+/// as they are and its callers consume the summaries as usual. Callers
+/// must guarantee the injected results are what solving would have
+/// produced (the summary store's canonical-hash contract).
 pub fn analyze_app_presolved(
     program: &Program,
     cg: &CallGraph,
@@ -252,110 +253,156 @@ pub fn analyze_app_presolved(
     store_kind: StoreKind,
     presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
 ) -> AppAnalysis {
-    let layers = gdroid_icfg::CallLayers::compute(cg, roots);
-    let mut spaces = HashMap::new();
-    let mut cfgs = HashMap::new();
-    let mut facts: HashMap<MethodId, MatrixStore> = HashMap::new();
-    let mut summaries: SummaryMap = HashMap::new();
-    let mut telemetry = WorklistTelemetry::default();
-    let mut per_method: HashMap<MethodId, WorklistTelemetry> = HashMap::new();
-    // Per-method store footprint — overwritten on SCC re-iterations so the
-    // total reflects one live store per method, not re-solve churn.
-    let mut bytes_per_method: HashMap<MethodId, usize> = HashMap::new();
+    drive(program, cg, roots, store_kind, |scc, _| {
+        scc.iter().map(|m| presolved.get(m).map(|(summary, facts)| (summary, facts))).collect()
+    })
+}
 
-    for mid in layers.scc_of.keys() {
-        spaces.insert(*mid, MethodSpace::build(program, *mid));
-        cfgs.insert(*mid, Cfg::build(&program.methods[*mid]));
-    }
+/// What the driver's hook answers for one SCC: its members' results, in
+/// member order, when they are already known — `None` to have it solved.
+pub(crate) type Known<'a> = Option<Vec<(&'a MethodSummary, &'a MatrixStore)>>;
 
-    // Inject pre-solved results before the bottom-up walk so callers see
-    // the summaries at their first solve.
-    for (&mid, (summary, store)) in presolved {
-        if !layers.scc_of.contains_key(&mid) {
-            continue; // not reachable in this run
-        }
-        summaries.insert(mid, summary.clone());
-        bytes_per_method.insert(mid, store.memory_bytes());
-        facts.insert(mid, store.clone());
-    }
+/// One method's result as it is published at a layer barrier.
+struct Solved {
+    mid: MethodId,
+    summary: MethodSummary,
+    facts: MatrixStore,
+    /// Footprint of the store the facts were solved in — its last one,
+    /// so the total reflects one live store per method, not re-solve
+    /// churn.
+    bytes: usize,
+    /// Accumulated over SCC re-iterations; `None` for a known result.
+    telemetry: Option<WorklistTelemetry>,
+}
 
-    // Bottom-up over layers; within a layer, SCC by SCC.
-    for layer_idx in 0..layers.layer_count() {
-        // SCCs whose layer is this one.
-        let sccs: Vec<&Vec<MethodId>> = layers
-            .scc_members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| layers.scc_layer[*i] as usize == layer_idx)
-            .map(|(_, m)| m)
+/// The bottom-up SBDA driver (Alg. 2's host side on the CPU), and the
+/// multithreaded-C baseline's schedule (§III-B1): layers are barriers,
+/// and the SCCs of one layer — which never call each other — are mapped
+/// in parallel against the summaries the layers below published.
+///
+/// `known` is asked once per SCC, with those summaries, whether the SCC's
+/// result is already at hand; a known SCC is published without solving.
+pub(crate) fn drive<'a>(
+    program: &Program,
+    cg: &CallGraph,
+    roots: &[MethodId],
+    store_kind: StoreKind,
+    known: impl Fn(&[MethodId], &SummaryMap) -> Known<'a> + Sync,
+) -> AppAnalysis {
+    let layers = CallLayers::compute(cg, roots);
+    let methods = || layers.scc_of.keys();
+    let mut out = AppAnalysis {
+        spaces: methods().map(|&m| (m, MethodSpace::build(program, m))).collect(),
+        cfgs: methods().map(|&m| (m, Cfg::build(&program.methods[m]))).collect(),
+        facts: HashMap::new(),
+        summaries: HashMap::new(),
+        telemetry: WorklistTelemetry::default(),
+        per_method: HashMap::new(),
+        store_bytes: 0,
+        store_kind,
+        schedule: layers.layers.clone(),
+    };
+
+    for sccs in layers.sccs_by_layer(cg) {
+        let outcomes: Vec<(WorklistTelemetry, Vec<Solved>)> = sccs
+            .par_iter()
+            .map(|scc| match known(scc.members, &out.summaries) {
+                Some(results) => {
+                    let handed_over = scc.members.iter().zip(results);
+                    let published = handed_over.map(|(&mid, (summary, facts))| Solved {
+                        mid,
+                        summary: summary.clone(),
+                        facts: facts.clone(),
+                        bytes: facts.memory_bytes(),
+                        telemetry: None,
+                    });
+                    (WorklistTelemetry::default(), published.collect())
+                }
+                None => solve_scc(program, cg, &out, scc),
+            })
             .collect();
-        for scc in sccs {
-            // Iterate the SCC until its summaries stabilize. Singleton,
-            // non-recursive SCCs converge in one pass.
-            loop {
-                let mut changed = false;
-                for &mid in scc {
-                    if presolved.contains_key(&mid) {
-                        continue;
-                    }
-                    let space = &spaces[&mid];
-                    let cfg = &cfgs[&mid];
-                    let geometry = Geometry::of(space);
-                    let (tele, result_store, bytes) = match store_kind {
-                        StoreKind::Matrix => {
-                            let mut store = MatrixStore::new(geometry, cfg.len());
-                            let tele =
-                                solve_method(program, mid, space, cfg, &mut store, &summaries, cg);
-                            let bytes = store.memory_bytes();
-                            (tele, store, bytes)
-                        }
-                        StoreKind::Set => {
-                            let mut store = SetStore::new(geometry, cfg.len());
-                            let tele =
-                                solve_method(program, mid, space, cfg, &mut store, &summaries, cg);
-                            let bytes = store.memory_bytes();
-                            // Convert to matrix form for the result
-                            // container (facts are identical).
-                            let mut mat = MatrixStore::new(geometry, cfg.len());
-                            for node in 0..cfg.len() {
-                                let snap = store.snapshot(node);
-                                mat.union_into(node, &snap);
-                            }
-                            (tele, mat, bytes)
-                        }
-                    };
-                    telemetry.absorb(&tele);
-                    per_method.entry(mid).or_default().absorb(&tele);
-                    bytes_per_method.insert(mid, bytes);
-
-                    let exit = cfg.exit() as usize;
-                    let store_ref = &result_store;
-                    let node_facts = |n: usize| store_ref.snapshot(n);
-                    let summary = derive_summary(&program.methods[mid], space, &node_facts, exit);
-                    let prev = summaries.insert(mid, summary);
-                    if prev.as_ref() != summaries.get(&mid) {
-                        changed = true;
-                    }
-                    facts.insert(mid, result_store);
+        // Layer barrier: publish in SCC order, so the aggregate telemetry
+        // reads as if the SCCs had been solved one after another.
+        for (telemetry, methods) in outcomes {
+            out.telemetry.absorb(&telemetry);
+            for m in methods {
+                out.store_bytes += m.bytes;
+                if let Some(telemetry) = m.telemetry {
+                    out.per_method.insert(m.mid, telemetry);
                 }
-                if !changed || scc.len() == 1 && !layers.is_recursive(scc[0], cg) {
-                    break;
-                }
+                out.summaries.insert(m.mid, m.summary);
+                out.facts.insert(m.mid, m.facts);
             }
         }
     }
+    out
+}
 
-    AppAnalysis {
-        spaces,
-        cfgs,
-        facts,
-        summaries,
-        telemetry,
-        per_method,
-        store_bytes: bytes_per_method.values().sum(),
-        store_kind,
-        schedule: layers.layers.clone(),
+/// Solves one SCC against what the layers below it have published
+/// `so_far`, iterating a recursive SCC until its summaries stabilize.
+/// Returns the telemetry of every solve in execution order, and each
+/// member's final result.
+fn solve_scc(
+    program: &Program,
+    cg: &CallGraph,
+    so_far: &AppAnalysis,
+    scc: &LayerScc<'_>,
+) -> (WorklistTelemetry, Vec<Solved>) {
+    // A recursive SCC iterates against a private view: its callees'
+    // published summaries plus its members' summaries so far.
+    let mut view: SummaryMap = SummaryMap::new();
+    if scc.recursive {
+        let callees = scc.members.iter().flat_map(|&m| cg.callees_of(m));
+        view.extend(callees.filter_map(|c| Some((*c, so_far.summaries.get(c)?.clone()))));
     }
+    let mut telemetry = WorklistTelemetry::default();
+    let mut per_member = vec![WorklistTelemetry::default(); scc.members.len()];
+    let mut latest = Vec::with_capacity(scc.members.len());
+    loop {
+        latest.clear();
+        let mut changed = false;
+        for (&mid, accumulated) in scc.members.iter().zip(&mut per_member) {
+            let (space, cfg) = (&so_far.spaces[&mid], &so_far.cfgs[&mid]);
+            let summaries = if scc.recursive { &view } else { &so_far.summaries };
+            let geometry = Geometry::of(space);
+            let mut facts = MatrixStore::new(geometry, cfg.len());
+            let (tele, bytes) = match so_far.store_kind {
+                StoreKind::Matrix => {
+                    let tele = solve_method(program, mid, space, cfg, &mut facts, summaries, cg);
+                    (tele, facts.memory_bytes())
+                }
+                StoreKind::Set => {
+                    let mut store = SetStore::new(geometry, cfg.len());
+                    let tele = solve_method(program, mid, space, cfg, &mut store, summaries, cg);
+                    // The result container is matrix-form either way
+                    // (facts are identical).
+                    for node in 0..cfg.len() {
+                        facts.union_into(node, &store.snapshot(node));
+                    }
+                    (tele, store.memory_bytes())
+                }
+            };
+            telemetry.absorb(&tele);
+            accumulated.absorb(&tele);
+            let summary = derive_summary(
+                &program.methods[mid],
+                space,
+                &|n| facts.snapshot(n),
+                cfg.exit() as usize,
+            );
+            if scc.recursive {
+                changed |= view.insert(mid, summary.clone()).as_ref() != Some(&summary);
+            }
+            latest.push((mid, summary, facts, bytes));
+        }
+        if !changed {
+            break;
+        }
+    }
+    let solved = latest.into_iter().zip(per_member).map(|((mid, summary, facts, bytes), t)| {
+        Solved { mid, summary, facts, bytes, telemetry: Some(t) }
+    });
+    (telemetry, solved.collect())
 }
 
 #[cfg(test)]
@@ -472,5 +519,41 @@ mod tests {
         let (_, analysis) = analyzed(1007, StoreKind::Matrix);
         let scheduled: usize = analysis.schedule.iter().map(Vec::len).sum();
         assert_eq!(scheduled, analysis.facts.len());
+    }
+    /// Regression: the layer-parallel entry point used to overwrite a
+    /// method's telemetry on every SCC re-iteration, under-reporting the
+    /// work the Fig. 4 CPU baseline is charged for.
+    #[test]
+    fn parallel_entry_point_reports_every_scc_re_iteration() {
+        let config = GenConfig { recursion_prob: 0.5, ..GenConfig::tiny() };
+        let mut app = generate_app(0, 0x5cc, &config);
+        let (envs, cg) = prepare_app(&mut app);
+        let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
+        let layers = CallLayers::compute(&cg, &roots);
+        let recursive: Vec<MethodId> =
+            layers.scc_members.iter().filter(|m| m.len() > 1).flatten().copied().collect();
+        assert!(!recursive.is_empty(), "no multi-member SCC generated");
+
+        for kind in [StoreKind::Set, StoreKind::Matrix] {
+            let seq = analyze_app(&app.program, &cg, &roots, kind);
+            let par = crate::analyze_app_parallel(&app.program, &cg, &roots, kind);
+            assert_eq!(format!("{:?}", par.telemetry), format!("{:?}", seq.telemetry), "{kind:?}");
+            assert_eq!(par.per_method.len(), seq.per_method.len());
+            for (mid, t) in &seq.per_method {
+                assert_eq!(format!("{:?}", par.per_method[mid]), format!("{t:?}"), "{mid:?}");
+            }
+            // An SCC member is solved at least twice (the second pass
+            // confirms stability), the last time against the final
+            // summaries: its telemetry exceeds that one solve's.
+            for &mid in &recursive {
+                let (space, cfg) = (&seq.spaces[&mid], &seq.cfgs[&mid]);
+                let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
+                let once =
+                    solve_method(&app.program, mid, space, cfg, &mut store, &seq.summaries, &cg);
+                let total = &par.per_method[&mid];
+                assert!(total.nodes_processed > once.nodes_processed, "{kind:?} {mid:?}");
+                assert!(total.rounds > once.rounds, "{kind:?} {mid:?}");
+            }
+        }
     }
 }

@@ -115,24 +115,24 @@ impl<'a> Fixpoint<'a> {
         slice: Option<&HashSet<MethodId>>,
     ) -> Fixpoint<'a> {
         let leaves: HashSet<MethodId> = presolved.keys().copied().collect();
-        let sched = match slice {
-            None => CallLayers::compute_with_leaves(cg, roots, &leaves),
-            Some(allowed) => CallLayers::compute_within_with_leaves(cg, roots, allowed, &leaves),
-        };
+        let sched = CallLayers::compute_cut(cg, roots, slice, &leaves);
         let launchable = |ms: &[MethodId]| -> Vec<MethodId> {
             ms.iter().copied().filter(|m| !leaves.contains(m)).collect()
         };
         // `CallLayers::layers` is already sorted per layer.
-        let mut layers: Vec<Layer> = sched
+        let layers: Vec<Layer> = sched
             .layers
             .iter()
-            .map(|ms| Layer { methods: launchable(ms), recursive: Vec::new() })
+            .zip(sched.sccs_by_layer(cg))
+            .map(|(ms, sccs)| Layer {
+                methods: launchable(ms),
+                recursive: sccs
+                    .iter()
+                    .filter(|s| s.recursive)
+                    .map(|s| launchable(s.members))
+                    .collect(),
+            })
             .collect();
-        for (members, &layer) in sched.scc_members.iter().zip(&sched.scc_layer) {
-            if members.len() > 1 || sched.is_recursive(members[0], cg) {
-                layers[layer as usize].recursive.push(launchable(members));
-            }
-        }
         let mut methods: Vec<MethodId> = layers.iter().flat_map(|l| &l.methods).copied().collect();
         methods.sort_unstable();
         let built = || methods.iter().chain(presolved.keys());

@@ -14,7 +14,7 @@
 use crate::callgraph::CallGraph;
 use gdroid_ir::MethodId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Index of a strongly connected component.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -37,91 +37,47 @@ pub struct CallLayers {
 impl CallLayers {
     /// Computes the schedule for the methods reachable from `roots`.
     pub fn compute(cg: &CallGraph, roots: &[MethodId]) -> CallLayers {
-        let methods = cg.reachable_from(roots);
-        Self::condense(&methods, &|m| cg.callees_of(m))
+        Self::compute_cut(cg, roots, None, &HashSet::new())
     }
 
-    /// Like [`CallLayers::compute`], but treats every method in `leaves`
-    /// as pre-summarized: its call edges are not traversed, so it sits at
-    /// layer 0 and methods reachable only *through* it are not scheduled
-    /// at all. This is the summary-store schedule — store-hit methods
-    /// become leaves whose blocks never enter the GPU worklist, and the
-    /// layers above them compress accordingly.
-    pub fn compute_with_leaves(
+    /// [`CallLayers::compute`] over a cut call graph.
+    ///
+    /// Every method in `leaves` is treated as pre-summarized: its call
+    /// edges are not traversed, so it sits at layer 0 and methods
+    /// reachable only *through* it are not scheduled at all. This is the
+    /// summary-store schedule — store-hit methods become leaves whose
+    /// blocks never enter the GPU worklist, and the layers above them
+    /// compress accordingly.
+    ///
+    /// With a `slice`, only its members are traversed and call edges
+    /// leaving it are cut (leaves keep their slice membership). The
+    /// targeted-vetting driver uses this so the GPU worklist seeds and
+    /// launches only slice members while keeping the bottom-up SCC layer
+    /// structure of the full schedule.
+    pub fn compute_cut(
         cg: &CallGraph,
         roots: &[MethodId],
-        leaves: &std::collections::HashSet<MethodId>,
+        slice: Option<&HashSet<MethodId>>,
+        leaves: &HashSet<MethodId>,
     ) -> CallLayers {
+        let in_slice = |m: &MethodId| slice.is_none_or(|s| s.contains(m));
         let empty: &[MethodId] = &[];
         let callees = |m: MethodId| if leaves.contains(&m) { empty } else { cg.callees_of(m) };
-        // Reachability honoring leaves (same traversal as
-        // `CallGraph::reachable_from`, with leaf edges cut).
-        let mut seen = std::collections::HashSet::new();
+        // Same traversal as `CallGraph::reachable_from`, over the cut
+        // graph. Only slice members enter `methods`, and the condensation
+        // ignores callees outside it, which cuts the edges leaving the
+        // slice.
+        let mut stack: Vec<MethodId> = roots.iter().copied().filter(in_slice).collect();
+        let mut seen: HashSet<MethodId> = stack.iter().copied().collect();
         let mut methods = Vec::new();
-        let mut stack: Vec<MethodId> = roots.to_vec();
-        for &r in roots {
-            seen.insert(r);
-        }
         while let Some(m) = stack.pop() {
             methods.push(m);
             for &c in callees(m) {
-                if seen.insert(c) {
+                if in_slice(&c) && seen.insert(c) {
                     stack.push(c);
                 }
             }
         }
-        Self::condense(&methods, &callees)
-    }
-
-    /// Computes the schedule restricted to a slice: only methods in
-    /// `allowed` are traversed, and call edges leaving the slice are cut.
-    /// The targeted-vetting driver uses this so the GPU worklist seeds and
-    /// launches only slice members while keeping the bottom-up SCC layer
-    /// structure of the full schedule.
-    pub fn compute_within(
-        cg: &CallGraph,
-        roots: &[MethodId],
-        allowed: &std::collections::HashSet<MethodId>,
-    ) -> CallLayers {
-        Self::compute_within_with_leaves(cg, roots, allowed, &Default::default())
-    }
-
-    /// [`CallLayers::compute_within`] with the summary-store leaf cut of
-    /// [`CallLayers::compute_with_leaves`] applied on top: methods in
-    /// `leaves` keep their slice membership but contribute no call edges.
-    pub fn compute_within_with_leaves(
-        cg: &CallGraph,
-        roots: &[MethodId],
-        allowed: &std::collections::HashSet<MethodId>,
-        leaves: &std::collections::HashSet<MethodId>,
-    ) -> CallLayers {
-        // Filtered adjacency: callees ∩ allowed, empty for leaves. Built
-        // up-front so the condensation closure can hand out slices.
-        let mut filtered: HashMap<MethodId, Vec<MethodId>> = HashMap::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut methods = Vec::new();
-        let mut stack: Vec<MethodId> = Vec::new();
-        for &r in roots {
-            if allowed.contains(&r) && seen.insert(r) {
-                stack.push(r);
-            }
-        }
-        while let Some(m) = stack.pop() {
-            methods.push(m);
-            let kept: Vec<MethodId> = if leaves.contains(&m) {
-                Vec::new()
-            } else {
-                cg.callees_of(m).iter().copied().filter(|c| allowed.contains(c)).collect()
-            };
-            for &c in &kept {
-                if seen.insert(c) {
-                    stack.push(c);
-                }
-            }
-            filtered.insert(m, kept);
-        }
-        let empty: &[MethodId] = &[];
-        let callees = |m: MethodId| filtered.get(&m).map_or(empty, Vec::as_slice);
         Self::condense(&methods, &callees)
     }
 
@@ -184,10 +140,32 @@ impl CallLayers {
         }
     }
 
+    /// The schedule as a driver walks it: per layer, bottom-up, that
+    /// layer's SCCs in `SccId` order, recursion decided once per SCC.
+    /// SCCs of one layer never call each other.
+    pub fn sccs_by_layer(&self, cg: &CallGraph) -> Vec<Vec<LayerScc<'_>>> {
+        let mut buckets = vec![Vec::new(); self.layer_count()];
+        for (members, &layer) in self.scc_members.iter().zip(&self.scc_layer) {
+            let recursive = self.is_recursive(members[0], cg);
+            buckets[layer as usize].push(LayerScc { members, recursive });
+        }
+        buckets
+    }
+
     /// Total scheduled methods.
     pub fn method_count(&self) -> usize {
         self.scc_of.len()
     }
+}
+
+/// One SCC of a layer, as [`CallLayers::sccs_by_layer`] hands it out.
+#[derive(Clone, Copy, Debug)]
+pub struct LayerScc<'a> {
+    /// Its members, sorted.
+    pub members: &'a [MethodId],
+    /// Whether its summaries must be iterated to a joint fixed point:
+    /// several members, or one that calls itself.
+    pub recursive: bool,
 }
 
 /// Iterative Tarjan SCC (explicit stack; app call graphs can be deep).
@@ -205,7 +183,7 @@ impl Tarjan {
             on_stack: bool,
         }
         let mut state: HashMap<MethodId, NodeState> = HashMap::with_capacity(methods.len());
-        let in_scope: std::collections::HashSet<MethodId> = methods.iter().copied().collect();
+        let in_scope: HashSet<MethodId> = methods.iter().copied().collect();
         let mut stack: Vec<MethodId> = Vec::new();
         let mut next_index = 0u32;
         let mut scc_of = HashMap::with_capacity(methods.len());
@@ -398,8 +376,8 @@ mod tests {
         // the schedule and m0 drops from layer 3 to layer 1.
         let (p, m) = call_chain(4, &[(0, 1), (1, 2), (2, 3)]);
         let cg = CallGraph::build(&p);
-        let leaves: std::collections::HashSet<MethodId> = [m[1]].into_iter().collect();
-        let layers = CallLayers::compute_with_leaves(&cg, &[m[0]], &leaves);
+        let leaves: HashSet<MethodId> = [m[1]].into_iter().collect();
+        let layers = CallLayers::compute_cut(&cg, &[m[0]], None, &leaves);
         assert_eq!(layers.layer_of(m[1]), Some(0));
         assert_eq!(layers.layer_of(m[0]), Some(1));
         assert_eq!(layers.layer_of(m[2]), None);
@@ -407,7 +385,7 @@ mod tests {
         assert_eq!(layers.layer_count(), 2);
         // An empty leaf set reproduces the plain schedule.
         let plain = CallLayers::compute(&cg, &[m[0]]);
-        let none = CallLayers::compute_with_leaves(&cg, &[m[0]], &Default::default());
+        let none = CallLayers::compute_cut(&cg, &[m[0]], None, &HashSet::new());
         assert_eq!(plain.layers, none.layers);
     }
 
@@ -417,16 +395,16 @@ mod tests {
         // compresses m0 to layer 1.
         let (p, m) = call_chain(4, &[(0, 1), (1, 2), (0, 3)]);
         let cg = CallGraph::build(&p);
-        let allowed: std::collections::HashSet<MethodId> = [m[0], m[1]].into_iter().collect();
-        let layers = CallLayers::compute_within(&cg, &[m[0]], &allowed);
+        let allowed: HashSet<MethodId> = [m[0], m[1]].into_iter().collect();
+        let layers = CallLayers::compute_cut(&cg, &[m[0]], Some(&allowed), &HashSet::new());
         assert_eq!(layers.method_count(), 2);
         assert_eq!(layers.layer_of(m[1]), Some(0));
         assert_eq!(layers.layer_of(m[0]), Some(1));
         assert_eq!(layers.layer_of(m[2]), None);
         assert_eq!(layers.layer_of(m[3]), None);
         // Allowing everything reproduces the plain schedule.
-        let all: std::collections::HashSet<MethodId> = m.iter().copied().collect();
-        let full = CallLayers::compute_within(&cg, &[m[0]], &all);
+        let all: HashSet<MethodId> = m.iter().copied().collect();
+        let full = CallLayers::compute_cut(&cg, &[m[0]], Some(&all), &HashSet::new());
         let plain = CallLayers::compute(&cg, &[m[0]]);
         assert_eq!(full.layers, plain.layers);
     }
@@ -436,10 +414,60 @@ mod tests {
         // m0 -> m1 <-> m2; the recursive pair stays one SCC in the slice.
         let (p, m) = call_chain(3, &[(0, 1), (1, 2), (2, 1)]);
         let cg = CallGraph::build(&p);
-        let allowed: std::collections::HashSet<MethodId> = m.iter().copied().collect();
-        let layers = CallLayers::compute_within(&cg, &[m[0]], &allowed);
+        let allowed: HashSet<MethodId> = m.iter().copied().collect();
+        let layers = CallLayers::compute_cut(&cg, &[m[0]], Some(&allowed), &HashSet::new());
         assert_eq!(layers.scc_of[&m[1]], layers.scc_of[&m[2]]);
         assert!(layers.is_recursive(m[1], &cg));
+    }
+
+    #[test]
+    fn slice_and_leaves_cut_together() {
+        // m0 -> m1 -> m2 -> m3, m0 -> m4; slice {m0, m1, m2, m3} drops m4,
+        // leaf m1 drops m2/m3 although the slice holds them.
+        let (p, m) = call_chain(5, &[(0, 1), (1, 2), (2, 3), (0, 4)]);
+        let cg = CallGraph::build(&p);
+        let slice: HashSet<MethodId> = m[..4].iter().copied().collect();
+        let leaves: HashSet<MethodId> = [m[1]].into_iter().collect();
+        let layers = CallLayers::compute_cut(&cg, &[m[0]], Some(&slice), &leaves);
+        assert_eq!(layers.layers, vec![vec![m[1]], vec![m[0]]]);
+        // A root outside the slice schedules nothing.
+        let other: HashSet<MethodId> = [m[4]].into_iter().collect();
+        assert_eq!(CallLayers::compute_cut(&cg, &[m[0]], Some(&other), &leaves).method_count(), 0);
+    }
+
+    #[test]
+    fn uncut_compute_cut_is_compute_and_buckets_agree_with_the_fields() {
+        let mut cfg = gdroid_apk::GenConfig::tiny();
+        cfg.recursion_prob = 0.5;
+        let mut app = gdroid_apk::generate_app(0, 9100, &cfg);
+        let (envs, cg) = crate::env::prepare_app(&mut app);
+        let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
+        let plain = CallLayers::compute(&cg, &roots);
+        let uncut = CallLayers::compute_cut(&cg, &roots, None, &HashSet::new());
+        assert_eq!(plain.scc_of, uncut.scc_of);
+        assert_eq!(plain.scc_members, uncut.scc_members);
+        assert_eq!(plain.scc_layer, uncut.scc_layer);
+        assert_eq!(plain.layers, uncut.layers);
+        // The reachable set and its order are `reachable_from`'s.
+        assert_eq!(plain.method_count(), cg.reachable_from(&roots).len());
+
+        let buckets = plain.sccs_by_layer(&cg);
+        assert_eq!(buckets.len(), plain.layer_count());
+        let mut seen = 0;
+        for (layer, sccs) in buckets.iter().enumerate() {
+            let ids: Vec<SccId> = sccs.iter().map(|s| plain.scc_of[&s.members[0]]).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "layer {layer} not in SccId order");
+            for (scc, id) in sccs.iter().zip(ids) {
+                assert_eq!(scc.members, plain.scc_members[id.0 as usize]);
+                assert_eq!(plain.scc_layer[id.0 as usize] as usize, layer);
+                for &m in scc.members {
+                    assert_eq!(scc.recursive, plain.is_recursive(m, &cg), "{m:?}");
+                }
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, plain.scc_members.len());
+        assert!(buckets.iter().flatten().any(|s| s.recursive), "no recursive SCC generated");
     }
 
     #[test]

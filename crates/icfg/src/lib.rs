@@ -32,4 +32,4 @@ pub use cfg::{Cfg, CfgNode, NodeId};
 pub use env::{prepare_app, synthesize_environments, EnvironmentInfo};
 pub use export::{callgraph_to_dot, callsites_report, cfg_to_dot, icfg_to_dot};
 pub use icfg::{ComponentIcfg, IcfgNodeRef};
-pub use layers::{CallLayers, SccId};
+pub use layers::{CallLayers, LayerScc, SccId};

@@ -23,23 +23,10 @@ use gdroid_apk::bundle::manifest_to_text;
 use gdroid_apk::App;
 use gdroid_ir::text::print_program;
 use gdroid_ir::{Interner, MethodId, Program, Symbol};
+pub use gdroid_sumstore::{fnv1a, fnv1a_extend};
 use gdroid_vetting::{VettingOutcome, VettingRun};
 use std::collections::HashMap;
 use std::sync::Mutex;
-
-/// FNV-1a over a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Folds more bytes into an FNV-1a state.
-pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Content hash of an app bundle, computed *before* environment
 /// synthesis mutates the program. Byte-identical bundles — whether

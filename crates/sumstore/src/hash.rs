@@ -37,6 +37,21 @@ const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 /// 128-bit FNV-1a prime.
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
 
+/// 64-bit FNV-1a over a byte slice — the store file's checksum and the
+/// serving and campaign layers' content, report and journal digests.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Folds more bytes into a 64-bit FNV-1a state.
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// Incremental 128-bit FNV-1a hasher.
 #[derive(Clone)]
 pub struct Fnv128(u128);

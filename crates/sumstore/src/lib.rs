@@ -33,6 +33,6 @@ pub mod persist;
 pub mod reloc;
 pub mod store;
 
-pub use hash::{canonical_hashes, Fnv128};
+pub use hash::{canonical_hashes, fnv1a, fnv1a_extend, Fnv128};
 pub use reloc::{RelocField, RelocSummary, RelocToken};
 pub use store::{StoredMethod, SumStore, SumStoreStats};

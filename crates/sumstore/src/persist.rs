@@ -24,6 +24,7 @@
 use std::collections::HashMap;
 use std::io;
 
+use crate::hash::fnv1a;
 use crate::reloc::{RelocField, RelocSummary, RelocToken};
 use crate::store::StoredMethod;
 
@@ -32,20 +33,6 @@ pub const STORE_FILE: &str = "summaries.bin";
 
 const MAGIC: &[u8; 4] = b"GSUM";
 const VERSION: u32 = 1;
-
-// 64-bit FNV-1a, kept local: this crate deliberately has no dependency
-// on the serving layer's hashing helpers.
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV64_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV64_PRIME);
-    }
-    h
-}
 
 /// Encodes `entries` into the GSUM v1 byte format.
 pub fn encode(entries: &HashMap<u128, StoredMethod>) -> Vec<u8> {
@@ -67,7 +54,7 @@ pub fn encode(entries: &HashMap<u128, StoredMethod>) -> Vec<u8> {
             out.extend_from_slice(&w.to_le_bytes());
         }
     }
-    let checksum = fnv1a64(&out);
+    let checksum = fnv1a(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
@@ -79,7 +66,7 @@ pub fn decode(bytes: &[u8]) -> io::Result<HashMap<u128, StoredMethod>> {
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
     let stored_sum = u64::from_le_bytes(tail.try_into().expect("8-byte split tail"));
-    if fnv1a64(body) != stored_sum {
+    if fnv1a(body) != stored_sum {
         return Err(bad("checksum mismatch"));
     }
     let mut r = Reader { bytes: body, pos: 0 };

@@ -408,4 +408,20 @@ mod tests {
         let mt = vet_app(app, Engine::MultithreadedCpu).timing.idfg_ns;
         assert!(mt < scala, "mt {mt} >= scala {scala}");
     }
+
+    /// Regression: `--engine mtcpu` charged 0.5–0.8× of the Fig. 4 baseline
+    /// `figures` computes for the same app, because its solver dropped the
+    /// telemetry of SCC re-iterations.
+    #[test]
+    fn multithreaded_cpu_is_charged_the_fig4_baseline() {
+        use gdroid_analysis::{analyze_app, CpuCostModel, StoreKind};
+        let config = GenConfig { recursion_prob: 0.5, ..GenConfig::tiny() };
+        let prep = prepare_vetting(generate_app(0, 0x5cc, &config));
+        let sccs = &gdroid_icfg::CallLayers::compute(&prep.cg, &prep.roots).scc_members;
+        assert!(sccs.iter().any(|m| m.len() > 1), "no multi-member SCC generated");
+        let analysis = analyze_app(&prep.app.program, &prep.cg, &prep.roots, StoreKind::Set);
+        let fig4 = CpuCostModel::multithreaded_c().parallel_ns(&analysis);
+        let vetted = vet_app(generate_app(0, 0x5cc, &config), Engine::MultithreadedCpu);
+        assert_eq!(vetted.timing.idfg_ns, fig4);
+    }
 }
