@@ -20,14 +20,32 @@ cargo test -q
 echo "==> workspace tests"
 cargo test --workspace -q
 
-echo "==> surface ratchet: the vetting/core/rel entry-point lattice stays collapsed"
-surface=$(grep -rn 'pub fn \(execute\|gpu_analyze\|rel_analyze\)' \
-  crates/vetting/src crates/core/src crates/rel/src | wc -l)
-[ "$surface" -le 9 ] || {
-  echo "surface ratchet: $surface public execute*/gpu_analyze*/rel_analyze* entry points" \
-    "(ceiling 9) — extend ExecPlan/ExecCtx instead of adding a wrapper" >&2
+echo "==> surface ratchet: the vetting/core entry-point lattice stays collapsed"
+surface=$(grep -rn 'pub fn \(execute\|gpu_analyze\)' crates/vetting/src crates/core/src | wc -l)
+[ "$surface" -le 7 ] || {
+  echo "surface ratchet: $surface public execute*/gpu_analyze* entry points" \
+    "(ceiling 7) — extend ExecPlan/ExecCtx instead of adding a wrapper" >&2
   exit 1
 }
+
+echo "==> tombstone ratchet: the relational engine stays retired"
+# crates/rel survives only because benchmark/Cargo.lock names it (ROADMAP
+# 3a): an item-free lib.rs, and none of the engine's names anywhere.
+rel_files=$(find crates/rel/src -type f | sort | tr '\n' ' ')
+[ "$rel_files" = "crates/rel/src/lib.rs " ] || {
+  echo "tombstone ratchet: crates/rel/src holds $rel_files(want only lib.rs)" >&2
+  exit 1
+}
+if grep -vE '^\s*(//.*)?$' crates/rel/src/lib.rs; then
+  echo "tombstone ratchet: crates/rel/src/lib.rs must hold doc comments only" >&2
+  exit 1
+fi
+if grep -rnE 'relation_scan|hash_join|probe_chain|MethodKernel|RelEngine|rel_jobs' \
+  --include='*.rs' crates src tests examples; then
+  echo "tombstone ratchet: a retired relational-engine name is back (EXPERIMENTS.md," \
+    "\"Retired: relational engine\")" >&2
+  exit 1
+fi
 
 echo "==> one-host-loop ratchet: the layered schedule is stated once per side"
 # Outside #[cfg(test)], each side of the CPU/GPU divide derives summaries
@@ -52,12 +70,11 @@ ratchet() { # <want> <fixed string> <hint> <dir>...
 }
 gpu_hint="drive gdroid_core::Fixpoint instead of re-spelling the schedule"
 cpu_hint="extend solver::drive and its known-result hook instead of adding a loop"
-ratchet 1 'derive_summary(' "$gpu_hint" crates/core/src crates/rel/src
+ratchet 1 'derive_summary(' "$gpu_hint" crates/core/src
 # The definition and the driver's one call.
 ratchet 2 'derive_summary(' "$cpu_hint" crates/analysis/src
 ratchet 1 'par_iter(' "$cpu_hint" crates/analysis/src
-ratchet 0 '.is_recursive(' "read CallLayers::sccs_by_layer" \
-  crates/core/src crates/rel/src crates/analysis/src
+ratchet 0 '.is_recursive(' "read CallLayers::sccs_by_layer" crates/core/src crates/analysis/src
 ratchet 1 'pub fn is_recursive(' "one definition" crates/icfg/src
 
 echo "==> constructor ratchet: CallLayers has compute and one cut constructor"
@@ -190,25 +207,27 @@ cmp -s "$batch_dir/ca.json" "$batch_dir/cb.json" || {
   exit 1
 }
 
-echo "==> rel smoke: the engine sweep is byte-deterministic and engines agree"
-(cd "$batch_dir" && "$repo_root/target/release/figures" rel --apps 12 >/dev/null && mv BENCH_rel.json ra.json)
-(cd "$batch_dir" && "$repo_root/target/release/figures" rel --apps 12 >/dev/null && mv BENCH_rel.json rb.json)
-cmp -s "$batch_dir/ra.json" "$batch_dir/rb.json" || {
-  echo "rel smoke: BENCH_rel.json differs between identical runs" >&2
+echo "==> engine smoke: the retired engine is refused and the engines agree"
+rel_status=0
+rel_err=$(./target/release/gdroid vet 42 --engine rel 2>&1 >/dev/null) || rel_status=$?
+[ "$rel_status" -eq 2 ] || {
+  echo "engine smoke: \`vet --engine rel\` exited $rel_status, want 2" >&2
+  exit 1
+}
+echo "$rel_err" | grep -qF -- '--engine plain|mat|matgrp|gdroid|worklist|cpu|mtcpu|amandroid' || {
+  echo "engine smoke: the refusal does not name the seven accepted engines" >&2
   exit 1
 }
 worklist_vet=$(./target/release/gdroid vet 42 --engine worklist --json)
-rel_vet=$(./target/release/gdroid vet 42 --engine rel --json)
 cpu_vet=$(./target/release/gdroid vet 42 --engine cpu --json)
-if ! python3 - "$worklist_vet" "$rel_vet" "$cpu_vet" <<'PY'
+if ! python3 - "$worklist_vet" "$cpu_vet" <<'PY'
 import json, sys
 # Timings and telemetry are engine-shaped; the report is the contract.
-worklist, rel, cpu = (json.loads(a) for a in sys.argv[1:4])
-assert rel["report"] == worklist["report"], "rel verdict diverged from worklist"
+worklist, cpu = (json.loads(a) for a in sys.argv[1:3])
 assert cpu["report"] == worklist["report"], "cpu verdict diverged from worklist"
 PY
 then
-  echo "rel smoke: engine verdicts diverged" >&2
+  echo "engine smoke: engine verdicts diverged" >&2
   exit 1
 fi
 

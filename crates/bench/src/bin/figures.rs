@@ -3,10 +3,10 @@
 //! ```text
 //! figures <experiment> [--apps N] [--scale S]
 //!
-//! experiments (the 24 modes `usage()` accepts):
+//! experiments (the 23 modes `usage()` accepts):
 //!   paper        table1 fig1 fig4 fig8 fig9 fig10 fig11 fig12 table2 all
 //!   extensions   multigpu autotune sancheck
-//!   BENCH_*.json serve sumstore trace batch targeted corpus1000 rel persist snapshot10k
+//!   BENCH_*.json serve sumstore trace batch targeted corpus1000 persist snapshot10k
 //!   dumps        csv debug
 //!   --apps N   analyze the first N corpus apps (default 100; paper: 1000)
 //!   --scale S  generator scale factor (default 1.0 = Table I calibration)
@@ -25,10 +25,7 @@
 //! the byte-deterministic `BENCH_targeted.json`. `corpus1000` streams the
 //! paper's full speedup ladder (kernel rungs, targeted, batching K 2/4/8,
 //! summary store) over the 1000-app corpus at the `small` profile and
-//! writes the byte-deterministic `BENCH_corpus1000.json`. `rel` compares
-//! the relational (semi-naive) engine against the MAT/MAT+GRP/worklist
-//! ladder and the CPU reference — facts and verdicts asserted identical
-//! across engines — and writes the byte-deterministic `BENCH_rel.json`.
+//! writes the byte-deterministic `BENCH_corpus1000.json`.
 //! `persist` pits persistent-kernel execution (one resident launch per
 //! app) against classic per-round multi-launch on a per-app detail set
 //! and a streamed corpus — facts and verdicts asserted mode-identical —
@@ -41,16 +38,15 @@
 
 use gdroid_apk::Corpus;
 use gdroid_bench::{
-    batch_benchmark, corpus1000_benchmark, experiments, persist_benchmark, rel_benchmark,
-    run_corpus, sancheck_corpus, serve_benchmark, snapshot_benchmark, snapshot_rotate,
-    sumstore_benchmark, targeted_benchmark, trace_benchmark, PERSIST_DETAIL_APPS, REL_DETAIL_APPS,
-    SNAPSHOT_SHARDS,
+    batch_benchmark, corpus1000_benchmark, experiments, persist_benchmark, run_corpus,
+    sancheck_corpus, serve_benchmark, snapshot_benchmark, snapshot_rotate, sumstore_benchmark,
+    targeted_benchmark, trace_benchmark, PERSIST_DETAIL_APPS, SNAPSHOT_SHARDS,
 };
 use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures <table1|fig1|fig4|fig8|fig9|fig10|fig11|fig12|table2|all|multigpu|autotune|csv|debug|sancheck|serve|sumstore|trace|batch|targeted|corpus1000|rel|persist|snapshot10k> \
+        "usage: figures <table1|fig1|fig4|fig8|fig9|fig10|fig11|fig12|table2|all|multigpu|autotune|csv|debug|sancheck|serve|sumstore|trace|batch|targeted|corpus1000|persist|snapshot10k> \
          [--apps N] [--scale S]"
     );
     std::process::exit(2)
@@ -62,10 +58,10 @@ fn main() {
         usage();
     }
     let experiment = args[0].clone();
-    // The corpus-scale ladder, the rel engine sweep, and the persistent
-    // kernel comparison default to the paper's full 1000 apps; everything
-    // else defaults to the first 100.
-    let mut apps = if experiment == "corpus1000" || experiment == "rel" || experiment == "persist" {
+    // The corpus-scale ladder and the persistent kernel comparison default
+    // to the paper's full 1000 apps; everything else defaults to the first
+    // 100.
+    let mut apps = if experiment == "corpus1000" || experiment == "persist" {
         1000
     } else if experiment == "snapshot10k" {
         10_000
@@ -172,23 +168,6 @@ fn main() {
         });
         print!("{summary}");
         eprintln!("wrote BENCH_corpus1000.json");
-        return;
-    }
-
-    if experiment == "rel" {
-        eprintln!(
-            "comparing the relational engine against the worklist ladder \
-             ({REL_DETAIL_APPS} detail apps + {apps} streamed)…"
-        );
-        let t0 = Instant::now();
-        let (json, summary) = rel_benchmark(REL_DETAIL_APPS, apps, scale);
-        eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
-        std::fs::write("BENCH_rel.json", &json).unwrap_or_else(|e| {
-            eprintln!("cannot write BENCH_rel.json: {e}");
-            std::process::exit(1)
-        });
-        print!("{summary}");
-        eprintln!("wrote BENCH_rel.json");
         return;
     }
 

@@ -3,7 +3,7 @@
 //! Every per-app experiment walks the same deterministic corpus: app
 //! `i` is generated from `PAPER_MASTER_SEED ^ i` and run through the
 //! host-side prep stage. This module is the single place that spelling
-//! lives — the batch, trace, targeted, sumstore, and rel sweeps all
+//! lives — the batch, trace, targeted, sumstore, and persist sweeps all
 //! build their windows through it.
 
 use gdroid_apk::{generate_app, GenConfig, PAPER_MASTER_SEED};

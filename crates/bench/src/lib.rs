@@ -19,7 +19,6 @@ pub mod corpus1000;
 pub mod experiments;
 pub mod persist;
 pub mod record;
-pub mod rel;
 pub mod sancheck;
 pub mod serve;
 pub mod snapshot;
@@ -35,7 +34,6 @@ pub use persist::{
     persist_benchmark, run_persist_point, PersistPoint, PERSIST_DETAIL_APPS, PERSIST_WINDOW,
 };
 pub use record::{run_app, run_corpus, AppRecord, GpuSummary};
-pub use rel::{fact_digest, rel_benchmark, run_rel_point, RelPoint, REL_DETAIL_APPS, REL_WINDOW};
 pub use sancheck::{sancheck_corpus, SancheckOutcome};
 pub use serve::{run_service, serve_benchmark, ServePoint};
 pub use snapshot::{

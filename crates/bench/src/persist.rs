@@ -20,10 +20,10 @@
 //! (`queue_op_cycles`, contention-scaled).
 
 use crate::corpus::corpus_prep;
-use crate::rel::fact_digest;
 use gdroid_apk::{Corpus, GenConfig, PAPER_MASTER_SEED};
 use gdroid_core::ExecMode;
 use gdroid_gpusim::{Device, DeviceConfig};
+use gdroid_ir::MethodId;
 use gdroid_serve::fnv1a;
 use gdroid_vetting::{execute, prepare_vetting, ExecCtx, ExecPlan, PreparedApp, VettingRun};
 
@@ -92,6 +92,23 @@ fn run_both_modes(prep: &PreparedApp, label: usize) -> (VettingRun, VettingRun, 
     );
     let (ml, pl) = (md.launches(), pd.launches());
     (multi, per, ml, pl)
+}
+
+/// FNV-1a digest over the per-method fixpoint bitmaps, sorted by method
+/// id — the mode-invariant facts, as one comparable number.
+fn fact_digest(run: &VettingRun) -> u64 {
+    let mut mids: Vec<MethodId> = run.analysis.facts.keys().copied().collect();
+    mids.sort_unstable();
+    let mut line = String::new();
+    for mid in mids {
+        use std::fmt::Write;
+        write!(line, "{mid:?}:").expect("writing to String cannot fail");
+        for w in run.analysis.facts[&mid].flat_words() {
+            write!(line, "{w:x},").expect("writing to String cannot fail");
+        }
+        line.push(';');
+    }
+    fnv1a(line.as_bytes())
 }
 
 /// Runs one detail point: both modes on fresh devices with identity

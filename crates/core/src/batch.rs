@@ -37,7 +37,7 @@
 //! apps is what makes it no worse than the sum of solo makespans.
 
 use crate::driver::{GpuAnalysis, WorklistKernel};
-use crate::fixpoint::{Fixpoint, MethodKernel};
+use crate::fixpoint::Fixpoint;
 use crate::layout::{plan_layout, AppLayout};
 use crate::opts::OptConfig;
 use crate::stats::GpuRunStats;

@@ -12,12 +12,9 @@
 //!   grid-wide sync, and chunks collapse to one per *layer* — the layer
 //!   schedule is static, so inputs stream ahead of the resident kernel and
 //!   SCC re-rounds stay device-side and transfer nothing.
-//!
-//! [`run_solo`] is generic over the [`MethodKernel`], so the relational
-//! engine (`gdroid-rel`) runs this very policy with its own kernel.
 
 use crate::engine::ExecMode;
-use crate::fixpoint::{Fixpoint, MethodBlock, MethodKernel};
+use crate::fixpoint::{Fixpoint, MethodBlock};
 use crate::kernel::run_method_block;
 use crate::layout::{plan_layout, AppLayout};
 use crate::opts::OptConfig;
@@ -122,10 +119,10 @@ pub fn gpu_analyze_app_on(
 /// carries: launches round by round (or inside one persistent session),
 /// runs the chunks through dual buffering, and returns the finished
 /// analysis. The caller has reset the device and planned the layout.
-pub fn run_solo<K: MethodKernel>(
+fn run_solo(
     device: &mut Device,
     mut fx: Fixpoint<'_>,
-    kernel: K,
+    kernel: WorklistKernel<'_>,
     exec: ExecMode,
 ) -> Result<GpuAnalysis, DeviceFault> {
     let tracer = device.tracer().clone();
@@ -172,7 +169,7 @@ pub fn run_solo<K: MethodKernel>(
         let (changed, layer_done) = fx.advance();
         if tracer.enabled() {
             tracer.span(
-                K::CATEGORY,
+                "driver",
                 format!("layer {layer} round {round}"),
                 round_start_ns,
                 now_ns - round_start_ns,
@@ -206,7 +203,7 @@ pub fn run_solo<K: MethodKernel>(
     let pipeline = dual_buffered(&device.config, &chunks);
     if tracer.enabled() {
         tracer.instant(
-            K::CATEGORY,
+            "driver",
             "transfer-pipeline",
             device.clock_ns(),
             0,
@@ -233,15 +230,15 @@ pub(crate) struct WorklistKernel<'a> {
     pub(crate) warp: usize,
 }
 
-impl MethodKernel for WorklistKernel<'_> {
-    const CATEGORY: &'static str = "driver";
-
-    fn bytes(&self, mid: MethodId) -> (u64, u64) {
+impl WorklistKernel<'_> {
+    /// `(h2d, d2h)` bytes one launch of `mid` moves.
+    pub fn bytes(&self, mid: MethodId) -> (u64, u64) {
         let ml = &self.layout.methods[&mid];
         (ml.h2d_bytes, ml.d2h_bytes)
     }
 
-    fn run(&self, ctx: &mut BlockCtx<'_>, b: &mut MethodBlock<'_>) -> WorklistTelemetry {
+    /// Solves `b.store` to its fixed point inside one thread block.
+    pub fn run(&self, ctx: &mut BlockCtx<'_>, b: &mut MethodBlock<'_>) -> WorklistTelemetry {
         let ml = &self.layout.methods[&b.mid];
         run_method_block(ctx, b.method, b.space, b.cfg, ml, &b.sites, self.opts, &mut b.store)
     }
@@ -250,7 +247,7 @@ impl MethodKernel for WorklistKernel<'_> {
     /// including the per-round head/tail split the MER regime induces
     /// (head = the warp-sized list the kernel processes, tail = the
     /// postponed rest).
-    fn trace(&self, tracer: &Tracer, ts_ns: u64, mid: MethodId, tele: &WorklistTelemetry) {
+    pub fn trace(&self, tracer: &Tracer, ts_ns: u64, mid: MethodId, tele: &WorklistTelemetry) {
         use std::fmt::Write;
         let mut head_tail = String::new();
         for (i, &size) in tele.round_sizes.iter().enumerate() {
@@ -262,7 +259,7 @@ impl MethodKernel for WorklistKernel<'_> {
             write!(head_tail, "{head}/{}", size - head).unwrap();
         }
         tracer.instant(
-            Self::CATEGORY,
+            "driver",
             format!("worklist {mid:?}"),
             ts_ns,
             1,

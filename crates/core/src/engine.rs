@@ -1,10 +1,10 @@
-//! The `AnalysisEngine` boundary: every IDFG constructor in the
-//! repository — the worklist-GPU driver, the relational-GPU backend in
-//! `gdroid-rel`, and the CPU reference solver — sits behind one trait, so
-//! vetting, serving, and campaigns can select the engine per job.
+//! The `AnalysisEngine` boundary: both IDFG constructors in the
+//! repository — the worklist-GPU driver and the CPU reference solver —
+//! sit behind one trait, so vetting, serving, and campaigns can select
+//! the engine per job.
 //!
-//! The contract every implementation must honor (and the tier-1 rel gate
-//! enforces): for the same prepared app, presolved set, and slice, the
+//! The contract every implementation must honor (and the tier-1 gates
+//! enforce): for the same prepared app, presolved set, and slice, the
 //! returned **facts and summaries are byte-identical** across engines.
 //! Engines differ only in modeled cost (`stats`, `idfg_ns`) and telemetry
 //! shape — the fixpoint is unique, the road to it is not.
@@ -68,21 +68,18 @@ impl std::fmt::Display for ExecMode {
 pub enum EngineKind {
     /// The paper's worklist-GPU driver (`gpu_analyze_app_on`).
     Worklist,
-    /// The relational (semi-naive Datalog) GPU backend (`gdroid-rel`).
-    Rel,
     /// The sequential CPU reference solver (`gdroid_analysis::solver`).
     Cpu,
 }
 
 impl EngineKind {
     /// All engines, in the order `gdroid engines` lists them.
-    pub const ALL: [EngineKind; 3] = [EngineKind::Worklist, EngineKind::Rel, EngineKind::Cpu];
+    pub const ALL: [EngineKind; 2] = [EngineKind::Worklist, EngineKind::Cpu];
 
     /// The CLI spelling.
     pub fn as_str(self) -> &'static str {
         match self {
             EngineKind::Worklist => "worklist",
-            EngineKind::Rel => "rel",
             EngineKind::Cpu => "cpu",
         }
     }
@@ -91,7 +88,6 @@ impl EngineKind {
     pub fn parse(s: &str) -> Option<EngineKind> {
         match s {
             "worklist" => Some(EngineKind::Worklist),
-            "rel" => Some(EngineKind::Rel),
             "cpu" => Some(EngineKind::Cpu),
             _ => None,
         }
@@ -116,13 +112,13 @@ pub struct EngineAnalysis {
     /// Per-method CFGs.
     pub cfgs: HashMap<MethodId, Cfg>,
     /// Aggregated fixpoint telemetry (engine-shaped: worklist rounds vs
-    /// semi-naive delta rounds vs CPU generations).
+    /// CPU generations).
     pub telemetry: WorklistTelemetry,
-    /// Modeled execution statistics (GPU engines; CPU fills `total_ns`).
+    /// Modeled execution statistics (GPU engine; CPU fills `total_ns`).
     pub stats: GpuRunStats,
     /// Modeled IDFG-stage time, ns.
     pub idfg_ns: f64,
-    /// `simcheck` report when the device sanitized (GPU engines only).
+    /// `simcheck` report when the device sanitized (GPU engine only).
     pub sanitizer: Option<SanReport>,
 }
 
@@ -210,7 +206,7 @@ impl AnalysisEngine for WorklistEngine {
 }
 
 /// The sequential CPU reference solver behind the engine boundary: the
-/// differential-testing oracle every GPU engine is gated against.
+/// differential-testing oracle the GPU engine is gated against.
 pub struct CpuEngine;
 
 impl AnalysisEngine for CpuEngine {

@@ -15,12 +15,12 @@
 //! ```
 //!
 //! A policy decides only how a round's blocks reach a device and how
-//! modeled time is accounted; what the blocks compute comes from a
-//! [`MethodKernel`]. Blocks push their results in execution order and
+//! modeled time is accounted; what the blocks compute is the paper's
+//! worklist kernel. Blocks push their results in execution order and
 //! [`Fixpoint::absorb`] folds them in that order — telemetry round sizes
 //! and trace instants depend on it.
 
-use crate::driver::GpuAnalysis;
+use crate::driver::{GpuAnalysis, WorklistKernel};
 use crate::stats::{GpuRunStats, WorklistProfile};
 use gdroid_analysis::{
     derive_summary, merge_site_summaries, FactStore, Geometry, MatrixStore, MethodSpace,
@@ -29,7 +29,6 @@ use gdroid_analysis::{
 use gdroid_gpusim::{BlockCtx, BlockFn, SanReport};
 use gdroid_icfg::{CallGraph, CallLayers, Cfg};
 use gdroid_ir::{Method, MethodId, Program, StmtIdx};
-use gdroid_trace::Tracer;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
@@ -48,19 +47,6 @@ pub struct MethodBlock<'a> {
     pub sites: HashMap<StmtIdx, Option<MethodSummary>>,
     /// The node facts, entry facts seeded.
     pub store: MatrixStore,
-}
-
-/// The device-side evaluation strategy of one engine over one planned
-/// layout: the only thing the worklist and relational engines differ in.
-pub trait MethodKernel: Copy {
-    /// Trace category of the driver events of runs under this kernel.
-    const CATEGORY: &'static str;
-    /// `(h2d, d2h)` bytes one launch of `mid` moves.
-    fn bytes(&self, mid: MethodId) -> (u64, u64);
-    /// Solves `block.store` to its fixed point inside one thread block.
-    fn run(&self, ctx: &mut BlockCtx<'_>, block: &mut MethodBlock<'_>) -> WorklistTelemetry;
-    /// Emits the per-method trace instant (only called when tracing).
-    fn trace(&self, tracer: &Tracer, ts_ns: u64, mid: MethodId, tele: &WorklistTelemetry);
 }
 
 /// One layer of the schedule, pre-solved leaves already removed.
@@ -185,7 +171,7 @@ impl<'a> Fixpoint<'a> {
     }
 
     /// `(h2d, d2h)` bytes of the current pending set under `kernel`.
-    pub fn pending_bytes(&self, kernel: impl MethodKernel) -> (u64, u64) {
+    pub(crate) fn pending_bytes(&self, kernel: WorklistKernel<'_>) -> (u64, u64) {
         self.pending.iter().map(|&m| kernel.bytes(m)).fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
     }
 
@@ -194,10 +180,10 @@ impl<'a> Fixpoint<'a> {
     /// `queued` blocks belong to a resident kernel: they dequeue their
     /// method from the device-side worklist and publish their
     /// summary-changed flag back for the next round's scheduling.
-    pub fn blocks<'s>(
+    pub(crate) fn blocks<'s>(
         &'s self,
         methods: &[MethodId],
-        kernel: impl MethodKernel + 's,
+        kernel: WorklistKernel<'s>,
         queued: bool,
     ) -> Vec<BlockFn<'s>> {
         self.results.borrow_mut().reserve(methods.len());

@@ -46,8 +46,7 @@ pub use autotune::{tune_blocks_per_sm, TuneResult};
 pub use batch::{gpu_analyze_batch_on, BatchAnalysis, BatchApp, BatchStats};
 pub use engine::{AnalysisEngine, CpuEngine, EngineAnalysis, EngineKind, ExecMode, WorklistEngine};
 
-pub use driver::{gpu_analyze_app, gpu_analyze_app_on, run_solo, GpuAnalysis};
-pub use fixpoint::{Fixpoint, MethodBlock, MethodKernel};
+pub use driver::{gpu_analyze_app, gpu_analyze_app_on, GpuAnalysis};
 pub use kernel::run_method_block;
 pub use layout::{plan_layout, AppLayout, MethodLayout};
 pub use multigpu::{

@@ -60,10 +60,10 @@ pub struct GpuRunStats {
     pub profile: WorklistProfile,
     /// Methods analyzed.
     pub methods: usize,
-    /// Hash-join probe reads across all launches (relational engine; 0
-    /// for worklist kernels).
+    /// Always 0: the relational engine that counted hash-join probes is
+    /// retired; `benchmark/` still reads the field (ROADMAP 3a).
     pub join_probes: u64,
-    /// Relation tuples streamed across all launches (relational engine).
+    /// Always 0, kept for `benchmark/` like [`GpuRunStats::join_probes`].
     pub scan_rows: u64,
     // --- internal accumulators -----------------------------------------
     #[serde(skip)]
@@ -98,8 +98,6 @@ impl GpuRunStats {
         self.ideal_transactions += k.ideal_transactions;
         self.utilization_sum += k.utilization;
         self.utilization_samples += 1;
-        self.join_probes += k.join_probes;
-        self.scan_rows += k.scan_rows;
     }
 
     /// Records one method's telemetry.

@@ -114,10 +114,6 @@ pub struct KernelStats {
     pub mallocs: u64,
     /// Cycles spent in the allocator.
     pub malloc_cycles: u64,
-    /// Hash-join probe reads across all blocks (relational kernels).
-    pub join_probes: u64,
-    /// Relation tuples streamed across all blocks (relational kernels).
-    pub scan_rows: u64,
     /// Device-side worklist queue operations (persistent kernels).
     pub queue_ops: u64,
     /// Cycles spent in contended queue operations (persistent kernels).
@@ -474,8 +470,6 @@ impl Device {
             stats.ideal_transactions += b.ideal_transactions;
             stats.mallocs += b.mallocs;
             stats.malloc_cycles += b.malloc_cycles;
-            stats.join_probes += b.join_probes;
-            stats.scan_rows += b.scan_rows;
             stats.queue_ops += b.queue_ops;
             stats.queue_cycles += b.queue_cycles;
             // Greedy: next block goes to the earliest-finishing slot.
@@ -567,8 +561,6 @@ impl Device {
         c.ideal_transactions += stats.ideal_transactions;
         c.mallocs += stats.mallocs;
         c.malloc_cycles += stats.malloc_cycles;
-        c.join_probes += stats.join_probes;
-        c.scan_rows += stats.scan_rows;
         c.queue_ops += stats.queue_ops;
         c.queue_cycles += stats.queue_cycles;
         c.schedule.extend(stats.schedule.iter().map(|&(s, a, b)| (s, offset + a, offset + b)));
@@ -742,6 +734,68 @@ mod tests {
         assert_eq!(stats.divergence_passes, 4);
         assert_eq!(stats.mallocs, 1);
         assert!(stats.divergence_factor() > 3.9);
+    }
+
+    /// Conservation (ROADMAP 4c): every additive launch counter is the
+    /// sum of the launch's per-block counters, and the makespan covers
+    /// every block's scheduled end.
+    #[test]
+    fn kernel_stats_are_the_sum_of_their_block_stats() {
+        let mut dev = Device::new(DeviceConfig::tiny()); // 4 slots
+        let base = dev.alloc(1 << 17).base;
+        // 9 blocks over 4 slots, each touching every counted cost path
+        // with a block-dependent amount of work.
+        let blocks: Vec<(u32, BlockFn<'_>)> = (0..9u64)
+            .map(|b| {
+                let f: BlockFn<'_> = Box::new(move |ctx: &mut BlockCtx<'_>| {
+                    ctx.queue_pop(1);
+                    let lanes: Vec<LaneWork> = (0..8 + b)
+                        .map(|i| LaneWork {
+                            partition: (i % (b + 1)) as u32,
+                            compute_cycles: 3 + b,
+                            reads: vec![base + i * 4096],
+                            writes: vec![base + 8 * i],
+                            deref_layers: (b % 3) as u32,
+                            ..Default::default()
+                        })
+                        .collect();
+                    for _ in 0..=b {
+                        ctx.warp_process(&lanes);
+                    }
+                    ctx.malloc(64 * (b + 1));
+                    ctx.compute(10 * b);
+                    ctx.queue_push(b);
+                });
+                (b as u32, f)
+            })
+            .collect();
+        let launch = dev.try_launch_sourced(blocks).expect("no fault plan");
+        let (k, per_block) = (&launch.combined, &launch.per_block);
+        assert_eq!(k.blocks, per_block.len());
+        type OfBlock = fn(&BlockStats) -> u64;
+        let counters: [(&str, u64, OfBlock); 9] = [
+            ("total_block_cycles", k.total_block_cycles, |b| b.cycles),
+            ("warp_steps", k.warp_steps, |b| b.warp_steps),
+            ("divergence_passes", k.divergence_passes, |b| b.divergence_passes),
+            ("transactions", k.transactions, |b| b.transactions),
+            ("ideal_transactions", k.ideal_transactions, |b| b.ideal_transactions),
+            ("mallocs", k.mallocs, |b| b.mallocs),
+            ("malloc_cycles", k.malloc_cycles, |b| b.malloc_cycles),
+            ("queue_ops", k.queue_ops, |b| b.queue_ops),
+            ("queue_cycles", k.queue_cycles, |b| b.queue_cycles),
+        ];
+        for (name, total, of_block) in counters {
+            assert_eq!(total, per_block.iter().map(of_block).sum::<u64>(), "{name}");
+            // Live in this launch, so a dropped `+=` in `pack` cannot hide
+            // behind 0 == 0.
+            assert!(total > 0, "{name} never counted");
+        }
+        assert!(k.divergence_passes > k.warp_steps && k.transactions > k.ideal_transactions);
+        assert_eq!(k.schedule.len(), per_block.len());
+        for &(slot, start, end) in &k.schedule {
+            assert!((slot as usize) < dev.config.block_slots());
+            assert!(start <= end && end <= k.makespan_cycles, "block ends after the launch");
+        }
     }
 
     #[test]

@@ -219,8 +219,6 @@ pub struct Counters {
     /// Sum of targeted sliced fractions in micro-units (×1e6); divided by
     /// `targeted_jobs` for the report's `mean_sliced_fraction`.
     pub sliced_fraction_micros: AtomicU64,
-    /// Jobs executed under the relational engine.
-    pub rel_jobs: AtomicU64,
     /// Jobs executed under the CPU reference engine.
     pub cpu_jobs: AtomicU64,
     /// Jobs executed under the persistent-kernel mode (one resident
@@ -260,7 +258,6 @@ impl Counters {
             batched_jobs: load(&self.batched_jobs),
             targeted_jobs: load(&self.targeted_jobs),
             sliced_fraction_micros: load(&self.sliced_fraction_micros),
-            rel_jobs: load(&self.rel_jobs),
             cpu_jobs: load(&self.cpu_jobs),
             persistent_jobs: load(&self.persistent_jobs),
             store_hits: load(&self.store_hits),
@@ -304,8 +301,6 @@ pub struct CountersSnapshot {
     /// (not pre-divided) so shard merges reproduce the exact fleet-wide
     /// mean instead of averaging per-shard means.
     pub sliced_fraction_micros: u64,
-    /// Jobs executed under the relational engine.
-    pub rel_jobs: u64,
     /// Jobs executed under the CPU reference engine.
     pub cpu_jobs: u64,
     /// Jobs executed under the persistent-kernel mode.
@@ -336,7 +331,6 @@ impl CountersSnapshot {
             batched_jobs: self.batched_jobs + other.batched_jobs,
             targeted_jobs: self.targeted_jobs + other.targeted_jobs,
             sliced_fraction_micros: self.sliced_fraction_micros + other.sliced_fraction_micros,
-            rel_jobs: self.rel_jobs + other.rel_jobs,
             cpu_jobs: self.cpu_jobs + other.cpu_jobs,
             persistent_jobs: self.persistent_jobs + other.persistent_jobs,
             store_hits: self.store_hits + other.store_hits,
@@ -350,7 +344,7 @@ impl CountersSnapshot {
             "{{\"submitted\":{},\"rejected\":{},\"cache_hits\":{},\"cache_incremental\":{},\
              \"prepared\":{},\"executed\":{},\"retries\":{},\"faults\":{},\"timeouts\":{},\
              \"quarantined\":{},\"completed\":{},\"batches\":{},\"batched_jobs\":{},\
-             \"targeted_jobs\":{},\"sliced_fraction_micros\":{},\"rel_jobs\":{},\"cpu_jobs\":{},\
+             \"targeted_jobs\":{},\"sliced_fraction_micros\":{},\"cpu_jobs\":{},\
              \"persistent_jobs\":{},\"store_hits\":{},\"store_misses\":{}}}",
             self.submitted,
             self.rejected,
@@ -367,7 +361,6 @@ impl CountersSnapshot {
             self.batched_jobs,
             self.targeted_jobs,
             self.sliced_fraction_micros,
-            self.rel_jobs,
             self.cpu_jobs,
             self.persistent_jobs,
             self.store_hits,
@@ -494,15 +487,14 @@ pub struct SourceStats {
 
 impl SourceStats {
     fn to_json(&self) -> String {
-        debug_assert!(
-            !self.label.contains(['"', '\\']),
-            "source label {:?} needs JSON escaping",
-            self.label
-        );
         format!(
-            "{{\"label\":\"{}\",\"cache_hits\":{},\"cache_incremental\":{},\"store_hits\":{},\
+            "{{\"label\":{},\"cache_hits\":{},\"cache_incremental\":{},\"store_hits\":{},\
              \"store_misses\":{}}}",
-            self.label, self.cache_hits, self.cache_incremental, self.store_hits, self.store_misses
+            gdroid_vetting::json::string(&self.label),
+            self.cache_hits,
+            self.cache_incremental,
+            self.store_hits,
+            self.store_misses
         )
     }
 }
@@ -759,6 +751,17 @@ mod tests {
                 "\"sumstore\":{\"hits\":0,\"misses\":0,\"insertions\":0,\"reloc_failures\":0}"
             ),
             "sumstore stats must sit beside the cache stats: {j}"
+        );
+    }
+
+    #[test]
+    fn source_labels_are_json_escaped() {
+        let m = ServiceMetrics::new();
+        let r = m.report("a\"b\\c", CacheStats::default(), SumStoreStats::default(), 0, 0);
+        assert!(
+            r.to_json().contains("\"per_source\":[{\"label\":\"a\\\"b\\\\c\",\"cache_hits\":0,"),
+            "{}",
+            r.to_json()
         );
     }
 }

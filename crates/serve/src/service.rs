@@ -53,9 +53,6 @@ pub struct ServiceConfig {
     pub devices: usize,
     /// Submission queue bound (admission control).
     pub queue_capacity: usize,
-    /// Ready-heap bound; `0` means `2 × devices` (one executing plus one
-    /// buffered app per device).
-    pub dispatch_capacity: usize,
     /// Failed attempts a job may retry before quarantine (it is
     /// quarantined on failure number `max_retries + 1`).
     pub max_retries: u32,
@@ -105,7 +102,6 @@ impl Default for ServiceConfig {
             prep_workers: 2,
             devices: 2,
             queue_capacity: 64,
-            dispatch_capacity: 0,
             max_retries: 3,
             job_timeout_ms: 30_000,
             fault_plan: None,
@@ -161,15 +157,11 @@ pub struct VettingService {
 impl VettingService {
     /// Starts the worker and executor threads.
     pub fn start(config: ServiceConfig) -> VettingService {
-        let dispatch_capacity = if config.dispatch_capacity == 0 {
-            2 * config.devices.max(1)
-        } else {
-            config.dispatch_capacity
-        };
         let queue = Arc::new(SubmitQueue::new(config.queue_capacity.max(1)));
         let state = Arc::new(ServiceState {
             label: config.label,
-            dispatch: DispatchHeap::new(dispatch_capacity),
+            // One executing plus one buffered app per device.
+            dispatch: DispatchHeap::new(2 * config.devices.max(1)),
             cache: config.result_cache.unwrap_or_else(|| Arc::new(ResultCache::new())),
             metrics: ServiceMetrics::new(),
             pool: DevicePool::new(config.devices, config.device_config, config.fault_plan),
@@ -393,7 +385,7 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
             faults_seen: 0,
             timeouts_seen: 0,
         };
-        // Blocks while `dispatch_capacity` apps are already buffered —
+        // Blocks while `2 × devices` apps are already buffered —
         // this is the double-buffer coupling of prep to execution.
         if state.dispatch.push(ready).is_err() {
             // Only reachable if the heap was closed early (not part of
@@ -586,10 +578,8 @@ fn finish(
     state.metrics.exec_wall.record(exec_wall_ns);
     state.metrics.kernel_model.record(run.outcome.timing.idfg_ns as u64);
     state.metrics.taint_model.record(run.outcome.timing.taint_ns as u64);
-    match job.plan.engine.kind() {
-        Some(EngineKind::Rel) => Counters::bump(&state.metrics.counters.rel_jobs),
-        Some(EngineKind::Cpu) => Counters::bump(&state.metrics.counters.cpu_jobs),
-        _ => {}
+    if job.plan.engine.kind() == Some(EngineKind::Cpu) {
+        Counters::bump(&state.metrics.counters.cpu_jobs);
     }
     if job.plan.exec == ExecMode::Persistent {
         Counters::bump(&state.metrics.counters.persistent_jobs);
@@ -807,11 +797,11 @@ mod tests {
     }
 
     #[test]
-    fn rel_engine_jobs_bypass_the_cache_and_match_worklist_reports() {
+    fn cpu_engine_jobs_bypass_the_cache_and_match_worklist_reports() {
         let svc = VettingService::start(ServiceConfig {
             prep_workers: 1,
             devices: 1,
-            engine: EngineKind::Rel,
+            engine: EngineKind::Cpu,
             coresident: 4,
             ..ServiceConfig::default()
         });
@@ -819,7 +809,7 @@ mod tests {
             svc.submit(Priority::Standard, seed_source(seed as usize, 5400 + seed)).unwrap();
         }
         // Resubmit the same apps: a worklist service would serve cache
-        // hits, a rel service must re-analyze every one.
+        // hits, a cpu service must re-analyze every one.
         svc.wait_for(3);
         for seed in 0..3u64 {
             svc.submit(Priority::Standard, seed_source(seed as usize, 5400 + seed)).unwrap();
@@ -827,9 +817,9 @@ mod tests {
         let (report, results) = svc.drain();
         assert_eq!(results.len(), 6);
         assert!(results.iter().all(|r| r.status == JobStatus::Completed));
-        assert_eq!(report.cache.hits, 0, "rel jobs must never be served from the cache");
-        assert_eq!(report.counters.rel_jobs, 6);
-        assert_eq!(report.counters.batched_jobs, 0, "rel jobs never join a batch");
+        assert_eq!(report.cache.hits, 0, "cpu jobs must never be served from the cache");
+        assert_eq!(report.counters.cpu_jobs, 6);
+        assert_eq!(report.counters.batched_jobs, 0, "cpu jobs never join a batch");
         // The vetting report itself is engine-invariant byte for byte.
         for r in &results {
             let reference = vet_app(
@@ -843,8 +833,7 @@ mod tests {
                 r.id
             );
         }
-        let j = report.to_json();
-        assert!(j.contains("\"rel_jobs\":6") && j.contains("\"cpu_jobs\":0"));
+        assert!(report.to_json().contains("\"cpu_jobs\":6"));
     }
 
     #[test]

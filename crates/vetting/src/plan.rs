@@ -2,9 +2,9 @@
 //! the one function that runs it.
 //!
 //! The paper's IDFG construction is a single worklist kernel with MAT /
-//! GRP / MER as switches on it; everything layered on since — the
-//! relational and CPU engines, persistent execution, targeted slicing,
-//! the summary store, tracing — is likewise a switch on one run, not a
+//! GRP / MER as switches on it; everything layered on since — the CPU
+//! engines, persistent execution, targeted slicing, the summary store,
+//! tracing — is likewise a switch on one run, not a
 //! pipeline of its own. [`ExecPlan`] gathers the selectors
 //! (engine × exec mode × targeted), [`ExecCtx`] the run-time resources
 //! (device, summary store, tracer), and [`execute`] performs the same
@@ -25,7 +25,6 @@ use crate::targeted::{compute_vetting_slice, TargetedProvenance};
 use gdroid_analysis::{analyze_app_presolved, CpuCostModel, StoreKind};
 use gdroid_core::{AnalysisEngine, CpuEngine, EngineKind, ExecMode, OptConfig, WorklistEngine};
 use gdroid_gpusim::{Device, DeviceConfig, DeviceFault};
-use gdroid_rel::RelEngine;
 use gdroid_sumstore::SumStore;
 use gdroid_trace::Tracer;
 use std::collections::HashMap;
@@ -42,8 +41,6 @@ pub enum Engine {
     /// `Gpu(OptConfig::gdroid())` is the production default, spelled
     /// `worklist` (or `gdroid`) on the command line.
     Gpu(OptConfig),
-    /// The relational (semi-naive Datalog) GPU backend (`gdroid-rel`).
-    Rel,
     /// The sequential CPU reference solver behind the
     /// [`AnalysisEngine`] trait — the differential oracle.
     CpuReference,
@@ -53,7 +50,6 @@ impl From<EngineKind> for Engine {
     fn from(kind: EngineKind) -> Engine {
         match kind {
             EngineKind::Worklist => Engine::Gpu(OptConfig::gdroid()),
-            EngineKind::Rel => Engine::Rel,
             EngineKind::Cpu => Engine::CpuReference,
         }
     }
@@ -76,12 +72,11 @@ pub struct EngineCaps {
 
 impl Engine {
     /// Every named engine, in the order `gdroid engines` lists them: the
-    /// three [`EngineKind`]s first, then the ladder rungs and the legacy
+    /// two [`EngineKind`]s first, then the ladder rungs and the legacy
     /// CPU baselines.
-    pub fn all() -> [Engine; 8] {
+    pub fn all() -> [Engine; 7] {
         [
             Engine::Gpu(OptConfig::gdroid()),
-            Engine::Rel,
             Engine::CpuReference,
             Engine::Gpu(OptConfig::plain()),
             Engine::Gpu(OptConfig::mat()),
@@ -96,7 +91,6 @@ impl Engine {
         match self {
             Engine::AmandroidCpu => "amandroid",
             Engine::MultithreadedCpu => "mtcpu",
-            Engine::Rel => "rel",
             Engine::CpuReference => "cpu",
             Engine::Gpu(opts) => match (opts.mat, opts.grp, opts.mer) {
                 (true, true, true) => "worklist",
@@ -114,7 +108,7 @@ impl Engine {
         Engine::all().into_iter().find(|e| e.name() == s)
     }
 
-    /// The [`EngineKind`] this engine is, if it is one of the three the
+    /// The [`EngineKind`] this engine is, if it is one of the two the
     /// service and campaign layers select between.
     pub fn kind(self) -> Option<EngineKind> {
         EngineKind::ALL.into_iter().find(|&k| Engine::from(k) == self)
@@ -143,11 +137,6 @@ impl Engine {
                 ..gpu
             },
             Engine::Gpu(_) => gpu,
-            Engine::Rel => EngineCaps {
-                batching: false,
-                note: "semi-naive relational GPU joins over delta relations",
-                ..gpu
-            },
             Engine::CpuReference => cpu,
             Engine::MultithreadedCpu => EngineCaps {
                 sumstore: true,
@@ -165,7 +154,7 @@ impl Engine {
     /// GPU engines report device memory, not host fact stores — the
     /// historical `store_bytes: 0` contract of `vet_app`.
     fn runs_on_device(self) -> bool {
-        matches!(self, Engine::Gpu(_) | Engine::Rel)
+        matches!(self, Engine::Gpu(_))
     }
 
     /// The trait engine behind this selector (`None` for the two legacy
@@ -174,7 +163,6 @@ impl Engine {
     fn analysis_engine(self, exec: ExecMode) -> Option<Box<dyn AnalysisEngine>> {
         match self {
             Engine::Gpu(opts) => Some(Box::new(WorklistEngine { opts, exec })),
-            Engine::Rel => Some(Box::new(RelEngine)),
             Engine::CpuReference => Some(Box::new(CpuEngine)),
             Engine::AmandroidCpu | Engine::MultithreadedCpu => None,
         }
@@ -488,7 +476,6 @@ mod tests {
         let mut accepted = 0;
         for engine in Engine::all() {
             let gpu = matches!(engine, Engine::Gpu(_));
-            let on_device = gpu || engine == Engine::Rel;
             for exec in ExecMode::ALL {
                 for targeted in [false, true] {
                     let plan = ExecPlan { engine, exec, targeted };
@@ -499,7 +486,7 @@ mod tests {
                     for with_store in [false, true] {
                         let expected = (exec == ExecMode::MultiLaunch
                             || engine == Engine::Gpu(OptConfig::gdroid()))
-                            && (!targeted || on_device)
+                            && (!targeted || gpu)
                             && (!with_store || engine != Engine::CpuReference);
                         let what = format!("{plan:?} store={with_store}");
                         assert_eq!(plan.check(with_store).is_ok(), expected, "{what}");
@@ -513,7 +500,7 @@ mod tests {
                         let outcome = &plain.run.outcome;
                         assert_eq!(outcome.report.to_json(), reference, "{what}");
                         assert_eq!(outcome.targeted.is_some(), targeted, "{what}");
-                        assert_eq!(outcome.store_bytes == 0, on_device, "{what}");
+                        assert_eq!(outcome.store_bytes == 0, gpu, "{what}");
                         assert_eq!(plain.store_use.is_some(), with_store, "{what}");
 
                         let tracer = Tracer::enabled_new();
@@ -528,9 +515,14 @@ mod tests {
                 }
             }
         }
-        // 8 engines × 2 stores, minus cpu×store; + targeted for the 5
+        // 7 engines × 2 stores, minus cpu×store; + targeted for the 4
         // device engines × 2 stores; + persistent worklist × 2 × 2.
-        assert_eq!(accepted, 15 + 10 + 4);
+        assert_eq!(accepted, 13 + 8 + 4);
+        // The relational engine is retired (EXPERIMENTS.md): no spelling
+        // selects it.
+        assert_eq!(Engine::all().len(), 7);
+        assert_eq!(Engine::parse("rel"), None);
+        assert_eq!(EngineKind::parse("rel"), None);
     }
 
     #[test]
@@ -539,7 +531,7 @@ mod tests {
         let off = Tracer::disabled();
         let mtcpu = ExecPlan::new(Engine::MultithreadedCpu);
         let cold = vet_prepared(&prep, mtcpu).outcome.report.to_json();
-        for warmer in [Engine::MultithreadedCpu, Engine::AmandroidCpu, Engine::Rel] {
+        for warmer in [Engine::MultithreadedCpu, Engine::AmandroidCpu] {
             let store = SumStore::new();
             let fed = run(&prep, ExecPlan::new(warmer), Some(&store), &off);
             assert!(fed.store_use.expect("store attached").misses > 0, "{warmer}");
@@ -583,26 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn rel_with_store_hits_and_agrees() {
-        let cfg = GenConfig::tiny().with_libraries(2, 2);
-        let store = SumStore::new();
-        let prep_a = prepare_vetting(generate_app(0, 8705, &cfg));
-        let prep_b = prepare_vetting(generate_app(1, 8706, &cfg));
-        let rel = ExecPlan::new(Engine::Rel);
-        let off = Tracer::disabled();
-        let disabled = vet_prepared(&prep_b, rel);
-        let use_a = run(&prep_a, rel, Some(&store), &off).store_use.expect("store attached");
-        assert_eq!(use_a.hits, 0);
-        let warm = run(&prep_b, rel, Some(&store), &off);
-        assert!(warm.store_use.expect("store attached").hits > 0, "no rel store hits");
-        assert_eq!(warm.run.outcome.report.to_json(), disabled.outcome.report.to_json());
-        assert!(
-            warm.run.outcome.timing.idfg_ns < disabled.outcome.timing.idfg_ns,
-            "warm rel run must be faster"
-        );
-    }
-
-    #[test]
     fn persistent_exec_reports_match_multi_launch() {
         for seed in [8710u64, 8711] {
             let prep = prepare_vetting(generate_app(0, seed, &GenConfig::tiny()));
@@ -633,6 +605,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "persistent")]
     fn persistent_exec_rejects_non_worklist_engines() {
-        engine_for_mode(EngineKind::Rel, ExecMode::Persistent);
+        engine_for_mode(EngineKind::Cpu, ExecMode::Persistent);
     }
 }

@@ -75,15 +75,15 @@
 //! `--engine`, `--exec`, `--targeted`, `--sumstore` and `--trace` are
 //! parsed once (`PlanFlags`) into the `ExecPlan` every vetting verb runs.
 //! `--engine` selects how the IDFG fixpoint is computed: `worklist` (the
-//! full-GDroid rung; `gdroid` is the same value), `rel` (the relational
-//! semi-naive GPU backend), `cpu` (the sequential reference solver), and
-//! — for `vet` only — the lower ladder rungs `plain|mat|matgrp` and the
-//! CPU baselines `mtcpu|amandroid`. Facts and verdicts are byte-identical
-//! across engines; only modeled timing differs. `gdroid engines` prints
-//! the capability table: `vet` refuses (exit 2) a combination an engine
-//! lacks, the service verbs reroute the job to the nearest plan that
-//! runs, and only full multi-launch worklist jobs use the result cache,
-//! the incremental warm start and co-resident batching.
+//! full-GDroid rung; `gdroid` is the same value), `cpu` (the sequential
+//! reference solver), and — for `vet` only — the lower ladder rungs
+//! `plain|mat|matgrp` and the CPU baselines `mtcpu|amandroid`. Facts and
+//! verdicts are byte-identical across engines; only modeled timing
+//! differs. `gdroid engines` prints the capability table: `vet` refuses
+//! (exit 2) a combination an engine lacks, the service verbs reroute the
+//! job to the nearest plan that runs, and only full multi-launch worklist
+//! jobs use the result cache, the incremental warm start and co-resident
+//! batching.
 //!
 //! `--exec persistent` switches the worklist engine to the
 //! persistent-kernel mode: each app's whole fixpoint runs as one
@@ -120,7 +120,7 @@ use std::sync::Arc;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  gdroid gen <seed> [out.jil]\n  gdroid vet <app.jil|seed> \
-         [--engine plain|mat|matgrp|gdroid|worklist|rel|cpu|mtcpu|amandroid] \
+         [--engine plain|mat|matgrp|gdroid|worklist|cpu|mtcpu|amandroid] \
          [--exec multi|persistent] [--targeted] \
          [--sumstore <dir>] [--trace <out.json>] [--json]\n  \
          gdroid engines\n  \
@@ -129,14 +129,14 @@ fn usage() -> ! {
          gdroid corpus <n>\n  gdroid dot <app.jil|seed> [out.dot]\n  gdroid export <n> <dir>\n  \
          gdroid assess <app.jil|seed> [--json]\n  \
          gdroid serve --apps N [--workers K] [--devices D] [--coresident C] [--faults P:B] \
-         [--engine worklist|rel|cpu] [--exec multi|persistent] [--targeted-lane] \
+         [--engine worklist|cpu] [--exec multi|persistent] [--targeted-lane] \
          [--sumstore <dir>] [--trace-dir <dir>] [--digest] [--json]\n  \
          gdroid batch <bundle-dir> [--workers K] [--devices D] [--coresident C] \
-         [--engine worklist|rel|cpu] [--exec multi|persistent] [--sumstore <dir>] \
+         [--engine worklist|cpu] [--exec multi|persistent] [--sumstore <dir>] \
          [--trace-dir <dir>] [--digest] [--json]\n  \
          gdroid sumstore stats|clear <dir>\n  \
          gdroid campaign --apps N [--shards S] [--seed X] [--workers K] [--devices D] \
-         [--coresident C] [--engine worklist|rel|cpu] [--exec multi|persistent] [--targeted] \
+         [--coresident C] [--engine worklist|cpu] [--exec multi|persistent] [--targeted] \
          [--sumstore] [--scale F] \
          [--snapshot] [--rotate N] [--shared-store] [--delta DIR] [--updates PPM[:SALT]] \
          [--journal-dir DIR] [--out FILE] [--verdicts FILE] [--trace-dir DIR] [--fresh] [--json]"
@@ -193,13 +193,13 @@ impl<'a> PlanFlags<'a> {
         }
     }
 
-    /// The engine of a service-backed verb: one of the three kinds a
+    /// The engine of a service-backed verb: one of the two kinds a
     /// service selects between.
     fn service_engine(&self) -> EngineKind {
         self.plan.engine.kind().unwrap_or_else(|| {
             eprintln!(
                 "engine {} runs under `gdroid vet` only; serve, batch and campaign take \
-                 worklist|rel|cpu",
+                 worklist|cpu",
                 self.plan.engine
             );
             exit(2)

@@ -15,7 +15,6 @@
 //! | [`analysis`] | points-to fact domain, set/matrix stores, transfer functions, CPU solvers |
 //! | [`gpusim`] | warp-synchronous SIMT GPU simulator (TESLA P40 model) |
 //! | [`core`] | the GDroid kernels: plain, MAT, MAT+GRP, full GDroid; the `AnalysisEngine` trait |
-//! | [`rel`] | relational (semi-naive Datalog) GPU backend: delta relations, hash joins |
 //! | [`vetting`] | taint analysis plugin, IDFG-reuse plugins, risk assessment, end-to-end pipeline |
 //! | [`sumstore`] | cross-app shared-library summary store keyed by canonical method hashes |
 //! | [`serve`] | in-process vetting service: priority queue, device scheduler, result cache |
@@ -53,7 +52,6 @@ pub use gdroid_core as core;
 pub use gdroid_gpusim as gpusim;
 pub use gdroid_icfg as icfg;
 pub use gdroid_ir as ir;
-pub use gdroid_rel as rel;
 pub use gdroid_serve as serve;
 pub use gdroid_sumstore as sumstore;
 pub use gdroid_trace as trace;
