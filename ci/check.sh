@@ -85,12 +85,22 @@ constructors=$(grep -c 'pub fn compute' crates/icfg/src/layers.rs)
   exit 1
 }
 
+echo "==> hot-path ratchet: warp_process allocates nothing per step"
+# BlockCtx::warp_process runs once per simulated warp step; its buffers are
+# the Device-owned WarpScratch (DESIGN.md, "Host cost of the simulator").
+if awk '/pub fn warp_process/ { on = 1; next } on && /pub fn / { exit } on' \
+  crates/gpusim/src/block.rs | grep -nE '\.collect\(\)|Vec::new\(|vec!\[|HashMap'; then
+  echo "hot-path ratchet: a per-step collection is back in BlockCtx::warp_process —" \
+    "reuse WarpScratch instead" >&2
+  exit 1
+fi
+
 echo "==> bench drift: the cheap committed goldens match a regeneration"
 cargo build --release -p gdroid-bench --bin figures
 repo_root=$PWD
 drift_dir=$(mktemp -d)
 trap 'rm -rf "$drift_dir"' EXIT
-for bench in trace targeted sumstore; do
+for bench in trace targeted sumstore persist; do
   (cd "$drift_dir" && "$repo_root/target/release/figures" "$bench" >/dev/null)
   cmp "$drift_dir/BENCH_$bench.json" "BENCH_$bench.json" || {
     echo "bench drift: BENCH_$bench.json is stale — a modeled number moved;" \

@@ -385,17 +385,17 @@ pub fn check_soundness(
         };
         let node = cfg.node_of(obs.stmt);
         let facts = analysis.node_facts(obs.method, node);
-        let row = facts.row(slot);
+        let mut row = facts.row(slot);
         let birth = heap_births(obs.object);
         let predicted = match birth {
             Birth::Site(m, s) if m == obs.method => {
-                row.iter().any(|&i| space.instances[usize::from(i)] == Instance::Alloc(s))
+                row.any(|i| space.instances[usize::from(i)] == Instance::Alloc(s))
             }
             Birth::External(m, s) if m == obs.method => {
-                row.iter().any(|&i| space.instances[usize::from(i)] == Instance::CallRet(s))
+                row.any(|i| space.instances[usize::from(i)] == Instance::CallRet(s))
             }
             // Cross-method object: any symbolic instance covers it.
-            _ => row.iter().any(|&i| {
+            _ => row.any(|i| {
                 matches!(
                     space.instances[usize::from(i)],
                     Instance::Formal(_) | Instance::CallRet(_) | Instance::StaticIn(_)

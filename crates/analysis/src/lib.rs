@@ -50,7 +50,7 @@ pub use solver::{
     analyze_app, analyze_app_presolved, merge_site_summaries, solve_method, AppAnalysis, StoreKind,
     WorklistTelemetry,
 };
-pub use store::{FactStore, Geometry, MatrixStore, NodeFacts, SetStore, UnionOutcome};
+pub use store::{FactStore, Geometry, MatrixStore, NodeFacts, NodeView, SetStore, UnionOutcome};
 pub use summary::{derive_summary, MethodSummary, SummaryMap, Token};
 pub use sweep::solve_method_sweep;
 pub use transfer::{CallResolution, TransferCtx, TransferEffort};

@@ -8,7 +8,7 @@
 //! every callee summary is final — the SBDA property.
 
 use crate::fact::MethodSpace;
-use crate::store::{FactStore, Geometry, MatrixStore, NodeFacts, SetStore};
+use crate::store::{FactStore, Geometry, MatrixStore, NodeView, SetStore};
 use crate::summary::{derive_summary, MethodSummary, SummaryMap};
 use crate::transfer::{CallResolution, TransferCtx};
 use gdroid_icfg::{CallGraph, CallLayers, CallTarget, Cfg, LayerScc};
@@ -160,7 +160,7 @@ pub fn solve_method<S: FactStore>(
             telemetry.word_ops += words; // snapshot copy
             let input = store.snapshot(node as usize);
             let (out, effort) = match cfg.stmt_of(node) {
-                Some(stmt_idx) => ctx.transfer(stmt_idx, &input),
+                Some(stmt_idx) => ctx.transfer(stmt_idx, input.view()),
                 None => (input, Default::default()), // entry/exit: identity
             };
             telemetry.rows_read += effort.rows_read;
@@ -213,8 +213,8 @@ pub struct AppAnalysis {
 
 impl AppAnalysis {
     /// Facts of one node of one method.
-    pub fn node_facts(&self, mid: MethodId, node: u32) -> NodeFacts {
-        self.facts[&mid].snapshot(node as usize)
+    pub fn node_facts(&self, mid: MethodId, node: u32) -> NodeView<'_> {
+        self.facts[&mid].node(node as usize)
     }
 
     /// Total facts across all methods' nodes.
@@ -384,12 +384,7 @@ fn solve_scc(
             };
             telemetry.absorb(&tele);
             accumulated.absorb(&tele);
-            let summary = derive_summary(
-                &program.methods[mid],
-                space,
-                &|n| facts.snapshot(n),
-                cfg.exit() as usize,
-            );
+            let summary = derive_summary(&program.methods[mid], space, &facts, cfg.exit() as usize);
             if scc.recursive {
                 changed |= view.insert(mid, summary.clone()).as_ref() != Some(&summary);
             }

@@ -55,6 +55,81 @@ impl Geometry {
     }
 }
 
+/// Bit indices set in `words[start..end)`, ascending; all-zero words cost
+/// one test each.
+fn set_bits(words: &[u64], start: usize, end: usize) -> impl Iterator<Item = usize> + '_ {
+    let mut wi = start / 64;
+    let mut cur = if start < end { words[wi] & (!0 << (start % 64)) } else { 0 };
+    std::iter::from_fn(move || loop {
+        if cur != 0 {
+            let bit = wi * 64 + cur.trailing_zeros() as usize;
+            cur &= cur - 1;
+            // Bits ascend, so the first one past `end` ends the walk.
+            return (bit < end).then_some(bit);
+        }
+        wi += 1;
+        if wi * 64 >= end {
+            return None;
+        }
+        cur = words[wi];
+    })
+}
+
+/// A borrowed node bitmap: what [`MatrixStore::node`] lends and what every
+/// read of a [`NodeFacts`] goes through.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeView<'a> {
+    geometry: Geometry,
+    words: &'a [u64],
+}
+
+impl<'a> NodeView<'a> {
+    /// Raw words (for GPU buffer transfer).
+    #[inline]
+    pub fn words(self) -> &'a [u64] {
+        self.words
+    }
+
+    /// Tests a fact.
+    #[inline]
+    pub fn get(self, fact: Fact) -> bool {
+        let bit = self.geometry.bit_of(fact);
+        self.words[bit / 64] & (1 << (bit % 64)) != 0
+    }
+
+    /// Iterates the instances present in a slot row.
+    pub fn row(self, slot: SlotIdx) -> impl Iterator<Item = InstanceIdx> + 'a {
+        let start = usize::from(slot) * self.geometry.insts;
+        set_bits(self.words, start, start + self.geometry.insts)
+            .map(move |bit| (bit - start) as InstanceIdx)
+    }
+
+    /// Number of facts set.
+    pub fn count(self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Iterates the flat bit positions ([`Geometry::bit_of`]) of all facts
+    /// set, ascending.
+    pub fn bits(self) -> impl Iterator<Item = usize> + 'a {
+        set_bits(self.words, 0, self.geometry.bits())
+    }
+
+    /// Iterates all facts set.
+    pub fn iter(self) -> impl Iterator<Item = Fact> + 'a {
+        let insts = self.geometry.insts;
+        self.bits().map(move |bit| Fact {
+            slot: (bit / insts) as SlotIdx,
+            instance: (bit % insts) as InstanceIdx,
+        })
+    }
+
+    /// Copies the bitmap out.
+    pub fn to_owned(self) -> NodeFacts {
+        NodeFacts { geometry: self.geometry, words: self.words.to_vec() }
+    }
+}
+
 /// One node's facts as a fixed-size bitmap — the unit the transfer
 /// functions operate on.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,6 +152,19 @@ impl NodeFacts {
             return None;
         }
         Some(NodeFacts { geometry, words })
+    }
+
+    /// The read-only view every query below goes through.
+    #[inline]
+    pub fn view(&self) -> NodeView<'_> {
+        NodeView { geometry: self.geometry, words: &self.words }
+    }
+
+    /// Overwrites this bitmap with `src`, keeping the allocation.
+    pub fn assign(&mut self, src: NodeView<'_>) {
+        self.geometry = src.geometry;
+        self.words.clear();
+        self.words.extend_from_slice(src.words);
     }
 
     /// The geometry.
@@ -105,38 +193,39 @@ impl NodeFacts {
     /// Tests a fact.
     #[inline]
     pub fn get(&self, fact: Fact) -> bool {
-        let bit = self.geometry.bit_of(fact);
-        self.words[bit / 64] & (1 << (bit % 64)) != 0
+        self.view().get(fact)
     }
 
     /// Clears an entire slot row (strong update / kill).
     pub fn clear_row(&mut self, slot: SlotIdx) {
         let insts = self.geometry.insts;
+        if insts == 0 {
+            return;
+        }
         let start = usize::from(slot) * insts;
-        for bit in start..start + insts {
-            self.words[bit / 64] &= !(1 << (bit % 64));
+        let last = start + insts - 1;
+        let (first_word, last_word) = (start / 64, last / 64);
+        let head = !0u64 << (start % 64);
+        let tail = !0u64 >> (63 - last % 64);
+        if first_word == last_word {
+            self.words[first_word] &= !(head & tail);
+        } else {
+            self.words[first_word] &= !head;
+            self.words[first_word + 1..last_word].fill(0);
+            self.words[last_word] &= !tail;
         }
     }
 
     /// Iterates the instances present in a slot row.
-    pub fn row(&self, slot: SlotIdx) -> Vec<InstanceIdx> {
-        let insts = self.geometry.insts;
-        let start = usize::from(slot) * insts;
-        let mut out = Vec::new();
-        for i in 0..insts {
-            let bit = start + i;
-            if self.words[bit / 64] & (1 << (bit % 64)) != 0 {
-                out.push(i as InstanceIdx);
-            }
-        }
-        out
+    pub fn row(&self, slot: SlotIdx) -> impl Iterator<Item = InstanceIdx> + '_ {
+        self.view().row(slot)
     }
 
     /// Copies a source row's bits into a destination row (the core
     /// propagation primitive `x = y`).
-    pub fn copy_row_from(&mut self, dst: SlotIdx, src: &NodeFacts, src_slot: SlotIdx) {
-        for inst in src.row(src_slot) {
-            self.set(Fact { slot: dst, instance: inst });
+    pub fn copy_row_from(&mut self, dst: SlotIdx, src: NodeView<'_>, src_slot: SlotIdx) {
+        for instance in src.row(src_slot) {
+            self.set(Fact { slot: dst, instance });
         }
     }
 
@@ -154,27 +243,12 @@ impl NodeFacts {
 
     /// Number of facts set.
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.view().count()
     }
 
     /// Iterates all facts set.
     pub fn iter(&self) -> impl Iterator<Item = Fact> + '_ {
-        let insts = self.geometry.insts;
-        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let tz = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let bit = wi * 64 + tz;
-                Some(Fact {
-                    slot: (bit / insts) as SlotIdx,
-                    instance: (bit % insts) as InstanceIdx,
-                })
-            })
-        })
+        self.view().iter()
     }
 }
 
@@ -284,52 +358,47 @@ impl FactStore for SetStore {
 #[derive(Clone, Debug)]
 pub struct MatrixStore {
     geometry: Geometry,
-    nodes: Vec<NodeFacts>,
+    nodes: usize,
+    /// Every node's bitmap back to back, `geometry.words()` words each.
+    words: Vec<u64>,
 }
 
 impl MatrixStore {
     /// Creates a store for `nodes` nodes — one fixed allocation, up front.
     pub fn new(geometry: Geometry, nodes: usize) -> MatrixStore {
-        MatrixStore { geometry, nodes: vec![NodeFacts::empty(geometry); nodes] }
+        MatrixStore { geometry, nodes, words: vec![0; nodes * geometry.words()] }
     }
 
     /// Direct read access to a node's bitmap (no copy).
-    pub fn node(&self, node: usize) -> &NodeFacts {
-        &self.nodes[node]
+    #[inline]
+    pub fn node(&self, node: usize) -> NodeView<'_> {
+        let per = self.geometry.words();
+        NodeView { geometry: self.geometry, words: &self.words[node * per..(node + 1) * per] }
     }
 
-    /// Flattens every node bitmap into one row-major word vector — the
-    /// relocatable form the summary store persists (bit positions are
-    /// purely positional, so no translation is needed across programs
-    /// with structurally identical bodies).
+    /// Every node bitmap in one row-major word vector — the relocatable
+    /// form the summary store persists (bit positions are purely
+    /// positional, so no translation is needed across programs with
+    /// structurally identical bodies).
     pub fn flat_words(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.nodes.len() * self.geometry.words());
-        for n in &self.nodes {
-            out.extend_from_slice(n.words());
-        }
-        out
+        self.words.clone()
     }
 
     /// Inverse of [`MatrixStore::flat_words`]: rebuilds a store from
     /// flattened words. `None` when the word count does not match
     /// `nodes × geometry.words()`.
     pub fn from_flat_words(geometry: Geometry, nodes: usize, words: &[u64]) -> Option<MatrixStore> {
-        let per = geometry.words();
-        if words.len() != nodes * per {
-            return None;
-        }
-        let nodes = if per == 0 {
-            vec![NodeFacts::empty(geometry); nodes]
-        } else {
-            words.chunks(per).map(|chunk| NodeFacts { geometry, words: chunk.to_vec() }).collect()
-        };
-        MatrixStore { geometry, nodes }.into()
+        (words.len() == nodes * geometry.words()).then(|| MatrixStore {
+            geometry,
+            nodes,
+            words: words.to_vec(),
+        })
     }
 }
 
 impl FactStore for MatrixStore {
     fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes
     }
 
     fn geometry(&self) -> Geometry {
@@ -337,27 +406,38 @@ impl FactStore for MatrixStore {
     }
 
     fn snapshot(&self, node: usize) -> NodeFacts {
-        self.nodes[node].clone()
+        self.node(node).to_owned()
     }
 
     fn union_into(&mut self, node: usize, facts: &NodeFacts) -> UnionOutcome {
-        let before = self.nodes[node].count();
-        let changed = self.nodes[node].union(facts);
-        UnionOutcome { changed, inserted: self.nodes[node].count() - before, reallocations: 0 }
+        debug_assert_eq!(self.geometry, facts.geometry);
+        let per = self.geometry.words();
+        let mut inserted = 0;
+        for (w, &o) in self.words[node * per..(node + 1) * per].iter_mut().zip(&facts.words) {
+            let fresh = o & !*w;
+            // Most words bring nothing new; skip their popcount.
+            if fresh != 0 {
+                inserted += fresh.count_ones() as usize;
+                *w |= o;
+            }
+        }
+        UnionOutcome { changed: inserted > 0, inserted, reallocations: 0 }
     }
 
     fn seed(&mut self, node: usize, facts: &[Fact]) {
+        let base = node * self.geometry.words();
         for &f in facts {
-            self.nodes[node].set(f);
+            let bit = self.geometry.bit_of(f);
+            self.words[base + bit / 64] |= 1 << (bit % 64);
         }
     }
 
     fn fact_count(&self, node: usize) -> usize {
-        self.nodes[node].count()
+        self.node(node).count()
     }
 
     fn memory_bytes(&self) -> usize {
-        self.nodes.len() * self.geometry.words() * 8
+        self.words.len() * 8
     }
 }
 
@@ -399,9 +479,9 @@ mod tests {
         bm.set(Fact { slot: 2, instance: 1 });
         bm.set(Fact { slot: 2, instance: 5 });
         bm.set(Fact { slot: 3, instance: 0 });
-        assert_eq!(bm.row(2), vec![1, 5]);
-        assert_eq!(bm.row(3), vec![0]);
-        assert_eq!(bm.row(4), Vec::<InstanceIdx>::new());
+        assert_eq!(bm.row(2).collect::<Vec<_>>(), [1, 5]);
+        assert_eq!(bm.row(3).collect::<Vec<_>>(), [0]);
+        assert_eq!(bm.row(4).count(), 0);
     }
 
     #[test]
@@ -438,8 +518,8 @@ mod tests {
         src.set(Fact { slot: 5, instance: 2 });
         src.set(Fact { slot: 5, instance: 4 });
         let mut dst = NodeFacts::empty(geo());
-        dst.copy_row_from(1, &src, 5);
-        assert_eq!(dst.row(1), vec![2, 4]);
+        dst.copy_row_from(1, src.view(), 5);
+        assert_eq!(dst.row(1).collect::<Vec<_>>(), [2, 4]);
     }
 
     fn store_contract(mut store: impl FactStore) {

@@ -7,7 +7,7 @@
 //! same call-graph layer independent and thread-block-parallelizable.
 
 use crate::fact::{Instance, MethodSpace, Slot};
-use crate::store::NodeFacts;
+use crate::store::MatrixStore;
 use gdroid_ir::{FieldId, Method, MethodId, Stmt};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
@@ -93,7 +93,7 @@ pub fn derive_summary(
     method: &Method,
     space: &MethodSpace,
     // IN-facts per CFG node, indexed by node id (entry=0 … exit=last).
-    node_facts: &dyn Fn(usize) -> NodeFacts,
+    facts: &MatrixStore,
     exit_node: usize,
 ) -> MethodSummary {
     let mut summary = MethodSummary::default();
@@ -102,8 +102,7 @@ pub fn derive_summary(
     for (idx, stmt) in method.body.iter_enumerated() {
         if let Stmt::Return { var: Some(v) } = stmt {
             if let Some(slot) = space.slot(Slot::Local(*v)) {
-                let facts = node_facts(idx.index() + 1);
-                for inst in facts.row(slot) {
+                for inst in facts.node(idx.index() + 1).row(slot) {
                     summary.returns.insert(token_of(space.instances[usize::from(inst)]));
                 }
             }
@@ -111,7 +110,7 @@ pub fn derive_summary(
     }
 
     // Escaping heap effects: exit facts, all heap/static/array slots.
-    let exit = node_facts(exit_node);
+    let exit = facts.node(exit_node);
     for (si, &slot) in space.slots.iter().enumerate() {
         match slot {
             Slot::Heap(recv, field) => {
@@ -149,7 +148,7 @@ pub fn derive_summary(
 mod tests {
     use super::*;
     use crate::fact::Fact;
-    use crate::store::Geometry;
+    use crate::store::{FactStore, Geometry, NodeFacts};
     use gdroid_ir::{Expr, JType, Lhs, ProgramBuilder, StmtIdx, VarId};
 
     #[test]
@@ -217,10 +216,12 @@ mod tests {
         exit.set(Fact { slot: this_slot, instance: formal0 });
         exit.set(Fact { slot: p_slot, instance: formal1 });
         exit.set(Fact { slot: heap_slot, instance: alloc });
-        let exit_clone = exit.clone();
-        let node_facts = move |_n: usize| exit_clone.clone();
+        let mut facts = MatrixStore::new(geometry, 4);
+        for node in 0..4 {
+            facts.union_into(node, &exit);
+        }
 
-        let summary = derive_summary(method, &space, &node_facts, 3);
+        let summary = derive_summary(method, &space, &facts, 3);
         assert!(summary.returns.contains(&Token::Formal(1)), "{summary:?}");
         assert!(summary.field_writes.contains(&(Token::Formal(0), f, Token::Fresh)), "{summary:?}");
     }

@@ -54,7 +54,7 @@ pub fn solve_method_sweep<S: FactStore>(
             telemetry.word_ops += words;
             let input = store.snapshot(node as usize);
             let (out, effort) = match cfg.stmt_of(node) {
-                Some(stmt_idx) => ctx.transfer(stmt_idx, &input),
+                Some(stmt_idx) => ctx.transfer(stmt_idx, input.view()),
                 None => (input, Default::default()),
             };
             telemetry.rows_read += effort.rows_read;

@@ -12,7 +12,7 @@
 //! (reported in [`TransferEffort`]).
 
 use crate::fact::{Fact, Instance, MethodSpace, Slot};
-use crate::store::NodeFacts;
+use crate::store::{Geometry, NodeFacts, NodeView};
 use crate::summary::{MethodSummary, Token};
 use gdroid_ir::{Expr, Lhs, Literal, Method, Stmt, StmtIdx, VarId};
 
@@ -55,14 +55,28 @@ impl<'a> TransferCtx<'a> {
 
     /// Applies the transfer function of statement `stmt` to `input`,
     /// returning the OUT bitmap and the effort expended.
-    pub fn transfer(&self, stmt_idx: StmtIdx, input: &NodeFacts) -> (NodeFacts, TransferEffort) {
-        let mut out = input.clone();
+    pub fn transfer(&self, stmt_idx: StmtIdx, input: NodeView<'_>) -> (NodeFacts, TransferEffort) {
+        // Empty until `transfer_into` sizes it: one allocation, as a clone.
+        let mut out = NodeFacts::empty(Geometry::default());
+        let effort = self.transfer_into(stmt_idx, input, &mut out);
+        (out, effort)
+    }
+
+    /// [`TransferCtx::transfer`] into a bitmap the caller reuses: `out` is
+    /// overwritten, its allocation kept.
+    pub fn transfer_into(
+        &self,
+        stmt_idx: StmtIdx,
+        input: NodeView<'_>,
+        out: &mut NodeFacts,
+    ) -> TransferEffort {
+        out.assign(input);
         let mut effort = TransferEffort::default();
         let stmt = &self.method.body[stmt_idx];
 
         match stmt {
             Stmt::Assign { lhs, rhs } => {
-                self.transfer_assign(stmt_idx, lhs, rhs, input, &mut out, &mut effort)
+                self.transfer_assign(stmt_idx, lhs, rhs, input, out, &mut effort)
             }
             Stmt::Call { ret, args, .. } => {
                 let summary_storage;
@@ -73,7 +87,7 @@ impl<'a> TransferCtx<'a> {
                         &summary_storage
                     }
                 };
-                self.apply_summary(stmt_idx, summary, *ret, args, input, &mut out, &mut effort);
+                self.apply_summary(stmt_idx, summary, *ret, args, input, out, &mut effort);
             }
             // Control and no-op statements: identity transfer.
             Stmt::Empty
@@ -84,7 +98,7 @@ impl<'a> TransferCtx<'a> {
             | Stmt::Switch { .. }
             | Stmt::Throw { .. } => {}
         }
-        (out, effort)
+        effort
     }
 
     fn transfer_assign(
@@ -92,7 +106,7 @@ impl<'a> TransferCtx<'a> {
         stmt_idx: StmtIdx,
         lhs: &Lhs,
         rhs: &Expr,
-        input: &NodeFacts,
+        input: NodeView<'_>,
         out: &mut NodeFacts,
         effort: &mut TransferEffort,
     ) {
@@ -110,7 +124,7 @@ impl<'a> TransferCtx<'a> {
             Expr::Var(v) | Expr::Cast { operand: v, .. } | Expr::CallRhs { ret: v } => {
                 effort.rows_read += 1;
                 effort.deref_layers = effort.deref_layers.max(1);
-                self.local(*v).map(|s| input.row(s))
+                self.local(*v).map(|s| input.row(s).collect())
             }
             Expr::Tuple { elems } => {
                 effort.deref_layers = effort.deref_layers.max(1);
@@ -128,7 +142,7 @@ impl<'a> TransferCtx<'a> {
             Expr::StaticField { field } => {
                 effort.rows_read += 1;
                 effort.deref_layers = effort.deref_layers.max(1);
-                self.space.slot(Slot::Static(*field)).map(|s| input.row(s))
+                self.space.slot(Slot::Static(*field)).map(|s| input.row(s).collect())
             }
             Expr::Access { base, field } => {
                 // Double de-reference: base's instances, then their heap
@@ -234,7 +248,7 @@ impl<'a> TransferCtx<'a> {
         token: Token,
         stmt_idx: StmtIdx,
         args: &[VarId],
-        input: &NodeFacts,
+        input: NodeView<'_>,
         effort: &mut TransferEffort,
     ) -> Vec<u16> {
         match token {
@@ -242,7 +256,7 @@ impl<'a> TransferCtx<'a> {
                 Some(&v) => match self.local(v) {
                     Some(s) => {
                         effort.rows_read += 1;
-                        input.row(s)
+                        input.row(s).collect()
                     }
                     None => Vec::new(), // primitive argument
                 },
@@ -256,7 +270,7 @@ impl<'a> TransferCtx<'a> {
             Token::StaticIn(f) => match self.space.slot(Slot::Static(f)) {
                 Some(s) => {
                     effort.rows_read += 1;
-                    input.row(s)
+                    input.row(s).collect()
                 }
                 None => Vec::new(),
             },
@@ -270,7 +284,7 @@ impl<'a> TransferCtx<'a> {
         summary: &MethodSummary,
         ret: Option<VarId>,
         args: &[VarId],
-        input: &NodeFacts,
+        input: NodeView<'_>,
         out: &mut NodeFacts,
         effort: &mut TransferEffort,
     ) {
@@ -400,7 +414,7 @@ mod tests {
             space: &space,
             resolve_call: &resolve,
         };
-        let (out, effort) = ctx.transfer(StmtIdx(0), &entry);
+        let (out, effort) = ctx.transfer(StmtIdx(0), entry.view());
         let slot = space.slot(Slot::Local(fx.r)).unwrap();
         let alloc = space.instance(Instance::Alloc(StmtIdx(0))).unwrap();
         assert!(out.get(Fact { slot, instance: alloc }));
@@ -418,10 +432,10 @@ mod tests {
             resolve_call: &resolve,
         };
         // L0 then L1 then L2.
-        let (f0, _) = ctx.transfer(StmtIdx(0), &entry);
-        let (f1, e1) = ctx.transfer(StmtIdx(1), &f0);
+        let (f0, _) = ctx.transfer(StmtIdx(0), entry.view());
+        let (f1, e1) = ctx.transfer(StmtIdx(1), f0.view());
         assert_eq!(e1.deref_layers, 2, "heap store is double-layer");
-        let (f2, e2) = ctx.transfer(StmtIdx(2), &f1);
+        let (f2, e2) = ctx.transfer(StmtIdx(2), f1.view());
         assert_eq!(e2.deref_layers, 2, "field load is double-layer");
         let q_slot = space.slot(Slot::Local(fx.q)).unwrap();
         let alloc = space.instance(Instance::Alloc(StmtIdx(0))).unwrap();
@@ -442,12 +456,12 @@ mod tests {
             space: &space,
             resolve_call: &resolve,
         };
-        let (f0, _) = ctx.transfer(StmtIdx(0), &entry);
-        let (f1, _) = ctx.transfer(StmtIdx(1), &f0);
-        let (f2, _) = ctx.transfer(StmtIdx(2), &f1);
-        let (f3, _) = ctx.transfer(StmtIdx(3), &f2);
+        let (f0, _) = ctx.transfer(StmtIdx(0), entry.view());
+        let (f1, _) = ctx.transfer(StmtIdx(1), f0.view());
+        let (f2, _) = ctx.transfer(StmtIdx(2), f1.view());
+        let (f3, _) = ctx.transfer(StmtIdx(3), f2.view());
         let q_slot = space.slot(Slot::Local(fx.q)).unwrap();
-        assert!(f3.row(q_slot).is_empty(), "null kills q's points-to");
+        assert_eq!(f3.row(q_slot).count(), 0, "null kills q's points-to");
     }
 
     #[test]
@@ -460,10 +474,10 @@ mod tests {
             space: &space,
             resolve_call: &resolve,
         };
-        let (out, _) = ctx.transfer(StmtIdx(4), &entry);
+        let (out, _) = ctx.transfer(StmtIdx(4), entry.view());
         let s_slot = space.slot(Slot::Local(fx.s)).unwrap();
         let ret = space.instance(Instance::CallRet(StmtIdx(4))).unwrap();
-        assert_eq!(out.row(s_slot), vec![ret]);
+        assert_eq!(out.row(s_slot).collect::<Vec<_>>(), [ret]);
     }
 
     #[test]
@@ -492,12 +506,16 @@ mod tests {
             &summary,
             Some(fx.s),
             &[fx.this, fx.r],
-            &entry,
+            entry.view(),
             &mut out,
             &mut effort,
         );
         let s_slot = space.slot(Slot::Local(fx.s)).unwrap();
-        assert_eq!(out.row(s_slot), vec![alloc], "arg r's points-to flows to the return");
+        assert_eq!(
+            out.row(s_slot).collect::<Vec<_>>(),
+            [alloc],
+            "arg r's points-to flows to the return"
+        );
     }
 
     #[test]
@@ -512,7 +530,15 @@ mod tests {
         let ctx = TransferCtx { method, space: &space, resolve_call: &resolve };
         let mut out = entry.clone();
         let mut effort = TransferEffort::default();
-        ctx.apply_summary(StmtIdx(4), &summary, None, &[fx.this], &entry, &mut out, &mut effort);
+        ctx.apply_summary(
+            StmtIdx(4),
+            &summary,
+            None,
+            &[fx.this],
+            entry.view(),
+            &mut out,
+            &mut effort,
+        );
         let formal0 = space.instance(Instance::Formal(0)).unwrap();
         let fresh = space.instance(Instance::CallRet(StmtIdx(4))).unwrap();
         let heap = space.slot(Slot::Heap(formal0, fx.f)).unwrap();
@@ -529,7 +555,7 @@ mod tests {
             space: &space,
             resolve_call: &resolve,
         };
-        let (out, effort) = ctx.transfer(StmtIdx(5), &entry); // return
+        let (out, effort) = ctx.transfer(StmtIdx(5), entry.view()); // return
         assert_eq!(out, entry);
         assert_eq!(effort, TransferEffort::default());
     }
@@ -545,14 +571,14 @@ mod tests {
             space: &space,
             resolve_call: &resolve,
         };
-        let (small_out, _) = ctx.transfer(StmtIdx(2), &entry);
+        let (small_out, _) = ctx.transfer(StmtIdx(2), entry.view());
         let mut bigger = entry.clone();
         // Add heap facts the load at L2 will pick up.
         let formal0 = space.instance(Instance::Formal(0)).unwrap();
         let heap = space.slot(Slot::Heap(formal0, fx.f)).unwrap();
         let ret = space.instance(Instance::CallRet(StmtIdx(4))).unwrap();
         bigger.set(Fact { slot: heap, instance: ret });
-        let (big_out, _) = ctx.transfer(StmtIdx(2), &bigger);
+        let (big_out, _) = ctx.transfer(StmtIdx(2), bigger.view());
         for fact in small_out.iter() {
             assert!(big_out.get(fact), "lost fact {fact:?} on larger input");
         }

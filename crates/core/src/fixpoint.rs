@@ -219,7 +219,7 @@ impl<'a> Fixpoint<'a> {
             let summary = derive_summary(
                 &self.program.methods[mid],
                 &self.spaces[&mid],
-                &|n| store.snapshot(n),
+                &store,
                 self.cfgs[&mid].exit() as usize,
             );
             if self.summaries.get(&mid) != Some(&summary) {

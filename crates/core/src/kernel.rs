@@ -18,10 +18,10 @@
 use crate::layout::MethodLayout;
 use crate::opts::OptConfig;
 use gdroid_analysis::{
-    CallResolution, FactStore, MatrixStore, MethodSpace, MethodSummary, TransferCtx,
-    WorklistTelemetry,
+    CallResolution, FactStore, MatrixStore, MethodSpace, MethodSummary, NodeFacts, NodeView,
+    TransferCtx, WorklistTelemetry,
 };
-use gdroid_gpusim::{AccessOrder, BlockCtx, LaneWork};
+use gdroid_gpusim::{segment_of, AccessOrder, BlockCtx, LaneWork};
 use gdroid_icfg::Cfg;
 use gdroid_ir::{Method, StmtIdx};
 use std::collections::HashMap;
@@ -73,8 +73,8 @@ pub fn run_method_block(
     store: &mut MatrixStore,
 ) -> WorklistTelemetry {
     let warp = ctx.config().warp_size;
+    let line_bytes = ctx.config().transaction_bytes;
     let geometry = store.geometry();
-    let insts = geometry.insts.max(1) as u64;
     // One statement-bitmask cell per (slot, instance).
     let cell_bytes = (method.len().div_ceil(8) as u64).max(1);
     let mut telemetry =
@@ -85,6 +85,15 @@ pub fn run_method_block(
         _ => CallResolution::External,
     };
     let tctx = TransferCtx { method, space, resolve_call: &resolve };
+
+    // Each node's branch partition under this configuration.
+    let partition_of = if opts.grp { grp_partition } else { plain_partition };
+    let partitions: Vec<u32> =
+        (0..cfg.len() as u32).map(|n| partition_of(method, cfg, n)).collect();
+    // The grouped (GRP) kernel handles many statement kinds in one
+    // data-driven path, which costs a few extra lookups per lane compared
+    // with the specialized 25-way branches.
+    let grp_overhead = if opts.grp { 14 } else { 0 };
 
     // Device-side set chunks (plain layout only).
     let mut set_states: Vec<SetState> = vec![SetState::default(); cfg.len()];
@@ -100,12 +109,17 @@ pub fn run_method_block(
     }
 
     let mut current: Vec<u32> = vec![cfg.entry()];
+    let mut next: Vec<u32> = Vec::new();
     // Alg. 1's termination is "all nodes visited AND facts stable": a
     // successor is enqueued on its first visit even when no facts changed
     // (see the CPU solver for the rationale).
     let mut visited = vec![false; cfg.len()];
     visited[cfg.entry() as usize] = true;
     let mut in_next = vec![false; cfg.len()];
+    // One OUT bitmap and one lane descriptor per head-list position, kept
+    // (with their allocations) from round to round.
+    let mut outs: Vec<NodeFacts> = Vec::new();
+    let mut lanes: Vec<LaneWork> = Vec::new();
 
     while !current.is_empty() {
         telemetry.rounds += 1;
@@ -113,87 +127,80 @@ pub fn run_method_block(
         telemetry.max_worklist = telemetry.max_worklist.max(current.len());
 
         // GRP: partial sort of the worklist by group (Alg. 3 line 7).
+        // `store_pos` is a permutation, so equal keys are equal nodes.
         if opts.grp {
             ctx.shared_sort(current.len());
-            current.sort_by_key(|&n| (grp_partition(method, cfg, n), layout.store_pos[n as usize]));
+            current
+                .sort_unstable_by_key(|&n| (partitions[n as usize], layout.store_pos[n as usize]));
         }
 
         // MER: only the head list (one warp) is processed; the tail is
         // postponed and merged with the destinations (Alg. 3 line 8).
         let head_len = if opts.mer { current.len().min(warp) } else { current.len() };
         let (head, tail) = current.split_at(head_len);
+        if outs.len() < head_len {
+            outs.resize_with(head_len, || NodeFacts::empty(geometry));
+            lanes.resize_with(head_len, LaneWork::default);
+        }
 
         // Jacobi semantics: all lanes of the round run concurrently on the
         // device, so every transfer reads the fact state as of round start;
         // updates only become visible to the *next* round. (The CPU solver
         // is naturally Gauss–Seidel; both reach the same unique fixed
         // point, but the GPU needs more processings — the redundancy MER
-        // then removes by postponing the tail.)
-        let round_outs: Vec<(
-            u32,
-            gdroid_analysis::NodeFacts,
-            gdroid_analysis::NodeFacts,
-            gdroid_analysis::TransferEffort,
-        )> = head
-            .iter()
-            .map(|&node| {
-                let input = store.snapshot(node as usize);
-                let (out, effort) = match cfg.stmt_of(node) {
-                    Some(stmt_idx) => tctx.transfer(stmt_idx, &input),
-                    None => (input.clone(), Default::default()),
-                };
-                (node, input, out, effort)
-            })
-            .collect();
+        // then removes by postponing the tail.) So the whole head list is
+        // transferred, straight out of the store, before anything is
+        // propagated.
+        for ((&node, out), lane) in head.iter().zip(&mut outs).zip(&mut lanes) {
+            let input = store.node(node as usize);
+            let effort = match cfg.stmt_of(node) {
+                Some(stmt_idx) => tctx.transfer_into(stmt_idx, input, out),
+                None => {
+                    out.assign(input);
+                    Default::default()
+                }
+            };
+            telemetry.nodes_processed += 1;
+            telemetry.word_ops += geometry.words();
+            telemetry.rows_read += effort.rows_read;
+            telemetry.facts_written += effort.facts_written;
 
-        let mut dests: Vec<u32> = Vec::new();
-        for chunk in round_outs.chunks(warp) {
-            let inputs_counts: Vec<&gdroid_analysis::NodeFacts> =
-                chunk.iter().map(|(_, input, _, _)| input).collect();
-            let mut lanes: Vec<LaneWork> = Vec::with_capacity(chunk.len());
-            for (lane_idx, (node, _input, out, effort)) in chunk.iter().enumerate() {
-                let (node, effort) = (*node, *effort);
-                telemetry.nodes_processed += 1;
-                telemetry.word_ops += geometry.words();
-                telemetry.rows_read += effort.rows_read;
-                telemetry.facts_written += effort.facts_written;
+            lane.partition = partitions[node as usize];
+            lane.compute_cycles =
+                18 + grp_overhead + 3 * effort.rows_read as u64 + 2 * effort.facts_written as u64;
+            lane.deref_layers = effort.deref_layers as u32;
+            // Fact traffic is atomic on real hardware (bitmap ORs under
+            // MAT, CAS-based set inserts without it), so the Jacobi
+            // same-round overlaps are not races.
+            lane.order = AccessOrder::Atomic;
+            lane.reads.clear();
+            lane.writes.clear();
+            lane.mallocs.clear();
+            lane.bytes_written = 0;
+            // Read cost of this node's own facts. Under MAT the method's
+            // matrix stores one statement-bitmask cell per (slot,
+            // instance); a node's in-facts are the cells whose bit `node`
+            // is set, so the traffic is proportional to the facts present,
+            // not to the matrix size — the paper's fixed-size "entry
+            // looking-up" (§IV-A). (Without MAT the whole set chunk is
+            // scanned — as it stands when the lane runs, below.)
+            lane.bytes_read = if opts.mat {
+                cell_addrs(&mut lane.reads, layout, input, cell_bytes, line_bytes)
+            } else {
+                0
+            };
+        }
 
-                let partition = if opts.grp {
-                    grp_partition(method, cfg, node)
-                } else {
-                    plain_partition(method, cfg, node)
-                };
-                // The grouped (GRP) kernel handles many statement kinds in
-                // one data-driven path, which costs a few extra lookups
-                // per lane compared with the specialized 25-way branches.
-                let grp_overhead = if opts.grp { 14 } else { 0 };
-                let mut lane = LaneWork {
-                    partition,
-                    compute_cycles: 18
-                        + grp_overhead
-                        + 3 * effort.rows_read as u64
-                        + 2 * effort.facts_written as u64,
-                    deref_layers: effort.deref_layers as u32,
-                    // Fact traffic is atomic on real hardware (bitmap ORs
-                    // under MAT, CAS-based set inserts without it), so the
-                    // Jacobi same-round overlaps are not races.
-                    order: AccessOrder::Atomic,
-                    ..Default::default()
-                };
-
-                // Read cost of this node's own facts. Under MAT the
-                // method's matrix stores one statement-bitmask cell per
-                // (slot, instance); a node's in-facts are the cells whose
-                // bit `node` is set, so the traffic is proportional to the
-                // facts present, not to the matrix size — the paper's
-                // fixed-size "entry looking-up" (§IV-A). Without MAT the
-                // whole set chunk is scanned.
-                if opts.mat {
-                    lane.bytes_read +=
-                        cell_addrs(&mut lane.reads, layout, inputs_counts[lane_idx], cell_bytes);
-                } else {
+        next.clear();
+        for ((nodes, outs), lanes) in head
+            .chunks(warp)
+            .zip(outs[..head_len].chunks(warp))
+            .zip(lanes[..head_len].chunks_mut(warp))
+        {
+            for ((&node, out), lane) in nodes.iter().zip(outs).zip(&mut *lanes) {
+                if !opts.mat {
                     let s = set_states[node as usize];
-                    lane.bytes_read += stream_addrs(&mut lane.reads, s.base, s.cap * 8);
+                    lane.bytes_read += stream_addrs(&mut lane.reads, s.base, s.cap * 8, line_bytes);
                 }
 
                 // Propagate to successors.
@@ -207,13 +214,16 @@ pub fn run_method_block(
                         // Each propagated fact ORs the successor's bit into
                         // its cell: traffic is the out-fact cells (reads:
                         // bit tests; writes: only newly inserted bits).
-                        lane.bytes_read += cell_addrs(&mut lane.reads, layout, out, cell_bytes);
-                        let mut written = 0u64;
-                        for fact in out.iter().take(outcome.inserted) {
-                            lane.writes.push(cell_addr(layout, fact, insts, cell_bytes));
-                            written += cell_bytes;
-                        }
-                        lane.bytes_written += written;
+                        lane.bytes_read +=
+                            cell_addrs(&mut lane.reads, layout, out.view(), cell_bytes, line_bytes);
+                        let before = lane.writes.len();
+                        lane.writes.extend(
+                            out.view()
+                                .bits()
+                                .take(outcome.inserted)
+                                .map(|bit| cell_addr(layout, bit, cell_bytes)),
+                        );
+                        lane.bytes_written += (lane.writes.len() - before) as u64 * cell_bytes;
                     } else {
                         // Set semantics: probe + insert each new fact at a
                         // hash-scattered position; grow the chunk when
@@ -226,8 +236,12 @@ pub fn run_method_block(
                             lane.mallocs.push(new_cap * 8);
                             telemetry.reallocations += 1;
                             // Rehash: stream the old chunk out and in.
-                            lane.bytes_read +=
-                                stream_addrs(&mut lane.reads, state.base, state.cap * 8);
+                            lane.bytes_read += stream_addrs(
+                                &mut lane.reads,
+                                state.base,
+                                state.cap * 8,
+                                line_bytes,
+                            );
                             state.cap = new_cap;
                             // New chunk address is modeled per malloc by
                             // the heap; approximate its traffic location
@@ -241,11 +255,13 @@ pub fn run_method_block(
                             // out of this very chunk.
                             ctx.san_note_region(state.base, state.cap * 8);
                         }
+                        // Hash-scattered probe positions; capacities are
+                        // powers of two.
+                        let slot_mask = state.cap.max(16) - 1;
                         for k in 0..outcome.inserted as u64 {
-                            // Hash-scattered probe positions.
-                            let slot = (k * 0x9E37_79B9) % state.cap.max(16);
-                            lane.reads.push(state.base + slot * 8);
-                            lane.writes.push(state.base + slot * 8);
+                            let probe = state.base + ((k * 0x9E37_79B9) & slot_mask) * 8;
+                            lane.reads.push(probe);
+                            lane.writes.push(probe);
                         }
                     }
 
@@ -260,21 +276,19 @@ pub fn run_method_block(
                         if opts.mer {
                             if !in_next[succ as usize] {
                                 in_next[succ as usize] = true;
-                                dests.push(succ);
+                                next.push(succ);
                             }
                         } else {
-                            dests.push(succ);
+                            next.push(succ);
                         }
                     }
                 }
-                lanes.push(lane);
             }
-            ctx.warp_process(&lanes);
+            ctx.warp_process(lanes);
         }
         ctx.sync();
 
         // Form the next worklist (Alg. 2 line 19 / Alg. 3 line 15).
-        let mut next: Vec<u32> = dests;
         if opts.mer && !tail.is_empty() {
             // Merge the postponed tail, removing repetitions.
             for &n in tail {
@@ -288,7 +302,7 @@ pub fn run_method_block(
         // Worklist write-back (shared-memory traffic; consecutive u32
         // slots are conflict-free, so the cost is linear in the list).
         ctx.compute(4 * next.len() as u64);
-        current = next;
+        std::mem::swap(&mut current, &mut next);
         for &n in &current {
             in_next[n as usize] = false;
         }
@@ -297,57 +311,44 @@ pub fn run_method_block(
     telemetry
 }
 
-/// Cell address of one fact in a method's matrix (cell-major layout).
+/// Address of the cell behind flat bit position `bit`
+/// ([`gdroid_analysis::Geometry::bit_of`]) of a method's matrix
+/// (cell-major layout).
 #[inline]
-fn cell_addr(
-    layout: &MethodLayout,
-    fact: gdroid_analysis::Fact,
-    insts: u64,
-    cell_bytes: u64,
-) -> u64 {
-    layout.facts.base + (u64::from(fact.slot) * insts + u64::from(fact.instance)) * cell_bytes
+fn cell_addr(layout: &MethodLayout, bit: usize, cell_bytes: u64) -> u64 {
+    layout.facts.base + bit as u64 * cell_bytes
 }
 
-/// Appends the cell addresses behind a fact bitmap, one sample per 128-byte
-/// line actually touched; returns the useful bytes.
+/// Appends the cell addresses behind a fact bitmap, one sample per
+/// `line_bytes` line actually touched; returns the useful bytes.
 fn cell_addrs(
     out: &mut Vec<u64>,
     layout: &MethodLayout,
-    facts: &gdroid_analysis::NodeFacts,
+    facts: NodeView<'_>,
     cell_bytes: u64,
+    line_bytes: u64,
 ) -> u64 {
-    let insts = facts.geometry().insts.max(1) as u64;
-    let mut bytes = 0;
+    let mut cells = 0;
     let mut last_line = u64::MAX;
-    for fact in facts.iter() {
-        let addr = cell_addr_base(layout, fact, insts, cell_bytes);
-        bytes += cell_bytes;
-        let line = addr / 128;
+    for bit in facts.bits() {
+        let addr = cell_addr(layout, bit, cell_bytes);
+        cells += 1;
+        let line = segment_of(line_bytes, addr);
         if line != last_line {
             out.push(addr);
             last_line = line;
         }
     }
-    bytes
+    cells * cell_bytes
 }
 
-#[inline]
-fn cell_addr_base(
-    layout: &MethodLayout,
-    fact: gdroid_analysis::Fact,
-    insts: u64,
-    cell_bytes: u64,
-) -> u64 {
-    layout.facts.base + (u64::from(fact.slot) * insts + u64::from(fact.instance)) * cell_bytes
-}
-
-/// Appends one address per 128-byte line of a `[base, base+len)` stream;
-/// returns the useful bytes streamed.
-fn stream_addrs(out: &mut Vec<u64>, base: u64, len: u64) -> u64 {
+/// Appends one address per `line_bytes` line of a `[base, base+len)`
+/// stream; returns the useful bytes streamed.
+fn stream_addrs(out: &mut Vec<u64>, base: u64, len: u64, line_bytes: u64) -> u64 {
     let mut off = 0;
     while off < len {
         out.push(base + off);
-        off += 128;
+        off += line_bytes;
     }
     len
 }
@@ -482,5 +483,53 @@ mod tests {
             assert_eq!(mat.reallocations, 0);
         }
         assert!(any_realloc, "plain kernel never grew a set");
+    }
+
+    proptest::proptest! {
+        /// Walking the bitmap words yields exactly the addresses the
+        /// definition does — `NodeFacts::iter()` + `Geometry::bit_of`, one
+        /// sample per line — for cell sizes that do and do not divide the
+        /// line size.
+        #[test]
+        fn cell_addrs_match_the_fact_iterator(
+            (slots, insts) in (1usize..30, 1usize..30),
+            bits in proptest::collection::vec((0u16..30, 0u16..30), 0..120),
+            cell_bytes in 1u64..200,
+            line_pick in 0usize..3,
+            base in 0u64..1 << 20,
+        ) {
+            use gdroid_analysis::Fact;
+            use gdroid_gpusim::DeviceBuffer;
+            let line_bytes = [128, 96, 32][line_pick];
+            let geometry = Geometry { slots, insts };
+            let mut facts = NodeFacts::empty(geometry);
+            for (s, i) in bits {
+                facts.set(Fact { slot: s % slots as u16, instance: i % insts as u16 });
+            }
+            let unused = DeviceBuffer { base: 0, len: 0 };
+            let layout = MethodLayout {
+                icfg: unused,
+                stmt: unused,
+                facts: DeviceBuffer { base, len: geometry.bits() as u64 * cell_bytes },
+                node_bytes: 0,
+                store_pos: Vec::new(),
+                h2d_bytes: 0,
+                d2h_bytes: 0,
+            };
+
+            let mut expected = vec![7];
+            let mut last_line = None;
+            for fact in facts.iter() {
+                let addr = base + geometry.bit_of(fact) as u64 * cell_bytes;
+                if last_line != Some(addr / line_bytes) {
+                    expected.push(addr);
+                    last_line = Some(addr / line_bytes);
+                }
+            }
+            let mut got = vec![7];
+            let bytes = cell_addrs(&mut got, &layout, facts.view(), cell_bytes, line_bytes);
+            proptest::prop_assert_eq!(got, expected);
+            proptest::prop_assert_eq!(bytes, facts.count() as u64 * cell_bytes);
+        }
     }
 }

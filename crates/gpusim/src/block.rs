@@ -10,15 +10,16 @@
 //!   like a SIMT reconvergence stack. A warp of 25 different statement
 //!   types pays ~25 serialized passes; a GRP-sorted warp pays 1–3.
 //! * **memory coalescing** — each group's reads/writes are collapsed into
-//!   128-byte transactions ([`crate::memory::transactions`]); lanes in
-//!   different divergence groups cannot coalesce with each other.
+//!   128-byte transactions (the counting routine behind
+//!   [`crate::memory::transactions`]); lanes in different divergence groups
+//!   cannot coalesce with each other.
 //! * **dependent latency** — double-de-reference lanes (`x.f`, `a[i]`)
 //!   pay pointer-chasing latency that other warps cannot hide.
 //! * **dynamic allocation** — `malloc` requests route to the shared
 //!   [`crate::memory::DeviceHeap`] and pay the serialized, contended path.
 
 use crate::config::DeviceConfig;
-use crate::memory::{transactions, DevAddr, DeviceBuffer, DeviceHeap};
+use crate::memory::{DevAddr, DeviceBuffer, DeviceHeap, SegmentCounter};
 use crate::sancheck::{AccessOrder, Sanitizer};
 
 /// The work one lane performs in one warp-synchronous step.
@@ -87,6 +88,15 @@ pub struct BlockStats {
     pub queue_cycles: u64,
 }
 
+/// Host buffers [`BlockCtx::warp_process`] reuses from step to step. The
+/// [`crate::Device`] owns one and lends it to every block it runs.
+#[derive(Default)]
+pub(crate) struct WarpScratch {
+    /// Lane indices of the current step, sorted by partition.
+    order: Vec<u32>,
+    segments: SegmentCounter,
+}
+
 /// Execution context of one thread block.
 pub struct BlockCtx<'a> {
     config: &'a DeviceConfig,
@@ -97,6 +107,7 @@ pub struct BlockCtx<'a> {
     /// The `simcheck` sanitizer, when enabled on the device. Observes
     /// every global access without charging cycles.
     san: Option<&'a mut Sanitizer>,
+    scratch: &'a mut WarpScratch,
     /// Counters.
     pub stats: BlockStats,
 }
@@ -111,8 +122,9 @@ impl<'a> BlockCtx<'a> {
         heap: &'a mut DeviceHeap,
         resident_blocks: usize,
         san: Option<&'a mut Sanitizer>,
+        scratch: &'a mut WarpScratch,
     ) -> BlockCtx<'a> {
-        BlockCtx { config, heap, resident_blocks, san, stats: BlockStats::default() }
+        BlockCtx { config, heap, resident_blocks, san, scratch, stats: BlockStats::default() }
     }
 
     /// The device configuration.
@@ -147,45 +159,35 @@ impl<'a> BlockCtx<'a> {
         self.stats.warp_steps += 1;
         self.stats.cycles += WARP_ISSUE_CYCLES;
 
-        // Group lanes by partition, preserving deterministic order.
-        let mut partitions: Vec<u32> = lanes.iter().map(|l| l.partition).collect();
-        partitions.sort_unstable();
-        partitions.dedup();
+        // Group lanes by partition; within a group lanes keep their order.
+        let WarpScratch { order, segments } = &mut *self.scratch;
+        order.clear();
+        order.extend(0..lanes.len() as u32);
+        order.sort_unstable_by_key(|&i| (lanes[i as usize].partition, i));
 
         let mut total_bytes_read_written = 0u64;
-        for &p in &partitions {
+        for group in
+            order.chunk_by(|&a, &b| lanes[a as usize].partition == lanes[b as usize].partition)
+        {
             self.stats.divergence_passes += 1;
-            let group: Vec<&LaneWork> = lanes.iter().filter(|l| l.partition == p).collect();
+            let members = || group.iter().map(|&i| &lanes[i as usize]);
 
-            // Lockstep compute: the group takes its slowest lane.
-            let compute = group.iter().map(|l| l.compute_cycles).max().unwrap_or(0);
-            self.stats.cycles += compute;
-
-            // Coalescing within the group only.
-            let reads: Vec<DevAddr> = group.iter().flat_map(|l| l.reads.iter().copied()).collect();
-            let writes: Vec<DevAddr> =
-                group.iter().flat_map(|l| l.writes.iter().copied()).collect();
-            let tx = transactions(self.config, &reads) + transactions(self.config, &writes);
-            self.stats.transactions += tx;
-            self.stats.cycles += tx * self.config.transaction_cycles;
-            for l in &group {
+            // Lockstep compute takes the group's slowest lane; dependent
+            // de-reference latency is charged once per serialized pass at
+            // the deepest level (the pointer chase stalls the whole group).
+            let (mut compute, mut depth, mut reads, mut writes) = (0, 0, 0, 0);
+            for l in members() {
+                compute = compute.max(l.compute_cycles);
+                depth = depth.max(l.deref_layers);
+                reads += l.reads.len();
+                writes += l.writes.len();
                 let br = if l.bytes_read == 0 { l.reads.len() as u64 * 8 } else { l.bytes_read };
                 let bw =
                     if l.bytes_written == 0 { l.writes.len() as u64 * 8 } else { l.bytes_written };
                 total_bytes_read_written += br + bw;
-            }
 
-            // Dependent de-reference latency (once per serialized pass —
-            // the pointer chase stalls the whole group). Tracked separately
-            // because co-resident blocks can hide it (see Device::pack).
-            let depth = group.iter().map(|l| l.deref_layers).max().unwrap_or(0) as u64;
-            let lat = depth * self.config.dependent_latency_cycles;
-            self.stats.cycles += lat;
-            self.stats.latency_cycles += lat;
-
-            // Dynamic allocations: fully serialized.
-            for lane in &group {
-                for &bytes in &lane.mallocs {
+                // Dynamic allocations: fully serialized.
+                for &bytes in &l.mallocs {
                     let (buf, cost) = self.heap.malloc(self.config, bytes, self.resident_blocks);
                     if let Some(san) = self.san.as_mut() {
                         san.note_heap(buf);
@@ -196,6 +198,24 @@ impl<'a> BlockCtx<'a> {
                     self.stats.cycles += cost;
                 }
             }
+            self.stats.cycles += compute;
+            // Tracked separately because co-resident blocks can hide it
+            // (see Device::pack).
+            let lat = u64::from(depth) * self.config.dependent_latency_cycles;
+            self.stats.cycles += lat;
+            self.stats.latency_cycles += lat;
+
+            // Coalescing within the group only.
+            let segment = self.config.transaction_bytes;
+            let tx =
+                segments.count(segment, reads, members().flat_map(|l| l.reads.iter().copied()))
+                    + segments.count(
+                        segment,
+                        writes,
+                        members().flat_map(|l| l.writes.iter().copied()),
+                    );
+            self.stats.transactions += tx;
+            self.stats.cycles += tx * self.config.transaction_cycles;
         }
 
         // Ideal transaction count: all touched bytes in perfectly packed
@@ -279,27 +299,6 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// One warp-synchronous access to shared memory: 32 banks, 4-byte
-    /// words; lanes hitting the same bank at different words serialize.
-    /// Returns the conflict factor (1 = conflict-free).
-    pub fn shared_access(&mut self, addrs: &[u64]) -> u64 {
-        if addrs.is_empty() {
-            return 0;
-        }
-        // Bank = word address modulo 32; conflicts = max lanes per bank
-        // with distinct word addresses (broadcast of the same word is
-        // free).
-        let mut per_bank: std::collections::HashMap<u64, std::collections::HashSet<u64>> =
-            std::collections::HashMap::new();
-        for &a in addrs {
-            let word = a / 4;
-            per_bank.entry(word % 32).or_default().insert(word);
-        }
-        let conflict = per_bank.values().map(|w| w.len() as u64).max().unwrap_or(1);
-        self.stats.cycles += 2 * conflict;
-        conflict
-    }
-
     /// Models a block-level sort of `n` keys in shared memory (bitonic):
     /// used by the GRP optimization's partial worklist sort.
     pub fn shared_sort(&mut self, n: usize) {
@@ -322,14 +321,14 @@ impl<'a> BlockCtx<'a> {
 mod tests {
     use super::*;
 
-    fn setup() -> (DeviceConfig, DeviceHeap) {
-        (DeviceConfig::tesla_p40(), DeviceHeap::new())
+    fn setup() -> (DeviceConfig, DeviceHeap, WarpScratch) {
+        (DeviceConfig::tesla_p40(), DeviceHeap::new(), WarpScratch::default())
     }
 
     #[test]
     fn uniform_warp_is_single_pass() {
-        let (cfg, mut heap) = setup();
-        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None);
+        let (cfg, mut heap, mut scratch) = setup();
+        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
         let lanes: Vec<LaneWork> = (0..32).map(|_| LaneWork::compute(0, 10)).collect();
         ctx.warp_process(&lanes);
         assert_eq!(ctx.stats.divergence_passes, 1);
@@ -339,8 +338,8 @@ mod tests {
 
     #[test]
     fn divergent_warp_serializes() {
-        let (cfg, mut heap) = setup();
-        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None);
+        let (cfg, mut heap, mut scratch) = setup();
+        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
         // 25 partitions → 25 serialized passes of 10 cycles each.
         let lanes: Vec<LaneWork> = (0..25).map(|i| LaneWork::compute(i, 10)).collect();
         ctx.warp_process(&lanes);
@@ -350,8 +349,8 @@ mod tests {
 
     #[test]
     fn coalesced_reads_cost_one_transaction() {
-        let (cfg, mut heap) = setup();
-        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None);
+        let (cfg, mut heap, mut scratch) = setup();
+        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
         let lanes: Vec<LaneWork> = (0..32)
             .map(|i| LaneWork { partition: 0, reads: vec![0x4000 + i * 4], ..Default::default() })
             .collect();
@@ -362,10 +361,10 @@ mod tests {
 
     #[test]
     fn divergence_breaks_coalescing() {
-        let (cfg, mut heap) = setup();
+        let (cfg, mut heap, mut scratch) = setup();
         // Same addresses, but alternating partitions: two passes, and the
         // two halves cannot share transactions.
-        let mut c1 = BlockCtx::new(&cfg, &mut heap, 1, None);
+        let mut c1 = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
         let lanes: Vec<LaneWork> = (0..32)
             .map(|i| LaneWork {
                 partition: (i % 2) as u32,
@@ -382,8 +381,8 @@ mod tests {
 
     #[test]
     fn deref_layers_charge_latency() {
-        let (cfg, mut heap) = setup();
-        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None);
+        let (cfg, mut heap, mut scratch) = setup();
+        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
         let mut lane = LaneWork::compute(0, 0);
         lane.deref_layers = 2;
         ctx.warp_process(&[lane]);
@@ -392,8 +391,8 @@ mod tests {
 
     #[test]
     fn mallocs_are_expensive_and_contended() {
-        let (cfg, mut heap) = setup();
-        let mut ctx = BlockCtx::new(&cfg, &mut heap, 60, None);
+        let (cfg, mut heap, mut scratch) = setup();
+        let mut ctx = BlockCtx::new(&cfg, &mut heap, 60, None, &mut scratch);
         let mut lane = LaneWork::compute(0, 0);
         lane.mallocs = vec![256];
         ctx.warp_process(&[lane]);
@@ -404,53 +403,37 @@ mod tests {
     }
 
     #[test]
-    fn shared_access_models_bank_conflicts() {
-        let (cfg, mut heap) = setup();
-        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None);
-        // 32 consecutive words: one per bank, conflict-free.
-        let clean: Vec<u64> = (0..32).map(|i| i * 4).collect();
-        assert_eq!(ctx.shared_access(&clean), 1);
-        // All lanes read the SAME word: broadcast, conflict-free.
-        let broadcast = vec![128u64; 32];
-        assert_eq!(ctx.shared_access(&broadcast), 1);
-        // 32 words with stride 32 words: all in bank 0 → 32-way conflict.
-        let conflicted: Vec<u64> = (0..32).map(|i| i * 32 * 4).collect();
-        assert_eq!(ctx.shared_access(&conflicted), 32);
-        assert_eq!(ctx.shared_access(&[]), 0);
-    }
-
-    #[test]
     fn shared_sort_scales_superlinearly() {
-        let (cfg, mut heap) = setup();
-        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None);
+        let (cfg, mut heap, mut scratch) = setup();
+        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
         ctx.shared_sort(8);
         let small = ctx.stats.cycles;
-        let mut ctx2 = BlockCtx::new(&cfg, &mut heap, 1, None);
+        let mut ctx2 = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
         ctx2.shared_sort(256);
         assert!(ctx2.stats.cycles > small * 2);
         // Sorting nothing is free.
-        let mut ctx3 = BlockCtx::new(&cfg, &mut heap, 1, None);
+        let mut ctx3 = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
         ctx3.shared_sort(1);
         assert_eq!(ctx3.stats.cycles, 0);
     }
 
     #[test]
     fn queue_ops_are_contended_and_cost_only() {
-        let (cfg, mut heap) = setup();
+        let (cfg, mut heap, mut scratch) = setup();
         // Solo block: contention clamps up to the floor of 4 contenders.
-        let mut solo = BlockCtx::new(&cfg, &mut heap, 1, None);
+        let mut solo = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
         solo.queue_pop(1);
         assert_eq!(solo.stats.queue_ops, 1);
         assert_eq!(solo.stats.queue_cycles, cfg.queue_op_cycles * 4);
         assert_eq!(solo.stats.cycles, solo.stats.queue_cycles);
         // A fully resident device pays the clamped ceiling of 24.
-        let mut packed = BlockCtx::new(&cfg, &mut heap, 120, None);
+        let mut packed = BlockCtx::new(&cfg, &mut heap, 120, None, &mut scratch);
         packed.queue_pop(1);
         packed.queue_push(2);
         assert_eq!(packed.stats.queue_ops, 3);
         assert_eq!(packed.stats.queue_cycles, 3 * cfg.queue_op_cycles * 24);
         // Zero items are free.
-        let mut idle = BlockCtx::new(&cfg, &mut heap, 120, None);
+        let mut idle = BlockCtx::new(&cfg, &mut heap, 120, None, &mut scratch);
         idle.queue_pop(0);
         idle.queue_push(0);
         assert_eq!(idle.stats, BlockStats::default());
@@ -459,8 +442,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "warp_process got")]
     fn oversized_warp_panics() {
-        let (cfg, mut heap) = setup();
-        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None);
+        let (cfg, mut heap, mut scratch) = setup();
+        let mut ctx = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
         let lanes: Vec<LaneWork> = (0..33).map(|_| LaneWork::compute(0, 1)).collect();
         ctx.warp_process(&lanes);
     }

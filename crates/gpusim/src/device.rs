@@ -9,7 +9,7 @@
 //! makespan of the packing is the kernel's execution time; workload
 //! imbalance across methods shows up as slot idle time.
 
-use crate::block::{BlockCtx, BlockStats};
+use crate::block::{BlockCtx, BlockStats, WarpScratch};
 use crate::config::DeviceConfig;
 use crate::memory::{AddressSpace, DeviceBuffer, DeviceHeap};
 use crate::sancheck::{SanReport, Sanitizer};
@@ -58,6 +58,8 @@ pub struct Device {
     pub heap: DeviceHeap,
     /// `simcheck` shadow-state tracker, present iff `config.sanitize`.
     san: Option<Sanitizer>,
+    /// Host-side buffers lent to each block's `warp_process`.
+    scratch: WarpScratch,
     /// Injected-fault schedule, if any.
     fault_plan: Option<FaultPlan>,
     /// Lifetime launch counter (survives [`Device::reset`]).
@@ -215,6 +217,7 @@ impl Device {
             address_space: AddressSpace::new(&config),
             heap: DeviceHeap::new(),
             san: config.sanitize.then(Sanitizer::new),
+            scratch: WarpScratch::default(),
             config,
             fault_plan: None,
             launches: 0,
@@ -385,7 +388,13 @@ impl Device {
             if let Some(san) = self.san.as_mut() {
                 san.begin_block(i as u32);
             }
-            let mut ctx = BlockCtx::new(&self.config, &mut self.heap, resident, self.san.as_mut());
+            let mut ctx = BlockCtx::new(
+                &self.config,
+                &mut self.heap,
+                resident,
+                self.san.as_mut(),
+                &mut self.scratch,
+            );
             f(&mut ctx);
             per_block.push(ctx.stats);
         }
@@ -538,7 +547,13 @@ impl Device {
             if let Some(san) = self.san.as_mut() {
                 san.begin_block(i as u32);
             }
-            let mut ctx = BlockCtx::new(&self.config, &mut self.heap, resident, self.san.as_mut());
+            let mut ctx = BlockCtx::new(
+                &self.config,
+                &mut self.heap,
+                resident,
+                self.san.as_mut(),
+                &mut self.scratch,
+            );
             f(&mut ctx);
             per_block.push(ctx.stats);
         }

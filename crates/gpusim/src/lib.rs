@@ -27,6 +27,6 @@ pub mod stream;
 pub use block::{BlockCtx, BlockStats, LaneWork};
 pub use config::DeviceConfig;
 pub use device::{BlockFn, Device, DeviceFault, FaultPlan, KernelStats, SourcedKernelStats};
-pub use memory::{transactions, AddressSpace, DevAddr, DeviceBuffer, DeviceHeap};
+pub use memory::{segment_of, transactions, AddressSpace, DevAddr, DeviceBuffer, DeviceHeap};
 pub use sancheck::{AccessOrder, AccessSite, Finding, FindingKind, SanReport, Sanitizer};
 pub use stream::{dual_buffered, synchronous, PipelineTiming};

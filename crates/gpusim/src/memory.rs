@@ -63,13 +63,82 @@ impl AddressSpace {
 /// Perfectly coalesced: 32 consecutive 4-byte words → 1 transaction.
 /// Fully scattered: 32 random words → 32 transactions.
 pub fn transactions(config: &DeviceConfig, addrs: &[DevAddr]) -> u64 {
-    if addrs.is_empty() {
-        return 0;
+    SegmentCounter::default().count(config.transaction_bytes, addrs.len(), addrs.iter().copied())
+}
+
+/// The transaction segment `addr` falls into. Every shipped config has a
+/// power-of-two segment size, which costs a shift instead of a division.
+#[inline]
+pub fn segment_of(transaction_bytes: u64, addr: DevAddr) -> u64 {
+    if transaction_bytes.is_power_of_two() {
+        addr >> transaction_bytes.trailing_zeros()
+    } else {
+        addr / transaction_bytes
     }
-    let mut segments: Vec<u64> = addrs.iter().map(|a| a / config.transaction_bytes).collect();
-    segments.sort_unstable();
-    segments.dedup();
-    segments.len() as u64
+}
+
+/// The coalescing model's one counting routine: how many distinct
+/// `transaction_bytes` segments a list of addresses touches.
+///
+/// An open-addressed table of segment numbers whose slots are reclaimed by
+/// bumping an epoch, so a counter that is reused (the [`crate::Device`]
+/// lends one to every block) neither allocates nor sorts per call.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SegmentCounter {
+    keys: Vec<u64>,
+    /// Epoch in which `keys[i]` was written; any other value = free slot.
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl SegmentCounter {
+    /// Distinct segments among `addrs`, which yields at most `len` items.
+    pub(crate) fn count(
+        &mut self,
+        transaction_bytes: u64,
+        len: usize,
+        addrs: impl Iterator<Item = DevAddr>,
+    ) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        // Load factor ≤ 1/2 keeps the linear probes short.
+        let capacity = (2 * len).next_power_of_two().max(64);
+        if self.keys.len() < capacity {
+            *self = SegmentCounter { keys: vec![0; capacity], stamps: vec![0; capacity], epoch: 0 };
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        let mask = self.keys.len() - 1;
+        let hash_shift = 64 - self.keys.len().trailing_zeros();
+        let mut distinct = 0;
+        let mut last = None;
+        for addr in addrs {
+            let segment = segment_of(transaction_bytes, addr);
+            // Lanes stream ascending addresses: repeats come in runs.
+            if last == Some(segment) {
+                continue;
+            }
+            last = Some(segment);
+            let mut slot = (segment.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> hash_shift) as usize;
+            loop {
+                if self.stamps[slot] != self.epoch {
+                    self.stamps[slot] = self.epoch;
+                    self.keys[slot] = segment;
+                    distinct += 1;
+                    break;
+                }
+                if self.keys[slot] == segment {
+                    break;
+                }
+                slot = (slot + 1) & mask;
+            }
+        }
+        distinct
+    }
 }
 
 /// The device heap: dynamic allocations from kernel code (`malloc` in a

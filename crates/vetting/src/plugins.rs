@@ -63,7 +63,7 @@ pub fn intent_exposure(
                 let facts = analysis.node_facts(mid, node);
                 let intent_controlled = args.iter().any(|&a| {
                     space.slot(Slot::Local(a)).is_some_and(|slot| {
-                        facts.row(slot).iter().any(|&i| {
+                        facts.row(slot).any(|i| {
                             matches!(space.instances[usize::from(i)], Instance::Formal(k) if k > 0)
                         })
                     })
@@ -114,9 +114,9 @@ pub fn hardcoded_payloads(
             let facts = analysis.node_facts(mid, node);
             let only_literals = args.iter().any(|&a| {
                 let Some(slot) = space.slot(Slot::Local(a)) else { return false };
-                let row = facts.row(slot);
-                !row.is_empty()
-                    && row.iter().all(|&i| match space.instances[usize::from(i)] {
+                let mut row = facts.row(slot).peekable();
+                row.peek().is_some()
+                    && row.all(|i| match space.instances[usize::from(i)] {
                         Instance::Alloc(at) => matches!(
                             method.body[at],
                             Stmt::Assign { rhs: Expr::Lit(Literal::Str(_)), .. }

@@ -1,6 +1,7 @@
 //! GPU profile: a deep dive into where one app's simulated kernel time
 //! goes — transfer pipeline, per-launch utilization, divergence — the view
-//! a CUDA profiler would give on the real GDroid.
+//! a CUDA profiler would give on the real GDroid. Each configuration also
+//! reports what simulating it cost the host.
 //!
 //! ```text
 //! cargo run --release --example gpu_profile [seed]
@@ -11,6 +12,7 @@ use gdroid::core::{gpu_analyze_app, plan_layout, run_method_block, OptConfig};
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::icfg::prepare_app;
 use gdroid::ir::MethodId;
+use std::time::Instant;
 
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(11);
@@ -30,9 +32,16 @@ fn main() {
     );
 
     for opts in [OptConfig::plain(), OptConfig::gdroid()] {
+        let started = Instant::now();
         let run = gpu_analyze_app(&app.program, &cg, &roots, device, opts);
+        let host_us = started.elapsed().as_secs_f64() * 1e6;
         let s = &run.stats;
         println!("== {} ==", opts);
+        println!(
+            "  host wall         {:10.3} ms ({:.1} simulated ns per host us)",
+            host_us / 1e3,
+            s.total_ns / host_us
+        );
         println!("  end-to-end        {:10.3} ms", s.total_ns / 1e6);
         println!("  kernel engine     {:10.3} ms", s.kernel_ns / 1e6);
         println!(

@@ -1,8 +1,9 @@
 //! Property-based tests over the core data structures and invariants,
 //! spanning crates.
 
-use gdroid::analysis::{Fact, Geometry, NodeFacts};
+use gdroid::analysis::{Fact, FactStore, Geometry, MatrixStore, NodeFacts};
 use gdroid::apk::{generate_app, GenConfig, Rng};
+use gdroid::gpusim::{transactions, BlockCtx, Device, DeviceConfig, LaneWork};
 use gdroid::icfg::{CallGraph, CallLayers, Cfg};
 use gdroid::ir::text::{parse_program, print_program};
 use gdroid::ir::{validate_program, MethodId};
@@ -25,12 +26,14 @@ proptest! {
         prop_assert_eq!(text, text2);
     }
 
-    /// Bitmap set/get/count invariants under arbitrary fact sequences.
+    /// Bitmap set/get/count/row/clear_row invariants under arbitrary fact
+    /// sequences; rows span up to three words.
     #[test]
     fn nodefacts_bitmap_invariants(
         slots in 1usize..40,
-        insts in 1usize..40,
-        ops in prop::collection::vec((0u16..40, 0u16..40), 0..200),
+        insts in 1usize..150,
+        ops in prop::collection::vec((0u16..40, 0u16..150), 0..200),
+        probe in 0usize..40,
     ) {
         let g = Geometry { slots, insts };
         let mut bm = NodeFacts::empty(g);
@@ -42,7 +45,124 @@ proptest! {
         }
         prop_assert_eq!(bm.count(), reference.len());
         let iterated: std::collections::BTreeSet<u32> = bm.iter().map(Fact::pack).collect();
-        prop_assert_eq!(iterated, reference);
+        prop_assert_eq!(&iterated, &reference);
+
+        // A row is its slot's instances, ascending; clearing it removes
+        // exactly those facts.
+        let slot = (probe % slots) as u16;
+        let in_row = |f: &Fact| f.slot == slot;
+        let row: Vec<u16> = bm.row(slot).collect();
+        let expected: Vec<u16> =
+            reference.iter().map(|&p| Fact::unpack(p)).filter(in_row).map(|f| f.instance).collect();
+        prop_assert_eq!(&row, &expected);
+        bm.clear_row(slot);
+        let kept: std::collections::BTreeSet<u32> = bm.iter().map(Fact::pack).collect();
+        reference.retain(|&p| !in_row(&Fact::unpack(p)));
+        prop_assert_eq!(kept, reference);
+    }
+
+    /// `MatrixStore::union_into` reports the popcount delta and whether
+    /// the node grew, ORs the words in, and touches no neighbouring node
+    /// of the flat store.
+    #[test]
+    fn matrix_union_into_reports_the_count_delta(
+        slots in 1usize..40,
+        insts in 1usize..40,
+        a_bits in prop::collection::vec((0u16..40, 0u16..40), 0..120),
+        b_bits in prop::collection::vec((0u16..40, 0u16..40), 0..120),
+    ) {
+        let g = Geometry { slots, insts };
+        let fact =
+            |&(s, i): &(u16, u16)| Fact { slot: s % slots as u16, instance: i % insts as u16 };
+        let a: Vec<Fact> = a_bits.iter().map(fact).collect();
+        let mut b = NodeFacts::empty(g);
+        for f in b_bits.iter().map(fact) {
+            b.set(f);
+        }
+        let mut store = MatrixStore::new(g, 3);
+        for node in 0..3 {
+            store.seed(node, &a);
+        }
+        let before = store.node(1).to_owned();
+        let outcome = store.union_into(1, &b);
+        let after = store.fact_count(1);
+        prop_assert_eq!(outcome.inserted, after - before.count());
+        prop_assert_eq!(outcome.changed, after != before.count());
+        prop_assert_eq!(outcome.reallocations, 0);
+        let mut merged = before.clone();
+        merged.union(&b);
+        prop_assert_eq!(store.node(1).words(), merged.words());
+        prop_assert_eq!(store.node(0).words(), before.words());
+        prop_assert_eq!(store.node(2).words(), before.words());
+
+        // The flat form round-trips and is length-checked.
+        let flat = store.flat_words();
+        let back = MatrixStore::from_flat_words(g, 3, &flat).expect("same shape");
+        prop_assert_eq!(back.flat_words(), flat.clone());
+        if g.words() > 0 {
+            prop_assert!(MatrixStore::from_flat_words(g, 2, &flat).is_none());
+        }
+    }
+
+    /// The coalescing model's one segment counter equals the set
+    /// definition — distinct `addr / transaction_bytes` — on empty,
+    /// all-equal, compact, heap-scattered (past `1 << 40`) and mixed
+    /// address lists, both called directly and through `warp_process`,
+    /// whose scratch the device reuses from step to step.
+    #[test]
+    fn segment_counting_matches_a_btreeset(
+        shape in 0u8..4,
+        raw in prop::collection::vec(any::<u64>(), 0..300),
+        partitions in prop::collection::vec(0u32..4, 1..33),
+        bytes_pick in 0usize..4,
+    ) {
+        let transaction_bytes = [32, 96, 128, 1000][bytes_pick];
+        let config = DeviceConfig { transaction_bytes, ..DeviceConfig::tesla_p40() };
+        let addrs: Vec<u64> = raw
+            .iter()
+            .map(|&r| match shape {
+                0 => 0x4000,
+                1 => 0x4000 + r % 4096,
+                2 => (1 << 40) + r % (1 << 44),
+                _ if r % 2 == 0 => 0x4000 + (r >> 1) % 512,
+                _ => (1 << 40) + (r >> 1) % (1 << 44),
+            })
+            .collect();
+        let distinct = |addrs: &mut dyn Iterator<Item = u64>| {
+            let segments: std::collections::BTreeSet<u64> =
+                addrs.map(|a| a / transaction_bytes).collect();
+            segments.len() as u64
+        };
+        prop_assert_eq!(transactions(&config, &addrs), distinct(&mut addrs.iter().copied()));
+
+        // Deal the addresses to the lanes: reads round-robin, writes the
+        // other way round.
+        let mut lanes: Vec<LaneWork> = partitions
+            .iter()
+            .map(|&partition| LaneWork { partition, ..Default::default() })
+            .collect();
+        let n = lanes.len();
+        for (k, &addr) in addrs.iter().enumerate() {
+            lanes[k % n].reads.push(addr);
+            lanes[n - 1 - k % n].writes.push(addr);
+        }
+        let groups: std::collections::BTreeSet<u32> = partitions.iter().copied().collect();
+        let expected: u64 = groups
+            .iter()
+            .map(|&p| {
+                let group = || lanes.iter().filter(move |l| l.partition == p);
+                distinct(&mut group().flat_map(|l| l.reads.iter().copied()))
+                    + distinct(&mut group().flat_map(|l| l.writes.iter().copied()))
+            })
+            .sum();
+        const STEPS: u64 = 3;
+        let stats = Device::new(config).launch(vec![|ctx: &mut BlockCtx<'_>| {
+            for _ in 0..STEPS {
+                ctx.warp_process(&lanes);
+            }
+        }]);
+        prop_assert_eq!(stats.transactions, STEPS * expected);
+        prop_assert_eq!(stats.divergence_passes, STEPS * groups.len() as u64);
     }
 
     /// Union is idempotent, commutative in effect, and monotone.
