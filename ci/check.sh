@@ -22,28 +22,29 @@ cargo test --workspace -q
 
 echo "==> surface ratchet: the vetting/core entry-point lattice stays collapsed"
 surface=$(grep -rn 'pub fn \(execute\|gpu_analyze\)' crates/vetting/src crates/core/src | wc -l)
-[ "$surface" -le 7 ] || {
+[ "$surface" -le 6 ] || {
   echo "surface ratchet: $surface public execute*/gpu_analyze* entry points" \
-    "(ceiling 7) — extend ExecPlan/ExecCtx instead of adding a wrapper" >&2
+    "(ceiling 6) — extend ExecPlan/ExecCtx instead of adding a wrapper" >&2
   exit 1
 }
 
-echo "==> tombstone ratchet: the relational engine stays retired"
+echo "==> retired-names ratchet: what EXPERIMENTS.md retired stays retired"
 # crates/rel survives only because benchmark/Cargo.lock names it (ROADMAP
-# 3a): an item-free lib.rs, and none of the engine's names anywhere.
+# 3a): an item-free lib.rs. None of the relational engine's, the per-app
+# multi-GPU driver's or the blocks-per-SM tuner's names anywhere.
 rel_files=$(find crates/rel/src -type f | sort | tr '\n' ' ')
 [ "$rel_files" = "crates/rel/src/lib.rs " ] || {
-  echo "tombstone ratchet: crates/rel/src holds $rel_files(want only lib.rs)" >&2
+  echo "retired-names ratchet: crates/rel/src holds $rel_files(want only lib.rs)" >&2
   exit 1
 }
 if grep -vE '^\s*(//.*)?$' crates/rel/src/lib.rs; then
-  echo "tombstone ratchet: crates/rel/src/lib.rs must hold doc comments only" >&2
+  echo "retired-names ratchet: crates/rel/src/lib.rs must hold doc comments only" >&2
   exit 1
 fi
-if grep -rnE 'relation_scan|hash_join|probe_chain|MethodKernel|RelEngine|rel_jobs' \
-  --include='*.rs' crates src tests examples; then
-  echo "tombstone ratchet: a retired relational-engine name is back (EXPERIMENTS.md," \
-    "\"Retired: relational engine\")" >&2
+retired='relation_scan|hash_join|probe_chain|MethodKernel|RelEngine|rel_jobs'
+retired+='|gpu_analyze_app_multi|MultiGpuConfig|tune_blocks_per_sm|TuneResult'
+if grep -rnE "$retired" --include='*.rs' crates src tests examples; then
+  echo "retired-names ratchet: a retired name is back (EXPERIMENTS.md, \"Retired: …\")" >&2
   exit 1
 fi
 
@@ -100,7 +101,7 @@ cargo build --release -p gdroid-bench --bin figures
 repo_root=$PWD
 drift_dir=$(mktemp -d)
 trap 'rm -rf "$drift_dir"' EXIT
-for bench in trace targeted sumstore persist; do
+for bench in trace targeted sumstore persist batch; do
   (cd "$drift_dir" && "$repo_root/target/release/figures" "$bench" >/dev/null)
   cmp "$drift_dir/BENCH_$bench.json" "BENCH_$bench.json" || {
     echo "bench drift: BENCH_$bench.json is stale — a modeled number moved;" \
@@ -145,15 +146,10 @@ if echo "$warm_json" | grep -q '"sumstore":{"hits":0,'; then
   exit 1
 fi
 
-echo "==> batch smoke: co-residency sweep is byte-deterministic and batches form"
+echo "==> batch smoke: batches form under co-residency"
+# Scratch for the run-twice determinism smokes further down.
 batch_dir=$(mktemp -d)
 trap 'rm -rf "$trace_dir" "$store_dir" "$batch_dir"' EXIT
-(cd "$batch_dir" && "$repo_root/target/release/figures" batch --apps 8 >/dev/null && mv BENCH_batch.json a.json)
-(cd "$batch_dir" && "$repo_root/target/release/figures" batch --apps 8 >/dev/null && mv BENCH_batch.json b.json)
-cmp -s "$batch_dir/a.json" "$batch_dir/b.json" || {
-  echo "batch smoke: BENCH_batch.json differs between identical runs" >&2
-  exit 1
-}
 batch_out=$(./target/release/gdroid serve --apps 10 --workers 2 --devices 1 --coresident 4 --json)
 echo "$batch_out" | grep -q '"quarantined":0,' || {
   echo "batch smoke: quarantined jobs under co-residency" >&2
@@ -164,13 +160,7 @@ echo "$batch_out" | grep -q '"coresidency":' || {
   exit 1
 }
 
-echo "==> targeted smoke: sliced sweep is byte-deterministic and verdicts agree"
-(cd "$batch_dir" && "$repo_root/target/release/figures" targeted --apps 8 >/dev/null && mv BENCH_targeted.json ta.json)
-(cd "$batch_dir" && "$repo_root/target/release/figures" targeted --apps 8 >/dev/null && mv BENCH_targeted.json tb.json)
-cmp -s "$batch_dir/ta.json" "$batch_dir/tb.json" || {
-  echo "targeted smoke: BENCH_targeted.json differs between identical runs" >&2
-  exit 1
-}
+echo "==> targeted smoke: full and sliced verdicts agree"
 full_vet=$(./target/release/gdroid vet 42 --json)
 targeted_vet=$(./target/release/gdroid vet 42 --targeted --json)
 if ! python3 - "$full_vet" "$targeted_vet" <<'PY'
@@ -241,13 +231,7 @@ then
   exit 1
 fi
 
-echo "==> persist smoke: the exec-mode sweep is byte-deterministic and modes agree"
-(cd "$batch_dir" && "$repo_root/target/release/figures" persist --apps 12 >/dev/null && mv BENCH_persist.json pa.json)
-(cd "$batch_dir" && "$repo_root/target/release/figures" persist --apps 12 >/dev/null && mv BENCH_persist.json pb.json)
-cmp -s "$batch_dir/pa.json" "$batch_dir/pb.json" || {
-  echo "persist smoke: BENCH_persist.json differs between identical runs" >&2
-  exit 1
-}
+echo "==> persist smoke: the exec modes agree"
 multi_vet=$(./target/release/gdroid vet 42 --exec multi --json)
 persist_vet=$(./target/release/gdroid vet 42 --exec persistent --json)
 if ! python3 - "$multi_vet" "$persist_vet" <<'PY'

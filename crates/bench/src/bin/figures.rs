@@ -3,9 +3,9 @@
 //! ```text
 //! figures <experiment> [--apps N] [--scale S]
 //!
-//! experiments (the 23 modes `usage()` accepts):
+//! experiments (the 21 modes `usage()` accepts):
 //!   paper        table1 fig1 fig4 fig8 fig9 fig10 fig11 fig12 table2 all
-//!   extensions   multigpu autotune sancheck
+//!   extensions   sancheck
 //!   BENCH_*.json serve sumstore trace batch targeted corpus1000 persist snapshot10k
 //!   dumps        csv debug
 //!   --apps N   analyze the first N corpus apps (default 100; paper: 1000)
@@ -32,21 +32,20 @@
 //! and writes the byte-deterministic `BENCH_persist.json`. `snapshot10k`
 //! streams a rotated-journal campaign with a shared-store lane and a
 //! daily-delta lane and writes the byte-deterministic
-//! `BENCH_snapshot10k.json`. `multigpu` and `autotune` print the
-//! future-work scaling curves, `sancheck` sweeps the sanitizer and lints
+//! `BENCH_snapshot10k.json`. `sancheck` sweeps the sanitizer and lints
 //! over the corpus (exit 1 unless CLEAN), `csv`/`debug` dump per-app rows.
 
 use gdroid_apk::Corpus;
 use gdroid_bench::{
     batch_benchmark, corpus1000_benchmark, experiments, persist_benchmark, run_corpus,
     sancheck_corpus, serve_benchmark, snapshot_benchmark, snapshot_rotate, sumstore_benchmark,
-    targeted_benchmark, trace_benchmark, PERSIST_DETAIL_APPS, SNAPSHOT_SHARDS,
+    targeted_benchmark, trace_benchmark, AppRecord, PERSIST_DETAIL_APPS, SNAPSHOT_SHARDS,
 };
 use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures <table1|fig1|fig4|fig8|fig9|fig10|fig11|fig12|table2|all|multigpu|autotune|csv|debug|sancheck|serve|sumstore|trace|batch|targeted|corpus1000|persist|snapshot10k> \
+        "usage: figures <table1|fig1|fig4|fig8|fig9|fig10|fig11|fig12|table2|all|csv|debug|sancheck|serve|sumstore|trace|batch|targeted|corpus1000|persist|snapshot10k> \
          [--apps N] [--scale S]"
     );
     std::process::exit(2)
@@ -87,122 +86,66 @@ fn main() {
     let mut corpus = Corpus::paper_sized(apps);
     corpus.config.scale *= scale;
 
-    if experiment == "serve" {
-        eprintln!("benchmarking the vetting service ({apps} jobs per point)…");
+    // The `BENCH_<mode>.json` modes: stderr banner, then `(json, summary)`.
+    let (serve_jobs, detail_apps) = (apps.min(64), apps.min(20));
+    type Runner<'a> = &'a dyn Fn() -> (String, String);
+    let bench_modes: [(&str, String, Runner); 8] = [
+        (
+            "serve",
+            format!("benchmarking the vetting service ({serve_jobs} jobs per point)"),
+            &|| serve_benchmark(serve_jobs),
+        ),
+        ("sumstore", "benchmarking the summary store (dup factors 1/2/4/8)".into(), &|| {
+            sumstore_benchmark(detail_apps)
+        }),
+        (
+            "trace",
+            "checking trace invariance over the corpus (traced vs untraced runs)".into(),
+            &|| trace_benchmark(detail_apps),
+        ),
+        ("batch", "benchmarking co-resident batching (degrees 1/2/4/8)".into(), &|| {
+            batch_benchmark(detail_apps)
+        }),
+        (
+            "targeted",
+            "benchmarking demand-driven targeted vetting (full vs sliced)".into(),
+            &|| targeted_benchmark(detail_apps),
+        ),
+        (
+            "corpus1000",
+            format!("streaming the corpus-scale speedup ladder over {apps} apps (small profile)"),
+            &|| corpus1000_benchmark(apps, scale),
+        ),
+        (
+            "persist",
+            format!(
+                "comparing persistent-kernel vs multi-launch execution \
+                 ({PERSIST_DETAIL_APPS} detail apps + {apps} streamed)"
+            ),
+            &|| persist_benchmark(PERSIST_DETAIL_APPS, apps, scale),
+        ),
+        (
+            "snapshot10k",
+            format!(
+                "streaming a rotated snapshot campaign over {apps} apps ({SNAPSHOT_SHARDS} shards, \
+                 segments of {}) plus store and delta lanes",
+                snapshot_rotate(apps)
+            ),
+            &|| snapshot_benchmark(apps),
+        ),
+    ];
+    if let Some((mode, banner, run)) = bench_modes.into_iter().find(|m| m.0 == experiment) {
+        eprintln!("{banner}…");
         let t0 = Instant::now();
-        let (json, summary) = serve_benchmark(apps.min(64));
+        let (json, summary) = run();
         eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
-        std::fs::write("BENCH_serve.json", &json).unwrap_or_else(|e| {
-            eprintln!("cannot write BENCH_serve.json: {e}");
+        let path = format!("BENCH_{mode}.json");
+        std::fs::write(&path, &json).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
             std::process::exit(1)
         });
         print!("{summary}");
-        eprintln!("wrote BENCH_serve.json");
-        return;
-    }
-
-    if experiment == "sumstore" {
-        eprintln!("benchmarking the summary store (dup factors 1/2/4/8)…");
-        let t0 = Instant::now();
-        let (json, summary) = sumstore_benchmark(apps.min(20));
-        eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
-        std::fs::write("BENCH_sumstore.json", &json).unwrap_or_else(|e| {
-            eprintln!("cannot write BENCH_sumstore.json: {e}");
-            std::process::exit(1)
-        });
-        print!("{summary}");
-        eprintln!("wrote BENCH_sumstore.json");
-        return;
-    }
-
-    if experiment == "trace" {
-        eprintln!("checking trace invariance over the corpus (traced vs untraced runs)…");
-        let t0 = Instant::now();
-        let (json, summary) = trace_benchmark(apps.min(20));
-        eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
-        std::fs::write("BENCH_trace.json", &json).unwrap_or_else(|e| {
-            eprintln!("cannot write BENCH_trace.json: {e}");
-            std::process::exit(1)
-        });
-        print!("{summary}");
-        eprintln!("wrote BENCH_trace.json");
-        return;
-    }
-
-    if experiment == "batch" {
-        eprintln!("benchmarking co-resident batching (degrees 1/2/4/8)…");
-        let t0 = Instant::now();
-        let (json, summary) = batch_benchmark(apps.min(20));
-        eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
-        std::fs::write("BENCH_batch.json", &json).unwrap_or_else(|e| {
-            eprintln!("cannot write BENCH_batch.json: {e}");
-            std::process::exit(1)
-        });
-        print!("{summary}");
-        eprintln!("wrote BENCH_batch.json");
-        return;
-    }
-
-    if experiment == "targeted" {
-        eprintln!("benchmarking demand-driven targeted vetting (full vs sliced)…");
-        let t0 = Instant::now();
-        let (json, summary) = targeted_benchmark(apps.min(20));
-        eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
-        std::fs::write("BENCH_targeted.json", &json).unwrap_or_else(|e| {
-            eprintln!("cannot write BENCH_targeted.json: {e}");
-            std::process::exit(1)
-        });
-        print!("{summary}");
-        eprintln!("wrote BENCH_targeted.json");
-        return;
-    }
-
-    if experiment == "corpus1000" {
-        eprintln!("streaming the corpus-scale speedup ladder over {apps} apps (small profile)…");
-        let t0 = Instant::now();
-        let (json, summary) = corpus1000_benchmark(apps, scale);
-        eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
-        std::fs::write("BENCH_corpus1000.json", &json).unwrap_or_else(|e| {
-            eprintln!("cannot write BENCH_corpus1000.json: {e}");
-            std::process::exit(1)
-        });
-        print!("{summary}");
-        eprintln!("wrote BENCH_corpus1000.json");
-        return;
-    }
-
-    if experiment == "persist" {
-        eprintln!(
-            "comparing persistent-kernel vs multi-launch execution \
-             ({PERSIST_DETAIL_APPS} detail apps + {apps} streamed)…"
-        );
-        let t0 = Instant::now();
-        let (json, summary) = persist_benchmark(PERSIST_DETAIL_APPS, apps, scale);
-        eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
-        std::fs::write("BENCH_persist.json", &json).unwrap_or_else(|e| {
-            eprintln!("cannot write BENCH_persist.json: {e}");
-            std::process::exit(1)
-        });
-        print!("{summary}");
-        eprintln!("wrote BENCH_persist.json");
-        return;
-    }
-
-    if experiment == "snapshot10k" {
-        eprintln!(
-            "streaming a rotated snapshot campaign over {apps} apps ({SNAPSHOT_SHARDS} shards, \
-             segments of {}) plus store and delta lanes…",
-            snapshot_rotate(apps)
-        );
-        let t0 = Instant::now();
-        let (json, summary) = snapshot_benchmark(apps);
-        eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
-        std::fs::write("BENCH_snapshot10k.json", &json).unwrap_or_else(|e| {
-            eprintln!("cannot write BENCH_snapshot10k.json: {e}");
-            std::process::exit(1)
-        });
-        print!("{summary}");
-        eprintln!("wrote BENCH_snapshot10k.json");
+        eprintln!("wrote {path}");
         return;
     }
 
@@ -215,27 +158,24 @@ fn main() {
         std::process::exit(if outcome.is_clean() { 0 } else { 1 });
     }
 
+    let report: fn(&[AppRecord]) -> String = match experiment.as_str() {
+        "table1" => experiments::table1,
+        "fig1" => experiments::fig1,
+        "fig4" => experiments::fig4,
+        "fig8" => experiments::fig8,
+        "fig9" => experiments::fig9,
+        "fig10" => experiments::fig10,
+        "fig11" => experiments::fig11,
+        "fig12" => experiments::fig12,
+        "table2" => experiments::table2,
+        "all" => experiments::all,
+        "debug" => experiments::debug,
+        "csv" => experiments::csv,
+        _ => usage(),
+    };
     eprintln!("analyzing {apps} apps (scale {scale}) across all engines…");
     let t0 = Instant::now();
     let records = run_corpus(&corpus, apps);
     eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
-
-    let report = match experiment.as_str() {
-        "table1" => experiments::table1(&records),
-        "fig1" => experiments::fig1(&records),
-        "fig4" => experiments::fig4(&records),
-        "fig8" => experiments::fig8(&records),
-        "fig9" => experiments::fig9(&records),
-        "fig10" => experiments::fig10(&records),
-        "fig11" => experiments::fig11(&records),
-        "fig12" => experiments::fig12(&records),
-        "table2" => experiments::table2(&records),
-        "all" => experiments::all(&records),
-        "debug" => experiments::debug(&records),
-        "multigpu" => experiments::ext_multigpu(&records),
-        "autotune" => experiments::ext_autotune(&records),
-        "csv" => experiments::csv(&records),
-        _ => usage(),
-    };
-    println!("{report}");
+    println!("{}", report(&records));
 }

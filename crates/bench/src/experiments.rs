@@ -237,135 +237,6 @@ pub fn table2(records: &[AppRecord]) -> String {
     out
 }
 
-/// Extension experiment (paper §VIII future work): multi-GPU scaling of
-/// GDroid over 1/2/4/8 simulated P40s, averaged over the given records'
-/// corpus indices (re-analyzed; expects a small `--apps`).
-pub fn ext_multigpu(records: &[AppRecord]) -> String {
-    use gdroid_core::{gpu_analyze_app_multi, MultiGpuConfig};
-    use gdroid_icfg::prepare_app;
-    let corpus = gdroid_apk::Corpus::paper_sized(records.len().max(1));
-    let mut out = String::new();
-    writeln!(out, "== Extension: multi-GPU scaling ({} apps) ==", records.len().min(8)).unwrap();
-    writeln!(out, "  GPUs  mean-speedup  mean-balance  exchange-share").unwrap();
-    let sample: Vec<usize> = records.iter().take(8).map(|r| r.index).collect();
-    let mut base: Vec<f64> = Vec::new();
-    for n in [1usize, 2, 4, 8] {
-        let mut speedups = Vec::new();
-        let mut balances = Vec::new();
-        let mut exchange_share = Vec::new();
-        for (i, &idx) in sample.iter().enumerate() {
-            let mut app = corpus.generate(idx);
-            let (envs, cg) = prepare_app(&mut app);
-            let roots: Vec<gdroid_ir::MethodId> = envs.iter().map(|e| e.method).collect();
-            let run = gpu_analyze_app_multi(
-                &app.program,
-                &cg,
-                &roots,
-                MultiGpuConfig::nvlink(n),
-                gdroid_core::OptConfig::gdroid(),
-            )
-            .expect("valid multi-GPU config");
-            if n == 1 {
-                base.push(run.stats.total_ns);
-                speedups.push(1.0);
-            } else {
-                speedups.push(base[i] / run.stats.total_ns);
-            }
-            balances.push(run.stats.balance);
-            exchange_share.push(run.stats.exchange_ns / run.stats.total_ns.max(1.0));
-        }
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-        writeln!(
-            out,
-            "  {n:4}  {:11.2}x  {:12.2}  {:13.1}%",
-            mean(&speedups),
-            mean(&balances),
-            mean(&exchange_share) * 100.0
-        )
-        .unwrap();
-    }
-    writeln!(
-        out,
-        "  (per-app scaling saturates: one method's worklist cannot split          across devices)"
-    )
-    .unwrap();
-
-    // Corpus-level throughput: whole apps round-robin across GPUs — the
-    // deployment the paper's introduction implies (screen ~7K new apps a
-    // day). Embarrassingly parallel, so scaling is near-linear and limited
-    // only by per-device load imbalance.
-    writeln!(
-        out,
-        "
-  corpus throughput (whole apps per GPU, {} apps):",
-        sample.len()
-    )
-    .unwrap();
-    let single: Vec<f64> = sample
-        .iter()
-        .map(|&idx| {
-            let mut app = corpus.generate(idx);
-            let (envs, cg) = prepare_app(&mut app);
-            let roots: Vec<gdroid_ir::MethodId> = envs.iter().map(|e| e.method).collect();
-            gpu_analyze_app_multi(
-                &app.program,
-                &cg,
-                &roots,
-                MultiGpuConfig::nvlink(1),
-                gdroid_core::OptConfig::gdroid(),
-            )
-            .expect("valid multi-GPU config")
-            .stats
-            .total_ns
-        })
-        .collect();
-    let total: f64 = single.iter().sum();
-    for n in [1usize, 2, 4, 8] {
-        // Greedy longest-first packing of apps onto devices.
-        let mut sorted = single.clone();
-        sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        let mut loads = vec![0.0f64; n];
-        for t in sorted {
-            let i = (0..n).min_by(|&a, &b| loads[a].partial_cmp(&loads[b]).unwrap()).unwrap();
-            loads[i] += t;
-        }
-        let makespan = loads.iter().copied().fold(0.0f64, f64::max);
-        writeln!(out, "    {n} GPU(s): {:6.2}x throughput", total / makespan.max(1.0)).unwrap();
-    }
-    out
-}
-
-/// Extension experiment: blocks-per-SM auto-tuning vs the paper's manual
-/// 4–5 pick, over a few sampled apps.
-pub fn ext_autotune(records: &[AppRecord]) -> String {
-    use gdroid_core::tune_blocks_per_sm;
-    use gdroid_gpusim::DeviceConfig;
-    use gdroid_icfg::prepare_app;
-    let corpus = gdroid_apk::Corpus::paper_sized(records.len().max(1));
-    let mut out = String::new();
-    writeln!(out, "== Extension: blocks/SM auto-tuning ==").unwrap();
-    for &idx in records.iter().take(5).map(|r| &r.index) {
-        let mut app = corpus.generate(idx);
-        let (envs, cg) = prepare_app(&mut app);
-        let roots: Vec<gdroid_ir::MethodId> = envs.iter().map(|e| e.method).collect();
-        let r = tune_blocks_per_sm(
-            &app.program,
-            &cg,
-            &roots,
-            DeviceConfig::tesla_p40(),
-            gdroid_core::OptConfig::gdroid(),
-            8,
-        );
-        writeln!(
-            out,
-            "  app {idx:3}: tuned {} blocks/SM (manual 4), spread {:.2}x",
-            r.blocks_per_sm, r.spread
-        )
-        .unwrap();
-    }
-    out
-}
-
 /// Machine-readable per-app rows (CSV) for external plotting of any
 /// figure: one line per app with every engine's time and the derived
 /// per-figure series.

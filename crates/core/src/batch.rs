@@ -181,7 +181,7 @@ pub fn gpu_analyze_batch_on(
             .flat_map(|&i| {
                 let c = &cursors[i];
                 let kernel = WorklistKernel { layout: &c.layout, opts, warp };
-                c.fx.blocks(c.fx.pending(), kernel, false).into_iter().map(move |b| (i as u32, b))
+                c.fx.blocks(kernel, false).into_iter().map(move |b| (i as u32, b))
             })
             .collect();
         let sourced = device.try_launch_sourced(blocks)?;

@@ -143,7 +143,7 @@ fn run_solo(
         let ((layer, round), launched) = (fx.position(), fx.pending().len());
         let round_start_ns = device.clock_ns();
         let (h2d, d2h) = fx.pending_bytes(kernel);
-        let blocks = fx.blocks(fx.pending(), kernel, persistent);
+        let blocks = fx.blocks(kernel, persistent);
         let round_bytes = if persistent {
             let kernel_stats = device.persistent_round(blocks);
             if round == 0 {

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! while !fx.done() {
-//!     launch(fx.blocks(fx.pending(), kernel, ..));  // the policy's part
+//!     launch(fx.blocks(kernel, ..));  // the policy's part
 //!     fx.absorb(..);    // block results → summaries, facts, changed set
 //!     fx.advance();     // re-launch changed recursive SCCs, else next layer
 //! }
@@ -69,11 +69,11 @@ pub struct Fixpoint<'a> {
     /// CFGs of every launchable and pre-solved method.
     pub cfgs: HashMap<MethodId, Cfg>,
     /// Summaries so far; final once [`Fixpoint::done`].
-    pub summaries: SummaryMap,
+    summaries: SummaryMap,
     /// Node facts so far; final once [`Fixpoint::done`].
-    pub facts: HashMap<MethodId, MatrixStore>,
+    facts: HashMap<MethodId, MatrixStore>,
     /// Telemetry of every absorbed block.
-    pub telemetry: WorklistTelemetry,
+    telemetry: WorklistTelemetry,
     layer: usize,
     round: usize,
     pending: Vec<MethodId>,
@@ -175,18 +175,16 @@ impl<'a> Fixpoint<'a> {
         self.pending.iter().map(|&m| kernel.bytes(m)).fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
     }
 
-    /// One block per method of `methods` (the pending set, or a policy's
-    /// partition of it), inputs merged from the summaries as they stand.
-    /// `queued` blocks belong to a resident kernel: they dequeue their
-    /// method from the device-side worklist and publish their
-    /// summary-changed flag back for the next round's scheduling.
+    /// One block per pending method, inputs merged from the summaries as
+    /// they stand. `queued` blocks belong to a resident kernel: they
+    /// dequeue their method from the device-side worklist and publish
+    /// their summary-changed flag back for the next round's scheduling.
     pub(crate) fn blocks<'s>(
         &'s self,
-        methods: &[MethodId],
         kernel: WorklistKernel<'s>,
         queued: bool,
     ) -> Vec<BlockFn<'s>> {
-        self.results.borrow_mut().reserve(methods.len());
+        self.results.borrow_mut().reserve(self.pending.len());
         let block_of = |&mid: &MethodId| {
             let (method, space, cfg) =
                 (&self.program.methods[mid], &self.spaces[&mid], &self.cfgs[&mid]);
@@ -205,7 +203,7 @@ impl<'a> Fixpoint<'a> {
                 self.results.borrow_mut().push((mid, block.store, tele));
             }) as BlockFn<'s>
         };
-        methods.iter().map(block_of).collect()
+        self.pending.iter().map(block_of).collect()
     }
 
     /// Folds the executed blocks' results in, in execution order: derives

@@ -18,10 +18,8 @@
 //! * the *launch policies* over it, which decide only how a round's blocks
 //!   reach a device and how modeled time is accounted — [`driver`] (solo:
 //!   one launch per round through the dual-buffering pipeline, or one
-//!   persistent session), [`batch`] (co-resident apps sharing launches,
-//!   attributed per app by re-packing) and [`multigpu`] (the paper's
-//!   future-work extension, §VIII: LPT partition of each round over several
-//!   simulated GPUs with a summary all-gather in between);
+//!   persistent session) and [`batch`] (co-resident apps sharing launches,
+//!   attributed per app by re-packing);
 //! * [`engine`] — the `AnalysisEngine` boundary the vetting layers select
 //!   an engine through;
 //! * [`stats`] — the measured quantities behind Figs. 4 and 8–12 and
@@ -31,26 +29,20 @@
 //! against the CPU reference in tests); the flags only change simulated
 //! cost and schedule.
 
-pub mod autotune;
 pub mod batch;
 pub mod driver;
 pub mod engine;
 pub mod fixpoint;
 pub mod kernel;
 pub mod layout;
-pub mod multigpu;
 pub mod opts;
 pub mod stats;
 
-pub use autotune::{tune_blocks_per_sm, TuneResult};
 pub use batch::{gpu_analyze_batch_on, BatchAnalysis, BatchApp, BatchStats};
 pub use engine::{AnalysisEngine, CpuEngine, EngineAnalysis, EngineKind, ExecMode, WorklistEngine};
 
 pub use driver::{gpu_analyze_app, gpu_analyze_app_on, GpuAnalysis};
 pub use kernel::run_method_block;
 pub use layout::{plan_layout, AppLayout, MethodLayout};
-pub use multigpu::{
-    gpu_analyze_app_multi, MultiGpuAnalysis, MultiGpuConfig, MultiGpuError, MultiGpuStats,
-};
 pub use opts::OptConfig;
 pub use stats::{GpuRunStats, WorklistProfile};

@@ -1,16 +1,13 @@
-//! Launch-policy conformance: every policy over the shared host loop
-//! (`gdroid_core::Fixpoint`) must reach the CPU reference's fixpoint on an
-//! app whose recursion forces SCC re-launches — with and without a
-//! pre-solved closed subset where the policy accepts one.
+//! Launch-policy conformance: both policies over the shared host loop
+//! (`gdroid_core::fixpoint::Fixpoint`) must reach the CPU reference's
+//! fixpoint on an app whose recursion forces SCC re-launches — with and
+//! without a pre-solved closed subset where the policy accepts one.
 
 use gdroid_analysis::{
     analyze_app, AppAnalysis, MatrixStore, MethodSummary, StoreKind, SummaryMap,
 };
 use gdroid_apk::{generate_app, App, GenConfig};
-use gdroid_core::{
-    gpu_analyze_app_multi, gpu_analyze_app_on, gpu_analyze_batch_on, BatchApp, ExecMode,
-    MultiGpuConfig, OptConfig,
-};
+use gdroid_core::{gpu_analyze_app_on, gpu_analyze_batch_on, BatchApp, ExecMode, OptConfig};
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_icfg::{prepare_app, CallGraph, CallLayers};
 use gdroid_ir::MethodId;
@@ -101,20 +98,5 @@ fn every_launch_policy_reaches_the_reference_fixpoint() {
     let batch = gpu_analyze_batch_on(&mut device, &apps, OptConfig::gdroid()).expect("no faults");
     for (i, (c, run)) in batch_cases.iter().zip(&batch.apps).enumerate() {
         c.assert_reference(&format!("co-resident app {i}"), &run.summaries, &run.facts);
-    }
-
-    // Multi-GPU, 1–3 devices.
-    for devices in 1..=3 {
-        let config =
-            MultiGpuConfig { device: DeviceConfig::tiny(), ..MultiGpuConfig::nvlink(devices) };
-        let run = gpu_analyze_app_multi(
-            &case.app.program,
-            &case.cg,
-            &case.roots,
-            config,
-            OptConfig::gdroid(),
-        )
-        .expect("devices > 0");
-        case.assert_reference(&format!("multi-GPU x{devices}"), &run.summaries, &run.facts);
     }
 }

@@ -378,6 +378,23 @@ impl Device {
     where
         F: FnOnce(&mut BlockCtx<'_>),
     {
+        let per_block = self.run_blocks(blocks);
+        let stats = self.pack(&per_block);
+        let launch_ns = stats.time_ns(&self.config).round() as u64;
+        if self.tracer.enabled() {
+            self.trace_launch(&stats, &per_block, launch_ns);
+        }
+        self.clock_ns += launch_ns;
+        (stats, per_block)
+    }
+
+    /// Runs one round's blocks in order inside one sanitizer epoch and
+    /// returns their raw counters (shared by launches and persistent
+    /// rounds).
+    fn run_blocks<F>(&mut self, blocks: Vec<F>) -> Vec<BlockStats>
+    where
+        F: FnOnce(&mut BlockCtx<'_>),
+    {
         let n = blocks.len();
         let resident = n.min(self.config.block_slots()).max(1);
         if let Some(san) = self.san.as_mut() {
@@ -398,13 +415,7 @@ impl Device {
             f(&mut ctx);
             per_block.push(ctx.stats);
         }
-        let stats = self.pack(&per_block);
-        let launch_ns = stats.time_ns(&self.config).round() as u64;
-        if self.tracer.enabled() {
-            self.trace_launch(&stats, &per_block, launch_ns);
-        }
-        self.clock_ns += launch_ns;
-        (stats, per_block)
+        per_block
     }
 
     /// Re-packs a set of already-executed block timelines as if they had
@@ -436,11 +447,17 @@ impl Device {
                 ("utilization", stats.utilization.into()),
             ],
         );
+        self.trace_blocks(self.clock_ns + overhead_ns, stats, per_block);
+    }
+
+    /// Emits one span per block on the block's slot track, its schedule
+    /// offsets counted from `base_ns`.
+    fn trace_blocks(&self, base_ns: u64, stats: &KernelStats, per_block: &[BlockStats]) {
         for (i, (&(slot, start, end), b)) in stats.schedule.iter().zip(per_block).enumerate() {
             self.tracer.span(
                 "gpusim",
                 format!("block {i}"),
-                self.clock_ns + overhead_ns + self.config.cycles_to_ns(start).round() as u64,
+                base_ns + self.config.cycles_to_ns(start).round() as u64,
                 self.config.cycles_to_ns(end - start).round() as u64,
                 slot + 1,
                 vec![
@@ -518,11 +535,6 @@ impl Device {
         Ok(())
     }
 
-    /// Whether a persistent session is currently open.
-    pub fn persistent_active(&self) -> bool {
-        self.persistent.is_some()
-    }
-
     /// Runs one fixpoint round inside the open persistent session:
     /// executes the blocks, packs their timelines, and charges one
     /// grid-wide sync (the barrier every cooperative persistent kernel
@@ -537,26 +549,7 @@ impl Device {
     {
         let round_index =
             self.persistent.as_ref().expect("persistent_round outside a session").rounds + 1;
-        let n = blocks.len();
-        let resident = n.min(self.config.block_slots()).max(1);
-        if let Some(san) = self.san.as_mut() {
-            san.begin_launch();
-        }
-        let mut per_block: Vec<BlockStats> = Vec::with_capacity(n);
-        for (i, f) in blocks.into_iter().enumerate() {
-            if let Some(san) = self.san.as_mut() {
-                san.begin_block(i as u32);
-            }
-            let mut ctx = BlockCtx::new(
-                &self.config,
-                &mut self.heap,
-                resident,
-                self.san.as_mut(),
-                &mut self.scratch,
-            );
-            f(&mut ctx);
-            per_block.push(ctx.stats);
-        }
+        let per_block = self.run_blocks(blocks);
         let mut stats = self.pack(&per_block);
         stats.makespan_cycles += self.config.grid_sync_cycles;
         let round_ns = self.config.cycles_to_ns(stats.makespan_cycles).round() as u64;
@@ -641,20 +634,7 @@ impl Device {
                 ("utilization", stats.utilization.into()),
             ],
         );
-        for (i, (&(slot, start, end), b)) in stats.schedule.iter().zip(per_block).enumerate() {
-            self.tracer.span(
-                "gpusim",
-                format!("block {i}"),
-                self.clock_ns + self.config.cycles_to_ns(start).round() as u64,
-                self.config.cycles_to_ns(end - start).round() as u64,
-                slot + 1,
-                vec![
-                    ("transactions", b.transactions.into()),
-                    ("divergence_passes", b.divergence_passes.into()),
-                    ("warp_steps", b.warp_steps.into()),
-                ],
-            );
-        }
+        self.trace_blocks(self.clock_ns, stats, per_block);
     }
 }
 
@@ -1029,10 +1009,10 @@ mod tests {
         // Persistent: 3 rounds inside one resident launch.
         let mut per = Device::new(cfg);
         per.begin_persistent().unwrap();
-        assert!(per.persistent_active());
+        assert!(per.persistent.is_some());
         let rounds: Vec<KernelStats> = (0..3).map(|_| per.persistent_round(mk())).collect();
         let combined = per.end_persistent();
-        assert!(!per.persistent_active());
+        assert!(per.persistent.is_none());
         assert_eq!(per.launches(), 1, "one resident launch for the whole fixpoint");
         assert_eq!(multi.launches(), 3);
         // Combined stats sum the rounds (each includes its grid sync).
@@ -1092,7 +1072,7 @@ mod tests {
         dev.end_persistent();
         // Second session is launch #2 → faults; no session is left open.
         assert_eq!(dev.begin_persistent().unwrap_err().launch_index, 2);
-        assert!(!dev.persistent_active());
+        assert!(dev.persistent.is_none());
         assert!(dev.begin_persistent().is_ok(), "retry succeeds within budget");
         dev.end_persistent();
         assert_eq!(dev.faults_injected(), 1);

@@ -10,10 +10,9 @@
 //! * [`queue`] — bounded submission queue with three priority classes,
 //!   blocking backpressure, and admission-control shedding;
 //! * [`scheduler`] — the bounded ready-heap between host-side prep and
-//!   device execution: executors pop priority-then-heaviest (greedy LPT,
-//!   the same policy `gdroid-core::multigpu` applies to methods), the
-//!   bound double-buffers prep against execution, aged jobs are promoted
-//!   past the bound ([`scheduler::STARVATION_BOUND`]), and
+//!   device execution: executors pop priority-then-heaviest (greedy
+//!   LPT), the bound double-buffers prep against execution, aged jobs are
+//!   promoted past the bound ([`scheduler::STARVATION_BOUND`]), and
 //!   [`ServiceConfig::coresident`] lets executors top a device up with
 //!   co-resident jobs whose combined block demand fits its block slots;
 //! * [`pool`] — long-lived simulated devices with RAII leases; devices

@@ -1,9 +1,8 @@
 //! Dispatch heap: prepared jobs waiting for a device.
 //!
 //! Executors pop the highest-priority, *heaviest* ready job — combined
-//! with "a free executor pops next", this is exactly the greedy LPT
-//! (longest-processing-time-first) packing the multi-GPU driver uses for
-//! methods ([`gdroid_core::multigpu`]), lifted to whole apps: the least
+//! with "a free executor pops next", this is exactly greedy LPT
+//! (longest-processing-time-first) packing of whole apps: the least
 //! loaded device always receives the heaviest pending app.
 //!
 //! Strict (priority, LPT) ordering starves small `Standard` jobs under a
@@ -74,8 +73,7 @@ pub struct ReadyJob {
 }
 
 /// Computes the static work estimate of a prepared app: total statements
-/// times total variables — the app-granular analogue of the per-method
-/// `cfg len × matrix words` estimate in [`gdroid_core::multigpu`].
+/// times total variables.
 pub fn work_estimate(prep: &PreparedApp) -> u64 {
     let p = &prep.app.program;
     // Both factors are guarded: a degenerate app (zero statements or zero

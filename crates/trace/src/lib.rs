@@ -265,8 +265,8 @@ impl Tracer {
     }
 }
 
-/// Escapes a string for embedding in JSON.
-fn json_escape(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

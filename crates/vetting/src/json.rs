@@ -6,22 +6,9 @@
 //! whitespace) so two identical runs produce byte-identical JSON — the
 //! property the serving layer's cache-parity checks rely on.
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes a string for embedding in a JSON string literal (the trace
+/// crate's definition: one escape for reports and traces).
+pub use gdroid_trace::json_escape as escape;
 
 /// Renders a quoted JSON string literal.
 pub fn string(s: &str) -> String {

@@ -460,8 +460,17 @@ mod tests {
         tracer: &Tracer,
     ) -> Executed {
         let mut device = Device::new(DeviceConfig::tesla_p40());
-        execute(prep, plan, &mut ExecCtx { device: &mut device, store, tracer })
-            .expect("no fault plan")
+        run_on(&mut device, prep, plan, store, tracer)
+    }
+
+    fn run_on(
+        device: &mut Device,
+        prep: &PreparedApp,
+        plan: ExecPlan,
+        store: Option<&SumStore>,
+        tracer: &Tracer,
+    ) -> Executed {
+        execute(prep, plan, &mut ExecCtx { device, store, tracer }).expect("no fault plan")
     }
 
     /// The whole product engine × exec × targeted × store × tracer: the
@@ -473,7 +482,7 @@ mod tests {
         let prep = prepare_vetting(generate_app(0, 8700, &GenConfig::tiny()));
         let reference =
             vet_prepared(&prep, ExecPlan::new(EngineKind::Cpu)).outcome.report.to_json();
-        let mut accepted = 0;
+        let (mut accepted, mut store_cut_launched) = (0, false);
         for engine in Engine::all() {
             let gpu = matches!(engine, Engine::Gpu(_));
             for exec in ExecMode::ALL {
@@ -511,6 +520,21 @@ mod tests {
                         assert!(emitted("idfg"), "{what}: no stage spans");
                         assert_eq!(emitted("sumstore"), with_store, "{what}");
                         assert_eq!(emitted("targeted-slice"), targeted, "{what}");
+
+                        if !gpu {
+                            continue;
+                        }
+                        // Once more under the sanitizer, against the store
+                        // the first run warmed: full, sliced, store-cut
+                        // and persistent launches are all race-free.
+                        let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
+                        let checked = run_on(&mut device, &prep, plan, store, &Tracer::disabled());
+                        assert_eq!(checked.run.outcome.report.to_json(), reference, "{what}");
+                        let san = device.san_report().expect("sanitizer configured");
+                        assert!(san.is_clean(), "{what}: {san}");
+                        assert_eq!(san.accesses_checked > 0, device.launches() > 0, "{what}");
+                        store_cut_launched |=
+                            device.launches() > 0 && checked.store_use.is_some_and(|u| u.hits > 0);
                     }
                 }
             }
@@ -518,6 +542,7 @@ mod tests {
         // 7 engines × 2 stores, minus cpu×store; + targeted for the 4
         // device engines × 2 stores; + persistent worklist × 2 × 2.
         assert_eq!(accepted, 13 + 8 + 4);
+        assert!(store_cut_launched, "no sanitized launch ran with store hits cut out");
         // The relational engine is retired (EXPERIMENTS.md): no spelling
         // selects it.
         assert_eq!(Engine::all().len(), 7);

@@ -21,9 +21,8 @@
 //! | [`campaign`] | store-scale campaigns: sharded fleets, checkpoint journals, resume, merged fleet report |
 //! | [`trace`] | modeled-time event tracing: Chrome `trace_event` export, zero-cost when disabled |
 //!
-//! Beyond the paper's core, the stack implements its stated future work:
-//! multi-GPU analysis ([`core::multigpu`]), launch auto-tuning
-//! ([`core::autotune`]), incremental re-analysis across app updates
+//! Beyond the paper's core, the stack implements extensions around it:
+//! incremental re-analysis across app updates
 //! ([`analysis::incremental`]), a concrete-execution soundness oracle
 //! ([`analysis::concrete`]), the conventional full-sweep baseline
 //! ([`analysis::sweep`]), and an app-store-style serving layer

@@ -1,15 +1,11 @@
-//! Integration tests for the future-work extensions: multi-GPU, incremental
-//! re-analysis, auto-tuning, the sweep baseline, and the dynamic soundness
-//! oracle — exercised together through the public API.
+//! Integration tests for the future-work extensions: incremental
+//! re-analysis and the dynamic soundness oracle — exercised through the
+//! public API.
 
 use gdroid::analysis::{
     analyze_app, analyze_app_incremental, validate_app, InterpConfig, StoreKind,
 };
 use gdroid::apk::{generate_app, GenConfig};
-use gdroid::core::{
-    gpu_analyze_app, gpu_analyze_app_multi, tune_blocks_per_sm, MultiGpuConfig, OptConfig,
-};
-use gdroid::gpusim::DeviceConfig;
 use gdroid::icfg::prepare_app;
 use gdroid::ir::MethodId;
 
@@ -18,29 +14,6 @@ fn prepared(seed: u64) -> (gdroid::apk::App, gdroid::icfg::CallGraph, Vec<Method
     let (envs, cg) = prepare_app(&mut app);
     let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
     (app, cg, roots)
-}
-
-/// Multi-GPU, single-GPU, and CPU agree on the IDFG; throughput stats are
-/// sane.
-#[test]
-fn multigpu_agrees_with_all_engines() {
-    let (app, cg, roots) = prepared(9101);
-    let cpu = analyze_app(&app.program, &cg, &roots, StoreKind::Matrix);
-    let single =
-        gpu_analyze_app(&app.program, &cg, &roots, DeviceConfig::tesla_p40(), OptConfig::gdroid());
-    let multi = gpu_analyze_app_multi(
-        &app.program,
-        &cg,
-        &roots,
-        MultiGpuConfig::pcie(3),
-        OptConfig::gdroid(),
-    )
-    .expect("valid multi-GPU config");
-    assert_eq!(cpu.summaries, single.summaries);
-    assert_eq!(cpu.summaries, multi.summaries);
-    // SCC re-launches re-assign their methods, so the per-device counter
-    // is >= the distinct method count.
-    assert!(multi.stats.methods_per_device.iter().sum::<usize>() >= multi.facts.len());
 }
 
 /// The soundness oracle holds across the whole ladder's shared fact
@@ -63,7 +36,7 @@ fn dynamic_oracle_validates_static_analysis() {
 }
 
 /// Incremental analysis over an *unchanged* program reuses everything and
-/// reproduces the previous summaries; the tuner returns a valid pick.
+/// reproduces the previous summaries.
 #[test]
 fn incremental_and_tuning_roundtrip() {
     let (app, cg, roots) = prepared(9301);
@@ -71,15 +44,4 @@ fn incremental_and_tuning_roundtrip() {
     let (incr, stats) = analyze_app_incremental(&app.program, &cg, &roots, &prev, &[]);
     assert_eq!(stats.resolved, 0);
     assert_eq!(incr.summaries, prev.summaries);
-
-    let tune = tune_blocks_per_sm(
-        &app.program,
-        &cg,
-        &roots,
-        DeviceConfig::tesla_p40(),
-        OptConfig::gdroid(),
-        4,
-    );
-    assert!((1..=4).contains(&tune.blocks_per_sm));
-    assert_eq!(tune.candidate_ns.len(), 4);
 }
