@@ -31,7 +31,8 @@ surface=$(grep -rn 'pub fn \(execute\|gpu_analyze\)' crates/vetting/src crates/c
 echo "==> retired-names ratchet: what EXPERIMENTS.md retired stays retired"
 # crates/rel survives only because benchmark/Cargo.lock names it (ROADMAP
 # 3a): an item-free lib.rs. None of the relational engine's, the per-app
-# multi-GPU driver's or the blocks-per-SM tuner's names anywhere.
+# multi-GPU driver's, the blocks-per-SM tuner's or the hand-rolled JSON
+# helpers' names anywhere.
 rel_files=$(find crates/rel/src -type f | sort | tr '\n' ' ')
 [ "$rel_files" = "crates/rel/src/lib.rs " ] || {
   echo "retired-names ratchet: crates/rel/src holds $rel_files(want only lib.rs)" >&2
@@ -43,6 +44,7 @@ if grep -vE '^\s*(//.*)?$' crates/rel/src/lib.rs; then
 fi
 retired='relation_scan|hash_join|probe_chain|MethodKernel|RelEngine|rel_jobs'
 retired+='|gpu_analyze_app_multi|MultiGpuConfig|tune_blocks_per_sm|TuneResult'
+retired+='|render_event|json::string|json::array'
 if grep -rnE "$retired" --include='*.rs' crates src tests examples; then
   echo "retired-names ratchet: a retired name is back (EXPERIMENTS.md, \"Retired: …\")" >&2
   exit 1
@@ -86,6 +88,18 @@ constructors=$(grep -c 'pub fn compute' crates/icfg/src/layers.rs)
   exit 1
 }
 
+echo "==> one-writer ratchet: JSON is rendered by gdroid_trace::json only"
+# Commas, quoting, escaping and the number rules live in JsonWriter
+# (DESIGN.md, "JSON output: one writer"); outside it and outside tests no
+# format string opens a JSON object by hand.
+writer=crates/trace/src/json.rs
+hand_json=$(non_test_sites '{{\"' crates src examples ! -path "$writer")
+[ "$hand_json" -eq 0 ] || {
+  echo "one-writer ratchet: $hand_json hand-formatted \`{{\\\"\` site(s) outside $writer —" \
+    "write the document through JsonWriter instead" >&2
+  exit 1
+}
+
 echo "==> hot-path ratchet: warp_process allocates nothing per step"
 # BlockCtx::warp_process runs once per simulated warp step; its buffers are
 # the Device-owned WarpScratch (DESIGN.md, "Host cost of the simulator").
@@ -109,6 +123,19 @@ for bench in trace targeted sumstore persist batch; do
     exit 1
   }
 done
+# corpus1000 and snapshot10k are too slow to regenerate at their committed
+# N; reduced-N goldens stand in for them (and for run-to-run determinism).
+while read -r bench golden flags; do
+  (cd "$drift_dir" && "$repo_root/target/release/figures" "$bench" $flags >/dev/null)
+  cmp "$drift_dir/BENCH_$bench.json" "ci/golden/$golden" || {
+    echo "bench drift: ci/golden/$golden is stale — a modeled number moved;" \
+      "regenerate it with \`figures $bench $flags\` in the same change" >&2
+    exit 1
+  }
+done <<'GOLDENS'
+corpus1000 BENCH_corpus1000.apps16.scale0.1.json --apps 16 --scale 0.1
+snapshot10k BENCH_snapshot10k.apps48.json --apps 48
+GOLDENS
 rm -rf "$drift_dir"
 
 echo "==> serve smoke: 10 apps through the vetting service"
@@ -147,9 +174,6 @@ if echo "$warm_json" | grep -q '"sumstore":{"hits":0,'; then
 fi
 
 echo "==> batch smoke: batches form under co-residency"
-# Scratch for the run-twice determinism smokes further down.
-batch_dir=$(mktemp -d)
-trap 'rm -rf "$trace_dir" "$store_dir" "$batch_dir"' EXIT
 batch_out=$(./target/release/gdroid serve --apps 10 --workers 2 --devices 1 --coresident 4 --json)
 echo "$batch_out" | grep -q '"quarantined":0,' || {
   echo "batch smoke: quarantined jobs under co-residency" >&2
@@ -177,7 +201,7 @@ fi
 
 echo "==> campaign smoke: kill/resume reproduces the fleet report byte-for-byte"
 camp_dir=$(mktemp -d)
-trap 'rm -rf "$trace_dir" "$store_dir" "$batch_dir" "$camp_dir"' EXIT
+trap 'rm -rf "$trace_dir" "$store_dir" "$camp_dir"' EXIT
 ./target/release/gdroid campaign --apps 20 --shards 2 --journal-dir "$camp_dir/j2" \
   --out "$camp_dir/fleet-a.json" --verdicts "$camp_dir/verdicts-2.txt" >/dev/null
 # Simulate a crash mid-append: cut the shard-0 journal inside a record,
@@ -196,14 +220,6 @@ echo "==> campaign smoke: shard layout never changes a verdict"
   --verdicts "$camp_dir/verdicts-1.txt" >/dev/null
 cmp -s "$camp_dir/verdicts-2.txt" "$camp_dir/verdicts-1.txt" || {
   echo "campaign smoke: 2-shard verdicts differ from the 1-shard run" >&2
-  exit 1
-}
-
-echo "==> corpus1000 smoke: the corpus-scale ladder is byte-deterministic"
-(cd "$batch_dir" && "$repo_root/target/release/figures" corpus1000 --apps 16 --scale 0.1 >/dev/null && mv BENCH_corpus1000.json ca.json)
-(cd "$batch_dir" && "$repo_root/target/release/figures" corpus1000 --apps 16 --scale 0.1 >/dev/null && mv BENCH_corpus1000.json cb.json)
-cmp -s "$batch_dir/ca.json" "$batch_dir/cb.json" || {
-  echo "corpus1000 smoke: BENCH_corpus1000.json differs between identical runs" >&2
   exit 1
 }
 
@@ -247,7 +263,7 @@ fi
 
 echo "==> snapshot smoke: rotated kill/resume reproduces the fleet report byte-for-byte"
 snap_dir=$(mktemp -d)
-trap 'rm -rf "$trace_dir" "$store_dir" "$batch_dir" "$camp_dir" "$snap_dir"' EXIT
+trap 'rm -rf "$trace_dir" "$store_dir" "$camp_dir" "$snap_dir"' EXIT
 ./target/release/gdroid campaign --apps 20 --shards 2 --rotate 3 --journal-dir "$snap_dir/jr" \
   --out "$snap_dir/fleet-a.json" >/dev/null
 # Kill twice: first cut the newest shard-0 segment mid-record, resume; then
@@ -270,14 +286,6 @@ head -c $(( $(wc -c < "$newest") / 2 )) "$newest" > "$snap_dir/cut" && mv "$snap
   --out "$snap_dir/fleet-c.json" >/dev/null
 cmp -s "$snap_dir/fleet-a.json" "$snap_dir/fleet-c.json" || {
   echo "snapshot smoke: resume after an unsealed-tail cut diverged" >&2
-  exit 1
-}
-
-echo "==> snapshot smoke: snapshot10k sweep is byte-deterministic at reduced N"
-(cd "$batch_dir" && "$repo_root/target/release/figures" snapshot10k --apps 48 >/dev/null && mv BENCH_snapshot10k.json sa.json)
-(cd "$batch_dir" && "$repo_root/target/release/figures" snapshot10k --apps 48 >/dev/null && mv BENCH_snapshot10k.json sb.json)
-cmp -s "$batch_dir/sa.json" "$batch_dir/sb.json" || {
-  echo "snapshot smoke: BENCH_snapshot10k.json differs between identical runs" >&2
   exit 1
 }
 

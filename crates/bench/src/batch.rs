@@ -13,8 +13,10 @@
 //! for a fixed corpus.
 
 use crate::corpus::corpus_preps;
+use crate::stats::speedup;
 use gdroid_apk::GenConfig;
 use gdroid_gpusim::{Device, DeviceConfig};
+use gdroid_trace::JsonWriter;
 use gdroid_vetting::{execute, execute_vetting_batch_on_device, ExecCtx, ExecPlan, PreparedApp};
 
 /// One co-residency-degree measurement.
@@ -38,21 +40,23 @@ pub struct BatchPoint {
 }
 
 impl BatchPoint {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"coresident\":{},\"apps\":{},\"groups\":{},\"launches\":{},\
-             \"solo_ns\":{:.1},\"batched_ns\":{:.1},\"speedup\":{:.4},\
-             \"utilization\":{:.4},\"mean_coresidency\":{:.3}}}",
-            self.coresident,
-            self.apps,
-            self.groups,
-            self.launches,
-            self.solo_ns,
-            self.batched_ns,
-            if self.batched_ns > 0.0 { self.solo_ns / self.batched_ns } else { 1.0 },
-            self.utilization,
-            self.mean_coresidency,
-        )
+    /// Summed solo makespans over summed group makespans.
+    fn speedup(&self) -> f64 {
+        speedup(self.solo_ns, self.batched_ns)
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("coresident").int(self.coresident);
+            w.key("apps").int(self.apps);
+            w.key("groups").int(self.groups);
+            w.key("launches").int(self.launches);
+            w.key("solo_ns").fixed(self.solo_ns, 1);
+            w.key("batched_ns").fixed(self.batched_ns, 1);
+            w.key("speedup").fixed(self.speedup(), 4);
+            w.key("utilization").fixed(self.utilization, 4);
+            w.key("mean_coresidency").fixed(self.mean_coresidency, 3);
+        })
     }
 }
 
@@ -140,15 +144,17 @@ pub fn batch_benchmark(apps: usize) -> (String, String) {
             p.launches,
             p.batched_ns / 1e6,
             p.solo_ns / 1e6,
-            if p.batched_ns > 0.0 { p.solo_ns / p.batched_ns } else { 1.0 },
+            p.speedup(),
             100.0 * p.utilization,
             p.mean_coresidency,
         ));
     }
     summary
         .push_str("  (per-app outcomes byte-identical to solo at every K; asserted per group)\n");
-    let rows = points.iter().map(BatchPoint::to_json).collect::<Vec<_>>().join(",");
-    (format!("{{\"points\":[{rows}]}}"), summary)
+    let json = JsonWriter::render(|w| {
+        w.object(|w| w.key("points").array(|w| points.iter().for_each(|p| p.write_json(w))))
+    });
+    (json, summary)
 }
 
 #[cfg(test)]

@@ -17,13 +17,15 @@
 //!   sequential order makes store hits deterministic).
 //!
 //! Every number in `BENCH_corpus1000.json` is modeled or counted, so the
-//! file is byte-deterministic across reruns — CI compares two small-N
-//! generations with `cmp`.
+//! file is byte-deterministic across reruns — CI `cmp`s a small-N
+//! generation with the golden committed under `ci/golden/`.
 
+use crate::stats::speedup;
 use gdroid_apk::{Corpus, GenConfig, PAPER_MASTER_SEED};
 use gdroid_core::OptConfig;
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_serve::fnv1a;
+use gdroid_trace::JsonWriter;
 use gdroid_vetting::{
     execute, execute_vetting_batch_on_device, prepare_vetting, Engine, ExecCtx, ExecPlan,
     PreparedApp,
@@ -38,6 +40,8 @@ pub struct LadderRung {
     pub label: &'static str,
     /// Summed modeled IDFG time over the corpus (ns).
     pub idfg_ns: f64,
+    /// Speedup over the `plain` rung.
+    speedup: f64,
 }
 
 /// The corpus-scale ladder results.
@@ -50,10 +54,12 @@ pub struct Corpus1000 {
     pub rungs: Vec<LadderRung>,
     /// Summed targeted (sliced) modeled IDFG time (ns).
     pub targeted_ns: f64,
+    /// Speedup of the targeted lane over the full `gdroid` rung.
+    targeted_speedup: f64,
     /// Mean sliced fraction over the corpus.
     pub mean_sliced_fraction: f64,
-    /// Per-degree (K, summed batched makespan ns, launches) triples.
-    pub batch: Vec<(usize, f64, usize)>,
+    /// Per-degree (K, summed batched makespan ns, launches, speedup vs solo).
+    batch: Vec<(usize, f64, usize, f64)>,
     /// Summed solo GDroid device makespans the batch points compare to
     /// (ns).
     pub solo_makespan_ns: f64,
@@ -62,6 +68,8 @@ pub struct Corpus1000 {
     pub sumstore_ns: f64,
     /// Summed store-free modeled IDFG time over the library corpus (ns).
     pub sumstore_baseline_ns: f64,
+    /// Speedup of the store-backed pass over the store-free one.
+    sumstore_speedup: f64,
     /// Store hits of the sequential cold pass.
     pub sumstore_hits: u64,
     /// Suspicious verdicts.
@@ -73,64 +81,56 @@ pub struct Corpus1000 {
 impl Corpus1000 {
     /// The byte-deterministic JSON document (`BENCH_corpus1000.json`).
     pub fn to_json(&self) -> String {
-        let plain_ns = self.rungs.first().map_or(0.0, |r| r.idfg_ns);
-        let gdroid_ns = self.rungs.last().map_or(0.0, |r| r.idfg_ns);
-        let speedup = |ns: f64| if ns > 0.0 { plain_ns / ns } else { 1.0 };
-        let rungs: Vec<String> = self
-            .rungs
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"engine\":\"{}\",\"idfg_ns\":{:.1},\"speedup\":{:.4}}}",
-                    r.label,
-                    r.idfg_ns,
-                    speedup(r.idfg_ns)
-                )
+        JsonWriter::render(|w| {
+            w.object(|w| {
+                w.key("apps").int(self.apps);
+                w.key("profile").string("small");
+                w.key("scale").fixed(self.scale, 3);
+                w.key("rungs").array(|w| {
+                    for r in &self.rungs {
+                        w.object(|w| {
+                            w.key("engine").string(r.label);
+                            w.key("idfg_ns").fixed(r.idfg_ns, 1);
+                            w.key("speedup").fixed(r.speedup, 4);
+                        });
+                    }
+                });
+                w.key("targeted").object(|w| {
+                    w.key("idfg_ns").fixed(self.targeted_ns, 1);
+                    w.key("speedup_vs_full").fixed(self.targeted_speedup, 4);
+                    w.key("mean_sliced_fraction").fixed(self.mean_sliced_fraction, 6);
+                });
+                w.key("batch").object(|w| {
+                    w.key("solo_makespan_ns").fixed(self.solo_makespan_ns, 1);
+                    w.key("points").array(|w| {
+                        for &(k, ns, launches, speedup) in &self.batch {
+                            w.object(|w| {
+                                w.key("coresident").int(k);
+                                w.key("batched_ns").fixed(ns, 1);
+                                w.key("launches").int(launches);
+                                w.key("speedup").fixed(speedup, 4);
+                            });
+                        }
+                    });
+                });
+                w.key("sumstore").object(|w| {
+                    w.key("idfg_ns").fixed(self.sumstore_ns, 1);
+                    w.key("baseline_ns").fixed(self.sumstore_baseline_ns, 1);
+                    w.key("speedup").fixed(self.sumstore_speedup, 4);
+                    w.key("hits").int(self.sumstore_hits);
+                });
+                w.key("verdicts").object(|w| {
+                    w.key("suspicious").int(self.suspicious);
+                    w.key("clean").int(self.apps - self.suspicious);
+                    w.key("digest").hex(self.verdict_digest);
+                });
             })
-            .collect();
-        let batch: Vec<String> = self
-            .batch
-            .iter()
-            .map(|(k, ns, launches)| {
-                format!(
-                    "{{\"coresident\":{},\"batched_ns\":{:.1},\"launches\":{},\"speedup\":{:.4}}}",
-                    k,
-                    ns,
-                    launches,
-                    if *ns > 0.0 { self.solo_makespan_ns / ns } else { 1.0 }
-                )
-            })
-            .collect();
-        format!(
-            "{{\"apps\":{},\"profile\":\"small\",\"scale\":{:.3},\"rungs\":[{}],\
-             \"targeted\":{{\"idfg_ns\":{:.1},\"speedup_vs_full\":{:.4},\
-             \"mean_sliced_fraction\":{:.6}}},\"batch\":{{\"solo_makespan_ns\":{:.1},\
-             \"points\":[{}]}},\"sumstore\":{{\"idfg_ns\":{:.1},\"baseline_ns\":{:.1},\
-             \"speedup\":{:.4},\"hits\":{}}},\"verdicts\":{{\"suspicious\":{},\"clean\":{},\
-             \"digest\":\"{:016x}\"}}}}",
-            self.apps,
-            self.scale,
-            rungs.join(","),
-            self.targeted_ns,
-            if self.targeted_ns > 0.0 { gdroid_ns / self.targeted_ns } else { 1.0 },
-            self.mean_sliced_fraction,
-            self.solo_makespan_ns,
-            batch.join(","),
-            self.sumstore_ns,
-            self.sumstore_baseline_ns,
-            if self.sumstore_ns > 0.0 { self.sumstore_baseline_ns / self.sumstore_ns } else { 1.0 },
-            self.sumstore_hits,
-            self.suspicious,
-            self.apps - self.suspicious,
-            self.verdict_digest,
-        )
+        })
     }
 
     /// Human-readable summary.
     pub fn render(&self) -> String {
         use std::fmt::Write;
-        let plain_ns = self.rungs.first().map_or(0.0, |r| r.idfg_ns);
-        let gdroid_ns = self.rungs.last().map_or(0.0, |r| r.idfg_ns);
         let mut out = format!(
             "corpus-scale ladder over {} apps (small profile x {:.2})\n",
             self.apps, self.scale
@@ -141,7 +141,7 @@ impl Corpus1000 {
                 "  {:<7} {:>12.1} ms  ({:.2}x vs plain)",
                 r.label,
                 r.idfg_ns / 1e6,
-                if r.idfg_ns > 0.0 { plain_ns / r.idfg_ns } else { 1.0 }
+                r.speedup
             )
             .unwrap();
         }
@@ -149,16 +149,15 @@ impl Corpus1000 {
             out,
             "  targeted {:>10.1} ms  ({:.2}x vs full gdroid, {:.1}% sliced mean)",
             self.targeted_ns / 1e6,
-            if self.targeted_ns > 0.0 { gdroid_ns / self.targeted_ns } else { 1.0 },
+            self.targeted_speedup,
             100.0 * self.mean_sliced_fraction
         )
         .unwrap();
-        for (k, ns, launches) in &self.batch {
+        for (k, ns, launches, speedup) in &self.batch {
             writeln!(
                 out,
-                "  batch K{k} {:>9.1} ms  ({:.2}x vs solo, {launches} launches)",
+                "  batch K{k} {:>9.1} ms  ({speedup:.2}x vs solo, {launches} launches)",
                 ns / 1e6,
-                if *ns > 0.0 { self.solo_makespan_ns / ns } else { 1.0 }
             )
             .unwrap();
         }
@@ -166,7 +165,7 @@ impl Corpus1000 {
             out,
             "  sumstore {:>10.1} ms  ({:.2}x vs store-free, {} hits)",
             self.sumstore_ns / 1e6,
-            if self.sumstore_ns > 0.0 { self.sumstore_baseline_ns / self.sumstore_ns } else { 1.0 },
+            self.sumstore_speedup,
             self.sumstore_hits
         )
         .unwrap();
@@ -295,20 +294,31 @@ pub fn corpus1000_benchmark(apps: usize, scale: f64) -> (String, String) {
         sumstore_ns += run.outcome.timing.idfg_ns;
     }
 
+    // Every ratio is derived here, once; `to_json` and `render` print it.
+    let [plain_ns, .., gdroid_ns] = rung_ns;
     let result = Corpus1000 {
         apps,
         scale,
         rungs: RUNGS
             .iter()
             .zip(rung_ns)
-            .map(|((label, _), idfg_ns)| LadderRung { label, idfg_ns })
+            .map(|((label, _), idfg_ns)| LadderRung {
+                label,
+                idfg_ns,
+                speedup: speedup(plain_ns, idfg_ns),
+            })
             .collect(),
         targeted_ns,
+        targeted_speedup: speedup(gdroid_ns, targeted_ns),
         mean_sliced_fraction: sliced_sum / apps as f64,
-        batch,
+        batch: batch
+            .into_iter()
+            .map(|(k, ns, launches)| (k, ns, launches, speedup(solo_makespan_ns, ns)))
+            .collect(),
         solo_makespan_ns,
         sumstore_ns,
         sumstore_baseline_ns,
+        sumstore_speedup: speedup(sumstore_baseline_ns, sumstore_ns),
         sumstore_hits: store.stats().hits,
         suspicious,
         verdict_digest: fnv1a(verdict_lines.as_bytes()),
@@ -323,7 +333,7 @@ mod tests {
     #[test]
     fn corpus_ladder_is_deterministic_and_ordered() {
         // Tiny scale keeps this double run debug-build friendly; CI's
-        // release smoke covers a larger N (see ci/check.sh).
+        // bench-drift gate covers a larger N (see ci/check.sh).
         let (a, summary) = corpus1000_benchmark(8, 0.02);
         let (b, _) = corpus1000_benchmark(8, 0.02);
         assert_eq!(a, b, "BENCH_corpus1000.json must be byte-deterministic");

@@ -20,11 +20,13 @@
 //! (`queue_op_cycles`, contention-scaled).
 
 use crate::corpus::corpus_prep;
+use crate::stats::speedup;
 use gdroid_apk::{Corpus, GenConfig, PAPER_MASTER_SEED};
 use gdroid_core::ExecMode;
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_ir::MethodId;
 use gdroid_serve::fnv1a;
+use gdroid_trace::JsonWriter;
 use gdroid_vetting::{execute, prepare_vetting, ExecCtx, ExecPlan, PreparedApp, VettingRun};
 
 /// Window size of the streamed corpus section.
@@ -52,18 +54,16 @@ pub struct PersistPoint {
 }
 
 impl PersistPoint {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"app\":{},\"multi_ns\":{:.1},\"persist_ns\":{:.1},\"multi_launches\":{},\
-             \"persist_launches\":{},\"rounds\":{},\"leaks\":{}}}",
-            self.app,
-            self.multi_ns,
-            self.persist_ns,
-            self.multi_launches,
-            self.persist_launches,
-            self.rounds,
-            self.leaks,
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("app").int(self.app);
+            w.key("multi_ns").fixed(self.multi_ns, 1);
+            w.key("persist_ns").fixed(self.persist_ns, 1);
+            w.key("multi_launches").int(self.multi_launches);
+            w.key("persist_launches").int(self.persist_launches);
+            w.key("rounds").int(self.rounds);
+            w.key("leaks").int(self.leaks);
+        })
     }
 }
 
@@ -143,7 +143,7 @@ pub fn persist_benchmark(detail_apps: usize, corpus_apps: usize, scale: f64) -> 
     let persist_ns = points.iter().map(|p| p.persist_ns).sum::<f64>();
     let multi_launches: u64 = points.iter().map(|p| p.multi_launches).sum();
     let persist_launches: u64 = points.iter().map(|p| p.persist_launches).sum();
-    let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { 1.0 };
+    let detail_speedup = speedup(multi_ns, persist_ns);
 
     // Price the trade from the device model: every multi-launch round
     // beyond the per-app first becomes a saved launch overhead; every
@@ -153,17 +153,6 @@ pub fn persist_benchmark(detail_apps: usize, corpus_apps: usize, scale: f64) -> 
     let launch_overhead_ns = config.launch_overhead_us * 1e3;
     let grid_sync_ns = config.cycles_to_ns(config.grid_sync_cycles);
     let saved_launches = multi_launches.saturating_sub(persist_launches);
-    let sync_profile = format!(
-        "{{\"launch_overhead_us\":{:.1},\"grid_sync_cycles\":{},\"queue_op_cycles\":{},\
-         \"saved_launches\":{saved_launches},\"launch_overhead_saved_ns\":{:.1},\
-         \"grid_sync_added_ns\":{:.1}}}",
-        config.launch_overhead_us,
-        config.grid_sync_cycles,
-        config.queue_op_cycles,
-        saved_launches as f64 * launch_overhead_ns,
-        multi_launches as f64 * grid_sync_ns,
-    );
-
     // Streamed corpus section: both modes on long-lived devices.
     let mut gen = GenConfig::small();
     gen.scale *= scale;
@@ -209,30 +198,51 @@ pub fn persist_benchmark(detail_apps: usize, corpus_apps: usize, scale: f64) -> 
     let corpus_multi_launches = multi_device.launches();
     let corpus_persist_launches = persist_device.launches();
 
-    let rows = points.iter().map(PersistPoint::to_json).collect::<Vec<_>>().join(",");
-    let json = format!(
-        "{{\"detail\":{{\"apps\":{detail_apps},\"profile\":\"tiny\",\
-         \"multi_ns\":{multi_ns:.1},\"persist_ns\":{persist_ns:.1},\"speedup\":{:.4},\
-         \"multi_launches\":{multi_launches},\"persist_launches\":{persist_launches},\
-         \"per_app\":[{rows}]}},\"sync_profile\":{sync_profile},\
-         \"corpus\":{{\"apps\":{corpus_apps},\"profile\":\"small\",\"scale\":{scale:.3},\
-         \"multi_ns\":{corpus_multi_ns:.1},\"persist_ns\":{corpus_persist_ns:.1},\
-         \"speedup\":{:.4},\"multi_launches\":{corpus_multi_launches},\
-         \"persist_launches\":{corpus_persist_launches},\"suspicious\":{suspicious},\
-         \"clean\":{},\"verdict_digest\":\"{:016x}\"}}}}",
-        ratio(multi_ns, persist_ns),
-        ratio(corpus_multi_ns, corpus_persist_ns),
-        corpus_apps - suspicious,
-        fnv1a(verdict_lines.as_bytes()),
-    );
+    let corpus_speedup = speedup(corpus_multi_ns, corpus_persist_ns);
+
+    let json = JsonWriter::render(|w| {
+        w.object(|w| {
+            w.key("detail").object(|w| {
+                w.key("apps").int(detail_apps);
+                w.key("profile").string("tiny");
+                w.key("multi_ns").fixed(multi_ns, 1);
+                w.key("persist_ns").fixed(persist_ns, 1);
+                w.key("speedup").fixed(detail_speedup, 4);
+                w.key("multi_launches").int(multi_launches);
+                w.key("persist_launches").int(persist_launches);
+                w.key("per_app").array(|w| points.iter().for_each(|p| p.write_json(w)));
+            });
+            w.key("sync_profile").object(|w| {
+                w.key("launch_overhead_us").fixed(config.launch_overhead_us, 1);
+                w.key("grid_sync_cycles").int(config.grid_sync_cycles);
+                w.key("queue_op_cycles").int(config.queue_op_cycles);
+                w.key("saved_launches").int(saved_launches);
+                w.key("launch_overhead_saved_ns")
+                    .fixed(saved_launches as f64 * launch_overhead_ns, 1);
+                w.key("grid_sync_added_ns").fixed(multi_launches as f64 * grid_sync_ns, 1);
+            });
+            w.key("corpus").object(|w| {
+                w.key("apps").int(corpus_apps);
+                w.key("profile").string("small");
+                w.key("scale").fixed(scale, 3);
+                w.key("multi_ns").fixed(corpus_multi_ns, 1);
+                w.key("persist_ns").fixed(corpus_persist_ns, 1);
+                w.key("speedup").fixed(corpus_speedup, 4);
+                w.key("multi_launches").int(corpus_multi_launches);
+                w.key("persist_launches").int(corpus_persist_launches);
+                w.key("suspicious").int(suspicious);
+                w.key("clean").int(corpus_apps - suspicious);
+                w.key("verdict_digest").hex(fnv1a(verdict_lines.as_bytes()));
+            });
+        })
+    });
 
     let mut summary = format!(
         "persistent kernels vs multi-launch ({detail_apps} tiny apps; facts and verdicts \
          asserted mode-identical)\n  multi      {:>12.3} ms  ({multi_launches} launches)\n  \
-         persistent {:>12.3} ms  ({persist_launches} launches, {:.2}x)\n",
+         persistent {:>12.3} ms  ({persist_launches} launches, {detail_speedup:.2}x)\n",
         multi_ns / 1e6,
         persist_ns / 1e6,
-        ratio(multi_ns, persist_ns),
     );
     summary.push_str(&format!(
         "  trade: {saved_launches} launch overheads saved ({:.1} us), \
@@ -242,11 +252,10 @@ pub fn persist_benchmark(detail_apps: usize, corpus_apps: usize, scale: f64) -> 
     ));
     summary.push_str(&format!(
         "  corpus ({corpus_apps} small apps): multi {:.1} ms / {corpus_multi_launches} launches, \
-         persistent {:.1} ms / {corpus_persist_launches} launches ({:.2}x), \
+         persistent {:.1} ms / {corpus_persist_launches} launches ({corpus_speedup:.2}x), \
          {suspicious} suspicious\n",
         corpus_multi_ns / 1e6,
         corpus_persist_ns / 1e6,
-        ratio(corpus_multi_ns, corpus_persist_ns),
     ));
     (json, summary)
 }

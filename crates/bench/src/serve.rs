@@ -14,6 +14,7 @@
 
 use gdroid_apk::GenConfig;
 use gdroid_serve::{JobSource, Priority, ServiceConfig, ServiceReport, VettingService};
+use gdroid_trace::JsonWriter;
 
 /// One measured service run.
 pub struct ServePoint {
@@ -30,18 +31,17 @@ pub struct ServePoint {
 }
 
 impl ServePoint {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"workers\":{},\"devices\":{},\"jobs\":{},\"distinct\":{},\
-             \"apps_per_sec\":{:.3},\"cache_hit_rate\":{:.3},\"report\":{}}}",
-            self.workers,
-            self.devices,
-            self.jobs,
-            self.distinct,
-            self.report.apps_per_sec,
-            self.report.cache.hits as f64 / self.jobs.max(1) as f64,
-            self.report.to_json(),
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("workers").int(self.workers);
+            w.key("devices").int(self.devices);
+            w.key("jobs").int(self.jobs);
+            w.key("distinct").int(self.distinct);
+            w.key("apps_per_sec").fixed(self.report.apps_per_sec, 3);
+            w.key("cache_hit_rate")
+                .fixed(self.report.cache.hits as f64 / self.jobs.max(1) as f64, 3);
+            self.report.write_json(w.key("report"));
+        })
     }
 }
 
@@ -113,8 +113,12 @@ pub fn serve_benchmark(jobs: usize) -> (String, String) {
         ));
     }
 
-    let join = |v: &[ServePoint]| v.iter().map(ServePoint::to_json).collect::<Vec<_>>().join(",");
-    let json = format!("{{\"scaling\":[{}],\"cache_sweep\":[{}]}}", join(&scaling), join(&cache));
+    let json = JsonWriter::render(|w| {
+        w.object(|w| {
+            w.key("scaling").array(|w| scaling.iter().for_each(|p| p.write_json(w)));
+            w.key("cache_sweep").array(|w| cache.iter().for_each(|p| p.write_json(w)));
+        })
+    });
     (json, summary)
 }
 
@@ -129,6 +133,6 @@ mod tests {
         assert_eq!(p.report.counters.quarantined, 0);
         // The duplicate half is fenced behind `wait_for`, so it must hit.
         assert_eq!(p.report.cache.hits, 3);
-        assert!(p.to_json().contains("\"cache_hit_rate\":0.500"));
+        assert!(JsonWriter::render(|w| p.write_json(w)).contains("\"cache_hit_rate\":0.500"));
     }
 }

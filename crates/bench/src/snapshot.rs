@@ -23,10 +23,11 @@
 use crate::corpus::corpus_preps;
 use gdroid_apk::GenConfig;
 use gdroid_campaign::{
-    config_digest, read_shard_records, segment_path, CampaignConfig, CampaignOutcome, FleetReport,
+    config_digest, read_shard_records, segment_path, CampaignConfig, FleetReport,
 };
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_sumstore::SumStore;
+use gdroid_trace::JsonWriter;
 use gdroid_vetting::{execute, ExecCtx, ExecPlan, PreparedApp};
 use std::path::{Path, PathBuf};
 
@@ -92,38 +93,35 @@ impl StoreComparison {
         })
     }
 
-    fn mode_json(per_shard: &[ShardHits]) -> String {
-        let total = StoreComparison::total(per_shard);
-        let rows = per_shard
-            .iter()
-            .enumerate()
-            .map(|(shard, s)| {
-                format!(
-                    "{{\"shard\":{shard},\"hits\":{},\"misses\":{},\"hit_rate\":{:.4}}}",
-                    s.hits,
-                    s.misses,
-                    s.rate()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.4},\"per_shard\":[{rows}]}}",
-            total.hits,
-            total.misses,
-            total.rate()
-        )
+    /// One sweep mode: fleet totals, then the per-shard attribution.
+    fn write_mode(per_shard: &[ShardHits], w: &mut JsonWriter) {
+        let write_hits = |s: &ShardHits, w: &mut JsonWriter| {
+            w.key("hits").int(s.hits);
+            w.key("misses").int(s.misses);
+            w.key("hit_rate").fixed(s.rate(), 4);
+        };
+        w.object(|w| {
+            write_hits(&StoreComparison::total(per_shard), w);
+            w.key("per_shard").array(|w| {
+                for (shard, s) in per_shard.iter().enumerate() {
+                    w.object(|w| {
+                        w.key("shard").int(shard);
+                        write_hits(s, w);
+                    });
+                }
+            });
+        })
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"apps\":{},\"shards\":{},\"libs_per_app\":{STORE_LIBS},\"dup\":{STORE_DUP},\
-             \"isolated\":{},\"shared\":{}}}",
-            self.apps,
-            self.shards,
-            StoreComparison::mode_json(&self.isolated),
-            StoreComparison::mode_json(&self.shared),
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("apps").int(self.apps);
+            w.key("shards").int(self.shards);
+            w.key("libs_per_app").int(STORE_LIBS);
+            w.key("dup").int(STORE_DUP);
+            StoreComparison::write_mode(&self.isolated, w.key("isolated"));
+            StoreComparison::write_mode(&self.shared, w.key("shared"));
+        })
     }
 }
 
@@ -218,26 +216,23 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn campaign_json(outcome: &CampaignOutcome, rotate: usize, segments: &[usize]) -> String {
-    let fleet = &outcome.fleet;
-    let segs = segments.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
-    format!(
-        "{{\"apps\":{},\"shards\":{},\"rotate\":{rotate},\"segments\":[{segs}],\
-         \"completed\":{},\"suspicious\":{},\"clean\":{},\"unknown\":{},\"quarantined\":{},\
-         \"failed\":{},\"leaks\":{},\"verdict_digest\":\"{:016x}\",\
-         \"makespan_ns\":{:.1},\"incremental_fold_matches\":true}}",
-        fleet.tallied_apps(),
-        fleet.shards,
-        fleet.completed,
-        fleet.suspicious,
-        fleet.clean,
-        fleet.unknown,
-        fleet.quarantined,
-        fleet.failed,
-        fleet.leaks,
-        fleet.verdict_digest,
-        fleet.modeled_makespan_ns,
-    )
+fn write_campaign(fleet: &FleetReport, rotate: usize, segments: &[usize], w: &mut JsonWriter) {
+    w.object(|w| {
+        w.key("apps").int(fleet.tallied_apps());
+        w.key("shards").int(fleet.shards);
+        w.key("rotate").int(rotate);
+        w.key("segments").array(|w| segments.iter().for_each(|&n| w.int(n)));
+        w.key("completed").int(fleet.completed);
+        w.key("suspicious").int(fleet.suspicious);
+        w.key("clean").int(fleet.clean);
+        w.key("unknown").int(fleet.unknown);
+        w.key("quarantined").int(fleet.quarantined);
+        w.key("failed").int(fleet.failed);
+        w.key("leaks").int(fleet.leaks);
+        w.key("verdict_digest").hex(fleet.verdict_digest);
+        w.key("makespan_ns").fixed(fleet.modeled_makespan_ns, 1);
+        w.key("incremental_fold_matches").bool(true);
+    })
 }
 
 /// Runs all three snapshot lanes and returns `(json, human_summary)`.
@@ -271,12 +266,13 @@ pub fn snapshot_benchmark(apps: usize) -> (String, String) {
     std::fs::remove_dir_all(&delta_dir).ok();
 
     let rotate = snapshot_rotate(apps);
-    let json = format!(
-        "{{\"campaign\":{},\"stores\":{},\"delta\":{}}}",
-        campaign_json(&base, rotate, &segments),
-        stores.to_json(),
-        delta.to_json(),
-    );
+    let json = JsonWriter::render(|w| {
+        w.object(|w| {
+            write_campaign(&base.fleet, rotate, &segments, w.key("campaign"));
+            stores.write_json(w.key("stores"));
+            delta.write_json(w.key("delta"));
+        })
+    });
 
     let iso = StoreComparison::total(&stores.isolated);
     let shr = StoreComparison::total(&stores.shared);

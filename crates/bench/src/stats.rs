@@ -91,6 +91,16 @@ pub fn percent_between(values: &[f64], lo: f64, hi: f64) -> f64 {
     values.iter().filter(|&&v| v >= lo && v < hi).count() as f64 / values.len() as f64
 }
 
+/// `baseline_ns / candidate_ns`, or 1.0 when the candidate took no modeled
+/// time at all (nothing ran) — the guard every printed speedup shares.
+pub fn speedup(baseline_ns: f64, candidate_ns: f64) -> f64 {
+    if candidate_ns > 0.0 {
+        baseline_ns / candidate_ns
+    } else {
+        1.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,5 +135,12 @@ mod tests {
         assert_eq!(s.fraction_between(2.0, 4.0), 0.4);
         assert_eq!(percent_below(&[], 1.0), 0.0);
         assert_eq!(percent_between(&[], 0.0, 1.0), 0.0);
+    }
+
+    #[test]
+    fn speedup_is_guarded_against_an_empty_candidate() {
+        assert_eq!(speedup(6.0, 2.0), 3.0);
+        assert_eq!(speedup(6.0, 0.0), 1.0);
+        assert_eq!(speedup(0.0, 0.0), 1.0);
     }
 }

@@ -18,6 +18,7 @@ use crate::corpus::corpus_preps;
 use gdroid_apk::GenConfig;
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_sumstore::SumStore;
+use gdroid_trace::JsonWriter;
 use gdroid_vetting::{execute, ExecCtx, ExecPlan, PreparedApp};
 
 /// Library packages each app draws from the shared pool.
@@ -46,25 +47,22 @@ pub struct SumstorePoint {
 }
 
 impl SumstorePoint {
-    fn to_json(&self) -> String {
+    fn write_json(&self, w: &mut JsonWriter) {
         let looked = self.cold_hits + self.cold_misses;
-        format!(
-            "{{\"dup\":{},\"apps\":{},\"libs_per_app\":{},\"pool\":{},\
-             \"cold_ns\":{:.1},\"warm_ns\":{:.1},\
-             \"cold_hits\":{},\"cold_misses\":{},\"cold_hit_rate\":{:.4},\
-             \"warm_hits\":{},\"warm_misses\":{}}}",
-            self.dup,
-            self.apps,
-            LIBS_PER_APP,
-            self.pool,
-            self.cold_ns,
-            self.warm_ns,
-            self.cold_hits,
-            self.cold_misses,
-            if looked > 0 { self.cold_hits as f64 / looked as f64 } else { 0.0 },
-            self.warm_hits,
-            self.warm_misses,
-        )
+        let cold_hit_rate = if looked > 0 { self.cold_hits as f64 / looked as f64 } else { 0.0 };
+        w.object(|w| {
+            w.key("dup").int(self.dup);
+            w.key("apps").int(self.apps);
+            w.key("libs_per_app").int(LIBS_PER_APP);
+            w.key("pool").int(self.pool);
+            w.key("cold_ns").fixed(self.cold_ns, 1);
+            w.key("warm_ns").fixed(self.warm_ns, 1);
+            w.key("cold_hits").int(self.cold_hits);
+            w.key("cold_misses").int(self.cold_misses);
+            w.key("cold_hit_rate").fixed(cold_hit_rate, 4);
+            w.key("warm_hits").int(self.warm_hits);
+            w.key("warm_misses").int(self.warm_misses);
+        })
     }
 }
 
@@ -140,8 +138,10 @@ pub fn sumstore_benchmark(apps: usize) -> (String, String) {
     summary.push_str(
         "  (warm 0 ms = every method pre-solved from the store; no kernel launches modeled)\n",
     );
-    let rows = points.iter().map(SumstorePoint::to_json).collect::<Vec<_>>().join(",");
-    (format!("{{\"points\":[{rows}]}}"), summary)
+    let json = JsonWriter::render(|w| {
+        w.object(|w| w.key("points").array(|w| points.iter().for_each(|p| p.write_json(w))))
+    });
+    (json, summary)
 }
 
 #[cfg(test)]
@@ -162,6 +162,6 @@ mod tests {
         );
         assert_eq!(shared.warm_misses, 0, "unchanged corpus must fully pre-solve");
         assert!(shared.warm_ns < shared.cold_ns);
-        assert!(shared.to_json().contains("\"dup\":6"));
+        assert!(JsonWriter::render(|w| shared.write_json(w)).contains("\"dup\":6"));
     }
 }

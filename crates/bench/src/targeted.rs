@@ -14,6 +14,7 @@
 use crate::corpus::corpus_prep;
 use gdroid_apk::GenConfig;
 use gdroid_gpusim::{Device, DeviceConfig};
+use gdroid_trace::JsonWriter;
 use gdroid_vetting::{execute, ExecCtx, ExecPlan};
 
 /// One app's full-vs-targeted measurement.
@@ -41,20 +42,17 @@ impl TargetedPoint {
         self.full_ns / self.targeted_ns.max(1.0)
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"app\":{},\"slice_methods\":{},\"total_reachable\":{},\
-             \"sliced_fraction\":{:.6},\"leaks\":{},\"full_ns\":{:.1},\"targeted_ns\":{:.1},\
-             \"speedup\":{:.4}}}",
-            self.app,
-            self.slice_methods,
-            self.total_reachable,
-            self.sliced_fraction,
-            self.leaks,
-            self.full_ns,
-            self.targeted_ns,
-            self.speedup(),
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("app").int(self.app);
+            w.key("slice_methods").int(self.slice_methods);
+            w.key("total_reachable").int(self.total_reachable);
+            w.key("sliced_fraction").fixed(self.sliced_fraction, 6);
+            w.key("leaks").int(self.leaks);
+            w.key("full_ns").fixed(self.full_ns, 1);
+            w.key("targeted_ns").fixed(self.targeted_ns, 1);
+            w.key("speedup").fixed(self.speedup(), 4);
+        })
     }
 }
 
@@ -101,26 +99,30 @@ pub fn targeted_benchmark(apps: usize) -> (String, String) {
     let mean_fraction: f64 =
         points.iter().map(|p| p.sliced_fraction).sum::<f64>() / points.len() as f64;
     let leaky = points.iter().filter(|p| p.leaks > 0).count();
+    let speedup = full_ns / targeted_ns.max(1.0);
 
     let mut summary =
         format!("demand-driven targeted vetting over a {apps}-app corpus (TESLA P40 model)\n");
     summary.push_str(&format!(
-        "  corpus makespan: {:>9.3} ms full vs {:>9.3} ms targeted ({:.2}x)\n",
+        "  corpus makespan: {:>9.3} ms full vs {:>9.3} ms targeted ({speedup:.2}x)\n",
         full_ns / 1e6,
         targeted_ns / 1e6,
-        full_ns / targeted_ns.max(1.0),
     ));
     summary.push_str(&format!(
         "  mean sliced fraction {:.3} ({leaky}/{apps} apps leaky; verdicts byte-identical,\n  \
          asserted per app)\n",
         mean_fraction,
     ));
-    let rows = points.iter().map(TargetedPoint::to_json).collect::<Vec<_>>().join(",");
-    let json = format!(
-        "{{\"apps\":{apps},\"full_ns\":{full_ns:.1},\"targeted_ns\":{targeted_ns:.1},\
-         \"speedup\":{:.4},\"mean_sliced_fraction\":{mean_fraction:.6},\"per_app\":[{rows}]}}",
-        full_ns / targeted_ns.max(1.0),
-    );
+    let json = JsonWriter::render(|w| {
+        w.object(|w| {
+            w.key("apps").int(apps);
+            w.key("full_ns").fixed(full_ns, 1);
+            w.key("targeted_ns").fixed(targeted_ns, 1);
+            w.key("speedup").fixed(speedup, 4);
+            w.key("mean_sliced_fraction").fixed(mean_fraction, 6);
+            w.key("per_app").array(|w| points.iter().for_each(|p| p.write_json(w)));
+        })
+    });
     (json, summary)
 }
 

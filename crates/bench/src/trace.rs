@@ -14,7 +14,7 @@ use crate::corpus::corpus_prep;
 use gdroid_apk::GenConfig;
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_serve::fnv1a;
-use gdroid_trace::{Phase, Tracer};
+use gdroid_trace::{JsonWriter, Phase, Tracer};
 use gdroid_vetting::{execute, vet_prepared, ExecCtx, ExecPlan};
 
 /// Per-app result of the invariance + breakdown run.
@@ -38,22 +38,19 @@ pub struct TracePoint {
 }
 
 impl TracePoint {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"index\":{},\"package\":\"{}\",\"invariant\":{},\"events\":{},\
-             \"gpusim_ns\":{},\"driver_ns\":{},\"vetting_ns\":{},\
-             \"launches\":{},\"rounds\":{},\"trace_fnv\":{}}}",
-            self.index,
-            self.package,
-            self.invariant,
-            self.events,
-            self.layer_ns.0,
-            self.layer_ns.1,
-            self.layer_ns.2,
-            self.launches,
-            self.rounds,
-            self.trace_fnv,
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("index").int(self.index);
+            w.key("package").string(&self.package);
+            w.key("invariant").bool(self.invariant);
+            w.key("events").int(self.events);
+            w.key("gpusim_ns").int(self.layer_ns.0);
+            w.key("driver_ns").int(self.layer_ns.1);
+            w.key("vetting_ns").int(self.layer_ns.2);
+            w.key("launches").int(self.launches);
+            w.key("rounds").int(self.rounds);
+            w.key("trace_fnv").int(self.trace_fnv);
+        })
     }
 }
 
@@ -116,20 +113,23 @@ pub fn trace_benchmark(apps: usize) -> (String, String) {
         points.iter().map(|p| p.trace_fnv.to_string()).collect::<Vec<_>>().join(",").as_bytes(),
     );
 
-    let json = format!(
-        "{{\"experiment\":\"trace\",\"apps\":{},\"invariant_apps\":{},\
-         \"gpusim_ns\":{},\"driver_ns\":{},\"vetting_ns\":{},\
-         \"launches\":{},\"rounds\":{},\"corpus_trace_fnv\":{},\"points\":[{}]}}\n",
-        apps,
-        invariant,
-        total(|p| p.layer_ns.0),
-        total(|p| p.layer_ns.1),
-        total(|p| p.layer_ns.2),
-        points.iter().map(|p| p.launches).sum::<usize>(),
-        points.iter().map(|p| p.rounds).sum::<usize>(),
-        corpus_fnv,
-        points.iter().map(TracePoint::to_json).collect::<Vec<_>>().join(","),
-    );
+    let launches = points.iter().map(|p| p.launches).sum::<usize>();
+    let rounds = points.iter().map(|p| p.rounds).sum::<usize>();
+    let mut json = JsonWriter::render(|w| {
+        w.object(|w| {
+            w.key("experiment").string("trace");
+            w.key("apps").int(apps);
+            w.key("invariant_apps").int(invariant);
+            w.key("gpusim_ns").int(total(|p| p.layer_ns.0));
+            w.key("driver_ns").int(total(|p| p.layer_ns.1));
+            w.key("vetting_ns").int(total(|p| p.layer_ns.2));
+            w.key("launches").int(launches);
+            w.key("rounds").int(rounds);
+            w.key("corpus_trace_fnv").int(corpus_fnv);
+            w.key("points").array(|w| points.iter().for_each(|p| p.write_json(w)));
+        })
+    });
+    json.push('\n');
 
     let mut summary = format!(
         "trace invariance over {apps} corpus apps: {invariant}/{apps} byte-identical \
@@ -143,9 +143,8 @@ pub fn trace_benchmark(apps: usize) -> (String, String) {
         summary.push_str(&format!("    {label:<28} {:>12.3} ms\n", ns as f64 / 1e6));
     }
     summary.push_str(&format!(
-        "  {} kernel launches across {} worklist rounds; corpus trace fnv {corpus_fnv:016x}\n",
-        points.iter().map(|p| p.launches).sum::<usize>(),
-        points.iter().map(|p| p.rounds).sum::<usize>(),
+        "  {launches} kernel launches across {rounds} worklist rounds; \
+         corpus trace fnv {corpus_fnv:016x}\n",
     ));
     (json, summary)
 }
@@ -153,6 +152,22 @@ pub fn trace_benchmark(apps: usize) -> (String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hostile_package_names_are_escaped() {
+        let point = TracePoint {
+            index: 0,
+            package: "a\"b\\c\n".into(),
+            invariant: true,
+            events: 1,
+            layer_ns: (1, 2, 3),
+            launches: 1,
+            rounds: 1,
+            trace_fnv: 7,
+        };
+        let doc = JsonWriter::render(|w| point.write_json(w));
+        assert!(doc.starts_with(r#"{"index":0,"package":"a\"b\\c\n","invariant":true,"#), "{doc}");
+    }
 
     #[test]
     fn trace_benchmark_is_invariant_and_deterministic() {

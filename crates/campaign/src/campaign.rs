@@ -23,6 +23,7 @@ use gdroid_serve::{
     ServiceReport, VettingService,
 };
 use gdroid_sumstore::SumStore;
+use gdroid_vetting::json::JsonWriter;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -222,12 +223,15 @@ pub struct DeltaReport {
 
 impl DeltaReport {
     /// Deterministic JSON rendering.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"base_apps\":{},\"apps\":{},\"copied\":{},\"revetted\":{},\"added\":{},\
-             \"verdict_flips\":{}}}",
-            self.base_apps, self.apps, self.copied, self.revetted, self.added, self.verdict_flips
-        )
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("base_apps").int(self.base_apps);
+            w.key("apps").int(self.apps);
+            w.key("copied").int(self.copied);
+            w.key("revetted").int(self.revetted);
+            w.key("added").int(self.added);
+            w.key("verdict_flips").int(self.verdict_flips);
+        })
     }
 }
 

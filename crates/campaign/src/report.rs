@@ -17,9 +17,11 @@
 //! byte-identical to the monolithic one by construction — a property the
 //! snapshot bench and `tests/resume_gate.rs` assert outright.
 
+use crate::campaign::DeltaReport;
 use crate::fold::ShardFold;
 use crate::journal::AppRecord;
 use gdroid_serve::HistogramSnapshot;
+use gdroid_vetting::json::JsonWriter;
 
 /// How many stragglers (slowest apps fleet-wide) the report lists.
 pub const STRAGGLER_COUNT: usize = 5;
@@ -309,71 +311,70 @@ impl FleetReport {
     /// Deterministic JSON rendering — byte-identical for identical record
     /// sets (the kill/resume and rerun gates `cmp` these files).
     pub fn to_json(&self) -> String {
-        let per_shard: Vec<String> = self
-            .per_shard
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"shard\":{},\"apps\":{},\"completed\":{},\"suspicious\":{},\"clean\":{},\
-                     \"unknown\":{},\"quarantined\":{},\"failed\":{},\"leaks\":{},\
-                     \"modeled_total_ns\":{:.1},\"nodes\":{},\"rounds\":{}}}",
-                    s.shard,
-                    s.apps,
-                    s.completed,
-                    s.suspicious,
-                    s.clean,
-                    s.unknown,
-                    s.quarantined,
-                    s.failed,
-                    s.leaks,
-                    s.modeled_total_ns,
-                    s.nodes,
-                    s.rounds
-                )
-            })
-            .collect();
-        let stragglers: Vec<String> = self
-            .stragglers
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"index\":{},\"package\":{},\"shard\":{},\"total_ns\":{:.1}}}",
-                    s.index,
-                    gdroid_vetting::json::string(&s.package),
-                    s.shard,
-                    s.total_ns
-                )
-            })
-            .collect();
-        format!(
-            "{{\"campaign\":{{\"master_seed\":{},\"apps\":{},\"shards\":{},\
-             \"config_digest\":{}}},\"verdicts\":{{\"completed\":{},\"suspicious\":{},\
-             \"clean\":{},\"unknown\":{},\"quarantined\":{},\"failed\":{},\"leaks\":{},\
-             \"retried_apps\":{},\"targeted_apps\":{},\"mean_sliced_fraction\":{:.6},\
-             \"digest\":\"{:016x}\"}},\"modeled\":{{\"serial_ns\":{:.1},\"makespan_ns\":{:.1},\
-             \"imbalance\":{:.4},\"app_model\":{}}},\"per_shard\":[{}],\"stragglers\":[{}]}}",
-            self.master_seed,
-            self.apps,
-            self.shards,
-            self.config_digest,
-            self.completed,
-            self.suspicious,
-            self.clean,
-            self.unknown,
-            self.quarantined,
-            self.failed,
-            self.leaks,
-            self.retried_apps,
-            self.targeted_apps,
-            self.mean_sliced_fraction,
-            self.verdict_digest,
-            self.modeled_serial_ns,
-            self.modeled_makespan_ns,
-            self.imbalance,
-            self.app_model.to_json(),
-            per_shard.join(","),
-            stragglers.join(","),
-        )
+        JsonWriter::render(|w| self.write_json(w, None))
+    }
+
+    /// Writes the [`Self::to_json`] object into a parent document; a
+    /// delta campaign's report carries its `delta` as a last member.
+    pub fn write_json(&self, w: &mut JsonWriter, delta: Option<&DeltaReport>) {
+        w.object(|w| {
+            w.key("campaign").object(|w| {
+                w.key("master_seed").int(self.master_seed);
+                w.key("apps").int(self.apps);
+                w.key("shards").int(self.shards);
+                w.key("config_digest").int(self.config_digest);
+            });
+            w.key("verdicts").object(|w| {
+                w.key("completed").int(self.completed);
+                w.key("suspicious").int(self.suspicious);
+                w.key("clean").int(self.clean);
+                w.key("unknown").int(self.unknown);
+                w.key("quarantined").int(self.quarantined);
+                w.key("failed").int(self.failed);
+                w.key("leaks").int(self.leaks);
+                w.key("retried_apps").int(self.retried_apps);
+                w.key("targeted_apps").int(self.targeted_apps);
+                w.key("mean_sliced_fraction").fixed(self.mean_sliced_fraction, 6);
+                w.key("digest").hex(self.verdict_digest);
+            });
+            w.key("modeled").object(|w| {
+                w.key("serial_ns").fixed(self.modeled_serial_ns, 1);
+                w.key("makespan_ns").fixed(self.modeled_makespan_ns, 1);
+                w.key("imbalance").fixed(self.imbalance, 4);
+                self.app_model.write_json(w.key("app_model"));
+            });
+            w.key("per_shard").array(|w| {
+                for s in &self.per_shard {
+                    w.object(|w| {
+                        w.key("shard").int(s.shard);
+                        w.key("apps").int(s.apps);
+                        w.key("completed").int(s.completed);
+                        w.key("suspicious").int(s.suspicious);
+                        w.key("clean").int(s.clean);
+                        w.key("unknown").int(s.unknown);
+                        w.key("quarantined").int(s.quarantined);
+                        w.key("failed").int(s.failed);
+                        w.key("leaks").int(s.leaks);
+                        w.key("modeled_total_ns").fixed(s.modeled_total_ns, 1);
+                        w.key("nodes").int(s.nodes);
+                        w.key("rounds").int(s.rounds);
+                    });
+                }
+            });
+            w.key("stragglers").array(|w| {
+                for s in &self.stragglers {
+                    w.object(|w| {
+                        w.key("index").int(s.index);
+                        w.key("package").string(&s.package);
+                        w.key("shard").int(s.shard);
+                        w.key("total_ns").fixed(s.total_ns, 1);
+                    });
+                }
+            });
+            if let Some(delta) = delta {
+                delta.write_json(w.key("delta"));
+            }
+        })
     }
 
     /// Human-readable summary (the CLI's default output).

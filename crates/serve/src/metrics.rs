@@ -7,6 +7,7 @@
 
 use crate::cache::CacheStats;
 use gdroid_sumstore::SumStoreStats;
+use gdroid_trace::JsonWriter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -168,204 +169,114 @@ impl HistogramSnapshot {
 
     /// JSON rendering: derived summary fields plus the raw mergeable
     /// bucket counts.
-    pub fn to_json(&self) -> String {
-        let buckets = self.buckets.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-        format!(
-            "{{\"count\":{},\"mean_ns\":{:.1},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\
-             \"max_ns\":{},\"sum_ns\":{},\"buckets\":[{}]}}",
-            self.count,
-            self.mean_ns,
-            self.p50_ns,
-            self.p95_ns,
-            self.p99_ns,
-            self.max_ns,
-            self.sum_ns,
-            buckets
-        )
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("count").int(self.count);
+            w.key("mean_ns").fixed(self.mean_ns, 1);
+            w.key("p50_ns").int(self.p50_ns);
+            w.key("p95_ns").int(self.p95_ns);
+            w.key("p99_ns").int(self.p99_ns);
+            w.key("max_ns").int(self.max_ns);
+            w.key("sum_ns").int(self.sum_ns);
+            w.key("buckets").array(|w| self.buckets.iter().for_each(|&b| w.int(b)));
+        })
     }
 }
 
-/// Lifetime event counters of the service.
-#[derive(Default)]
-pub struct Counters {
+/// Declares the service's event counters once: [`Counters`] (live
+/// atomics), [`CountersSnapshot`] (frozen `u64`s) and everything that is
+/// field-wise between them — snapshot, merge and the JSON object, whose
+/// keys follow declaration order. A new counter is one entry here.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Lifetime event counters of the service.
+        #[derive(Default)]
+        pub struct Counters {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        impl Counters {
+            /// Point-in-time copy.
+            pub fn snapshot(&self) -> CountersSnapshot {
+                CountersSnapshot { $($name: self.$name.load(Ordering::Relaxed),)* }
+            }
+        }
+
+        /// Frozen copy of [`Counters`].
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct CountersSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl CountersSnapshot {
+            /// Exact merge: every counter is a sum over disjoint event
+            /// sets, so field-wise addition is the true union.
+            pub fn merge(&self, other: &CountersSnapshot) -> CountersSnapshot {
+                CountersSnapshot { $($name: self.$name + other.$name,)* }
+            }
+
+            /// JSON rendering, keys in declaration order.
+            pub fn write_json(&self, w: &mut JsonWriter) {
+                w.object(|w| {
+                    $(w.key(stringify!($name)).int(self.$name);)*
+                })
+            }
+        }
+    };
+}
+
+counters! {
     /// Jobs admitted into the submission queue.
-    pub submitted: AtomicU64,
+    submitted,
     /// Submissions shed at admission (queue full).
-    pub rejected: AtomicU64,
+    rejected,
     /// Exact cache hits (no prep, no execution).
-    pub cache_hits: AtomicU64,
+    cache_hits,
     /// Incremental warm-start executions.
-    pub cache_incremental: AtomicU64,
+    cache_incremental,
     /// Jobs fully prepared and dispatched.
-    pub prepared: AtomicU64,
+    prepared,
     /// Device executions that returned a result.
-    pub executed: AtomicU64,
+    executed,
     /// Failed attempts sent back for retry.
-    pub retries: AtomicU64,
+    retries,
     /// Injected device faults observed.
-    pub faults: AtomicU64,
+    faults,
     /// Wall-clock attempt timeouts observed.
-    pub timeouts: AtomicU64,
+    timeouts,
     /// Jobs quarantined after exhausting retries.
-    pub quarantined: AtomicU64,
+    quarantined,
     /// Jobs that produced a terminal result (any status).
-    pub completed: AtomicU64,
+    completed,
     /// Co-resident batch launches (groups of ≥ 2 jobs on one device).
-    pub batches: AtomicU64,
+    batches,
     /// Jobs executed inside a co-resident batch.
-    pub batched_jobs: AtomicU64,
+    batched_jobs,
     /// Targeted (fast-lane, sliced) jobs completed.
-    pub targeted_jobs: AtomicU64,
+    targeted_jobs,
     /// Sum of targeted sliced fractions in micro-units (×1e6); divided by
-    /// `targeted_jobs` for the report's `mean_sliced_fraction`.
-    pub sliced_fraction_micros: AtomicU64,
+    /// `targeted_jobs` for the report's `mean_sliced_fraction`. Kept raw
+    /// (not pre-divided) so shard merges reproduce the exact fleet-wide
+    /// mean instead of averaging per-shard means.
+    sliced_fraction_micros,
     /// Jobs executed under the CPU reference engine.
-    pub cpu_jobs: AtomicU64,
+    cpu_jobs,
     /// Jobs executed under the persistent-kernel mode (one resident
     /// launch per app).
-    pub persistent_jobs: AtomicU64,
+    persistent_jobs,
     /// Summary-store method hits attributable to this service's own
     /// executions (service-local even when the store `Arc` is shared
     /// across shards — the store's global stats can't say *who* hit).
-    pub store_hits: AtomicU64,
+    store_hits,
     /// Summary-store method misses attributable to this service's own
     /// executions.
-    pub store_misses: AtomicU64,
+    store_misses,
 }
 
 impl Counters {
     /// Relaxed increment helper.
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy.
-    pub fn snapshot(&self) -> CountersSnapshot {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        CountersSnapshot {
-            submitted: load(&self.submitted),
-            rejected: load(&self.rejected),
-            cache_hits: load(&self.cache_hits),
-            cache_incremental: load(&self.cache_incremental),
-            prepared: load(&self.prepared),
-            executed: load(&self.executed),
-            retries: load(&self.retries),
-            faults: load(&self.faults),
-            timeouts: load(&self.timeouts),
-            quarantined: load(&self.quarantined),
-            completed: load(&self.completed),
-            batches: load(&self.batches),
-            batched_jobs: load(&self.batched_jobs),
-            targeted_jobs: load(&self.targeted_jobs),
-            sliced_fraction_micros: load(&self.sliced_fraction_micros),
-            cpu_jobs: load(&self.cpu_jobs),
-            persistent_jobs: load(&self.persistent_jobs),
-            store_hits: load(&self.store_hits),
-            store_misses: load(&self.store_misses),
-        }
-    }
-}
-
-/// Frozen copy of [`Counters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CountersSnapshot {
-    /// Jobs admitted into the submission queue.
-    pub submitted: u64,
-    /// Submissions shed at admission (queue full).
-    pub rejected: u64,
-    /// Exact cache hits.
-    pub cache_hits: u64,
-    /// Incremental warm-start executions.
-    pub cache_incremental: u64,
-    /// Jobs fully prepared and dispatched.
-    pub prepared: u64,
-    /// Device executions that returned a result.
-    pub executed: u64,
-    /// Failed attempts sent back for retry.
-    pub retries: u64,
-    /// Injected device faults observed.
-    pub faults: u64,
-    /// Wall-clock attempt timeouts observed.
-    pub timeouts: u64,
-    /// Jobs quarantined after exhausting retries.
-    pub quarantined: u64,
-    /// Jobs that produced a terminal result.
-    pub completed: u64,
-    /// Co-resident batch launches (groups of ≥ 2 jobs on one device).
-    pub batches: u64,
-    /// Jobs executed inside a co-resident batch.
-    pub batched_jobs: u64,
-    /// Targeted (fast-lane, sliced) jobs completed.
-    pub targeted_jobs: u64,
-    /// Summed targeted sliced fractions in micro-units (×1e6). Kept raw
-    /// (not pre-divided) so shard merges reproduce the exact fleet-wide
-    /// mean instead of averaging per-shard means.
-    pub sliced_fraction_micros: u64,
-    /// Jobs executed under the CPU reference engine.
-    pub cpu_jobs: u64,
-    /// Jobs executed under the persistent-kernel mode.
-    pub persistent_jobs: u64,
-    /// Summary-store hits from this service's own executions.
-    pub store_hits: u64,
-    /// Summary-store misses from this service's own executions.
-    pub store_misses: u64,
-}
-
-impl CountersSnapshot {
-    /// Exact merge: every counter is a sum over disjoint event sets, so
-    /// field-wise addition is the true union.
-    pub fn merge(&self, other: &CountersSnapshot) -> CountersSnapshot {
-        CountersSnapshot {
-            submitted: self.submitted + other.submitted,
-            rejected: self.rejected + other.rejected,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_incremental: self.cache_incremental + other.cache_incremental,
-            prepared: self.prepared + other.prepared,
-            executed: self.executed + other.executed,
-            retries: self.retries + other.retries,
-            faults: self.faults + other.faults,
-            timeouts: self.timeouts + other.timeouts,
-            quarantined: self.quarantined + other.quarantined,
-            completed: self.completed + other.completed,
-            batches: self.batches + other.batches,
-            batched_jobs: self.batched_jobs + other.batched_jobs,
-            targeted_jobs: self.targeted_jobs + other.targeted_jobs,
-            sliced_fraction_micros: self.sliced_fraction_micros + other.sliced_fraction_micros,
-            cpu_jobs: self.cpu_jobs + other.cpu_jobs,
-            persistent_jobs: self.persistent_jobs + other.persistent_jobs,
-            store_hits: self.store_hits + other.store_hits,
-            store_misses: self.store_misses + other.store_misses,
-        }
-    }
-
-    /// JSON rendering.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"submitted\":{},\"rejected\":{},\"cache_hits\":{},\"cache_incremental\":{},\
-             \"prepared\":{},\"executed\":{},\"retries\":{},\"faults\":{},\"timeouts\":{},\
-             \"quarantined\":{},\"completed\":{},\"batches\":{},\"batched_jobs\":{},\
-             \"targeted_jobs\":{},\"sliced_fraction_micros\":{},\"cpu_jobs\":{},\
-             \"persistent_jobs\":{},\"store_hits\":{},\"store_misses\":{}}}",
-            self.submitted,
-            self.rejected,
-            self.cache_hits,
-            self.cache_incremental,
-            self.prepared,
-            self.executed,
-            self.retries,
-            self.faults,
-            self.timeouts,
-            self.quarantined,
-            self.completed,
-            self.batches,
-            self.batched_jobs,
-            self.targeted_jobs,
-            self.sliced_fraction_micros,
-            self.cpu_jobs,
-            self.persistent_jobs,
-            self.store_hits,
-            self.store_misses,
-        )
     }
 }
 
@@ -485,20 +396,6 @@ pub struct SourceStats {
     pub store_misses: u64,
 }
 
-impl SourceStats {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"label\":{},\"cache_hits\":{},\"cache_incremental\":{},\"store_hits\":{},\
-             \"store_misses\":{}}}",
-            gdroid_vetting::json::string(&self.label),
-            self.cache_hits,
-            self.cache_incremental,
-            self.store_hits,
-            self.store_misses
-        )
-    }
-}
-
 /// The machine-readable service summary (`--json` / `BENCH_serve.json`).
 #[derive(Clone, Debug)]
 pub struct ServiceReport {
@@ -573,41 +470,57 @@ impl ServiceReport {
         }
     }
 
-    /// JSON rendering.
-    pub fn to_json(&self) -> String {
-        let per_source =
-            self.per_source.iter().map(SourceStats::to_json).collect::<Vec<_>>().join(",");
-        format!(
-            "{{\"counters\":{},\"per_source\":[{}],\"latency\":{{\"queue_wait\":{},\"prep\":{},\
-             \"exec_wall\":{},\"kernel_model\":{},\"taint_model\":{}}},\"cache\":{{\"hits\":{},\
-             \"misses\":{},\"invalidations\":{},\"insertions\":{}}},\"sumstore\":{},\"wall_ns\":{},\
-             \"apps_per_sec\":{:.3},\"coresidency\":{:.3},\"mean_sliced_fraction\":{:.6},\
-             \"device_launches\":{},\"device_faults\":{}}}",
-            self.counters.to_json(),
-            per_source,
-            self.queue_wait.to_json(),
-            self.prep.to_json(),
-            self.exec_wall.to_json(),
-            self.kernel_model.to_json(),
-            self.taint_model.to_json(),
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.invalidations,
-            self.cache.insertions,
-            self.sumstore.to_json(),
-            self.wall_ns,
-            self.apps_per_sec,
-            self.coresidency,
-            self.mean_sliced_fraction,
-            self.device_launches,
-            self.device_faults,
-        )
+    /// JSON rendering (`gdroid serve --json` and `BENCH_serve.json` embed it).
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            self.counters.write_json(w.key("counters"));
+            w.key("per_source").array(|w| {
+                for s in &self.per_source {
+                    w.object(|w| {
+                        w.key("label").string(&s.label);
+                        w.key("cache_hits").int(s.cache_hits);
+                        w.key("cache_incremental").int(s.cache_incremental);
+                        w.key("store_hits").int(s.store_hits);
+                        w.key("store_misses").int(s.store_misses);
+                    });
+                }
+            });
+            w.key("latency").object(|w| {
+                self.queue_wait.write_json(w.key("queue_wait"));
+                self.prep.write_json(w.key("prep"));
+                self.exec_wall.write_json(w.key("exec_wall"));
+                self.kernel_model.write_json(w.key("kernel_model"));
+                self.taint_model.write_json(w.key("taint_model"));
+            });
+            w.key("cache").object(|w| {
+                w.key("hits").int(self.cache.hits);
+                w.key("misses").int(self.cache.misses);
+                w.key("invalidations").int(self.cache.invalidations);
+                w.key("insertions").int(self.cache.insertions);
+            });
+            w.key("sumstore").object(|w| {
+                w.key("hits").int(self.sumstore.hits);
+                w.key("misses").int(self.sumstore.misses);
+                w.key("insertions").int(self.sumstore.insertions);
+                w.key("reloc_failures").int(self.sumstore.reloc_failures);
+            });
+            w.key("wall_ns").int(self.wall_ns);
+            w.key("apps_per_sec").fixed(self.apps_per_sec, 3);
+            w.key("coresidency").fixed(self.coresidency, 3);
+            w.key("mean_sliced_fraction").fixed(self.mean_sliced_fraction, 6);
+            w.key("device_launches").int(self.device_launches);
+            w.key("device_faults").int(self.device_faults);
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn json(report: &ServiceReport) -> String {
+        JsonWriter::render(|w| report.write_json(w))
+    }
 
     #[test]
     fn histogram_summarizes_samples() {
@@ -627,8 +540,9 @@ mod tests {
         assert_eq!(s.p99_ns, 4_959_715_200);
         assert!(s.p50_ns <= s.p95_ns && s.p95_ns <= s.p99_ns && s.p99_ns <= s.max_ns);
         assert!(s.mean_ns > 0.0);
-        assert!(s.to_json().contains("\"count\":5"));
-        assert!(s.to_json().contains("\"p99_ns\":4959715200"));
+        let json = JsonWriter::render(|w| s.write_json(w));
+        assert!(json.contains("\"count\":5"));
+        assert!(json.contains("\"p99_ns\":4959715200"));
     }
 
     #[test]
@@ -675,7 +589,6 @@ mod tests {
             }
             let merged = left.snapshot().merge(&right.snapshot());
             assert_eq!(merged, whole.snapshot(), "split at {split_at}");
-            assert_eq!(merged.to_json(), whole.snapshot().to_json());
         }
     }
 
@@ -725,7 +638,7 @@ mod tests {
             r.apps_per_sec = 0.0;
             r.per_source.clear();
         }
-        assert_eq!(merged.to_json(), expect.to_json());
+        assert_eq!(json(&merged), json(&expect));
         assert!(merged.mean_sliced_fraction > 0.0 && merged.mean_sliced_fraction < 1.0);
     }
 
@@ -736,7 +649,7 @@ mod tests {
         Counters::bump(&m.counters.store_hits);
         m.exec_wall.record(1_000);
         let r = m.report("service", CacheStats::default(), SumStoreStats::default(), 3, 1);
-        let j = r.to_json();
+        let j = json(&r);
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"completed\":1"));
         assert!(j.contains("\"store_hits\":1"));
@@ -759,9 +672,9 @@ mod tests {
         let m = ServiceMetrics::new();
         let r = m.report("a\"b\\c", CacheStats::default(), SumStoreStats::default(), 0, 0);
         assert!(
-            r.to_json().contains("\"per_source\":[{\"label\":\"a\\\"b\\\\c\",\"cache_hits\":0,"),
+            json(&r).contains("\"per_source\":[{\"label\":\"a\\\"b\\\\c\",\"cache_hits\":0,"),
             "{}",
-            r.to_json()
+            json(&r)
         );
     }
 }

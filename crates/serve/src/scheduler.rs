@@ -27,7 +27,7 @@
 //! jobs whose widest-layer block demand fits the device's remaining block
 //! slots.
 
-use crate::job::Priority;
+use crate::job::{JobIdentity, Priority};
 use gdroid_icfg::CallLayers;
 use gdroid_ir::MethodId;
 use gdroid_vetting::{ExecPlan, PreparedApp};
@@ -39,10 +39,9 @@ pub const STARVATION_BOUND: u64 = 8;
 
 /// A prepared job, ready for device execution.
 pub struct ReadyJob {
-    /// Submission id.
-    pub id: u64,
-    /// Priority class.
-    pub priority: Priority,
+    /// Who the job is, what the host measured for it, and what its
+    /// execution attempts tallied — carried into the final result.
+    pub(crate) identity: JobIdentity,
     /// How the job runs (see [`crate::JobSpec::plan`]).
     pub plan: ExecPlan,
     /// Static work estimate (statements × state width), the LPT key.
@@ -52,24 +51,10 @@ pub struct ReadyJob {
     pub block_demand: u64,
     /// The prepared app (program + environments + call graph + roots).
     pub prep: PreparedApp,
-    /// FNV-1a hash of the pre-prep bundle content.
-    pub content_hash: u64,
-    /// App package name.
-    pub package: String,
     /// Post-prep per-method content hashes (incremental change detection).
     pub method_hashes: HashMap<MethodId, u64>,
     /// Fingerprint of the interner contents backing `method_hashes`.
     pub interner_fingerprint: u64,
-    /// Measured queue wait, carried into the final result.
-    pub queue_wait_ns: u64,
-    /// Measured prep time, carried into the final result.
-    pub prep_ns: u64,
-    /// Failed execution attempts so far.
-    pub failures: u32,
-    /// Injected faults observed so far.
-    pub faults_seen: u32,
-    /// Timeouts observed so far.
-    pub timeouts_seen: u32,
 }
 
 /// Computes the static work estimate of a prepared app: total statements
@@ -99,7 +84,8 @@ impl AgedEntry {
     /// then earliest id. `pops` is the heap's current pop counter.
     fn key(&self, pops: u64) -> (bool, Priority, u64, std::cmp::Reverse<u64>) {
         let aged = pops.saturating_sub(self.enqueued_at) >= STARVATION_BOUND;
-        (aged, self.job.priority, self.job.estimate, std::cmp::Reverse(self.job.id))
+        let who = &self.job.identity;
+        (aged, who.priority, self.job.estimate, std::cmp::Reverse(who.id))
     }
 }
 
@@ -241,21 +227,19 @@ mod tests {
 
     fn ready(id: u64, priority: Priority, estimate: u64) -> ReadyJob {
         ReadyJob {
-            id,
-            priority,
+            identity: JobIdentity {
+                id,
+                priority,
+                package: format!("p{id}"),
+                content_hash: id,
+                ..Default::default()
+            },
             plan: ExecPlan::default(),
             estimate,
             block_demand: 1,
             prep: prepare_vetting(generate_app(0, 100 + id, &GenConfig::tiny())),
-            content_hash: id,
-            package: format!("p{id}"),
             method_hashes: HashMap::new(),
             interner_fingerprint: 0,
-            queue_wait_ns: 0,
-            prep_ns: 0,
-            failures: 0,
-            faults_seen: 0,
-            timeouts_seen: 0,
         }
     }
 
@@ -266,7 +250,7 @@ mod tests {
         assert!(h.push(ready(2, Priority::Standard, 99)).is_ok());
         assert!(h.push(ready(3, Priority::Expedited, 1)).is_ok());
         assert!(h.push(ready(4, Priority::Standard, 99)).is_ok());
-        let order: Vec<u64> = (0..4).map(|_| h.pop().unwrap().id).collect();
+        let order: Vec<u64> = (0..4).map(|_| h.pop().unwrap().identity.id).collect();
         assert_eq!(order, vec![3, 2, 4, 1]);
     }
 
@@ -279,7 +263,7 @@ mod tests {
         h.close();
         assert!(h.push(ready(3, Priority::Standard, 1)).is_err());
         h.requeue(ready(4, Priority::Expedited, 1));
-        let order: Vec<u64> = std::iter::from_fn(|| h.pop().map(|j| j.id)).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| h.pop().map(|j| j.identity.id)).collect();
         assert_eq!(order, vec![4, 2, 1]);
     }
 
@@ -317,11 +301,11 @@ mod tests {
         for i in 0..STARVATION_BOUND + 2 {
             assert!(h.push(ready(100 + i, Priority::Expedited, 1_000_000)).is_ok());
             let j = h.pop().unwrap();
-            if j.id == 1 {
+            if j.identity.id == 1 {
                 light_popped_after = Some(i);
                 break;
             }
-            assert!(j.priority == Priority::Expedited);
+            assert!(j.identity.priority == Priority::Expedited);
         }
         assert_eq!(
             light_popped_after,
@@ -342,11 +326,11 @@ mod tests {
         // Only the small job fits ten remaining slots, despite the big
         // one's higher priority.
         let j = h.try_pop_coresident(10).expect("small job fits");
-        assert_eq!(j.id, 2);
+        assert_eq!(j.identity.id, 2);
         // Nothing else fits; the big job stays queued, never blocking.
         assert!(h.try_pop_coresident(10).is_none());
         assert_eq!(h.len(), 1);
-        assert_eq!(h.pop().unwrap().id, 1);
+        assert_eq!(h.pop().unwrap().identity.id, 1);
     }
 
     #[test]
@@ -359,9 +343,9 @@ mod tests {
         // The targeted job outranks everything for a normal pop, but a
         // batch top-up must skip it even with ample block slots.
         let j = h.try_pop_coresident(u64::MAX).expect("the full job still fits");
-        assert_eq!(j.id, 2);
+        assert_eq!(j.identity.id, 2);
         assert!(h.try_pop_coresident(u64::MAX).is_none());
-        assert_eq!(h.pop().unwrap().id, 1);
+        assert_eq!(h.pop().unwrap().identity.id, 1);
     }
 
     #[test]

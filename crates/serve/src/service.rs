@@ -22,7 +22,9 @@
 use crate::cache::{
     app_content_hash, changed_methods, interner_fingerprint, method_hashes, ResultCache,
 };
-use crate::job::{CacheDisposition, JobResult, JobSource, JobSpec, JobStatus, Priority};
+use crate::job::{
+    CacheDisposition, JobIdentity, JobResult, JobSource, JobSpec, JobStatus, Priority,
+};
 use crate::metrics::{Counters, ServiceMetrics, ServiceReport};
 use crate::pool::DevicePool;
 use crate::queue::{SubmitError, SubmitQueue};
@@ -311,51 +313,35 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
         let queue_wait_ns = job.submitted_at.elapsed().as_nanos() as u64;
         state.metrics.queue_wait.record(queue_wait_ns);
         let prep_start = Instant::now();
+        let mut identity =
+            JobIdentity { id: job.id, priority: job.priority, queue_wait_ns, ..Default::default() };
 
         let (app, loaded) = load_source(job.source);
         let app = match app {
             Ok(app) => app,
             Err(reason) => {
-                state.deliver(JobResult {
-                    id: job.id,
-                    package: loaded,
-                    priority: job.priority,
-                    content_hash: 0,
-                    status: JobStatus::Failed(reason),
-                    cache: CacheDisposition::Miss,
-                    outcome: None,
-                    attempts: 0,
-                    faults_seen: 0,
-                    timeouts_seen: 0,
-                    queue_wait_ns,
-                    prep_ns: prep_start.elapsed().as_nanos() as u64,
-                    exec_wall_ns: 0,
-                });
+                identity.package = loaded;
+                identity.prep_ns = prep_start.elapsed().as_nanos() as u64;
+                let status = JobStatus::Failed(reason);
+                state.deliver(JobResult::new(identity, status, CacheDisposition::Miss, None, 0));
                 continue;
             }
         };
 
-        let content_hash = app_content_hash(&app);
-        let package = app.manifest.package.clone();
+        identity.content_hash = app_content_hash(&app);
+        identity.package = app.manifest.package.clone();
 
         if job.plan.cacheable() {
-            if let Some(outcome) = state.cache.lookup(content_hash) {
+            if let Some(outcome) = state.cache.lookup(identity.content_hash) {
                 Counters::bump(&state.metrics.counters.cache_hits);
-                state.deliver(JobResult {
-                    id: job.id,
-                    package,
-                    priority: job.priority,
-                    content_hash,
-                    status: JobStatus::Completed,
-                    cache: CacheDisposition::Hit,
-                    outcome: Some(outcome),
-                    attempts: 0,
-                    faults_seen: 0,
-                    timeouts_seen: 0,
-                    queue_wait_ns,
-                    prep_ns: prep_start.elapsed().as_nanos() as u64,
-                    exec_wall_ns: 0,
-                });
+                identity.prep_ns = prep_start.elapsed().as_nanos() as u64;
+                state.deliver(JobResult::new(
+                    identity,
+                    JobStatus::Completed,
+                    CacheDisposition::Hit,
+                    Some(outcome),
+                    0,
+                ));
                 continue;
             }
         }
@@ -364,48 +350,28 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
         let hashes = method_hashes(&prep.app.program);
         let fingerprint = interner_fingerprint(&prep.app.program.interner);
         let estimate = work_estimate(&prep);
-        let prep_ns = prep_start.elapsed().as_nanos() as u64;
-        state.metrics.prep.record(prep_ns);
+        identity.prep_ns = prep_start.elapsed().as_nanos() as u64;
+        state.metrics.prep.record(identity.prep_ns);
         Counters::bump(&state.metrics.counters.prepared);
 
         let ready = ReadyJob {
-            id: job.id,
-            priority: job.priority,
+            identity,
             plan: job.plan,
             estimate,
             block_demand: block_demand(&prep),
             prep,
-            content_hash,
-            package,
             method_hashes: hashes,
             interner_fingerprint: fingerprint,
-            queue_wait_ns,
-            prep_ns,
-            failures: 0,
-            faults_seen: 0,
-            timeouts_seen: 0,
         };
         // Blocks while `2 × devices` apps are already buffered —
         // this is the double-buffer coupling of prep to execution.
-        if state.dispatch.push(ready).is_err() {
+        if let Err(lost) = state.dispatch.push(ready) {
             // Only reachable if the heap was closed early (not part of
             // the normal drain order); record the loss explicitly rather
             // than dropping silently.
-            state.deliver(JobResult {
-                id: job.id,
-                package: String::new(),
-                priority: job.priority,
-                content_hash,
-                status: JobStatus::Failed("dispatch heap closed".into()),
-                cache: CacheDisposition::Miss,
-                outcome: None,
-                attempts: 0,
-                faults_seen: 0,
-                timeouts_seen: 0,
-                queue_wait_ns,
-                prep_ns,
-                exec_wall_ns: 0,
-            });
+            let identity = JobIdentity { package: String::new(), ..lost.identity };
+            let status = JobStatus::Failed("dispatch heap closed".into());
+            state.deliver(JobResult::new(identity, status, CacheDisposition::Miss, None, 0));
         }
     }
 }
@@ -465,8 +431,10 @@ fn exec_loop(state: &ServiceState) {
 /// [`ExecPlan::warm_startable`] does: a targeted job's sliced path, say,
 /// must neither consume nor invalidate cached full analyses.
 fn try_incremental(state: &ServiceState, job: ReadyJob) -> Option<ReadyJob> {
-    if job.failures == 0 && job.plan.warm_startable() {
-        if let Some(prev) = state.cache.take_previous(&job.package, job.content_hash) {
+    if job.identity.attempts == 0 && job.plan.warm_startable() {
+        if let Some(prev) =
+            state.cache.take_previous(&job.identity.package, job.identity.content_hash)
+        {
             if let Some(changed) =
                 changed_methods(&prev, &job.method_hashes, job.interner_fingerprint)
             {
@@ -512,7 +480,7 @@ fn exec_solo(state: &ServiceState, mut job: ReadyJob) {
             let exec_wall_ns = t.elapsed().as_nanos() as u64;
             drop(lease);
             if t.elapsed() > state.timeout {
-                job.timeouts_seen += 1;
+                job.identity.timeouts_seen += 1;
                 Counters::bump(&state.metrics.counters.timeouts);
                 retry_or_quarantine(state, job, exec_wall_ns);
             } else {
@@ -523,7 +491,7 @@ fn exec_solo(state: &ServiceState, mut job: ReadyJob) {
         Err(_fault) => {
             let exec_wall_ns = t.elapsed().as_nanos() as u64;
             drop(lease);
-            job.faults_seen += 1;
+            job.identity.faults_seen += 1;
             Counters::bump(&state.metrics.counters.faults);
             retry_or_quarantine(state, job, exec_wall_ns);
         }
@@ -548,7 +516,7 @@ fn exec_batch(state: &ServiceState, group: Vec<ReadyJob>) {
             let timed_out = t.elapsed() > state.timeout;
             for (mut job, run) in group.into_iter().zip(runs) {
                 if timed_out {
-                    job.timeouts_seen += 1;
+                    job.identity.timeouts_seen += 1;
                     Counters::bump(&state.metrics.counters.timeouts);
                     retry_or_quarantine(state, job, exec_wall_ns);
                 } else {
@@ -560,7 +528,7 @@ fn exec_batch(state: &ServiceState, group: Vec<ReadyJob>) {
         }
         Err(_fault) => {
             for mut job in group {
-                job.faults_seen += 1;
+                job.identity.faults_seen += 1;
                 Counters::bump(&state.metrics.counters.faults);
                 retry_or_quarantine(state, job, exec_wall_ns);
             }
@@ -570,7 +538,7 @@ fn exec_batch(state: &ServiceState, group: Vec<ReadyJob>) {
 
 fn finish(
     state: &ServiceState,
-    job: ReadyJob,
+    mut job: ReadyJob,
     run: VettingRun,
     exec_wall_ns: u64,
     cache: CacheDisposition,
@@ -598,49 +566,34 @@ fn finish(
         }
     } else if job.plan.cacheable() {
         state.cache.insert(
-            job.content_hash,
-            &job.package,
+            job.identity.content_hash,
+            &job.identity.package,
             run,
             job.method_hashes,
             job.interner_fingerprint,
         );
     }
-    state.deliver(JobResult {
-        id: job.id,
-        package: job.package,
-        priority: job.priority,
-        content_hash: job.content_hash,
-        status: JobStatus::Completed,
+    job.identity.attempts += 1;
+    state.deliver(JobResult::new(
+        job.identity,
+        JobStatus::Completed,
         cache,
-        outcome: Some(outcome),
-        attempts: job.failures + 1,
-        faults_seen: job.faults_seen,
-        timeouts_seen: job.timeouts_seen,
-        queue_wait_ns: job.queue_wait_ns,
-        prep_ns: job.prep_ns,
+        Some(outcome),
         exec_wall_ns,
-    })
+    ))
 }
 
 fn retry_or_quarantine(state: &ServiceState, mut job: ReadyJob, exec_wall_ns: u64) {
-    job.failures += 1;
-    if job.failures > state.max_retries {
+    job.identity.attempts += 1;
+    if job.identity.attempts > state.max_retries {
         Counters::bump(&state.metrics.counters.quarantined);
-        state.deliver(JobResult {
-            id: job.id,
-            package: job.package,
-            priority: job.priority,
-            content_hash: job.content_hash,
-            status: JobStatus::Quarantined,
-            cache: CacheDisposition::Miss,
-            outcome: None,
-            attempts: job.failures,
-            faults_seen: job.faults_seen,
-            timeouts_seen: job.timeouts_seen,
-            queue_wait_ns: job.queue_wait_ns,
-            prep_ns: job.prep_ns,
+        state.deliver(JobResult::new(
+            job.identity,
+            JobStatus::Quarantined,
+            CacheDisposition::Miss,
+            None,
             exec_wall_ns,
-        });
+        ));
     } else {
         Counters::bump(&state.metrics.counters.retries);
         state.dispatch.requeue(job);
@@ -653,6 +606,10 @@ mod tests {
     use gdroid_apk::GenConfig;
     use gdroid_core::OptConfig;
     use gdroid_vetting::vet_app;
+
+    fn json(report: &ServiceReport) -> String {
+        gdroid_trace::JsonWriter::render(|w| report.write_json(w))
+    }
 
     fn seed_source(index: usize, seed: u64) -> JobSource {
         JobSource::Seed { index, seed, config: Box::new(GenConfig::tiny()) }
@@ -748,7 +705,7 @@ mod tests {
         assert_eq!(report.counters.store_misses, store.stats().misses);
         assert_eq!(report.per_source.len(), 1);
         assert_eq!(report.per_source[0].store_hits, store.stats().hits);
-        let j = report.to_json();
+        let j = json(&report);
         assert!(j.contains("\"cache\":{") && j.contains("\"sumstore\":{\"hits\":"));
     }
 
@@ -833,7 +790,7 @@ mod tests {
                 r.id
             );
         }
-        assert!(report.to_json().contains("\"cpu_jobs\":6"));
+        assert!(json(&report).contains("\"cpu_jobs\":6"));
     }
 
     #[test]
@@ -874,7 +831,7 @@ mod tests {
                 r.id
             );
         }
-        let j = report.to_json();
+        let j = json(&report);
         assert!(j.contains("\"persistent_jobs\":6"), "{j}");
     }
 
@@ -883,21 +840,18 @@ mod tests {
         let hashes = method_hashes(&prep.app.program);
         let fingerprint = interner_fingerprint(&prep.app.program.interner);
         ReadyJob {
-            id,
-            priority: Priority::Standard,
+            identity: JobIdentity {
+                id,
+                package: prep.app.manifest.package.clone(),
+                content_hash: app_content_hash(&prep.app),
+                ..Default::default()
+            },
             plan: ExecPlan::default(),
             estimate: work_estimate(&prep),
             block_demand: block_demand(&prep),
-            content_hash: app_content_hash(&prep.app),
-            package: prep.app.manifest.package.clone(),
             method_hashes: hashes,
             interner_fingerprint: fingerprint,
             prep,
-            queue_wait_ns: 0,
-            prep_ns: 0,
-            failures: 0,
-            faults_seen: 0,
-            timeouts_seen: 0,
         }
     }
 
@@ -976,7 +930,7 @@ mod tests {
             let bj = b.outcome.as_ref().map(|o| o.to_json());
             assert_eq!(aj, bj, "job {} diverged under coresident batching", a.id);
         }
-        let j = batch_report.to_json();
+        let j = json(&batch_report);
         assert!(j.contains("\"batched_jobs\":") && j.contains("\"coresidency\":"), "{j}");
     }
 
@@ -1012,7 +966,7 @@ mod tests {
                 "targeted verdict diverged from the full run"
             );
         }
-        let j = report.to_json();
+        let j = json(&report);
         assert!(
             j.contains("\"targeted_jobs\":2") && j.contains("\"mean_sliced_fraction\":"),
             "{j}"

@@ -41,14 +41,6 @@ impl SumStoreStats {
             reloc_failures: self.reloc_failures + other.reloc_failures,
         }
     }
-
-    /// Byte-stable JSON object with deterministic key order.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"hits\":{},\"misses\":{},\"insertions\":{},\"reloc_failures\":{}}}",
-            self.hits, self.misses, self.insertions, self.reloc_failures
-        )
-    }
 }
 
 /// One stored analysis result: the symbolic summary plus the raw fact

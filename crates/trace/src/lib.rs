@@ -25,6 +25,9 @@
 //! / Perfetto-loadable JSON file; [`Tracer::summary`] renders a compact
 //! top-k table of where the modeled time went.
 
+pub mod json;
+
+pub use json::JsonWriter;
 use std::sync::{Arc, Mutex};
 
 /// Chrome `trace_event` phase of one event.
@@ -99,6 +102,40 @@ pub struct TraceEvent {
     pub track: u32,
     /// Attached key-value arguments.
     pub args: Vec<(&'static str, ArgValue)>,
+}
+
+impl TraceEvent {
+    /// One Chrome `trace_event` object.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("name").string(&self.name);
+            w.key("cat").string(self.cat);
+            w.key("ph").string(match self.ph {
+                Phase::Span => "X",
+                Phase::Instant => "i",
+            });
+            w.key("pid").int(category_pid(self.cat));
+            w.key("tid").int(self.track);
+            w.key("ts").micros(self.ts_ns);
+            match self.ph {
+                Phase::Span => w.key("dur").micros(self.dur_ns),
+                Phase::Instant => w.key("s").string("t"),
+            }
+            if !self.args.is_empty() {
+                w.key("args").object(|w| {
+                    for (key, value) in &self.args {
+                        w.key(key);
+                        match value {
+                            ArgValue::U64(v) => w.int(*v),
+                            ArgValue::F64(v) => w.float(*v),
+                            ArgValue::Str(v) => w.string(v),
+                            ArgValue::Bool(v) => w.bool(*v),
+                        }
+                    }
+                });
+            }
+        })
+    }
 }
 
 /// The Chrome `pid` a category renders under (stable layer numbering so
@@ -205,41 +242,27 @@ impl Tracer {
     /// Renders the buffer as Chrome `trace_event` JSON (an object with a
     /// `traceEvents` array), byte-deterministic for a fixed event set.
     /// Timestamps convert from modeled ns to the format's µs field with
-    /// three decimal places, via integer math.
+    /// three decimal places, via integer math ([`JsonWriter::micros`]).
     pub fn to_chrome_json(&self) -> String {
         let evs = self.events();
-        let mut out = String::with_capacity(128 + evs.len() * 96);
-        out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        for (i, ev) in evs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            render_event(&mut out, ev);
-        }
-        out.push_str("]}\n");
-        out
+        let mut doc = JsonWriter::render(|w| {
+            w.object(|w| {
+                w.key("displayTimeUnit").string("ns");
+                w.key("traceEvents").array(|w| evs.iter().for_each(|ev| ev.write_json(w)));
+            })
+        });
+        doc.push('\n');
+        doc
     }
 
     /// A compact table of the top-`k` span names by total modeled time:
     /// `total-ms  count  category  name`, one row per distinct
-    /// `(cat, name)` pair, largest first.
+    /// `(cat, name)` pair, largest first — [`Tracer::top_spans`], rendered.
     pub fn summary(&self, k: usize) -> String {
         use std::fmt::Write;
-        let evs = self.events();
-        let mut agg: Vec<(&'static str, String, u64, u64)> = Vec::new();
-        for ev in evs.iter().filter(|e| e.ph == Phase::Span) {
-            match agg.iter_mut().find(|(c, n, _, _)| *c == ev.cat && *n == ev.name) {
-                Some(row) => {
-                    row.2 += ev.dur_ns;
-                    row.3 += 1;
-                }
-                None => agg.push((ev.cat, ev.name.clone(), ev.dur_ns, 1)),
-            }
-        }
-        agg.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.1.cmp(&b.1)));
         let mut out = String::new();
         writeln!(out, "{:>12}  {:>7}  {:<8} span", "modeled-ms", "count", "layer").unwrap();
-        for (cat, name, total, count) in agg.into_iter().take(k) {
+        for (cat, name, total, count) in self.top_spans(k) {
             writeln!(out, "{:>12.3}  {count:>7}  {cat:<8} {name}", total as f64 / 1e6).unwrap();
         }
         out
@@ -248,9 +271,8 @@ impl Tracer {
     /// Top-`k` aggregated spans as raw rows: `(cat, name, total_ns,
     /// count)`, largest total first — the data behind [`Tracer::summary`].
     pub fn top_spans(&self, k: usize) -> Vec<(&'static str, String, u64, u64)> {
-        let evs = self.events();
         let mut agg: Vec<(&'static str, String, u64, u64)> = Vec::new();
-        for ev in evs.iter().filter(|e| e.ph == Phase::Span) {
+        for ev in self.events().iter().filter(|e| e.ph == Phase::Span) {
             match agg.iter_mut().find(|(c, n, _, _)| *c == ev.cat && *n == ev.name) {
                 Some(row) => {
                     row.2 += ev.dur_ns;
@@ -263,74 +285,6 @@ impl Tracer {
         agg.truncate(k);
         agg
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// ns → the Chrome format's µs field, three decimal places, pure integer
-/// math (no float formatting variance).
-fn us_field(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn render_event(out: &mut String, ev: &TraceEvent) {
-    use std::fmt::Write;
-    write!(
-        out,
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{}",
-        json_escape(&ev.name),
-        ev.cat,
-        match ev.ph {
-            Phase::Span => "X",
-            Phase::Instant => "i",
-        },
-        category_pid(ev.cat),
-        ev.track,
-        us_field(ev.ts_ns),
-    )
-    .unwrap();
-    match ev.ph {
-        Phase::Span => write!(out, ",\"dur\":{}", us_field(ev.dur_ns)).unwrap(),
-        Phase::Instant => out.push_str(",\"s\":\"t\""),
-    }
-    if !ev.args.is_empty() {
-        out.push_str(",\"args\":{");
-        for (i, (key, value)) in ev.args.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write!(out, "\"{}\":", json_escape(key)).unwrap();
-            match value {
-                ArgValue::U64(v) => write!(out, "{v}").unwrap(),
-                ArgValue::F64(v) => {
-                    if v.is_finite() {
-                        write!(out, "{v}").unwrap()
-                    } else {
-                        write!(out, "\"{v}\"").unwrap()
-                    }
-                }
-                ArgValue::Str(v) => write!(out, "\"{}\"", json_escape(v)).unwrap(),
-                ArgValue::Bool(v) => write!(out, "{v}").unwrap(),
-            }
-        }
-        out.push('}');
-    }
-    out.push('}');
 }
 
 #[cfg(test)]
@@ -410,13 +364,5 @@ mod tests {
         assert_eq!(top[1], ("gpusim", "launch".into(), 3_000_000, 3));
         let table = t.summary(1);
         assert!(table.contains("round") && !table.contains("launch"));
-    }
-
-    #[test]
-    fn us_field_is_integer_math() {
-        assert_eq!(us_field(0), "0.000");
-        assert_eq!(us_field(999), "0.999");
-        assert_eq!(us_field(1_000), "1.000");
-        assert_eq!(us_field(1_234_567), "1234.567");
     }
 }

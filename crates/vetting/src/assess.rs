@@ -5,6 +5,7 @@
 //! human reviewer can audit the verdict (the paper's motivation is
 //! *vetting*, which implies a reviewer workflow, not just a classifier).
 
+use crate::json::JsonWriter;
 use crate::pipeline::VettingOutcome;
 use crate::plugins::{hardcoded_payloads, intent_exposure, permission_audit};
 use crate::registry::SourceSinkRegistry;
@@ -53,25 +54,22 @@ pub struct Assessment {
 impl Assessment {
     /// Deterministic JSON rendering (stable key order, no whitespace).
     pub fn to_json(&self) -> String {
-        let signals: Vec<String> = self
-            .signals
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"plugin\":{},\"detail\":{},\"weight\":{}}}",
-                    crate::json::string(&s.plugin),
-                    crate::json::string(&s.detail),
-                    s.weight
-                )
+        JsonWriter::render(|w| {
+            w.object(|w| {
+                w.key("package").string(&self.package);
+                w.key("score").int(self.score);
+                w.key("band").string(&format!("{:?}", self.band));
+                w.key("signals").array(|w| {
+                    for s in &self.signals {
+                        w.object(|w| {
+                            w.key("plugin").string(&s.plugin);
+                            w.key("detail").string(&s.detail);
+                            w.key("weight").int(s.weight);
+                        });
+                    }
+                });
             })
-            .collect();
-        format!(
-            "{{\"package\":{},\"score\":{},\"band\":{},\"signals\":{}}}",
-            crate::json::string(&self.package),
-            self.score,
-            crate::json::string(&format!("{:?}", self.band)),
-            crate::json::array(&signals)
-        )
+        })
     }
 
     /// Renders a reviewer-facing report.

@@ -6,6 +6,7 @@
 //! stage so Fig. 1's total-vs-IDFG breakdown can be regenerated; per the
 //! paper, IDFG construction takes 58–96% of the total.
 
+use crate::json::JsonWriter;
 use crate::plan::{vet_prepared, Engine, ExecPlan};
 use crate::registry::SourceSinkRegistry;
 use crate::report::VettingReport;
@@ -70,25 +71,29 @@ impl VettingOutcome {
     /// targeted vetting existed; targeted ones append a `"targeted"`
     /// provenance object.
     pub fn to_json(&self) -> String {
-        let targeted = match &self.targeted {
-            Some(t) => format!(",\"targeted\":{}", t.to_json()),
-            None => String::new(),
-        };
-        format!(
-            "{{\"report\":{},\"timing\":{{\"envgen_ns\":{},\"callgraph_ns\":{},\"idfg_ns\":{},\
-             \"taint_ns\":{},\"total_ns\":{}}},\"telemetry\":{{\"nodes_processed\":{},\
-             \"rounds\":{}}},\"store_bytes\":{}{}}}",
-            self.report.to_json(),
-            self.timing.envgen_ns,
-            self.timing.callgraph_ns,
-            self.timing.idfg_ns,
-            self.timing.taint_ns,
-            self.timing.total_ns(),
-            self.telemetry.nodes_processed,
-            self.telemetry.rounds,
-            self.store_bytes,
-            targeted,
-        )
+        JsonWriter::render(|w| self.write_json(w))
+    }
+
+    /// Writes the [`Self::to_json`] object into a parent document.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            self.report.write_json(w.key("report"));
+            w.key("timing").object(|w| {
+                w.key("envgen_ns").float(self.timing.envgen_ns);
+                w.key("callgraph_ns").float(self.timing.callgraph_ns);
+                w.key("idfg_ns").float(self.timing.idfg_ns);
+                w.key("taint_ns").float(self.timing.taint_ns);
+                w.key("total_ns").float(self.timing.total_ns());
+            });
+            w.key("telemetry").object(|w| {
+                w.key("nodes_processed").int(self.telemetry.nodes_processed);
+                w.key("rounds").int(self.telemetry.rounds);
+            });
+            w.key("store_bytes").int(self.store_bytes);
+            if let Some(t) = &self.targeted {
+                t.write_json(w.key("targeted"));
+            }
+        })
     }
 }
 

@@ -1,5 +1,6 @@
 //! Vetting verdicts and leak reports.
 
+use crate::json::JsonWriter;
 use crate::registry::SourceId;
 use gdroid_ir::{MethodId, StmtIdx};
 use serde::{Deserialize, Serialize};
@@ -75,29 +76,28 @@ impl VettingReport {
     /// for the same app — the serving cache's parity checks compare these
     /// strings directly.
     pub fn to_json(&self) -> String {
-        let leaks: Vec<String> = self
-            .leaks
-            .iter()
-            .map(|leak| {
-                let sources: Vec<String> = leak
-                    .sources
-                    .iter()
-                    .map(|s| crate::json::string(&self.source_names[usize::from(s.0)]))
-                    .collect();
-                format!(
-                    "{{\"method\":{},\"stmt\":{},\"sink\":{},\"sources\":{}}}",
-                    leak.method.0,
-                    leak.stmt.0,
-                    crate::json::string(&leak.sink),
-                    crate::json::array(&sources)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"verdict\":{},\"leaks\":{}}}",
-            crate::json::string(&format!("{:?}", self.verdict)),
-            crate::json::array(&leaks)
-        )
+        JsonWriter::render(|w| self.write_json(w))
+    }
+
+    /// Writes the [`Self::to_json`] object into a parent document.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("verdict").string(&format!("{:?}", self.verdict));
+            w.key("leaks").array(|w| {
+                for leak in &self.leaks {
+                    w.object(|w| {
+                        w.key("method").int(leak.method.0);
+                        w.key("stmt").int(leak.stmt.0);
+                        w.key("sink").string(&leak.sink);
+                        w.key("sources").array(|w| {
+                            for s in &leak.sources {
+                                w.string(&self.source_names[usize::from(s.0)]);
+                            }
+                        });
+                    });
+                }
+            });
+        })
     }
 
     /// Human-readable one-line-per-leak rendering.

@@ -10,6 +10,7 @@
 //! to a full run — enforced by the tier-1 gate `tests/targeted_gate.rs` —
 //! while the modeled IDFG time shrinks with the sliced fraction.
 
+use crate::json::JsonWriter;
 use crate::pipeline::PreparedApp;
 use crate::registry::SourceSinkRegistry;
 use gdroid_analysis::BackwardSlice;
@@ -46,19 +47,17 @@ impl TargetedProvenance {
         }
     }
 
-    /// Hand-formatted, byte-stable JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"targeted\":true,\"slice_methods\":{},\"methods_skipped\":{},\
-             \"total_reachable\":{},\"sliced_fraction\":{:.6},\"sink_methods\":{},\
-             \"partial_roots\":{}}}",
-            self.slice_methods,
-            self.methods_skipped,
-            self.total_reachable,
-            self.sliced_fraction,
-            self.sink_methods,
-            self.partial_roots,
-        )
+    /// Writes the `"targeted"` provenance object into an outcome document.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("targeted").bool(true);
+            w.key("slice_methods").int(self.slice_methods);
+            w.key("methods_skipped").int(self.methods_skipped);
+            w.key("total_reachable").int(self.total_reachable);
+            w.key("sliced_fraction").fixed(self.sliced_fraction, 6);
+            w.key("sink_methods").int(self.sink_methods);
+            w.key("partial_roots").int(self.partial_roots);
+        })
     }
 }
 

@@ -106,11 +106,10 @@ use gdroid::icfg::prepare_app;
 use gdroid::ir::text::{parse_program, print_program};
 use gdroid::ir::MethodId;
 use gdroid::serve::{
-    fnv1a, CacheDisposition, JobResult, JobSource, JobStatus, Priority, ServiceConfig,
-    VettingService,
+    fnv1a, CacheDisposition, JobSource, JobStatus, Priority, ServiceConfig, VettingService,
 };
 use gdroid::sumstore::SumStore;
-use gdroid::trace::Tracer;
+use gdroid::trace::{JsonWriter, Tracer};
 use gdroid::vetting::{
     execute, prepare_vetting, sink_reachability_findings, Engine, ExecCtx, ExecPlan,
 };
@@ -261,8 +260,13 @@ fn finish_service(
     let digest = args.iter().any(|a| a == "--digest");
     let mut bad = 0usize;
     if json {
-        let jobs: Vec<String> = results.iter().map(JobResult::to_json).collect();
-        println!("{{\"report\":{},\"jobs\":[{}]}}", report.to_json(), jobs.join(","));
+        let envelope = JsonWriter::render(|w| {
+            w.object(|w| {
+                report.write_json(w.key("report"));
+                w.key("jobs").array(|w| results.iter().for_each(|r| r.write_json(w)));
+            })
+        });
+        println!("{envelope}");
     }
     if digest {
         let mut lines: Vec<String> = results
@@ -772,17 +776,9 @@ fn main() {
                 eprintln!("wrote verdict lines to {path}");
             }
             if args.iter().any(|a| a == "--json") {
-                // One JSON document: a delta campaign splices its delta
-                // report into the fleet object rather than printing a
-                // second line.
-                match &outcome.delta {
-                    Some(delta) => {
-                        let fleet_json = fleet.to_json();
-                        let body = fleet_json.strip_suffix('}').unwrap_or(&fleet_json);
-                        println!("{body},\"delta\":{}}}", delta.to_json());
-                    }
-                    None => println!("{}", fleet.to_json()),
-                }
+                // One JSON document: a delta campaign's report carries its
+                // delta as a last member rather than printing a second line.
+                println!("{}", JsonWriter::render(|w| fleet.write_json(w, outcome.delta.as_ref())));
             } else {
                 print!("{}", fleet.render());
             }
