@@ -62,11 +62,12 @@ non_test_sites() { # <fixed string> <dir>...
     awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f"
   done | grep -cF "$call" || true
 }
+ratchet_name=one-host-loop
 ratchet() { # <want> <fixed string> <hint> <dir>...
   local want=$1 call=$2 hint=$3; shift 3
   local sites; sites=$(non_test_sites "$call" "$@")
   [ "$sites" -eq "$want" ] || {
-    echo "one-host-loop ratchet: $sites non-test sites of \`$call\` under $*" \
+    echo "$ratchet_name ratchet: $sites non-test sites of \`$call\` under $*" \
       "(want exactly $want) — $hint" >&2
     exit 1
   }
@@ -79,6 +80,18 @@ ratchet 2 'derive_summary(' "$cpu_hint" crates/analysis/src
 ratchet 1 'par_iter(' "$cpu_hint" crates/analysis/src
 ratchet 0 '.is_recursive(' "read CallLayers::sccs_by_layer" crates/core/src crates/analysis/src
 ratchet 1 'pub fn is_recursive(' "one definition" crates/icfg/src
+
+echo "==> prep-stage ratchet: the host front end stays linear in app size"
+# What the service's prep worker runs per job (generate, call graph,
+# identity hashes) does per-pool / per-graph work once, not per draw, per
+# call site or per method (DESIGN.md, "Host cost of the prep stage"): the
+# only `powf` is the Zipf table constructor's, no class-hierarchy subtree
+# is rebuilt per site, and no method is hashed through a temporary String.
+ratchet_name=prep-stage
+ratchet 1 'powf(' "draw through an rng::Zipf table built once per pool" crates/apk/src
+ratchet 0 'subtree_of(' "walk the ClassHierarchy that CallGraph::build indexes once" \
+  crates/ir/src crates/icfg/src
+ratchet 0 'format!("{m:?}")' "stream the Debug text into cache::FnvSink" crates/serve/src
 
 echo "==> constructor ratchet: CallLayers has compute and one cut constructor"
 constructors=$(grep -c 'pub fn compute' crates/icfg/src/layers.rs)

@@ -82,24 +82,62 @@ pub fn save_bundle(app: &App, dir: &Path) -> Result<(), BundleError> {
     Ok(())
 }
 
-/// Reads a bundle directory back into an [`App`].
-pub fn load_bundle(dir: &Path) -> Result<App, BundleError> {
-    let jil = std::fs::read_to_string(dir.join("app.jil"))?;
-    let program = parse_program(&jil).map_err(BundleError::Jil)?;
+/// The two files of a bundle, read but not yet parsed.
+///
+/// Loading is split into read → parse so a caller can act on the *bytes*
+/// first: [`save_bundle`] writes `print_program` and `manifest_to_text`
+/// verbatim, so the bytes of a bundle it wrote are the app's canonical
+/// content, and a content-addressed lookup (the serving layer's result
+/// cache) can be answered before the JIL parser and the validator — by far
+/// the larger share of [`load_bundle`] — have run.
+#[derive(Clone, Debug)]
+pub struct BundleText {
+    /// Contents of `app.jil`.
+    pub jil: String,
+    /// Contents of `manifest.txt`.
+    pub manifest: String,
+}
+
+/// Reads a bundle directory's files without parsing them. Fails on a
+/// missing or non-UTF-8 file.
+pub fn read_bundle(dir: &Path) -> Result<BundleText, BundleError> {
+    Ok(BundleText {
+        jil: std::fs::read_to_string(dir.join("app.jil"))?,
+        manifest: std::fs::read_to_string(dir.join("manifest.txt"))?,
+    })
+}
+
+impl BundleText {
+    /// The package the manifest declares, read from the manifest alone
+    /// (empty when it declares none, as in the parsed [`App`]).
+    pub fn package(&self) -> &str {
+        let mut package = "";
+        for line in self.manifest.lines() {
+            let mut parts = line.split_whitespace();
+            if parts.next() == Some("package") {
+                package = parts.next().unwrap_or(package);
+            }
+        }
+        package
+    }
+}
+
+/// Parses and validates a read bundle into an [`App`].
+pub fn parse_bundle(text: &BundleText) -> Result<App, BundleError> {
+    let program = parse_program(&text.jil).map_err(BundleError::Jil)?;
     // Bundles are external input: unlike generator output, they get the
     // full structural validation before any analysis may index them.
     let errors = gdroid_ir::validate_program(&program);
     if let Some(first) = errors.first() {
         return Err(BundleError::Invalid(format!("{first} (+{} more)", errors.len() - 1)));
     }
-    let manifest_text = std::fs::read_to_string(dir.join("manifest.txt"))?;
 
     let mut package = String::new();
     let mut category = Category::Tools;
     let mut seed = 0u64;
     let mut components = Vec::new();
     let mut permissions = Vec::new();
-    for (lineno, line) in manifest_text.lines().enumerate() {
+    for (lineno, line) in text.manifest.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -162,6 +200,11 @@ pub fn load_bundle(dir: &Path) -> Result<App, BundleError> {
         program,
         manifest: Manifest { package, components, permissions },
     })
+}
+
+/// Reads a bundle directory back into an [`App`].
+pub fn load_bundle(dir: &Path) -> Result<App, BundleError> {
+    parse_bundle(&read_bundle(dir)?)
 }
 
 /// Exports the first `count` apps of a corpus under `root/<package>/`.
@@ -239,6 +282,82 @@ mod tests {
             load_bundle(d).unwrap();
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_then_parse_is_load_and_the_package_needs_no_parse() {
+        let app = generate_app(3, 6504, &GenConfig::tiny());
+        let dir = tmpdir("split");
+        save_bundle(&app, &dir).unwrap();
+        let text = read_bundle(&dir).unwrap();
+        // What was read is what was written, byte for byte.
+        assert_eq!(text.jil, print_program(&app.program));
+        assert_eq!(text.manifest, manifest_to_text(&app));
+        assert_eq!(text.package(), app.manifest.package);
+        let parsed = parse_bundle(&text).unwrap();
+        assert_eq!(parsed.manifest, load_bundle(&dir).unwrap().manifest);
+        assert_eq!(print_program(&parsed.program), text.jil, "parse → print is a fixpoint");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One hostile edit of a file's bytes.
+    fn mangle(bytes: &[u8], op: usize, a: usize, b: usize, byte: u8) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        let at = |i: usize| i % bytes.len();
+        match op {
+            // Flip bits of one byte.
+            0 => out[at(a)] ^= byte | 1,
+            // Truncate (possibly mid-token, mid-line, or to nothing).
+            1 => out.truncate(at(a)),
+            // Splice a chunk of the file over another place in it.
+            2 => {
+                let (from, to) = (at(a), at(b));
+                let chunk: Vec<u8> =
+                    bytes[from..(from + 1 + usize::from(byte)).min(bytes.len())].to_vec();
+                out.splice(to..to, chunk);
+            }
+            // Bytes that are not UTF-8.
+            3 => out[at(a)] = 0xFF,
+            // The empty file.
+            _ => out.clear(),
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// ROADMAP 4b for bundles: whatever happens to the two files, the
+        /// read step and the loader answer `Err` or a *valid* app — they
+        /// never panic and never hand unvalidated IR to an analysis.
+        #[test]
+        fn hostile_bundle_bytes_never_panic_the_loader(
+            seed in 0u64..4,
+            file_and_op in 0usize..10,
+            a: usize,
+            b: usize,
+            byte: u8,
+        ) {
+            let app = generate_app(0, 6600 + seed, &GenConfig::tiny());
+            let dir = tmpdir(&format!("hostile-{seed}-{file_and_op}-{}", a % 9973));
+            save_bundle(&app, &dir).unwrap();
+            let file = dir.join(["app.jil", "manifest.txt"][file_and_op % 2]);
+            let mangled = mangle(&std::fs::read(&file).unwrap(), file_and_op / 2, a, b, byte);
+            std::fs::write(&file, &mangled).unwrap();
+
+            let read = read_bundle(&dir);
+            let loaded = load_bundle(&dir);
+            std::fs::remove_dir_all(&dir).unwrap();
+            proptest::prop_assert_eq!(read.is_err(), std::str::from_utf8(&mangled).is_err());
+            if let Ok(text) = read {
+                // Reading a package off hostile text is total as well.
+                let _ = text.package();
+            }
+            if let Ok(app) = loaded {
+                proptest::prop_assert!(gdroid_ir::validate_program(&app.program).is_empty());
+                for c in &app.manifest.components {
+                    proptest::prop_assert!(c.class.index() < app.program.interner.len());
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,8 +47,12 @@ pub struct Framework {
     pub intent: ClassId,
     /// `android/content/Context`.
     pub context: ClassId,
-    /// Callable API methods.
+    /// Callable API methods, grouped by role in [`ApiRole`] declaration
+    /// order (table order within a role).
     pub api: Vec<ApiMethod>,
+    /// `api[role_starts[r]..role_starts[r + 1]]` are the methods of the
+    /// role with discriminant `r`.
+    role_starts: [usize; 4],
     /// Interned `java/lang/Object` symbol, for convenience.
     pub object_sym: Symbol,
     /// Interned `java/lang/String` symbol.
@@ -136,6 +140,11 @@ impl Framework {
             });
         }
 
+        // The generator picks a method of a given role per emitted API
+        // call: group once here, hand out slices there.
+        api.sort_by_key(|m| m.role as usize);
+        let role_starts = [0, 1, 2, 3].map(|r| api.partition_point(|m| (m.role as usize) < r));
+
         let object_sym = pb.intern("java/lang/Object");
         let string_sym = pb.intern("java/lang/String");
         Framework {
@@ -145,24 +154,26 @@ impl Framework {
             intent,
             context,
             api,
+            role_starts,
             object_sym,
             string_sym,
         }
     }
 
-    /// API methods with a given role.
-    pub fn api_with_role(&self, role: ApiRole) -> impl Iterator<Item = &ApiMethod> {
-        self.api.iter().filter(move |m| m.role == role)
+    /// API methods with a given role, in table order.
+    pub fn api_with_role(&self, role: ApiRole) -> &[ApiMethod] {
+        let r = role as usize;
+        &self.api[self.role_starts[r]..self.role_starts[r + 1]]
     }
 
     /// Number of modeled sources.
     pub fn source_count(&self) -> usize {
-        self.api_with_role(ApiRole::Source).count()
+        self.api_with_role(ApiRole::Source).len()
     }
 
     /// Number of modeled sinks.
     pub fn sink_count(&self) -> usize {
-        self.api_with_role(ApiRole::Sink).count()
+        self.api_with_role(ApiRole::Sink).len()
     }
 }
 
@@ -191,6 +202,25 @@ mod tests {
         assert!(fw.source_count() >= 5, "{}", fw.source_count());
         assert!(fw.sink_count() >= 5, "{}", fw.sink_count());
         assert!(fw.api.len() > fw.source_count() + fw.sink_count());
+    }
+
+    #[test]
+    fn role_slices_partition_the_table_in_table_order() {
+        let mut pb = ProgramBuilder::new();
+        let fw = Framework::install(&mut pb);
+        let p = pb.finish();
+        for role in [ApiRole::Source, ApiRole::Sink, ApiRole::Neutral] {
+            let got: Vec<(&str, &str)> = fw
+                .api_with_role(role)
+                .iter()
+                .map(|m| (p.interner.resolve(m.sig.class), p.interner.resolve(m.sig.name)))
+                .collect();
+            let want: Vec<(&str, &str)> = builtin_api_roles()
+                .filter(|&(_, _, r)| r == role)
+                .map(|(cls, name, _)| (cls, name))
+                .collect();
+            assert_eq!(got, want, "{role:?}");
+        }
     }
 
     #[test]

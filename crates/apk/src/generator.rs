@@ -18,9 +18,9 @@
 
 use crate::app::{App, Category};
 use crate::config::GenConfig;
-use crate::framework::{ApiMethod, ApiRole, Framework};
+use crate::framework::{ApiRole, Framework};
 use crate::manifest::{Component, ComponentKind, IntentFilter, Manifest, Permission};
-use crate::rng::Rng;
+use crate::rng::{Rng, Zipf};
 use gdroid_ir::{
     BinOp, CallKind, ClassId, CmpKind, Expr, FieldId, JType, Lhs, Literal, MethodBuilder,
     MethodKind, MonitorOp, ProgramBuilder, Signature, Stmt, Symbol, UnOp, VarId, Visibility,
@@ -42,6 +42,45 @@ struct PlannedMethod {
     layer: usize,
     lifecycle: bool,
 }
+
+/// A pool the generator draws from with Zipf-skewed popularity: the
+/// entries plus the inverse-CDF table over their ranks. Every such pool is
+/// complete before its first draw, so the table is built exactly once,
+/// when the pool is sealed, and lives and dies with it.
+struct ZipfPool<T> {
+    items: Vec<T>,
+    ranks: Zipf,
+}
+
+impl<T: Copy> ZipfPool<T> {
+    fn new(items: Vec<T>, s: f64) -> Self {
+        let ranks = Zipf::new(items.len(), s);
+        ZipfPool { items, ranks }
+    }
+
+    /// One skewed draw (one uniform from `rng`); the pool must be non-empty.
+    fn draw(&self, rng: &mut Rng) -> T {
+        self.items[rng.zipf(&self.ranks)]
+    }
+}
+
+impl<T> std::ops::Deref for ZipfPool<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items
+    }
+}
+
+// Zipf exponents of the generator's four skewed draws.
+/// Which class a reference field's declared type names.
+const FIELD_TYPE_SKEW: f64 = 1.1;
+/// Which class a `new` expression instantiates.
+const NEW_CLASS_SKEW: f64 = 1.0;
+/// Which of the pool's reference fields a method body touches.
+const METHOD_FIELD_SKEW: f64 = 0.8;
+/// Which method of the target layer an app-method call picks.
+const CALLEE_SKEW: f64 = 0.75;
 
 /// Generates one app from a seed.
 pub fn generate_app(index: usize, seed: u64, config: &GenConfig) -> App {
@@ -104,6 +143,7 @@ impl<'a> AppGen<'a> {
         }
 
         // --- plan fields --------------------------------------------------
+        let classes = ZipfPool::new(classes, FIELD_TYPE_SKEW);
         let mut ref_fields: Vec<FieldId> = Vec::new();
         let mut prim_fields: Vec<FieldId> = Vec::new();
         let mut static_ref_fields: Vec<FieldId> = Vec::new();
@@ -115,7 +155,7 @@ impl<'a> AppGen<'a> {
                 let ty = if is_ref {
                     // Field types point at other app classes or Object.
                     if self.rng.chance(0.6) && !classes.is_empty() {
-                        let target = classes[self.rng.zipf(classes.len(), 1.1)];
+                        let target = classes.draw(&mut self.rng);
                         JType::Object(pb.program().classes[target].name)
                     } else {
                         JType::Object(fw.object_sym)
@@ -131,6 +171,8 @@ impl<'a> AppGen<'a> {
                 }
             }
         }
+
+        let ref_fields = ZipfPool::new(ref_fields, METHOD_FIELD_SKEW);
 
         // --- plan methods -------------------------------------------------
         let mut plan: Vec<PlannedMethod> = Vec::new();
@@ -207,11 +249,7 @@ impl<'a> AppGen<'a> {
                 )
             })
             .collect();
-        // Callee candidates by layer.
-        let mut by_layer: Vec<Vec<usize>> = vec![Vec::new(); cfg.layers + 1];
-        for (i, pm) in plan.iter().enumerate() {
-            by_layer[pm.layer].push(i);
-        }
+        let by_layer = callees_by_layer(&plan, cfg.layers);
 
         // Decide whether this app leaks, and through which component.
         let leaky = self.rng.chance(cfg.leak_prob);
@@ -221,16 +259,15 @@ impl<'a> AppGen<'a> {
         // app, and bundled libraries); the pool is fixed once planning is
         // complete, so hoisting it out of the per-body loop preserves the
         // historical draw sequence exactly.
-        let app_pool: Vec<Symbol> = pb.program().classes.iter().map(|c| c.name).collect();
+        let app_pool =
+            ZipfPool::new(pb.program().classes.iter().map(|c| c.name).collect(), NEW_CLASS_SKEW);
+        // The first lifecycle callback (in plan order) of a leaky app gets
+        // the planted source→sink flow — exactly one plant per app.
+        let leak_site = if leaky { plan.iter().position(|p| p.lifecycle) } else { None };
         let mut uses_source_api = false;
         for (i, pm) in plan.iter().enumerate().take(app_plan_len) {
             let budget = self.rng.log_normal_int(cfg.stmts_median, cfg.stmts_sigma, 3, 320);
-            // The first lifecycle callback of a leaky app gets the planted
-            // source→sink flow.
-            let plant_leak = leaky && pm.lifecycle && {
-                // Only plant once: the first lifecycle method in plan order.
-                plan.iter().position(|p| p.lifecycle) == Some(i)
-            };
+            let plant_leak = leak_site == Some(i);
             let used_source = self.gen_body(
                 &mut pb,
                 pm,
@@ -324,6 +361,7 @@ impl<'a> AppGen<'a> {
             let name = format!("com/lib/p{pkg}/C{ci}");
             classes.push(pb.class(&name).extends(fw.object).build());
         }
+        let classes = ZipfPool::new(classes, FIELD_TYPE_SKEW);
 
         // Fields (package-local pools).
         let mut ref_fields: Vec<FieldId> = Vec::new();
@@ -336,7 +374,7 @@ impl<'a> AppGen<'a> {
                 let is_static = self.rng.chance(0.12);
                 let ty = if is_ref {
                     if self.rng.chance(0.6) {
-                        let target = classes[self.rng.zipf(classes.len(), 1.1)];
+                        let target = classes.draw(&mut self.rng);
                         JType::Object(pb.program().classes[target].name)
                     } else {
                         JType::Object(fw.object_sym)
@@ -352,6 +390,8 @@ impl<'a> AppGen<'a> {
                 }
             }
         }
+
+        let ref_fields = ZipfPool::new(ref_fields, METHOD_FIELD_SKEW);
 
         // Method plan.
         let mut pkg_plan: Vec<PlannedMethod> = Vec::new();
@@ -389,12 +429,10 @@ impl<'a> AppGen<'a> {
                 )
             })
             .collect();
-        let mut pkg_by_layer: Vec<Vec<usize>> = vec![Vec::new(); cfg.layers + 1];
-        for (i, pm) in pkg_plan.iter().enumerate() {
-            pkg_by_layer[pm.layer].push(i);
-        }
+        let pkg_by_layer = callees_by_layer(&pkg_plan, cfg.layers);
         let mut pkg_pool: Vec<Symbol> = vec![fw.object_sym];
         pkg_pool.extend(classes.iter().map(|&c| pb.program().classes[c].name));
+        let pkg_pool = ZipfPool::new(pkg_pool, NEW_CLASS_SKEW);
 
         // Bodies.
         for (i, pm) in pkg_plan.iter().enumerate() {
@@ -429,14 +467,14 @@ impl<'a> AppGen<'a> {
         _sig: &Signature,
         plan: &[PlannedMethod],
         sigs: &[Signature],
-        by_layer: &[Vec<usize>],
+        by_layer: &[ZipfPool<usize>],
         fw: &Framework,
-        ref_fields: &[FieldId],
+        ref_fields: &ZipfPool<FieldId>,
         prim_fields: &[FieldId],
         static_ref_fields: &[FieldId],
         budget: usize,
         plant_leak: bool,
-        class_pool: &[Symbol],
+        class_pool: &ZipfPool<Symbol>,
     ) -> bool {
         let cfg = self.config;
         let kind = if pm.lifecycle {
@@ -476,7 +514,7 @@ impl<'a> AppGen<'a> {
 
         // Initialize a couple of locals so reads are meaningful.
         let seed_ref = refs[self.rng.below(refs.len() as u64) as usize];
-        let cls = class_pool[self.rng.zipf(class_pool.len(), 1.0)];
+        let cls = class_pool.draw(&mut self.rng);
         mb.stmt(Stmt::Assign {
             lhs: Lhs::Var(seed_ref),
             rhs: Expr::New { ty: JType::Object(cls) },
@@ -494,7 +532,7 @@ impl<'a> AppGen<'a> {
         let n_method_fields = self.rng.range(2, 6).min(ref_fields.len().max(1));
         let mut method_fields: Vec<FieldId> = Vec::with_capacity(n_method_fields);
         while method_fields.len() < n_method_fields && !ref_fields.is_empty() {
-            let f = ref_fields[self.rng.zipf(ref_fields.len(), 0.8)];
+            let f = ref_fields.draw(&mut self.rng);
             if !method_fields.contains(&f) {
                 method_fields.push(f);
             }
@@ -548,10 +586,8 @@ impl<'a> AppGen<'a> {
         fw: &Framework,
         ref_fields: &[FieldId],
     ) {
-        let source: Vec<&ApiMethod> = fw.api_with_role(ApiRole::Source).collect();
-        let sink: Vec<&ApiMethod> = fw.api_with_role(ApiRole::Sink).collect();
-        let src = source[self.rng.below(source.len() as u64) as usize].clone();
-        let snk = sink[self.rng.below(sink.len() as u64) as usize].clone();
+        let src = self.rng.pick(fw.api_with_role(ApiRole::Source));
+        let snk = self.rng.pick(fw.api_with_role(ApiRole::Sink));
         let tainted = ctx.refs[0];
         let recv = *self.rng.pick(&ctx.refs);
         let mut args = vec![recv];
@@ -612,7 +648,7 @@ impl<'a> AppGen<'a> {
         ctx: &mut BodyCtx<'_>,
         plan: &[PlannedMethod],
         sigs: &[Signature],
-        by_layer: &[Vec<usize>],
+        by_layer: &[ZipfPool<usize>],
         fw: &Framework,
         ref_fields: &[FieldId],
         prim_fields: &[FieldId],
@@ -777,7 +813,7 @@ impl<'a> AppGen<'a> {
         ctx: &mut BodyCtx<'_>,
         plan: &[PlannedMethod],
         sigs: &[Signature],
-        by_layer: &[Vec<usize>],
+        by_layer: &[ZipfPool<usize>],
         fw: &Framework,
         ref_fields: &[FieldId],
         prim_fields: &[FieldId],
@@ -835,7 +871,7 @@ impl<'a> AppGen<'a> {
             }
             3 => {
                 let dst = r(self, ctx);
-                let cls = ctx.class_pool[self.rng.zipf(ctx.class_pool.len(), 1.0)];
+                let cls = ctx.class_pool.draw(&mut self.rng);
                 mb.stmt(Stmt::Assign {
                     lhs: Lhs::Var(dst),
                     rhs: Expr::New { ty: JType::Object(cls) },
@@ -979,21 +1015,20 @@ impl<'a> AppGen<'a> {
         ctx: &mut BodyCtx<'_>,
         plan: &[PlannedMethod],
         sigs: &[Signature],
-        by_layer: &[Vec<usize>],
+        by_layer: &[ZipfPool<usize>],
         fw: &Framework,
     ) {
         let use_api = self.rng.chance(self.config.api_call_fraction);
         if use_api {
             // Neutral API calls dominate; sources appear occasionally
             // (lifecycle methods of permission-holding apps call them).
-            let neutral: Vec<&ApiMethod> = fw.api_with_role(ApiRole::Neutral).collect();
-            let api = if ctx.lifecycle && self.rng.chance(0.1) {
-                let sources: Vec<&ApiMethod> = fw.api_with_role(ApiRole::Source).collect();
+            let role = if ctx.lifecycle && self.rng.chance(0.1) {
                 ctx.used_source = true;
-                sources[self.rng.below(sources.len() as u64) as usize].clone()
+                ApiRole::Source
             } else {
-                neutral[self.rng.below(neutral.len() as u64) as usize].clone()
+                ApiRole::Neutral
             };
+            let api = self.rng.pick(fw.api_with_role(role));
             let mut args = Vec::new();
             if api.is_instance {
                 args.push(*self.rng.pick(&ctx.refs));
@@ -1009,7 +1044,7 @@ impl<'a> AppGen<'a> {
             mb.stmt(Stmt::Call {
                 ret,
                 kind: if api.is_instance { CallKind::Virtual } else { CallKind::Static },
-                sig: api.sig,
+                sig: api.sig.clone(),
                 args,
             });
             return;
@@ -1026,7 +1061,7 @@ impl<'a> AppGen<'a> {
             mb.stmt(Stmt::Empty);
             return;
         }
-        let idx = candidates[self.rng.zipf(candidates.len(), 0.75)];
+        let idx = candidates.draw(&mut self.rng);
         let callee = &plan[idx];
         let sig = sigs[idx].clone();
         let mut args = Vec::new();
@@ -1049,6 +1084,16 @@ impl<'a> AppGen<'a> {
     }
 }
 
+/// Callee candidates (indices into `plan`) per call-graph layer, each
+/// sealed for the skewed callee draw of `emit_call`.
+fn callees_by_layer(plan: &[PlannedMethod], layers: usize) -> Vec<ZipfPool<usize>> {
+    let mut by_layer: Vec<Vec<usize>> = vec![Vec::new(); layers + 1];
+    for (i, pm) in plan.iter().enumerate() {
+        by_layer[pm.layer].push(i);
+    }
+    by_layer.into_iter().map(|lane| ZipfPool::new(lane, CALLEE_SKEW)).collect()
+}
+
 struct BodyCtx<'p> {
     refs: Vec<VarId>,
     prims: Vec<VarId>,
@@ -1058,7 +1103,7 @@ struct BodyCtx<'p> {
     lifecycle: bool,
     /// Classes `new` expressions draw from: the whole program for app
     /// bodies, the package (plus `Object`) for library bodies.
-    class_pool: &'p [Symbol],
+    class_pool: &'p ZipfPool<Symbol>,
 }
 
 /// Extension helpers the generator needs on [`MethodBuilder`] /

@@ -31,7 +31,9 @@ pub mod rng;
 pub mod stats;
 
 pub use app::{App, Category};
-pub use bundle::{export_corpus, load_bundle, save_bundle, BundleError};
+pub use bundle::{
+    export_corpus, load_bundle, parse_bundle, read_bundle, save_bundle, BundleError, BundleText,
+};
 pub use config::GenConfig;
 pub use corpus::{Corpus, PAPER_CORPUS_SIZE, PAPER_MASTER_SEED};
 pub use framework::{builtin_api_roles, ApiMethod, ApiRole, Framework};

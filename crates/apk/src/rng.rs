@@ -29,6 +29,39 @@ impl SplitMix64 {
     }
 }
 
+/// Inverse-CDF table of the Zipf distribution over ranks `[0, n)` with
+/// exponent `s`, sampled by [`Rng::zipf`].
+///
+/// The generator draws once per statement-level event (every `new`, every
+/// app-method call, every per-method field pick) from pools of hundreds to
+/// thousands of entries, so the table is built once per *pool* — `n`
+/// `powf`s — and a draw is one uniform plus an `O(log n)` search. Entry `k`
+/// is the partial sum `Σ_{j≤k} (1 / (j+1)^s) / norm`, accumulated left to
+/// right: the operations, and therefore the rounding, that decide which
+/// rank a given uniform lands on are part of the corpus' byte identity.
+#[derive(Clone, Debug)]
+pub struct Zipf {
+    cdf: Vec<f64>,
+}
+
+impl Zipf {
+    /// Builds the table for a pool of `n` entries (`n == 0` gives a table
+    /// that must not be sampled).
+    pub fn new(n: usize, s: f64) -> Zipf {
+        let mut cdf: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+        let mut norm = 0.0;
+        for w in &cdf {
+            norm += w;
+        }
+        let mut acc = 0.0;
+        for w in &mut cdf {
+            acc += *w / norm;
+            *w = acc;
+        }
+        Zipf { cdf }
+    }
+}
+
 /// Xoshiro256** — the workhorse generator.
 #[derive(Clone, Debug)]
 pub struct Rng {
@@ -118,25 +151,15 @@ impl Rng {
         (self.log_normal(median, sigma).round() as usize).clamp(lo, hi)
     }
 
-    /// Zipf-distributed index in `[0, n)` with exponent `s` — used for
-    /// popularity-skewed choices (callee selection, field reuse).
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        debug_assert!(n > 0);
-        // Inverse-CDF on the harmonic partial sums, computed incrementally.
-        // n is small (≤ a few hundred) in all our uses, so O(n) is fine.
+    /// Zipf-distributed index into the pool `table` was built for — used
+    /// for popularity-skewed choices (callee selection, field reuse).
+    /// Consumes one [`Rng::f64`] and binary-searches the table.
+    pub fn zipf(&mut self, table: &Zipf) -> usize {
+        debug_assert!(!table.cdf.is_empty(), "zipf over an empty pool");
         let target = self.f64();
-        let mut norm = 0.0;
-        for k in 1..=n {
-            norm += 1.0 / (k as f64).powf(s);
-        }
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s) / norm;
-            if target < acc {
-                return k - 1;
-            }
-        }
-        n - 1
+        // First rank whose cumulative mass exceeds the target; rounding can
+        // leave the last entry a hair under 1.0, hence the clamp.
+        table.cdf.partition_point(|&acc| acc <= target).min(table.cdf.len() - 1)
     }
 
     /// Picks an index according to integer weights.
@@ -259,11 +282,54 @@ mod tests {
     fn zipf_is_skewed_toward_low_indices() {
         let mut r = Rng::new(14);
         let mut counts = [0usize; 10];
+        let table = Zipf::new(10, 1.0);
         for _ in 0..10_000 {
-            counts[r.zipf(10, 1.0)] += 1;
+            counts[r.zipf(&table)] += 1;
         }
         assert!(counts[0] > counts[4], "{counts:?}");
         assert!(counts[0] > counts[9] * 3, "{counts:?}");
+    }
+
+    /// The O(n)-per-draw scan `Rng::zipf(n, s)` was before the table: the
+    /// reference the table must reproduce index for index.
+    fn zipf_by_scan(rng: &mut Rng, n: usize, s: f64) -> usize {
+        let target = rng.f64();
+        let mut norm = 0.0;
+        for k in 1..=n {
+            norm += 1.0 / (k as f64).powf(s);
+        }
+        let mut acc = 0.0;
+        for k in 1..=n {
+            acc += 1.0 / (k as f64).powf(s) / norm;
+            if target < acc {
+                return k - 1;
+            }
+        }
+        n - 1
+    }
+
+    proptest::proptest! {
+        /// A table draw consumes the same uniform and lands on the same
+        /// rank as the scan did, for every exponent the generator uses.
+        #[test]
+        fn table_draws_equal_the_scan(n in 1usize..=5000, exponent in 0usize..4, seed: u64) {
+            let s = [0.75, 0.8, 1.0, 1.1][exponent];
+            let table = Zipf::new(n, s);
+            let (mut by_table, mut by_scan) = (Rng::new(seed), Rng::new(seed));
+            for draw in 0..1000 {
+                let (got, want) = (by_table.zipf(&table), zipf_by_scan(&mut by_scan, n, s));
+                proptest::prop_assert_eq!(got, want, "draw {} of n={} s={}", draw, n, s);
+            }
+            proptest::prop_assert_eq!(by_table.s, by_scan.s, "the streams diverged");
+        }
+    }
+
+    #[test]
+    fn zipf_clamps_a_target_past_the_last_partial_sum() {
+        // Rounding may leave the last entry below a target just under 1.0;
+        // the scan fell through to `n - 1` there and so must the table.
+        let short = Zipf { cdf: vec![0.0, 0.0, 0.0] };
+        assert_eq!(Rng::new(17).zipf(&short), 2);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use expr::{BinOp, CmpKind, Expr, ExprKind, Literal, UnOp};
 pub use idx::{ClassId, FieldId, MethodId, StmtIdx, Symbol, VarId};
 pub use lint::{lint_program, LintDiagnostic, LintPass, LintRunner, Severity, SinkReachability};
 pub use method::{Method, MethodKind, ParamDecl, Signature, VarDecl, Visibility};
-pub use program::{ClassDef, FieldDef, Interner, Program};
+pub use program::{ClassDef, ClassHierarchy, FieldDef, Interner, Program};
 pub use stmt::{CallKind, Lhs, MonitorOp, Stmt, StmtKind};
 pub use types::JType;
 pub use validate::{validate_method, validate_program, ValidationError};

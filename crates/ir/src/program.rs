@@ -138,40 +138,24 @@ impl Program {
     /// Resolves a method by (class, name) pair, walking up the superclass
     /// chain — a simplified virtual-dispatch resolution.
     pub fn resolve_method(&self, class: ClassId, sig: &Signature) -> Option<MethodId> {
+        self.resolve_method_in(class, &mut sig.clone())
+    }
+
+    /// [`Self::resolve_method`] through a caller-owned copy of the
+    /// signature, whose `class` is overwritten with each class tried — so a
+    /// caller that probes many classes for one call site (CHA) clones the
+    /// signature, parameter list included, once rather than once per step.
+    pub fn resolve_method_in(&self, class: ClassId, candidate: &mut Signature) -> Option<MethodId> {
         let mut cur = Some(class);
         while let Some(cid) = cur {
             let cdef = &self.classes[cid];
-            let candidate = Signature { class: cdef.name, ..sig.clone() };
-            if let Some(mid) = self.method_by_sig(&candidate) {
+            candidate.class = cdef.name;
+            if let Some(mid) = self.method_by_sig(candidate) {
                 return Some(mid);
             }
             cur = cdef.superclass;
         }
         None
-    }
-
-    /// All subclasses (transitive, including `class` itself). Used by
-    /// class-hierarchy-analysis call-graph construction.
-    pub fn subtree_of(&self, class: ClassId) -> Vec<ClassId> {
-        // Children index computed on the fly; programs are small enough
-        // (hundreds of classes) that this is not a hot path.
-        let mut children: HashMap<ClassId, Vec<ClassId>> = HashMap::new();
-        for (id, c) in self.classes.iter_enumerated() {
-            if let Some(sup) = c.superclass {
-                children.entry(sup).or_default().push(id);
-            }
-        }
-        let mut out = vec![class];
-        let mut stack = vec![class];
-        while let Some(c) = stack.pop() {
-            if let Some(kids) = children.get(&c) {
-                for &k in kids {
-                    out.push(k);
-                    stack.push(k);
-                }
-            }
-        }
-        out
     }
 
     /// Total statement count across all methods — "CFG nodes" in the
@@ -195,6 +179,47 @@ impl Program {
     }
 }
 
+/// The class → direct-subclasses index of a program.
+///
+/// Building it is one pass over the classes; class-hierarchy analysis asks
+/// for a subtree at every virtual call site, so a consumer builds the
+/// index once (per call graph) and walks it per site.
+#[derive(Clone, Debug)]
+pub struct ClassHierarchy {
+    /// Direct subclasses, in class-id order.
+    children: IndexVec<ClassId, Vec<ClassId>>,
+}
+
+impl ClassHierarchy {
+    /// Indexes `program`'s superclass edges.
+    pub fn of(program: &Program) -> ClassHierarchy {
+        let mut children: IndexVec<ClassId, Vec<ClassId>> =
+            program.classes.iter().map(|_| Vec::new()).collect();
+        for (id, c) in program.classes.iter_enumerated() {
+            if let Some(sup) = c.superclass {
+                children[sup].push(id);
+            }
+        }
+        ClassHierarchy { children }
+    }
+
+    /// All transitive subclasses of `class` (itself excluded). The order —
+    /// a class's direct subclasses by id, then the subtree of the *last*
+    /// of them first — is the order CHA lists call targets in, so it is
+    /// part of every downstream result's byte identity.
+    pub fn descendants(&self, class: ClassId) -> impl Iterator<Item = ClassId> + '_ {
+        let mut stack = Vec::new();
+        let mut siblings = self.children[class].iter();
+        std::iter::from_fn(move || loop {
+            if let Some(&k) = siblings.next() {
+                stack.push(k);
+                return Some(k);
+            }
+            siblings = self.children[stack.pop()?].iter();
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +236,24 @@ mod tests {
         assert_eq!(i.get("bar"), Some(b));
         assert_eq!(i.get("baz"), None);
         assert_eq!(i.len(), 2);
+    }
+
+    #[test]
+    fn descendants_walk_last_pushed_subtree_first() {
+        let mut pb = crate::ProgramBuilder::new();
+        let root = pb.class("Root").build();
+        let a = pb.class("A").extends(root).build();
+        let b = pb.class("B").extends(root).build();
+        let a1 = pb.class("A1").extends(a).build();
+        let b1 = pb.class("B1").extends(b).build();
+        let a2 = pb.class("A2").extends(a).build();
+        let a1x = pb.class("A1x").extends(a1).build();
+        let p = pb.finish();
+        let h = ClassHierarchy::of(&p);
+        // Direct subclasses by id, then B's subtree (pushed last) before A's.
+        assert_eq!(h.descendants(root).collect::<Vec<_>>(), [a, b, b1, a1, a2, a1x]);
+        assert_eq!(h.descendants(a).collect::<Vec<_>>(), [a1, a2, a1x]);
+        assert_eq!(h.descendants(a1x).count(), 0);
     }
 
     #[test]

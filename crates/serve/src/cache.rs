@@ -2,7 +2,9 @@
 //!
 //! Keyed by an FNV-1a hash of the *pre-prep* bundle content (printed
 //! program + manifest text — exactly what [`gdroid_apk::save_bundle`]
-//! writes to disk), so any byte-identical resubmission is a pure hit.
+//! writes to disk), so any byte-identical resubmission is a pure hit — and
+//! an on-disk bundle is keyed by its bytes as read
+//! ([`bundle_content_hash`]), before anything is parsed.
 //!
 //! An *updated* app (same package, different content hash) invalidates
 //! the stale entry but does not discard it: the cached
@@ -20,12 +22,13 @@
 
 use gdroid_analysis::AppAnalysis;
 use gdroid_apk::bundle::manifest_to_text;
-use gdroid_apk::App;
+use gdroid_apk::{App, BundleText};
 use gdroid_ir::text::print_program;
 use gdroid_ir::{Interner, MethodId, Program, Symbol};
 pub use gdroid_sumstore::{fnv1a, fnv1a_extend};
 use gdroid_vetting::{VettingOutcome, VettingRun};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// Content hash of an app bundle, computed *before* environment
@@ -37,15 +40,42 @@ pub fn app_content_hash(app: &App) -> u64 {
     h
 }
 
+/// Content hash of a bundle as read from disk: the same fold as
+/// [`app_content_hash`], over the file bytes. [`gdroid_apk::save_bundle`]
+/// writes `print_program` and `manifest_to_text` verbatim and both are
+/// fixpoints of parse → print, so for every bundle it wrote this equals
+/// `app_content_hash` of the parsed app — an in-process and an on-disk
+/// submission of one app share a cache entry — at the cost of one pass over
+/// the bytes instead of a parse and a re-print. A bundle formatted any
+/// other way hashes differently: a miss, never a wrong hit.
+pub fn bundle_content_hash(text: &BundleText) -> u64 {
+    fnv1a_extend(fnv1a(text.jil.as_bytes()), text.manifest.as_bytes())
+}
+
+/// FNV-1a state that `Debug`/`Display` output streams into, so hashing a
+/// value's text never materializes the text.
+struct FnvSink(u64);
+
+impl std::fmt::Write for FnvSink {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 = fnv1a_extend(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Per-method content hashes of a *prepared* program (environment
 /// methods included), aligned with the `MethodId`s the stored analysis
-/// uses. Comparable across programs only under an equal
-/// [`interner_fingerprint`].
+/// uses: FNV-1a of each method's `Debug` text. Comparable across programs
+/// only under an equal [`interner_fingerprint`].
 pub fn method_hashes(program: &Program) -> HashMap<MethodId, u64> {
     program
         .methods
         .iter_enumerated()
-        .map(|(mid, m)| (mid, fnv1a(format!("{m:?}").as_bytes())))
+        .map(|(mid, m)| {
+            let mut sink = FnvSink(fnv1a(&[]));
+            write!(sink, "{m:?}").expect("FnvSink never fails");
+            (mid, sink.0)
+        })
         .collect()
 }
 
@@ -270,6 +300,38 @@ mod tests {
         let b = generate_app(0, 7002, &GenConfig::tiny());
         assert_eq!(app_content_hash(&a), app_content_hash(&a2));
         assert_ne!(app_content_hash(&a), app_content_hash(&b));
+    }
+
+    #[test]
+    fn streamed_method_hashes_equal_hashing_the_debug_text() {
+        for seed in [7003, 7004, 7005] {
+            let prep = prepare_vetting(generate_app(0, seed, &GenConfig::tiny()));
+            let by_text: HashMap<MethodId, u64> = prep
+                .app
+                .program
+                .methods
+                .iter_enumerated()
+                .map(|(mid, m)| (mid, fnv1a(format!("{m:?}").as_bytes())))
+                .collect();
+            assert_eq!(method_hashes(&prep.app.program), by_text, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn saved_bundle_bytes_hash_like_the_app_they_hold() {
+        let dir = std::env::temp_dir().join(format!("gdroid-cache-bytes-{}", std::process::id()));
+        for (i, config) in
+            [GenConfig::tiny(), GenConfig::tiny().with_libraries(2, 3)].into_iter().enumerate()
+        {
+            let app = generate_app(i, 7006 + i as u64, &config);
+            gdroid_apk::save_bundle(&app, &dir).unwrap();
+            let text = gdroid_apk::read_bundle(&dir).unwrap();
+            assert_eq!(bundle_content_hash(&text), app_content_hash(&app));
+            // ... and like the app a parse of those bytes yields.
+            let parsed = gdroid_apk::parse_bundle(&text).unwrap();
+            assert_eq!(app_content_hash(&parsed), app_content_hash(&app));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

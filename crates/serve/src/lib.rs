@@ -50,8 +50,8 @@ pub mod service;
 pub mod trace;
 
 pub use cache::{
-    app_content_hash, changed_methods, fnv1a, interner_fingerprint, method_hashes, CacheStats,
-    PrevAnalysis, ResultCache,
+    app_content_hash, bundle_content_hash, changed_methods, fnv1a, interner_fingerprint,
+    method_hashes, CacheStats, PrevAnalysis, ResultCache,
 };
 pub use job::{CacheDisposition, JobResult, JobSource, JobSpec, JobStatus, Priority};
 pub use metrics::{

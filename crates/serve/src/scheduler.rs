@@ -52,8 +52,11 @@ pub struct ReadyJob {
     /// The prepared app (program + environments + call graph + roots).
     pub prep: PreparedApp,
     /// Post-prep per-method content hashes (incremental change detection).
+    /// Computed only for plans that can read them — cacheable or
+    /// warm-startable ones; empty otherwise.
     pub method_hashes: HashMap<MethodId, u64>,
-    /// Fingerprint of the interner contents backing `method_hashes`.
+    /// Fingerprint of the interner contents backing `method_hashes` (`0`
+    /// when those were not computed).
     pub interner_fingerprint: u64,
 }
 

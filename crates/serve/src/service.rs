@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! submit() ──► SubmitQueue (bounded, 3 priority classes)
-//!                 │  K prep workers: load → hash → cache lookup →
-//!                 │  env/callgraph synthesis → work estimate
+//!                 │  K prep workers: read → hash → cache lookup →
+//!                 │  parse → env/callgraph synthesis → work estimate
 //!                 ▼
 //!              DispatchHeap (bounded — double-buffers prep vs execution)
 //!                 │  D executors: LPT pop → device lease → run
@@ -20,7 +20,8 @@
 //! machine-readable [`ServiceReport`].
 
 use crate::cache::{
-    app_content_hash, changed_methods, interner_fingerprint, method_hashes, ResultCache,
+    app_content_hash, bundle_content_hash, changed_methods, interner_fingerprint, method_hashes,
+    ResultCache,
 };
 use crate::job::{
     CacheDisposition, JobIdentity, JobResult, JobSource, JobSpec, JobStatus, Priority,
@@ -29,7 +30,7 @@ use crate::metrics::{Counters, ServiceMetrics, ServiceReport};
 use crate::pool::DevicePool;
 use crate::queue::{SubmitError, SubmitQueue};
 use crate::scheduler::{block_demand, work_estimate, DispatchHeap, ReadyJob};
-use gdroid_apk::{generate_app, load_bundle, App};
+use gdroid_apk::{generate_app, parse_bundle, read_bundle, App, BundleError, BundleText};
 use gdroid_core::{EngineKind, ExecMode};
 use gdroid_gpusim::{DeviceConfig, FaultPlan};
 use gdroid_sumstore::SumStore;
@@ -37,6 +38,7 @@ use gdroid_vetting::{
     execute, execute_vetting_batch_on_device, execute_vetting_incremental, prepare_vetting,
     ExecCtx, ExecPlan, PreparedApp, VettingRun,
 };
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -307,7 +309,14 @@ impl VettingService {
     }
 }
 
-/// Prep worker: queue → load → hash → cache lookup → prepare → dispatch.
+/// Prep worker: queue → read → hash → cache lookup → parse → prepare →
+/// dispatch.
+///
+/// Everything here is host time the device waits behind, so the stage does
+/// only what the job's plan reads (DESIGN.md §21): the content hash always
+/// (every result publishes it), the cache lookup for cacheable plans — on a
+/// bundle's bytes, before they are parsed — and the per-method hashes only
+/// for plans that can reach the warm start or the cache insert.
 fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
     while let Some(job) = queue.pop() {
         let queue_wait_ns = job.submitted_at.elapsed().as_nanos() as u64;
@@ -315,25 +324,32 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
         let prep_start = Instant::now();
         let mut identity =
             JobIdentity { id: job.id, priority: job.priority, queue_wait_ns, ..Default::default() };
+        // A job that cannot be started reports the bundle it named and no
+        // content hash.
+        let fail = |identity: JobIdentity, (dir, e): (String, BundleError)| {
+            let status = JobStatus::Failed(format!("bundle {dir}: {e}"));
+            let identity = JobIdentity {
+                package: dir,
+                content_hash: 0,
+                prep_ns: prep_start.elapsed().as_nanos() as u64,
+                ..identity
+            };
+            state.deliver(JobResult::new(identity, status, CacheDisposition::Miss, None, 0));
+        };
 
-        let (app, loaded) = load_source(job.source);
-        let app = match app {
-            Ok(app) => app,
-            Err(reason) => {
-                identity.package = loaded;
-                identity.prep_ns = prep_start.elapsed().as_nanos() as u64;
-                let status = JobStatus::Failed(reason);
-                state.deliver(JobResult::new(identity, status, CacheDisposition::Miss, None, 0));
+        let loaded = match Loaded::read(job.source) {
+            Ok(loaded) => loaded,
+            Err(failure) => {
+                fail(identity, failure);
                 continue;
             }
         };
-
-        identity.content_hash = app_content_hash(&app);
-        identity.package = app.manifest.package.clone();
+        identity.content_hash = loaded.content_hash();
 
         if job.plan.cacheable() {
             if let Some(outcome) = state.cache.lookup(identity.content_hash) {
                 Counters::bump(&state.metrics.counters.cache_hits);
+                identity.package = loaded.package().to_owned();
                 identity.prep_ns = prep_start.elapsed().as_nanos() as u64;
                 state.deliver(JobResult::new(
                     identity,
@@ -346,9 +362,22 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
             }
         }
 
+        let app = match loaded.into_app() {
+            Ok(app) => app,
+            Err(failure) => {
+                fail(identity, failure);
+                continue;
+            }
+        };
+        identity.package = app.manifest.package.clone();
+
         let prep = prepare_vetting(app);
-        let hashes = method_hashes(&prep.app.program);
-        let fingerprint = interner_fingerprint(&prep.app.program.interner);
+        // Read only by `try_incremental` and the cache insert in `finish`.
+        let (hashes, fingerprint) = if job.plan.cacheable() || job.plan.warm_startable() {
+            (method_hashes(&prep.app.program), interner_fingerprint(&prep.app.program.interner))
+        } else {
+            (HashMap::new(), 0)
+        };
         let estimate = work_estimate(&prep);
         identity.prep_ns = prep_start.elapsed().as_nanos() as u64;
         state.metrics.prep.record(identity.prep_ns);
@@ -376,18 +405,51 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
     }
 }
 
-fn load_source(source: JobSource) -> (Result<App, String>, String) {
-    match source {
-        JobSource::App(app) => (Ok(*app), String::new()),
-        JobSource::Seed { index, seed, config } => {
-            (Ok(generate_app(index, seed, &config)), String::new())
-        }
-        JobSource::Bundle(path) => {
-            let label = path.display().to_string();
-            match load_bundle(&path) {
-                Ok(app) => (Ok(app), label),
-                Err(e) => (Err(format!("bundle {label}: {e}")), label),
+/// A job's source as far as the cache lookup needs it: an app in memory,
+/// or a bundle's bytes — read, not yet parsed.
+enum Loaded {
+    App(Box<App>),
+    Bundle { dir: String, text: BundleText },
+}
+
+impl Loaded {
+    /// Only a bundle can fail to load: `Err` is `(its directory, why)`.
+    fn read(source: JobSource) -> Result<Loaded, (String, BundleError)> {
+        match source {
+            JobSource::App(app) => Ok(Loaded::App(app)),
+            JobSource::Seed { index, seed, config } => {
+                Ok(Loaded::App(Box::new(generate_app(index, seed, &config))))
             }
+            JobSource::Bundle(path) => {
+                let dir = path.display().to_string();
+                match read_bundle(&path) {
+                    Ok(text) => Ok(Loaded::Bundle { dir, text }),
+                    Err(e) => Err((dir, e)),
+                }
+            }
+        }
+    }
+
+    /// The result-cache key (see [`bundle_content_hash`] for why the two
+    /// arms agree on one app).
+    fn content_hash(&self) -> u64 {
+        match self {
+            Loaded::App(app) => app_content_hash(app),
+            Loaded::Bundle { text, .. } => bundle_content_hash(text),
+        }
+    }
+
+    fn package(&self) -> &str {
+        match self {
+            Loaded::App(app) => &app.manifest.package,
+            Loaded::Bundle { text, .. } => text.package(),
+        }
+    }
+
+    fn into_app(self) -> Result<App, (String, BundleError)> {
+        match self {
+            Loaded::App(app) => Ok(*app),
+            Loaded::Bundle { dir, text } => parse_bundle(&text).map_err(|e| (dir, e)),
         }
     }
 }
@@ -975,17 +1037,54 @@ mod tests {
 
     #[test]
     fn unreadable_bundle_fails_without_poisoning_service() {
+        // Every way the read → hash → parse path can refuse a bundle: no
+        // such directory, bytes that are not UTF-8, a program cut off
+        // mid-file, and a manifest naming classes its program lacks.
+        let root = std::env::temp_dir().join(format!("gdroid-hostile-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let app = generate_app(0, 5201, &GenConfig::tiny());
+        let hostile = |name: &str, file: &str, edit: &dyn Fn(Vec<u8>) -> Vec<u8>| {
+            let dir = root.join(name);
+            gdroid_apk::save_bundle(&app, &dir).unwrap();
+            let bytes = std::fs::read(dir.join(file)).unwrap();
+            std::fs::write(dir.join(file), edit(bytes)).unwrap();
+            dir
+        };
+        let sources = [
+            "/nonexistent/x".into(),
+            hostile("not-utf8", "manifest.txt", &|mut b| {
+                b[3] = 0xFF;
+                b
+            }),
+            hostile("cut", "app.jil", &|mut b| {
+                b.truncate(b.len() / 2);
+                b
+            }),
+            hostile("empty", "app.jil", &|_| Vec::new()),
+        ];
+
         let svc = VettingService::start(ServiceConfig {
             prep_workers: 1,
             devices: 1,
             ..ServiceConfig::default()
         });
-        svc.submit(Priority::Standard, JobSource::Bundle("/nonexistent/x".into())).unwrap();
+        for dir in &sources {
+            svc.submit(Priority::Standard, JobSource::Bundle(dir.clone())).unwrap();
+        }
         svc.submit(Priority::Standard, seed_source(1, 5200)).unwrap();
         let (report, results) = svc.drain();
-        assert_eq!(results.len(), 2);
-        assert!(matches!(results[0].status, JobStatus::Failed(_)));
-        assert_eq!(results[1].status, JobStatus::Completed);
-        assert_eq!(report.counters.completed, 2);
+        let _ = std::fs::remove_dir_all(&root);
+
+        assert_eq!(results.len(), sources.len() + 1);
+        for (r, dir) in results.iter().zip(&sources) {
+            assert!(matches!(r.status, JobStatus::Failed(_)), "{}: {:?}", dir.display(), r.status);
+            // A job that never started names its source and no content.
+            assert_eq!(r.package, dir.display().to_string());
+            assert_eq!(r.content_hash, 0);
+            assert!(r.outcome.is_none());
+        }
+        assert_eq!(results[sources.len()].status, JobStatus::Completed);
+        assert_eq!(report.counters.completed, results.len() as u64);
+        assert_eq!(report.cache.insertions, 1, "no failed job may reach the cache");
     }
 }

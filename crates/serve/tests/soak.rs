@@ -7,7 +7,11 @@
 //! * injected faults are retried, not dropped, and nothing is
 //!   quarantined when the retry budget covers the fault budget;
 //! * an updated app takes the incremental path and still matches a
-//!   from-scratch run.
+//!   from-scratch run;
+//! * a job's identity does not depend on how it arrived or which lane it
+//!   takes: an on-disk bundle is keyed by its bytes and shares the entry
+//!   of the seed job that generated it, an updated bundle warm-starts, and
+//!   every lane publishes the same content hash.
 
 use gdroid_apk::{generate_app, App, GenConfig};
 use gdroid_core::OptConfig;
@@ -176,4 +180,109 @@ fn updated_app_takes_incremental_path_and_matches() {
     );
     assert_eq!(report.cache.invalidations, 1, "the stale entry must be invalidated");
     assert_eq!(report.counters.cache_incremental, 1);
+}
+
+/// A fresh scratch directory for one test's bundles.
+fn bundle_root(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("gdroid-serve-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn one_worker_service() -> VettingService {
+    VettingService::start(ServiceConfig { prep_workers: 1, devices: 1, ..ServiceConfig::default() })
+}
+
+#[test]
+fn a_bundle_is_keyed_by_its_bytes_and_shares_the_seed_jobs_entry() {
+    let seed_job =
+        || JobSource::Seed { index: 51, seed: 7778, config: Box::new(GenConfig::tiny()) };
+    let app = generate_app(51, 7778, &GenConfig::tiny());
+    let root = bundle_root("bytes-key");
+    let (canonical, reformatted) = (root.join("canonical"), root.join("reformatted"));
+    gdroid_apk::save_bundle(&app, &canonical).unwrap();
+    gdroid_apk::save_bundle(&app, &reformatted).unwrap();
+    // The same program, one blank line longer: parses identically, but is
+    // not the byte string `save_bundle` writes.
+    let jil = std::fs::read_to_string(reformatted.join("app.jil")).unwrap();
+    std::fs::write(reformatted.join("app.jil"), format!("\n{jil}")).unwrap();
+
+    let svc = one_worker_service();
+    svc.submit(Priority::Standard, seed_job()).unwrap();
+    svc.wait_for(1);
+    svc.submit(Priority::Standard, JobSource::Bundle(canonical)).unwrap();
+    svc.wait_for(2);
+    svc.submit(Priority::Standard, JobSource::Bundle(reformatted)).unwrap();
+    let (report, results) = svc.drain();
+    std::fs::remove_dir_all(&root).unwrap();
+
+    assert!(results.iter().all(|r| r.status == JobStatus::Completed));
+    let [seeded, hit, miss] = &results[..] else { panic!("three jobs, three results") };
+    assert_eq!(seeded.cache, CacheDisposition::Miss);
+    assert_eq!(seeded.content_hash, gdroid_serve::app_content_hash(&app));
+    // Bytes on disk == the generated app's canonical content: one entry.
+    assert_eq!(hit.cache, CacheDisposition::Hit);
+    assert_eq!(hit.content_hash, seeded.content_hash);
+    assert_eq!(hit.package, app.manifest.package, "a hit reads its package off the manifest");
+    // Other bytes are another key: never a wrong hit, and the same verdict
+    // (from a full run — the generated and the parsed program intern in
+    // different orders, so the stale entry cannot seed a warm start).
+    assert_eq!(miss.cache, CacheDisposition::Miss);
+    assert_ne!(miss.content_hash, seeded.content_hash);
+    assert_eq!(miss.package, app.manifest.package);
+    assert_eq!(
+        miss.outcome.as_ref().unwrap().report.to_json(),
+        hit.outcome.as_ref().unwrap().report.to_json(),
+    );
+    assert_eq!((report.cache.hits, report.cache.misses), (1, 2));
+}
+
+#[test]
+fn an_updated_bundle_still_warm_starts_from_the_cached_version() {
+    let base = generate_app(50, 7777, &GenConfig::tiny());
+    let root = bundle_root("v2");
+    let (v1, v2) = (root.join("v1"), root.join("v2"));
+    gdroid_apk::save_bundle(&base, &v1).unwrap();
+    gdroid_apk::save_bundle(&mutated(base), &v2).unwrap();
+
+    let svc = one_worker_service();
+    svc.submit(Priority::Standard, JobSource::Bundle(v1)).unwrap();
+    svc.wait_for(1);
+    svc.submit(Priority::Standard, JobSource::Bundle(v2)).unwrap();
+    let (report, results) = svc.drain();
+    std::fs::remove_dir_all(&root).unwrap();
+
+    assert_eq!(results[0].cache, CacheDisposition::Miss);
+    // Pinned from the commit before the bundle's content hash became its
+    // bytes: the warm start diffs the same per-method hashes as ever.
+    assert_eq!(results[1].cache, CacheDisposition::Incremental { resolved: 1, reused: 22 });
+    assert_eq!(report.counters.cache_incremental, 1);
+}
+
+#[test]
+fn every_lane_publishes_the_content_hash_of_its_source() {
+    let source = || JobSource::Seed { index: 52, seed: 7779, config: Box::new(GenConfig::tiny()) };
+    let want = gdroid_serve::app_content_hash(&generate_app(52, 7779, &GenConfig::tiny()));
+    assert_ne!(want, 0);
+
+    let classic = one_worker_service();
+    classic.submit(Priority::Standard, source()).unwrap();
+    // The fast lane skips the per-method hashes; the content hash is not
+    // theirs to skip.
+    classic.submit_targeted(source()).unwrap();
+    let persistent = VettingService::start(ServiceConfig {
+        prep_workers: 1,
+        devices: 1,
+        exec: gdroid_core::ExecMode::Persistent,
+        ..ServiceConfig::default()
+    });
+    persistent.submit(Priority::Standard, source()).unwrap();
+
+    let (_, mut results) = classic.drain();
+    results.extend(persistent.drain().1);
+    assert_eq!(results.len(), 3);
+    for r in &results {
+        assert_eq!(r.status, JobStatus::Completed);
+        assert_eq!(r.content_hash, want, "job {} ({:?})", r.id, r.cache);
+    }
 }

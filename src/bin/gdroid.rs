@@ -382,18 +382,17 @@ fn load_app(arg: &str) -> App {
     // A .jil file carries no manifest; every class that extends a
     // component base is treated as an exported component.
     let mut manifest = Manifest { package: arg.to_owned(), ..Default::default() };
+    let hierarchy = gdroid::ir::ClassHierarchy::of(&program);
     for kind in gdroid::apk::ComponentKind::ALL {
         let Some(base_sym) = program.interner.get(kind.base_class()) else { continue };
         let Some(base) = program.class_by_name(base_sym) else { continue };
-        for class in program.subtree_of(base) {
-            if class != base {
-                manifest.components.push(gdroid::apk::Component {
-                    class: program.classes[class].name,
-                    kind,
-                    exported: true,
-                    intent_filters: vec![],
-                });
-            }
+        for class in hierarchy.descendants(base) {
+            manifest.components.push(gdroid::apk::Component {
+                class: program.classes[class].name,
+                kind,
+                exported: true,
+                intent_filters: vec![],
+            });
         }
     }
     App { name: arg.to_owned(), category: Category::Tools, seed: 0, program, manifest }
