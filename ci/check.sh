@@ -31,8 +31,9 @@ surface=$(grep -rn 'pub fn \(execute\|gpu_analyze\)' crates/vetting/src crates/c
 echo "==> retired-names ratchet: what EXPERIMENTS.md retired stays retired"
 # crates/rel survives only because benchmark/Cargo.lock names it (ROADMAP
 # 3a): an item-free lib.rs. None of the relational engine's, the per-app
-# multi-GPU driver's, the blocks-per-SM tuner's or the hand-rolled JSON
-# helpers' names anywhere.
+# multi-GPU driver's, the blocks-per-SM tuner's, the hand-rolled JSON
+# helpers', the full-sweep solver's, the component ICFG's, the unused DOT
+# exporters' or the device pool's names anywhere.
 rel_files=$(find crates/rel/src -type f | sort | tr '\n' ' ')
 [ "$rel_files" = "crates/rel/src/lib.rs " ] || {
   echo "retired-names ratchet: crates/rel/src holds $rel_files(want only lib.rs)" >&2
@@ -45,17 +46,45 @@ fi
 retired='relation_scan|hash_join|probe_chain|MethodKernel|RelEngine|rel_jobs'
 retired+='|gpu_analyze_app_multi|MultiGpuConfig|tune_blocks_per_sm|TuneResult'
 retired+='|render_event|json::string|json::array'
+retired+='|solve_method_sweep|ComponentIcfg|icfg_to_dot|cfg_to_dot|callsites_report'
+retired+='|DevicePool|DeviceLease'
 if grep -rnE "$retired" --include='*.rs' crates src tests examples; then
   echo "retired-names ratchet: a retired name is back (EXPERIMENTS.md, \"Retired: …\")" >&2
   exit 1
 fi
 
+echo "==> nothing-inert ratchet: no derive nobody consumes, no parallelism that is not"
+# serde and rayon are manifest lines and vendor/ directories only, until
+# the benchmark PR removes those (ROADMAP 3a-b, DESIGN.md "Nothing
+# inert"); the one mention left in source is the tombstone's doc comment.
+inert=$(grep -rnE 'serde|rayon|par_iter' --include='*.rs' crates src examples |
+  grep -v '^crates/rel/src/lib.rs:[0-9]*://!' || true)
+[ -z "$inert" ] || {
+  echo "$inert" >&2
+  echo "nothing-inert ratchet: a derive nothing serializes, or a par_iter that the" \
+    "vendored stub runs on one thread, is back" >&2
+  exit 1
+}
+
+echo "==> frozen-lock: building the harness leaves benchmark/Cargo.lock alone"
+# benchmark/ changes only in a benchmark PR. A harness build that has to
+# rewrite its lock file means a manifest line or a dependency edge moved.
+lock_dir=$(mktemp -d)
+trap 'rm -rf "$lock_dir"' EXIT
+cargo build --offline --quiet --manifest-path benchmark/Cargo.toml --target-dir "$lock_dir"
+git show HEAD:benchmark/Cargo.lock | cmp - benchmark/Cargo.lock || {
+  echo "frozen-lock: the harness build rewrote benchmark/Cargo.lock —" \
+    "restore the manifest line it lost" >&2
+  exit 1
+}
+rm -rf "$lock_dir"
+
 echo "==> one-host-loop ratchet: the layered schedule is stated once per side"
 # Outside #[cfg(test)], each side of the CPU/GPU divide derives summaries
 # in exactly one place — core::fixpoint for every GPU launch policy,
-# analysis::solver for every CPU entry point (whose layer map is the one
-# par_iter) — and neither decides SCC recursion: CallLayers::sccs_by_layer
-# does, once per SCC, from the one definition of is_recursive.
+# analysis::solver for every CPU entry point — and neither decides SCC
+# recursion: CallLayers::sccs_by_layer does, once per SCC, from the one
+# definition of is_recursive.
 non_test_sites() { # <fixed string> <dir>...
   local call=$1; shift
   for f in $(find "$@" -name '*.rs'); do
@@ -77,7 +106,8 @@ cpu_hint="extend solver::drive and its known-result hook instead of adding a loo
 ratchet 1 'derive_summary(' "$gpu_hint" crates/core/src
 # The definition and the driver's one call.
 ratchet 2 'derive_summary(' "$cpu_hint" crates/analysis/src
-ratchet 1 'par_iter(' "$cpu_hint" crates/analysis/src
+ratchet 0 'par_iter(' "the layer map is a plain iterator until real threads land (ROADMAP 3b)" \
+  crates/analysis/src
 ratchet 0 '.is_recursive(' "read CallLayers::sccs_by_layer" crates/core/src crates/analysis/src
 ratchet 1 'pub fn is_recursive(' "one definition" crates/icfg/src
 

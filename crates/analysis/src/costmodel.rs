@@ -18,12 +18,11 @@
 //!   sequential, with a JVM/boxing overhead factor on every operation.
 
 use crate::solver::{AppAnalysis, WorklistTelemetry};
-use serde::{Deserialize, Serialize};
 
 /// Per-operation CPU costs in nanoseconds.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CpuCostModel {
-    /// Cores available to the layer-parallel solver.
+    /// Cores the modeled layer-parallel baseline runs on ([`Self::parallel_ns`]).
     pub cores: usize,
     /// Fixed overhead per node processing (queue ops, dispatch).
     pub node_ns: f64,

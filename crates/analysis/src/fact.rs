@@ -8,11 +8,10 @@
 //! instances index matrix columns.
 
 use gdroid_ir::{Expr, FieldId, Lhs, Literal, Method, MethodId, Program, Stmt, StmtIdx, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A storage location that can hold an object reference.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Slot {
     /// A reference-typed local variable.
     Local(VarId),
@@ -25,7 +24,7 @@ pub enum Slot {
 }
 
 /// An abstract object the analysis tracks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Instance {
     /// Allocation site within this method (`new`, string literal,
     /// `constclass`, caught exception).
@@ -46,7 +45,7 @@ pub type SlotIdx = u16;
 pub type InstanceIdx = u16;
 
 /// A packed data-fact: `(slot, instance)` as dense pool indices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fact {
     /// Row.
     pub slot: SlotIdx,
@@ -70,7 +69,7 @@ impl Fact {
 
 /// The pre-determined pools and lookup tables of one method — everything
 /// the transfer functions need, computed once before analysis.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct MethodSpace {
     /// The method this space belongs to.
     pub method: MethodId,
@@ -79,10 +78,8 @@ pub struct MethodSpace {
     /// Instance pool; index = [`InstanceIdx`].
     pub instances: Vec<Instance>,
     /// Reverse slot lookup.
-    #[serde(skip)]
     slot_idx: HashMap<Slot, SlotIdx>,
     /// Reverse instance lookup.
-    #[serde(skip)]
     instance_idx: HashMap<Instance, InstanceIdx>,
     /// Reference fields accessed (read or written) by this method — the
     /// field axis of the heap-slot cross product.
@@ -250,19 +247,6 @@ impl MethodSpace {
         self.instances.len()
     }
 
-    /// Matrix cells = slots × instances.
-    #[inline]
-    pub fn cell_count(&self) -> usize {
-        self.slots.len() * self.instances.len()
-    }
-
-    /// Rebuilds the skipped lookup maps after deserialization.
-    pub fn rebuild_lookups(&mut self) {
-        self.slot_idx = self.slots.iter().enumerate().map(|(i, &s)| (s, i as SlotIdx)).collect();
-        self.instance_idx =
-            self.instances.iter().enumerate().map(|(i, &s)| (s, i as InstanceIdx)).collect();
-    }
-
     /// The entry facts of this method: formals bound to their symbolic
     /// instances and statics to their entry contents.
     pub fn entry_facts(&self, method: &Method) -> Vec<Fact> {
@@ -393,17 +377,6 @@ mod tests {
         let p = pb.finish();
         let sp = MethodSpace::build(&p, mid);
         assert!(sp.slots.iter().any(|s| matches!(s, Slot::ArrayElem(_))));
-    }
-
-    #[test]
-    fn rebuild_lookups_restores_maps() {
-        let (p, mid) = sample();
-        let mut sp = MethodSpace::build(&p, mid);
-        let slot0 = sp.slots[0];
-        sp.slot_idx.clear();
-        sp.instance_idx.clear();
-        sp.rebuild_lookups();
-        assert_eq!(sp.slot(slot0), Some(0));
     }
 
     #[test]

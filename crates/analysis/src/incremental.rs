@@ -17,11 +17,10 @@
 use crate::solver::{drive, AppAnalysis, StoreKind};
 use gdroid_icfg::CallGraph;
 use gdroid_ir::{MethodId, Program};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Work accounting of an incremental run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
     /// Methods actually re-solved.
     pub resolved: usize,

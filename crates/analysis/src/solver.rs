@@ -13,12 +13,10 @@ use crate::summary::{derive_summary, MethodSummary, SummaryMap};
 use crate::transfer::{CallResolution, TransferCtx};
 use gdroid_icfg::{CallGraph, CallLayers, CallTarget, Cfg, LayerScc};
 use gdroid_ir::{MethodId, Program};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Which fact-store representation a solver run uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoreKind {
     /// Dynamically growing hash sets (the original structure).
     Set,
@@ -28,7 +26,7 @@ pub enum StoreKind {
 
 /// Counters from one method's fixed-point run — the raw material for
 /// Table II and for the CPU/GPU cost models.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct WorklistTelemetry {
     /// Node processings (the paper's "worklist iterations" are counted as
     /// worklist *generations*; this is the total node count processed).
@@ -278,7 +276,9 @@ struct Solved {
 /// The bottom-up SBDA driver (Alg. 2's host side on the CPU), and the
 /// multithreaded-C baseline's schedule (§III-B1): layers are barriers,
 /// and the SCCs of one layer — which never call each other — are mapped
-/// in parallel against the summaries the layers below published.
+/// against the summaries the layers below published. The map runs on one
+/// thread; the baseline's speed-up over cores is modeled
+/// ([`crate::CpuCostModel::parallel_ns`]), not executed.
 ///
 /// `known` is asked once per SCC, with those summaries, whether the SCC's
 /// result is already at hand; a known SCC is published without solving.
@@ -287,7 +287,7 @@ pub(crate) fn drive<'a>(
     cg: &CallGraph,
     roots: &[MethodId],
     store_kind: StoreKind,
-    known: impl Fn(&[MethodId], &SummaryMap) -> Known<'a> + Sync,
+    known: impl Fn(&[MethodId], &SummaryMap) -> Known<'a>,
 ) -> AppAnalysis {
     let layers = CallLayers::compute(cg, roots);
     let methods = || layers.scc_of.keys();
@@ -305,7 +305,7 @@ pub(crate) fn drive<'a>(
 
     for sccs in layers.sccs_by_layer(cg) {
         let outcomes: Vec<(WorklistTelemetry, Vec<Solved>)> = sccs
-            .par_iter()
+            .iter()
             .map(|scc| match known(scc.members, &out.summaries) {
                 Some(results) => {
                     let handed_over = scc.members.iter().zip(results);

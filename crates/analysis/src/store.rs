@@ -18,11 +18,10 @@
 //! accounting behind the paper's Fig. 10.
 
 use crate::fact::{Fact, InstanceIdx, MethodSpace, SlotIdx};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Matrix geometry of one method: rows × columns and derived word counts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct Geometry {
     /// Slot count (rows).
     pub slots: usize,
@@ -132,7 +131,7 @@ impl<'a> NodeView<'a> {
 
 /// One node's facts as a fixed-size bitmap — the unit the transfer
 /// functions operate on.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeFacts {
     geometry: Geometry,
     words: Vec<u64>,
@@ -142,16 +141,6 @@ impl NodeFacts {
     /// An empty bitmap for the geometry.
     pub fn empty(geometry: Geometry) -> NodeFacts {
         NodeFacts { geometry, words: vec![0; geometry.words()] }
-    }
-
-    /// Rebuilds a bitmap from raw words previously obtained via
-    /// [`NodeFacts::words`]. `None` when the word count does not match
-    /// the geometry (the summary-store integrity check).
-    pub fn from_words(geometry: Geometry, words: Vec<u64>) -> Option<NodeFacts> {
-        if words.len() != geometry.words() {
-            return None;
-        }
-        Some(NodeFacts { geometry, words })
     }
 
     /// The read-only view every query below goes through.
@@ -219,14 +208,6 @@ impl NodeFacts {
     /// Iterates the instances present in a slot row.
     pub fn row(&self, slot: SlotIdx) -> impl Iterator<Item = InstanceIdx> + '_ {
         self.view().row(slot)
-    }
-
-    /// Copies a source row's bits into a destination row (the core
-    /// propagation primitive `x = y`).
-    pub fn copy_row_from(&mut self, dst: SlotIdx, src: NodeView<'_>, src_slot: SlotIdx) {
-        for instance in src.row(src_slot) {
-            self.set(Fact { slot: dst, instance });
-        }
     }
 
     /// Unions another bitmap in; returns whether anything changed.
@@ -510,16 +491,6 @@ mod tests {
         assert!(a.union(&b));
         assert!(!a.union(&b), "second union is a no-op");
         assert_eq!(a.count(), 1);
-    }
-
-    #[test]
-    fn copy_row_from_propagates() {
-        let mut src = NodeFacts::empty(geo());
-        src.set(Fact { slot: 5, instance: 2 });
-        src.set(Fact { slot: 5, instance: 4 });
-        let mut dst = NodeFacts::empty(geo());
-        dst.copy_row_from(1, src.view(), 5);
-        assert_eq!(dst.row(1).collect::<Vec<_>>(), [2, 4]);
     }
 
     fn store_contract(mut store: impl FactStore) {

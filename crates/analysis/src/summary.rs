@@ -9,11 +9,10 @@
 use crate::fact::{Instance, MethodSpace, Slot};
 use crate::store::MatrixStore;
 use gdroid_ir::{FieldId, Method, MethodId, Stmt};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// A symbolic value source, relative to the summarized method's caller.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Token {
     /// Whatever the caller's argument `k` points to (0 = receiver for
     /// instance methods).
@@ -26,7 +25,7 @@ pub enum Token {
 }
 
 /// The heap-manipulation summary of one method.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MethodSummary {
     /// Possible sources of the return value.
     pub returns: BTreeSet<Token>,

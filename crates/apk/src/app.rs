@@ -2,12 +2,11 @@
 
 use crate::manifest::Manifest;
 use gdroid_ir::Program;
-use serde::{Deserialize, Serialize};
 
 /// A Google Play-style app category. Categories drive the generator's size
 /// profile (games are bigger, personalization apps smaller), producing the
 /// heavy-tailed corpus spread visible in the paper's Fig. 1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Category {
     Game,
@@ -72,7 +71,7 @@ impl Category {
 }
 
 /// A complete Android app in IR form — the unit every analysis consumes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct App {
     /// Synthetic package-style name (`com.gen.app0042`).
     pub name: String,
@@ -87,7 +86,7 @@ pub struct App {
 }
 
 impl App {
-    /// Rebuilds lookup tables after deserialization.
+    /// Rebuilds the program's lookup tables after an in-place edit.
     pub fn rebuild_lookups(&mut self) {
         self.program.rebuild_lookups();
     }

@@ -5,10 +5,8 @@
 //! per app on average) and the worklist-dynamics profile of Table II.
 //! `corpus_stats` tests in this crate pin the calibration.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the synthetic app generator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GenConfig {
     /// Global size multiplier applied to class counts. `1.0` reproduces
     /// Table I; smaller values give fast test corpora.

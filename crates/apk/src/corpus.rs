@@ -10,7 +10,6 @@ use crate::app::App;
 use crate::config::GenConfig;
 use crate::generator::generate_app;
 use crate::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The master seed behind the evaluation corpus. Changing this invalidates
 /// EXPERIMENTS.md.
@@ -20,7 +19,7 @@ pub const PAPER_MASTER_SEED: u64 = 0xD401D;
 pub const PAPER_CORPUS_SIZE: usize = 1000;
 
 /// A corpus description: master seed + size + generator configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Corpus {
     /// Master seed; per-app seeds derive from it.
     pub master_seed: u64,

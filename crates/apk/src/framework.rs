@@ -8,10 +8,9 @@
 //! builds its leak detection on exactly this labeling.
 
 use gdroid_ir::{ClassId, JType, ProgramBuilder, Signature, Symbol};
-use serde::{Deserialize, Serialize};
 
 /// Security-relevant labeling of a framework method.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ApiRole {
     /// Returns sensitive data (device id, location, contacts, SMS…).
     Source,

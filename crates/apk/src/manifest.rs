@@ -5,10 +5,9 @@
 //! (1)) that drives its lifecycle callbacks.
 
 use gdroid_ir::Symbol;
-use serde::{Deserialize, Serialize};
 
 /// The four Android component kinds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ComponentKind {
     /// `<activity>` — UI screen with the full lifecycle.
     Activity,
@@ -54,14 +53,14 @@ impl ComponentKind {
 }
 
 /// An intent filter action (simplified: the action string).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IntentFilter {
     /// The action, e.g. `android.intent.action.MAIN`.
     pub action: String,
 }
 
 /// A declared component.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Component {
     /// The implementing class (interned in the app's program).
     pub class: Symbol,
@@ -75,7 +74,7 @@ pub struct Component {
 
 /// Android permissions the vetting layer cares about (a representative
 /// subset of dangerous permissions).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Permission {
     Internet,
@@ -123,7 +122,7 @@ impl Permission {
 }
 
 /// A parsed (well, generated) AndroidManifest.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Manifest {
     /// Application package name.
     pub package: String,
@@ -134,11 +133,6 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Components of a given kind.
-    pub fn components_of(&self, kind: ComponentKind) -> impl Iterator<Item = &Component> {
-        self.components.iter().filter(move |c| c.kind == kind)
-    }
-
     /// The launcher activity (first exported activity with a MAIN filter),
     /// if any.
     pub fn launcher(&self) -> Option<&Component> {

@@ -2,10 +2,9 @@
 
 use crate::app::App;
 use gdroid_ir::Stmt;
-use serde::{Deserialize, Serialize};
 
 /// Per-app structural statistics.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AppStats {
     /// Number of statements = intra-procedural CFG nodes (entry/exit nodes
     /// added by the ICFG layer are excluded here, as in the paper's
@@ -76,7 +75,7 @@ impl AppStats {
 }
 
 /// Aggregate statistics over a corpus — Table I's rows.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CorpusStats {
     /// Number of apps aggregated.
     pub apps: usize,

@@ -6,12 +6,13 @@ use gdroid_core::{gpu_analyze_app, OptConfig, WorklistProfile};
 use gdroid_gpusim::DeviceConfig;
 use gdroid_icfg::prepare_app;
 use gdroid_ir::MethodId;
+use gdroid_vetting::pipeline::{
+    ENVGEN_NS_PER_COMPONENT, FRONTEND_NS_PER_METHOD, FRONTEND_NS_PER_STMT, TAINT_NS_PER_ROW,
+};
 use gdroid_vetting::{SourceSinkRegistry, TaintAnalysis};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Condensed result of one GPU configuration on one app.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct GpuSummary {
     /// End-to-end simulated time, ns.
     pub total_ns: f64,
@@ -42,7 +43,7 @@ pub struct GpuSummary {
 }
 
 /// Everything measured for one app.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AppRecord {
     /// Corpus index.
     pub index: usize,
@@ -72,12 +73,6 @@ pub struct AppRecord {
     /// Max worklist size observed (Table I).
     pub max_worklist: usize,
 }
-
-/// Non-IDFG stage cost constants (see `gdroid-vetting::pipeline`).
-const ENVGEN_NS_PER_COMPONENT: f64 = 2.5e6;
-const FRONTEND_NS_PER_STMT: f64 = 60.0e3;
-const FRONTEND_NS_PER_METHOD: f64 = 2.5e6;
-const TAINT_NS_PER_ROW: f64 = 280.0;
 
 /// Runs every engine on one corpus app.
 pub fn run_app(corpus: &Corpus, index: usize) -> AppRecord {
@@ -159,13 +154,9 @@ fn telemetry_max(t: &WorklistTelemetry) -> usize {
     t.max_worklist
 }
 
-/// Runs `count` apps of the corpus in parallel, in index order.
+/// Runs `count` apps of the corpus one after another, in index order.
 pub fn run_corpus(corpus: &Corpus, count: usize) -> Vec<AppRecord> {
-    let count = count.min(corpus.size);
-    let mut records: Vec<AppRecord> =
-        (0..count).into_par_iter().map(|i| run_app(corpus, i)).collect();
-    records.sort_by_key(|r| r.index);
-    records
+    (0..count.min(corpus.size)).map(|i| run_app(corpus, i)).collect()
 }
 
 #[cfg(test)]

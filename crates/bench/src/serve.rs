@@ -5,7 +5,7 @@
 //!
 //! 1. **Scaling** — apps/sec for a fixed job stream across a grid of
 //!    (prep workers × devices), demonstrating that prep/execute overlap
-//!    and the device pool actually scale.
+//!    and the per-device executors actually scale.
 //! 2. **Cache-hit sweep** — the same stream re-submitted with increasing
 //!    duplication factors, showing throughput as a function of hit rate.
 //!

@@ -17,13 +17,13 @@ use crate::journal::{
 };
 use crate::report::FleetReport;
 use gdroid_apk::{Corpus, GenConfig, PAPER_MASTER_SEED};
-use gdroid_core::{EngineKind, ExecMode};
 use gdroid_serve::{
     fnv1a, job_trace, JobResult, JobSource, JobStatus, Priority, ResultCache, ServiceConfig,
     ServiceReport, VettingService,
 };
 use gdroid_sumstore::SumStore;
 use gdroid_vetting::json::JsonWriter;
+use gdroid_vetting::ExecPlan;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -48,25 +48,19 @@ pub struct CampaignConfig {
     pub devices: usize,
     /// Co-residency degree per device (1 disables batching).
     pub coresident: usize,
-    /// Vet through the demand-driven fast lane (backward sink slices).
-    pub targeted: bool,
     /// Attach a cross-app summary store. Store pre-solving couples an
     /// app's modeled timing to completion order, so journaled timings are
     /// only run-stable with one worker and one device per shard; verdicts
     /// are order-independent either way.
     pub sumstore: bool,
-    /// Analysis engine every shard service vets with. Non-worklist
-    /// engines bypass the per-shard result cache and co-resident
-    /// batching (see `gdroid_vetting::ExecPlan`); journaled verdicts and leak
-    /// counts are engine-invariant, but modeled timings are not, so the
-    /// engine participates in [`config_digest`].
-    pub engine: EngineKind,
-    /// Kernel execution mode shard services run worklist jobs under.
-    /// [`ExecMode::Persistent`] runs each app's fixpoint as one resident
-    /// launch; journaled verdicts and leak counts are mode-invariant, but
-    /// modeled timings are not, so the mode participates in
-    /// [`config_digest`].
-    pub exec: ExecMode,
+    /// How every app is vetted: the engine and exec mode the shard
+    /// services run under (non-worklist and persistent jobs bypass the
+    /// per-shard result cache and co-resident batching, see [`ExecPlan`]),
+    /// and whether apps go through the demand-driven fast lane (backward
+    /// sink slices). Journaled verdicts and leak counts are
+    /// plan-invariant, but modeled timings are not, so the plan
+    /// participates in [`config_digest`].
+    pub plan: ExecPlan,
     /// Write per-app modeled-time Chrome traces under
     /// `<dir>/shard-<s>/job-<index>.json`.
     pub trace_dir: Option<PathBuf>,
@@ -108,10 +102,8 @@ impl CampaignConfig {
             prep_workers: 2,
             devices: 2,
             coresident: 1,
-            targeted: false,
             sumstore: false,
-            engine: EngineKind::Worklist,
-            exec: ExecMode::MultiLaunch,
+            plan: ExecPlan::default(),
             trace_dir: None,
             rotate_records: None,
             shared_stores: false,
@@ -134,10 +126,10 @@ pub fn config_digest(config: &CampaignConfig) -> u64 {
         format!(
             "gen={:?} targeted={} sumstore={} engine={} exec={} shared={}",
             config.gen,
-            config.targeted,
+            config.plan.targeted,
             config.sumstore,
-            config.engine.as_str(),
-            config.exec.as_str(),
+            config.plan.engine.name(),
+            config.plan.exec.as_str(),
             config.shared_stores,
         )
         .as_bytes(),
@@ -517,8 +509,7 @@ fn run_shard(ctx: ShardCtx<'_>) -> Result<ShardOutcome, CampaignError> {
             .sumstore
             .then(|| shared_store.clone().unwrap_or_else(|| Arc::new(SumStore::new()))),
         result_cache: shared_cache,
-        engine: config.engine,
-        exec: config.exec,
+        plan: config.plan,
         ..ServiceConfig::default()
     });
 
@@ -542,7 +533,7 @@ fn run_shard(ctx: ShardCtx<'_>) -> Result<ShardOutcome, CampaignError> {
             continue;
         }
         let source = JobSource::Seed { index, seed, config: Box::new(config.gen.clone()) };
-        let submitted = if config.targeted {
+        let submitted = if config.plan.targeted {
             svc.submit_targeted(source)
         } else {
             svc.submit(Priority::Standard, source)

@@ -270,7 +270,9 @@ impl ShardFold {
     }
 
     /// Parses a `rollup` line body back into the fold it serialized.
-    pub fn parse_body(body: &str) -> Result<ShardFold, String> {
+    /// `apps` is the corpus size from the journal's header: an index run
+    /// that leaves `0..apps` is refused, not expanded.
+    pub fn parse_body(body: &str, apps: usize) -> Result<ShardFold, String> {
         if !body.starts_with("rollup ") {
             return Err("not a rollup line".into());
         }
@@ -356,7 +358,7 @@ impl ShardFold {
             hist_max: num("hmax")?,
             verdict_fold: hex("vfold")?,
             top,
-            indices: parse_index_runs(req("idx")?)?,
+            indices: parse_index_runs(req("idx")?, apps)?,
             open_failed: open,
         })
     }
@@ -386,7 +388,12 @@ fn index_runs(indices: &BTreeSet<usize>) -> Vec<String> {
     runs
 }
 
-fn parse_index_runs(text: &str) -> Result<BTreeSet<usize>, String> {
+/// Expands what [`index_runs`] wrote. The text comes from a file, so a
+/// run is checked before it is expanded: its last index must not overflow
+/// and must be one of the campaign's `apps`, and only a single-index run
+/// may have stride 0 — which bounds every run's `count` by `apps`, never
+/// by what the line says.
+fn parse_index_runs(text: &str, apps: usize) -> Result<BTreeSet<usize>, String> {
     let mut indices = BTreeSet::new();
     if text == "-" {
         return Ok(indices);
@@ -399,9 +406,14 @@ fn parse_index_runs(text: &str) -> Result<BTreeSet<usize>, String> {
         let start = parse(it.next())?;
         let stride = parse(it.next())?;
         let count = parse(it.next())?;
-        for k in 0..count {
-            indices.insert(start + stride * k);
-        }
+        let last = count
+            .checked_sub(1)
+            .filter(|&steps| stride > 0 || steps == 0)
+            .and_then(|steps| stride.checked_mul(steps))
+            .and_then(|span| start.checked_add(span))
+            .filter(|&last| last < apps)
+            .ok_or_else(|| format!("idx run {run:?} is not inside a campaign of {apps} apps"))?;
+        indices.extend((start..=last).step_by(stride.max(1)));
     }
     Ok(indices)
 }
@@ -455,7 +467,7 @@ mod tests {
         assert_eq!(fold.apps(), 11);
         assert_eq!(fold.top.len(), STRAGGLER_COUNT);
         assert_eq!(fold.top[0].index, 8);
-        let parsed = ShardFold::parse_body(&fold.serialize_body()).unwrap();
+        let parsed = ShardFold::parse_body(&fold.serialize_body(), usize::MAX).unwrap();
         assert_eq!(parsed, fold);
         assert_eq!(parsed.modeled_total_ns.to_bits(), fold.modeled_total_ns.to_bits());
     }
@@ -506,7 +518,7 @@ mod tests {
             for r in &records[..cut] {
                 sealed.fold(r);
             }
-            let mut resumed = ShardFold::parse_body(&sealed.serialize_body()).unwrap();
+            let mut resumed = ShardFold::parse_body(&sealed.serialize_body(), usize::MAX).unwrap();
             for r in &records[cut..] {
                 resumed.fold(r);
             }
@@ -525,9 +537,27 @@ mod tests {
         let strided: BTreeSet<usize> = (3..503).step_by(5).collect();
         let runs = index_runs(&strided);
         assert_eq!(runs, vec!["3:5:100".to_owned()]);
-        assert_eq!(parse_index_runs(&runs.join(";")).unwrap(), strided);
+        // 498 is the last index: a campaign of 499 apps is the tightest fit.
+        assert_eq!(parse_index_runs(&runs.join(";"), 499).unwrap(), strided);
+        assert!(parse_index_runs(&runs.join(";"), 498).is_err());
         let ragged: BTreeSet<usize> = [0, 1, 2, 10, 20, 21].into_iter().collect();
-        assert_eq!(parse_index_runs(&index_runs(&ragged).join(";")).unwrap(), ragged);
-        assert!(parse_index_runs("-").unwrap().is_empty());
+        assert_eq!(parse_index_runs(&index_runs(&ragged).join(";"), 22).unwrap(), ragged);
+        assert!(parse_index_runs("-", 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn index_runs_from_a_file_are_bounded_by_the_campaign() {
+        let max = usize::MAX;
+        for hostile in [
+            "0:1:4000000".to_owned(),   // expands past the campaign
+            format!("1:{max}:3"),       // stride * k overflows
+            format!("{max}:1:2"),       // start + span overflows
+            "7:0:4000000".to_owned(),   // one index, four million times
+            "5:1:0".to_owned(),         // an empty run is never written
+            "0:1:10;19:1:2".to_owned(), // second run leaves 0..20
+        ] {
+            assert!(parse_index_runs(&hostile, 20).is_err(), "{hostile}");
+        }
+        assert_eq!(parse_index_runs("7:0:1;19:1:1", 20).unwrap(), BTreeSet::from([7, 19]));
     }
 }

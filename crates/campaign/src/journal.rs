@@ -390,27 +390,25 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
     for (k, line) in lines.iter().enumerate().skip(1) {
         let parsed = match unseal(line) {
             Some(body) if body.starts_with("rollup ") => {
-                match ShardFold::parse_body(body) {
-                    Ok(fold) if k == 1 && segment.is_some_and(|s| s > 0) => {
-                        // Line 2 of a later segment: the carried base.
-                        base = Some(fold);
-                        valid_len += line.len() as u64 + 1;
-                        continue;
-                    }
-                    Ok(fold) => {
-                        // A sealing footer must be the final valid line.
-                        if k + 1 != lines.len() {
-                            return Err(JournalError::Corrupt {
-                                line: k + 1,
-                                reason: "rollup footer before end of segment".into(),
-                            });
-                        }
-                        sealed = Some(fold);
-                        valid_len += line.len() as u64 + 1;
-                        continue;
-                    }
-                    Err(e) => Some(Err(e)),
+                // A rollup whose checksum holds was written whole, so one
+                // that does not parse is corruption wherever it stands —
+                // never a torn tail to drop.
+                let fold = ShardFold::parse_body(body, header.apps)
+                    .map_err(|reason| JournalError::Corrupt { line: k + 1, reason })?;
+                if k == 1 && segment.is_some_and(|s| s > 0) {
+                    // Line 2 of a later segment: the carried base.
+                    base = Some(fold);
+                } else if k + 1 != lines.len() {
+                    // A sealing footer must be the final valid line.
+                    return Err(JournalError::Corrupt {
+                        line: k + 1,
+                        reason: "rollup footer before end of segment".into(),
+                    });
+                } else {
+                    sealed = Some(fold);
                 }
+                valid_len += line.len() as u64 + 1;
+                continue;
             }
             other => other.map(parse_record),
         };
@@ -770,8 +768,8 @@ pub fn read_campaign_journals(
     dir: &Path,
 ) -> Result<(JournalHeader, Vec<Vec<AppRecord>>), JournalError> {
     let (header, first) = read_shard_records(dir, 0)?;
-    let mut shards = Vec::with_capacity(header.shards.max(1));
-    shards.push(first);
+    // Grown per shard actually read: the header's count came from a file.
+    let mut shards = vec![first];
     for shard in 1..header.shards {
         shards.push(read_shard_records(dir, shard)?.1);
     }
@@ -1021,5 +1019,128 @@ mod tests {
         assert_eq!(fold.apps(), 4, "sealed rollup carries all four records");
         assert_eq!(j.segments(), 3);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A 12-record shard journal rotated every 5: segment 0 (header, 5
+    /// records, footer), segment 1 (header, carried rollup, 5 records,
+    /// footer), segment 2 (header, carried rollup, 2 records).
+    fn rotated_twelve(name: &str) -> (PathBuf, JournalHeader) {
+        let dir = tmp(name).parent().unwrap().to_owned();
+        let header = JournalHeader { apps: 12, ..header() };
+        let (mut j, _) = SegmentedJournal::open_or_create(&dir, 0, &header, 5).unwrap();
+        for i in 0..12 {
+            j.append(&record(i)).unwrap();
+        }
+        assert_eq!(j.segments(), 3);
+        (dir, header)
+    }
+
+    /// Rewrites line `k` of a journal file through `edit`, which gets the
+    /// line without its newline; every other byte is kept.
+    fn rewrite_line(path: &Path, k: usize, edit: impl FnOnce(&[u8]) -> Vec<u8>) {
+        let bytes = std::fs::read(path).unwrap();
+        let mut lines: Vec<Vec<u8>> = bytes.split(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+        lines[k] = edit(&lines[k]);
+        std::fs::write(path, lines.join(&b'\n')).unwrap();
+    }
+
+    /// The line with its body put through `edit` and sealed again, so the
+    /// readers' checksum passes and their field parsers see the edit.
+    fn resealed(line: &[u8], edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
+        let cut = line.windows(5).rposition(|w| w == b" crc=").expect("a sealed line");
+        let mut out = edit(&line[..cut]);
+        let crc = fnv1a(&out);
+        out.extend_from_slice(format!(" crc={crc:016x}").as_bytes());
+        out
+    }
+
+    #[test]
+    fn rollup_index_runs_outside_the_campaign_are_corrupt_not_expanded() {
+        // Both lines carry a valid checksum, so the field parsers see them:
+        // one would materialise four million indices, the other overflows
+        // `start + stride * k`.
+        for hostile in ["idx=0:1:4000000", "idx=1:18446744073709551615:3"] {
+            // Segment 0's sealing footer (line 7) and segment 1's carried
+            // rollup (line 2).
+            for (segment, k) in [(0, 6), (1, 1)] {
+                let (dir, _) = rotated_twelve("hostile-idx");
+                let path = segment_path(&dir, 0, segment);
+                rewrite_line(&path, k, |line| {
+                    resealed(line, |body| {
+                        let body = std::str::from_utf8(body).unwrap();
+                        assert!(body.starts_with("rollup "));
+                        let idx = field(body, "idx").unwrap();
+                        body.replace(&format!("idx={idx}"), hostile).into_bytes()
+                    })
+                });
+                match read_journal(&path) {
+                    Err(JournalError::Corrupt { line, .. }) => assert_eq!(line, k + 1),
+                    other => panic!("{hostile} in segment {segment}: {other:?}"),
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+
+    /// One hostile edit of a line's bytes: flip, truncate, or splice a
+    /// chunk of the line over another place in it.
+    fn mangle(bytes: &[u8], op: usize, a: usize, b: usize, byte: u8) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        let at = |i: usize| i % bytes.len();
+        match op {
+            0 => out[at(a)] ^= byte | 1,
+            1 => out.truncate(at(a)),
+            _ => {
+                let (from, to) = (at(a), at(b));
+                let chunk = bytes[from..(from + 1 + usize::from(byte)).min(bytes.len())].to_vec();
+                out.splice(to..to, chunk);
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// ROADMAP 4b for journals: whatever happens to a header, a
+        /// record, a carried rollup or a sealing footer, the readers
+        /// answer `Ok` or `Err` — they never panic. With the checksum left
+        /// stale the edit must be noticed; resealed, it reaches the field
+        /// parsers.
+        #[test]
+        fn hostile_journal_bytes_never_panic_the_readers(
+            op in 0usize..3,
+            pick: usize,
+            a: usize,
+            b: usize,
+            byte: u8,
+        ) {
+            // (segment, line) of each kind of line in `rotated_twelve`.
+            let kinds: [&[(usize, usize)]; 4] = [
+                &[(0, 0), (1, 0), (2, 0)],                 // headers
+                &[(0, 3), (1, 4), (2, 2), (2, 3)],         // records
+                &[(1, 1), (2, 1)],                         // carried rollups
+                &[(0, 6), (1, 7)],                         // sealing footers
+            ];
+            for (kind, lines) in kinds.iter().enumerate() {
+                let (segment, k) = lines[pick % lines.len()];
+                for reseal in [false, true] {
+                    let (dir, header) = rotated_twelve(&format!("hostile-{kind}-{reseal}"));
+                    let path = segment_path(&dir, 0, segment);
+                    rewrite_line(&path, k, |line| {
+                        let edit = |bytes: &[u8]| mangle(bytes, op, a, b, byte);
+                        if reseal { resealed(line, edit) } else { edit(line) }
+                    });
+                    let read = read_journal(&path);
+                    if !reseal {
+                        // A stale checksum is an error, or — on the final
+                        // line — a torn tail that is dropped.
+                        let noticed = read.as_ref().map_or(true, |c| c.truncated);
+                        proptest::prop_assert!(noticed, "segment {segment} line {k}: {read:?}");
+                    }
+                    let _ = read_rotated_tail(&dir, 0);
+                    let _ = SegmentedJournal::open_or_create(&dir, 0, &header, 5);
+                    std::fs::remove_dir_all(&dir).ok();
+                }
+            }
+        }
     }
 }

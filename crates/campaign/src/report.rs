@@ -602,7 +602,7 @@ mod tests {
                 }
                 // Round-trip through the serialized rollup, as a real
                 // sealed segment would.
-                let fold = ShardFold::parse_body(&fold.serialize_body()).unwrap();
+                let fold = ShardFold::parse_body(&fold.serialize_body(), usize::MAX).unwrap();
                 (fold, records[cut..].to_vec())
             };
             let incremental = FleetReport::from_folds(3, 10, 8, vec![seal(&shard0), seal(&shard1)]);

@@ -86,7 +86,7 @@ fn resume_under_a_different_profile_is_refused() {
     let dir = tmp_dir("profile");
     run_campaign(&tiny_campaign(dir.clone(), 4, 1)).unwrap();
     let mut other = tiny_campaign(dir.clone(), 4, 1);
-    other.targeted = true;
+    other.plan.targeted = true;
     match run_campaign(&other) {
         Err(CampaignError::Journal(_)) => {}
         other => panic!(
@@ -291,7 +291,7 @@ fn targeted_campaign_records_slices_and_agrees_on_verdicts() {
     let full = run_campaign(&tiny_campaign(full_dir.clone(), 6, 1)).unwrap();
     let fast_dir = tmp_dir("targeted-fast");
     let mut cfg = tiny_campaign(fast_dir.clone(), 6, 1);
-    cfg.targeted = true;
+    cfg.plan.targeted = true;
     let fast = run_campaign(&cfg).unwrap();
     assert_eq!(fast.fleet.targeted_apps, 6);
     assert!(fast.fleet.mean_sliced_fraction > 0.0 && fast.fleet.mean_sliced_fraction <= 1.0);

@@ -147,7 +147,7 @@ pub trait AnalysisEngine: Send + Sync {
 
     /// Constructs the IDFG on `device` (CPU engines ignore it; they still
     /// take it so every engine runs through one dispatch path and a
-    /// device-pool scheduler needs no special case).
+    /// service executor needs no special case).
     ///
     /// `presolved` injects summary-store hits; `slice`, when `Some`,
     /// restricts the schedule to the given methods (targeted vetting).
@@ -177,11 +177,6 @@ impl WorklistEngine {
     /// The full-GDroid rung (MAT+GRP+MER) — the production default.
     pub fn gdroid() -> WorklistEngine {
         WorklistEngine { opts: OptConfig::gdroid(), exec: ExecMode::MultiLaunch }
-    }
-
-    /// This engine in the given execution mode.
-    pub fn with_exec(self, exec: ExecMode) -> WorklistEngine {
-        WorklistEngine { exec, ..self }
     }
 }
 

@@ -14,7 +14,7 @@
 //! storage; otherwise storage order is node order.
 
 use gdroid_analysis::{Geometry, MethodSpace};
-use gdroid_gpusim::{DevAddr, Device, DeviceBuffer};
+use gdroid_gpusim::{Device, DeviceBuffer};
 use gdroid_icfg::Cfg;
 use gdroid_ir::{MethodId, Program};
 use std::collections::HashMap;
@@ -39,14 +39,6 @@ pub struct MethodLayout {
     pub h2d_bytes: u64,
     /// Device→host bytes for this method's results.
     pub d2h_bytes: u64,
-}
-
-impl MethodLayout {
-    /// Base address of a node's fact storage.
-    #[inline]
-    pub fn node_base(&self, node: u32) -> DevAddr {
-        self.facts.base + u64::from(self.store_pos[node as usize]) * self.node_bytes.max(64)
-    }
 }
 
 /// Layouts for all methods of an app.
@@ -204,21 +196,6 @@ mod tests {
             assert_eq!(plain.methods[&mid].node_bytes, 0);
             assert!(mat.methods[&mid].h2d_bytes > 0);
             assert!(plain.methods[&mid].d2h_bytes > 0);
-        }
-    }
-
-    #[test]
-    fn node_base_is_within_or_after_buffer() {
-        let (app, methods, spaces, cfgs) = setup();
-        let mut device = Device::new(DeviceConfig::tiny());
-        let layout =
-            plan_layout(&app.program, &mut device, &spaces, &cfgs, &methods, OptConfig::mat());
-        for &mid in &methods {
-            let ml = &layout.methods[&mid];
-            let n = cfgs[&mid].len() as u32;
-            for node in 0..n {
-                assert!(ml.node_base(node) >= ml.facts.base);
-            }
         }
     }
 }

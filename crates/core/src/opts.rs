@@ -1,11 +1,10 @@
 //! Optimization configuration: which of the paper's three optimizations a
 //! run enables.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The GDroid optimization flags (§IV).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct OptConfig {
     /// MAT — matrix/bitmask data structure for data-facts instead of
     /// dynamically allocated sets (§IV-A).

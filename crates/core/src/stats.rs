@@ -2,10 +2,9 @@
 
 use gdroid_analysis::WorklistTelemetry;
 use gdroid_gpusim::{DeviceConfig, KernelStats, PipelineTiming};
-use serde::{Deserialize, Serialize};
 
 /// The worklist-size profile of one run — Table II's upper half.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WorklistProfile {
     /// Fraction of worklist rounds with ≤ 32 nodes.
     pub le_32: f64,
@@ -32,7 +31,7 @@ impl WorklistProfile {
 }
 
 /// Simulated GPU execution statistics for one app analysis.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct GpuRunStats {
     /// End-to-end simulated time (kernels + exposed transfers), ns.
     pub total_ns: f64,
@@ -66,17 +65,11 @@ pub struct GpuRunStats {
     /// Always 0, kept for `benchmark/` like [`GpuRunStats::join_probes`].
     pub scan_rows: u64,
     // --- internal accumulators -----------------------------------------
-    #[serde(skip)]
     warp_steps: u64,
-    #[serde(skip)]
     divergence_passes: u64,
-    #[serde(skip)]
     transactions: u64,
-    #[serde(skip)]
     ideal_transactions: u64,
-    #[serde(skip)]
     utilization_sum: f64,
-    #[serde(skip)]
     utilization_samples: usize,
 }
 
@@ -135,11 +128,6 @@ impl GpuRunStats {
             self.utilization_sum / self.utilization_samples as f64
         };
     }
-
-    /// Total time in milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.total_ns / 1e6
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +179,6 @@ mod tests {
         assert!((s.divergence_factor - 2.5).abs() < 1e-9);
         assert!((s.coalescing - 0.5).abs() < 1e-9);
         assert_eq!(s.device_allocations, 7);
-        assert_eq!(s.total_ms(), 1000.0 / 1e6);
     }
 
     #[test]

@@ -1,23 +1,11 @@
 //! Device configuration — the architectural constants of the timing model.
 
-use serde::{Deserialize, Serialize};
-
-/// Serde default: grid-wide sync cost of persisted pre-persistent configs.
-fn default_grid_sync_cycles() -> u64 {
-    1500
-}
-
-/// Serde default: queue-op cost of persisted pre-persistent configs.
-fn default_queue_op_cycles() -> u64 {
-    20
-}
-
 /// GPU architectural parameters.
 ///
 /// Defaults model the paper's testbed: an NVIDIA TESLA P40 (Pascal GP102,
 /// 30 SMs × 128 CUDA cores, 24 GB GDDR5X, 48 KB shared memory per SM,
 /// CUDA 10).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DeviceConfig {
     /// Streaming multiprocessors.
     pub sm_count: usize,
@@ -52,14 +40,11 @@ pub struct DeviceConfig {
     pub launch_overhead_us: f64,
     /// Cycles one grid-wide synchronization costs a persistent kernel
     /// (`cooperative_groups::grid_group::sync()` between fixpoint
-    /// rounds). Defaulted on deserialization so configs persisted before
-    /// the persistent-kernel mode still load.
-    #[serde(default = "default_grid_sync_cycles")]
+    /// rounds).
     pub grid_sync_cycles: u64,
     /// Base cycles of one device-side worklist queue operation (an
     /// atomic dequeue or enqueue on the resident kernel's work queue);
     /// contention multiplies it (see [`crate::block::BlockCtx::queue_pop`]).
-    #[serde(default = "default_queue_op_cycles")]
     pub queue_op_cycles: u64,
     /// Enables the `simcheck` sanitizer ([`crate::sancheck`]): shadow-state
     /// checking of every global access. Purely observational — never
@@ -86,8 +71,8 @@ impl DeviceConfig {
             pcie_gbps: 12.0,
             transfer_overhead_us: 8.0,
             launch_overhead_us: 5.0,
-            grid_sync_cycles: default_grid_sync_cycles(),
-            queue_op_cycles: default_queue_op_cycles(),
+            grid_sync_cycles: 1500,
+            queue_op_cycles: 20,
             sanitize: false,
         }
     }

@@ -134,14 +134,6 @@ impl KernelStats {
         self.divergence_passes as f64 / self.warp_steps as f64
     }
 
-    /// Achieved coalescing efficiency (ideal / actual, 1.0 = perfect).
-    pub fn coalescing_efficiency(&self) -> f64 {
-        if self.transactions == 0 {
-            return 1.0;
-        }
-        (self.ideal_transactions as f64 / self.transactions as f64).min(1.0)
-    }
-
     /// Execution time in nanoseconds at the device clock. The launch
     /// overhead is rounded to whole ns exactly as the device clock and
     /// trace spans round it, so a fractional `launch_overhead_us` can

@@ -2,13 +2,12 @@
 //! serialized device heap.
 
 use crate::config::DeviceConfig;
-use serde::{Deserialize, Serialize};
 
 /// A device virtual address.
 pub type DevAddr = u64;
 
 /// A contiguous device allocation handed out by [`AddressSpace`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeviceBuffer {
     /// Base address.
     pub base: DevAddr,

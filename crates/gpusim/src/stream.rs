@@ -8,10 +8,9 @@
 //! appropriately.
 
 use crate::config::DeviceConfig;
-use serde::{Deserialize, Serialize};
 
 /// Timing breakdown of a dual-buffered run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PipelineTiming {
     /// Total wall-clock nanoseconds.
     pub total_ns: f64,

@@ -11,11 +11,10 @@
 //!   matches against its source/sink lists.
 
 use gdroid_ir::{CallKind, ClassHierarchy, MethodId, Program, Signature, Stmt, StmtIdx};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Resolution result of one call site.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CallTarget {
     /// Calls into app code (possibly several targets under CHA).
     Internal(Vec<MethodId>),
@@ -39,7 +38,7 @@ impl CallTarget {
 }
 
 /// The program-wide call graph.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CallGraph {
     /// Per-call-site resolution, keyed by `(caller, stmt)`.
     pub sites: HashMap<(MethodId, StmtIdx), CallTarget>,

@@ -14,15 +14,13 @@
 //!   assigning [`gdroid_ir::Expr::Exception`]), or exit when none exists —
 //!   the flat-CFG equivalent of Dalvik try/catch ranges.
 
-use gdroid_ir::idx::IndexVec;
 use gdroid_ir::{Expr, Method, Stmt, StmtIdx};
-use serde::{Deserialize, Serialize};
 
 /// Dense CFG node index (0 = entry, 1.. = statements, last = exit).
 pub type NodeId = u32;
 
 /// What a CFG node represents.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CfgNode {
     /// Virtual entry node.
     Entry,
@@ -33,7 +31,7 @@ pub enum CfgNode {
 }
 
 /// An intra-procedural CFG.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Cfg {
     /// Node payloads; index = [`NodeId`].
     pub nodes: Vec<CfgNode>,
@@ -232,11 +230,6 @@ impl Cfg {
         }
         count
     }
-}
-
-/// Builds CFGs for every method of a program.
-pub fn build_all(program: &gdroid_ir::Program) -> IndexVec<gdroid_ir::MethodId, Cfg> {
-    program.methods.iter().map(Cfg::build).collect()
 }
 
 #[cfg(test)]

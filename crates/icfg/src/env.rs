@@ -18,10 +18,9 @@ use gdroid_ir::{
     CallKind, Expr, JType, Lhs, Literal, MethodId, MethodKind, ProgramBuilder, Signature, Stmt,
     StmtIdx,
 };
-use serde::{Deserialize, Serialize};
 
 /// A synthesized environment: the ICFG root for one component.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EnvironmentInfo {
     /// The component this environment drives.
     pub component: Component,

@@ -1,88 +1,12 @@
-//! Graphviz (DOT) export of CFGs, call graphs, and component ICFGs —
-//! inspection tooling for debugging analyses and documenting examples.
+//! Graphviz (DOT) export of the call graph — the `gdroid dot` verb.
 
-use crate::callgraph::{CallGraph, CallTarget};
-use crate::cfg::{Cfg, CfgNode};
-use crate::icfg::ComponentIcfg;
-use gdroid_ir::{MethodId, Program, Stmt};
+use crate::callgraph::CallGraph;
+use gdroid_ir::{MethodId, Program};
 use std::fmt::Write;
 
 /// Escapes a DOT label.
 fn esc(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Short human-readable label for a statement.
-fn stmt_label(program: &Program, stmt: &Stmt) -> String {
-    match stmt {
-        Stmt::Assign { lhs, rhs } => format!("{lhs:?} = {}", expr_tag(rhs)),
-        Stmt::Call { sig, .. } => {
-            format!("call {}", program.interner.resolve(sig.name))
-        }
-        Stmt::If { cond, .. } => format!("if {cond}"),
-        Stmt::Switch { targets, .. } => format!("switch ({} cases)", targets.len()),
-        Stmt::Goto { .. } => "goto".into(),
-        Stmt::Return { .. } => "return".into(),
-        Stmt::Throw { .. } => "throw".into(),
-        Stmt::Monitor { .. } => "monitor".into(),
-        Stmt::Empty => "nop".into(),
-    }
-}
-
-fn expr_tag(e: &gdroid_ir::Expr) -> &'static str {
-    use gdroid_ir::ExprKind::*;
-    match e.kind() {
-        Access => "x.f",
-        Binary => "a⊕b",
-        CallRhs => "callrhs",
-        Cast => "cast",
-        Cmp => "cmp",
-        ConstClass => "T.class",
-        Exception => "exception",
-        Indexing => "a[i]",
-        InstanceOf => "instanceof",
-        Length => "length",
-        Literal => "lit",
-        VariableName => "copy",
-        StaticFieldAccess => "C.f",
-        New => "new",
-        Null => "null",
-        Tuple => "tuple",
-        Unary => "⊖a",
-    }
-}
-
-/// Renders one method's CFG as DOT, coloring nodes by their GRP
-/// memory-access group (the §IV-B classification).
-pub fn cfg_to_dot(program: &Program, mid: MethodId, cfg: &Cfg) -> String {
-    let method = &program.methods[mid];
-    let mut out = String::new();
-    writeln!(out, "digraph cfg_{} {{", mid.index()).unwrap();
-    writeln!(out, "  rankdir=TB; node [shape=box, fontname=monospace];").unwrap();
-    for (i, node) in cfg.nodes.iter().enumerate() {
-        let (label, color) = match node {
-            CfgNode::Entry => ("entry".to_owned(), "gray80"),
-            CfgNode::Exit => ("exit".to_owned(), "gray80"),
-            CfgNode::Stmt(s) => {
-                let stmt = &method.body[*s];
-                let color = match stmt.access_pattern() {
-                    gdroid_ir::expr::AccessPattern::OneTimeGen => "palegreen",
-                    gdroid_ir::expr::AccessPattern::SingleLayer => "lightyellow",
-                    gdroid_ir::expr::AccessPattern::DoubleLayer => "lightcoral",
-                };
-                (format!("{s}: {}", stmt_label(program, stmt)), color)
-            }
-        };
-        writeln!(out, "  n{i} [label=\"{}\", style=filled, fillcolor={color}];", esc(&label))
-            .unwrap();
-    }
-    for from in 0..cfg.len() as u32 {
-        for &to in cfg.succ(from) {
-            writeln!(out, "  n{from} -> n{to};").unwrap();
-        }
-    }
-    writeln!(out, "}}").unwrap();
-    out
 }
 
 /// Renders the internal call graph (reachable from `roots`) as DOT.
@@ -105,86 +29,10 @@ pub fn callgraph_to_dot(program: &Program, cg: &CallGraph, roots: &[MethodId]) -
     out
 }
 
-/// Renders a component ICFG as DOT with one cluster per method and
-/// dashed call/return edges.
-pub fn icfg_to_dot(program: &Program, icfg: &ComponentIcfg) -> String {
-    let mut out = String::new();
-    writeln!(out, "digraph icfg {{").unwrap();
-    writeln!(out, "  compound=true; node [shape=box, fontsize=9, fontname=monospace];").unwrap();
-    for &mid in &icfg.methods {
-        let cfg = &icfg.cfgs[&mid];
-        let name = program.interner.resolve(program.methods[mid].sig.name);
-        writeln!(out, "  subgraph cluster_{} {{ label=\"{}\";", mid.index(), esc(name)).unwrap();
-        for i in 0..cfg.len() {
-            let label = match cfg.nodes[i] {
-                CfgNode::Entry => "in".to_owned(),
-                CfgNode::Exit => "out".to_owned(),
-                CfgNode::Stmt(s) => format!("{s}"),
-            };
-            writeln!(out, "    m{}n{i} [label=\"{}\"];", mid.index(), esc(&label)).unwrap();
-        }
-        for from in 0..cfg.len() as u32 {
-            for &to in cfg.succ(from) {
-                writeln!(out, "    m{}n{from} -> m{}n{to};", mid.index(), mid.index()).unwrap();
-            }
-        }
-        writeln!(out, "  }}").unwrap();
-    }
-    for (call, entries) in &icfg.call_edges {
-        for e in entries {
-            writeln!(
-                out,
-                "  m{}n{} -> m{}n{} [style=dashed, color=blue];",
-                call.method.index(),
-                call.node,
-                e.method.index(),
-                e.node
-            )
-            .unwrap();
-        }
-    }
-    for (exit, sites) in &icfg.return_edges {
-        for r in sites {
-            writeln!(
-                out,
-                "  m{}n{} -> m{}n{} [style=dashed, color=red];",
-                exit.method.index(),
-                exit.node,
-                r.method.index(),
-                r.node
-            )
-            .unwrap();
-        }
-    }
-    writeln!(out, "}}").unwrap();
-    out
-}
-
-/// Resolution summary of every call site (for text dumps).
-pub fn callsites_report(program: &Program, cg: &CallGraph) -> String {
-    let mut out = String::new();
-    let mut sites: Vec<_> = cg.sites.iter().collect();
-    sites.sort_by_key(|((m, s), _)| (*m, *s));
-    for ((m, s), target) in sites {
-        let name = program.interner.resolve(program.methods[*m].sig.name);
-        match target {
-            CallTarget::Internal(ts) => {
-                writeln!(out, "{name}:{s} -> {} internal target(s)", ts.len()).unwrap()
-            }
-            CallTarget::External(sig) => {
-                writeln!(out, "{name}:{s} -> external {}", program.interner.resolve(sig.name))
-                    .unwrap()
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::prepare_app;
-    use crate::icfg::ComponentIcfg;
     use gdroid_apk::{generate_app, GenConfig};
 
     fn setup() -> (gdroid_apk::App, CallGraph, Vec<crate::env::EnvironmentInfo>) {
@@ -194,46 +42,11 @@ mod tests {
     }
 
     #[test]
-    fn cfg_dot_is_wellformed() {
-        let (app, _, envs) = setup();
-        let mid = envs[0].method;
-        let cfg = Cfg::build(&app.program.methods[mid]);
-        let dot = cfg_to_dot(&app.program, mid, &cfg);
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.ends_with("}\n"));
-        assert!(dot.contains("entry"));
-        assert!(dot.contains("exit"));
-        // One node line per CFG node.
-        assert_eq!(dot.matches("style=filled").count(), cfg.len());
-        // Balanced braces.
-        assert_eq!(dot.matches('{').count(), dot.matches('}').count());
-    }
-
-    #[test]
     fn callgraph_dot_contains_roots_and_edges() {
         let (app, cg, envs) = setup();
         let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
         let dot = callgraph_to_dot(&app.program, &cg, &roots);
         assert!(dot.contains("lightblue"), "roots must be highlighted");
         assert!(dot.contains("->"), "no call edges rendered");
-    }
-
-    #[test]
-    fn icfg_dot_has_clusters_and_interproc_edges() {
-        let (app, cg, envs) = setup();
-        let icfg = ComponentIcfg::build(&app.program, &cg, &envs[0]);
-        let dot = icfg_to_dot(&app.program, &icfg);
-        assert_eq!(dot.matches("subgraph cluster_").count(), icfg.methods.len());
-        assert!(dot.contains("style=dashed, color=blue"), "no call edges");
-        assert!(dot.contains("style=dashed, color=red"), "no return edges");
-        assert_eq!(dot.matches('{').count(), dot.matches('}').count());
-    }
-
-    #[test]
-    fn callsites_report_lists_every_site() {
-        let (app, cg, _) = setup();
-        let report = callsites_report(&app.program, &cg);
-        assert_eq!(report.lines().count(), cg.site_count());
-        assert!(report.contains("external"));
     }
 }

@@ -13,15 +13,14 @@
 
 use crate::callgraph::CallGraph;
 use gdroid_ir::MethodId;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Index of a strongly connected component.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SccId(pub u32);
 
 /// The SBDA schedule: SCCs, their members, and bottom-up layers.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CallLayers {
     /// SCC membership per method.
     pub scc_of: HashMap<MethodId, SccId>,

@@ -12,24 +12,20 @@
 //! * [`mod@env`] — per-component *environment method* synthesis: the `EC` entry
 //!   points of the paper's IDFG definition (equation (1)), modeling the
 //!   Android lifecycle state machine including the pause/resume loop;
-//! * [`icfg`] — the assembled inter-procedural CFG for one component;
 //! * [`layers`] — Tarjan SCC condensation and bottom-up layering of the
 //!   call graph, the prerequisite for Summary-based Bottom-up Data-flow
 //!   Analysis (SBDA) that makes one-method-per-thread-block parallelism
 //!   sound;
-//! * [`export`] — Graphviz (DOT) rendering of CFGs, call graphs, and
-//!   component ICFGs for inspection and documentation.
+//! * [`export`] — Graphviz (DOT) rendering of the call graph.
 
 pub mod callgraph;
 pub mod cfg;
 pub mod env;
 pub mod export;
-pub mod icfg;
 pub mod layers;
 
 pub use callgraph::{CallGraph, CallTarget};
 pub use cfg::{Cfg, CfgNode, NodeId};
 pub use env::{prepare_app, synthesize_environments, EnvironmentInfo};
-pub use export::{callgraph_to_dot, callsites_report, cfg_to_dot, icfg_to_dot};
-pub use icfg::{ComponentIcfg, IcfgNodeRef};
+pub use export::callgraph_to_dot;
 pub use layers::{CallLayers, LayerScc, SccId};

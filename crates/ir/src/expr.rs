@@ -8,13 +8,11 @@
 //! 3-way memory-access classification used by the GRP optimization.
 
 use crate::idx::{FieldId, Symbol, VarId};
-use crate::method::Signature;
 use crate::types::JType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A literal constant.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Literal {
     /// Integer constant (covers all integral widths).
     Int(i64),
@@ -28,7 +26,7 @@ pub enum Literal {
 }
 
 /// Binary arithmetic/logic operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -53,7 +51,7 @@ pub enum BinOp {
 }
 
 /// Unary operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -62,7 +60,7 @@ pub enum UnOp {
 }
 
 /// Comparison kinds for [`Expr::Cmp`] (Dalvik `cmp`/`cmpl`/`cmpg`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CmpKind {
     /// `cmp` on longs.
     Cmp,
@@ -74,7 +72,7 @@ pub enum CmpKind {
 
 /// The 3-way memory-access-pattern classification behind the paper's GRP
 /// optimization (§IV-B).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AccessPattern {
     /// One-time fact generation: the node creates facts only on its first
     /// visit; re-visits merely propagate (e.g. `ConstClass`, `Null`,
@@ -89,7 +87,7 @@ pub enum AccessPattern {
 }
 
 /// An assignment right-hand side. Exactly the paper's seventeen kinds.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // variant fields (base/field/lhs/rhs/…) are self-describing
 pub enum Expr {
     /// `x.f` — instance field read (*AccessExpr*).
@@ -135,7 +133,7 @@ pub enum Expr {
 
 /// Discriminant-only view of [`Expr`], used for branch-partition bookkeeping
 /// (the "25 node groups" of the plain implementation) and for statistics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum ExprKind {
     Access,
@@ -264,36 +262,7 @@ impl Expr {
             | Expr::Null => {}
         }
     }
-
-    /// Whether this expression can yield a heap reference (and therefore
-    /// generates or propagates points-to facts).
-    pub fn may_produce_reference(&self) -> bool {
-        match self {
-            Expr::New { .. }
-            | Expr::Null
-            | Expr::ConstClass { .. }
-            | Expr::Exception
-            | Expr::Access { .. }
-            | Expr::Indexing { .. }
-            | Expr::Var(_)
-            | Expr::StaticField { .. }
-            | Expr::CallRhs { .. }
-            | Expr::Tuple { .. } => true,
-            Expr::Cast { ty, .. } => ty.is_reference(),
-            Expr::Lit(Literal::Str(_)) => true,
-            Expr::Lit(_)
-            | Expr::Binary { .. }
-            | Expr::Cmp { .. }
-            | Expr::InstanceOf { .. }
-            | Expr::Length { .. }
-            | Expr::Unary { .. } => false,
-        }
-    }
 }
-
-/// A method signature reference carried by call expressions in the text
-/// format before resolution; re-exported for parser use.
-pub type SigRef = Signature;
 
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -351,19 +320,5 @@ mod tests {
         v.clear();
         Expr::Null.uses(&mut v);
         assert!(v.is_empty());
-    }
-
-    #[test]
-    fn reference_production() {
-        assert!(Expr::New { ty: JType::Object(Symbol(0)) }.may_produce_reference());
-        assert!(Expr::Lit(Literal::Str(Symbol(0))).may_produce_reference());
-        assert!(!Expr::Lit(Literal::Int(1)).may_produce_reference());
-        assert!(
-            !Expr::Binary { op: BinOp::Add, lhs: VarId(0), rhs: VarId(1) }.may_produce_reference()
-        );
-        assert!(
-            Expr::Cast { ty: JType::Object(Symbol(1)), operand: VarId(0) }.may_produce_reference()
-        );
-        assert!(!Expr::Cast { ty: JType::Int, operand: VarId(0) }.may_produce_reference());
     }
 }

@@ -6,16 +6,13 @@
 //! allocation-free, which is the property the paper's MAT optimization
 //! depends on.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Declares a `u32`-backed dense index newtype with the common conversions.
 macro_rules! index_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -104,7 +101,7 @@ index_type!(
 ///
 /// This is a thin wrapper over `Vec<T>` that only accepts the matching index
 /// newtype, preventing cross-entity index mixups at compile time.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IndexVec<I, T> {
     raw: Vec<T>,
     _marker: std::marker::PhantomData<fn(I)>,

@@ -3,14 +3,13 @@
 use crate::idx::{IndexVec, StmtIdx, Symbol, VarId};
 use crate::stmt::Stmt;
 use crate::types::JType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A method signature: the resolution key for call statements.
 ///
 /// Signatures are structural (class name + method name + parameter types +
 /// return type), matching Dalvik method references.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Signature {
     /// Declaring (or nominal receiver) class name.
     pub class: Symbol,
@@ -40,7 +39,7 @@ impl fmt::Display for Signature {
 }
 
 /// Method visibility (affects call-graph construction for `Direct` calls).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Visibility {
     /// `public`
     Public,
@@ -51,7 +50,7 @@ pub enum Visibility {
 }
 
 /// How the method participates in dispatch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MethodKind {
     /// Ordinary instance method (virtual dispatch).
     Instance,
@@ -68,7 +67,7 @@ pub enum MethodKind {
 }
 
 /// A declared parameter.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ParamDecl {
     /// The local variable the parameter binds to.
     pub var: VarId,
@@ -77,7 +76,7 @@ pub struct ParamDecl {
 }
 
 /// A declared local variable.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct VarDecl {
     /// Interned variable name (for printing only).
     pub name: Symbol,
@@ -90,7 +89,7 @@ pub struct VarDecl {
 /// Control flow is encoded positionally: statement `i` falls through to
 /// `i + 1` unless it is a `goto`/`return`/`throw`; jump targets are
 /// [`StmtIdx`] positions within the same body.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Method {
     /// The resolution signature.
     pub sig: Signature,

@@ -3,14 +3,12 @@
 use crate::idx::{ClassId, FieldId, IndexVec, MethodId, Symbol};
 use crate::method::{Method, Signature};
 use crate::types::JType;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A string interner. [`Symbol`]s are indices into its table.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Interner {
     strings: Vec<String>,
-    #[serde(skip)]
     lookup: HashMap<String, Symbol>,
 }
 
@@ -51,8 +49,7 @@ impl Interner {
         self.strings.is_empty()
     }
 
-    /// Rebuilds the reverse lookup table (needed after deserialization,
-    /// where the map is skipped).
+    /// Rebuilds the reverse lookup table from the string table.
     pub fn rebuild_lookup(&mut self) {
         self.lookup =
             self.strings.iter().enumerate().map(|(i, s)| (s.clone(), Symbol::new(i))).collect();
@@ -60,7 +57,7 @@ impl Interner {
 }
 
 /// A field declaration.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FieldDef {
     /// Declaring class.
     pub class: ClassId,
@@ -73,7 +70,7 @@ pub struct FieldDef {
 }
 
 /// A class definition.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClassDef {
     /// Fully-qualified interned name.
     pub name: Symbol,
@@ -88,7 +85,7 @@ pub struct ClassDef {
 }
 
 /// A whole program: the unit the analyses consume.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Program {
     /// String interner for all names.
     pub interner: Interner,
@@ -99,10 +96,8 @@ pub struct Program {
     /// All methods.
     pub methods: IndexVec<MethodId, Method>,
     /// Class lookup by name.
-    #[serde(skip)]
     class_by_name: HashMap<Symbol, ClassId>,
     /// Method lookup by signature.
-    #[serde(skip)]
     method_by_sig: HashMap<Signature, MethodId>,
 }
 
@@ -170,7 +165,8 @@ impl Program {
         self.methods.iter().map(|m| m.var_count()).sum()
     }
 
-    /// Rebuilds skipped lookup tables after deserialization.
+    /// Rebuilds the name → id lookup tables from `classes` and `methods`
+    /// — after a caller has edited those in place.
     pub fn rebuild_lookups(&mut self) {
         self.interner.rebuild_lookup();
         self.class_by_name = self.classes.iter_enumerated().map(|(id, c)| (c.name, id)).collect();

@@ -8,10 +8,9 @@
 use crate::expr::{AccessPattern, Expr};
 use crate::idx::{FieldId, StmtIdx, VarId};
 use crate::method::Signature;
-use serde::{Deserialize, Serialize};
 
 /// An assignment left-hand side.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variant fields (base/field/index) are self-describing
 pub enum Lhs {
     /// `x = …` — local variable.
@@ -57,7 +56,7 @@ impl Lhs {
 }
 
 /// Monitor operation kind.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MonitorOp {
     /// `monitor-enter`
     Enter,
@@ -66,7 +65,7 @@ pub enum MonitorOp {
 }
 
 /// Call dispatch kind (Dalvik invoke flavors).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CallKind {
     /// `invoke-virtual` — receiver-dispatched.
     Virtual,
@@ -79,7 +78,7 @@ pub enum CallKind {
 }
 
 /// A statement. Each statement occupies one ICFG node.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // variant fields (lhs/rhs/target/args/…) are self-describing
 pub enum Stmt {
     /// `lhs := expr` (*AssignmentStatement*).
@@ -108,7 +107,7 @@ pub enum Stmt {
 /// Discriminant-only view of [`Stmt`]. Together with
 /// [`crate::ExprKind`]'s 17 assignment partitions, the 8 non-assignment
 /// kinds here form the 25 branch partitions of the plain GPU implementation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum StmtKind {
     Assign,

@@ -5,11 +5,10 @@
 //! resolve through the class hierarchy.
 
 use crate::idx::Symbol;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A Java-like type as it appears in Dalvik descriptors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum JType {
     /// `void` — only valid as a return type.
     Void,
@@ -41,7 +40,7 @@ pub enum JType {
 }
 
 /// The element type of an array — a flattened subset of [`JType`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ArrayElem {
     /// Array of primitives (`int[]`, `byte[]`, …).
     Prim(PrimKind),
@@ -50,7 +49,7 @@ pub enum ArrayElem {
 }
 
 /// Primitive kinds, used inside [`ArrayElem`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PrimKind {
     /// `boolean`
     Boolean,
@@ -122,22 +121,6 @@ impl JType {
             _ => return None,
         })
     }
-
-    /// Parses a primitive descriptor character.
-    pub fn from_descriptor_char(c: char) -> Option<Self> {
-        Some(match c {
-            'V' => JType::Void,
-            'Z' => JType::Boolean,
-            'B' => JType::Byte,
-            'C' => JType::Char,
-            'S' => JType::Short,
-            'I' => JType::Int,
-            'J' => JType::Long,
-            'F' => JType::Float,
-            'D' => JType::Double,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for JType {
@@ -180,12 +163,21 @@ mod tests {
     }
 
     #[test]
-    fn descriptor_roundtrip() {
-        for c in ['V', 'Z', 'B', 'C', 'S', 'I', 'J', 'F', 'D'] {
-            let t = JType::from_descriptor_char(c).unwrap();
+    fn descriptor_chars() {
+        let prims = [
+            (JType::Void, 'V'),
+            (JType::Boolean, 'Z'),
+            (JType::Byte, 'B'),
+            (JType::Char, 'C'),
+            (JType::Short, 'S'),
+            (JType::Int, 'I'),
+            (JType::Long, 'J'),
+            (JType::Float, 'F'),
+            (JType::Double, 'D'),
+        ];
+        for (t, c) in prims {
             assert_eq!(t.descriptor_char(), Some(c));
         }
-        assert_eq!(JType::from_descriptor_char('X'), None);
         assert_eq!(JType::Object(Symbol(0)).descriptor_char(), None);
     }
 

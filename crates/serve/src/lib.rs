@@ -15,16 +15,16 @@
 //!   promoted past the bound ([`scheduler::STARVATION_BOUND`]), and
 //!   [`ServiceConfig::coresident`] lets executors top a device up with
 //!   co-resident jobs whose combined block demand fits its block slots;
-//! * [`pool`] — long-lived simulated devices with RAII leases; devices
-//!   are `reset` between apps, and lifetime fault schedules survive;
 //! * [`cache`] — content-hash result cache (bundle bytes → outcome) whose
 //!   invalidation path hands the previous analysis to
 //!   [`gdroid_analysis::analyze_app_incremental`], so an updated app
 //!   re-solves only its changed methods;
 //! * [`metrics`] — per-stage counters and latency histograms behind the
 //!   machine-readable [`ServiceReport`];
-//! * [`service`] — the worker/executor threads, per-job retry with
-//!   poison-job quarantine, and the graceful drain protocol;
+//! * [`service`] — K prep workers and D executors, one long-lived
+//!   simulated device each (`reset` between apps; lifetime fault
+//!   schedules survive), per-job retry with poison-job quarantine, and
+//!   the graceful drain protocol;
 //! * [`job`] — job descriptions, priorities, and per-job results;
 //! * [`trace`] — post-drain per-job Chrome traces in modeled time
 //!   (wall-clock jitter never reaches a trace file).
@@ -43,7 +43,6 @@
 pub mod cache;
 pub mod job;
 pub mod metrics;
-pub mod pool;
 pub mod queue;
 pub mod scheduler;
 pub mod service;
@@ -58,7 +57,6 @@ pub use metrics::{
     Counters, CountersSnapshot, Histogram, HistogramSnapshot, ServiceMetrics, ServiceReport,
     SourceStats,
 };
-pub use pool::{DeviceLease, DevicePool};
 pub use queue::{SubmitError, SubmitQueue};
 pub use scheduler::{block_demand, work_estimate, DispatchHeap, ReadyJob, STARVATION_BOUND};
 pub use service::{ServiceConfig, VettingService};

@@ -9,11 +9,18 @@
 //!                 │  parse → env/callgraph synthesis → work estimate
 //!                 ▼
 //!              DispatchHeap (bounded — double-buffers prep vs execution)
-//!                 │  D executors: LPT pop → device lease → run
+//!                 │  D executors, one device each: LPT pop → run
 //!                 │  (fault/timeout → retry, then quarantine)
 //!                 ▼
 //!              results + ResultCache + ServiceMetrics
 //! ```
+//!
+//! An executor thread owns its simulated device for the service's whole
+//! life: each execution calls [`gdroid_gpusim::Device::reset`] (via the
+//! driver) to reclaim the previous app's allocations while keeping the
+//! lifetime launch/fault counters, so an injected fault schedule spans
+//! the device's service life, and the thread hands the device back
+//! through its `JoinHandle` for the report's totals.
 //!
 //! Every admitted job yields exactly one [`JobResult`]; [`VettingService::drain`]
 //! closes the queue, joins every thread, and returns the results with a
@@ -27,12 +34,11 @@ use crate::job::{
     CacheDisposition, JobIdentity, JobResult, JobSource, JobSpec, JobStatus, Priority,
 };
 use crate::metrics::{Counters, ServiceMetrics, ServiceReport};
-use crate::pool::DevicePool;
 use crate::queue::{SubmitError, SubmitQueue};
 use crate::scheduler::{block_demand, work_estimate, DispatchHeap, ReadyJob};
 use gdroid_apk::{generate_app, parse_bundle, read_bundle, App, BundleError, BundleText};
 use gdroid_core::{EngineKind, ExecMode};
-use gdroid_gpusim::{DeviceConfig, FaultPlan};
+use gdroid_gpusim::{Device, DeviceConfig, FaultPlan};
 use gdroid_sumstore::SumStore;
 use gdroid_vetting::{
     execute, execute_vetting_batch_on_device, execute_vetting_incremental, prepare_vetting,
@@ -82,21 +88,17 @@ pub struct ServiceConfig {
     /// `1` (the default) disables batching. Ignored when a summary store
     /// is configured (store pre-solving is a per-app path).
     pub coresident: usize,
-    /// Engine jobs run under; the worklist engine runs the full-GDroid
-    /// rung. Together with `exec` and the per-submission targeted flag it
-    /// forms each job's [`ExecPlan`], whose lane predicates decide what
-    /// the job may use: only full multi-launch worklist jobs touch the
-    /// result cache, warm-start incrementally, or join a co-resident
-    /// batch (cached outcomes embed that one cost profile). A combination
-    /// the plan would refuse is rerouted by [`ExecPlan::fallback`], never
-    /// failed: targeted submissions to a service whose engine cannot
-    /// slice (only the CPU reference) run on the worklist engine.
-    pub engine: EngineKind,
-    /// Kernel execution mode. Under [`ExecMode::Persistent`] each app's
-    /// fixpoint runs as one resident mega-kernel launch; verdicts and
-    /// facts stay byte-identical to multi-launch. Jobs on an engine that
-    /// cannot run persistent fall back to multi-launch.
-    pub exec: ExecMode,
+    /// The plan every submission starts from — engine and exec mode; its
+    /// `targeted` flag is set per submission. The plan's lane predicates
+    /// decide what a job may use: only full multi-launch worklist jobs
+    /// touch the result cache, warm-start incrementally, or join a
+    /// co-resident batch (cached outcomes embed that one cost profile). A
+    /// combination the plan would refuse is rerouted by
+    /// [`ExecPlan::fallback`], never failed: targeted submissions to a
+    /// service whose engine cannot slice (only the CPU reference) run on
+    /// the worklist engine, and [`ExecMode::Persistent`] on an engine that
+    /// cannot hold a resident kernel runs multi-launch.
+    pub plan: ExecPlan,
 }
 
 impl Default for ServiceConfig {
@@ -113,9 +115,22 @@ impl Default for ServiceConfig {
             sumstore: None,
             result_cache: None,
             coresident: 1,
-            engine: EngineKind::Worklist,
-            exec: ExecMode::MultiLaunch,
+            plan: ExecPlan::default(),
         }
+    }
+}
+
+impl ServiceConfig {
+    /// The executors' devices: `devices` identical ones (at least one),
+    /// each with its own copy of the optional fault plan.
+    fn executor_devices(&self) -> Vec<Device> {
+        (0..self.devices.max(1))
+            .map(|_| {
+                let mut device = Device::new(self.device_config);
+                device.set_fault_plan(self.fault_plan);
+                device
+            })
+            .collect()
     }
 }
 
@@ -124,7 +139,6 @@ struct ServiceState {
     dispatch: DispatchHeap,
     cache: Arc<ResultCache>,
     metrics: ServiceMetrics,
-    pool: DevicePool,
     results: Mutex<Vec<JobResult>>,
     results_cv: std::sync::Condvar,
     max_retries: u32,
@@ -154,7 +168,8 @@ pub struct VettingService {
     queue: Arc<SubmitQueue>,
     state: Arc<ServiceState>,
     prep_handles: Vec<JoinHandle<()>>,
-    exec_handles: Vec<JoinHandle<()>>,
+    /// Each executor returns the device it owned.
+    exec_handles: Vec<JoinHandle<Device>>,
     next_id: AtomicU64,
 }
 
@@ -162,20 +177,20 @@ impl VettingService {
     /// Starts the worker and executor threads.
     pub fn start(config: ServiceConfig) -> VettingService {
         let queue = Arc::new(SubmitQueue::new(config.queue_capacity.max(1)));
+        let devices = config.executor_devices();
         let state = Arc::new(ServiceState {
             label: config.label,
             // One executing plus one buffered app per device.
-            dispatch: DispatchHeap::new(2 * config.devices.max(1)),
+            dispatch: DispatchHeap::new(2 * devices.len()),
             cache: config.result_cache.unwrap_or_else(|| Arc::new(ResultCache::new())),
             metrics: ServiceMetrics::new(),
-            pool: DevicePool::new(config.devices, config.device_config, config.fault_plan),
             results: Mutex::new(Vec::new()),
             results_cv: std::sync::Condvar::new(),
             max_retries: config.max_retries,
             timeout: Duration::from_millis(config.job_timeout_ms.max(1)),
             sumstore: config.sumstore,
             coresident: config.coresident.max(1),
-            plan: ExecPlan { exec: config.exec, ..ExecPlan::new(config.engine) },
+            plan: config.plan,
             block_slots: (config.device_config.sm_count as u64)
                 * (config.device_config.blocks_per_sm as u64),
         });
@@ -186,10 +201,14 @@ impl VettingService {
                 std::thread::spawn(move || prep_loop(&queue, &state))
             })
             .collect();
-        let exec_handles = (0..config.devices.max(1))
-            .map(|_| {
+        let exec_handles = devices
+            .into_iter()
+            .map(|mut device| {
                 let state = Arc::clone(&state);
-                std::thread::spawn(move || exec_loop(&state))
+                std::thread::spawn(move || {
+                    exec_loop(&state, &mut device);
+                    device
+                })
             })
             .collect();
         VettingService { queue, state, prep_handles, exec_handles, next_id: AtomicU64::new(0) }
@@ -291,15 +310,14 @@ impl VettingService {
             h.join().expect("prep worker panicked");
         }
         self.state.dispatch.close();
-        for h in self.exec_handles {
-            h.join().expect("executor panicked");
-        }
+        let devices: Vec<Device> =
+            self.exec_handles.into_iter().map(|h| h.join().expect("executor panicked")).collect();
         let report = self.state.metrics.report(
             &self.state.label,
             self.state.cache.stats(),
             self.state.sumstore.as_ref().map(|s| s.stats()).unwrap_or_default(),
-            self.state.pool.total_launches(),
-            self.state.pool.total_faults(),
+            devices.iter().map(Device::launches).sum(),
+            devices.iter().map(Device::faults_injected).sum(),
         );
         let mut results = std::mem::take(
             &mut *self.state.results.lock().expect("results mutex poisoned during drain"),
@@ -455,8 +473,8 @@ impl Loaded {
 }
 
 /// Executor: LPT pop → (incremental warm start | co-resident top-up |
-/// device lease + run) → retry/quarantine on failure.
-fn exec_loop(state: &ServiceState) {
+/// run on this executor's device) → retry/quarantine on failure.
+fn exec_loop(state: &ServiceState, device: &mut Device) {
     while let Some(job) = state.dispatch.pop() {
         let Some(job) = try_incremental(state, job) else { continue };
 
@@ -477,12 +495,7 @@ fn exec_loop(state: &ServiceState) {
                 group.push(extra);
             }
         }
-
-        if group.len() == 1 {
-            exec_solo(state, group.pop().expect("group holds the popped job"));
-        } else {
-            exec_batch(state, group);
-        }
+        exec_group(state, device, group);
     }
 }
 
@@ -522,68 +535,53 @@ fn try_incremental(state: &ServiceState, job: ReadyJob) -> Option<ReadyJob> {
     Some(job)
 }
 
-/// Runs one job alone on a leased device.
-fn exec_solo(state: &ServiceState, mut job: ReadyJob) {
-    let mut lease = state.pool.lease();
+/// Runs one attempt of a group on the executor's device: a job alone
+/// through [`execute`], several co-resident as one batched analysis.
+/// Per-app batch results are bit-identical to solo runs (the batch driver
+/// repacks each app's own blocks), so the cache stays coherent. A device
+/// fault or an overrun budget fails the whole attempt: every member
+/// retries individually.
+fn exec_group(state: &ServiceState, device: &mut Device, group: Vec<ReadyJob>) {
+    let counters = &state.metrics.counters;
     let t = Instant::now();
-    // Engines that cannot use the store (only the CPU reference) skip it
-    // rather than fault.
-    let store = state.sumstore.as_deref().filter(|_| job.plan.engine.caps().sumstore);
-    match execute(&job.prep, job.plan, &mut ExecCtx { store, ..ExecCtx::new(&mut lease) }) {
-        Ok(done) => {
+    let attempt = if let [job] = &group[..] {
+        // Engines that cannot use the store (only the CPU reference) skip
+        // it rather than fault.
+        let store = state.sumstore.as_deref().filter(|_| job.plan.engine.caps().sumstore);
+        execute(&job.prep, job.plan, &mut ExecCtx { store, ..ExecCtx::new(device) }).map(|done| {
             // Store-backed runs report which methods *this* execution hit;
             // the counters keep that attribution service-local, because the
             // store's own global stats can't when the store Arc is shared
             // across shards.
             if let Some(used) = done.store_use {
-                state.metrics.counters.store_hits.fetch_add(used.hits, Ordering::Relaxed);
-                state.metrics.counters.store_misses.fetch_add(used.misses, Ordering::Relaxed);
+                counters.store_hits.fetch_add(used.hits, Ordering::Relaxed);
+                counters.store_misses.fetch_add(used.misses, Ordering::Relaxed);
             }
-            let exec_wall_ns = t.elapsed().as_nanos() as u64;
-            drop(lease);
-            if t.elapsed() > state.timeout {
-                job.identity.timeouts_seen += 1;
-                Counters::bump(&state.metrics.counters.timeouts);
-                retry_or_quarantine(state, job, exec_wall_ns);
-            } else {
-                Counters::bump(&state.metrics.counters.executed);
-                finish(state, job, done.run, exec_wall_ns, CacheDisposition::Miss);
-            }
-        }
-        Err(_fault) => {
-            let exec_wall_ns = t.elapsed().as_nanos() as u64;
-            drop(lease);
-            job.identity.faults_seen += 1;
-            Counters::bump(&state.metrics.counters.faults);
-            retry_or_quarantine(state, job, exec_wall_ns);
-        }
-    }
-}
-
-/// Runs a group of co-resident jobs as one batched analysis on a leased
-/// device. Per-app results are bit-identical to solo runs (the batch
-/// driver repacks each app's own blocks), so the cache stays coherent. A
-/// device fault aborts the whole launch round: every member retries
-/// individually.
-fn exec_batch(state: &ServiceState, group: Vec<ReadyJob>) {
-    let mut lease = state.pool.lease();
-    let t = Instant::now();
-    let preps: Vec<&PreparedApp> = group.iter().map(|j| &j.prep).collect();
-    let attempt = execute_vetting_batch_on_device(&preps, &mut lease, group[0].plan);
-    let exec_wall_ns = t.elapsed().as_nanos() as u64;
-    drop(lease);
+            vec![done.run]
+        })
+    } else {
+        let preps: Vec<&PreparedApp> = group.iter().map(|j| &j.prep).collect();
+        execute_vetting_batch_on_device(&preps, device, group[0].plan).map(|(runs, _batch)| {
+            Counters::bump(&counters.batches);
+            runs
+        })
+    };
+    let elapsed = t.elapsed();
+    let exec_wall_ns = elapsed.as_nanos() as u64;
+    let batched = group.len() > 1;
     match attempt {
-        Ok((runs, _batch)) => {
-            Counters::bump(&state.metrics.counters.batches);
-            let timed_out = t.elapsed() > state.timeout;
+        Ok(runs) => {
+            let timed_out = elapsed > state.timeout;
             for (mut job, run) in group.into_iter().zip(runs) {
                 if timed_out {
                     job.identity.timeouts_seen += 1;
-                    Counters::bump(&state.metrics.counters.timeouts);
+                    Counters::bump(&counters.timeouts);
                     retry_or_quarantine(state, job, exec_wall_ns);
                 } else {
-                    Counters::bump(&state.metrics.counters.executed);
-                    Counters::bump(&state.metrics.counters.batched_jobs);
+                    Counters::bump(&counters.executed);
+                    if batched {
+                        Counters::bump(&counters.batched_jobs);
+                    }
                     finish(state, job, run, exec_wall_ns, CacheDisposition::Miss);
                 }
             }
@@ -591,7 +589,7 @@ fn exec_batch(state: &ServiceState, group: Vec<ReadyJob>) {
         Err(_fault) => {
             for mut job in group {
                 job.identity.faults_seen += 1;
-                Counters::bump(&state.metrics.counters.faults);
+                Counters::bump(&counters.faults);
                 retry_or_quarantine(state, job, exec_wall_ns);
             }
         }
@@ -820,7 +818,7 @@ mod tests {
         let svc = VettingService::start(ServiceConfig {
             prep_workers: 1,
             devices: 1,
-            engine: EngineKind::Cpu,
+            plan: ExecPlan::new(EngineKind::Cpu),
             coresident: 4,
             ..ServiceConfig::default()
         });
@@ -860,7 +858,7 @@ mod tests {
         let svc = VettingService::start(ServiceConfig {
             prep_workers: 1,
             devices: 1,
-            exec: ExecMode::Persistent,
+            plan: ExecPlan { exec: ExecMode::Persistent, ..ExecPlan::default() },
             coresident: 4,
             ..ServiceConfig::default()
         });
@@ -917,32 +915,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_executor_groups_ready_jobs_deterministically() {
-        // Drive one executor directly over a pre-filled heap: with every
-        // job already ready, batch forming is deterministic (no prep
-        // race), so batching MUST happen — and every batched result must
-        // still match the engine reference bit for bit.
+    /// One executor driven directly over a pre-filled, closed heap: with
+    /// every job already ready, batch forming is deterministic (no prep
+    /// race).
+    fn run_executor(
+        coresident: usize,
+        max_retries: u32,
+        timeout: Duration,
+        jobs: Vec<ReadyJob>,
+    ) -> ServiceState {
         let state = ServiceState {
             label: "test".to_owned(),
             dispatch: DispatchHeap::new(8),
             cache: Arc::new(ResultCache::new()),
             metrics: ServiceMetrics::new(),
-            pool: DevicePool::new(1, DeviceConfig::tesla_p40(), None),
             results: Mutex::new(Vec::new()),
             results_cv: std::sync::Condvar::new(),
-            max_retries: 3,
-            timeout: Duration::from_millis(30_000),
+            max_retries,
+            timeout,
             sumstore: None,
-            coresident: 4,
+            coresident,
             block_slots: 120,
             plan: ExecPlan::default(),
         };
-        for id in 0..5u64 {
-            assert!(state.dispatch.push(ready_job(id, 5500 + id)).is_ok());
+        for job in jobs {
+            assert!(state.dispatch.push(job).is_ok());
         }
         state.dispatch.close();
-        exec_loop(&state);
+        exec_loop(&state, &mut Device::new(DeviceConfig::tesla_p40()));
+        state
+    }
+
+    #[test]
+    fn batch_executor_groups_ready_jobs_deterministically() {
+        // Batching MUST happen — and every batched result must still match
+        // the engine reference bit for bit.
+        let jobs = (0..5u64).map(|id| ready_job(id, 5500 + id)).collect();
+        let state = run_executor(4, 3, Duration::from_millis(30_000), jobs);
         let results = state.results.lock().unwrap();
         assert_eq!(results.len(), 5);
         let c = state.metrics.counters.snapshot();
@@ -962,6 +971,49 @@ mod tests {
                 "job {} diverged from the engine reference",
                 r.id
             );
+        }
+    }
+
+    #[test]
+    fn timed_out_attempts_retry_then_quarantine() {
+        // No verb or workload sets `job_timeout_ms`, so drive the executor
+        // with a zero budget: every attempt, solo or batched, overruns it.
+        for coresident in [1, 4] {
+            let jobs = (0..4u64).map(|id| ready_job(id, 5900 + id)).collect();
+            let state = run_executor(coresident, 2, Duration::ZERO, jobs);
+            let results = state.results.lock().unwrap();
+            assert_eq!(results.len(), 4);
+            for r in results.iter() {
+                assert_eq!(r.status, JobStatus::Quarantined, "coresident {coresident}");
+                assert_eq!((r.attempts, r.timeouts_seen), (3, 3), "job {}", r.id);
+                assert!(r.outcome.is_none());
+            }
+            let c = state.metrics.counters.snapshot();
+            assert_eq!(c.timeouts, 12, "coresident {coresident}: {c:?}");
+            assert_eq!((c.executed, c.quarantined, c.retries), (0, 4, 8));
+            assert_eq!(c.batched_jobs, 0, "a timed-out member is not a batched job");
+            assert_eq!(c.batches > 0, coresident > 1, "coresident {coresident}: {c:?}");
+            assert!(state.cache.is_empty(), "a timed-out run must not reach the cache");
+        }
+    }
+
+    #[test]
+    fn fault_plan_is_installed_per_device() {
+        let config = ServiceConfig {
+            devices: 3,
+            fault_plan: Some(FaultPlan { period: 1, budget: 1 }),
+            ..ServiceConfig::default()
+        };
+        let mut devices = config.executor_devices();
+        assert_eq!(devices.len(), 3);
+        // Each device spends its own budget: its first launch faults, and
+        // no later one does.
+        let noop = || vec![|_: &mut gdroid_gpusim::BlockCtx<'_>| {}];
+        for device in &mut devices {
+            assert!(device.try_launch(noop()).is_err());
+            assert!(device.try_launch(noop()).is_ok());
+            assert!(device.try_launch(noop()).is_ok());
+            assert_eq!((device.launches(), device.faults_injected()), (3, 1));
         }
     }
 

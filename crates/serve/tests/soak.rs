@@ -19,7 +19,7 @@ use gdroid_gpusim::FaultPlan;
 use gdroid_serve::{
     CacheDisposition, JobSource, JobStatus, Priority, ServiceConfig, VettingService,
 };
-use gdroid_vetting::{vet_app, Engine};
+use gdroid_vetting::{vet_app, Engine, ExecPlan};
 use std::collections::{HashMap, HashSet};
 
 const DISTINCT_APPS: usize = 12;
@@ -273,7 +273,7 @@ fn every_lane_publishes_the_content_hash_of_its_source() {
     let persistent = VettingService::start(ServiceConfig {
         prep_workers: 1,
         devices: 1,
-        exec: gdroid_core::ExecMode::Persistent,
+        plan: ExecPlan { exec: gdroid_core::ExecMode::Persistent, ..ExecPlan::default() },
         ..ServiceConfig::default()
     });
     persistent.submit(Priority::Standard, source()).unwrap();

@@ -14,10 +14,9 @@ use gdroid_analysis::{analyze_app, StoreKind};
 use gdroid_apk::App;
 use gdroid_icfg::prepare_app;
 use gdroid_ir::MethodId;
-use serde::{Deserialize, Serialize};
 
 /// One scored signal contributing to the verdict.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Signal {
     /// Which plugin raised it.
     pub plugin: String,
@@ -28,7 +27,7 @@ pub struct Signal {
 }
 
 /// Risk bands for triage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RiskBand {
     /// No signals.
     Low,
@@ -39,7 +38,7 @@ pub enum RiskBand {
 }
 
 /// The composite assessment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Assessment {
     /// App package name.
     pub package: String,

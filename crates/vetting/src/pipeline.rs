@@ -17,10 +17,9 @@ use gdroid_core::EngineAnalysis;
 use gdroid_gpusim::{Device, DeviceFault};
 use gdroid_icfg::{prepare_app, CallGraph, EnvironmentInfo};
 use gdroid_ir::MethodId;
-use serde::{Deserialize, Serialize};
 
 /// Modeled per-stage times, nanoseconds.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct VettingTiming {
     /// Environment synthesis + manifest handling.
     pub envgen_ns: f64,
@@ -107,13 +106,17 @@ pub struct VettingRun {
     pub analysis: AppAnalysis,
 }
 
-/// Per-operation costs of the non-IDFG stages, Scala-calibrated (the
-/// frontend stages run in the original Amandroid regardless of the IDFG
-/// engine).
-const ENVGEN_NS_PER_COMPONENT: f64 = 2.5e6;
-const FRONTEND_NS_PER_STMT: f64 = 60.0e3;
-const FRONTEND_NS_PER_METHOD: f64 = 2.5e6;
-const TAINT_NS_PER_ROW: f64 = 280.0;
+// Per-operation costs of the non-IDFG stages, Scala-calibrated (the
+// frontend stages run in the original Amandroid regardless of the IDFG
+// engine). `figures`' Fig. 1 Amandroid total charges the same four.
+/// Modeled environment-synthesis cost per component, ns.
+pub const ENVGEN_NS_PER_COMPONENT: f64 = 2.5e6;
+/// Modeled frontend (call-graph) cost per statement, ns.
+pub const FRONTEND_NS_PER_STMT: f64 = 60.0e3;
+/// Modeled frontend (call-graph) cost per method, ns.
+pub const FRONTEND_NS_PER_METHOD: f64 = 2.5e6;
+/// Modeled taint-plugin cost per fact-matrix row read, ns.
+pub const TAINT_NS_PER_ROW: f64 = 280.0;
 
 /// An app after the host-side prep stage (environment synthesis + call
 /// graph). Splitting prep from execution lets a serving scheduler overlap

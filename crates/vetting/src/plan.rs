@@ -294,9 +294,9 @@ static NO_TRACE: Tracer = Tracer::disabled();
 
 /// The run-time resources of one [`execute`] call.
 pub struct ExecCtx<'a> {
-    /// The device the IDFG is built on — fresh or pooled. CPU engines
-    /// take the slot but never touch it, so a device-pool scheduler needs
-    /// no special case.
+    /// The device the IDFG is built on — fresh or long-lived. CPU engines
+    /// take the slot but never touch it, so a service executor needs no
+    /// special case.
     pub device: &'a mut Device,
     /// Cross-app summary store: hits are pre-solved and never scheduled,
     /// fresh solves are inserted afterwards.

@@ -19,11 +19,10 @@ use gdroid_analysis::{AppAnalysis, Instance, Slot};
 use gdroid_apk::{builtin_api_roles, ApiRole, App, Permission};
 use gdroid_icfg::{CallGraph, EnvironmentInfo};
 use gdroid_ir::{Expr, Literal, MethodId, Stmt, StmtIdx};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// A component whose externally controlled data reaches a sink.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExposureFinding {
     /// The exported component's class (interned name resolved to text).
     pub component: String,
@@ -85,7 +84,7 @@ pub fn intent_exposure(
 }
 
 /// A sink receiving only constant data.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HardcodedFinding {
     /// Method containing the sink call.
     pub method: MethodId,
@@ -134,7 +133,7 @@ pub fn hardcoded_payloads(
 }
 
 /// Permission audit result.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PermissionAudit {
     /// Permissions declared but never exercised by reachable API calls.
     pub over_privileged: Vec<Permission>,

@@ -3,11 +3,10 @@
 
 use gdroid_apk::{builtin_api_roles, ApiRole};
 use gdroid_ir::{Program, Signature, Symbol};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A taint source identifier (index into the registry's source list).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SourceId(pub u16);
 
 /// The registry, resolved for one app.

@@ -3,10 +3,9 @@
 use crate::json::JsonWriter;
 use crate::registry::SourceId;
 use gdroid_ir::{MethodId, StmtIdx};
-use serde::{Deserialize, Serialize};
 
 /// One detected source→sink flow.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Leak {
     /// Method containing the sink call.
     pub method: MethodId,
@@ -19,7 +18,7 @@ pub struct Leak {
 }
 
 /// Overall verdict for one app.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// No tainted flow reached a sink.
     Clean,
@@ -28,7 +27,7 @@ pub enum Verdict {
 }
 
 /// The vetting report for one app.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VettingReport {
     /// All detected leaks, ordered by (method, statement).
     pub leaks: Vec<Leak>,
@@ -43,30 +42,6 @@ impl VettingReport {
     pub fn new(leaks: Vec<Leak>, source_names: &[String]) -> VettingReport {
         let verdict = if leaks.is_empty() { Verdict::Clean } else { Verdict::Suspicious };
         VettingReport { leaks, source_names: source_names.to_vec(), verdict }
-    }
-
-    /// Locates the call sites that could have produced a leak's source
-    /// labels — the witness endpoints of the flow. Post-hoc and
-    /// API-granular: every call site of a matching source API is listed.
-    pub fn origin_sites(
-        &self,
-        leak: &Leak,
-        program: &gdroid_ir::Program,
-        registry: &crate::registry::SourceSinkRegistry,
-    ) -> Vec<(gdroid_ir::MethodId, StmtIdx)> {
-        let mut sites = Vec::new();
-        for (mid, method) in program.methods.iter_enumerated() {
-            for (idx, stmt) in method.body.iter_enumerated() {
-                if let gdroid_ir::Stmt::Call { sig, .. } = stmt {
-                    if let Some(id) = registry.source_of(sig) {
-                        if leak.sources.contains(&id) {
-                            sites.push((mid, idx));
-                        }
-                    }
-                }
-            }
-        }
-        sites
     }
 
     /// Deterministic JSON rendering (stable key order, no whitespace).
@@ -150,49 +125,5 @@ mod tests {
         assert!(text.contains("Log.d"));
         assert!(text.contains("getDeviceId"));
         assert!(text.contains("M3:L7"));
-    }
-}
-
-#[cfg(test)]
-mod origin_tests {
-    use crate::registry::SourceSinkRegistry;
-    use crate::taint::TaintAnalysis;
-    use gdroid_analysis::{analyze_app, StoreKind};
-    use gdroid_apk::{generate_app, GenConfig};
-    use gdroid_icfg::prepare_app;
-
-    #[test]
-    fn origin_sites_point_at_source_calls() {
-        // Find a leaky app and check every leak has at least one origin
-        // call site whose API matches a reported label.
-        for seed in 0..25u64 {
-            let mut app = generate_app(0, 8600 + seed, &GenConfig::tiny());
-            let (envs, cg) = prepare_app(&mut app);
-            let roots: Vec<gdroid_ir::MethodId> = envs.iter().map(|e| e.method).collect();
-            let analysis = analyze_app(&app.program, &cg, &roots, StoreKind::Matrix);
-            let registry = SourceSinkRegistry::for_program(&app.program);
-            let (report, _) = TaintAnalysis::new(
-                &app.program,
-                &cg,
-                &analysis.facts,
-                &analysis.spaces,
-                &analysis.cfgs,
-                &registry,
-            )
-            .run();
-            if report.leaks.is_empty() {
-                continue;
-            }
-            for leak in &report.leaks {
-                let origins = report.origin_sites(leak, &app.program, &registry);
-                assert!(!origins.is_empty(), "leak without any source call site");
-                for (mid, idx) in origins {
-                    let stmt = &app.program.methods[mid].body[idx];
-                    assert!(matches!(stmt, gdroid_ir::Stmt::Call { .. }));
-                }
-            }
-            return;
-        }
-        panic!("no leaky app in 25 seeds");
     }
 }

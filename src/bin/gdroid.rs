@@ -100,7 +100,7 @@ use gdroid::analysis::{analyze_app, StoreKind};
 use gdroid::apk::{
     generate_app, App, AppStats, Category, Corpus, CorpusStats, GenConfig, Manifest,
 };
-use gdroid::core::{EngineKind, ExecMode};
+use gdroid::core::ExecMode;
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::icfg::prepare_app;
 use gdroid::ir::text::{parse_program, print_program};
@@ -192,17 +192,18 @@ impl<'a> PlanFlags<'a> {
         }
     }
 
-    /// The engine of a service-backed verb: one of the two kinds a
-    /// service selects between.
-    fn service_engine(&self) -> EngineKind {
-        self.plan.engine.kind().unwrap_or_else(|| {
+    /// The plan of a service-backed verb: its engine must be one of the
+    /// two kinds a service selects between.
+    fn service_plan(&self) -> ExecPlan {
+        if self.plan.engine.kind().is_none() {
             eprintln!(
                 "engine {} runs under `gdroid vet` only; serve, batch and campaign take \
                  worklist|cpu",
                 self.plan.engine
             );
             exit(2)
-        })
+        }
+        self.plan
     }
 
     /// The service configuration `serve` and `batch` share.
@@ -212,8 +213,7 @@ impl<'a> PlanFlags<'a> {
             devices: flag_value(args, "--devices").unwrap_or(2),
             sumstore: self.store_dir.map(|dir| Arc::new(open_sumstore(dir))),
             coresident: flag_value(args, "--coresident").unwrap_or(1),
-            engine: self.service_engine(),
-            exec: self.plan.exec,
+            plan: self.service_plan(),
             ..ServiceConfig::default()
         }
     }
@@ -717,10 +717,8 @@ fn main() {
                 prep_workers: flag_value(&args, "--workers").unwrap_or(2),
                 devices: flag_value(&args, "--devices").unwrap_or(2),
                 coresident: flag_value(&args, "--coresident").unwrap_or(1),
-                targeted: flags.plan.targeted,
                 sumstore: flags.sumstore,
-                engine: flags.service_engine(),
-                exec: flags.plan.exec,
+                plan: flags.service_plan(),
                 trace_dir: flags.trace.map(Into::into),
                 rotate_records,
                 shared_stores: args.iter().any(|a| a == "--shared-store"),

@@ -24,10 +24,10 @@
 //! Beyond the paper's core, the stack implements extensions around it:
 //! incremental re-analysis across app updates
 //! ([`analysis::incremental`]), a concrete-execution soundness oracle
-//! ([`analysis::concrete`]), the conventional full-sweep baseline
-//! ([`analysis::sweep`]), and an app-store-style serving layer
-//! ([`serve`]) that packs jobs onto a pool of long-lived simulated
-//! devices with caching, fault retry, and per-stage observability.
+//! ([`analysis::concrete`]), and an app-store-style serving layer
+//! ([`serve`]) that packs jobs onto executors owning one long-lived
+//! simulated device each, with caching, fault retry, and per-stage
+//! observability.
 //!
 //! ## Quickstart
 //!
