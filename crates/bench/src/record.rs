@@ -1,15 +1,10 @@
 //! Per-app experiment records: every engine run once per app.
 
-use gdroid_analysis::{analyze_app, CpuCostModel, StoreKind, WorklistTelemetry};
+use gdroid_analysis::{CpuCostModel, FactStore};
 use gdroid_apk::{AppStats, Corpus};
-use gdroid_core::{gpu_analyze_app, OptConfig, WorklistProfile};
-use gdroid_gpusim::DeviceConfig;
-use gdroid_icfg::prepare_app;
-use gdroid_ir::MethodId;
-use gdroid_vetting::pipeline::{
-    ENVGEN_NS_PER_COMPONENT, FRONTEND_NS_PER_METHOD, FRONTEND_NS_PER_STMT, TAINT_NS_PER_ROW,
-};
-use gdroid_vetting::{SourceSinkRegistry, TaintAnalysis};
+use gdroid_core::{OptConfig, WorklistProfile};
+use gdroid_gpusim::{Device, DeviceConfig};
+use gdroid_vetting::{execute, prepare_vetting, Engine, ExecCtx, ExecPlan, Executed, PreparedApp};
 
 /// Condensed result of one GPU configuration on one app.
 #[derive(Clone, Copy, Debug, Default)]
@@ -74,84 +69,65 @@ pub struct AppRecord {
     pub max_worklist: usize,
 }
 
-/// Runs every engine on one corpus app.
+/// One engine's run of the pipeline on a fresh Tesla P40.
+fn run_engine(prep: &PreparedApp, engine: Engine) -> Executed {
+    let mut device = Device::new(DeviceConfig::tesla_p40());
+    execute(prep, ExecPlan::new(engine), &mut ExecCtx::new(&mut device))
+        .expect("a fresh device has no fault plan")
+}
+
+/// Runs every engine on one corpus app: the Amandroid pipeline (Fig. 1,
+/// and — one run under two cost models — Fig. 4's CPU side), then the four
+/// ladder rungs.
 pub fn run_app(corpus: &Corpus, index: usize) -> AppRecord {
-    let mut app = corpus.generate(index);
+    let app = corpus.generate(index);
     let app_stats = AppStats::of(&app);
-    let (envs, cg) = prepare_app(&mut app);
-    let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
+    let prep = prepare_vetting(app);
 
-    // --- CPU runs ---------------------------------------------------------
-    let cpu_set = analyze_app(&app.program, &cg, &roots, StoreKind::Set);
-    let cpu_mat = analyze_app(&app.program, &cg, &roots, StoreKind::Matrix);
-    let amandroid_idfg_ns = CpuCostModel::amandroid().sequential_ns(&cpu_set);
-    let cpu_mt_ns = CpuCostModel::multithreaded_c().parallel_ns(&cpu_set);
+    let cpu = run_engine(&prep, Engine::AmandroidCpu).run;
+    let gpu = OptConfig::ladder().map(|opts| {
+        let run = run_engine(&prep, Engine::Gpu(opts));
+        let (stats, telemetry) = (run.gpu.expect("a GPU rung ran"), run.run.outcome.telemetry);
+        GpuSummary {
+            total_ns: stats.total_ns,
+            kernel_ns: stats.kernel_ns,
+            divergence: stats.divergence_factor,
+            coalescing: stats.coalescing,
+            allocations: stats.device_allocations,
+            rounds: telemetry.rounds,
+            profile: stats.profile,
+            nodes_processed: telemetry.nodes_processed,
+            utilization: stats.utilization,
+            launches: stats.launches,
+            rows_read: telemetry.rows_read,
+            facts_written: telemetry.facts_written,
+            unions: telemetry.unions,
+        }
+    });
 
-    // --- taint plugin (for Fig. 1's non-IDFG share and leak counts) -------
-    let registry = SourceSinkRegistry::for_program(&app.program);
-    let (report, taint_stats) = TaintAnalysis::new(
-        &app.program,
-        &cg,
-        &cpu_mat.facts,
-        &cpu_mat.spaces,
-        &cpu_mat.cfgs,
-        &registry,
-    )
-    .run();
-    let amandroid_ns = amandroid_idfg_ns
-        + ENVGEN_NS_PER_COMPONENT * envs.len() as f64
-        + FRONTEND_NS_PER_STMT * app.program.total_statements() as f64
-        + FRONTEND_NS_PER_METHOD * app.program.methods.len() as f64
-        + TAINT_NS_PER_ROW * taint_stats.rows_read as f64;
-
-    // --- GPU ladder ---------------------------------------------------------
-    let mut gpu = [GpuSummary::default(); 4];
-    for (i, opts) in OptConfig::ladder().into_iter().enumerate() {
-        let run = gpu_analyze_app(&app.program, &cg, &roots, DeviceConfig::tesla_p40(), opts);
-        gpu[i] = GpuSummary {
-            total_ns: run.stats.total_ns,
-            kernel_ns: run.stats.kernel_ns,
-            divergence: run.stats.divergence_factor,
-            coalescing: run.stats.coalescing,
-            allocations: run.stats.device_allocations,
-            rounds: run.telemetry.rounds,
-            profile: run.stats.profile,
-            nodes_processed: run.telemetry.nodes_processed,
-            utilization: run.stats.utilization,
-            launches: run.stats.launches,
-            rows_read: run.telemetry.rows_read,
-            facts_written: run.telemetry.facts_written,
-            unions: run.telemetry.unions,
-        };
-    }
-
-    let mean_slots = if cpu_mat.spaces.is_empty() {
+    let spaces = &cpu.analysis.spaces;
+    let mean_slots = if spaces.is_empty() {
         0.0
     } else {
-        cpu_mat.spaces.values().map(|s| s.slot_count() as f64).sum::<f64>()
-            / cpu_mat.spaces.len() as f64
+        spaces.values().map(|s| s.slot_count() as f64).sum::<f64>() / spaces.len() as f64
     };
-    let icfg_nodes = cpu_mat.cfgs.values().map(|c| c.stmt_count()).sum::<usize>();
 
     AppRecord {
         index,
         app_stats,
-        reachable_methods: cpu_mat.spaces.len(),
-        icfg_nodes,
+        reachable_methods: spaces.len(),
+        icfg_nodes: cpu.analysis.cfgs.values().map(|c| c.stmt_count()).sum(),
         mean_slots,
-        amandroid_ns,
-        amandroid_idfg_ns,
-        cpu_mt_ns,
+        amandroid_ns: cpu.outcome.timing.total_ns(),
+        amandroid_idfg_ns: cpu.outcome.timing.idfg_ns,
+        cpu_mt_ns: CpuCostModel::multithreaded_c().parallel_ns(&cpu.analysis),
         gpu,
-        set_bytes: cpu_set.store_bytes,
-        matrix_bytes: cpu_mat.store_bytes,
-        leaks: report.leaks.len(),
-        max_worklist: telemetry_max(&cpu_set.telemetry),
+        set_bytes: cpu.outcome.store_bytes,
+        // The published facts are matrix-form whatever store solved them.
+        matrix_bytes: cpu.analysis.facts.values().map(FactStore::memory_bytes).sum(),
+        leaks: cpu.outcome.report.leaks.len(),
+        max_worklist: cpu.outcome.telemetry.max_worklist,
     }
-}
-
-fn telemetry_max(t: &WorklistTelemetry) -> usize {
-    t.max_worklist
 }
 
 /// Runs `count` apps of the corpus one after another, in index order.
@@ -194,4 +170,68 @@ mod tests {
             assert_eq!(x.gpu[3].total_ns, y.gpu[3].total_ns);
         }
     }
+
+    /// The fields Fig. 1, 4, 8–12 and Tables I/II are computed from, for
+    /// the first three paper-corpus apps. The constants were captured at
+    /// the commit before `run_app` became `prepare_vetting` + `execute`.
+    #[test]
+    fn paper_records_equal_the_pinned_constants() {
+        let pinned = [PIN_0, PIN_1, PIN_2];
+        let corpus = Corpus::paper_sized(3);
+        for (r, want) in run_corpus(&corpus, 3).iter().zip(pinned) {
+            let gpu: Vec<String> = r
+                .gpu
+                .iter()
+                .map(|g| {
+                    format!(
+                        "{:?}/{:?}/{}/{}/{}/{}",
+                        g.total_ns,
+                        g.kernel_ns,
+                        g.rounds,
+                        g.launches,
+                        g.nodes_processed,
+                        g.allocations
+                    )
+                })
+                .collect();
+            let got = format!(
+                "total={:?} idfg={:?} mt={:?} set={} mat={} leaks={} maxwl={} reach={} \
+                 nodes={} slots={:?} gpu={}",
+                r.amandroid_ns,
+                r.amandroid_idfg_ns,
+                r.cpu_mt_ns,
+                r.set_bytes,
+                r.matrix_bytes,
+                r.leaks,
+                r.max_worklist,
+                r.reachable_methods,
+                r.icfg_nodes,
+                r.mean_slots,
+                gpu.join(" ")
+            );
+            assert_eq!(got, want, "app {}", r.index);
+        }
+    }
+
+    const PIN_0: &str = "\
+        total=48373951456.0 idfg=43508489936.0 mt=622745764.2 set=54073920 mat=5751520 leaks=0 \
+        maxwl=209 reach=365 nodes=12205 slots=43.69041095890411 \
+        gpu=120988576.98695318/120968438.98695317/13408/23/90208/28818 \
+        35034781.99686621/34872820.41442824/13408/23/90208/0 \
+        7719760.5079943715/7545698.388334612/13408/23/90208/0 \
+        4129699.878677412/3950631.619339986/13481/23/64877/0";
+    const PIN_1: &str = "\
+        total=16530387320.0 idfg=13235544760.0 mt=44853194.06 set=8680320 mat=812464 leaks=0 \
+        maxwl=30 reach=211 nodes=6342 slots=37.1042654028436 \
+        gpu=21774349.575083144/21756395.24174981/7605/18/26941/14063 \
+        430250.04962906113/353793.5533384498/7605/18/26941/0 \
+        433997.5553850089/389300.84420567926/7605/18/26941/0 \
+        432042.8355078025/387239.44742901/7605/18/26396/0";
+    const PIN_2: &str = "\
+        total=11508846024.0 idfg=9572035864.0 mt=40685592.00000001 set=6683200 mat=660560 \
+        leaks=0 maxwl=39 reach=150 nodes=4655 slots=38.34 \
+        gpu=36572119.24891277/36554369.91557943/6843/18/28325/13515 \
+        564118.8431823996/521765.92478894856/6843/18/28325/0 \
+        568834.1156305962/538808.1350729087/6843/18/28325/0 \
+        563986.0726528525/533956.2547966233/6851/18/27554/0";
 }

@@ -6,10 +6,10 @@
 //! CI can gate on kernel discipline the same way it gates on tests.
 
 use gdroid_apk::Corpus;
-use gdroid_core::{gpu_analyze_app, OptConfig};
-use gdroid_gpusim::{DeviceConfig, SanReport};
-use gdroid_icfg::prepare_app;
-use gdroid_ir::{MethodId, Severity};
+use gdroid_core::OptConfig;
+use gdroid_gpusim::{Device, DeviceConfig, SanReport};
+use gdroid_ir::Severity;
+use gdroid_vetting::{execute, prepare_vetting, Engine, ExecCtx, ExecPlan};
 use std::fmt;
 
 /// Result of one sanitizer sweep.
@@ -67,18 +67,12 @@ pub fn sancheck_corpus(corpus: &Corpus, apps: usize) -> SancheckOutcome {
                 Severity::Warning => lint.1 += 1,
             }
         }
+        let prep = prepare_vetting(app);
         for (opts, merged) in reports.iter_mut() {
-            let mut app = app.clone();
-            let (envs, cg) = prepare_app(&mut app);
-            let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
-            let run = gpu_analyze_app(
-                &app.program,
-                &cg,
-                &roots,
-                DeviceConfig::tesla_p40().with_sanitizer(),
-                *opts,
-            );
-            merged.merge(&run.sanitizer.expect("sanitizer was enabled"));
+            let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
+            execute(&prep, ExecPlan::new(Engine::Gpu(*opts)), &mut ExecCtx::new(&mut device))
+                .expect("a fresh device has no fault plan");
+            merged.merge(&device.san_report().expect("sanitizer was enabled"));
         }
     }
     SancheckOutcome { apps, reports, lint }

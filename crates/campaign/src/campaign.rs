@@ -359,14 +359,14 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Campaign
         for shard in 0..config.shards {
             tails.push(read_rotated_tail(&config.journal_dir, shard)?);
         }
-        FleetReport::from_folds(config.master_seed, config.apps, digest, tails)
+        FleetReport::from_folds(config.master_seed, config.apps, digest, tails)?
     } else {
         let mut shard_records = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
             let contents = read_journal(&journal_path(&config.journal_dir, shard))?;
             shard_records.push(contents.records);
         }
-        FleetReport::from_records(config.master_seed, config.apps, digest, shard_records)
+        FleetReport::try_from_records(config.master_seed, config.apps, digest, shard_records)?
     };
 
     let delta = match base {
@@ -477,8 +477,10 @@ fn run_shard(ctx: ShardCtx<'_>) -> Result<ShardOutcome, CampaignError> {
             let (journal, existing) =
                 Journal::open_or_create(&journal_path(&config.journal_dir, shard), &header)?;
             let mut fold = ShardFold::default();
-            for record in &existing {
-                fold.fold(record);
+            for (k, record) in existing.iter().enumerate() {
+                // Line 1 is the header.
+                fold.fold(record)
+                    .map_err(|reason| JournalError::Corrupt { line: k + 2, reason })?;
             }
             (ShardJournal::Single(journal), fold)
         }

@@ -113,6 +113,16 @@ pub struct ShardFold {
     pub open_failed: BTreeMap<usize, OpenFailure>,
 }
 
+/// `$total += $n` for a tally whose operands came out of a journal file:
+/// a sealed record or rollup can claim any count, so an overflow is the
+/// file's corruption to report, not an arithmetic panic.
+macro_rules! tally {
+    ($total:expr, $n:expr, $what:literal) => {
+        $total = $total.checked_add($n).ok_or(concat!($what, " overflows the running total"))?
+    };
+}
+pub(crate) use tally;
+
 /// The verdict line of one record, without its trailing newline — the
 /// unit the order-independent verdict digest sums over. Must stay in sync
 /// with [`crate::report::FleetReport::verdict_lines`].
@@ -123,20 +133,22 @@ pub fn verdict_line(index: usize, package: &str, verdict: &str, report_fnv: u64)
 impl ShardFold {
     /// Folds one record under the superseding rule. `Failed` records are
     /// deferred; later records for the same index replace them; any other
-    /// duplicate keeps the first record.
-    pub fn fold(&mut self, record: &AppRecord) -> FoldOutcome {
+    /// duplicate keeps the first record. `Err` is a tally the record
+    /// overflows — its counts, or the rollup this fold was restored from,
+    /// are not what a campaign wrote; the fold is then unusable.
+    pub fn fold(&mut self, record: &AppRecord) -> Result<FoldOutcome, String> {
         if let Some(open) = self.open_failed.get_mut(&record.index) {
             if record.status == RecordStatus::Failed {
                 open.package = record.package.clone();
                 open.attempts = record.attempts;
             } else {
                 self.open_failed.remove(&record.index);
-                self.apply(record);
+                self.apply(record)?;
             }
-            return FoldOutcome::Replaced;
+            return Ok(FoldOutcome::Replaced);
         }
         if !self.indices.insert(record.index) {
-            return FoldOutcome::Skipped;
+            return Ok(FoldOutcome::Skipped);
         }
         if record.status == RecordStatus::Failed {
             self.open_failed.insert(
@@ -144,45 +156,46 @@ impl ShardFold {
                 OpenFailure { package: record.package.clone(), attempts: record.attempts },
             );
         } else {
-            self.apply(record);
+            self.apply(record)?;
         }
-        FoldOutcome::Recorded
+        Ok(FoldOutcome::Recorded)
     }
 
     /// Tallies a non-deferred record.
-    fn apply(&mut self, record: &AppRecord) {
+    fn apply(&mut self, record: &AppRecord) -> Result<(), String> {
         match record.status {
             RecordStatus::Completed => {
-                self.completed += 1;
+                tally!(self.completed, 1, "completed");
                 self.modeled_total_ns += record.total_ns();
                 match record.verdict.as_str() {
-                    "Suspicious" => self.suspicious += 1,
-                    "Clean" => self.clean += 1,
-                    _ => self.unknown += 1,
+                    "Suspicious" => tally!(self.suspicious, 1, "suspicious"),
+                    "Clean" => tally!(self.clean, 1, "clean"),
+                    _ => tally!(self.unknown, 1, "unknown"),
                 }
                 let ns = record.total_ns().round() as u64;
-                self.hist_buckets[Histogram::bucket_for(ns)] += 1;
-                self.hist_sum += ns;
+                tally!(self.hist_buckets[Histogram::bucket_for(ns)], 1, "hist");
+                tally!(self.hist_sum, ns, "hsum");
                 self.hist_max = self.hist_max.max(ns);
                 self.push_top(record);
             }
-            RecordStatus::Quarantined => self.quarantined += 1,
+            RecordStatus::Quarantined => tally!(self.quarantined, 1, "quarantined"),
             RecordStatus::Failed => unreachable!("failed records are deferred, never applied"),
         }
-        self.leaks += record.leaks;
-        self.nodes += record.nodes;
-        self.rounds += record.rounds;
+        tally!(self.leaks, record.leaks, "leaks");
+        tally!(self.nodes, record.nodes, "nodes");
+        tally!(self.rounds, record.rounds, "rounds");
         if record.attempts > 1 {
-            self.retried += 1;
+            tally!(self.retried, 1, "retried");
         }
         if let Some(micros) = record.sliced_micros {
-            self.targeted += 1;
-            self.sliced_micros_sum += micros;
+            tally!(self.targeted, 1, "targeted");
+            tally!(self.sliced_micros_sum, micros, "slicedsum");
         }
         self.verdict_fold = self.verdict_fold.wrapping_add(fnv1a(
             verdict_line(record.index, &record.package, &record.verdict, record.report_fnv)
                 .as_bytes(),
         ));
+        Ok(())
     }
 
     fn push_top(&mut self, record: &AppRecord) {
@@ -453,11 +466,11 @@ mod tests {
             };
             assert_eq!(
                 fold.fold(&record(i, RecordStatus::Completed, verdict, (i + 1) as f64)),
-                FoldOutcome::Recorded
+                Ok(FoldOutcome::Recorded)
             );
         }
-        fold.fold(&record(9, RecordStatus::Quarantined, "-", 1.0));
-        fold.fold(&record(10, RecordStatus::Failed, "-", 1.0));
+        fold.fold(&record(9, RecordStatus::Quarantined, "-", 1.0)).unwrap();
+        fold.fold(&record(10, RecordStatus::Failed, "-", 1.0)).unwrap();
         assert_eq!(fold.completed, 9);
         assert_eq!(fold.suspicious, 3);
         assert_eq!(fold.clean, 3);
@@ -477,23 +490,23 @@ mod tests {
         let mut fold = ShardFold::default();
         let mut failed = record(4, RecordStatus::Failed, "-", 0.0);
         failed.attempts = 4;
-        assert_eq!(fold.fold(&failed), FoldOutcome::Recorded);
+        assert_eq!(fold.fold(&failed), Ok(FoldOutcome::Recorded));
         assert_eq!(fold.completed, 0);
         assert_eq!(fold.failed(), 1);
         assert_eq!(fold.final_retried(), 1);
         // A re-failure replaces the open entry (last failure wins).
         let mut refailed = failed.clone();
         refailed.attempts = 1;
-        assert_eq!(fold.fold(&refailed), FoldOutcome::Replaced);
+        assert_eq!(fold.fold(&refailed), Ok(FoldOutcome::Replaced));
         assert_eq!(fold.final_retried(), 0);
         // A later completion supersedes the failure entirely.
         let done = record(4, RecordStatus::Completed, "Clean", 2.0);
-        assert_eq!(fold.fold(&done), FoldOutcome::Replaced);
+        assert_eq!(fold.fold(&done), Ok(FoldOutcome::Replaced));
         assert_eq!(fold.failed(), 0);
         assert_eq!(fold.completed, 1);
         assert_eq!(fold.clean, 1);
         // Duplicates of tallied records are skipped (keep-first).
-        assert_eq!(fold.fold(&done), FoldOutcome::Skipped);
+        assert_eq!(fold.fold(&done), Ok(FoldOutcome::Skipped));
         assert_eq!(fold.completed, 1);
     }
 
@@ -511,16 +524,16 @@ mod tests {
             .collect();
         let mut whole = ShardFold::default();
         for r in &records {
-            whole.fold(r);
+            whole.fold(r).unwrap();
         }
         for cut in [0, 1, 7, 8, 14, 19, 20] {
             let mut sealed = ShardFold::default();
             for r in &records[..cut] {
-                sealed.fold(r);
+                sealed.fold(r).unwrap();
             }
             let mut resumed = ShardFold::parse_body(&sealed.serialize_body(), usize::MAX).unwrap();
             for r in &records[cut..] {
-                resumed.fold(r);
+                resumed.fold(r).unwrap();
             }
             assert_eq!(resumed, whole, "cut at {cut}");
             assert_eq!(

@@ -170,9 +170,12 @@ pub enum JournalError {
         /// What the journal holds.
         found: Box<JournalHeader>,
     },
-    /// A record before the final line failed to parse or checksum.
+    /// A line before the final one failed its checksum; a checksummed
+    /// line — wherever it stands — does not parse; or checksummed counts
+    /// overflow a tally.
     Corrupt {
-        /// 1-based line number.
+        /// 1-based line number; `0` when the corruption shows only in a
+        /// total over several shards' lines.
         line: usize,
         /// What went wrong.
         reason: String,
@@ -417,19 +420,18 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
                 records.push(record);
                 valid_len += line.len() as u64 + 1;
             }
-            bad => {
-                // Only the final complete line may be invalid (a line
-                // torn exactly at its '\n'); anything earlier is real
-                // corruption.
-                if k + 1 != lines.len() {
-                    let reason = match bad {
-                        Some(Err(e)) => e,
-                        _ => "checksum mismatch".into(),
-                    };
-                    return Err(JournalError::Corrupt { line: k + 1, reason });
-                }
-                truncated = true;
+            // A record whose checksum holds was written whole, so — like
+            // a rollup — one that does not parse is corruption wherever it
+            // stands.
+            Some(Err(reason)) => return Err(JournalError::Corrupt { line: k + 1, reason }),
+            // Only the final complete line may fail its checksum (a line
+            // torn exactly at its '\n'); anything earlier is real
+            // corruption.
+            None if k + 1 != lines.len() => {
+                let reason = "checksum mismatch".into();
+                return Err(JournalError::Corrupt { line: k + 1, reason });
             }
+            None => truncated = true,
         }
     }
     Ok(JournalContents { header, segment, base, records, sealed, valid_len, truncated })
@@ -600,9 +602,12 @@ impl SegmentedJournal {
             let fold = journal.fold.clone();
             return Ok((journal, fold));
         }
+        // Records follow the header and, past segment 0, the carried base.
+        let first_record_line = 2 + usize::from(contents.base.is_some());
         let mut fold = contents.base.unwrap_or_default();
-        for record in &contents.records {
-            fold.fold(record);
+        for (k, record) in contents.records.iter().enumerate() {
+            fold.fold(record)
+                .map_err(|reason| JournalError::Corrupt { line: first_record_line + k, reason })?;
         }
         let file = OpenOptions::new().write(true).open(&path)?;
         file.set_len(contents.valid_len)?;
@@ -669,7 +674,10 @@ impl SegmentedJournal {
             .ok_or(())
             .and_then(|body| parse_record(body).map_err(|_| ()))
             .expect("a just-written record line round-trips");
-        self.fold.fold(&parsed);
+        // Only a hostile carried rollup leaves a tally this close to its
+        // ceiling; the line just written is where it shows.
+        let line = self.in_segment + 2 + usize::from(self.segment > 0);
+        self.fold.fold(&parsed).map_err(|reason| JournalError::Corrupt { line, reason })?;
         self.in_segment += 1;
         if self.in_segment >= self.rotate {
             self.seal()?;
@@ -956,7 +964,7 @@ mod tests {
         let (base, tail) = read_rotated_tail(&dir, 0).unwrap();
         let mut folded = base;
         for r in &tail {
-            folded.fold(r);
+            folded.fold(r).unwrap();
         }
         assert_eq!(folded, whole_fold);
         // Monolithic read sees all 8 records in order.
@@ -997,7 +1005,7 @@ mod tests {
         assert_eq!(records.len(), 7);
         let mut refold = ShardFold::default();
         for r in &records {
-            refold.fold(r);
+            refold.fold(r).unwrap();
         }
         assert_eq!(refold, whole);
         std::fs::remove_dir_all(&dir).ok();
@@ -1080,6 +1088,65 @@ mod tests {
                 std::fs::remove_dir_all(&dir).ok();
             }
         }
+    }
+
+    #[test]
+    fn a_resealed_count_that_overflows_the_shard_tally_is_corrupt_not_a_panic() {
+        let dir = tmp("hostile-nodes").parent().unwrap().to_owned();
+        let (mut j, _) = SegmentedJournal::open_or_create(&dir, 0, &header(), 5).unwrap();
+        for i in 0..3 {
+            j.append(&record(i)).unwrap();
+        }
+        drop(j);
+        // Line 2 keeps a valid checksum and parses; the tally it fills to
+        // the brim overflows on the record after it.
+        let path = segment_path(&dir, 0, 0);
+        rewrite_line(&path, 1, |line| {
+            resealed(line, |body| {
+                let body = std::str::from_utf8(body).unwrap();
+                body.replace("nodes=999", "nodes=18446744073709551615").into_bytes()
+            })
+        });
+        let records = read_journal(&path).unwrap().records;
+        assert_eq!(records[0].nodes, u64::MAX);
+        match SegmentedJournal::open_or_create(&dir, 0, &header(), 5).err() {
+            Some(JournalError::Corrupt { line, reason }) => {
+                assert_eq!(line, 3);
+                assert!(reason.contains("nodes"), "{reason}");
+            }
+            other => panic!("resume folded an overflowing tally: {other:?}"),
+        }
+        let fleet = crate::report::FleetReport::try_from_records(0xD401D, 8, 0, vec![records]);
+        assert!(matches!(fleet, Err(JournalError::Corrupt { .. })), "{:?}", fleet.err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_checksummed_record_that_does_not_parse_is_corrupt_even_on_the_final_line() {
+        let path = tmp("sealed-garbage");
+        let mut j = Journal::create(&path, &header()).unwrap();
+        for i in 0..3 {
+            j.append(&record(i)).unwrap();
+        }
+        drop(j);
+        // A torn line cannot carry its own checksum: this one was written
+        // whole, so dropping it as a torn tail would lose a record silently.
+        rewrite_line(&path, 3, |line| {
+            resealed(line, |body| {
+                std::str::from_utf8(body).unwrap().replace("rounds=12", "rounds=x").into_bytes()
+            })
+        });
+        match read_journal(&path) {
+            Err(JournalError::Corrupt { line, reason }) => {
+                assert_eq!(line, 4);
+                assert!(reason.contains("rounds"), "{reason}");
+            }
+            other => panic!("expected Corrupt at line 4, got {other:?}"),
+        }
+        // Stale checksum on the same line: still a torn tail.
+        rewrite_line(&path, 3, |line| line[..line.len() - 1].to_vec());
+        assert!(read_journal(&path).unwrap().truncated);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     /// One hostile edit of a line's bytes: flip, truncate, or splice a

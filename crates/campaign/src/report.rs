@@ -18,8 +18,8 @@
 //! snapshot bench and `tests/resume_gate.rs` assert outright.
 
 use crate::campaign::DeltaReport;
-use crate::fold::ShardFold;
-use crate::journal::AppRecord;
+use crate::fold::{tally, ShardFold};
+use crate::journal::{AppRecord, JournalError};
 use gdroid_serve::HistogramSnapshot;
 use gdroid_vetting::json::JsonWriter;
 
@@ -142,21 +142,30 @@ impl FleetReport {
     /// superseding-record rule: a later record for an index replaces an
     /// earlier `Failed` one (resume re-runs transient failures), while
     /// any other duplicate keeps the first record.
+    ///
+    /// For records this process produced or already folded once; panics
+    /// where [`Self::try_from_records`] reports corruption.
     pub fn from_records(
         master_seed: u64,
         apps: usize,
         config_digest: u64,
         shard_records: Vec<Vec<AppRecord>>,
     ) -> FleetReport {
-        let folded = shard_records
-            .into_iter()
-            .map(|records| {
-                let mut fold = ShardFold::default();
-                let kept = fold_keeping_records(&mut fold, records);
-                (fold, kept)
-            })
-            .collect();
-        FleetReport::finish(master_seed, apps, config_digest, folded, true)
+        FleetReport::try_from_records(master_seed, apps, config_digest, shard_records)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::from_records`] for records read from journal files, whose
+    /// checksummed counts may be anything: a tally they overflow — per
+    /// shard or fleet-wide — is [`JournalError::Corrupt`], not a panic.
+    pub fn try_from_records(
+        master_seed: u64,
+        apps: usize,
+        config_digest: u64,
+        shard_records: Vec<Vec<AppRecord>>,
+    ) -> Result<FleetReport, JournalError> {
+        let shards = shard_records.into_iter().map(|r| (ShardFold::default(), r)).collect();
+        FleetReport::merge(master_seed, apps, config_digest, shards, true).map_err(total_corrupt)
     }
 
     /// The incremental fold: element `i` is shard `i`'s sealed-history
@@ -164,42 +173,44 @@ impl FleetReport {
     /// Byte-identical to [`Self::from_records`] over the same underlying
     /// record set, but only the one unsealed segment per shard was read —
     /// so [`Self::records`] holds tail records only
-    /// ([`Self::records_complete`] is `false`).
+    /// ([`Self::records_complete`] is `false`). Rollups and tails come
+    /// from files: an overflowing tally is [`JournalError::Corrupt`].
     pub fn from_folds(
         master_seed: u64,
         apps: usize,
         config_digest: u64,
         shard_tails: Vec<(ShardFold, Vec<AppRecord>)>,
-    ) -> FleetReport {
-        let folded = shard_tails
-            .into_iter()
-            .map(|(mut fold, tail)| {
-                let kept = fold_keeping_records(&mut fold, tail);
-                (fold, kept)
-            })
-            .collect();
-        FleetReport::finish(master_seed, apps, config_digest, folded, false)
+    ) -> Result<FleetReport, JournalError> {
+        FleetReport::merge(master_seed, apps, config_digest, shard_tails, false)
+            .map_err(total_corrupt)
     }
 
-    fn finish(
+    /// Folds each shard's records into its starting fold, then merges the
+    /// shards; `Err` names the tally that overflowed.
+    fn merge(
         master_seed: u64,
         apps: usize,
         config_digest: u64,
-        folded: Vec<(ShardFold, Vec<AppRecord>)>,
+        shard_tails: Vec<(ShardFold, Vec<AppRecord>)>,
         records_complete: bool,
-    ) -> FleetReport {
-        let shards = folded.len().max(1);
-        let mut per_shard = Vec::with_capacity(folded.len());
+    ) -> Result<FleetReport, String> {
+        let shards = shard_tails.len().max(1);
+        let mut per_shard = Vec::with_capacity(shard_tails.len());
         let mut merged: Vec<(usize, AppRecord)> = Vec::new();
         let mut hist_buckets = [0u64; 17];
         let mut hist_sum = 0u64;
         let mut hist_max = 0u64;
-        let mut retried_apps = 0;
-        let mut targeted_apps = 0;
+        let (mut completed, mut suspicious, mut clean, mut unknown) =
+            (0usize, 0usize, 0usize, 0usize);
+        let (mut quarantined, mut failed, mut leaks) = (0usize, 0usize, 0usize);
+        let mut retried_apps = 0usize;
+        let mut targeted_apps = 0usize;
         let mut sliced_micros_sum = 0u64;
         let mut verdict_digest = 0u64;
         let mut top: Vec<Straggler> = Vec::new();
-        for (shard, (fold, kept)) in folded.into_iter().enumerate() {
+        for (shard, (mut fold, tail)) in shard_tails.into_iter().enumerate() {
+            let kept = fold_keeping_records(&mut fold, tail)
+                .map_err(|reason| format!("shard {shard}: {reason}"))?;
             per_shard.push(ShardSummary {
                 shard,
                 apps: fold.apps(),
@@ -215,13 +226,20 @@ impl FleetReport {
                 rounds: fold.rounds,
             });
             for (i, &b) in fold.hist_buckets.iter().enumerate() {
-                hist_buckets[i] += b;
+                tally!(hist_buckets[i], b, "hist");
             }
-            hist_sum += fold.hist_sum;
+            tally!(hist_sum, fold.hist_sum, "hsum");
             hist_max = hist_max.max(fold.hist_max);
-            retried_apps += fold.final_retried();
-            targeted_apps += fold.targeted;
-            sliced_micros_sum += fold.sliced_micros_sum;
+            tally!(completed, fold.completed, "completed");
+            tally!(suspicious, fold.suspicious, "suspicious");
+            tally!(clean, fold.clean, "clean");
+            tally!(unknown, fold.unknown, "unknown");
+            tally!(quarantined, fold.quarantined, "quarantined");
+            tally!(failed, fold.failed(), "failed");
+            tally!(leaks, fold.leaks, "leaks");
+            tally!(retried_apps, fold.final_retried(), "retried");
+            tally!(targeted_apps, fold.targeted, "targeted");
+            tally!(sliced_micros_sum, fold.sliced_micros_sum, "slicedsum");
             verdict_digest = verdict_digest.wrapping_add(fold.final_verdict_fold());
             top.extend(fold.top.iter().map(|t| Straggler {
                 index: t.index,
@@ -238,13 +256,6 @@ impl FleetReport {
         top.sort_by(|a, b| b.total_ns.total_cmp(&a.total_ns).then(a.index.cmp(&b.index)));
         top.truncate(STRAGGLER_COUNT);
 
-        let completed: usize = per_shard.iter().map(|s| s.completed).sum();
-        let suspicious: usize = per_shard.iter().map(|s| s.suspicious).sum();
-        let clean: usize = per_shard.iter().map(|s| s.clean).sum();
-        let unknown: usize = per_shard.iter().map(|s| s.unknown).sum();
-        let quarantined: usize = per_shard.iter().map(|s| s.quarantined).sum();
-        let failed: usize = per_shard.iter().map(|s| s.failed).sum();
-        let leaks: usize = per_shard.iter().map(|s| s.leaks).sum();
         let mean_sliced_fraction = if targeted_apps == 0 {
             1.0
         } else {
@@ -257,7 +268,7 @@ impl FleetReport {
         let imbalance = if mean_shard > 0.0 { modeled_makespan_ns / mean_shard } else { 1.0 };
 
         let (record_shards, records): (Vec<usize>, Vec<AppRecord>) = merged.into_iter().unzip();
-        FleetReport {
+        Ok(FleetReport {
             master_seed,
             apps,
             shards,
@@ -282,7 +293,7 @@ impl FleetReport {
             app_model: HistogramSnapshot::from_buckets(hist_buckets, hist_sum, hist_max),
             stragglers: top,
             verdict_digest,
-        }
+        })
     }
 
     /// Apps tallied across every shard (sealed history included) — the
@@ -429,15 +440,23 @@ impl FleetReport {
     }
 }
 
+/// An overflowing fleet tally has no one line to blame.
+fn total_corrupt(reason: String) -> JournalError {
+    JournalError::Corrupt { line: 0, reason }
+}
+
 /// Folds `records` into `fold` while maintaining the kept-record list
 /// under the same superseding semantics: a later record replaces an
 /// earlier `Failed` one in place; other duplicates are dropped.
-fn fold_keeping_records(fold: &mut ShardFold, records: Vec<AppRecord>) -> Vec<AppRecord> {
+fn fold_keeping_records(
+    fold: &mut ShardFold,
+    records: Vec<AppRecord>,
+) -> Result<Vec<AppRecord>, String> {
     use crate::fold::FoldOutcome;
     let mut kept: Vec<AppRecord> = Vec::new();
     let mut pos_by_index = std::collections::HashMap::new();
     for record in records {
-        match fold.fold(&record) {
+        match fold.fold(&record)? {
             FoldOutcome::Recorded => {
                 pos_by_index.insert(record.index, kept.len());
                 kept.push(record);
@@ -455,7 +474,7 @@ fn fold_keeping_records(fold: &mut ShardFold, records: Vec<AppRecord>) -> Vec<Ap
             FoldOutcome::Skipped => {}
         }
     }
-    kept
+    Ok(kept)
 }
 
 #[cfg(test)]
@@ -585,6 +604,21 @@ mod tests {
     }
 
     #[test]
+    fn counts_that_overflow_the_fleet_merge_are_corrupt_not_a_panic() {
+        // Each shard's tally holds; their fleet-wide sum does not.
+        let brim = AppRecord { leaks: usize::MAX, ..record(0, "Suspicious", 1.0) };
+        let shards = vec![vec![brim], vec![record(1, "Suspicious", 1.0)]];
+        match FleetReport::try_from_records(3, 2, 8, shards.clone()) {
+            Err(JournalError::Corrupt { line: 0, reason }) => {
+                assert!(reason.contains("leaks"), "{reason}")
+            }
+            other => panic!("the merge summed past usize::MAX: {:?}", other.err()),
+        }
+        let tails = shards.into_iter().map(|r| (ShardFold::default(), r)).collect();
+        assert!(FleetReport::from_folds(3, 2, 8, tails).is_err());
+    }
+
+    #[test]
     fn incremental_fold_matches_monolithic_byte_for_byte() {
         // Split each shard's records at an arbitrary seal point: rollup +
         // tail must produce the same JSON as the full record read.
@@ -598,14 +632,15 @@ mod tests {
             let seal = |records: &[AppRecord]| {
                 let mut fold = ShardFold::default();
                 for r in &records[..cut] {
-                    fold.fold(r);
+                    fold.fold(r).unwrap();
                 }
                 // Round-trip through the serialized rollup, as a real
                 // sealed segment would.
                 let fold = ShardFold::parse_body(&fold.serialize_body(), usize::MAX).unwrap();
                 (fold, records[cut..].to_vec())
             };
-            let incremental = FleetReport::from_folds(3, 10, 8, vec![seal(&shard0), seal(&shard1)]);
+            let incremental =
+                FleetReport::from_folds(3, 10, 8, vec![seal(&shard0), seal(&shard1)]).unwrap();
             assert!(!incremental.records_complete);
             assert_eq!(incremental.tallied_apps(), 10);
             assert_eq!(incremental.to_json(), monolithic.to_json(), "cut at {cut}");

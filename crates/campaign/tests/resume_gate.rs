@@ -355,7 +355,7 @@ fn proptest_header() -> JournalHeader {
 /// (sealed-rollup + tail) path.
 fn incremental_report(dir: &std::path::Path) -> FleetReport {
     let tail = read_rotated_tail(dir, 0).unwrap();
-    FleetReport::from_folds(0xDEAD, 30, 0xFEED, vec![tail])
+    FleetReport::from_folds(0xDEAD, 30, 0xFEED, vec![tail]).unwrap()
 }
 
 /// Fleet report of the same journal via the monolithic every-segment
@@ -392,7 +392,7 @@ proptest! {
         for tuple in &raw {
             let record = record_from(tuple);
             journal.append(&record).unwrap();
-            expected.fold(&record);
+            expected.fold(&record).unwrap();
         }
         prop_assert_eq!(journal.fold().serialize_body(), expected.serialize_body());
         drop(journal);

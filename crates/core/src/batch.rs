@@ -36,7 +36,8 @@
 //! dual-buffering pipeline; sharing launch and transfer overheads across
 //! apps is what makes it no worse than the sum of solo makespans.
 
-use crate::driver::{GpuAnalysis, WorklistKernel};
+use crate::driver::WorklistKernel;
+use crate::engine::EngineAnalysis;
 use crate::fixpoint::Fixpoint;
 use crate::layout::{plan_layout, AppLayout};
 use crate::opts::OptConfig;
@@ -81,11 +82,11 @@ pub struct BatchStats {
     pub mean_coresidency: f64,
 }
 
-/// Result of a co-resident batch run: one solo-identical [`GpuAnalysis`]
+/// Result of a co-resident batch run: one solo-identical [`EngineAnalysis`]
 /// per app (input order) plus the batch-level pipeline stats.
 pub struct BatchAnalysis {
     /// Per-app results, in input order.
-    pub apps: Vec<GpuAnalysis>,
+    pub apps: Vec<EngineAnalysis>,
     /// Batch-level stats.
     pub batch: BatchStats,
 }
@@ -298,7 +299,7 @@ mod tests {
         gpu_analyze_batch_on(&mut device, apps, opts).expect("a fresh device has no fault plan")
     }
 
-    fn assert_matches_solo(batched: &GpuAnalysis, solo: &GpuAnalysis, ctx: &str) {
+    fn assert_matches_solo(batched: &EngineAnalysis, solo: &EngineAnalysis, ctx: &str) {
         assert_eq!(batched.summaries, solo.summaries, "{ctx}: summaries differ");
         assert_eq!(batched.facts.len(), solo.facts.len(), "{ctx}");
         for (mid, solo_store) in &solo.facts {

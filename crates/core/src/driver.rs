@@ -13,37 +13,18 @@
 //!   schedule is static, so inputs stream ahead of the resident kernel and
 //!   SCC re-rounds stay device-side and transfer nothing.
 
-use crate::engine::ExecMode;
+use crate::engine::{EngineAnalysis, ExecMode};
 use crate::fixpoint::{Fixpoint, MethodBlock};
 use crate::kernel::run_method_block;
 use crate::layout::{plan_layout, AppLayout};
 use crate::opts::OptConfig;
 use crate::stats::GpuRunStats;
-use gdroid_analysis::{MatrixStore, MethodSpace, SummaryMap, WorklistTelemetry};
+use gdroid_analysis::{MatrixStore, WorklistTelemetry};
 use gdroid_gpusim::{dual_buffered, BlockCtx, Device, DeviceConfig, DeviceFault};
-use gdroid_icfg::{CallGraph, Cfg};
+use gdroid_icfg::CallGraph;
 use gdroid_ir::{MethodId, Program};
 use gdroid_trace::Tracer;
 use std::collections::HashMap;
-
-/// Result of a GPU analysis run.
-pub struct GpuAnalysis {
-    /// Per-method node facts — the IDFG, identical to the CPU result.
-    pub facts: HashMap<MethodId, MatrixStore>,
-    /// Final summaries.
-    pub summaries: SummaryMap,
-    /// Per-method pools.
-    pub spaces: HashMap<MethodId, MethodSpace>,
-    /// Per-method CFGs.
-    pub cfgs: HashMap<MethodId, Cfg>,
-    /// Simulated execution statistics.
-    pub stats: GpuRunStats,
-    /// Aggregated worklist telemetry.
-    pub telemetry: WorklistTelemetry,
-    /// `simcheck` sanitizer report — `Some` iff the device config had
-    /// [`DeviceConfig::with_sanitizer`] applied.
-    pub sanitizer: Option<gdroid_gpusim::SanReport>,
-}
 
 /// Analyzes one app on a fresh simulated GPU: a full multi-launch run
 /// with nothing pre-solved.
@@ -53,7 +34,7 @@ pub fn gpu_analyze_app(
     roots: &[MethodId],
     device_config: DeviceConfig,
     opts: OptConfig,
-) -> GpuAnalysis {
+) -> EngineAnalysis {
     let mut device = Device::new(device_config);
     gpu_analyze_app_on(
         &mut device,
@@ -91,7 +72,7 @@ pub fn gpu_analyze_app_on(
     presolved: &HashMap<MethodId, (gdroid_analysis::MethodSummary, MatrixStore)>,
     slice: Option<&std::collections::HashSet<MethodId>>,
     exec: ExecMode,
-) -> Result<GpuAnalysis, DeviceFault> {
+) -> Result<EngineAnalysis, DeviceFault> {
     device.reset();
     let fx = Fixpoint::new(program, cg, roots, presolved, slice);
     let layout = plan_layout(program, device, &fx.spaces, &fx.cfgs, fx.methods(), opts);
@@ -124,7 +105,7 @@ fn run_solo(
     mut fx: Fixpoint<'_>,
     kernel: WorklistKernel<'_>,
     exec: ExecMode,
-) -> Result<GpuAnalysis, DeviceFault> {
+) -> Result<EngineAnalysis, DeviceFault> {
     let tracer = device.tracer().clone();
     let mut stats = GpuRunStats::default();
     // (h2d bytes, kernel ns, d2h bytes) per launch — per layer when
@@ -294,7 +275,7 @@ mod tests {
         cg: &CallGraph,
         roots: &[MethodId],
         exec: ExecMode,
-    ) -> Result<GpuAnalysis, DeviceFault> {
+    ) -> Result<EngineAnalysis, DeviceFault> {
         let none = HashMap::new();
         gpu_analyze_app_on(device, &app.program, cg, roots, OptConfig::gdroid(), &none, None, exec)
     }

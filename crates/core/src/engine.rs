@@ -9,7 +9,7 @@
 //! Engines differ only in modeled cost (`stats`, `idfg_ns`) and telemetry
 //! shape — the fixpoint is unique, the road to it is not.
 
-use crate::driver::{gpu_analyze_app_on, GpuAnalysis};
+use crate::driver::gpu_analyze_app_on;
 use crate::opts::OptConfig;
 use crate::stats::GpuRunStats;
 use gdroid_analysis::{
@@ -122,22 +122,6 @@ pub struct EngineAnalysis {
     pub sanitizer: Option<SanReport>,
 }
 
-impl From<GpuAnalysis> for EngineAnalysis {
-    fn from(gpu: GpuAnalysis) -> EngineAnalysis {
-        let idfg_ns = gpu.stats.total_ns;
-        EngineAnalysis {
-            facts: gpu.facts,
-            summaries: gpu.summaries,
-            spaces: gpu.spaces,
-            cfgs: gpu.cfgs,
-            telemetry: gpu.telemetry,
-            stats: gpu.stats,
-            idfg_ns,
-            sanitizer: gpu.sanitizer,
-        }
-    }
-}
-
 /// One IDFG construction backend. Implementations must be deterministic
 /// and must produce the identical facts/summaries for identical inputs —
 /// only `stats`/`idfg_ns`/`telemetry` may differ between engines.
@@ -194,9 +178,7 @@ impl AnalysisEngine for WorklistEngine {
         presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
         slice: Option<&HashSet<MethodId>>,
     ) -> Result<EngineAnalysis, DeviceFault> {
-        let gpu =
-            gpu_analyze_app_on(device, program, cg, roots, self.opts, presolved, slice, self.exec)?;
-        Ok(gpu.into())
+        gpu_analyze_app_on(device, program, cg, roots, self.opts, presolved, slice, self.exec)
     }
 }
 

@@ -20,7 +20,8 @@
 //! [`Fixpoint::absorb`] folds them in that order — telemetry round sizes
 //! and trace instants depend on it.
 
-use crate::driver::{GpuAnalysis, WorklistKernel};
+use crate::driver::WorklistKernel;
+use crate::engine::EngineAnalysis;
 use crate::stats::{GpuRunStats, WorklistProfile};
 use gdroid_analysis::{
     derive_summary, merge_site_summaries, FactStore, Geometry, MatrixStore, MethodSpace,
@@ -265,16 +266,17 @@ impl<'a> Fixpoint<'a> {
     }
 
     /// Packages the finished fixpoint with the policy's accounting.
-    pub fn finish(self, mut stats: GpuRunStats, sanitizer: Option<SanReport>) -> GpuAnalysis {
+    pub fn finish(self, mut stats: GpuRunStats, sanitizer: Option<SanReport>) -> EngineAnalysis {
         stats.profile =
             WorklistProfile::from_round_sizes(&self.telemetry.round_sizes, self.telemetry.rounds);
-        GpuAnalysis {
+        EngineAnalysis {
             facts: self.facts,
             summaries: self.summaries,
             spaces: self.spaces,
             cfgs: self.cfgs,
-            stats,
             telemetry: self.telemetry,
+            idfg_ns: stats.total_ns,
+            stats,
             sanitizer,
         }
     }

@@ -9,9 +9,9 @@
 //! An *updated* app (same package, different content hash) invalidates
 //! the stale entry but does not discard it: the cached
 //! [`gdroid_analysis::AppAnalysis`] plus post-prep per-method hashes let
-//! the service hand the previous run to
-//! [`gdroid_vetting::execute_vetting_incremental`] with exactly the
-//! changed method set, so only dirty summaries are re-solved.
+//! the service hand the previous run to [`gdroid_vetting::execute`] as
+//! [`gdroid_vetting::ExecCtx::prev`] with exactly the changed method set,
+//! so only dirty summaries are re-solved.
 //!
 //! Soundness of the changed-set diff: method hashes are over the IR
 //! `Debug` text, which contains interned `Symbol` indices. Two hashes are

@@ -28,6 +28,7 @@
 //! slots.
 
 use crate::job::{JobIdentity, Priority};
+use gdroid_analysis::AppAnalysis;
 use gdroid_icfg::CallLayers;
 use gdroid_ir::MethodId;
 use gdroid_vetting::{ExecPlan, PreparedApp};
@@ -58,6 +59,10 @@ pub struct ReadyJob {
     /// Fingerprint of the interner contents backing `method_hashes` (`0`
     /// when those were not computed).
     pub interner_fingerprint: u64,
+    /// The warm start the executor's cache lookup found, if any: the
+    /// previous version's analysis and the methods changed since. Kept
+    /// across retries — the lookup consumed the cache entry.
+    pub(crate) warm: Option<(AppAnalysis, Vec<MethodId>)>,
 }
 
 /// Computes the static work estimate of a prepared app: total statements
@@ -243,6 +248,7 @@ mod tests {
             prep: prepare_vetting(generate_app(0, 100 + id, &GenConfig::tiny())),
             method_hashes: HashMap::new(),
             interner_fingerprint: 0,
+            warm: None,
         }
     }
 

@@ -41,8 +41,8 @@ use gdroid_core::{EngineKind, ExecMode};
 use gdroid_gpusim::{Device, DeviceConfig, FaultPlan};
 use gdroid_sumstore::SumStore;
 use gdroid_vetting::{
-    execute, execute_vetting_batch_on_device, execute_vetting_incremental, prepare_vetting,
-    ExecCtx, ExecPlan, PreparedApp, VettingRun,
+    execute, execute_vetting_batch_on_device, prepare_vetting, ExecCtx, ExecPlan, PreparedApp,
+    VettingRun,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -409,6 +409,7 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
             prep,
             method_hashes: hashes,
             interner_fingerprint: fingerprint,
+            warm: None,
         };
         // Blocks while `2 × devices` apps are already buffered —
         // this is the double-buffer coupling of prep to execution.
@@ -472,25 +473,34 @@ impl Loaded {
     }
 }
 
-/// Executor: LPT pop → (incremental warm start | co-resident top-up |
-/// run on this executor's device) → retry/quarantine on failure.
+/// Executor: LPT pop → warm-start lookup → (co-resident top-up) → run on
+/// this executor's device → retry/quarantine on failure.
 fn exec_loop(state: &ServiceState, device: &mut Device) {
-    while let Some(job) = state.dispatch.pop() {
-        let Some(job) = try_incremental(state, job) else { continue };
+    while let Some(mut job) = state.dispatch.pop() {
+        try_incremental(state, &mut job);
 
         // Batch-forming: top the device up with further ready jobs whose
-        // combined block demand still fits its block slots. Extras run
-        // through the incremental path first — a warm-startable job never
-        // burns device time just because it was popped as a co-resident.
+        // combined block demand still fits its block slots. A warm start
+        // is a solo re-solve of the dirty cone: it neither leads a batch
+        // nor joins one, so a warm-startable job never burns device time
+        // just because it was popped as a co-resident.
         let mut group = vec![job];
-        if state.coresident > 1 && state.sumstore.is_none() && group[0].plan.batchable() {
+        if state.coresident > 1
+            && state.sumstore.is_none()
+            && group[0].plan.batchable()
+            && group[0].warm.is_none()
+        {
             let mut demand = group[0].block_demand;
             while group.len() < state.coresident && demand < state.block_slots {
-                let Some(extra) = state.dispatch.try_pop_coresident(state.block_slots - demand)
+                let Some(mut extra) = state.dispatch.try_pop_coresident(state.block_slots - demand)
                 else {
                     break;
                 };
-                let Some(extra) = try_incremental(state, extra) else { continue };
+                try_incremental(state, &mut extra);
+                if extra.warm.is_some() {
+                    exec_group(state, device, vec![extra]);
+                    continue;
+                }
                 demand += extra.block_demand;
                 group.push(extra);
             }
@@ -499,48 +509,34 @@ fn exec_loop(state: &ServiceState, device: &mut Device) {
     }
 }
 
-/// Attempts an incremental warm start — only on the first attempt, and
-/// only when a previous version of the same package is cached (the stale
-/// entry is invalidated either way). Returns the job back when it still
-/// needs a full device run, as every job whose plan is not
-/// [`ExecPlan::warm_startable`] does: a targeted job's sliced path, say,
-/// must neither consume nor invalidate cached full analyses.
-fn try_incremental(state: &ServiceState, job: ReadyJob) -> Option<ReadyJob> {
+/// The warm-start lookup — only on the first attempt, and only when a
+/// previous version of the same package is cached (the stale entry is
+/// invalidated either way): hands the job the previous analysis and the
+/// changed-method set for [`ExecCtx::prev`]. A job whose plan is not
+/// [`ExecPlan::warm_startable`] is left alone: a targeted job's sliced
+/// path, say, must neither consume nor invalidate cached full analyses.
+fn try_incremental(state: &ServiceState, job: &mut ReadyJob) {
     if job.identity.attempts == 0 && job.plan.warm_startable() {
         if let Some(prev) =
             state.cache.take_previous(&job.identity.package, job.identity.content_hash)
         {
+            // Incomparable versions run cold.
             if let Some(changed) =
                 changed_methods(&prev, &job.method_hashes, job.interner_fingerprint)
             {
-                let t = Instant::now();
-                let (run, stats) = execute_vetting_incremental(&job.prep, &prev.analysis, &changed);
-                let exec_wall_ns = t.elapsed().as_nanos() as u64;
-                Counters::bump(&state.metrics.counters.cache_incremental);
-                finish(
-                    state,
-                    job,
-                    run,
-                    exec_wall_ns,
-                    CacheDisposition::Incremental {
-                        resolved: stats.resolved,
-                        reused: stats.reused,
-                    },
-                );
-                return None;
+                job.warm = Some((prev.analysis, changed));
             }
-            // Incomparable versions: fall through to a full run.
         }
     }
-    Some(job)
 }
 
 /// Runs one attempt of a group on the executor's device: a job alone
-/// through [`execute`], several co-resident as one batched analysis.
-/// Per-app batch results are bit-identical to solo runs (the batch driver
-/// repacks each app's own blocks), so the cache stays coherent. A device
-/// fault or an overrun budget fails the whole attempt: every member
-/// retries individually.
+/// through [`execute`] (warm-started when the lookup found a previous
+/// version), several co-resident as one batched analysis. Per-app batch
+/// results are bit-identical to solo runs (the batch driver repacks each
+/// app's own blocks), so the cache stays coherent. A device fault or an
+/// overrun budget fails the whole attempt: every member retries
+/// individually.
 fn exec_group(state: &ServiceState, device: &mut Device, group: Vec<ReadyJob>) {
     let counters = &state.metrics.counters;
     let t = Instant::now();
@@ -548,7 +544,9 @@ fn exec_group(state: &ServiceState, device: &mut Device, group: Vec<ReadyJob>) {
         // Engines that cannot use the store (only the CPU reference) skip
         // it rather than fault.
         let store = state.sumstore.as_deref().filter(|_| job.plan.engine.caps().sumstore);
-        execute(&job.prep, job.plan, &mut ExecCtx { store, ..ExecCtx::new(device) }).map(|done| {
+        let prev = job.warm.as_ref().map(|(analysis, changed)| (analysis, &changed[..]));
+        let ctx = &mut ExecCtx { store, prev, ..ExecCtx::new(device) };
+        execute(&job.prep, job.plan, ctx).map(|done| {
             // Store-backed runs report which methods *this* execution hit;
             // the counters keep that attribution service-local, because the
             // store's own global stats can't when the store Arc is shared
@@ -557,13 +555,13 @@ fn exec_group(state: &ServiceState, device: &mut Device, group: Vec<ReadyJob>) {
                 counters.store_hits.fetch_add(used.hits, Ordering::Relaxed);
                 counters.store_misses.fetch_add(used.misses, Ordering::Relaxed);
             }
-            vec![done.run]
+            vec![(done.run, done.reuse)]
         })
     } else {
         let preps: Vec<&PreparedApp> = group.iter().map(|j| &j.prep).collect();
         execute_vetting_batch_on_device(&preps, device, group[0].plan).map(|(runs, _batch)| {
             Counters::bump(&counters.batches);
-            runs
+            runs.into_iter().map(|run| (run, None)).collect()
         })
     };
     let elapsed = t.elapsed();
@@ -572,11 +570,18 @@ fn exec_group(state: &ServiceState, device: &mut Device, group: Vec<ReadyJob>) {
     match attempt {
         Ok(runs) => {
             let timed_out = elapsed > state.timeout;
-            for (mut job, run) in group.into_iter().zip(runs) {
+            for (mut job, (run, reuse)) in group.into_iter().zip(runs) {
                 if timed_out {
                     job.identity.timeouts_seen += 1;
                     Counters::bump(&counters.timeouts);
                     retry_or_quarantine(state, job, exec_wall_ns);
+                } else if let Some(stats) = reuse {
+                    Counters::bump(&counters.cache_incremental);
+                    let cache = CacheDisposition::Incremental {
+                        resolved: stats.resolved,
+                        reused: stats.reused,
+                    };
+                    finish(state, job, run, exec_wall_ns, cache);
                 } else {
                     Counters::bump(&counters.executed);
                     if batched {
@@ -896,7 +901,11 @@ mod tests {
     }
 
     fn ready_job(id: u64, seed: u64) -> ReadyJob {
-        let prep = prepare_vetting(generate_app(id as usize, seed, &GenConfig::tiny()));
+        ready_job_of(id, generate_app(id as usize, seed, &GenConfig::tiny()))
+    }
+
+    fn ready_job_of(id: u64, app: App) -> ReadyJob {
+        let prep = prepare_vetting(app);
         let hashes = method_hashes(&prep.app.program);
         let fingerprint = interner_fingerprint(&prep.app.program.interner);
         ReadyJob {
@@ -911,6 +920,7 @@ mod tests {
             block_demand: block_demand(&prep),
             method_hashes: hashes,
             interner_fingerprint: fingerprint,
+            warm: None,
             prep,
         }
     }
@@ -924,10 +934,21 @@ mod tests {
         timeout: Duration,
         jobs: Vec<ReadyJob>,
     ) -> ServiceState {
+        let cache = Arc::new(ResultCache::new());
+        run_executor_on(cache, coresident, max_retries, timeout, jobs)
+    }
+
+    fn run_executor_on(
+        cache: Arc<ResultCache>,
+        coresident: usize,
+        max_retries: u32,
+        timeout: Duration,
+        jobs: Vec<ReadyJob>,
+    ) -> ServiceState {
         let state = ServiceState {
             label: "test".to_owned(),
             dispatch: DispatchHeap::new(8),
-            cache: Arc::new(ResultCache::new()),
+            cache,
             metrics: ServiceMetrics::new(),
             results: Mutex::new(Vec::new()),
             results_cv: std::sync::Condvar::new(),
@@ -995,6 +1016,96 @@ mod tests {
             assert_eq!(c.batches > 0, coresident > 1, "coresident {coresident}: {c:?}");
             assert!(state.cache.is_empty(), "a timed-out run must not reach the cache");
         }
+    }
+
+    /// Version 2 of an app: one method's trailing return becomes an
+    /// allocation into a reference variable, then the return.
+    fn updated(mut app: App) -> App {
+        use gdroid_ir::{Expr, Lhs, Stmt, StmtIdx};
+        let victim = app
+            .program
+            .methods
+            .iter_enumerated()
+            .filter(|(_, m)| {
+                m.len() >= 2
+                    && matches!(m.body[StmtIdx::new(m.len() - 1)], Stmt::Return { .. })
+                    && m.vars.iter().any(|d| d.ty.is_reference())
+            })
+            .map(|(mid, _)| mid)
+            .last()
+            .expect("some method has a ref var and a trailing return");
+        let method = &mut app.program.methods[victim];
+        let (var, ty) = method
+            .vars
+            .iter_enumerated()
+            .find(|(_, d)| d.ty.is_reference())
+            .map(|(v, d)| (v, d.ty))
+            .unwrap();
+        let last = StmtIdx::new(method.len() - 1);
+        let ret = method.body[last].clone();
+        method.body[last] = Stmt::Assign { lhs: Lhs::Var(var), rhs: Expr::New { ty } };
+        method.body.push(ret);
+        app.program.rebuild_lookups();
+        app
+    }
+
+    #[test]
+    fn a_warm_started_attempt_times_out_retries_and_quarantines_like_any_other() {
+        // A v1 run warms a shared cache; the v2 job then finds its previous
+        // version there. With a zero budget its warm-started attempts
+        // overrun like a device run's would.
+        let cache = Arc::new(ResultCache::new());
+        let base = || generate_app(50, 7777, &GenConfig::tiny());
+        let first = VettingService::start(ServiceConfig {
+            prep_workers: 1,
+            devices: 1,
+            result_cache: Some(Arc::clone(&cache)),
+            ..ServiceConfig::default()
+        });
+        first.submit(Priority::Standard, JobSource::App(Box::new(base()))).unwrap();
+        assert_eq!(first.drain().1[0].cache, CacheDisposition::Miss);
+        assert_eq!(cache.len(), 1);
+
+        let v2 = || vec![ready_job_of(1, updated(base()))];
+        let state = run_executor_on(Arc::clone(&cache), 1, 2, Duration::ZERO, v2());
+        let results = state.results.lock().unwrap();
+        let [r] = &results[..] else { panic!("one job, one result") };
+        assert_eq!(r.status, JobStatus::Quarantined);
+        assert_eq!((r.attempts, r.timeouts_seen, r.faults_seen), (3, 3, 0));
+        assert!(r.outcome.is_none());
+        let c = state.metrics.counters.snapshot();
+        assert_eq!((c.timeouts, c.retries, c.quarantined), (3, 2, 1));
+        assert_eq!(
+            (c.cache_incremental, c.executed),
+            (0, 0),
+            "a timed-out attempt counts as neither"
+        );
+        // The lookup consumed the stale entry; the quarantined run left none.
+        assert_eq!(cache.stats().invalidations, 1);
+        assert!(cache.is_empty());
+        drop(results);
+
+        // With a budget, the same sequence is the soak test's warm start.
+        let cache = Arc::new(ResultCache::new());
+        let v1 = || vec![ready_job_of(0, base())];
+        run_executor_on(Arc::clone(&cache), 1, 2, Duration::from_secs(30), v1());
+        let state = run_executor_on(Arc::clone(&cache), 1, 2, Duration::from_secs(30), v2());
+        let results = state.results.lock().unwrap();
+        assert!(matches!(results[0].cache, CacheDisposition::Incremental { resolved: 1, .. }));
+        let c = state.metrics.counters.snapshot();
+        assert_eq!((c.cache_incremental, c.executed, c.timeouts), (1, 0, 0));
+        assert_eq!(cache.len(), 1, "the warm-started run is cached like a cold one");
+        drop(results);
+
+        // Under co-residency the warm start still runs solo, whether it was
+        // popped first or as a top-up; the cold jobs around it batch.
+        let cache = Arc::new(ResultCache::new());
+        run_executor_on(Arc::clone(&cache), 1, 2, Duration::from_secs(30), v1());
+        let mut jobs = v2();
+        jobs.extend((2..5u64).map(|id| ready_job(id, 5900 + id)));
+        let state = run_executor_on(cache, 4, 2, Duration::from_secs(30), jobs);
+        let c = state.metrics.counters.snapshot();
+        assert_eq!((c.cache_incremental, c.executed, c.batched_jobs), (1, 3, 3), "{c:?}");
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //!
 //! Entries are written in sorted key order so identical stores encode
 //! to identical bytes. Decoding validates the magic, the version, the
-//! checksum, and every length field against the remaining input, and
-//! reports any mismatch as [`std::io::ErrorKind::InvalidData`].
+//! checksum, and every length field against the remaining input — before
+//! anything is allocated for it, so no buffer is sized by what the file
+//! claims — and reports any mismatch as
+//! [`std::io::ErrorKind::InvalidData`].
 
 use std::collections::HashMap;
 use std::io;
@@ -84,11 +86,12 @@ pub fn decode(bytes: &[u8]) -> io::Result<HashMap<u128, StoredMethod>> {
         let slots = r.u32()?;
         let insts = r.u32()?;
         let nodes = r.u32()?;
-        let n_words = r.u64()? as usize;
-        let mut words = Vec::with_capacity(n_words.min(1 << 20));
-        for _ in 0..n_words {
-            words.push(r.u64()?);
-        }
+        let n_bytes = usize::try_from(r.u64()?).ok().and_then(|n| n.checked_mul(8));
+        let words = r
+            .take(n_bytes.ok_or_else(|| bad("word count overflows"))?)?
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+            .collect();
         if entries.insert(key, StoredMethod { summary, slots, insts, nodes, words }).is_some() {
             return Err(bad("duplicate key"));
         }
@@ -246,5 +249,40 @@ mod tests {
         for cut in [0, 3, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} must fail");
         }
+    }
+
+    #[test]
+    fn resealed_hostile_counts_are_refused_against_the_remaining_input() {
+        let mut entries = HashMap::new();
+        entries.insert(
+            5u128,
+            StoredMethod {
+                summary: RelocSummary::default(),
+                slots: 1,
+                insts: 1,
+                nodes: 1,
+                words: vec![3],
+            },
+        );
+        let good = encode(&entries);
+        // magic + version, then `count`; key + four empty summary vectors
+        // + slots/insts/nodes, then `n_words`.
+        let (count_at, n_words_at) = (8, 16 + 16 + 4 * 4 + 3 * 4);
+        for (at, hostile) in [
+            (count_at, u64::MAX),
+            (count_at, 2),
+            (n_words_at, u64::MAX),     // × 8 overflows
+            (n_words_at, u64::MAX / 8), // fits a usize, not the file
+            (n_words_at, 1 << 20),
+            (n_words_at, 2),
+        ] {
+            let mut body = good[..good.len() - 8].to_vec();
+            body[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+            let crc = fnv1a(&body);
+            body.extend_from_slice(&crc.to_le_bytes());
+            let err = decode(&body).expect_err("a count past the input must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{at}: {hostile}");
+        }
+        assert_eq!(decode(&good).unwrap()[&5].words, vec![3]);
     }
 }

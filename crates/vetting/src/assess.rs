@@ -6,14 +6,11 @@
 //! *vetting*, which implies a reviewer workflow, not just a classifier).
 
 use crate::json::JsonWriter;
-use crate::pipeline::VettingOutcome;
+use crate::pipeline::prepare_vetting;
+use crate::plan::{vet_prepared, Engine, ExecPlan};
 use crate::plugins::{hardcoded_payloads, intent_exposure, permission_audit};
 use crate::registry::SourceSinkRegistry;
-use crate::taint::TaintAnalysis;
-use gdroid_analysis::{analyze_app, StoreKind};
 use gdroid_apk::App;
-use gdroid_icfg::prepare_app;
-use gdroid_ir::MethodId;
 
 /// One scored signal contributing to the verdict.
 #[derive(Clone, Debug, PartialEq)]
@@ -88,28 +85,19 @@ impl Assessment {
 
 /// Runs every plugin over one app and aggregates the verdict.
 ///
-/// The IDFG is built once (matrix store, CPU reference engine — callers
-/// wanting the GPU path can use [`crate::vet_app`] for the taint portion and
-/// combine manually).
-pub fn assess_app(mut app: App) -> Assessment {
+/// The IDFG is built once, by the pipeline's CPU reference engine; the
+/// taint report is that run's, and the other plugins read its facts.
+pub fn assess_app(app: App) -> Assessment {
     let package = app.manifest.package.clone();
-    let (envs, cg) = prepare_app(&mut app);
-    let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
-    let analysis = analyze_app(&app.program, &cg, &roots, StoreKind::Matrix);
+    let prep = prepare_vetting(app);
+    let run = vet_prepared(&prep, ExecPlan::new(Engine::CpuReference));
+    let (app, cg, envs) = (&prep.app, &prep.cg, &prep.envs);
+    let (report, analysis) = (&run.outcome.report, &run.analysis);
     let registry = SourceSinkRegistry::for_program(&app.program);
 
     let mut signals = Vec::new();
 
     // Taint leaks: the strongest signal, weighted by distinct sinks.
-    let (report, _) = TaintAnalysis::new(
-        &app.program,
-        &cg,
-        &analysis.facts,
-        &analysis.spaces,
-        &analysis.cfgs,
-        &registry,
-    )
-    .run();
     for leak in &report.leaks {
         let sources: Vec<&str> =
             leak.sources.iter().map(|s| report.source_names[usize::from(s.0)].as_str()).collect();
@@ -121,7 +109,7 @@ pub fn assess_app(mut app: App) -> Assessment {
     }
 
     // Intent exposure: externally triggerable flows.
-    for f in intent_exposure(&app, &cg, &envs, &analysis, &registry) {
+    for f in intent_exposure(app, cg, envs, analysis, &registry) {
         signals.push(Signal {
             plugin: "intent-exposure".into(),
             detail: format!("exported {} lets Intent data reach {}", f.component, f.sink),
@@ -130,7 +118,7 @@ pub fn assess_app(mut app: App) -> Assessment {
     }
 
     // Hardcoded payloads.
-    for f in hardcoded_payloads(&app, &analysis, &registry) {
+    for f in hardcoded_payloads(app, analysis, &registry) {
         signals.push(Signal {
             plugin: "hardcoded-payload".into(),
             detail: format!("constant data shipped to {}", f.sink),
@@ -139,7 +127,7 @@ pub fn assess_app(mut app: App) -> Assessment {
     }
 
     // Permission audit.
-    let audit = permission_audit(&app, &analysis);
+    let audit = permission_audit(app, analysis);
     for p in &audit.over_privileged {
         signals.push(Signal {
             plugin: "permission-audit".into(),
@@ -165,23 +153,9 @@ pub fn assess_app(mut app: App) -> Assessment {
     Assessment { package, signals, score, band }
 }
 
-/// Convenience for pipelines that already vetted via [`crate::vet_app`]: derives
-/// the band from a taint-only outcome.
-pub fn band_of_outcome(outcome: &VettingOutcome) -> RiskBand {
-    match outcome.report.leaks.len() {
-        0 => RiskBand::Low,
-        1 => RiskBand::Medium,
-        _ => RiskBand::High,
-    }
-}
-
-/// Re-export used by `band_of_outcome` callers that still need an engine.
-pub use crate::plan::Engine as AssessEngine;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{vet_app, Engine};
     use gdroid_apk::{generate_app, Corpus, GenConfig};
 
     #[test]
@@ -222,20 +196,6 @@ mod tests {
                 assert!(text.contains(a.signals[0].plugin.as_str()));
                 return;
             }
-        }
-    }
-
-    #[test]
-    fn band_of_outcome_matches_leak_count() {
-        let outcome = vet_app(
-            generate_app(0, 9901, &GenConfig::tiny()),
-            Engine::Gpu(gdroid_core::OptConfig::gdroid()),
-        );
-        let band = band_of_outcome(&outcome);
-        match outcome.report.leaks.len() {
-            0 => assert_eq!(band, RiskBand::Low),
-            1 => assert_eq!(band, RiskBand::Medium),
-            _ => assert_eq!(band, RiskBand::High),
         }
     }
 }

@@ -14,8 +14,9 @@
 //!   → … → taint) with the per-stage timing behind Fig. 1;
 //! * [`plan`] — [`ExecPlan`] (engine × exec mode × targeted), its
 //!   capability table, and [`execute`], the one function that runs a
-//!   plan against an [`ExecCtx`] (device, summary store, tracer) with
-//!   byte-identical reports across every accepted combination;
+//!   plan against an [`ExecCtx`] (device, summary store, tracer, a
+//!   previous version's analysis to warm-start from) with byte-identical
+//!   reports across every accepted combination;
 //! * [`store_exec`] — the summary-store steps of a run: store-hit library
 //!   methods are pre-solved and never scheduled, fresh solves feed the
 //!   cross-app [`gdroid_sumstore::SumStore`];
@@ -31,11 +32,10 @@
 //!
 //! [`prepare_vetting`] runs the host-side prep stage once per app. Then:
 //!
-//! * [`execute`]`(&prep, plan, &mut ctx)` — every single-app run;
+//! * [`execute`]`(&prep, plan, &mut ctx)` — every single-app run, cold
+//!   or warm-started from a previous version ([`ExecCtx::prev`]);
 //! * [`vet_prepared`] / [`vet_app`] — `execute` on a fresh device with
 //!   no store and no tracer (the latter prepares the app itself);
-//! * [`execute_vetting_incremental`] — re-vet an updated app from a
-//!   previous analysis;
 //! * [`execute_vetting_batch_on_device`] — several apps co-resident in
 //!   shared kernel launches.
 
@@ -52,8 +52,8 @@ pub mod targeted;
 
 pub use assess::{assess_app, Assessment, RiskBand, Signal};
 pub use pipeline::{
-    execute_vetting_batch_on_device, execute_vetting_incremental, prepare_vetting,
-    trace_stage_spans, vet_app, PreparedApp, VettingOutcome, VettingRun, VettingTiming,
+    execute_vetting_batch_on_device, prepare_vetting, trace_stage_spans, vet_app, PreparedApp,
+    VettingOutcome, VettingRun, VettingTiming,
 };
 pub use plan::{
     engine_for_mode, execute, vet_prepared, Engine, EngineCaps, ExecCtx, ExecPlan, Executed,

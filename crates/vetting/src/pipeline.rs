@@ -11,7 +11,7 @@ use crate::plan::{vet_prepared, Engine, ExecPlan};
 use crate::registry::SourceSinkRegistry;
 use crate::report::VettingReport;
 use crate::taint::TaintAnalysis;
-use gdroid_analysis::{AppAnalysis, CpuCostModel, FactStore, StoreKind};
+use gdroid_analysis::{AppAnalysis, FactStore, StoreKind};
 use gdroid_apk::App;
 use gdroid_core::EngineAnalysis;
 use gdroid_gpusim::{Device, DeviceFault};
@@ -108,15 +108,11 @@ pub struct VettingRun {
 
 // Per-operation costs of the non-IDFG stages, Scala-calibrated (the
 // frontend stages run in the original Amandroid regardless of the IDFG
-// engine). `figures`' Fig. 1 Amandroid total charges the same four.
-/// Modeled environment-synthesis cost per component, ns.
-pub const ENVGEN_NS_PER_COMPONENT: f64 = 2.5e6;
-/// Modeled frontend (call-graph) cost per statement, ns.
-pub const FRONTEND_NS_PER_STMT: f64 = 60.0e3;
-/// Modeled frontend (call-graph) cost per method, ns.
-pub const FRONTEND_NS_PER_METHOD: f64 = 2.5e6;
-/// Modeled taint-plugin cost per fact-matrix row read, ns.
-pub const TAINT_NS_PER_ROW: f64 = 280.0;
+// engine).
+const ENVGEN_NS_PER_COMPONENT: f64 = 2.5e6;
+const FRONTEND_NS_PER_STMT: f64 = 60.0e3;
+const FRONTEND_NS_PER_METHOD: f64 = 2.5e6;
+const TAINT_NS_PER_ROW: f64 = 280.0;
 
 /// An app after the host-side prep stage (environment synthesis + call
 /// graph). Splitting prep from execution lets a serving scheduler overlap
@@ -225,36 +221,13 @@ pub fn execute_vetting_batch_on_device(
         .into_iter()
         .zip(preps)
         .map(|(gpu, prep)| {
-            let idfg_ns = gpu.stats.total_ns;
-            let mut run = finish_vetting(prep, to_app_analysis(gpu.into()), idfg_ns);
+            let idfg_ns = gpu.idfg_ns;
+            let mut run = finish_vetting(prep, to_app_analysis(gpu), idfg_ns);
             run.outcome.store_bytes = 0;
             run
         })
         .collect();
     Ok((runs, analysis.batch))
-}
-
-/// Incremental re-vetting of an updated app: methods not in `changed`
-/// must be body-identical to the run that produced `prev` (see
-/// [`gdroid_analysis::analyze_app_incremental`]). Facts — and therefore
-/// the report — are bit-identical to a from-scratch run; only the cost
-/// model reflects the reuse.
-pub fn execute_vetting_incremental(
-    prep: &PreparedApp,
-    prev: &AppAnalysis,
-    changed: &[MethodId],
-) -> (VettingRun, gdroid_analysis::IncrementalStats) {
-    let (analysis, stats) = gdroid_analysis::analyze_app_incremental(
-        &prep.app.program,
-        &prep.cg,
-        &prep.roots,
-        prev,
-        changed,
-    );
-    let full_ns = CpuCostModel::amandroid().sequential_ns(&analysis);
-    let touched = stats.resolved.max(1) as f64;
-    let idfg_ns = full_ns * touched / (stats.resolved + stats.reused).max(1) as f64;
-    (finish_vetting(prep, analysis, idfg_ns), stats)
 }
 
 /// Vets one app end to end. The `app` must be freshly generated (not yet

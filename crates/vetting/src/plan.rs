@@ -7,10 +7,11 @@
 //! tracing — is likewise a switch on one run, not a
 //! pipeline of its own. [`ExecPlan`] gathers the selectors
 //! (engine × exec mode × targeted), [`ExecCtx`] the run-time resources
-//! (device, summary store, tracer), and [`execute`] performs the same
-//! five steps for every combination: optional slice → optional store
-//! lookup (∩ slice) → one analysis → taint + outcome contracts →
-//! optional store feed and stage spans.
+//! (device, summary store, tracer, a previous version's analysis), and
+//! [`execute`] performs the same five steps for every combination:
+//! optional slice → optional store lookup (∩ slice) → one analysis (cold,
+//! or warm-started from the previous version) → taint + outcome contracts
+//! → optional store feed and stage spans.
 //!
 //! [`Engine::caps`] is the capability table and [`ExecPlan::check`] the
 //! only place a combination is refused; [`ExecPlan::cacheable`],
@@ -22,9 +23,15 @@ use crate::pipeline::{
 };
 use crate::store_exec::{absorb_into_store, collect_presolved, StoreUse};
 use crate::targeted::{compute_vetting_slice, TargetedProvenance};
-use gdroid_analysis::{analyze_app_presolved, CpuCostModel, StoreKind};
-use gdroid_core::{AnalysisEngine, CpuEngine, EngineKind, ExecMode, OptConfig, WorklistEngine};
+use gdroid_analysis::{
+    analyze_app_incremental, analyze_app_presolved, AppAnalysis, CpuCostModel, IncrementalStats,
+    StoreKind,
+};
+use gdroid_core::{
+    AnalysisEngine, CpuEngine, EngineKind, ExecMode, GpuRunStats, OptConfig, WorklistEngine,
+};
 use gdroid_gpusim::{Device, DeviceConfig, DeviceFault};
+use gdroid_ir::MethodId;
 use gdroid_sumstore::SumStore;
 use gdroid_trace::Tracer;
 use std::collections::HashMap;
@@ -151,12 +158,6 @@ impl Engine {
         }
     }
 
-    /// GPU engines report device memory, not host fact stores — the
-    /// historical `store_bytes: 0` contract of `vet_app`.
-    fn runs_on_device(self) -> bool {
-        matches!(self, Engine::Gpu(_))
-    }
-
     /// The trait engine behind this selector (`None` for the two legacy
     /// CPU baselines, which predate the trait and keep their own cost
     /// models).
@@ -266,7 +267,8 @@ impl ExecPlan {
     }
 
     /// Whether a cached previous version of the app may seed an
-    /// incremental re-analysis (consuming and invalidating that entry).
+    /// incremental re-analysis ([`ExecCtx::prev`]; a serving caller
+    /// consumes and invalidates that entry).
     pub fn warm_startable(self) -> bool {
         self.is_classic()
     }
@@ -305,12 +307,21 @@ pub struct ExecCtx<'a> {
     /// device, whose clock is advanced past the prep stages so device
     /// events nest inside the `idfg` stage span — pass a fresh device.
     pub tracer: &'a Tracer,
+    /// Warm start: the analysis of a previous version of the app and the
+    /// methods whose bodies changed since; every other method must be
+    /// body-identical to the run that produced it
+    /// ([`gdroid_analysis::analyze_app_incremental`]). The dirty cone is
+    /// re-solved on the CPU and charged the Amandroid model prorated by
+    /// `resolved ÷ (resolved + reused)`; `store_bytes` stays the host
+    /// stores'; the device and the summary store are not touched. Only
+    /// for [`ExecPlan::warm_startable`] plans.
+    pub prev: Option<(&'a AppAnalysis, &'a [MethodId])>,
 }
 
 impl<'a> ExecCtx<'a> {
     /// A context with no store and tracing disabled.
     pub fn new(device: &'a mut Device) -> ExecCtx<'a> {
-        ExecCtx { device, store: None, tracer: &NO_TRACE }
+        ExecCtx { device, store: None, tracer: &NO_TRACE, prev: None }
     }
 }
 
@@ -318,8 +329,15 @@ impl<'a> ExecCtx<'a> {
 pub struct Executed {
     /// Outcome plus the per-method analysis behind it.
     pub run: VettingRun,
-    /// How the run used the summary store — `Some` iff one was attached.
+    /// How the run used the summary store — `Some` iff one was attached
+    /// and consulted (a warm start consults none).
     pub store_use: Option<StoreUse>,
+    /// What a warm start re-solved and reused — `Some` iff
+    /// [`ExecCtx::prev`] was.
+    pub reuse: Option<IncrementalStats>,
+    /// The device run's modeled statistics — `Some` iff a
+    /// [`Engine::Gpu`] rung built the IDFG.
+    pub gpu: Option<GpuRunStats>,
 }
 
 /// Runs the IDFG + taint stages of `plan` on a prepared app.
@@ -328,12 +346,14 @@ pub struct Executed {
 /// retry the job (store lookups happen before the device is touched and
 /// are simply repeated; the store's counters are diagnostics, not
 /// accounting). Panics if [`ExecPlan::check`] refuses the plan for this
-/// context — callers gate on it first.
+/// context, or if the context warm-starts a plan that is not
+/// [`ExecPlan::warm_startable`] — callers gate on both first.
 ///
 /// Facts, and therefore the report, are byte-identical for every
-/// accepted plan and context (the plan table test and the tier-1 gates);
-/// only modeled timing, telemetry shape, `store_bytes` and the targeted
-/// provenance differ, and enabling the tracer changes nothing at all.
+/// accepted plan and context, warm or cold (the plan table test and the
+/// tier-1 gates); only modeled timing, telemetry shape, `store_bytes` and
+/// the targeted provenance differ, and enabling the tracer changes
+/// nothing at all.
 pub fn execute(
     prep: &PreparedApp,
     plan: ExecPlan,
@@ -342,6 +362,10 @@ pub fn execute(
     if let Err(refusal) = plan.check(ctx.store.is_some()) {
         panic!("{refusal}");
     }
+    assert!(ctx.prev.is_none() || plan.warm_startable(), "{plan:?} cannot warm-start");
+    // A warm start re-solves against `prev`'s own summaries: it neither
+    // consults nor feeds the store.
+    let store = ctx.store.filter(|_| ctx.prev.is_none());
     let program = &prep.app.program;
     let tracer = ctx.tracer;
     if tracer.enabled() {
@@ -369,7 +393,7 @@ pub fn execute(
     // Store hits, restricted to slice members: the intersection stays
     // closed under slice-internal callee edges because the looked-up set
     // is closed under *all* callee edges.
-    let looked_up = ctx.store.map(|store| {
+    let looked_up = store.map(|store| {
         let (mut presolved, hashes) = collect_presolved(prep, store);
         if let Some(slice) = &slice {
             presolved.retain(|m, _| slice.members.contains(m));
@@ -394,33 +418,42 @@ pub fn execute(
     let no_hits = HashMap::new();
     let presolved = looked_up.as_ref().map_or(&no_hits, |(_, presolved, _)| presolved);
 
-    let (analysis, idfg_ns) = match plan.engine.analysis_engine(plan.exec) {
-        Some(engine) => {
-            let ea = engine.analyze_on(
-                ctx.device,
-                program,
-                &prep.cg,
-                &prep.roots,
-                presolved,
-                slice.as_ref().map(|s| &s.members),
-            )?;
-            let idfg_ns = ea.idfg_ns;
-            (to_app_analysis(ea), idfg_ns)
-        }
+    let (mut reuse, mut gpu) = (None, None);
+    let (analysis, idfg_ns) = if let Some((prev, changed)) = ctx.prev {
+        let (analysis, stats) =
+            analyze_app_incremental(program, &prep.cg, &prep.roots, prev, changed);
+        let full_ns = CpuCostModel::amandroid().sequential_ns(&analysis);
+        let touched = stats.resolved.max(1) as f64;
+        let idfg_ns = full_ns * touched / (stats.resolved + stats.reused).max(1) as f64;
+        reuse = Some(stats);
+        (analysis, idfg_ns)
+    } else if let Some(engine) = plan.engine.analysis_engine(plan.exec) {
+        let ea = engine.analyze_on(
+            ctx.device,
+            program,
+            &prep.cg,
+            &prep.roots,
+            presolved,
+            slice.as_ref().map(|s| &s.members),
+        )?;
+        let idfg_ns = ea.idfg_ns;
+        gpu = matches!(plan.engine, Engine::Gpu(_)).then(|| ea.stats.clone());
+        (to_app_analysis(ea), idfg_ns)
+    } else {
         // The two CPU baselines are one run under two cost models.
-        None => {
-            let analysis =
-                analyze_app_presolved(program, &prep.cg, &prep.roots, StoreKind::Set, presolved);
-            let idfg_ns = match plan.engine {
-                Engine::MultithreadedCpu => CpuCostModel::multithreaded_c().parallel_ns(&analysis),
-                _ => CpuCostModel::amandroid().sequential_ns(&analysis),
-            };
-            (analysis, idfg_ns)
-        }
+        let analysis =
+            analyze_app_presolved(program, &prep.cg, &prep.roots, StoreKind::Set, presolved);
+        let idfg_ns = match plan.engine {
+            Engine::MultithreadedCpu => CpuCostModel::multithreaded_c().parallel_ns(&analysis),
+            _ => CpuCostModel::amandroid().sequential_ns(&analysis),
+        };
+        (analysis, idfg_ns)
     };
 
     let mut run = finish_vetting(prep, analysis, idfg_ns);
-    if plan.engine.runs_on_device() {
+    // A device run reports device memory, not host fact stores — the
+    // historical `store_bytes: 0` contract of `vet_app`.
+    if gpu.is_some() {
         run.outcome.store_bytes = 0;
     }
     run.outcome.targeted = slice.as_ref().map(TargetedProvenance::of);
@@ -434,7 +467,7 @@ pub fn execute(
         let insertable = slice.as_ref().map(|s| &s.exact);
         absorb_into_store(program, store, &hashes, &presolved, &run.analysis, insertable)
     });
-    Ok(Executed { run, store_use })
+    Ok(Executed { run, store_use, reuse, gpu })
 }
 
 /// [`execute`] on a fresh Tesla P40 with no store and no tracer — the
@@ -470,7 +503,8 @@ mod tests {
         store: Option<&SumStore>,
         tracer: &Tracer,
     ) -> Executed {
-        execute(prep, plan, &mut ExecCtx { device, store, tracer }).expect("no fault plan")
+        let ctx = &mut ExecCtx { store, tracer, ..ExecCtx::new(device) };
+        execute(prep, plan, ctx).expect("no fault plan")
     }
 
     /// The whole product engine × exec × targeted × store × tracer: the
@@ -564,6 +598,102 @@ mod tests {
             assert_eq!(warm.store_use.expect("store attached").misses, 0, "{warmer}");
             assert_eq!(warm.run.outcome.report.to_json(), cold, "{warmer}");
         }
+    }
+
+    /// An app update as the incremental-analysis tests make one: `victim`'s
+    /// trailing return becomes an allocation into its first reference
+    /// variable, then the return.
+    fn edit_tail(program: &mut gdroid_ir::Program, victim: MethodId) {
+        use gdroid_ir::{Expr, Lhs, Stmt, StmtIdx};
+        let method = &mut program.methods[victim];
+        let (var, ty) = method
+            .vars
+            .iter_enumerated()
+            .find(|(_, d)| d.ty.is_reference())
+            .map(|(v, d)| (v, d.ty))
+            .expect("the victim has a reference variable");
+        let last = StmtIdx::new(method.len() - 1);
+        let ret = method.body[last].clone();
+        assert!(matches!(ret, Stmt::Return { .. }));
+        method.body[last] = Stmt::Assign { lhs: Lhs::Var(var), rhs: Expr::New { ty } };
+        method.body.push(ret);
+        program.rebuild_lookups();
+    }
+
+    /// `ExecCtx::prev` over the `one_driver_table_agrees_with_a_cold_run`
+    /// fixtures (`gdroid_analysis::incremental`): nothing, one leaf and
+    /// everything changed, on an app whose recursion forces SCC
+    /// re-iteration. Report bytes, facts and summaries are a cold run's;
+    /// the reuse accounting is `analyze_app_incremental`'s; the cost is the
+    /// Amandroid model prorated; neither the device nor an attached store
+    /// is touched.
+    #[test]
+    fn a_warm_start_reproduces_a_cold_run_and_the_cpu_drivers_accounting() {
+        let config = GenConfig { recursion_prob: 0.5, ..GenConfig::tiny() };
+        let base = generate_app(0, 0x5cc, &config);
+        let v1 = prepare_vetting(base.clone());
+        let layers = gdroid_icfg::CallLayers::compute(&v1.cg, &v1.roots);
+        assert!(layers.scc_members.iter().any(|m| m.len() > 1), "no multi-member SCC generated");
+        let leaf = layers.layers[0][0];
+        let mut edited = base;
+        edit_tail(&mut edited.program, leaf);
+        let v2 = prepare_vetting(edited);
+        let everything: Vec<MethodId> = layers.scc_of.keys().copied().collect();
+
+        let plan = ExecPlan::default();
+        let prev = vet_prepared(&v1, plan).analysis;
+        for (row, prep, changed) in [
+            ("nothing", &v1, vec![]),
+            ("one leaf", &v2, vec![leaf]),
+            ("everything", &v1, everything),
+        ] {
+            let cold = vet_prepared(prep, plan);
+            let store = SumStore::new();
+            let mut device = Device::new(DeviceConfig::tesla_p40());
+            let ctx = &mut ExecCtx {
+                store: Some(&store),
+                prev: Some((&prev, &changed)),
+                ..ExecCtx::new(&mut device)
+            };
+            let warm = execute(prep, plan, ctx).expect("no fault plan");
+            let (got, want) = (&warm.run, &cold);
+            assert_eq!(got.outcome.report.to_json(), want.outcome.report.to_json(), "{row}");
+            assert_eq!(got.analysis.summaries, want.analysis.summaries, "{row}");
+            assert_eq!(got.analysis.facts.len(), want.analysis.facts.len(), "{row}");
+            for (mid, facts) in &want.analysis.facts {
+                assert_eq!(
+                    got.analysis.facts[mid].flat_words(),
+                    facts.flat_words(),
+                    "{row} {mid:?}"
+                );
+            }
+
+            let (incremental, stats) =
+                analyze_app_incremental(&prep.app.program, &prep.cg, &prep.roots, &prev, &changed);
+            assert_eq!(warm.reuse, Some(stats), "{row}");
+            assert_eq!(stats.resolved + stats.reused, layers.method_count(), "{row}");
+            let full_ns = CpuCostModel::amandroid().sequential_ns(&incremental);
+            let share = stats.resolved.max(1) as f64 / layers.method_count() as f64;
+            assert_eq!(got.outcome.timing.idfg_ns, full_ns * share, "{row}");
+            assert!(got.outcome.store_bytes > 0, "{row}: a warm start reports host stores");
+
+            assert!(warm.gpu.is_none() && warm.store_use.is_none(), "{row}");
+            assert_eq!(device.launches(), 0, "{row}");
+            assert_eq!((store.len(), store.stats().misses), (0, 0), "{row}: store touched");
+        }
+        assert!(vet_prepared(&v1, plan).outcome.store_bytes == 0, "a cold device run reports none");
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot warm-start")]
+    fn a_plan_that_is_not_warm_startable_refuses_a_previous_version() {
+        let prep = prepare_vetting(generate_app(0, 8702, &GenConfig::tiny()));
+        let prev = vet_prepared(&prep, ExecPlan::default()).analysis;
+        let mut device = Device::new(DeviceConfig::tesla_p40());
+        let ctx = &mut ExecCtx { prev: Some((&prev, &[])), ..ExecCtx::new(&mut device) };
+        let targeted = ExecPlan { targeted: true, ..ExecPlan::default() };
+        assert!(!targeted.warm_startable());
+        let _ = execute(&prep, targeted, ctx);
     }
 
     #[test]

@@ -96,22 +96,19 @@
 //! Apps can come from a `.jil` file (the textual IR) or be generated on
 //! the fly from a numeric seed.
 
-use gdroid::analysis::{analyze_app, StoreKind};
 use gdroid::apk::{
     generate_app, App, AppStats, Category, Corpus, CorpusStats, GenConfig, Manifest,
 };
 use gdroid::core::ExecMode;
 use gdroid::gpusim::{Device, DeviceConfig};
-use gdroid::icfg::prepare_app;
 use gdroid::ir::text::{parse_program, print_program};
-use gdroid::ir::MethodId;
 use gdroid::serve::{
     fnv1a, CacheDisposition, JobSource, JobStatus, Priority, ServiceConfig, VettingService,
 };
 use gdroid::sumstore::SumStore;
 use gdroid::trace::{JsonWriter, Tracer};
 use gdroid::vetting::{
-    execute, prepare_vetting, sink_reachability_findings, Engine, ExecCtx, ExecPlan,
+    execute, prepare_vetting, sink_reachability_findings, vet_prepared, Engine, ExecCtx, ExecPlan,
 };
 use std::process::exit;
 use std::sync::Arc;
@@ -431,7 +428,11 @@ fn main() {
                 if flags.trace.is_some() { Tracer::enabled_new() } else { Tracer::disabled() };
             let store = flags.store_dir.map(open_sumstore);
             let mut device = Device::new(DeviceConfig::tesla_p40());
-            let ctx = &mut ExecCtx { device: &mut device, store: store.as_ref(), tracer: &tracer };
+            let ctx = &mut ExecCtx {
+                store: store.as_ref(),
+                tracer: &tracer,
+                ..ExecCtx::new(&mut device)
+            };
             let done = execute(&prep, flags.plan, ctx).expect("a fresh device has no fault plan");
             if let (Some(dir), Some(store), Some(used)) = (flags.store_dir, &store, &done.store_use)
             {
@@ -517,7 +518,7 @@ fn main() {
         }
         "stats" => {
             let Some(target) = args.get(1) else { usage() };
-            let mut app = load_app(target);
+            let app = load_app(target);
             let stats = AppStats::of(&app);
             println!("app:              {}", app.name);
             println!("classes:          {}", stats.app_classes);
@@ -527,19 +528,16 @@ fn main() {
             println!("allocation sites: {}", stats.allocation_sites);
             println!("call sites:       {}", stats.call_sites);
             println!("branches:         {} ({} back edges)", stats.branches, stats.back_edges);
-            let (envs, cg) = prepare_app(&mut app);
-            let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
-            let analysis = analyze_app(&app.program, &cg, &roots, StoreKind::Matrix);
+            let prep = prepare_vetting(app);
+            let analysis = vet_prepared(&prep, ExecPlan::new(Engine::CpuReference)).analysis;
             println!("reachable:        {} methods", analysis.spaces.len());
             println!("facts at fixpoint: {}", analysis.total_facts());
             println!("max worklist:     {}", analysis.telemetry.max_worklist);
         }
         "dot" => {
             let Some(target) = args.get(1) else { usage() };
-            let mut app = load_app(target);
-            let (envs, cg) = prepare_app(&mut app);
-            let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
-            let dot = gdroid::icfg::callgraph_to_dot(&app.program, &cg, &roots);
+            let prep = prepare_vetting(load_app(target));
+            let dot = gdroid::icfg::callgraph_to_dot(&prep.app.program, &prep.cg, &prep.roots);
             match args.get(2) {
                 Some(path) => {
                     std::fs::write(path, &dot).unwrap_or_else(|e| {
@@ -756,12 +754,16 @@ fn main() {
                         });
                         shard_records.push(records);
                     }
-                    gdroid::campaign::FleetReport::from_records(
+                    gdroid::campaign::FleetReport::try_from_records(
                         config.master_seed,
                         config.apps,
                         gdroid::campaign::config_digest(&config),
                         shard_records,
                     )
+                    .unwrap_or_else(|e| {
+                        eprintln!("cannot fold journals: {e}");
+                        exit(1)
+                    })
                     .verdict_lines()
                 } else {
                     fleet.verdict_lines()

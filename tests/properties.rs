@@ -395,3 +395,76 @@ proptest! {
         prop_assert_eq!(canonical_hashes_of(&renamed), base);
     }
 }
+
+/// A store file as `SumStore::save` writes it: every method of one tiny
+/// library-sharing app, fed by a real run.
+fn store_file_bytes() -> &'static [u8] {
+    use gdroid::vetting::{execute, prepare_vetting, ExecCtx, ExecPlan};
+    static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    BYTES.get_or_init(|| {
+        let store = gdroid::sumstore::SumStore::new();
+        let config = GenConfig::tiny().with_libraries(2, 2);
+        let prep = prepare_vetting(generate_app(0, 77, &config));
+        let mut device = Device::new(DeviceConfig::tesla_p40());
+        let ctx = &mut ExecCtx { store: Some(&store), ..ExecCtx::new(&mut device) };
+        execute(&prep, ExecPlan::default(), ctx).expect("no fault plan");
+        assert!(store.len() > 1, "the run must have fed the store");
+        let dir = hostile_store_dir("seed");
+        store.save(&dir).unwrap();
+        let bytes = std::fs::read(dir.join(gdroid::sumstore::persist::STORE_FILE)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        bytes
+    })
+}
+
+fn hostile_store_dir(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("gdroid-hostile-store-{}-{tag}", std::process::id()))
+}
+
+proptest! {
+    /// ROADMAP 4b for the summary-store file: flip, truncate, splice or
+    /// 0xFF-fill (a count field reading `u64::MAX`) anywhere in the body.
+    /// With the checksum left stale the loader refuses the file; re-sealed,
+    /// the edit reaches the field readers — entry count, string and vector
+    /// lengths, `slots`/`insts`/`nodes`, word counts — and they answer
+    /// `Ok` or `Err`, never a panic, through `decode` and `SumStore::open`
+    /// alike.
+    #[test]
+    fn hostile_store_bytes_never_panic_the_loader(
+        op in 0usize..4,
+        a: usize,
+        b: usize,
+        byte: u8,
+    ) {
+        use gdroid::sumstore::{fnv1a, persist, SumStore};
+        let good = store_file_bytes();
+        let (good_body, good_crc) = good.split_at(good.len() - 8);
+        let at = |i: usize| i % good_body.len();
+        let mut body = good_body.to_vec();
+        match op {
+            0 => body[at(a)] ^= byte | 1,
+            1 => body.truncate(at(a)),
+            2 => {
+                let (from, to) = (at(a), at(b));
+                let end = (from + 1 + usize::from(byte)).min(good_body.len());
+                body.splice(to..to, good_body[from..end].iter().copied());
+            }
+            _ => {
+                let end = (at(a) + 1 + usize::from(byte % 16)).min(good_body.len());
+                body[at(a)..end].fill(0xFF);
+            }
+        }
+        if body != good_body {
+            let stale = [&body[..], good_crc].concat();
+            prop_assert!(persist::decode(&stale).is_err(), "op {op}: a stale checksum passed");
+        }
+        let resealed = [&body[..], &fnv1a(&body).to_le_bytes()[..]].concat();
+        let decoded = persist::decode(&resealed);
+        let dir = hostile_store_dir("case");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(persist::STORE_FILE), &resealed).unwrap();
+        let opened = SumStore::open(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        prop_assert_eq!(opened.map(|s| s.len()).ok(), decoded.map(|e| e.len()).ok());
+    }
+}
