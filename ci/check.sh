@@ -33,7 +33,8 @@ echo "==> retired-names ratchet: what EXPERIMENTS.md retired stays retired"
 # 3a): an item-free lib.rs. None of the relational engine's, the per-app
 # multi-GPU driver's, the blocks-per-SM tuner's, the hand-rolled JSON
 # helpers', the full-sweep solver's, the component ICFG's, the unused DOT
-# exporters' or the device pool's names anywhere.
+# exporters', the device pool's or the second journal writer's names
+# anywhere.
 rel_files=$(find crates/rel/src -type f | sort | tr '\n' ' ')
 [ "$rel_files" = "crates/rel/src/lib.rs " ] || {
   echo "retired-names ratchet: crates/rel/src holds $rel_files(want only lib.rs)" >&2
@@ -48,6 +49,7 @@ retired+='|gpu_analyze_app_multi|MultiGpuConfig|tune_blocks_per_sm|TuneResult'
 retired+='|render_event|json::string|json::array'
 retired+='|solve_method_sweep|ComponentIcfg|icfg_to_dot|cfg_to_dot|callsites_report'
 retired+='|DevicePool|DeviceLease'
+retired+='|ShardJournal|read_rotated_tail'
 if grep -rnE "$retired" --include='*.rs' crates src tests examples; then
   echo "retired-names ratchet: a retired name is back (EXPERIMENTS.md, \"Retired: …\")" >&2
   exit 1
@@ -156,6 +158,18 @@ hand_json=$(non_test_sites '{{\"' crates src examples ! -path "$writer")
   exit 1
 }
 
+echo "==> one-journal ratchet: the on-disk layout is campaign::journal's decision"
+# Single file or rotated segments, which file is newest, what a directory
+# in the wrong layout means: one module answers (DESIGN.md, "One journal
+# type, two layouts"). Everything else may *set* `rotate_records`; nothing
+# else branches on it or builds a segment's path.
+ratchet_name=one-journal
+journal=crates/campaign/src/journal.rs
+journal_hint="ask journal::{SegmentedJournal, read_shard_tail, newest_segment} instead"
+for site in 'segment_path(' 'rotate_records.is_some()' 'match config.rotate_records'; do
+  ratchet 0 "$site" "$journal_hint" crates src examples ! -path "$journal" ! -path '*/tests/*'
+done
+
 echo "==> hot-path ratchet: warp_process allocates nothing per step"
 # BlockCtx::warp_process runs once per simulated warp step; its buffers are
 # the Device-owned WarpScratch (DESIGN.md, "Host cost of the simulator").
@@ -203,27 +217,48 @@ cmp "$drift_dir/figures_all.txt" ci/golden/figures_all.apps20.txt || {
 }
 rm -rf "$drift_dir"
 
-echo "==> doc rot: every crates/… and tests/… path DESIGN.md and README.md name exists"
+echo "==> doc rot: every path, figures mode and gdroid verb DESIGN.md and README.md name exists"
 # A section that retells history marks its heading "(historical)" and is
-# skipped; everywhere else a named path is a claim about the tree.
+# skipped; everywhere else a named crates/… or tests/… path is a claim
+# about the tree, and a `figures <mode>` / `gdroid <verb>` in a code span,
+# a code block or a `--bin … --` command line is a claim about what the
+# binary's usage() accepts.
+figures_usage=$(./target/release/figures 2>&1 || true)
+gdroid_usage=$(./target/release/gdroid 2>&1 || true)
 rot=$(awk '
-  /^#+ / { historical = /\(historical\)/ }
+  /^```/ { fenced = !fenced; next }
+  !fenced && /^#+ / { historical = /\(historical\)/ }
   historical { next }
   {
     line = $0
     while (match(line, /(crates|tests)\/[A-Za-z0-9_.\/-]*/)) {
       path = substr(line, RSTART, RLENGTH)
       sub(/[.\/-]+$/, "", path)
-      print FILENAME ":" FNR " " path
+      print FILENAME ":" FNR " path " path
       line = substr(line, RSTART + RLENGTH)
     }
-  }' DESIGN.md README.md | while read -r where path; do
-  [ -e "$path" ] || echo "$where names $path"
+    line = $0
+    verb = fenced ? "(figures|gdroid)( --)? [a-z][a-z0-9|]*" : "(`|--bin )(figures|gdroid)( --)? [a-z][a-z0-9|]*"
+    while (match(line, verb)) {
+      hit = substr(line, RSTART, RLENGTH)
+      line = substr(line, RSTART + RLENGTH)
+      sub(/^(`|--bin )/, "", hit)
+      sub(/ -- /, " ", hit)
+      split(hit, words, " ")
+      n = split(words[2], names, "|")
+      for (i = 1; i <= n; i++) print FILENAME ":" FNR " " words[1] " " names[i]
+    }
+  }' DESIGN.md README.md | while read -r where kind name; do
+  case $kind in
+    path) [ -e "$name" ] ;;
+    figures) echo "$figures_usage" | grep -qE "[<|]$name[|>]" ;;
+    gdroid) echo "$gdroid_usage" | grep -qE "^  gdroid $name( |\$)" ;;
+  esac || echo "$where names $kind $name"
 done)
 [ -z "$rot" ] || {
   echo "$rot" >&2
-  echo "doc rot: a path the docs name is gone — fix the sentence, or mark its section" \
-    "heading (historical)" >&2
+  echo "doc rot: a path, figures mode or gdroid verb the docs name is gone — fix the" \
+    "sentence, or mark its section heading (historical)" >&2
   exit 1
 }
 
@@ -288,6 +323,17 @@ then
   exit 1
 fi
 
+echo "==> typo smoke: an undefined flag or an unparsable value is refused, not defaulted"
+for typo in "vet 42 --targetted --json" "serve --apps 2 --workers x"; do
+  typo_status=0
+  # shellcheck disable=SC2086
+  ./target/release/gdroid $typo >/dev/null 2>&1 || typo_status=$?
+  [ "$typo_status" -eq 2 ] || {
+    echo "typo smoke: \`gdroid $typo\` exited $typo_status, want 2" >&2
+    exit 1
+  }
+done
+
 echo "==> campaign smoke: kill/resume reproduces the fleet report byte-for-byte"
 camp_dir=$(mktemp -d)
 trap 'rm -rf "$trace_dir" "$store_dir" "$camp_dir"' EXIT
@@ -309,6 +355,17 @@ echo "==> campaign smoke: shard layout never changes a verdict"
   --verdicts "$camp_dir/verdicts-1.txt" >/dev/null
 cmp -s "$camp_dir/verdicts-2.txt" "$camp_dir/verdicts-1.txt" || {
   echo "campaign smoke: 2-shard verdicts differ from the 1-shard run" >&2
+  exit 1
+}
+
+echo "==> campaign smoke: a directory journaled in the other layout is refused"
+mixed_status=0
+mixed_err=$(./target/release/gdroid campaign --apps 20 --shards 1 --rotate 4 --scale 0.1 \
+  --journal-dir "$camp_dir/j1" --verdicts "$camp_dir/verdicts-mixed.txt" 2>&1 >/dev/null) ||
+  mixed_status=$?
+[ "$mixed_status" -ne 0 ] && echo "$mixed_err" | grep -q 'shard-0.journal .*--fresh' || {
+  echo "campaign smoke: a rotated run over a single-file directory exited $mixed_status" \
+    "without naming the stale journal" >&2
   exit 1
 }
 

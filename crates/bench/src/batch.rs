@@ -6,18 +6,18 @@
 //! slots that a narrow per-app layer would leave idle. Per-app outcomes
 //! are asserted byte-identical to solo at every K, and every group's
 //! makespan is asserted no worse than the sum of its members' solo
-//! makespans (launch and transfer overheads are shared, never added).
+//! makespans ([`Lane::run_group`]).
 //!
 //! Every number emitted into `BENCH_batch.json` is modeled (makespans,
 //! utilization) or counted (launches), so the file is byte-deterministic
 //! for a fixed corpus.
 
 use crate::corpus::corpus_preps;
+use crate::lane::Lane;
 use crate::stats::speedup;
 use gdroid_apk::GenConfig;
-use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_trace::JsonWriter;
-use gdroid_vetting::{execute, execute_vetting_batch_on_device, ExecCtx, ExecPlan, PreparedApp};
+use gdroid_vetting::{ExecPlan, PreparedApp, VettingOutcome};
 
 /// One co-residency-degree measurement.
 pub struct BatchPoint {
@@ -61,45 +61,25 @@ impl BatchPoint {
 }
 
 /// Runs one co-residency point over an already-prepared corpus, checking
-/// every app's outcome against its solo reference JSON.
+/// every app's outcome against its solo reference.
 pub fn run_batch_point(
     preps: &[PreparedApp],
-    solo_refs: &[String],
-    solo_ns: &[f64],
+    solo: &[VettingOutcome],
     coresident: usize,
 ) -> BatchPoint {
-    let mut device = Device::new(DeviceConfig::tesla_p40());
+    let mut lane = Lane::new(ExecPlan::default());
     let mut point = BatchPoint {
         coresident,
         apps: preps.len(),
         groups: 0,
         launches: 0,
-        solo_ns: solo_ns.iter().sum(),
+        solo_ns: solo.iter().map(|o| o.timing.idfg_ns).sum(),
         batched_ns: 0.0,
         utilization: 0.0,
         mean_coresidency: 0.0,
     };
-    for (chunk_idx, chunk) in preps.chunks(coresident.max(1)).enumerate() {
-        let refs: Vec<&PreparedApp> = chunk.iter().collect();
-        let (runs, batch) =
-            execute_vetting_batch_on_device(&refs, &mut device, ExecPlan::default())
-                .expect("no fault plan installed");
-        let base = chunk_idx * coresident.max(1);
-        let mut group_solo_ns = 0.0;
-        for (i, run) in runs.iter().enumerate() {
-            assert_eq!(
-                run.outcome.to_json(),
-                solo_refs[base + i],
-                "app {} diverged from solo at coresidency {coresident}",
-                base + i
-            );
-            group_solo_ns += solo_ns[base + i];
-        }
-        assert!(
-            batch.makespan_ns <= group_solo_ns * 1.000001,
-            "group {chunk_idx} makespan {} exceeds summed solo {group_solo_ns} at K {coresident}",
-            batch.makespan_ns
-        );
+    for (chunk, solo) in preps.chunks(coresident.max(1)).zip(solo.chunks(coresident.max(1))) {
+        let batch = lane.run_group(&chunk.iter().collect::<Vec<_>>(), solo);
         point.groups += 1;
         point.launches += batch.launches;
         point.batched_ns += batch.makespan_ns;
@@ -118,21 +98,13 @@ pub fn batch_benchmark(apps: usize) -> (String, String) {
     let apps = apps.max(4);
     let preps: Vec<PreparedApp> = corpus_preps(apps, &GenConfig::tiny());
 
-    // Solo baseline: one run per app on a long-lived device; the outcome
-    // JSONs are the byte-identity references for every sweep point.
-    let mut device = Device::new(DeviceConfig::tesla_p40());
-    let mut solo_refs = Vec::with_capacity(apps);
-    let mut solo_ns = Vec::with_capacity(apps);
-    for prep in &preps {
-        let run = execute(prep, ExecPlan::default(), &mut ExecCtx::new(&mut device))
-            .expect("no fault plan installed")
-            .run;
-        solo_ns.push(run.outcome.timing.idfg_ns);
-        solo_refs.push(run.outcome.to_json());
-    }
+    // Solo baseline: one run per app on a long-lived device; the outcomes
+    // are the byte-identity references for every sweep point.
+    let mut solo_lane = Lane::new(ExecPlan::default());
+    let solo: Vec<VettingOutcome> =
+        preps.iter().map(|prep| solo_lane.run(prep).run.outcome).collect();
 
-    let points: Vec<BatchPoint> =
-        [1, 2, 4, 8].map(|k| run_batch_point(&preps, &solo_refs, &solo_ns, k)).into();
+    let points: Vec<BatchPoint> = [1, 2, 4, 8].map(|k| run_batch_point(&preps, &solo, k)).into();
 
     let mut summary = format!("co-resident batching over a {apps}-app corpus (TESLA P40 model)\n");
     for p in &points {

@@ -20,16 +20,12 @@
 //! file is byte-deterministic across reruns — CI `cmp`s a small-N
 //! generation with the golden committed under `ci/golden/`.
 
+use crate::lane::{assert_same_report, Lane, Verdicts};
 use crate::stats::speedup;
 use gdroid_apk::{Corpus, GenConfig, PAPER_MASTER_SEED};
 use gdroid_core::OptConfig;
-use gdroid_gpusim::{Device, DeviceConfig};
-use gdroid_serve::fnv1a;
 use gdroid_trace::JsonWriter;
-use gdroid_vetting::{
-    execute, execute_vetting_batch_on_device, prepare_vetting, Engine, ExecCtx, ExecPlan,
-    PreparedApp,
-};
+use gdroid_vetting::{prepare_vetting, Engine, ExecPlan, PreparedApp, VettingOutcome};
 
 /// Window size of the streamed sweep — also the largest batching degree.
 pub const WINDOW: usize = 8;
@@ -196,72 +192,32 @@ pub fn corpus1000_benchmark(apps: usize, scale: f64) -> (String, String) {
         ("matgrp", OptConfig::mat_grp),
         ("gdroid", OptConfig::gdroid),
     ];
-    let mut rung_ns = [0.0f64; 4];
-    let mut devices: Vec<Device> =
-        (0..RUNGS.len() + 1).map(|_| Device::new(DeviceConfig::tesla_p40())).collect();
+    let mut rungs = RUNGS.map(|(_, opt)| Lane::new(ExecPlan::new(Engine::Gpu(opt()))));
+    let mut targeted = Lane::new(ExecPlan { targeted: true, ..ExecPlan::default() });
+    let mut batch_lane = Lane::new(ExecPlan::default());
 
-    let mut targeted_ns = 0.0;
     let mut sliced_sum = 0.0;
     let mut batch: Vec<(usize, f64, usize)> = vec![(2, 0.0, 0), (4, 0.0, 0), (8, 0.0, 0)];
-    let mut solo_makespan_ns = 0.0;
-    let mut suspicious = 0usize;
-    let mut verdict_lines = String::new();
+    let mut verdicts = Verdicts::default();
 
     // Streamed window sweep: prepare 8 apps, run every lane, discard.
     let mut stream = corpus.stream_all().peekable();
-    let mut batch_device = Device::new(DeviceConfig::tesla_p40());
     while stream.peek().is_some() {
         let window: Vec<(usize, PreparedApp)> =
             stream.by_ref().take(WINDOW).map(|(i, app)| (i, prepare_vetting(app))).collect();
-        let mut gdroid_refs: Vec<String> = Vec::with_capacity(window.len());
+        let mut solo: Vec<VettingOutcome> = Vec::with_capacity(window.len());
         for (index, prep) in &window {
-            for (r, (_, opt)) in RUNGS.iter().enumerate() {
-                let rung = ExecPlan::new(Engine::Gpu(opt()));
-                let run = execute(prep, rung, &mut ExecCtx::new(&mut devices[r]))
-                    .expect("no fault plan installed")
-                    .run;
-                rung_ns[r] += run.outcome.timing.idfg_ns;
-                if r == RUNGS.len() - 1 {
-                    solo_makespan_ns += run.outcome.timing.idfg_ns;
-                    suspicious += usize::from(!run.outcome.report.leaks.is_empty());
-                    use std::fmt::Write;
-                    writeln!(
-                        verdict_lines,
-                        "{:06} {} {:?} {:016x}",
-                        index,
-                        prep.app.manifest.package,
-                        run.outcome.report.verdict,
-                        fnv1a(run.outcome.report.to_json().as_bytes())
-                    )
-                    .expect("writing to String cannot fail");
-                    gdroid_refs.push(run.outcome.report.to_json());
-                }
-            }
-            let targeted = ExecPlan { targeted: true, ..ExecPlan::default() };
-            let t = execute(prep, targeted, &mut ExecCtx::new(&mut devices[RUNGS.len()]))
-                .expect("no fault plan installed")
-                .run;
-            assert_eq!(
-                t.outcome.report.to_json(),
-                gdroid_refs.last().expect("gdroid rung ran first").as_str(),
-                "app {index}: targeted verdict diverged from full gdroid"
-            );
-            targeted_ns += t.outcome.timing.idfg_ns;
+            let [.., full] = rungs.each_mut().map(|lane| lane.run(prep).run);
+            verdicts.push(*index, prep, &full);
+            let t = targeted.run(prep).run;
+            assert_same_report(&t, &full, format_args!("app {index}: targeted vs full gdroid"));
             sliced_sum += t.outcome.targeted.as_ref().map_or(1.0, |p| p.sliced_fraction);
+            solo.push(full.outcome);
         }
+        let preps: Vec<&PreparedApp> = window.iter().map(|(_, p)| p).collect();
         for (k, total_ns, launches) in batch.iter_mut() {
-            for (chunk_base, chunk) in window.chunks(*k).enumerate() {
-                let preps: Vec<&PreparedApp> = chunk.iter().map(|(_, p)| p).collect();
-                let (runs, b) =
-                    execute_vetting_batch_on_device(&preps, &mut batch_device, ExecPlan::default())
-                        .expect("no fault plan installed");
-                for (j, run) in runs.iter().enumerate() {
-                    assert_eq!(
-                        run.outcome.report.to_json(),
-                        gdroid_refs[chunk_base * *k + j],
-                        "batched app diverged from solo at K {k}"
-                    );
-                }
+            for (chunk, solo) in preps.chunks(*k).zip(solo.chunks(*k)) {
+                let b = batch_lane.run_group(chunk, solo);
                 *total_ns += b.makespan_ns;
                 *launches += b.launches;
             }
@@ -274,28 +230,19 @@ pub fn corpus1000_benchmark(apps: usize, scale: f64) -> (String, String) {
     let lib_gen = gen.with_libraries(2, 4);
     let lib_corpus = Corpus { master_seed: PAPER_MASTER_SEED, size: apps, config: lib_gen };
     let store = gdroid_sumstore::SumStore::new();
-    let mut store_device = Device::new(DeviceConfig::tesla_p40());
-    let mut sumstore_ns = 0.0;
-    let mut sumstore_baseline_ns = 0.0;
+    let mut store_free = Lane::new(ExecPlan::default());
+    let mut store_backed = Lane::with_store(ExecPlan::default(), &store);
     for (_, app) in lib_corpus.stream_all() {
         let prep = prepare_vetting(app);
-        let baseline = execute(&prep, ExecPlan::default(), &mut ExecCtx::new(&mut store_device))
-            .expect("no fault plan installed")
-            .run;
-        sumstore_baseline_ns += baseline.outcome.timing.idfg_ns;
-        let with_store = &mut ExecCtx { store: Some(&store), ..ExecCtx::new(&mut store_device) };
-        let run =
-            execute(&prep, ExecPlan::default(), with_store).expect("no fault plan installed").run;
-        assert_eq!(
-            run.outcome.report.to_json(),
-            baseline.outcome.report.to_json(),
-            "store-backed verdict diverged from store-free"
-        );
-        sumstore_ns += run.outcome.timing.idfg_ns;
+        let (baseline, run) = (store_free.run(&prep).run, store_backed.run(&prep).run);
+        assert_same_report(&run, &baseline, format_args!("store-backed vs store-free"));
     }
 
     // Every ratio is derived here, once; `to_json` and `render` print it.
+    let rung_ns = rungs.each_ref().map(|lane| lane.idfg_ns);
     let [plain_ns, .., gdroid_ns] = rung_ns;
+    // The batch points compare against the full rung's solo makespans.
+    let solo_makespan_ns = gdroid_ns;
     let result = Corpus1000 {
         apps,
         scale,
@@ -308,20 +255,20 @@ pub fn corpus1000_benchmark(apps: usize, scale: f64) -> (String, String) {
                 speedup: speedup(plain_ns, idfg_ns),
             })
             .collect(),
-        targeted_ns,
-        targeted_speedup: speedup(gdroid_ns, targeted_ns),
+        targeted_ns: targeted.idfg_ns,
+        targeted_speedup: speedup(gdroid_ns, targeted.idfg_ns),
         mean_sliced_fraction: sliced_sum / apps as f64,
         batch: batch
             .into_iter()
             .map(|(k, ns, launches)| (k, ns, launches, speedup(solo_makespan_ns, ns)))
             .collect(),
         solo_makespan_ns,
-        sumstore_ns,
-        sumstore_baseline_ns,
-        sumstore_speedup: speedup(sumstore_baseline_ns, sumstore_ns),
+        sumstore_ns: store_backed.idfg_ns,
+        sumstore_baseline_ns: store_free.idfg_ns,
+        sumstore_speedup: speedup(store_free.idfg_ns, store_backed.idfg_ns),
         sumstore_hits: store.stats().hits,
-        suspicious,
-        verdict_digest: fnv1a(verdict_lines.as_bytes()),
+        suspicious: verdicts.suspicious,
+        verdict_digest: verdicts.digest(),
     };
     (result.to_json(), result.render())
 }

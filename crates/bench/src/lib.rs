@@ -17,6 +17,7 @@ pub mod batch;
 pub mod corpus;
 pub mod corpus1000;
 pub mod experiments;
+pub mod lane;
 pub mod persist;
 pub mod record;
 pub mod sancheck;

@@ -20,14 +20,15 @@
 //! (`queue_op_cycles`, contention-scaled).
 
 use crate::corpus::corpus_prep;
+use crate::lane::{assert_same_report, Lane, Verdicts};
 use crate::stats::speedup;
 use gdroid_apk::{Corpus, GenConfig, PAPER_MASTER_SEED};
 use gdroid_core::ExecMode;
-use gdroid_gpusim::{Device, DeviceConfig};
+use gdroid_gpusim::DeviceConfig;
 use gdroid_ir::MethodId;
 use gdroid_serve::fnv1a;
 use gdroid_trace::JsonWriter;
-use gdroid_vetting::{execute, prepare_vetting, ExecCtx, ExecPlan, PreparedApp, VettingRun};
+use gdroid_vetting::{prepare_vetting, ExecPlan, PreparedApp, VettingRun};
 
 /// Window size of the streamed corpus section.
 pub const PERSIST_WINDOW: usize = 8;
@@ -67,31 +68,27 @@ impl PersistPoint {
     }
 }
 
-/// The worklist engine in `exec` mode on a fault-free device.
-fn run_mode(prep: &PreparedApp, device: &mut Device, exec: ExecMode) -> VettingRun {
-    let plan = ExecPlan { exec, ..ExecPlan::default() };
-    execute(prep, plan, &mut ExecCtx::new(device)).expect("no fault plan installed").run
+/// The worklist engine's multi-launch and persistent lanes.
+fn mode_lanes() -> (Lane<'static>, Lane<'static>) {
+    let lane = |exec| Lane::new(ExecPlan { exec, ..ExecPlan::default() });
+    (lane(ExecMode::MultiLaunch), lane(ExecMode::Persistent))
 }
 
-/// Runs one app in both modes on fresh devices, asserting fact and
-/// verdict identity, and returns both runs beside their launch counts.
-fn run_both_modes(prep: &PreparedApp, label: usize) -> (VettingRun, VettingRun, u64, u64) {
-    let mut md = Device::new(DeviceConfig::tesla_p40());
-    let multi = run_mode(prep, &mut md, ExecMode::MultiLaunch);
-    let mut pd = Device::new(DeviceConfig::tesla_p40());
-    let per = run_mode(prep, &mut pd, ExecMode::Persistent);
+/// Runs one app in both modes, asserting fact and verdict identity, and
+/// returns the `(multi-launch, persistent)` runs.
+fn run_both_modes(
+    (multi, persist): &mut (Lane<'_>, Lane<'_>),
+    prep: &PreparedApp,
+    label: usize,
+) -> (VettingRun, VettingRun) {
+    let (m, p) = (multi.run(prep).run, persist.run(prep).run);
+    assert_same_report(&p, &m, format_args!("app {label}: persistent vs multi-launch"));
     assert_eq!(
-        per.outcome.report.to_json(),
-        multi.outcome.report.to_json(),
-        "app {label}: persistent verdict diverged from multi-launch"
-    );
-    assert_eq!(
-        fact_digest(&per),
-        fact_digest(&multi),
+        fact_digest(&p),
+        fact_digest(&m),
         "app {label}: persistent facts diverged from multi-launch"
     );
-    let (ml, pl) = (md.launches(), pd.launches());
-    (multi, per, ml, pl)
+    (m, p)
 }
 
 /// FNV-1a digest over the per-method fixpoint bitmaps, sorted by method
@@ -111,11 +108,13 @@ fn fact_digest(run: &VettingRun) -> u64 {
     fnv1a(line.as_bytes())
 }
 
-/// Runs one detail point: both modes on fresh devices with identity
-/// asserted, launch counts read off the devices.
+/// Runs one detail point: both modes on fresh lanes with identity
+/// asserted, launch counts read off the lanes.
 pub fn run_persist_point(app: usize) -> PersistPoint {
     let prep = corpus_prep(app, &GenConfig::tiny());
-    let (multi, per, multi_launches, persist_launches) = run_both_modes(&prep, app);
+    let mut lanes = mode_lanes();
+    let (multi, per) = run_both_modes(&mut lanes, &prep, app);
+    let (multi_launches, persist_launches) = (lanes.0.launches(), lanes.1.launches());
     assert!(
         persist_launches <= 1,
         "app {app}: a persistent fixpoint must be one resident launch, got {persist_launches}"
@@ -157,46 +156,22 @@ pub fn persist_benchmark(detail_apps: usize, corpus_apps: usize, scale: f64) -> 
     let mut gen = GenConfig::small();
     gen.scale *= scale;
     let corpus = Corpus { master_seed: PAPER_MASTER_SEED, size: corpus_apps, config: gen };
-    let mut multi_device = Device::new(DeviceConfig::tesla_p40());
-    let mut persist_device = Device::new(DeviceConfig::tesla_p40());
-    let mut corpus_multi_ns = 0.0;
-    let mut corpus_persist_ns = 0.0;
-    let mut suspicious = 0usize;
-    let mut verdict_lines = String::new();
+    let mut lanes = mode_lanes();
+    let mut verdicts = Verdicts::default();
     let mut stream = corpus.stream_all().peekable();
     while stream.peek().is_some() {
         let window: Vec<_> = stream.by_ref().take(PERSIST_WINDOW).collect();
         for (index, app) in window {
             let prep = prepare_vetting(app);
-            let m = run_mode(&prep, &mut multi_device, ExecMode::MultiLaunch);
-            let p = run_mode(&prep, &mut persist_device, ExecMode::Persistent);
-            assert_eq!(
-                p.outcome.report.to_json(),
-                m.outcome.report.to_json(),
-                "app {index}: persistent verdict diverged from multi-launch"
-            );
-            assert_eq!(
-                fact_digest(&p),
-                fact_digest(&m),
-                "app {index}: persistent facts diverged from multi-launch"
-            );
-            corpus_multi_ns += m.outcome.timing.idfg_ns;
-            corpus_persist_ns += p.outcome.timing.idfg_ns;
-            suspicious += usize::from(!m.outcome.report.leaks.is_empty());
-            use std::fmt::Write;
-            writeln!(
-                verdict_lines,
-                "{:06} {} {:?} {:016x}",
-                index,
-                prep.app.manifest.package,
-                m.outcome.report.verdict,
-                fnv1a(m.outcome.report.to_json().as_bytes())
-            )
-            .expect("writing to String cannot fail");
+            let (m, _) = run_both_modes(&mut lanes, &prep, index);
+            verdicts.push(index, &prep, &m);
         }
     }
-    let corpus_multi_launches = multi_device.launches();
-    let corpus_persist_launches = persist_device.launches();
+    let (multi_lane, persist_lane) = lanes;
+    let (corpus_multi_ns, corpus_persist_ns) = (multi_lane.idfg_ns, persist_lane.idfg_ns);
+    let (corpus_multi_launches, corpus_persist_launches) =
+        (multi_lane.launches(), persist_lane.launches());
+    let suspicious = verdicts.suspicious;
 
     let corpus_speedup = speedup(corpus_multi_ns, corpus_persist_ns);
 
@@ -232,7 +207,7 @@ pub fn persist_benchmark(detail_apps: usize, corpus_apps: usize, scale: f64) -> 
                 w.key("persist_launches").int(corpus_persist_launches);
                 w.key("suspicious").int(suspicious);
                 w.key("clean").int(corpus_apps - suspicious);
-                w.key("verdict_digest").hex(fnv1a(verdict_lines.as_bytes()));
+                w.key("verdict_digest").hex(verdicts.digest());
             });
         })
     });

@@ -21,14 +21,14 @@
 //! the emitted JSON; it is removed before returning.
 
 use crate::corpus::corpus_preps;
+use crate::lane::Lane;
 use gdroid_apk::GenConfig;
 use gdroid_campaign::{
-    config_digest, read_shard_records, segment_path, CampaignConfig, FleetReport,
+    config_digest, newest_segment, read_shard_records, CampaignConfig, FleetReport,
 };
-use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_sumstore::SumStore;
 use gdroid_trace::JsonWriter;
-use gdroid_vetting::{execute, ExecCtx, ExecPlan, PreparedApp};
+use gdroid_vetting::{ExecPlan, PreparedApp};
 use std::path::{Path, PathBuf};
 
 /// Journal rotation threshold (records per segment) at full 10k scale.
@@ -140,15 +140,7 @@ fn snapshot_config(apps: usize, dir: PathBuf) -> CampaignConfig {
 
 /// Segments currently on disk for each shard of a rotated campaign.
 fn segments_per_shard(dir: &Path, shards: usize) -> Vec<usize> {
-    (0..shards)
-        .map(|shard| {
-            let mut n = 0;
-            while segment_path(dir, shard, n).exists() {
-                n += 1;
-            }
-            n
-        })
-        .collect()
+    (0..shards).map(|shard| newest_segment(dir, shard).map_or(0, |newest| newest + 1)).collect()
 }
 
 /// The incremental-fold gate: re-reads every segment monolithically and
@@ -178,14 +170,11 @@ fn assert_incremental_matches(config: &CampaignConfig, fleet: &FleetReport) {
 /// app's returned `StoreUse`.
 fn store_sweep(preps: &[PreparedApp], shards: usize, stores: &[&SumStore]) -> Vec<ShardHits> {
     let mut per_shard = vec![ShardHits::default(); shards];
+    let mut lanes: Vec<Lane<'_>> =
+        stores.iter().map(|store| Lane::with_store(ExecPlan::default(), store)).collect();
     for (index, prep) in preps.iter().enumerate() {
         let shard = index % shards;
-        let mut device = Device::new(DeviceConfig::tesla_p40());
-        let ctx = &mut ExecCtx { store: Some(stores[shard]), ..ExecCtx::new(&mut device) };
-        let used = execute(prep, ExecPlan::default(), ctx)
-            .expect("a fresh device has no fault plan")
-            .store_use
-            .expect("a store was attached");
+        let used = lanes[shard].run(prep).store_use.expect("a store was attached");
         per_shard[shard].hits += used.hits;
         per_shard[shard].misses += used.misses;
     }

@@ -15,11 +15,11 @@
 //! Cold and warm verdicts are asserted identical per app.
 
 use crate::corpus::corpus_preps;
+use crate::lane::Lane;
 use gdroid_apk::GenConfig;
-use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_sumstore::SumStore;
 use gdroid_trace::JsonWriter;
-use gdroid_vetting::{execute, ExecCtx, ExecPlan, PreparedApp};
+use gdroid_vetting::{ExecPlan, PreparedApp};
 
 /// Library packages each app draws from the shared pool.
 const LIBS_PER_APP: usize = 3;
@@ -71,18 +71,10 @@ impl SumstorePoint {
 /// added to the store counters.
 fn sweep(preps: &[PreparedApp], store: &SumStore) -> (f64, Vec<String>, u64, u64) {
     let before = store.stats();
-    let mut total_ns = 0.0;
-    let mut verdicts = Vec::with_capacity(preps.len());
-    for prep in preps {
-        let mut device = Device::new(DeviceConfig::tesla_p40());
-        let ctx = &mut ExecCtx { store: Some(store), ..ExecCtx::new(&mut device) };
-        let run =
-            execute(prep, ExecPlan::default(), ctx).expect("a fresh device has no fault plan").run;
-        total_ns += run.outcome.timing.idfg_ns;
-        verdicts.push(run.outcome.report.to_json());
-    }
+    let mut lane = Lane::with_store(ExecPlan::default(), store);
+    let verdicts = preps.iter().map(|prep| lane.run(prep).run.outcome.report.to_json()).collect();
     let after = store.stats();
-    (total_ns, verdicts, after.hits - before.hits, after.misses - before.misses)
+    (lane.idfg_ns, verdicts, after.hits - before.hits, after.misses - before.misses)
 }
 
 /// Runs one duplication-factor point: a fresh corpus, a fresh store, a

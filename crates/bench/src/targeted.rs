@@ -1,21 +1,21 @@
 //! The `figures targeted` experiment: demand-driven (sliced) vetting.
 //!
-//! Every corpus app is vetted twice on a long-lived device: once in full,
-//! once through the targeted path ([`gdroid_vetting::targeted`]), which
-//! restricts the GPU worklist to the backward slice of the sink call
-//! sites. The verdict JSON is asserted byte-identical per app, and the
-//! targeted modeled IDFG makespan is asserted no worse than the full one
-//! (the sliced worklist is a subset of the full launches).
+//! Every corpus app is vetted twice: once in full, once through the
+//! targeted path ([`gdroid_vetting::targeted`]), which restricts the GPU
+//! worklist to the backward slice of the sink call sites. The verdict
+//! JSON is asserted byte-identical per app, and the targeted modeled IDFG
+//! makespan is asserted no worse than the full one (the sliced worklist
+//! is a subset of the full launches).
 //!
 //! Every number in `BENCH_targeted.json` is modeled (makespans) or
 //! counted (slice shape), so the file is byte-deterministic for a fixed
 //! corpus.
 
 use crate::corpus::corpus_prep;
+use crate::lane::{assert_same_report, Lane};
 use gdroid_apk::GenConfig;
-use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_trace::JsonWriter;
-use gdroid_vetting::{execute, ExecCtx, ExecPlan};
+use gdroid_vetting::ExecPlan;
 
 /// One app's full-vs-targeted measurement.
 pub struct TargetedPoint {
@@ -60,17 +60,9 @@ impl TargetedPoint {
 /// agreement and makespan dominance.
 pub fn run_targeted_point(app: usize) -> TargetedPoint {
     let prep = corpus_prep(app, &GenConfig::tiny());
-    let mut device = Device::new(DeviceConfig::tesla_p40());
-    let mut run = |plan: ExecPlan| {
-        execute(&prep, plan, &mut ExecCtx::new(&mut device)).expect("no fault plan installed").run
-    };
-    let full = run(ExecPlan::default());
-    let targeted = run(ExecPlan { targeted: true, ..ExecPlan::default() });
-    assert_eq!(
-        targeted.outcome.report.to_json(),
-        full.outcome.report.to_json(),
-        "app {app}: targeted verdict diverged from full"
-    );
+    let full = Lane::new(ExecPlan::default()).run(&prep).run;
+    let targeted = Lane::new(ExecPlan { targeted: true, ..ExecPlan::default() }).run(&prep).run;
+    assert_same_report(&targeted, &full, format_args!("app {app}: targeted vs full"));
     let prov = targeted.outcome.targeted.expect("targeted run must carry provenance");
     let full_ns = full.outcome.timing.idfg_ns;
     let targeted_ns = targeted.outcome.timing.idfg_ns;

@@ -2,18 +2,17 @@
 //! submission with bounded memory, durable per-app checkpointing, and
 //! the final journal → [`FleetReport`] fold.
 //!
-//! Snapshot mode (`rotate_records`) swaps the single-file journal for
-//! rotated segments and the monolithic fold for the incremental
-//! sealed-rollup fold; `shared_stores` hands every shard service the same
+//! Snapshot mode (`rotate_records`) has [`crate::journal`] rotate each
+//! shard journal into sealed segments, so resume and the fleet fold read
+//! one file per shard; `shared_stores` hands every shard service the same
 //! result cache and summary store `Arc`s; `delta_base` turns the run into
 //! a daily-delta campaign that copies forward the base snapshot's records
 //! for apps whose generator seed did not change and re-vets only the
 //! rest.
 
-use crate::fold::ShardFold;
 use crate::journal::{
-    read_journal, read_rotated_tail, read_shard_records, AppRecord, Journal, JournalError,
-    JournalHeader, RecordStatus, SegmentedJournal, JOURNAL_VERSION,
+    read_campaign_journals, read_shard_tail, AppRecord, JournalError, JournalHeader, RecordStatus,
+    SegmentedJournal, JOURNAL_VERSION,
 };
 use crate::report::FleetReport;
 use gdroid_apk::{Corpus, GenConfig, PAPER_MASTER_SEED};
@@ -65,7 +64,7 @@ pub struct CampaignConfig {
     /// `<dir>/shard-<s>/job-<index>.json`.
     pub trace_dir: Option<PathBuf>,
     /// Snapshot mode: rotate each shard journal every this many records
-    /// (`None` keeps the single-file format, the default). Resume and the
+    /// (`None` keeps the single-file layout, the default). Resume and the
     /// fleet fold then read only the one unsealed segment per shard.
     pub rotate_records: Option<usize>,
     /// Share one result cache (and, with [`Self::sumstore`], one summary
@@ -247,12 +246,6 @@ pub struct CampaignOutcome {
     pub delta: Option<DeltaReport>,
 }
 
-/// The single-file journal path of shard `shard` (legacy, non-rotated
-/// layout).
-pub fn journal_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}.journal"))
-}
-
 /// Runs (or resumes) a campaign: one serve fleet per shard over the
 /// strided index split, streaming generate → vet → journal → discard with
 /// memory bounded by each service's in-flight window. Returns the folded
@@ -273,7 +266,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Campaign
     // per-record seed comparison would be meaningless against.
     let base: Option<(usize, HashMap<usize, AppRecord>)> = match &config.delta_base {
         Some(dir) => {
-            let (header, records) = crate::journal::read_campaign_journals(dir)?;
+            let (header, records) = read_campaign_journals(dir)?;
             if header.master_seed != config.master_seed {
                 return Err(CampaignError::Config(format!(
                     "delta base has master seed {:#x}, campaign has {:#x}",
@@ -351,33 +344,19 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Campaign
 
     // The fleet report is folded from what is durably on disk — never
     // from live state — so an uninterrupted run and a kill/resume run
-    // produce the byte-identical report. Rotated campaigns fold
-    // incrementally: sealed-rollup + unsealed tail per shard, reading one
-    // segment each.
-    let fleet = if config.rotate_records.is_some() {
-        let mut tails = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            tails.push(read_rotated_tail(&config.journal_dir, shard)?);
-        }
-        FleetReport::from_folds(config.master_seed, config.apps, digest, tails)?
-    } else {
-        let mut shard_records = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            let contents = read_journal(&journal_path(&config.journal_dir, shard))?;
-            shard_records.push(contents.records);
-        }
-        FleetReport::try_from_records(config.master_seed, config.apps, digest, shard_records)?
-    };
+    // produce the byte-identical report: per shard, the newest journal
+    // file's carried rollup plus its unsealed tail.
+    let mut tails = Vec::with_capacity(config.shards);
+    for shard in 0..config.shards {
+        tails.push(read_shard_tail(&config.journal_dir, shard)?);
+    }
+    let fleet = FleetReport::from_folds(config.master_seed, config.apps, digest, tails)?;
 
     let delta = match base {
         Some((base_apps, base_map)) => {
             // Flip detection needs every final record, so this one read is
             // monolithic even under rotation (delta is a once-a-day path).
-            let mut own = Vec::new();
-            for shard in 0..config.shards {
-                own.push(read_shard_records(&config.journal_dir, shard)?.1);
-            }
-            let own_map = final_records_by_index(own);
+            let own_map = final_records_by_index(read_campaign_journals(&config.journal_dir)?.1);
             let added = own_map.keys().filter(|i| !base_map.contains_key(i)).count();
             let verdict_flips = own_map
                 .iter()
@@ -437,21 +416,6 @@ struct ShardCtx<'a> {
     base: Option<&'a HashMap<usize, AppRecord>>,
 }
 
-/// One shard's journal, in either layout.
-enum ShardJournal {
-    Single(Journal),
-    Rotated(Box<SegmentedJournal>),
-}
-
-impl ShardJournal {
-    fn append(&mut self, record: &AppRecord) -> Result<(), JournalError> {
-        match self {
-            ShardJournal::Single(j) => j.append(record),
-            ShardJournal::Rotated(j) => j.append(record),
-        }
-    }
-}
-
 /// Runs one shard: open-or-resume its journal, stream its strided index
 /// slice through a fresh [`VettingService`], and checkpoint every
 /// terminal result the moment it is harvested.
@@ -467,24 +431,12 @@ fn run_shard(ctx: ShardCtx<'_>) -> Result<ShardOutcome, CampaignError> {
         update_ppm: config.update_ppm,
         update_salt: config.update_salt,
     };
-    let (mut journal, resume_fold) = match config.rotate_records {
-        Some(rotate) => {
-            let (journal, fold) =
-                SegmentedJournal::open_or_create(&config.journal_dir, shard, &header, rotate)?;
-            (ShardJournal::Rotated(Box::new(journal)), fold)
-        }
-        None => {
-            let (journal, existing) =
-                Journal::open_or_create(&journal_path(&config.journal_dir, shard), &header)?;
-            let mut fold = ShardFold::default();
-            for (k, record) in existing.iter().enumerate() {
-                // Line 1 is the header.
-                fold.fold(record)
-                    .map_err(|reason| JournalError::Corrupt { line: k + 2, reason })?;
-            }
-            (ShardJournal::Single(journal), fold)
-        }
-    };
+    let (mut journal, resume_fold) = SegmentedJournal::open_or_create(
+        &config.journal_dir,
+        shard,
+        &header,
+        config.rotate_records,
+    )?;
     // The done-set excludes still-open failures: a transiently failed app
     // is re-run on resume, and its later record supersedes the failure in
     // the fold. Quarantined apps stay done — they exhausted their
@@ -571,7 +523,7 @@ fn run_shard(ctx: ShardCtx<'_>) -> Result<ShardOutcome, CampaignError> {
 /// disk. The journal append comes before the trace write: a crash (or
 /// full disk) between the two loses a redundant trace, never a record.
 fn checkpoint(
-    journal: &mut ShardJournal,
+    journal: &mut SegmentedJournal,
     pending: &mut HashMap<u64, (usize, u64)>,
     results: Vec<JobResult>,
     trace_dir: Option<&Path>,
@@ -644,6 +596,7 @@ fn to_record(index: usize, seed: u64, result: &JobResult) -> AppRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{journal_path, read_journal};
     use gdroid_serve::CacheDisposition;
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -691,8 +644,7 @@ mod tests {
         // so an unknown job id mid-batch reported records that were never
         // journaled. The count must track durable appends exactly.
         let dir = tmp_dir("checkpoint-count");
-        let (journal, _) = Journal::open_or_create(&journal_path(&dir, 0), &header(4)).unwrap();
-        let mut journal = ShardJournal::Single(journal);
+        let (mut journal, _) = SegmentedJournal::open_or_create(&dir, 0, &header(4), None).unwrap();
         let mut pending: HashMap<u64, (usize, u64)> = HashMap::new();
         pending.insert(7, (0, 0xA));
         // Job 8 was never submitted: the batch fails halfway.
@@ -718,8 +670,7 @@ mod tests {
         // A failing trace write must not lose the already-durable record
         // or its count.
         let dir = tmp_dir("checkpoint-order");
-        let (journal, _) = Journal::open_or_create(&journal_path(&dir, 0), &header(4)).unwrap();
-        let mut journal = ShardJournal::Single(journal);
+        let (mut journal, _) = SegmentedJournal::open_or_create(&dir, 0, &header(4), None).unwrap();
         let mut pending: HashMap<u64, (usize, u64)> = HashMap::new();
         pending.insert(7, (0, 0xA));
         // A trace "directory" that is actually a file: the write fails.

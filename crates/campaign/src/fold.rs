@@ -124,8 +124,8 @@ macro_rules! tally {
 pub(crate) use tally;
 
 /// The verdict line of one record, without its trailing newline — the
-/// unit the order-independent verdict digest sums over. Must stay in sync
-/// with [`crate::report::FleetReport::verdict_lines`].
+/// unit the order-independent verdict digest sums over and what
+/// [`crate::report::FleetReport::verdict_lines`] prints.
 pub fn verdict_line(index: usize, package: &str, verdict: &str, report_fnv: u64) -> String {
     format!("{index:06} {package} {verdict} {report_fnv:016x}")
 }

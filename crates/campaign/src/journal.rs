@@ -23,17 +23,25 @@
 //! killed campaign converges to the same journal contents — and therefore
 //! the byte-identical fleet report — an uninterrupted run produces.
 //!
-//! ## Rotation (snapshot mode)
+//! ## One journal type, two layouts
 //!
-//! Store-snapshot campaigns rotate each shard journal into size-bounded
-//! segments `shard-<s>.journal.<k>` ([`SegmentedJournal`]). When a
-//! segment reaches the rotation threshold it is *sealed*: a `rollup`
-//! footer line — a serialized [`ShardFold`] covering **every record of
-//! every segment so far** — is appended, and the next segment is created
-//! carrying the same rollup as its second line. Resume and the
-//! fleet-report fold therefore read only the one unsealed segment: its
-//! embedded rollup stands in for all sealed history, byte-exactly
-//! ([`crate::fold`]).
+//! [`SegmentedJournal`] is the only thing that opens, resumes, appends to
+//! and seals a shard's journal. Under rotation (snapshot mode) it writes
+//! size-bounded segments `shard-<s>.journal.<k>`: when a segment reaches
+//! the rotation threshold it is *sealed* — a `rollup` footer line, a
+//! serialized [`ShardFold`] covering **every record of every segment so
+//! far**, is appended — and the next segment is created carrying the same
+//! rollup as its second line. Resume and the fleet-report fold therefore
+//! read only the one unsealed segment ([`read_shard_tail`]): its embedded
+//! rollup stands in for all sealed history, byte-exactly
+//! ([`crate::fold`]). Without rotation the journal is the same thing with
+//! a segment that never seals: one file `shard-<s>.journal`, no
+//! `segment=` token, the tail is the whole history.
+//!
+//! The layout is this module's decision alone. A directory that holds a
+//! shard in both layouts, or in the one the opener was not asked for, is
+//! refused ([`JournalError::Layout`]) by the opener and by every reader —
+//! which file would win is not something to guess.
 
 use crate::fold::ShardFold;
 use gdroid_serve::fnv1a;
@@ -170,6 +178,9 @@ pub enum JournalError {
         /// What the journal holds.
         found: Box<JournalHeader>,
     },
+    /// The directory holds the shard's journal in both layouts, or in
+    /// the one the caller did not ask for; the message names the files.
+    Layout(String),
     /// A line before the final one failed its checksum; a checksummed
     /// line — wherever it stands — does not parse; or checksummed counts
     /// overflow a tally.
@@ -194,6 +205,7 @@ impl fmt::Display for JournalError {
                 f,
                 "journal belongs to a different campaign (expected {expected:?}, found {found:?})"
             ),
+            JournalError::Layout(r) => write!(f, "journal layout mismatch: {r}"),
             JournalError::Corrupt { line, reason } => {
                 write!(f, "corrupt journal record at line {line}: {reason}")
             }
@@ -437,7 +449,9 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
     Ok(JournalContents { header, segment, base, records, sealed, valid_len, truncated })
 }
 
-/// An open, append-mode shard journal (single-file flavor).
+/// A bare append-mode journal file: a header, then records, no resume and
+/// no fold. Campaigns write through [`SegmentedJournal`]; this is the
+/// writer for callers that lay a journal down by hand.
 pub struct Journal {
     writer: BufWriter<File>,
     path: PathBuf,
@@ -451,39 +465,6 @@ impl Journal {
         file.write_all(header_line(header, None).as_bytes())?;
         file.flush()?;
         Ok(Journal { writer: BufWriter::new(file), path: path.to_owned() })
-    }
-
-    /// Opens an existing journal for resume — validating its header
-    /// against `header` and truncating any torn tail — or creates it
-    /// fresh. A file torn inside its header line is recreated (nothing
-    /// was durably journaled). Returns the journal positioned for append
-    /// plus the valid records already on disk.
-    pub fn open_or_create(
-        path: &Path,
-        header: &JournalHeader,
-    ) -> Result<(Journal, Vec<AppRecord>), JournalError> {
-        if !path.exists() {
-            return Ok((Journal::create(path, header)?, Vec::new()));
-        }
-        let contents = match read_journal(path) {
-            Ok(contents) => contents,
-            Err(JournalError::TornHeader) => {
-                return Ok((Journal::create(path, header)?, Vec::new()));
-            }
-            Err(e) => return Err(e),
-        };
-        if contents.header != *header {
-            return Err(JournalError::HeaderMismatch {
-                expected: Box::new(header.clone()),
-                found: Box::new(contents.header),
-            });
-        }
-        let file = OpenOptions::new().write(true).open(path)?;
-        // Drop the torn tail so the next append starts on a clean line.
-        file.set_len(contents.valid_len)?;
-        let mut writer = BufWriter::new(file);
-        writer.seek(SeekFrom::End(0))?;
-        Ok((Journal { writer, path: path.to_owned() }, contents.records))
     }
 
     /// Appends one record and flushes it to the OS — the checkpoint
@@ -500,21 +481,72 @@ impl Journal {
     }
 }
 
+/// The path of shard `shard`'s journal in the single-file layout.
+pub fn journal_path(dir: &Path, shard: usize) -> PathBuf {
+    dir.join(format!("shard-{shard}.journal"))
+}
+
 /// The path of rotated segment `segment` of shard `shard`.
 pub fn segment_path(dir: &Path, shard: usize, segment: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.journal.{segment}"))
 }
 
-/// A rotated shard journal: records append to the current segment; every
-/// `rotate` records the segment seals (its cumulative [`ShardFold`]
-/// rollup becomes its footer) and the next segment opens carrying that
-/// rollup as its second line. The fold of everything durably journaled is
-/// therefore always reconstructible from the newest segment alone.
+/// The file segment `segment` lives in: its own numbered file under
+/// rotation (`Some`), the one un-numbered file otherwise.
+fn layout_path(dir: &Path, shard: usize, segment: Option<usize>) -> PathBuf {
+    segment.map_or_else(|| journal_path(dir, shard), |k| segment_path(dir, shard, k))
+}
+
+/// The newest rotated segment of `shard` on disk; `None` when the shard
+/// has no rotated journal there.
+pub fn newest_segment(dir: &Path, shard: usize) -> Option<usize> {
+    let mut last = 0;
+    while segment_path(dir, shard, last + 1).exists() {
+        last += 1;
+    }
+    (last > 0 || segment_path(dir, shard, 0).exists()).then_some(last)
+}
+
+/// The one file resume and the fleet fold read for `shard` — the single
+/// file (`None`) or the newest rotated segment (`Some`) — or `None` when
+/// nothing is journaled yet. Both layouts side by side are refused.
+fn newest_file(dir: &Path, shard: usize) -> Result<Option<(PathBuf, Option<usize>)>, JournalError> {
+    let single = journal_path(dir, shard);
+    match (single.exists(), newest_segment(dir, shard)) {
+        (true, Some(k)) => Err(layout_error(&single, "sits beside", &segment_path(dir, shard, k))),
+        (true, None) => Ok(Some((single, None))),
+        (false, newest) => Ok(newest.map(|k| (segment_path(dir, shard, k), Some(k)))),
+    }
+}
+
+fn layout_error(found: &Path, relation: &str, other: &Path) -> JournalError {
+    JournalError::Layout(format!(
+        "{} {relation} {}: a shard is journaled in one layout — rerun with the --rotate/--snapshot \
+         setting the directory was written under, or with --fresh to discard it",
+        found.display(),
+        other.display()
+    ))
+}
+
+fn no_journal(dir: &Path, shard: usize) -> JournalError {
+    JournalError::Io(std::io::Error::new(
+        std::io::ErrorKind::NotFound,
+        format!("no journal for shard {shard} in {}", dir.display()),
+    ))
+}
+
+/// A shard's checkpoint journal, in either layout. Records append to the
+/// current segment; under rotation every `rotate` records the segment
+/// seals (its cumulative [`ShardFold`] rollup becomes its footer) and the
+/// next segment opens carrying that rollup as its second line, so the
+/// fold of everything durably journaled is always reconstructible from
+/// the newest file alone. Without rotation the one segment never seals.
 pub struct SegmentedJournal {
     dir: PathBuf,
     shard: usize,
     header: JournalHeader,
-    rotate: usize,
+    /// Records per segment; `None` is the single-file layout.
+    rotate: Option<usize>,
     writer: BufWriter<File>,
     segment: usize,
     in_segment: usize,
@@ -522,94 +554,92 @@ pub struct SegmentedJournal {
 }
 
 impl SegmentedJournal {
-    /// Opens (resuming) or creates the rotated journal of `shard` under
-    /// `dir`, sealing every `rotate` records. Returns the journal plus
-    /// the fold of everything already durably on disk (the resume
-    /// state). Torn tails are truncated; a newest segment torn inside
-    /// its header or carried-rollup line is recreated from its
-    /// predecessor's sealed footer.
+    /// Opens (resuming) or creates the journal of `shard` under `dir` —
+    /// rotated segments sealing every `rotate` records, or with `None`
+    /// the single file. Returns the journal plus the fold of everything
+    /// already durably on disk (the resume state). The header is checked
+    /// against `header`; torn tails are truncated; a newest file torn
+    /// inside its header or carried-rollup line is recreated (a later
+    /// segment from its predecessor's sealed footer); a directory holding
+    /// the other layout is refused.
     pub fn open_or_create(
         dir: &Path,
         shard: usize,
         header: &JournalHeader,
-        rotate: usize,
+        rotate: Option<usize>,
     ) -> Result<(SegmentedJournal, ShardFold), JournalError> {
-        let rotate = rotate.max(1);
-        let mut last = 0;
-        while segment_path(dir, shard, last + 1).exists() {
-            last += 1;
-        }
-        let path = segment_path(dir, shard, last);
-        if !path.exists() {
-            let journal = SegmentedJournal::create_segment(
-                dir,
-                shard,
-                header,
-                rotate,
-                0,
-                ShardFold::default(),
-            )?;
+        let rotate = rotate.map(|r| r.max(1));
+        let with_fold = |journal: SegmentedJournal| {
             let fold = journal.fold.clone();
-            return Ok((journal, fold));
+            (journal, fold)
+        };
+        let create = |segment, base| {
+            SegmentedJournal::create_segment(dir, shard, header, rotate, segment, base)
+                .map(with_fold)
+        };
+        let Some((path, newest)) = newest_file(dir, shard)? else {
+            return create(0, ShardFold::default());
+        };
+        if newest.is_some() != rotate.is_some() {
+            let wanted = layout_path(dir, shard, rotate.map(|_| 0));
+            return Err(layout_error(&path, "is on disk but this campaign writes", &wanted));
         }
+        let last = newest.unwrap_or(0);
         let contents = match read_journal(&path) {
-            Ok(c) => Ok(c),
-            Err(JournalError::TornHeader) => Err(()),
-            Err(e) => return Err(e),
-        };
-        // A newest segment with no usable prefix (torn header, or a later
-        // segment whose carried rollup never hit disk) is recreated from
-        // its predecessor's sealed footer — which was flushed before this
-        // segment was ever created.
-        let recreate = match &contents {
-            Err(()) => true,
-            Ok(c) => last > 0 && c.base.is_none() && c.sealed.is_none(),
-        };
-        if recreate {
-            if let Ok(c) = &contents {
-                if !c.records.is_empty() {
+            Ok(c) if last == 0 || c.base.is_some() || c.sealed.is_some() => c,
+            // A newest file with no usable prefix (torn header, or a later
+            // segment whose carried rollup never hit disk) is recreated —
+            // a later segment from its predecessor's sealed footer, which
+            // was flushed before this segment was ever created.
+            torn @ (Ok(_) | Err(JournalError::TornHeader)) => {
+                if torn.is_ok_and(|c| !c.records.is_empty()) {
                     return Err(JournalError::Corrupt {
                         line: 2,
                         reason: "segment holds records but no carried rollup".into(),
                     });
                 }
+                let base = if last == 0 {
+                    ShardFold::default()
+                } else {
+                    let prev = read_journal(&segment_path(dir, shard, last - 1))?;
+                    prev.sealed.ok_or(JournalError::Corrupt {
+                        line: 1,
+                        reason: format!(
+                            "segment {} precedes segment {last} but is unsealed",
+                            last - 1
+                        ),
+                    })?
+                };
+                return create(last, base);
             }
-            let base = if last == 0 {
-                ShardFold::default()
-            } else {
-                let prev = read_journal(&segment_path(dir, shard, last - 1))?;
-                prev.sealed.ok_or(JournalError::Corrupt {
-                    line: 1,
-                    reason: format!("segment {} precedes segment {last} but is unsealed", last - 1),
-                })?
-            };
-            let journal = SegmentedJournal::create_segment(dir, shard, header, rotate, last, base)?;
-            let fold = journal.fold.clone();
-            return Ok((journal, fold));
-        }
-        let contents = contents.expect("recreate cases returned above");
+            Err(e) => return Err(e),
+        };
         if contents.header != *header {
             return Err(JournalError::HeaderMismatch {
                 expected: Box::new(header.clone()),
                 found: Box::new(contents.header),
             });
         }
-        if let Some(sealed) = contents.sealed {
-            // Sealed but the crash hit before the successor was created:
-            // open the successor fresh.
-            let journal =
-                SegmentedJournal::create_segment(dir, shard, header, rotate, last + 1, sealed)?;
-            let fold = journal.fold.clone();
-            return Ok((journal, fold));
-        }
         // Records follow the header and, past segment 0, the carried base.
         let first_record_line = 2 + usize::from(contents.base.is_some());
+        if let Some(sealed) = contents.sealed {
+            if rotate.is_none() {
+                return Err(JournalError::Corrupt {
+                    line: first_record_line + contents.records.len(),
+                    reason: "rollup footer in a single-file journal".into(),
+                });
+            }
+            // Sealed but the crash hit before the successor was created:
+            // open the successor fresh.
+            return create(last + 1, sealed);
+        }
         let mut fold = contents.base.unwrap_or_default();
         for (k, record) in contents.records.iter().enumerate() {
             fold.fold(record)
                 .map_err(|reason| JournalError::Corrupt { line: first_record_line + k, reason })?;
         }
         let file = OpenOptions::new().write(true).open(&path)?;
+        // Drop the torn tail so the next append starts on a clean line.
         file.set_len(contents.valid_len)?;
         let mut writer = BufWriter::new(file);
         writer.seek(SeekFrom::End(0))?;
@@ -625,11 +655,8 @@ impl SegmentedJournal {
         };
         // A crash after the threshold but before the footer reached disk:
         // finish the seal now so segments stay bounded.
-        if journal.in_segment >= journal.rotate {
-            journal.seal()?;
-        }
-        let fold = journal.fold.clone();
-        Ok((journal, fold))
+        journal.seal_if_full()?;
+        Ok(with_fold(journal))
     }
 
     /// Creates segment `segment` fresh: header line, then (for segments
@@ -638,12 +665,13 @@ impl SegmentedJournal {
         dir: &Path,
         shard: usize,
         header: &JournalHeader,
-        rotate: usize,
+        rotate: Option<usize>,
         segment: usize,
         base: ShardFold,
     ) -> Result<SegmentedJournal, JournalError> {
-        let mut file = File::create(segment_path(dir, shard, segment))?;
-        file.write_all(header_line(header, Some(segment)).as_bytes())?;
+        let numbered = rotate.map(|_| segment);
+        let mut file = File::create(layout_path(dir, shard, numbered))?;
+        file.write_all(header_line(header, numbered).as_bytes())?;
         if segment > 0 {
             file.write_all(seal(base.serialize_body()).as_bytes())?;
         }
@@ -660,8 +688,8 @@ impl SegmentedJournal {
         })
     }
 
-    /// Appends one record (flushed per record, like [`Journal::append`])
-    /// and seals the segment when it reaches the rotation threshold.
+    /// Appends one record and flushes it to the OS — the checkpoint
+    /// granularity is one app — then seals the segment if that filled it.
     pub fn append(&mut self, record: &AppRecord) -> Result<(), JournalError> {
         let line = record_line(record);
         self.writer.write_all(line.as_bytes())?;
@@ -679,15 +707,16 @@ impl SegmentedJournal {
         let line = self.in_segment + 2 + usize::from(self.segment > 0);
         self.fold.fold(&parsed).map_err(|reason| JournalError::Corrupt { line, reason })?;
         self.in_segment += 1;
-        if self.in_segment >= self.rotate {
-            self.seal()?;
-        }
-        Ok(())
+        self.seal_if_full()
     }
 
-    /// Seals the current segment (appends the cumulative rollup footer)
-    /// and opens the next one carrying that rollup.
-    fn seal(&mut self) -> Result<(), JournalError> {
+    /// Once the current segment holds `rotate` records, seals it (appends
+    /// the cumulative rollup footer) and opens the next one carrying that
+    /// rollup.
+    fn seal_if_full(&mut self) -> Result<(), JournalError> {
+        if self.rotate.is_none_or(|rotate| self.in_segment < rotate) {
+            return Ok(());
+        }
         self.writer.write_all(seal(self.fold.serialize_body()).as_bytes())?;
         self.writer.flush()?;
         let next = SegmentedJournal::create_segment(
@@ -715,57 +744,36 @@ impl SegmentedJournal {
     }
 }
 
-/// The incremental read of a rotated shard journal: the carried rollup of
-/// all sealed history plus the unsealed tail's records — only the newest
-/// segment is opened.
-pub fn read_rotated_tail(
+/// The incremental read of a shard journal in whichever layout is on
+/// disk: the carried rollup of all sealed history plus the unsealed
+/// tail's records — only the newest file is opened. A single-file journal
+/// has no sealed history: its rollup is empty and its tail is everything.
+pub fn read_shard_tail(
     dir: &Path,
     shard: usize,
 ) -> Result<(ShardFold, Vec<AppRecord>), JournalError> {
-    let mut last = 0;
-    while segment_path(dir, shard, last + 1).exists() {
-        last += 1;
-    }
-    let contents = read_journal(&segment_path(dir, shard, last))?;
+    let (path, _) = newest_file(dir, shard)?.ok_or_else(|| no_journal(dir, shard))?;
+    let contents = read_journal(&path)?;
     if let Some(sealed) = contents.sealed {
         return Ok((sealed, Vec::new()));
     }
     Ok((contents.base.unwrap_or_default(), contents.records))
 }
 
-/// Reads every record of one shard, oldest first, across whatever layout
+/// Reads every record of one shard, oldest first, across whichever layout
 /// the journal uses — the single file `shard-<s>.journal` or the rotated
-/// segments `shard-<s>.journal.<k>`. The monolithic view the rotated
-/// fast path is gated against.
+/// segments `shard-<s>.journal.<k>`. The monolithic view the incremental
+/// tail read is gated against.
 pub fn read_shard_records(
     dir: &Path,
     shard: usize,
 ) -> Result<(JournalHeader, Vec<AppRecord>), JournalError> {
-    let single = dir.join(format!("shard-{shard}.journal"));
-    if single.exists() {
-        let contents = read_journal(&single)?;
-        return Ok((contents.header, contents.records));
+    let (_, newest) = newest_file(dir, shard)?.ok_or_else(|| no_journal(dir, shard))?;
+    let mut contents = read_journal(&layout_path(dir, shard, newest.map(|_| 0)))?;
+    for segment in 1..=newest.unwrap_or(0) {
+        contents.records.extend(read_journal(&segment_path(dir, shard, segment))?.records);
     }
-    let mut records = Vec::new();
-    let mut header = None;
-    let mut segment = 0;
-    loop {
-        let path = segment_path(dir, shard, segment);
-        if !path.exists() {
-            break;
-        }
-        let contents = read_journal(&path)?;
-        records.extend(contents.records);
-        header.get_or_insert(contents.header);
-        segment += 1;
-    }
-    match header {
-        Some(header) => Ok((header, records)),
-        None => Err(JournalError::Io(std::io::Error::new(
-            std::io::ErrorKind::NotFound,
-            format!("no journal for shard {shard} in {}", dir.display()),
-        ))),
-    }
+    Ok((contents.header, contents.records))
 }
 
 /// Reads a whole campaign directory: shard 0's header names the shard
@@ -863,15 +871,17 @@ mod tests {
         assert!(c.truncated, "cut line must be reported as a torn tail");
         assert_eq!(c.records.len(), 2);
         // Resume: the torn tail is truncated away and appends continue.
-        let (mut j, records) = Journal::open_or_create(&path, &header()).unwrap();
-        assert_eq!(records.len(), 2);
+        let dir = path.parent().unwrap();
+        let (mut j, fold) = SegmentedJournal::open_or_create(dir, 0, &header(), None).unwrap();
+        assert_eq!(fold.apps(), 2);
         j.append(&record(2)).unwrap();
         j.append(&record(3)).unwrap();
         drop(j);
         let c = read_journal(&path).unwrap();
         assert!(!c.truncated);
+        assert!(c.segment.is_none(), "a single-file journal writes no segment= token");
         assert_eq!(c.records.len(), 4);
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -892,8 +902,9 @@ mod tests {
             other => panic!("expected TornHeader for empty file, got {other:?}"),
         }
         // open_or_create recreates instead of hard-failing.
-        let (mut j, records) = Journal::open_or_create(&path, &header()).unwrap();
-        assert!(records.is_empty());
+        let dir = path.parent().unwrap();
+        let (mut j, fold) = SegmentedJournal::open_or_create(dir, 0, &header(), None).unwrap();
+        assert_eq!(fold, ShardFold::default());
         j.append(&record(0)).unwrap();
         drop(j);
         assert_eq!(read_journal(&path).unwrap().records.len(), 1);
@@ -926,13 +937,14 @@ mod tests {
         Journal::create(&path, &header()).unwrap();
         let mut other = header();
         other.master_seed ^= 1;
-        match Journal::open_or_create(&path, &other) {
+        let dir = path.parent().unwrap();
+        match SegmentedJournal::open_or_create(dir, 0, &other, None) {
             Err(JournalError::HeaderMismatch { .. }) => {}
             other => panic!("expected HeaderMismatch, got {:?}", other.err()),
         }
         let mut updated = header();
         updated.update_ppm = 5000;
-        match Journal::open_or_create(&path, &updated) {
+        match SegmentedJournal::open_or_create(dir, 0, &updated, None) {
             Err(JournalError::HeaderMismatch { .. }) => {}
             other => panic!("update model must pin resume identity, got {:?}", other.err()),
         }
@@ -940,9 +952,64 @@ mod tests {
     }
 
     #[test]
+    fn single_file_resume_fold_equals_folding_read_shard_records() {
+        let dir = tmp("single-fold").parent().unwrap().to_owned();
+        let (mut j, _) = SegmentedJournal::open_or_create(&dir, 0, &header(), None).unwrap();
+        let mut failed = record(1);
+        failed.status = RecordStatus::Failed;
+        for r in [record(0), failed, record(2), record(1), record(2)] {
+            j.append(&r).unwrap();
+        }
+        assert_eq!(j.segments(), 1, "a single-file journal never seals");
+        let live = j.fold().clone();
+        drop(j);
+        let (_, resumed) = SegmentedJournal::open_or_create(&dir, 0, &header(), None).unwrap();
+        let (h, records) = read_shard_records(&dir, 0).unwrap();
+        assert_eq!(h, header());
+        let mut refold = ShardFold::default();
+        for r in &records {
+            refold.fold(r).unwrap();
+        }
+        assert_eq!(resumed, refold);
+        assert_eq!(resumed, live);
+        // The tail of a journal that never sealed is its whole history.
+        assert_eq!(read_shard_tail(&dir, 0).unwrap(), (ShardFold::default(), records));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_directory_in_the_other_layout_or_in_both_is_refused() {
+        let layout = |r: Result<_, JournalError>| match r {
+            Err(JournalError::Layout(message)) => message,
+            Err(other) => panic!("expected a layout refusal, got {other}"),
+            Ok(()) => panic!("expected a layout refusal"),
+        };
+        let dir = tmp("layout").parent().unwrap().to_owned();
+        let open = |rotate| SegmentedJournal::open_or_create(&dir, 0, &header(), rotate).map(drop);
+        open(None).unwrap();
+        let message = layout(open(Some(3)));
+        assert!(message.contains("shard-0.journal ") && message.contains("shard-0.journal.0"));
+        assert!(message.contains("--fresh"), "{message}");
+        // Both at once: no reader guesses which file wins.
+        std::fs::copy(journal_path(&dir, 0), segment_path(&dir, 0, 0)).unwrap();
+        for message in [
+            layout(open(None)),
+            layout(open(Some(3))),
+            layout(read_shard_tail(&dir, 0).map(drop)),
+            layout(read_shard_records(&dir, 0).map(drop)),
+            layout(read_campaign_journals(&dir).map(drop)),
+        ] {
+            assert!(message.contains("shard-0.journal sits beside"), "{message}");
+        }
+        std::fs::remove_file(journal_path(&dir, 0)).unwrap();
+        layout(open(None));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn rotation_seals_segments_and_tail_read_matches_full_read() {
         let dir = tmp("rotate").parent().unwrap().to_owned();
-        let (mut j, fold) = SegmentedJournal::open_or_create(&dir, 0, &header(), 3).unwrap();
+        let (mut j, fold) = SegmentedJournal::open_or_create(&dir, 0, &header(), Some(3)).unwrap();
         assert_eq!(fold, ShardFold::default());
         for i in 0..8 {
             j.append(&record(i)).unwrap();
@@ -961,7 +1028,7 @@ mod tests {
         assert_eq!(s2.records.len(), 2);
         assert!(s2.sealed.is_none());
         // Incremental tail read: base rollup + tail == fold of all 8.
-        let (base, tail) = read_rotated_tail(&dir, 0).unwrap();
+        let (base, tail) = read_shard_tail(&dir, 0).unwrap();
         let mut folded = base;
         for r in &tail {
             folded.fold(r).unwrap();
@@ -978,7 +1045,7 @@ mod tests {
     #[test]
     fn rotated_resume_survives_kills_at_every_awkward_point() {
         let dir = tmp("rotate-kill").parent().unwrap().to_owned();
-        let (mut j, _) = SegmentedJournal::open_or_create(&dir, 0, &header(), 3).unwrap();
+        let (mut j, _) = SegmentedJournal::open_or_create(&dir, 0, &header(), Some(3)).unwrap();
         for i in 0..7 {
             j.append(&record(i)).unwrap();
         }
@@ -987,7 +1054,7 @@ mod tests {
         let p2 = segment_path(&dir, 0, 2);
         let bytes = std::fs::read(&p2).unwrap();
         std::fs::write(&p2, &bytes[..bytes.len() - 5]).unwrap();
-        let (mut j, fold) = SegmentedJournal::open_or_create(&dir, 0, &header(), 3).unwrap();
+        let (mut j, fold) = SegmentedJournal::open_or_create(&dir, 0, &header(), Some(3)).unwrap();
         assert_eq!(fold.apps(), 6, "torn record 6 must be truncated");
         j.append(&record(6)).unwrap();
         drop(j);
@@ -995,7 +1062,7 @@ mod tests {
         // the predecessor's sealed footer.
         let bytes = std::fs::read(&p2).unwrap();
         std::fs::write(&p2, &bytes[..10]).unwrap();
-        let (mut j, fold) = SegmentedJournal::open_or_create(&dir, 0, &header(), 3).unwrap();
+        let (mut j, fold) = SegmentedJournal::open_or_create(&dir, 0, &header(), Some(3)).unwrap();
         assert_eq!(fold.apps(), 6, "segment 2's records were lost with its header");
         j.append(&record(6)).unwrap();
         let whole = j.fold().clone();
@@ -1014,7 +1081,7 @@ mod tests {
     #[test]
     fn sealed_segment_without_successor_resumes_into_a_fresh_one() {
         let dir = tmp("rotate-sealed").parent().unwrap().to_owned();
-        let (mut j, _) = SegmentedJournal::open_or_create(&dir, 0, &header(), 2).unwrap();
+        let (mut j, _) = SegmentedJournal::open_or_create(&dir, 0, &header(), Some(2)).unwrap();
         for i in 0..4 {
             j.append(&record(i)).unwrap();
         }
@@ -1023,24 +1090,45 @@ mod tests {
         // Simulate a crash right after sealing segment 1 but before
         // segment 2 was created.
         std::fs::remove_file(segment_path(&dir, 0, 2)).unwrap();
-        let (j, fold) = SegmentedJournal::open_or_create(&dir, 0, &header(), 2).unwrap();
+        let (j, fold) = SegmentedJournal::open_or_create(&dir, 0, &header(), Some(2)).unwrap();
         assert_eq!(fold.apps(), 4, "sealed rollup carries all four records");
         assert_eq!(j.segments(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A 12-record shard journal rotated every 5: segment 0 (header, 5
+    /// A 12-record shard journal. Rotated every 5: segment 0 (header, 5
     /// records, footer), segment 1 (header, carried rollup, 5 records,
-    /// footer), segment 2 (header, carried rollup, 2 records).
-    fn rotated_twelve(name: &str) -> (PathBuf, JournalHeader) {
+    /// footer), segment 2 (header, carried rollup, 2 records). Without
+    /// rotation: one file, header and 12 records.
+    fn twelve(name: &str, rotate: Option<usize>) -> (PathBuf, JournalHeader) {
         let dir = tmp(name).parent().unwrap().to_owned();
         let header = JournalHeader { apps: 12, ..header() };
-        let (mut j, _) = SegmentedJournal::open_or_create(&dir, 0, &header, 5).unwrap();
+        let (mut j, _) = SegmentedJournal::open_or_create(&dir, 0, &header, rotate).unwrap();
         for i in 0..12 {
             j.append(&record(i)).unwrap();
         }
-        assert_eq!(j.segments(), 3);
+        assert_eq!(j.segments(), if rotate.is_some() { 3 } else { 1 });
         (dir, header)
+    }
+
+    fn rotated_twelve(name: &str) -> (PathBuf, JournalHeader) {
+        twelve(name, Some(5))
+    }
+
+    #[test]
+    fn a_sealed_segment_posing_as_a_single_file_is_corrupt_not_appended_to() {
+        let (dir, header) = rotated_twelve("posing");
+        std::fs::rename(segment_path(&dir, 0, 0), journal_path(&dir, 0)).unwrap();
+        for k in 1..3 {
+            std::fs::remove_file(segment_path(&dir, 0, k)).unwrap();
+        }
+        match SegmentedJournal::open_or_create(&dir, 0, &header, None).err() {
+            Some(JournalError::Corrupt { line: 7, reason }) => {
+                assert!(reason.contains("rollup footer"), "{reason}")
+            }
+            other => panic!("a single-file journal has no footer to resume past: {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Rewrites line `k` of a journal file through `edit`, which gets the
@@ -1093,7 +1181,7 @@ mod tests {
     #[test]
     fn a_resealed_count_that_overflows_the_shard_tally_is_corrupt_not_a_panic() {
         let dir = tmp("hostile-nodes").parent().unwrap().to_owned();
-        let (mut j, _) = SegmentedJournal::open_or_create(&dir, 0, &header(), 5).unwrap();
+        let (mut j, _) = SegmentedJournal::open_or_create(&dir, 0, &header(), Some(5)).unwrap();
         for i in 0..3 {
             j.append(&record(i)).unwrap();
         }
@@ -1109,7 +1197,7 @@ mod tests {
         });
         let records = read_journal(&path).unwrap().records;
         assert_eq!(records[0].nodes, u64::MAX);
-        match SegmentedJournal::open_or_create(&dir, 0, &header(), 5).err() {
+        match SegmentedJournal::open_or_create(&dir, 0, &header(), Some(5)).err() {
             Some(JournalError::Corrupt { line, reason }) => {
                 assert_eq!(line, 3);
                 assert!(reason.contains("nodes"), "{reason}");
@@ -1180,32 +1268,35 @@ mod tests {
             b: usize,
             byte: u8,
         ) {
-            // (segment, line) of each kind of line in `rotated_twelve`.
-            let kinds: [&[(usize, usize)]; 4] = [
+            // (segment, line) of each kind of line in `twelve`, per layout.
+            let rotated: &[&[(usize, usize)]] = &[
                 &[(0, 0), (1, 0), (2, 0)],                 // headers
                 &[(0, 3), (1, 4), (2, 2), (2, 3)],         // records
                 &[(1, 1), (2, 1)],                         // carried rollups
                 &[(0, 6), (1, 7)],                         // sealing footers
             ];
-            for (kind, lines) in kinds.iter().enumerate() {
-                let (segment, k) = lines[pick % lines.len()];
-                for reseal in [false, true] {
-                    let (dir, header) = rotated_twelve(&format!("hostile-{kind}-{reseal}"));
-                    let path = segment_path(&dir, 0, segment);
-                    rewrite_line(&path, k, |line| {
-                        let edit = |bytes: &[u8]| mangle(bytes, op, a, b, byte);
-                        if reseal { resealed(line, edit) } else { edit(line) }
-                    });
-                    let read = read_journal(&path);
-                    if !reseal {
-                        // A stale checksum is an error, or — on the final
-                        // line — a torn tail that is dropped.
-                        let noticed = read.as_ref().map_or(true, |c| c.truncated);
-                        proptest::prop_assert!(noticed, "segment {segment} line {k}: {read:?}");
+            let single: &[&[(usize, usize)]] = &[&[(0, 0)], &[(0, 3), (0, 12)]];
+            for (rotate, kinds) in [(Some(5), rotated), (None, single)] {
+                for (kind, lines) in kinds.iter().enumerate() {
+                    let (segment, k) = lines[pick % lines.len()];
+                    for reseal in [false, true] {
+                        let (dir, header) = twelve(&format!("hostile-{kind}-{reseal}"), rotate);
+                        let path = layout_path(&dir, 0, rotate.map(|_| segment));
+                        rewrite_line(&path, k, |line| {
+                            let edit = |bytes: &[u8]| mangle(bytes, op, a, b, byte);
+                            if reseal { resealed(line, edit) } else { edit(line) }
+                        });
+                        let read = read_journal(&path);
+                        if !reseal {
+                            // A stale checksum is an error, or — on the
+                            // final line — a torn tail that is dropped.
+                            let noticed = read.as_ref().map_or(true, |c| c.truncated);
+                            proptest::prop_assert!(noticed, "segment {segment} line {k}: {read:?}");
+                        }
+                        let _ = read_shard_tail(&dir, 0);
+                        let _ = SegmentedJournal::open_or_create(&dir, 0, &header, rotate);
+                        std::fs::remove_dir_all(&dir).ok();
                     }
-                    let _ = read_rotated_tail(&dir, 0);
-                    let _ = SegmentedJournal::open_or_create(&dir, 0, &header, 5);
-                    std::fs::remove_dir_all(&dir).ok();
                 }
             }
         }

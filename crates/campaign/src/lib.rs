@@ -33,13 +33,13 @@ pub mod journal;
 pub mod report;
 
 pub use campaign::{
-    config_digest, effective_seed, journal_path, run_campaign, CampaignConfig, CampaignError,
-    CampaignOutcome, DeltaReport,
+    config_digest, effective_seed, run_campaign, CampaignConfig, CampaignError, CampaignOutcome,
+    DeltaReport,
 };
 pub use fold::{FoldOutcome, OpenFailure, ShardFold, TopApp};
 pub use journal::{
-    read_campaign_journals, read_journal, read_rotated_tail, read_shard_records, segment_path,
-    AppRecord, Journal, JournalContents, JournalError, JournalHeader, RecordStatus,
-    SegmentedJournal, JOURNAL_VERSION,
+    journal_path, newest_segment, read_campaign_journals, read_journal, read_shard_records,
+    read_shard_tail, segment_path, AppRecord, Journal, JournalContents, JournalError,
+    JournalHeader, RecordStatus, SegmentedJournal, JOURNAL_VERSION,
 };
 pub use report::{FleetReport, ShardSummary, Straggler, STRAGGLER_COUNT};

@@ -9,16 +9,17 @@
 //! after a resume) live in the merged [`gdroid_serve::ServiceReport`],
 //! which the campaign layer keeps out of the canonical report file.
 //!
-//! Two fold paths, one implementation: [`FleetReport::from_records`]
+//! Two fold entries, one implementation: [`FleetReport::from_records`]
 //! runs every record of every shard through a [`ShardFold`];
 //! [`FleetReport::from_folds`] starts each shard from a sealed-segment
-//! rollup (a deserialized `ShardFold`) and folds only the unsealed tail.
-//! Both finish through the same aggregation, so the incremental report is
-//! byte-identical to the monolithic one by construction — a property the
-//! snapshot bench and `tests/resume_gate.rs` assert outright.
+//! rollup (a deserialized `ShardFold`, empty for a journal that never
+//! sealed) and folds only the unsealed tail. Both finish through the same
+//! aggregation, so the incremental report is byte-identical to the
+//! monolithic one by construction — a property the snapshot bench and
+//! `tests/resume_gate.rs` assert outright.
 
 use crate::campaign::DeltaReport;
-use crate::fold::{tally, ShardFold};
+use crate::fold::{tally, verdict_line, ShardFold};
 use crate::journal::{AppRecord, JournalError};
 use gdroid_serve::HistogramSnapshot;
 use gdroid_vetting::json::JsonWriter;
@@ -88,10 +89,10 @@ pub struct FleetReport {
     pub records: Vec<AppRecord>,
     /// Owning shard of each entry in `records` (parallel vec).
     pub record_shards: Vec<usize>,
-    /// Whether `records` covers every tallied app (`false` when the
-    /// report was folded incrementally from sealed-segment rollups, which
-    /// carry aggregates but not individual records). Every tally and
-    /// digest in the report covers all apps either way.
+    /// Whether `records` covers every tallied app (`false` when some
+    /// shard's fold started from a sealed-segment rollup, which carries
+    /// aggregates but not individual records). Every tally and digest in
+    /// the report covers all apps either way.
     pub records_complete: bool,
     /// Per-shard rollups, by shard index.
     pub per_shard: Vec<ShardSummary>,
@@ -165,24 +166,24 @@ impl FleetReport {
         shard_records: Vec<Vec<AppRecord>>,
     ) -> Result<FleetReport, JournalError> {
         let shards = shard_records.into_iter().map(|r| (ShardFold::default(), r)).collect();
-        FleetReport::merge(master_seed, apps, config_digest, shards, true).map_err(total_corrupt)
+        FleetReport::merge(master_seed, apps, config_digest, shards).map_err(total_corrupt)
     }
 
     /// The incremental fold: element `i` is shard `i`'s sealed-history
-    /// rollup (from its newest segment) plus the unsealed tail's records.
-    /// Byte-identical to [`Self::from_records`] over the same underlying
-    /// record set, but only the one unsealed segment per shard was read —
-    /// so [`Self::records`] holds tail records only
-    /// ([`Self::records_complete`] is `false`). Rollups and tails come
-    /// from files: an overflowing tally is [`JournalError::Corrupt`].
+    /// rollup (from its newest journal file) plus the unsealed tail's
+    /// records. Byte-identical to [`Self::from_records`] over the same
+    /// underlying record set, but only the one unsealed file per shard
+    /// was read — so [`Self::records`] holds tail records only, and
+    /// [`Self::records_complete`] says whether that is all of them.
+    /// Rollups and tails come from files: an overflowing tally is
+    /// [`JournalError::Corrupt`].
     pub fn from_folds(
         master_seed: u64,
         apps: usize,
         config_digest: u64,
         shard_tails: Vec<(ShardFold, Vec<AppRecord>)>,
     ) -> Result<FleetReport, JournalError> {
-        FleetReport::merge(master_seed, apps, config_digest, shard_tails, false)
-            .map_err(total_corrupt)
+        FleetReport::merge(master_seed, apps, config_digest, shard_tails).map_err(total_corrupt)
     }
 
     /// Folds each shard's records into its starting fold, then merges the
@@ -192,9 +193,9 @@ impl FleetReport {
         apps: usize,
         config_digest: u64,
         shard_tails: Vec<(ShardFold, Vec<AppRecord>)>,
-        records_complete: bool,
     ) -> Result<FleetReport, String> {
         let shards = shard_tails.len().max(1);
+        let records_complete = shard_tails.iter().all(|(fold, _)| fold.indices.is_empty());
         let mut per_shard = Vec::with_capacity(shard_tails.len());
         let mut merged: Vec<(usize, AppRecord)> = Vec::new();
         let mut hist_buckets = [0u64; 17];
@@ -307,16 +308,11 @@ impl FleetReport {
     /// `index package verdict report_fnv`. Independent of shard layout,
     /// so verdict files from an S-shard and a 1-shard campaign over the
     /// same corpus compare byte-for-byte. Only covers every app when
-    /// [`Self::records_complete`] — rotated campaigns use the monolithic
-    /// journal read for verdict dumps.
+    /// [`Self::records_complete`] — a campaign with sealed segments needs
+    /// the monolithic journal read for a verdict dump.
     pub fn verdict_lines(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for r in &self.records {
-            writeln!(out, "{:06} {} {} {:016x}", r.index, r.package, r.verdict, r.report_fnv)
-                .expect("writing to String cannot fail");
-        }
-        out
+        let line = |r: &AppRecord| verdict_line(r.index, &r.package, &r.verdict, r.report_fnv);
+        self.records.iter().map(|r| line(r) + "\n").collect()
     }
 
     /// Deterministic JSON rendering — byte-identical for identical record
@@ -641,7 +637,8 @@ mod tests {
             };
             let incremental =
                 FleetReport::from_folds(3, 10, 8, vec![seal(&shard0), seal(&shard1)]).unwrap();
-            assert!(!incremental.records_complete);
+            // Only a fold that starts from nothing keeps every record.
+            assert_eq!(incremental.records_complete, cut == 0);
             assert_eq!(incremental.tallied_apps(), 10);
             assert_eq!(incremental.to_json(), monolithic.to_json(), "cut at {cut}");
         }

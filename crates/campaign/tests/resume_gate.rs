@@ -5,9 +5,10 @@
 
 use gdroid_apk::{Corpus, GenConfig};
 use gdroid_campaign::{
-    config_digest, effective_seed, journal_path, read_rotated_tail, read_shard_records,
-    run_campaign, segment_path, AppRecord, CampaignConfig, CampaignError, FleetReport, Journal,
-    JournalHeader, RecordStatus, SegmentedJournal, ShardFold, JOURNAL_VERSION,
+    config_digest, effective_seed, journal_path, newest_segment, read_shard_records,
+    read_shard_tail, run_campaign, segment_path, AppRecord, CampaignConfig, CampaignError,
+    FleetReport, Journal, JournalError, JournalHeader, RecordStatus, SegmentedJournal, ShardFold,
+    JOURNAL_VERSION,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -144,9 +145,7 @@ fn failed_records_rerun_on_resume_but_quarantined_stay_done() {
         update_salt: 0,
     };
     {
-        let (mut journal, existing) =
-            Journal::open_or_create(&journal_path(&dir, 0), &header).unwrap();
-        assert!(existing.is_empty());
+        let mut journal = Journal::create(&journal_path(&dir, 0), &header).unwrap();
         journal.append(&stub_record(2, RecordStatus::Failed, 1)).unwrap();
         journal.append(&stub_record(4, RecordStatus::Quarantined, 3)).unwrap();
     }
@@ -202,10 +201,7 @@ fn rotated_campaign_folds_incrementally_and_survives_kills() {
     let kill_dir = tmp_dir("rotate-kill-tail");
     let kill_cfg = rotated_campaign(kill_dir.clone(), 10, 2, 3);
     run_campaign(&kill_cfg).unwrap();
-    let mut newest = 0;
-    while segment_path(&kill_dir, 0, newest + 1).exists() {
-        newest += 1;
-    }
+    let newest = newest_segment(&kill_dir, 0).unwrap();
     let tail = segment_path(&kill_dir, 0, newest);
     let bytes = std::fs::read(&tail).unwrap();
     std::fs::write(&tail, &bytes[..bytes.len().saturating_sub(40)]).unwrap();
@@ -225,10 +221,7 @@ fn rotated_campaign_folds_incrementally_and_survives_kills() {
 
     // Kill inside the newest segment's header line: recreated from the
     // predecessor footer, same outcome.
-    let mut newest = 0;
-    while segment_path(&kill_dir, 0, newest + 1).exists() {
-        newest += 1;
-    }
+    let newest = newest_segment(&kill_dir, 0).unwrap();
     std::fs::write(segment_path(&kill_dir, 0, newest), b"gdroid-camp").unwrap();
     let resumed = run_campaign(&kill_cfg).unwrap();
     assert_eq!(resumed.fleet.to_json(), reference.fleet.to_json());
@@ -236,6 +229,68 @@ fn rotated_campaign_folds_incrementally_and_survives_kills() {
     std::fs::remove_dir_all(plain_dir).ok();
     std::fs::remove_dir_all(ref_dir).ok();
     std::fs::remove_dir_all(kill_dir).ok();
+}
+
+#[test]
+fn from_folds_over_a_single_file_campaign_is_records_complete() {
+    // One fold path for both layouts: a journal that never sealed hands
+    // the fold every record, so the report can print its own verdicts; a
+    // sealed segment's rollup cannot.
+    let dir = tmp_dir("complete-single");
+    let config = tiny_campaign(dir.clone(), 10, 2);
+    let single = run_campaign(&config).unwrap();
+    assert!(single.fleet.records_complete);
+    let records = (0..2).map(|shard| read_shard_records(&dir, shard).unwrap().1).collect();
+    let monolithic =
+        FleetReport::from_records(config.master_seed, 10, config_digest(&config), records);
+    assert_eq!(single.fleet.verdict_lines(), monolithic.verdict_lines());
+    assert_eq!(single.fleet.to_json(), monolithic.to_json());
+
+    let rotated_dir = tmp_dir("complete-rotated");
+    let rotated = run_campaign(&rotated_campaign(rotated_dir.clone(), 10, 2, 3)).unwrap();
+    assert!(!rotated.fleet.records_complete);
+    assert_eq!(rotated.fleet.to_json(), monolithic.to_json());
+
+    std::fs::remove_dir_all(dir).ok();
+    std::fs::remove_dir_all(rotated_dir).ok();
+}
+
+#[test]
+fn a_directory_in_the_other_layout_is_refused_not_read_past() {
+    // Regression: `campaign --apps 12 --journal-dir D` followed by
+    // `campaign --apps 12 --rotate 4 --scale 0.1 --journal-dir D
+    // --verdicts V` used to exit 0 — the rotated writer never looked at
+    // `shard-0.journal`, no header check saw the profile change, and the
+    // verdict dump re-read the stale single file.
+    let refused = |config: &CampaignConfig| match run_campaign(config) {
+        Err(CampaignError::Journal(JournalError::Layout(message))) => message,
+        other => panic!(
+            "a mixed-layout directory must be refused, got {:?}",
+            other.map(|o| o.fleet.verdict_lines()).map_err(|e| e.to_string())
+        ),
+    };
+    let dir = tmp_dir("mixed");
+    let plain = tiny_campaign(dir.clone(), 12, 1);
+    let stale = run_campaign(&plain).unwrap().fleet.verdict_lines();
+    let mut rotated = rotated_campaign(dir.clone(), 12, 1, 4);
+    rotated.gen.scale *= 0.1;
+    let message = refused(&rotated);
+    assert!(message.contains("shard-0.journal ") && message.contains("--fresh"), "{message}");
+    assert!(!segment_path(&dir, 0, 0).exists(), "a refused campaign journals nothing");
+    // The directory is still the first campaign's, untouched.
+    assert_eq!(run_campaign(&plain).unwrap().fleet.verdict_lines(), stale);
+
+    // A delta base holding a shard in both layouts is refused the same
+    // way: which file's records would be copied forward is not a guess.
+    std::fs::copy(journal_path(&dir, 0), segment_path(&dir, 0, 0)).unwrap();
+    let delta_dir = tmp_dir("mixed-delta");
+    let mut delta = tiny_campaign(delta_dir.clone(), 12, 1);
+    delta.delta_base = Some(dir.clone());
+    let message = refused(&delta);
+    assert!(message.contains("shard-0.journal.0"), "{message}");
+
+    std::fs::remove_dir_all(dir).ok();
+    std::fs::remove_dir_all(delta_dir).ok();
 }
 
 #[test]
@@ -354,7 +409,7 @@ fn proptest_header() -> JournalHeader {
 /// Fleet report of shard 0's rotated journal via the incremental
 /// (sealed-rollup + tail) path.
 fn incremental_report(dir: &std::path::Path) -> FleetReport {
-    let tail = read_rotated_tail(dir, 0).unwrap();
+    let tail = read_shard_tail(dir, 0).unwrap();
     FleetReport::from_folds(0xDEAD, 30, 0xFEED, vec![tail]).unwrap()
 }
 
@@ -386,7 +441,7 @@ proptest! {
         let header = proptest_header();
 
         let (mut journal, resumed) =
-            SegmentedJournal::open_or_create(&dir, 0, &header, rotate).unwrap();
+            SegmentedJournal::open_or_create(&dir, 0, &header, Some(rotate)).unwrap();
         prop_assert_eq!(resumed, ShardFold::default());
         let mut expected = ShardFold::default();
         for tuple in &raw {
@@ -402,16 +457,12 @@ proptest! {
 
         // Kill: chop the newest segment at a random byte offset, recover
         // by reopening, and re-compare.
-        let mut newest = 0;
-        while segment_path(&dir, 0, newest + 1).exists() {
-            newest += 1;
-        }
-        let tail_path = segment_path(&dir, 0, newest);
+        let tail_path = segment_path(&dir, 0, newest_segment(&dir, 0).unwrap());
         let bytes = std::fs::read(&tail_path).unwrap();
         let cut = (bytes.len() * kill_pm as usize) / 1000;
         std::fs::write(&tail_path, &bytes[..cut]).unwrap();
         let (journal, recovered) =
-            SegmentedJournal::open_or_create(&dir, 0, &header, rotate).unwrap();
+            SegmentedJournal::open_or_create(&dir, 0, &header, Some(rotate)).unwrap();
         drop(journal);
         let incremental = incremental_report(&dir);
         prop_assert_eq!(incremental.to_json(), monolithic_report(&dir).to_json());

@@ -113,36 +113,55 @@ use gdroid::vetting::{
 use std::process::exit;
 use std::sync::Arc;
 
+/// One line per verb; [`verb_flags`] reads the accepted flags off it.
+const USAGE: &str = "usage:\n  gdroid gen <seed> [out.jil]\n  gdroid vet <app.jil|seed> \
+     [--engine plain|mat|matgrp|gdroid|worklist|cpu|mtcpu|amandroid] \
+     [--exec multi|persistent] [--targeted] \
+     [--sumstore <dir>] [--trace <out.json>] [--json]\n  \
+     gdroid engines\n  \
+     gdroid lint <app.jil|seed>\n  \
+     gdroid stats <app.jil|seed>\n  \
+     gdroid corpus <n>\n  gdroid dot <app.jil|seed> [out.dot]\n  gdroid export <n> <dir>\n  \
+     gdroid assess <app.jil|seed> [--json]\n  \
+     gdroid serve --apps N [--workers K] [--devices D] [--coresident C] [--faults P:B] \
+     [--engine worklist|cpu] [--exec multi|persistent] [--targeted-lane] \
+     [--sumstore <dir>] [--trace-dir <dir>] [--digest] [--json]\n  \
+     gdroid batch <bundle-dir> [--workers K] [--devices D] [--coresident C] \
+     [--engine worklist|cpu] [--exec multi|persistent] [--sumstore <dir>] \
+     [--trace-dir <dir>] [--digest] [--json]\n  \
+     gdroid sumstore stats|clear <dir>\n  \
+     gdroid campaign --apps N [--shards S] [--seed X] [--workers K] [--devices D] \
+     [--coresident C] [--engine worklist|cpu] [--exec multi|persistent] [--targeted] \
+     [--sumstore] [--scale F] \
+     [--snapshot] [--rotate N] [--shared-store] [--delta DIR] [--updates PPM[:SALT]] \
+     [--journal-dir DIR] [--out FILE] [--verdicts FILE] [--trace-dir DIR] [--fresh] [--json]";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  gdroid gen <seed> [out.jil]\n  gdroid vet <app.jil|seed> \
-         [--engine plain|mat|matgrp|gdroid|worklist|cpu|mtcpu|amandroid] \
-         [--exec multi|persistent] [--targeted] \
-         [--sumstore <dir>] [--trace <out.json>] [--json]\n  \
-         gdroid engines\n  \
-         gdroid lint <app.jil|seed>\n  \
-         gdroid stats <app.jil|seed>\n  \
-         gdroid corpus <n>\n  gdroid dot <app.jil|seed> [out.dot]\n  gdroid export <n> <dir>\n  \
-         gdroid assess <app.jil|seed> [--json]\n  \
-         gdroid serve --apps N [--workers K] [--devices D] [--coresident C] [--faults P:B] \
-         [--engine worklist|cpu] [--exec multi|persistent] [--targeted-lane] \
-         [--sumstore <dir>] [--trace-dir <dir>] [--digest] [--json]\n  \
-         gdroid batch <bundle-dir> [--workers K] [--devices D] [--coresident C] \
-         [--engine worklist|cpu] [--exec multi|persistent] [--sumstore <dir>] \
-         [--trace-dir <dir>] [--digest] [--json]\n  \
-         gdroid sumstore stats|clear <dir>\n  \
-         gdroid campaign --apps N [--shards S] [--seed X] [--workers K] [--devices D] \
-         [--coresident C] [--engine worklist|cpu] [--exec multi|persistent] [--targeted] \
-         [--sumstore] [--scale F] \
-         [--snapshot] [--rotate N] [--shared-store] [--delta DIR] [--updates PPM[:SALT]] \
-         [--journal-dir DIR] [--out FILE] [--verdicts FILE] [--trace-dir DIR] [--fresh] [--json]"
-    );
+    eprintln!("{USAGE}");
+    exit(2)
+}
+
+/// The `--flags` [`USAGE`] lists for `verb` (`None` for a verb it does not
+/// list). `main` refuses any other `--flag` before the verb runs, so a
+/// typo never silently selects the default behaviour.
+fn verb_flags(verb: &str) -> Option<Vec<&'static str>> {
+    let line = USAGE.lines().find(|line| {
+        line.trim_start().strip_prefix("gdroid ").and_then(|rest| rest.split(' ').next())
+            == Some(verb)
+    })?;
+    let word = |c: char| c == '-' || c.is_ascii_lowercase();
+    Some(line.split(|c| !word(c)).filter(|token| token.starts_with("--")).collect())
+}
+
+/// Refuses a flag value that does not parse, naming the flag.
+fn bad_value(flag: &str, value: &str) -> ! {
+    eprintln!("gdroid: {flag} cannot take the value {value:?}");
     exit(2)
 }
 
 /// Parses `--flag N` style numeric options.
 fn flag_value(args: &[String], flag: &str) -> Option<usize> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)?.parse().ok())
+    flag_str(args, flag).map(|v| v.parse().unwrap_or_else(|_| bad_value(flag, v)))
 }
 
 /// Parses `--flag value` style string options.
@@ -398,6 +417,11 @@ fn load_app(arg: &str) -> App {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
+    let Some(flags) = verb_flags(cmd) else { usage() };
+    if let Some(stray) = args.iter().find(|a| a.starts_with("--") && !flags.contains(&a.as_str())) {
+        eprintln!("gdroid {cmd}: unknown flag {stray} (run `gdroid` for usage)");
+        exit(2);
+    }
     match cmd.as_str() {
         "gen" => {
             let Some(seed) = args.get(1).and_then(|s| s.parse::<u64>().ok()) else { usage() };
@@ -562,13 +586,14 @@ fn main() {
         "serve" => {
             let Some(apps) = flag_value(&args, "--apps") else { usage() };
             let flags = PlanFlags::parse(&args);
-            let fault_plan = args.iter().position(|a| a == "--faults").map(|i| {
-                let spec = args.get(i + 1).unwrap_or_else(|| usage());
-                let (p, b) = spec.split_once(':').unwrap_or_else(|| usage());
-                gdroid::gpusim::FaultPlan {
-                    period: p.parse().unwrap_or_else(|_| usage()),
-                    budget: b.parse().unwrap_or_else(|_| usage()),
-                }
+            let fault_plan = flag_str(&args, "--faults").map(|spec| {
+                let parsed = spec.split_once(':').and_then(|(p, b)| {
+                    Some(gdroid::gpusim::FaultPlan {
+                        period: p.parse().ok()?,
+                        budget: b.parse().ok()?,
+                    })
+                });
+                parsed.unwrap_or_else(|| bad_value("--faults", spec))
             });
             let config = ServiceConfig { fault_plan, ..flags.service_config(&args) };
             let sumstore = config.sumstore.clone();
@@ -677,13 +702,13 @@ fn main() {
             }
             let mut gen = GenConfig::small();
             if let Some(scale) = flag_str(&args, "--scale") {
-                gen.scale = scale.parse().unwrap_or_else(|_| usage());
+                gen.scale = scale.parse().unwrap_or_else(|_| bad_value("--scale", scale));
             }
             let master_seed = match flag_str(&args, "--seed") {
                 Some(s) => s
                     .strip_prefix("0x")
                     .map_or_else(|| s.parse().ok(), |h| u64::from_str_radix(h, 16).ok())
-                    .unwrap_or_else(|| usage()),
+                    .unwrap_or_else(|| bad_value("--seed", s)),
                 None => gdroid::apk::PAPER_MASTER_SEED,
             };
             // Snapshot mode: `--snapshot` turns on journal rotation at the
@@ -702,7 +727,7 @@ fn main() {
                     };
                     match (ppm, salt) {
                         (Some(p), Some(s)) => (p, s),
-                        _ => usage(),
+                        _ => bad_value("--updates", spec),
                     }
                 }
             };
@@ -738,35 +763,27 @@ fn main() {
                 eprintln!("wrote fleet report to {path}");
             }
             if let Some(path) = flag_str(&args, "--verdicts") {
-                // Rotated journals fold incrementally, so the in-memory
-                // report only holds the unsealed tails; per-app verdict
-                // lines need the one monolithic re-read.
-                let lines = if config.rotate_records.is_some() {
-                    let mut shard_records = Vec::with_capacity(config.shards);
-                    for shard in 0..config.shards {
-                        let (_, records) = gdroid::campaign::read_shard_records(
-                            std::path::Path::new(journal_dir),
-                            shard,
-                        )
+                // A report folded from sealed rollups holds only the
+                // unsealed tails; per-app verdict lines then need the one
+                // monolithic re-read.
+                let lines = if fleet.records_complete {
+                    fleet.verdict_lines()
+                } else {
+                    let refold = gdroid::campaign::read_campaign_journals(journal_dir.as_ref())
+                        .and_then(|(_, shard_records)| {
+                            gdroid::campaign::FleetReport::try_from_records(
+                                fleet.master_seed,
+                                fleet.apps,
+                                fleet.config_digest,
+                                shard_records,
+                            )
+                        });
+                    refold
                         .unwrap_or_else(|e| {
                             eprintln!("cannot re-read journals: {e}");
                             exit(1)
-                        });
-                        shard_records.push(records);
-                    }
-                    gdroid::campaign::FleetReport::try_from_records(
-                        config.master_seed,
-                        config.apps,
-                        gdroid::campaign::config_digest(&config),
-                        shard_records,
-                    )
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot fold journals: {e}");
-                        exit(1)
-                    })
-                    .verdict_lines()
-                } else {
-                    fleet.verdict_lines()
+                        })
+                        .verdict_lines()
                 };
                 std::fs::write(path, lines).unwrap_or_else(|e| {
                     eprintln!("cannot write {path}: {e}");
