@@ -138,6 +138,14 @@ ratchet 0 'subtree_of(' "walk the ClassHierarchy that CallGraph::build indexes o
   crates/ir/src crates/icfg/src
 ratchet 0 'format!("{m:?}")' "stream the Debug text into cache::FnvSink" crates/serve/src
 
+echo "==> argument ratchet: no new too_many_arguments allow"
+# The three left are transfer::apply_summary, driver::gpu_analyze_app_on and
+# kernel::run_method_block; the generator's bodies take one Scope.
+ratchet_name=argument
+arg_hint="gather the arguments in a struct (see \`generator::Scope\`)"
+ratchet 0 'too_many_arguments' "$arg_hint" crates/apk/src
+ratchet 3 'too_many_arguments' "$arg_hint" crates src examples
+
 echo "==> constructor ratchet: CallLayers has compute and one cut constructor"
 constructors=$(grep -c 'pub fn compute' crates/icfg/src/layers.rs)
 [ "$constructors" -le 2 ] || {
@@ -324,7 +332,8 @@ then
 fi
 
 echo "==> typo smoke: an undefined flag or an unparsable value is refused, not defaulted"
-for typo in "vet 42 --targetted --json" "serve --apps 2 --workers x"; do
+for typo in "vet 42 --targetted --json" "serve --apps 2 --workers x" \
+  "campaign --apps 2 --scale nan"; do
   typo_status=0
   # shellcheck disable=SC2086
   ./target/release/gdroid $typo >/dev/null 2>&1 || typo_status=$?

@@ -7,10 +7,12 @@
 //! a manifest. Optionally plants a source→sink data-flow ("leak") for the
 //! vetting layer to find.
 //!
-//! Generation is two-phase:
+//! Generation is two-phase, once for the app and once per bundled library
+//! package:
 //!
-//! 1. **Planning** — class names, fields, and method *signatures* with
-//!    call-graph layers are decided first, so that any body can call any
+//! 1. **Planning** — class names, fields (`plan_fields`) and method
+//!    *signatures* with call-graph layers (`plan_methods`) are decided
+//!    first and sealed into one `Scope`, so that any body can call any
 //!    planned method.
 //! 2. **Body generation** — a budgeted shape grammar emits straight-line
 //!    statements, `if` diamonds, loops (back edges drive the worklist's
@@ -82,15 +84,36 @@ const METHOD_FIELD_SKEW: f64 = 0.8;
 /// Which method of the target layer an app-method call picks.
 const CALLEE_SKEW: f64 = 0.75;
 
+/// The fields one scope's bodies read and write.
+struct Fields {
+    /// Instance reference fields; each body pre-picks a few of them.
+    refs: ZipfPool<FieldId>,
+    prims: Vec<FieldId>,
+    static_refs: Vec<FieldId>,
+}
+
+/// Everything a body may name: the app's (plus its bundled packages'
+/// callable) methods, or one library package's own. Sealed once planning
+/// is complete, so every pool's Zipf table is built exactly once.
+struct Scope {
+    plan: Vec<PlannedMethod>,
+    /// `sigs[i]` is `plan[i]`'s signature.
+    sigs: Vec<Signature>,
+    /// Callee candidates (indices into `plan`) per call-graph layer.
+    by_layer: Vec<ZipfPool<usize>>,
+    fields: Fields,
+    /// Classes `new` expressions draw from: the whole program for app
+    /// bodies, the package (plus `Object`) for library bodies.
+    classes: ZipfPool<Symbol>,
+}
+
 /// Generates one app from a seed.
 pub fn generate_app(index: usize, seed: u64, config: &GenConfig) -> App {
     let mut rng = Rng::new(seed);
     let category = Category::ALL[rng.weighted(&Category::weights())];
     let mut pb = ProgramBuilder::new();
     let fw = Framework::install(&mut pb);
-
-    let gen = AppGen { rng, config, category, index };
-    gen.run(pb, fw, seed)
+    AppGen { rng, config, category, index, fw }.run(pb, seed)
 }
 
 struct AppGen<'a> {
@@ -98,10 +121,11 @@ struct AppGen<'a> {
     config: &'a GenConfig,
     category: Category,
     index: usize,
+    fw: Framework,
 }
 
 impl<'a> AppGen<'a> {
-    fn run(mut self, mut pb: ProgramBuilder, fw: Framework, seed: u64) -> App {
+    fn run(mut self, mut pb: ProgramBuilder, seed: u64) -> App {
         let cfg = self.config;
         let n_classes = self
             .rng
@@ -127,7 +151,7 @@ impl<'a> AppGen<'a> {
                 } else {
                     *self.rng.pick(&ComponentKind::ALL)
                 };
-                let base = fw.component_bases
+                let base = self.fw.component_bases
                     [ComponentKind::ALL.iter().position(|&k| k == kind).expect("kind in ALL")];
                 let c = pb.class(&name).extends(base).build();
                 component_info.push((c, kind));
@@ -137,62 +161,14 @@ impl<'a> AppGen<'a> {
                 let sup = *self.rng.pick(&classes);
                 pb.class(&name).extends(sup).build()
             } else {
-                pb.class(&name).extends(fw.object).build()
+                pb.class(&name).extends(self.fw.object).build()
             };
             classes.push(class);
         }
 
-        // --- plan fields --------------------------------------------------
-        let classes = ZipfPool::new(classes, FIELD_TYPE_SKEW);
-        let mut ref_fields: Vec<FieldId> = Vec::new();
-        let mut prim_fields: Vec<FieldId> = Vec::new();
-        let mut static_ref_fields: Vec<FieldId> = Vec::new();
-        for (ci, &class) in classes.iter().enumerate() {
-            let n_fields = self.rng.range(cfg.fields_per_class.0, cfg.fields_per_class.1);
-            for fi in 0..n_fields {
-                let is_ref = self.rng.chance(cfg.ref_field_fraction);
-                let is_static = self.rng.chance(0.12);
-                let ty = if is_ref {
-                    // Field types point at other app classes or Object.
-                    if self.rng.chance(0.6) && !classes.is_empty() {
-                        let target = classes.draw(&mut self.rng);
-                        JType::Object(pb.program().classes[target].name)
-                    } else {
-                        JType::Object(fw.object_sym)
-                    }
-                } else {
-                    JType::Int
-                };
-                let fid = pb.field(class, &format!("f{ci}_{fi}"), ty, is_static);
-                match (is_ref, is_static) {
-                    (true, true) => static_ref_fields.push(fid),
-                    (true, false) => ref_fields.push(fid),
-                    (false, _) => prim_fields.push(fid),
-                }
-            }
-        }
-
-        let ref_fields = ZipfPool::new(ref_fields, METHOD_FIELD_SKEW);
-
-        // --- plan methods -------------------------------------------------
-        let mut plan: Vec<PlannedMethod> = Vec::new();
-        for (ci, &class) in classes.iter().enumerate() {
-            let n_methods = self.rng.range(cfg.methods_per_class.0, cfg.methods_per_class.1);
-            for mi in 0..n_methods {
-                let ref_params = self.rng.range(0, cfg.max_params.min(2));
-                let prim_params = self.rng.range(0, cfg.max_params - ref_params);
-                plan.push(PlannedMethod {
-                    class,
-                    name: format!("m{ci}_{mi}"),
-                    ref_params,
-                    prim_params,
-                    returns_ref: self.rng.chance(0.4),
-                    is_static: self.rng.chance(0.25),
-                    layer: self.rng.range(0, cfg.layers - 1),
-                    lifecycle: false,
-                });
-            }
-        }
+        // --- plan fields and methods -------------------------------------
+        let fields = self.plan_fields(&mut pb, &classes);
+        let mut plan = self.plan_methods(&classes);
         // Lifecycle callbacks for component classes.
         for &(class, kind) in &component_info {
             for cb in kind.lifecycle_callbacks() {
@@ -216,7 +192,7 @@ impl<'a> AppGen<'a> {
         // numbering — in every app that bundles it. Library plan entries
         // are appended after the app's so app bodies can call into them
         // via the layer lanes; library bodies are emitted inside
-        // `gen_lib_package` against package-local state only.
+        // `gen_lib_package` against the package's own scope.
         let app_plan_len = plan.len();
         if cfg.lib_packages_per_app > 0 && cfg.lib_pool_size > 0 {
             let k = cfg.lib_packages_per_app.min(cfg.lib_pool_size);
@@ -229,61 +205,24 @@ impl<'a> AppGen<'a> {
             }
             picks.sort_unstable();
             for pkg in picks {
-                let pkg_plan = self.gen_lib_package(&mut pb, &fw, pkg);
+                let pkg_plan = self.gen_lib_package(&mut pb, pkg);
                 plan.extend(pkg_plan);
             }
         }
 
-        // Pre-compute signatures for call generation.
-        let obj_ty = JType::Object(fw.object_sym);
-        let sigs: Vec<Signature> = plan
-            .iter()
-            .map(|pm| {
-                let mut params = vec![obj_ty; pm.ref_params];
-                params.extend(std::iter::repeat_n(JType::Int, pm.prim_params));
-                Signature::new(
-                    pb.program().classes[pm.class].name,
-                    pb.intern(&pm.name),
-                    params,
-                    if pm.returns_ref { obj_ty } else { JType::Void },
-                )
-            })
-            .collect();
-        let by_layer = callees_by_layer(&plan, cfg.layers);
-
-        // Decide whether this app leaks, and through which component.
-        let leaky = self.rng.chance(cfg.leak_prob);
-
         // --- generate bodies ----------------------------------------------
-        // App bodies allocate over every class in the program (framework,
-        // app, and bundled libraries); the pool is fixed once planning is
-        // complete, so hoisting it out of the per-body loop preserves the
-        // historical draw sequence exactly.
-        let app_pool =
-            ZipfPool::new(pb.program().classes.iter().map(|c| c.name).collect(), NEW_CLASS_SKEW);
+        // Sealed after the packages, so library signatures are interned
+        // first; app bodies allocate over every class in the program
+        // (framework, app, and bundled libraries).
+        let class_pool = pb.program().classes.iter().map(|c| c.name).collect();
+        let scope = self.seal(&mut pb, plan, fields, class_pool);
         // The first lifecycle callback (in plan order) of a leaky app gets
         // the planted source→sink flow — exactly one plant per app.
-        let leak_site = if leaky { plan.iter().position(|p| p.lifecycle) } else { None };
+        let leaky = self.rng.chance(cfg.leak_prob);
+        let leak_site = if leaky { scope.plan.iter().position(|p| p.lifecycle) } else { None };
         let mut uses_source_api = false;
-        for (i, pm) in plan.iter().enumerate().take(app_plan_len) {
-            let budget = self.rng.log_normal_int(cfg.stmts_median, cfg.stmts_sigma, 3, 320);
-            let plant_leak = leak_site == Some(i);
-            let used_source = self.gen_body(
-                &mut pb,
-                pm,
-                &sigs[i],
-                &plan,
-                &sigs,
-                &by_layer,
-                &fw,
-                &ref_fields,
-                &prim_fields,
-                &static_ref_fields,
-                budget,
-                plant_leak,
-                &app_pool,
-            );
-            uses_source_api |= used_source;
+        for i in 0..app_plan_len {
+            uses_source_api |= self.gen_body(&mut pb, &scope, i, leak_site == Some(i));
         }
 
         // --- manifest -------------------------------------------------------
@@ -343,64 +282,69 @@ impl<'a> AppGen<'a> {
     /// can alter CHA dispatch over them, which keeps the canonical method
     /// hash stable across apps. Returns the package's plan entries for the
     /// caller to append (app bodies call them via the layer lanes).
-    fn gen_lib_package(
-        &mut self,
-        pb: &mut ProgramBuilder,
-        fw: &Framework,
-        pkg: usize,
-    ) -> Vec<PlannedMethod> {
+    fn gen_lib_package(&mut self, pb: &mut ProgramBuilder, pkg: usize) -> Vec<PlannedMethod> {
         let cfg = self.config;
         let pool_rng = Rng::new(cfg.lib_pool_seed).derive(pkg as u64);
         let saved_rng = std::mem::replace(&mut self.rng, pool_rng);
 
-        // Classes.
         let n_classes =
             self.rng.range(cfg.lib_classes_per_package.0, cfg.lib_classes_per_package.1).max(1);
-        let mut classes: Vec<ClassId> = Vec::with_capacity(n_classes);
-        for ci in 0..n_classes {
-            let name = format!("com/lib/p{pkg}/C{ci}");
-            classes.push(pb.class(&name).extends(fw.object).build());
+        let classes: Vec<ClassId> = (0..n_classes)
+            .map(|ci| pb.class(&format!("com/lib/p{pkg}/C{ci}")).extends(self.fw.object).build())
+            .collect();
+        let fields = self.plan_fields(pb, &classes);
+        let plan = self.plan_methods(&classes);
+        let mut class_pool: Vec<Symbol> = vec![self.fw.object_sym];
+        class_pool.extend(classes.iter().map(|&c| pb.program().classes[c].name));
+        let scope = self.seal(pb, plan, fields, class_pool);
+        for i in 0..scope.plan.len() {
+            self.gen_body(pb, &scope, i, false);
         }
-        let classes = ZipfPool::new(classes, FIELD_TYPE_SKEW);
 
-        // Fields (package-local pools).
-        let mut ref_fields: Vec<FieldId> = Vec::new();
-        let mut prim_fields: Vec<FieldId> = Vec::new();
-        let mut static_ref_fields: Vec<FieldId> = Vec::new();
+        self.rng = saved_rng;
+        scope.plan
+    }
+
+    /// Declares each class's fields. A reference field's type names one of
+    /// `classes` (skewed) or `Object`.
+    fn plan_fields(&mut self, pb: &mut ProgramBuilder, classes: &[ClassId]) -> Fields {
+        let cfg = self.config;
+        let targets = ZipfPool::new(classes.to_vec(), FIELD_TYPE_SKEW);
+        let (mut refs, mut prims, mut static_refs) = (Vec::new(), Vec::new(), Vec::new());
         for (ci, &class) in classes.iter().enumerate() {
             let n_fields = self.rng.range(cfg.fields_per_class.0, cfg.fields_per_class.1);
             for fi in 0..n_fields {
                 let is_ref = self.rng.chance(cfg.ref_field_fraction);
                 let is_static = self.rng.chance(0.12);
-                let ty = if is_ref {
-                    if self.rng.chance(0.6) {
-                        let target = classes.draw(&mut self.rng);
-                        JType::Object(pb.program().classes[target].name)
-                    } else {
-                        JType::Object(fw.object_sym)
-                    }
-                } else {
+                let ty = if !is_ref {
                     JType::Int
+                } else if self.rng.chance(0.6) {
+                    let target = targets.draw(&mut self.rng);
+                    JType::Object(pb.program().classes[target].name)
+                } else {
+                    JType::Object(self.fw.object_sym)
                 };
                 let fid = pb.field(class, &format!("f{ci}_{fi}"), ty, is_static);
                 match (is_ref, is_static) {
-                    (true, true) => static_ref_fields.push(fid),
-                    (true, false) => ref_fields.push(fid),
-                    (false, _) => prim_fields.push(fid),
+                    (true, true) => static_refs.push(fid),
+                    (true, false) => refs.push(fid),
+                    (false, _) => prims.push(fid),
                 }
             }
         }
+        Fields { refs: ZipfPool::new(refs, METHOD_FIELD_SKEW), prims, static_refs }
+    }
 
-        let ref_fields = ZipfPool::new(ref_fields, METHOD_FIELD_SKEW);
-
-        // Method plan.
-        let mut pkg_plan: Vec<PlannedMethod> = Vec::new();
+    /// Plans each class's plain (non-lifecycle) methods.
+    fn plan_methods(&mut self, classes: &[ClassId]) -> Vec<PlannedMethod> {
+        let cfg = self.config;
+        let mut plan = Vec::new();
         for (ci, &class) in classes.iter().enumerate() {
             let n_methods = self.rng.range(cfg.methods_per_class.0, cfg.methods_per_class.1);
             for mi in 0..n_methods {
                 let ref_params = self.rng.range(0, cfg.max_params.min(2));
                 let prim_params = self.rng.range(0, cfg.max_params - ref_params);
-                pkg_plan.push(PlannedMethod {
+                plan.push(PlannedMethod {
                     class,
                     name: format!("m{ci}_{mi}"),
                     ref_params,
@@ -412,11 +356,20 @@ impl<'a> AppGen<'a> {
                 });
             }
         }
+        plan
+    }
 
-        // Package-local signatures and layer lanes: library bodies only
-        // call within the package (and the framework).
-        let obj_ty = JType::Object(fw.object_sym);
-        let pkg_sigs: Vec<Signature> = pkg_plan
+    /// Interns `plan`'s signatures and seals the callee lanes and the
+    /// `new`-class pool. Draws nothing.
+    fn seal(
+        &self,
+        pb: &mut ProgramBuilder,
+        plan: Vec<PlannedMethod>,
+        fields: Fields,
+        class_pool: Vec<Symbol>,
+    ) -> Scope {
+        let obj_ty = JType::Object(self.fw.object_sym);
+        let sigs = plan
             .iter()
             .map(|pm| {
                 let mut params = vec![obj_ty; pm.ref_params];
@@ -429,54 +382,31 @@ impl<'a> AppGen<'a> {
                 )
             })
             .collect();
-        let pkg_by_layer = callees_by_layer(&pkg_plan, cfg.layers);
-        let mut pkg_pool: Vec<Symbol> = vec![fw.object_sym];
-        pkg_pool.extend(classes.iter().map(|&c| pb.program().classes[c].name));
-        let pkg_pool = ZipfPool::new(pkg_pool, NEW_CLASS_SKEW);
-
-        // Bodies.
-        for (i, pm) in pkg_plan.iter().enumerate() {
-            let budget = self.rng.log_normal_int(cfg.stmts_median, cfg.stmts_sigma, 3, 320);
-            self.gen_body(
-                pb,
-                pm,
-                &pkg_sigs[i],
-                &pkg_plan,
-                &pkg_sigs,
-                &pkg_by_layer,
-                fw,
-                &ref_fields,
-                &prim_fields,
-                &static_ref_fields,
-                budget,
-                false,
-                &pkg_pool,
-            );
+        let mut by_layer: Vec<Vec<usize>> = vec![Vec::new(); self.config.layers + 1];
+        for (i, pm) in plan.iter().enumerate() {
+            by_layer[pm.layer].push(i);
         }
-
-        self.rng = saved_rng;
-        pkg_plan
+        Scope {
+            plan,
+            sigs,
+            by_layer: by_layer.into_iter().map(|lane| ZipfPool::new(lane, CALLEE_SKEW)).collect(),
+            fields,
+            classes: ZipfPool::new(class_pool, NEW_CLASS_SKEW),
+        }
     }
 
-    // One method body. Returns whether a taint-source API was called.
-    #[allow(clippy::too_many_arguments)]
+    /// Generates `scope.plan[i]`'s body. Returns whether a taint-source API
+    /// was called.
     fn gen_body(
         &mut self,
         pb: &mut ProgramBuilder,
-        pm: &PlannedMethod,
-        _sig: &Signature,
-        plan: &[PlannedMethod],
-        sigs: &[Signature],
-        by_layer: &[ZipfPool<usize>],
-        fw: &Framework,
-        ref_fields: &ZipfPool<FieldId>,
-        prim_fields: &[FieldId],
-        static_ref_fields: &[FieldId],
-        budget: usize,
+        scope: &Scope,
+        i: usize,
         plant_leak: bool,
-        class_pool: &ZipfPool<Symbol>,
     ) -> bool {
         let cfg = self.config;
+        let budget = self.rng.log_normal_int(cfg.stmts_median, cfg.stmts_sigma, 3, 320);
+        let pm = &scope.plan[i];
         let kind = if pm.lifecycle {
             MethodKind::LifecycleCallback
         } else if pm.is_static {
@@ -484,13 +414,13 @@ impl<'a> AppGen<'a> {
         } else {
             MethodKind::Instance
         };
-        let mut mb = pb.method_from_plan(pm.class, &pm.name, kind);
-        let obj_ty = JType::Object(fw.object_sym);
+        let mut mb = pb.method(pm.class, &pm.name).kind(kind).visibility(Visibility::Public);
+        let obj_ty = JType::Object(self.fw.object_sym);
 
         // Parameters.
         let mut refs: Vec<VarId> = Vec::new();
         let mut prims: Vec<VarId> = Vec::new();
-        if !pm.is_static && !matches!(kind, MethodKind::Static) {
+        if !pm.is_static {
             refs.push(mb.this());
         }
         for i in 0..pm.ref_params {
@@ -510,11 +440,11 @@ impl<'a> AppGen<'a> {
         for i in 0..n_prim {
             prims.push(mb.local(&format!("p{i}"), JType::Int));
         }
-        let arr = mb.local("arr", JType::object_array(fw.object_sym));
+        let arr = mb.local("arr", JType::object_array(self.fw.object_sym));
 
         // Initialize a couple of locals so reads are meaningful.
         let seed_ref = refs[self.rng.below(refs.len() as u64) as usize];
-        let cls = class_pool.draw(&mut self.rng);
+        let cls = scope.classes.draw(&mut self.rng);
         mb.stmt(Stmt::Assign {
             lhs: Lhs::Var(seed_ref),
             rhs: Expr::New { ty: JType::Object(cls) },
@@ -523,18 +453,19 @@ impl<'a> AppGen<'a> {
         mb.stmt(Stmt::Assign { lhs: Lhs::Var(seed_prim), rhs: Expr::Lit(Literal::Int(0)) });
         mb.stmt(Stmt::Assign {
             lhs: Lhs::Var(arr),
-            rhs: Expr::New { ty: JType::object_array(fw.object_sym) },
+            rhs: Expr::New { ty: JType::object_array(self.fw.object_sym) },
         });
 
         // Real methods touch a handful of distinct fields; pre-picking a
         // small per-method field set keeps the analysis' heap-slot pool at
         // Table I scale (≈116 slots) without type bookkeeping.
-        let n_method_fields = self.rng.range(2, 6).min(ref_fields.len().max(1));
-        let mut method_fields: Vec<FieldId> = Vec::with_capacity(n_method_fields);
-        while method_fields.len() < n_method_fields && !ref_fields.is_empty() {
-            let f = ref_fields.draw(&mut self.rng);
-            if !method_fields.contains(&f) {
-                method_fields.push(f);
+        let pool = &scope.fields.refs;
+        let n_method_fields = self.rng.range(2, 6).min(pool.len().max(1));
+        let mut fields: Vec<FieldId> = Vec::with_capacity(n_method_fields);
+        while fields.len() < n_method_fields && !pool.is_empty() {
+            let f = pool.draw(&mut self.rng);
+            if !fields.contains(&f) {
+                fields.push(f);
             }
         }
 
@@ -542,31 +473,19 @@ impl<'a> AppGen<'a> {
             refs,
             prims,
             arr,
+            fields,
             used_source: false,
             layer: pm.layer,
             lifecycle: pm.lifecycle,
-            class_pool,
         };
 
         // Planted leak: t = <source>(); Log.d(tag, t) — routed through a
         // field store/load so the flow needs real points-to reasoning.
         if plant_leak {
-            self.emit_leak(&mut mb, &mut ctx, fw, &method_fields);
+            self.emit_leak(&mut mb, &mut ctx);
         }
 
-        self.gen_block(
-            &mut mb,
-            &mut ctx,
-            plan,
-            sigs,
-            by_layer,
-            fw,
-            &method_fields,
-            prim_fields,
-            static_ref_fields,
-            0,
-            budget,
-        );
+        self.gen_block(&mut mb, &mut ctx, scope, 0, budget);
 
         // Final return.
         if pm.returns_ref {
@@ -579,15 +498,9 @@ impl<'a> AppGen<'a> {
         ctx.used_source
     }
 
-    fn emit_leak(
-        &mut self,
-        mb: &mut MethodBuilder<'_>,
-        ctx: &mut BodyCtx<'_>,
-        fw: &Framework,
-        ref_fields: &[FieldId],
-    ) {
-        let src = self.rng.pick(fw.api_with_role(ApiRole::Source));
-        let snk = self.rng.pick(fw.api_with_role(ApiRole::Sink));
+    fn emit_leak(&mut self, mb: &mut MethodBuilder<'_>, ctx: &mut BodyCtx) {
+        let src = self.rng.pick(self.fw.api_with_role(ApiRole::Source));
+        let snk = self.rng.pick(self.fw.api_with_role(ApiRole::Sink));
         let tainted = ctx.refs[0];
         let recv = *self.rng.pick(&ctx.refs);
         let mut args = vec![recv];
@@ -599,8 +512,8 @@ impl<'a> AppGen<'a> {
             args,
         });
         // Route through a field when one exists: this.f = tainted; t2 = this.f.
-        let via = if !ref_fields.is_empty() && ctx.refs.len() >= 2 {
-            let f = ref_fields[self.rng.below(ref_fields.len() as u64) as usize];
+        let via = if !ctx.fields.is_empty() && ctx.refs.len() >= 2 {
+            let f = ctx.fields[self.rng.below(ctx.fields.len() as u64) as usize];
             let holder = ctx.refs[1];
             mb.stmt(Stmt::Assign {
                 lhs: Lhs::Field { base: holder, field: f },
@@ -641,18 +554,11 @@ impl<'a> AppGen<'a> {
     }
 
     /// Emits a block of roughly `budget` statements at nesting `depth`.
-    #[allow(clippy::too_many_arguments)]
     fn gen_block(
         &mut self,
         mb: &mut MethodBuilder<'_>,
-        ctx: &mut BodyCtx<'_>,
-        plan: &[PlannedMethod],
-        sigs: &[Signature],
-        by_layer: &[ZipfPool<usize>],
-        fw: &Framework,
-        ref_fields: &[FieldId],
-        prim_fields: &[FieldId],
-        static_ref_fields: &[FieldId],
+        ctx: &mut BodyCtx,
+        scope: &Scope,
         depth: usize,
         budget: usize,
     ) {
@@ -668,17 +574,7 @@ impl<'a> AppGen<'a> {
             match self.rng.weighted(&weights) {
                 // ---- straight-line statement -----------------------------
                 0 => {
-                    self.emit_simple(
-                        mb,
-                        ctx,
-                        plan,
-                        sigs,
-                        by_layer,
-                        fw,
-                        ref_fields,
-                        prim_fields,
-                        static_ref_fields,
-                    );
+                    self.emit_simple(mb, ctx, scope);
                     remaining -= 1;
                 }
                 // ---- if diamond -------------------------------------------
@@ -688,37 +584,13 @@ impl<'a> AppGen<'a> {
                     let if_at = mb.stmt(Stmt::If { cond, target: gdroid_ir::StmtIdx(0) });
                     // then-branch
                     let then_budget = inner / 2 + 1;
-                    self.gen_block(
-                        mb,
-                        ctx,
-                        plan,
-                        sigs,
-                        by_layer,
-                        fw,
-                        ref_fields,
-                        prim_fields,
-                        static_ref_fields,
-                        depth + 1,
-                        then_budget,
-                    );
+                    self.gen_block(mb, ctx, scope, depth + 1, then_budget);
                     let goto_at = mb.stmt(Stmt::Goto { target: gdroid_ir::StmtIdx(0) });
                     let else_start = mb.next_idx();
                     mb.patch_target(if_at, else_start).expect("if_at is an If");
                     let else_budget = inner - then_budget.min(inner);
                     if else_budget > 0 {
-                        self.gen_block(
-                            mb,
-                            ctx,
-                            plan,
-                            sigs,
-                            by_layer,
-                            fw,
-                            ref_fields,
-                            prim_fields,
-                            static_ref_fields,
-                            depth + 1,
-                            else_budget,
-                        );
+                        self.gen_block(mb, ctx, scope, depth + 1, else_budget);
                     } else {
                         mb.stmt(Stmt::Empty);
                     }
@@ -734,19 +606,7 @@ impl<'a> AppGen<'a> {
                     mb.stmt(Stmt::Assign { lhs: Lhs::Var(i_var), rhs: Expr::Lit(Literal::Int(0)) });
                     let head = mb.next_idx();
                     let exit_at = mb.stmt(Stmt::If { cond, target: gdroid_ir::StmtIdx(0) });
-                    self.gen_block(
-                        mb,
-                        ctx,
-                        plan,
-                        sigs,
-                        by_layer,
-                        fw,
-                        ref_fields,
-                        prim_fields,
-                        static_ref_fields,
-                        depth + 1,
-                        inner,
-                    );
+                    self.gen_block(mb, ctx, scope, depth + 1, inner);
                     mb.stmt(Stmt::Assign {
                         lhs: Lhs::Var(i_var),
                         rhs: Expr::Binary { op: BinOp::Add, lhs: i_var, rhs: cond },
@@ -775,19 +635,7 @@ impl<'a> AppGen<'a> {
                     let per_case = (inner / n_cases).max(1);
                     for _ in 0..n_cases {
                         case_starts.push(mb.next_idx());
-                        self.gen_block(
-                            mb,
-                            ctx,
-                            plan,
-                            sigs,
-                            by_layer,
-                            fw,
-                            ref_fields,
-                            prim_fields,
-                            static_ref_fields,
-                            depth + 1,
-                            per_case,
-                        );
+                        self.gen_block(mb, ctx, scope, depth + 1, per_case);
                         gotos.push(mb.stmt(Stmt::Goto { target: gdroid_ir::StmtIdx(0) }));
                     }
                     let end = mb.next_idx();
@@ -795,9 +643,7 @@ impl<'a> AppGen<'a> {
                         mb.patch_target(g, end).expect("g is a Goto");
                     }
                     // Default falls to end; patch the switch statement.
-                    let default = end;
-                    let targets = case_starts;
-                    mb.replace_switch(sw_at, scrut, targets, default).expect("sw_at is a Switch");
+                    mb.replace_switch(sw_at, scrut, case_starts, end).expect("sw_at is a Switch");
                     remaining = remaining.saturating_sub(inner + 2 + n_cases);
                 }
             }
@@ -806,26 +652,15 @@ impl<'a> AppGen<'a> {
 
     /// Emits one straight-line statement, sampled to cover all expression
     /// kinds with realistic Android frequencies.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_simple(
-        &mut self,
-        mb: &mut MethodBuilder<'_>,
-        ctx: &mut BodyCtx<'_>,
-        plan: &[PlannedMethod],
-        sigs: &[Signature],
-        by_layer: &[ZipfPool<usize>],
-        fw: &Framework,
-        ref_fields: &[FieldId],
-        prim_fields: &[FieldId],
-        static_ref_fields: &[FieldId],
-    ) {
+    fn emit_simple(&mut self, mb: &mut MethodBuilder<'_>, ctx: &mut BodyCtx, scope: &Scope) {
         if self.rng.chance(self.config.call_fraction) {
-            self.emit_call(mb, ctx, plan, sigs, by_layer, fw);
+            self.emit_call(mb, ctx, scope);
             return;
         }
         let r = |s: &mut Self, c: &BodyCtx| *s.rng.pick(&c.refs);
         let p = |s: &mut Self, c: &BodyCtx| *s.rng.pick(&c.prims);
-        let obj_ty = JType::Object(fw.object_sym);
+        let obj_ty = JType::Object(self.fw.object_sym);
+        let Fields { prims: prim_fields, static_refs, .. } = &scope.fields;
         // Weighted mix of expression kinds: copies and field traffic
         // dominate real Dalvik code; the exotic kinds appear with low
         // weight so every partition is populated.
@@ -859,19 +694,19 @@ impl<'a> AppGen<'a> {
                 let (a, b) = (r(self, ctx), r(self, ctx));
                 mb.stmt(Stmt::Assign { lhs: Lhs::Var(a), rhs: Expr::Var(b) });
             }
-            1 if !ref_fields.is_empty() => {
-                let f = ref_fields[self.rng.below(ref_fields.len() as u64) as usize];
+            1 if !ctx.fields.is_empty() => {
+                let f = ctx.fields[self.rng.below(ctx.fields.len() as u64) as usize];
                 let (dst, base) = (r(self, ctx), r(self, ctx));
                 mb.stmt(Stmt::Assign { lhs: Lhs::Var(dst), rhs: Expr::Access { base, field: f } });
             }
-            2 if !ref_fields.is_empty() => {
-                let f = ref_fields[self.rng.below(ref_fields.len() as u64) as usize];
+            2 if !ctx.fields.is_empty() => {
+                let f = ctx.fields[self.rng.below(ctx.fields.len() as u64) as usize];
                 let (base, src) = (r(self, ctx), r(self, ctx));
                 mb.stmt(Stmt::Assign { lhs: Lhs::Field { base, field: f }, rhs: Expr::Var(src) });
             }
             3 => {
                 let dst = r(self, ctx);
-                let cls = ctx.class_pool.draw(&mut self.rng);
+                let cls = scope.classes.draw(&mut self.rng);
                 mb.stmt(Stmt::Assign {
                     lhs: Lhs::Var(dst),
                     rhs: Expr::New { ty: JType::Object(cls) },
@@ -902,13 +737,13 @@ impl<'a> AppGen<'a> {
                 let s = mb.intern(&format!("str{}", self.rng.below(64)));
                 mb.stmt(Stmt::Assign { lhs: Lhs::Var(dst), rhs: Expr::Lit(Literal::Str(s)) });
             }
-            7 if !static_ref_fields.is_empty() => {
-                let f = static_ref_fields[self.rng.below(static_ref_fields.len() as u64) as usize];
+            7 if !static_refs.is_empty() => {
+                let f = static_refs[self.rng.below(static_refs.len() as u64) as usize];
                 let dst = r(self, ctx);
                 mb.stmt(Stmt::Assign { lhs: Lhs::Var(dst), rhs: Expr::StaticField { field: f } });
             }
-            8 if !static_ref_fields.is_empty() => {
-                let f = static_ref_fields[self.rng.below(static_ref_fields.len() as u64) as usize];
+            8 if !static_refs.is_empty() => {
+                let f = static_refs[self.rng.below(static_refs.len() as u64) as usize];
                 let src = r(self, ctx);
                 mb.stmt(Stmt::Assign { lhs: Lhs::StaticField { field: f }, rhs: Expr::Var(src) });
             }
@@ -1009,15 +844,7 @@ impl<'a> AppGen<'a> {
         }
     }
 
-    fn emit_call(
-        &mut self,
-        mb: &mut MethodBuilder<'_>,
-        ctx: &mut BodyCtx<'_>,
-        plan: &[PlannedMethod],
-        sigs: &[Signature],
-        by_layer: &[ZipfPool<usize>],
-        fw: &Framework,
-    ) {
+    fn emit_call(&mut self, mb: &mut MethodBuilder<'_>, ctx: &mut BodyCtx, scope: &Scope) {
         let use_api = self.rng.chance(self.config.api_call_fraction);
         if use_api {
             // Neutral API calls dominate; sources appear occasionally
@@ -1028,7 +855,7 @@ impl<'a> AppGen<'a> {
             } else {
                 ApiRole::Neutral
             };
-            let api = self.rng.pick(fw.api_with_role(role));
+            let api = self.rng.pick(self.fw.api_with_role(role));
             let mut args = Vec::new();
             if api.is_instance {
                 args.push(*self.rng.pick(&ctx.refs));
@@ -1056,14 +883,13 @@ impl<'a> AppGen<'a> {
         } else {
             ctx.layer.min(self.config.layers - 1)
         };
-        let candidates = &by_layer[target_layer];
+        let candidates = &scope.by_layer[target_layer];
         if candidates.is_empty() {
             mb.stmt(Stmt::Empty);
             return;
         }
         let idx = candidates.draw(&mut self.rng);
-        let callee = &plan[idx];
-        let sig = sigs[idx].clone();
+        let callee = &scope.plan[idx];
         let mut args = Vec::new();
         if !callee.is_static {
             args.push(*self.rng.pick(&ctx.refs));
@@ -1078,54 +904,22 @@ impl<'a> AppGen<'a> {
         mb.stmt(Stmt::Call {
             ret,
             kind: if callee.is_static { CallKind::Static } else { CallKind::Virtual },
-            sig,
+            sig: scope.sigs[idx].clone(),
             args,
         });
     }
 }
 
-/// Callee candidates (indices into `plan`) per call-graph layer, each
-/// sealed for the skewed callee draw of `emit_call`.
-fn callees_by_layer(plan: &[PlannedMethod], layers: usize) -> Vec<ZipfPool<usize>> {
-    let mut by_layer: Vec<Vec<usize>> = vec![Vec::new(); layers + 1];
-    for (i, pm) in plan.iter().enumerate() {
-        by_layer[pm.layer].push(i);
-    }
-    by_layer.into_iter().map(|lane| ZipfPool::new(lane, CALLEE_SKEW)).collect()
-}
-
-struct BodyCtx<'p> {
+/// One body's locals and its pre-picked subset of the scope's reference
+/// fields.
+struct BodyCtx {
     refs: Vec<VarId>,
     prims: Vec<VarId>,
     arr: VarId,
+    fields: Vec<FieldId>,
     used_source: bool,
     layer: usize,
     lifecycle: bool,
-    /// Classes `new` expressions draw from: the whole program for app
-    /// bodies, the package (plus `Object`) for library bodies.
-    class_pool: &'p ZipfPool<Symbol>,
-}
-
-/// Extension helpers the generator needs on [`MethodBuilder`] /
-/// [`ProgramBuilder`].
-trait BuilderExt<'a> {
-    fn method_from_plan(
-        &mut self,
-        class: ClassId,
-        name: &str,
-        kind: MethodKind,
-    ) -> MethodBuilder<'_>;
-}
-
-impl BuilderExt<'_> for ProgramBuilder {
-    fn method_from_plan(
-        &mut self,
-        class: ClassId,
-        name: &str,
-        kind: MethodKind,
-    ) -> MethodBuilder<'_> {
-        self.method(class, name).kind(kind).visibility(Visibility::Public)
-    }
 }
 
 #[cfg(test)]

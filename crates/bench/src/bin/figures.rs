@@ -76,7 +76,11 @@ fn main() {
                 i += 2;
             }
             "--scale" => {
-                scale = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
+                scale = args
+                    .get(i + 1)
+                    .and_then(|s| s.parse().ok())
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .unwrap_or_else(|| usage());
                 i += 2;
             }
             _ => usage(),

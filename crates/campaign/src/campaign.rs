@@ -278,7 +278,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Campaign
                     "delta base was vetted under a different generator/mode config".into(),
                 ));
             }
-            Some((header.apps, final_records_by_index(records)))
+            Some((header.apps, final_records_by_index(&header, records)?))
         }
         None => None,
     };
@@ -356,7 +356,8 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Campaign
         Some((base_apps, base_map)) => {
             // Flip detection needs every final record, so this one read is
             // monolithic even under rotation (delta is a once-a-day path).
-            let own_map = final_records_by_index(read_campaign_journals(&config.journal_dir)?.1);
+            let (header, records) = read_campaign_journals(&config.journal_dir)?;
+            let own_map = final_records_by_index(&header, records)?;
             let added = own_map.keys().filter(|i| !base_map.contains_key(i)).count();
             let verdict_flips = own_map
                 .iter()
@@ -383,19 +384,21 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Campaign
     Ok(CampaignOutcome { fleet, service, resumed, executed, copied, delta })
 }
 
-/// Folds per-shard record lists down to the final record per index under
-/// the superseding rule (a later record beats an earlier `Failed` one).
-fn final_records_by_index(shard_records: Vec<Vec<AppRecord>>) -> HashMap<usize, AppRecord> {
-    let mut map: HashMap<usize, AppRecord> = HashMap::new();
-    for record in shard_records.into_iter().flatten() {
-        match map.get(&record.index) {
-            Some(existing) if existing.status != RecordStatus::Failed => {}
-            _ => {
-                map.insert(record.index, record);
-            }
-        }
-    }
-    map
+/// The final record per index of a journal directory's per-shard record
+/// lists: the records the fleet fold keeps, under its one superseding
+/// rule. The counts came from files, so one that overflows a tally is
+/// [`JournalError::Corrupt`].
+fn final_records_by_index(
+    header: &JournalHeader,
+    shard_records: Vec<Vec<AppRecord>>,
+) -> Result<HashMap<usize, AppRecord>, JournalError> {
+    let fleet = FleetReport::try_from_records(
+        header.master_seed,
+        header.apps,
+        header.config_digest,
+        shard_records,
+    )?;
+    Ok(fleet.records.into_iter().map(|r| (r.index, r)).collect())
 }
 
 struct ShardOutcome {

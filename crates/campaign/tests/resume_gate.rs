@@ -341,6 +341,49 @@ fn delta_campaign_copies_unchanged_apps_and_revets_updates() {
 }
 
 #[test]
+fn delta_base_keeps_the_records_the_fleet_fold_keeps() {
+    // The base's superseding rule is the fold's: index 2's later
+    // completion replaces its failure, and index 5's second completion (a
+    // different seed and verdict) is a duplicate the first one beats.
+    let base_dir = tmp_dir("delta-rule-base");
+    run_campaign(&tiny_campaign(base_dir.clone(), 8, 1)).unwrap();
+    let (header, records) = read_shard_records(&base_dir, 0).unwrap();
+    let mut rewritten = Vec::new();
+    for record in records {
+        if record.index == 2 {
+            rewritten.push(stub_record(2, RecordStatus::Failed, 1));
+        }
+        let flipped = if record.verdict == "Clean" { "Suspicious" } else { "Clean" };
+        let dup = (record.index == 5).then(|| AppRecord {
+            seed: !record.seed,
+            verdict: flipped.to_owned(),
+            ..record.clone()
+        });
+        rewritten.push(record);
+        rewritten.extend(dup);
+    }
+    std::fs::remove_file(journal_path(&base_dir, 0)).unwrap();
+    let mut journal = Journal::create(&journal_path(&base_dir, 0), &header).unwrap();
+    for record in &rewritten {
+        journal.append(record).unwrap();
+    }
+    drop(journal);
+
+    let dir = tmp_dir("delta-rule");
+    let mut config = tiny_campaign(dir.clone(), 10, 1);
+    config.delta_base = Some(base_dir.clone());
+    let delta = run_campaign(&config).unwrap().delta.expect("a delta run reports its delta");
+    assert_eq!(
+        (delta.base_apps, delta.apps, delta.copied, delta.revetted, delta.added),
+        (8, 10, 8, 2, 2)
+    );
+    assert_eq!(delta.verdict_flips, 0);
+
+    std::fs::remove_dir_all(base_dir).ok();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn targeted_campaign_records_slices_and_agrees_on_verdicts() {
     let full_dir = tmp_dir("targeted-full");
     let full = run_campaign(&tiny_campaign(full_dir.clone(), 6, 1)).unwrap();

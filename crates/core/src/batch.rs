@@ -207,7 +207,7 @@ pub fn gpu_analyze_batch_on(
                 if tracer.enabled() {
                     kernel.trace(&tracer, now_ns, mid, tele);
                 }
-                c.stats.record_method(tele);
+                c.stats.record_method();
             });
             c.fx.advance();
         }
@@ -267,7 +267,7 @@ pub fn gpu_analyze_batch_on(
         .into_iter()
         .map(|mut c| {
             let pipeline = dual_buffered(&device.config, &c.chunks);
-            c.stats.finish(pipeline, &device.config, c.mallocs, c.malloc_bytes);
+            c.stats.finish(pipeline, c.mallocs, c.malloc_bytes);
             c.fx.finish(c.stats, sanitizer.clone())
         })
         .collect();

@@ -145,7 +145,7 @@ fn run_solo(
             if tracer.enabled() {
                 kernel.trace(&tracer, now_ns, mid, tele);
             }
-            stats.record_method(tele);
+            stats.record_method();
         });
         let (changed, layer_done) = fx.advance();
         if tracer.enabled() {
@@ -197,7 +197,7 @@ fn run_solo(
             ],
         );
     }
-    stats.finish(pipeline, &device.config, device.heap.allocations, device.heap.bytes);
+    stats.finish(pipeline, device.heap.allocations, device.heap.bytes);
     Ok(fx.finish(stats, device.san_report()))
 }
 

@@ -1,7 +1,6 @@
 //! Run statistics: the numbers behind Figs. 4, 8–12 and Table II.
 
-use gdroid_analysis::WorklistTelemetry;
-use gdroid_gpusim::{DeviceConfig, KernelStats, PipelineTiming};
+use gdroid_gpusim::{KernelStats, PipelineTiming};
 
 /// The worklist-size profile of one run — Table II's upper half.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -93,8 +92,8 @@ impl GpuRunStats {
         self.utilization_samples += 1;
     }
 
-    /// Records one method's telemetry.
-    pub fn record_method(&mut self, _tele: &WorklistTelemetry) {
+    /// Counts one analyzed method.
+    pub fn record_method(&mut self) {
         self.methods += 1;
     }
 
@@ -102,7 +101,6 @@ impl GpuRunStats {
     pub fn finish(
         &mut self,
         pipeline: PipelineTiming,
-        _config: &DeviceConfig,
         device_allocations: u64,
         device_alloc_bytes: u64,
     ) {
@@ -171,7 +169,6 @@ mod tests {
                 copy_ns: 400.0,
                 exposed_copy_ns: 200.0,
             },
-            &DeviceConfig::tesla_p40(),
             7,
             4096,
         );
@@ -191,7 +188,7 @@ mod tests {
         assert_eq!(s.blocks, 4);
         let pipeline =
             PipelineTiming { total_ns: 1.0, kernel_ns: 1.0, copy_ns: 0.0, exposed_copy_ns: 0.0 };
-        s.finish(pipeline, &DeviceConfig::tesla_p40(), 0, 0);
+        s.finish(pipeline, 0, 0);
         assert!((s.utilization - 0.5).abs() < 1e-9, "utilization averages over rounds");
     }
 }

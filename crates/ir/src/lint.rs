@@ -136,11 +136,6 @@ pub fn lint_program(program: &Program) -> Vec<LintDiagnostic> {
     LintRunner::default_passes().run(program)
 }
 
-/// Whether any diagnostic is an [`Severity::Error`].
-pub fn has_errors(diags: &[LintDiagnostic]) -> bool {
-    diags.iter().any(|d| d.severity == Severity::Error)
-}
-
 // ---------------------------------------------------------------------------
 // Mini-CFG: positional successors. `gdroid-icfg` owns the real CFG, but the
 // lints live below it in the crate graph, and the positional encoding makes
@@ -665,7 +660,7 @@ mod tests {
             mb.stmt(Stmt::Return { var: None });
         });
         let diags = lint_program(&p);
-        assert!(has_errors(&diags));
+        assert!(diags.iter().any(|d| d.severity == Severity::Error));
         assert_eq!(diags_of(&diags, "structural").len(), 1);
     }
 
@@ -858,6 +853,6 @@ mod tests {
         // Ordering: diagnostics come out grouped per method, pass order.
         let diags = LintRunner::default_passes().run(&p);
         assert!(!diags.is_empty());
-        assert!(!has_errors(&diags));
+        assert!(diags.iter().all(|d| d.severity != Severity::Error));
     }
 }

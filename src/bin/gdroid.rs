@@ -70,7 +70,7 @@
 //! discards existing journals first. `--targeted` vets through the
 //! demand-driven fast lane; `--sumstore` attaches a per-shard in-memory
 //! summary store; `--scale F` scales the generator profile (default is
-//! the `small` profile, 0.25).
+//! the `small` profile, 0.25; a non-finite or non-positive `F` exits 2).
 //!
 //! `--engine`, `--exec`, `--targeted`, `--sumstore` and `--trace` are
 //! parsed once (`PlanFlags`) into the `ExecPlan` every vetting verb runs.
@@ -696,13 +696,17 @@ fn main() {
             let Some(apps) = flag_value(&args, "--apps") else { usage() };
             let flags = PlanFlags::parse(&args);
             let shards = flag_value(&args, "--shards").unwrap_or(1);
+            let mut gen = GenConfig::small();
+            if let Some(scale) = flag_str(&args, "--scale") {
+                gen.scale = scale
+                    .parse()
+                    .ok()
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .unwrap_or_else(|| bad_value("--scale", scale));
+            }
             let journal_dir = flag_str(&args, "--journal-dir").unwrap_or("campaign.journal");
             if args.iter().any(|a| a == "--fresh") {
                 std::fs::remove_dir_all(journal_dir).ok();
-            }
-            let mut gen = GenConfig::small();
-            if let Some(scale) = flag_str(&args, "--scale") {
-                gen.scale = scale.parse().unwrap_or_else(|_| bad_value("--scale", scale));
             }
             let master_seed = match flag_str(&args, "--seed") {
                 Some(s) => s

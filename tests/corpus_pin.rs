@@ -3,10 +3,11 @@
 //!
 //! `app_content_hash` (FNV-1a over the printed program plus the manifest
 //! text — what `save_bundle` writes) of the first six paper-corpus apps
-//! under four generator profiles is compared against constants captured
+//! under five generator profiles is compared against constants captured
 //! from the commit before the Zipf draws became table lookups (DESIGN.md
-//! §21). Every figure, golden and cache key in the repository hangs off
-//! these bytes, so a drifting hash fails `cargo test`, not only
+//! §21; the fifth row from the commit before the generator's one `Scope`).
+//! Every figure, golden and cache key in the repository hangs off these
+//! bytes, so a drifting hash fails `cargo test`, not only
 //! `ci/check.sh`'s bench-drift gate. Regenerate a row only in a change
 //! that *means* to move the corpus — and say so in EXPERIMENTS.md.
 
@@ -26,7 +27,7 @@ fn half_scale() -> GenConfig {
 
 #[test]
 fn generated_apps_equal_the_pinned_content_hashes() {
-    let pins: [(&str, GenConfig, [u64; APPS]); 4] = [
+    let pins: [(&str, GenConfig, [u64; APPS]); 5] = [
         (
             "default",
             GenConfig::default(),
@@ -73,6 +74,25 @@ fn generated_apps_equal_the_pinned_content_hashes() {
                 0xf9b30ce6e6accbcb,
                 0x13ea317c9f601286,
                 0xa95f8fd684714001,
+            ],
+        ),
+        (
+            // The plan and incremental tests' recursion-heavy profile, plus
+            // libraries and a leak in every app: same-layer calls, the leak
+            // plant and the library path all at high rates.
+            "tiny + libraries(2, 3), recursion 0.5, leak 1.0",
+            GenConfig {
+                recursion_prob: 0.5,
+                leak_prob: 1.0,
+                ..GenConfig::tiny().with_libraries(2, 3)
+            },
+            [
+                0x18b486f4ca664a77,
+                0xf383d9e775807b06,
+                0x1f8c2ea5a8ae9b98,
+                0xeee65a50f800443f,
+                0x60f638bc68ebeff3,
+                0x171a60253cef9144,
             ],
         ),
     ];
