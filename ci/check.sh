@@ -108,8 +108,11 @@ cpu_hint="extend solver::drive and its known-result hook instead of adding a loo
 ratchet 1 'derive_summary(' "$gpu_hint" crates/core/src
 # The definition and the driver's one call.
 ratchet 2 'derive_summary(' "$cpu_hint" crates/analysis/src
-ratchet 0 'par_iter(' "the layer map is a plain iterator until real threads land (ROADMAP 1b)" \
-  crates/analysis/src
+# Host parallelism inside one analysis has one home: the device's block
+# runner. Campaign shards each run a whole service and are not host work
+# on one app.
+ratchet 1 'std::thread::scope(' "run host work through gpusim's block runner (ROADMAP 1b)" \
+  crates src examples ! -path crates/campaign/src/campaign.rs
 ratchet 0 '.is_recursive(' "read CallLayers::sccs_by_layer" crates/core/src crates/analysis/src
 ratchet 1 'pub fn is_recursive(' "one definition" crates/icfg/src
 

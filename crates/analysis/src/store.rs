@@ -367,13 +367,22 @@ impl MatrixStore {
 
     /// Inverse of [`MatrixStore::flat_words`]: rebuilds a store from
     /// flattened words. `None` when the word count does not match
-    /// `nodes × geometry.words()`.
+    /// `nodes × geometry.words()`, or when a node's last word sets a bit at
+    /// or above `geometry.bits()` — such a bit is no fact, yet every
+    /// popcount and bit walk over the node would count it.
     pub fn from_flat_words(geometry: Geometry, nodes: usize, words: &[u64]) -> Option<MatrixStore> {
-        (words.len() == nodes * geometry.words()).then(|| MatrixStore {
-            geometry,
-            nodes,
-            words: words.to_vec(),
-        })
+        let per = geometry.words();
+        if words.len() != nodes * per {
+            return None;
+        }
+        let used = geometry.bits() % 64;
+        if used != 0 {
+            let padding = !0u64 << used;
+            if words.chunks_exact(per).any(|node| node[per - 1] & padding != 0) {
+                return None;
+            }
+        }
+        Some(MatrixStore { geometry, nodes, words: words.to_vec() })
     }
 }
 

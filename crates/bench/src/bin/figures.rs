@@ -41,6 +41,8 @@ use gdroid_bench::{
     sancheck_corpus, serve_benchmark, snapshot_benchmark, snapshot_rotate, sumstore_benchmark,
     targeted_benchmark, trace_benchmark, AppRecord, PERSIST_DETAIL_APPS, SNAPSHOT_SHARDS,
 };
+use gdroid_gpusim::{Device, DeviceConfig};
+use gdroid_serve::service::EXECUTOR_HOST_THREADS;
 use std::time::Instant;
 
 fn usage() -> ! {
@@ -49,6 +51,12 @@ fn usage() -> ! {
          [--apps N] [--scale S]"
     );
     std::process::exit(2)
+}
+
+/// Reports an experiment's wall time with the most host threads one of
+/// its launches ran blocks on ([`Device::host_threads`]).
+fn done(t0: Instant, host_threads: usize) {
+    eprintln!("…done in {:.1}s on {host_threads} host threads\n", t0.elapsed().as_secs_f64());
 }
 
 fn main() {
@@ -89,6 +97,9 @@ fn main() {
 
     let mut corpus = Corpus::paper_sized(apps);
     corpus.config.scale *= scale;
+    // `serve` launches only on the service's devices and `sancheck` only on
+    // sanitizing ones; every other mode launches on a default Tesla P40.
+    let p40_threads = Device::new(DeviceConfig::tesla_p40()).host_threads();
 
     // The `BENCH_<mode>.json` modes: stderr banner, then `(json, summary)`.
     let (serve_jobs, detail_apps) = (apps.min(64), apps.min(20));
@@ -142,7 +153,7 @@ fn main() {
         eprintln!("{banner}…");
         let t0 = Instant::now();
         let (json, summary) = run();
-        eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
+        done(t0, if mode == "serve" { EXECUTOR_HOST_THREADS } else { p40_threads });
         let path = format!("BENCH_{mode}.json");
         std::fs::write(&path, &json).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
@@ -157,7 +168,7 @@ fn main() {
         eprintln!("sanitizing {apps} apps (scale {scale}) across all kernel variants…");
         let t0 = Instant::now();
         let outcome = sancheck_corpus(&corpus, apps);
-        eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
+        done(t0, Device::new(DeviceConfig::tesla_p40().with_sanitizer()).host_threads());
         println!("{outcome}");
         std::process::exit(if outcome.is_clean() { 0 } else { 1 });
     }
@@ -180,6 +191,6 @@ fn main() {
     eprintln!("analyzing {apps} apps (scale {scale}) across all engines…");
     let t0 = Instant::now();
     let records = run_corpus(&corpus, apps);
-    eprintln!("…done in {:.1}s\n", t0.elapsed().as_secs_f64());
+    done(t0, p40_threads);
     println!("{}", report(&records));
 }

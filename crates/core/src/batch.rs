@@ -11,7 +11,7 @@
 //! ## Attribution rules (DESIGN.md §11)
 //!
 //! * **Outcomes are solo-bit-identical.** Apps share no call-graph edges,
-//!   blocks execute functionally in submission order, and facts are
+//!   block results are folded in submission order, and facts are
 //!   derived host-side from each block's own `MatrixStore` — batching
 //!   changes *when* blocks run, never what they compute. Per-app layouts
 //!   are planned sequentially into disjoint arena regions; because the
@@ -59,7 +59,7 @@ pub struct BatchApp<'a> {
 }
 
 /// Batch-level statistics of one co-resident run.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BatchStats {
     /// Apps co-scheduled.
     pub apps: usize,

@@ -16,9 +16,12 @@
 //!
 //! A policy decides only how a round's blocks reach a device and how
 //! modeled time is accounted; what the blocks compute is the paper's
-//! worklist kernel. Blocks push their results in execution order and
-//! [`Fixpoint::absorb`] folds them in that order — telemetry round sizes
-//! and trace instants depend on it.
+//! worklist kernel. A block does all of its method's host work — merging
+//! callee summaries into its call sites, seeding, solving and deriving the
+//! summary — so a device may run the round's blocks on several host
+//! threads. Each block reports into its own slot, and
+//! [`Fixpoint::absorb`] folds the slots in pending (launch) order —
+//! telemetry round sizes and trace instants depend on it.
 
 use crate::driver::WorklistKernel;
 use crate::engine::EngineAnalysis;
@@ -30,8 +33,8 @@ use gdroid_analysis::{
 use gdroid_gpusim::{BlockCtx, BlockFn, SanReport};
 use gdroid_icfg::{CallGraph, CallLayers, Cfg};
 use gdroid_ir::{Method, MethodId, Program, StmtIdx};
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// One method's block: everything its kernel reads, and the store it
 /// solves into.
@@ -48,6 +51,14 @@ pub struct MethodBlock<'a> {
     pub sites: HashMap<StmtIdx, Option<MethodSummary>>,
     /// The node facts, entry facts seeded.
     pub store: MatrixStore,
+}
+
+/// What one block reports: its method's solved facts, the worklist
+/// telemetry, and the summary derived from the facts.
+struct Solved {
+    store: MatrixStore,
+    tele: WorklistTelemetry,
+    summary: MethodSummary,
 }
 
 /// One layer of the schedule, pre-solved leaves already removed.
@@ -79,7 +90,8 @@ pub struct Fixpoint<'a> {
     round: usize,
     pending: Vec<MethodId>,
     changed: HashSet<MethodId>,
-    results: RefCell<Vec<(MethodId, MatrixStore, WorklistTelemetry)>>,
+    /// One slot per pending method, filled by its block.
+    results: Vec<OnceLock<Solved>>,
 }
 
 impl<'a> Fixpoint<'a> {
@@ -137,11 +149,12 @@ impl<'a> Fixpoint<'a> {
             round: 0,
             pending: Vec::new(),
             changed: HashSet::new(),
-            results: RefCell::new(Vec::new()),
+            results: Vec::new(),
             layers,
             methods,
         };
         fx.enter_layer();
+        fx.open_slots();
         fx
     }
 
@@ -177,23 +190,23 @@ impl<'a> Fixpoint<'a> {
     }
 
     /// One block per pending method, inputs merged from the summaries as
-    /// they stand. `queued` blocks belong to a resident kernel: they
-    /// dequeue their method from the device-side worklist and publish
-    /// their summary-changed flag back for the next round's scheduling.
+    /// they stand (no summary changes while a round's blocks run).
+    /// `queued` blocks belong to a resident kernel: they dequeue their
+    /// method from the device-side worklist and publish their
+    /// summary-changed flag back for the next round's scheduling.
     pub(crate) fn blocks<'s>(
         &'s self,
         kernel: WorklistKernel<'s>,
         queued: bool,
     ) -> Vec<BlockFn<'s>> {
-        self.results.borrow_mut().reserve(self.pending.len());
-        let block_of = |&mid: &MethodId| {
-            let (method, space, cfg) =
-                (&self.program.methods[mid], &self.spaces[&mid], &self.cfgs[&mid]);
-            let sites = merge_site_summaries(self.program, mid, &self.summaries, self.cg);
-            let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
-            store.seed(cfg.entry() as usize, &space.entry_facts(method));
-            let mut block = MethodBlock { mid, method, space, cfg, sites, store };
+        let block_of = |(&mid, slot): (&MethodId, &'s OnceLock<Solved>)| {
             Box::new(move |ctx: &mut BlockCtx<'_>| {
+                let (method, space, cfg) =
+                    (&self.program.methods[mid], &self.spaces[&mid], &self.cfgs[&mid]);
+                let sites = merge_site_summaries(self.program, mid, &self.summaries, self.cg);
+                let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
+                store.seed(cfg.entry() as usize, &space.entry_facts(method));
+                let mut block = MethodBlock { mid, method, space, cfg, sites, store };
                 if queued {
                     ctx.queue_pop(1);
                 }
@@ -201,26 +214,24 @@ impl<'a> Fixpoint<'a> {
                 if queued {
                     ctx.queue_push(1);
                 }
-                self.results.borrow_mut().push((mid, block.store, tele));
+                let summary = derive_summary(method, space, &block.store, cfg.exit() as usize);
+                let fresh = slot.set(Solved { store: block.store, tele, summary }).is_ok();
+                debug_assert!(fresh, "{mid:?} reported twice in one round");
             }) as BlockFn<'s>
         };
-        self.pending.iter().map(block_of).collect()
+        self.pending.iter().zip(&self.results).map(block_of).collect()
     }
 
-    /// Folds the executed blocks' results in, in execution order: derives
-    /// each summary host-side (as Amandroid's driver does between
-    /// worklist passes) and notes which ones changed. `each` sees every
-    /// block first (stats, trace instants).
+    /// Folds the round's block results in, in pending (launch) order, and
+    /// notes which summaries changed. `each` sees every block first
+    /// (stats, trace instants).
     pub fn absorb(&mut self, mut each: impl FnMut(MethodId, &WorklistTelemetry)) {
-        for (mid, store, tele) in self.results.take() {
+        let slots = std::mem::take(&mut self.results);
+        for (&mid, slot) in self.pending.iter().zip(slots) {
+            let Solved { store, tele, summary } =
+                slot.into_inner().unwrap_or_else(|| panic!("{mid:?}'s block never reported"));
             each(mid, &tele);
             self.telemetry.absorb(&tele);
-            let summary = derive_summary(
-                &self.program.methods[mid],
-                &self.spaces[&mid],
-                &store,
-                self.cfgs[&mid].exit() as usize,
-            );
             if self.summaries.get(&mid) != Some(&summary) {
                 self.changed.insert(mid);
             }
@@ -249,7 +260,13 @@ impl<'a> Fixpoint<'a> {
             self.layer += 1;
             self.enter_layer();
         }
+        self.open_slots();
         (changed.len(), layer_done)
+    }
+
+    /// One empty result slot per pending method.
+    fn open_slots(&mut self) {
+        self.results = self.pending.iter().map(|_| OnceLock::new()).collect();
     }
 
     /// Positions on the first layer at or after `self.layer` that has

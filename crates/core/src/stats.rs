@@ -30,7 +30,7 @@ impl WorklistProfile {
 }
 
 /// Simulated GPU execution statistics for one app analysis.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct GpuRunStats {
     /// End-to-end simulated time (kernels + exposed transfers), ns.
     pub total_ns: f64,

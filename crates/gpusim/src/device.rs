@@ -1,24 +1,46 @@
 //! The device: block scheduling and kernel launches.
 //!
 //! A launch takes one closure per thread block (the paper's mapping: one
-//! method per block). Blocks execute functionally in order — the
-//! simulation is deterministic and single-threaded — and their *timelines*
+//! method per block). Blocks execute functionally, and their *timelines*
 //! are then packed onto the device's concurrent block slots
 //! (`SMs × blocks-per-SM`) with greedy earliest-finish scheduling, exactly
 //! how a hardware work distributor assigns blocks as SMs drain. The
 //! makespan of the packing is the kernel's execution time; workload
 //! imbalance across methods shows up as slot idle time.
+//!
+//! ## Blocks on host threads
+//!
+//! The blocks of one launch are independent, so the device runs them on
+//! up to [`Device::host_threads`] host threads (default: the machine's
+//! `available_parallelism`), the calling thread included. The rule:
+//!
+//! * **Sanitizer ⇒ sequential.** With `config.sanitize` (where
+//!   [`Device::host_threads`] is 1), or when the launch has one block, or
+//!   the device has one host thread, blocks run one after another on the
+//!   caller, in launch order, exactly as a single-threaded simulator would.
+//! * **Results in launch order.** Otherwise workers take blocks in launch
+//!   order from one shared queue and each block's [`BlockStats`] is put
+//!   back at its launch index, so packing, schedules and every modeled
+//!   number are independent of which thread ran which block or when.
+//! * **Helper heaps.** The caller's blocks allocate from [`Device::heap`];
+//!   each helper thread allocates from a private [`DeviceHeap`] whose
+//!   counters are folded into the device heap when the launch ends. Only two
+//!   things read a heap address: the sanitizer, which forces the sequential
+//!   path, and the plain kernel's per-block entry chunk, whose coalescing
+//!   count does not depend on where a 4096-aligned chunk lands.
 
 use crate::block::{BlockCtx, BlockStats, WarpScratch};
 use crate::config::DeviceConfig;
 use crate::memory::{AddressSpace, DeviceBuffer, DeviceHeap};
 use crate::sancheck::{SanReport, Sanitizer};
 use gdroid_trace::Tracer;
+use std::sync::Mutex;
 
 /// A boxed block program, for launches whose blocks are heterogeneous
 /// closures (homogeneous launches can pass plain closures to
-/// [`Device::launch`] directly).
-pub type BlockFn<'a> = Box<dyn FnOnce(&mut BlockCtx<'_>) + 'a>;
+/// [`Device::launch`] directly). `Send`, because a launch may run its
+/// blocks on several host threads.
+pub type BlockFn<'a> = Box<dyn FnOnce(&mut BlockCtx<'_>) + Send + 'a>;
 
 /// A deterministic fault-injection schedule for resilience testing: every
 /// `period`-th kernel launch on the device fails (before executing any
@@ -58,8 +80,13 @@ pub struct Device {
     pub heap: DeviceHeap,
     /// `simcheck` shadow-state tracker, present iff `config.sanitize`.
     san: Option<Sanitizer>,
-    /// Host-side buffers lent to each block's `warp_process`.
+    /// Host-side buffers lent to each block's `warp_process` on the
+    /// calling thread.
     scratch: WarpScratch,
+    /// Host threads one launch's blocks may run on, the caller included.
+    host_threads: usize,
+    /// One [`WarpScratch`] per helper thread, kept from launch to launch.
+    helper_scratch: Vec<WarpScratch>,
     /// Injected-fault schedule, if any.
     fault_plan: Option<FaultPlan>,
     /// Lifetime launch counter (survives [`Device::reset`]).
@@ -210,6 +237,8 @@ impl Device {
             heap: DeviceHeap::new(),
             san: config.sanitize.then(Sanitizer::new),
             scratch: WarpScratch::default(),
+            host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            helper_scratch: Vec::new(),
             config,
             fault_plan: None,
             launches: 0,
@@ -217,6 +246,24 @@ impl Device {
             clock_ns: 0,
             tracer: Tracer::disabled(),
             persistent: None,
+        }
+    }
+
+    /// Caps the host threads one launch's blocks run on (at least 1, the
+    /// calling thread). Changes host time only: every result and modeled
+    /// number is the same for any count (see the module docs).
+    pub fn set_host_threads(&mut self, threads: usize) {
+        self.host_threads = threads.max(1);
+    }
+
+    /// The host threads a many-block launch runs on: 1 on a sanitizing
+    /// device, which always runs its blocks in order, else the count set
+    /// by [`Device::set_host_threads`] (default: `available_parallelism`).
+    pub fn host_threads(&self) -> usize {
+        if self.san.is_some() {
+            1
+        } else {
+            self.host_threads
         }
     }
 
@@ -302,7 +349,7 @@ impl Device {
     /// single-shot callers cannot fault.
     pub fn launch<F>(&mut self, blocks: Vec<F>) -> KernelStats
     where
-        F: FnOnce(&mut BlockCtx<'_>),
+        F: FnOnce(&mut BlockCtx<'_>) + Send,
     {
         self.launches += 1;
         self.execute(blocks)
@@ -313,7 +360,7 @@ impl Device {
     /// untouched, so the caller can retry the whole analysis.
     pub fn try_launch<F>(&mut self, blocks: Vec<F>) -> Result<KernelStats, DeviceFault>
     where
-        F: FnOnce(&mut BlockCtx<'_>),
+        F: FnOnce(&mut BlockCtx<'_>) + Send,
     {
         self.launches += 1;
         if let Some(fault) = self.check_fault() {
@@ -359,7 +406,7 @@ impl Device {
     /// [`Device::launch`] and [`Device::try_launch`]).
     fn execute<F>(&mut self, blocks: Vec<F>) -> KernelStats
     where
-        F: FnOnce(&mut BlockCtx<'_>),
+        F: FnOnce(&mut BlockCtx<'_>) + Send,
     {
         self.execute_with_blocks(blocks).0
     }
@@ -368,7 +415,7 @@ impl Device {
     /// launch order (the attribution substrate for sourced launches).
     fn execute_with_blocks<F>(&mut self, blocks: Vec<F>) -> (KernelStats, Vec<BlockStats>)
     where
-        F: FnOnce(&mut BlockCtx<'_>),
+        F: FnOnce(&mut BlockCtx<'_>) + Send,
     {
         let per_block = self.run_blocks(blocks);
         let stats = self.pack(&per_block);
@@ -380,19 +427,40 @@ impl Device {
         (stats, per_block)
     }
 
-    /// Runs one round's blocks in order inside one sanitizer epoch and
-    /// returns their raw counters (shared by launches and persistent
-    /// rounds).
+    /// Runs one round's blocks and returns their raw counters in launch
+    /// order (shared by launches and persistent rounds): in order on the
+    /// caller under the sanitizer, else on up to [`Device::host_threads`]
+    /// threads (see the module docs).
     fn run_blocks<F>(&mut self, blocks: Vec<F>) -> Vec<BlockStats>
+    where
+        F: FnOnce(&mut BlockCtx<'_>) + Send,
+    {
+        let resident = blocks.len().min(self.config.block_slots()).max(1);
+        let workers = self.host_threads().min(blocks.len());
+        let allocations_before = self.heap.allocations;
+        let per_block = if workers <= 1 {
+            self.run_in_order(blocks, resident)
+        } else {
+            self.run_on_threads(blocks, resident, workers)
+        };
+        debug_assert_eq!(
+            self.heap.allocations - allocations_before,
+            per_block.iter().map(|b| b.mallocs).sum::<u64>(),
+            "heap allocations != the launch's block mallocs"
+        );
+        per_block
+    }
+
+    /// The sequential runner: blocks one after another on the caller,
+    /// inside one sanitizer epoch.
+    fn run_in_order<F>(&mut self, blocks: Vec<F>, resident: usize) -> Vec<BlockStats>
     where
         F: FnOnce(&mut BlockCtx<'_>),
     {
-        let n = blocks.len();
-        let resident = n.min(self.config.block_slots()).max(1);
         if let Some(san) = self.san.as_mut() {
             san.begin_launch();
         }
-        let mut per_block: Vec<BlockStats> = Vec::with_capacity(n);
+        let mut per_block: Vec<BlockStats> = Vec::with_capacity(blocks.len());
         for (i, f) in blocks.into_iter().enumerate() {
             if let Some(san) = self.san.as_mut() {
                 san.begin_block(i as u32);
@@ -408,6 +476,68 @@ impl Device {
             per_block.push(ctx.stats);
         }
         per_block
+    }
+
+    /// The threaded runner: the caller and `workers - 1` scoped helpers
+    /// take blocks in launch order from one shared queue; each returns the
+    /// `(index, stats)` of the blocks it ran, put back into launch order.
+    fn run_on_threads<F>(
+        &mut self,
+        blocks: Vec<F>,
+        resident: usize,
+        workers: usize,
+    ) -> Vec<BlockStats>
+    where
+        F: FnOnce(&mut BlockCtx<'_>) + Send,
+    {
+        let n = blocks.len();
+        let queue = Mutex::new(blocks.into_iter().enumerate());
+        let config = &self.config;
+        let work = |heap: &mut DeviceHeap, scratch: &mut WarpScratch| {
+            let mut ran = Vec::new();
+            loop {
+                // The guard drops with the `let`: no block runs under the lock.
+                let next = queue.lock().expect("the queue is locked only to take a block").next();
+                let Some((i, f)) = next else { break ran };
+                let mut ctx = BlockCtx::new(config, heap, resident, None, scratch);
+                f(&mut ctx);
+                ran.push((i, ctx.stats));
+            }
+        };
+        if self.helper_scratch.len() < workers - 1 {
+            self.helper_scratch.resize_with(workers - 1, WarpScratch::default);
+        }
+        let heap = &mut self.heap;
+        let helpers = &mut self.helper_scratch[..workers - 1];
+        let scratch = &mut self.scratch;
+        let mut ran = std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = helpers
+                .iter_mut()
+                .map(|scratch| {
+                    scope.spawn(move || {
+                        let mut own = DeviceHeap::new();
+                        let ran = work(&mut own, scratch);
+                        (own, ran)
+                    })
+                })
+                .collect();
+            let mut ran = work(heap, scratch);
+            for handle in handles {
+                let (own, theirs) =
+                    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                heap.allocations += own.allocations;
+                heap.bytes += own.bytes;
+                ran.extend(theirs);
+            }
+            ran
+        });
+        ran.sort_unstable_by_key(|&(i, _)| i);
+        debug_assert!(
+            ran.len() == n && ran.iter().enumerate().all(|(slot, &(i, _))| slot == i),
+            "every block must report exactly once"
+        );
+        ran.into_iter().map(|(_, stats)| stats).collect()
     }
 
     /// Re-packs a set of already-executed block timelines as if they had
@@ -537,7 +667,7 @@ impl Device {
     /// findings match the multi-launch path exactly.
     pub fn persistent_round<F>(&mut self, blocks: Vec<F>) -> KernelStats
     where
-        F: FnOnce(&mut BlockCtx<'_>),
+        F: FnOnce(&mut BlockCtx<'_>) + Send,
     {
         let round_index =
             self.persistent.as_ref().expect("persistent_round outside a session").rounds + 1;
@@ -634,6 +764,7 @@ impl Device {
 mod tests {
     use super::*;
     use crate::block::LaneWork;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A tiny config with one block per SM: no co-residency effects, so
     /// cycle arithmetic in tests stays exact.
@@ -783,6 +914,74 @@ mod tests {
             assert!((slot as usize) < dev.config.block_slots());
             assert!(start <= end && end <= k.makespan_cycles, "block ends after the launch");
         }
+    }
+
+    /// Blocks that finish out of launch order still report in launch
+    /// order. On four host threads block 0 waits until every other block
+    /// has run, so it finishes last; the per-block stats, the packing and
+    /// the folded heap counters still equal a one-thread run's.
+    #[test]
+    fn threaded_blocks_report_in_launch_order() {
+        const BLOCKS: usize = 9;
+        let run = |host_threads: usize| {
+            let finished = AtomicUsize::new(0);
+            let finished = &finished;
+            let mut dev = Device::new(DeviceConfig::tiny());
+            dev.set_host_threads(host_threads);
+            let blocks: Vec<(u32, BlockFn<'_>)> = (0..BLOCKS as u64)
+                .map(|b| {
+                    let f: BlockFn<'_> = Box::new(move |ctx: &mut BlockCtx<'_>| {
+                        if b == 0 && host_threads > 1 {
+                            while finished.load(Ordering::SeqCst) < BLOCKS - 1 {
+                                std::thread::yield_now();
+                            }
+                        }
+                        ctx.compute(100 * (b + 1));
+                        for _ in 0..b {
+                            ctx.malloc(64 * (b + 1));
+                        }
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    });
+                    (b as u32, f)
+                })
+                .collect();
+            let launch = dev.try_launch_sourced(blocks).expect("no fault plan");
+            (launch.combined, launch.per_block, dev.heap.allocations, dev.heap.bytes)
+        };
+        let sequential = run(1);
+        assert!(sequential.1.windows(2).all(|w| w[0].cycles < w[1].cycles), "blocks differ");
+        assert_eq!(sequential.2, (0..BLOCKS as u64).sum::<u64>());
+        assert_eq!(run(4), sequential);
+    }
+
+    /// The sanitizer forces the sequential runner: a sanitizing device
+    /// allowed four host threads reports what a one-thread one does.
+    #[test]
+    fn sanitized_launches_ignore_host_threads() {
+        let run = |host_threads: usize| {
+            let mut dev = Device::new(DeviceConfig::tiny().with_sanitizer());
+            dev.set_host_threads(host_threads);
+            assert_eq!(dev.host_threads(), 1, "a sanitizing device reports one host thread");
+            let buf = dev.alloc(4096);
+            // Each block writes its own word and reads its neighbour's: an
+            // uninitialized read, and a cross-block race.
+            let blocks: Vec<BlockFn<'_>> = (0..6u64)
+                .map(|b| {
+                    Box::new(move |ctx: &mut BlockCtx<'_>| {
+                        let mut lane = LaneWork::compute(0, 1);
+                        lane.writes = vec![buf.base + 8 * b];
+                        lane.reads = vec![buf.base + 8 * ((b + 1) % 6)];
+                        ctx.warp_process(&[lane]);
+                        ctx.malloc(64);
+                    }) as BlockFn<'_>
+                })
+                .collect();
+            let stats = dev.launch(blocks);
+            (stats, dev.san_report().expect("the device sanitizes"))
+        };
+        let one = run(1);
+        assert!(!one.1.is_clean(), "the launch must give the sanitizer something to find");
+        assert_eq!(run(4), one);
     }
 
     #[test]

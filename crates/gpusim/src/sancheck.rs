@@ -148,7 +148,7 @@ impl FindingKind {
 }
 
 /// One sanitizer finding.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Finding {
     /// Which detector fired.
     pub kind: FindingKind,
@@ -171,7 +171,7 @@ impl fmt::Display for Finding {
 }
 
 /// Aggregated sanitizer output for one device (or merged across devices).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SanReport {
     /// First finding per (kind, word), up to [`MAX_FINDINGS`].
     pub findings: Vec<Finding>,

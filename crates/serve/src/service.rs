@@ -120,14 +120,22 @@ impl Default for ServiceConfig {
     }
 }
 
+/// Host threads each executor device runs a launch's blocks on: the
+/// executor thread alone. The service's prep and executor threads already
+/// keep the cores busy (and campaign shards run several services at once),
+/// so blocks on further threads would compete with them.
+pub const EXECUTOR_HOST_THREADS: usize = 1;
+
 impl ServiceConfig {
     /// The executors' devices: `devices` identical ones (at least one),
-    /// each with its own copy of the optional fault plan.
+    /// each with its own copy of the optional fault plan, running blocks
+    /// on [`EXECUTOR_HOST_THREADS`].
     fn executor_devices(&self) -> Vec<Device> {
         (0..self.devices.max(1))
             .map(|_| {
                 let mut device = Device::new(self.device_config);
                 device.set_fault_plan(self.fault_plan);
+                device.set_host_threads(EXECUTOR_HOST_THREADS);
                 device
             })
             .collect()

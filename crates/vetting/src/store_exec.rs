@@ -239,6 +239,37 @@ mod tests {
     }
 
     #[test]
+    fn stored_words_with_a_padding_bit_are_a_miss() {
+        let prep = prepare_vetting(generate_app(0, 9507, &GenConfig::tiny()));
+        let clean = SumStore::new();
+        with_store(&prep, ExecPlan::default(), &clean);
+        // Copy the cold run's entries into a second store, setting one bit
+        // past the end of the first padded matrix's node-0 bitmap.
+        let mut keyed: Vec<(MethodId, u128)> =
+            canonical_hashes(&prep.app.program, &prep.cg, &prep.roots).into_iter().collect();
+        keyed.sort_unstable();
+        let hostile = SumStore::new();
+        let mut victim = None;
+        for (mid, key) in keyed {
+            let Some(mut entry) = clean.lookup(key) else { continue };
+            let bits = (entry.slots * entry.insts) as usize;
+            if victim.is_none() && !bits.is_multiple_of(64) {
+                entry.words[bits.div_ceil(64) - 1] |= 1 << 63;
+                victim = Some(mid);
+            }
+            hostile.insert(key, entry);
+        }
+        let victim = victim.expect("some stored matrix has padding bits");
+
+        let (run, used) = with_store(&prep, ExecPlan::default(), &hostile);
+        assert!(used.missed_methods.contains(&victim), "{victim:?} was trusted");
+        assert!(hostile.stats().reloc_failures > 0);
+        let disabled = vet_prepared(&prep, ExecPlan::default());
+        assert_eq!(run.outcome.report.to_json(), disabled.outcome.report.to_json());
+        assert_eq!(facts_digest(&run.analysis), facts_digest(&disabled.analysis));
+    }
+
+    #[test]
     fn same_app_twice_presolves_everything_reachable() {
         let cfg = GenConfig::tiny();
         let store = SumStore::new();

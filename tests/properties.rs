@@ -104,6 +104,36 @@ proptest! {
         }
     }
 
+    /// Stored words that set a padding bit — at or above `geometry.bits()`
+    /// in a node's last word — are refused: such a bit is no fact, yet
+    /// every popcount over the node would count it. A full matrix without
+    /// padding bits is accepted and counts exactly `bits()` facts per node.
+    #[test]
+    fn from_flat_words_refuses_padding_bits(
+        slots in 1usize..12,
+        insts in 1usize..12,
+        nodes in 1usize..4,
+        node in 0usize..4,
+        offset in any::<u64>(),
+    ) {
+        let g = Geometry { slots, insts };
+        let per = g.words();
+        let used = g.bits() % 64;
+        let mut words = vec![!0u64; nodes * per];
+        if used != 0 {
+            for last in words.iter_mut().skip(per - 1).step_by(per) {
+                *last = (1 << used) - 1;
+            }
+        }
+        let full = MatrixStore::from_flat_words(g, nodes, &words).expect("no padding bit set");
+        prop_assert!((0..nodes).all(|n| full.fact_count(n) == g.bits()));
+        if used != 0 {
+            let bit = used + (offset % (64 - used) as u64) as usize;
+            words[(node % nodes) * per + per - 1] |= 1 << bit;
+            prop_assert!(MatrixStore::from_flat_words(g, nodes, &words).is_none());
+        }
+    }
+
     /// The coalescing model's one segment counter equals the set
     /// definition — distinct `addr / transaction_bytes` — on empty,
     /// all-equal, compact, heap-scattered (past `1 << 40`) and mixed
