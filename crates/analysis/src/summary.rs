@@ -47,7 +47,8 @@ impl MethodSummary {
         s
     }
 
-    /// Whether two summaries are equal — the SCC fixed-point test.
+    /// The number of entries: return tokens plus field, static and array
+    /// writes.
     pub fn len(&self) -> usize {
         self.returns.len()
             + self.field_writes.len()

@@ -54,6 +54,129 @@ struct SetState {
     base: u64,
 }
 
+/// Bytes of one statement-bitmask cell of `method`'s matrix (one bit per
+/// statement) — the stride between the cells of consecutive fact bits.
+pub(crate) fn cell_stride(method: &Method) -> u64 {
+    (method.len().div_ceil(8) as u64).max(1)
+}
+
+/// What one head-list lane's propagation did, kept for the counted lane
+/// form until the lane's divergence group is counted.
+#[derive(Clone, Copy, Debug, Default)]
+struct Propagation {
+    /// Successors the OUT bitmap was unioned into.
+    succs: u32,
+    /// The largest `inserted` of those unions (the written OUT prefix).
+    max_inserted: usize,
+    /// The summed `inserted` of those unions.
+    sum_inserted: usize,
+}
+
+/// The counted lane form's coalescing count under MAT: the distinct
+/// transaction lines a divergence group's cell accesses touch, read
+/// straight off the lanes' bitmaps instead of built as addresses and
+/// hashed. One epoch stamp per line of the method's planned matrix
+/// (`layout.facts`); a group's reads take one epoch and its writes the
+/// next, so no stamp is cleared between groups.
+struct LineCounter {
+    stamps: Vec<u32>,
+    epoch: u32,
+    base: u64,
+    first_line: u64,
+    cell_bytes: u64,
+    line_bytes: u64,
+}
+
+impl LineCounter {
+    /// A counter over the lines of `layout.facts`, allocated once per block.
+    fn new(layout: &MethodLayout, cell_bytes: u64, line_bytes: u64) -> LineCounter {
+        let facts = layout.facts;
+        let first_line = segment_of(line_bytes, facts.base);
+        let last_line = segment_of(line_bytes, facts.base + facts.len.max(1) - 1);
+        LineCounter {
+            stamps: vec![0; (last_line - first_line + 1) as usize],
+            epoch: 0,
+            base: facts.base,
+            first_line,
+            cell_bytes,
+            line_bytes,
+        }
+    }
+
+    /// The group's `(transactions, useful bytes)` — what the address form
+    /// counts over `cell_addrs` of each member's input, `cell_addrs` of
+    /// its OUT per successor and the first `inserted` OUT cells per
+    /// successor. The reads are the lines of the input bits and, for a
+    /// member with a successor, of the OUT bits; the writes are the lines
+    /// of the first `max_inserted` OUT bits. Each bitmap is walked once,
+    /// however many successors it reached.
+    fn count(
+        &mut self,
+        group: &[u32],
+        ins: &[NodeFacts],
+        outs: &[NodeFacts],
+        props: &[Propagation],
+    ) -> (u64, u64) {
+        let (mut cells, mut tx) = (0, 0);
+        let read = self.next_epoch();
+        for &i in group {
+            let (input, out, p) = (&ins[i as usize], &outs[i as usize], props[i as usize]);
+            let (c, t) = self.mark(input.view().bits(), read);
+            cells += c;
+            tx += t;
+            if p.succs > 0 {
+                let (c, t) = self.mark(out.view().bits(), read);
+                cells += c * u64::from(p.succs);
+                tx += t;
+            }
+        }
+        let write = self.next_epoch();
+        for &i in group {
+            let (out, p) = (&outs[i as usize], props[i as usize]);
+            let (c, t) = self.mark(out.view().bits().take(p.max_inserted), write);
+            debug_assert_eq!(
+                c, p.max_inserted as u64,
+                "a union inserted more facts than OUT holds"
+            );
+            cells += p.sum_inserted as u64;
+            tx += t;
+        }
+        (tx, cells * self.cell_bytes)
+    }
+
+    /// Stamps the line of each of `bits`' cells with `epoch`; returns the
+    /// bits walked and the lines newly stamped.
+    fn mark(&mut self, bits: impl Iterator<Item = usize>, epoch: u32) -> (u64, u64) {
+        let (mut cells, mut lines) = (0, 0);
+        let mut last = u64::MAX;
+        for bit in bits {
+            cells += 1;
+            let addr = self.base + bit as u64 * self.cell_bytes;
+            let line = segment_of(self.line_bytes, addr) - self.first_line;
+            // Bits ascend, so a line's cells come in one run.
+            if line != last {
+                last = line;
+                let stamp = &mut self.stamps[line as usize];
+                if *stamp != epoch {
+                    *stamp = epoch;
+                    lines += 1;
+                }
+            }
+        }
+        (cells, lines)
+    }
+
+    /// A stamp no line holds yet.
+    fn next_epoch(&mut self) -> u32 {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
+    }
+}
+
 /// Runs one method's worklist to its fixed point inside one thread block.
 ///
 /// `store` is the functional fact state (entry facts must already be
@@ -76,7 +199,13 @@ pub fn run_method_block(
     let line_bytes = ctx.config().transaction_bytes;
     let geometry = store.geometry();
     // One statement-bitmask cell per (slot, instance).
-    let cell_bytes = (method.len().div_ceil(8) as u64).max(1);
+    let cell_bytes = cell_stride(method);
+    // Under MAT on a block the sanitizer does not watch, lanes carry no
+    // addresses: each divergence group's coalescing is counted off the
+    // bitmaps (the counted lane form). The sanitizer needs every access.
+    let mut lines =
+        (opts.mat && !ctx.sanitizing()).then(|| LineCounter::new(layout, cell_bytes, line_bytes));
+    let counted = lines.is_some();
     let mut telemetry =
         WorklistTelemetry { words_per_node: geometry.words(), ..Default::default() };
 
@@ -117,9 +246,13 @@ pub fn run_method_block(
     visited[cfg.entry() as usize] = true;
     let mut in_next = vec![false; cfg.len()];
     // One OUT bitmap and one lane descriptor per head-list position, kept
-    // (with their allocations) from round to round.
+    // (with their allocations) from round to round. The counted form adds
+    // a copy of each input bitmap (propagation changes the store before
+    // the lane's group is counted) and each lane's propagation counts.
     let mut outs: Vec<NodeFacts> = Vec::new();
     let mut lanes: Vec<LaneWork> = Vec::new();
+    let mut ins: Vec<NodeFacts> = Vec::new();
+    let mut props: Vec<Propagation> = Vec::new();
 
     while !current.is_empty() {
         telemetry.rounds += 1;
@@ -141,6 +274,10 @@ pub fn run_method_block(
         if outs.len() < head_len {
             outs.resize_with(head_len, || NodeFacts::empty(geometry));
             lanes.resize_with(head_len, LaneWork::default);
+            props.resize(head_len, Propagation::default());
+            if counted {
+                ins.resize_with(head_len, || NodeFacts::empty(geometry));
+            }
         }
 
         // Jacobi semantics: all lanes of the round run concurrently on the
@@ -151,7 +288,7 @@ pub fn run_method_block(
         // then removes by postponing the tail.) So the whole head list is
         // transferred, straight out of the store, before anything is
         // propagated.
-        for ((&node, out), lane) in head.iter().zip(&mut outs).zip(&mut lanes) {
+        for (pos, ((&node, out), lane)) in head.iter().zip(&mut outs).zip(&mut lanes).enumerate() {
             let input = store.node(node as usize);
             let effort = match cfg.stmt_of(node) {
                 Some(stmt_idx) => tctx.transfer_into(stmt_idx, input, out),
@@ -183,25 +320,31 @@ pub fn run_method_block(
             // is set, so the traffic is proportional to the facts present,
             // not to the matrix size — the paper's fixed-size "entry
             // looking-up" (§IV-A). (Without MAT the whole set chunk is
-            // scanned — as it stands when the lane runs, below.)
-            lane.bytes_read = if opts.mat {
-                cell_addrs(&mut lane.reads, layout, input, cell_bytes, line_bytes)
-            } else {
-                0
-            };
+            // scanned — as it stands when the lane runs, below.) The
+            // counted form keeps the input bitmap for its line counter.
+            lane.bytes_read = 0;
+            if counted {
+                ins[pos].assign(input);
+            } else if opts.mat {
+                lane.bytes_read =
+                    cell_addrs(&mut lane.reads, layout, input, cell_bytes, line_bytes);
+            }
         }
 
         next.clear();
-        for ((nodes, outs), lanes) in head
-            .chunks(warp)
-            .zip(outs[..head_len].chunks(warp))
-            .zip(lanes[..head_len].chunks_mut(warp))
-        {
-            for ((&node, out), lane) in nodes.iter().zip(outs).zip(&mut *lanes) {
+        for start in (0..head_len).step_by(warp) {
+            let end = (start + warp).min(head_len);
+            for (((&node, out), lane), prop) in head[start..end]
+                .iter()
+                .zip(&outs[start..end])
+                .zip(&mut lanes[start..end])
+                .zip(&mut props[start..end])
+            {
                 if !opts.mat {
                     let s = set_states[node as usize];
                     lane.bytes_read += stream_addrs(&mut lane.reads, s.base, s.cap * 8, line_bytes);
                 }
+                *prop = Propagation::default();
 
                 // Propagate to successors.
                 for &succ in cfg.succ(node) {
@@ -210,7 +353,11 @@ pub fn run_method_block(
                     let outcome = store.union_into(succ as usize, out);
                     telemetry.facts_inserted += outcome.inserted;
 
-                    if opts.mat {
+                    if counted {
+                        prop.succs += 1;
+                        prop.max_inserted = prop.max_inserted.max(outcome.inserted);
+                        prop.sum_inserted += outcome.inserted;
+                    } else if opts.mat {
                         // Each propagated fact ORs the successor's bit into
                         // its cell: traffic is the out-fact cells (reads:
                         // bit tests; writes: only newly inserted bits).
@@ -284,7 +431,13 @@ pub fn run_method_block(
                     }
                 }
             }
-            ctx.warp_process(lanes);
+            let warp_lanes = &lanes[start..end];
+            match lines.as_mut() {
+                Some(lines) => ctx.warp_process_counted(warp_lanes, &mut |group| {
+                    lines.count(group, &ins[start..end], &outs[start..end], &props[start..end])
+                }),
+                None => ctx.warp_process(warp_lanes),
+            }
         }
         ctx.sync();
 
@@ -498,24 +651,10 @@ mod tests {
             line_pick in 0usize..3,
             base in 0u64..1 << 20,
         ) {
-            use gdroid_analysis::Fact;
-            use gdroid_gpusim::DeviceBuffer;
             let line_bytes = [128, 96, 32][line_pick];
             let geometry = Geometry { slots, insts };
-            let mut facts = NodeFacts::empty(geometry);
-            for (s, i) in bits {
-                facts.set(Fact { slot: s % slots as u16, instance: i % insts as u16 });
-            }
-            let unused = DeviceBuffer { base: 0, len: 0 };
-            let layout = MethodLayout {
-                icfg: unused,
-                stmt: unused,
-                facts: DeviceBuffer { base, len: geometry.bits() as u64 * cell_bytes },
-                node_bytes: 0,
-                store_pos: Vec::new(),
-                h2d_bytes: 0,
-                d2h_bytes: 0,
-            };
+            let facts = bitmap(geometry, &bits);
+            let layout = matrix_layout(geometry, base, cell_bytes);
 
             let mut expected = vec![7];
             let mut last_line = None;
@@ -530,6 +669,108 @@ mod tests {
             let bytes = cell_addrs(&mut got, &layout, facts.view(), cell_bytes, line_bytes);
             proptest::prop_assert_eq!(got, expected);
             proptest::prop_assert_eq!(bytes, facts.count() as u64 * cell_bytes);
+        }
+
+        /// The line counter's `(transactions, bytes)` for a divergence
+        /// group equal the coalescing definition over the address form:
+        /// `gdroid_gpusim::transactions` of the group's reads (`cell_addrs`
+        /// of each input and, per successor, of its OUT) plus that of its
+        /// writes (the first `inserted` OUT cells per successor), and the
+        /// address form's byte formula — for any cell size, line size and
+        /// base alignment.
+        #[test]
+        fn line_counter_matches_the_coalescing_definition(
+            (slots, insts) in (1usize..30, 1usize..30),
+            lanes in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u16..30, 0u16..30), 0..40),
+                    proptest::collection::vec((0u16..30, 0u16..30), 0..40),
+                    proptest::collection::vec(0usize..64, 0..4),
+                ),
+                1..33,
+            ),
+            member_mask in proptest::any::<u32>(),
+            (cell_bytes, line_pick) in (1u64..200, 0usize..3),
+            base in 0u64..1 << 20,
+        ) {
+            let line_bytes = [128, 96, 32][line_pick];
+            let geometry = Geometry { slots, insts };
+            let layout = matrix_layout(geometry, base, cell_bytes);
+            let ins: Vec<NodeFacts> = lanes.iter().map(|(i, _, _)| bitmap(geometry, i)).collect();
+            let outs: Vec<NodeFacts> = lanes.iter().map(|(_, o, _)| bitmap(geometry, o)).collect();
+            // A union never inserts more facts than the OUT bitmap holds.
+            let inserted: Vec<Vec<usize>> = lanes
+                .iter()
+                .zip(&outs)
+                .map(|((_, _, picks), out)| picks.iter().map(|p| p % (out.count() + 1)).collect())
+                .collect();
+            let props: Vec<Propagation> = inserted
+                .iter()
+                .map(|ins| Propagation {
+                    succs: ins.len() as u32,
+                    max_inserted: ins.iter().copied().max().unwrap_or(0),
+                    sum_inserted: ins.iter().sum(),
+                })
+                .collect();
+            // Any ascending subset of the lanes can be a divergence group.
+            let mut group: Vec<u32> =
+                (0..lanes.len() as u32).filter(|&i| member_mask >> i & 1 == 1).collect();
+            if group.is_empty() {
+                group.push(0);
+            }
+
+            let (mut reads, mut writes, mut bytes) = (Vec::new(), Vec::new(), 0);
+            for &i in &group {
+                let (input, out) = (&ins[i as usize], &outs[i as usize]);
+                bytes += cell_addrs(&mut reads, &layout, input.view(), cell_bytes, line_bytes);
+                for &k in &inserted[i as usize] {
+                    bytes += cell_addrs(&mut reads, &layout, out.view(), cell_bytes, line_bytes);
+                    let before = writes.len();
+                    writes.extend(
+                        out.view().bits().take(k).map(|bit| cell_addr(&layout, bit, cell_bytes)),
+                    );
+                    bytes += (writes.len() - before) as u64 * cell_bytes;
+                }
+            }
+            let config = DeviceConfig { transaction_bytes: line_bytes, ..DeviceConfig::tiny() };
+            let expected = gdroid_gpusim::transactions(&config, &reads)
+                + gdroid_gpusim::transactions(&config, &writes);
+
+            let mut lines = LineCounter::new(&layout, cell_bytes, line_bytes);
+            // A counter reused across groups (as within one block) counts
+            // each group afresh.
+            let first = lines.count(&group, &ins, &outs, &props);
+            proptest::prop_assert_eq!(first, (expected, bytes));
+            proptest::prop_assert_eq!(lines.count(&group, &ins, &outs, &props), first);
+        }
+    }
+
+    /// A bitmap with the given `(slot, instance)` facts, wrapped into the
+    /// geometry.
+    fn bitmap(geometry: Geometry, bits: &[(u16, u16)]) -> NodeFacts {
+        let mut facts = NodeFacts::empty(geometry);
+        for &(s, i) in bits {
+            facts.set(gdroid_analysis::Fact {
+                slot: s % geometry.slots as u16,
+                instance: i % geometry.insts as u16,
+            });
+        }
+        facts
+    }
+
+    /// A layout whose only planned buffer is a `geometry` matrix of
+    /// `cell_bytes` cells at `base`.
+    fn matrix_layout(geometry: Geometry, base: u64, cell_bytes: u64) -> MethodLayout {
+        use gdroid_gpusim::DeviceBuffer;
+        let unused = DeviceBuffer { base: 0, len: 0 };
+        MethodLayout {
+            icfg: unused,
+            stmt: unused,
+            facts: DeviceBuffer { base, len: geometry.bits() as u64 * cell_bytes },
+            node_bytes: 0,
+            store_pos: Vec::new(),
+            h2d_bytes: 0,
+            d2h_bytes: 0,
         }
     }
 }

@@ -183,6 +183,38 @@ mod tests {
         assert!(permuted, "GRP never changed storage order");
     }
 
+    /// The kernel strides its cells by `method.len()` statements, the
+    /// layout sizes them by `cfg.len()` nodes (DESIGN.md §5): the kernel's
+    /// cells must still fit the planned matrix, or the counted lane form's
+    /// line table — sized from `layout.facts` — would be indexed past its
+    /// end.
+    #[test]
+    fn kernel_cells_fit_the_planned_matrix() {
+        for seed in [555, 556, 557, 558, 559, 560] {
+            let mut app = generate_app(0, seed, &GenConfig::tiny());
+            let (envs, cg) = prepare_app(&mut app);
+            let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
+            let methods = cg.reachable_from(&roots);
+            let spaces: HashMap<_, _> =
+                methods.iter().map(|&m| (m, MethodSpace::build(&app.program, m))).collect();
+            let cfgs: HashMap<_, _> =
+                methods.iter().map(|&m| (m, Cfg::build(&app.program.methods[m]))).collect();
+            let mut device = Device::new(DeviceConfig::tiny());
+            let layout =
+                plan_layout(&app.program, &mut device, &spaces, &cfgs, &methods, OptConfig::mat());
+            for &mid in &methods {
+                let bits = Geometry::of(&spaces[&mid]).bits() as u64;
+                let stride = crate::kernel::cell_stride(&app.program.methods[mid]);
+                let facts = layout.methods[&mid].facts;
+                assert!(
+                    bits * stride <= facts.len,
+                    "seed {seed} {mid:?}: {bits} cells x {stride} B overrun the {} B matrix",
+                    facts.len
+                );
+            }
+        }
+    }
+
     #[test]
     fn mat_nodes_have_bitmap_bytes_set_based_do_not() {
         let (app, methods, spaces, cfgs) = setup();

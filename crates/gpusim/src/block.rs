@@ -2,7 +2,8 @@
 //!
 //! Kernels in this simulator are written *warp-centrically*: for each
 //! worklist round, the kernel builds one [`LaneWork`] descriptor per active
-//! lane and submits warp-sized groups through [`BlockCtx::warp_process`].
+//! lane and submits warp-sized groups through [`BlockCtx::warp_process`]
+//! (or [`BlockCtx::warp_process_counted`], below).
 //! The context then charges cycles mechanistically:
 //!
 //! * **branch divergence** — lanes are grouped by their `partition` (the
@@ -17,6 +18,20 @@
 //!   pay pointer-chasing latency that other warps cannot hide.
 //! * **dynamic allocation** — `malloc` requests route to the shared
 //!   [`crate::memory::DeviceHeap`] and pay the serialized, contended path.
+//!
+//! A step comes in two lane forms that charge identically:
+//!
+//! * **address form** ([`BlockCtx::warp_process`]) — each lane lists every
+//!   global address it reads and writes, and the context counts the
+//!   group's distinct segments itself;
+//! * **counted form** ([`BlockCtx::warp_process_counted`]) — the lanes
+//!   carry no addresses, and a kernel-supplied closure returns each
+//!   group's transactions and useful bytes (the MAT kernel counts them
+//!   straight from its fact bitmaps).
+//!
+//! Sanitizer ⇒ address form: a race detector must see every access, not a
+//! count, so a kernel takes the counted form only when
+//! [`BlockCtx::sanitizing`] is false.
 
 use crate::config::DeviceConfig;
 use crate::memory::{DevAddr, DeviceBuffer, DeviceHeap, SegmentCounter};
@@ -115,6 +130,10 @@ pub struct BlockCtx<'a> {
 /// Fixed issue overhead per warp-synchronous step.
 const WARP_ISSUE_CYCLES: u64 = 8;
 
+/// The counted form's per-group count: lane indices in, `(transactions,
+/// useful bytes)` out ([`BlockCtx::warp_process_counted`]).
+type GroupCount<'c> = dyn FnMut(&[u32]) -> (u64, u64) + 'c;
+
 impl<'a> BlockCtx<'a> {
     /// Creates a context (called by the device launch machinery).
     pub(crate) fn new(
@@ -137,6 +156,12 @@ impl<'a> BlockCtx<'a> {
         self.stats.cycles += cycles;
     }
 
+    /// Whether the `simcheck` sanitizer observes this block's accesses —
+    /// then every lane must carry its addresses ([`BlockCtx::warp_process`]).
+    pub fn sanitizing(&self) -> bool {
+        self.san.is_some()
+    }
+
     /// Executes one warp-synchronous step over ≤ `warp_size` lanes.
     ///
     /// Lanes are grouped by `partition`; groups run serially. Within a
@@ -144,6 +169,28 @@ impl<'a> BlockCtx<'a> {
     /// coalesce, and dependent latency is charged once at the group's
     /// deepest de-reference level.
     pub fn warp_process(&mut self, lanes: &[LaneWork]) {
+        self.step(lanes, None);
+    }
+
+    /// [`BlockCtx::warp_process`] in the counted form: the lanes carry no
+    /// addresses, and `count` is called once per divergence group with the
+    /// group's lane indices (ascending) and returns the group's
+    /// `(transactions, useful bytes)`. Everything else — issue, compute,
+    /// latency, mallocs — is charged from the lanes exactly as in the
+    /// address form. Never on a sanitizing block: the sanitizer must see
+    /// every access.
+    pub fn warp_process_counted(
+        &mut self,
+        lanes: &[LaneWork],
+        count: &mut dyn FnMut(&[u32]) -> (u64, u64),
+    ) {
+        debug_assert!(!self.sanitizing(), "a sanitizing block needs the address form");
+        self.step(lanes, Some(count));
+    }
+
+    /// The one warp step behind both lane forms; `count` selects the
+    /// counted form.
+    fn step(&mut self, lanes: &[LaneWork], mut count: Option<&mut GroupCount<'_>>) {
         assert!(
             lanes.len() <= self.config.warp_size,
             "warp_process got {} lanes for warp size {}",
@@ -207,13 +254,21 @@ impl<'a> BlockCtx<'a> {
 
             // Coalescing within the group only.
             let segment = self.config.transaction_bytes;
-            let tx =
-                segments.count(segment, reads, members().flat_map(|l| l.reads.iter().copied()))
-                    + segments.count(
-                        segment,
-                        writes,
-                        members().flat_map(|l| l.writes.iter().copied()),
-                    );
+            let tx = match count.as_mut() {
+                Some(count) => {
+                    let (tx, bytes) = count(group);
+                    total_bytes_read_written += bytes;
+                    tx
+                }
+                None => {
+                    segments.count(segment, reads, members().flat_map(|l| l.reads.iter().copied()))
+                        + segments.count(
+                            segment,
+                            writes,
+                            members().flat_map(|l| l.writes.iter().copied()),
+                        )
+                }
+            };
             self.stats.transactions += tx;
             self.stats.cycles += tx * self.config.transaction_cycles;
         }
@@ -357,6 +412,61 @@ mod tests {
         ctx.warp_process(&lanes);
         assert_eq!(ctx.stats.transactions, 1);
         assert_eq!(ctx.stats.ideal_transactions, 2); // 32 lanes x 8 B = 256 B
+    }
+
+    /// A closure that counts each group's own addresses charges exactly
+    /// what the address form charges, given the same lanes stripped of
+    /// their addresses — the counted form changes who counts, not what.
+    #[test]
+    fn counted_form_charges_like_the_address_form() {
+        let (cfg, mut heap, mut scratch) = setup();
+        let lanes: Vec<LaneWork> = (0..24u64)
+            .map(|i| LaneWork {
+                partition: (i % 3) as u32,
+                compute_cycles: 5 + i,
+                reads: (0..i % 5).map(|k| 0x4000 + i * 40 + k * 300).collect(),
+                writes: (0..i % 2).map(|k| 0x9000 + i * 8 + k).collect(),
+                deref_layers: (i % 3) as u32,
+                bytes_read: if i % 4 == 0 { 0 } else { 100 + i },
+                ..Default::default()
+            })
+            .collect();
+        let mut by_address = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
+        by_address.warp_process(&lanes);
+        let by_address = by_address.stats;
+
+        let bare: Vec<LaneWork> = lanes
+            .iter()
+            .map(|l| LaneWork { reads: Vec::new(), writes: Vec::new(), bytes_read: 0, ..l.clone() })
+            .collect();
+        let mut groups = Vec::new();
+        let mut counted = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
+        counted.warp_process_counted(&bare, &mut |group| {
+            groups.push(group.to_vec());
+            let member = |i: &u32| &lanes[*i as usize];
+            let reads: Vec<DevAddr> = group.iter().flat_map(|i| member(i).reads.clone()).collect();
+            let writes: Vec<DevAddr> =
+                group.iter().flat_map(|i| member(i).writes.clone()).collect();
+            let bytes = group
+                .iter()
+                .map(|i| {
+                    let l = member(i);
+                    let br =
+                        if l.bytes_read == 0 { l.reads.len() as u64 * 8 } else { l.bytes_read };
+                    br + l.writes.len() as u64 * 8
+                })
+                .sum();
+            let tx = crate::memory::transactions(&cfg, &reads)
+                + crate::memory::transactions(&cfg, &writes);
+            (tx, bytes)
+        });
+        assert_eq!(counted.stats, by_address);
+        // One call per divergence group, lane indices ascending.
+        assert_eq!(groups.len(), 3);
+        for (p, group) in groups.iter().enumerate() {
+            assert!(group.iter().all(|&i| i as usize % 3 == p));
+            assert!(group.windows(2).all(|w| w[0] < w[1]));
+        }
     }
 
     #[test]
