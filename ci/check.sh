@@ -33,8 +33,8 @@ echo "==> retired-names ratchet: what EXPERIMENTS.md retired stays retired"
 # 3a): an item-free lib.rs. None of the relational engine's, the per-app
 # multi-GPU driver's, the blocks-per-SM tuner's, the hand-rolled JSON
 # helpers', the full-sweep solver's, the component ICFG's, the unused DOT
-# exporters', the device pool's or the second journal writer's names
-# anywhere.
+# exporters', the device pool's, the second journal writer's or the
+# second method-identity scheme's names anywhere.
 rel_files=$(find crates/rel/src -type f | sort | tr '\n' ' ')
 [ "$rel_files" = "crates/rel/src/lib.rs " ] || {
   echo "retired-names ratchet: crates/rel/src holds $rel_files(want only lib.rs)" >&2
@@ -50,6 +50,8 @@ retired+='|render_event|json::string|json::array'
 retired+='|solve_method_sweep|ComponentIcfg|icfg_to_dot|cfg_to_dot|callsites_report'
 retired+='|DevicePool|DeviceLease'
 retired+='|ShardJournal|read_rotated_tail'
+retired+='|analyze_app_incremental|IncrementalStats|PrevAnalysis|changed_methods'
+retired+='|interner_fingerprint|method_hashes|warm_startable|FnvSink'
 if grep -rnE "$retired" --include='*.rs' crates src tests examples; then
   echo "retired-names ratchet: a retired name is back (EXPERIMENTS.md, \"Retired: …\")" >&2
   exit 1
@@ -104,7 +106,7 @@ ratchet() { # <want> <fixed string> <hint> <dir>...
   }
 }
 gpu_hint="drive gdroid_core::Fixpoint instead of re-spelling the schedule"
-cpu_hint="extend solver::drive and its known-result hook instead of adding a loop"
+cpu_hint="extend solver::drive and its pre-solved map instead of adding a loop"
 ratchet 1 'derive_summary(' "$gpu_hint" crates/core/src
 # The definition and the driver's one call.
 ratchet 2 'derive_summary(' "$cpu_hint" crates/analysis/src
@@ -130,16 +132,14 @@ ratchet 1 'prepare_app(' "$pipe_hint" \
 ratchet 0 'analyze_app(' "$pipe_hint" crates/bench/src crates/vetting/src/assess.rs src
 
 echo "==> prep-stage ratchet: the host front end stays linear in app size"
-# What the service's prep worker runs per job (generate, call graph,
-# identity hashes) does per-pool / per-graph work once, not per draw, per
-# call site or per method (DESIGN.md, "Host cost of the prep stage"): the
-# only `powf` is the Zipf table constructor's, no class-hierarchy subtree
-# is rebuilt per site, and no method is hashed through a temporary String.
+# What the service's prep worker runs per job (generate, call graph) does
+# per-pool / per-graph work once, not per draw or per call site (DESIGN.md,
+# "Host cost of the prep stage"): the only `powf` is the Zipf table
+# constructor's, and no class-hierarchy subtree is rebuilt per site.
 ratchet_name=prep-stage
 ratchet 1 'powf(' "draw through an rng::Zipf table built once per pool" crates/apk/src
 ratchet 0 'subtree_of(' "walk the ClassHierarchy that CallGraph::build indexes once" \
   crates/ir/src crates/icfg/src
-ratchet 0 'format!("{m:?}")' "stream the Debug text into cache::FnvSink" crates/serve/src
 
 echo "==> argument ratchet: no new too_many_arguments allow"
 # The three left are transfer::apply_summary, driver::gpu_analyze_app_on and

@@ -21,15 +21,12 @@
 //!   why time is modeled rather than measured);
 //! * [`concrete`] — a concrete IR interpreter used as a dynamic soundness
 //!   oracle: every observed runtime points-to must appear in the IDFG;
-//! * [`incremental`] — summary-driven incremental re-analysis across app
-//!   updates (the introduction's "apps update weekly or daily" pressure);
 //! * [`slice`] — backward inter-procedural slicing from sink statements,
 //!   the demand-driven targeted-vetting core.
 
 pub mod concrete;
 pub mod costmodel;
 pub mod fact;
-pub mod incremental;
 pub mod slice;
 pub mod solver;
 pub mod store;
@@ -39,7 +36,6 @@ pub mod transfer;
 pub use concrete::{check_soundness, validate_app, InterpConfig, Interpreter, Violation};
 pub use costmodel::{ns_to_ms, ns_to_s, CpuCostModel};
 pub use fact::{Fact, Instance, InstanceIdx, MethodSpace, Slot, SlotIdx};
-pub use incremental::{analyze_app_incremental, IncrementalStats};
 pub use slice::BackwardSlice;
 /// The multithreaded CPU baseline's entry point: [`analyze_app`] under its
 /// historical name. It runs on one thread; the baseline's time comes from

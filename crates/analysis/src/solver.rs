@@ -235,7 +235,7 @@ pub fn analyze_app(
     roots: &[MethodId],
     store_kind: StoreKind,
 ) -> AppAnalysis {
-    drive(program, cg, roots, store_kind, |_, _| None)
+    drive(program, cg, roots, store_kind, &HashMap::new())
 }
 
 /// [`analyze_app`] with a set of *pre-solved* methods whose summaries and
@@ -251,14 +251,8 @@ pub fn analyze_app_presolved(
     store_kind: StoreKind,
     presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
 ) -> AppAnalysis {
-    drive(program, cg, roots, store_kind, |scc, _| {
-        scc.iter().map(|m| presolved.get(m).map(|(summary, facts)| (summary, facts))).collect()
-    })
+    drive(program, cg, roots, store_kind, presolved)
 }
-
-/// What the driver's hook answers for one SCC: its members' results, in
-/// member order, when they are already known — `None` to have it solved.
-pub(crate) type Known<'a> = Option<Vec<(&'a MethodSummary, &'a MatrixStore)>>;
 
 /// One method's result as it is published at a layer barrier.
 struct Solved {
@@ -269,7 +263,7 @@ struct Solved {
     /// so the total reflects one live store per method, not re-solve
     /// churn.
     bytes: usize,
-    /// Accumulated over SCC re-iterations; `None` for a known result.
+    /// Accumulated over SCC re-iterations; `None` for a pre-solved result.
     telemetry: Option<WorklistTelemetry>,
 }
 
@@ -280,14 +274,14 @@ struct Solved {
 /// thread; the baseline's speed-up over cores is modeled
 /// ([`crate::CpuCostModel::parallel_ns`]), not executed.
 ///
-/// `known` is asked once per SCC, with those summaries, whether the SCC's
-/// result is already at hand; a known SCC is published without solving.
-pub(crate) fn drive<'a>(
+/// An SCC whose members are all in `presolved` is published as it is,
+/// without solving.
+fn drive(
     program: &Program,
     cg: &CallGraph,
     roots: &[MethodId],
     store_kind: StoreKind,
-    known: impl Fn(&[MethodId], &SummaryMap) -> Known<'a>,
+    presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
 ) -> AppAnalysis {
     let layers = CallLayers::compute(cg, roots);
     let methods = || layers.scc_of.keys();
@@ -306,19 +300,21 @@ pub(crate) fn drive<'a>(
     for sccs in layers.sccs_by_layer(cg) {
         let outcomes: Vec<(WorklistTelemetry, Vec<Solved>)> = sccs
             .iter()
-            .map(|scc| match known(scc.members, &out.summaries) {
-                Some(results) => {
-                    let handed_over = scc.members.iter().zip(results);
-                    let published = handed_over.map(|(&mid, (summary, facts))| Solved {
+            .map(|scc| {
+                if !scc.members.iter().all(|m| presolved.contains_key(m)) {
+                    return solve_scc(program, cg, &out, scc);
+                }
+                let published = scc.members.iter().map(|&mid| {
+                    let (summary, facts) = &presolved[&mid];
+                    Solved {
                         mid,
                         summary: summary.clone(),
                         facts: facts.clone(),
                         bytes: facts.memory_bytes(),
                         telemetry: None,
-                    });
-                    (WorklistTelemetry::default(), published.collect())
-                }
-                None => solve_scc(program, cg, &out, scc),
+                    }
+                });
+                (WorklistTelemetry::default(), published.collect())
             })
             .collect();
         // Layer barrier: publish in SCC order, so the aggregate telemetry
@@ -504,6 +500,61 @@ mod tests {
                 let succ = analysis.node_facts(*mid, s);
                 for f in entry.iter() {
                     assert!(succ.get(f), "entry fact lost on edge in {mid:?}");
+                }
+            }
+        }
+    }
+
+    fn assert_same_results(row: &str, got: &AppAnalysis, want: &AppAnalysis) {
+        assert_eq!(got.summaries, want.summaries, "{row}: summaries");
+        assert_eq!(got.facts.len(), want.facts.len(), "{row}: fact-map size");
+        for (mid, facts) in &want.facts {
+            assert_eq!(got.facts[mid].flat_words(), facts.flat_words(), "{row}: facts at {mid:?}");
+        }
+    }
+
+    /// The driver's one hook: {cold, callee-closed pre-solved bottom half}
+    /// × {Set, Matrix}, on an app whose recursion forces SCC re-iteration.
+    #[test]
+    fn one_driver_table_agrees_with_a_cold_run() {
+        let config = GenConfig { recursion_prob: 0.5, ..GenConfig::tiny() };
+        let mut app = generate_app(0, 0x5cc, &config);
+        let (envs, cg) = prepare_app(&mut app);
+        let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
+        let layers = CallLayers::compute(&cg, &roots);
+        assert!(layers.scc_members.iter().any(|m| m.len() > 1), "no multi-member SCC generated");
+        let count = layers.method_count();
+        let cold_matrix = analyze_app(&app.program, &cg, &roots, StoreKind::Matrix);
+
+        // Calls only go down (or stay inside an SCC), so the bottom half of
+        // the layers is callee-closed.
+        let cut = (layers.layer_count() / 2) as u32;
+        let bottom: HashMap<_, _> = layers
+            .scc_of
+            .keys()
+            .filter(|&&m| layers.layer_of(m).unwrap() < cut)
+            .map(|&m| (m, (cold_matrix.summaries[&m].clone(), cold_matrix.facts[&m].clone())))
+            .collect();
+        assert!(!bottom.is_empty() && bottom.len() < count);
+
+        for kind in [StoreKind::Set, StoreKind::Matrix] {
+            let cold = analyze_app(&app.program, &cg, &roots, kind);
+            assert_same_results(&format!("{kind:?} cold"), &cold, &cold_matrix);
+            for (label, presolved) in [("cold", HashMap::new()), ("presolved", bottom.clone())] {
+                let row = format!("{kind:?} {label}");
+                let full = analyze_app_presolved(&app.program, &cg, &roots, kind, &presolved);
+                assert_same_results(&row, &full, &cold);
+                assert_eq!(full.per_method.len(), count - presolved.len(), "{row}: solved");
+                if presolved.is_empty() {
+                    assert_eq!(format!("{:?}", full.telemetry), format!("{:?}", cold.telemetry));
+                    for (mid, t) in &cold.per_method {
+                        assert_eq!(
+                            format!("{:?}", full.per_method[mid]),
+                            format!("{t:?}"),
+                            "{row}"
+                        );
+                    }
+                    assert_eq!(full.store_bytes, cold.store_bytes, "{row}");
                 }
             }
         }

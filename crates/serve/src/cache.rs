@@ -1,4 +1,4 @@
-//! Content-hash result cache with incremental invalidation.
+//! Content-hash result cache with warm-start invalidation.
 //!
 //! Keyed by an FNV-1a hash of the *pre-prep* bundle content (printed
 //! program + manifest text — exactly what [`gdroid_apk::save_bundle`]
@@ -6,29 +6,24 @@
 //! an on-disk bundle is keyed by its bytes as read
 //! ([`bundle_content_hash`]), before anything is parsed.
 //!
-//! An *updated* app (same package, different content hash) invalidates
-//! the stale entry but does not discard it: the cached
-//! [`gdroid_analysis::AppAnalysis`] plus post-prep per-method hashes let
-//! the service hand the previous run to [`gdroid_vetting::execute`] as
-//! [`gdroid_vetting::ExecCtx::prev`] with exactly the changed method set,
-//! so only dirty summaries are re-solved.
-//!
-//! Soundness of the changed-set diff: method hashes are over the IR
-//! `Debug` text, which contains interned `Symbol` indices. Two hashes are
-//! only comparable when both programs resolve every symbol identically,
-//! so each entry also stores an interner fingerprint; on mismatch (or a
-//! different method count) the diff is refused and the caller falls back
-//! to a full analysis.
+//! Each entry keeps its outcome plus a small per-package
+//! [`SumStore`] of that version's reachable methods (summary and fact
+//! words, [`gdroid_vetting::summary_store`]). An *updated* app (same
+//! package, different content hash) invalidates the stale entry but does
+//! not discard its store: the service attaches it to the new version's
+//! run as [`gdroid_vetting::ExecCtx::store`], so every method whose body
+//! and callee subtree are unchanged is pre-solved and only the misses
+//! reach the device. The canonical hash is alpha-renamed and keyed on
+//! names, not on interned symbol indices, so a version that interns in
+//! another order still warm-starts.
 
-use gdroid_analysis::AppAnalysis;
 use gdroid_apk::bundle::manifest_to_text;
 use gdroid_apk::{App, BundleText};
 use gdroid_ir::text::print_program;
-use gdroid_ir::{Interner, MethodId, Program, Symbol};
+use gdroid_sumstore::SumStore;
 pub use gdroid_sumstore::{fnv1a, fnv1a_extend};
-use gdroid_vetting::{VettingOutcome, VettingRun};
+use gdroid_vetting::{summary_store, PreparedApp, VettingOutcome, VettingRun};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// Content hash of an app bundle, computed *before* environment
@@ -52,77 +47,6 @@ pub fn bundle_content_hash(text: &BundleText) -> u64 {
     fnv1a_extend(fnv1a(text.jil.as_bytes()), text.manifest.as_bytes())
 }
 
-/// FNV-1a state that `Debug`/`Display` output streams into, so hashing a
-/// value's text never materializes the text.
-struct FnvSink(u64);
-
-impl std::fmt::Write for FnvSink {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0 = fnv1a_extend(self.0, s.as_bytes());
-        Ok(())
-    }
-}
-
-/// Per-method content hashes of a *prepared* program (environment
-/// methods included), aligned with the `MethodId`s the stored analysis
-/// uses: FNV-1a of each method's `Debug` text. Comparable across programs
-/// only under an equal [`interner_fingerprint`].
-pub fn method_hashes(program: &Program) -> HashMap<MethodId, u64> {
-    program
-        .methods
-        .iter_enumerated()
-        .map(|(mid, m)| {
-            let mut sink = FnvSink(fnv1a(&[]));
-            write!(sink, "{m:?}").expect("FnvSink never fails");
-            (mid, sink.0)
-        })
-        .collect()
-}
-
-/// Fingerprint of the interner contents (every symbol's string, in
-/// order). Equal fingerprints mean equal symbol→string maps, which makes
-/// `Debug`-text method hashes comparable across program versions.
-pub fn interner_fingerprint(interner: &Interner) -> u64 {
-    let mut h = fnv1a(&[]);
-    for i in 0..interner.len() {
-        h = fnv1a_extend(h, interner.resolve(Symbol::new(i)).as_bytes());
-        h = fnv1a_extend(h, b"\0");
-    }
-    h
-}
-
-/// The previous run handed out for an incremental warm start.
-pub struct PrevAnalysis {
-    /// The full per-method analysis of the previous version.
-    pub analysis: AppAnalysis,
-    /// Per-method hashes of the previous prepared program.
-    pub method_hashes: HashMap<MethodId, u64>,
-    /// Interner fingerprint backing those hashes.
-    pub interner_fingerprint: u64,
-}
-
-/// Diffs a new prepared program against a previous entry. Returns the
-/// sorted changed-method set, or `None` when the programs are not
-/// comparable (different method count or interner contents) and a full
-/// analysis is required.
-pub fn changed_methods(
-    prev: &PrevAnalysis,
-    new_hashes: &HashMap<MethodId, u64>,
-    new_fingerprint: u64,
-) -> Option<Vec<MethodId>> {
-    if prev.interner_fingerprint != new_fingerprint || prev.method_hashes.len() != new_hashes.len()
-    {
-        return None;
-    }
-    let mut changed: Vec<MethodId> = new_hashes
-        .iter()
-        .filter(|(mid, h)| prev.method_hashes.get(mid) != Some(h))
-        .map(|(&mid, _)| mid)
-        .collect();
-    changed.sort_unstable();
-    Some(changed)
-}
-
 /// Counters describing cache behavior over the service lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -137,11 +61,9 @@ pub struct CacheStats {
 }
 
 struct StoredEntry {
-    package: String,
     outcome: VettingOutcome,
-    analysis: AppAnalysis,
-    method_hashes: HashMap<MethodId, u64>,
-    interner_fingerprint: u64,
+    /// The version's reachable methods, for the next version's warm start.
+    store: SumStore,
 }
 
 struct CacheInner {
@@ -151,7 +73,7 @@ struct CacheInner {
 }
 
 /// Thread-safe content-hash → outcome cache with a package index for
-/// incremental invalidation.
+/// warm-start invalidation.
 pub struct ResultCache {
     inner: Mutex<CacheInner>,
 }
@@ -198,9 +120,9 @@ impl ResultCache {
     }
 
     /// Invalidation hook for an updated app: if `package` has a cached
-    /// entry under a *different* content hash, removes it and hands the
-    /// previous analysis out for an incremental warm start.
-    pub fn take_previous(&self, package: &str, new_hash: u64) -> Option<PrevAnalysis> {
+    /// entry under a *different* content hash, removes it and hands its
+    /// summary store out for a warm start.
+    pub fn take_previous(&self, package: &str, new_hash: u64) -> Option<SumStore> {
         let mut inner =
             self.inner.lock().expect("result-cache mutex poisoned: a service thread panicked");
         let old_hash = *inner.by_package.get(package)?;
@@ -210,23 +132,14 @@ impl ResultCache {
         inner.by_package.remove(package);
         let entry = inner.by_hash.remove(&old_hash)?;
         inner.stats.invalidations += 1;
-        Some(PrevAnalysis {
-            analysis: entry.analysis,
-            method_hashes: entry.method_hashes,
-            interner_fingerprint: entry.interner_fingerprint,
-        })
+        Some(entry.store)
     }
 
-    /// Stores a finished run. Replaces any entry the same package still
+    /// Stores a finished full run of `prep` with its summary store (built
+    /// before the lock is taken). Replaces any entry the same package still
     /// holds (counted as an invalidation when the hash changed).
-    pub fn insert(
-        &self,
-        hash: u64,
-        package: &str,
-        run: VettingRun,
-        method_hashes: HashMap<MethodId, u64>,
-        interner_fingerprint: u64,
-    ) {
+    pub fn insert(&self, hash: u64, package: &str, prep: &PreparedApp, run: VettingRun) {
+        let store = summary_store(prep, &run.analysis);
         let mut inner =
             self.inner.lock().expect("result-cache mutex poisoned: a service thread panicked");
         if let Some(old_hash) = inner.by_package.insert(package.to_owned(), hash) {
@@ -234,16 +147,7 @@ impl ResultCache {
                 inner.stats.invalidations += 1;
             }
         }
-        inner.by_hash.insert(
-            hash,
-            StoredEntry {
-                package: package.to_owned(),
-                outcome: run.outcome,
-                analysis: run.analysis,
-                method_hashes,
-                interner_fingerprint,
-            },
-        );
+        inner.by_hash.insert(hash, StoredEntry { outcome: run.outcome, store });
         inner.stats.insertions += 1;
     }
 
@@ -265,15 +169,6 @@ impl ResultCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Packages currently cached (diagnostics).
-    pub fn packages(&self) -> Vec<String> {
-        let inner =
-            self.inner.lock().expect("result-cache mutex poisoned: a service thread panicked");
-        let mut p: Vec<String> = inner.by_hash.values().map(|e| e.package.clone()).collect();
-        p.sort();
-        p
-    }
 }
 
 #[cfg(test)]
@@ -282,15 +177,13 @@ mod tests {
     use gdroid_apk::{generate_app, GenConfig};
     use gdroid_vetting::{prepare_vetting, vet_prepared, Engine, ExecPlan};
 
-    fn run_for(seed: u64) -> (u64, String, VettingRun, HashMap<MethodId, u64>, u64) {
+    fn run_for(seed: u64) -> (u64, String, PreparedApp, VettingRun) {
         let app = generate_app(0, seed, &GenConfig::tiny());
         let hash = app_content_hash(&app);
         let package = app.manifest.package.clone();
         let prep = prepare_vetting(app);
-        let mh = method_hashes(&prep.app.program);
-        let fp = interner_fingerprint(&prep.app.program.interner);
         let run = vet_prepared(&prep, ExecPlan::new(Engine::AmandroidCpu));
-        (hash, package, run, mh, fp)
+        (hash, package, prep, run)
     }
 
     #[test]
@@ -300,21 +193,6 @@ mod tests {
         let b = generate_app(0, 7002, &GenConfig::tiny());
         assert_eq!(app_content_hash(&a), app_content_hash(&a2));
         assert_ne!(app_content_hash(&a), app_content_hash(&b));
-    }
-
-    #[test]
-    fn streamed_method_hashes_equal_hashing_the_debug_text() {
-        for seed in [7003, 7004, 7005] {
-            let prep = prepare_vetting(generate_app(0, seed, &GenConfig::tiny()));
-            let by_text: HashMap<MethodId, u64> = prep
-                .app
-                .program
-                .methods
-                .iter_enumerated()
-                .map(|(mid, m)| (mid, fnv1a(format!("{m:?}").as_bytes())))
-                .collect();
-            assert_eq!(method_hashes(&prep.app.program), by_text, "seed {seed}");
-        }
     }
 
     #[test]
@@ -337,9 +215,9 @@ mod tests {
     #[test]
     fn hit_returns_identical_outcome() {
         let cache = ResultCache::new();
-        let (hash, package, run, mh, fp) = run_for(7010);
+        let (hash, package, prep, run) = run_for(7010);
         let expected = run.outcome.to_json();
-        cache.insert(hash, &package, run, mh, fp);
+        cache.insert(hash, &package, &prep, run);
         let hit = cache.lookup(hash).expect("hit");
         assert_eq!(hit.to_json(), expected);
         assert!(cache.lookup(hash ^ 1).is_none());
@@ -348,35 +226,17 @@ mod tests {
     }
 
     #[test]
-    fn update_invalidates_and_hands_out_previous() {
+    fn update_invalidates_and_hands_out_the_previous_store() {
         let cache = ResultCache::new();
-        let (hash, package, run, mh, fp) = run_for(7020);
-        cache.insert(hash, &package, run, mh.clone(), fp);
+        let (hash, package, prep, run) = run_for(7020);
+        let reachable = run.analysis.facts.len();
+        cache.insert(hash, &package, &prep, run);
         // Same hash → no invalidation (it's a pure hit, not an update).
         assert!(cache.take_previous(&package, hash).is_none());
-        // Different hash → previous entry handed out and removed.
-        let prev = cache.take_previous(&package, hash ^ 7).expect("previous");
-        assert_eq!(prev.method_hashes, mh);
+        // Different hash → the entry's store handed out, the entry removed.
+        let store = cache.take_previous(&package, hash ^ 7).expect("previous");
+        assert_eq!(store.len(), reachable, "one stored method per reachable method");
         assert!(cache.is_empty());
         assert_eq!(cache.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn changed_methods_diffs_or_refuses() {
-        let (_, _, run, mh, fp) = run_for(7030);
-        let prev = PrevAnalysis {
-            analysis: run.analysis,
-            method_hashes: mh.clone(),
-            interner_fingerprint: fp,
-        };
-        assert_eq!(changed_methods(&prev, &mh, fp), Some(vec![]));
-        let mut touched = mh.clone();
-        let victim = *touched.keys().min().unwrap();
-        touched.insert(victim, 12345);
-        assert_eq!(changed_methods(&prev, &touched, fp), Some(vec![victim]));
-        assert_eq!(changed_methods(&prev, &mh, fp ^ 1), None, "interner mismatch must refuse");
-        let mut extra = mh.clone();
-        extra.insert(MethodId::new(mh.len()), 1);
-        assert_eq!(changed_methods(&prev, &extra, fp), None, "count mismatch must refuse");
     }
 }

@@ -63,7 +63,7 @@ pub struct JobSpec {
     /// How the job runs: engine, exec mode, and whether it takes the
     /// demand-driven fast lane. The plan's lane predicates
     /// ([`ExecPlan::cacheable`] and friends) decide which of the result
-    /// cache, the incremental warm start and co-resident batching the job
+    /// cache, the warm start and co-resident batching the job
     /// may use; verdicts and facts are byte-identical under every plan.
     pub plan: ExecPlan,
 }
@@ -75,12 +75,13 @@ pub enum CacheDisposition {
     Miss,
     /// Content hash matched; the cached outcome was returned verbatim.
     Hit,
-    /// Same package, different content: the previous analysis seeded an
-    /// incremental re-analysis of only the changed methods.
+    /// Same package, different content: a warm start against the previous
+    /// version's summary store, whose hits were pre-solved and whose misses
+    /// alone were scheduled on the device.
     Incremental {
-        /// Methods actually re-solved.
+        /// Store misses: reachable methods solved on the device.
         resolved: usize,
-        /// Methods whose facts and summaries were reused verbatim.
+        /// Store hits: reachable methods pre-solved, never scheduled.
         reused: usize,
     },
 }

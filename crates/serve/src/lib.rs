@@ -16,9 +16,9 @@
 //!   [`ServiceConfig::coresident`] lets executors top a device up with
 //!   co-resident jobs whose combined block demand fits its block slots;
 //! * [`cache`] — content-hash result cache (bundle bytes → outcome) whose
-//!   invalidation path hands the previous analysis to
-//!   [`gdroid_analysis::analyze_app_incremental`], so an updated app
-//!   re-solves only its changed methods;
+//!   entries keep a per-package [`gdroid_sumstore::SumStore`]; its
+//!   invalidation path hands that store to the updated app's run, so only
+//!   the methods whose body or callee subtree changed reach the device;
 //! * [`metrics`] — per-stage counters and latency histograms behind the
 //!   machine-readable [`ServiceReport`];
 //! * [`service`] — K prep workers and D executors, one long-lived
@@ -48,10 +48,7 @@ pub mod scheduler;
 pub mod service;
 pub mod trace;
 
-pub use cache::{
-    app_content_hash, bundle_content_hash, changed_methods, fnv1a, interner_fingerprint,
-    method_hashes, CacheStats, PrevAnalysis, ResultCache,
-};
+pub use cache::{app_content_hash, bundle_content_hash, fnv1a, CacheStats, ResultCache};
 pub use job::{CacheDisposition, JobResult, JobSource, JobSpec, JobStatus, Priority};
 pub use metrics::{
     Counters, CountersSnapshot, Histogram, HistogramSnapshot, ServiceMetrics, ServiceReport,

@@ -28,11 +28,9 @@
 //! slots.
 
 use crate::job::{JobIdentity, Priority};
-use gdroid_analysis::AppAnalysis;
 use gdroid_icfg::CallLayers;
-use gdroid_ir::MethodId;
+use gdroid_sumstore::SumStore;
 use gdroid_vetting::{ExecPlan, PreparedApp};
-use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
 
 /// Pops a job may watch go by before it outranks every non-aged job.
@@ -52,17 +50,10 @@ pub struct ReadyJob {
     pub block_demand: u64,
     /// The prepared app (program + environments + call graph + roots).
     pub prep: PreparedApp,
-    /// Post-prep per-method content hashes (incremental change detection).
-    /// Computed only for plans that can read them — cacheable or
-    /// warm-startable ones; empty otherwise.
-    pub method_hashes: HashMap<MethodId, u64>,
-    /// Fingerprint of the interner contents backing `method_hashes` (`0`
-    /// when those were not computed).
-    pub interner_fingerprint: u64,
     /// The warm start the executor's cache lookup found, if any: the
-    /// previous version's analysis and the methods changed since. Kept
-    /// across retries — the lookup consumed the cache entry.
-    pub(crate) warm: Option<(AppAnalysis, Vec<MethodId>)>,
+    /// previous version's summary store. Kept across retries — the lookup
+    /// consumed the cache entry.
+    pub(crate) warm: Option<SumStore>,
 }
 
 /// Computes the static work estimate of a prepared app: total statements
@@ -246,8 +237,6 @@ mod tests {
             estimate,
             block_demand: 1,
             prep: prepare_vetting(generate_app(0, 100 + id, &GenConfig::tiny())),
-            method_hashes: HashMap::new(),
-            interner_fingerprint: 0,
             warm: None,
         }
     }

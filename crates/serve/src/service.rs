@@ -26,10 +26,7 @@
 //! closes the queue, joins every thread, and returns the results with a
 //! machine-readable [`ServiceReport`].
 
-use crate::cache::{
-    app_content_hash, bundle_content_hash, changed_methods, interner_fingerprint, method_hashes,
-    ResultCache,
-};
+use crate::cache::{app_content_hash, bundle_content_hash, ResultCache};
 use crate::job::{
     CacheDisposition, JobIdentity, JobResult, JobSource, JobSpec, JobStatus, Priority,
 };
@@ -44,7 +41,6 @@ use gdroid_vetting::{
     execute, execute_vetting_batch_on_device, prepare_vetting, ExecCtx, ExecPlan, PreparedApp,
     VettingRun,
 };
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -91,9 +87,9 @@ pub struct ServiceConfig {
     /// The plan every submission starts from — engine and exec mode; its
     /// `targeted` flag is set per submission. The plan's lane predicates
     /// decide what a job may use: only full multi-launch worklist jobs
-    /// touch the result cache, warm-start incrementally, or join a
-    /// co-resident batch (cached outcomes embed that one cost profile). A
-    /// combination the plan would refuse is rerouted by
+    /// touch the result cache, warm-start from a cached previous version,
+    /// or join a co-resident batch (cached outcomes embed that one cost
+    /// profile). A combination the plan would refuse is rerouted by
     /// [`ExecPlan::fallback`], never failed: targeted submissions to a
     /// service whose engine cannot slice (only the CPU reference) run on
     /// the worklist engine, and [`ExecMode::Persistent`] on an engine that
@@ -242,8 +238,8 @@ impl VettingService {
     /// slice only) at `Expedited` priority and bypasses the result cache
     /// in both directions — a targeted outcome carries provenance and
     /// zeroed store accounting, so it must never be served for, or cached
-    /// as, a full vetting. Targeted jobs also skip the incremental warm
-    /// start and never join a co-resident batch.
+    /// as, a full vetting. Targeted jobs also skip the warm start and
+    /// never join a co-resident batch.
     pub fn submit_targeted(&self, source: JobSource) -> Result<u64, SubmitError> {
         let spec = self.spec(Priority::Expedited, source, true);
         let id = spec.id;
@@ -340,9 +336,8 @@ impl VettingService {
 ///
 /// Everything here is host time the device waits behind, so the stage does
 /// only what the job's plan reads (DESIGN.md §21): the content hash always
-/// (every result publishes it), the cache lookup for cacheable plans — on a
-/// bundle's bytes, before they are parsed — and the per-method hashes only
-/// for plans that can reach the warm start or the cache insert.
+/// (every result publishes it), and the cache lookup for cacheable plans —
+/// on a bundle's bytes, before they are parsed.
 fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
     while let Some(job) = queue.pop() {
         let queue_wait_ns = job.submitted_at.elapsed().as_nanos() as u64;
@@ -398,12 +393,6 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
         identity.package = app.manifest.package.clone();
 
         let prep = prepare_vetting(app);
-        // Read only by `try_incremental` and the cache insert in `finish`.
-        let (hashes, fingerprint) = if job.plan.cacheable() || job.plan.warm_startable() {
-            (method_hashes(&prep.app.program), interner_fingerprint(&prep.app.program.interner))
-        } else {
-            (HashMap::new(), 0)
-        };
         let estimate = work_estimate(&prep);
         identity.prep_ns = prep_start.elapsed().as_nanos() as u64;
         state.metrics.prep.record(identity.prep_ns);
@@ -415,8 +404,6 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
             estimate,
             block_demand: block_demand(&prep),
             prep,
-            method_hashes: hashes,
-            interner_fingerprint: fingerprint,
             warm: None,
         };
         // Blocks while `2 × devices` apps are already buffered —
@@ -489,9 +476,9 @@ fn exec_loop(state: &ServiceState, device: &mut Device) {
 
         // Batch-forming: top the device up with further ready jobs whose
         // combined block demand still fits its block slots. A warm start
-        // is a solo re-solve of the dirty cone: it neither leads a batch
-        // nor joins one, so a warm-startable job never burns device time
-        // just because it was popped as a co-resident.
+        // is a solo store-backed run: it neither leads a batch nor joins
+        // one, so a job with a cached previous version never pays for a
+        // full run just because it was popped as a co-resident.
         let mut group = vec![job];
         if state.coresident > 1
             && state.sumstore.is_none()
@@ -519,51 +506,50 @@ fn exec_loop(state: &ServiceState, device: &mut Device) {
 
 /// The warm-start lookup — only on the first attempt, and only when a
 /// previous version of the same package is cached (the stale entry is
-/// invalidated either way): hands the job the previous analysis and the
-/// changed-method set for [`ExecCtx::prev`]. A job whose plan is not
-/// [`ExecPlan::warm_startable`] is left alone: a targeted job's sliced
-/// path, say, must neither consume nor invalidate cached full analyses.
+/// invalidated): hands the job that version's summary store. A job whose
+/// plan is not [`ExecPlan::cacheable`] is left alone: a targeted job's
+/// sliced path, say, must neither consume nor invalidate cached entries.
 fn try_incremental(state: &ServiceState, job: &mut ReadyJob) {
-    if job.identity.attempts == 0 && job.plan.warm_startable() {
-        if let Some(prev) =
-            state.cache.take_previous(&job.identity.package, job.identity.content_hash)
-        {
-            // Incomparable versions run cold.
-            if let Some(changed) =
-                changed_methods(&prev, &job.method_hashes, job.interner_fingerprint)
-            {
-                job.warm = Some((prev.analysis, changed));
-            }
-        }
+    if job.identity.attempts == 0 && job.plan.cacheable() {
+        job.warm = state.cache.take_previous(&job.identity.package, job.identity.content_hash);
     }
 }
 
 /// Runs one attempt of a group on the executor's device: a job alone
-/// through [`execute`] (warm-started when the lookup found a previous
-/// version), several co-resident as one batched analysis. Per-app batch
-/// results are bit-identical to solo runs (the batch driver repacks each
-/// app's own blocks), so the cache stays coherent. A device fault or an
+/// through [`execute`] (against the previous version's summary store when
+/// the lookup found one, else the shared store if any), several
+/// co-resident as one batched analysis. Per-app batch results are
+/// bit-identical to solo runs (the batch driver repacks each app's own
+/// blocks), so the cache stays coherent. A device fault or an
 /// overrun budget fails the whole attempt: every member retries
 /// individually.
 fn exec_group(state: &ServiceState, device: &mut Device, group: Vec<ReadyJob>) {
     let counters = &state.metrics.counters;
     let t = Instant::now();
     let attempt = if let [job] = &group[..] {
-        // Engines that cannot use the store (only the CPU reference) skip
-        // it rather than fault.
-        let store = state.sumstore.as_deref().filter(|_| job.plan.engine.caps().sumstore);
-        let prev = job.warm.as_ref().map(|(analysis, changed)| (analysis, &changed[..]));
-        let ctx = &mut ExecCtx { store, prev, ..ExecCtx::new(device) };
+        // A warm start neither consults nor feeds the shared store. Engines
+        // that cannot use a store (only the CPU reference) skip it rather
+        // than fault; they are never cacheable, so never warm.
+        let shared = state.sumstore.as_deref().filter(|_| job.plan.engine.caps().sumstore);
+        let store = job.warm.as_ref().or(shared);
+        let ctx = &mut ExecCtx { store, ..ExecCtx::new(device) };
         execute(&job.prep, job.plan, ctx).map(|done| {
-            // Store-backed runs report which methods *this* execution hit;
-            // the counters keep that attribution service-local, because the
-            // store's own global stats can't when the store Arc is shared
-            // across shards.
+            let mut warm = None;
             if let Some(used) = done.store_use {
-                counters.store_hits.fetch_add(used.hits, Ordering::Relaxed);
-                counters.store_misses.fetch_add(used.misses, Ordering::Relaxed);
+                if job.warm.is_some() {
+                    // Misses were solved on the device; hits pre-solved.
+                    let (resolved, reused) = (used.misses as usize, used.hits as usize);
+                    warm = Some(CacheDisposition::Incremental { resolved, reused });
+                } else {
+                    // Shared-store runs report which methods *this* execution
+                    // hit; the counters keep that attribution service-local,
+                    // because the store's own global stats can't when the
+                    // store Arc is shared across shards.
+                    counters.store_hits.fetch_add(used.hits, Ordering::Relaxed);
+                    counters.store_misses.fetch_add(used.misses, Ordering::Relaxed);
+                }
             }
-            vec![(done.run, done.reuse)]
+            vec![(done.run, warm)]
         })
     } else {
         let preps: Vec<&PreparedApp> = group.iter().map(|j| &j.prep).collect();
@@ -578,17 +564,13 @@ fn exec_group(state: &ServiceState, device: &mut Device, group: Vec<ReadyJob>) {
     match attempt {
         Ok(runs) => {
             let timed_out = elapsed > state.timeout;
-            for (mut job, (run, reuse)) in group.into_iter().zip(runs) {
+            for (mut job, (run, warm)) in group.into_iter().zip(runs) {
                 if timed_out {
                     job.identity.timeouts_seen += 1;
                     Counters::bump(&counters.timeouts);
                     retry_or_quarantine(state, job, exec_wall_ns);
-                } else if let Some(stats) = reuse {
+                } else if let Some(cache) = warm {
                     Counters::bump(&counters.cache_incremental);
-                    let cache = CacheDisposition::Incremental {
-                        resolved: stats.resolved,
-                        reused: stats.reused,
-                    };
                     finish(state, job, run, exec_wall_ns, cache);
                 } else {
                     Counters::bump(&counters.executed);
@@ -638,13 +620,7 @@ fn finish(
                 .fetch_add((prov.sliced_fraction * 1e6).round() as u64, Ordering::Relaxed);
         }
     } else if job.plan.cacheable() {
-        state.cache.insert(
-            job.identity.content_hash,
-            &job.identity.package,
-            run,
-            job.method_hashes,
-            job.interner_fingerprint,
-        );
+        state.cache.insert(job.identity.content_hash, &job.identity.package, &job.prep, run);
     }
     job.identity.attempts += 1;
     state.deliver(JobResult::new(
@@ -914,8 +890,6 @@ mod tests {
 
     fn ready_job_of(id: u64, app: App) -> ReadyJob {
         let prep = prepare_vetting(app);
-        let hashes = method_hashes(&prep.app.program);
-        let fingerprint = interner_fingerprint(&prep.app.program.interner);
         ReadyJob {
             identity: JobIdentity {
                 id,
@@ -926,8 +900,6 @@ mod tests {
             plan: ExecPlan::default(),
             estimate: work_estimate(&prep),
             block_demand: block_demand(&prep),
-            method_hashes: hashes,
-            interner_fingerprint: fingerprint,
             warm: None,
             prep,
         }
@@ -1099,7 +1071,9 @@ mod tests {
         run_executor_on(Arc::clone(&cache), 1, 2, Duration::from_secs(30), v1());
         let state = run_executor_on(Arc::clone(&cache), 1, 2, Duration::from_secs(30), v2());
         let results = state.results.lock().unwrap();
-        assert!(matches!(results[0].cache, CacheDisposition::Incremental { resolved: 1, .. }));
+        // The edited method and its environment caller miss (a canonical
+        // hash folds in its callees'); the other 21 are pre-solved.
+        assert_eq!(results[0].cache, CacheDisposition::Incremental { resolved: 2, reused: 21 });
         let c = state.metrics.counters.snapshot();
         assert_eq!((c.cache_incremental, c.executed, c.timeouts), (1, 0, 0));
         assert_eq!(cache.len(), 1, "the warm-started run is cached like a cold one");

@@ -14,12 +14,12 @@
 //!   → … → taint) with the per-stage timing behind Fig. 1;
 //! * [`plan`] — [`ExecPlan`] (engine × exec mode × targeted), its
 //!   capability table, and [`execute`], the one function that runs a
-//!   plan against an [`ExecCtx`] (device, summary store, tracer, a
-//!   previous version's analysis to warm-start from) with byte-identical
-//!   reports across every accepted combination;
-//! * [`store_exec`] — the summary-store steps of a run: store-hit library
+//!   plan against an [`ExecCtx`] (device, summary store, tracer) with
+//!   byte-identical reports across every accepted combination;
+//! * [`store_exec`] — the summary-store steps of a run: store-hit
 //!   methods are pre-solved and never scheduled, fresh solves feed the
-//!   cross-app [`gdroid_sumstore::SumStore`];
+//!   [`gdroid_sumstore::SumStore`]; [`summary_store`] turns a finished run
+//!   into the store a later version of the app warm-starts from;
 //! * [`targeted`] — the demand-driven step: a backward slice from the
 //!   sink statements restricts the engine to the methods that can
 //!   influence a sink verdict;
@@ -33,7 +33,7 @@
 //! [`prepare_vetting`] runs the host-side prep stage once per app. Then:
 //!
 //! * [`execute`]`(&prep, plan, &mut ctx)` — every single-app run, cold
-//!   or warm-started from a previous version ([`ExecCtx::prev`]);
+//!   or warm-started from a previous version's [`summary_store`];
 //! * [`vet_prepared`] / [`vet_app`] — `execute` on a fresh device with
 //!   no store and no tracer (the latter prepares the app itself);
 //! * [`execute_vetting_batch_on_device`] — several apps co-resident in
@@ -65,6 +65,6 @@ pub use plugins::{
 };
 pub use registry::{SourceId, SourceSinkRegistry};
 pub use report::{Leak, Verdict, VettingReport};
-pub use store_exec::StoreUse;
+pub use store_exec::{summary_store, StoreUse};
 pub use taint::{TaintAnalysis, TaintStats};
 pub use targeted::{compute_vetting_slice, sink_reachability_findings, TargetedProvenance};

@@ -96,9 +96,9 @@ impl VettingOutcome {
     }
 }
 
-/// Vetting outcome plus the underlying per-method analysis state — what a
-/// result cache must retain so an updated version of the same app can be
-/// re-analyzed incrementally ([`gdroid_analysis::incremental`]).
+/// Vetting outcome plus the underlying per-method analysis state — what
+/// [`crate::summary_store`] turns into the store an updated version of the
+/// same app warm-starts from.
 pub struct VettingRun {
     /// The outcome (report, timing, telemetry).
     pub outcome: VettingOutcome,
@@ -174,7 +174,7 @@ pub(crate) fn finish_vetting(
 }
 
 /// Folds an engine's analysis into the CPU-shaped [`AppAnalysis`] the
-/// taint plugin, a cache, or an incremental re-analysis consumes (the
+/// taint plugin and a summary store consume (the
 /// facts/summaries are bit-identical across engines; only cost models
 /// differ).
 pub(crate) fn to_app_analysis(ea: EngineAnalysis) -> AppAnalysis {

@@ -7,31 +7,27 @@
 //! tracing — is likewise a switch on one run, not a
 //! pipeline of its own. [`ExecPlan`] gathers the selectors
 //! (engine × exec mode × targeted), [`ExecCtx`] the run-time resources
-//! (device, summary store, tracer, a previous version's analysis), and
-//! [`execute`] performs the same five steps for every combination:
-//! optional slice → optional store lookup (∩ slice) → one analysis (cold,
-//! or warm-started from the previous version) → taint + outcome contracts
-//! → optional store feed and stage spans.
+//! (device, summary store, tracer), and [`execute`] performs the same five
+//! steps for every combination: optional slice → optional store lookup
+//! (∩ slice) → one analysis → taint + outcome contracts → optional store
+//! feed and stage spans. A warm start from a previous version of the app
+//! is the store step with that version's
+//! [`summary_store`](crate::summary_store) attached.
 //!
 //! [`Engine::caps`] is the capability table and [`ExecPlan::check`] the
-//! only place a combination is refused; [`ExecPlan::cacheable`],
-//! [`ExecPlan::warm_startable`] and [`ExecPlan::batchable`] are the only
-//! place a serving lane is allowed.
+//! only place a combination is refused; [`ExecPlan::cacheable`] and
+//! [`ExecPlan::batchable`] are the only place a serving lane is allowed.
 
 use crate::pipeline::{
     finish_vetting, to_app_analysis, trace_stage_spans, PreparedApp, VettingRun,
 };
 use crate::store_exec::{absorb_into_store, collect_presolved, StoreUse};
 use crate::targeted::{compute_vetting_slice, TargetedProvenance};
-use gdroid_analysis::{
-    analyze_app_incremental, analyze_app_presolved, AppAnalysis, CpuCostModel, IncrementalStats,
-    StoreKind,
-};
+use gdroid_analysis::{analyze_app_presolved, CpuCostModel, StoreKind};
 use gdroid_core::{
     AnalysisEngine, CpuEngine, EngineKind, ExecMode, GpuRunStats, OptConfig, WorklistEngine,
 };
 use gdroid_gpusim::{Device, DeviceConfig, DeviceFault};
-use gdroid_ir::MethodId;
 use gdroid_sumstore::SumStore;
 use gdroid_trace::Tracer;
 use std::collections::HashMap;
@@ -258,18 +254,13 @@ impl ExecPlan {
     }
 
     /// Whether the outcome may be served from, and inserted into, a
-    /// result cache. A hit is returned verbatim, so its embedded cost
-    /// profile must be the one every cacheable job would compute; a
-    /// targeted outcome carries provenance and must never stand in for a
-    /// full vetting.
+    /// result cache — and so whether a cached previous version of the app
+    /// may warm-start it (a serving caller consumes and invalidates that
+    /// entry). A hit is returned verbatim, so its embedded cost profile
+    /// must be the one every cacheable job would compute; a targeted
+    /// outcome carries provenance and must never stand in for a full
+    /// vetting.
     pub fn cacheable(self) -> bool {
-        self.is_classic()
-    }
-
-    /// Whether a cached previous version of the app may seed an
-    /// incremental re-analysis ([`ExecCtx::prev`]; a serving caller
-    /// consumes and invalidates that entry).
-    pub fn warm_startable(self) -> bool {
         self.is_classic()
     }
 
@@ -300,28 +291,21 @@ pub struct ExecCtx<'a> {
     /// take the slot but never touch it, so a service executor needs no
     /// special case.
     pub device: &'a mut Device,
-    /// Cross-app summary store: hits are pre-solved and never scheduled,
-    /// fresh solves are inserted afterwards.
+    /// Summary store — shared across apps, or a previous version's
+    /// [`summary_store`](crate::summary_store) for a warm start: hits are
+    /// pre-solved and never scheduled, fresh solves are inserted
+    /// afterwards.
     pub store: Option<&'a SumStore>,
     /// Modeled-time trace sink. When enabled it is installed on the
     /// device, whose clock is advanced past the prep stages so device
     /// events nest inside the `idfg` stage span — pass a fresh device.
     pub tracer: &'a Tracer,
-    /// Warm start: the analysis of a previous version of the app and the
-    /// methods whose bodies changed since; every other method must be
-    /// body-identical to the run that produced it
-    /// ([`gdroid_analysis::analyze_app_incremental`]). The dirty cone is
-    /// re-solved on the CPU and charged the Amandroid model prorated by
-    /// `resolved ÷ (resolved + reused)`; `store_bytes` stays the host
-    /// stores'; the device and the summary store are not touched. Only
-    /// for [`ExecPlan::warm_startable`] plans.
-    pub prev: Option<(&'a AppAnalysis, &'a [MethodId])>,
 }
 
 impl<'a> ExecCtx<'a> {
     /// A context with no store and tracing disabled.
     pub fn new(device: &'a mut Device) -> ExecCtx<'a> {
-        ExecCtx { device, store: None, tracer: &NO_TRACE, prev: None }
+        ExecCtx { device, store: None, tracer: &NO_TRACE }
     }
 }
 
@@ -329,12 +313,8 @@ impl<'a> ExecCtx<'a> {
 pub struct Executed {
     /// Outcome plus the per-method analysis behind it.
     pub run: VettingRun,
-    /// How the run used the summary store — `Some` iff one was attached
-    /// and consulted (a warm start consults none).
+    /// How the run used the summary store — `Some` iff one was attached.
     pub store_use: Option<StoreUse>,
-    /// What a warm start re-solved and reused — `Some` iff
-    /// [`ExecCtx::prev`] was.
-    pub reuse: Option<IncrementalStats>,
     /// The device run's modeled statistics — `Some` iff a
     /// [`Engine::Gpu`] rung built the IDFG.
     pub gpu: Option<GpuRunStats>,
@@ -346,8 +326,7 @@ pub struct Executed {
 /// retry the job (store lookups happen before the device is touched and
 /// are simply repeated; the store's counters are diagnostics, not
 /// accounting). Panics if [`ExecPlan::check`] refuses the plan for this
-/// context, or if the context warm-starts a plan that is not
-/// [`ExecPlan::warm_startable`] — callers gate on both first.
+/// context — callers gate on it first.
 ///
 /// Facts, and therefore the report, are byte-identical for every
 /// accepted plan and context, warm or cold (the plan table test and the
@@ -362,10 +341,6 @@ pub fn execute(
     if let Err(refusal) = plan.check(ctx.store.is_some()) {
         panic!("{refusal}");
     }
-    assert!(ctx.prev.is_none() || plan.warm_startable(), "{plan:?} cannot warm-start");
-    // A warm start re-solves against `prev`'s own summaries: it neither
-    // consults nor feeds the store.
-    let store = ctx.store.filter(|_| ctx.prev.is_none());
     let program = &prep.app.program;
     let tracer = ctx.tracer;
     if tracer.enabled() {
@@ -393,7 +368,7 @@ pub fn execute(
     // Store hits, restricted to slice members: the intersection stays
     // closed under slice-internal callee edges because the looked-up set
     // is closed under *all* callee edges.
-    let looked_up = store.map(|store| {
+    let looked_up = ctx.store.map(|store| {
         let (mut presolved, hashes) = collect_presolved(prep, store);
         if let Some(slice) = &slice {
             presolved.retain(|m, _| slice.members.contains(m));
@@ -418,16 +393,8 @@ pub fn execute(
     let no_hits = HashMap::new();
     let presolved = looked_up.as_ref().map_or(&no_hits, |(_, presolved, _)| presolved);
 
-    let (mut reuse, mut gpu) = (None, None);
-    let (analysis, idfg_ns) = if let Some((prev, changed)) = ctx.prev {
-        let (analysis, stats) =
-            analyze_app_incremental(program, &prep.cg, &prep.roots, prev, changed);
-        let full_ns = CpuCostModel::amandroid().sequential_ns(&analysis);
-        let touched = stats.resolved.max(1) as f64;
-        let idfg_ns = full_ns * touched / (stats.resolved + stats.reused).max(1) as f64;
-        reuse = Some(stats);
-        (analysis, idfg_ns)
-    } else if let Some(engine) = plan.engine.analysis_engine(plan.exec) {
+    let mut gpu = None;
+    let (analysis, idfg_ns) = if let Some(engine) = plan.engine.analysis_engine(plan.exec) {
         let ea = engine.analyze_on(
             ctx.device,
             program,
@@ -467,7 +434,7 @@ pub fn execute(
         let insertable = slice.as_ref().map(|s| &s.exact);
         absorb_into_store(program, store, &hashes, &presolved, &run.analysis, insertable)
     });
-    Ok(Executed { run, store_use, reuse, gpu })
+    Ok(Executed { run, store_use, gpu })
 }
 
 /// [`execute`] on a fresh Tesla P40 with no store and no tracer — the
@@ -524,7 +491,6 @@ mod tests {
                     let plan = ExecPlan { engine, exec, targeted };
                     let classic = gpu && exec == ExecMode::MultiLaunch && !targeted;
                     assert_eq!(plan.cacheable(), classic, "{plan:?}");
-                    assert_eq!(plan.warm_startable(), classic, "{plan:?}");
                     assert_eq!(plan.batchable(), classic, "{plan:?}");
                     for with_store in [false, true] {
                         let expected = (exec == ExecMode::MultiLaunch
@@ -600,10 +566,10 @@ mod tests {
         }
     }
 
-    /// An app update as the incremental-analysis tests make one: `victim`'s
+    /// An app update as the serving tests make one: `victim`'s
     /// trailing return becomes an allocation into its first reference
     /// variable, then the return.
-    fn edit_tail(program: &mut gdroid_ir::Program, victim: MethodId) {
+    fn edit_tail(program: &mut gdroid_ir::Program, victim: gdroid_ir::MethodId) {
         use gdroid_ir::{Expr, Lhs, Stmt, StmtIdx};
         let method = &mut program.methods[victim];
         let (var, ty) = method
@@ -620,80 +586,78 @@ mod tests {
         program.rebuild_lookups();
     }
 
-    /// `ExecCtx::prev` over the `one_driver_table_agrees_with_a_cold_run`
-    /// fixtures (`gdroid_analysis::incremental`): nothing, one leaf and
-    /// everything changed, on an app whose recursion forces SCC
-    /// re-iteration. Report bytes, facts and summaries are a cold run's;
-    /// the reuse accounting is `analyze_app_incremental`'s; the cost is the
-    /// Amandroid model prorated; neither the device nor an attached store
-    /// is touched.
+    /// A warm start is a store-backed run against the previous version's
+    /// [`summary_store`](crate::summary_store), on every cacheable plan:
+    /// nothing, one leaf, and everything changed (a previous version that
+    /// shares no method: an empty store), on an app whose recursion forces
+    /// SCC re-iteration. Report bytes, facts and summaries are a cold
+    /// run's; misses and hits cover the reachable methods; the device
+    /// launches exactly when something missed, and the sanitizer finds
+    /// those launches race-free.
     #[test]
-    fn a_warm_start_reproduces_a_cold_run_and_the_cpu_drivers_accounting() {
+    fn a_warm_start_is_a_store_backed_run_that_reproduces_a_cold_one() {
         let config = GenConfig { recursion_prob: 0.5, ..GenConfig::tiny() };
         let base = generate_app(0, 0x5cc, &config);
         let v1 = prepare_vetting(base.clone());
         let layers = gdroid_icfg::CallLayers::compute(&v1.cg, &v1.roots);
         assert!(layers.scc_members.iter().any(|m| m.len() > 1), "no multi-member SCC generated");
-        let leaf = layers.layers[0][0];
+        let count = layers.method_count() as u64;
         let mut edited = base;
-        edit_tail(&mut edited.program, leaf);
+        edit_tail(&mut edited.program, layers.layers[0][0]);
         let v2 = prepare_vetting(edited);
-        let everything: Vec<MethodId> = layers.scc_of.keys().copied().collect();
 
-        let plan = ExecPlan::default();
-        let prev = vet_prepared(&v1, plan).analysis;
-        for (row, prep, changed) in [
-            ("nothing", &v1, vec![]),
-            ("one leaf", &v2, vec![leaf]),
-            ("everything", &v1, everything),
-        ] {
-            let cold = vet_prepared(prep, plan);
-            let store = SumStore::new();
-            let mut device = Device::new(DeviceConfig::tesla_p40());
-            let ctx = &mut ExecCtx {
-                store: Some(&store),
-                prev: Some((&prev, &changed)),
-                ..ExecCtx::new(&mut device)
-            };
-            let warm = execute(prep, plan, ctx).expect("no fault plan");
-            let (got, want) = (&warm.run, &cold);
-            assert_eq!(got.outcome.report.to_json(), want.outcome.report.to_json(), "{row}");
-            assert_eq!(got.analysis.summaries, want.analysis.summaries, "{row}");
-            assert_eq!(got.analysis.facts.len(), want.analysis.facts.len(), "{row}");
-            for (mid, facts) in &want.analysis.facts {
-                assert_eq!(
-                    got.analysis.facts[mid].flat_words(),
-                    facts.flat_words(),
-                    "{row} {mid:?}"
-                );
+        let mut cacheable = 0;
+        for engine in Engine::all() {
+            for exec in ExecMode::ALL {
+                for targeted in [false, true] {
+                    let plan = ExecPlan { engine, exec, targeted };
+                    if !plan.cacheable() {
+                        continue;
+                    }
+                    cacheable += 1;
+                    let v1_analysis = vet_prepared(&v1, plan).analysis;
+                    for (row, prep, keep) in [
+                        ("nothing", &v1, true),
+                        ("one leaf", &v2, true),
+                        ("everything", &v1, false),
+                    ] {
+                        let what = format!("{plan:?} {row}");
+                        // A fresh store per row: the warm run feeds its misses.
+                        let store = if keep {
+                            crate::summary_store(&v1, &v1_analysis)
+                        } else {
+                            SumStore::new()
+                        };
+                        assert_eq!(store.len() as u64, if keep { count } else { 0 }, "{what}");
+                        let cold = vet_prepared(prep, plan);
+                        let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
+                        let warm =
+                            run_on(&mut device, prep, plan, Some(&store), &Tracer::disabled());
+                        let (got, want) = (&warm.run, &cold);
+                        assert_eq!(got.outcome.report.to_json(), want.outcome.report.to_json());
+                        assert_eq!(got.analysis.summaries, want.analysis.summaries, "{what}");
+                        assert_eq!(got.analysis.facts.len(), want.analysis.facts.len(), "{what}");
+                        for (mid, facts) in &want.analysis.facts {
+                            let words = got.analysis.facts[mid].flat_words();
+                            assert_eq!(words, facts.flat_words(), "{what} {mid:?}");
+                        }
+
+                        let used = warm.store_use.expect("a store was attached");
+                        let (resolved, reused) = (used.misses, used.hits);
+                        assert_eq!(resolved + reused, count, "{what}");
+                        match row {
+                            "nothing" => assert_eq!(resolved, 0, "{what}"),
+                            "one leaf" => assert!(resolved >= 1 && reused > 0, "{what}"),
+                            _ => assert_eq!(reused, 0, "{what}"),
+                        }
+                        assert_eq!(device.launches() > 0, resolved > 0, "{what}");
+                        let san = device.san_report().expect("sanitizer configured");
+                        assert!(san.is_clean(), "{what}: {san}");
+                    }
+                }
             }
-
-            let (incremental, stats) =
-                analyze_app_incremental(&prep.app.program, &prep.cg, &prep.roots, &prev, &changed);
-            assert_eq!(warm.reuse, Some(stats), "{row}");
-            assert_eq!(stats.resolved + stats.reused, layers.method_count(), "{row}");
-            let full_ns = CpuCostModel::amandroid().sequential_ns(&incremental);
-            let share = stats.resolved.max(1) as f64 / layers.method_count() as f64;
-            assert_eq!(got.outcome.timing.idfg_ns, full_ns * share, "{row}");
-            assert!(got.outcome.store_bytes > 0, "{row}: a warm start reports host stores");
-
-            assert!(warm.gpu.is_none() && warm.store_use.is_none(), "{row}");
-            assert_eq!(device.launches(), 0, "{row}");
-            assert_eq!((store.len(), store.stats().misses), (0, 0), "{row}: store touched");
         }
-        assert!(vet_prepared(&v1, plan).outcome.store_bytes == 0, "a cold device run reports none");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot warm-start")]
-    fn a_plan_that_is_not_warm_startable_refuses_a_previous_version() {
-        let prep = prepare_vetting(generate_app(0, 8702, &GenConfig::tiny()));
-        let prev = vet_prepared(&prep, ExecPlan::default()).analysis;
-        let mut device = Device::new(DeviceConfig::tesla_p40());
-        let ctx = &mut ExecCtx { prev: Some((&prev, &[])), ..ExecCtx::new(&mut device) };
-        let targeted = ExecPlan { targeted: true, ..ExecPlan::default() };
-        assert!(!targeted.warm_startable());
-        let _ = execute(&prep, targeted, ctx);
+        assert_eq!(cacheable, 4, "the four worklist-GPU rungs");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Summary-store lookup and feed — the two store steps of
-//! [`crate::execute`].
+//! [`crate::execute`] — and [`summary_store`], the store a finished run
+//! leaves for the next version of its app.
 //!
 //! The warm-corpus path: before the IDFG stage runs, every reachable
 //! method's canonical hash is looked up in a shared
@@ -14,7 +15,7 @@
 //! only the modeled IDFG time shrinks.
 
 use crate::pipeline::PreparedApp;
-use gdroid_analysis::{Geometry, MatrixStore, MethodSpace, MethodSummary};
+use gdroid_analysis::{AppAnalysis, Geometry, MatrixStore, MethodSpace, MethodSummary};
 use gdroid_icfg::Cfg;
 use gdroid_ir::{MethodId, Program};
 use gdroid_sumstore::{canonical_hashes, RelocSummary, StoredMethod, SumStore};
@@ -85,6 +86,18 @@ pub(crate) fn collect_presolved(
     (hits, hashes)
 }
 
+/// A fresh store holding every reachable method of a full (untargeted)
+/// run: the summary and fact words [`crate::execute`] feeds an attached
+/// store with, under the same canonical hashes. Attached to a later
+/// version's run as [`crate::ExecCtx::store`], it pre-solves every method
+/// whose body and callee subtree did not change — a warm start.
+pub fn summary_store(prep: &PreparedApp, analysis: &AppAnalysis) -> SumStore {
+    let store = SumStore::new();
+    let hashes = canonical_hashes(&prep.app.program, &prep.cg, &prep.roots);
+    absorb_into_store(&prep.app.program, &store, &hashes, &HashMap::new(), analysis, None);
+    store
+}
+
 /// Inserts every freshly solved method into the store and assembles the
 /// [`StoreUse`] accounting. With `insertable: Some(set)`, only methods in
 /// the set are written — the targeted path restricts insertion to the
@@ -96,7 +109,7 @@ pub(crate) fn absorb_into_store(
     store: &SumStore,
     hashes: &HashMap<MethodId, u128>,
     presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
-    analysis: &gdroid_analysis::AppAnalysis,
+    analysis: &AppAnalysis,
     insertable: Option<&std::collections::HashSet<MethodId>>,
 ) -> StoreUse {
     let mut hit_methods: Vec<MethodId> = presolved.keys().copied().collect();
@@ -153,7 +166,7 @@ mod tests {
         (done.run, done.store_use.expect("a store was attached"))
     }
 
-    fn facts_digest(analysis: &gdroid_analysis::AppAnalysis) -> Vec<(MethodId, Vec<u64>)> {
+    fn facts_digest(analysis: &AppAnalysis) -> Vec<(MethodId, Vec<u64>)> {
         let mut out: Vec<(MethodId, Vec<u64>)> =
             analysis.facts.iter().map(|(&m, f)| (m, f.flat_words())).collect();
         out.sort();

@@ -1,74 +1,89 @@
-//! Incremental re-analysis across an app update — the "apps update weekly
-//! or even daily" scenario from the paper's introduction.
+//! Warm start across an app update — the "apps update weekly or even
+//! daily" scenario from the paper's introduction.
 //!
-//! Simulates a version bump that edits a handful of methods, then compares
-//! a from-scratch analysis against the summary-driven incremental one.
+//! Version 1 is vetted with an empty summary store attached, which fills
+//! it with every reachable method's summary and fact words. Version 2
+//! edits a handful of methods and is vetted against that store: a method
+//! whose body and callee subtree are unchanged is a hit and is never
+//! scheduled; the misses — the edited methods and their callers — are
+//! solved on the device. The report equals a cold run's byte for byte.
 //!
 //! ```text
 //! cargo run --release --example incremental_update [seed]
 //! ```
 
-use gdroid::analysis::{analyze_app, analyze_app_incremental, StoreKind};
+use gdroid::analysis::ns_to_ms;
 use gdroid::apk::{generate_app, GenConfig};
-use gdroid::icfg::{prepare_app, CallGraph};
+use gdroid::gpusim::{Device, DeviceConfig};
+use gdroid::icfg::CallLayers;
 use gdroid::ir::{Expr, Lhs, MethodId, Stmt, StmtIdx};
-use std::time::Instant;
+use gdroid::sumstore::SumStore;
+use gdroid::vetting::{
+    execute, prepare_vetting, vet_prepared, ExecCtx, ExecPlan, Executed, PreparedApp,
+};
+
+/// One store-backed run on a fresh device, with the launches it made.
+fn run(prep: &PreparedApp, store: &SumStore) -> (Executed, u64) {
+    let mut device = Device::new(DeviceConfig::tesla_p40());
+    let ctx = &mut ExecCtx { store: Some(store), ..ExecCtx::new(&mut device) };
+    let done = execute(prep, ExecPlan::default(), ctx).expect("a fresh device has no fault plan");
+    (done, device.launches())
+}
 
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(31);
-    let mut app = generate_app(0, seed, &GenConfig::default());
-    let (envs, cg) = prepare_app(&mut app);
-    let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
+    let app = generate_app(0, seed, &GenConfig::default());
 
-    let t0 = Instant::now();
-    let v1 = analyze_app(&app.program, &cg, &roots, StoreKind::Matrix);
-    let full_v1 = t0.elapsed();
+    let store = SumStore::new();
+    let v1 = prepare_vetting(app.clone());
+    let (cold_v1, launches) = run(&v1, &store);
     println!(
-        "v1: {} methods analyzed in {:.1} ms (host wall-clock)",
-        v1.facts.len(),
-        full_v1.as_secs_f64() * 1e3
+        "v1: {} methods solved in {launches} launches; the store now holds {}",
+        cold_v1.store_use.expect("a store was attached").misses,
+        store.len()
     );
 
-    // --- simulate the update: edit 3 methods ---------------------------
-    let mut updated = app.program.clone();
-    let victims: Vec<MethodId> = v1.schedule.iter().flatten().copied().take(3).collect();
+    // --- the update: edit the first 3 app methods, bottom-up -----------
+    let layers = CallLayers::compute(&v1.cg, &v1.roots);
+    let victims: Vec<MethodId> = layers
+        .layers
+        .iter()
+        .flatten()
+        .copied()
+        .filter(|m| m.index() < app.program.methods.len())
+        .take(3)
+        .collect();
+    let mut updated = app;
     for &mid in &victims {
-        let method = &mut updated.methods[mid];
-        if let Some((ref_var, decl)) =
-            method.vars.iter_enumerated().find(|(_, d)| d.ty.is_reference())
+        let method = &mut updated.program.methods[mid];
+        if let Some((var, decl)) = method.vars.iter_enumerated().find(|(_, d)| d.ty.is_reference())
         {
             let ty = decl.ty;
             let last = StmtIdx::new(method.body.len() - 1);
             let ret = method.body[last].clone();
-            method.body[last] = Stmt::Assign { lhs: Lhs::Var(ref_var), rhs: Expr::New { ty } };
+            method.body[last] = Stmt::Assign { lhs: Lhs::Var(var), rhs: Expr::New { ty } };
             method.body.push(ret);
         }
     }
-    updated.rebuild_lookups();
-    let cg2 = CallGraph::build(&updated);
+    updated.program.rebuild_lookups();
+    let v2 = prepare_vetting(updated);
 
-    // --- full vs incremental re-analysis --------------------------------
-    let t0 = Instant::now();
-    let v2_full = analyze_app(&updated, &cg2, &roots, StoreKind::Matrix);
-    let full_v2 = t0.elapsed();
-
-    let t0 = Instant::now();
-    let (v2_incr, stats) = analyze_app_incremental(&updated, &cg2, &roots, &v1, &victims);
-    let incr_v2 = t0.elapsed();
-
-    assert_eq!(v2_full.summaries, v2_incr.summaries, "incremental must match full");
+    // --- warm start against v1's store vs a cold run ---------------------
+    let (warm, launches) = run(&v2, &store);
+    let cold = vet_prepared(&v2, ExecPlan::default());
+    let used = warm.store_use.expect("a store was attached");
+    let report = warm.run.outcome.report.to_json();
+    assert_eq!(report, cold.outcome.report.to_json(), "a warm start must match a cold run");
+    println!("v2 update touching {} methods:", victims.len());
+    println!("  store hits   : {:5} methods pre-solved, never scheduled", used.hits);
     println!(
-        "v2 update touching {} methods:\n  full re-analysis : {:8.1} ms, {} methods solved\n  \
-         incremental      : {:8.1} ms, {} solved + {} reused",
-        victims.len(),
-        full_v2.as_secs_f64() * 1e3,
-        v2_full.facts.len(),
-        incr_v2.as_secs_f64() * 1e3,
-        stats.resolved,
-        stats.reused,
+        "  store misses : {:5} methods solved on the device in {launches} launches",
+        used.misses
     );
     println!(
-        "  work avoided     : {:.1}% of methods reused, results bit-identical",
-        100.0 * stats.reused as f64 / (stats.reused + stats.resolved).max(1) as f64
+        "  modeled IDFG : {:.2} ms warm vs {:.2} ms cold; report byte-identical ({} bytes)",
+        ns_to_ms(warm.run.outcome.timing.idfg_ns),
+        ns_to_ms(cold.outcome.timing.idfg_ns),
+        report.len()
     );
 }

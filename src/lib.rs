@@ -22,9 +22,9 @@
 //! | [`trace`] | modeled-time event tracing: Chrome `trace_event` export, zero-cost when disabled |
 //!
 //! Beyond the paper's core, the stack implements extensions around it:
-//! incremental re-analysis across app updates
-//! ([`analysis::incremental`]), a concrete-execution soundness oracle
-//! ([`analysis::concrete`]), and an app-store-style serving layer
+//! a cross-app summary store ([`sumstore`]) that also warm-starts an
+//! updated app from its previous version, a concrete-execution soundness
+//! oracle ([`analysis::concrete`]), and an app-store-style serving layer
 //! ([`serve`]) that packs jobs onto executors owning one long-lived
 //! simulated device each, with caching, fault retry, and per-stage
 //! observability.
