@@ -33,8 +33,9 @@ echo "==> retired-names ratchet: what EXPERIMENTS.md retired stays retired"
 # 3a): an item-free lib.rs. None of the relational engine's, the per-app
 # multi-GPU driver's, the blocks-per-SM tuner's, the hand-rolled JSON
 # helpers', the full-sweep solver's, the component ICFG's, the unused DOT
-# exporters', the device pool's, the second journal writer's or the
-# second method-identity scheme's names anywhere.
+# exporters', the device pool's, the second journal writer's, the
+# second method-identity scheme's or the thinner co-resident pipeline's
+# names anywhere.
 rel_files=$(find crates/rel/src -type f | sort | tr '\n' ' ')
 [ "$rel_files" = "crates/rel/src/lib.rs " ] || {
   echo "retired-names ratchet: crates/rel/src holds $rel_files(want only lib.rs)" >&2
@@ -52,6 +53,7 @@ retired+='|DevicePool|DeviceLease'
 retired+='|ShardJournal|read_rotated_tail'
 retired+='|analyze_app_incremental|IncrementalStats|PrevAnalysis|changed_methods'
 retired+='|interner_fingerprint|method_hashes|warm_startable|FnvSink'
+retired+='|execute_vetting_batch_on_device|batchable|BatchApp'
 if grep -rnE "$retired" --include='*.rs' crates src tests examples; then
   echo "retired-names ratchet: a retired name is back (EXPERIMENTS.md, \"Retired: …\")" >&2
   exit 1
@@ -142,12 +144,12 @@ ratchet 0 'subtree_of(' "walk the ClassHierarchy that CallGraph::build indexes o
   crates/ir/src crates/icfg/src
 
 echo "==> argument ratchet: no new too_many_arguments allow"
-# The three left are transfer::apply_summary, driver::gpu_analyze_app_on and
-# kernel::run_method_block; the generator's bodies take one Scope.
+# The one left is transfer::apply_summary; the generator's bodies take one
+# Scope, the launch policies one AppInput, the kernel one MethodBlock.
 ratchet_name=argument
-arg_hint="gather the arguments in a struct (see \`generator::Scope\`)"
-ratchet 0 'too_many_arguments' "$arg_hint" crates/apk/src
-ratchet 3 'too_many_arguments' "$arg_hint" crates src examples
+arg_hint="gather the arguments in a struct (see \`generator::Scope\`, \`AppInput\`)"
+ratchet 0 'too_many_arguments' "$arg_hint" crates/apk/src crates/core/src
+ratchet 1 'too_many_arguments' "$arg_hint" crates src examples
 
 echo "==> constructor ratchet: CallLayers has compute and one cut constructor"
 constructors=$(grep -c 'pub fn compute' crates/icfg/src/layers.rs)
@@ -332,6 +334,23 @@ echo "$batch_out" | grep -q '"coresidency":' || {
   exit 1
 }
 
+echo "==> composed batch smoke: co-resident groups share the summary store"
+composed_dir=$(mktemp -d)
+trap 'rm -rf "$trace_dir" "$store_dir" "$composed_dir"' EXIT
+solo_digest=$(./target/release/gdroid serve --apps 10 --devices 1 --sumstore "$composed_dir/solo" --digest)
+group_digest=$(./target/release/gdroid serve --apps 10 --devices 1 --coresident 4 \
+  --sumstore "$composed_dir/group" --digest)
+[ "$solo_digest" = "$group_digest" ] || {
+  echo "composed batch smoke: co-resident store-backed digests differ from solo" >&2
+  exit 1
+}
+group_json=$(./target/release/gdroid serve --apps 10 --devices 1 --coresident 4 \
+  --sumstore "$composed_dir/json" --json)
+if echo "$group_json" | grep -q '"batched_jobs":0,'; then
+  echo "composed batch smoke: no batch formed with a summary store attached" >&2
+  exit 1
+fi
+
 echo "==> targeted smoke: full and sliced verdicts agree"
 full_vet=$(./target/release/gdroid vet 42 --json)
 targeted_vet=$(./target/release/gdroid vet 42 --targeted --json)
@@ -361,7 +380,7 @@ done
 
 echo "==> campaign smoke: kill/resume reproduces the fleet report byte-for-byte"
 camp_dir=$(mktemp -d)
-trap 'rm -rf "$trace_dir" "$store_dir" "$camp_dir"' EXIT
+trap 'rm -rf "$trace_dir" "$store_dir" "$composed_dir" "$camp_dir"' EXIT
 ./target/release/gdroid campaign --apps 20 --shards 2 --journal-dir "$camp_dir/j2" \
   --out "$camp_dir/fleet-a.json" --verdicts "$camp_dir/verdicts-2.txt" >/dev/null
 # Simulate a crash mid-append: cut the shard-0 journal inside a record,
@@ -434,7 +453,7 @@ fi
 
 echo "==> snapshot smoke: rotated kill/resume reproduces the fleet report byte-for-byte"
 snap_dir=$(mktemp -d)
-trap 'rm -rf "$trace_dir" "$store_dir" "$camp_dir" "$snap_dir"' EXIT
+trap 'rm -rf "$trace_dir" "$store_dir" "$composed_dir" "$camp_dir" "$snap_dir"' EXIT
 ./target/release/gdroid campaign --apps 20 --shards 2 --rotate 3 --journal-dir "$snap_dir/jr" \
   --out "$snap_dir/fleet-a.json" >/dev/null
 # Kill twice: first cut the newest shard-0 segment mid-record, resume; then

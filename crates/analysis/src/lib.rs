@@ -42,8 +42,8 @@ pub use slice::BackwardSlice;
 /// [`CpuCostModel::parallel_ns`] over the layer schedule it records.
 pub use solver::analyze_app as analyze_app_parallel;
 pub use solver::{
-    analyze_app, analyze_app_presolved, merge_site_summaries, solve_method, AppAnalysis, StoreKind,
-    WorklistTelemetry,
+    analyze_app, analyze_app_presolved, merge_site_summaries, solve_method, AppAnalysis, Presolved,
+    StoreKind, WorklistTelemetry,
 };
 pub use store::{FactStore, Geometry, MatrixStore, NodeFacts, NodeView, SetStore, UnionOutcome};
 pub use summary::{derive_summary, MethodSummary, SummaryMap, Token};

@@ -238,6 +238,10 @@ pub fn analyze_app(
     drive(program, cg, roots, store_kind, &HashMap::new())
 }
 
+/// Summary-store hits: each method's summary and node facts, injected
+/// instead of computed.
+pub type Presolved = HashMap<MethodId, (MethodSummary, MatrixStore)>;
+
 /// [`analyze_app`] with a set of *pre-solved* methods whose summaries and
 /// node facts are already known (summary-store hits). An SCC whose
 /// members are all pre-solved is never solved: its results are published
@@ -249,7 +253,7 @@ pub fn analyze_app_presolved(
     cg: &CallGraph,
     roots: &[MethodId],
     store_kind: StoreKind,
-    presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
+    presolved: &Presolved,
 ) -> AppAnalysis {
     drive(program, cg, roots, store_kind, presolved)
 }
@@ -281,7 +285,7 @@ fn drive(
     cg: &CallGraph,
     roots: &[MethodId],
     store_kind: StoreKind,
-    presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
+    presolved: &Presolved,
 ) -> AppAnalysis {
     let layers = CallLayers::compute(cg, roots);
     let methods = || layers.scc_of.keys();

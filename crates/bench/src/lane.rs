@@ -12,8 +12,8 @@ use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_serve::fnv1a;
 use gdroid_sumstore::SumStore;
 use gdroid_vetting::{
-    execute, execute_vetting_batch_on_device, ExecCtx, ExecPlan, Executed, PreparedApp,
-    VettingOutcome, VettingRun,
+    execute, execute_coresident, ExecCtx, ExecPlan, Executed, PreparedApp, VettingOutcome,
+    VettingRun,
 };
 
 /// A plan run app after app on one fault-free device.
@@ -44,15 +44,18 @@ impl<'s> Lane<'s> {
         done
     }
 
-    /// Vets `preps` as one co-resident group, asserting every member's
-    /// outcome byte-identical to its `solo` outcome and the group makespan
-    /// no worse than the members' summed solo makespans (launch and
-    /// transfer overheads are shared, never added).
+    /// Vets `preps` as one co-resident group under the lane's plan and
+    /// store, asserting every member's outcome byte-identical to its
+    /// `solo` outcome and the group makespan no worse than the members'
+    /// summed solo makespans (launch and transfer overheads are shared,
+    /// never added).
     pub fn run_group(&mut self, preps: &[&PreparedApp], solo: &[VettingOutcome]) -> BatchStats {
-        let (runs, batch) = execute_vetting_batch_on_device(preps, &mut self.device, self.plan)
-            .expect("no fault plan installed");
-        for (run, solo) in runs.iter().zip(solo) {
-            assert_eq!(run.outcome.to_json(), solo.to_json(), "a batched app diverged from solo");
+        let ctx = &mut ExecCtx { store: self.store, ..ExecCtx::new(&mut self.device) };
+        let (done, batch) =
+            execute_coresident(preps, self.plan, ctx).expect("no fault plan installed");
+        for (done, solo) in done.iter().zip(solo) {
+            let outcome = &done.run.outcome;
+            assert_eq!(outcome.to_json(), solo.to_json(), "a batched app diverged from solo");
         }
         let solo_ns: f64 = solo.iter().map(|o| o.timing.idfg_ns).sum();
         assert!(

@@ -49,16 +49,16 @@ pub struct CampaignConfig {
     pub coresident: usize,
     /// Attach a cross-app summary store. Store pre-solving couples an
     /// app's modeled timing to completion order, so journaled timings are
-    /// only run-stable with one worker and one device per shard; verdicts
-    /// are order-independent either way.
+    /// only run-stable with one worker, one device and no co-residency
+    /// per shard; verdicts are order-independent either way.
     pub sumstore: bool,
     /// How every app is vetted: the engine and exec mode the shard
-    /// services run under (non-worklist and persistent jobs bypass the
-    /// per-shard result cache and co-resident batching, see [`ExecPlan`]),
-    /// and whether apps go through the demand-driven fast lane (backward
-    /// sink slices). Journaled verdicts and leak counts are
-    /// plan-invariant, but modeled timings are not, so the plan
-    /// participates in [`config_digest`].
+    /// services run under (cpu and persistent jobs bypass the per-shard
+    /// result cache and co-resident batching, see [`ExecPlan`]), and
+    /// whether apps go through the demand-driven fast lane (backward sink
+    /// slices; these bypass the cache and batch only with each other).
+    /// Journaled verdicts and leak counts are plan-invariant, but modeled
+    /// timings are not, so the plan participates in [`config_digest`].
     pub plan: ExecPlan,
     /// Write per-app modeled-time Chrome traces under
     /// `<dir>/shard-<s>/job-<index>.json`.
@@ -118,8 +118,9 @@ impl CampaignConfig {
 /// digest is refused (the records would describe different apps or a
 /// different analysis); topology knobs (shard service sizes, coresidency,
 /// journal rotation) are deliberately excluded because they never change
-/// a record byte. Store sharing is included: it changes store-hit
-/// coverage and therefore modeled timings.
+/// a verdict (with a store they shift store-hit order, and so modeled
+/// timing — see [`CampaignConfig::sumstore`]). Store sharing is included:
+/// it changes store-hit coverage and therefore modeled timings.
 pub fn config_digest(config: &CampaignConfig) -> u64 {
     fnv1a(
         format!(

@@ -24,10 +24,9 @@
 //!   reproduces the [`gdroid_gpusim::KernelStats`] a solo launch of those
 //!   blocks would produce; each app's chunk sequence — and therefore its
 //!   dual-buffered pipeline and `GpuRunStats` — is bit-identical to solo.
-//!   (Caveat: under [`OptConfig::plain`], kernel-side `malloc` cost
-//!   depends on how many blocks are co-resident, so *timing* attribution
-//!   is exact only for allocation-free configs like [`OptConfig::mat`] /
-//!   [`OptConfig::gdroid`]; facts and summaries are exact regardless.)
+//!   This holds for the allocation-free rungs, [`OptConfig::mat`] and up:
+//!   [`OptConfig::plain`]'s kernel-side `malloc` cost grows with the
+//!   co-resident blocks, so the vetting layer refuses plain groups.
 //! * **Heap attribution is per-block.** Device-heap allocation counts and
 //!   bytes are summed from each app's own block stats instead of the
 //!   shared heap counters.
@@ -38,31 +37,15 @@
 
 use crate::driver::WorklistKernel;
 use crate::engine::EngineAnalysis;
-use crate::fixpoint::Fixpoint;
+use crate::fixpoint::{AppInput, Fixpoint};
 use crate::layout::{plan_layout, AppLayout};
 use crate::opts::OptConfig;
 use crate::stats::GpuRunStats;
 use gdroid_gpusim::{dual_buffered, Device, DeviceFault};
-use gdroid_icfg::CallGraph;
-use gdroid_ir::{MethodId, Program};
-use std::collections::HashMap;
-
-/// One app of a co-resident batch.
-#[derive(Clone, Copy)]
-pub struct BatchApp<'a> {
-    /// The app's program.
-    pub program: &'a Program,
-    /// Its call graph.
-    pub cg: &'a CallGraph,
-    /// Analysis entry points.
-    pub roots: &'a [MethodId],
-}
 
 /// Batch-level statistics of one co-resident run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BatchStats {
-    /// Apps co-scheduled.
-    pub apps: usize,
     /// Shared kernel launches performed.
     pub launches: usize,
     /// Makespan of the batched pipeline (combined launches), ns.
@@ -82,15 +65,6 @@ pub struct BatchStats {
     pub mean_coresidency: f64,
 }
 
-/// Result of a co-resident batch run: one solo-identical [`EngineAnalysis`]
-/// per app (input order) plus the batch-level pipeline stats.
-pub struct BatchAnalysis {
-    /// Per-app results, in input order.
-    pub apps: Vec<EngineAnalysis>,
-    /// Batch-level stats.
-    pub batch: BatchStats,
-}
-
 /// One app's fixpoint plus its solo-equivalent accounting.
 struct AppCursor<'a> {
     fx: Fixpoint<'a>,
@@ -104,21 +78,24 @@ struct AppCursor<'a> {
 }
 
 /// Analyzes several independent apps co-resident on an existing device
-/// (policy and attribution rules: see the module docs). The device is
-/// [`Device::reset`] once; an injected fault aborts the whole batch with an
-/// `Err` the caller can retry app by app.
+/// (policy and attribution rules: see the module docs): one solo-identical
+/// [`EngineAnalysis`] per app, in input order, plus the batch-level
+/// pipeline stats. Each app's `presolved` and `slice` shape its own
+/// schedule exactly as they do solo. The device is [`Device::reset`]
+/// once; an injected fault aborts the whole batch with an `Err` the
+/// caller can retry app by app.
 pub fn gpu_analyze_batch_on(
     device: &mut Device,
-    apps: &[BatchApp<'_>],
+    apps: &[AppInput<'_>],
     opts: OptConfig,
-) -> Result<BatchAnalysis, DeviceFault> {
+) -> Result<(Vec<EngineAnalysis>, BatchStats), DeviceFault> {
     device.reset();
     let tracer = device.tracer().clone();
     let warp = device.config.warp_size;
     let mut cursors: Vec<AppCursor<'_>> = apps
         .iter()
         .map(|app| {
-            let fx = Fixpoint::new(app.program, app.cg, app.roots, &HashMap::new(), None);
+            let fx = Fixpoint::new(*app);
             let layout = plan_layout(app.program, device, &fx.spaces, &fx.cfgs, fx.methods(), opts);
             AppCursor {
                 fx,
@@ -148,7 +125,7 @@ pub fn gpu_analyze_batch_on(
     // Combined `(h2d, kernel ns, d2h)` per shared launch — the batch
     // pipeline the makespan is computed from.
     let mut batch_chunks: Vec<(u64, f64, u64)> = Vec::new();
-    let mut batch = BatchStats { apps: apps.len(), ..Default::default() };
+    let mut batch = BatchStats::default();
     let mut utilization_sum = 0.0f64;
     let mut coresidency_sum = 0usize;
 
@@ -190,6 +167,10 @@ pub fn gpu_analyze_batch_on(
 
         // --- attribution: each app's blocks re-packed as a solo launch,
         // then its results absorbed and its own schedule advanced ---------
+        // ROADMAP 4d: the members' blocks partition the launch in launch
+        // order, so every additive counter attributed to them sums to it.
+        let attributed = || chosen.iter().flat_map(|&i| sourced.blocks_of(i as u32));
+        debug_assert_eq!(device.repack(&attributed().collect::<Vec<_>>()), sourced.combined);
         let (mut combined_h2d, mut combined_d2h) = (0u64, 0u64);
         for &i in &chosen {
             let own = sourced.blocks_of(i as u32);
@@ -271,7 +252,7 @@ pub fn gpu_analyze_batch_on(
             c.fx.finish(c.stats, sanitizer.clone())
         })
         .collect();
-    Ok(BatchAnalysis { apps: results, batch })
+    Ok((results, batch))
 }
 
 #[cfg(test)]
@@ -281,7 +262,8 @@ mod tests {
     use gdroid_analysis::FactStore;
     use gdroid_apk::{generate_app, GenConfig};
     use gdroid_gpusim::DeviceConfig;
-    use gdroid_icfg::prepare_app;
+    use gdroid_icfg::{prepare_app, CallGraph};
+    use gdroid_ir::MethodId;
 
     fn prepared(seed: u64) -> (gdroid_apk::App, CallGraph, Vec<MethodId>) {
         let mut app = generate_app(0, seed, &GenConfig::tiny());
@@ -291,10 +273,10 @@ mod tests {
     }
 
     fn gpu_analyze_batch(
-        apps: &[BatchApp<'_>],
+        apps: &[AppInput<'_>],
         device_config: DeviceConfig,
         opts: OptConfig,
-    ) -> BatchAnalysis {
+    ) -> (Vec<EngineAnalysis>, BatchStats) {
         let mut device = Device::new(device_config);
         gpu_analyze_batch_on(&mut device, apps, opts).expect("a fresh device has no fault plan")
     }
@@ -334,101 +316,92 @@ mod tests {
             OptConfig::gdroid(),
         );
         let batch = gpu_analyze_batch(
-            &[BatchApp { program: &app.program, cg: &cg, roots: &roots }],
+            &[AppInput::new(&app.program, &cg, &roots)],
             DeviceConfig::tesla_p40(),
             OptConfig::gdroid(),
         );
-        assert_eq!(batch.apps.len(), 1);
-        assert_matches_solo(&batch.apps[0], &solo, "batch of one");
-        assert!((batch.batch.mean_coresidency - 1.0).abs() < 1e-9);
+        assert_eq!(batch.0.len(), 1);
+        assert_matches_solo(&batch.0[0], &solo, "batch of one");
+        assert!((batch.1.mean_coresidency - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn coresident_apps_match_solo_bit_for_bit() {
         let prepped: Vec<_> = [7002u64, 7003, 7004, 7005].iter().map(|&s| prepared(s)).collect();
-        let apps: Vec<BatchApp<'_>> = prepped
-            .iter()
-            .map(|(app, cg, roots)| BatchApp { program: &app.program, cg, roots })
-            .collect();
+        let apps: Vec<AppInput<'_>> =
+            prepped.iter().map(|(app, cg, roots)| AppInput::new(&app.program, cg, roots)).collect();
         for opts in [OptConfig::mat(), OptConfig::gdroid()] {
             let batch = gpu_analyze_batch(&apps, DeviceConfig::tesla_p40(), opts);
             let mut solo_makespan_sum = 0.0f64;
             for (i, (app, cg, roots)) in prepped.iter().enumerate() {
                 let solo =
                     gpu_analyze_app(&app.program, cg, roots, DeviceConfig::tesla_p40(), opts);
-                assert_matches_solo(&batch.apps[i], &solo, &format!("{opts} app {i}"));
+                assert_matches_solo(&batch.0[i], &solo, &format!("{opts} app {i}"));
                 solo_makespan_sum += solo.stats.total_ns;
             }
             assert!(
-                batch.batch.makespan_ns <= solo_makespan_sum,
+                batch.1.makespan_ns <= solo_makespan_sum,
                 "{opts}: batch makespan {} > sum of solo {}",
-                batch.batch.makespan_ns,
+                batch.1.makespan_ns,
                 solo_makespan_sum
             );
-            assert!(batch.batch.mean_coresidency > 1.0, "{opts}: apps never co-resided");
+            assert!(batch.1.mean_coresidency > 1.0, "{opts}: apps never co-resided");
         }
     }
 
     #[test]
     fn batch_on_reused_device_matches_fresh() {
         let prepped: Vec<_> = [7006u64, 7007].iter().map(|&s| prepared(s)).collect();
-        let apps: Vec<BatchApp<'_>> = prepped
-            .iter()
-            .map(|(app, cg, roots)| BatchApp { program: &app.program, cg, roots })
-            .collect();
+        let apps: Vec<AppInput<'_>> =
+            prepped.iter().map(|(app, cg, roots)| AppInput::new(&app.program, cg, roots)).collect();
         let mut device = Device::new(DeviceConfig::tesla_p40());
         // Dirty the device first, then batch on it.
         let (warm, warm_cg, warm_roots) = prepared(7008);
+        let warm_input = AppInput::new(&warm.program, &warm_cg, &warm_roots);
         gpu_analyze_app_on(
             &mut device,
-            &warm.program,
-            &warm_cg,
-            &warm_roots,
+            &warm_input,
             OptConfig::gdroid(),
-            &HashMap::new(),
-            None,
             crate::ExecMode::MultiLaunch,
         )
         .unwrap();
         let reused = gpu_analyze_batch_on(&mut device, &apps, OptConfig::gdroid()).unwrap();
         let fresh = gpu_analyze_batch(&apps, DeviceConfig::tesla_p40(), OptConfig::gdroid());
         for i in 0..apps.len() {
-            assert_eq!(reused.apps[i].summaries, fresh.apps[i].summaries);
-            assert_eq!(reused.apps[i].stats.total_ns, fresh.apps[i].stats.total_ns);
+            assert_eq!(reused.0[i].summaries, fresh.0[i].summaries);
+            assert_eq!(reused.0[i].stats.total_ns, fresh.0[i].stats.total_ns);
         }
-        assert_eq!(reused.batch.makespan_ns, fresh.batch.makespan_ns);
+        assert_eq!(reused.1.makespan_ns, fresh.1.makespan_ns);
     }
 
     #[test]
     fn batch_fault_aborts_and_retry_succeeds() {
         use gdroid_gpusim::FaultPlan;
         let (app, cg, roots) = prepared(7009);
-        let apps = [BatchApp { program: &app.program, cg: &cg, roots: &roots }];
+        let apps = [AppInput::new(&app.program, &cg, &roots)];
         let mut device = Device::new(DeviceConfig::tesla_p40());
         device.set_fault_plan(Some(FaultPlan { period: 1, budget: 1 }));
         assert!(gpu_analyze_batch_on(&mut device, &apps, OptConfig::gdroid()).is_err());
         let retry = gpu_analyze_batch_on(&mut device, &apps, OptConfig::gdroid())
             .expect("budget exhausted");
         let fresh = gpu_analyze_batch(&apps, DeviceConfig::tesla_p40(), OptConfig::gdroid());
-        assert_eq!(retry.apps[0].summaries, fresh.apps[0].summaries);
+        assert_eq!(retry.0[0].summaries, fresh.0[0].summaries);
     }
 
     #[test]
     fn tracing_does_not_perturb_batch() {
         let prepped: Vec<_> = [7010u64, 7011].iter().map(|&s| prepared(s)).collect();
-        let apps: Vec<BatchApp<'_>> = prepped
-            .iter()
-            .map(|(app, cg, roots)| BatchApp { program: &app.program, cg, roots })
-            .collect();
+        let apps: Vec<AppInput<'_>> =
+            prepped.iter().map(|(app, cg, roots)| AppInput::new(&app.program, cg, roots)).collect();
         let mut traced_dev = Device::new(DeviceConfig::tesla_p40());
         traced_dev.set_tracer(gdroid_trace::Tracer::enabled_new());
         let traced = gpu_analyze_batch_on(&mut traced_dev, &apps, OptConfig::gdroid()).unwrap();
         let plain = gpu_analyze_batch(&apps, DeviceConfig::tesla_p40(), OptConfig::gdroid());
         for i in 0..apps.len() {
-            assert_eq!(traced.apps[i].summaries, plain.apps[i].summaries);
-            assert_eq!(traced.apps[i].stats.total_ns, plain.apps[i].stats.total_ns);
+            assert_eq!(traced.0[i].summaries, plain.0[i].summaries);
+            assert_eq!(traced.0[i].stats.total_ns, plain.0[i].stats.total_ns);
         }
-        assert_eq!(traced.batch.makespan_ns, plain.batch.makespan_ns);
+        assert_eq!(traced.1.makespan_ns, plain.1.makespan_ns);
         assert!(!traced_dev.tracer().events().is_empty(), "batch emitted no trace events");
     }
 }

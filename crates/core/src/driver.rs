@@ -14,17 +14,16 @@
 //!   SCC re-rounds stay device-side and transfer nothing.
 
 use crate::engine::{EngineAnalysis, ExecMode};
-use crate::fixpoint::{Fixpoint, MethodBlock};
+use crate::fixpoint::{AppInput, Fixpoint, MethodBlock};
 use crate::kernel::run_method_block;
 use crate::layout::{plan_layout, AppLayout};
 use crate::opts::OptConfig;
 use crate::stats::GpuRunStats;
-use gdroid_analysis::{MatrixStore, WorklistTelemetry};
+use gdroid_analysis::WorklistTelemetry;
 use gdroid_gpusim::{dual_buffered, BlockCtx, Device, DeviceConfig, DeviceFault};
 use gdroid_icfg::CallGraph;
 use gdroid_ir::{MethodId, Program};
 use gdroid_trace::Tracer;
-use std::collections::HashMap;
 
 /// Analyzes one app on a fresh simulated GPU: a full multi-launch run
 /// with nothing pre-solved.
@@ -36,17 +35,9 @@ pub fn gpu_analyze_app(
     opts: OptConfig,
 ) -> EngineAnalysis {
     let mut device = Device::new(device_config);
-    gpu_analyze_app_on(
-        &mut device,
-        program,
-        cg,
-        roots,
-        opts,
-        &HashMap::new(),
-        None,
-        ExecMode::MultiLaunch,
-    )
-    .expect("a fresh device has no fault plan")
+    let input = AppInput::new(program, cg, roots);
+    gpu_analyze_app_on(&mut device, &input, opts, ExecMode::MultiLaunch)
+        .expect("a fresh device has no fault plan")
 }
 
 /// Analyzes one app on an existing, long-lived device — the one general
@@ -54,28 +45,23 @@ pub fn gpu_analyze_app(
 /// clean arena), and any injected fault ([`gdroid_gpusim::FaultPlan`])
 /// aborts the analysis mid-flight with an `Err` the caller can retry.
 ///
-/// `presolved` and `slice` shape the schedule as [`Fixpoint::new`]
-/// documents: store hits are injected and never launch (no device buffers,
-/// no bytes moved — the warm-corpus win), a slice launches only its
-/// members, and an empty slice performs zero launches.
+/// The input's `presolved` and `slice` shape the schedule as
+/// [`Fixpoint::new`] documents: store hits are injected and never launch
+/// (no device buffers, no bytes moved — the warm-corpus win), a slice
+/// launches only its members, and an empty slice performs zero launches.
 ///
 /// `exec` maps fixpoint rounds onto launches (see the module docs). Facts
 /// and summaries are byte-identical in both modes — the fixpoint is
 /// unique; only the modeled cost differs.
-#[allow(clippy::too_many_arguments)]
 pub fn gpu_analyze_app_on(
     device: &mut Device,
-    program: &Program,
-    cg: &CallGraph,
-    roots: &[MethodId],
+    input: &AppInput<'_>,
     opts: OptConfig,
-    presolved: &HashMap<MethodId, (gdroid_analysis::MethodSummary, MatrixStore)>,
-    slice: Option<&std::collections::HashSet<MethodId>>,
     exec: ExecMode,
 ) -> Result<EngineAnalysis, DeviceFault> {
     device.reset();
-    let fx = Fixpoint::new(program, cg, roots, presolved, slice);
-    let layout = plan_layout(program, device, &fx.spaces, &fx.cfgs, fx.methods(), opts);
+    let fx = Fixpoint::new(*input);
+    let layout = plan_layout(input.program, device, &fx.spaces, &fx.cfgs, fx.methods(), opts);
     if device.tracer().enabled() {
         device.tracer().instant(
             "driver",
@@ -87,7 +73,7 @@ pub fn gpu_analyze_app_on(
                 ("grp", opts.grp.into()),
                 ("mer", opts.mer.into()),
                 ("methods", fx.methods().len().into()),
-                ("presolved", presolved.len().into()),
+                ("presolved", input.presolved.len().into()),
                 ("layers", fx.layer_count().into()),
             ],
         );
@@ -221,7 +207,7 @@ impl WorklistKernel<'_> {
     /// Solves `b.store` to its fixed point inside one thread block.
     pub fn run(&self, ctx: &mut BlockCtx<'_>, b: &mut MethodBlock<'_>) -> WorklistTelemetry {
         let ml = &self.layout.methods[&b.mid];
-        run_method_block(ctx, b.method, b.space, b.cfg, ml, &b.sites, self.opts, &mut b.store)
+        run_method_block(ctx, b, ml, self.opts)
     }
 
     /// One instant per solved method with its worklist telemetry,
@@ -276,8 +262,8 @@ mod tests {
         roots: &[MethodId],
         exec: ExecMode,
     ) -> Result<EngineAnalysis, DeviceFault> {
-        let none = HashMap::new();
-        gpu_analyze_app_on(device, &app.program, cg, roots, OptConfig::gdroid(), &none, None, exec)
+        let input = AppInput::new(&app.program, cg, roots);
+        gpu_analyze_app_on(device, &input, OptConfig::gdroid(), exec)
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! shape — the fixpoint is unique, the road to it is not.
 
 use crate::driver::gpu_analyze_app_on;
+use crate::fixpoint::AppInput;
 use crate::opts::OptConfig;
 use crate::stats::GpuRunStats;
 use gdroid_analysis::{
-    analyze_app_presolved, CpuCostModel, MatrixStore, MethodSpace, MethodSummary, StoreKind,
+    analyze_app_presolved, CpuCostModel, MatrixStore, MethodSpace, Presolved, StoreKind,
     SummaryMap, WorklistTelemetry,
 };
 use gdroid_gpusim::{Device, DeviceFault, SanReport};
@@ -144,7 +145,7 @@ pub trait AnalysisEngine: Send + Sync {
         program: &Program,
         cg: &CallGraph,
         roots: &[MethodId],
-        presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
+        presolved: &Presolved,
         slice: Option<&HashSet<MethodId>>,
     ) -> Result<EngineAnalysis, DeviceFault>;
 }
@@ -155,13 +156,6 @@ pub struct WorklistEngine {
     pub opts: OptConfig,
     /// How fixpoint rounds map onto launches (multi-launch vs persistent).
     pub exec: ExecMode,
-}
-
-impl WorklistEngine {
-    /// The full-GDroid rung (MAT+GRP+MER) — the production default.
-    pub fn gdroid() -> WorklistEngine {
-        WorklistEngine { opts: OptConfig::gdroid(), exec: ExecMode::MultiLaunch }
-    }
 }
 
 impl AnalysisEngine for WorklistEngine {
@@ -175,10 +169,11 @@ impl AnalysisEngine for WorklistEngine {
         program: &Program,
         cg: &CallGraph,
         roots: &[MethodId],
-        presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
+        presolved: &Presolved,
         slice: Option<&HashSet<MethodId>>,
     ) -> Result<EngineAnalysis, DeviceFault> {
-        gpu_analyze_app_on(device, program, cg, roots, self.opts, presolved, slice, self.exec)
+        let input = AppInput { program, cg, roots, presolved, slice };
+        gpu_analyze_app_on(device, &input, self.opts, self.exec)
     }
 }
 
@@ -197,7 +192,7 @@ impl AnalysisEngine for CpuEngine {
         program: &Program,
         cg: &CallGraph,
         roots: &[MethodId],
-        presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
+        presolved: &Presolved,
         slice: Option<&HashSet<MethodId>>,
     ) -> Result<EngineAnalysis, DeviceFault> {
         assert!(slice.is_none(), "the cpu engine does not support targeted slicing");
@@ -251,7 +246,7 @@ mod tests {
         let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
         let mut device = Device::new(DeviceConfig::tiny());
         let none = HashMap::new();
-        let gpu = WorklistEngine::gdroid()
+        let gpu = WorklistEngine { opts: OptConfig::gdroid(), exec: ExecMode::MultiLaunch }
             .analyze_on(&mut device, &app.program, &cg, &roots, &none, None)
             .unwrap();
         let cpu =

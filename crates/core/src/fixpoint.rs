@@ -28,7 +28,7 @@ use crate::engine::EngineAnalysis;
 use crate::stats::{GpuRunStats, WorklistProfile};
 use gdroid_analysis::{
     derive_summary, merge_site_summaries, FactStore, Geometry, MatrixStore, MethodSpace,
-    MethodSummary, SummaryMap, WorklistTelemetry,
+    MethodSummary, Presolved, SummaryMap, WorklistTelemetry,
 };
 use gdroid_gpusim::{BlockCtx, BlockFn, SanReport};
 use gdroid_icfg::{CallGraph, CallLayers, Cfg};
@@ -70,6 +70,30 @@ struct Layer {
     recursive: Vec<Vec<MethodId>>,
 }
 
+/// One app as every launch policy takes it: what to analyze, and what
+/// [`Fixpoint::new`] cuts out of its schedule.
+#[derive(Clone, Copy)]
+pub struct AppInput<'a> {
+    /// The app's program.
+    pub program: &'a Program,
+    /// Its call graph.
+    pub cg: &'a CallGraph,
+    /// Analysis entry points.
+    pub roots: &'a [MethodId],
+    /// Store hits (closed under callee edges; see [`Fixpoint::new`]).
+    pub presolved: &'a Presolved,
+    /// The methods to schedule, when sliced (caller-closed).
+    pub slice: Option<&'a HashSet<MethodId>>,
+}
+
+impl<'a> AppInput<'a> {
+    /// A whole-app run with nothing pre-solved.
+    pub fn new(program: &'a Program, cg: &'a CallGraph, roots: &'a [MethodId]) -> AppInput<'a> {
+        static NONE: std::sync::LazyLock<Presolved> = std::sync::LazyLock::new(HashMap::new);
+        AppInput { program, cg, roots, presolved: &NONE, slice: None }
+    }
+}
+
 /// One app's layered fixpoint in flight (see the module docs).
 pub struct Fixpoint<'a> {
     program: &'a Program,
@@ -95,7 +119,7 @@ pub struct Fixpoint<'a> {
 }
 
 impl<'a> Fixpoint<'a> {
-    /// Schedules the methods reachable from `roots`.
+    /// Schedules the methods reachable from the input's `roots`.
     ///
     /// `presolved` methods (summary-store hits) have their summaries and
     /// node facts injected instead of computed and become leaves of the
@@ -106,13 +130,8 @@ impl<'a> Fixpoint<'a> {
     /// `slice` schedules only its members, cutting call edges that leave
     /// it; it must be caller-closed over the reachable set (see
     /// `gdroid_analysis::BackwardSlice`). An empty slice is born done.
-    pub fn new(
-        program: &'a Program,
-        cg: &'a CallGraph,
-        roots: &[MethodId],
-        presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
-        slice: Option<&HashSet<MethodId>>,
-    ) -> Fixpoint<'a> {
+    pub fn new(input: AppInput<'a>) -> Fixpoint<'a> {
+        let AppInput { program, cg, roots, presolved, slice } = input;
         let leaves: HashSet<MethodId> = presolved.keys().copied().collect();
         let sched = CallLayers::compute_cut(cg, roots, slice, &leaves);
         let launchable = |ms: &[MethodId]| -> Vec<MethodId> {

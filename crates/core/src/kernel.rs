@@ -15,16 +15,15 @@
 //! * whether only the **head warp** is processed with the tail postponed
 //!   and merged (MER).
 
+use crate::fixpoint::MethodBlock;
 use crate::layout::MethodLayout;
 use crate::opts::OptConfig;
 use gdroid_analysis::{
-    CallResolution, FactStore, MatrixStore, MethodSpace, MethodSummary, NodeFacts, NodeView,
-    TransferCtx, WorklistTelemetry,
+    CallResolution, FactStore, NodeFacts, NodeView, TransferCtx, WorklistTelemetry,
 };
 use gdroid_gpusim::{segment_of, AccessOrder, BlockCtx, LaneWork};
 use gdroid_icfg::Cfg;
 use gdroid_ir::{Method, StmtIdx};
-use std::collections::HashMap;
 
 /// Branch partition of a node in the plain kernel: statement partitions
 /// 0..25, entry/exit nodes take partition 25 (the identity path).
@@ -179,22 +178,19 @@ impl LineCounter {
 
 /// Runs one method's worklist to its fixed point inside one thread block.
 ///
-/// `store` is the functional fact state (entry facts must already be
-/// seeded); `site_summaries` come from
+/// `block.store` is the functional fact state (entry facts must already
+/// be seeded); `block.sites` come from
 /// [`gdroid_analysis::merge_site_summaries`]. Returns the same telemetry
 /// the CPU solver produces, with round sizes reflecting the GPU worklist
 /// regime (head-list-only under MER).
-#[allow(clippy::too_many_arguments)]
 pub fn run_method_block(
     ctx: &mut BlockCtx<'_>,
-    method: &Method,
-    space: &MethodSpace,
-    cfg: &Cfg,
+    block: &mut MethodBlock<'_>,
     layout: &MethodLayout,
-    site_summaries: &HashMap<StmtIdx, Option<MethodSummary>>,
     opts: OptConfig,
-    store: &mut MatrixStore,
 ) -> WorklistTelemetry {
+    let (method, space, cfg) = (block.method, block.space, block.cfg);
+    let (site_summaries, store) = (&block.sites, &mut block.store);
     let warp = ctx.config().warp_size;
     let line_bytes = ctx.config().transaction_bytes;
     let geometry = store.geometry();
@@ -510,11 +506,12 @@ fn stream_addrs(out: &mut Vec<u64>, base: u64, len: u64, line_bytes: u64) -> u64
 mod tests {
     use super::*;
     use crate::layout::plan_layout;
-    use gdroid_analysis::{merge_site_summaries, Geometry, MethodSpace, SummaryMap};
+    use gdroid_analysis::{merge_site_summaries, Geometry, MatrixStore, MethodSpace, SummaryMap};
     use gdroid_apk::{generate_app, GenConfig};
     use gdroid_gpusim::{Device, DeviceConfig};
     use gdroid_icfg::prepare_app;
     use gdroid_ir::MethodId;
+    use std::collections::HashMap;
 
     struct Bench {
         app: gdroid_apk::App,
@@ -541,25 +538,18 @@ mod tests {
         let layout = plan_layout(&b.app.program, &mut device, &b.spaces, &b.cfgs, &b.methods, opts);
         let space = &b.spaces[&mid];
         let cfg = &b.cfgs[&mid];
+        let method = &b.app.program.methods[mid];
         let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
-        store.seed(cfg.entry() as usize, &space.entry_facts(&b.app.program.methods[mid]));
+        store.seed(cfg.entry() as usize, &space.entry_facts(method));
         let summaries = SummaryMap::new();
-        let site = merge_site_summaries(&b.app.program, mid, &summaries, &b.cg);
+        let sites = merge_site_summaries(&b.app.program, mid, &summaries, &b.cg);
+        let mut block = MethodBlock { mid, method, space, cfg, sites, store };
         let mut telemetry = WorklistTelemetry::default();
         let stats = device.launch(vec![|ctx: &mut BlockCtx<'_>| {
-            telemetry = run_method_block(
-                ctx,
-                &b.app.program.methods[mid],
-                space,
-                cfg,
-                &layout.methods[&mid],
-                &site,
-                opts,
-                &mut store,
-            );
+            telemetry = run_method_block(ctx, &mut block, &layout.methods[&mid], opts);
         }]);
         assert!(stats.makespan_cycles > 0);
-        (store, telemetry)
+        (block.store, telemetry)
     }
 
     #[test]

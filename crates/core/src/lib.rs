@@ -38,10 +38,12 @@ pub mod layout;
 pub mod opts;
 pub mod stats;
 
-pub use batch::{gpu_analyze_batch_on, BatchAnalysis, BatchApp, BatchStats};
+pub use batch::{gpu_analyze_batch_on, BatchStats};
 pub use engine::{AnalysisEngine, CpuEngine, EngineAnalysis, EngineKind, ExecMode, WorklistEngine};
 
 pub use driver::{gpu_analyze_app, gpu_analyze_app_on};
+pub use fixpoint::AppInput;
+pub use gdroid_analysis::Presolved;
 pub use kernel::run_method_block;
 pub use layout::{plan_layout, AppLayout, MethodLayout};
 pub use opts::OptConfig;

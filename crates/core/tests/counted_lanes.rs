@@ -12,20 +12,19 @@
 
 use gdroid_analysis::{
     analyze_app, merge_site_summaries, AppAnalysis, FactStore, Geometry, MatrixStore, MethodSpace,
-    MethodSummary, StoreKind, SummaryMap,
+    StoreKind, SummaryMap,
 };
 use gdroid_apk::{generate_app, App, GenConfig};
+use gdroid_core::fixpoint::MethodBlock;
 use gdroid_core::{
-    gpu_analyze_app_on, gpu_analyze_batch_on, plan_layout, run_method_block, BatchApp,
-    EngineAnalysis, ExecMode, OptConfig,
+    gpu_analyze_app_on, gpu_analyze_batch_on, plan_layout, run_method_block, AppInput,
+    EngineAnalysis, ExecMode, OptConfig, Presolved,
 };
 use gdroid_gpusim::{BlockCtx, BlockFn, Device, DeviceConfig, SourcedKernelStats};
 use gdroid_icfg::{prepare_app, CallGraph, CallLayers, Cfg};
 use gdroid_ir::MethodId;
 use gdroid_trace::Tracer;
 use std::collections::HashMap;
-
-type Presolved = HashMap<MethodId, (MethodSummary, MatrixStore)>;
 
 struct Case {
     app: App,
@@ -77,7 +76,6 @@ fn assert_same_trace(row: &str, address: &Device, counted: &Device) {
 
 #[test]
 fn solo_runs_count_what_the_address_form_counts() {
-    let none = Presolved::new();
     for seed in [0xc01u64, 0xc02, 0xc03] {
         let c = case(seed);
         for opts in OptConfig::ladder() {
@@ -86,12 +84,8 @@ fn solo_runs_count_what_the_address_form_counts() {
                 let run = |device: &mut Device| {
                     gpu_analyze_app_on(
                         device,
-                        &c.app.program,
-                        &c.cg,
-                        &c.roots,
+                        &AppInput::new(&c.app.program, &c.cg, &c.roots),
                         opts,
-                        &none,
-                        None,
                         exec,
                     )
                     .expect("no fault plan")
@@ -108,17 +102,15 @@ fn solo_runs_count_what_the_address_form_counts() {
 #[test]
 fn coresident_batch_counts_what_the_address_form_counts() {
     let cases = [case(0xc11), case(0xc12), case(0xc13)];
-    let apps: Vec<BatchApp<'_>> = cases
-        .iter()
-        .map(|c| BatchApp { program: &c.app.program, cg: &c.cg, roots: &c.roots })
-        .collect();
+    let apps: Vec<AppInput<'_>> =
+        cases.iter().map(|c| AppInput::new(&c.app.program, &c.cg, &c.roots)).collect();
     let (mut address, mut counted) = devices();
     let by_address =
         gpu_analyze_batch_on(&mut address, &apps, OptConfig::gdroid()).expect("no fault plan");
     let by_count =
         gpu_analyze_batch_on(&mut counted, &apps, OptConfig::gdroid()).expect("no fault plan");
-    assert_eq!(by_count.batch, by_address.batch, "batch stats");
-    for (i, (a, b)) in by_address.apps.iter().zip(&by_count.apps).enumerate() {
+    assert_eq!(by_count.1, by_address.1, "batch stats");
+    for (i, (a, b)) in by_address.0.iter().zip(&by_count.0).enumerate() {
         assert_same_analysis(&format!("co-resident app {i}"), a, b);
     }
     assert_same_trace("co-resident", &address, &counted);
@@ -144,12 +136,14 @@ fn store_hits_count_what_the_address_form_counts() {
         let run = |device: &mut Device| {
             gpu_analyze_app_on(
                 device,
-                &c.app.program,
-                &c.cg,
-                &c.roots,
+                &AppInput {
+                    program: &c.app.program,
+                    cg: &c.cg,
+                    roots: &c.roots,
+                    presolved: &presolved,
+                    slice: None,
+                },
                 OptConfig::gdroid(),
-                &presolved,
-                None,
                 exec,
             )
             .expect("no fault plan")
@@ -175,14 +169,16 @@ fn launch_every_method(c: &Case, device: &mut Device, opts: OptConfig) -> Source
     let sites: Vec<_> =
         methods.iter().map(|&m| (m, merge_site_summaries(program, m, &summaries, &c.cg))).collect();
     let blocks: Vec<(u32, BlockFn<'_>)> = sites
-        .iter()
+        .into_iter()
         .enumerate()
-        .map(|(i, (m, site))| {
-            let (m, space, cfg, ml) = (*m, &spaces[m], &cfgs[m], &layout.methods[m]);
+        .map(|(i, (mid, sites))| {
+            let (space, cfg, ml) = (&spaces[&mid], &cfgs[&mid], &layout.methods[&mid]);
             let block = move |ctx: &mut BlockCtx<'_>| {
+                let method = &program.methods[mid];
                 let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
-                store.seed(cfg.entry() as usize, &space.entry_facts(&program.methods[m]));
-                run_method_block(ctx, &program.methods[m], space, cfg, ml, site, opts, &mut store);
+                store.seed(cfg.entry() as usize, &space.entry_facts(method));
+                let mut block = MethodBlock { mid, method, space, cfg, sites, store };
+                run_method_block(ctx, &mut block, ml, opts);
             };
             (i as u32, Box::new(block) as BlockFn<'_>)
         })

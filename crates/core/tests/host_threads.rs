@@ -10,13 +10,12 @@
 
 use gdroid_apk::{generate_app, App, GenConfig};
 use gdroid_core::{
-    gpu_analyze_app_on, gpu_analyze_batch_on, BatchApp, EngineAnalysis, ExecMode, OptConfig,
+    gpu_analyze_app_on, gpu_analyze_batch_on, AppInput, EngineAnalysis, ExecMode, OptConfig,
 };
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_icfg::{prepare_app, CallGraph};
 use gdroid_ir::MethodId;
 use gdroid_trace::Tracer;
-use std::collections::HashMap;
 
 struct Case {
     app: App,
@@ -55,7 +54,6 @@ fn assert_same_analysis(row: &str, one: &EngineAnalysis, four: &EngineAnalysis) 
 
 #[test]
 fn solo_runs_are_host_thread_invariant() {
-    let none = HashMap::new();
     for seed in [0x7a1u64, 0x7a2, 0x7a3] {
         let c = case(seed);
         for opts in OptConfig::ladder() {
@@ -64,12 +62,8 @@ fn solo_runs_are_host_thread_invariant() {
                     let mut device = traced_device(DeviceConfig::tiny(), host_threads);
                     let run = gpu_analyze_app_on(
                         &mut device,
-                        &c.app.program,
-                        &c.cg,
-                        &c.roots,
+                        &AppInput::new(&c.app.program, &c.cg, &c.roots),
                         opts,
-                        &none,
-                        None,
                         exec,
                     )
                     .expect("no fault plan");
@@ -89,10 +83,8 @@ fn solo_runs_are_host_thread_invariant() {
 #[test]
 fn coresident_batches_are_host_thread_invariant() {
     let cases = [case(0x7b1), case(0x7b2), case(0x7b3)];
-    let apps: Vec<BatchApp<'_>> = cases
-        .iter()
-        .map(|c| BatchApp { program: &c.app.program, cg: &c.cg, roots: &c.roots })
-        .collect();
+    let apps: Vec<AppInput<'_>> =
+        cases.iter().map(|c| AppInput::new(&c.app.program, &c.cg, &c.roots)).collect();
     for opts in OptConfig::ladder() {
         let run = |host_threads| {
             let mut device = traced_device(DeviceConfig::tiny(), host_threads);
@@ -101,8 +93,8 @@ fn coresident_batches_are_host_thread_invariant() {
         };
         let (one, one_trace) = run(1);
         let (four, four_trace) = run(4);
-        assert_eq!(four.batch, one.batch, "{opts}: batch stats");
-        for (i, (a, b)) in one.apps.iter().zip(&four.apps).enumerate() {
+        assert_eq!(four.1, one.1, "{opts}: batch stats");
+        for (i, (a, b)) in one.0.iter().zip(&four.0).enumerate() {
             assert_same_analysis(&format!("{opts} co-resident app {i}"), a, b);
         }
         assert_eq!(four_trace, one_trace, "{opts}: launch and block spans");
@@ -114,18 +106,13 @@ fn coresident_batches_are_host_thread_invariant() {
 #[test]
 fn sanitized_runs_are_host_thread_invariant() {
     let c = case(0x7c1);
-    let none = HashMap::new();
     for opts in [OptConfig::plain(), OptConfig::gdroid()] {
         let run = |host_threads| {
             let mut device = traced_device(DeviceConfig::tiny().with_sanitizer(), host_threads);
             gpu_analyze_app_on(
                 &mut device,
-                &c.app.program,
-                &c.cg,
-                &c.roots,
+                &AppInput::new(&c.app.program, &c.cg, &c.roots),
                 opts,
-                &none,
-                None,
                 ExecMode::MultiLaunch,
             )
             .expect("no fault plan")

@@ -3,17 +3,15 @@
 //! fixpoint on an app whose recursion forces SCC re-launches — with and
 //! without a pre-solved closed subset where the policy accepts one.
 
-use gdroid_analysis::{
-    analyze_app, AppAnalysis, MatrixStore, MethodSummary, StoreKind, SummaryMap,
-};
+use gdroid_analysis::{analyze_app, AppAnalysis, MatrixStore, StoreKind, SummaryMap};
 use gdroid_apk::{generate_app, App, GenConfig};
-use gdroid_core::{gpu_analyze_app_on, gpu_analyze_batch_on, BatchApp, ExecMode, OptConfig};
+use gdroid_core::{
+    gpu_analyze_app_on, gpu_analyze_batch_on, AppInput, ExecMode, OptConfig, Presolved,
+};
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_icfg::{prepare_app, CallGraph, CallLayers};
 use gdroid_ir::MethodId;
 use std::collections::HashMap;
-
-type Presolved = HashMap<MethodId, (MethodSummary, MatrixStore)>;
 
 struct Case {
     app: App,
@@ -65,12 +63,14 @@ fn every_launch_policy_reaches_the_reference_fixpoint() {
             let mut device = Device::new(DeviceConfig::tiny());
             let run = gpu_analyze_app_on(
                 &mut device,
-                &case.app.program,
-                &case.cg,
-                &case.roots,
+                &AppInput {
+                    program: &case.app.program,
+                    cg: &case.cg,
+                    roots: &case.roots,
+                    presolved: pre,
+                    slice: None,
+                },
                 OptConfig::gdroid(),
-                pre,
-                None,
                 exec,
             )
             .expect("no fault plan");
@@ -90,13 +90,11 @@ fn every_launch_policy_reaches_the_reference_fixpoint() {
     // Co-resident, K = 3.
     let others = [recursive_case(0x5cd), recursive_case(0x5ce)];
     let batch_cases = [&case, &others[0], &others[1]];
-    let apps: Vec<BatchApp<'_>> = batch_cases
-        .iter()
-        .map(|c| BatchApp { program: &c.app.program, cg: &c.cg, roots: &c.roots })
-        .collect();
+    let apps: Vec<AppInput<'_>> =
+        batch_cases.iter().map(|c| AppInput::new(&c.app.program, &c.cg, &c.roots)).collect();
     let mut device = Device::new(DeviceConfig::tiny());
     let batch = gpu_analyze_batch_on(&mut device, &apps, OptConfig::gdroid()).expect("no faults");
-    for (i, (c, run)) in batch_cases.iter().zip(&batch.apps).enumerate() {
+    for (i, (c, run)) in batch_cases.iter().zip(&batch.0).enumerate() {
         c.assert_reference(&format!("co-resident app {i}"), &run.summaries, &run.facts);
     }
 }

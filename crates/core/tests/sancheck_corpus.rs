@@ -4,13 +4,12 @@
 
 use gdroid_apk::Corpus;
 use gdroid_core::{
-    gpu_analyze_app, gpu_analyze_app_on, gpu_analyze_batch_on, BatchApp, ExecMode, OptConfig,
+    gpu_analyze_app, gpu_analyze_app_on, gpu_analyze_batch_on, AppInput, ExecMode, OptConfig,
 };
 use gdroid_gpusim::{Device, DeviceConfig, FindingKind};
 use gdroid_icfg::{prepare_app, CallGraph};
 use gdroid_ir::MethodId;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 /// Host-side prep: the call graph and the environment-method roots.
 fn prepared(app: &mut gdroid_apk::App) -> (CallGraph, Vec<MethodId>) {
@@ -25,9 +24,9 @@ fn analyze_sanitized(
 ) -> gdroid_gpusim::SanReport {
     let (cg, roots) = prepared(app);
     let mut device = Device::new(DeviceConfig::tiny().with_sanitizer());
-    let none = HashMap::new();
-    let run = gpu_analyze_app_on(&mut device, &app.program, &cg, &roots, opts, &none, None, exec)
-        .expect("no fault plan");
+    let run =
+        gpu_analyze_app_on(&mut device, &AppInput::new(&app.program, &cg, &roots), opts, exec)
+            .expect("no fault plan");
     run.sanitizer.expect("sanitizer was enabled")
 }
 
@@ -67,14 +66,12 @@ fn coresident_batches_are_sanitizer_clean_on_test_corpus() {
         })
         .collect();
     for (batch_index, group) in prepared.chunks(4).enumerate() {
-        let apps: Vec<BatchApp<'_>> = group
-            .iter()
-            .map(|(app, cg, roots)| BatchApp { program: &app.program, cg, roots })
-            .collect();
+        let apps: Vec<AppInput<'_>> =
+            group.iter().map(|(app, cg, roots)| AppInput::new(&app.program, cg, roots)).collect();
         let mut device = Device::new(DeviceConfig::tiny().with_sanitizer());
         let batch =
             gpu_analyze_batch_on(&mut device, &apps, OptConfig::gdroid()).expect("no faults");
-        assert!(batch.batch.mean_coresidency > 1.0, "batch {batch_index}: apps never co-resided");
+        assert!(batch.1.mean_coresidency > 1.0, "batch {batch_index}: apps never co-resided");
         let report = device.san_report().expect("sanitizer was enabled");
         assert!(report.is_clean(), "batch {batch_index} has sanitizer findings:\n{report}");
         assert!(report.accesses_checked > 0, "batch {batch_index}: nothing checked");

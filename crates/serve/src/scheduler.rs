@@ -24,8 +24,8 @@
 //!
 //! For co-resident batching, executors top up a popped job with
 //! [`DispatchHeap::try_pop_coresident`]: a non-blocking pop restricted to
-//! jobs whose widest-layer block demand fits the device's remaining block
-//! slots.
+//! jobs under the popped job's plan whose widest-layer block demand fits
+//! the device's remaining block slots.
 
 use crate::job::{JobIdentity, Priority};
 use gdroid_icfg::CallLayers;
@@ -184,16 +184,16 @@ impl DispatchHeap {
         }
     }
 
-    /// Non-blocking pop of the most urgent ready job whose block demand
-    /// fits in `max_demand` block slots — how a batch-forming executor
-    /// tops up a device with co-resident jobs. Returns `None` when no
-    /// waiting job fits (never blocks: an empty top-up just means the
-    /// batch launches as-is). Jobs whose plan is not
-    /// [`ExecPlan::batchable`] (targeted fast-lane jobs: their sliced
-    /// launch is a solo path) are skipped here.
-    pub fn try_pop_coresident(&self, max_demand: u64) -> Option<ReadyJob> {
+    /// Non-blocking pop of the most urgent ready job under `plan` whose
+    /// block demand fits in `max_demand` block slots — how a
+    /// batch-forming executor tops up a device with co-resident jobs: a
+    /// group runs one plan, so targeted jobs batch with targeted jobs
+    /// and full ones with full ones. Returns `None` when no waiting job
+    /// fits (never blocks: an empty top-up just means the batch launches
+    /// as-is).
+    pub fn try_pop_coresident(&self, max_demand: u64, plan: &ExecPlan) -> Option<ReadyJob> {
         let mut inner = self.inner.lock().expect("dispatch-heap mutex poisoned: a worker panicked");
-        let i = inner.best_index(|job| job.plan.batchable() && job.block_demand <= max_demand)?;
+        let i = inner.best_index(|job| job.plan == *plan && job.block_demand <= max_demand)?;
         let job = inner.take(i);
         self.not_full.notify_one();
         Some(job)
@@ -323,27 +323,35 @@ mod tests {
         assert!(h.push(small).is_ok());
         // Only the small job fits ten remaining slots, despite the big
         // one's higher priority.
-        let j = h.try_pop_coresident(10).expect("small job fits");
+        let plan = ExecPlan::default();
+        let j = h.try_pop_coresident(10, &plan).expect("small job fits");
         assert_eq!(j.identity.id, 2);
         // Nothing else fits; the big job stays queued, never blocking.
-        assert!(h.try_pop_coresident(10).is_none());
+        assert!(h.try_pop_coresident(10, &plan).is_none());
         assert_eq!(h.len(), 1);
         assert_eq!(h.pop().unwrap().identity.id, 1);
     }
 
     #[test]
-    fn targeted_jobs_never_join_a_coresident_batch() {
+    fn a_top_up_joins_only_the_leaders_plan() {
         let h = DispatchHeap::new(8);
+        let targeted = ExecPlan { targeted: true, ..ExecPlan::default() };
         let mut fast = ready(1, Priority::Expedited, 1000);
-        fast.plan.targeted = true;
+        fast.plan = targeted;
         assert!(h.push(fast).is_ok());
         assert!(h.push(ready(2, Priority::Background, 1)).is_ok());
-        // The targeted job outranks everything for a normal pop, but a
-        // batch top-up must skip it even with ample block slots.
-        let j = h.try_pop_coresident(u64::MAX).expect("the full job still fits");
-        assert_eq!(j.identity.id, 2);
-        assert!(h.try_pop_coresident(u64::MAX).is_none());
-        assert_eq!(h.pop().unwrap().identity.id, 1);
+        let mut fast = ready(3, Priority::Standard, 10);
+        fast.plan = targeted;
+        assert!(h.push(fast).is_ok());
+        // The targeted jobs outrank the full one for a normal pop, but a
+        // full leader's top-up must skip them even with ample block slots.
+        let full = ExecPlan::default();
+        assert_eq!(h.try_pop_coresident(u64::MAX, &full).expect("a full job").identity.id, 2);
+        assert!(h.try_pop_coresident(u64::MAX, &full).is_none());
+        // A targeted leader's top-up takes only targeted jobs, by urgency.
+        assert_eq!(h.try_pop_coresident(u64::MAX, &targeted).expect("targeted").identity.id, 1);
+        assert_eq!(h.try_pop_coresident(u64::MAX, &targeted).expect("targeted").identity.id, 3);
+        assert!(h.is_empty());
     }
 
     #[test]

@@ -38,7 +38,7 @@ use gdroid_core::{EngineKind, ExecMode};
 use gdroid_gpusim::{Device, DeviceConfig, FaultPlan};
 use gdroid_sumstore::SumStore;
 use gdroid_vetting::{
-    execute, execute_vetting_batch_on_device, prepare_vetting, ExecCtx, ExecPlan, PreparedApp,
+    execute, execute_coresident, prepare_vetting, ExecCtx, ExecPlan, Executed, PreparedApp,
     VettingRun,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,15 +62,11 @@ pub struct ServiceConfig {
     /// Failed attempts a job may retry before quarantine (it is
     /// quarantined on failure number `max_retries + 1`).
     pub max_retries: u32,
-    /// Wall-clock budget per device attempt.
-    pub job_timeout_ms: u64,
     /// Optional injected-fault schedule, installed on every device.
     pub fault_plan: Option<FaultPlan>,
-    /// Simulated device model.
-    pub device_config: DeviceConfig,
-    /// Optional cross-app summary store shared by every executor. Full
-    /// runs pre-solve store-hit methods and feed fresh summaries back;
-    /// `None` disables the store entirely.
+    /// Optional cross-app summary store shared by every executor. Runs
+    /// pre-solve store-hit methods and feed fresh summaries back; `None`
+    /// disables the store entirely.
     pub sumstore: Option<Arc<SumStore>>,
     /// Optional externally shared result cache. Campaign shards hand the
     /// same `Arc` to every shard service so one shard's completed app
@@ -78,18 +74,21 @@ pub struct ServiceConfig {
     /// cache (the default, and the previous behavior).
     pub result_cache: Option<Arc<ResultCache>>,
     /// Co-residency degree: an executor that pops a job tops the device
-    /// up with up to `coresident - 1` further ready jobs whose combined
-    /// block demand fits the device's block slots, and runs the group as
-    /// one batched analysis ([`gdroid_core::gpu_analyze_batch_on`]).
-    /// `1` (the default) disables batching. Ignored when a summary store
-    /// is configured (store pre-solving is a per-app path).
+    /// up with up to `coresident - 1` further ready jobs under the same
+    /// plan whose combined block demand fits the device's block slots,
+    /// and runs the group through [`execute_coresident`], against the
+    /// shared summary store when one is configured. `1` (the default)
+    /// disables batching; a plan [`ExecPlan::check`] refuses to run
+    /// co-resident (cpu, persistent) and a warm start run solo. With a
+    /// store, co-residency shifts the order of store hits and therefore
+    /// modeled timing, but never a verdict — as workers and devices do.
     pub coresident: usize,
     /// The plan every submission starts from — engine and exec mode; its
     /// `targeted` flag is set per submission. The plan's lane predicates
     /// decide what a job may use: only full multi-launch worklist jobs
-    /// touch the result cache, warm-start from a cached previous version,
-    /// or join a co-resident batch (cached outcomes embed that one cost
-    /// profile). A combination the plan would refuse is rerouted by
+    /// touch the result cache or warm-start from a cached previous
+    /// version (cached outcomes embed that one cost profile). A
+    /// combination the plan would refuse is rerouted by
     /// [`ExecPlan::fallback`], never failed: targeted submissions to a
     /// service whose engine cannot slice (only the CPU reference) run on
     /// the worklist engine, and [`ExecMode::Persistent`] on an engine that
@@ -105,9 +104,7 @@ impl Default for ServiceConfig {
             devices: 2,
             queue_capacity: 64,
             max_retries: 3,
-            job_timeout_ms: 30_000,
             fault_plan: None,
-            device_config: DeviceConfig::tesla_p40(),
             sumstore: None,
             result_cache: None,
             coresident: 1,
@@ -122,6 +119,9 @@ impl Default for ServiceConfig {
 /// so blocks on further threads would compete with them.
 pub const EXECUTOR_HOST_THREADS: usize = 1;
 
+/// Wall-clock budget per device attempt.
+pub const JOB_TIMEOUT: Duration = Duration::from_secs(30);
+
 impl ServiceConfig {
     /// The executors' devices: `devices` identical ones (at least one),
     /// each with its own copy of the optional fault plan, running blocks
@@ -129,7 +129,7 @@ impl ServiceConfig {
     fn executor_devices(&self) -> Vec<Device> {
         (0..self.devices.max(1))
             .map(|_| {
-                let mut device = Device::new(self.device_config);
+                let mut device = Device::new(DeviceConfig::tesla_p40());
                 device.set_fault_plan(self.fault_plan);
                 device.set_host_threads(EXECUTOR_HOST_THREADS);
                 device
@@ -151,9 +151,6 @@ struct ServiceState {
     coresident: usize,
     /// The untargeted plan every submission starts from.
     plan: ExecPlan,
-    /// Total block slots of one device (`sm_count × blocks_per_sm`) — the
-    /// budget co-resident top-ups must fit into.
-    block_slots: u64,
 }
 
 impl ServiceState {
@@ -191,12 +188,10 @@ impl VettingService {
             results: Mutex::new(Vec::new()),
             results_cv: std::sync::Condvar::new(),
             max_retries: config.max_retries,
-            timeout: Duration::from_millis(config.job_timeout_ms.max(1)),
+            timeout: JOB_TIMEOUT,
             sumstore: config.sumstore,
             coresident: config.coresident.max(1),
             plan: config.plan,
-            block_slots: (config.device_config.sm_count as u64)
-                * (config.device_config.blocks_per_sm as u64),
         });
         let prep_handles = (0..config.prep_workers.max(1))
             .map(|_| {
@@ -239,7 +234,7 @@ impl VettingService {
     /// in both directions — a targeted outcome carries provenance and
     /// zeroed store accounting, so it must never be served for, or cached
     /// as, a full vetting. Targeted jobs also skip the warm start and
-    /// never join a co-resident batch.
+    /// share co-resident batches only with other targeted jobs.
     pub fn submit_targeted(&self, source: JobSource) -> Result<u64, SubmitError> {
         let spec = self.spec(Priority::Expedited, source, true);
         let id = spec.id;
@@ -471,24 +466,27 @@ impl Loaded {
 /// Executor: LPT pop → warm-start lookup → (co-resident top-up) → run on
 /// this executor's device → retry/quarantine on failure.
 fn exec_loop(state: &ServiceState, device: &mut Device) {
+    // The budget co-resident top-ups must fit into.
+    let block_slots = device.config.block_slots() as u64;
     while let Some(mut job) = state.dispatch.pop() {
         try_incremental(state, &mut job);
 
-        // Batch-forming: top the device up with further ready jobs whose
-        // combined block demand still fits its block slots. A warm start
-        // is a solo store-backed run: it neither leads a batch nor joins
-        // one, so a job with a cached previous version never pays for a
-        // full run just because it was popped as a co-resident.
+        // Batch-forming: top the device up with further ready jobs under
+        // the same plan whose combined block demand still fits its block
+        // slots. A warm start is a solo run against its own store: it
+        // neither leads a batch nor joins one, so a job with a cached
+        // previous version never pays for a full run just because it was
+        // popped as a co-resident.
         let mut group = vec![job];
+        let plan = group[0].plan;
         if state.coresident > 1
-            && state.sumstore.is_none()
-            && group[0].plan.batchable()
+            && plan.check(shared_store(state, plan).is_some(), true).is_ok()
             && group[0].warm.is_none()
         {
             let mut demand = group[0].block_demand;
-            while group.len() < state.coresident && demand < state.block_slots {
-                let Some(mut extra) = state.dispatch.try_pop_coresident(state.block_slots - demand)
-                else {
+            while group.len() < state.coresident && demand < block_slots {
+                let room = block_slots - demand;
+                let Some(mut extra) = state.dispatch.try_pop_coresident(room, &plan) else {
                     break;
                 };
                 try_incremental(state, &mut extra);
@@ -504,6 +502,13 @@ fn exec_loop(state: &ServiceState, device: &mut Device) {
     }
 }
 
+/// The service's shared summary store, if `plan`'s engine can use one.
+/// Engines that cannot (only the CPU reference) skip it rather than
+/// fault; they are never cacheable, so never warm.
+fn shared_store(state: &ServiceState, plan: ExecPlan) -> Option<&SumStore> {
+    state.sumstore.as_deref().filter(|_| plan.engine.caps().sumstore)
+}
+
 /// The warm-start lookup — only on the first attempt, and only when a
 /// previous version of the same package is cached (the stale entry is
 /// invalidated): hands the job that version's summary store. A job whose
@@ -517,67 +522,65 @@ fn try_incremental(state: &ServiceState, job: &mut ReadyJob) {
 
 /// Runs one attempt of a group on the executor's device: a job alone
 /// through [`execute`] (against the previous version's summary store when
-/// the lookup found one, else the shared store if any), several
-/// co-resident as one batched analysis. Per-app batch results are
-/// bit-identical to solo runs (the batch driver repacks each app's own
-/// blocks), so the cache stays coherent. A device fault or an
-/// overrun budget fails the whole attempt: every member retries
-/// individually.
+/// the lookup found one, else the shared store if any), several through
+/// [`execute_coresident`] against the shared store. Members' results equal
+/// solo runs' (the batch driver repacks each app's own blocks), so the
+/// cache stays coherent. A device fault or an overrun budget fails the
+/// whole attempt: every member retries individually.
 fn exec_group(state: &ServiceState, device: &mut Device, group: Vec<ReadyJob>) {
     let counters = &state.metrics.counters;
     let t = Instant::now();
-    let attempt = if let [job] = &group[..] {
-        // A warm start neither consults nor feeds the shared store. Engines
-        // that cannot use a store (only the CPU reference) skip it rather
-        // than fault; they are never cacheable, so never warm.
-        let shared = state.sumstore.as_deref().filter(|_| job.plan.engine.caps().sumstore);
-        let store = job.warm.as_ref().or(shared);
-        let ctx = &mut ExecCtx { store, ..ExecCtx::new(device) };
-        execute(&job.prep, job.plan, ctx).map(|done| {
-            let mut warm = None;
-            if let Some(used) = done.store_use {
-                if job.warm.is_some() {
-                    // Misses were solved on the device; hits pre-solved.
-                    let (resolved, reused) = (used.misses as usize, used.hits as usize);
-                    warm = Some(CacheDisposition::Incremental { resolved, reused });
-                } else {
-                    // Shared-store runs report which methods *this* execution
-                    // hit; the counters keep that attribution service-local,
-                    // because the store's own global stats can't when the
-                    // store Arc is shared across shards.
-                    counters.store_hits.fetch_add(used.hits, Ordering::Relaxed);
-                    counters.store_misses.fetch_add(used.misses, Ordering::Relaxed);
-                }
-            }
-            vec![(done.run, warm)]
-        })
+    let plan = group[0].plan;
+    let shared = shared_store(state, plan);
+    let attempt: Result<Vec<Executed>, _> = if let [job] = &group[..] {
+        // A warm start neither consults nor feeds the shared store.
+        let ctx = &mut ExecCtx { store: job.warm.as_ref().or(shared), ..ExecCtx::new(device) };
+        execute(&job.prep, plan, ctx).map(|done| vec![done])
     } else {
         let preps: Vec<&PreparedApp> = group.iter().map(|j| &j.prep).collect();
-        execute_vetting_batch_on_device(&preps, device, group[0].plan).map(|(runs, _batch)| {
+        let ctx = &mut ExecCtx { store: shared, ..ExecCtx::new(device) };
+        execute_coresident(&preps, plan, ctx).map(|(done, _batch)| {
             Counters::bump(&counters.batches);
-            runs.into_iter().map(|run| (run, None)).collect()
+            done
         })
     };
     let elapsed = t.elapsed();
     let exec_wall_ns = elapsed.as_nanos() as u64;
     let batched = group.len() > 1;
     match attempt {
-        Ok(runs) => {
+        Ok(done) => {
             let timed_out = elapsed > state.timeout;
-            for (mut job, (run, warm)) in group.into_iter().zip(runs) {
+            for (mut job, done) in group.into_iter().zip(done) {
+                let mut cache = CacheDisposition::Miss;
+                if let Some(used) = done.store_use {
+                    if job.warm.is_some() {
+                        // Misses were solved on the device; hits pre-solved.
+                        let (resolved, reused) = (used.misses as usize, used.hits as usize);
+                        cache = CacheDisposition::Incremental { resolved, reused };
+                    } else {
+                        // Shared-store runs report which methods *this*
+                        // execution hit; the counters keep that attribution
+                        // service-local, because the store's own global
+                        // stats can't when the store Arc is shared across
+                        // shards.
+                        counters.store_hits.fetch_add(used.hits, Ordering::Relaxed);
+                        counters.store_misses.fetch_add(used.misses, Ordering::Relaxed);
+                    }
+                }
                 if timed_out {
                     job.identity.timeouts_seen += 1;
                     Counters::bump(&counters.timeouts);
                     retry_or_quarantine(state, job, exec_wall_ns);
-                } else if let Some(cache) = warm {
-                    Counters::bump(&counters.cache_incremental);
-                    finish(state, job, run, exec_wall_ns, cache);
                 } else {
-                    Counters::bump(&counters.executed);
+                    // A warm start runs solo, so a batched job is a miss.
+                    let warm = cache != CacheDisposition::Miss;
+                    let counter =
+                        if warm { &counters.cache_incremental } else { &counters.executed };
+                    Counters::bump(counter);
                     if batched {
                         Counters::bump(&counters.batched_jobs);
                     }
-                    finish(state, job, run, exec_wall_ns, CacheDisposition::Miss);
+                    finish(state, job, done.run, exec_wall_ns, cache);
                 }
             }
         }
@@ -915,11 +918,12 @@ mod tests {
         jobs: Vec<ReadyJob>,
     ) -> ServiceState {
         let cache = Arc::new(ResultCache::new());
-        run_executor_on(cache, coresident, max_retries, timeout, jobs)
+        run_executor_on(cache, None, coresident, max_retries, timeout, jobs)
     }
 
     fn run_executor_on(
         cache: Arc<ResultCache>,
+        sumstore: Option<Arc<SumStore>>,
         coresident: usize,
         max_retries: u32,
         timeout: Duration,
@@ -934,9 +938,8 @@ mod tests {
             results_cv: std::sync::Condvar::new(),
             max_retries,
             timeout,
-            sumstore: None,
+            sumstore,
             coresident,
-            block_slots: 120,
             plan: ExecPlan::default(),
         };
         for job in jobs {
@@ -976,9 +979,35 @@ mod tests {
     }
 
     #[test]
+    fn coresident_groups_share_the_summary_store_without_moving_a_verdict() {
+        let config = GenConfig::tiny().with_libraries(2, 2);
+        let run = |coresident: usize| {
+            let jobs = (0..6u64)
+                .map(|id| ready_job_of(id, generate_app(id as usize, 5950 + id, &config)))
+                .collect();
+            let store = Some(Arc::new(SumStore::new()));
+            let cache = Arc::new(ResultCache::new());
+            let state = run_executor_on(cache, store, coresident, 3, JOB_TIMEOUT, jobs);
+            let mut results = std::mem::take(&mut *state.results.lock().unwrap());
+            results.sort_by_key(|r| r.id);
+            (state.metrics.counters.snapshot(), results)
+        };
+        let (solo, solo_results) = run(1);
+        let (batched, batched_results) = run(4);
+        assert_eq!((solo.batched_jobs, solo.executed), (0, 6), "{solo:?}");
+        assert!(batched.batches >= 1 && batched.batched_jobs >= 2, "{batched:?}");
+        assert!(batched.store_hits > 0, "grouped jobs never hit the shared store: {batched:?}");
+        for (a, b) in solo_results.iter().zip(&batched_results) {
+            let report = |r: &JobResult| r.outcome.as_ref().map(|o| o.report.to_json());
+            assert_eq!((a.id, report(a)), (b.id, report(b)), "a verdict moved under co-residency");
+        }
+    }
+
+    #[test]
     fn timed_out_attempts_retry_then_quarantine() {
-        // No verb or workload sets `job_timeout_ms`, so drive the executor
-        // with a zero budget: every attempt, solo or batched, overruns it.
+        // No verb or workload can shorten `JOB_TIMEOUT`, so drive the
+        // executor with a zero budget: every attempt, solo or batched,
+        // overruns it.
         for coresident in [1, 4] {
             let jobs = (0..4u64).map(|id| ready_job(id, 5900 + id)).collect();
             let state = run_executor(coresident, 2, Duration::ZERO, jobs);
@@ -1047,7 +1076,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
 
         let v2 = || vec![ready_job_of(1, updated(base()))];
-        let state = run_executor_on(Arc::clone(&cache), 1, 2, Duration::ZERO, v2());
+        let state = run_executor_on(Arc::clone(&cache), None, 1, 2, Duration::ZERO, v2());
         let results = state.results.lock().unwrap();
         let [r] = &results[..] else { panic!("one job, one result") };
         assert_eq!(r.status, JobStatus::Quarantined);
@@ -1068,8 +1097,8 @@ mod tests {
         // With a budget, the same sequence is the soak test's warm start.
         let cache = Arc::new(ResultCache::new());
         let v1 = || vec![ready_job_of(0, base())];
-        run_executor_on(Arc::clone(&cache), 1, 2, Duration::from_secs(30), v1());
-        let state = run_executor_on(Arc::clone(&cache), 1, 2, Duration::from_secs(30), v2());
+        run_executor_on(Arc::clone(&cache), None, 1, 2, Duration::from_secs(30), v1());
+        let state = run_executor_on(Arc::clone(&cache), None, 1, 2, Duration::from_secs(30), v2());
         let results = state.results.lock().unwrap();
         // The edited method and its environment caller miss (a canonical
         // hash folds in its callees'); the other 21 are pre-solved.
@@ -1082,10 +1111,10 @@ mod tests {
         // Under co-residency the warm start still runs solo, whether it was
         // popped first or as a top-up; the cold jobs around it batch.
         let cache = Arc::new(ResultCache::new());
-        run_executor_on(Arc::clone(&cache), 1, 2, Duration::from_secs(30), v1());
+        run_executor_on(Arc::clone(&cache), None, 1, 2, Duration::from_secs(30), v1());
         let mut jobs = v2();
         jobs.extend((2..5u64).map(|id| ready_job(id, 5900 + id)));
-        let state = run_executor_on(cache, 4, 2, Duration::from_secs(30), jobs);
+        let state = run_executor_on(cache, None, 4, 2, Duration::from_secs(30), jobs);
         let c = state.metrics.counters.snapshot();
         assert_eq!((c.cache_incremental, c.executed, c.batched_jobs), (1, 3, 3), "{c:?}");
     }

@@ -15,7 +15,8 @@
 //! * [`plan`] — [`ExecPlan`] (engine × exec mode × targeted), its
 //!   capability table, and [`execute`], the one function that runs a
 //!   plan against an [`ExecCtx`] (device, summary store, tracer) with
-//!   byte-identical reports across every accepted combination;
+//!   byte-identical reports across every accepted combination — and
+//!   [`execute_coresident`], its steps for a co-resident group;
 //! * [`store_exec`] — the summary-store steps of a run: store-hit
 //!   methods are pre-solved and never scheduled, fresh solves feed the
 //!   [`gdroid_sumstore::SumStore`]; [`summary_store`] turns a finished run
@@ -36,8 +37,8 @@
 //!   or warm-started from a previous version's [`summary_store`];
 //! * [`vet_prepared`] / [`vet_app`] — `execute` on a fresh device with
 //!   no store and no tracer (the latter prepares the app itself);
-//! * [`execute_vetting_batch_on_device`] — several apps co-resident in
-//!   shared kernel launches.
+//! * [`execute_coresident`]`(&preps, plan, &mut ctx)` — the same steps
+//!   for several apps co-resident in shared kernel launches.
 
 pub mod assess;
 pub mod json;
@@ -52,12 +53,12 @@ pub mod targeted;
 
 pub use assess::{assess_app, Assessment, RiskBand, Signal};
 pub use pipeline::{
-    execute_vetting_batch_on_device, prepare_vetting, trace_stage_spans, vet_app, PreparedApp,
-    VettingOutcome, VettingRun, VettingTiming,
+    prepare_vetting, trace_stage_spans, vet_app, PreparedApp, VettingOutcome, VettingRun,
+    VettingTiming,
 };
 pub use plan::{
-    engine_for_mode, execute, vet_prepared, Engine, EngineCaps, ExecCtx, ExecPlan, Executed,
-    PlanRefusal,
+    engine_for_mode, execute, execute_coresident, vet_prepared, Engine, EngineCaps, ExecCtx,
+    ExecPlan, Executed, PlanRefusal,
 };
 pub use plugins::{
     hardcoded_payloads, intent_exposure, permission_audit, ExposureFinding, HardcodedFinding,

@@ -13,8 +13,7 @@ use crate::report::VettingReport;
 use crate::taint::TaintAnalysis;
 use gdroid_analysis::{AppAnalysis, FactStore, StoreKind};
 use gdroid_apk::App;
-use gdroid_core::EngineAnalysis;
-use gdroid_gpusim::{Device, DeviceFault};
+use gdroid_core::{EngineAnalysis, GpuRunStats};
 use gdroid_icfg::{prepare_app, CallGraph, EnvironmentInfo};
 use gdroid_ir::MethodId;
 
@@ -173,13 +172,13 @@ pub(crate) fn finish_vetting(
     VettingRun { outcome, analysis }
 }
 
-/// Folds an engine's analysis into the CPU-shaped [`AppAnalysis`] the
-/// taint plugin and a summary store consume (the
-/// facts/summaries are bit-identical across engines; only cost models
-/// differ).
-pub(crate) fn to_app_analysis(ea: EngineAnalysis) -> AppAnalysis {
+/// Folds a device run into the CPU-shaped [`AppAnalysis`] the taint
+/// plugin and a summary store consume (the facts/summaries are
+/// bit-identical across engines; only cost models differ), beside its
+/// modeled IDFG time and its device statistics.
+pub(crate) fn to_app_analysis(ea: EngineAnalysis) -> (AppAnalysis, f64, Option<GpuRunStats>) {
     let store_bytes = ea.facts.values().map(FactStore::memory_bytes).sum();
-    AppAnalysis {
+    let analysis = AppAnalysis {
         spaces: ea.spaces,
         cfgs: ea.cfgs,
         facts: ea.facts,
@@ -189,45 +188,8 @@ pub(crate) fn to_app_analysis(ea: EngineAnalysis) -> AppAnalysis {
         store_bytes,
         store_kind: StoreKind::Matrix,
         schedule: Vec::new(),
-    }
-}
-
-/// Co-resident batch execution of several prepared apps on one device
-/// (the serving layer's batch-forming mode): their per-layer launches are
-/// interleaved into shared kernels by [`gdroid_core::gpu_analyze_batch_on`]
-/// so small apps stop wasting block slots. Each returned [`VettingRun`] —
-/// report, timing, telemetry, the whole outcome JSON — is bit-identical
-/// to [`crate::execute`] of the same plan for the same app; the returned
-/// [`gdroid_core::BatchStats`] carries the shared-pipeline makespan and
-/// coresidency. An injected fault aborts the whole batch, and the caller
-/// retries the member jobs individually. Panics unless
-/// [`ExecPlan::batchable`].
-pub fn execute_vetting_batch_on_device(
-    preps: &[&PreparedApp],
-    device: &mut Device,
-    plan: ExecPlan,
-) -> Result<(Vec<VettingRun>, gdroid_core::BatchStats), DeviceFault> {
-    let opts = match plan.engine {
-        Engine::Gpu(opts) if plan.batchable() => opts,
-        _ => panic!("{plan:?} cannot run co-resident"),
     };
-    let apps: Vec<gdroid_core::BatchApp<'_>> = preps
-        .iter()
-        .map(|p| gdroid_core::BatchApp { program: &p.app.program, cg: &p.cg, roots: &p.roots })
-        .collect();
-    let analysis = gdroid_core::gpu_analyze_batch_on(device, &apps, opts)?;
-    let runs = analysis
-        .apps
-        .into_iter()
-        .zip(preps)
-        .map(|(gpu, prep)| {
-            let idfg_ns = gpu.idfg_ns;
-            let mut run = finish_vetting(prep, to_app_analysis(gpu), idfg_ns);
-            run.outcome.store_bytes = 0;
-            run
-        })
-        .collect();
-    Ok((runs, analysis.batch))
+    (analysis, ea.idfg_ns, Some(ea.stats))
 }
 
 /// Vets one app end to end. The `app` must be freshly generated (not yet
@@ -266,7 +228,7 @@ mod tests {
     use crate::plan::{execute, ExecCtx};
     use gdroid_apk::{generate_app, GenConfig};
     use gdroid_core::OptConfig;
-    use gdroid_gpusim::DeviceConfig;
+    use gdroid_gpusim::{Device, DeviceConfig};
 
     #[test]
     fn pipeline_produces_report_and_timing() {
@@ -315,31 +277,6 @@ mod tests {
             whole.to_json(),
             "staged and whole runs must render identically"
         );
-    }
-
-    #[test]
-    fn batch_execution_matches_solo_byte_for_byte() {
-        let preps: Vec<PreparedApp> = [6403u64, 6404, 6405]
-            .iter()
-            .map(|&s| prepare_vetting(generate_app(0, s, &GenConfig::tiny())))
-            .collect();
-        let refs: Vec<&PreparedApp> = preps.iter().collect();
-        let mut device = Device::new(DeviceConfig::tesla_p40());
-        let (runs, batch) =
-            execute_vetting_batch_on_device(&refs, &mut device, ExecPlan::default())
-                .expect("no fault plan");
-        assert_eq!(runs.len(), preps.len());
-        let mut solo_sum = 0.0f64;
-        for (prep, run) in preps.iter().zip(&runs) {
-            let mut solo_dev = Device::new(DeviceConfig::tesla_p40());
-            let solo = execute(prep, ExecPlan::default(), &mut ExecCtx::new(&mut solo_dev))
-                .expect("no fault plan")
-                .run;
-            assert_eq!(run.outcome.to_json(), solo.outcome.to_json());
-            solo_sum += solo.outcome.timing.idfg_ns;
-        }
-        assert!(batch.makespan_ns <= solo_sum, "{} > {}", batch.makespan_ns, solo_sum);
-        assert!(batch.launches > 0);
     }
 
     #[test]

@@ -10,24 +10,28 @@
 //! (device, summary store, tracer), and [`execute`] performs the same five
 //! steps for every combination: optional slice → optional store lookup
 //! (∩ slice) → one analysis → taint + outcome contracts → optional store
-//! feed and stage spans. A warm start from a previous version of the app
-//! is the store step with that version's
+//! feed and stage spans; [`execute_coresident`] runs them for a group of
+//! apps around one shared analysis. A warm start from a previous version
+//! of the app is the store step with that version's
 //! [`summary_store`](crate::summary_store) attached.
 //!
 //! [`Engine::caps`] is the capability table and [`ExecPlan::check`] the
-//! only place a combination is refused; [`ExecPlan::cacheable`] and
-//! [`ExecPlan::batchable`] are the only place a serving lane is allowed.
+//! only place a combination — solo or co-resident — is refused;
+//! [`ExecPlan::cacheable`] is the only place the result-cache lane is
+//! allowed.
 
 use crate::pipeline::{
     finish_vetting, to_app_analysis, trace_stage_spans, PreparedApp, VettingRun,
 };
 use crate::store_exec::{absorb_into_store, collect_presolved, StoreUse};
 use crate::targeted::{compute_vetting_slice, TargetedProvenance};
-use gdroid_analysis::{analyze_app_presolved, CpuCostModel, StoreKind};
+use gdroid_analysis::{analyze_app_presolved, AppAnalysis, BackwardSlice, CpuCostModel, StoreKind};
 use gdroid_core::{
-    AnalysisEngine, CpuEngine, EngineKind, ExecMode, GpuRunStats, OptConfig, WorklistEngine,
+    gpu_analyze_batch_on, AnalysisEngine, AppInput, BatchStats, CpuEngine, EngineKind, ExecMode,
+    GpuRunStats, OptConfig, Presolved, WorklistEngine,
 };
 use gdroid_gpusim::{Device, DeviceConfig, DeviceFault};
+use gdroid_ir::MethodId;
 use gdroid_sumstore::SumStore;
 use gdroid_trace::Tracer;
 use std::collections::HashMap;
@@ -65,7 +69,8 @@ pub struct EngineCaps {
     pub sumstore: bool,
     /// Demand-driven sink slicing (`--targeted`).
     pub targeted: bool,
-    /// Co-resident multi-app batching (serve `coresident > 1`).
+    /// Co-resident multi-app batching (serve `coresident > 1`) with
+    /// solo-identical timing: the rungs free of kernel-side `malloc`.
     pub batching: bool,
     /// Persistent-kernel execution ([`ExecMode::Persistent`]).
     pub persistent: bool,
@@ -139,7 +144,7 @@ impl Engine {
                 note: "the paper's worklist-GPU kernels (MAT+GRP+MER); the default",
                 ..gpu
             },
-            Engine::Gpu(_) => gpu,
+            Engine::Gpu(opts) => EngineCaps { batching: opts.mat, ..gpu },
             Engine::CpuReference => cpu,
             Engine::MultithreadedCpu => EngineCaps {
                 sumstore: true,
@@ -215,16 +220,22 @@ impl ExecPlan {
 
     /// Accepts or refuses the combination — the engine's
     /// [capabilities](Engine::caps) against the plan's exec mode and
-    /// targeting, and against a summary store when the run will have one
-    /// attached.
-    pub fn check(self, with_store: bool) -> Result<(), PlanRefusal> {
+    /// targeting, against a summary store when the run will have one
+    /// attached, and against sharing launches when it runs `coresident`
+    /// ([`execute_coresident`], one launch per round: never persistent).
+    pub fn check(self, with_store: bool, coresident: bool) -> Result<(), PlanRefusal> {
         let caps = self.engine.caps();
-        let feature = if self.exec == ExecMode::Persistent && !caps.persistent {
+        let persistent = self.exec == ExecMode::Persistent;
+        let feature = if persistent && !caps.persistent {
             "persistent-kernel execution"
         } else if self.targeted && !caps.targeted {
             "targeted vetting"
         } else if with_store && !caps.sumstore {
             "the summary store"
+        } else if coresident && !caps.batching {
+            "co-resident batching"
+        } else if coresident && persistent {
+            "co-resident persistent execution"
         } else {
             return Ok(());
         };
@@ -245,29 +256,17 @@ impl ExecPlan {
         self
     }
 
-    /// A full, multi-launch worklist-GPU run: the one cost profile the
-    /// result cache stores and the batch driver reproduces.
-    fn is_classic(self) -> bool {
-        matches!(self.engine, Engine::Gpu(_))
-            && self.exec == ExecMode::MultiLaunch
-            && !self.targeted
-    }
-
     /// Whether the outcome may be served from, and inserted into, a
     /// result cache — and so whether a cached previous version of the app
     /// may warm-start it (a serving caller consumes and invalidates that
-    /// entry). A hit is returned verbatim, so its embedded cost profile
-    /// must be the one every cacheable job would compute; a targeted
-    /// outcome carries provenance and must never stand in for a full
-    /// vetting.
+    /// entry): a full, multi-launch worklist-GPU run. A hit is returned
+    /// verbatim, so its embedded cost profile must be the one every
+    /// cacheable job would compute; a targeted outcome carries provenance
+    /// and must never stand in for a full vetting.
     pub fn cacheable(self) -> bool {
-        self.is_classic()
-    }
-
-    /// Whether the job may share kernel launches with co-resident apps
-    /// ([`crate::execute_vetting_batch_on_device`]).
-    pub fn batchable(self) -> bool {
-        self.is_classic() && self.engine.caps().batching
+        matches!(self.engine, Engine::Gpu(_))
+            && self.exec == ExecMode::MultiLaunch
+            && !self.targeted
     }
 }
 
@@ -277,9 +276,7 @@ impl ExecPlan {
 /// persistent).
 pub fn engine_for_mode(kind: EngineKind, exec: ExecMode) -> Box<dyn AnalysisEngine> {
     let plan = ExecPlan { exec, ..ExecPlan::new(kind) };
-    if let Err(refusal) = plan.check(false) {
-        panic!("{refusal}");
-    }
+    plan.check(false, false).unwrap_or_else(|refusal| panic!("{refusal}"));
     plan.engine.analysis_engine(exec).expect("every EngineKind is a trait engine")
 }
 
@@ -338,17 +335,84 @@ pub fn execute(
     plan: ExecPlan,
     ctx: &mut ExecCtx<'_>,
 ) -> Result<Executed, DeviceFault> {
-    if let Err(refusal) = plan.check(ctx.store.is_some()) {
-        panic!("{refusal}");
-    }
-    let program = &prep.app.program;
-    let tracer = ctx.tracer;
-    if tracer.enabled() {
-        ctx.device.set_tracer(tracer.clone());
-        let prep_ns = prep.prep_timing.envgen_ns + prep.prep_timing.callgraph_ns;
-        ctx.device.advance_clock(prep_ns.round() as u64);
-    }
+    plan.check(ctx.store.is_some(), false).unwrap_or_else(|refusal| panic!("{refusal}"));
+    attach_tracer(ctx, &[prep]);
+    let staged = stage(prep, plan, ctx);
+    let AppInput { program, cg, roots, presolved, slice } = staged.input();
+    let analyzed = if let Some(engine) = plan.engine.analysis_engine(plan.exec) {
+        let ea = engine.analyze_on(ctx.device, program, cg, roots, presolved, slice)?;
+        let (analysis, idfg_ns, gpu) = to_app_analysis(ea);
+        (analysis, idfg_ns, gpu.filter(|_| matches!(plan.engine, Engine::Gpu(_))))
+    } else {
+        // The two CPU baselines are one run under two cost models.
+        let analysis = analyze_app_presolved(program, cg, roots, StoreKind::Set, presolved);
+        let idfg_ns = match plan.engine {
+            Engine::MultithreadedCpu => CpuCostModel::multithreaded_c().parallel_ns(&analysis),
+            _ => CpuCostModel::amandroid().sequential_ns(&analysis),
+        };
+        (analysis, idfg_ns, None)
+    };
+    Ok(finish(staged, analyzed, ctx.tracer, 0))
+}
 
+/// [`execute`] for a group of apps sharing kernel launches on one device
+/// ([`gpu_analyze_batch_on`]): each member's stage step, one co-resident
+/// analysis, each member's finish step (stage spans on trace track =
+/// member index). Members look the store up before any of them feeds
+/// it, so each member's [`Executed`] equals a solo [`execute`] against
+/// the store as it stood when the group started. An injected fault
+/// aborts the whole group; the caller retries the members individually.
+/// Panics if [`ExecPlan::check`] refuses the plan co-resident.
+pub fn execute_coresident(
+    preps: &[&PreparedApp],
+    plan: ExecPlan,
+    ctx: &mut ExecCtx<'_>,
+) -> Result<(Vec<Executed>, BatchStats), DeviceFault> {
+    plan.check(ctx.store.is_some(), true).unwrap_or_else(|refusal| panic!("{refusal}"));
+    let Engine::Gpu(opts) = plan.engine else { unreachable!("check admits only device rungs") };
+    attach_tracer(ctx, preps);
+    let staged: Vec<Staged<'_, '_>> = preps.iter().map(|prep| stage(prep, plan, ctx)).collect();
+    let inputs: Vec<AppInput<'_>> = staged.iter().map(Staged::input).collect();
+    let (analyses, batch) = gpu_analyze_batch_on(ctx.device, &inputs, opts)?;
+    let members = staged.into_iter().zip(analyses.into_iter().map(to_app_analysis));
+    let done = members.enumerate().map(|(i, (s, a))| finish(s, a, ctx.tracer, i as u32)).collect();
+    Ok((done, batch))
+}
+
+/// Installs an enabled tracer on the device and advances its clock past
+/// the longest prep stage, so device events nest inside the `idfg` span.
+fn attach_tracer(ctx: &mut ExecCtx<'_>, preps: &[&PreparedApp]) {
+    if ctx.tracer.enabled() {
+        ctx.device.set_tracer(ctx.tracer.clone());
+        let prep_ns = |p: &&PreparedApp| p.prep_timing.envgen_ns + p.prep_timing.callgraph_ns;
+        let longest = preps.iter().map(prep_ns).fold(0.0, f64::max);
+        ctx.device.advance_clock(longest.round() as u64);
+    }
+}
+
+/// One app after the stage step.
+struct Staged<'p, 's> {
+    prep: &'p PreparedApp,
+    /// The backward sink slice — `Some` iff the plan is targeted.
+    slice: Option<BackwardSlice>,
+    /// The store hits (∩ slice) — empty without a store.
+    presolved: Presolved,
+    /// The attached store and every reachable method's canonical hash.
+    store: Option<(&'s SumStore, HashMap<MethodId, u128>)>,
+}
+
+impl Staged<'_, '_> {
+    fn input(&self) -> AppInput<'_> {
+        let Staged { prep, slice, presolved, .. } = self;
+        let slice = slice.as_ref().map(|s| &s.members);
+        AppInput { program: &prep.app.program, cg: &prep.cg, roots: &prep.roots, presolved, slice }
+    }
+}
+
+/// The stage step: the optional slice, then the optional store lookup
+/// restricted to it, each traced as one instant.
+fn stage<'p, 's>(prep: &'p PreparedApp, plan: ExecPlan, ctx: &ExecCtx<'s>) -> Staged<'p, 's> {
+    let tracer = ctx.tracer;
     let slice = plan.targeted.then(|| compute_vetting_slice(prep));
     if let (Some(slice), true) = (&slice, tracer.enabled()) {
         tracer.instant(
@@ -368,14 +432,14 @@ pub fn execute(
     // Store hits, restricted to slice members: the intersection stays
     // closed under slice-internal callee edges because the looked-up set
     // is closed under *all* callee edges.
-    let looked_up = ctx.store.map(|store| {
-        let (mut presolved, hashes) = collect_presolved(prep, store);
-        if let Some(slice) = &slice {
-            presolved.retain(|m, _| slice.members.contains(m));
-        }
-        (store, presolved, hashes)
-    });
-    if let (Some((_, presolved, hashes)), true) = (&looked_up, tracer.enabled()) {
+    let Some(store) = ctx.store else {
+        return Staged { prep, slice, presolved: Presolved::new(), store: None };
+    };
+    let (mut presolved, hashes) = collect_presolved(prep, store);
+    if let Some(slice) = &slice {
+        presolved.retain(|m, _| slice.members.contains(m));
+    }
+    if tracer.enabled() {
         // Hits short-circuit whole subtrees out of the kernel schedule, so
         // the trace records them as one instant, not as launch spans.
         tracer.instant(
@@ -390,33 +454,18 @@ pub fn execute(
             ],
         );
     }
-    let no_hits = HashMap::new();
-    let presolved = looked_up.as_ref().map_or(&no_hits, |(_, presolved, _)| presolved);
+    Staged { prep, slice, presolved, store: Some((store, hashes)) }
+}
 
-    let mut gpu = None;
-    let (analysis, idfg_ns) = if let Some(engine) = plan.engine.analysis_engine(plan.exec) {
-        let ea = engine.analyze_on(
-            ctx.device,
-            program,
-            &prep.cg,
-            &prep.roots,
-            presolved,
-            slice.as_ref().map(|s| &s.members),
-        )?;
-        let idfg_ns = ea.idfg_ns;
-        gpu = matches!(plan.engine, Engine::Gpu(_)).then(|| ea.stats.clone());
-        (to_app_analysis(ea), idfg_ns)
-    } else {
-        // The two CPU baselines are one run under two cost models.
-        let analysis =
-            analyze_app_presolved(program, &prep.cg, &prep.roots, StoreKind::Set, presolved);
-        let idfg_ns = match plan.engine {
-            Engine::MultithreadedCpu => CpuCostModel::multithreaded_c().parallel_ns(&analysis),
-            _ => CpuCostModel::amandroid().sequential_ns(&analysis),
-        };
-        (analysis, idfg_ns)
-    };
-
+/// The finish step: taint, the `store_bytes` and provenance contracts,
+/// the stage spans on `track`, and the store feed.
+fn finish(
+    staged: Staged<'_, '_>,
+    (analysis, idfg_ns, gpu): (AppAnalysis, f64, Option<GpuRunStats>),
+    tracer: &Tracer,
+    track: u32,
+) -> Executed {
+    let Staged { prep, slice, presolved, store } = staged;
     let mut run = finish_vetting(prep, analysis, idfg_ns);
     // A device run reports device memory, not host fact stores — the
     // historical `store_bytes: 0` contract of `vet_app`.
@@ -425,16 +474,16 @@ pub fn execute(
     }
     run.outcome.targeted = slice.as_ref().map(TargetedProvenance::of);
     if tracer.enabled() {
-        trace_stage_spans(tracer, &run.outcome.timing, 0, 0);
+        trace_stage_spans(tracer, &run.outcome.timing, 0, track);
     }
     // Under a slice only its *exact* members are inserted: partial roots
     // are computed against pruned call sites and must never enter the
     // store under the canonical hash.
-    let store_use = looked_up.map(|(store, presolved, hashes)| {
+    let store_use = store.map(|(store, hashes)| {
         let insertable = slice.as_ref().map(|s| &s.exact);
-        absorb_into_store(program, store, &hashes, &presolved, &run.analysis, insertable)
+        absorb_into_store(&prep.app.program, store, &hashes, &presolved, &run.analysis, insertable)
     });
-    Ok(Executed { run, store_use, gpu })
+    Executed { run, store_use, gpu }
 }
 
 /// [`execute`] on a fresh Tesla P40 with no store and no tracer — the
@@ -491,14 +540,13 @@ mod tests {
                     let plan = ExecPlan { engine, exec, targeted };
                     let classic = gpu && exec == ExecMode::MultiLaunch && !targeted;
                     assert_eq!(plan.cacheable(), classic, "{plan:?}");
-                    assert_eq!(plan.batchable(), classic, "{plan:?}");
                     for with_store in [false, true] {
                         let expected = (exec == ExecMode::MultiLaunch
                             || engine == Engine::Gpu(OptConfig::gdroid()))
                             && (!targeted || gpu)
                             && (!with_store || engine != Engine::CpuReference);
                         let what = format!("{plan:?} store={with_store}");
-                        assert_eq!(plan.check(with_store).is_ok(), expected, "{what}");
+                        assert_eq!(plan.check(with_store, false).is_ok(), expected, "{what}");
                         if !expected {
                             continue;
                         }
@@ -548,6 +596,83 @@ mod tests {
         assert_eq!(Engine::all().len(), 7);
         assert_eq!(Engine::parse("rel"), None);
         assert_eq!(EngineKind::parse("rel"), None);
+    }
+
+    /// The group axis: every plan [`ExecPlan::check`] accepts co-resident
+    /// runs as a group of three apps that share library code, on a
+    /// sanitizing device, store-free and against a store one member's
+    /// solo run warmed. Each member equals a solo [`execute`] against a
+    /// store in the same state — outcome bytes, facts, summaries, hits
+    /// and misses — and the launches are race-free. Every refused plan
+    /// panics in [`execute_coresident`].
+    #[test]
+    fn every_plan_a_group_accepts_reproduces_its_members_solo_runs() {
+        let config = GenConfig::tiny().with_libraries(2, 2);
+        let preps: Vec<PreparedApp> = (0..3u64)
+            .map(|i| prepare_vetting(generate_app(i as usize, 8720 + i, &config)))
+            .collect();
+        let refs: Vec<&PreparedApp> = preps.iter().collect();
+        let off = Tracer::disabled();
+        // The same store state on every call: the first app's full run.
+        let warmed = |with_store: bool| {
+            let store = SumStore::new();
+            if with_store {
+                run(&preps[0], ExecPlan::default(), Some(&store), &off);
+            }
+            store
+        };
+        let (mut accepted, mut hit) = (0, false);
+        for engine in Engine::all() {
+            for exec in ExecMode::ALL {
+                for targeted in [false, true] {
+                    let plan = ExecPlan { engine, exec, targeted };
+                    for with_store in [false, true] {
+                        let what = format!("{plan:?} store={with_store}");
+                        let mat = matches!(engine, Engine::Gpu(opts) if opts.mat);
+                        let expected = mat && exec == ExecMode::MultiLaunch;
+                        let store = warmed(with_store);
+                        let store = with_store.then_some(&store);
+                        assert_eq!(plan.check(with_store, true).is_ok(), expected, "{what}");
+                        let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
+                        let ctx = &mut ExecCtx { store, ..ExecCtx::new(&mut device) };
+                        if !expected {
+                            let group = std::panic::AssertUnwindSafe(|| {
+                                execute_coresident(&refs, plan, ctx).map(|_| ())
+                            });
+                            assert!(std::panic::catch_unwind(group).is_err(), "{what}");
+                            continue;
+                        }
+                        accepted += 1;
+                        let (done, batch) = execute_coresident(&refs, plan, ctx).expect("no fault");
+                        assert_eq!(done.len(), 3, "{what}");
+                        assert!(batch.launches > 0, "{what}: the group never launched");
+                        let san = device.san_report().expect("sanitizer configured");
+                        assert!(san.is_clean(), "{what}: {san}");
+                        for (prep, got) in preps.iter().zip(&done) {
+                            let same_state = warmed(with_store);
+                            let solo = run(prep, plan, store.map(|_| &same_state), &off);
+                            let (got_run, want) = (&got.run, &solo.run);
+                            let outcome = got_run.outcome.to_json();
+                            assert_eq!(outcome, want.outcome.to_json(), "{what}");
+                            let (a, b) = (&got_run.analysis, &want.analysis);
+                            assert_eq!(a.summaries, b.summaries, "{what}");
+                            assert_eq!(a.facts.len(), b.facts.len(), "{what}");
+                            for (mid, facts) in &b.facts {
+                                let words = a.facts[mid].flat_words();
+                                assert_eq!(words, facts.flat_words(), "{what} {mid:?}");
+                            }
+                            let uses =
+                                |e: &Executed| e.store_use.as_ref().map(|u| (u.hits, u.misses));
+                            assert_eq!(uses(got), uses(&solo), "{what}");
+                            hit |= got.store_use.as_ref().is_some_and(|u| u.hits > 0);
+                        }
+                    }
+                }
+            }
+        }
+        // Three MAT rungs × full / targeted × store-free / store-backed.
+        assert_eq!(accepted, 12);
+        assert!(hit, "no group member hit the warmed store");
     }
 
     #[test]
@@ -667,9 +792,9 @@ mod tests {
                 for targeted in [false, true] {
                     let plan = ExecPlan { engine, exec, targeted };
                     let relaxed = plan.fallback();
-                    assert!(relaxed.check(false).is_ok(), "{plan:?} -> {relaxed:?}");
+                    assert!(relaxed.check(false, false).is_ok(), "{plan:?} -> {relaxed:?}");
                     assert_eq!(relaxed.targeted, targeted);
-                    if plan.check(false).is_ok() {
+                    if plan.check(false, false).is_ok() {
                         assert_eq!(relaxed, plan);
                     }
                 }

@@ -15,7 +15,7 @@
 //! only the modeled IDFG time shrinks.
 
 use crate::pipeline::PreparedApp;
-use gdroid_analysis::{AppAnalysis, Geometry, MatrixStore, MethodSpace, MethodSummary};
+use gdroid_analysis::{AppAnalysis, Geometry, MatrixStore, MethodSpace, Presolved};
 use gdroid_icfg::Cfg;
 use gdroid_ir::{MethodId, Program};
 use gdroid_sumstore::{canonical_hashes, RelocSummary, StoredMethod, SumStore};
@@ -47,10 +47,10 @@ pub struct StoreUse {
 pub(crate) fn collect_presolved(
     prep: &PreparedApp,
     store: &SumStore,
-) -> (HashMap<MethodId, (MethodSummary, MatrixStore)>, HashMap<MethodId, u128>) {
+) -> (Presolved, HashMap<MethodId, u128>) {
     let program = &prep.app.program;
     let hashes = canonical_hashes(program, &prep.cg, &prep.roots);
-    let mut hits: HashMap<MethodId, (MethodSummary, MatrixStore)> = HashMap::new();
+    let mut hits: Presolved = HashMap::new();
     for (&mid, &key) in &hashes {
         let Some(stored) = store.lookup(key) else { continue };
         let space = MethodSpace::build(program, mid);
@@ -108,7 +108,7 @@ pub(crate) fn absorb_into_store(
     program: &Program,
     store: &SumStore,
     hashes: &HashMap<MethodId, u128>,
-    presolved: &HashMap<MethodId, (MethodSummary, MatrixStore)>,
+    presolved: &Presolved,
     analysis: &AppAnalysis,
     insertable: Option<&std::collections::HashSet<MethodId>>,
 ) -> StoreUse {

@@ -8,6 +8,7 @@
 //! ```
 
 use gdroid::apk::{generate_app, GenConfig};
+use gdroid::core::fixpoint::MethodBlock;
 use gdroid::core::{gpu_analyze_app, plan_layout, run_method_block, OptConfig};
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::icfg::prepare_app;
@@ -86,25 +87,17 @@ fn main() {
     let sites: Vec<_> =
         widest.iter().map(|&m| (m, merge_site_summaries(program, m, &summaries, &cg))).collect();
     let blocks: Vec<gdroid::gpusim::BlockFn<'_>> = sites
-        .iter()
-        .map(|(m, site)| {
-            let m = *m;
-            let space = &spaces[&m];
-            let cfg = &cfgs[&m];
-            let ml = &layout.methods[&m];
+        .into_iter()
+        .map(|(mid, sites)| {
+            let space = &spaces[&mid];
+            let cfg = &cfgs[&mid];
+            let ml = &layout.methods[&mid];
             Box::new(move |ctx: &mut gdroid::gpusim::BlockCtx<'_>| {
+                let method = &program.methods[mid];
                 let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
-                store.seed(cfg.entry() as usize, &space.entry_facts(&program.methods[m]));
-                run_method_block(
-                    ctx,
-                    &program.methods[m],
-                    space,
-                    cfg,
-                    ml,
-                    site,
-                    OptConfig::gdroid(),
-                    &mut store,
-                );
+                store.seed(cfg.entry() as usize, &space.entry_facts(method));
+                let mut block = MethodBlock { mid, method, space, cfg, sites, store };
+                run_method_block(ctx, &mut block, ml, OptConfig::gdroid());
             }) as _
         })
         .collect();

@@ -21,11 +21,12 @@
 //! ```
 //!
 //! `serve` and `batch` accept `--coresident C`: each executor tops its
-//! device up with up to `C - 1` further ready jobs whose combined block
-//! demand fits the device's block slots and runs the group as one
-//! co-resident batched analysis. Per-app results are bit-identical to
-//! solo runs; the drained report shows `batched_jobs` and the mean
-//! `coresidency`.
+//! device up with up to `C - 1` further ready jobs under the same plan
+//! whose combined block demand fits the device's block slots and runs
+//! the group as one co-resident batched analysis — against the summary
+//! store when `--sumstore` is given. Per-app results are bit-identical to
+//! solo runs against the same store state; the drained report shows
+//! `batched_jobs` and the mean `coresidency`.
 //!
 //! `vet`, `serve`, and `batch` accept `--sumstore <dir>`: the cross-app
 //! summary store is loaded from `<dir>` before the run and saved back
@@ -43,9 +44,10 @@
 //! the outcome JSON gains a `"targeted"` provenance block (slice size,
 //! methods skipped, sliced fraction). `serve --targeted-lane` submits
 //! every other corpus job through the fast lane: targeted jobs run at
-//! `expedited` priority, bypass the result cache, and never join a
-//! co-resident batch; the drained report shows `targeted_jobs` and
-//! `mean_sliced_fraction`. `lint` includes the `sink-reachability` pass:
+//! `expedited` priority, bypass the result cache, and share co-resident
+//! batches only with other targeted jobs; the drained report shows
+//! `targeted_jobs` and `mean_sliced_fraction`. `lint` includes the
+//! `sink-reachability` pass:
 //! sink call sites whose backward slice holds no source call site are
 //! flagged as dead sinks.
 //!
@@ -81,9 +83,9 @@
 //! verdicts are byte-identical across engines; only modeled timing
 //! differs. `gdroid engines` prints the capability table: `vet` refuses
 //! (exit 2) a combination an engine lacks, the service verbs reroute the
-//! job to the nearest plan that runs, and only full multi-launch worklist
-//! jobs use the result cache, the incremental warm start and co-resident
-//! batching.
+//! job to the nearest plan that runs, only full multi-launch worklist
+//! jobs use the result cache and the incremental warm start, and cpu and
+//! persistent jobs never join a co-resident batch.
 //!
 //! `--exec persistent` switches the worklist engine to the
 //! persistent-kernel mode: each app's whole fixpoint runs as one
@@ -202,7 +204,7 @@ impl<'a> PlanFlags<'a> {
     /// what the plan cannot do; the service verbs reroute instead
     /// (`ExecPlan::fallback`).
     fn check_or_exit(&self) {
-        if let Err(refusal) = self.plan.check(self.sumstore) {
+        if let Err(refusal) = self.plan.check(self.sumstore, false) {
             eprintln!("{refusal} (see `gdroid engines`)");
             exit(2);
         }

@@ -10,12 +10,11 @@
 //! change that *means* to move the model — and say so in EXPERIMENTS.md.
 
 use gdroid::apk::{generate_app, GenConfig};
-use gdroid::core::{gpu_analyze_app_on, ExecMode, OptConfig};
+use gdroid::core::{gpu_analyze_app_on, AppInput, ExecMode, OptConfig};
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::icfg::prepare_app;
 use gdroid::ir::MethodId;
 use gdroid::trace::{ArgValue, Tracer};
-use std::collections::HashMap;
 
 /// What one run charged: `(cycles, transactions, divergence_passes,
 /// coalescing_bits, total_ns_bits)` — Σ makespan cycles over launches
@@ -32,17 +31,9 @@ fn ledger(seed: u64, opts: OptConfig, exec: ExecMode) -> Ledger {
     let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
     let mut device = Device::new(DeviceConfig::tesla_p40());
     device.set_tracer(Tracer::enabled_new());
-    let run = gpu_analyze_app_on(
-        &mut device,
-        &app.program,
-        &cg,
-        &roots,
-        opts,
-        &HashMap::new(),
-        None,
-        exec,
-    )
-    .expect("a fresh device has no fault plan");
+    let run =
+        gpu_analyze_app_on(&mut device, &AppInput::new(&app.program, &cg, &roots), opts, exec)
+            .expect("a fresh device has no fault plan");
 
     let sum = |span: &dyn Fn(&str) -> bool, arg: &str| -> u64 {
         device
