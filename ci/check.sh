@@ -54,6 +54,10 @@ retired+='|ShardJournal|read_rotated_tail'
 retired+='|analyze_app_incremental|IncrementalStats|PrevAnalysis|changed_methods'
 retired+='|interner_fingerprint|method_hashes|warm_startable|FnvSink'
 retired+='|execute_vetting_batch_on_device|batchable|BatchApp'
+# Not the bare word `persist`: `sumstore::persist` is the store file format.
+retired+='|begin_persistent|persistent_round|end_persistent|PersistentSession|queue_pop|queue_push'
+retired+='|queue_op_cycles|grid_sync_cycles|absorb_round|persistent_jobs|persist_benchmark'
+retired+='|PERSIST_DETAIL_APPS'
 if grep -rnE "$retired" --include='*.rs' crates src tests examples; then
   echo "retired-names ratchet: a retired name is back (EXPERIMENTS.md, \"Retired: …\")" >&2
   exit 1
@@ -211,7 +215,7 @@ cargo build --release -p gdroid-bench --bin figures
 repo_root=$PWD
 drift_dir=$(mktemp -d)
 trap 'rm -rf "$drift_dir"' EXIT
-for bench in trace targeted sumstore persist batch; do
+for bench in trace targeted sumstore batch; do
   (cd "$drift_dir" && "$repo_root/target/release/figures" "$bench" >/dev/null)
   cmp "$drift_dir/BENCH_$bench.json" "BENCH_$bench.json" || {
     echo "bench drift: BENCH_$bench.json is stale — a modeled number moved;" \
@@ -437,19 +441,15 @@ then
   exit 1
 fi
 
-echo "==> persist smoke: the exec modes agree"
-multi_vet=$(./target/release/gdroid vet 42 --exec multi --json)
-persist_vet=$(./target/release/gdroid vet 42 --exec persistent --json)
-if ! python3 - "$multi_vet" "$persist_vet" <<'PY'
-import json, sys
-# Timings and launch counts are mode-shaped; the report is the contract.
-multi, persist = (json.loads(a) for a in sys.argv[1:3])
-assert persist["report"] == multi["report"], "persistent verdict diverged from multi-launch"
-PY
-then
-  echo "persist smoke: exec-mode verdicts diverged" >&2
-  exit 1
-fi
+echo "==> retired persistent kernel: --exec and figures persist are refused"
+for retired_cmd in "gdroid vet 42 --exec persistent" "figures persist"; do
+  status=0
+  ./target/release/$retired_cmd >/dev/null 2>&1 || status=$?
+  [ "$status" -eq 2 ] || {
+    echo "retired persistent kernel: \`$retired_cmd\` exited $status, want 2" >&2
+    exit 1
+  }
+done
 
 echo "==> snapshot smoke: rotated kill/resume reproduces the fleet report byte-for-byte"
 snap_dir=$(mktemp -d)

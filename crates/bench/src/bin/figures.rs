@@ -3,10 +3,10 @@
 //! ```text
 //! figures <experiment> [--apps N] [--scale S]
 //!
-//! experiments (the 21 modes `usage()` accepts):
+//! experiments (the 20 modes `usage()` accepts):
 //!   paper        table1 fig1 fig4 fig8 fig9 fig10 fig11 fig12 table2 all
 //!   extensions   sancheck
-//!   BENCH_*.json serve sumstore trace batch targeted corpus1000 persist snapshot10k
+//!   BENCH_*.json serve sumstore trace batch targeted corpus1000 snapshot10k
 //!   dumps        csv debug
 //!   --apps N   analyze the first N corpus apps (default 100; paper: 1000)
 //!   --scale S  generator scale factor (default 1.0 = Table I calibration)
@@ -25,11 +25,7 @@
 //! the byte-deterministic `BENCH_targeted.json`. `corpus1000` streams the
 //! paper's full speedup ladder (kernel rungs, targeted, batching K 2/4/8,
 //! summary store) over the 1000-app corpus at the `small` profile and
-//! writes the byte-deterministic `BENCH_corpus1000.json`.
-//! `persist` pits persistent-kernel execution (one resident launch per
-//! app) against classic per-round multi-launch on a per-app detail set
-//! and a streamed corpus — facts and verdicts asserted mode-identical —
-//! and writes the byte-deterministic `BENCH_persist.json`. `snapshot10k`
+//! writes the byte-deterministic `BENCH_corpus1000.json`. `snapshot10k`
 //! streams a rotated-journal campaign with a shared-store lane and a
 //! daily-delta lane and writes the byte-deterministic
 //! `BENCH_snapshot10k.json`. `sancheck` sweeps the sanitizer and lints
@@ -37,9 +33,9 @@
 
 use gdroid_apk::Corpus;
 use gdroid_bench::{
-    batch_benchmark, corpus1000_benchmark, experiments, persist_benchmark, run_corpus,
-    sancheck_corpus, serve_benchmark, snapshot_benchmark, snapshot_rotate, sumstore_benchmark,
-    targeted_benchmark, trace_benchmark, AppRecord, PERSIST_DETAIL_APPS, SNAPSHOT_SHARDS,
+    batch_benchmark, corpus1000_benchmark, experiments, run_corpus, sancheck_corpus,
+    serve_benchmark, snapshot_benchmark, snapshot_rotate, sumstore_benchmark, targeted_benchmark,
+    trace_benchmark, AppRecord, SNAPSHOT_SHARDS,
 };
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_serve::service::EXECUTOR_HOST_THREADS;
@@ -47,7 +43,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures <table1|fig1|fig4|fig8|fig9|fig10|fig11|fig12|table2|all|csv|debug|sancheck|serve|sumstore|trace|batch|targeted|corpus1000|persist|snapshot10k> \
+        "usage: figures <table1|fig1|fig4|fig8|fig9|fig10|fig11|fig12|table2|all|csv|debug|sancheck|serve|sumstore|trace|batch|targeted|corpus1000|snapshot10k> \
          [--apps N] [--scale S]"
     );
     std::process::exit(2)
@@ -65,10 +61,9 @@ fn main() {
         usage();
     }
     let experiment = args[0].clone();
-    // The corpus-scale ladder and the persistent kernel comparison default
-    // to the paper's full 1000 apps; everything else defaults to the first
-    // 100.
-    let mut apps = if experiment == "corpus1000" || experiment == "persist" {
+    // The corpus-scale ladder defaults to the paper's full 1000 apps;
+    // everything else defaults to the first 100.
+    let mut apps = if experiment == "corpus1000" {
         1000
     } else if experiment == "snapshot10k" {
         10_000
@@ -104,7 +99,7 @@ fn main() {
     // The `BENCH_<mode>.json` modes: stderr banner, then `(json, summary)`.
     let (serve_jobs, detail_apps) = (apps.min(64), apps.min(20));
     type Runner<'a> = &'a dyn Fn() -> (String, String);
-    let bench_modes: [(&str, String, Runner); 8] = [
+    let bench_modes: [(&str, String, Runner); 7] = [
         (
             "serve",
             format!("benchmarking the vetting service ({serve_jobs} jobs per point)"),
@@ -130,14 +125,6 @@ fn main() {
             "corpus1000",
             format!("streaming the corpus-scale speedup ladder over {apps} apps (small profile)"),
             &|| corpus1000_benchmark(apps, scale),
-        ),
-        (
-            "persist",
-            format!(
-                "comparing persistent-kernel vs multi-launch execution \
-                 ({PERSIST_DETAIL_APPS} detail apps + {apps} streamed)"
-            ),
-            &|| persist_benchmark(PERSIST_DETAIL_APPS, apps, scale),
         ),
         (
             "snapshot10k",

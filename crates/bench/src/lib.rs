@@ -18,7 +18,6 @@ pub mod corpus;
 pub mod corpus1000;
 pub mod experiments;
 pub mod lane;
-pub mod persist;
 pub mod record;
 pub mod sancheck;
 pub mod serve;
@@ -31,9 +30,6 @@ pub mod trace;
 pub use batch::{batch_benchmark, run_batch_point, BatchPoint};
 pub use corpus::{corpus_prep, corpus_preps};
 pub use corpus1000::{corpus1000_benchmark, Corpus1000, LadderRung};
-pub use persist::{
-    persist_benchmark, run_persist_point, PersistPoint, PERSIST_DETAIL_APPS, PERSIST_WINDOW,
-};
 pub use record::{run_app, run_corpus, AppRecord, GpuSummary};
 pub use sancheck::{sancheck_corpus, SancheckOutcome};
 pub use serve::{run_service, serve_benchmark, ServePoint};

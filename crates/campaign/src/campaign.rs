@@ -52,9 +52,9 @@ pub struct CampaignConfig {
     /// only run-stable with one worker, one device and no co-residency
     /// per shard; verdicts are order-independent either way.
     pub sumstore: bool,
-    /// How every app is vetted: the engine and exec mode the shard
-    /// services run under (cpu and persistent jobs bypass the per-shard
-    /// result cache and co-resident batching, see [`ExecPlan`]), and
+    /// How every app is vetted: the engine the shard services run under
+    /// (CPU-engine jobs bypass the per-shard result cache and co-resident
+    /// batching, see [`ExecPlan`]), and
     /// whether apps go through the demand-driven fast lane (backward sink
     /// slices; these bypass the cache and batch only with each other).
     /// Journaled verdicts and leak counts are plan-invariant, but modeled
@@ -124,12 +124,14 @@ impl CampaignConfig {
 pub fn config_digest(config: &CampaignConfig) -> u64 {
     fnv1a(
         format!(
-            "gen={:?} targeted={} sumstore={} engine={} exec={} shared={}",
+            // `exec=multi` names the one launch policy left; it stays so
+            // every journal written before the persistent kernel retired
+            // still resumes.
+            "gen={:?} targeted={} sumstore={} engine={} exec=multi shared={}",
             config.gen,
             config.plan.targeted,
             config.sumstore,
             config.plan.engine.name(),
-            config.plan.exec.as_str(),
             config.shared_stores,
         )
         .as_bytes(),
@@ -609,6 +611,23 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Journals written before the persistent kernel retired must still
+    /// resume: the digests are the ones those builds computed.
+    #[test]
+    fn config_digests_equal_the_pre_retirement_values() {
+        let base = CampaignConfig::new(20, 2, PathBuf::from("j"));
+        let digest = |plan| config_digest(&CampaignConfig { plan, ..base.clone() });
+        assert_eq!(digest(ExecPlan::default()), 0x33f7_db3a_51e7_2523);
+        assert_eq!(
+            digest(ExecPlan { targeted: true, ..ExecPlan::default() }),
+            0x6985_e501_3543_2086
+        );
+        assert_eq!(
+            digest(ExecPlan::new(gdroid_vetting::Engine::CpuReference)),
+            0xc875_70a6_f0c6_7ea8
+        );
     }
 
     fn header(dir_apps: usize) -> JournalHeader {

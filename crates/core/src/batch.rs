@@ -159,7 +159,7 @@ pub fn gpu_analyze_batch_on(
             .flat_map(|&i| {
                 let c = &cursors[i];
                 let kernel = WorklistKernel { layout: &c.layout, opts, warp };
-                c.fx.blocks(kernel, false).into_iter().map(move |b| (i as u32, b))
+                c.fx.blocks(kernel).into_iter().map(move |b| (i as u32, b))
             })
             .collect();
         let sourced = device.try_launch_sourced(blocks)?;
@@ -358,13 +358,7 @@ mod tests {
         // Dirty the device first, then batch on it.
         let (warm, warm_cg, warm_roots) = prepared(7008);
         let warm_input = AppInput::new(&warm.program, &warm_cg, &warm_roots);
-        gpu_analyze_app_on(
-            &mut device,
-            &warm_input,
-            OptConfig::gdroid(),
-            crate::ExecMode::MultiLaunch,
-        )
-        .unwrap();
+        gpu_analyze_app_on(&mut device, &warm_input, OptConfig::gdroid()).unwrap();
         let reused = gpu_analyze_batch_on(&mut device, &apps, OptConfig::gdroid()).unwrap();
         let fresh = gpu_analyze_batch(&apps, DeviceConfig::tesla_p40(), OptConfig::gdroid());
         for i in 0..apps.len() {

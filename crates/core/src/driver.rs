@@ -4,16 +4,11 @@
 //! The schedule — bottom-up over call-graph layers, one block per method,
 //! SCCs re-launched until their summaries stabilize, summaries derived
 //! host-side between launches — lives in [`crate::fixpoint`]. What this
-//! module adds is how a round reaches the device and what it costs:
-//!
-//! * **multi-launch**: one kernel launch per round, each a
-//!   `(h2d, kernel, d2h)` chunk of the dual-buffering pipeline;
-//! * **persistent**: every round runs inside ONE resident launch behind a
-//!   grid-wide sync, and chunks collapse to one per *layer* — the layer
-//!   schedule is static, so inputs stream ahead of the resident kernel and
-//!   SCC re-rounds stay device-side and transfer nothing.
+//! module adds is how a round reaches the device and what it costs: one
+//! kernel launch per round, each a `(h2d, kernel, d2h)` chunk of the
+//! dual-buffering pipeline.
 
-use crate::engine::{EngineAnalysis, ExecMode};
+use crate::engine::EngineAnalysis;
 use crate::fixpoint::{AppInput, Fixpoint, MethodBlock};
 use crate::kernel::run_method_block;
 use crate::layout::{plan_layout, AppLayout};
@@ -25,8 +20,8 @@ use gdroid_icfg::CallGraph;
 use gdroid_ir::{MethodId, Program};
 use gdroid_trace::Tracer;
 
-/// Analyzes one app on a fresh simulated GPU: a full multi-launch run
-/// with nothing pre-solved.
+/// Analyzes one app on a fresh simulated GPU: a full run with nothing
+/// pre-solved.
 pub fn gpu_analyze_app(
     program: &Program,
     cg: &CallGraph,
@@ -36,8 +31,7 @@ pub fn gpu_analyze_app(
 ) -> EngineAnalysis {
     let mut device = Device::new(device_config);
     let input = AppInput::new(program, cg, roots);
-    gpu_analyze_app_on(&mut device, &input, opts, ExecMode::MultiLaunch)
-        .expect("a fresh device has no fault plan")
+    gpu_analyze_app_on(&mut device, &input, opts).expect("a fresh device has no fault plan")
 }
 
 /// Analyzes one app on an existing, long-lived device — the one general
@@ -49,15 +43,10 @@ pub fn gpu_analyze_app(
 /// [`Fixpoint::new`] documents: store hits are injected and never launch
 /// (no device buffers, no bytes moved — the warm-corpus win), a slice
 /// launches only its members, and an empty slice performs zero launches.
-///
-/// `exec` maps fixpoint rounds onto launches (see the module docs). Facts
-/// and summaries are byte-identical in both modes — the fixpoint is
-/// unique; only the modeled cost differs.
 pub fn gpu_analyze_app_on(
     device: &mut Device,
     input: &AppInput<'_>,
     opts: OptConfig,
-    exec: ExecMode,
 ) -> Result<EngineAnalysis, DeviceFault> {
     device.reset();
     let fx = Fixpoint::new(*input);
@@ -79,52 +68,31 @@ pub fn gpu_analyze_app_on(
         );
     }
     let kernel = WorklistKernel { layout: &layout, opts, warp: device.config.warp_size };
-    run_solo(device, fx, kernel, exec)
+    run_solo(device, fx, kernel)
 }
 
 /// The solo policy over an already-scheduled app whose layout `kernel`
-/// carries: launches round by round (or inside one persistent session),
-/// runs the chunks through dual buffering, and returns the finished
-/// analysis. The caller has reset the device and planned the layout.
+/// carries: launches round by round, runs the chunks through dual
+/// buffering, and returns the finished analysis. The caller has reset the
+/// device and planned the layout.
 fn run_solo(
     device: &mut Device,
     mut fx: Fixpoint<'_>,
     kernel: WorklistKernel<'_>,
-    exec: ExecMode,
 ) -> Result<EngineAnalysis, DeviceFault> {
     let tracer = device.tracer().clone();
     let mut stats = GpuRunStats::default();
-    // (h2d bytes, kernel ns, d2h bytes) per launch — per layer when
-    // persistent — for the transfer pipeline model.
+    // (h2d bytes, kernel ns, d2h bytes) per launch, for the transfer
+    // pipeline model.
     let mut chunks: Vec<(u64, f64, u64)> = Vec::new();
-    let mut layer_chunk = (0u64, 0.0f64, 0u64);
-
-    // The one resident launch pays the launch overhead (and faces the
-    // fault plan) exactly once; every round below then runs inside it.
-    let persistent = exec == ExecMode::Persistent && !fx.done();
-    if persistent {
-        device.begin_persistent()?;
-    }
 
     while !fx.done() {
         let ((layer, round), launched) = (fx.position(), fx.pending().len());
         let round_start_ns = device.clock_ns();
         let (h2d, d2h) = fx.pending_bytes(kernel);
-        let blocks = fx.blocks(kernel, persistent);
-        let round_bytes = if persistent {
-            let kernel_stats = device.persistent_round(blocks);
-            if round == 0 {
-                (layer_chunk.0, layer_chunk.2) = (h2d, d2h);
-            }
-            layer_chunk.1 += device.config.cycles_to_ns(kernel_stats.makespan_cycles);
-            stats.absorb_round(&kernel_stats);
-            (0, 0)
-        } else {
-            let kernel_stats = device.try_launch(blocks)?;
-            chunks.push((h2d, kernel_stats.time_ns(&device.config), d2h));
-            stats.absorb_kernel(&kernel_stats);
-            (h2d, d2h)
-        };
+        let kernel_stats = device.try_launch(fx.blocks(kernel))?;
+        chunks.push((h2d, kernel_stats.time_ns(&device.config), d2h));
+        stats.absorb_kernel(&kernel_stats);
 
         let now_ns = device.clock_ns();
         fx.absorb(|mid, tele| {
@@ -133,7 +101,7 @@ fn run_solo(
             }
             stats.record_method();
         });
-        let (changed, layer_done) = fx.advance();
+        let changed = fx.advance();
         if tracer.enabled() {
             tracer.span(
                 "driver",
@@ -144,27 +112,11 @@ fn run_solo(
                 vec![
                     ("methods_launched", launched.into()),
                     ("summaries_changed", changed.into()),
-                    ("h2d_bytes", round_bytes.0.into()),
-                    ("d2h_bytes", round_bytes.1.into()),
+                    ("h2d_bytes", h2d.into()),
+                    ("d2h_bytes", d2h.into()),
                 ],
             );
         }
-        if persistent && layer_done {
-            let mut chunk = std::mem::take(&mut layer_chunk);
-            // The session's single launch overhead lands on the first
-            // layer chunk, rounded exactly as KernelStats::time_ns and
-            // the device clock round it.
-            if chunks.is_empty() {
-                chunk.1 += (device.config.launch_overhead_us * 1e3).round();
-            }
-            chunks.push(chunk);
-        }
-    }
-
-    if persistent {
-        // Closing the session emits the single launch span.
-        device.end_persistent();
-        stats.launches = 1;
     }
 
     let pipeline = dual_buffered(&device.config, &chunks);
@@ -260,10 +212,9 @@ mod tests {
         app: &gdroid_apk::App,
         cg: &CallGraph,
         roots: &[MethodId],
-        exec: ExecMode,
     ) -> Result<EngineAnalysis, DeviceFault> {
         let input = AppInput::new(&app.program, cg, roots);
-        gpu_analyze_app_on(device, &input, OptConfig::gdroid(), exec)
+        gpu_analyze_app_on(device, &input, OptConfig::gdroid())
     }
 
     #[test]
@@ -377,8 +328,8 @@ mod tests {
         let mut device = Device::new(DeviceConfig::tiny());
         for seed in [4007u64, 4008] {
             let (app, cg, roots) = prepared(seed);
-            let reused = analyze_on(&mut device, &app, &cg, &roots, ExecMode::MultiLaunch)
-                .expect("no fault plan installed");
+            let reused =
+                analyze_on(&mut device, &app, &cg, &roots).expect("no fault plan installed");
             let fresh = gpu_analyze_app(
                 &app.program,
                 &cg,
@@ -392,63 +343,16 @@ mod tests {
     }
 
     #[test]
-    fn persistent_matches_multi_launch_facts_with_one_launch() {
-        for seed in [4101u64, 4102, 4103] {
-            let (app, cg, roots) = prepared(seed);
-            let mut md = Device::new(DeviceConfig::tiny());
-            let multi = analyze_on(&mut md, &app, &cg, &roots, ExecMode::MultiLaunch).unwrap();
-            let mut pd = Device::new(DeviceConfig::tiny());
-            let per = analyze_on(&mut pd, &app, &cg, &roots, ExecMode::Persistent).unwrap();
-            // The fixpoint is unique: facts and summaries byte-identical.
-            assert_eq!(per.summaries, multi.summaries, "seed {seed}");
-            assert_eq!(per.facts.len(), multi.facts.len());
-            for (mid, m) in &multi.facts {
-                assert_eq!(per.facts[mid].flat_words(), m.flat_words(), "seed {seed} {mid:?}");
-            }
-            // One resident launch replaces the launch-per-round loop.
-            assert_eq!(per.stats.launches, 1, "seed {seed}");
-            assert_eq!(pd.launches(), 1, "seed {seed}");
-            assert!(multi.stats.launches >= 1);
-            // With more than one round, the saved per-round launch and
-            // transfer overheads beat the added grid syncs + queue ops.
-            if multi.stats.launches > 1 {
-                assert!(
-                    per.stats.total_ns < multi.stats.total_ns,
-                    "seed {seed}: persistent {} !< multi {}",
-                    per.stats.total_ns,
-                    multi.stats.total_ns
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn persistent_fault_at_submission_aborts_and_retry_succeeds() {
-        use gdroid_gpusim::FaultPlan;
-        let (app, cg, roots) = prepared(4104);
-        let mut device = Device::new(DeviceConfig::tiny());
-        device.set_fault_plan(Some(FaultPlan { period: 1, budget: 1 }));
-        let err = analyze_on(&mut device, &app, &cg, &roots, ExecMode::Persistent);
-        assert!(err.is_err(), "the one resident launch must fault");
-        let retry = analyze_on(&mut device, &app, &cg, &roots, ExecMode::Persistent)
-            .expect("budget exhausted, retry must succeed");
-        let fresh =
-            gpu_analyze_app(&app.program, &cg, &roots, DeviceConfig::tiny(), OptConfig::gdroid());
-        assert_eq!(retry.summaries, fresh.summaries);
-        assert_eq!(device.faults_injected(), 1);
-    }
-
-    #[test]
     fn injected_fault_aborts_and_retry_succeeds() {
         use gdroid_gpusim::FaultPlan;
         let (app, cg, roots) = prepared(4009);
         let mut device = Device::new(DeviceConfig::tiny());
         // Fault the very first launch, once.
         device.set_fault_plan(Some(FaultPlan { period: 1, budget: 1 }));
-        let err = analyze_on(&mut device, &app, &cg, &roots, ExecMode::MultiLaunch);
+        let err = analyze_on(&mut device, &app, &cg, &roots);
         assert!(err.is_err(), "first launch must fault");
         // The retry runs fault-free (budget exhausted) and matches fresh.
-        let retry = analyze_on(&mut device, &app, &cg, &roots, ExecMode::MultiLaunch)
+        let retry = analyze_on(&mut device, &app, &cg, &roots)
             .expect("budget exhausted, retry must succeed");
         let fresh =
             gpu_analyze_app(&app.program, &cg, &roots, DeviceConfig::tiny(), OptConfig::gdroid());

@@ -22,46 +22,17 @@ use gdroid_icfg::{CallGraph, Cfg};
 use gdroid_ir::{MethodId, Program};
 use std::collections::{HashMap, HashSet};
 
-/// How the driver maps fixpoint rounds onto kernel launches.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Retired launch-policy selector, kept only because the frozen
+/// `benchmark/` harness names its variants until ROADMAP 3f. Only
+/// `gdroid_vetting::engine_for_mode` takes it, and ignores it: every
+/// variant runs the one launch policy (one kernel launch per fixpoint
+/// round, the paper's loop).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One kernel launch per fixpoint round (the paper's loop): each
-    /// round pays `launch_overhead_us` plus a dual-buffered transfer.
-    #[default]
+    /// One kernel launch per fixpoint round.
     MultiLaunch,
-    /// One resident mega-kernel per app: the kernel owns a device-side
-    /// worklist, loops rounds internally with a grid-wide sync between
-    /// them, and the host synchronizes only at fixpoint — one launch
-    /// overhead and one upload/download for the whole analysis.
+    /// The retired persistent kernel; runs as [`ExecMode::MultiLaunch`].
     Persistent,
-}
-
-impl ExecMode {
-    /// All modes, in CLI order.
-    pub const ALL: [ExecMode; 2] = [ExecMode::MultiLaunch, ExecMode::Persistent];
-
-    /// The CLI spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ExecMode::MultiLaunch => "multi",
-            ExecMode::Persistent => "persistent",
-        }
-    }
-
-    /// Parses the CLI spelling.
-    pub fn parse(s: &str) -> Option<ExecMode> {
-        match s {
-            "multi" => Some(ExecMode::MultiLaunch),
-            "persistent" => Some(ExecMode::Persistent),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// The selectable engines, in CLI order.
@@ -154,8 +125,6 @@ pub trait AnalysisEngine: Send + Sync {
 pub struct WorklistEngine {
     /// Optimization-ladder rung the kernels run at.
     pub opts: OptConfig,
-    /// How fixpoint rounds map onto launches (multi-launch vs persistent).
-    pub exec: ExecMode,
 }
 
 impl AnalysisEngine for WorklistEngine {
@@ -173,7 +142,7 @@ impl AnalysisEngine for WorklistEngine {
         slice: Option<&HashSet<MethodId>>,
     ) -> Result<EngineAnalysis, DeviceFault> {
         let input = AppInput { program, cg, roots, presolved, slice };
-        gpu_analyze_app_on(device, &input, self.opts, self.exec)
+        gpu_analyze_app_on(device, &input, self.opts)
     }
 }
 
@@ -230,23 +199,13 @@ mod tests {
     }
 
     #[test]
-    fn exec_mode_parse_roundtrips() {
-        for exec in ExecMode::ALL {
-            assert_eq!(ExecMode::parse(exec.as_str()), Some(exec));
-            assert_eq!(format!("{exec}"), exec.as_str());
-        }
-        assert_eq!(ExecMode::parse("resident"), None);
-        assert_eq!(ExecMode::default(), ExecMode::MultiLaunch);
-    }
-
-    #[test]
     fn worklist_and_cpu_engines_agree_on_facts() {
         let mut app = generate_app(0, 8601, &GenConfig::tiny());
         let (envs, cg) = prepare_app(&mut app);
         let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
         let mut device = Device::new(DeviceConfig::tiny());
         let none = HashMap::new();
-        let gpu = WorklistEngine { opts: OptConfig::gdroid(), exec: ExecMode::MultiLaunch }
+        let gpu = WorklistEngine { opts: OptConfig::gdroid() }
             .analyze_on(&mut device, &app.program, &cg, &roots, &none, None)
             .unwrap();
         let cpu =

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! while !fx.done() {
-//!     launch(fx.blocks(kernel, ..));  // the policy's part
+//!     launch(fx.blocks(kernel));  // the policy's part
 //!     fx.absorb(..);    // block results → summaries, facts, changed set
 //!     fx.advance();     // re-launch changed recursive SCCs, else next layer
 //! }
@@ -210,14 +210,7 @@ impl<'a> Fixpoint<'a> {
 
     /// One block per pending method, inputs merged from the summaries as
     /// they stand (no summary changes while a round's blocks run).
-    /// `queued` blocks belong to a resident kernel: they dequeue their
-    /// method from the device-side worklist and publish their
-    /// summary-changed flag back for the next round's scheduling.
-    pub(crate) fn blocks<'s>(
-        &'s self,
-        kernel: WorklistKernel<'s>,
-        queued: bool,
-    ) -> Vec<BlockFn<'s>> {
+    pub(crate) fn blocks<'s>(&'s self, kernel: WorklistKernel<'s>) -> Vec<BlockFn<'s>> {
         let block_of = |(&mid, slot): (&MethodId, &'s OnceLock<Solved>)| {
             Box::new(move |ctx: &mut BlockCtx<'_>| {
                 let (method, space, cfg) =
@@ -226,13 +219,7 @@ impl<'a> Fixpoint<'a> {
                 let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
                 store.seed(cfg.entry() as usize, &space.entry_facts(method));
                 let mut block = MethodBlock { mid, method, space, cfg, sites, store };
-                if queued {
-                    ctx.queue_pop(1);
-                }
                 let tele = kernel.run(ctx, &mut block);
-                if queued {
-                    ctx.queue_push(1);
-                }
                 let summary = derive_summary(method, space, &block.store, cfg.exit() as usize);
                 let fresh = slot.set(Solved { store: block.store, tele, summary }).is_ok();
                 debug_assert!(fresh, "{mid:?} reported twice in one round");
@@ -262,8 +249,8 @@ impl<'a> Fixpoint<'a> {
     /// Ends the round. Only recursive SCCs with a changed summary
     /// re-launch (monotonicity guarantees they stabilize); when none did,
     /// moves on to the next layer with something to launch. Returns how
-    /// many summaries changed and whether that finished the layer.
-    pub fn advance(&mut self) -> (usize, bool) {
+    /// many summaries changed.
+    pub fn advance(&mut self) -> usize {
         let changed = std::mem::take(&mut self.changed);
         self.pending = self.layers[self.layer]
             .recursive
@@ -274,13 +261,12 @@ impl<'a> Fixpoint<'a> {
             .collect();
         self.pending.sort_unstable();
         self.round += 1;
-        let layer_done = self.pending.is_empty();
-        if layer_done {
+        if self.pending.is_empty() {
             self.layer += 1;
             self.enter_layer();
         }
         self.open_slots();
-        (changed.len(), layer_done)
+        changed.len()
     }
 
     /// One empty result slot per pending method.

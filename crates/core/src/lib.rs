@@ -17,8 +17,8 @@
 //!   their summaries stabilize, summaries derived host-side;
 //! * the *launch policies* over it, which decide only how a round's blocks
 //!   reach a device and how modeled time is accounted — [`driver`] (solo:
-//!   one launch per round through the dual-buffering pipeline, or one
-//!   persistent session) and [`batch`] (co-resident apps sharing launches,
+//!   one launch per round through the dual-buffering pipeline) and
+//!   [`batch`] (co-resident apps sharing launches,
 //!   attributed per app by re-packing);
 //! * [`engine`] — the `AnalysisEngine` boundary the vetting layers select
 //!   an engine through;

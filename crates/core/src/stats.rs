@@ -76,13 +76,6 @@ impl GpuRunStats {
     /// Folds one kernel launch's stats in.
     pub fn absorb_kernel(&mut self, k: &KernelStats) {
         self.launches += 1;
-        self.absorb_round(k);
-    }
-
-    /// Folds one persistent-kernel *round* in: identical to
-    /// [`GpuRunStats::absorb_kernel`] except the launch counter stays put
-    /// — the rounds of one resident launch are not launches.
-    pub fn absorb_round(&mut self, k: &KernelStats) {
         self.blocks += k.blocks;
         self.warp_steps += k.warp_steps;
         self.divergence_passes += k.divergence_passes;
@@ -176,19 +169,5 @@ mod tests {
         assert!((s.divergence_factor - 2.5).abs() < 1e-9);
         assert!((s.coalescing - 0.5).abs() < 1e-9);
         assert_eq!(s.device_allocations, 7);
-    }
-
-    #[test]
-    fn absorb_round_counts_utilization_but_not_launches() {
-        let k = KernelStats { blocks: 2, utilization: 0.5, ..Default::default() };
-        let mut s = GpuRunStats::default();
-        s.absorb_round(&k);
-        s.absorb_round(&k);
-        assert_eq!(s.launches, 0, "persistent rounds are not launches");
-        assert_eq!(s.blocks, 4);
-        let pipeline =
-            PipelineTiming { total_ns: 1.0, kernel_ns: 1.0, copy_ns: 0.0, exposed_copy_ns: 0.0 };
-        s.finish(pipeline, 0, 0);
-        assert!((s.utilization - 0.5).abs() < 1e-9, "utilization averages over rounds");
     }
 }

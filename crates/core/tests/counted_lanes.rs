@@ -18,7 +18,7 @@ use gdroid_apk::{generate_app, App, GenConfig};
 use gdroid_core::fixpoint::MethodBlock;
 use gdroid_core::{
     gpu_analyze_app_on, gpu_analyze_batch_on, plan_layout, run_method_block, AppInput,
-    EngineAnalysis, ExecMode, OptConfig, Presolved,
+    EngineAnalysis, OptConfig, Presolved,
 };
 use gdroid_gpusim::{BlockCtx, BlockFn, Device, DeviceConfig, SourcedKernelStats};
 use gdroid_icfg::{prepare_app, CallGraph, CallLayers, Cfg};
@@ -79,22 +79,15 @@ fn solo_runs_count_what_the_address_form_counts() {
     for seed in [0xc01u64, 0xc02, 0xc03] {
         let c = case(seed);
         for opts in OptConfig::ladder() {
-            for exec in ExecMode::ALL {
-                let (mut address, mut counted) = devices();
-                let run = |device: &mut Device| {
-                    gpu_analyze_app_on(
-                        device,
-                        &AppInput::new(&c.app.program, &c.cg, &c.roots),
-                        opts,
-                        exec,
-                    )
+            let (mut address, mut counted) = devices();
+            let run = |device: &mut Device| {
+                gpu_analyze_app_on(device, &AppInput::new(&c.app.program, &c.cg, &c.roots), opts)
                     .expect("no fault plan")
-                };
-                let (by_address, by_count) = (run(&mut address), run(&mut counted));
-                let row = format!("seed {seed:#x} {opts} {exec}");
-                assert_same_analysis(&row, &by_address, &by_count);
-                assert_same_trace(&row, &address, &counted);
-            }
+            };
+            let (by_address, by_count) = (run(&mut address), run(&mut counted));
+            let row = format!("seed {seed:#x} {opts}");
+            assert_same_analysis(&row, &by_address, &by_count);
+            assert_same_trace(&row, &address, &counted);
         }
     }
 }
@@ -131,28 +124,25 @@ fn store_hits_count_what_the_address_form_counts() {
         .map(|&m| (m, (cpu.summaries[&m].clone(), cpu.facts[&m].clone())))
         .collect();
     assert!(!presolved.is_empty(), "no store hit to inject");
-    for exec in ExecMode::ALL {
-        let (mut address, mut counted) = devices();
-        let run = |device: &mut Device| {
-            gpu_analyze_app_on(
-                device,
-                &AppInput {
-                    program: &c.app.program,
-                    cg: &c.cg,
-                    roots: &c.roots,
-                    presolved: &presolved,
-                    slice: None,
-                },
-                OptConfig::gdroid(),
-                exec,
-            )
-            .expect("no fault plan")
-        };
-        let (by_address, by_count) = (run(&mut address), run(&mut counted));
-        let row = format!("presolved {exec}");
-        assert_same_analysis(&row, &by_address, &by_count);
-        assert_same_trace(&row, &address, &counted);
-    }
+    let (mut address, mut counted) = devices();
+    let run = |device: &mut Device| {
+        gpu_analyze_app_on(
+            device,
+            &AppInput {
+                program: &c.app.program,
+                cg: &c.cg,
+                roots: &c.roots,
+                presolved: &presolved,
+                slice: None,
+            },
+            OptConfig::gdroid(),
+        )
+        .expect("no fault plan")
+    };
+    let (by_address, by_count) = (run(&mut address), run(&mut counted));
+    let row = "presolved".to_owned();
+    assert_same_analysis(&row, &by_address, &by_count);
+    assert_same_trace(&row, &address, &counted);
 }
 
 /// Every reachable method as one block of one launch: the full

@@ -9,9 +9,7 @@
 //! they also pin the fold order.
 
 use gdroid_apk::{generate_app, App, GenConfig};
-use gdroid_core::{
-    gpu_analyze_app_on, gpu_analyze_batch_on, AppInput, EngineAnalysis, ExecMode, OptConfig,
-};
+use gdroid_core::{gpu_analyze_app_on, gpu_analyze_batch_on, AppInput, EngineAnalysis, OptConfig};
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_icfg::{prepare_app, CallGraph};
 use gdroid_ir::MethodId;
@@ -57,25 +55,22 @@ fn solo_runs_are_host_thread_invariant() {
     for seed in [0x7a1u64, 0x7a2, 0x7a3] {
         let c = case(seed);
         for opts in OptConfig::ladder() {
-            for exec in ExecMode::ALL {
-                let run = |host_threads| {
-                    let mut device = traced_device(DeviceConfig::tiny(), host_threads);
-                    let run = gpu_analyze_app_on(
-                        &mut device,
-                        &AppInput::new(&c.app.program, &c.cg, &c.roots),
-                        opts,
-                        exec,
-                    )
-                    .expect("no fault plan");
-                    (run, device.tracer().events(), device.heap.allocations)
-                };
-                let (one, one_trace, one_allocations) = run(1);
-                let (four, four_trace, four_allocations) = run(4);
-                let row = format!("seed {seed:#x} {opts} {exec}");
-                assert_same_analysis(&row, &one, &four);
-                assert_eq!(four_trace, one_trace, "{row}: launch and block spans");
-                assert_eq!(four_allocations, one_allocations, "{row}: device heap allocations");
-            }
+            let run = |host_threads| {
+                let mut device = traced_device(DeviceConfig::tiny(), host_threads);
+                let run = gpu_analyze_app_on(
+                    &mut device,
+                    &AppInput::new(&c.app.program, &c.cg, &c.roots),
+                    opts,
+                )
+                .expect("no fault plan");
+                (run, device.tracer().events(), device.heap.allocations)
+            };
+            let (one, one_trace, one_allocations) = run(1);
+            let (four, four_trace, four_allocations) = run(4);
+            let row = format!("seed {seed:#x} {opts}");
+            assert_same_analysis(&row, &one, &four);
+            assert_eq!(four_trace, one_trace, "{row}: launch and block spans");
+            assert_eq!(four_allocations, one_allocations, "{row}: device heap allocations");
         }
     }
 }
@@ -109,13 +104,8 @@ fn sanitized_runs_are_host_thread_invariant() {
     for opts in [OptConfig::plain(), OptConfig::gdroid()] {
         let run = |host_threads| {
             let mut device = traced_device(DeviceConfig::tiny().with_sanitizer(), host_threads);
-            gpu_analyze_app_on(
-                &mut device,
-                &AppInput::new(&c.app.program, &c.cg, &c.roots),
-                opts,
-                ExecMode::MultiLaunch,
-            )
-            .expect("no fault plan")
+            gpu_analyze_app_on(&mut device, &AppInput::new(&c.app.program, &c.cg, &c.roots), opts)
+                .expect("no fault plan")
         };
         let (one, four) = (run(1), run(4));
         let report = one.sanitizer.as_ref().expect("the device sanitizes");

@@ -5,9 +5,7 @@
 
 use gdroid_analysis::{analyze_app, AppAnalysis, MatrixStore, StoreKind, SummaryMap};
 use gdroid_apk::{generate_app, App, GenConfig};
-use gdroid_core::{
-    gpu_analyze_app_on, gpu_analyze_batch_on, AppInput, ExecMode, OptConfig, Presolved,
-};
+use gdroid_core::{gpu_analyze_app_on, gpu_analyze_batch_on, AppInput, OptConfig, Presolved};
 use gdroid_gpusim::{Device, DeviceConfig};
 use gdroid_icfg::{prepare_app, CallGraph, CallLayers};
 use gdroid_ir::MethodId;
@@ -57,33 +55,30 @@ fn every_launch_policy_reaches_the_reference_fixpoint() {
     let presolved = case.presolved_bottom_half();
     assert!(!presolved.is_empty() && presolved.len() < layers.method_count());
 
-    // Solo, both exec modes, with and without store hits.
-    for exec in ExecMode::ALL {
-        for (label, pre) in [("cold", &Presolved::new()), ("presolved", &presolved)] {
-            let mut device = Device::new(DeviceConfig::tiny());
-            let run = gpu_analyze_app_on(
-                &mut device,
-                &AppInput {
-                    program: &case.app.program,
-                    cg: &case.cg,
-                    roots: &case.roots,
-                    presolved: pre,
-                    slice: None,
-                },
-                OptConfig::gdroid(),
-                exec,
-            )
-            .expect("no fault plan");
-            case.assert_reference(&format!("solo {exec} {label}"), &run.summaries, &run.facts);
-            if exec == ExecMode::MultiLaunch && pre.is_empty() {
-                // More launches than layers: some SCC went round again.
-                assert!(
-                    run.stats.launches > layers.layer_count(),
-                    "no SCC re-launched: {} launches over {} layers",
-                    run.stats.launches,
-                    layers.layer_count()
-                );
-            }
+    // Solo, with and without store hits.
+    for (label, pre) in [("cold", &Presolved::new()), ("presolved", &presolved)] {
+        let mut device = Device::new(DeviceConfig::tiny());
+        let run = gpu_analyze_app_on(
+            &mut device,
+            &AppInput {
+                program: &case.app.program,
+                cg: &case.cg,
+                roots: &case.roots,
+                presolved: pre,
+                slice: None,
+            },
+            OptConfig::gdroid(),
+        )
+        .expect("no fault plan");
+        case.assert_reference(&format!("solo {label}"), &run.summaries, &run.facts);
+        if pre.is_empty() {
+            // More launches than layers: some SCC went round again.
+            assert!(
+                run.stats.launches > layers.layer_count(),
+                "no SCC re-launched: {} launches over {} layers",
+                run.stats.launches,
+                layers.layer_count()
+            );
         }
     }
 

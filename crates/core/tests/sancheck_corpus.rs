@@ -3,9 +3,7 @@
 //! optimization ladder.
 
 use gdroid_apk::Corpus;
-use gdroid_core::{
-    gpu_analyze_app, gpu_analyze_app_on, gpu_analyze_batch_on, AppInput, ExecMode, OptConfig,
-};
+use gdroid_core::{gpu_analyze_app, gpu_analyze_app_on, gpu_analyze_batch_on, AppInput, OptConfig};
 use gdroid_gpusim::{Device, DeviceConfig, FindingKind};
 use gdroid_icfg::{prepare_app, CallGraph};
 use gdroid_ir::MethodId;
@@ -17,37 +15,27 @@ fn prepared(app: &mut gdroid_apk::App) -> (CallGraph, Vec<MethodId>) {
     (cg, envs.iter().map(|e| e.method).collect())
 }
 
-fn analyze_sanitized(
-    app: &mut gdroid_apk::App,
-    opts: OptConfig,
-    exec: ExecMode,
-) -> gdroid_gpusim::SanReport {
+fn analyze_sanitized(app: &mut gdroid_apk::App, opts: OptConfig) -> gdroid_gpusim::SanReport {
     let (cg, roots) = prepared(app);
     let mut device = Device::new(DeviceConfig::tiny().with_sanitizer());
-    let run =
-        gpu_analyze_app_on(&mut device, &AppInput::new(&app.program, &cg, &roots), opts, exec)
-            .expect("no fault plan");
+    let run = gpu_analyze_app_on(&mut device, &AppInput::new(&app.program, &cg, &roots), opts)
+        .expect("no fault plan");
     run.sanitizer.expect("sanitizer was enabled")
 }
 
-/// The ISSUE acceptance criterion: all four kernel variants, 20 apps,
-/// zero findings — plus the full GDroid rung inside one persistent
-/// session, whose grid syncs must order rounds as kernel boundaries do.
+/// All four kernel variants, 20 apps, zero findings.
 #[test]
 fn ladder_is_sanitizer_clean_on_test_corpus() {
     let corpus = Corpus::test_corpus(20);
-    let mut rows: Vec<(OptConfig, ExecMode)> =
-        OptConfig::ladder().into_iter().map(|opts| (opts, ExecMode::MultiLaunch)).collect();
-    rows.push((OptConfig::gdroid(), ExecMode::Persistent));
     for index in 0..corpus.size {
-        for &(opts, exec) in &rows {
+        for opts in OptConfig::ladder() {
             let mut app = corpus.generate(index);
-            let report = analyze_sanitized(&mut app, opts, exec);
+            let report = analyze_sanitized(&mut app, opts);
             assert!(
                 report.is_clean(),
-                "app {index} under {opts} ({exec}) has sanitizer findings:\n{report}"
+                "app {index} under {opts} has sanitizer findings:\n{report}"
             );
-            assert!(report.accesses_checked > 0, "app {index} under {opts} ({exec}): unchecked");
+            assert!(report.accesses_checked > 0, "app {index} under {opts}: unchecked");
         }
     }
 }
@@ -95,7 +83,7 @@ proptest! {
     #[test]
     fn mer_postponement_never_introduces_jacobi_race(seed in 0u64..4096) {
         let mut app = gdroid_apk::generate_app(0, seed, &gdroid_apk::GenConfig::tiny());
-        let report = analyze_sanitized(&mut app, OptConfig::gdroid(), ExecMode::MultiLaunch);
+        let report = analyze_sanitized(&mut app, OptConfig::gdroid());
         prop_assert_eq!(report.count(FindingKind::WriteWriteRace), 0);
         prop_assert_eq!(report.count(FindingKind::ReadWriteRace), 0);
     }

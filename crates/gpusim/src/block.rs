@@ -97,10 +97,6 @@ pub struct BlockStats {
     pub malloc_cycles: u64,
     /// Cycles of dependent-load latency (hideable by co-resident blocks).
     pub latency_cycles: u64,
-    /// Device-side worklist queue operations (persistent kernels).
-    pub queue_ops: u64,
-    /// Cycles spent in contended queue operations (persistent kernels).
-    pub queue_cycles: u64,
 }
 
 /// Host buffers [`BlockCtx::warp_process`] reuses from step to step. The
@@ -277,36 +273,6 @@ impl<'a> BlockCtx<'a> {
         // 128-byte lines.
         self.stats.ideal_transactions +=
             total_bytes_read_written.div_ceil(self.config.transaction_bytes);
-    }
-
-    /// Dequeues `items` entries from the device-side worklist queue a
-    /// persistent kernel owns. Each operation is an atomic head bump plus
-    /// a scattered read; like the allocator, it serializes under
-    /// contention, so the per-op cost scales with the co-resident block
-    /// count (clamped — past ~24 contenders the queue is
-    /// bandwidth-bound, not atomics-bound). Cost-only: queue ops never
-    /// change what a kernel computes, so facts are unaffected.
-    pub fn queue_pop(&mut self, items: u64) {
-        self.queue_op(items);
-    }
-
-    /// Enqueues `items` entries onto the device-side worklist queue
-    /// (atomic tail bump plus a scattered write). Same contended cost
-    /// model as [`BlockCtx::queue_pop`].
-    pub fn queue_push(&mut self, items: u64) {
-        self.queue_op(items);
-    }
-
-    /// Shared contended queue-operation path.
-    fn queue_op(&mut self, items: u64) {
-        if items == 0 {
-            return;
-        }
-        let contention = (self.resident_blocks as u64).clamp(4, 24);
-        let cost = items * self.config.queue_op_cycles * contention;
-        self.stats.queue_ops += items;
-        self.stats.queue_cycles += cost;
-        self.stats.cycles += cost;
     }
 
     /// Performs a kernel-side allocation outside lane context (e.g. the
@@ -525,28 +491,6 @@ mod tests {
         let mut ctx3 = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
         ctx3.shared_sort(1);
         assert_eq!(ctx3.stats.cycles, 0);
-    }
-
-    #[test]
-    fn queue_ops_are_contended_and_cost_only() {
-        let (cfg, mut heap, mut scratch) = setup();
-        // Solo block: contention clamps up to the floor of 4 contenders.
-        let mut solo = BlockCtx::new(&cfg, &mut heap, 1, None, &mut scratch);
-        solo.queue_pop(1);
-        assert_eq!(solo.stats.queue_ops, 1);
-        assert_eq!(solo.stats.queue_cycles, cfg.queue_op_cycles * 4);
-        assert_eq!(solo.stats.cycles, solo.stats.queue_cycles);
-        // A fully resident device pays the clamped ceiling of 24.
-        let mut packed = BlockCtx::new(&cfg, &mut heap, 120, None, &mut scratch);
-        packed.queue_pop(1);
-        packed.queue_push(2);
-        assert_eq!(packed.stats.queue_ops, 3);
-        assert_eq!(packed.stats.queue_cycles, 3 * cfg.queue_op_cycles * 24);
-        // Zero items are free.
-        let mut idle = BlockCtx::new(&cfg, &mut heap, 120, None, &mut scratch);
-        idle.queue_pop(0);
-        idle.queue_push(0);
-        assert_eq!(idle.stats, BlockStats::default());
     }
 
     #[test]

@@ -38,14 +38,6 @@ pub struct DeviceConfig {
     pub transfer_overhead_us: f64,
     /// Fixed kernel-launch overhead in microseconds.
     pub launch_overhead_us: f64,
-    /// Cycles one grid-wide synchronization costs a persistent kernel
-    /// (`cooperative_groups::grid_group::sync()` between fixpoint
-    /// rounds).
-    pub grid_sync_cycles: u64,
-    /// Base cycles of one device-side worklist queue operation (an
-    /// atomic dequeue or enqueue on the resident kernel's work queue);
-    /// contention multiplies it (see [`crate::block::BlockCtx::queue_pop`]).
-    pub queue_op_cycles: u64,
     /// Enables the `simcheck` sanitizer ([`crate::sancheck`]): shadow-state
     /// checking of every global access. Purely observational — never
     /// charges cycles, so [`crate::device::KernelStats`] is bit-identical
@@ -71,8 +63,6 @@ impl DeviceConfig {
             pcie_gbps: 12.0,
             transfer_overhead_us: 8.0,
             launch_overhead_us: 5.0,
-            grid_sync_cycles: 1500,
-            queue_op_cycles: 20,
             sanitize: false,
         }
     }

@@ -101,23 +101,6 @@ pub struct Device {
     /// Trace sink. Disabled by default — recording then costs one
     /// branch per launch.
     tracer: Tracer,
-    /// Open persistent-kernel session, if any
-    /// ([`Device::begin_persistent`] … [`Device::end_persistent`]).
-    persistent: Option<PersistentSession>,
-}
-
-/// Book-keeping of one open persistent-kernel session: one resident
-/// launch whose fixpoint rounds execute via [`Device::persistent_round`].
-struct PersistentSession {
-    /// Device clock when the session began (the launch span's start).
-    start_clock_ns: u64,
-    /// Fixpoint rounds executed so far.
-    rounds: u64,
-    /// Running fold of every round's stats; round schedules are offset
-    /// so the combined timeline renders rounds back to back.
-    combined: KernelStats,
-    /// Makespan-weighted utilization accumulator.
-    util_weighted: f64,
 }
 
 /// Aggregated result of one kernel launch.
@@ -143,10 +126,6 @@ pub struct KernelStats {
     pub mallocs: u64,
     /// Cycles spent in the allocator.
     pub malloc_cycles: u64,
-    /// Device-side worklist queue operations (persistent kernels).
-    pub queue_ops: u64,
-    /// Cycles spent in contended queue operations (persistent kernels).
-    pub queue_cycles: u64,
     /// Per-block schedule: `(slot, start_cycle, end_cycle)` in launch
     /// order — the raw material for occupancy timelines.
     pub schedule: Vec<(u32, u64, u64)>,
@@ -245,7 +224,6 @@ impl Device {
             faults_injected: 0,
             clock_ns: 0,
             tracer: Tracer::disabled(),
-            persistent: None,
         }
     }
 
@@ -427,10 +405,9 @@ impl Device {
         (stats, per_block)
     }
 
-    /// Runs one round's blocks and returns their raw counters in launch
-    /// order (shared by launches and persistent rounds): in order on the
-    /// caller under the sanitizer, else on up to [`Device::host_threads`]
-    /// threads (see the module docs).
+    /// Runs one launch's blocks and returns their raw counters in launch
+    /// order: in order on the caller under the sanitizer, else on up to
+    /// [`Device::host_threads`] threads (see the module docs).
     fn run_blocks<F>(&mut self, blocks: Vec<F>) -> Vec<BlockStats>
     where
         F: FnOnce(&mut BlockCtx<'_>) + Send,
@@ -569,12 +546,7 @@ impl Device {
                 ("utilization", stats.utilization.into()),
             ],
         );
-        self.trace_blocks(self.clock_ns + overhead_ns, stats, per_block);
-    }
-
-    /// Emits one span per block on the block's slot track, its schedule
-    /// offsets counted from `base_ns`.
-    fn trace_blocks(&self, base_ns: u64, stats: &KernelStats, per_block: &[BlockStats]) {
+        let base_ns = self.clock_ns + overhead_ns;
         for (i, (&(slot, start, end), b)) in stats.schedule.iter().zip(per_block).enumerate() {
             self.tracer.span(
                 "gpusim",
@@ -618,8 +590,6 @@ impl Device {
             stats.ideal_transactions += b.ideal_transactions;
             stats.mallocs += b.mallocs;
             stats.malloc_cycles += b.malloc_cycles;
-            stats.queue_ops += b.queue_ops;
-            stats.queue_cycles += b.queue_cycles;
             // Greedy: next block goes to the earliest-finishing slot.
             let (idx, _) =
                 slot_end.iter().enumerate().min_by_key(|(_, &end)| end).expect("at least one slot");
@@ -632,131 +602,6 @@ impl Device {
         let span = stats.makespan_cycles * slot_end.len() as u64;
         stats.utilization = if span == 0 { 1.0 } else { busy as f64 / span as f64 };
         stats
-    }
-
-    /// Opens a persistent-kernel session: ONE resident launch whose
-    /// fixpoint rounds run device-side via [`Device::persistent_round`]
-    /// until [`Device::end_persistent`]. Counts as a single lifetime
-    /// launch, honors the fault plan once (at submission, exactly like
-    /// [`Device::try_launch`]), and charges the launch overhead once —
-    /// that is the whole point of the mode.
-    pub fn begin_persistent(&mut self) -> Result<(), DeviceFault> {
-        assert!(self.persistent.is_none(), "persistent session already open");
-        self.launches += 1;
-        if let Some(fault) = self.check_fault() {
-            return Err(fault);
-        }
-        let start_clock_ns = self.clock_ns;
-        self.clock_ns += (self.config.launch_overhead_us * 1e3).round() as u64;
-        self.persistent = Some(PersistentSession {
-            start_clock_ns,
-            rounds: 0,
-            combined: KernelStats::default(),
-            util_weighted: 0.0,
-        });
-        Ok(())
-    }
-
-    /// Runs one fixpoint round inside the open persistent session:
-    /// executes the blocks, packs their timelines, and charges one
-    /// grid-wide sync (the barrier every cooperative persistent kernel
-    /// ends a round with). No launch overhead and no fault check — the
-    /// kernel is already resident. The sanitizer epoch still advances
-    /// per round: the grid-wide sync gives rounds the same
-    /// happens-before a kernel boundary would, so shadow state and any
-    /// findings match the multi-launch path exactly.
-    pub fn persistent_round<F>(&mut self, blocks: Vec<F>) -> KernelStats
-    where
-        F: FnOnce(&mut BlockCtx<'_>) + Send,
-    {
-        let round_index =
-            self.persistent.as_ref().expect("persistent_round outside a session").rounds + 1;
-        let per_block = self.run_blocks(blocks);
-        let mut stats = self.pack(&per_block);
-        stats.makespan_cycles += self.config.grid_sync_cycles;
-        let round_ns = self.config.cycles_to_ns(stats.makespan_cycles).round() as u64;
-        if self.tracer.enabled() {
-            self.trace_persistent_round(round_index, &stats, &per_block, round_ns);
-        }
-        self.clock_ns += round_ns;
-        let session = self.persistent.as_mut().expect("session checked above");
-        session.rounds += 1;
-        let offset = session.combined.makespan_cycles;
-        let c = &mut session.combined;
-        c.blocks += stats.blocks;
-        c.total_block_cycles += stats.total_block_cycles;
-        c.warp_steps += stats.warp_steps;
-        c.divergence_passes += stats.divergence_passes;
-        c.transactions += stats.transactions;
-        c.ideal_transactions += stats.ideal_transactions;
-        c.mallocs += stats.mallocs;
-        c.malloc_cycles += stats.malloc_cycles;
-        c.queue_ops += stats.queue_ops;
-        c.queue_cycles += stats.queue_cycles;
-        c.schedule.extend(stats.schedule.iter().map(|&(s, a, b)| (s, offset + a, offset + b)));
-        c.makespan_cycles += stats.makespan_cycles;
-        session.util_weighted += stats.utilization * stats.makespan_cycles as f64;
-        stats
-    }
-
-    /// Closes the persistent session, emitting its single launch span
-    /// (the per-round spans nest inside it on the trace timeline) and
-    /// returning the combined stats: round makespans and counters
-    /// summed, schedules laid back to back, and — via
-    /// [`KernelStats::time_ns`] — ONE launch overhead for the whole
-    /// fixpoint.
-    pub fn end_persistent(&mut self) -> KernelStats {
-        let session = self.persistent.take().expect("end_persistent without begin_persistent");
-        let mut combined = session.combined;
-        combined.utilization = if combined.makespan_cycles == 0 {
-            1.0
-        } else {
-            session.util_weighted / combined.makespan_cycles as f64
-        };
-        if self.tracer.enabled() {
-            self.tracer.span(
-                "gpusim",
-                format!("persistent launch #{}", self.launches),
-                session.start_clock_ns,
-                self.clock_ns - session.start_clock_ns,
-                0,
-                vec![
-                    ("rounds", session.rounds.into()),
-                    ("blocks", combined.blocks.into()),
-                    ("makespan_cycles", combined.makespan_cycles.into()),
-                    ("queue_ops", combined.queue_ops.into()),
-                    ("grid_syncs", session.rounds.into()),
-                ],
-            );
-        }
-        combined
-    }
-
-    /// Emits one span for a persistent-kernel round plus one per block,
-    /// all nested (by timestamp) inside the session's launch span that
-    /// [`Device::end_persistent`] emits. Only called when tracing is on.
-    fn trace_persistent_round(
-        &self,
-        round_index: u64,
-        stats: &KernelStats,
-        per_block: &[BlockStats],
-        round_ns: u64,
-    ) {
-        self.tracer.span(
-            "gpusim",
-            format!("persistent round #{round_index}"),
-            self.clock_ns,
-            round_ns,
-            0,
-            vec![
-                ("blocks", stats.blocks.into()),
-                ("makespan_cycles", stats.makespan_cycles.into()),
-                ("queue_ops", stats.queue_ops.into()),
-                ("grid_sync_cycles", self.config.grid_sync_cycles.into()),
-                ("utilization", stats.utilization.into()),
-            ],
-        );
-        self.trace_blocks(self.clock_ns, stats, per_block);
     }
 }
 
@@ -866,7 +711,6 @@ mod tests {
         let blocks: Vec<(u32, BlockFn<'_>)> = (0..9u64)
             .map(|b| {
                 let f: BlockFn<'_> = Box::new(move |ctx: &mut BlockCtx<'_>| {
-                    ctx.queue_pop(1);
                     let lanes: Vec<LaneWork> = (0..8 + b)
                         .map(|i| LaneWork {
                             partition: (i % (b + 1)) as u32,
@@ -882,7 +726,6 @@ mod tests {
                     }
                     ctx.malloc(64 * (b + 1));
                     ctx.compute(10 * b);
-                    ctx.queue_push(b);
                 });
                 (b as u32, f)
             })
@@ -891,7 +734,7 @@ mod tests {
         let (k, per_block) = (&launch.combined, &launch.per_block);
         assert_eq!(k.blocks, per_block.len());
         type OfBlock = fn(&BlockStats) -> u64;
-        let counters: [(&str, u64, OfBlock); 9] = [
+        let counters: [(&str, u64, OfBlock); 7] = [
             ("total_block_cycles", k.total_block_cycles, |b| b.cycles),
             ("warp_steps", k.warp_steps, |b| b.warp_steps),
             ("divergence_passes", k.divergence_passes, |b| b.divergence_passes),
@@ -899,8 +742,6 @@ mod tests {
             ("ideal_transactions", k.ideal_transactions, |b| b.ideal_transactions),
             ("mallocs", k.mallocs, |b| b.mallocs),
             ("malloc_cycles", k.malloc_cycles, |b| b.malloc_cycles),
-            ("queue_ops", k.queue_ops, |b| b.queue_ops),
-            ("queue_cycles", k.queue_cycles, |b| b.queue_cycles),
         ];
         for (name, total, of_block) in counters {
             assert_eq!(total, per_block.iter().map(of_block).sum::<u64>(), "{name}");
@@ -1177,129 +1018,5 @@ mod tests {
         let real = dev.launch(vec![|ctx: &mut BlockCtx<'_>| ctx.compute(10)]);
         let chart = real.occupancy_chart(0);
         assert!(chart.contains('#'), "zero width clamps to one column: {chart:?}");
-    }
-
-    #[test]
-    fn persistent_session_charges_one_overhead_and_one_launch() {
-        let mk = || {
-            (0..4)
-                .map(|_| {
-                    |ctx: &mut BlockCtx<'_>| {
-                        ctx.compute(100);
-                    }
-                })
-                .collect::<Vec<_>>()
-        };
-        let cfg = flat_config();
-        // Multi-launch: 3 rounds = 3 launches, 3 overheads.
-        let mut multi = Device::new(cfg);
-        let mut multi_stats = Vec::new();
-        for _ in 0..3 {
-            multi_stats.push(multi.try_launch(mk()).unwrap());
-        }
-        // Persistent: 3 rounds inside one resident launch.
-        let mut per = Device::new(cfg);
-        per.begin_persistent().unwrap();
-        assert!(per.persistent.is_some());
-        let rounds: Vec<KernelStats> = (0..3).map(|_| per.persistent_round(mk())).collect();
-        let combined = per.end_persistent();
-        assert!(per.persistent.is_none());
-        assert_eq!(per.launches(), 1, "one resident launch for the whole fixpoint");
-        assert_eq!(multi.launches(), 3);
-        // Combined stats sum the rounds (each includes its grid sync).
-        assert_eq!(combined.blocks, 12);
-        assert_eq!(combined.makespan_cycles, rounds.iter().map(|r| r.makespan_cycles).sum::<u64>());
-        assert_eq!(
-            rounds[0].makespan_cycles,
-            multi_stats[0].makespan_cycles + cfg.grid_sync_cycles,
-            "a persistent round is the packed work plus one grid-wide sync"
-        );
-        // The clock advanced by one overhead + the rounds, and the
-        // combined time_ns (one overhead) agrees with it exactly.
-        assert_eq!(per.clock_ns(), combined.time_ns(&cfg).round() as u64);
-        // The mode wins whenever saved overheads beat the added syncs.
-        let multi_ns: f64 = multi_stats.iter().map(|s| s.time_ns(&cfg)).sum();
-        assert!(
-            combined.time_ns(&cfg) < multi_ns,
-            "persistent {} !< multi {}",
-            combined.time_ns(&cfg),
-            multi_ns
-        );
-        // The combined schedule lays rounds back to back.
-        assert_eq!(combined.schedule.len(), 12);
-        assert!(combined.schedule.windows(2).all(|w| w[1].1 >= w[0].1 || w[1].2 <= w[0].2));
-    }
-
-    #[test]
-    fn persistent_rounds_nest_inside_one_trace_launch_span() {
-        let mut dev = Device::new(flat_config());
-        dev.set_tracer(Tracer::enabled_new());
-        dev.advance_clock(1000);
-        dev.begin_persistent().unwrap();
-        for _ in 0..2 {
-            dev.persistent_round(vec![|ctx: &mut BlockCtx<'_>| ctx.compute(100)]);
-        }
-        dev.end_persistent();
-        let evs = dev.tracer().events();
-        let launch = evs.iter().find(|e| e.name == "persistent launch #1").unwrap();
-        assert_eq!(launch.ts_ns, 1000, "session span starts where the session began");
-        assert_eq!(launch.ts_ns + launch.dur_ns, dev.clock_ns());
-        let rounds: Vec<_> =
-            evs.iter().filter(|e| e.name.starts_with("persistent round")).collect();
-        assert_eq!(rounds.len(), 2);
-        for r in &rounds {
-            assert!(r.ts_ns >= launch.ts_ns, "round starts inside the launch span");
-            assert!(r.ts_ns + r.dur_ns <= launch.ts_ns + launch.dur_ns);
-        }
-        assert!(rounds[0].ts_ns + rounds[0].dur_ns <= rounds[1].ts_ns, "rounds are sequential");
-    }
-
-    #[test]
-    fn persistent_begin_honors_fault_plan() {
-        let mut dev = Device::new(DeviceConfig::tiny());
-        dev.set_fault_plan(Some(FaultPlan { period: 2, budget: 1 }));
-        assert!(dev.begin_persistent().is_ok());
-        dev.persistent_round(vec![|ctx: &mut BlockCtx<'_>| ctx.compute(1)]);
-        dev.end_persistent();
-        // Second session is launch #2 → faults; no session is left open.
-        assert_eq!(dev.begin_persistent().unwrap_err().launch_index, 2);
-        assert!(dev.persistent.is_none());
-        assert!(dev.begin_persistent().is_ok(), "retry succeeds within budget");
-        dev.end_persistent();
-        assert_eq!(dev.faults_injected(), 1);
-    }
-
-    #[test]
-    fn persistent_sanitizer_epochs_match_multi_launch() {
-        // The sanitizer must see the same launch-epoch sequence either
-        // way, so shadow state (and findings) stay byte-identical.
-        let run = |persistent: bool| -> Option<SanReport> {
-            let mut dev = Device::new(DeviceConfig::tiny().with_sanitizer());
-            let buf = dev.alloc_init(64);
-            let mk = move || {
-                vec![move |ctx: &mut BlockCtx<'_>| {
-                    let mut lane = LaneWork::compute(0, 10);
-                    lane.reads = vec![buf.base];
-                    ctx.warp_process(&[lane]);
-                }]
-            };
-            if persistent {
-                dev.begin_persistent().unwrap();
-                for _ in 0..3 {
-                    dev.persistent_round(mk());
-                }
-                dev.end_persistent();
-            } else {
-                for _ in 0..3 {
-                    dev.try_launch(mk()).unwrap();
-                }
-            }
-            dev.san_report()
-        };
-        let multi = run(false).unwrap();
-        let per = run(true).unwrap();
-        assert_eq!(multi.accesses_checked, per.accesses_checked);
-        assert_eq!(multi.counts, per.counts);
-        assert!(per.is_clean());
     }
 }

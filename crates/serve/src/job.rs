@@ -60,7 +60,7 @@ pub struct JobSpec {
     pub source: JobSource,
     /// When the job was admitted (queue-wait clock starts here).
     pub submitted_at: Instant,
-    /// How the job runs: engine, exec mode, and whether it takes the
+    /// How the job runs: engine, and whether it takes the
     /// demand-driven fast lane. The plan's lane predicates
     /// ([`ExecPlan::cacheable`] and friends) decide which of the result
     /// cache, the warm start and co-resident batching the job

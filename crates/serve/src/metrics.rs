@@ -36,7 +36,6 @@ const BUCKET_BOUNDS_NS: [u64; 16] = [
 pub struct Histogram {
     counts: [AtomicU64; 17],
     sum: AtomicU64,
-    count: AtomicU64,
     max: AtomicU64,
 }
 
@@ -52,7 +51,6 @@ impl Histogram {
         Histogram {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
     }
@@ -69,7 +67,6 @@ impl Histogram {
     pub fn record(&self, ns: u64) {
         self.counts[Histogram::bucket_for(ns)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(ns, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.max.fetch_max(ns, Ordering::Relaxed);
     }
 
@@ -115,6 +112,8 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Builds a snapshot (including every derived field) from the raw
     /// mergeable state: bucket counts, sample sum, and observed max.
+    /// `count` is Σ `buckets` by construction, so a snapshot can never
+    /// disagree with its own buckets (the histogram law of ROADMAP 4d).
     pub fn from_buckets(buckets: [u64; 17], sum_ns: u64, max_ns: u64) -> HistogramSnapshot {
         let count: u64 = buckets.iter().sum();
         // Linear interpolation within the landing bucket (the Prometheus
@@ -261,9 +260,6 @@ counters! {
     sliced_fraction_micros,
     /// Jobs executed under the CPU reference engine.
     cpu_jobs,
-    /// Jobs executed under the persistent-kernel mode (one resident
-    /// launch per app).
-    persistent_jobs,
     /// Summary-store method hits attributable to this service's own
     /// executions (service-local even when the store `Arc` is shared
     /// across shards — the store's global stats can't say *who* hit).

@@ -34,7 +34,7 @@ use crate::metrics::{Counters, ServiceMetrics, ServiceReport};
 use crate::queue::{SubmitError, SubmitQueue};
 use crate::scheduler::{block_demand, work_estimate, DispatchHeap, ReadyJob};
 use gdroid_apk::{generate_app, parse_bundle, read_bundle, App, BundleError, BundleText};
-use gdroid_core::{EngineKind, ExecMode};
+use gdroid_core::EngineKind;
 use gdroid_gpusim::{Device, DeviceConfig, FaultPlan};
 use gdroid_sumstore::SumStore;
 use gdroid_vetting::{
@@ -79,20 +79,19 @@ pub struct ServiceConfig {
     /// and runs the group through [`execute_coresident`], against the
     /// shared summary store when one is configured. `1` (the default)
     /// disables batching; a plan [`ExecPlan::check`] refuses to run
-    /// co-resident (cpu, persistent) and a warm start run solo. With a
+    /// co-resident (the CPU engines, the `plain` rung) and a warm start
+    /// run solo. With a
     /// store, co-residency shifts the order of store hits and therefore
     /// modeled timing, but never a verdict — as workers and devices do.
     pub coresident: usize,
-    /// The plan every submission starts from — engine and exec mode; its
+    /// The plan every submission starts from — its engine; its
     /// `targeted` flag is set per submission. The plan's lane predicates
-    /// decide what a job may use: only full multi-launch worklist jobs
-    /// touch the result cache or warm-start from a cached previous
-    /// version (cached outcomes embed that one cost profile). A
-    /// combination the plan would refuse is rerouted by
-    /// [`ExecPlan::fallback`], never failed: targeted submissions to a
-    /// service whose engine cannot slice (only the CPU reference) run on
-    /// the worklist engine, and [`ExecMode::Persistent`] on an engine that
-    /// cannot hold a resident kernel runs multi-launch.
+    /// decide what a job may use: only full worklist-GPU jobs touch the
+    /// result cache or warm-start from a cached previous version (cached
+    /// outcomes embed that one cost profile). A combination the plan
+    /// would refuse is rerouted by [`ExecPlan::fallback`], never failed:
+    /// targeted submissions to a service whose engine cannot slice (only
+    /// the CPU reference) run on the worklist engine.
     pub plan: ExecPlan,
 }
 
@@ -607,9 +606,6 @@ fn finish(
     if job.plan.engine.kind() == Some(EngineKind::Cpu) {
         Counters::bump(&state.metrics.counters.cpu_jobs);
     }
-    if job.plan.exec == ExecMode::Persistent {
-        Counters::bump(&state.metrics.counters.persistent_jobs);
-    }
     let outcome = run.outcome.clone();
     if job.plan.targeted {
         // Never cache a targeted outcome as a full one; account the
@@ -843,48 +839,6 @@ mod tests {
             );
         }
         assert!(json(&report).contains("\"cpu_jobs\":6"));
-    }
-
-    #[test]
-    fn persistent_jobs_bypass_the_cache_and_match_multi_launch_reports() {
-        let svc = VettingService::start(ServiceConfig {
-            prep_workers: 1,
-            devices: 1,
-            plan: ExecPlan { exec: ExecMode::Persistent, ..ExecPlan::default() },
-            coresident: 4,
-            ..ServiceConfig::default()
-        });
-        for seed in 0..3u64 {
-            svc.submit(Priority::Standard, seed_source(seed as usize, 5700 + seed)).unwrap();
-        }
-        // Resubmit the same apps: a multi-launch service would serve
-        // cache hits, a persistent service must re-analyze every one —
-        // cached outcomes embed the multi-launch cost profile.
-        svc.wait_for(3);
-        for seed in 0..3u64 {
-            svc.submit(Priority::Standard, seed_source(seed as usize, 5700 + seed)).unwrap();
-        }
-        let (report, results) = svc.drain();
-        assert_eq!(results.len(), 6);
-        assert!(results.iter().all(|r| r.status == JobStatus::Completed));
-        assert_eq!(report.cache.hits, 0, "persistent jobs must never be served from the cache");
-        assert_eq!(report.counters.persistent_jobs, 6);
-        assert_eq!(report.counters.batched_jobs, 0, "persistent jobs never join a batch");
-        // The vetting report itself is exec-mode-invariant byte for byte.
-        for r in &results {
-            let reference = vet_app(
-                generate_app(r.id as usize % 3, 5700 + r.id % 3, &GenConfig::tiny()),
-                gdroid_vetting::Engine::Gpu(OptConfig::gdroid()),
-            );
-            assert_eq!(
-                r.outcome.as_ref().unwrap().report.to_json(),
-                reference.report.to_json(),
-                "job {} diverged from the multi-launch reference",
-                r.id
-            );
-        }
-        let j = json(&report);
-        assert!(j.contains("\"persistent_jobs\":6"), "{j}");
     }
 
     fn ready_job(id: u64, seed: u64) -> ReadyJob {

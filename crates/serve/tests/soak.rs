@@ -20,7 +20,7 @@ use gdroid_gpusim::FaultPlan;
 use gdroid_serve::{
     CacheDisposition, JobSource, JobStatus, Priority, ServiceConfig, VettingService,
 };
-use gdroid_vetting::{vet_app, Engine, ExecPlan};
+use gdroid_vetting::{vet_app, Engine};
 use std::collections::{HashMap, HashSet};
 
 const DISTINCT_APPS: usize = 12;
@@ -275,17 +275,9 @@ fn every_lane_publishes_the_content_hash_of_its_source() {
     // The fast lane skips the per-method hashes; the content hash is not
     // theirs to skip.
     classic.submit_targeted(source()).unwrap();
-    let persistent = VettingService::start(ServiceConfig {
-        prep_workers: 1,
-        devices: 1,
-        plan: ExecPlan { exec: gdroid_core::ExecMode::Persistent, ..ExecPlan::default() },
-        ..ServiceConfig::default()
-    });
-    persistent.submit(Priority::Standard, source()).unwrap();
 
-    let (_, mut results) = classic.drain();
-    results.extend(persistent.drain().1);
-    assert_eq!(results.len(), 3);
+    let (_, results) = classic.drain();
+    assert_eq!(results.len(), 2);
     for r in &results {
         assert_eq!(r.status, JobStatus::Completed);
         assert_eq!(r.content_hash, want, "job {} ({:?})", r.id, r.cache);

@@ -12,7 +12,7 @@
 //! * [`report`] — leak reports and verdicts;
 //! * [`pipeline`] — the stages around the IDFG (environment → call graph
 //!   → … → taint) with the per-stage timing behind Fig. 1;
-//! * [`plan`] — [`ExecPlan`] (engine × exec mode × targeted), its
+//! * [`plan`] — [`ExecPlan`] (engine × targeted), its
 //!   capability table, and [`execute`], the one function that runs a
 //!   plan against an [`ExecCtx`] (device, summary store, tracer) with
 //!   byte-identical reports across every accepted combination — and

@@ -3,10 +3,9 @@
 //!
 //! The paper's IDFG construction is a single worklist kernel with MAT /
 //! GRP / MER as switches on it; everything layered on since — the CPU
-//! engines, persistent execution, targeted slicing, the summary store,
-//! tracing — is likewise a switch on one run, not a
-//! pipeline of its own. [`ExecPlan`] gathers the selectors
-//! (engine × exec mode × targeted), [`ExecCtx`] the run-time resources
+//! engines, targeted slicing, the summary store, tracing — is likewise a
+//! switch on one run, not a pipeline of its own. [`ExecPlan`] gathers the
+//! selectors (engine × targeted), [`ExecCtx`] the run-time resources
 //! (device, summary store, tracer), and [`execute`] performs the same five
 //! steps for every combination: optional slice → optional store lookup
 //! (∩ slice) → one analysis → taint + outcome contracts → optional store
@@ -72,8 +71,6 @@ pub struct EngineCaps {
     /// Co-resident multi-app batching (serve `coresident > 1`) with
     /// solo-identical timing: the rungs free of kernel-side `malloc`.
     pub batching: bool,
-    /// Persistent-kernel execution ([`ExecMode::Persistent`]).
-    pub persistent: bool,
     /// One-line description for `gdroid engines`.
     pub note: &'static str,
 }
@@ -128,19 +125,16 @@ impl Engine {
             sumstore: true,
             targeted: true,
             batching: true,
-            persistent: false,
             note: "a worklist-GPU ladder rung below full GDroid (Figs. 9 and 11)",
         };
         let cpu = EngineCaps {
             sumstore: false,
             targeted: false,
             batching: false,
-            persistent: false,
             note: "sequential CPU reference solver — the differential oracle",
         };
         match self {
             Engine::Gpu(opts) if opts == OptConfig::gdroid() => EngineCaps {
-                persistent: true,
                 note: "the paper's worklist-GPU kernels (MAT+GRP+MER); the default",
                 ..gpu
             },
@@ -162,9 +156,9 @@ impl Engine {
     /// The trait engine behind this selector (`None` for the two legacy
     /// CPU baselines, which predate the trait and keep their own cost
     /// models).
-    fn analysis_engine(self, exec: ExecMode) -> Option<Box<dyn AnalysisEngine>> {
+    fn analysis_engine(self) -> Option<Box<dyn AnalysisEngine>> {
         match self {
-            Engine::Gpu(opts) => Some(Box::new(WorklistEngine { opts, exec })),
+            Engine::Gpu(opts) => Some(Box::new(WorklistEngine { opts })),
             Engine::CpuReference => Some(Box::new(CpuEngine)),
             Engine::AmandroidCpu | Engine::MultithreadedCpu => None,
         }
@@ -182,8 +176,6 @@ impl std::fmt::Display for Engine {
 pub struct ExecPlan {
     /// Which engine constructs the IDFG.
     pub engine: Engine,
-    /// How fixpoint rounds map onto kernel launches.
-    pub exec: ExecMode,
     /// Demand-driven: analyze the backward sink slice only. The report is
     /// byte-identical to a full run; the outcome gains a
     /// [`TargetedProvenance`] block.
@@ -213,29 +205,23 @@ impl std::fmt::Display for PlanRefusal {
 }
 
 impl ExecPlan {
-    /// A full (untargeted) multi-launch run on `engine`.
+    /// A full (untargeted) run on `engine`.
     pub fn new(engine: impl Into<Engine>) -> ExecPlan {
-        ExecPlan { engine: engine.into(), exec: ExecMode::MultiLaunch, targeted: false }
+        ExecPlan { engine: engine.into(), targeted: false }
     }
 
     /// Accepts or refuses the combination — the engine's
-    /// [capabilities](Engine::caps) against the plan's exec mode and
-    /// targeting, against a summary store when the run will have one
-    /// attached, and against sharing launches when it runs `coresident`
-    /// ([`execute_coresident`], one launch per round: never persistent).
+    /// [capabilities](Engine::caps) against the plan's targeting, against
+    /// a summary store when the run will have one attached, and against
+    /// sharing launches when it runs `coresident` ([`execute_coresident`]).
     pub fn check(self, with_store: bool, coresident: bool) -> Result<(), PlanRefusal> {
         let caps = self.engine.caps();
-        let persistent = self.exec == ExecMode::Persistent;
-        let feature = if persistent && !caps.persistent {
-            "persistent-kernel execution"
-        } else if self.targeted && !caps.targeted {
+        let feature = if self.targeted && !caps.targeted {
             "targeted vetting"
         } else if with_store && !caps.sumstore {
             "the summary store"
         } else if coresident && !caps.batching {
             "co-resident batching"
-        } else if coresident && persistent {
-            "co-resident persistent execution"
         } else {
             return Ok(());
         };
@@ -244,14 +230,10 @@ impl ExecPlan {
 
     /// The nearest accepted plan, for a caller that must run every job
     /// rather than refuse one (the service): a targeted job on an engine
-    /// that cannot slice runs on full GDroid, and persistent execution on
-    /// an engine that cannot hold a resident kernel runs multi-launch.
+    /// that cannot slice runs on full GDroid.
     pub fn fallback(mut self) -> ExecPlan {
         if self.targeted && !self.engine.caps().targeted {
             self.engine = Engine::Gpu(OptConfig::gdroid());
-        }
-        if !self.engine.caps().persistent {
-            self.exec = ExecMode::MultiLaunch;
         }
         self
     }
@@ -259,25 +241,21 @@ impl ExecPlan {
     /// Whether the outcome may be served from, and inserted into, a
     /// result cache — and so whether a cached previous version of the app
     /// may warm-start it (a serving caller consumes and invalidates that
-    /// entry): a full, multi-launch worklist-GPU run. A hit is returned
+    /// entry): a full worklist-GPU run. A hit is returned
     /// verbatim, so its embedded cost profile must be the one every
     /// cacheable job would compute; a targeted outcome carries provenance
     /// and must never stand in for a full vetting.
     pub fn cacheable(self) -> bool {
-        matches!(self.engine, Engine::Gpu(_))
-            && self.exec == ExecMode::MultiLaunch
-            && !self.targeted
+        matches!(self.engine, Engine::Gpu(_)) && !self.targeted
     }
 }
 
-/// Instantiates the trait engine for a kind and exec mode — for callers
-/// that drive [`AnalysisEngine::analyze_on`] themselves. Panics on a
-/// combination [`ExecPlan::check`] refuses (only the worklist engine runs
-/// persistent).
-pub fn engine_for_mode(kind: EngineKind, exec: ExecMode) -> Box<dyn AnalysisEngine> {
-    let plan = ExecPlan { exec, ..ExecPlan::new(kind) };
-    plan.check(false, false).unwrap_or_else(|refusal| panic!("{refusal}"));
-    plan.engine.analysis_engine(exec).expect("every EngineKind is a trait engine")
+/// Instantiates the trait engine for a kind — for callers that drive
+/// [`AnalysisEngine::analyze_on`] themselves. The mode is ignored: every
+/// [`ExecMode`] runs the one multi-launch policy (the parameter stays
+/// for the frozen `benchmark/` harness until ROADMAP 3f).
+pub fn engine_for_mode(kind: EngineKind, _mode: ExecMode) -> Box<dyn AnalysisEngine> {
+    Engine::from(kind).analysis_engine().expect("every EngineKind is a trait engine")
 }
 
 static NO_TRACE: Tracer = Tracer::disabled();
@@ -339,7 +317,7 @@ pub fn execute(
     attach_tracer(ctx, &[prep]);
     let staged = stage(prep, plan, ctx);
     let AppInput { program, cg, roots, presolved, slice } = staged.input();
-    let analyzed = if let Some(engine) = plan.engine.analysis_engine(plan.exec) {
+    let analyzed = if let Some(engine) = plan.engine.analysis_engine() {
         let ea = engine.analyze_on(ctx.device, program, cg, roots, presolved, slice)?;
         let (analysis, idfg_ns, gpu) = to_app_analysis(ea);
         (analysis, idfg_ns, gpu.filter(|_| matches!(plan.engine, Engine::Gpu(_))))
@@ -523,7 +501,7 @@ mod tests {
         execute(prep, plan, ctx).expect("no fault plan")
     }
 
-    /// The whole product engine × exec × targeted × store × tracer: the
+    /// The whole product engine × targeted × store × tracer: the
     /// accept/refuse matrix is spelled out here independently of
     /// `Engine::caps`, and every accepted combination must reproduce the
     /// CPU reference's report and be blind to the tracer.
@@ -535,61 +513,56 @@ mod tests {
         let (mut accepted, mut store_cut_launched) = (0, false);
         for engine in Engine::all() {
             let gpu = matches!(engine, Engine::Gpu(_));
-            for exec in ExecMode::ALL {
-                for targeted in [false, true] {
-                    let plan = ExecPlan { engine, exec, targeted };
-                    let classic = gpu && exec == ExecMode::MultiLaunch && !targeted;
-                    assert_eq!(plan.cacheable(), classic, "{plan:?}");
-                    for with_store in [false, true] {
-                        let expected = (exec == ExecMode::MultiLaunch
-                            || engine == Engine::Gpu(OptConfig::gdroid()))
-                            && (!targeted || gpu)
-                            && (!with_store || engine != Engine::CpuReference);
-                        let what = format!("{plan:?} store={with_store}");
-                        assert_eq!(plan.check(with_store, false).is_ok(), expected, "{what}");
-                        if !expected {
-                            continue;
-                        }
-                        accepted += 1;
-                        let store = SumStore::new();
-                        let store = with_store.then_some(&store);
-                        let plain = run(&prep, plan, store, &Tracer::disabled());
-                        let outcome = &plain.run.outcome;
-                        assert_eq!(outcome.report.to_json(), reference, "{what}");
-                        assert_eq!(outcome.targeted.is_some(), targeted, "{what}");
-                        assert_eq!(outcome.store_bytes == 0, gpu, "{what}");
-                        assert_eq!(plain.store_use.is_some(), with_store, "{what}");
-
-                        let tracer = Tracer::enabled_new();
-                        let fresh = SumStore::new();
-                        let traced = run(&prep, plan, with_store.then_some(&fresh), &tracer);
-                        assert_eq!(traced.run.outcome.to_json(), outcome.to_json(), "{what}");
-                        let emitted = |name: &str| tracer.events().iter().any(|e| e.name == name);
-                        assert!(emitted("idfg"), "{what}: no stage spans");
-                        assert_eq!(emitted("sumstore"), with_store, "{what}");
-                        assert_eq!(emitted("targeted-slice"), targeted, "{what}");
-
-                        if !gpu {
-                            continue;
-                        }
-                        // Once more under the sanitizer, against the store
-                        // the first run warmed: full, sliced, store-cut
-                        // and persistent launches are all race-free.
-                        let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
-                        let checked = run_on(&mut device, &prep, plan, store, &Tracer::disabled());
-                        assert_eq!(checked.run.outcome.report.to_json(), reference, "{what}");
-                        let san = device.san_report().expect("sanitizer configured");
-                        assert!(san.is_clean(), "{what}: {san}");
-                        assert_eq!(san.accesses_checked > 0, device.launches() > 0, "{what}");
-                        store_cut_launched |=
-                            device.launches() > 0 && checked.store_use.is_some_and(|u| u.hits > 0);
+            for targeted in [false, true] {
+                let plan = ExecPlan { engine, targeted };
+                assert_eq!(plan.cacheable(), gpu && !targeted, "{plan:?}");
+                for with_store in [false, true] {
+                    let expected =
+                        (!targeted || gpu) && (!with_store || engine != Engine::CpuReference);
+                    let what = format!("{plan:?} store={with_store}");
+                    assert_eq!(plan.check(with_store, false).is_ok(), expected, "{what}");
+                    if !expected {
+                        continue;
                     }
+                    accepted += 1;
+                    let store = SumStore::new();
+                    let store = with_store.then_some(&store);
+                    let plain = run(&prep, plan, store, &Tracer::disabled());
+                    let outcome = &plain.run.outcome;
+                    assert_eq!(outcome.report.to_json(), reference, "{what}");
+                    assert_eq!(outcome.targeted.is_some(), targeted, "{what}");
+                    assert_eq!(outcome.store_bytes == 0, gpu, "{what}");
+                    assert_eq!(plain.store_use.is_some(), with_store, "{what}");
+
+                    let tracer = Tracer::enabled_new();
+                    let fresh = SumStore::new();
+                    let traced = run(&prep, plan, with_store.then_some(&fresh), &tracer);
+                    assert_eq!(traced.run.outcome.to_json(), outcome.to_json(), "{what}");
+                    let emitted = |name: &str| tracer.events().iter().any(|e| e.name == name);
+                    assert!(emitted("idfg"), "{what}: no stage spans");
+                    assert_eq!(emitted("sumstore"), with_store, "{what}");
+                    assert_eq!(emitted("targeted-slice"), targeted, "{what}");
+
+                    if !gpu {
+                        continue;
+                    }
+                    // Once more under the sanitizer, against the store
+                    // the first run warmed: full, sliced and store-cut
+                    // launches are all race-free.
+                    let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
+                    let checked = run_on(&mut device, &prep, plan, store, &Tracer::disabled());
+                    assert_eq!(checked.run.outcome.report.to_json(), reference, "{what}");
+                    let san = device.san_report().expect("sanitizer configured");
+                    assert!(san.is_clean(), "{what}: {san}");
+                    assert_eq!(san.accesses_checked > 0, device.launches() > 0, "{what}");
+                    store_cut_launched |=
+                        device.launches() > 0 && checked.store_use.is_some_and(|u| u.hits > 0);
                 }
             }
         }
         // 7 engines × 2 stores, minus cpu×store; + targeted for the 4
-        // device engines × 2 stores; + persistent worklist × 2 × 2.
-        assert_eq!(accepted, 13 + 8 + 4);
+        // device engines × 2 stores.
+        assert_eq!(accepted, 13 + 8);
         assert!(store_cut_launched, "no sanitized launch ran with store hits cut out");
         // The relational engine is retired (EXPERIMENTS.md): no spelling
         // selects it.
@@ -623,49 +596,45 @@ mod tests {
         };
         let (mut accepted, mut hit) = (0, false);
         for engine in Engine::all() {
-            for exec in ExecMode::ALL {
-                for targeted in [false, true] {
-                    let plan = ExecPlan { engine, exec, targeted };
-                    for with_store in [false, true] {
-                        let what = format!("{plan:?} store={with_store}");
-                        let mat = matches!(engine, Engine::Gpu(opts) if opts.mat);
-                        let expected = mat && exec == ExecMode::MultiLaunch;
-                        let store = warmed(with_store);
-                        let store = with_store.then_some(&store);
-                        assert_eq!(plan.check(with_store, true).is_ok(), expected, "{what}");
-                        let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
-                        let ctx = &mut ExecCtx { store, ..ExecCtx::new(&mut device) };
-                        if !expected {
-                            let group = std::panic::AssertUnwindSafe(|| {
-                                execute_coresident(&refs, plan, ctx).map(|_| ())
-                            });
-                            assert!(std::panic::catch_unwind(group).is_err(), "{what}");
-                            continue;
+            for targeted in [false, true] {
+                let plan = ExecPlan { engine, targeted };
+                for with_store in [false, true] {
+                    let what = format!("{plan:?} store={with_store}");
+                    let expected = matches!(engine, Engine::Gpu(opts) if opts.mat);
+                    let store = warmed(with_store);
+                    let store = with_store.then_some(&store);
+                    assert_eq!(plan.check(with_store, true).is_ok(), expected, "{what}");
+                    let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
+                    let ctx = &mut ExecCtx { store, ..ExecCtx::new(&mut device) };
+                    if !expected {
+                        let group = std::panic::AssertUnwindSafe(|| {
+                            execute_coresident(&refs, plan, ctx).map(|_| ())
+                        });
+                        assert!(std::panic::catch_unwind(group).is_err(), "{what}");
+                        continue;
+                    }
+                    accepted += 1;
+                    let (done, batch) = execute_coresident(&refs, plan, ctx).expect("no fault");
+                    assert_eq!(done.len(), 3, "{what}");
+                    assert!(batch.launches > 0, "{what}: the group never launched");
+                    let san = device.san_report().expect("sanitizer configured");
+                    assert!(san.is_clean(), "{what}: {san}");
+                    for (prep, got) in preps.iter().zip(&done) {
+                        let same_state = warmed(with_store);
+                        let solo = run(prep, plan, store.map(|_| &same_state), &off);
+                        let (got_run, want) = (&got.run, &solo.run);
+                        let outcome = got_run.outcome.to_json();
+                        assert_eq!(outcome, want.outcome.to_json(), "{what}");
+                        let (a, b) = (&got_run.analysis, &want.analysis);
+                        assert_eq!(a.summaries, b.summaries, "{what}");
+                        assert_eq!(a.facts.len(), b.facts.len(), "{what}");
+                        for (mid, facts) in &b.facts {
+                            let words = a.facts[mid].flat_words();
+                            assert_eq!(words, facts.flat_words(), "{what} {mid:?}");
                         }
-                        accepted += 1;
-                        let (done, batch) = execute_coresident(&refs, plan, ctx).expect("no fault");
-                        assert_eq!(done.len(), 3, "{what}");
-                        assert!(batch.launches > 0, "{what}: the group never launched");
-                        let san = device.san_report().expect("sanitizer configured");
-                        assert!(san.is_clean(), "{what}: {san}");
-                        for (prep, got) in preps.iter().zip(&done) {
-                            let same_state = warmed(with_store);
-                            let solo = run(prep, plan, store.map(|_| &same_state), &off);
-                            let (got_run, want) = (&got.run, &solo.run);
-                            let outcome = got_run.outcome.to_json();
-                            assert_eq!(outcome, want.outcome.to_json(), "{what}");
-                            let (a, b) = (&got_run.analysis, &want.analysis);
-                            assert_eq!(a.summaries, b.summaries, "{what}");
-                            assert_eq!(a.facts.len(), b.facts.len(), "{what}");
-                            for (mid, facts) in &b.facts {
-                                let words = a.facts[mid].flat_words();
-                                assert_eq!(words, facts.flat_words(), "{what} {mid:?}");
-                            }
-                            let uses =
-                                |e: &Executed| e.store_use.as_ref().map(|u| (u.hits, u.misses));
-                            assert_eq!(uses(got), uses(&solo), "{what}");
-                            hit |= got.store_use.as_ref().is_some_and(|u| u.hits > 0);
-                        }
+                        let uses = |e: &Executed| e.store_use.as_ref().map(|u| (u.hits, u.misses));
+                        assert_eq!(uses(got), uses(&solo), "{what}");
+                        hit |= got.store_use.as_ref().is_some_and(|u| u.hits > 0);
                     }
                 }
             }
@@ -733,52 +702,47 @@ mod tests {
 
         let mut cacheable = 0;
         for engine in Engine::all() {
-            for exec in ExecMode::ALL {
-                for targeted in [false, true] {
-                    let plan = ExecPlan { engine, exec, targeted };
-                    if !plan.cacheable() {
-                        continue;
+            for targeted in [false, true] {
+                let plan = ExecPlan { engine, targeted };
+                if !plan.cacheable() {
+                    continue;
+                }
+                cacheable += 1;
+                let v1_analysis = vet_prepared(&v1, plan).analysis;
+                for (row, prep, keep) in
+                    [("nothing", &v1, true), ("one leaf", &v2, true), ("everything", &v1, false)]
+                {
+                    let what = format!("{plan:?} {row}");
+                    // A fresh store per row: the warm run feeds its misses.
+                    let store = if keep {
+                        crate::summary_store(&v1, &v1_analysis)
+                    } else {
+                        SumStore::new()
+                    };
+                    assert_eq!(store.len() as u64, if keep { count } else { 0 }, "{what}");
+                    let cold = vet_prepared(prep, plan);
+                    let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
+                    let warm = run_on(&mut device, prep, plan, Some(&store), &Tracer::disabled());
+                    let (got, want) = (&warm.run, &cold);
+                    assert_eq!(got.outcome.report.to_json(), want.outcome.report.to_json());
+                    assert_eq!(got.analysis.summaries, want.analysis.summaries, "{what}");
+                    assert_eq!(got.analysis.facts.len(), want.analysis.facts.len(), "{what}");
+                    for (mid, facts) in &want.analysis.facts {
+                        let words = got.analysis.facts[mid].flat_words();
+                        assert_eq!(words, facts.flat_words(), "{what} {mid:?}");
                     }
-                    cacheable += 1;
-                    let v1_analysis = vet_prepared(&v1, plan).analysis;
-                    for (row, prep, keep) in [
-                        ("nothing", &v1, true),
-                        ("one leaf", &v2, true),
-                        ("everything", &v1, false),
-                    ] {
-                        let what = format!("{plan:?} {row}");
-                        // A fresh store per row: the warm run feeds its misses.
-                        let store = if keep {
-                            crate::summary_store(&v1, &v1_analysis)
-                        } else {
-                            SumStore::new()
-                        };
-                        assert_eq!(store.len() as u64, if keep { count } else { 0 }, "{what}");
-                        let cold = vet_prepared(prep, plan);
-                        let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
-                        let warm =
-                            run_on(&mut device, prep, plan, Some(&store), &Tracer::disabled());
-                        let (got, want) = (&warm.run, &cold);
-                        assert_eq!(got.outcome.report.to_json(), want.outcome.report.to_json());
-                        assert_eq!(got.analysis.summaries, want.analysis.summaries, "{what}");
-                        assert_eq!(got.analysis.facts.len(), want.analysis.facts.len(), "{what}");
-                        for (mid, facts) in &want.analysis.facts {
-                            let words = got.analysis.facts[mid].flat_words();
-                            assert_eq!(words, facts.flat_words(), "{what} {mid:?}");
-                        }
 
-                        let used = warm.store_use.expect("a store was attached");
-                        let (resolved, reused) = (used.misses, used.hits);
-                        assert_eq!(resolved + reused, count, "{what}");
-                        match row {
-                            "nothing" => assert_eq!(resolved, 0, "{what}"),
-                            "one leaf" => assert!(resolved >= 1 && reused > 0, "{what}"),
-                            _ => assert_eq!(reused, 0, "{what}"),
-                        }
-                        assert_eq!(device.launches() > 0, resolved > 0, "{what}");
-                        let san = device.san_report().expect("sanitizer configured");
-                        assert!(san.is_clean(), "{what}: {san}");
+                    let used = warm.store_use.expect("a store was attached");
+                    let (resolved, reused) = (used.misses, used.hits);
+                    assert_eq!(resolved + reused, count, "{what}");
+                    match row {
+                        "nothing" => assert_eq!(resolved, 0, "{what}"),
+                        "one leaf" => assert!(resolved >= 1 && reused > 0, "{what}"),
+                        _ => assert_eq!(reused, 0, "{what}"),
                     }
+                    assert_eq!(device.launches() > 0, resolved > 0, "{what}");
+                    let san = device.san_report().expect("sanitizer configured");
+                    assert!(san.is_clean(), "{what}: {san}");
                 }
             }
         }
@@ -788,15 +752,13 @@ mod tests {
     #[test]
     fn fallback_reroutes_only_what_check_refuses() {
         for engine in Engine::all() {
-            for exec in ExecMode::ALL {
-                for targeted in [false, true] {
-                    let plan = ExecPlan { engine, exec, targeted };
-                    let relaxed = plan.fallback();
-                    assert!(relaxed.check(false, false).is_ok(), "{plan:?} -> {relaxed:?}");
-                    assert_eq!(relaxed.targeted, targeted);
-                    if plan.check(false, false).is_ok() {
-                        assert_eq!(relaxed, plan);
-                    }
+            for targeted in [false, true] {
+                let plan = ExecPlan { engine, targeted };
+                let relaxed = plan.fallback();
+                assert!(relaxed.check(false, false).is_ok(), "{plan:?} -> {relaxed:?}");
+                assert_eq!(relaxed.targeted, targeted);
+                if plan.check(false, false).is_ok() {
+                    assert_eq!(relaxed, plan);
                 }
             }
         }
@@ -818,37 +780,26 @@ mod tests {
         assert_eq!(Engine::Gpu(OptConfig::mat()).kind(), None);
     }
 
+    /// The frozen-benchmark shim: every [`ExecMode`] runs the one
+    /// multi-launch policy.
     #[test]
-    fn persistent_exec_reports_match_multi_launch() {
-        for seed in [8710u64, 8711] {
-            let prep = prepare_vetting(generate_app(0, seed, &GenConfig::tiny()));
-            let mut md = Device::new(DeviceConfig::tesla_p40());
-            let multi = execute(&prep, ExecPlan::default(), &mut ExecCtx::new(&mut md))
+    fn engine_for_mode_ignores_the_retired_mode() {
+        let prep = prepare_vetting(generate_app(0, 8710, &GenConfig::tiny()));
+        let none = Presolved::new();
+        let analyze = |mode| {
+            let mut device = Device::new(DeviceConfig::tesla_p40());
+            engine_for_mode(EngineKind::Worklist, mode)
+                .analyze_on(&mut device, &prep.app.program, &prep.cg, &prep.roots, &none, None)
                 .expect("no fault plan")
-                .run;
-            let mut pd = Device::new(DeviceConfig::tesla_p40());
-            let persistent = ExecPlan { exec: ExecMode::Persistent, ..ExecPlan::default() };
-            let per =
-                execute(&prep, persistent, &mut ExecCtx::new(&mut pd)).expect("no fault plan").run;
-            assert_eq!(
-                per.outcome.report.to_json(),
-                multi.outcome.report.to_json(),
-                "persistent verdicts diverged on seed {seed}"
-            );
-            // Same fixpoint, one launch instead of one per round.
-            assert_eq!(pd.launches(), 1, "seed {seed}");
-            if md.launches() > 1 {
-                assert!(
-                    per.outcome.timing.idfg_ns < multi.outcome.timing.idfg_ns,
-                    "seed {seed}: persistent not faster"
-                );
-            }
+        };
+        let (multi, persistent) = (analyze(ExecMode::MultiLaunch), analyze(ExecMode::Persistent));
+        assert_eq!(persistent.summaries, multi.summaries);
+        assert_eq!(persistent.facts.len(), multi.facts.len());
+        for (mid, facts) in &multi.facts {
+            assert_eq!(persistent.facts[mid].flat_words(), facts.flat_words(), "{mid:?}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "persistent")]
-    fn persistent_exec_rejects_non_worklist_engines() {
-        engine_for_mode(EngineKind::Cpu, ExecMode::Persistent);
+        assert_eq!(persistent.idfg_ns, multi.idfg_ns);
+        assert_eq!(persistent.stats.launches, multi.stats.launches);
+        assert!(multi.stats.launches > 1, "one launch per round");
     }
 }

@@ -74,7 +74,7 @@
 //! summary store; `--scale F` scales the generator profile (default is
 //! the `small` profile, 0.25; a non-finite or non-positive `F` exits 2).
 //!
-//! `--engine`, `--exec`, `--targeted`, `--sumstore` and `--trace` are
+//! `--engine`, `--targeted`, `--sumstore` and `--trace` are
 //! parsed once (`PlanFlags`) into the `ExecPlan` every vetting verb runs.
 //! `--engine` selects how the IDFG fixpoint is computed: `worklist` (the
 //! full-GDroid rung; `gdroid` is the same value), `cpu` (the sequential
@@ -83,17 +83,9 @@
 //! verdicts are byte-identical across engines; only modeled timing
 //! differs. `gdroid engines` prints the capability table: `vet` refuses
 //! (exit 2) a combination an engine lacks, the service verbs reroute the
-//! job to the nearest plan that runs, only full multi-launch worklist
-//! jobs use the result cache and the incremental warm start, and cpu and
-//! persistent jobs never join a co-resident batch.
-//!
-//! `--exec persistent` switches the worklist engine to the
-//! persistent-kernel mode: each app's whole fixpoint runs as one
-//! resident mega-kernel launch owning a device-side worklist — one
-//! launch overhead per app instead of one per round, with a modeled
-//! grid-wide sync between rounds and host↔device traffic collapsed to
-//! the initial upload plus the final download. Facts and verdicts are
-//! byte-identical to multi-launch; only the cost profile changes.
+//! job to the nearest plan that runs, only full worklist-GPU jobs use
+//! the result cache and the incremental warm start, and cpu jobs never
+//! join a co-resident batch.
 //!
 //! Apps can come from a `.jil` file (the textual IR) or be generated on
 //! the fly from a numeric seed.
@@ -101,7 +93,6 @@
 use gdroid::apk::{
     generate_app, App, AppStats, Category, Corpus, CorpusStats, GenConfig, Manifest,
 };
-use gdroid::core::ExecMode;
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::ir::text::{parse_program, print_program};
 use gdroid::serve::{
@@ -117,8 +108,7 @@ use std::sync::Arc;
 
 /// One line per verb; [`verb_flags`] reads the accepted flags off it.
 const USAGE: &str = "usage:\n  gdroid gen <seed> [out.jil]\n  gdroid vet <app.jil|seed> \
-     [--engine plain|mat|matgrp|gdroid|worklist|cpu|mtcpu|amandroid] \
-     [--exec multi|persistent] [--targeted] \
+     [--engine plain|mat|matgrp|gdroid|worklist|cpu|mtcpu|amandroid] [--targeted] \
      [--sumstore <dir>] [--trace <out.json>] [--json]\n  \
      gdroid engines\n  \
      gdroid lint <app.jil|seed>\n  \
@@ -126,14 +116,14 @@ const USAGE: &str = "usage:\n  gdroid gen <seed> [out.jil]\n  gdroid vet <app.ji
      gdroid corpus <n>\n  gdroid dot <app.jil|seed> [out.dot]\n  gdroid export <n> <dir>\n  \
      gdroid assess <app.jil|seed> [--json]\n  \
      gdroid serve --apps N [--workers K] [--devices D] [--coresident C] [--faults P:B] \
-     [--engine worklist|cpu] [--exec multi|persistent] [--targeted-lane] \
+     [--engine worklist|cpu] [--targeted-lane] \
      [--sumstore <dir>] [--trace-dir <dir>] [--digest] [--json]\n  \
      gdroid batch <bundle-dir> [--workers K] [--devices D] [--coresident C] \
-     [--engine worklist|cpu] [--exec multi|persistent] [--sumstore <dir>] \
+     [--engine worklist|cpu] [--sumstore <dir>] \
      [--trace-dir <dir>] [--digest] [--json]\n  \
      gdroid sumstore stats|clear <dir>\n  \
      gdroid campaign --apps N [--shards S] [--seed X] [--workers K] [--devices D] \
-     [--coresident C] [--engine worklist|cpu] [--exec multi|persistent] [--targeted] \
+     [--coresident C] [--engine worklist|cpu] [--targeted] \
      [--sumstore] [--scale F] \
      [--snapshot] [--rotate N] [--shared-store] [--delta DIR] [--updates PPM[:SALT]] \
      [--journal-dir DIR] [--out FILE] [--verdicts FILE] [--trace-dir DIR] [--fresh] [--json]";
@@ -173,7 +163,7 @@ fn flag_str<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 
 /// The execution flags `vet`, `serve`, `batch` and `campaign` share.
 struct PlanFlags<'a> {
-    /// `--engine`, `--exec`, `--targeted`.
+    /// `--engine`, `--targeted`.
     plan: ExecPlan,
     /// `--sumstore` was given…
     sumstore: bool,
@@ -189,11 +179,9 @@ impl<'a> PlanFlags<'a> {
     fn parse(args: &'a [String]) -> PlanFlags<'a> {
         let engine = flag_str(args, "--engine")
             .map_or(ExecPlan::default().engine, |s| Engine::parse(s).unwrap_or_else(|| usage()));
-        let exec = flag_str(args, "--exec")
-            .map_or(ExecMode::default(), |s| ExecMode::parse(s).unwrap_or_else(|| usage()));
         let targeted = args.iter().any(|a| a == "--targeted");
         PlanFlags {
-            plan: ExecPlan { engine, exec, targeted },
+            plan: ExecPlan { engine, targeted },
             sumstore: args.iter().any(|a| a == "--sumstore"),
             store_dir: flag_str(args, "--sumstore"),
             trace: flag_str(args, "--trace").or_else(|| flag_str(args, "--trace-dir")),
@@ -498,20 +486,16 @@ fn main() {
             }
         }
         "engines" => {
-            println!(
-                "{:<10} {:<9} {:<9} {:<9} {:<11} note",
-                "engine", "sumstore", "targeted", "batching", "persistent"
-            );
+            println!("{:<10} {:<9} {:<9} {:<9} note", "engine", "sumstore", "targeted", "batching");
             let mark = |b: bool| if b { "yes" } else { "no" };
             for engine in Engine::all() {
                 let caps = engine.caps();
                 println!(
-                    "{:<10} {:<9} {:<9} {:<9} {:<11} {}",
+                    "{:<10} {:<9} {:<9} {:<9} {}",
                     engine.name(),
                     mark(caps.sumstore),
                     mark(caps.targeted),
                     mark(caps.batching),
-                    mark(caps.persistent),
                     caps.note,
                 );
             }
