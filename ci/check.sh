@@ -34,8 +34,8 @@ echo "==> retired-names ratchet: what EXPERIMENTS.md retired stays retired"
 # multi-GPU driver's, the blocks-per-SM tuner's, the hand-rolled JSON
 # helpers', the full-sweep solver's, the component ICFG's, the unused DOT
 # exporters', the device pool's, the second journal writer's, the
-# second method-identity scheme's or the thinner co-resident pipeline's
-# names anywhere.
+# second method-identity scheme's, the thinner co-resident pipeline's or
+# the live summary store's sharing knobs' names anywhere.
 rel_files=$(find crates/rel/src -type f | sort | tr '\n' ' ')
 [ "$rel_files" = "crates/rel/src/lib.rs " ] || {
   echo "retired-names ratchet: crates/rel/src holds $rel_files(want only lib.rs)" >&2
@@ -58,6 +58,7 @@ retired+='|execute_vetting_batch_on_device|batchable|BatchApp'
 retired+='|begin_persistent|persistent_round|end_persistent|PersistentSession|queue_pop|queue_push'
 retired+='|queue_op_cycles|grid_sync_cycles|absorb_round|persistent_jobs|persist_benchmark'
 retired+='|PERSIST_DETAIL_APPS'
+retired+='|shared_stores|shared-store|StoreComparison|run_store_comparison|store_sweep|result_cache'
 if grep -rnE "$retired" --include='*.rs' crates src tests examples; then
   echo "retired-names ratchet: a retired name is back (EXPERIMENTS.md, \"Retired: …\")" >&2
   exit 1
@@ -314,8 +315,9 @@ cmp -s "$trace_dir/a.json" "$trace_dir/b.json" || {
   exit 1
 }
 
-echo "==> sumstore smoke: 10 apps cold then warm against one store"
-cold=$(./target/release/gdroid serve --apps 10 --workers 2 --devices 2 --sumstore "$store_dir" --digest)
+echo "==> sumstore smoke: 10 apps cold, then against the store \`gdroid sumstore build\` wrote"
+./target/release/gdroid sumstore build "$store_dir" --apps 10
+cold=$(./target/release/gdroid serve --apps 10 --workers 2 --devices 2 --digest)
 warm_json=$(./target/release/gdroid serve --apps 10 --workers 2 --devices 2 --sumstore "$store_dir" --json)
 warm=$(./target/release/gdroid serve --apps 10 --workers 2 --devices 2 --sumstore "$store_dir" --digest)
 [ "$cold" = "$warm" ] || {
@@ -341,17 +343,22 @@ echo "$batch_out" | grep -q '"coresidency":' || {
 echo "==> composed batch smoke: co-resident groups share the summary store"
 composed_dir=$(mktemp -d)
 trap 'rm -rf "$trace_dir" "$store_dir" "$composed_dir"' EXIT
-solo_digest=$(./target/release/gdroid serve --apps 10 --devices 1 --sumstore "$composed_dir/solo" --digest)
+./target/release/gdroid sumstore build "$composed_dir" --apps 10
+solo_digest=$(./target/release/gdroid serve --apps 10 --devices 1 --sumstore "$composed_dir" --digest)
 group_digest=$(./target/release/gdroid serve --apps 10 --devices 1 --coresident 4 \
-  --sumstore "$composed_dir/group" --digest)
+  --sumstore "$composed_dir" --digest)
 [ "$solo_digest" = "$group_digest" ] || {
   echo "composed batch smoke: co-resident store-backed digests differ from solo" >&2
   exit 1
 }
 group_json=$(./target/release/gdroid serve --apps 10 --devices 1 --coresident 4 \
-  --sumstore "$composed_dir/json" --json)
+  --sumstore "$composed_dir" --json)
 if echo "$group_json" | grep -q '"batched_jobs":0,'; then
   echo "composed batch smoke: no batch formed with a summary store attached" >&2
+  exit 1
+fi
+if echo "$group_json" | grep -q '"sumstore":{"hits":0,'; then
+  echo "composed batch smoke: co-resident groups never hit the store" >&2
   exit 1
 fi
 

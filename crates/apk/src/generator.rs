@@ -116,6 +116,38 @@ pub fn generate_app(index: usize, seed: u64, config: &GenConfig) -> App {
     AppGen { rng, config, category, index, fw }.run(pb, seed)
 }
 
+/// The corpus's shared-library pool as one app: the framework plus
+/// library packages `0..lib_pool_size`, each generated exactly as every
+/// app that bundles it generates it ([`AppGen::gen_lib_package`] runs on
+/// the pool seed, in the package's own scope), and no components. Every
+/// method of the program is a library method.
+pub fn generate_library_pool(config: &GenConfig) -> App {
+    let mut pb = ProgramBuilder::new();
+    let fw = Framework::install(&mut pb);
+    let rng = Rng::new(config.lib_pool_seed);
+    let mut pool = AppGen { rng, config, category: Category::Tools, index: 0, fw };
+    for pkg in 0..config.lib_pool_size {
+        pool.gen_lib_package(&mut pb, pkg);
+    }
+    let name = "com.lib.pool".to_owned();
+    App {
+        name: name.clone(),
+        category: pool.category,
+        seed: config.lib_pool_seed,
+        program: validated(pb.finish(), config.lib_pool_seed),
+        manifest: Manifest { package: name, ..Manifest::default() },
+    }
+}
+
+/// `program`, asserted valid. Unconditional (not `debug_assert`): corpus
+/// runs are release builds, and an invalid program must never reach the
+/// kernels. Validation is linear and cheap next to the analysis itself.
+fn validated(program: gdroid_ir::Program, seed: u64) -> gdroid_ir::Program {
+    let errors = gdroid_ir::validate_program(&program);
+    assert!(errors.is_empty(), "generator produced invalid IR (seed {seed}): {:?}", errors.first());
+    program
+}
+
 struct AppGen<'a> {
     rng: Rng,
     config: &'a GenConfig,
@@ -253,21 +285,11 @@ impl<'a> AppGen<'a> {
             .collect();
 
         let name = format!("com.gen.app{:04}", self.index);
-        let program = pb.finish();
-        // Unconditional (not debug_assert): corpus runs are release builds,
-        // and an invalid program must never reach the kernels. Validation
-        // is linear and cheap next to the analysis itself.
-        let errors = gdroid_ir::validate_program(&program);
-        assert!(
-            errors.is_empty(),
-            "generator produced invalid IR (seed {seed}): {:?}",
-            errors.first()
-        );
         App {
             name: name.clone(),
             category: self.category,
             seed,
-            program,
+            program: validated(pb.finish(), seed),
             manifest: Manifest { package: name, components, permissions },
         }
     }
@@ -935,6 +957,40 @@ mod tests {
         assert!(app.program.methods.len() >= 4);
         assert!(!app.manifest.components.is_empty());
         assert!(app.manifest.launcher().is_some());
+    }
+
+    #[test]
+    fn the_library_pool_holds_every_package_as_its_apps_bundle_it() {
+        let config = GenConfig::tiny().with_libraries(2, 5);
+        let pool = generate_library_pool(&config);
+        assert!(validate_program(&pool.program).is_empty());
+        assert!(pool.manifest.components.is_empty());
+        let program = &pool.program;
+        let body_of = |class: &str, name: &str| {
+            program.methods.iter().find_map(|m| {
+                let same = program.interner.resolve(m.sig.class) == class
+                    && program.interner.resolve(m.sig.name) == name;
+                same.then(|| m.body.len())
+            })
+        };
+        let mut bundled = 0;
+        for index in 0..4 {
+            let app = generate_app(index, 77 + index as u64, &config);
+            for m in app.program.methods.iter() {
+                let class = app.program.interner.resolve(m.sig.class);
+                if class.starts_with("com/lib/") {
+                    let name = app.program.interner.resolve(m.sig.name);
+                    assert_eq!(body_of(class, name), Some(m.body.len()), "{class}");
+                    bundled += 1;
+                }
+            }
+        }
+        assert!(bundled > 0, "no app bundled a package");
+        for m in program.methods.iter() {
+            assert!(program.interner.resolve(m.sig.class).starts_with("com/lib/p"));
+        }
+        let empty = generate_library_pool(&GenConfig::tiny());
+        assert!(empty.program.methods.is_empty());
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use bundle::{
 pub use config::GenConfig;
 pub use corpus::{Corpus, PAPER_CORPUS_SIZE, PAPER_MASTER_SEED};
 pub use framework::{builtin_api_roles, ApiMethod, ApiRole, Framework};
-pub use generator::generate_app;
+pub use generator::{generate_app, generate_library_pool};
 pub use manifest::{Component, ComponentKind, IntentFilter, Manifest, Permission};
 pub use rng::Rng;
 pub use stats::{AppStats, CorpusStats};

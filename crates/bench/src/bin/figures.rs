@@ -13,8 +13,9 @@
 //! ```
 //!
 //! `serve` benchmarks the vetting service (worker/device scaling and a
-//! cache-hit sweep) and writes `BENCH_serve.json`. `sumstore` sweeps the
-//! cross-app summary store over library duplication factors and writes
+//! cache-hit sweep) and writes `BENCH_serve.json`. `sumstore` vets
+//! library corpora over duplication factors against their frozen library
+//! store (cold) and against what the cold runs solved (warm) and writes
 //! the byte-deterministic `BENCH_sumstore.json`. `trace` vets the corpus
 //! traced and untraced, proving tracing never perturbs outcomes, and
 //! writes the byte-deterministic `BENCH_trace.json`. `batch` sweeps
@@ -24,10 +25,10 @@
 //! (backward sink slice), asserts per-app verdict agreement, and writes
 //! the byte-deterministic `BENCH_targeted.json`. `corpus1000` streams the
 //! paper's full speedup ladder (kernel rungs, targeted, batching K 2/4/8,
-//! summary store) over the 1000-app corpus at the `small` profile and
+//! library store) over the 1000-app corpus at the `small` profile and
 //! writes the byte-deterministic `BENCH_corpus1000.json`. `snapshot10k`
-//! streams a rotated-journal campaign with a shared-store lane and a
-//! daily-delta lane and writes the byte-deterministic
+//! streams a rotated-journal campaign and a daily-delta lane and writes
+//! the byte-deterministic
 //! `BENCH_snapshot10k.json`. `sancheck` sweeps the sanitizer and lints
 //! over the corpus (exit 1 unless CLEAN), `csv`/`debug` dump per-app rows.
 
@@ -130,7 +131,7 @@ fn main() {
             "snapshot10k",
             format!(
                 "streaming a rotated snapshot campaign over {apps} apps ({SNAPSHOT_SHARDS} shards, \
-                 segments of {}) plus store and delta lanes",
+                 segments of {}) plus a delta lane",
                 snapshot_rotate(apps)
             ),
             &|| snapshot_benchmark(apps),

@@ -31,7 +31,7 @@ impl<'s> Lane<'s> {
         Lane { plan, store: None, device: Device::new(DeviceConfig::tesla_p40()), idfg_ns: 0.0 }
     }
 
-    /// A lane whose runs consult and feed `store`.
+    /// A lane whose runs read `store`.
     pub fn with_store(plan: ExecPlan, store: &'s SumStore) -> Lane<'s> {
         Lane { store: Some(store), ..Lane::new(plan) }
     }

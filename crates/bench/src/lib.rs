@@ -33,10 +33,7 @@ pub use corpus1000::{corpus1000_benchmark, Corpus1000, LadderRung};
 pub use record::{run_app, run_corpus, AppRecord, GpuSummary};
 pub use sancheck::{sancheck_corpus, SancheckOutcome};
 pub use serve::{run_service, serve_benchmark, ServePoint};
-pub use snapshot::{
-    run_store_comparison, snapshot_benchmark, snapshot_rotate, ShardHits, StoreComparison,
-    SNAPSHOT_ROTATE, SNAPSHOT_SHARDS,
-};
+pub use snapshot::{snapshot_benchmark, snapshot_rotate, SNAPSHOT_ROTATE, SNAPSHOT_SHARDS};
 pub use stats::{percent_below, percent_between, Series};
 pub use sumstore::{run_sumstore_point, sumstore_benchmark, SumstorePoint};
 pub use targeted::{run_targeted_point, targeted_benchmark, TargetedPoint};

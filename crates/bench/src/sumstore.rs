@@ -2,13 +2,14 @@
 //!
 //! For each library duplication factor (1, 2, 4, 8) a 20-app corpus is
 //! generated over a shared library pool sized so each package appears in
-//! ~`dup` apps, then vetted twice against one summary store:
+//! ~`dup` apps, then vetted twice, each time against a store built before
+//! the sweep and only read by it:
 //!
-//! * **cold** — the store starts empty; hits come only from libraries
-//!   already contributed by *earlier apps of the same sweep*, so the cold
-//!   hit rate isolates cross-app sharing and grows with `dup`;
-//! * **warm** — the same corpus re-vetted against the now-populated
-//!   store; every method pre-solves and the modeled IDFG time collapses.
+//! * **cold** — the corpus's library store (the pool's packages solved
+//!   once): every bundled library method pre-solves from the first app
+//!   on, and only app code is solved;
+//! * **warm** — the union of the cold runs' summary stores; every method
+//!   pre-solves and the modeled IDFG time collapses.
 //!
 //! Every number emitted into `BENCH_sumstore.json` is modeled or counted
 //! (no wall clocks), so the file is byte-deterministic for a fixed seed.
@@ -19,7 +20,7 @@ use crate::lane::Lane;
 use gdroid_apk::GenConfig;
 use gdroid_sumstore::SumStore;
 use gdroid_trace::JsonWriter;
-use gdroid_vetting::{ExecPlan, PreparedApp};
+use gdroid_vetting::{library_store, summary_store, ExecPlan, PreparedApp};
 
 /// Library packages each app draws from the shared pool.
 const LIBS_PER_APP: usize = 3;
@@ -36,13 +37,13 @@ pub struct SumstorePoint {
     pub cold_ns: f64,
     /// Summed modeled IDFG time of the warm sweep (ns).
     pub warm_ns: f64,
-    /// Store hits during the cold sweep (intra-corpus library sharing).
+    /// Methods the cold sweep pre-solved (bundled library code).
     pub cold_hits: u64,
-    /// Store misses during the cold sweep.
+    /// Methods the cold sweep solved (app code).
     pub cold_misses: u64,
-    /// Store hits during the warm sweep.
+    /// Methods the warm sweep pre-solved.
     pub warm_hits: u64,
-    /// Store misses during the warm sweep (0 for an unchanged corpus).
+    /// Methods the warm sweep solved (0 for an unchanged corpus).
     pub warm_misses: u64,
 }
 
@@ -66,39 +67,58 @@ impl SumstorePoint {
     }
 }
 
-/// Vets every prepared app against `store`, returning the summed modeled
-/// IDFG time, the per-app report JSONs, and the (hits, misses) this sweep
-/// added to the store counters.
-fn sweep(preps: &[PreparedApp], store: &SumStore) -> (f64, Vec<String>, u64, u64) {
-    let before = store.stats();
-    let mut lane = Lane::with_store(ExecPlan::default(), store);
-    let verdicts = preps.iter().map(|prep| lane.run(prep).run.outcome.report.to_json()).collect();
-    let after = store.stats();
-    (lane.idfg_ns, verdicts, after.hits - before.hits, after.misses - before.misses)
+/// One sweep of a corpus against a store.
+struct Sweep {
+    /// Summed modeled IDFG time (ns).
+    idfg_ns: f64,
+    /// Per-app report JSONs.
+    verdicts: Vec<String>,
+    /// Methods pre-solved, summed over the apps.
+    hits: u64,
+    /// Methods solved, summed over the apps.
+    misses: u64,
+    /// The union of every run's summary store.
+    solved: SumStore,
 }
 
-/// Runs one duplication-factor point: a fresh corpus, a fresh store, a
-/// cold sweep, then a warm sweep over the identical corpus.
+/// Vets every prepared app against `store`.
+fn sweep(preps: &[PreparedApp], store: &SumStore) -> Sweep {
+    let mut lane = Lane::with_store(ExecPlan::default(), store);
+    let (mut verdicts, mut hits, mut misses) = (Vec::new(), 0, 0);
+    let mut solved = SumStore::new();
+    for prep in preps {
+        let done = lane.run(prep);
+        let used = done.store_use.expect("a store was attached");
+        hits += used.hits;
+        misses += used.misses;
+        verdicts.push(done.run.outcome.report.to_json());
+        solved.absorb(summary_store(prep, &done.run.analysis));
+    }
+    Sweep { idfg_ns: lane.idfg_ns, verdicts, hits, misses, solved }
+}
+
+/// Runs one duplication-factor point: a fresh corpus, a cold sweep
+/// against its library store, then a warm sweep against what the cold
+/// sweep solved.
 pub fn run_sumstore_point(apps: usize, dup: usize) -> SumstorePoint {
     let pool = (apps * LIBS_PER_APP / dup).max(1);
     let cfg = GenConfig::tiny().with_libraries(LIBS_PER_APP, pool);
     let preps: Vec<PreparedApp> = corpus_preps(apps, &cfg);
 
-    let store = SumStore::new();
-    let (cold_ns, cold_verdicts, cold_hits, cold_misses) = sweep(&preps, &store);
-    let (warm_ns, warm_verdicts, warm_hits, warm_misses) = sweep(&preps, &store);
-    assert_eq!(cold_verdicts, warm_verdicts, "store changed a verdict at dup {dup}");
+    let cold = sweep(&preps, &library_store(&cfg));
+    let warm = sweep(&preps, &cold.solved);
+    assert_eq!(cold.verdicts, warm.verdicts, "store changed a verdict at dup {dup}");
 
     SumstorePoint {
         dup,
         apps,
         pool,
-        cold_ns,
-        warm_ns,
-        cold_hits,
-        cold_misses,
-        warm_hits,
-        warm_misses,
+        cold_ns: cold.idfg_ns,
+        warm_ns: warm.idfg_ns,
+        cold_hits: cold.hits,
+        cold_misses: cold.misses,
+        warm_hits: warm.hits,
+        warm_misses: warm.misses,
     }
 }
 
@@ -141,18 +161,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dup_factor_raises_cold_hit_rate_and_warm_presolves() {
-        let lone = run_sumstore_point(6, 1);
+    fn the_library_store_presolves_library_code_and_warm_presolves_everything() {
         let shared = run_sumstore_point(6, 6);
-        let rate =
-            |p: &SumstorePoint| p.cold_hits as f64 / (p.cold_hits + p.cold_misses).max(1) as f64;
-        assert!(
-            rate(&shared) > rate(&lone),
-            "dup 6 hit rate {} must beat dup 1 hit rate {}",
-            rate(&shared),
-            rate(&lone)
-        );
+        assert!(shared.cold_hits > 0, "no bundled library method pre-solved");
+        assert!(shared.cold_misses > 0, "app code must still be solved");
         assert_eq!(shared.warm_misses, 0, "unchanged corpus must fully pre-solve");
+        assert_eq!(shared.warm_hits, shared.cold_hits + shared.cold_misses);
         assert!(shared.warm_ns < shared.cold_ns);
         assert!(JsonWriter::render(|w| shared.write_json(w)).contains("\"dup\":6"));
     }

@@ -4,11 +4,11 @@
 //!
 //! Snapshot mode (`rotate_records`) has [`crate::journal`] rotate each
 //! shard journal into sealed segments, so resume and the fleet fold read
-//! one file per shard; `shared_stores` hands every shard service the same
-//! result cache and summary store `Arc`s; `delta_base` turns the run into
-//! a daily-delta campaign that copies forward the base snapshot's records
-//! for apps whose generator seed did not change and re-vets only the
-//! rest.
+//! one file per shard; `sumstore` builds the corpus's frozen library store
+//! once and hands the one `Arc` to every shard service; `delta_base`
+//! turns the run into a daily-delta campaign that copies forward the base
+//! snapshot's records for apps whose generator seed did not change and
+//! re-vets only the rest.
 
 use crate::journal::{
     read_campaign_journals, read_shard_tail, AppRecord, JournalError, JournalHeader, RecordStatus,
@@ -17,12 +17,12 @@ use crate::journal::{
 use crate::report::FleetReport;
 use gdroid_apk::{Corpus, GenConfig, PAPER_MASTER_SEED};
 use gdroid_serve::{
-    fnv1a, job_trace, JobResult, JobSource, JobStatus, Priority, ResultCache, ServiceConfig,
-    ServiceReport, VettingService,
+    fnv1a, job_trace, JobResult, JobSource, JobStatus, Priority, ServiceConfig, ServiceReport,
+    VettingService,
 };
 use gdroid_sumstore::SumStore;
 use gdroid_vetting::json::JsonWriter;
-use gdroid_vetting::ExecPlan;
+use gdroid_vetting::{library_store, ExecPlan};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -47,10 +47,11 @@ pub struct CampaignConfig {
     pub devices: usize,
     /// Co-residency degree per device (1 disables batching).
     pub coresident: usize,
-    /// Attach a cross-app summary store. Store pre-solving couples an
-    /// app's modeled timing to completion order, so journaled timings are
-    /// only run-stable with one worker, one device and no co-residency
-    /// per shard; verdicts are order-independent either way.
+    /// Attach the corpus's library store: [`library_store`] of
+    /// [`Self::gen`], built once before the first job and read by every
+    /// shard. Every reachable library method is pre-solved; verdicts and
+    /// journaled timings do not depend on shards, workers, devices or
+    /// co-residency.
     pub sumstore: bool,
     /// How every app is vetted: the engine the shard services run under
     /// (CPU-engine jobs bypass the per-shard result cache and co-resident
@@ -67,12 +68,6 @@ pub struct CampaignConfig {
     /// (`None` keeps the single-file layout, the default). Resume and the
     /// fleet fold then read only the one unsealed segment per shard.
     pub rotate_records: Option<usize>,
-    /// Share one result cache (and, with [`Self::sumstore`], one summary
-    /// store) across every shard service instead of cold-isolating each
-    /// shard. Changes store-hit coverage — a method summarized by shard 0
-    /// pre-solves shard 3's duplicate — so it participates in
-    /// [`config_digest`].
-    pub shared_stores: bool,
     /// Daily-delta mode: the journal directory of a finished base
     /// campaign. Apps whose effective per-app seed matches their base
     /// record are copied forward without re-vetting; only changed (and
@@ -105,7 +100,6 @@ impl CampaignConfig {
             plan: ExecPlan::default(),
             trace_dir: None,
             rotate_records: None,
-            shared_stores: false,
             delta_base: None,
             update_ppm: 0,
             update_salt: 0,
@@ -117,22 +111,21 @@ impl CampaignConfig {
 /// generator profile and the vetting mode. Resuming under a different
 /// digest is refused (the records would describe different apps or a
 /// different analysis); topology knobs (shard service sizes, coresidency,
-/// journal rotation) are deliberately excluded because they never change
-/// a verdict (with a store they shift store-hit order, and so modeled
-/// timing — see [`CampaignConfig::sumstore`]). Store sharing is included:
-/// it changes store-hit coverage and therefore modeled timings.
+/// journal rotation) are deliberately excluded because they change
+/// neither a verdict nor a modeled timing.
 pub fn config_digest(config: &CampaignConfig) -> u64 {
+    // `exec=multi` names the one launch policy left and `shared=false` the
+    // retired store-sharing knob; both stay so every store-free journal
+    // written before them still resumes. A store-backed journal written
+    // against a live store does not: `sumstore=frozen` refuses it rather
+    // than resume with mixed timings.
+    let sumstore = if config.sumstore { "frozen" } else { "false" };
     fnv1a(
         format!(
-            // `exec=multi` names the one launch policy left; it stays so
-            // every journal written before the persistent kernel retired
-            // still resumes.
-            "gen={:?} targeted={} sumstore={} engine={} exec=multi shared={}",
+            "gen={:?} targeted={} sumstore={sumstore} engine={} exec=multi shared=false",
             config.gen,
             config.plan.targeted,
-            config.sumstore,
             config.plan.engine.name(),
-            config.shared_stores,
         )
         .as_bytes(),
     )
@@ -286,10 +279,8 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Campaign
         None => None,
     };
 
-    // Shared cross-shard stores: one result cache (and one summary store)
-    // for the whole fleet instead of a cold-isolated pair per shard.
-    let shared_cache = config.shared_stores.then(|| Arc::new(ResultCache::new()));
-    let shared_store = (config.shared_stores && config.sumstore).then(|| Arc::new(SumStore::new()));
+    // The library store, built once for every shard.
+    let store = config.sumstore.then(|| Arc::new(library_store(&config.gen)));
 
     let shard_outcomes: Vec<Result<ShardOutcome, CampaignError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.shards)
@@ -299,8 +290,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Campaign
                     corpus: &corpus,
                     digest,
                     shard,
-                    shared_cache: shared_cache.clone(),
-                    shared_store: shared_store.clone(),
+                    store: store.clone(),
                     base: base.as_ref().map(|(_, map)| map),
                 };
                 scope.spawn(move || run_shard(ctx))
@@ -331,19 +321,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Campaign
             None => o.report,
         });
     }
-    let mut service = service.expect("shards > 0 always yields a service report");
-    if config.shared_stores {
-        // Every shard's report snapshotted the *same* shared cache/store,
-        // so the merged global stats counted them once per shard; replace
-        // them with one snapshot. The per-shard attribution in
-        // `service.per_source` keeps the split.
-        if let Some(cache) = &shared_cache {
-            service.cache = cache.stats();
-        }
-        if let Some(store) = &shared_store {
-            service.sumstore = store.stats();
-        }
-    }
+    let service = service.expect("shards > 0 always yields a service report");
 
     // The fleet report is folded from what is durably on disk — never
     // from live state — so an uninterrupted run and a kill/resume run
@@ -417,8 +395,8 @@ struct ShardCtx<'a> {
     corpus: &'a Corpus,
     digest: u64,
     shard: usize,
-    shared_cache: Option<Arc<ResultCache>>,
-    shared_store: Option<Arc<SumStore>>,
+    /// The library store — `Some` iff the campaign attaches one.
+    store: Option<Arc<SumStore>>,
     base: Option<&'a HashMap<usize, AppRecord>>,
 }
 
@@ -426,7 +404,7 @@ struct ShardCtx<'a> {
 /// slice through a fresh [`VettingService`], and checkpoint every
 /// terminal result the moment it is harvested.
 fn run_shard(ctx: ShardCtx<'_>) -> Result<ShardOutcome, CampaignError> {
-    let ShardCtx { config, corpus, digest, shard, shared_cache, shared_store, base } = ctx;
+    let ShardCtx { config, corpus, digest, shard, store, base } = ctx;
     let header = JournalHeader {
         version: JOURNAL_VERSION,
         master_seed: config.master_seed,
@@ -465,10 +443,7 @@ fn run_shard(ctx: ShardCtx<'_>) -> Result<ShardOutcome, CampaignError> {
         prep_workers: config.prep_workers,
         devices: config.devices,
         coresident: config.coresident,
-        sumstore: config
-            .sumstore
-            .then(|| shared_store.clone().unwrap_or_else(|| Arc::new(SumStore::new()))),
-        result_cache: shared_cache,
+        sumstore: store,
         plan: config.plan,
         ..ServiceConfig::default()
     });
@@ -628,6 +603,15 @@ mod tests {
             digest(ExecPlan::new(gdroid_vetting::Engine::CpuReference)),
             0xc875_70a6_f0c6_7ea8
         );
+        // A journal written against a live store is refused, not resumed
+        // with mixed timings.
+        let frozen = config_digest(&CampaignConfig { sumstore: true, ..base.clone() });
+        let live = format!(
+            "gen={:?} targeted=false sumstore=true engine=worklist exec=multi shared=false",
+            base.gen
+        );
+        assert_ne!(frozen, fnv1a(live.as_bytes()));
+        assert_ne!(frozen, digest(ExecPlan::default()));
     }
 
     fn header(dir_apps: usize) -> JournalHeader {

@@ -29,11 +29,12 @@
 //! * [`trace`] — post-drain per-job Chrome traces in modeled time
 //!   (wall-clock jitter never reaches a trace file).
 //!
-//! A shared [`gdroid_sumstore::SumStore`] can be attached via
+//! A [`gdroid_sumstore::SumStore`] the caller built (a corpus's
+//! `gdroid_vetting::library_store`) can be attached via
 //! [`ServiceConfig::sumstore`]: executors then vet through
-//! `gdroid-vetting`'s store-aware path, pre-solving library methods
-//! contributed by earlier jobs, and the [`ServiceReport`] surfaces the
-//! store's hit/miss counters beside the result cache's.
+//! `gdroid-vetting`'s store-aware path, pre-solving the library methods
+//! it holds without ever writing it, and the [`ServiceReport`] surfaces
+//! the runs' hits and misses beside the result cache's counters.
 //!
 //! Verdicts are engine-independent: a cached, incremental, or device
 //! outcome renders the byte-identical report JSON a sequential

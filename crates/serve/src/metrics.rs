@@ -260,12 +260,9 @@ counters! {
     sliced_fraction_micros,
     /// Jobs executed under the CPU reference engine.
     cpu_jobs,
-    /// Summary-store method hits attributable to this service's own
-    /// executions (service-local even when the store `Arc` is shared
-    /// across shards — the store's global stats can't say *who* hit).
+    /// Methods this service's runs pre-solved from its summary store.
     store_hits,
-    /// Summary-store method misses attributable to this service's own
-    /// executions.
+    /// Reachable methods this service's store-backed runs solved.
     store_misses,
 }
 
@@ -290,6 +287,10 @@ pub struct ServiceMetrics {
     pub kernel_model: Histogram,
     /// Modeled taint time of completed runs.
     pub taint_model: Histogram,
+    /// Store entries this service's runs dropped because they failed to
+    /// re-bind. Reported in [`ServiceReport::sumstore`] only, so the
+    /// counters' JSON keeps its shape.
+    pub store_reloc_failures: AtomicU64,
     started: Instant,
 }
 
@@ -309,6 +310,7 @@ impl ServiceMetrics {
             exec_wall: Histogram::new(),
             kernel_model: Histogram::new(),
             taint_model: Histogram::new(),
+            store_reloc_failures: AtomicU64::new(0),
             started: Instant::now(),
         }
     }
@@ -316,18 +318,24 @@ impl ServiceMetrics {
     /// Builds the machine-readable report. `label` names this service in
     /// the report's per-source attribution (shards pass their shard
     /// label, so a merged fleet report can still say which shard's jobs
-    /// hit the shared caches).
+    /// hit). The summary-store block is this service's runs' traffic; no
+    /// run inserts, so its `insertions` reads 0.
     pub fn report(
         &self,
         label: &str,
         cache: CacheStats,
-        sumstore: SumStoreStats,
         device_launches: u64,
         device_faults: u64,
     ) -> ServiceReport {
         let wall_ns = self.started.elapsed().as_nanos() as u64;
         let counters = self.counters.snapshot();
         let (apps_per_sec, coresidency, mean_sliced_fraction) = derived_ratios(&counters, wall_ns);
+        let sumstore = SumStoreStats {
+            hits: counters.store_hits,
+            misses: counters.store_misses,
+            insertions: 0,
+            reloc_failures: self.store_reloc_failures.load(Ordering::Relaxed),
+        };
         let per_source = vec![SourceStats {
             label: label.to_owned(),
             cache_hits: counters.cache_hits,
@@ -373,11 +381,10 @@ fn derived_ratios(counters: &CountersSnapshot, wall_ns: u64) -> (f64, f64, f64) 
     (apps_per_sec, coresidency, mean_sliced_fraction)
 }
 
-/// Per-service attribution of shared-resource traffic. When several
-/// shard services share one result cache or summary store, the shared
-/// object's global stats can't say which shard benefited; each service
-/// contributes one entry of its own (service-local) hit counts, and
-/// [`ServiceReport::merge`] concatenates them.
+/// Per-service attribution of cache and store traffic: each service
+/// contributes one entry of its own hit counts, and
+/// [`ServiceReport::merge`] concatenates them, so a merged fleet report
+/// still says which shard's jobs hit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SourceStats {
     /// The contributing service's label.
@@ -412,8 +419,8 @@ pub struct ServiceReport {
     pub taint_model: HistogramSnapshot,
     /// Cache behavior.
     pub cache: CacheStats,
-    /// Cross-app summary-store behavior (zeroed when no store is
-    /// configured).
+    /// Cross-app summary-store traffic of this service's runs, from their
+    /// `StoreUse`s (zeroed when no store is configured).
     pub sumstore: SumStoreStats,
     /// Service wall-clock from start to report.
     pub wall_ns: u64,
@@ -611,14 +618,17 @@ mod tests {
                     Counters::bump(&m.counters.targeted_jobs);
                     m.counters.sliced_fraction_micros.fetch_add(125_000, Ordering::Relaxed);
                 }
+                if i % 4 == 0 {
+                    m.counters.store_hits.fetch_add(3, Ordering::Relaxed);
+                    Counters::bump(&m.counters.store_misses);
+                    Counters::bump(&m.store_reloc_failures);
+                }
             }
         }
         let cache = |h, m| CacheStats { hits: h, misses: m, invalidations: 0, insertions: m };
-        let sum = |h, m| SumStoreStats { hits: h, misses: m, insertions: m, reloc_failures: 0 };
-        let mut expect = whole.report("whole", cache(6, 2), sum(8, 2), 10, 1);
-        let mut merged = parts[0]
-            .report("shard-0", cache(2, 1), sum(3, 1), 4, 0)
-            .merge(&parts[1].report("shard-1", cache(4, 1), sum(5, 1), 6, 1));
+        let mut expect = whole.report("whole", cache(6, 2), 10, 1);
+        let shard_0 = parts[0].report("shard-0", cache(2, 1), 4, 0);
+        let mut merged = shard_0.merge(&parts[1].report("shard-1", cache(4, 1), 6, 1));
         // Per-source attribution is one entry per contributing service —
         // by construction different between the whole and the split — so
         // it is checked structurally and cleared before the byte compare.
@@ -635,6 +645,7 @@ mod tests {
             r.per_source.clear();
         }
         assert_eq!(json(&merged), json(&expect));
+        assert!(merged.sumstore.hits > 0 && merged.sumstore.reloc_failures > 0);
         assert!(merged.mean_sliced_fraction > 0.0 && merged.mean_sliced_fraction < 1.0);
     }
 
@@ -644,7 +655,8 @@ mod tests {
         Counters::bump(&m.counters.completed);
         Counters::bump(&m.counters.store_hits);
         m.exec_wall.record(1_000);
-        let r = m.report("service", CacheStats::default(), SumStoreStats::default(), 3, 1);
+        m.store_reloc_failures.fetch_add(2, Ordering::Relaxed);
+        let r = m.report("service", CacheStats::default(), 3, 1);
         let j = json(&r);
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"completed\":1"));
@@ -657,7 +669,7 @@ mod tests {
         assert!(j.contains("\"cache\":{"));
         assert!(
             j.contains(
-                "\"sumstore\":{\"hits\":0,\"misses\":0,\"insertions\":0,\"reloc_failures\":0}"
+                "\"sumstore\":{\"hits\":1,\"misses\":0,\"insertions\":0,\"reloc_failures\":2}"
             ),
             "sumstore stats must sit beside the cache stats: {j}"
         );
@@ -666,7 +678,7 @@ mod tests {
     #[test]
     fn source_labels_are_json_escaped() {
         let m = ServiceMetrics::new();
-        let r = m.report("a\"b\\c", CacheStats::default(), SumStoreStats::default(), 0, 0);
+        let r = m.report("a\"b\\c", CacheStats::default(), 0, 0);
         assert!(
             json(&r).contains("\"per_source\":[{\"label\":\"a\\\"b\\\\c\",\"cache_hits\":0,"),
             "{}",

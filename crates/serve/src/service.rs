@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// Label naming this service in the report's per-source attribution
     /// (campaign shards pass `shard-<s>` so merged fleet reports keep
-    /// per-shard hit counts even when the caches themselves are shared).
+    /// per-shard hit counts).
     pub label: String,
     /// Host-side prep worker threads (K).
     pub prep_workers: usize,
@@ -64,25 +64,18 @@ pub struct ServiceConfig {
     pub max_retries: u32,
     /// Optional injected-fault schedule, installed on every device.
     pub fault_plan: Option<FaultPlan>,
-    /// Optional cross-app summary store shared by every executor. Runs
-    /// pre-solve store-hit methods and feed fresh summaries back; `None`
-    /// disables the store entirely.
+    /// Optional cross-app summary store the caller built (a corpus's
+    /// `gdroid_vetting::library_store`, or one opened from disk), read by
+    /// every executor and written by none: runs pre-solve store-hit
+    /// methods. `None` disables the store entirely.
     pub sumstore: Option<Arc<SumStore>>,
-    /// Optional externally shared result cache. Campaign shards hand the
-    /// same `Arc` to every shard service so one shard's completed app
-    /// serves another's duplicate; `None` gives the service a private
-    /// cache (the default, and the previous behavior).
-    pub result_cache: Option<Arc<ResultCache>>,
     /// Co-residency degree: an executor that pops a job tops the device
     /// up with up to `coresident - 1` further ready jobs under the same
     /// plan whose combined block demand fits the device's block slots,
     /// and runs the group through [`execute_coresident`], against the
-    /// shared summary store when one is configured. `1` (the default)
-    /// disables batching; a plan [`ExecPlan::check`] refuses to run
-    /// co-resident (the CPU engines, the `plain` rung) and a warm start
-    /// run solo. With a
-    /// store, co-residency shifts the order of store hits and therefore
-    /// modeled timing, but never a verdict — as workers and devices do.
+    /// summary store when one is configured. `1` (the default) disables
+    /// batching; a plan [`ExecPlan::check`] refuses to run co-resident
+    /// (the CPU engines, the `plain` rung) and a warm start run solo.
     pub coresident: usize,
     /// The plan every submission starts from — its engine; its
     /// `targeted` flag is set per submission. The plan's lane predicates
@@ -105,7 +98,6 @@ impl Default for ServiceConfig {
             max_retries: 3,
             fault_plan: None,
             sumstore: None,
-            result_cache: None,
             coresident: 1,
             plan: ExecPlan::default(),
         }
@@ -140,7 +132,7 @@ impl ServiceConfig {
 struct ServiceState {
     label: String,
     dispatch: DispatchHeap,
-    cache: Arc<ResultCache>,
+    cache: ResultCache,
     metrics: ServiceMetrics,
     results: Mutex<Vec<JobResult>>,
     results_cv: std::sync::Condvar,
@@ -182,7 +174,7 @@ impl VettingService {
             label: config.label,
             // One executing plus one buffered app per device.
             dispatch: DispatchHeap::new(2 * devices.len()),
-            cache: config.result_cache.unwrap_or_else(|| Arc::new(ResultCache::new())),
+            cache: ResultCache::new(),
             metrics: ServiceMetrics::new(),
             results: Mutex::new(Vec::new()),
             results_cv: std::sync::Condvar::new(),
@@ -313,7 +305,6 @@ impl VettingService {
         let report = self.state.metrics.report(
             &self.state.label,
             self.state.cache.stats(),
-            self.state.sumstore.as_ref().map(|s| s.stats()).unwrap_or_default(),
             devices.iter().map(Device::launches).sum(),
             devices.iter().map(Device::faults_injected).sum(),
         );
@@ -501,7 +492,7 @@ fn exec_loop(state: &ServiceState, device: &mut Device) {
     }
 }
 
-/// The service's shared summary store, if `plan`'s engine can use one.
+/// The service's summary store, if `plan`'s engine can use one.
 /// Engines that cannot (only the CPU reference) skip it rather than
 /// fault; they are never cacheable, so never warm.
 fn shared_store(state: &ServiceState, plan: ExecPlan) -> Option<&SumStore> {
@@ -521,8 +512,8 @@ fn try_incremental(state: &ServiceState, job: &mut ReadyJob) {
 
 /// Runs one attempt of a group on the executor's device: a job alone
 /// through [`execute`] (against the previous version's summary store when
-/// the lookup found one, else the shared store if any), several through
-/// [`execute_coresident`] against the shared store. Members' results equal
+/// the lookup found one, else the service's store if any), several through
+/// [`execute_coresident`] against the service's store. Members' results equal
 /// solo runs' (the batch driver repacks each app's own blocks), so the
 /// cache stays coherent. A device fault or an overrun budget fails the
 /// whole attempt: every member retries individually.
@@ -532,7 +523,7 @@ fn exec_group(state: &ServiceState, device: &mut Device, group: Vec<ReadyJob>) {
     let plan = group[0].plan;
     let shared = shared_store(state, plan);
     let attempt: Result<Vec<Executed>, _> = if let [job] = &group[..] {
-        // A warm start neither consults nor feeds the shared store.
+        // A warm start does not consult the service's store.
         let ctx = &mut ExecCtx { store: job.warm.as_ref().or(shared), ..ExecCtx::new(device) };
         execute(&job.prep, plan, ctx).map(|done| vec![done])
     } else {
@@ -557,13 +548,12 @@ fn exec_group(state: &ServiceState, device: &mut Device, group: Vec<ReadyJob>) {
                         let (resolved, reused) = (used.misses as usize, used.hits as usize);
                         cache = CacheDisposition::Incremental { resolved, reused };
                     } else {
-                        // Shared-store runs report which methods *this*
-                        // execution hit; the counters keep that attribution
-                        // service-local, because the store's own global
-                        // stats can't when the store Arc is shared across
-                        // shards.
+                        // The service's store traffic is what its runs
+                        // pre-solved — the one definition of a hit.
                         counters.store_hits.fetch_add(used.hits, Ordering::Relaxed);
                         counters.store_misses.fetch_add(used.misses, Ordering::Relaxed);
+                        let relocs = &state.metrics.store_reloc_failures;
+                        relocs.fetch_add(used.reloc_failures, Ordering::Relaxed);
                     }
                 }
                 if timed_out {
@@ -653,7 +643,7 @@ mod tests {
     use super::*;
     use gdroid_apk::GenConfig;
     use gdroid_core::OptConfig;
-    use gdroid_vetting::vet_app;
+    use gdroid_vetting::{library_store, vet_app};
 
     fn json(report: &ServiceReport) -> String {
         gdroid_trace::JsonWriter::render(|w| report.write_json(w))
@@ -722,15 +712,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_sumstore_reports_hits_beside_cache() {
-        let store = Arc::new(SumStore::new());
+    fn a_library_store_reports_the_runs_hits_beside_cache() {
+        let config = GenConfig::tiny().with_libraries(2, 2);
+        let store = Arc::new(library_store(&config));
+        let entries = store.len();
         let svc = VettingService::start(ServiceConfig {
             prep_workers: 1,
             devices: 1,
             sumstore: Some(Arc::clone(&store)),
             ..ServiceConfig::default()
         });
-        let config = GenConfig::tiny().with_libraries(2, 2);
         for seed in 0..3u64 {
             svc.submit(
                 Priority::Standard,
@@ -744,61 +735,16 @@ mod tests {
         }
         let (report, results) = svc.drain();
         assert!(results.iter().all(|r| r.status == JobStatus::Completed));
-        assert!(report.sumstore.insertions > 0);
+        assert_eq!(store.len(), entries, "no run writes the store");
+        assert_eq!(report.sumstore.insertions, 0);
         assert!(report.sumstore.hits > 0, "shared-library corpus must hit the store");
-        assert_eq!(report.sumstore.hits, store.stats().hits);
-        // Service-local attribution must agree with the store's own view
-        // when this service is the store's only client.
-        assert_eq!(report.counters.store_hits, store.stats().hits);
-        assert_eq!(report.counters.store_misses, store.stats().misses);
+        // One definition of a hit: the methods the runs pre-solved.
+        assert_eq!(report.sumstore.hits, report.counters.store_hits);
+        assert_eq!(report.sumstore.misses, report.counters.store_misses);
         assert_eq!(report.per_source.len(), 1);
-        assert_eq!(report.per_source[0].store_hits, store.stats().hits);
+        assert_eq!(report.per_source[0].store_hits, report.sumstore.hits);
         let j = json(&report);
         assert!(j.contains("\"cache\":{") && j.contains("\"sumstore\":{\"hits\":"));
-    }
-
-    #[test]
-    fn shared_result_cache_serves_hits_across_services() {
-        // Two sequential services sharing one cache Arc: the second must
-        // be served the first's completed apps without executing, and the
-        // attribution must say so per service.
-        let cache = Arc::new(ResultCache::new());
-        let first = VettingService::start(ServiceConfig {
-            label: "first".to_owned(),
-            prep_workers: 1,
-            devices: 1,
-            result_cache: Some(Arc::clone(&cache)),
-            ..ServiceConfig::default()
-        });
-        for seed in 0..3u64 {
-            first.submit(Priority::Standard, seed_source(seed as usize, 5800 + seed)).unwrap();
-        }
-        let (first_report, first_results) = first.drain();
-        assert_eq!(first_report.counters.cache_hits, 0);
-        let second = VettingService::start(ServiceConfig {
-            label: "second".to_owned(),
-            prep_workers: 1,
-            devices: 1,
-            result_cache: Some(Arc::clone(&cache)),
-            ..ServiceConfig::default()
-        });
-        for seed in 0..3u64 {
-            second.submit(Priority::Standard, seed_source(seed as usize, 5800 + seed)).unwrap();
-        }
-        let (second_report, second_results) = second.drain();
-        assert_eq!(second_report.counters.cache_hits, 3, "shared cache must serve every app");
-        assert_eq!(second_report.counters.executed, 0);
-        for (a, b) in first_results.iter().zip(&second_results) {
-            assert_eq!(
-                a.outcome.as_ref().map(|o| o.report.to_json()),
-                b.outcome.as_ref().map(|o| o.report.to_json()),
-                "cached outcome diverged across services"
-            );
-        }
-        let merged = first_report.merge(&second_report);
-        assert_eq!(merged.per_source.len(), 2);
-        assert_eq!(merged.per_source[0].label, "first");
-        assert_eq!(merged.per_source[1].cache_hits, 3);
     }
 
     #[test]
@@ -871,12 +817,13 @@ mod tests {
         timeout: Duration,
         jobs: Vec<ReadyJob>,
     ) -> ServiceState {
-        let cache = Arc::new(ResultCache::new());
-        run_executor_on(cache, None, coresident, max_retries, timeout, jobs)
+        run_executor_on(ResultCache::new(), None, coresident, max_retries, timeout, jobs)
     }
 
+    /// [`run_executor`] with a given result cache (hand a previous run's
+    /// `state.cache` on to warm it) and summary store.
     fn run_executor_on(
-        cache: Arc<ResultCache>,
+        cache: ResultCache,
         sumstore: Option<Arc<SumStore>>,
         coresident: usize,
         max_retries: u32,
@@ -939,9 +886,9 @@ mod tests {
             let jobs = (0..6u64)
                 .map(|id| ready_job_of(id, generate_app(id as usize, 5950 + id, &config)))
                 .collect();
-            let store = Some(Arc::new(SumStore::new()));
-            let cache = Arc::new(ResultCache::new());
-            let state = run_executor_on(cache, store, coresident, 3, JOB_TIMEOUT, jobs);
+            let store = Some(Arc::new(library_store(&config)));
+            let state =
+                run_executor_on(ResultCache::new(), store, coresident, 3, JOB_TIMEOUT, jobs);
             let mut results = std::mem::take(&mut *state.results.lock().unwrap());
             results.sort_by_key(|r| r.id);
             (state.metrics.counters.snapshot(), results)
@@ -950,7 +897,8 @@ mod tests {
         let (batched, batched_results) = run(4);
         assert_eq!((solo.batched_jobs, solo.executed), (0, 6), "{solo:?}");
         assert!(batched.batches >= 1 && batched.batched_jobs >= 2, "{batched:?}");
-        assert!(batched.store_hits > 0, "grouped jobs never hit the shared store: {batched:?}");
+        assert!(batched.store_hits > 0, "grouped jobs never hit the library store: {batched:?}");
+        assert_eq!(batched.store_hits, solo.store_hits, "co-residency moved a store hit");
         for (a, b) in solo_results.iter().zip(&batched_results) {
             let report = |r: &JobResult| r.outcome.as_ref().map(|o| o.report.to_json());
             assert_eq!((a.id, report(a)), (b.id, report(b)), "a verdict moved under co-residency");
@@ -1014,23 +962,18 @@ mod tests {
 
     #[test]
     fn a_warm_started_attempt_times_out_retries_and_quarantines_like_any_other() {
-        // A v1 run warms a shared cache; the v2 job then finds its previous
+        // A v1 run warms the cache; the v2 job then finds its previous
         // version there. With a zero budget its warm-started attempts
         // overrun like a device run's would.
-        let cache = Arc::new(ResultCache::new());
         let base = || generate_app(50, 7777, &GenConfig::tiny());
-        let first = VettingService::start(ServiceConfig {
-            prep_workers: 1,
-            devices: 1,
-            result_cache: Some(Arc::clone(&cache)),
-            ..ServiceConfig::default()
-        });
-        first.submit(Priority::Standard, JobSource::App(Box::new(base()))).unwrap();
-        assert_eq!(first.drain().1[0].cache, CacheDisposition::Miss);
-        assert_eq!(cache.len(), 1);
-
+        let v1 = || vec![ready_job_of(0, base())];
         let v2 = || vec![ready_job_of(1, updated(base()))];
-        let state = run_executor_on(Arc::clone(&cache), None, 1, 2, Duration::ZERO, v2());
+        let budget = Duration::from_secs(30);
+        let first = run_executor_on(ResultCache::new(), None, 1, 2, budget, v1());
+        assert_eq!(first.results.lock().unwrap()[0].cache, CacheDisposition::Miss);
+        assert_eq!(first.cache.len(), 1);
+
+        let state = run_executor_on(first.cache, None, 1, 2, Duration::ZERO, v2());
         let results = state.results.lock().unwrap();
         let [r] = &results[..] else { panic!("one job, one result") };
         assert_eq!(r.status, JobStatus::Quarantined);
@@ -1044,31 +987,28 @@ mod tests {
             "a timed-out attempt counts as neither"
         );
         // The lookup consumed the stale entry; the quarantined run left none.
-        assert_eq!(cache.stats().invalidations, 1);
-        assert!(cache.is_empty());
+        assert_eq!(state.cache.stats().invalidations, 1);
+        assert!(state.cache.is_empty());
         drop(results);
 
         // With a budget, the same sequence is the soak test's warm start.
-        let cache = Arc::new(ResultCache::new());
-        let v1 = || vec![ready_job_of(0, base())];
-        run_executor_on(Arc::clone(&cache), None, 1, 2, Duration::from_secs(30), v1());
-        let state = run_executor_on(Arc::clone(&cache), None, 1, 2, Duration::from_secs(30), v2());
+        let first = run_executor_on(ResultCache::new(), None, 1, 2, budget, v1());
+        let state = run_executor_on(first.cache, None, 1, 2, budget, v2());
         let results = state.results.lock().unwrap();
         // The edited method and its environment caller miss (a canonical
         // hash folds in its callees'); the other 21 are pre-solved.
         assert_eq!(results[0].cache, CacheDisposition::Incremental { resolved: 2, reused: 21 });
         let c = state.metrics.counters.snapshot();
         assert_eq!((c.cache_incremental, c.executed, c.timeouts), (1, 0, 0));
-        assert_eq!(cache.len(), 1, "the warm-started run is cached like a cold one");
+        assert_eq!(state.cache.len(), 1, "the warm-started run is cached like a cold one");
         drop(results);
 
         // Under co-residency the warm start still runs solo, whether it was
         // popped first or as a top-up; the cold jobs around it batch.
-        let cache = Arc::new(ResultCache::new());
-        run_executor_on(Arc::clone(&cache), None, 1, 2, Duration::from_secs(30), v1());
+        let first = run_executor_on(ResultCache::new(), None, 1, 2, budget, v1());
         let mut jobs = v2();
         jobs.extend((2..5u64).map(|id| ready_job(id, 5900 + id)));
-        let state = run_executor_on(cache, None, 4, 2, Duration::from_secs(30), jobs);
+        let state = run_executor_on(first.cache, None, 4, 2, budget, jobs);
         let c = state.metrics.counters.snapshot();
         assert_eq!((c.cache_incremental, c.executed, c.batched_jobs), (1, 3, 3), "{c:?}");
     }

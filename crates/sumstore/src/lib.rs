@@ -16,15 +16,17 @@
 //! - [`reloc`] — relocatable summaries: program-relative field ids are
 //!   replaced by *(class name, field name)* pairs so app A's summary
 //!   instantiates inside app B.
-//! - [`store`] — the [`SumStore`]: a thread-safe map from canonical
-//!   hash to stored summary + raw fact words, with hit/miss/insertion
-//!   counters.
+//! - [`store`] — the [`SumStore`]: a map from canonical hash to stored
+//!   summary + raw fact words, built before the runs that read it and
+//!   frozen while they do.
 //! - [`persist`] — optional on-disk persistence (versioned binary
 //!   format, integrity-checked).
 //!
 //! Store-hit methods are treated as pre-summarized leaves by the ICFG
 //! layering and never enter the GPU worklist; see
-//! `gdroid_vetting::execute` (an `ExecCtx` with a store) for the wiring.
+//! `gdroid_vetting::execute` (an `ExecCtx` with a store) for the wiring
+//! and `gdroid_vetting::{library_store, summary_store}` for the two
+//! builders.
 
 #![warn(missing_docs)]
 

@@ -7,21 +7,23 @@
 //! words and the space geometry they were computed under; the geometry
 //! acts as a belt-and-braces integrity check at instantiation time.
 //!
-//! The store is internally synchronized (a single [`Mutex`]) so one
-//! handle can be shared across service workers behind an `Arc`.
+//! A store is built before the runs that read it and is only read while
+//! they run: [`SumStore::insert`] takes `&mut self`, so a store shared
+//! behind an `Arc` is frozen, and what a run hits is a function of the
+//! store and the app alone — never of which other run finished first.
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Mutex;
 
 use crate::reloc::RelocSummary;
 
-/// Running counters for a store handle.
+/// Store traffic as a service report publishes it. A run's traffic is
+/// its own (`gdroid_vetting::StoreUse`); a frozen store counts nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SumStoreStats {
-    /// Lookups that found a matching entry.
+    /// Methods pre-solved from the store.
     pub hits: u64,
-    /// Lookups that found nothing.
+    /// Reachable methods solved by the run.
     pub misses: u64,
     /// Entries newly inserted (duplicates are not counted).
     pub insertions: u64,
@@ -31,8 +33,8 @@ pub struct SumStoreStats {
 }
 
 impl SumStoreStats {
-    /// Exact merge of two instances' lifetime counters (field-wise sum) —
-    /// used when per-shard service reports fold into one fleet report.
+    /// Exact merge of two reports' counters (field-wise sum) — used when
+    /// per-shard service reports fold into one fleet report.
     pub fn merge(&self, other: &SumStoreStats) -> SumStoreStats {
         SumStoreStats {
             hits: self.hits + other.hits,
@@ -60,25 +62,10 @@ pub struct StoredMethod {
     pub words: Vec<u64>,
 }
 
-#[derive(Default)]
-struct Inner {
-    entries: HashMap<u128, StoredMethod>,
-    stats: SumStoreStats,
-}
-
-/// Cross-app summary store. Cheap to share via `Arc<SumStore>`.
-#[derive(Default)]
+/// Cross-app summary store: a map from canonical hash to stored method.
+#[derive(Debug, Default)]
 pub struct SumStore {
-    inner: Mutex<Inner>,
-}
-
-impl std::fmt::Debug for SumStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SumStore")
-            .field("entries", &self.len())
-            .field("stats", &self.stats())
-            .finish()
-    }
+    entries: HashMap<u128, StoredMethod>,
 }
 
 impl SumStore {
@@ -96,79 +83,53 @@ impl SumStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => HashMap::new(),
             Err(e) => return Err(e),
         };
-        Ok(SumStore { inner: Mutex::new(Inner { entries, stats: SumStoreStats::default() }) })
+        Ok(SumStore { entries })
     }
 
-    /// Persists the entries under `dir` (created if absent). Counters
-    /// are session-local and not persisted.
+    /// Persists the entries under `dir` (created if absent).
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let inner = self.lock();
-        let bytes = crate::persist::encode(&inner.entries);
+        let bytes = crate::persist::encode(&self.entries);
         std::fs::write(dir.join(crate::persist::STORE_FILE), bytes)
     }
 
-    /// Looks up a canonical key, counting a hit or miss.
-    pub fn lookup(&self, key: u128) -> Option<StoredMethod> {
-        let mut inner = self.lock();
-        match inner.entries.get(&key) {
-            Some(entry) => {
-                let entry = entry.clone();
-                inner.stats.hits += 1;
-                Some(entry)
-            }
-            None => {
-                inner.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Records that a hit could not be instantiated in the target
-    /// program; callers treat such lookups as misses.
-    pub fn note_reloc_failure(&self) {
-        self.lock().stats.reloc_failures += 1;
+    /// The entry stored under a canonical key.
+    pub fn lookup(&self, key: u128) -> Option<&StoredMethod> {
+        self.entries.get(&key)
     }
 
     /// Inserts an entry unless the key is already present. Returns
     /// whether the entry was newly inserted.
-    pub fn insert(&self, key: u128, entry: StoredMethod) -> bool {
-        let mut inner = self.lock();
-        if inner.entries.contains_key(&key) {
+    pub fn insert(&mut self, key: u128, entry: StoredMethod) -> bool {
+        if self.entries.contains_key(&key) {
             return false;
         }
-        inner.entries.insert(key, entry);
-        inner.stats.insertions += 1;
+        self.entries.insert(key, entry);
         true
     }
 
-    /// Snapshot of the counters.
+    /// Adds every entry of `other` whose key is not present yet — the
+    /// union of two stores.
+    pub fn absorb(&mut self, other: SumStore) {
+        for (key, entry) in other.entries {
+            self.insert(key, entry);
+        }
+    }
+
+    /// The store's size as report counters: every entry was inserted
+    /// once, and a frozen store counts no traffic.
     pub fn stats(&self) -> SumStoreStats {
-        self.lock().stats
+        SumStoreStats { insertions: self.len() as u64, ..SumStoreStats::default() }
     }
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.lock().entries.len()
+        self.entries.len()
     }
 
     /// Whether the store holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all entries (counters are kept).
-    pub fn clear(&self) {
-        self.lock().entries.clear();
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A panic while holding the lock leaves only counters and a
-        // plain map behind; recovering the data is always safe.
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.entries.is_empty()
     }
 }
 
@@ -196,33 +157,34 @@ mod tests {
     }
 
     #[test]
-    fn lookup_and_insert_count() {
-        let store = SumStore::new();
+    fn insert_keeps_the_first_entry_and_absorb_unions() {
+        let mut store = SumStore::new();
         assert!(store.lookup(1).is_none());
         assert!(store.insert(1, entry(1)));
         assert!(!store.insert(1, entry(2)), "duplicate key is ignored");
-        assert_eq!(store.lookup(1).unwrap(), entry(1));
-        store.note_reloc_failure();
-        let s = store.stats();
-        assert_eq!((s.hits, s.misses, s.insertions, s.reloc_failures), (1, 1, 1, 1));
-        assert_eq!(store.len(), 1);
-        store.clear();
-        assert!(store.is_empty());
-        assert_eq!(store.stats().insertions, 1, "clear keeps counters");
+        assert_eq!(store.lookup(1), Some(&entry(1)));
+        let mut other = SumStore::new();
+        other.insert(1, entry(3));
+        other.insert(2, entry(2));
+        store.absorb(other);
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.lookup(1), Some(&entry(1)), "absorb keeps the present entry");
+        assert_eq!(store.lookup(2), Some(&entry(2)));
+        assert_eq!(store.stats(), SumStoreStats { insertions: 2, ..SumStoreStats::default() });
     }
 
     #[test]
     fn persistence_roundtrip() {
         let dir = std::env::temp_dir().join(format!("gdroid-sumstore-rt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = SumStore::new();
+        let mut store = SumStore::new();
         store.insert(42, entry(1));
         store.insert(u128::MAX, entry(9));
         store.save(&dir).unwrap();
         let reopened = SumStore::open(&dir).unwrap();
         assert_eq!(reopened.len(), 2);
-        assert_eq!(reopened.lookup(42).unwrap(), entry(1));
-        assert_eq!(reopened.lookup(u128::MAX).unwrap(), entry(9));
+        assert_eq!(reopened.lookup(42), Some(&entry(1)));
+        assert_eq!(reopened.lookup(u128::MAX), Some(&entry(9)));
         // Byte-stable: saving the reopened store reproduces the file.
         let first = std::fs::read(dir.join(crate::persist::STORE_FILE)).unwrap();
         reopened.save(&dir).unwrap();
@@ -242,7 +204,7 @@ mod tests {
     fn corrupt_file_is_rejected() {
         let dir = std::env::temp_dir().join(format!("gdroid-sumstore-bad-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = SumStore::new();
+        let mut store = SumStore::new();
         store.insert(7, entry(3));
         store.save(&dir).unwrap();
         let file = dir.join(crate::persist::STORE_FILE);

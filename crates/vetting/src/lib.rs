@@ -17,10 +17,12 @@
 //!   plan against an [`ExecCtx`] (device, summary store, tracer) with
 //!   byte-identical reports across every accepted combination — and
 //!   [`execute_coresident`], its steps for a co-resident group;
-//! * [`store_exec`] — the summary-store steps of a run: store-hit
-//!   methods are pre-solved and never scheduled, fresh solves feed the
-//!   [`gdroid_sumstore::SumStore`]; [`summary_store`] turns a finished run
-//!   into the store a later version of the app warm-starts from;
+//! * [`store_exec`] — the summary-store step of a run: store-hit methods
+//!   are pre-solved and never scheduled; no run writes the
+//!   [`gdroid_sumstore::SumStore`]. Its two builders: [`library_store`]
+//!   solves a corpus's library packages once, and [`summary_store`] turns
+//!   a finished run into the store a later version of the app
+//!   warm-starts from;
 //! * [`targeted`] — the demand-driven step: a backward slice from the
 //!   sink statements restricts the engine to the methods that can
 //!   influence a sink verdict;
@@ -33,8 +35,9 @@
 //!
 //! [`prepare_vetting`] runs the host-side prep stage once per app. Then:
 //!
-//! * [`execute`]`(&prep, plan, &mut ctx)` — every single-app run, cold
-//!   or warm-started from a previous version's [`summary_store`];
+//! * [`execute`]`(&prep, plan, &mut ctx)` — every single-app run, cold,
+//!   against a corpus's [`library_store`], or warm-started from a
+//!   previous version's [`summary_store`];
 //! * [`vet_prepared`] / [`vet_app`] — `execute` on a fresh device with
 //!   no store and no tracer (the latter prepares the app itself);
 //! * [`execute_coresident`]`(&preps, plan, &mut ctx)` — the same steps
@@ -66,6 +69,6 @@ pub use plugins::{
 };
 pub use registry::{SourceId, SourceSinkRegistry};
 pub use report::{Leak, Verdict, VettingReport};
-pub use store_exec::{summary_store, StoreUse};
+pub use store_exec::{library_store, summary_store, StoreUse};
 pub use taint::{TaintAnalysis, TaintStats};
 pub use targeted::{compute_vetting_slice, sink_reachability_findings, TargetedProvenance};

@@ -6,12 +6,12 @@
 //! engines, targeted slicing, the summary store, tracing — is likewise a
 //! switch on one run, not a pipeline of its own. [`ExecPlan`] gathers the
 //! selectors (engine × targeted), [`ExecCtx`] the run-time resources
-//! (device, summary store, tracer), and [`execute`] performs the same five
+//! (device, summary store, tracer), and [`execute`] performs the same four
 //! steps for every combination: optional slice → optional store lookup
-//! (∩ slice) → one analysis → taint + outcome contracts → optional store
-//! feed and stage spans; [`execute_coresident`] runs them for a group of
-//! apps around one shared analysis. A warm start from a previous version
-//! of the app is the store step with that version's
+//! (∩ slice) → one analysis → taint, outcome contracts and stage spans;
+//! [`execute_coresident`] runs them for a group of apps around one shared
+//! analysis. No step writes the store. A warm start from a previous
+//! version of the app is the store step with that version's
 //! [`summary_store`](crate::summary_store) attached.
 //!
 //! [`Engine::caps`] is the capability table and [`ExecPlan::check`] the
@@ -22,7 +22,7 @@
 use crate::pipeline::{
     finish_vetting, to_app_analysis, trace_stage_spans, PreparedApp, VettingRun,
 };
-use crate::store_exec::{absorb_into_store, collect_presolved, StoreUse};
+use crate::store_exec::{collect_presolved, StoreUse};
 use crate::targeted::{compute_vetting_slice, TargetedProvenance};
 use gdroid_analysis::{analyze_app_presolved, AppAnalysis, BackwardSlice, CpuCostModel, StoreKind};
 use gdroid_core::{
@@ -30,10 +30,8 @@ use gdroid_core::{
     GpuRunStats, OptConfig, Presolved, WorklistEngine,
 };
 use gdroid_gpusim::{Device, DeviceConfig, DeviceFault};
-use gdroid_ir::MethodId;
 use gdroid_sumstore::SumStore;
 use gdroid_trace::Tracer;
-use std::collections::HashMap;
 
 /// Which engine constructs the IDFG.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,10 +264,10 @@ pub struct ExecCtx<'a> {
     /// take the slot but never touch it, so a service executor needs no
     /// special case.
     pub device: &'a mut Device,
-    /// Summary store — shared across apps, or a previous version's
+    /// Summary store, read only — a corpus's
+    /// [`library_store`](crate::library_store), or a previous version's
     /// [`summary_store`](crate::summary_store) for a warm start: hits are
-    /// pre-solved and never scheduled, fresh solves are inserted
-    /// afterwards.
+    /// pre-solved and never scheduled.
     pub store: Option<&'a SumStore>,
     /// Modeled-time trace sink. When enabled it is installed on the
     /// device, whose clock is advanced past the prep stages so device
@@ -298,9 +296,8 @@ pub struct Executed {
 /// Runs the IDFG + taint stages of `plan` on a prepared app.
 ///
 /// An injected [`DeviceFault`] surfaces as `Err` so a serving caller can
-/// retry the job (store lookups happen before the device is touched and
-/// are simply repeated; the store's counters are diagnostics, not
-/// accounting). Panics if [`ExecPlan::check`] refuses the plan for this
+/// retry the job (store lookups only read, so a retry simply repeats
+/// them). Panics if [`ExecPlan::check`] refuses the plan for this
 /// context — callers gate on it first.
 ///
 /// Facts, and therefore the report, are byte-identical for every
@@ -336,10 +333,9 @@ pub fn execute(
 /// [`execute`] for a group of apps sharing kernel launches on one device
 /// ([`gpu_analyze_batch_on`]): each member's stage step, one co-resident
 /// analysis, each member's finish step (stage spans on trace track =
-/// member index). Members look the store up before any of them feeds
-/// it, so each member's [`Executed`] equals a solo [`execute`] against
-/// the store as it stood when the group started. An injected fault
-/// aborts the whole group; the caller retries the members individually.
+/// member index). Each member's [`Executed`] equals a solo [`execute`]
+/// against the same store. An injected fault aborts the whole group; the
+/// caller retries the members individually.
 /// Panics if [`ExecPlan::check`] refuses the plan co-resident.
 pub fn execute_coresident(
     preps: &[&PreparedApp],
@@ -349,7 +345,7 @@ pub fn execute_coresident(
     plan.check(ctx.store.is_some(), true).unwrap_or_else(|refusal| panic!("{refusal}"));
     let Engine::Gpu(opts) = plan.engine else { unreachable!("check admits only device rungs") };
     attach_tracer(ctx, preps);
-    let staged: Vec<Staged<'_, '_>> = preps.iter().map(|prep| stage(prep, plan, ctx)).collect();
+    let staged: Vec<Staged<'_>> = preps.iter().map(|prep| stage(prep, plan, ctx)).collect();
     let inputs: Vec<AppInput<'_>> = staged.iter().map(Staged::input).collect();
     let (analyses, batch) = gpu_analyze_batch_on(ctx.device, &inputs, opts)?;
     let members = staged.into_iter().zip(analyses.into_iter().map(to_app_analysis));
@@ -369,17 +365,17 @@ fn attach_tracer(ctx: &mut ExecCtx<'_>, preps: &[&PreparedApp]) {
 }
 
 /// One app after the stage step.
-struct Staged<'p, 's> {
+struct Staged<'p> {
     prep: &'p PreparedApp,
     /// The backward sink slice — `Some` iff the plan is targeted.
     slice: Option<BackwardSlice>,
     /// The store hits (∩ slice) — empty without a store.
     presolved: Presolved,
-    /// The attached store and every reachable method's canonical hash.
-    store: Option<(&'s SumStore, HashMap<MethodId, u128>)>,
+    /// How the run used the store — `Some` iff one is attached.
+    store_use: Option<StoreUse>,
 }
 
-impl Staged<'_, '_> {
+impl Staged<'_> {
     fn input(&self) -> AppInput<'_> {
         let Staged { prep, slice, presolved, .. } = self;
         let slice = slice.as_ref().map(|s| &s.members);
@@ -389,7 +385,7 @@ impl Staged<'_, '_> {
 
 /// The stage step: the optional slice, then the optional store lookup
 /// restricted to it, each traced as one instant.
-fn stage<'p, 's>(prep: &'p PreparedApp, plan: ExecPlan, ctx: &ExecCtx<'s>) -> Staged<'p, 's> {
+fn stage<'p>(prep: &'p PreparedApp, plan: ExecPlan, ctx: &ExecCtx<'_>) -> Staged<'p> {
     let tracer = ctx.tracer;
     let slice = plan.targeted.then(|| compute_vetting_slice(prep));
     if let (Some(slice), true) = (&slice, tracer.enabled()) {
@@ -407,16 +403,10 @@ fn stage<'p, 's>(prep: &'p PreparedApp, plan: ExecPlan, ctx: &ExecCtx<'s>) -> St
         );
     }
 
-    // Store hits, restricted to slice members: the intersection stays
-    // closed under slice-internal callee edges because the looked-up set
-    // is closed under *all* callee edges.
     let Some(store) = ctx.store else {
-        return Staged { prep, slice, presolved: Presolved::new(), store: None };
+        return Staged { prep, slice, presolved: Presolved::new(), store_use: None };
     };
-    let (mut presolved, hashes) = collect_presolved(prep, store);
-    if let Some(slice) = &slice {
-        presolved.retain(|m, _| slice.members.contains(m));
-    }
+    let (presolved, used) = collect_presolved(prep, store, slice.as_ref().map(|s| &s.members));
     if tracer.enabled() {
         // Hits short-circuit whole subtrees out of the kernel schedule, so
         // the trace records them as one instant, not as launch spans.
@@ -427,23 +417,23 @@ fn stage<'p, 's>(prep: &'p PreparedApp, plan: ExecPlan, ctx: &ExecCtx<'s>) -> St
             0,
             vec![
                 ("hits", (presolved.len() as u64).into()),
-                ("candidates", (hashes.len() as u64).into()),
+                ("candidates", (used.hits + used.misses).into()),
                 ("package", prep.app.name.as_str().into()),
             ],
         );
     }
-    Staged { prep, slice, presolved, store: Some((store, hashes)) }
+    Staged { prep, slice, presolved, store_use: Some(used) }
 }
 
 /// The finish step: taint, the `store_bytes` and provenance contracts,
-/// the stage spans on `track`, and the store feed.
+/// and the stage spans on `track`.
 fn finish(
-    staged: Staged<'_, '_>,
+    staged: Staged<'_>,
     (analysis, idfg_ns, gpu): (AppAnalysis, f64, Option<GpuRunStats>),
     tracer: &Tracer,
     track: u32,
 ) -> Executed {
-    let Staged { prep, slice, presolved, store } = staged;
+    let Staged { prep, slice, store_use, .. } = staged;
     let mut run = finish_vetting(prep, analysis, idfg_ns);
     // A device run reports device memory, not host fact stores — the
     // historical `store_bytes: 0` contract of `vet_app`.
@@ -454,13 +444,6 @@ fn finish(
     if tracer.enabled() {
         trace_stage_spans(tracer, &run.outcome.timing, 0, track);
     }
-    // Under a slice only its *exact* members are inserted: partial roots
-    // are computed against pruned call sites and must never enter the
-    // store under the canonical hash.
-    let store_use = store.map(|(store, hashes)| {
-        let insertable = slice.as_ref().map(|s| &s.exact);
-        absorb_into_store(&prep.app.program, store, &hashes, &presolved, &run.analysis, insertable)
-    });
     Executed { run, store_use, gpu }
 }
 
@@ -507,7 +490,9 @@ mod tests {
     /// CPU reference's report and be blind to the tracer.
     #[test]
     fn plan_matrix_is_todays_and_every_accepted_plan_agrees_with_the_reference() {
-        let prep = prepare_vetting(generate_app(0, 8700, &GenConfig::tiny()));
+        let config = GenConfig::tiny().with_libraries(2, 2);
+        let prep = prepare_vetting(generate_app(0, 8700, &config));
+        let library = crate::library_store(&config);
         let reference =
             vet_prepared(&prep, ExecPlan::new(EngineKind::Cpu)).outcome.report.to_json();
         let (mut accepted, mut store_cut_launched) = (0, false);
@@ -525,8 +510,7 @@ mod tests {
                         continue;
                     }
                     accepted += 1;
-                    let store = SumStore::new();
-                    let store = with_store.then_some(&store);
+                    let store = with_store.then_some(&library);
                     let plain = run(&prep, plan, store, &Tracer::disabled());
                     let outcome = &plain.run.outcome;
                     assert_eq!(outcome.report.to_json(), reference, "{what}");
@@ -535,8 +519,7 @@ mod tests {
                     assert_eq!(plain.store_use.is_some(), with_store, "{what}");
 
                     let tracer = Tracer::enabled_new();
-                    let fresh = SumStore::new();
-                    let traced = run(&prep, plan, with_store.then_some(&fresh), &tracer);
+                    let traced = run(&prep, plan, store, &tracer);
                     assert_eq!(traced.run.outcome.to_json(), outcome.to_json(), "{what}");
                     let emitted = |name: &str| tracer.events().iter().any(|e| e.name == name);
                     assert!(emitted("idfg"), "{what}: no stage spans");
@@ -546,9 +529,8 @@ mod tests {
                     if !gpu {
                         continue;
                     }
-                    // Once more under the sanitizer, against the store
-                    // the first run warmed: full, sliced and store-cut
-                    // launches are all race-free.
+                    // Once more under the sanitizer: full, sliced and
+                    // store-cut launches are all race-free.
                     let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
                     let checked = run_on(&mut device, &prep, plan, store, &Tracer::disabled());
                     assert_eq!(checked.run.outcome.report.to_json(), reference, "{what}");
@@ -573,11 +555,11 @@ mod tests {
 
     /// The group axis: every plan [`ExecPlan::check`] accepts co-resident
     /// runs as a group of three apps that share library code, on a
-    /// sanitizing device, store-free and against a store one member's
-    /// solo run warmed. Each member equals a solo [`execute`] against a
-    /// store in the same state — outcome bytes, facts, summaries, hits
-    /// and misses — and the launches are race-free. Every refused plan
-    /// panics in [`execute_coresident`].
+    /// sanitizing device, store-free and against their library store.
+    /// Each member equals a solo [`execute`] against the same store —
+    /// outcome bytes, facts, summaries, hits and misses — and the
+    /// launches are race-free. Every refused plan panics in
+    /// [`execute_coresident`].
     #[test]
     fn every_plan_a_group_accepts_reproduces_its_members_solo_runs() {
         let config = GenConfig::tiny().with_libraries(2, 2);
@@ -586,14 +568,7 @@ mod tests {
             .collect();
         let refs: Vec<&PreparedApp> = preps.iter().collect();
         let off = Tracer::disabled();
-        // The same store state on every call: the first app's full run.
-        let warmed = |with_store: bool| {
-            let store = SumStore::new();
-            if with_store {
-                run(&preps[0], ExecPlan::default(), Some(&store), &off);
-            }
-            store
-        };
+        let library = crate::library_store(&config);
         let (mut accepted, mut hit) = (0, false);
         for engine in Engine::all() {
             for targeted in [false, true] {
@@ -601,8 +576,7 @@ mod tests {
                 for with_store in [false, true] {
                     let what = format!("{plan:?} store={with_store}");
                     let expected = matches!(engine, Engine::Gpu(opts) if opts.mat);
-                    let store = warmed(with_store);
-                    let store = with_store.then_some(&store);
+                    let store = with_store.then_some(&library);
                     assert_eq!(plan.check(with_store, true).is_ok(), expected, "{what}");
                     let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
                     let ctx = &mut ExecCtx { store, ..ExecCtx::new(&mut device) };
@@ -620,8 +594,7 @@ mod tests {
                     let san = device.san_report().expect("sanitizer configured");
                     assert!(san.is_clean(), "{what}: {san}");
                     for (prep, got) in preps.iter().zip(&done) {
-                        let same_state = warmed(with_store);
-                        let solo = run(prep, plan, store.map(|_| &same_state), &off);
+                        let solo = run(prep, plan, store, &off);
                         let (got_run, want) = (&got.run, &solo.run);
                         let outcome = got_run.outcome.to_json();
                         assert_eq!(outcome, want.outcome.to_json(), "{what}");
@@ -641,22 +614,21 @@ mod tests {
         }
         // Three MAT rungs × full / targeted × store-free / store-backed.
         assert_eq!(accepted, 12);
-        assert!(hit, "no group member hit the warmed store");
+        assert!(hit, "no group member hit the library store");
     }
 
     #[test]
-    fn the_multithreaded_baseline_hits_a_store_any_engine_warmed() {
+    fn the_multithreaded_baseline_hits_a_store_any_engine_built() {
         let prep = prepare_vetting(generate_app(0, 8701, &GenConfig::tiny()));
         let off = Tracer::disabled();
         let mtcpu = ExecPlan::new(Engine::MultithreadedCpu);
         let cold = vet_prepared(&prep, mtcpu).outcome.report.to_json();
-        for warmer in [Engine::MultithreadedCpu, Engine::AmandroidCpu] {
-            let store = SumStore::new();
-            let fed = run(&prep, ExecPlan::new(warmer), Some(&store), &off);
-            assert!(fed.store_use.expect("store attached").misses > 0, "{warmer}");
+        for builder in [Engine::MultithreadedCpu, Engine::AmandroidCpu, Engine::CpuReference] {
+            let built = vet_prepared(&prep, ExecPlan::new(builder)).analysis;
+            let store = crate::summary_store(&prep, &built);
             let warm = run(&prep, mtcpu, Some(&store), &off);
-            assert_eq!(warm.store_use.expect("store attached").misses, 0, "{warmer}");
-            assert_eq!(warm.run.outcome.report.to_json(), cold, "{warmer}");
+            assert_eq!(warm.store_use.expect("store attached").misses, 0, "{builder}");
+            assert_eq!(warm.run.outcome.report.to_json(), cold, "{builder}");
         }
     }
 
@@ -713,7 +685,6 @@ mod tests {
                     [("nothing", &v1, true), ("one leaf", &v2, true), ("everything", &v1, false)]
                 {
                     let what = format!("{plan:?} {row}");
-                    // A fresh store per row: the warm run feeds its misses.
                     let store = if keep {
                         crate::summary_store(&v1, &v1_analysis)
                     } else {

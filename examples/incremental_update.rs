@@ -1,9 +1,9 @@
 //! Warm start across an app update — the "apps update weekly or even
 //! daily" scenario from the paper's introduction.
 //!
-//! Version 1 is vetted with an empty summary store attached, which fills
-//! it with every reachable method's summary and fact words. Version 2
-//! edits a handful of methods and is vetted against that store: a method
+//! Version 1 is vetted cold, and its run becomes a summary store holding
+//! every reachable method's summary and fact words. Version 2 edits a
+//! handful of methods and is vetted against that store: a method
 //! whose body and callee subtree are unchanged is a hit and is never
 //! scheduled; the misses — the edited methods and their callers — are
 //! solved on the device. The report equals a cold run's byte for byte.
@@ -19,7 +19,7 @@ use gdroid::icfg::CallLayers;
 use gdroid::ir::{Expr, Lhs, MethodId, Stmt, StmtIdx};
 use gdroid::sumstore::SumStore;
 use gdroid::vetting::{
-    execute, prepare_vetting, vet_prepared, ExecCtx, ExecPlan, Executed, PreparedApp,
+    execute, prepare_vetting, summary_store, vet_prepared, ExecCtx, ExecPlan, Executed, PreparedApp,
 };
 
 /// One store-backed run on a fresh device, with the launches it made.
@@ -34,12 +34,14 @@ fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(31);
     let app = generate_app(0, seed, &GenConfig::default());
 
-    let store = SumStore::new();
     let v1 = prepare_vetting(app.clone());
-    let (cold_v1, launches) = run(&v1, &store);
+    let mut device = Device::new(DeviceConfig::tesla_p40());
+    let cold_v1 = execute(&v1, ExecPlan::default(), &mut ExecCtx::new(&mut device))
+        .expect("a fresh device has no fault plan");
+    let store = summary_store(&v1, &cold_v1.run.analysis);
     println!(
-        "v1: {} methods solved in {launches} launches; the store now holds {}",
-        cold_v1.store_use.expect("a store was attached").misses,
+        "v1: solved in {} launches; its summary store holds {} methods",
+        device.launches(),
         store.len()
     );
 

@@ -14,6 +14,8 @@
 //!                                     run N corpus apps through the vetting service
 //! gdroid batch <bundle-dir> [--workers K] [--devices D] [--coresident C] [--json]
 //!                                     vet every bundle under a directory via the service
+//! gdroid sumstore build <dir> --apps N
+//!                                     persist the summaries of the apps `serve --apps N` vets
 //! gdroid sumstore stats <dir>         inspect a persisted summary store
 //! gdroid sumstore clear <dir>         reset a persisted summary store
 //! gdroid campaign --apps N [--shards S] ...
@@ -25,13 +27,16 @@
 //! whose combined block demand fits the device's block slots and runs
 //! the group as one co-resident batched analysis — against the summary
 //! store when `--sumstore` is given. Per-app results are bit-identical to
-//! solo runs against the same store state; the drained report shows
+//! solo runs against the same store; the drained report shows
 //! `batched_jobs` and the mean `coresidency`.
 //!
-//! `vet`, `serve`, and `batch` accept `--sumstore <dir>`: the cross-app
-//! summary store is loaded from `<dir>` before the run and saved back
-//! after, so shared-library methods analyzed once are pre-solved in every
-//! later run. `serve` and `batch` also accept `--digest`, which prints
+//! `vet`, `serve`, and `batch` accept `--sumstore <dir>`: the summary
+//! store persisted under `<dir>` is attached read-only, so every method it
+//! holds is pre-solved. `gdroid sumstore build <dir> --apps N` is its one
+//! writer: it vets the apps `serve --apps N` submits, in index order, and
+//! saves the union of their summaries, so a later `serve --apps N
+//! --sumstore <dir>` pre-solves every method. `serve` and `batch` also
+//! accept `--digest`, which prints
 //! one sorted `package report-hash` line per completed job — a
 //! timing-independent fingerprint for comparing cold and warm runs.
 //!
@@ -70,8 +75,10 @@
 //! `--verdicts` writes one sorted `index package verdict report-hash`
 //! line per app (byte-comparable across *any* shard count); `--fresh`
 //! discards existing journals first. `--targeted` vets through the
-//! demand-driven fast lane; `--sumstore` attaches a per-shard in-memory
-//! summary store; `--scale F` scales the generator profile (default is
+//! demand-driven fast lane; `--sumstore` builds the corpus's library store
+//! once and attaches it, frozen, to every shard (the `small` profile
+//! bundles no library packages, so only a library corpus hits it);
+//! `--scale F` scales the generator profile (default is
 //! the `small` profile, 0.25; a non-finite or non-positive `F` exits 2).
 //!
 //! `--engine`, `--targeted`, `--sumstore` and `--trace` are
@@ -101,7 +108,8 @@ use gdroid::serve::{
 use gdroid::sumstore::SumStore;
 use gdroid::trace::{JsonWriter, Tracer};
 use gdroid::vetting::{
-    execute, prepare_vetting, sink_reachability_findings, vet_prepared, Engine, ExecCtx, ExecPlan,
+    execute, prepare_vetting, sink_reachability_findings, summary_store, vet_prepared, Engine,
+    ExecCtx, ExecPlan,
 };
 use std::process::exit;
 use std::sync::Arc;
@@ -121,11 +129,11 @@ const USAGE: &str = "usage:\n  gdroid gen <seed> [out.jil]\n  gdroid vet <app.ji
      gdroid batch <bundle-dir> [--workers K] [--devices D] [--coresident C] \
      [--engine worklist|cpu] [--sumstore <dir>] \
      [--trace-dir <dir>] [--digest] [--json]\n  \
-     gdroid sumstore stats|clear <dir>\n  \
+     gdroid sumstore build|stats|clear <dir> [--apps N]\n  \
      gdroid campaign --apps N [--shards S] [--seed X] [--workers K] [--devices D] \
      [--coresident C] [--engine worklist|cpu] [--targeted] \
      [--sumstore] [--scale F] \
-     [--snapshot] [--rotate N] [--shared-store] [--delta DIR] [--updates PPM[:SALT]] \
+     [--snapshot] [--rotate N] [--delta DIR] [--updates PPM[:SALT]] \
      [--journal-dir DIR] [--out FILE] [--verdicts FILE] [--trace-dir DIR] [--fresh] [--json]";
 
 fn usage() -> ! {
@@ -167,8 +175,8 @@ struct PlanFlags<'a> {
     plan: ExecPlan,
     /// `--sumstore` was given…
     sumstore: bool,
-    /// …and its directory, for the verbs that persist the store (`vet`,
-    /// `serve`, `batch`; a campaign's stores live in memory).
+    /// …and its directory, for the verbs that attach a persisted store
+    /// (`vet`, `serve`, `batch`; a campaign builds its own in memory).
     store_dir: Option<&'a str>,
     /// `--trace <out.json>` (`vet`) or `--trace-dir <dir>` (the service
     /// verbs).
@@ -225,7 +233,8 @@ impl<'a> PlanFlags<'a> {
     }
 }
 
-/// Opens (or starts empty) the summary store persisted under `dir`.
+/// Opens (or starts empty) the summary store persisted under `dir`,
+/// read-only.
 fn open_sumstore(dir: &str) -> SumStore {
     SumStore::open(std::path::Path::new(dir)).unwrap_or_else(|e| {
         eprintln!("cannot open summary store {dir}: {e}");
@@ -233,12 +242,17 @@ fn open_sumstore(dir: &str) -> SumStore {
     })
 }
 
-/// Saves the summary store back to `dir`.
+/// Saves a summary store to `dir`.
 fn save_sumstore(store: &SumStore, dir: &str) {
     if let Err(e) = store.save(std::path::Path::new(dir)) {
         eprintln!("cannot save summary store {dir}: {e}");
         exit(1);
     }
+}
+
+/// The generator seed of `serve`'s `i`-th corpus job.
+fn serve_seed(i: usize) -> u64 {
+    gdroid::apk::PAPER_MASTER_SEED ^ (i as u64)
 }
 
 /// Drains a service, prints results (`--json` for the machine-readable
@@ -347,13 +361,10 @@ fn finish_service(
                 report.counters.targeted_jobs, report.mean_sliced_fraction,
             );
         }
-        if report.sumstore.hits + report.sumstore.insertions > 0 {
+        if report.sumstore.hits + report.sumstore.misses > 0 {
             eprintln!(
-                "sumstore: {} hit(s), {} miss(es), {} inserted, {} reloc failure(s)",
-                report.sumstore.hits,
-                report.sumstore.misses,
-                report.sumstore.insertions,
-                report.sumstore.reloc_failures,
+                "sumstore: {} hit(s), {} miss(es), {} reloc failure(s)",
+                report.sumstore.hits, report.sumstore.misses, report.sumstore.reloc_failures,
             );
         }
     }
@@ -448,9 +459,7 @@ fn main() {
                 ..ExecCtx::new(&mut device)
             };
             let done = execute(&prep, flags.plan, ctx).expect("a fresh device has no fault plan");
-            if let (Some(dir), Some(store), Some(used)) = (flags.store_dir, &store, &done.store_use)
-            {
-                save_sumstore(store, dir);
+            if let Some(used) = &done.store_use {
                 eprintln!("sumstore: {} hit(s), {} miss(es)", used.hits, used.misses);
             }
             let outcome = done.run.outcome;
@@ -582,13 +591,12 @@ fn main() {
                 parsed.unwrap_or_else(|| bad_value("--faults", spec))
             });
             let config = ServiceConfig { fault_plan, ..flags.service_config(&args) };
-            let sumstore = config.sumstore.clone();
             let svc = VettingService::start(config);
             let targeted_lane = args.iter().any(|a| a == "--targeted-lane");
             for i in 0..apps {
                 let source = JobSource::Seed {
                     index: i,
-                    seed: gdroid::apk::PAPER_MASTER_SEED ^ (i as u64),
+                    seed: serve_seed(i),
                     config: Box::new(GenConfig::small()),
                 };
                 // Corpus-style submissions with a spread of priorities;
@@ -604,11 +612,7 @@ fn main() {
                     exit(1)
                 });
             }
-            let code = finish_service(svc, &args, flags.trace, apps);
-            if let (Some(dir), Some(store)) = (flags.store_dir, &sumstore) {
-                save_sumstore(store, dir);
-            }
-            exit(code);
+            exit(finish_service(svc, &args, flags.trace, apps));
         }
         "batch" => {
             let Some(dir) = args.get(1) else { usage() };
@@ -629,20 +633,14 @@ fn main() {
                 exit(1);
             }
             let n = bundles.len();
-            let config = flags.service_config(&args);
-            let sumstore = config.sumstore.clone();
-            let svc = VettingService::start(config);
+            let svc = VettingService::start(flags.service_config(&args));
             for path in bundles {
                 svc.submit(Priority::Standard, JobSource::Bundle(path)).unwrap_or_else(|e| {
                     eprintln!("submit failed: {e}");
                     exit(1)
                 });
             }
-            let code = finish_service(svc, &args, flags.trace, n);
-            if let (Some(dir), Some(store)) = (flags.store_dir, &sumstore) {
-                save_sumstore(store, dir);
-            }
-            exit(code);
+            exit(finish_service(svc, &args, flags.trace, n));
         }
         "export" => {
             let (Some(n), Some(dir)) =
@@ -662,6 +660,18 @@ fn main() {
         "sumstore" => {
             let (Some(action), Some(dir)) = (args.get(1), args.get(2)) else { usage() };
             match action.as_str() {
+                "build" => {
+                    let Some(apps) = flag_value(&args, "--apps") else { usage() };
+                    let mut store = SumStore::new();
+                    for i in 0..apps {
+                        let app = generate_app(i, serve_seed(i), &GenConfig::small());
+                        let prep = prepare_vetting(app);
+                        let run = vet_prepared(&prep, ExecPlan::default());
+                        store.absorb(summary_store(&prep, &run.analysis));
+                    }
+                    save_sumstore(&store, dir);
+                    eprintln!("built {} summaries of {apps} app(s) under {dir}", store.len());
+                }
                 "stats" => {
                     let store = open_sumstore(dir);
                     let file =
@@ -734,7 +744,6 @@ fn main() {
                 plan: flags.service_plan(),
                 trace_dir: flags.trace.map(Into::into),
                 rotate_records,
-                shared_stores: args.iter().any(|a| a == "--shared-store"),
                 delta_base: flag_str(&args, "--delta").map(Into::into),
                 update_ppm,
                 update_salt,

@@ -5,53 +5,30 @@
 
 use gdroid::apk::{generate_app, GenConfig, PAPER_MASTER_SEED};
 use gdroid::gpusim::{Device, DeviceConfig};
-use gdroid::sumstore::SumStore;
 use gdroid::trace::Tracer;
 use gdroid::vetting::{
-    execute, execute_coresident, prepare_vetting, ExecCtx, ExecPlan, PreparedApp,
+    execute, execute_coresident, library_store, prepare_vetting, ExecCtx, ExecPlan, PreparedApp,
 };
-use std::path::PathBuf;
 
 const CORPUS: usize = 20;
 
+fn config() -> GenConfig {
+    GenConfig::tiny().with_libraries(2, 2)
+}
+
 fn corpus_app(index: usize) -> PreparedApp {
-    let config = GenConfig::tiny().with_libraries(2, 2);
-    prepare_vetting(generate_app(index, PAPER_MASTER_SEED ^ index as u64, &config))
-}
-
-/// A scratch directory for store snapshots, removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!("gdroid-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-
-    /// An independent copy of `store`'s entries.
-    fn copy(&self, store: &SumStore) -> SumStore {
-        store.save(&self.0).expect("scratch dir is writable");
-        SumStore::open(&self.0).expect("a store just saved reopens")
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+    prepare_vetting(generate_app(index, PAPER_MASTER_SEED ^ index as u64, &config()))
 }
 
 /// Batched vetting at co-residency 1, 2, and 4 renders the byte-identical
 /// outcome JSON of a solo run for all 20 corpus apps — full and targeted,
 /// with and without a summary store — and every group's makespan is no
 /// worse than the sum of its members' solo makespans. A store-backed
-/// group feeds the store it looked up in; its members are compared with
-/// solo runs against a copy of that store taken just before the group.
+/// group and its members' solo runs read the one library store.
 #[test]
 fn batched_outcomes_are_byte_identical_to_solo_across_coresidency() {
     let preps: Vec<PreparedApp> = (0..CORPUS).map(corpus_app).collect();
-    let scratch = Scratch::new("batch-gate");
+    let library = library_store(&config());
     let mut device = Device::new(DeviceConfig::tesla_p40());
     let mut solo_device = Device::new(DeviceConfig::tesla_p40());
     let mut store_hits = 0;
@@ -61,12 +38,10 @@ fn batched_outcomes_are_byte_identical_to_solo_across_coresidency() {
         for with_store in [false, true] {
             for coresident in [1usize, 2, 4] {
                 let row = format!("targeted={targeted} store={with_store} K={coresident}");
-                let group_store = SumStore::new();
+                let store = with_store.then_some(&library);
                 let (mut batched_total, mut solo_total) = (0.0f64, 0.0f64);
                 for (chunk_idx, chunk) in preps.chunks(coresident).enumerate() {
                     let refs: Vec<&PreparedApp> = chunk.iter().collect();
-                    let before = scratch.copy(&group_store);
-                    let store = with_store.then_some(&group_store);
                     let ctx = &mut ExecCtx { store, ..ExecCtx::new(&mut device) };
                     let (done, batch) =
                         execute_coresident(&refs, plan, ctx).expect("no fault plan installed");
@@ -74,8 +49,6 @@ fn batched_outcomes_are_byte_identical_to_solo_across_coresidency() {
                     let mut group_solo = 0.0f64;
                     for (i, (prep, got)) in chunk.iter().zip(&done).enumerate() {
                         let app = chunk_idx * coresident + i;
-                        let solo_store = scratch.copy(&before);
-                        let store = with_store.then_some(&solo_store);
                         let ctx = &mut ExecCtx { store, ..ExecCtx::new(&mut solo_device) };
                         let solo = execute(prep, plan, ctx).expect("no fault plan installed");
                         let want = &solo.run.outcome;

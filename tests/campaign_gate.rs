@@ -102,3 +102,43 @@ fn campaign_traces_cover_every_executed_app() {
     std::fs::remove_dir_all(dir).ok();
     std::fs::remove_dir_all(trace_dir).ok();
 }
+
+/// With the library store attached, an app's journaled record is a
+/// function of the app alone: the frozen store is built once and read by
+/// every shard, so one shard, worker, device and no co-residency journal
+/// the same timings, counts and report fingerprints as two shards of four
+/// workers, two devices and groups of four.
+#[test]
+fn frozen_store_records_do_not_depend_on_the_topology() {
+    let journal = |shards: usize, workers: usize, devices: usize, coresident: usize| {
+        let dir = tmp_dir(&format!("topology-{shards}-{workers}-{devices}-{coresident}"));
+        let config = CampaignConfig {
+            gen: GenConfig::tiny().with_libraries(3, 6),
+            prep_workers: workers,
+            devices,
+            coresident,
+            sumstore: true,
+            ..CampaignConfig::new(16, shards, dir.clone())
+        };
+        let outcome = run_campaign(&config).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(outcome.fleet.completed, 16);
+        assert!(outcome.service.sumstore.hits > 0, "the library store was never hit");
+        let mut records: Vec<_> = outcome
+            .fleet
+            .records
+            .iter()
+            .map(|r| {
+                let timing = (r.idfg_ns.to_bits(), r.taint_ns.to_bits());
+                (r.index, timing, r.rounds, r.nodes, r.report_fnv)
+            })
+            .collect();
+        records.sort_unstable();
+        (records, outcome.service.sumstore.hits)
+    };
+    let (one, one_hits) = journal(1, 1, 1, 1);
+    let (wide, wide_hits) = journal(2, 4, 2, 4);
+    assert_eq!(one.len(), 16);
+    assert_eq!(one, wide, "a journaled record moved with the topology");
+    assert_eq!(one_hits, wide_hits);
+}

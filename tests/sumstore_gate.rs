@@ -1,11 +1,12 @@
 //! Tier-1 equivalence gate for the cross-app summary store.
 //!
-//! Over a 20-app corpus sharing a library pool at duplication factor 4,
-//! the store must be *behaviorally invisible*: the IDFG fact sets and the
-//! taint verdicts of every app are byte-identical whether the store is
-//! disabled, cold (first sweep, populating), or warm (second sweep,
-//! fully pre-solving) — while the warm sweep demonstrably pre-solves
-//! library methods (hits > 0, strictly less modeled IDFG time).
+//! A store is built once, before the runs that read it, and no run writes
+//! it. Over a 20-app corpus sharing a library pool at duplication factor
+//! 4, the store must be *behaviorally invisible*: the IDFG fact sets and
+//! the taint verdicts of every app are byte-identical whether the store is
+//! disabled, the corpus's library store (cold), or the union of what the
+//! cold runs solved (warm) — while both pre-solve (hits > 0, strictly less
+//! modeled IDFG time).
 
 use gdroid::analysis::AppAnalysis;
 use gdroid::apk::{generate_app, GenConfig, PAPER_MASTER_SEED};
@@ -13,7 +14,8 @@ use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::ir::MethodId;
 use gdroid::sumstore::SumStore;
 use gdroid::vetting::{
-    execute, prepare_vetting, vet_prepared, ExecCtx, ExecPlan, PreparedApp, StoreUse, VettingRun,
+    execute, library_store, prepare_vetting, summary_store, vet_prepared, ExecCtx, ExecPlan,
+    PreparedApp, StoreUse, VettingRun,
 };
 
 const APPS: usize = 20;
@@ -37,24 +39,34 @@ fn with_store(prep: &PreparedApp, store: &SumStore) -> (VettingRun, StoreUse) {
     (done.run, done.store_use.expect("a store was attached"))
 }
 
+fn corpus(cfg: &GenConfig, apps: usize) -> Vec<PreparedApp> {
+    (0..apps).map(|i| prepare_vetting(generate_app(i, PAPER_MASTER_SEED ^ i as u64, cfg))).collect()
+}
+
+fn is_library(prep: &PreparedApp, mid: MethodId) -> bool {
+    let program = &prep.app.program;
+    program.interner.resolve(program.methods[mid].sig.class).starts_with("com/lib/")
+}
+
 #[test]
 fn store_is_behaviorally_invisible_across_cold_and_warm_sweeps() {
-    let pool = APPS * LIBS_PER_APP / DUP;
-    let cfg = GenConfig::tiny().with_libraries(LIBS_PER_APP, pool);
-    let preps: Vec<PreparedApp> = (0..APPS)
-        .map(|i| prepare_vetting(generate_app(i, PAPER_MASTER_SEED ^ i as u64, &cfg)))
-        .collect();
+    let cfg = GenConfig::tiny().with_libraries(LIBS_PER_APP, APPS * LIBS_PER_APP / DUP);
+    let preps = corpus(&cfg, APPS);
 
     // Reference sweep: the store disabled entirely.
     let disabled: Vec<_> = preps.iter().map(|p| vet_prepared(p, ExecPlan::default())).collect();
 
-    let store = SumStore::new();
-    let cold: Vec<_> = preps.iter().map(|p| with_store(p, &store)).collect();
-    let after_cold = store.stats();
-    let warm: Vec<_> = preps.iter().map(|p| with_store(p, &store)).collect();
-    let after_warm = store.stats();
+    let library = library_store(&cfg);
+    let entries = library.len();
+    let cold: Vec<_> = preps.iter().map(|p| with_store(p, &library)).collect();
+    assert_eq!(library.len(), entries, "a run wrote the library store");
+    let mut solved = SumStore::new();
+    for (prep, (run, _)) in preps.iter().zip(&cold) {
+        solved.absorb(summary_store(prep, &run.analysis));
+    }
+    let warm: Vec<_> = preps.iter().map(|p| with_store(p, &solved)).collect();
 
-    let mut warm_hits = 0;
+    let mut cold_hits = 0;
     for (i, ((base, (cold_run, cold_use)), (warm_run, warm_use))) in
         disabled.iter().zip(&cold).zip(&warm).enumerate()
     {
@@ -68,38 +80,59 @@ fn store_is_behaviorally_invisible_across_cold_and_warm_sweeps() {
         assert_eq!(facts, facts_digest(&cold_run.analysis), "cold fact drift, app {i}");
         assert_eq!(facts, facts_digest(&warm_run.analysis), "warm fact drift, app {i}");
 
-        // The warm sweep can only pre-solve more, never less.
+        // What the cold sweep solved pre-solves everything.
+        assert_eq!(warm_use.misses, 0, "an unchanged corpus must re-summarize nothing, app {i}");
         assert!(warm_use.hits >= cold_use.hits, "warm lost hits on app {i}");
-        warm_hits += warm_use.hits;
+        cold_hits += cold_use.hits;
     }
+    assert!(cold_hits > 0, "cold sweep never hit the library store");
 
-    assert!(warm_hits > 0, "warm sweep never hit the store");
-    assert_eq!(
-        after_warm.misses, after_cold.misses,
-        "an unchanged corpus must re-summarize nothing"
-    );
-
-    let cold_ns: f64 = cold.iter().map(|(r, _)| r.outcome.timing.idfg_ns).sum();
-    let warm_ns: f64 = warm.iter().map(|(r, _)| r.outcome.timing.idfg_ns).sum();
-    assert!(
-        warm_ns < cold_ns,
-        "warm modeled IDFG time {warm_ns} ns must undercut cold {cold_ns} ns"
-    );
+    let idfg = |runs: &[&VettingRun]| runs.iter().map(|r| r.outcome.timing.idfg_ns).sum::<f64>();
+    let disabled_ns = idfg(&disabled.iter().collect::<Vec<_>>());
+    let cold_ns = idfg(&cold.iter().map(|(r, _)| r).collect::<Vec<_>>());
+    let warm_ns = idfg(&warm.iter().map(|(r, _)| r).collect::<Vec<_>>());
+    assert!(cold_ns < disabled_ns, "cold {cold_ns} ns must undercut disabled {disabled_ns} ns");
+    assert!(warm_ns < cold_ns, "warm {warm_ns} ns must undercut cold {cold_ns} ns");
 }
 
-/// An app-local-only update must never re-summarize library code: the
+/// The library store is complete before the first job: every reachable
+/// library method of every app — the first app to bundle a package
+/// included — is pre-solved, no app method is, and every report equals a
+/// store-free run's.
+#[test]
+fn every_reachable_library_method_hits_the_library_store_from_the_first_app() {
+    let cfg = GenConfig::tiny().with_libraries(3, 6);
+    let library = library_store(&cfg);
+    let mut hits = 0;
+    for (i, prep) in corpus(&cfg, 12).iter().enumerate() {
+        let (run, used) = with_store(prep, &library);
+        for &m in &used.missed_methods {
+            assert!(!is_library(prep, m), "app {i}: library method {m:?} missed");
+        }
+        assert!(used.hit_methods.iter().all(|&m| is_library(prep, m)), "app {i}");
+        assert_eq!(used.reloc_failures, 0, "app {i}");
+        let disabled = vet_prepared(prep, ExecPlan::default());
+        assert_eq!(run.outcome.report.to_json(), disabled.outcome.report.to_json(), "app {i}");
+        hits += used.hits;
+    }
+    assert!(hits > 0, "no app reached a library method");
+}
+
+/// An app-local-only update must never re-summarize library code: against
+/// the library store plus the previous version's summary store, the
 /// changed method (and its transitive callers) miss, but every `com/lib/`
-/// method still pre-solves from the store.
+/// method still pre-solves.
 #[test]
 fn app_local_update_resummarizes_no_library_methods() {
     use gdroid::ir::{Expr, Lhs, Stmt, StmtIdx};
 
     let cfg = GenConfig::tiny().with_libraries(3, 3);
-    let store = SumStore::new();
+    let mut store = library_store(&cfg);
 
     let prep = prepare_vetting(generate_app(0, 7777, &cfg));
-    let (_, cold_use) = with_store(&prep, &store);
-    assert!(cold_use.misses > 0, "cold run must populate the store");
+    let (cold, cold_use) = with_store(&prep, &store);
+    assert!(cold_use.misses > 0, "app code is not in the library store");
+    store.absorb(summary_store(&prep, &cold.analysis));
 
     // The same app regenerated, then one *app-local* method updated before
     // prep: its final return is preceded by a fresh allocation — a genuine

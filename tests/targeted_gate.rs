@@ -10,10 +10,9 @@ use std::collections::HashSet;
 use gdroid::apk::{generate_app, GenConfig, PAPER_MASTER_SEED};
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::ir::MethodId;
-use gdroid::sumstore::SumStore;
 use gdroid::vetting::{
-    compute_vetting_slice, execute, prepare_vetting, vet_prepared, ExecCtx, ExecPlan, PreparedApp,
-    VettingRun,
+    compute_vetting_slice, execute, library_store, prepare_vetting, vet_prepared, ExecCtx,
+    ExecPlan, PreparedApp, VettingRun,
 };
 
 const CORPUS: usize = 20;
@@ -100,12 +99,13 @@ fn tracing_does_not_perturb_targeted_results() {
     }
 }
 
-/// Targeted runs through the cross-app summary store agree with
-/// store-free full runs, cold and warm.
+/// Targeted runs through the corpus's library store agree with
+/// store-free full runs, on the first app to bundle a package and on a
+/// later one.
 #[test]
 fn sumstore_targeted_runs_agree_with_full() {
     let cfg = GenConfig::tiny().with_libraries(2, 2);
-    let store = SumStore::new();
+    let store = library_store(&cfg);
     let mut device = Device::new(DeviceConfig::tesla_p40());
     let prep_a = prepare_vetting(generate_app(0, PAPER_MASTER_SEED ^ 0x7a11, &cfg));
     let prep_b = prepare_vetting(generate_app(1, PAPER_MASTER_SEED ^ 0x7a12, &cfg));
@@ -116,17 +116,17 @@ fn sumstore_targeted_runs_agree_with_full() {
     assert_eq!(
         cold_a.outcome.report.to_json(),
         full_a.outcome.report.to_json(),
-        "cold store-backed targeted run diverged from full"
+        "store-backed targeted run diverged from full on the first app"
     );
 
-    // App B bundles the same library packages: the warm run may reuse
-    // summaries but must still agree with a store-free full run.
+    // App B bundles the same library packages: it reuses the same
+    // summaries and must still agree with a store-free full run.
     let full_b = vet_prepared(&prep_b, ExecPlan::default());
     let warm_b = run(&prep_b, targeted_plan(), with_store);
     assert_eq!(
         warm_b.outcome.report.to_json(),
         full_b.outcome.report.to_json(),
-        "warm store-backed targeted run diverged from full"
+        "store-backed targeted run diverged from full on a later app"
     );
     assert!(warm_b.outcome.targeted.is_some(), "store-backed run lost provenance");
 }
