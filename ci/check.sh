@@ -147,6 +147,16 @@ ratchet_name=prep-stage
 ratchet 1 'powf(' "draw through an rng::Zipf table built once per pool" crates/apk/src
 ratchet 0 'subtree_of(' "walk the ClassHierarchy that CallGraph::build indexes once" \
   crates/ir/src crates/icfg/src
+# Every bundle miss parses its `.jil`: tokens borrow from the source, so no
+# token payload is a `String`, and the token types stay behind
+# parse_program.
+ratchet 0 '(String)' "make the payload a &'a str slice of the source" \
+  crates/ir/src/text/lexer.rs
+if grep -nE 'pub use .*\b(Lexer|Token|TokenKind|Parser)\b' crates/ir/src/text/mod.rs; then
+  echo "prep-stage ratchet: crates/ir/src/text re-exports a reader internal —" \
+    "callers use parse_program" >&2
+  exit 1
+fi
 
 echo "==> argument ratchet: no new too_many_arguments allow"
 # The one left is transfer::apply_summary; the generator's bodies take one

@@ -22,8 +22,9 @@
 //!   [`Expr`], …) with interned names and dense index types;
 //! * a fluent [`builder`] API used by the synthetic app generator;
 //! * a textual serialization format (".jil", *Jawa-like Intermediate
-//!   Language*) with a [`text::Lexer`], [`text::Parser`] and pretty-printer,
-//!   so corpora can be inspected and stored on disk;
+//!   Language*) with a reader ([`text::parse_program`]) and a printer
+//!   ([`text::print_program`]), so corpora can be inspected and stored on
+//!   disk;
 //! * structural [`validate`] checks (branch targets in range, variables
 //!   declared, call arity consistent with signatures);
 //! * a pass-based [`lint`] framework generalizing validation with

@@ -1,21 +1,25 @@
 //! Tokenizer for the `.jil` format.
+//!
+//! Tokens borrow from the source: an identifier or a string literal is a
+//! slice of it, so lexing allocates nothing but the token vector.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A token kind with its payload.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TokenKind {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum TokenKind<'a> {
     /// Keyword or identifier, including `/`-separated class paths and
     /// leading-dot directives (`.class`, `.method`, …).
-    Ident(String),
+    Ident(&'a str),
     /// Variable reference `v<N>`.
     Var(u32),
     /// Integer literal (decimal, optionally negative).
     Int(i64),
     /// Floating literal with a trailing `f` (e.g. `1.5f`).
     Float(f64),
-    /// Double-quoted string literal with `\"` and `\\` escapes.
-    Str(String),
+    /// Double-quoted string literal with `\"`, `\\` and `\n` escapes.
+    Str(RawStr<'a>),
     /// `=`
     Eq,
     /// `:`
@@ -38,11 +42,45 @@ pub enum TokenKind {
     Underscore,
 }
 
+/// A string literal's text between its quotes, escapes as written. The
+/// lexer has checked them; [`RawStr::unescape`] resolves them, and `Debug`
+/// shows the resolved value.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) struct RawStr<'a>(&'a str);
+
+impl<'a> RawStr<'a> {
+    /// The literal's value; borrowed unless it has an escape.
+    pub(crate) fn unescape(self) -> Cow<'a, str> {
+        if !self.0.contains('\\') {
+            return Cow::Borrowed(self.0);
+        }
+        let mut out = String::with_capacity(self.0.len());
+        let mut chars = self.0.chars();
+        while let Some(c) = chars.next() {
+            out.push(match c {
+                '\\' => match chars.next() {
+                    Some('n') => '\n',
+                    Some(escaped) => escaped,
+                    None => break,
+                },
+                c => c,
+            });
+        }
+        Cow::Owned(out)
+    }
+}
+
+impl fmt::Debug for RawStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.unescape(), f)
+    }
+}
+
 /// A token with its source line (1-based) for diagnostics.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Token {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Token<'a> {
     /// The kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// 1-based source line.
     pub line: u32,
 }
@@ -64,9 +102,9 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Streaming tokenizer. Usually used via [`Lexer::tokenize`].
-pub struct Lexer<'a> {
-    src: &'a [u8],
+/// The tokenizer; [`Lexer::tokenize`] runs it over a whole input.
+pub(crate) struct Lexer<'a> {
+    src: &'a str,
     pos: usize,
     line: u32,
 }
@@ -80,14 +118,9 @@ fn is_ident_cont(b: u8) -> bool {
 }
 
 impl<'a> Lexer<'a> {
-    /// Creates a lexer over `src`.
-    pub fn new(src: &'a str) -> Self {
-        Self { src: src.as_bytes(), pos: 0, line: 1 }
-    }
-
     /// Tokenizes the whole input.
-    pub fn tokenize(src: &'a str) -> Result<Vec<Token>, LexError> {
-        let mut lx = Lexer::new(src);
+    pub(crate) fn tokenize(src: &'a str) -> Result<Vec<Token<'a>>, LexError> {
+        let mut lx = Lexer { src, pos: 0, line: 1 };
         let mut out = Vec::new();
         while let Some(tok) = lx.next_token()? {
             out.push(tok);
@@ -96,7 +129,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -132,9 +165,10 @@ impl<'a> Lexer<'a> {
     }
 
     /// Produces the next token, or `None` at end of input.
-    pub fn next_token(&mut self) -> Result<Option<Token>, LexError> {
+    fn next_token(&mut self) -> Result<Option<Token<'a>>, LexError> {
         self.skip_ws_and_comments();
         let line = self.line;
+        let start = self.pos;
         let Some(b) = self.peek() else { return Ok(None) };
         let kind = match b {
             b'=' => {
@@ -171,14 +205,11 @@ impl<'a> Lexer<'a> {
             }
             b'"' => {
                 self.bump();
-                let mut s = String::new();
                 loop {
                     match self.bump() {
                         Some(b'"') => break,
                         Some(b'\\') => match self.bump() {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'n') => s.push('\n'),
+                            Some(b'"' | b'\\' | b'n') => {}
                             other => {
                                 return Err(self.err(format!(
                                     "invalid string escape: {:?}",
@@ -186,18 +217,18 @@ impl<'a> Lexer<'a> {
                                 )))
                             }
                         },
-                        Some(c) => s.push(c as char),
+                        Some(_) => {}
                         None => return Err(self.err("unterminated string literal")),
                     }
                 }
-                TokenKind::Str(s)
+                // Both quotes are ASCII, so the slice is on char boundaries.
+                TokenKind::Str(RawStr(&self.src[start + 1..self.pos - 1]))
             }
             b'.' => {
                 // Either a directive (`.class`) or a field-access dot.
                 self.bump();
                 if self.peek().map(is_ident_start).unwrap_or(false) {
-                    let ident = self.lex_ident_body();
-                    TokenKind::Ident(format!(".{ident}"))
+                    TokenKind::Ident(self.ident_from(start))
                 } else {
                     TokenKind::Dot
                 }
@@ -206,20 +237,18 @@ impl<'a> Lexer<'a> {
                 self.bump();
                 // Bare underscore is the "no var" marker; `_foo` is an ident.
                 if self.peek().map(is_ident_cont).unwrap_or(false) {
-                    let rest = self.lex_ident_body();
-                    TokenKind::Ident(format!("_{rest}"))
+                    TokenKind::Ident(self.ident_from(start))
                 } else {
                     TokenKind::Underscore
                 }
             }
             b'-' => {
                 self.bump();
-                self.lex_number(true)?
+                self.lex_number(start)?
             }
-            b if b.is_ascii_digit() => self.lex_number(false)?,
+            b if b.is_ascii_digit() => self.lex_number(start)?,
             b'v' => {
                 // `v<digits>` is a var ref; `v<alpha>` is an ident.
-                let start = self.pos;
                 self.bump();
                 if self.peek().map(|c| c.is_ascii_digit()).unwrap_or(false) {
                     let mut n: u64 = 0;
@@ -235,44 +264,40 @@ impl<'a> Lexer<'a> {
                     }
                     // `v12abc` would be malformed; treat as ident.
                     if self.peek().map(is_ident_cont).unwrap_or(false) {
-                        self.pos = start;
-                        let ident = self.lex_ident_body();
-                        TokenKind::Ident(ident)
+                        TokenKind::Ident(self.ident_from(start))
                     } else {
                         TokenKind::Var(n as u32)
                     }
                 } else {
-                    self.pos = start;
-                    let ident = self.lex_ident_body();
-                    TokenKind::Ident(ident)
+                    TokenKind::Ident(self.ident_from(start))
                 }
             }
-            b if is_ident_start(b) => {
-                let ident = self.lex_ident_body();
-                match ident.as_str() {
-                    "true" => TokenKind::Int(1),
-                    "false" => TokenKind::Int(0),
-                    _ => TokenKind::Ident(ident),
-                }
-            }
+            b if is_ident_start(b) => match self.ident_from(start) {
+                "true" => TokenKind::Int(1),
+                "false" => TokenKind::Int(0),
+                ident => TokenKind::Ident(ident),
+            },
             other => return Err(self.err(format!("unexpected character {:?}", other as char))),
         };
         Ok(Some(Token { kind, line }))
     }
 
-    fn lex_ident_body(&mut self) -> String {
-        let start = self.pos;
+    /// Consumes identifier bytes and returns the source from `start` to
+    /// the end of them.
+    fn ident_from(&mut self, start: usize) -> &'a str {
         while let Some(b) = self.peek() {
             if !is_ident_cont(b) {
                 break;
             }
             self.bump();
         }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
+        &self.src[start..self.pos]
     }
 
-    fn lex_number(&mut self, negative: bool) -> Result<TokenKind, LexError> {
-        let start = self.pos;
+    /// Lexes a number whose text (sign included) begins at `start`.
+    fn lex_number(&mut self, start: usize) -> Result<TokenKind<'a>, LexError> {
+        let negative = self.src.as_bytes()[start] == b'-';
+        let digits_start = self.pos;
         while let Some(b) = self.peek() {
             if !b.is_ascii_digit() {
                 break;
@@ -282,7 +307,7 @@ impl<'a> Lexer<'a> {
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             // Lookahead: digit after the dot makes it a float literal.
-            if self.src.get(self.pos + 1).map(|c| c.is_ascii_digit()).unwrap_or(false) {
+            if self.src.as_bytes().get(self.pos + 1).map(|c| c.is_ascii_digit()).unwrap_or(false) {
                 is_float = true;
                 self.bump(); // '.'
                 while let Some(b) = self.peek() {
@@ -305,7 +330,8 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+        let signed = &self.src[start..self.pos];
+        let text = &self.src[digits_start..self.pos];
         // Trailing `f` marks floats explicitly; an integer part with `.` also
         // parses as float.
         if self.peek() == Some(b'f') {
@@ -317,9 +343,13 @@ impl<'a> Lexer<'a> {
                 text.parse().map_err(|e| self.err(format!("bad float literal {text:?}: {e}")))?;
             Ok(TokenKind::Float(if negative { -v } else { v }))
         } else {
-            let v: i64 =
-                text.parse().map_err(|e| self.err(format!("bad int literal {text:?}: {e}")))?;
-            Ok(TokenKind::Int(if negative { -v } else { v }))
+            // The signed text parses, so `i64::MIN` reads back; when it does
+            // not, the digits' own error is the message.
+            let v: i64 = signed
+                .parse()
+                .or_else(|_| text.parse())
+                .map_err(|e| self.err(format!("bad int literal {text:?}: {e}")))?;
+            Ok(TokenKind::Int(v))
         }
     }
 }
@@ -328,7 +358,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         Lexer::tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -337,10 +367,10 @@ mod tests {
         assert_eq!(
             kinds(".class com/example/A : java/lang/Object"),
             vec![
-                TokenKind::Ident(".class".into()),
-                TokenKind::Ident("com/example/A".into()),
+                TokenKind::Ident(".class"),
+                TokenKind::Ident("com/example/A"),
                 TokenKind::Colon,
-                TokenKind::Ident("java/lang/Object".into()),
+                TokenKind::Ident("java/lang/Object"),
             ]
         );
     }
@@ -348,25 +378,31 @@ mod tests {
     #[test]
     fn lexes_vars_and_numbers() {
         assert_eq!(
-            kinds("v0 v12 42 -7 1.5f 2.25 vx"),
+            kinds("v0 v12 42 -7 -9223372036854775808 1.5f 2.25 vx"),
             vec![
                 TokenKind::Var(0),
                 TokenKind::Var(12),
                 TokenKind::Int(42),
                 TokenKind::Int(-7),
+                TokenKind::Int(i64::MIN),
                 TokenKind::Float(1.5),
                 TokenKind::Float(2.25),
-                TokenKind::Ident("vx".into()),
+                TokenKind::Ident("vx"),
             ]
         );
     }
 
     #[test]
     fn lexes_strings_with_escapes() {
-        assert_eq!(
-            kinds(r#""hello \"w\\orld\n""#),
-            vec![TokenKind::Str("hello \"w\\orld\n".into())]
-        );
+        let src = r#""hello \"w\\orld\n" "plaïn 中文""#;
+        let [TokenKind::Str(escaped), TokenKind::Str(plain)] = kinds(src)[..] else {
+            panic!("two string tokens");
+        };
+        assert_eq!(escaped, RawStr(r#"hello \"w\\orld\n"#));
+        assert_eq!(escaped.unescape(), "hello \"w\\orld\n");
+        assert!(matches!(plain.unescape(), Cow::Borrowed("plaïn 中文")));
+        // Error messages show the resolved value, as they always have.
+        assert_eq!(format!("{escaped:?}"), format!("{:?}", "hello \"w\\orld\n"));
     }
 
     #[test]
@@ -383,7 +419,7 @@ mod tests {
                 TokenKind::Eq,
                 TokenKind::Dot,
                 TokenKind::Underscore,
-                TokenKind::Ident("_tmp".into()),
+                TokenKind::Ident("_tmp"),
             ]
         );
     }
@@ -411,7 +447,7 @@ mod tests {
         // '<' cannot start an identifier — constructors are written `init`.
         assert!(Lexer::tokenize("<init>").is_err());
         // But '<'/'>' are allowed inside an identifier body.
-        assert_eq!(kinds("init$<clinit>"), vec![TokenKind::Ident("init$<clinit>".into())]);
+        assert_eq!(kinds("init$<clinit>"), vec![TokenKind::Ident("init$<clinit>")]);
     }
 }
 
@@ -443,7 +479,8 @@ mod proptests {
         /// Integer and variable tokens roundtrip through their textual form.
         #[test]
         fn numbers_and_vars_roundtrip(n in 0u32..1_000_000) {
-            let toks = Lexer::tokenize(&format!("v{n} {n} -{n}")).unwrap();
+            let src = format!("v{n} {n} -{n}");
+            let toks = Lexer::tokenize(&src).unwrap();
             prop_assert_eq!(toks.len(), 3);
             prop_assert_eq!(&toks[0].kind, &TokenKind::Var(n));
             prop_assert_eq!(&toks[1].kind, &TokenKind::Int(i64::from(n)));

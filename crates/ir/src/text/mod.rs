@@ -41,6 +41,6 @@ mod lexer;
 mod parser;
 mod printer;
 
-pub use lexer::{LexError, Lexer, Token, TokenKind};
-pub use parser::{parse_program, ParseError, Parser};
+pub use lexer::LexError;
+pub use parser::{parse_program, ParseError};
 pub use printer::print_program;

@@ -44,13 +44,18 @@ impl From<super::lexer::LexError> for ParseError {
 /// Parses a complete `.jil` program.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = Lexer::tokenize(src)?;
-    let mut parser = Parser::new(tokens);
-    parser.parse()
+    let mut parser =
+        Parser { tokens, pos: 0, program: Program::new(), field_table: HashMap::new() };
+    parser.declaration_pass()?;
+    parser.pos = 0;
+    parser.body_pass()?;
+    Ok(parser.program)
 }
 
-/// The parser state machine. Most users call [`parse_program`].
-pub struct Parser {
-    tokens: Vec<Token>,
+/// The parser state machine behind [`parse_program`]. Tokens borrow from
+/// the source, so moving through them copies, never clones.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     program: Program,
     /// `(class symbol, field name symbol) -> FieldId`
@@ -59,12 +64,7 @@ pub struct Parser {
 
 type PResult<T> = Result<T, ParseError>;
 
-impl Parser {
-    /// Creates a parser over pre-lexed tokens.
-    pub fn new(tokens: Vec<Token>) -> Self {
-        Self { tokens, pos: 0, program: Program::new(), field_table: HashMap::new() }
-    }
-
+impl<'a> Parser<'a> {
     fn line(&self) -> u32 {
         self.tokens.get(self.pos).map(|t| t.line).unwrap_or(0)
     }
@@ -73,19 +73,19 @@ impl Parser {
         Err(ParseError { message: message.into(), line: self.line() })
     }
 
-    fn peek(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos).map(|t| &t.kind)
+    fn peek(&self) -> Option<TokenKind<'a>> {
+        self.tokens.get(self.pos).map(|t| t.kind)
     }
 
-    fn bump(&mut self) -> Option<TokenKind> {
-        let t = self.tokens.get(self.pos).map(|t| t.kind.clone());
+    fn bump(&mut self) -> Option<TokenKind<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect_ident(&mut self) -> PResult<String> {
+    fn expect_ident(&mut self) -> PResult<&'a str> {
         match self.bump() {
             Some(TokenKind::Ident(s)) => Ok(s),
             other => self.err(format!("expected identifier, found {other:?}")),
@@ -99,9 +99,9 @@ impl Parser {
         }
     }
 
-    fn expect_kind(&mut self, kind: &TokenKind) -> PResult<()> {
+    fn expect_kind(&mut self, kind: TokenKind<'a>) -> PResult<()> {
         match self.bump() {
-            Some(k) if &k == kind => Ok(()),
+            Some(k) if k == kind => Ok(()),
             other => self.err(format!("expected {kind:?}, found {other:?}")),
         }
     }
@@ -132,22 +132,14 @@ impl Parser {
         matches!(self.peek(), Some(TokenKind::Ident(s)) if s == kw)
     }
 
-    /// Runs both passes and returns the program.
-    pub fn parse(&mut self) -> PResult<Program> {
-        self.declaration_pass()?;
-        self.pos = 0;
-        self.body_pass()?;
-        Ok(std::mem::take(&mut self.program))
-    }
-
     // ---- pass 1: declarations -------------------------------------------
 
     fn declaration_pass(&mut self) -> PResult<()> {
         while self.peek().is_some() {
             self.expect_keyword(".class")?;
             let name = self.expect_ident()?;
-            let name_sym = self.program.interner.intern(&name);
-            if self.peek() == Some(&TokenKind::Colon) {
+            let name_sym = self.program.interner.intern(name);
+            if self.peek() == Some(TokenKind::Colon) {
                 self.bump();
                 self.expect_ident()?; // superclass resolved in pass 2
             }
@@ -170,9 +162,9 @@ impl Parser {
                 if self.at_keyword(".field") {
                     self.bump();
                     let fname = self.expect_ident()?;
-                    let fname_sym = self.program.interner.intern(&fname);
+                    let fname_sym = self.program.interner.intern(fname);
                     let ty = self.parse_type()?;
-                    let is_static = match self.expect_ident()?.as_str() {
+                    let is_static = match self.expect_ident()? {
                         "static" => true,
                         "instance" => false,
                         other => return self.err(format!("expected static/instance, got {other}")),
@@ -190,7 +182,7 @@ impl Parser {
                     self.bump();
                     loop {
                         match self.bump() {
-                            Some(TokenKind::Ident(s)) if s == ".end" => break,
+                            Some(TokenKind::Ident(".end")) => break,
                             Some(_) => {}
                             None => return self.err("unterminated method"),
                         }
@@ -215,12 +207,12 @@ impl Parser {
         while self.peek().is_some() {
             self.expect_keyword(".class")?;
             let name = self.expect_ident()?;
-            let name_sym = self.program.interner.intern(&name);
+            let name_sym = self.program.interner.intern(name);
             let cid = self.program.class_by_name(name_sym).expect("registered in pass 1");
-            if self.peek() == Some(&TokenKind::Colon) {
+            if self.peek() == Some(TokenKind::Colon) {
                 self.bump();
                 let sup = self.expect_ident()?;
-                let sup_sym = self.program.interner.intern(&sup);
+                let sup_sym = self.program.interner.intern(sup);
                 let Some(sup_id) = self.program.class_by_name(sup_sym) else {
                     return self.err(format!("unknown superclass {sup}"));
                 };
@@ -252,8 +244,7 @@ impl Parser {
     }
 
     fn parse_type(&mut self) -> PResult<JType> {
-        let kw = self.expect_ident()?;
-        Ok(match kw.as_str() {
+        Ok(match self.expect_ident()? {
             "int" => JType::Int,
             "long" => JType::Long,
             "float" => JType::Float,
@@ -265,11 +256,10 @@ impl Parser {
             "void" => JType::Void,
             "obj" => {
                 let cls = self.expect_ident()?;
-                JType::Object(self.program.interner.intern(&cls))
+                JType::Object(self.program.interner.intern(cls))
             }
             "arr" => {
-                let elem = self.expect_ident()?;
-                let e = match elem.as_str() {
+                let e = match self.expect_ident()? {
                     "int" => ArrayElem::Prim(PrimKind::Int),
                     "long" => ArrayElem::Prim(PrimKind::Long),
                     "float" => ArrayElem::Prim(PrimKind::Float),
@@ -288,15 +278,15 @@ impl Parser {
 
     fn parse_method_body(&mut self, cid: ClassId) -> PResult<()> {
         let mname = self.expect_ident()?;
-        let mname_sym = self.program.interner.intern(&mname);
-        self.expect_kind(&TokenKind::LParen)?;
+        let mname_sym = self.program.interner.intern(mname);
+        self.expect_kind(TokenKind::LParen)?;
         let mut params_ty = Vec::new();
-        while self.peek() != Some(&TokenKind::RParen) {
+        while self.peek() != Some(TokenKind::RParen) {
             params_ty.push(self.parse_type()?);
         }
-        self.expect_kind(&TokenKind::RParen)?;
+        self.expect_kind(TokenKind::RParen)?;
         let ret = self.parse_type()?;
-        let kind = match self.expect_ident()?.as_str() {
+        let kind = match self.expect_ident()? {
             "instance" => MethodKind::Instance,
             "static" => MethodKind::Static,
             "ctor" => MethodKind::Constructor,
@@ -304,7 +294,7 @@ impl Parser {
             "environment" => MethodKind::Environment,
             other => return self.err(format!("unknown method kind `{other}`")),
         };
-        let visibility = match self.expect_ident()?.as_str() {
+        let visibility = match self.expect_ident()? {
             "public" => Visibility::Public,
             "protected" => Visibility::Protected,
             "private" => Visibility::Private,
@@ -316,7 +306,7 @@ impl Parser {
         while self.at_keyword(".var") {
             self.bump();
             let vname = self.expect_ident()?;
-            let vname_sym = self.program.interner.intern(&vname);
+            let vname_sym = self.program.interner.intern(vname);
             let ty = self.parse_type()?;
             vars.push(VarDecl { name: vname_sym, ty });
         }
@@ -361,12 +351,12 @@ impl Parser {
     }
 
     fn parse_field_ref(&mut self) -> PResult<FieldId> {
-        self.expect_kind(&TokenKind::LBrace)?;
+        self.expect_kind(TokenKind::LBrace)?;
         let cls = self.expect_ident()?;
         let fname = self.expect_ident()?;
-        self.expect_kind(&TokenKind::RBrace)?;
-        let cls_sym = self.program.interner.intern(&cls);
-        let fname_sym = self.program.interner.intern(&fname);
+        self.expect_kind(TokenKind::RBrace)?;
+        let cls_sym = self.program.interner.intern(cls);
+        let fname_sym = self.program.interner.intern(fname);
         match self.field_table.get(&(cls_sym, fname_sym)) {
             Some(&fid) => Ok(fid),
             None => self.err(format!("unknown field {{{cls} {fname}}}")),
@@ -375,14 +365,14 @@ impl Parser {
 
     fn parse_stmt(&mut self) -> PResult<Stmt> {
         match self.peek() {
-            Some(TokenKind::Ident(kw)) => match kw.as_str() {
+            Some(TokenKind::Ident(kw)) => match kw {
                 "nop" => {
                     self.bump();
                     Ok(Stmt::Empty)
                 }
                 "monitor" => {
                     self.bump();
-                    let op = match self.expect_ident()?.as_str() {
+                    let op = match self.expect_ident()? {
                         "enter" => MonitorOp::Enter,
                         "exit" => MonitorOp::Exit,
                         other => return self.err(format!("bad monitor op `{other}`")),
@@ -411,19 +401,19 @@ impl Parser {
                 "switch" => {
                     self.bump();
                     let var = self.expect_var()?;
-                    self.expect_kind(&TokenKind::LParen)?;
+                    self.expect_kind(TokenKind::LParen)?;
                     let mut targets = Vec::new();
-                    while self.peek() != Some(&TokenKind::RParen) {
+                    while self.peek() != Some(TokenKind::RParen) {
                         targets.push(StmtIdx(self.expect_int()? as u32));
                     }
-                    self.expect_kind(&TokenKind::RParen)?;
+                    self.expect_kind(TokenKind::RParen)?;
                     self.expect_keyword("default")?;
                     let default = StmtIdx(self.expect_int()? as u32);
                     Ok(Stmt::Switch { var, targets, default })
                 }
                 "call" => {
                     self.bump();
-                    let kind = match self.expect_ident()?.as_str() {
+                    let kind = match self.expect_ident()? {
                         "virtual" => CallKind::Virtual,
                         "static" => CallKind::Static,
                         "direct" => CallKind::Direct,
@@ -432,24 +422,24 @@ impl Parser {
                     };
                     let cls = self.expect_ident()?;
                     let name = self.expect_ident()?;
-                    self.expect_kind(&TokenKind::LParen)?;
+                    self.expect_kind(TokenKind::LParen)?;
                     let mut params = Vec::new();
-                    while self.peek() != Some(&TokenKind::RParen) {
+                    while self.peek() != Some(TokenKind::RParen) {
                         params.push(self.parse_type()?);
                     }
-                    self.expect_kind(&TokenKind::RParen)?;
+                    self.expect_kind(TokenKind::RParen)?;
                     let ret_ty = self.parse_type()?;
                     self.expect_keyword("args")?;
-                    self.expect_kind(&TokenKind::LParen)?;
+                    self.expect_kind(TokenKind::LParen)?;
                     let mut args = Vec::new();
-                    while self.peek() != Some(&TokenKind::RParen) {
+                    while self.peek() != Some(TokenKind::RParen) {
                         args.push(self.expect_var()?);
                     }
-                    self.expect_kind(&TokenKind::RParen)?;
+                    self.expect_kind(TokenKind::RParen)?;
                     self.expect_keyword("ret")?;
                     let ret = self.expect_var_or_none()?;
-                    let cls_sym = self.program.interner.intern(&cls);
-                    let name_sym = self.program.interner.intern(&name);
+                    let cls_sym = self.program.interner.intern(cls);
+                    let name_sym = self.program.interner.intern(name);
                     Ok(Stmt::Call {
                         ret,
                         kind,
@@ -465,15 +455,15 @@ impl Parser {
                     Some(TokenKind::Dot) => {
                         self.bump();
                         let field = self.parse_field_ref()?;
-                        self.expect_kind(&TokenKind::Eq)?;
+                        self.expect_kind(TokenKind::Eq)?;
                         let rhs = self.parse_expr()?;
                         Ok(Stmt::Assign { lhs: Lhs::Field { base, field }, rhs })
                     }
                     Some(TokenKind::LBracket) => {
                         self.bump();
                         let index = self.expect_var()?;
-                        self.expect_kind(&TokenKind::RBracket)?;
-                        self.expect_kind(&TokenKind::Eq)?;
+                        self.expect_kind(TokenKind::RBracket)?;
+                        self.expect_kind(TokenKind::Eq)?;
                         let rhs = self.parse_expr()?;
                         Ok(Stmt::Assign { lhs: Lhs::ArrayElem { base, index }, rhs })
                     }
@@ -487,7 +477,7 @@ impl Parser {
             }
             Some(TokenKind::LBrace) => {
                 let field = self.parse_field_ref()?;
-                self.expect_kind(&TokenKind::Eq)?;
+                self.expect_kind(TokenKind::Eq)?;
                 let rhs = self.parse_expr()?;
                 Ok(Stmt::Assign { lhs: Lhs::StaticField { field }, rhs })
             }
@@ -497,87 +487,84 @@ impl Parser {
 
     fn parse_expr(&mut self) -> PResult<Expr> {
         match self.peek() {
-            Some(TokenKind::Ident(kw)) => {
-                let kw = kw.clone();
-                match kw.as_str() {
-                    "new" => {
-                        self.bump();
-                        Ok(Expr::New { ty: self.parse_type()? })
-                    }
-                    "null" => {
-                        self.bump();
-                        Ok(Expr::Null)
-                    }
-                    "constclass" => {
-                        self.bump();
-                        Ok(Expr::ConstClass { ty: self.parse_type()? })
-                    }
-                    "lit" => {
-                        self.bump();
-                        let lit = match self.bump() {
-                            Some(TokenKind::Int(n)) => Literal::Int(n),
-                            Some(TokenKind::Float(f)) => Literal::Float(f),
-                            Some(TokenKind::Str(s)) => {
-                                Literal::Str(self.program.interner.intern(&s))
-                            }
-                            other => return self.err(format!("bad literal {other:?}")),
-                        };
-                        Ok(Expr::Lit(lit))
-                    }
-                    "cast" => {
-                        self.bump();
-                        let ty = self.parse_type()?;
-                        Ok(Expr::Cast { ty, operand: self.expect_var()? })
-                    }
-                    "instanceof" => {
-                        self.bump();
-                        let operand = self.expect_var()?;
-                        Ok(Expr::InstanceOf { operand, ty: self.parse_type()? })
-                    }
-                    "length" => {
-                        self.bump();
-                        Ok(Expr::Length { base: self.expect_var()? })
-                    }
-                    "neg" => {
-                        self.bump();
-                        Ok(Expr::Unary { op: UnOp::Neg, operand: self.expect_var()? })
-                    }
-                    "not" => {
-                        self.bump();
-                        Ok(Expr::Unary { op: UnOp::Not, operand: self.expect_var()? })
-                    }
-                    "exception" => {
-                        self.bump();
-                        Ok(Expr::Exception)
-                    }
-                    "callrhs" => {
-                        self.bump();
-                        Ok(Expr::CallRhs { ret: self.expect_var()? })
-                    }
-                    "tuple" => {
-                        self.bump();
-                        self.expect_kind(&TokenKind::LParen)?;
-                        let mut elems = Vec::new();
-                        while self.peek() != Some(&TokenKind::RParen) {
-                            elems.push(self.expect_var()?);
-                        }
-                        self.expect_kind(&TokenKind::RParen)?;
-                        Ok(Expr::Tuple { elems })
-                    }
-                    "cmp" | "cmpl" | "cmpg" => {
-                        self.bump();
-                        let kind = match kw.as_str() {
-                            "cmp" => CmpKind::Cmp,
-                            "cmpl" => CmpKind::Cmpl,
-                            _ => CmpKind::Cmpg,
-                        };
-                        let lhs = self.expect_var()?;
-                        let rhs = self.expect_var()?;
-                        Ok(Expr::Cmp { kind, lhs, rhs })
-                    }
-                    other => self.err(format!("unknown expression keyword `{other}`")),
+            Some(TokenKind::Ident(kw)) => match kw {
+                "new" => {
+                    self.bump();
+                    Ok(Expr::New { ty: self.parse_type()? })
                 }
-            }
+                "null" => {
+                    self.bump();
+                    Ok(Expr::Null)
+                }
+                "constclass" => {
+                    self.bump();
+                    Ok(Expr::ConstClass { ty: self.parse_type()? })
+                }
+                "lit" => {
+                    self.bump();
+                    let lit = match self.bump() {
+                        Some(TokenKind::Int(n)) => Literal::Int(n),
+                        Some(TokenKind::Float(f)) => Literal::Float(f),
+                        Some(TokenKind::Str(s)) => {
+                            Literal::Str(self.program.interner.intern(&s.unescape()))
+                        }
+                        other => return self.err(format!("bad literal {other:?}")),
+                    };
+                    Ok(Expr::Lit(lit))
+                }
+                "cast" => {
+                    self.bump();
+                    let ty = self.parse_type()?;
+                    Ok(Expr::Cast { ty, operand: self.expect_var()? })
+                }
+                "instanceof" => {
+                    self.bump();
+                    let operand = self.expect_var()?;
+                    Ok(Expr::InstanceOf { operand, ty: self.parse_type()? })
+                }
+                "length" => {
+                    self.bump();
+                    Ok(Expr::Length { base: self.expect_var()? })
+                }
+                "neg" => {
+                    self.bump();
+                    Ok(Expr::Unary { op: UnOp::Neg, operand: self.expect_var()? })
+                }
+                "not" => {
+                    self.bump();
+                    Ok(Expr::Unary { op: UnOp::Not, operand: self.expect_var()? })
+                }
+                "exception" => {
+                    self.bump();
+                    Ok(Expr::Exception)
+                }
+                "callrhs" => {
+                    self.bump();
+                    Ok(Expr::CallRhs { ret: self.expect_var()? })
+                }
+                "tuple" => {
+                    self.bump();
+                    self.expect_kind(TokenKind::LParen)?;
+                    let mut elems = Vec::new();
+                    while self.peek() != Some(TokenKind::RParen) {
+                        elems.push(self.expect_var()?);
+                    }
+                    self.expect_kind(TokenKind::RParen)?;
+                    Ok(Expr::Tuple { elems })
+                }
+                "cmp" | "cmpl" | "cmpg" => {
+                    self.bump();
+                    let kind = match kw {
+                        "cmp" => CmpKind::Cmp,
+                        "cmpl" => CmpKind::Cmpl,
+                        _ => CmpKind::Cmpg,
+                    };
+                    let lhs = self.expect_var()?;
+                    let rhs = self.expect_var()?;
+                    Ok(Expr::Cmp { kind, lhs, rhs })
+                }
+                other => self.err(format!("unknown expression keyword `{other}`")),
+            },
             Some(TokenKind::Var(_)) => {
                 let v = self.expect_var()?;
                 match self.peek() {
@@ -589,7 +576,7 @@ impl Parser {
                     Some(TokenKind::LBracket) => {
                         self.bump();
                         let index = self.expect_var()?;
-                        self.expect_kind(&TokenKind::RBracket)?;
+                        self.expect_kind(TokenKind::RBracket)?;
                         Ok(Expr::Indexing { base: v, index })
                     }
                     Some(TokenKind::Ident(op)) if bin_op(op).is_some() => {

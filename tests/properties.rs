@@ -9,21 +9,35 @@ use gdroid::ir::text::{parse_program, print_program};
 use gdroid::ir::{validate_program, MethodId};
 use proptest::prelude::*;
 
+/// A generated app is valid IR, and its `.jil` round trip preserves every
+/// method body.
+fn assert_jil_roundtrip(seed: u64, config: &GenConfig) {
+    let app = generate_app(0, seed, config);
+    assert!(validate_program(&app.program).is_empty());
+    // Symbol ids are interner-order dependent, so equality is checked on
+    // the canonical printed form: print ∘ parse ∘ print = print.
+    let text = print_program(&app.program);
+    let reparsed = parse_program(&text).expect("reparse");
+    assert!(validate_program(&reparsed).is_empty());
+    assert_eq!(app.program.methods.len(), reparsed.methods.len());
+    assert!(print_program(&reparsed) == text, "seed {seed}: print ∘ parse ∘ print != print");
+}
+
+/// The paper profile at scale 0.1, with and without the library pool.
+#[test]
+fn paper_apps_roundtrip_through_jil() {
+    let paper = GenConfig { scale: 0.1, ..GenConfig::default() };
+    for config in [paper.clone(), paper.with_libraries(12, 24)] {
+        for seed in 0..3 {
+            assert_jil_roundtrip(seed, &config);
+        }
+    }
+}
+
 proptest! {
-    /// Any generated app is valid IR, and its `.jil` round trip preserves
-    /// every method body.
     #[test]
     fn generated_apps_roundtrip_through_jil(seed in 0u64..500) {
-        let app = generate_app(0, seed, &GenConfig::tiny());
-        prop_assert!(validate_program(&app.program).is_empty());
-        // Symbol ids are interner-order dependent, so equality is checked
-        // on the canonical printed form: print ∘ parse ∘ print = print.
-        let text = print_program(&app.program);
-        let reparsed = parse_program(&text).expect("reparse");
-        prop_assert!(validate_program(&reparsed).is_empty());
-        prop_assert_eq!(app.program.methods.len(), reparsed.methods.len());
-        let text2 = print_program(&reparsed);
-        prop_assert_eq!(text, text2);
+        assert_jil_roundtrip(seed, &GenConfig::tiny());
     }
 
     /// Bitmap set/get/count/row/clear_row invariants under arbitrary fact
