@@ -34,8 +34,9 @@ echo "==> retired-names ratchet: what EXPERIMENTS.md retired stays retired"
 # multi-GPU driver's, the blocks-per-SM tuner's, the hand-rolled JSON
 # helpers', the full-sweep solver's, the component ICFG's, the unused DOT
 # exporters', the device pool's, the second journal writer's, the
-# second method-identity scheme's, the thinner co-resident pipeline's or
-# the live summary store's sharing knobs' names anywhere.
+# second method-identity scheme's, the thinner co-resident pipeline's,
+# the live summary store's sharing knobs' or the service's load-shedding
+# admission path's names anywhere.
 rel_files=$(find crates/rel/src -type f | sort | tr '\n' ' ')
 [ "$rel_files" = "crates/rel/src/lib.rs " ] || {
   echo "retired-names ratchet: crates/rel/src holds $rel_files(want only lib.rs)" >&2
@@ -59,6 +60,7 @@ retired+='|begin_persistent|persistent_round|end_persistent|PersistentSession|qu
 retired+='|queue_op_cycles|grid_sync_cycles|absorb_round|persistent_jobs|persist_benchmark'
 retired+='|PERSIST_DETAIL_APPS'
 retired+='|shared_stores|shared-store|StoreComparison|run_store_comparison|store_sweep|result_cache'
+retired+='|try_submit|QueueFull'
 if grep -rnE "$retired" --include='*.rs' crates src tests examples; then
   echo "retired-names ratchet: a retired name is back (EXPERIMENTS.md, \"Retired: …\")" >&2
   exit 1
@@ -157,6 +159,14 @@ if grep -nE 'pub use .*\b(Lexer|Token|TokenKind|Parser)\b' crates/ir/src/text/mo
     "callers use parse_program" >&2
   exit 1
 fi
+
+echo "==> one-queue ratchet: the service's stages share one blocking queue type"
+# Both stages hand work through queue::BestFirst (DESIGN.md §22): its
+# not_empty / not_full pair plus the results buffer's condvar are the
+# serve crate's only condition variables. A second hand-written queue
+# would bring its own pair.
+ratchet_name=one-queue
+ratchet 3 'Condvar::new()' "give the new stage a queue::Rank, not its own queue" crates/serve/src
 
 echo "==> argument ratchet: no new too_many_arguments allow"
 # The one left is transfer::apply_summary; the generator's bodies take one

@@ -58,7 +58,9 @@ pub struct JobSpec {
     pub priority: Priority,
     /// The app source.
     pub source: JobSource,
-    /// When the job was admitted (queue-wait clock starts here).
+    /// When the submit queue admitted the job (queue-wait clock starts
+    /// here): stamped under the queue's lock, so a submitter's wait for
+    /// space is not queue wait.
     pub submitted_at: Instant,
     /// How the job runs: engine, and whether it takes the
     /// demand-driven fast lane. The plan's lane predicates
@@ -132,7 +134,8 @@ pub struct JobResult {
 /// What a [`JobResult`] takes from the job rather than from how it ended:
 /// who the job is, what the host measured before dispatch, and what its
 /// execution attempts have tallied so far. Created when a prep worker
-/// picks the job up and carried by the [`crate::ReadyJob`] from then on.
+/// picks the job up and carried by the [`crate::scheduler::ReadyJob`]
+/// from then on.
 #[derive(Default)]
 pub(crate) struct JobIdentity {
     pub(crate) id: u64,

@@ -7,12 +7,14 @@
 //! GPU-equipped analysis hosts. This crate builds that serving layer on
 //! top of the single-app pipeline in `gdroid-vetting`:
 //!
-//! * [`queue`] — bounded submission queue with three priority classes,
-//!   blocking backpressure, and admission-control shedding;
-//! * [`scheduler`] — the bounded ready-heap between host-side prep and
-//!   device execution: executors pop priority-then-heaviest (greedy
-//!   LPT), the bound double-buffers prep against execution, aged jobs are
-//!   promoted past the bound ([`scheduler::STARVATION_BOUND`]), and
+//! * `queue` — the one bounded, closable, best-first queue both stages
+//!   hand work through. Its submit stage admits jobs in three priority
+//!   classes, FIFO within a class; [`VettingService::submit`] blocks while
+//!   it is full (backpressure), the only admission path;
+//! * `scheduler` — the dispatch stage between host-side prep and device
+//!   execution: executors pop priority-then-heaviest (greedy LPT), the
+//!   bound double-buffers prep against execution, jobs that watched a
+//!   bounded number of pops go by are promoted past every other, and
 //!   [`ServiceConfig::coresident`] lets executors top a device up with
 //!   co-resident jobs whose combined block demand fits its block slots;
 //! * [`cache`] — content-hash result cache (bundle bytes → outcome) whose
@@ -44,8 +46,8 @@
 pub mod cache;
 pub mod job;
 pub mod metrics;
-pub mod queue;
-pub mod scheduler;
+mod queue;
+mod scheduler;
 pub mod service;
 pub mod trace;
 
@@ -55,7 +57,6 @@ pub use metrics::{
     Counters, CountersSnapshot, Histogram, HistogramSnapshot, ServiceMetrics, ServiceReport,
     SourceStats,
 };
-pub use queue::{SubmitError, SubmitQueue};
-pub use scheduler::{block_demand, work_estimate, DispatchHeap, ReadyJob, STARVATION_BOUND};
+pub use queue::SubmitError;
 pub use service::{ServiceConfig, VettingService};
 pub use trace::{job_trace, write_job_traces};

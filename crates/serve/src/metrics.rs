@@ -227,8 +227,6 @@ macro_rules! counters {
 counters! {
     /// Jobs admitted into the submission queue.
     submitted,
-    /// Submissions shed at admission (queue full).
-    rejected,
     /// Exact cache hits (no prep, no execution).
     cache_hits,
     /// Incremental warm-start executions.

@@ -1,20 +1,26 @@
-//! Bounded, priority-classed submission queue with admission control.
+//! The service's one blocking queue: bounded, closable, best-first.
 //!
-//! Submission has two flavors: [`SubmitQueue::submit`] blocks while the
-//! queue is at capacity (backpressure onto the producer), while
-//! [`SubmitQueue::try_submit`] rejects immediately (load shedding at
-//! admission). Consumers ([`SubmitQueue::pop`]) always drain the highest
-//! non-empty priority class first, FIFO within a class.
+//! Both stages of the service hand work over through a [`BestFirst`]
+//! queue, each with its own [`Rank`]: the submit stage ([`SubmitQueue`])
+//! pops the highest priority class first, then the earliest admitted job;
+//! the dispatch stage ([`crate::scheduler::DispatchHeap`]) pops by aged
+//! priority, then heaviest work estimate.
+//!
+//! Producers block in [`BestFirst::push`] while `capacity` items wait
+//! (backpressure); consumers block in [`BestFirst::pop`] while none do.
+//! [`BestFirst::close`] stops admission: pending items still drain, then
+//! `pop` returns `None`. [`BestFirst::requeue`] ignores both the bound
+//! and close — a retry must never deadlock against a full queue, and a
+//! drain must retry, not drop.
 
 use crate::job::{JobSpec, Priority};
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::cmp::Reverse;
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Why a submission was not admitted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The queue is at capacity (only from `try_submit`).
-    QueueFull,
     /// The service is draining; no new work is admitted.
     Closed,
 }
@@ -22,7 +28,6 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::QueueFull => write!(f, "submission queue is full"),
             SubmitError::Closed => write!(f, "service is draining; queue closed"),
         }
     }
@@ -30,120 +35,182 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-struct Inner {
-    lanes: [VecDeque<JobSpec>; 3],
-    len: usize,
-    closed: bool,
+/// When an item entered its queue, as its [`Rank`] sees it.
+#[derive(Clone, Copy)]
+pub(crate) struct Arrival {
+    /// Admissions before this item's (its place in arrival order).
+    pub(crate) seq: u64,
+    /// Pops since this item entered (its age).
+    pub(crate) age: u64,
 }
 
-/// The bounded multi-class submission queue.
-pub struct SubmitQueue {
-    inner: Mutex<Inner>,
+/// How a [`BestFirst`] queue orders its items.
+pub(crate) trait Rank {
+    /// The ordering key; the queue pops the item with the greatest.
+    type Key: Ord;
+
+    /// This item's key, given when it arrived.
+    fn rank(&self, arrival: Arrival) -> Self::Key;
+
+    /// Called under the queue's lock as the item is admitted.
+    fn admitted(&mut self) {}
+}
+
+struct Entry<T> {
+    item: T,
+    seq: u64,
+    /// Value of the pop counter when this entry (re-)entered the queue.
+    entered_at: u64,
+}
+
+struct Inner<T> {
+    entries: Vec<Entry<T>>,
+    closed: bool,
+    /// Admissions so far — the arrival order.
+    admissions: u64,
+    /// Successful pops so far — the age clock.
+    pops: u64,
+}
+
+impl<T: Rank> Inner<T> {
+    fn enter(&mut self, mut item: T) {
+        item.admitted();
+        self.entries.push(Entry { item, seq: self.admissions, entered_at: self.pops });
+        self.admissions += 1;
+    }
+
+    /// Removes the greatest-ranked item `accept` takes, advancing the age
+    /// clock.
+    fn take(&mut self, accept: impl Fn(&T) -> bool) -> Option<T> {
+        let pops = self.pops;
+        let i = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| accept(&e.item))
+            .max_by_key(|(_, e)| e.item.rank(Arrival { seq: e.seq, age: pops - e.entered_at }))
+            .map(|(i, _)| i)?;
+        self.pops += 1;
+        Some(self.entries.remove(i).item)
+    }
+}
+
+/// A bounded, closable queue that pops its greatest-[`Rank`]ed item.
+pub(crate) struct BestFirst<T> {
+    inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
 }
 
-impl SubmitQueue {
-    /// Creates a queue admitting at most `capacity` pending jobs.
-    pub fn new(capacity: usize) -> SubmitQueue {
-        SubmitQueue {
-            inner: Mutex::new(Inner {
-                lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-                len: 0,
-                closed: false,
-            }),
+impl<T: Rank> BestFirst<T> {
+    /// Creates a queue admitting at most `capacity` (at least one)
+    /// waiting items through [`Self::push`].
+    pub(crate) fn new(capacity: usize) -> BestFirst<T> {
+        BestFirst {
+            inner: Mutex::new(Inner { entries: Vec::new(), closed: false, admissions: 0, pops: 0 }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            capacity,
+            capacity: capacity.max(1),
         }
     }
 
-    /// Blocking submission: waits for space while the queue is full
-    /// (backpressure), fails only once the queue is closed.
-    pub fn submit(&self, job: JobSpec) -> Result<(), SubmitError> {
-        let mut inner =
-            self.inner.lock().expect("submit-queue mutex poisoned: a queue user panicked");
-        while inner.len >= self.capacity && !inner.closed {
-            inner = self
-                .not_full
-                .wait(inner)
-                .expect("submit-queue mutex poisoned while waiting for space");
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().expect("queue mutex poisoned: a queue user panicked")
+    }
+
+    /// Admits `item`, blocking while the queue is at capacity
+    /// (backpressure). Hands the item back once the queue is closed.
+    pub(crate) fn push(&self, item: T) -> Result<(), T> {
+        let mut inner = self.lock();
+        while inner.entries.len() >= self.capacity && !inner.closed {
+            inner =
+                self.not_full.wait(inner).expect("queue mutex poisoned while waiting for space");
         }
         if inner.closed {
-            return Err(SubmitError::Closed);
+            return Err(item);
         }
-        Self::push(&mut inner, job);
+        inner.enter(item);
         self.not_empty.notify_one();
         Ok(())
     }
 
-    /// Non-blocking submission: sheds the job when the queue is at
-    /// capacity. The job is handed back so the caller decides its fate.
-    // The fat Err *is* the contract: a rejected job must come back whole.
-    #[allow(clippy::result_large_err)]
-    pub fn try_submit(&self, job: JobSpec) -> Result<(), (JobSpec, SubmitError)> {
-        let mut inner =
-            self.inner.lock().expect("submit-queue mutex poisoned: a queue user panicked");
-        if inner.closed {
-            return Err((job, SubmitError::Closed));
-        }
-        if inner.len >= self.capacity {
-            return Err((job, SubmitError::QueueFull));
-        }
-        Self::push(&mut inner, job);
+    /// Re-admits a failed item for retry: not subject to the capacity
+    /// bound and accepted even after close. Its age restarts — a retry is
+    /// a fresh arrival.
+    pub(crate) fn requeue(&self, item: T) {
+        self.lock().enter(item);
         self.not_empty.notify_one();
-        Ok(())
     }
 
-    fn push(inner: &mut Inner, job: JobSpec) {
-        inner.lanes[job.priority as usize].push_back(job);
-        inner.len += 1;
-    }
-
-    /// Takes the next job: highest non-empty class, FIFO within it.
-    /// Blocks while empty; returns `None` once closed *and* drained.
-    pub fn pop(&self) -> Option<JobSpec> {
-        let mut inner =
-            self.inner.lock().expect("submit-queue mutex poisoned: a queue user panicked");
+    /// Takes the greatest-ranked item. Blocks while empty; `None` once
+    /// closed *and* drained.
+    pub(crate) fn pop(&self) -> Option<T> {
+        let mut inner = self.lock();
         loop {
-            if inner.len > 0 {
-                for lane in (0..Priority::ALL.len()).rev() {
-                    if let Some(job) = inner.lanes[lane].pop_front() {
-                        inner.len -= 1;
-                        self.not_full.notify_one();
-                        return Some(job);
-                    }
-                }
-                unreachable!("len > 0 with all lanes empty");
+            if let Some(item) = inner.take(|_| true) {
+                self.not_full.notify_one();
+                return Some(item);
             }
             if inner.closed {
                 return None;
             }
-            inner = self
-                .not_empty
-                .wait(inner)
-                .expect("submit-queue mutex poisoned while waiting for work");
+            inner =
+                self.not_empty.wait(inner).expect("queue mutex poisoned while waiting for work");
         }
     }
 
-    /// Closes the queue: pending jobs still drain, new submissions fail.
-    pub fn close(&self) {
-        let mut inner =
-            self.inner.lock().expect("submit-queue mutex poisoned: a queue user panicked");
-        inner.closed = true;
+    /// Non-blocking pop of the greatest-ranked item `accept` takes;
+    /// `None` when no waiting item qualifies.
+    pub(crate) fn try_pop_where(&self, accept: impl Fn(&T) -> bool) -> Option<T> {
+        let item = self.lock().take(accept)?;
+        self.not_full.notify_one();
+        Some(item)
+    }
+
+    /// Closes the queue: pending items still drain, new pushes fail.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
-    /// Jobs currently waiting.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("submit-queue mutex poisoned: a queue user panicked").len
+    /// Items currently waiting.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.lock().entries.len()
     }
 
-    /// Whether no jobs are waiting.
-    pub fn is_empty(&self) -> bool {
+    /// Whether no items are waiting.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// The submit stage: admitted jobs waiting for a prep worker.
+pub(crate) type SubmitQueue = BestFirst<JobSpec>;
+
+/// Highest priority class first, then earliest admitted.
+impl Rank for JobSpec {
+    type Key = (Priority, Reverse<u64>);
+
+    fn rank(&self, arrival: Arrival) -> Self::Key {
+        (self.priority, Reverse(arrival.seq))
+    }
+
+    /// The queue-wait clock starts at admission, not when the submitter
+    /// began waiting for space.
+    fn admitted(&mut self) {
+        self.submitted_at = Instant::now();
+    }
+}
+
+impl SubmitQueue {
+    /// Blocking submission: waits for space while the queue is full
+    /// (backpressure), fails only once the queue is closed.
+    pub(crate) fn submit(&self, job: JobSpec) -> Result<(), SubmitError> {
+        self.push(job).map_err(|_| SubmitError::Closed)
     }
 }
 
@@ -151,7 +218,10 @@ impl SubmitQueue {
 mod tests {
     use super::*;
     use crate::job::JobSource;
-    use std::time::Instant;
+    use gdroid_apk::Rng;
+    use std::collections::VecDeque;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn job(id: u64, priority: Priority) -> JobSpec {
         JobSpec {
@@ -178,19 +248,33 @@ mod tests {
         assert_eq!(order, vec![3, 2, 4, 1]);
     }
 
+    /// Random interleavings of submissions in every class and pops, then
+    /// a close and a drain, pop in the order three FIFO lanes give —
+    /// highest non-empty lane first.
     #[test]
-    fn try_submit_sheds_when_full_and_close_drains() {
-        let q = SubmitQueue::new(2);
-        assert!(q.try_submit(job(1, Priority::Standard)).is_ok());
-        assert!(q.try_submit(job(2, Priority::Standard)).is_ok());
-        let (back, err) = q.try_submit(job(3, Priority::Expedited)).unwrap_err();
-        assert_eq!(err, SubmitError::QueueFull);
-        assert_eq!(back.id, 3);
-        q.close();
-        assert!(matches!(q.try_submit(job(4, Priority::Standard)), Err((_, SubmitError::Closed))));
-        assert_eq!(q.pop().unwrap().id, 1);
-        assert_eq!(q.pop().unwrap().id, 2);
-        assert!(q.pop().is_none());
+    fn pops_like_three_fifo_lanes() {
+        for seed in 0..64 {
+            let mut rng = Rng::new(seed);
+            let q = SubmitQueue::new(64);
+            let mut lanes: [VecDeque<u64>; 3] = Default::default();
+            let model_pop = |lanes: &mut [VecDeque<u64>; 3]| {
+                lanes.iter_mut().rev().find_map(VecDeque::pop_front)
+            };
+            for id in 0..200 {
+                if rng.chance(0.55) && lanes.iter().map(VecDeque::len).sum::<usize>() < 64 {
+                    let priority = Priority::ALL[rng.below(3) as usize];
+                    q.submit(job(id, priority)).unwrap();
+                    lanes[priority as usize].push_back(id);
+                } else if let Some(want) = model_pop(&mut lanes) {
+                    assert_eq!(q.pop().map(|j| j.id), Some(want), "seed {seed}");
+                }
+            }
+            q.close();
+            assert_eq!(q.submit(job(999, Priority::Expedited)), Err(SubmitError::Closed));
+            let drained: Vec<u64> = std::iter::from_fn(|| q.pop().map(|j| j.id)).collect();
+            let want: Vec<u64> = std::iter::from_fn(|| model_pop(&mut lanes)).collect();
+            assert_eq!(drained, want, "seed {seed}: close drains what was admitted");
+        }
     }
 
     #[test]
@@ -203,5 +287,24 @@ mod tests {
         assert_eq!(q.pop().unwrap().id, 1);
         producer.join().unwrap().unwrap();
         assert_eq!(q.pop().unwrap().id, 2);
+    }
+
+    #[test]
+    fn queue_wait_starts_at_admission_not_at_submission() {
+        let q = Arc::new(SubmitQueue::new(1));
+        q.submit(job(1, Priority::Standard)).unwrap();
+        let q2 = Arc::clone(&q);
+        let producer = std::thread::spawn(move || q2.submit(job(2, Priority::Standard)));
+        std::thread::sleep(Duration::from_millis(60));
+        // B cannot be admitted before A's pop frees its slot.
+        let popping_a = Instant::now();
+        assert_eq!(q.pop().unwrap().id, 1);
+        producer.join().unwrap().unwrap();
+        let b = q.pop().unwrap();
+        assert!(
+            b.submitted_at >= popping_a,
+            "B was stamped {:?} before A left the queue",
+            popping_a - b.submitted_at
+        );
     }
 }

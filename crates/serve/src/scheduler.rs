@@ -1,4 +1,4 @@
-//! Dispatch heap: prepared jobs waiting for a device.
+//! Dispatch stage: prepared jobs waiting for a device.
 //!
 //! Executors pop the highest-priority, *heaviest* ready job — combined
 //! with "a free executor pops next", this is exactly greedy LPT
@@ -13,14 +13,12 @@
 //! is thereby bounded by `STARVATION_BOUND` dispatches instead of being
 //! unbounded.
 //!
-//! The heap is bounded: prep workers block in [`DispatchHeap::push`] once
+//! The stage is bounded: prep workers block in [`BestFirst::push`] once
 //! `capacity` prepared apps are waiting, which is the double-buffer
 //! overlap — at steady state each device executes one app while the prep
 //! workers hold the next few ready behind it, and prep never runs
 //! unboundedly ahead of execution. Retries re-enter through
-//! [`DispatchHeap::requeue`], which ignores the bound (a retry must never
-//! deadlock against a full heap) and still works after close so draining
-//! cannot drop a failed job.
+//! [`BestFirst::requeue`].
 //!
 //! For co-resident batching, executors top up a popped job with
 //! [`DispatchHeap::try_pop_coresident`]: a non-blocking pop restricted to
@@ -28,28 +26,29 @@
 //! the device's remaining block slots.
 
 use crate::job::{JobIdentity, Priority};
+use crate::queue::{Arrival, BestFirst, Rank};
 use gdroid_icfg::CallLayers;
 use gdroid_sumstore::SumStore;
 use gdroid_vetting::{ExecPlan, PreparedApp};
-use std::sync::{Condvar, Mutex};
+use std::cmp::Reverse;
 
 /// Pops a job may watch go by before it outranks every non-aged job.
-pub const STARVATION_BOUND: u64 = 8;
+pub(crate) const STARVATION_BOUND: u64 = 8;
 
 /// A prepared job, ready for device execution.
-pub struct ReadyJob {
+pub(crate) struct ReadyJob {
     /// Who the job is, what the host measured for it, and what its
     /// execution attempts tallied — carried into the final result.
     pub(crate) identity: JobIdentity,
     /// How the job runs (see [`crate::JobSpec::plan`]).
-    pub plan: ExecPlan,
+    pub(crate) plan: ExecPlan,
     /// Static work estimate (statements × state width), the LPT key.
-    pub estimate: u64,
+    pub(crate) estimate: u64,
     /// Widest call-graph layer in blocks — the most block slots one of
     /// this job's kernel launches can demand at once (co-residency fit).
-    pub block_demand: u64,
+    pub(crate) block_demand: u64,
     /// The prepared app (program + environments + call graph + roots).
-    pub prep: PreparedApp,
+    pub(crate) prep: PreparedApp,
     /// The warm start the executor's cache lookup found, if any: the
     /// previous version's summary store. Kept across retries — the lookup
     /// consumed the cache entry.
@@ -58,7 +57,7 @@ pub struct ReadyJob {
 
 /// Computes the static work estimate of a prepared app: total statements
 /// times total variables.
-pub fn work_estimate(prep: &PreparedApp) -> u64 {
+pub(crate) fn work_estimate(prep: &PreparedApp) -> u64 {
     let p = &prep.app.program;
     // Both factors are guarded: a degenerate app (zero statements or zero
     // variables) must not carry estimate 0 and sink below every retry.
@@ -67,123 +66,26 @@ pub fn work_estimate(prep: &PreparedApp) -> u64 {
 
 /// Computes a prepared app's block demand: the widest call-graph layer,
 /// i.e. the most thread blocks any one of its kernel launches can occupy.
-pub fn block_demand(prep: &PreparedApp) -> u64 {
+pub(crate) fn block_demand(prep: &PreparedApp) -> u64 {
     let layers = CallLayers::compute(&prep.cg, &prep.roots);
     layers.layers.iter().map(Vec::len).max().unwrap_or(0).max(1) as u64
 }
 
-struct AgedEntry {
-    job: ReadyJob,
-    /// Value of the pop counter when this entry (re-)entered the heap.
-    enqueued_at: u64,
-}
+/// Aged entries first, then priority, then estimate (LPT), then earliest
+/// id.
+impl Rank for ReadyJob {
+    type Key = (bool, Priority, u64, Reverse<u64>);
 
-impl AgedEntry {
-    /// Max key: aged entries first, then priority, then estimate (LPT),
-    /// then earliest id. `pops` is the heap's current pop counter.
-    fn key(&self, pops: u64) -> (bool, Priority, u64, std::cmp::Reverse<u64>) {
-        let aged = pops.saturating_sub(self.enqueued_at) >= STARVATION_BOUND;
-        let who = &self.job.identity;
-        (aged, who.priority, self.job.estimate, std::cmp::Reverse(who.id))
+    fn rank(&self, arrival: Arrival) -> Self::Key {
+        let aged = arrival.age >= STARVATION_BOUND;
+        (aged, self.identity.priority, self.estimate, Reverse(self.identity.id))
     }
 }
 
-struct HeapInner {
-    entries: Vec<AgedEntry>,
-    closed: bool,
-    /// Successful pops so far — the age clock.
-    pops: u64,
-}
-
-impl HeapInner {
-    /// Index of the best entry among those `fits` accepts, by aged key.
-    fn best_index(&self, fits: impl Fn(&ReadyJob) -> bool) -> Option<usize> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| fits(&e.job))
-            .max_by_key(|(_, e)| e.key(self.pops))
-            .map(|(i, _)| i)
-    }
-
-    /// Removes and returns entry `i`, advancing the age clock.
-    fn take(&mut self, i: usize) -> ReadyJob {
-        self.pops += 1;
-        self.entries.remove(i).job
-    }
-}
-
-/// The bounded ready-job heap between prep workers and executors.
-pub struct DispatchHeap {
-    inner: Mutex<HeapInner>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
+/// The dispatch stage between prep workers and executors.
+pub(crate) type DispatchHeap = BestFirst<ReadyJob>;
 
 impl DispatchHeap {
-    /// Creates a heap holding at most `capacity` ready jobs.
-    pub fn new(capacity: usize) -> DispatchHeap {
-        DispatchHeap {
-            inner: Mutex::new(HeapInner { entries: Vec::new(), closed: false, pops: 0 }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Hands a freshly prepared job to the executors; blocks while the
-    /// heap is at capacity. Fails (returning the job) once closed.
-    // The fat Err *is* the contract: a rejected job must come back whole.
-    #[allow(clippy::result_large_err)]
-    pub fn push(&self, job: ReadyJob) -> Result<(), ReadyJob> {
-        let mut inner = self.inner.lock().expect("dispatch-heap mutex poisoned: a worker panicked");
-        while inner.entries.len() >= self.capacity && !inner.closed {
-            inner = self
-                .not_full
-                .wait(inner)
-                .expect("dispatch-heap mutex poisoned while waiting for space");
-        }
-        if inner.closed {
-            return Err(job);
-        }
-        let at = inner.pops;
-        inner.entries.push(AgedEntry { job, enqueued_at: at });
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Re-enters a failed job for retry. Not subject to the capacity
-    /// bound and accepted even after close — a drain must retry, not
-    /// drop. The age clock restarts: a retry is a fresh arrival.
-    pub fn requeue(&self, job: ReadyJob) {
-        let mut inner = self.inner.lock().expect("dispatch-heap mutex poisoned: a worker panicked");
-        let at = inner.pops;
-        inner.entries.push(AgedEntry { job, enqueued_at: at });
-        self.not_empty.notify_one();
-    }
-
-    /// Takes the most urgent ready job (aged first, then priority, then
-    /// heaviest — LPT). Blocks while empty; `None` once closed *and*
-    /// drained.
-    pub fn pop(&self) -> Option<ReadyJob> {
-        let mut inner = self.inner.lock().expect("dispatch-heap mutex poisoned: a worker panicked");
-        loop {
-            if let Some(i) = inner.best_index(|_| true) {
-                let job = inner.take(i);
-                self.not_full.notify_one();
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .not_empty
-                .wait(inner)
-                .expect("dispatch-heap mutex poisoned while waiting for work");
-        }
-    }
-
     /// Non-blocking pop of the most urgent ready job under `plan` whose
     /// block demand fits in `max_demand` block slots — how a
     /// batch-forming executor tops up a device with co-resident jobs: a
@@ -191,30 +93,8 @@ impl DispatchHeap {
     /// and full ones with full ones. Returns `None` when no waiting job
     /// fits (never blocks: an empty top-up just means the batch launches
     /// as-is).
-    pub fn try_pop_coresident(&self, max_demand: u64, plan: &ExecPlan) -> Option<ReadyJob> {
-        let mut inner = self.inner.lock().expect("dispatch-heap mutex poisoned: a worker panicked");
-        let i = inner.best_index(|job| job.plan == *plan && job.block_demand <= max_demand)?;
-        let job = inner.take(i);
-        self.not_full.notify_one();
-        Some(job)
-    }
-
-    /// Closes the heap: waiting executors drain what remains, then stop.
-    pub fn close(&self) {
-        let mut inner = self.inner.lock().expect("dispatch-heap mutex poisoned: a worker panicked");
-        inner.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Ready jobs currently waiting.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("dispatch-heap mutex poisoned: a worker panicked").entries.len()
-    }
-
-    /// Whether no ready jobs are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub(crate) fn try_pop_coresident(&self, max_demand: u64, plan: &ExecPlan) -> Option<ReadyJob> {
+        self.try_pop_where(|job| job.plan == *plan && job.block_demand <= max_demand)
     }
 }
 

@@ -1,19 +1,25 @@
 //! The in-process vetting service: prep workers, device executors, and
 //! the drain protocol.
 //!
-//! Thread topology (all `std::thread`, no external runtime):
+//! Thread topology (all `std::thread`, no external runtime); both stages
+//! are one bounded best-first queue type, each with its own order:
 //!
 //! ```text
-//! submit() ──► SubmitQueue (bounded, 3 priority classes)
+//! submit() ──► SubmitQueue (bounded; priority class, then admission order)
 //!                 │  K prep workers: read → hash → cache lookup →
 //!                 │  parse → env/callgraph synthesis → work estimate
 //!                 ▼
-//!              DispatchHeap (bounded — double-buffers prep vs execution)
+//!              DispatchHeap (bounded — double-buffers prep vs execution;
+//!                 │          aged, then priority, then heaviest)
 //!                 │  D executors, one device each: LPT pop → run
 //!                 │  (fault/timeout → retry, then quarantine)
 //!                 ▼
 //!              results + ResultCache + ServiceMetrics
 //! ```
+//!
+//! There is one admission path: [`VettingService::submit`] (and its
+//! targeted form) blocks while the submit queue is full, and fails only
+//! once the service drains.
 //!
 //! An executor thread owns its simulated device for the service's whole
 //! life: each execution calls [`gdroid_gpusim::Device::reset`] (via the
@@ -57,7 +63,7 @@ pub struct ServiceConfig {
     pub prep_workers: usize,
     /// Simulated devices and executor threads (D).
     pub devices: usize,
-    /// Submission queue bound (admission control).
+    /// Submission queue bound: `submit` blocks while this many jobs wait.
     pub queue_capacity: usize,
     /// Failed attempts a job may retry before quarantine (it is
     /// quarantined on failure number `max_retries + 1`).
@@ -168,7 +174,7 @@ pub struct VettingService {
 impl VettingService {
     /// Starts the worker and executor threads.
     pub fn start(config: ServiceConfig) -> VettingService {
-        let queue = Arc::new(SubmitQueue::new(config.queue_capacity.max(1)));
+        let queue = Arc::new(SubmitQueue::new(config.queue_capacity));
         let devices = config.executor_devices();
         let state = Arc::new(ServiceState {
             label: config.label,
@@ -207,6 +213,7 @@ impl VettingService {
     fn spec(&self, priority: Priority, source: JobSource, targeted: bool) -> JobSpec {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let plan = ExecPlan { targeted, ..self.state.plan }.fallback();
+        // `submitted_at` is stamped again when the queue admits the job.
         JobSpec { id, priority, source, submitted_at: Instant::now(), plan }
     }
 
@@ -234,32 +241,13 @@ impl VettingService {
         Ok(id)
     }
 
-    /// Admission-controlled submission: sheds the job immediately when
-    /// the queue is at capacity.
-    pub fn try_submit(&self, priority: Priority, source: JobSource) -> Result<u64, SubmitError> {
-        let spec = self.spec(priority, source, false);
-        let id = spec.id;
-        match self.queue.try_submit(spec) {
-            Ok(()) => {
-                Counters::bump(&self.state.metrics.counters.submitted);
-                Ok(id)
-            }
-            Err((_, err)) => {
-                if err == SubmitError::QueueFull {
-                    Counters::bump(&self.state.metrics.counters.rejected);
-                }
-                Err(err)
-            }
-        }
-    }
-
     /// Takes every terminal result produced so far, leaving the buffer
     /// empty. Long streaming runs (the campaign layer) harvest between
     /// submissions so resident results stay bounded by the in-flight
     /// window instead of growing O(corpus); a later [`Self::drain`]
     /// returns only the results produced after the last harvest. Note
-    /// that [`Self::completed`] and [`Self::wait_for`] count the
-    /// *buffered* results, so they reset alongside.
+    /// that [`Self::wait_for`] counts the *buffered* results, so it resets
+    /// alongside.
     pub fn take_results(&self) -> Vec<JobResult> {
         std::mem::take(
             &mut *self
@@ -268,12 +256,6 @@ impl VettingService {
                 .lock()
                 .expect("results mutex poisoned: a service thread panicked"),
         )
-    }
-
-    /// Terminal results produced so far.
-    pub fn completed(&self) -> u64 {
-        self.state.results.lock().expect("results mutex poisoned: a service thread panicked").len()
-            as u64
     }
 
     /// Blocks until at least `n` jobs have produced terminal results.

@@ -45,7 +45,6 @@ fn histogram(x: &Inputs) -> HistogramSnapshot {
 fn counters(scale: u64) -> CountersSnapshot {
     CountersSnapshot {
         submitted: 19 * scale,
-        rejected: scale,
         cache_hits: 2 * scale,
         cache_incremental: 3 * scale,
         prepared: 4 * scale,
@@ -431,8 +430,8 @@ fn name_has_text(name: &str) -> bool {
 /// commit's hand-formatted bodies from `PINNED`.
 const PINS: &[(&str, &str)] = &[
     ("HistogramSnapshot", "{\"count\":6,\"mean_ns\":333333355143.9,\"p50_ns\":4000,\"p95_ns\":1722121847200,\"p99_ns\":1944423569440,\"max_ns\":1999999000000,\"sum_ns\":2000000123456,\"buckets\":[0,3,0,0,2,0,0,0,0,0,0,0,0,0,0,0,1]}"),
-    ("CountersSnapshot", "{\"submitted\":19,\"rejected\":1,\"cache_hits\":2,\"cache_incremental\":3,\"prepared\":4,\"executed\":5,\"retries\":6,\"faults\":7,\"timeouts\":8,\"quarantined\":9,\"completed\":10,\"batches\":2,\"batched_jobs\":4,\"targeted_jobs\":13,\"sliced_fraction_micros\":1400000,\"cpu_jobs\":15,\"store_hits\":17,\"store_misses\":18}"),
-    ("ServiceReport", "{\"counters\":{\"submitted\":57,\"rejected\":3,\"cache_hits\":6,\"cache_incremental\":9,\"prepared\":12,\"executed\":15,\"retries\":18,\"faults\":21,\"timeouts\":24,\"quarantined\":27,\"completed\":30,\"batches\":6,\"batched_jobs\":12,\"targeted_jobs\":39,\"sliced_fraction_micros\":4200000,\"cpu_jobs\":45,\"store_hits\":51,\"store_misses\":54},\"per_source\":[{\"label\":\"com.gen.app0007\",\"cache_hits\":2,\"cache_incremental\":3,\"store_hits\":17,\"store_misses\":18},{\"label\":\"shard-1\",\"cache_hits\":4,\"cache_incremental\":6,\"store_hits\":34,\"store_misses\":36}],\"latency\":{\"queue_wait\":{\"count\":12,\"mean_ns\":333333353909.3,\"p50_ns\":4000,\"p95_ns\":1722121847200,\"p99_ns\":1944423569440,\"max_ns\":1999999000000,\"sum_ns\":4000000246912,\"buckets\":[0,6,0,0,4,0,0,0,0,0,0,0,0,0,0,0,2]},\"prep\":{\"count\":0,\"mean_ns\":0.0,\"p50_ns\":0,\"p95_ns\":0,\"p99_ns\":0,\"max_ns\":0,\"sum_ns\":0,\"buckets\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},\"exec_wall\":{\"count\":12,\"mean_ns\":333333353909.3,\"p50_ns\":4000,\"p95_ns\":1722121847200,\"p99_ns\":1944423569440,\"max_ns\":1999999000000,\"sum_ns\":4000000246912,\"buckets\":[0,6,0,0,4,0,0,0,0,0,0,0,0,0,0,0,2]},\"kernel_model\":{\"count\":12,\"mean_ns\":333333353909.3,\"p50_ns\":4000,\"p95_ns\":1722121847200,\"p99_ns\":1944423569440,\"max_ns\":1999999000000,\"sum_ns\":4000000246912,\"buckets\":[0,6,0,0,4,0,0,0,0,0,0,0,0,0,0,0,2]},\"taint_model\":{\"count\":0,\"mean_ns\":0.0,\"p50_ns\":0,\"p95_ns\":0,\"p99_ns\":0,\"max_ns\":0,\"sum_ns\":0,\"buckets\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}},\"cache\":{\"hits\":6,\"misses\":10,\"invalidations\":2,\"insertions\":8},\"sumstore\":{\"hits\":34,\"misses\":54,\"insertions\":12,\"reloc_failures\":2},\"wall_ns\":7000000000,\"apps_per_sec\":4.286,\"coresidency\":1236.234,\"mean_sliced_fraction\":0.107692,\"device_launches\":120,\"device_faults\":3}"),
+    ("CountersSnapshot", "{\"submitted\":19,\"cache_hits\":2,\"cache_incremental\":3,\"prepared\":4,\"executed\":5,\"retries\":6,\"faults\":7,\"timeouts\":8,\"quarantined\":9,\"completed\":10,\"batches\":2,\"batched_jobs\":4,\"targeted_jobs\":13,\"sliced_fraction_micros\":1400000,\"cpu_jobs\":15,\"store_hits\":17,\"store_misses\":18}"),
+    ("ServiceReport", "{\"counters\":{\"submitted\":57,\"cache_hits\":6,\"cache_incremental\":9,\"prepared\":12,\"executed\":15,\"retries\":18,\"faults\":21,\"timeouts\":24,\"quarantined\":27,\"completed\":30,\"batches\":6,\"batched_jobs\":12,\"targeted_jobs\":39,\"sliced_fraction_micros\":4200000,\"cpu_jobs\":45,\"store_hits\":51,\"store_misses\":54},\"per_source\":[{\"label\":\"com.gen.app0007\",\"cache_hits\":2,\"cache_incremental\":3,\"store_hits\":17,\"store_misses\":18},{\"label\":\"shard-1\",\"cache_hits\":4,\"cache_incremental\":6,\"store_hits\":34,\"store_misses\":36}],\"latency\":{\"queue_wait\":{\"count\":12,\"mean_ns\":333333353909.3,\"p50_ns\":4000,\"p95_ns\":1722121847200,\"p99_ns\":1944423569440,\"max_ns\":1999999000000,\"sum_ns\":4000000246912,\"buckets\":[0,6,0,0,4,0,0,0,0,0,0,0,0,0,0,0,2]},\"prep\":{\"count\":0,\"mean_ns\":0.0,\"p50_ns\":0,\"p95_ns\":0,\"p99_ns\":0,\"max_ns\":0,\"sum_ns\":0,\"buckets\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},\"exec_wall\":{\"count\":12,\"mean_ns\":333333353909.3,\"p50_ns\":4000,\"p95_ns\":1722121847200,\"p99_ns\":1944423569440,\"max_ns\":1999999000000,\"sum_ns\":4000000246912,\"buckets\":[0,6,0,0,4,0,0,0,0,0,0,0,0,0,0,0,2]},\"kernel_model\":{\"count\":12,\"mean_ns\":333333353909.3,\"p50_ns\":4000,\"p95_ns\":1722121847200,\"p99_ns\":1944423569440,\"max_ns\":1999999000000,\"sum_ns\":4000000246912,\"buckets\":[0,6,0,0,4,0,0,0,0,0,0,0,0,0,0,0,2]},\"taint_model\":{\"count\":0,\"mean_ns\":0.0,\"p50_ns\":0,\"p95_ns\":0,\"p99_ns\":0,\"max_ns\":0,\"sum_ns\":0,\"buckets\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}},\"cache\":{\"hits\":6,\"misses\":10,\"invalidations\":2,\"insertions\":8},\"sumstore\":{\"hits\":34,\"misses\":54,\"insertions\":12,\"reloc_failures\":2},\"wall_ns\":7000000000,\"apps_per_sec\":4.286,\"coresidency\":1236.234,\"mean_sliced_fraction\":0.107692,\"device_launches\":120,\"device_faults\":3}"),
     ("VettingReport", "{\"verdict\":\"Suspicious\",\"leaks\":[{\"method\":12,\"stmt\":34,\"sink\":\"com.gen.app0007\",\"sources\":[\"com.gen.app0007\",\"IMEI\"]},{\"method\":13,\"stmt\":0,\"sink\":\"Log.d\",\"sources\":[]}]}"),
     ("VettingOutcome full", "{\"report\":{\"verdict\":\"Suspicious\",\"leaks\":[{\"method\":12,\"stmt\":34,\"sink\":\"com.gen.app0007\",\"sources\":[\"com.gen.app0007\",\"IMEI\"]},{\"method\":13,\"stmt\":0,\"sink\":\"Log.d\",\"sources\":[]}]},\"timing\":{\"envgen_ns\":250000,\"callgraph_ns\":1500000,\"idfg_ns\":1234.5678,\"taint_ns\":0.30000000000000004,\"total_ns\":1751234.8678000001},\"telemetry\":{\"nodes_processed\":4321,\"rounds\":17},\"store_bytes\":65536}"),
     ("VettingOutcome targeted", "{\"report\":{\"verdict\":\"Suspicious\",\"leaks\":[{\"method\":12,\"stmt\":34,\"sink\":\"com.gen.app0007\",\"sources\":[\"com.gen.app0007\",\"IMEI\"]},{\"method\":13,\"stmt\":0,\"sink\":\"Log.d\",\"sources\":[]}]},\"timing\":{\"envgen_ns\":250000,\"callgraph_ns\":1500000,\"idfg_ns\":1234.5678,\"taint_ns\":0.30000000000000004,\"total_ns\":1751234.8678000001},\"telemetry\":{\"nodes_processed\":4321,\"rounds\":17},\"store_bytes\":65536,\"targeted\":{\"targeted\":true,\"slice_methods\":12,\"methods_skipped\":30,\"total_reachable\":42,\"sliced_fraction\":0.285713,\"sink_methods\":3,\"partial_roots\":2}}"),
