@@ -61,6 +61,7 @@ retired+='|queue_op_cycles|grid_sync_cycles|absorb_round|persistent_jobs|persist
 retired+='|PERSIST_DETAIL_APPS'
 retired+='|shared_stores|shared-store|StoreComparison|run_store_comparison|store_sweep|result_cache'
 retired+='|try_submit|QueueFull'
+retired+='|\.fallback\(\)|PlanRefusal|check_or_exit'
 if grep -rnE "$retired" --include='*.rs' crates src tests examples; then
   echo "retired-names ratchet: a retired name is back (EXPERIMENTS.md, \"Retired: …\")" >&2
   exit 1
@@ -398,8 +399,10 @@ then
 fi
 
 echo "==> typo smoke: an undefined flag or an unparsable value is refused, not defaulted"
+# A flag's value may not be another flag, and `vet|serve|batch --sumstore`
+# needs its directory.
 for typo in "vet 42 --targetted --json" "serve --apps 2 --workers x" \
-  "campaign --apps 2 --scale nan"; do
+  "campaign --apps 2 --scale nan" "vet 42 --trace --json" "vet 42 --sumstore"; do
   typo_status=0
   # shellcheck disable=SC2086
   ./target/release/gdroid $typo >/dev/null 2>&1 || typo_status=$?
@@ -408,6 +411,10 @@ for typo in "vet 42 --targetted --json" "serve --apps 2 --workers x" \
     exit 1
   }
 done
+[ ! -e ./--json ] || {
+  echo "typo smoke: \`vet --trace --json\` wrote a file named --json" >&2
+  exit 1
+}
 
 echo "==> campaign smoke: kill/resume reproduces the fleet report byte-for-byte"
 camp_dir=$(mktemp -d)
@@ -457,11 +464,15 @@ echo "$rel_err" | grep -qF -- '--engine plain|mat|matgrp|gdroid|worklist|cpu|mtc
 }
 worklist_vet=$(./target/release/gdroid vet 42 --engine worklist --json)
 cpu_vet=$(./target/release/gdroid vet 42 --engine cpu --json)
-if ! python3 - "$worklist_vet" "$cpu_vet" <<'PY'
+# The CPU engines slice too.
+cpu_targeted=$(./target/release/gdroid vet 42 --engine cpu --targeted --json)
+amandroid_targeted=$(./target/release/gdroid vet 42 --engine amandroid --targeted --json)
+if ! python3 - "$worklist_vet" "$cpu_vet" "$cpu_targeted" "$amandroid_targeted" <<'PY'
 import json, sys
 # Timings and telemetry are engine-shaped; the report is the contract.
-worklist, cpu = (json.loads(a) for a in sys.argv[1:3])
-assert cpu["report"] == worklist["report"], "cpu verdict diverged from worklist"
+worklist, *others = (json.loads(a) for a in sys.argv[1:5])
+for name, other in zip(["cpu", "cpu --targeted", "amandroid --targeted"], others):
+    assert other["report"] == worklist["report"], f"{name} verdict diverged from worklist"
 PY
 then
   echo "engine smoke: engine verdicts diverged" >&2

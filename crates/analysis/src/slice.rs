@@ -3,7 +3,8 @@
 //! Demand-driven vetting (BackDroid-style) answers "can anything flow into
 //! these sinks?" without building the full IDFG. This module computes the
 //! set of methods whose analysis can influence a sink verdict — the
-//! **slice** — so the GPU driver can seed and launch only those blocks.
+//! **slice** — so an engine schedules only those methods (the GPU driver
+//! seeds and launches only their blocks).
 //!
 //! The slice is a closure over three rules, iterated to a fixed point:
 //!

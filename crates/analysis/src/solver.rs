@@ -13,7 +13,7 @@ use crate::summary::{derive_summary, MethodSummary, SummaryMap};
 use crate::transfer::{CallResolution, TransferCtx};
 use gdroid_icfg::{CallGraph, CallLayers, CallTarget, Cfg, LayerScc};
 use gdroid_ir::{MethodId, Program};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Which fact-store representation a solver run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -235,7 +235,7 @@ pub fn analyze_app(
     roots: &[MethodId],
     store_kind: StoreKind,
 ) -> AppAnalysis {
-    drive(program, cg, roots, store_kind, &HashMap::new())
+    drive(program, cg, roots, store_kind, &HashMap::new(), None)
 }
 
 /// Summary-store hits: each method's summary and node facts, injected
@@ -248,14 +248,20 @@ pub type Presolved = HashMap<MethodId, (MethodSummary, MatrixStore)>;
 /// as they are and its callers consume the summaries as usual. Callers
 /// must guarantee the injected results are what solving would have
 /// produced (the summary store's canonical-hash contract).
+///
+/// `slice`, when `Some`, schedules only its members and cuts the call
+/// edges leaving it, exactly as the device driver does: a cut callee has
+/// no summary, so [`merge_site_summaries`] merges nothing for it. It must
+/// be caller-closed over the reachable set (see [`crate::BackwardSlice`]).
 pub fn analyze_app_presolved(
     program: &Program,
     cg: &CallGraph,
     roots: &[MethodId],
     store_kind: StoreKind,
     presolved: &Presolved,
+    slice: Option<&HashSet<MethodId>>,
 ) -> AppAnalysis {
-    drive(program, cg, roots, store_kind, presolved)
+    drive(program, cg, roots, store_kind, presolved, slice)
 }
 
 /// One method's result as it is published at a layer barrier.
@@ -279,15 +285,17 @@ struct Solved {
 /// ([`crate::CpuCostModel::parallel_ns`]), not executed.
 ///
 /// An SCC whose members are all in `presolved` is published as it is,
-/// without solving.
+/// without solving; only `slice`'s members are scheduled.
 fn drive(
     program: &Program,
     cg: &CallGraph,
     roots: &[MethodId],
     store_kind: StoreKind,
     presolved: &Presolved,
+    slice: Option<&HashSet<MethodId>>,
 ) -> AppAnalysis {
-    let layers = CallLayers::compute(cg, roots);
+    // No leaves: pre-solved SCCs are scheduled and published as they are.
+    let layers = CallLayers::compute_cut(cg, roots, slice, &HashSet::new());
     let methods = || layers.scc_of.keys();
     let mut out = AppAnalysis {
         spaces: methods().map(|&m| (m, MethodSpace::build(program, m))).collect(),
@@ -546,7 +554,7 @@ mod tests {
             assert_same_results(&format!("{kind:?} cold"), &cold, &cold_matrix);
             for (label, presolved) in [("cold", HashMap::new()), ("presolved", bottom.clone())] {
                 let row = format!("{kind:?} {label}");
-                let full = analyze_app_presolved(&app.program, &cg, &roots, kind, &presolved);
+                let full = analyze_app_presolved(&app.program, &cg, &roots, kind, &presolved, None);
                 assert_same_results(&row, &full, &cold);
                 assert_eq!(full.per_method.len(), count - presolved.len(), "{row}: solved");
                 if presolved.is_empty() {

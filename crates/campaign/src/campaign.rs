@@ -22,7 +22,7 @@ use gdroid_serve::{
 };
 use gdroid_sumstore::SumStore;
 use gdroid_vetting::json::JsonWriter;
-use gdroid_vetting::{library_store, ExecPlan};
+use gdroid_vetting::{library_store, Engine, ExecPlan};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -118,11 +118,16 @@ pub fn config_digest(config: &CampaignConfig) -> u64 {
     // retired store-sharing knob; both stay so every store-free journal
     // written before them still resumes. A store-backed journal written
     // against a live store does not: `sumstore=frozen` refuses it rather
-    // than resume with mixed timings.
+    // than resume with mixed timings. The CPU reference once ran targeted
+    // jobs on the worklist GPU and ignored the store; `cpu=composed`
+    // refuses a journal it wrote so.
     let sumstore = if config.sumstore { "frozen" } else { "false" };
+    let cpu = config.plan.engine == Engine::CpuReference;
+    let composed =
+        if cpu && (config.plan.targeted || config.sumstore) { " cpu=composed" } else { "" };
     fnv1a(
         format!(
-            "gen={:?} targeted={} sumstore={sumstore} engine={} exec=multi shared=false",
+            "gen={:?} targeted={} sumstore={sumstore} engine={} exec=multi shared=false{composed}",
             config.gen,
             config.plan.targeted,
             config.plan.engine.name(),
@@ -599,10 +604,7 @@ mod tests {
             digest(ExecPlan { targeted: true, ..ExecPlan::default() }),
             0x6985_e501_3543_2086
         );
-        assert_eq!(
-            digest(ExecPlan::new(gdroid_vetting::Engine::CpuReference)),
-            0xc875_70a6_f0c6_7ea8
-        );
+        assert_eq!(digest(ExecPlan::new(Engine::CpuReference)), 0xc875_70a6_f0c6_7ea8);
         // A journal written against a live store is refused, not resumed
         // with mixed timings.
         let frozen = config_digest(&CampaignConfig { sumstore: true, ..base.clone() });
@@ -612,6 +614,25 @@ mod tests {
         );
         assert_ne!(frozen, fnv1a(live.as_bytes()));
         assert_ne!(frozen, digest(ExecPlan::default()));
+
+        // The CPU reference's targeted and store-backed plans changed
+        // meaning (they used to run on the worklist GPU and store-free):
+        // their digests differ from what the old format gave them.
+        let old = |targeted: bool, sumstore: &str| {
+            let line = format!(
+                "gen={:?} targeted={targeted} sumstore={sumstore} engine=cpu exec=multi \
+                 shared=false",
+                base.gen
+            );
+            fnv1a(line.as_bytes())
+        };
+        assert_eq!(old(false, "false"), 0xc875_70a6_f0c6_7ea8, "the old format, unchanged");
+        let cpu = ExecPlan::new(Engine::CpuReference);
+        let targeted = digest(ExecPlan { targeted: true, ..cpu });
+        assert_ne!(targeted, old(true, "false"));
+        let store_backed =
+            config_digest(&CampaignConfig { sumstore: true, plan: cpu, ..base.clone() });
+        assert_ne!(store_backed, old(false, "frozen"));
     }
 
     fn header(dir_apps: usize) -> JournalHeader {

@@ -107,9 +107,7 @@ pub trait AnalysisEngine: Send + Sync {
     ///
     /// `presolved` injects summary-store hits; `slice`, when `Some`,
     /// restricts the schedule to the given methods (targeted vetting).
-    /// Callers must not pass a non-empty `presolved` or a slice to an
-    /// engine that does not support them (`gdroid-vetting`'s `ExecPlan`
-    /// capability table is the gate).
+    /// Every engine accepts both.
     fn analyze_on(
         &self,
         device: &mut Device,
@@ -164,8 +162,8 @@ impl AnalysisEngine for CpuEngine {
         presolved: &Presolved,
         slice: Option<&HashSet<MethodId>>,
     ) -> Result<EngineAnalysis, DeviceFault> {
-        assert!(slice.is_none(), "the cpu engine does not support targeted slicing");
-        let analysis = analyze_app_presolved(program, cg, roots, StoreKind::Matrix, presolved);
+        let analysis =
+            analyze_app_presolved(program, cg, roots, StoreKind::Matrix, presolved, slice);
         let idfg_ns = CpuCostModel::amandroid().sequential_ns(&analysis);
         let mut stats = GpuRunStats::default();
         stats.total_ns = idfg_ns;

@@ -49,10 +49,10 @@ impl CallLayers {
     /// compress accordingly.
     ///
     /// With a `slice`, only its members are traversed and call edges
-    /// leaving it are cut (leaves keep their slice membership). The
-    /// targeted-vetting driver uses this so the GPU worklist seeds and
-    /// launches only slice members while keeping the bottom-up SCC layer
-    /// structure of the full schedule.
+    /// leaving it are cut (leaves keep their slice membership). Both
+    /// drivers, the GPU's and the CPU's, schedule a targeted run with it,
+    /// so only slice members are solved while the bottom-up SCC layer
+    /// structure of the full schedule is kept.
     pub fn compute_cut(
         cg: &CallGraph,
         roots: &[MethodId],

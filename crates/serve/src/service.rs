@@ -80,17 +80,15 @@ pub struct ServiceConfig {
     /// plan whose combined block demand fits the device's block slots,
     /// and runs the group through [`execute_coresident`], against the
     /// summary store when one is configured. `1` (the default) disables
-    /// batching; a plan [`ExecPlan::check`] refuses to run co-resident
-    /// (the CPU engines, the `plain` rung) and a warm start run solo.
+    /// batching; an engine that does not batch (the CPU engines, the
+    /// `plain` rung) and a warm start run solo.
     pub coresident: usize,
     /// The plan every submission starts from — its engine; its
     /// `targeted` flag is set per submission. The plan's lane predicates
     /// decide what a job may use: only full worklist-GPU jobs touch the
     /// result cache or warm-start from a cached previous version (cached
-    /// outcomes embed that one cost profile). A combination the plan
-    /// would refuse is rerouted by [`ExecPlan::fallback`], never failed:
-    /// targeted submissions to a service whose engine cannot slice (only
-    /// the CPU reference) run on the worklist engine.
+    /// outcomes embed that one cost profile). Every engine slices and
+    /// reads the store, so a job runs on the engine it was given.
     pub plan: ExecPlan,
 }
 
@@ -212,7 +210,7 @@ impl VettingService {
 
     fn spec(&self, priority: Priority, source: JobSource, targeted: bool) -> JobSpec {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let plan = ExecPlan { targeted, ..self.state.plan }.fallback();
+        let plan = ExecPlan { targeted, ..self.state.plan };
         // `submitted_at` is stamped again when the queue admits the job.
         JobSpec { id, priority, source, submitted_at: Instant::now(), plan }
     }
@@ -451,10 +449,7 @@ fn exec_loop(state: &ServiceState, device: &mut Device) {
         // popped as a co-resident.
         let mut group = vec![job];
         let plan = group[0].plan;
-        if state.coresident > 1
-            && plan.check(shared_store(state, plan).is_some(), true).is_ok()
-            && group[0].warm.is_none()
-        {
+        if state.coresident > 1 && plan.engine.caps().batching && group[0].warm.is_none() {
             let mut demand = group[0].block_demand;
             while group.len() < state.coresident && demand < block_slots {
                 let room = block_slots - demand;
@@ -472,13 +467,6 @@ fn exec_loop(state: &ServiceState, device: &mut Device) {
         }
         exec_group(state, device, group);
     }
-}
-
-/// The service's summary store, if `plan`'s engine can use one.
-/// Engines that cannot (only the CPU reference) skip it rather than
-/// fault; they are never cacheable, so never warm.
-fn shared_store(state: &ServiceState, plan: ExecPlan) -> Option<&SumStore> {
-    state.sumstore.as_deref().filter(|_| plan.engine.caps().sumstore)
 }
 
 /// The warm-start lookup — only on the first attempt, and only when a
@@ -503,7 +491,7 @@ fn exec_group(state: &ServiceState, device: &mut Device, group: Vec<ReadyJob>) {
     let counters = &state.metrics.counters;
     let t = Instant::now();
     let plan = group[0].plan;
-    let shared = shared_store(state, plan);
+    let shared = state.sumstore.as_deref();
     let attempt: Result<Vec<Executed>, _> = if let [job] = &group[..] {
         // A warm start does not consult the service's store.
         let ctx = &mut ExecCtx { store: job.warm.as_ref().or(shared), ..ExecCtx::new(device) };
@@ -767,6 +755,49 @@ mod tests {
             );
         }
         assert!(json(&report).contains("\"cpu_jobs\":6"));
+    }
+
+    /// A CPU-engine service composes with its library store and the
+    /// targeted lane: every job, targeted or not, runs on the CPU
+    /// reference, reads the store, and reports what the worklist engine
+    /// reports.
+    #[test]
+    fn cpu_engine_jobs_slice_and_read_the_library_store() {
+        let config = GenConfig::tiny().with_libraries(2, 2);
+        let svc = VettingService::start(ServiceConfig {
+            prep_workers: 1,
+            devices: 1,
+            sumstore: Some(Arc::new(library_store(&config))),
+            plan: ExecPlan::new(EngineKind::Cpu),
+            coresident: 4,
+            ..ServiceConfig::default()
+        });
+        let app = |id: u64| generate_app(id as usize, 5500 + id, &config);
+        let source = |id: u64| JobSource::Seed {
+            index: id as usize,
+            seed: 5500 + id,
+            config: Box::new(config.clone()),
+        };
+        for id in 0..6u64 {
+            if id % 2 == 1 {
+                svc.submit_targeted(source(id)).unwrap();
+            } else {
+                svc.submit(Priority::Standard, source(id)).unwrap();
+            }
+        }
+        let (report, results) = svc.drain();
+        assert_eq!(results.len(), 6);
+        assert!(results.iter().all(|r| r.status == JobStatus::Completed));
+        assert_eq!(report.counters.cpu_jobs, 6, "targeted jobs run on the cpu engine too");
+        assert_eq!(report.counters.targeted_jobs, 3);
+        assert!(report.sumstore.hits > 0, "cpu jobs must read the library store");
+        assert_eq!(report.counters.batched_jobs, 0, "cpu jobs never join a batch");
+        for r in &results {
+            let outcome = r.outcome.as_ref().unwrap();
+            assert_eq!(outcome.targeted.is_some(), r.id % 2 == 1, "job {}", r.id);
+            let reference = vet_app(app(r.id), gdroid_vetting::Engine::Gpu(OptConfig::gdroid()));
+            assert_eq!(outcome.report.to_json(), reference.report.to_json(), "job {}", r.id);
+        }
     }
 
     fn ready_job(id: u64, seed: u64) -> ReadyJob {

@@ -12,10 +12,10 @@
 //! * [`report`] — leak reports and verdicts;
 //! * [`pipeline`] — the stages around the IDFG (environment → call graph
 //!   → … → taint) with the per-stage timing behind Fig. 1;
-//! * [`plan`] — [`ExecPlan`] (engine × targeted), its
-//!   capability table, and [`execute`], the one function that runs a
+//! * [`plan`] — [`ExecPlan`] (engine × targeted), the engines'
+//!   batching table, and [`execute`], the one function that runs a
 //!   plan against an [`ExecCtx`] (device, summary store, tracer) with
-//!   byte-identical reports across every accepted combination — and
+//!   byte-identical reports across every combination — and
 //!   [`execute_coresident`], its steps for a co-resident group;
 //! * [`store_exec`] — the summary-store step of a run: store-hit methods
 //!   are pre-solved and never scheduled; no run writes the
@@ -61,7 +61,7 @@ pub use pipeline::{
 };
 pub use plan::{
     engine_for_mode, execute, execute_coresident, vet_prepared, Engine, EngineCaps, ExecCtx,
-    ExecPlan, Executed, PlanRefusal,
+    ExecPlan, Executed,
 };
 pub use plugins::{
     hardcoded_payloads, intent_exposure, permission_audit, ExposureFinding, HardcodedFinding,

@@ -14,10 +14,10 @@
 //! version of the app is the store step with that version's
 //! [`summary_store`](crate::summary_store) attached.
 //!
-//! [`Engine::caps`] is the capability table and [`ExecPlan::check`] the
-//! only place a combination — solo or co-resident — is refused;
-//! [`ExecPlan::cacheable`] is the only place the result-cache lane is
-//! allowed.
+//! Every engine composes with the slice and the store, so [`execute`]
+//! refuses nothing; [`Engine::caps`] says which engines may share launches
+//! ([`execute_coresident`]), and [`ExecPlan::cacheable`] is the only place
+//! the result-cache lane is allowed.
 
 use crate::pipeline::{
     finish_vetting, to_app_analysis, trace_stage_spans, PreparedApp, VettingRun,
@@ -59,13 +59,10 @@ impl From<EngineKind> for Engine {
     }
 }
 
-/// What an [`Engine`] composes with.
+/// What an [`Engine`] composes with beyond the slice and the store, which
+/// every engine takes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineCaps {
-    /// Summary-store pre-solving (`--sumstore`).
-    pub sumstore: bool,
-    /// Demand-driven sink slicing (`--targeted`).
-    pub targeted: bool,
     /// Co-resident multi-app batching (serve `coresident > 1`) with
     /// solo-identical timing: the rungs free of kernel-side `malloc`.
     pub batching: bool,
@@ -117,38 +114,20 @@ impl Engine {
         EngineKind::ALL.into_iter().find(|&k| Engine::from(k) == self)
     }
 
-    /// The capability table: what this engine composes with.
+    /// The capability table: whether this engine batches, and its note.
     pub fn caps(self) -> EngineCaps {
-        let gpu = EngineCaps {
-            sumstore: true,
-            targeted: true,
-            batching: true,
-            note: "a worklist-GPU ladder rung below full GDroid (Figs. 9 and 11)",
+        let note = match self {
+            Engine::Gpu(opts) if opts == OptConfig::gdroid() => {
+                "the paper's worklist-GPU kernels (MAT+GRP+MER); the default"
+            }
+            Engine::Gpu(_) => "a worklist-GPU ladder rung below full GDroid (Figs. 9 and 11)",
+            Engine::CpuReference => "sequential CPU reference solver — the differential oracle",
+            Engine::MultithreadedCpu => {
+                "multithreaded-C CPU baseline (Fig. 4): amandroid's run, costed per layer"
+            }
+            Engine::AmandroidCpu => "sequential Amandroid-style CPU baseline (Figs. 1 and 10)",
         };
-        let cpu = EngineCaps {
-            sumstore: false,
-            targeted: false,
-            batching: false,
-            note: "sequential CPU reference solver — the differential oracle",
-        };
-        match self {
-            Engine::Gpu(opts) if opts == OptConfig::gdroid() => EngineCaps {
-                note: "the paper's worklist-GPU kernels (MAT+GRP+MER); the default",
-                ..gpu
-            },
-            Engine::Gpu(opts) => EngineCaps { batching: opts.mat, ..gpu },
-            Engine::CpuReference => cpu,
-            Engine::MultithreadedCpu => EngineCaps {
-                sumstore: true,
-                note: "multithreaded-C CPU baseline (Fig. 4): amandroid's run, costed per layer",
-                ..cpu
-            },
-            Engine::AmandroidCpu => EngineCaps {
-                sumstore: true,
-                note: "sequential Amandroid-style CPU baseline (Figs. 1 and 10)",
-                ..cpu
-            },
-        }
+        EngineCaps { batching: matches!(self, Engine::Gpu(opts) if opts.mat), note }
     }
 
     /// The trait engine behind this selector (`None` for the two legacy
@@ -187,53 +166,10 @@ impl Default for ExecPlan {
     }
 }
 
-/// Why [`ExecPlan::check`] refused a combination.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlanRefusal {
-    /// The engine that lacks the capability.
-    pub engine: Engine,
-    /// What was asked of it.
-    pub feature: &'static str,
-}
-
-impl std::fmt::Display for PlanRefusal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "engine {} does not support {}", self.engine, self.feature)
-    }
-}
-
 impl ExecPlan {
     /// A full (untargeted) run on `engine`.
     pub fn new(engine: impl Into<Engine>) -> ExecPlan {
         ExecPlan { engine: engine.into(), targeted: false }
-    }
-
-    /// Accepts or refuses the combination — the engine's
-    /// [capabilities](Engine::caps) against the plan's targeting, against
-    /// a summary store when the run will have one attached, and against
-    /// sharing launches when it runs `coresident` ([`execute_coresident`]).
-    pub fn check(self, with_store: bool, coresident: bool) -> Result<(), PlanRefusal> {
-        let caps = self.engine.caps();
-        let feature = if self.targeted && !caps.targeted {
-            "targeted vetting"
-        } else if with_store && !caps.sumstore {
-            "the summary store"
-        } else if coresident && !caps.batching {
-            "co-resident batching"
-        } else {
-            return Ok(());
-        };
-        Err(PlanRefusal { engine: self.engine, feature })
-    }
-
-    /// The nearest accepted plan, for a caller that must run every job
-    /// rather than refuse one (the service): a targeted job on an engine
-    /// that cannot slice runs on full GDroid.
-    pub fn fallback(mut self) -> ExecPlan {
-        if self.targeted && !self.engine.caps().targeted {
-            self.engine = Engine::Gpu(OptConfig::gdroid());
-        }
-        self
     }
 
     /// Whether the outcome may be served from, and inserted into, a
@@ -297,11 +233,10 @@ pub struct Executed {
 ///
 /// An injected [`DeviceFault`] surfaces as `Err` so a serving caller can
 /// retry the job (store lookups only read, so a retry simply repeats
-/// them). Panics if [`ExecPlan::check`] refuses the plan for this
-/// context — callers gate on it first.
+/// them).
 ///
-/// Facts, and therefore the report, are byte-identical for every
-/// accepted plan and context, warm or cold (the plan table test and the
+/// Facts, and therefore the report, are byte-identical for every plan
+/// and context, warm or cold (the plan table test and the
 /// tier-1 gates); only modeled timing, telemetry shape, `store_bytes` and
 /// the targeted provenance differ, and enabling the tracer changes
 /// nothing at all.
@@ -310,7 +245,6 @@ pub fn execute(
     plan: ExecPlan,
     ctx: &mut ExecCtx<'_>,
 ) -> Result<Executed, DeviceFault> {
-    plan.check(ctx.store.is_some(), false).unwrap_or_else(|refusal| panic!("{refusal}"));
     attach_tracer(ctx, &[prep]);
     let staged = stage(prep, plan, ctx);
     let AppInput { program, cg, roots, presolved, slice } = staged.input();
@@ -320,7 +254,7 @@ pub fn execute(
         (analysis, idfg_ns, gpu.filter(|_| matches!(plan.engine, Engine::Gpu(_))))
     } else {
         // The two CPU baselines are one run under two cost models.
-        let analysis = analyze_app_presolved(program, cg, roots, StoreKind::Set, presolved);
+        let analysis = analyze_app_presolved(program, cg, roots, StoreKind::Set, presolved, slice);
         let idfg_ns = match plan.engine {
             Engine::MultithreadedCpu => CpuCostModel::multithreaded_c().parallel_ns(&analysis),
             _ => CpuCostModel::amandroid().sequential_ns(&analysis),
@@ -336,14 +270,15 @@ pub fn execute(
 /// member index). Each member's [`Executed`] equals a solo [`execute`]
 /// against the same store. An injected fault aborts the whole group; the
 /// caller retries the members individually.
-/// Panics if [`ExecPlan::check`] refuses the plan co-resident.
+/// Panics unless the plan's engine [batches](EngineCaps::batching).
 pub fn execute_coresident(
     preps: &[&PreparedApp],
     plan: ExecPlan,
     ctx: &mut ExecCtx<'_>,
 ) -> Result<(Vec<Executed>, BatchStats), DeviceFault> {
-    plan.check(ctx.store.is_some(), true).unwrap_or_else(|refusal| panic!("{refusal}"));
-    let Engine::Gpu(opts) = plan.engine else { unreachable!("check admits only device rungs") };
+    let (Engine::Gpu(opts), true) = (plan.engine, plan.engine.caps().batching) else {
+        panic!("engine {} does not support co-resident batching", plan.engine)
+    };
     attach_tracer(ctx, preps);
     let staged: Vec<Staged<'_>> = preps.iter().map(|prep| stage(prep, plan, ctx)).collect();
     let inputs: Vec<AppInput<'_>> = staged.iter().map(Staged::input).collect();
@@ -484,10 +419,9 @@ mod tests {
         execute(prep, plan, ctx).expect("no fault plan")
     }
 
-    /// The whole product engine × targeted × store × tracer: the
-    /// accept/refuse matrix is spelled out here independently of
-    /// `Engine::caps`, and every accepted combination must reproduce the
-    /// CPU reference's report and be blind to the tracer.
+    /// The whole product engine × targeted × store × tracer: every
+    /// combination runs, reproduces the CPU reference's report and is
+    /// blind to the tracer.
     #[test]
     fn plan_matrix_is_todays_and_every_accepted_plan_agrees_with_the_reference() {
         let config = GenConfig::tiny().with_libraries(2, 2);
@@ -502,20 +436,17 @@ mod tests {
                 let plan = ExecPlan { engine, targeted };
                 assert_eq!(plan.cacheable(), gpu && !targeted, "{plan:?}");
                 for with_store in [false, true] {
-                    let expected =
-                        (!targeted || gpu) && (!with_store || engine != Engine::CpuReference);
                     let what = format!("{plan:?} store={with_store}");
-                    assert_eq!(plan.check(with_store, false).is_ok(), expected, "{what}");
-                    if !expected {
-                        continue;
-                    }
                     accepted += 1;
                     let store = with_store.then_some(&library);
                     let plain = run(&prep, plan, store, &Tracer::disabled());
                     let outcome = &plain.run.outcome;
                     assert_eq!(outcome.report.to_json(), reference, "{what}");
                     assert_eq!(outcome.targeted.is_some(), targeted, "{what}");
-                    assert_eq!(outcome.store_bytes == 0, gpu, "{what}");
+                    // A device run reports no host stores; a host run
+                    // reports one per analyzed method.
+                    let analyzed = !plain.run.analysis.facts.is_empty();
+                    assert_eq!(outcome.store_bytes > 0, !gpu && analyzed, "{what}");
                     assert_eq!(plain.store_use.is_some(), with_store, "{what}");
 
                     let tracer = Tracer::enabled_new();
@@ -542,9 +473,8 @@ mod tests {
                 }
             }
         }
-        // 7 engines × 2 stores, minus cpu×store; + targeted for the 4
-        // device engines × 2 stores.
-        assert_eq!(accepted, 13 + 8);
+        // 7 engines × full / targeted × store-free / store-backed.
+        assert_eq!(accepted, 28);
         assert!(store_cut_launched, "no sanitized launch ran with store hits cut out");
         // The relational engine is retired (EXPERIMENTS.md): no spelling
         // selects it.
@@ -553,8 +483,7 @@ mod tests {
         assert_eq!(EngineKind::parse("rel"), None);
     }
 
-    /// The group axis: every plan [`ExecPlan::check`] accepts co-resident
-    /// runs as a group of three apps that share library code, on a
+    /// The group axis: every plan whose engine batches runs as a group of three apps that share library code, on a
     /// sanitizing device, store-free and against their library store.
     /// Each member equals a solo [`execute`] against the same store —
     /// outcome bytes, facts, summaries, hits and misses — and the
@@ -577,7 +506,7 @@ mod tests {
                     let what = format!("{plan:?} store={with_store}");
                     let expected = matches!(engine, Engine::Gpu(opts) if opts.mat);
                     let store = with_store.then_some(&library);
-                    assert_eq!(plan.check(with_store, true).is_ok(), expected, "{what}");
+                    assert_eq!(engine.caps().batching, expected, "{what}");
                     let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
                     let ctx = &mut ExecCtx { store, ..ExecCtx::new(&mut device) };
                     if !expected {
@@ -718,23 +647,6 @@ mod tests {
             }
         }
         assert_eq!(cacheable, 4, "the four worklist-GPU rungs");
-    }
-
-    #[test]
-    fn fallback_reroutes_only_what_check_refuses() {
-        for engine in Engine::all() {
-            for targeted in [false, true] {
-                let plan = ExecPlan { engine, targeted };
-                let relaxed = plan.fallback();
-                assert!(relaxed.check(false, false).is_ok(), "{plan:?} -> {relaxed:?}");
-                assert_eq!(relaxed.targeted, targeted);
-                if plan.check(false, false).is_ok() {
-                    assert_eq!(relaxed, plan);
-                }
-            }
-        }
-        let cpu_targeted = ExecPlan { targeted: true, ..ExecPlan::new(EngineKind::Cpu) };
-        assert_eq!(cpu_targeted.fallback().engine, Engine::Gpu(OptConfig::gdroid()));
     }
 
     #[test]

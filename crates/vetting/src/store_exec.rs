@@ -18,7 +18,7 @@
 
 use crate::pipeline::PreparedApp;
 use gdroid_analysis::{
-    analyze_app_presolved, AppAnalysis, Geometry, MatrixStore, MethodSpace, Presolved, StoreKind,
+    analyze_app, AppAnalysis, Geometry, MatrixStore, MethodSpace, Presolved, StoreKind,
 };
 use gdroid_apk::{generate_library_pool, GenConfig};
 use gdroid_icfg::{CallGraph, Cfg};
@@ -134,8 +134,7 @@ pub fn library_store(config: &GenConfig) -> SumStore {
     let program = &pool.program;
     let cg = CallGraph::build(program);
     let roots: Vec<MethodId> = program.methods.iter_enumerated().map(|(mid, _)| mid).collect();
-    let analysis =
-        analyze_app_presolved(program, &cg, &roots, StoreKind::Matrix, &Presolved::new());
+    let analysis = analyze_app(program, &cg, &roots, StoreKind::Matrix);
     solved_store(program, &cg, &roots, &analysis)
 }
 

@@ -44,7 +44,7 @@
 //! byte-comparable with what the service caches and returns.
 //!
 //! `vet --targeted` runs demand-driven: a backward slice from the sink
-//! call sites restricts the GPU worklist to the methods that can
+//! call sites restricts the analysis to the methods that can
 //! influence a sink verdict. The verdict is byte-identical to a full run;
 //! the outcome JSON gains a `"targeted"` provenance block (slice size,
 //! methods skipped, sliced fraction). `serve --targeted-lane` submits
@@ -88,11 +88,11 @@
 //! reference solver), and — for `vet` only — the lower ladder rungs
 //! `plain|mat|matgrp` and the CPU baselines `mtcpu|amandroid`. Facts and
 //! verdicts are byte-identical across engines; only modeled timing
-//! differs. `gdroid engines` prints the capability table: `vet` refuses
-//! (exit 2) a combination an engine lacks, the service verbs reroute the
-//! job to the nearest plan that runs, only full worklist-GPU jobs use
-//! the result cache and the incremental warm start, and cpu jobs never
-//! join a co-resident batch.
+//! differs. Every engine composes with `--targeted` and `--sumstore`;
+//! `gdroid engines` prints which ones join a co-resident batch (not the
+//! CPU engines, not `plain`). Only full worklist-GPU jobs use the result
+//! cache and the incremental warm start. A flag value that starts with
+//! `--`, or a `--sumstore` with no directory outside `campaign`, exits 2.
 //!
 //! Apps can come from a `.jil` file (the textual IR) or be generated on
 //! the fly from a numeric seed.
@@ -164,9 +164,14 @@ fn flag_value(args: &[String], flag: &str) -> Option<usize> {
     flag_str(args, flag).map(|v| v.parse().unwrap_or_else(|_| bad_value(flag, v)))
 }
 
-/// Parses `--flag value` style string options.
+/// Parses `--flag value` style string options; a value that is itself a
+/// `--flag` is refused.
 fn flag_str<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+    let value = args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))?;
+    if value.starts_with("--") {
+        bad_value(flag, value)
+    }
+    Some(value)
 }
 
 /// The execution flags `vet`, `serve`, `batch` and `campaign` share.
@@ -188,21 +193,20 @@ impl<'a> PlanFlags<'a> {
         let engine = flag_str(args, "--engine")
             .map_or(ExecPlan::default().engine, |s| Engine::parse(s).unwrap_or_else(|| usage()));
         let targeted = args.iter().any(|a| a == "--targeted");
+        let sumstore = args.iter().any(|a| a == "--sumstore");
+        // A campaign's `--sumstore` is bare; every other verb's names a
+        // directory.
+        let store_dir = (sumstore && args[0] != "campaign").then(|| {
+            flag_str(args, "--sumstore").unwrap_or_else(|| {
+                eprintln!("gdroid: --sumstore needs a directory");
+                exit(2)
+            })
+        });
         PlanFlags {
             plan: ExecPlan { engine, targeted },
-            sumstore: args.iter().any(|a| a == "--sumstore"),
-            store_dir: flag_str(args, "--sumstore"),
+            sumstore,
+            store_dir,
             trace: flag_str(args, "--trace").or_else(|| flag_str(args, "--trace-dir")),
-        }
-    }
-
-    /// `vet` runs exactly the plan it is given, so it refuses (exit 2)
-    /// what the plan cannot do; the service verbs reroute instead
-    /// (`ExecPlan::fallback`).
-    fn check_or_exit(&self) {
-        if let Err(refusal) = self.plan.check(self.sumstore, false) {
-            eprintln!("{refusal} (see `gdroid engines`)");
-            exit(2);
         }
     }
 
@@ -447,7 +451,6 @@ fn main() {
         "vet" => {
             let Some(target) = args.get(1) else { usage() };
             let flags = PlanFlags::parse(&args);
-            flags.check_or_exit();
             let prep = prepare_vetting(load_app(target));
             let tracer =
                 if flags.trace.is_some() { Tracer::enabled_new() } else { Tracer::disabled() };
@@ -495,18 +498,11 @@ fn main() {
             }
         }
         "engines" => {
-            println!("{:<10} {:<9} {:<9} {:<9} note", "engine", "sumstore", "targeted", "batching");
-            let mark = |b: bool| if b { "yes" } else { "no" };
+            println!("{:<10} {:<9} note", "engine", "batching");
             for engine in Engine::all() {
                 let caps = engine.caps();
-                println!(
-                    "{:<10} {:<9} {:<9} {:<9} {}",
-                    engine.name(),
-                    mark(caps.sumstore),
-                    mark(caps.targeted),
-                    mark(caps.batching),
-                    caps.note,
-                );
+                let batching = if caps.batching { "yes" } else { "no" };
+                println!("{:<10} {batching:<9} {}", engine.name(), caps.note);
             }
         }
         "lint" => {

@@ -3,7 +3,9 @@
 //! byte (per sink site), must never analyze a method outside the full
 //! reachable set, must never make the modeled IDFG time worse, must
 //! actually skip work somewhere on the corpus, and must stay invariant
-//! under tracing and under the cross-app summary store.
+//! under tracing and under the cross-app summary store. Exact slice
+//! members are checked against a full run on the device and on the CPU
+//! reference.
 
 use std::collections::HashSet;
 
@@ -11,7 +13,7 @@ use gdroid::apk::{generate_app, GenConfig, PAPER_MASTER_SEED};
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::ir::MethodId;
 use gdroid::vetting::{
-    compute_vetting_slice, execute, library_store, prepare_vetting, vet_prepared, ExecCtx,
+    compute_vetting_slice, execute, library_store, prepare_vetting, vet_prepared, Engine, ExecCtx,
     ExecPlan, PreparedApp, VettingRun,
 };
 
@@ -73,6 +75,35 @@ fn targeted_verdicts_agree_with_full_across_the_corpus() {
         mean < 1.0,
         "mean sliced fraction {mean} — slicing never skipped a method over the corpus"
     );
+}
+
+/// Rule R2 of `BackwardSlice`, checked: for all 20 corpus apps, on the
+/// worklist GPU and on the CPU reference, the targeted run analyzes
+/// exactly the slice, every exact member's summary and fact words equal
+/// the full run's, and the targeted report equals the full one.
+#[test]
+fn exact_slice_members_are_bit_identical_to_a_full_run() {
+    for plan in [ExecPlan::default(), ExecPlan::new(Engine::CpuReference)] {
+        let mut exact_members = 0;
+        for i in 0..CORPUS {
+            let prep = corpus_app(i);
+            let what = format!("{} app {i}", plan.engine);
+            let full = vet_prepared(&prep, plan);
+            let targeted = vet_prepared(&prep, ExecPlan { targeted: true, ..plan });
+            assert_eq!(targeted.outcome.report.to_json(), full.outcome.report.to_json(), "{what}");
+            let (sliced, whole) = (&targeted.analysis, &full.analysis);
+            let slice = compute_vetting_slice(&prep);
+            let analyzed: HashSet<MethodId> = sliced.facts.keys().copied().collect();
+            assert_eq!(analyzed, slice.members, "{what}: the run analyzed more than the slice");
+            for m in &slice.exact {
+                assert_eq!(sliced.summaries[m], whole.summaries[m], "{what}: summary of {m:?}");
+                let words = sliced.facts[m].flat_words();
+                assert_eq!(words, whole.facts[m].flat_words(), "{what}: facts of {m:?}");
+            }
+            exact_members += slice.exact.len();
+        }
+        assert!(exact_members > 0, "{}: no exact slice member on the corpus", plan.engine);
+    }
 }
 
 /// A traced targeted run produces the byte-identical outcome of an
