@@ -4,8 +4,19 @@
 #
 # Runs entirely offline — all third-party crates are vendored under
 # vendor/ (see README.md, "Offline builds").
+#
+# Usage: ci/check.sh [--mutants]
+#   --mutants  also run the mutation ledger (ci/mutants.sh): every mutant
+#              under ci/mutants/ against the tier-1 tests, ≈ 2 min each.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+mutants=0
+for arg in "$@"; do
+  case $arg in
+    --mutants) mutants=1 ;;
+    *) echo "usage: ci/check.sh [--mutants]" >&2; exit 2 ;;
+  esac
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -35,8 +46,8 @@ echo "==> retired-names ratchet: what EXPERIMENTS.md retired stays retired"
 # helpers', the full-sweep solver's, the component ICFG's, the unused DOT
 # exporters', the device pool's, the second journal writer's, the
 # second method-identity scheme's, the thinner co-resident pipeline's,
-# the live summary store's sharing knobs' or the service's load-shedding
-# admission path's names anywhere.
+# the live summary store's sharing knobs', the service's load-shedding
+# admission path's or the second fact store's names anywhere.
 rel_files=$(find crates/rel/src -type f | sort | tr '\n' ' ')
 [ "$rel_files" = "crates/rel/src/lib.rs " ] || {
   echo "retired-names ratchet: crates/rel/src holds $rel_files(want only lib.rs)" >&2
@@ -62,6 +73,7 @@ retired+='|PERSIST_DETAIL_APPS'
 retired+='|shared_stores|shared-store|StoreComparison|run_store_comparison|store_sweep|result_cache'
 retired+='|try_submit|QueueFull'
 retired+='|\.fallback\(\)|PlanRefusal|check_or_exit'
+retired+='|SetStore|FactStore'
 if grep -rnE "$retired" --include='*.rs' crates src tests examples; then
   echo "retired-names ratchet: a retired name is back (EXPERIMENTS.md, \"Retired: …\")" >&2
   exit 1
@@ -265,6 +277,15 @@ cmp "$drift_dir/figures_all.txt" ci/golden/figures_all.apps20.txt || {
   echo "bench drift: ci/golden/figures_all.apps20.txt is stale — a paper figure moved;" \
     "regenerate it with \`figures all --apps 20\`, and figures_1000.txt and the" \
     "EXPERIMENTS.md headline rows with \`figures all --apps 1000\`, in the same change" >&2
+  exit 1
+}
+# The same experiments' per-app rows, printed exactly: the table above
+# rounds to 2–3 digits, so only this sees one reallocation or a few bytes
+# of `set_bytes`.
+"$repo_root/target/release/figures" csv --apps 20 >"$drift_dir/figures_csv.csv" 2>/dev/null
+cmp "$drift_dir/figures_csv.csv" ci/golden/figures_csv.apps20.csv || {
+  echo "bench drift: ci/golden/figures_csv.apps20.csv is stale — a per-app number moved;" \
+    "regenerate it with \`figures csv --apps 20\` in the same change" >&2
   exit 1
 }
 rm -rf "$drift_dir"
@@ -516,5 +537,10 @@ cmp -s "$snap_dir/fleet-a.json" "$snap_dir/fleet-c.json" || {
   echo "snapshot smoke: resume after an unsealed-tail cut diverged" >&2
   exit 1
 }
+
+if [ "$mutants" -eq 1 ]; then
+  echo "==> mutation ledger: a mutant ci/golden/mutants.txt lists as killed stays killed"
+  bash ci/mutants.sh
+fi
 
 echo "ci/check.sh: all green"

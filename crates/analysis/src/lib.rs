@@ -7,8 +7,8 @@
 //!
 //! * [`fact`] — the `(slot, instance)` fact domain and the pre-determined
 //!   per-method pools MAT relies on;
-//! * [`store`] — the set-based fact store (original) and the MAT
-//!   bitmask-matrix store, with the memory accounting behind Fig. 10;
+//! * [`store`] — the MAT bitmask-matrix fact store and a replay of the
+//!   original hash sets' growth, with the memory accounting of Fig. 10;
 //! * [`transfer`] — gen/kill transfer functions (`ProcessNode`), shared by
 //!   every solver in the repository;
 //! * [`summary`] — SBDA heap-manipulation summaries;
@@ -45,6 +45,6 @@ pub use solver::{
     analyze_app, analyze_app_presolved, merge_site_summaries, solve_method, AppAnalysis, Presolved,
     StoreKind, WorklistTelemetry,
 };
-pub use store::{FactStore, Geometry, MatrixStore, NodeFacts, NodeView, SetStore, UnionOutcome};
+pub use store::{Geometry, MatrixStore, NodeFacts, NodeView, UnionOutcome};
 pub use summary::{derive_summary, MethodSummary, SummaryMap, Token};
 pub use transfer::{CallResolution, TransferCtx, TransferEffort};

@@ -8,17 +8,17 @@
 //! every callee summary is final — the SBDA property.
 
 use crate::fact::MethodSpace;
-use crate::store::{FactStore, Geometry, MatrixStore, NodeView, SetStore};
+use crate::store::{Geometry, MatrixStore, NodeView, SetGrowth};
 use crate::summary::{derive_summary, MethodSummary, SummaryMap};
 use crate::transfer::{CallResolution, TransferCtx};
 use gdroid_icfg::{CallGraph, CallLayers, CallTarget, Cfg, LayerScc};
-use gdroid_ir::{MethodId, Program};
+use gdroid_ir::{Method, MethodId, Program, StmtIdx};
 use std::collections::{HashMap, HashSet};
 
-/// Which fact-store representation a solver run uses.
+/// Which fact store a solver run is charged for; the facts are the same.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoreKind {
-    /// Dynamically growing hash sets (the original structure).
+    /// Dynamically growing hash sets (the original structure), replayed.
     Set,
     /// MAT fixed-size bitmask matrices.
     Matrix,
@@ -40,7 +40,7 @@ pub struct WorklistTelemetry {
     pub max_worklist: usize,
     /// Facts inserted into stores.
     pub facts_inserted: usize,
-    /// Store reallocation events (set store only).
+    /// Store reallocations: [`StoreKind::Set`]'s, or the plain GPU rung's.
     pub reallocations: usize,
     /// Slot rows read by transfer functions.
     pub rows_read: usize,
@@ -83,7 +83,7 @@ pub fn merge_site_summaries(
     mid: MethodId,
     summaries: &SummaryMap,
     cg: &CallGraph,
-) -> HashMap<gdroid_ir::StmtIdx, Option<MethodSummary>> {
+) -> HashMap<StmtIdx, Option<MethodSummary>> {
     program.methods[mid]
         .body
         .iter_enumerated()
@@ -111,26 +111,42 @@ pub fn merge_site_summaries(
 /// `store` holds IN-facts per CFG node (entry = node 0). Entry facts are
 /// seeded from the method's formals/statics. Returns telemetry; the facts
 /// stay in `store`.
-pub fn solve_method<S: FactStore>(
+pub fn solve_method(
     program: &Program,
     mid: MethodId,
     space: &MethodSpace,
     cfg: &Cfg,
-    store: &mut S,
+    store: &mut MatrixStore,
     summaries: &SummaryMap,
     cg: &CallGraph,
 ) -> WorklistTelemetry {
-    let method = &program.methods[mid];
+    let site_summaries = merge_site_summaries(program, mid, summaries, cg);
+    solve(&program.methods[mid], space, cfg, store, &site_summaries, None)
+}
+
+/// [`solve_method`] over the call sites' pre-merged summaries. With
+/// `growth`, it also replays the original algorithm's hash sets and
+/// charges their reallocations.
+fn solve(
+    method: &Method,
+    space: &MethodSpace,
+    cfg: &Cfg,
+    store: &mut MatrixStore,
+    site_summaries: &HashMap<StmtIdx, Option<MethodSummary>>,
+    mut growth: Option<&mut SetGrowth>,
+) -> WorklistTelemetry {
     let mut telemetry = WorklistTelemetry::default();
     let words = Geometry::of(space).words();
     telemetry.words_per_node = words;
 
     // Seed the entry node.
-    store.seed(cfg.entry() as usize, &space.entry_facts(method));
+    let (entry, entry_facts) = (cfg.entry() as usize, space.entry_facts(method));
+    if let Some(growth) = growth.as_deref_mut() {
+        growth.seed(entry, store.node(entry), &entry_facts);
+    }
+    store.seed(entry, &entry_facts);
 
-    // Pre-merge CHA targets' summaries per call site.
-    let site_summaries = merge_site_summaries(program, mid, summaries, cg);
-    let resolve = |idx: gdroid_ir::StmtIdx| match site_summaries.get(&idx) {
+    let resolve = |idx: StmtIdx| match site_summaries.get(&idx) {
         Some(Some(s)) => CallResolution::Summary(s),
         _ => CallResolution::External,
     };
@@ -166,9 +182,12 @@ pub fn solve_method<S: FactStore>(
             for &succ in cfg.succ(node) {
                 telemetry.unions += 1;
                 telemetry.word_ops += words;
+                if let Some(growth) = growth.as_deref_mut() {
+                    let stored = store.node(succ as usize);
+                    telemetry.reallocations += growth.union(succ as usize, stored, out.view());
+                }
                 let outcome = store.union_into(succ as usize, &out);
                 telemetry.facts_inserted += outcome.inserted;
-                telemetry.reallocations += outcome.reallocations;
                 let first_visit = !visited[succ as usize];
                 if (outcome.changed || first_visit) && !in_next[succ as usize] {
                     visited[succ as usize] = true;
@@ -226,9 +245,8 @@ impl AppAnalysis {
 
 /// Analyzes an app bottom-up from the given roots (environment methods).
 ///
-/// `store_kind` selects the fact-store representation, which changes the
-/// memory/allocation profile (Fig. 10) but never the resulting facts
-/// (property-tested).
+/// `store_kind` selects the store the run is charged for, which changes
+/// the memory/allocation profile (Fig. 10) but never the resulting facts.
 pub fn analyze_app(
     program: &Program,
     cg: &CallGraph,
@@ -269,7 +287,7 @@ struct Solved {
     mid: MethodId,
     summary: MethodSummary,
     facts: MatrixStore,
-    /// Footprint of the store the facts were solved in — its last one,
+    /// Footprint of the store the run is charged for, at its last solve,
     /// so the total reflects one live store per method, not re-solve
     /// churn.
     bytes: usize,
@@ -371,28 +389,17 @@ fn solve_scc(
         let mut changed = false;
         for (&mid, accumulated) in scc.members.iter().zip(&mut per_member) {
             let (space, cfg) = (&so_far.spaces[&mid], &so_far.cfgs[&mid]);
+            let method = &program.methods[mid];
             let summaries = if scc.recursive { &view } else { &so_far.summaries };
-            let geometry = Geometry::of(space);
-            let mut facts = MatrixStore::new(geometry, cfg.len());
-            let (tele, bytes) = match so_far.store_kind {
-                StoreKind::Matrix => {
-                    let tele = solve_method(program, mid, space, cfg, &mut facts, summaries, cg);
-                    (tele, facts.memory_bytes())
-                }
-                StoreKind::Set => {
-                    let mut store = SetStore::new(geometry, cfg.len());
-                    let tele = solve_method(program, mid, space, cfg, &mut store, summaries, cg);
-                    // The result container is matrix-form either way
-                    // (facts are identical).
-                    for node in 0..cfg.len() {
-                        facts.union_into(node, &store.snapshot(node));
-                    }
-                    (tele, store.memory_bytes())
-                }
-            };
+            let mut facts = MatrixStore::new(Geometry::of(space), cfg.len());
+            let mut growth =
+                (so_far.store_kind == StoreKind::Set).then(|| SetGrowth::new(cfg.len()));
+            let sites = merge_site_summaries(program, mid, summaries, cg);
+            let tele = solve(method, space, cfg, &mut facts, &sites, growth.as_mut());
+            let bytes = growth.map_or(facts.memory_bytes(), |g| g.memory_bytes());
             telemetry.absorb(&tele);
             accumulated.absorb(&tele);
-            let summary = derive_summary(&program.methods[mid], space, &facts, cfg.exit() as usize);
+            let summary = derive_summary(method, space, &facts, cfg.exit() as usize);
             if scc.recursive {
                 changed |= view.insert(mid, summary.clone()).as_ref() != Some(&summary);
             }
@@ -455,6 +462,9 @@ mod tests {
         }
         // Summaries must agree too.
         assert_eq!(a_mat.summaries, a_set.summaries);
+        // So does every counter but the replayed sets' reallocations.
+        let charged = WorklistTelemetry { reallocations: 0, ..a_set.telemetry.clone() };
+        assert_eq!(format!("{charged:?}"), format!("{:?}", a_mat.telemetry));
     }
 
     #[test]

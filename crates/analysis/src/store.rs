@@ -1,24 +1,21 @@
-//! Fact stores: the set-based structure of the original algorithm and the
-//! MAT bitmask matrix that replaces it.
+//! The fact store: the MAT bitmask matrix that replaces the original
+//! algorithm's growing hash sets, and a replay of those sets' growth.
 //!
-//! Both stores hold, for every ICFG node of a method, the node's data-fact
-//! set over the method's pre-determined pools. They are functionally
-//! interchangeable (verified by tests and by the GPU/CPU cross-check); they
-//! differ in representation:
+//! * [`MatrixStore`] — one fixed-size bitmap per ICFG node of a method over
+//!   the `slots × instances` matrix of its pre-determined pools. Equivalent
+//!   to the paper's per-cell statement bitmasks (bit `(s,i)` of node `n` ⇔
+//!   cell `(s,i)` has bit `n` set); all updates are word-wise OR, no
+//!   allocation ever. Every engine solves into it.
+//! * [`SetGrowth`] — the paper's baseline kept one hash set of facts per
+//!   node, growing dynamically: every growth step is a (re)allocation,
+//!   which is cheap on the CPU and catastrophic on the GPU. The sets would
+//!   hold the same facts as the bitmaps, so only their growth is replayed,
+//!   from the bitmaps, for the Amandroid baselines' counters.
 //!
-//! * [`SetStore`] — one hash set of packed facts per node, growing
-//!   dynamically. This is the paper's baseline: every growth step is a
-//!   (re)allocation, which is cheap on the CPU and catastrophic on the GPU.
-//! * [`MatrixStore`] — one fixed-size bitmap per node over the
-//!   `slots × instances` matrix. Equivalent to the paper's per-cell
-//!   statement bitmasks (bit `(s,i)` of node `n` ⇔ cell `(s,i)` has bit `n`
-//!   set); all updates are word-wise OR, no allocation ever.
-//!
-//! [`Geometry`] fixes the matrix dimensions; both stores report the memory
+//! [`Geometry`] fixes the matrix dimensions; both types report the memory
 //! accounting behind the paper's Fig. 10.
 
 use crate::fact::{Fact, InstanceIdx, MethodSpace, SlotIdx};
-use std::collections::HashSet;
 
 /// Matrix geometry of one method: rows × columns and derived word counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -236,103 +233,10 @@ impl NodeFacts {
 /// Outcome of merging an out-set into a node's stored facts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UnionOutcome {
-    /// Whether the node's set grew.
+    /// Whether the node's bitmap gained a bit.
     pub changed: bool,
-    /// How many facts were newly inserted (set store: actual inserts;
-    /// matrix store: popcount delta).
+    /// How many facts were newly inserted: the popcount delta.
     pub inserted: usize,
-    /// How many capacity growth events (reallocations) occurred — the
-    /// dynamic-allocation driver of the paper's first bottleneck. Always 0
-    /// for the matrix store.
-    pub reallocations: usize,
-}
-
-/// Common interface of the two stores.
-pub trait FactStore {
-    /// Number of nodes.
-    fn node_count(&self) -> usize;
-    /// Matrix geometry.
-    fn geometry(&self) -> Geometry;
-    /// Materializes a node's facts as a bitmap (the transfer input).
-    fn snapshot(&self, node: usize) -> NodeFacts;
-    /// Unions a bitmap into a node's facts.
-    fn union_into(&mut self, node: usize, facts: &NodeFacts) -> UnionOutcome;
-    /// Inserts facts directly (seeding entry facts).
-    fn seed(&mut self, node: usize, facts: &[Fact]);
-    /// Facts currently stored at a node.
-    fn fact_count(&self, node: usize) -> usize;
-    /// Bytes of memory currently held — Fig. 10's metric.
-    fn memory_bytes(&self) -> usize;
-}
-
-/// The original dynamically-growing set-based store.
-#[derive(Clone, Debug, Default)]
-pub struct SetStore {
-    geometry: Geometry,
-    sets: Vec<HashSet<u32>>,
-    /// Cumulative reallocation events across the store's lifetime.
-    pub total_reallocations: usize,
-}
-
-impl SetStore {
-    /// Creates a store for `nodes` nodes.
-    pub fn new(geometry: Geometry, nodes: usize) -> SetStore {
-        SetStore { geometry, sets: vec![HashSet::new(); nodes], total_reallocations: 0 }
-    }
-}
-
-impl FactStore for SetStore {
-    fn node_count(&self) -> usize {
-        self.sets.len()
-    }
-
-    fn geometry(&self) -> Geometry {
-        self.geometry
-    }
-
-    fn snapshot(&self, node: usize) -> NodeFacts {
-        let mut bm = NodeFacts::empty(self.geometry);
-        for &raw in &self.sets[node] {
-            bm.set(Fact::unpack(raw));
-        }
-        bm
-    }
-
-    fn union_into(&mut self, node: usize, facts: &NodeFacts) -> UnionOutcome {
-        let set = &mut self.sets[node];
-        let mut outcome = UnionOutcome::default();
-        for fact in facts.iter() {
-            let cap_before = set.capacity();
-            if set.insert(fact.pack()) {
-                outcome.inserted += 1;
-                outcome.changed = true;
-                if set.capacity() != cap_before {
-                    outcome.reallocations += 1;
-                }
-            }
-        }
-        self.total_reallocations += outcome.reallocations;
-        outcome
-    }
-
-    fn seed(&mut self, node: usize, facts: &[Fact]) {
-        for &f in facts {
-            self.sets[node].insert(f.pack());
-        }
-    }
-
-    fn fact_count(&self, node: usize) -> usize {
-        self.sets[node].len()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        // We charge the Amandroid-equivalent footprint: the Scala original
-        // stores boxed `(slot, instance)` tuples in a `HashSet` — object
-        // header (16 B) + tuple (24 B) + hash-table entry (~8 B) per
-        // element of *capacity* (power-of-two growth leaves slack), plus
-        // per-set table overhead.
-        self.sets.iter().map(|s| 640 + s.capacity().max(s.len()) * 64).sum()
-    }
 }
 
 /// The MAT bitmask-matrix store.
@@ -350,11 +254,61 @@ impl MatrixStore {
         MatrixStore { geometry, nodes, words: vec![0; nodes * geometry.words()] }
     }
 
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.nodes
+    }
+
+    /// Matrix geometry.
+    pub fn geometry(&self) -> Geometry {
+        self.geometry
+    }
+
     /// Direct read access to a node's bitmap (no copy).
     #[inline]
     pub fn node(&self, node: usize) -> NodeView<'_> {
         let per = self.geometry.words();
         NodeView { geometry: self.geometry, words: &self.words[node * per..(node + 1) * per] }
+    }
+
+    /// Copies a node's bitmap out (the transfer input).
+    pub fn snapshot(&self, node: usize) -> NodeFacts {
+        self.node(node).to_owned()
+    }
+
+    /// ORs a bitmap into a node's facts.
+    pub fn union_into(&mut self, node: usize, facts: &NodeFacts) -> UnionOutcome {
+        debug_assert_eq!(self.geometry, facts.geometry);
+        let per = self.geometry.words();
+        let mut inserted = 0;
+        for (w, &o) in self.words[node * per..(node + 1) * per].iter_mut().zip(&facts.words) {
+            let fresh = o & !*w;
+            // Most words bring nothing new; skip their popcount.
+            if fresh != 0 {
+                inserted += fresh.count_ones() as usize;
+                *w |= o;
+            }
+        }
+        UnionOutcome { changed: inserted > 0, inserted }
+    }
+
+    /// Sets facts directly (seeding entry facts).
+    pub fn seed(&mut self, node: usize, facts: &[Fact]) {
+        let base = node * self.geometry.words();
+        for &f in facts {
+            let bit = self.geometry.bit_of(f);
+            self.words[base + bit / 64] |= 1 << (bit % 64);
+        }
+    }
+
+    /// Facts currently stored at a node.
+    pub fn fact_count(&self, node: usize) -> usize {
+        self.node(node).count()
+    }
+
+    /// Bytes held — Fig. 10's MAT footprint, fixed at construction.
+    pub fn memory_bytes(&self) -> usize {
+        self.words.len() * 8
     }
 
     /// Every node bitmap in one row-major word vector — the relocatable
@@ -386,48 +340,86 @@ impl MatrixStore {
     }
 }
 
-impl FactStore for MatrixStore {
-    fn node_count(&self) -> usize {
-        self.nodes
+/// The original algorithm's per-node hash sets, replayed over a matrix
+/// solve: each node's length and the capacity std's `HashSet` reaches
+/// when the same facts are inserted one attempt at a time (a seed's in
+/// slice order, a union's in ascending bit order). A set only grows, so
+/// the sets themselves are never built.
+#[derive(Clone, Debug)]
+pub struct SetGrowth {
+    /// Per node: (facts held, capacity).
+    sets: Vec<(usize, usize)>,
+}
+
+impl SetGrowth {
+    /// `nodes` empty sets, none allocated yet.
+    pub fn new(nodes: usize) -> SetGrowth {
+        SetGrowth { sets: vec![(0, 0); nodes] }
     }
 
-    fn geometry(&self) -> Geometry {
-        self.geometry
-    }
-
-    fn snapshot(&self, node: usize) -> NodeFacts {
-        self.node(node).to_owned()
-    }
-
-    fn union_into(&mut self, node: usize, facts: &NodeFacts) -> UnionOutcome {
-        debug_assert_eq!(self.geometry, facts.geometry);
-        let per = self.geometry.words();
-        let mut inserted = 0;
-        for (w, &o) in self.words[node * per..(node + 1) * per].iter_mut().zip(&facts.words) {
-            let fresh = o & !*w;
-            // Most words bring nothing new; skip their popcount.
-            if fresh != 0 {
-                inserted += fresh.count_ones() as usize;
-                *w |= o;
-            }
-        }
-        UnionOutcome { changed: inserted > 0, inserted, reallocations: 0 }
-    }
-
-    fn seed(&mut self, node: usize, facts: &[Fact]) {
-        let base = node * self.geometry.words();
-        for &f in facts {
-            let bit = self.geometry.bit_of(f);
-            self.words[base + bit / 64] |= 1 << (bit % 64);
+    /// std's `HashSet` capacity one growth step after `cap`: 0 → 3 → 7,
+    /// then doubling (power-of-two bucket counts at a 7/8 load factor).
+    fn grown(cap: usize) -> usize {
+        match cap {
+            0 => 3,
+            3 => 7,
+            cap => 2 * cap,
         }
     }
 
-    fn fact_count(&self, node: usize) -> usize {
-        self.node(node).count()
+    /// One insert attempt at `node`; returns whether the set grew. std
+    /// reserves room before it looks the value up, so an attempt on a
+    /// full set grows it whether or not the fact is new.
+    fn attempt(&mut self, node: usize, fresh: bool) -> bool {
+        let (len, cap) = &mut self.sets[node];
+        let grew = *len == *cap;
+        if grew {
+            *cap = SetGrowth::grown(*cap);
+        }
+        *len += usize::from(fresh);
+        grew
     }
 
-    fn memory_bytes(&self) -> usize {
-        self.words.len() * 8
+    /// Replays [`MatrixStore::seed`] of `facts`, which hold no repeats
+    /// (entry facts do not), into `stored` (read before the seed). A seed
+    /// counts no reallocation.
+    pub fn seed(&mut self, node: usize, stored: NodeView<'_>, facts: &[Fact]) {
+        for &fact in facts {
+            self.attempt(node, !stored.get(fact));
+        }
+    }
+
+    /// Replays [`MatrixStore::union_into`] of `out` into `stored` (read
+    /// before the union); returns the reallocations the baseline counts.
+    ///
+    /// Only a growth on a new fact counts: a growth on a duplicate goes
+    /// uncounted, and the next new fact then finds room, so that growth is
+    /// never charged. The rule is kept for bit-equality with the committed
+    /// figures, which were measured on real `HashSet`s. Unless the new
+    /// facts can fill the set, no attempt grows it, and the bits are not
+    /// walked.
+    pub fn union(&mut self, node: usize, stored: NodeView<'_>, out: NodeView<'_>) -> usize {
+        let new_bits = |(o, s): (&u64, &u64)| (o & !s).count_ones() as usize;
+        let new: usize = out.words.iter().zip(stored.words).map(new_bits).sum();
+        let (len, cap) = &mut self.sets[node];
+        if new < *cap - *len {
+            *len += new;
+            return 0;
+        }
+        out.bits()
+            .filter(|&bit| {
+                let fresh = stored.words[bit / 64] & (1 << (bit % 64)) == 0;
+                self.attempt(node, fresh) && fresh
+            })
+            .count()
+    }
+
+    /// Bytes the sets hold — Fig. 10's baseline footprint. The Scala
+    /// original boxes `(slot, instance)` tuples: object header (16 B) +
+    /// tuple (24 B) + table entry (~8 B) per element of *capacity*, plus
+    /// per-set table overhead.
+    pub fn memory_bytes(&self) -> usize {
+        self.sets.iter().map(|&(_, cap)| 640 + 64 * cap).sum()
     }
 }
 
@@ -502,23 +494,21 @@ mod tests {
         assert_eq!(a.count(), 1);
     }
 
-    fn store_contract(mut store: impl FactStore) {
-        let g = store.geometry();
+    #[test]
+    fn matrix_store_contract() {
+        let mut store = MatrixStore::new(geo(), 4);
+        let bytes = store.memory_bytes();
         let seedf = [Fact { slot: 0, instance: 0 }];
         store.seed(0, &seedf);
         assert_eq!(store.fact_count(0), 1);
 
-        let mut incoming = NodeFacts::empty(g);
+        let mut incoming = NodeFacts::empty(store.geometry());
         incoming.set(Fact { slot: 1, instance: 2 });
         incoming.set(Fact { slot: 0, instance: 0 }); // already there
         let out = store.union_into(0, &incoming);
-        assert!(out.changed);
-        assert_eq!(out.inserted, 1);
+        assert_eq!(out, UnionOutcome { changed: true, inserted: 1 });
         assert_eq!(store.fact_count(0), 2);
-
-        let out2 = store.union_into(0, &incoming);
-        assert!(!out2.changed);
-        assert_eq!(out2.inserted, 0);
+        assert_eq!(store.union_into(0, &incoming), UnionOutcome::default());
 
         // Snapshot reflects everything.
         let snap = store.snapshot(0);
@@ -526,65 +516,122 @@ mod tests {
         assert!(snap.get(Fact { slot: 1, instance: 2 }));
         assert_eq!(snap.count(), 2);
 
-        assert!(store.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn set_store_contract() {
-        store_contract(SetStore::new(geo(), 4));
-    }
-
-    #[test]
-    fn matrix_store_contract() {
-        store_contract(MatrixStore::new(geo(), 4));
-    }
-
-    #[test]
-    fn stores_agree_after_identical_operations() {
-        let g = geo();
-        let mut set = SetStore::new(g, 3);
-        let mut mat = MatrixStore::new(g, 3);
-        let seeds = [Fact { slot: 2, instance: 2 }];
-        set.seed(1, &seeds);
-        mat.seed(1, &seeds);
-        let mut inc = NodeFacts::empty(g);
-        inc.set(Fact { slot: 7, instance: 3 });
-        inc.set(Fact { slot: 2, instance: 2 });
-        let o1 = set.union_into(1, &inc);
-        let o2 = mat.union_into(1, &inc);
-        assert_eq!(o1.changed, o2.changed);
-        assert_eq!(o1.inserted, o2.inserted);
-        let s1: Vec<Fact> = {
-            let mut v: Vec<Fact> = set.snapshot(1).iter().collect();
-            v.sort();
-            v
-        };
-        let s2: Vec<Fact> = {
-            let mut v: Vec<Fact> = mat.snapshot(1).iter().collect();
-            v.sort();
-            v
-        };
-        assert_eq!(s1, s2);
-    }
-
-    #[test]
-    fn matrix_memory_is_fixed_set_memory_grows() {
-        let g = Geometry { slots: 50, insts: 20 };
-        let mut set = SetStore::new(g, 10);
-        let mat = MatrixStore::new(g, 10);
-        let mat_bytes = mat.memory_bytes();
-        let set_bytes_empty = set.memory_bytes();
-        // Fill one node's set heavily.
-        let mut inc = NodeFacts::empty(g);
-        for s in 0..50u16 {
-            for i in 0..20u16 {
-                inc.set(Fact { slot: s, instance: i });
-            }
-        }
-        set.union_into(0, &inc);
-        assert!(set.memory_bytes() > set_bytes_empty);
-        assert!(set.total_reallocations > 0, "hash set growth should reallocate");
         // Matrix memory does not change with content.
-        assert_eq!(mat.memory_bytes(), mat_bytes);
+        assert_eq!(store.memory_bytes(), bytes);
+        assert_eq!(bytes, 4 * 2 * 8);
+    }
+
+    /// Facts at flat bits `bits` of [`geo`].
+    fn facts(bits: &[usize]) -> Vec<Fact> {
+        bits.iter()
+            .map(|&b| Fact { slot: (b / 7) as SlotIdx, instance: (b % 7) as InstanceIdx })
+            .collect()
+    }
+
+    /// A matrix store and its replayed sets, driven the way the solver
+    /// drives them: replay against the bits stored before each write.
+    struct Replayed {
+        store: MatrixStore,
+        growth: SetGrowth,
+    }
+
+    impl Replayed {
+        fn new() -> Replayed {
+            Replayed { store: MatrixStore::new(geo(), 1), growth: SetGrowth::new(1) }
+        }
+
+        fn seed(&mut self, bits: &[usize]) {
+            self.growth.seed(0, self.store.node(0), &facts(bits));
+            self.store.seed(0, &facts(bits));
+        }
+
+        /// Returns the counted reallocations.
+        fn union(&mut self, bits: &[usize]) -> usize {
+            let mut out = NodeFacts::empty(geo());
+            for f in facts(bits) {
+                out.set(f);
+            }
+            let counted = self.growth.union(0, self.store.node(0), out.view());
+            self.store.union_into(0, &out);
+            counted
+        }
+
+        /// (facts held, capacity).
+        fn set(&self) -> (usize, usize) {
+            assert_eq!(self.growth.sets[0].0, self.store.fact_count(0), "length drifted");
+            self.growth.sets[0]
+        }
+    }
+
+    #[test]
+    fn set_growth_follows_the_std_schedule() {
+        let caps: Vec<usize> =
+            std::iter::successors(Some(0), |&c| Some(SetGrowth::grown(c))).take(7).collect();
+        assert_eq!(caps, [0, 3, 7, 14, 28, 56, 112]);
+
+        // New facts one union at a time: each growth is counted.
+        let mut r = Replayed::new();
+        let counted: Vec<usize> = (0..30).map(|bit| r.union(&[bit])).collect();
+        let grew: Vec<usize> = (0..30).filter(|&i| counted[i] == 1).collect();
+        assert_eq!(grew, [0, 3, 7, 14, 28]);
+        assert_eq!(r.set(), (30, 56));
+        assert_eq!(r.growth.memory_bytes(), 640 + 64 * 56);
+
+        // All of them in one union: the same growths, the same capacity.
+        let mut once = Replayed::new();
+        assert_eq!(once.union(&(0..30).collect::<Vec<_>>()), 5);
+        assert_eq!(once.set(), (30, 56));
+    }
+
+    #[test]
+    fn a_duplicate_into_a_full_set_grows_it_uncounted() {
+        let mut r = Replayed::new();
+        r.seed(&[0, 1, 2]);
+        assert_eq!(r.set(), (3, 3));
+        // Bit 0 is a duplicate and comes first: it grows the full set, and
+        // the new bit 5 then finds room. Neither growth is counted.
+        assert_eq!(r.union(&[0, 5]), 0);
+        assert_eq!(r.set(), (4, 7));
+        // Had the new bit come first, its growth would have counted.
+        let mut r = Replayed::new();
+        r.seed(&[1, 2, 3]);
+        assert_eq!(r.union(&[0, 1]), 1);
+        assert_eq!(r.set(), (4, 7));
+    }
+
+    #[test]
+    fn seeding_grows_sets_and_counts_nothing() {
+        let mut r = Replayed::new();
+        r.seed(&[4, 9, 11]);
+        assert_eq!(r.set(), (3, 3));
+        // A duplicate seed into the full set still grows it.
+        r.seed(&[4]);
+        assert_eq!(r.set(), (3, 7));
+        r.seed(&[20, 21, 22, 23]);
+        assert_eq!(r.set(), (7, 7));
+        assert_eq!(r.union(&[30]), 1);
+        assert_eq!(r.set(), (8, 14));
+    }
+
+    #[test]
+    fn filling_a_set_exactly_lets_a_trailing_duplicate_grow_it() {
+        let mut r = Replayed::new();
+        r.seed(&[10, 11, 12, 13]);
+        assert_eq!(r.set(), (4, 7));
+        // Three new bits fill the set exactly (new == cap - len); the
+        // duplicate bit 13 after them grows it, uncounted.
+        assert_eq!(r.union(&[0, 1, 2, 13]), 0);
+        assert_eq!(r.set(), (7, 14));
+        // So the next new fact finds room.
+        assert_eq!(r.union(&[3]), 0);
+        assert_eq!(r.set(), (8, 14));
+        // Without the trailing duplicate the set stays full, and the next
+        // new fact's growth counts.
+        let mut r = Replayed::new();
+        r.seed(&[10, 11, 12, 13]);
+        assert_eq!(r.union(&[0, 1, 2]), 0);
+        assert_eq!(r.set(), (7, 7));
+        assert_eq!(r.union(&[3]), 1);
+        assert_eq!(r.set(), (8, 14));
     }
 }

@@ -148,7 +148,7 @@ pub fn derive_summary(
 mod tests {
     use super::*;
     use crate::fact::Fact;
-    use crate::store::{FactStore, Geometry, NodeFacts};
+    use crate::store::{Geometry, NodeFacts};
     use gdroid_ir::{Expr, JType, Lhs, ProgramBuilder, StmtIdx, VarId};
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-app experiment records: every engine run once per app.
 
-use gdroid_analysis::{CpuCostModel, FactStore};
+use gdroid_analysis::{CpuCostModel, MatrixStore};
 use gdroid_apk::{AppStats, Corpus};
 use gdroid_core::{OptConfig, WorklistProfile};
 use gdroid_gpusim::{Device, DeviceConfig};
@@ -123,8 +123,8 @@ pub fn run_app(corpus: &Corpus, index: usize) -> AppRecord {
         cpu_mt_ns: CpuCostModel::multithreaded_c().parallel_ns(&cpu.analysis),
         gpu,
         set_bytes: cpu.outcome.store_bytes,
-        // The published facts are matrix-form whatever store solved them.
-        matrix_bytes: cpu.analysis.facts.values().map(FactStore::memory_bytes).sum(),
+        // The `amandroid` run is charged the replayed sets; its facts are matrices.
+        matrix_bytes: cpu.analysis.facts.values().map(MatrixStore::memory_bytes).sum(),
         leaks: cpu.outcome.report.leaks.len(),
         max_worklist: cpu.outcome.telemetry.max_worklist,
     }

@@ -259,7 +259,6 @@ pub fn gpu_analyze_batch_on(
 mod tests {
     use super::*;
     use crate::driver::{gpu_analyze_app, gpu_analyze_app_on};
-    use gdroid_analysis::FactStore;
     use gdroid_apk::{generate_app, GenConfig};
     use gdroid_gpusim::DeviceConfig;
     use gdroid_icfg::{prepare_app, CallGraph};

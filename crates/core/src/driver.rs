@@ -195,7 +195,7 @@ impl WorklistKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdroid_analysis::{analyze_app, FactStore, StoreKind};
+    use gdroid_analysis::{analyze_app, StoreKind};
     use gdroid_apk::{generate_app, GenConfig};
     use gdroid_icfg::prepare_app;
 

@@ -27,8 +27,8 @@ use crate::driver::WorklistKernel;
 use crate::engine::EngineAnalysis;
 use crate::stats::{GpuRunStats, WorklistProfile};
 use gdroid_analysis::{
-    derive_summary, merge_site_summaries, FactStore, Geometry, MatrixStore, MethodSpace,
-    MethodSummary, Presolved, SummaryMap, WorklistTelemetry,
+    derive_summary, merge_site_summaries, Geometry, MatrixStore, MethodSpace, MethodSummary,
+    Presolved, SummaryMap, WorklistTelemetry,
 };
 use gdroid_gpusim::{BlockCtx, BlockFn, SanReport};
 use gdroid_icfg::{CallGraph, CallLayers, Cfg};

@@ -18,9 +18,7 @@
 use crate::fixpoint::MethodBlock;
 use crate::layout::MethodLayout;
 use crate::opts::OptConfig;
-use gdroid_analysis::{
-    CallResolution, FactStore, NodeFacts, NodeView, TransferCtx, WorklistTelemetry,
-};
+use gdroid_analysis::{CallResolution, NodeFacts, NodeView, TransferCtx, WorklistTelemetry};
 use gdroid_gpusim::{segment_of, AccessOrder, BlockCtx, LaneWork};
 use gdroid_icfg::Cfg;
 use gdroid_ir::{Method, StmtIdx};

@@ -11,8 +11,8 @@
 //! per-block counters — and on every fact and summary.
 
 use gdroid_analysis::{
-    analyze_app, merge_site_summaries, AppAnalysis, FactStore, Geometry, MatrixStore, MethodSpace,
-    StoreKind, SummaryMap,
+    analyze_app, merge_site_summaries, AppAnalysis, Geometry, MatrixStore, MethodSpace, StoreKind,
+    SummaryMap,
 };
 use gdroid_apk::{generate_app, App, GenConfig};
 use gdroid_core::fixpoint::MethodBlock;

@@ -11,7 +11,7 @@ use crate::plan::{vet_prepared, Engine, ExecPlan};
 use crate::registry::SourceSinkRegistry;
 use crate::report::VettingReport;
 use crate::taint::TaintAnalysis;
-use gdroid_analysis::{AppAnalysis, FactStore, StoreKind};
+use gdroid_analysis::{AppAnalysis, MatrixStore, StoreKind};
 use gdroid_apk::App;
 use gdroid_core::{EngineAnalysis, GpuRunStats};
 use gdroid_icfg::{prepare_app, CallGraph, EnvironmentInfo};
@@ -177,7 +177,7 @@ pub(crate) fn finish_vetting(
 /// bit-identical across engines; only cost models differ), beside its
 /// modeled IDFG time and its device statistics.
 pub(crate) fn to_app_analysis(ea: EngineAnalysis) -> (AppAnalysis, f64, Option<GpuRunStats>) {
-    let store_bytes = ea.facts.values().map(FactStore::memory_bytes).sum();
+    let store_bytes = ea.facts.values().map(MatrixStore::memory_bytes).sum();
     let analysis = AppAnalysis {
         spaces: ea.spaces,
         cfgs: ea.cfgs,

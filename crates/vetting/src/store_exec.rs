@@ -180,7 +180,6 @@ mod tests {
     use super::*;
     use crate::pipeline::{prepare_vetting, VettingRun};
     use crate::plan::{execute, vet_prepared, Engine, ExecCtx, ExecPlan};
-    use gdroid_analysis::FactStore;
     use gdroid_apk::generate_app;
     use gdroid_gpusim::{Device, DeviceConfig};
 

@@ -68,9 +68,7 @@ fn main() {
 
     // One concrete launch's occupancy timeline: the biggest SBDA layer,
     // one block per method, GDroid configuration.
-    use gdroid::analysis::{
-        merge_site_summaries, FactStore, Geometry, MatrixStore, MethodSpace, SummaryMap,
-    };
+    use gdroid::analysis::{merge_site_summaries, Geometry, MatrixStore, MethodSpace, SummaryMap};
     use gdroid::icfg::{CallLayers, Cfg};
     use std::collections::HashMap;
     let layers = CallLayers::compute(&cg, &roots);

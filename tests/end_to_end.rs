@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from synthetic APK to
 //! vetting verdict, across every engine.
 
-use gdroid::analysis::{analyze_app, analyze_app_parallel, FactStore, StoreKind};
+use gdroid::analysis::{analyze_app, analyze_app_parallel, StoreKind};
 use gdroid::apk::{generate_app, Corpus, GenConfig};
 use gdroid::core::{gpu_analyze_app, OptConfig};
 use gdroid::gpusim::DeviceConfig;

@@ -95,7 +95,6 @@ fn fig2_facts_flow_into_both_arms_and_survive_the_loop() {
     let summaries = SummaryMap::new();
     solve_method(&program, mid, &space, &cfg, &mut store, &summaries, &cg);
 
-    use gdroid::analysis::FactStore;
     let alloc = space.instance(Instance::Alloc(StmtIdx(0))).unwrap();
     let x_slot = space.slot(Slot::Local(gdroid::ir::VarId(0))).unwrap();
     let y_slot = space.slot(Slot::Local(gdroid::ir::VarId(1))).unwrap();
