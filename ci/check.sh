@@ -221,13 +221,14 @@ for site in 'segment_path(' 'rotate_records.is_some()' 'match config.rotate_reco
   ratchet 0 "$site" "$journal_hint" crates src examples ! -path "$journal" ! -path '*/tests/*'
 done
 
-echo "==> hot-path ratchet: a warp step allocates nothing"
+echo "==> hot-path ratchet: a warp step and a transfer allocate nothing"
 # Both lane forms run BlockCtx::step once per simulated warp step, and the
 # counted form calls the kernel's LineCounter once per divergence group;
-# their buffers are the Device-owned WarpScratch and the block-owned line
-# table (DESIGN.md, "Host cost of the simulator"). Each range runs from the
-# named fn to the end of its impl block, and must not come out empty: a
-# renamed fn would otherwise pass unchecked.
+# their buffers are the Device-owned WarpScratch and the block-owned union
+# buffer (DESIGN.md, "Host cost of the simulator"). Every solver calls
+# TransferCtx::transfer_into once per node, into the caller's OUT bitmap.
+# Each range runs from the named fn to the end of its impl block, and must
+# not come out empty: a renamed fn would otherwise pass unchecked.
 hot_path() { # <file> <first fn of the range>
   local body
   body=$(awk -v start="$2" 'index($0, start) { on = 1 } on && /^}/ { exit } on' "$1")
@@ -237,12 +238,13 @@ hot_path() { # <file> <first fn of the range>
   }
   if echo "$body" | grep -nE '\.collect\(\)|Vec::new\(|vec!\[|HashMap'; then
     echo "hot-path ratchet: a per-step collection is back after \`$2\` in $1 —" \
-      "reuse WarpScratch or the block's line table instead" >&2
+      "reuse WarpScratch, the counter's union buffer or the caller's OUT bitmap instead" >&2
     exit 1
   fi
 }
 hot_path crates/gpusim/src/block.rs '    fn step('
 hot_path crates/core/src/kernel.rs '    fn count('
+hot_path crates/analysis/src/transfer.rs '    pub fn transfer_into('
 
 echo "==> bench drift: the cheap committed goldens match a regeneration"
 cargo build --release -p gdroid-bench --bin figures

@@ -5,9 +5,9 @@
 # --no-fail-fast, and the outcome is written to ci/golden/mutants.txt:
 #
 #   killed     a test that checks facts, verdicts or reports failed;
-#   cost-only  only a modeled-cost pin failed (tests/ledger_pin.rs,
-#              tests/corpus_pin.rs) — the response to those is to re-pin,
-#              so they prove nothing about the analysis;
+#   cost-only  only a cost pin failed (tests/ledger_pin.rs,
+#              tests/corpus_pin.rs, tests/alloc_pin.rs) — the response to
+#              those is to re-pin, so they prove nothing about the analysis;
 #   survived   every test passed.
 #
 # A mutant that hangs a test target is killed (CI would time out).
@@ -22,7 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 table=ci/golden/mutants.txt
-cost_pins='^tests/(ledger_pin|corpus_pin)\.rs::'
+cost_pins='^tests/(ledger_pin|corpus_pin|alloc_pin)\.rs::'
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT

@@ -8,7 +8,6 @@
 //! instances index matrix columns.
 
 use gdroid_ir::{Expr, FieldId, Lhs, Literal, Method, MethodId, Program, Stmt, StmtIdx, VarId};
-use std::collections::HashMap;
 
 /// A storage location that can hold an object reference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,6 +68,11 @@ impl Fact {
 
 /// The pre-determined pools and lookup tables of one method — everything
 /// the transfer functions need, computed once before analysis.
+///
+/// The reverse lookups are dense: a table by variable for local slots, by
+/// statement for allocation and call-return instances and by position for
+/// formals; the static and heap slots, and the static-in instances, sit at
+/// fixed offsets of the pools (see [`MethodSpace::build`]).
 #[derive(Clone, Debug, Default)]
 pub struct MethodSpace {
     /// The method this space belongs to.
@@ -77,37 +81,53 @@ pub struct MethodSpace {
     pub slots: Vec<Slot>,
     /// Instance pool; index = [`InstanceIdx`].
     pub instances: Vec<Instance>,
-    /// Reverse slot lookup.
-    slot_idx: HashMap<Slot, SlotIdx>,
-    /// Reverse instance lookup.
-    instance_idx: HashMap<Instance, InstanceIdx>,
     /// Reference fields accessed (read or written) by this method — the
     /// field axis of the heap-slot cross product.
     pub ref_fields: Vec<FieldId>,
     /// Statement count (bitmask width for the per-statement cell view).
     pub stmt_count: usize,
+    /// The slot of each local, by [`VarId`]; `None` for a primitive.
+    local_slots: Vec<Option<SlotIdx>>,
+    /// The instance of each formal, by position; `None` for a primitive.
+    formal_insts: Vec<Option<InstanceIdx>>,
+    /// The instance each statement allocates or returns, by [`StmtIdx`].
+    stmt_insts: Vec<Option<InstanceIdx>>,
+    /// The reference statics the method touches, in pool order.
+    statics: Vec<FieldId>,
+    /// The first `Slot::Static`, `Instance::StaticIn` and `Slot::Heap`.
+    static_slot0: u16,
+    static_inst0: u16,
+    heap_slot0: u16,
+    /// Whether every instance has a `Slot::ArrayElem` after its heap slots.
+    array_slots: bool,
 }
 
 impl MethodSpace {
     /// Scans a method body and pre-computes its pools.
     pub fn build(program: &Program, mid: MethodId) -> MethodSpace {
         let method = &program.methods[mid];
-        let mut sp = MethodSpace { method: mid, stmt_count: method.len(), ..Default::default() };
+        let mut sp = MethodSpace {
+            method: mid,
+            stmt_count: method.len(),
+            local_slots: vec![None; method.vars.len()],
+            stmt_insts: vec![None; method.len()],
+            ..Default::default()
+        };
 
         // --- instances -----------------------------------------------------
         // Formals first (stable small indices), then allocation sites and
         // call returns in statement order, then static-ins.
         let mut formal_count = 0u8;
         if method.this_var.is_some() {
-            sp.add_instance(Instance::Formal(formal_count));
+            let i = sp.add_instance(Instance::Formal(formal_count));
+            sp.formal_insts.push(Some(i));
             formal_count += 1;
         }
         for p in &method.params {
-            if p.ty.is_reference() {
-                sp.add_instance(Instance::Formal(formal_count));
-            }
             // Formal numbering follows declaration order including
             // primitives, so callers can map argument positions directly.
+            let i = p.ty.is_reference().then(|| sp.add_instance(Instance::Formal(formal_count)));
+            sp.formal_insts.push(i);
             formal_count += 1;
         }
         for (idx, stmt) in method.body.iter_enumerated() {
@@ -120,14 +140,14 @@ impl MethodSpace {
                         | Expr::Exception,
                     ..
                 } => {
-                    sp.add_instance(Instance::Alloc(idx));
+                    sp.stmt_insts[idx.index()] = Some(sp.add_instance(Instance::Alloc(idx)));
                 }
                 // Every call site gets a fresh-object instance, even calls
                 // whose result is discarded: a void callee can still store
                 // a fresh object into an argument's field, and that object
                 // needs a caller-side identity.
                 Stmt::Call { .. } => {
-                    sp.add_instance(Instance::CallRet(idx));
+                    sp.stmt_insts[idx.index()] = Some(sp.add_instance(Instance::CallRet(idx)));
                 }
                 _ => {}
             }
@@ -157,6 +177,7 @@ impl MethodSpace {
                 }
             }
         }
+        sp.static_inst0 = sp.instances.len() as u16;
         for &f in &statics {
             sp.add_instance(Instance::StaticIn(f));
         }
@@ -165,13 +186,15 @@ impl MethodSpace {
         // Locals.
         for (vid, decl) in method.vars.iter_enumerated() {
             if decl.ty.is_reference() {
-                sp.add_slot(Slot::Local(vid));
+                sp.local_slots[vid.index()] = Some(sp.add_slot(Slot::Local(vid)));
             }
         }
         // Statics.
+        sp.static_slot0 = sp.slots.len() as u16;
         for &f in &statics {
             sp.add_slot(Slot::Static(f));
         }
+        sp.statics = statics;
         // Heap slots: every pooled instance × every field the method
         // accesses, plus one array-element slot per instance when the
         // method has array operations. The pool stays at the paper's
@@ -184,16 +207,23 @@ impl MethodSpace {
             matches!(s, Stmt::Assign { lhs: Lhs::ArrayElem { .. }, .. })
                 || matches!(s, Stmt::Assign { rhs: Expr::Indexing { .. }, .. })
         });
-        let fields = sp.ref_fields.clone();
+        sp.heap_slot0 = sp.slots.len() as u16;
+        sp.array_slots = has_array_ops;
         for inst in 0..n_inst {
-            for &f in &fields {
-                sp.add_slot(Slot::Heap(inst, f));
+            for k in 0..sp.ref_fields.len() {
+                sp.add_slot(Slot::Heap(inst, sp.ref_fields[k]));
             }
             if has_array_ops {
                 sp.add_slot(Slot::ArrayElem(inst));
             }
         }
 
+        debug_assert!(sp.slots.iter().enumerate().all(|(i, &s)| sp.slot(s) == Some(i as u16)));
+        debug_assert!(sp
+            .instances
+            .iter()
+            .enumerate()
+            .all(|(i, &n)| sp.instance(n) == Some(i as u16)));
         sp
     }
 
@@ -204,35 +234,51 @@ impl MethodSpace {
     }
 
     fn add_instance(&mut self, inst: Instance) -> InstanceIdx {
-        if let Some(&i) = self.instance_idx.get(&inst) {
-            return i;
-        }
-        let idx = self.instances.len() as InstanceIdx;
         self.instances.push(inst);
-        self.instance_idx.insert(inst, idx);
-        idx
+        (self.instances.len() - 1) as InstanceIdx
     }
 
     fn add_slot(&mut self, slot: Slot) -> SlotIdx {
-        if let Some(&i) = self.slot_idx.get(&slot) {
-            return i;
-        }
-        let idx = self.slots.len() as SlotIdx;
         self.slots.push(slot);
-        self.slot_idx.insert(slot, idx);
-        idx
+        (self.slots.len() - 1) as SlotIdx
     }
 
     /// Looks up a slot's pool index.
     #[inline]
     pub fn slot(&self, slot: Slot) -> Option<SlotIdx> {
-        self.slot_idx.get(&slot).copied()
+        let n_inst = self.instances.len() as u16;
+        let stride = self.ref_fields.len() as u16 + u16::from(self.array_slots);
+        match slot {
+            Slot::Local(v) => *self.local_slots.get(v.index())?,
+            Slot::Static(f) => {
+                let k = self.statics.iter().position(|&s| s == f)?;
+                Some(self.static_slot0 + k as u16)
+            }
+            Slot::Heap(inst, f) if inst < n_inst => {
+                let k = self.ref_fields.iter().position(|&r| r == f)?;
+                Some(self.heap_slot0 + inst * stride + k as u16)
+            }
+            Slot::ArrayElem(inst) if inst < n_inst && self.array_slots => {
+                Some(self.heap_slot0 + inst * stride + stride - 1)
+            }
+            Slot::Heap(..) | Slot::ArrayElem(_) => None,
+        }
     }
 
     /// Looks up an instance's pool index.
     #[inline]
     pub fn instance(&self, inst: Instance) -> Option<InstanceIdx> {
-        self.instance_idx.get(&inst).copied()
+        match inst {
+            Instance::Formal(k) => *self.formal_insts.get(usize::from(k))?,
+            // A statement allocates or calls, never both.
+            Instance::Alloc(s) | Instance::CallRet(s) => {
+                self.stmt_insts.get(s.index())?.filter(|&i| self.instances[usize::from(i)] == inst)
+            }
+            Instance::StaticIn(f) => {
+                let k = self.statics.iter().position(|&s| s == f)?;
+                Some(self.static_inst0 + k as u16)
+            }
+        }
     }
 
     /// Number of slots (matrix rows).
@@ -377,6 +423,43 @@ mod tests {
         let p = pb.finish();
         let sp = MethodSpace::build(&p, mid);
         assert!(sp.slots.iter().any(|s| matches!(s, Slot::ArrayElem(_))));
+    }
+
+    /// The dense lookups invert the pools, and find nothing for a key
+    /// outside them.
+    #[test]
+    fn lookups_invert_the_pools() {
+        let app = gdroid_apk::generate_app(0, 2223, &gdroid_apk::GenConfig::tiny());
+        let unused = FieldId(u32::MAX);
+        for (mid, method) in app.program.methods.iter_enumerated() {
+            let sp = MethodSpace::build(&app.program, mid);
+            for (i, &slot) in sp.slots.iter().enumerate() {
+                assert_eq!(sp.slot(slot), Some(i as SlotIdx), "{mid:?} {slot:?}");
+            }
+            for (i, &inst) in sp.instances.iter().enumerate() {
+                assert_eq!(sp.instance(inst), Some(i as InstanceIdx), "{mid:?} {inst:?}");
+            }
+            let n = sp.instance_count() as InstanceIdx;
+            let has_array = sp.slots.iter().any(|s| matches!(s, Slot::ArrayElem(_)));
+            assert_eq!(sp.slot(Slot::ArrayElem(0)).is_some(), has_array && n > 0);
+            for absent in [
+                Slot::Heap(n, sp.ref_fields.first().copied().unwrap_or(unused)),
+                Slot::Heap(0, unused),
+                Slot::ArrayElem(n),
+                Slot::Static(unused),
+                Slot::Local(VarId::new(method.vars.len())),
+            ] {
+                assert_eq!(sp.slot(absent), None, "{mid:?} {absent:?}");
+            }
+            for (idx, stmt) in method.body.iter_enumerated() {
+                // A statement allocates or calls, never both.
+                let (alloc, call) = (Instance::Alloc(idx), Instance::CallRet(idx));
+                assert!(sp.instance(alloc).is_none() || sp.instance(call).is_none());
+                assert_eq!(sp.instance(call).is_some(), stmt.is_call(), "{mid:?} {idx:?}");
+            }
+            assert_eq!(sp.instance(Instance::StaticIn(unused)), None);
+            assert_eq!(sp.instance(Instance::Formal(u8::MAX)), None);
+        }
     }
 
     #[test]

@@ -46,5 +46,5 @@ pub use solver::{
     StoreKind, WorklistTelemetry,
 };
 pub use store::{Geometry, MatrixStore, NodeFacts, NodeView, UnionOutcome};
-pub use summary::{derive_summary, MethodSummary, SummaryMap, Token};
-pub use transfer::{CallResolution, TransferCtx, TransferEffort};
+pub use summary::{derive_summary, MethodSummary, SiteSummaries, SummaryMap, Token};
+pub use transfer::{TransferCtx, TransferEffort};

@@ -8,11 +8,11 @@
 //! every callee summary is final — the SBDA property.
 
 use crate::fact::MethodSpace;
-use crate::store::{Geometry, MatrixStore, NodeView, SetGrowth};
-use crate::summary::{derive_summary, MethodSummary, SummaryMap};
-use crate::transfer::{CallResolution, TransferCtx};
+use crate::store::{Geometry, MatrixStore, NodeFacts, NodeView, SetGrowth};
+use crate::summary::{derive_summary, MethodSummary, SiteSummaries, SummaryMap};
+use crate::transfer::TransferCtx;
 use gdroid_icfg::{CallGraph, CallLayers, CallTarget, Cfg, LayerScc};
-use gdroid_ir::{Method, MethodId, Program, StmtIdx};
+use gdroid_ir::{Method, MethodId, Program};
 use std::collections::{HashMap, HashSet};
 
 /// Which fact store a solver run is charged for; the facts are the same.
@@ -83,27 +83,23 @@ pub fn merge_site_summaries(
     mid: MethodId,
     summaries: &SummaryMap,
     cg: &CallGraph,
-) -> HashMap<StmtIdx, Option<MethodSummary>> {
-    program.methods[mid]
-        .body
-        .iter_enumerated()
-        .filter(|(_, s)| s.is_call())
-        .map(|(idx, _)| {
-            let merged = match cg.site(mid, idx) {
-                Some(CallTarget::Internal(targets)) => {
-                    let mut acc = MethodSummary::default();
-                    for t in targets {
-                        if let Some(s) = summaries.get(t) {
-                            acc.merge(s);
-                        }
+) -> SiteSummaries {
+    let body = program.methods[mid].body.iter_enumerated();
+    SiteSummaries(
+        body.map(|(idx, stmt)| match stmt.is_call().then(|| cg.site(mid, idx)).flatten() {
+            Some(CallTarget::Internal(targets)) => {
+                let mut acc = MethodSummary::default();
+                for t in targets {
+                    if let Some(s) = summaries.get(t) {
+                        acc.merge(s);
                     }
-                    Some(acc)
                 }
-                _ => None, // external
-            };
-            (idx, merged)
+                Some(acc)
+            }
+            _ => None, // external, or no call
         })
-        .collect()
+        .collect(),
+    )
 }
 
 /// Solves one method to its fact fixed point.
@@ -132,7 +128,7 @@ fn solve(
     space: &MethodSpace,
     cfg: &Cfg,
     store: &mut MatrixStore,
-    site_summaries: &HashMap<StmtIdx, Option<MethodSummary>>,
+    sites: &SiteSummaries,
     mut growth: Option<&mut SetGrowth>,
 ) -> WorklistTelemetry {
     let mut telemetry = WorklistTelemetry::default();
@@ -146,11 +142,7 @@ fn solve(
     }
     store.seed(entry, &entry_facts);
 
-    let resolve = |idx: StmtIdx| match site_summaries.get(&idx) {
-        Some(Some(s)) => CallResolution::Summary(s),
-        _ => CallResolution::External,
-    };
-    let ctx = TransferCtx { method, space, resolve_call: &resolve };
+    let ctx = TransferCtx { method, space, sites };
 
     // Generation-based worklist (mirrors the GPU kernels so Table II's
     // round-size profile is comparable). A successor is enqueued when its
@@ -164,6 +156,8 @@ fn solve(
     visited[cfg.entry() as usize] = true;
     let mut in_next = vec![false; cfg.len()];
     let mut next: Vec<u32> = Vec::new();
+    // The OUT bitmap, reused by every node.
+    let mut out = NodeFacts::empty(Geometry::of(space));
 
     while !current.is_empty() {
         telemetry.rounds += 1;
@@ -172,10 +166,13 @@ fn solve(
         for &node in &current {
             telemetry.nodes_processed += 1;
             telemetry.word_ops += words; // snapshot copy
-            let input = store.snapshot(node as usize);
-            let (out, effort) = match cfg.stmt_of(node) {
-                Some(stmt_idx) => ctx.transfer(stmt_idx, input.view()),
-                None => (input, Default::default()), // entry/exit: identity
+            let input = store.node(node as usize);
+            let effort = match cfg.stmt_of(node) {
+                Some(stmt_idx) => ctx.transfer_into(stmt_idx, input, &mut out),
+                None => {
+                    out.assign(input); // entry/exit: identity
+                    Default::default()
+                }
             };
             telemetry.rows_read += effort.rows_read;
             telemetry.facts_written += effort.facts_written;

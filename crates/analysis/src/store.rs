@@ -51,6 +51,16 @@ impl Geometry {
     }
 }
 
+/// A word whose lowest `n` bits are set (all of them from 64 on).
+#[inline]
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        !0
+    } else {
+        (1 << n) - 1
+    }
+}
+
 /// Bit indices set in `words[start..end)`, ascending; all-zero words cost
 /// one test each.
 fn set_bits(words: &[u64], start: usize, end: usize) -> impl Iterator<Item = usize> + '_ {
@@ -100,9 +110,24 @@ impl<'a> NodeView<'a> {
             .map(move |bit| (bit - start) as InstanceIdx)
     }
 
+    /// Instances `first..first + 64` of a slot row as one word (bit `j` =
+    /// instance `first + j`), zero past the row's end.
+    #[inline]
+    pub fn row_word(self, slot: SlotIdx, first: usize) -> u64 {
+        let insts = self.geometry.insts;
+        let (bit, width) = (usize::from(slot) * insts + first, insts.saturating_sub(first));
+        let (w, shift) = (bit / 64, bit % 64);
+        let mut word = self.words.get(w).map_or(0, |&x| x >> shift);
+        if shift != 0 {
+            word |= self.words.get(w + 1).map_or(0, |&x| x << (64 - shift));
+        }
+        word & low_bits(width)
+    }
+
     /// Number of facts set.
     pub fn count(self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        // Most words of a sparse bitmap are zero; skip their popcount.
+        self.words.iter().filter(|&&w| w != 0).map(|w| w.count_ones() as usize).sum()
     }
 
     /// Iterates the flat bit positions ([`Geometry::bit_of`]) of all facts
@@ -151,6 +176,24 @@ impl NodeFacts {
         self.geometry = src.geometry;
         self.words.clear();
         self.words.extend_from_slice(src.words);
+    }
+
+    /// Overwrites this bitmap with `a | b`, keeping the allocation, and
+    /// returns the facts in `a` and in `b` — one pass for the three.
+    pub fn assign_union(&mut self, a: NodeView<'_>, b: NodeView<'_>) -> (usize, usize) {
+        debug_assert_eq!(a.geometry, b.geometry);
+        self.geometry = a.geometry;
+        self.words.resize(a.words.len(), 0);
+        let (mut in_a, mut in_b) = (0, 0);
+        for ((w, &x), &y) in self.words.iter_mut().zip(a.words).zip(b.words) {
+            *w = x | y;
+            // Most words of a sparse bitmap are zero; skip their popcount.
+            if *w != 0 {
+                in_a += x.count_ones() as usize;
+                in_b += y.count_ones() as usize;
+            }
+        }
+        (in_a, in_b)
     }
 
     /// The geometry.
@@ -205,6 +248,24 @@ impl NodeFacts {
     /// Iterates the instances present in a slot row.
     pub fn row(&self, slot: SlotIdx) -> impl Iterator<Item = InstanceIdx> + '_ {
         self.view().row(slot)
+    }
+
+    /// ORs `word` into instances `first..first + 64` of a slot row — the
+    /// inverse of [`NodeView::row_word`]; bits past the row's end are
+    /// dropped.
+    #[inline]
+    pub fn or_row_word(&mut self, slot: SlotIdx, first: usize, word: u64) {
+        let insts = self.geometry.insts;
+        let word = word & low_bits(insts.saturating_sub(first));
+        if word == 0 {
+            return;
+        }
+        let bit = usize::from(slot) * insts + first;
+        let (w, shift) = (bit / 64, bit % 64);
+        self.words[w] |= word << shift;
+        if shift != 0 && word >> (64 - shift) != 0 {
+            self.words[w + 1] |= word >> (64 - shift);
+        }
     }
 
     /// Unions another bitmap in; returns whether anything changed.
@@ -482,6 +543,38 @@ mod tests {
         let mut expected = facts.to_vec();
         expected.sort();
         assert_eq!(collected, expected);
+    }
+
+    /// Row words read and write exactly a row's instances, for rows that
+    /// straddle words and rows wider than one word.
+    #[test]
+    fn row_words_match_the_row_iterator() {
+        for geometry in [geo(), Geometry { slots: 5, insts: 150 }, Geometry { slots: 3, insts: 64 }]
+        {
+            let insts = geometry.insts;
+            let mut bm = NodeFacts::empty(geometry);
+            for bit in (0..geometry.bits()).filter(|b| b % 3 == 0 || b % 7 == 1) {
+                bm.set(Fact { slot: (bit / insts) as u16, instance: (bit % insts) as u16 });
+            }
+            for slot in 0..geometry.slots as u16 {
+                let mut copy = NodeFacts::empty(geometry);
+                for first in (0..insts).step_by(64) {
+                    let width = (insts - first).min(64);
+                    let expected = (0..width)
+                        .filter(|&j| bm.get(Fact { slot, instance: (first + j) as u16 }))
+                        .fold(0u64, |w, j| w | 1 << j);
+                    let word = bm.view().row_word(slot, first);
+                    assert_eq!(word, expected, "{geometry:?} row {slot} from {first}");
+                    // Bits past the row's end are dropped.
+                    let past_end = if width < 64 { !0 << width } else { 0 };
+                    copy.or_row_word(slot, first, word | past_end);
+                }
+                for s in 0..geometry.slots as u16 {
+                    let want: Vec<_> = if s == slot { bm.row(s).collect() } else { Vec::new() };
+                    assert_eq!(copy.row(s).collect::<Vec<_>>(), want, "{geometry:?} row {slot}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 
 use crate::fact::{Instance, MethodSpace, Slot};
 use crate::store::MatrixStore;
-use gdroid_ir::{FieldId, Method, MethodId, Stmt};
+use gdroid_ir::{FieldId, Method, MethodId, Stmt, StmtIdx};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::LazyLock;
 
 /// A symbolic value source, relative to the summarized method's caller.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -40,11 +41,13 @@ pub struct MethodSummary {
 impl MethodSummary {
     /// The default summary for external (framework) callees: returns a
     /// fresh object, no side effects. The vetting layer refines source
-    /// semantics on top of this.
-    pub fn external() -> MethodSummary {
-        let mut s = MethodSummary::default();
-        s.returns.insert(Token::Fresh);
-        s
+    /// semantics on top of this. One instance, shared by every call.
+    pub fn external() -> &'static MethodSummary {
+        static EXTERNAL: LazyLock<MethodSummary> = LazyLock::new(|| MethodSummary {
+            returns: BTreeSet::from([Token::Fresh]),
+            ..MethodSummary::default()
+        });
+        &EXTERNAL
     }
 
     /// The number of entries: return tokens plus field, static and array
@@ -72,6 +75,21 @@ impl MethodSummary {
 
 /// Summaries for all analyzed methods.
 pub type SummaryMap = HashMap<MethodId, MethodSummary>;
+
+/// One method's call sites' merged callee summaries, by statement: what
+/// [`crate::merge_site_summaries`] builds once per solve and the transfer
+/// function reads per call node.
+#[derive(Clone, Debug, Default)]
+pub struct SiteSummaries(pub(crate) Vec<Option<MethodSummary>>);
+
+impl SiteSummaries {
+    /// The merged summary of the internal call at `idx`; `None` at an
+    /// external call (and at a statement that calls nothing).
+    #[inline]
+    pub fn get(&self, idx: StmtIdx) -> Option<&MethodSummary> {
+        self.0.get(idx.index())?.as_ref()
+    }
+}
 
 /// Maps a callee-local instance to its caller-relative token.
 #[inline]

@@ -11,10 +11,10 @@
 //! charges costs for the *accesses this function actually performs*
 //! (reported in [`TransferEffort`]).
 
-use crate::fact::{Fact, Instance, MethodSpace, Slot};
+use crate::fact::{Instance, InstanceIdx, MethodSpace, Slot, SlotIdx};
 use crate::store::{Geometry, NodeFacts, NodeView};
-use crate::summary::{MethodSummary, Token};
-use gdroid_ir::{Expr, Lhs, Literal, Method, Stmt, StmtIdx, VarId};
+use crate::summary::{MethodSummary, SiteSummaries, Token};
+use gdroid_ir::{Expr, FieldId, Lhs, Literal, Method, Stmt, StmtIdx, VarId};
 
 /// Abstract operation counts of one node evaluation — consumed by the CPU
 /// and GPU cost models.
@@ -29,28 +29,44 @@ pub struct TransferEffort {
     pub deref_layers: usize,
 }
 
-/// Resolution of the call at a given statement, supplied by the solver.
-pub enum CallResolution<'a> {
-    /// Internal call with the (merged) callee summary.
-    Summary(&'a MethodSummary),
-    /// External framework call (default summary).
-    External,
-}
-
 /// Everything `transfer` needs besides the IN facts.
 pub struct TransferCtx<'a> {
     /// The method being analyzed.
     pub method: &'a Method,
     /// Its pre-computed pools.
     pub space: &'a MethodSpace,
-    /// Call-site resolution: statement → callee summary.
-    pub resolve_call: &'a dyn Fn(StmtIdx) -> CallResolution<'a>,
+    /// Its call sites' merged callee summaries.
+    pub sites: &'a SiteSummaries,
+}
+
+/// The instances an expression or a summary token evaluates to at a node:
+/// read out of the IN bitmap 64 at a time when written, never collected.
+#[derive(Clone, Copy)]
+enum Instances<'e> {
+    /// One pooled instance (an allocation site, a call's return), or none.
+    One(Option<InstanceIdx>),
+    /// A slot's row.
+    Row(SlotIdx),
+    /// The union of the rows of a tuple's reference locals.
+    Locals(&'e [VarId]),
+    /// The union of the rows `o.field` (`o[*]` for `None`) over the
+    /// instances `o` in a base slot's row.
+    Deref(SlotIdx, Option<FieldId>),
 }
 
 impl<'a> TransferCtx<'a> {
     #[inline]
     fn local(&self, v: VarId) -> Option<u16> {
         self.space.slot(Slot::Local(v))
+    }
+
+    /// The slot of `o.field`, or of `o`'s array element for `None`.
+    #[inline]
+    fn deref(&self, o: InstanceIdx, field: Option<FieldId>) -> Option<SlotIdx> {
+        self.space.slot(match field {
+            Some(f) => Slot::Heap(o, f),
+            None => Slot::ArrayElem(o),
+        })
     }
 
     /// Applies the transfer function of statement `stmt` to `input`,
@@ -63,7 +79,7 @@ impl<'a> TransferCtx<'a> {
     }
 
     /// [`TransferCtx::transfer`] into a bitmap the caller reuses: `out` is
-    /// overwritten, its allocation kept.
+    /// overwritten, its allocation kept. Allocates nothing.
     pub fn transfer_into(
         &self,
         stmt_idx: StmtIdx,
@@ -79,14 +95,7 @@ impl<'a> TransferCtx<'a> {
                 self.transfer_assign(stmt_idx, lhs, rhs, input, out, &mut effort)
             }
             Stmt::Call { ret, args, .. } => {
-                let summary_storage;
-                let summary: &MethodSummary = match (self.resolve_call)(stmt_idx) {
-                    CallResolution::Summary(s) => s,
-                    CallResolution::External => {
-                        summary_storage = MethodSummary::external();
-                        &summary_storage
-                    }
-                };
+                let summary = self.sites.get(stmt_idx).unwrap_or(MethodSummary::external());
                 self.apply_summary(stmt_idx, summary, *ret, args, input, out, &mut effort);
             }
             // Control and no-op statements: identity transfer.
@@ -110,74 +119,36 @@ impl<'a> TransferCtx<'a> {
         out: &mut NodeFacts,
         effort: &mut TransferEffort,
     ) {
-        // Evaluate the RHS to a set of instances (for reference-producing
+        // Evaluate the RHS to its instances (for reference-producing
         // expressions) while tracking effort.
-        let rhs_instances: Option<Vec<u16>> = match rhs {
+        let value = match rhs {
             Expr::New { .. }
             | Expr::Lit(Literal::Str(_))
             | Expr::ConstClass { .. }
             | Expr::Exception => {
                 effort.facts_written += 1;
-                self.space.instance(Instance::Alloc(stmt_idx)).map(|i| vec![i])
+                self.space.instance(Instance::Alloc(stmt_idx)).map(|i| Instances::One(Some(i)))
             }
-            Expr::Null => Some(Vec::new()),
+            Expr::Null => Some(Instances::One(None)),
             Expr::Var(v) | Expr::Cast { operand: v, .. } | Expr::CallRhs { ret: v } => {
                 effort.rows_read += 1;
                 effort.deref_layers = effort.deref_layers.max(1);
-                self.local(*v).map(|s| input.row(s).collect())
+                self.local(*v).map(Instances::Row)
             }
             Expr::Tuple { elems } => {
                 effort.deref_layers = effort.deref_layers.max(1);
-                let mut insts = Vec::new();
-                for v in elems {
-                    if let Some(s) = self.local(*v) {
-                        effort.rows_read += 1;
-                        insts.extend(input.row(s));
-                    }
-                }
-                insts.sort_unstable();
-                insts.dedup();
-                Some(insts)
+                effort.rows_read += elems.iter().filter(|&&v| self.local(v).is_some()).count();
+                Some(Instances::Locals(elems))
             }
             Expr::StaticField { field } => {
                 effort.rows_read += 1;
                 effort.deref_layers = effort.deref_layers.max(1);
-                self.space.slot(Slot::Static(*field)).map(|s| input.row(s).collect())
+                self.space.slot(Slot::Static(*field)).map(Instances::Row)
             }
-            Expr::Access { base, field } => {
-                // Double de-reference: base's instances, then their heap
-                // slots.
-                effort.deref_layers = 2;
-                self.local(*base).map(|bs| {
-                    effort.rows_read += 1;
-                    let mut insts = Vec::new();
-                    for o in input.row(bs) {
-                        if let Some(hs) = self.space.slot(Slot::Heap(o, *field)) {
-                            effort.rows_read += 1;
-                            insts.extend(input.row(hs));
-                        }
-                    }
-                    insts.sort_unstable();
-                    insts.dedup();
-                    insts
-                })
-            }
-            Expr::Indexing { base, .. } => {
-                effort.deref_layers = 2;
-                self.local(*base).map(|bs| {
-                    effort.rows_read += 1;
-                    let mut insts = Vec::new();
-                    for o in input.row(bs) {
-                        if let Some(es) = self.space.slot(Slot::ArrayElem(o)) {
-                            effort.rows_read += 1;
-                            insts.extend(input.row(es));
-                        }
-                    }
-                    insts.sort_unstable();
-                    insts.dedup();
-                    insts
-                })
-            }
+            // Double de-reference: base's instances, then their heap
+            // (or array-element) slots.
+            Expr::Access { base, field } => self.deref_rhs(*base, Some(*field), input, effort),
+            Expr::Indexing { base, .. } => self.deref_rhs(*base, None, input, effort),
             // Primitive-valued expressions: no reference flow.
             Expr::Binary { .. }
             | Expr::Cmp { .. }
@@ -187,27 +158,21 @@ impl<'a> TransferCtx<'a> {
             | Expr::Lit(_) => None,
         };
 
-        let Some(instances) = rhs_instances else { return };
+        let Some(value) = value else { return };
 
         match lhs {
             Lhs::Var(v) => {
                 // Strong update on locals: kill, then gen.
                 if let Some(slot) = self.local(*v) {
                     out.clear_row(slot);
-                    for &i in &instances {
-                        out.set(Fact { slot, instance: i });
-                    }
-                    effort.facts_written += instances.len();
+                    effort.facts_written += self.gen(value, input, out, slot);
                 }
             }
             Lhs::StaticField { field } => {
                 // Strong update on statics (single abstract location).
                 if let Some(slot) = self.space.slot(Slot::Static(*field)) {
                     out.clear_row(slot);
-                    for &i in &instances {
-                        out.set(Fact { slot, instance: i });
-                    }
-                    effort.facts_written += instances.len();
+                    effort.facts_written += self.gen(value, input, out, slot);
                 }
             }
             Lhs::Field { base, field } => {
@@ -217,10 +182,7 @@ impl<'a> TransferCtx<'a> {
                     effort.rows_read += 1;
                     for o in input.row(bs) {
                         if let Some(hs) = self.space.slot(Slot::Heap(o, *field)) {
-                            for &i in &instances {
-                                out.set(Fact { slot: hs, instance: i });
-                            }
-                            effort.facts_written += instances.len();
+                            effort.facts_written += self.gen(value, input, out, hs);
                         }
                     }
                 }
@@ -231,13 +193,74 @@ impl<'a> TransferCtx<'a> {
                     effort.rows_read += 1;
                     for o in input.row(bs) {
                         if let Some(es) = self.space.slot(Slot::ArrayElem(o)) {
-                            for &i in &instances {
-                                out.set(Fact { slot: es, instance: i });
-                            }
-                            effort.facts_written += instances.len();
+                            effort.facts_written += self.gen(value, input, out, es);
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// A double de-reference `base.field` (`base[*]` for `None`): one row
+    /// read for the base and one per instance in it that has the slot.
+    fn deref_rhs(
+        &self,
+        base: VarId,
+        field: Option<FieldId>,
+        input: NodeView<'_>,
+        effort: &mut TransferEffort,
+    ) -> Option<Instances<'static>> {
+        effort.deref_layers = 2;
+        let bs = self.local(base)?;
+        effort.rows_read += 1 + input.row(bs).filter(|&o| self.deref(o, field).is_some()).count();
+        Some(Instances::Deref(bs, field))
+    }
+
+    /// Instances `first..first + 64` of `value` at a node with IN facts
+    /// `input`, as one word.
+    fn word(&self, value: Instances<'_>, input: NodeView<'_>, first: usize) -> u64 {
+        match value {
+            Instances::One(Some(i)) if (first..first + 64).contains(&usize::from(i)) => {
+                1 << (usize::from(i) - first)
+            }
+            Instances::One(_) => 0,
+            Instances::Row(s) => input.row_word(s, first),
+            Instances::Locals(vars) => vars
+                .iter()
+                .filter_map(|&v| self.local(v))
+                .fold(0, |w, s| w | input.row_word(s, first)),
+            Instances::Deref(bs, field) => input
+                .row(bs)
+                .filter_map(|o| self.deref(o, field))
+                .fold(0, |w, s| w | input.row_word(s, first)),
+        }
+    }
+
+    /// ORs `value` into `out`'s row of `slot`; returns how many instances
+    /// `value` holds.
+    fn gen(
+        &self,
+        value: Instances<'_>,
+        input: NodeView<'_>,
+        out: &mut NodeFacts,
+        slot: SlotIdx,
+    ) -> usize {
+        let mut n = 0;
+        for first in (0..self.space.instance_count()).step_by(64) {
+            let word = self.word(value, input, first);
+            out.or_row_word(slot, first, word);
+            n += word.count_ones() as usize;
+        }
+        n
+    }
+
+    /// Calls `f` with each instance of `value`, ascending.
+    fn for_each(&self, value: Instances<'_>, input: NodeView<'_>, mut f: impl FnMut(InstanceIdx)) {
+        for first in (0..self.space.instance_count()).step_by(64) {
+            let mut word = self.word(value, input, first);
+            while word != 0 {
+                f((first + word.trailing_zeros() as usize) as InstanceIdx);
+                word &= word - 1;
             }
         }
     }
@@ -248,32 +271,22 @@ impl<'a> TransferCtx<'a> {
         token: Token,
         stmt_idx: StmtIdx,
         args: &[VarId],
-        input: NodeView<'_>,
         effort: &mut TransferEffort,
-    ) -> Vec<u16> {
-        match token {
-            Token::Formal(k) => match args.get(usize::from(k)) {
-                Some(&v) => match self.local(v) {
-                    Some(s) => {
-                        effort.rows_read += 1;
-                        input.row(s).collect()
-                    }
-                    None => Vec::new(), // primitive argument
-                },
-                None => Vec::new(),
-            },
-            Token::Fresh => self
-                .space
-                .instance(Instance::CallRet(stmt_idx))
-                .map(|i| vec![i])
-                .unwrap_or_default(),
-            Token::StaticIn(f) => match self.space.slot(Slot::Static(f)) {
-                Some(s) => {
-                    effort.rows_read += 1;
-                    input.row(s).collect()
-                }
-                None => Vec::new(),
-            },
+    ) -> Instances<'static> {
+        let row = match token {
+            // `None` for a primitive or missing argument.
+            Token::Formal(k) => args.get(usize::from(k)).and_then(|&v| self.local(v)),
+            Token::Fresh => {
+                return Instances::One(self.space.instance(Instance::CallRet(stmt_idx)))
+            }
+            Token::StaticIn(f) => self.space.slot(Slot::Static(f)),
+        };
+        match row {
+            Some(s) => {
+                effort.rows_read += 1;
+                Instances::Row(s)
+            }
+            None => Instances::One(None),
         }
     }
 
@@ -294,52 +307,32 @@ impl<'a> TransferCtx<'a> {
             if let Some(slot) = self.local(r) {
                 out.clear_row(slot);
                 for &tok in &summary.returns {
-                    for i in self.resolve_token(tok, stmt_idx, args, input, effort) {
-                        out.set(Fact { slot, instance: i });
-                        effort.facts_written += 1;
-                    }
+                    let value = self.resolve_token(tok, stmt_idx, args, effort);
+                    effort.facts_written += self.gen(value, input, out, slot);
                 }
             }
         }
-        // Escaping field writes.
-        for &(recv_tok, field, src_tok) in &summary.field_writes {
-            let recvs = self.resolve_token(recv_tok, stmt_idx, args, input, effort);
-            if recvs.is_empty() {
+        // Escaping field writes, then array writes.
+        let fields = summary.field_writes.iter().map(|&(recv, f, src)| (recv, Some(f), src));
+        let arrays = summary.array_writes.iter().map(|&(recv, src)| (recv, None, src));
+        for (recv_tok, field, src_tok) in fields.chain(arrays) {
+            let recvs = self.resolve_token(recv_tok, stmt_idx, args, effort);
+            if (0..self.space.instance_count()).step_by(64).all(|f| self.word(recvs, input, f) == 0)
+            {
                 continue;
             }
-            let srcs = self.resolve_token(src_tok, stmt_idx, args, input, effort);
-            for &o in &recvs {
-                if let Some(hs) = self.space.slot(Slot::Heap(o, field)) {
-                    for &i in &srcs {
-                        out.set(Fact { slot: hs, instance: i });
-                        effort.facts_written += 1;
-                    }
+            let srcs = self.resolve_token(src_tok, stmt_idx, args, effort);
+            self.for_each(recvs, input, |o| {
+                if let Some(slot) = self.deref(o, field) {
+                    effort.facts_written += self.gen(srcs, input, out, slot);
                 }
-            }
+            });
         }
         // Static writes (weak at call sites).
         for &(field, src_tok) in &summary.static_writes {
             if let Some(slot) = self.space.slot(Slot::Static(field)) {
-                for i in self.resolve_token(src_tok, stmt_idx, args, input, effort) {
-                    out.set(Fact { slot, instance: i });
-                    effort.facts_written += 1;
-                }
-            }
-        }
-        // Array writes.
-        for &(recv_tok, src_tok) in &summary.array_writes {
-            let recvs = self.resolve_token(recv_tok, stmt_idx, args, input, effort);
-            if recvs.is_empty() {
-                continue;
-            }
-            let srcs = self.resolve_token(src_tok, stmt_idx, args, input, effort);
-            for &o in &recvs {
-                if let Some(es) = self.space.slot(Slot::ArrayElem(o)) {
-                    for &i in &srcs {
-                        out.set(Fact { slot: es, instance: i });
-                        effort.facts_written += 1;
-                    }
-                }
+                let value = self.resolve_token(src_tok, stmt_idx, args, effort);
+                effort.facts_written += self.gen(value, input, out, slot);
             }
         }
     }
@@ -348,7 +341,7 @@ impl<'a> TransferCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fact::MethodSpace;
+    use crate::fact::{Fact, MethodSpace};
     use crate::store::Geometry;
     use gdroid_ir::{CallKind, JType, MethodId, ProgramBuilder, Signature};
 
@@ -408,12 +401,8 @@ mod tests {
     fn new_generates_alloc_fact() {
         let fx = fixture();
         let (space, entry) = ctx_and_entry(&fx);
-        let resolve = |_: StmtIdx| CallResolution::External;
-        let ctx = TransferCtx {
-            method: &fx.program.methods[fx.mid],
-            space: &space,
-            resolve_call: &resolve,
-        };
+        let sites = SiteSummaries::default();
+        let ctx = TransferCtx { method: &fx.program.methods[fx.mid], space: &space, sites: &sites };
         let (out, effort) = ctx.transfer(StmtIdx(0), entry.view());
         let slot = space.slot(Slot::Local(fx.r)).unwrap();
         let alloc = space.instance(Instance::Alloc(StmtIdx(0))).unwrap();
@@ -425,12 +414,8 @@ mod tests {
     fn field_store_then_load_roundtrips() {
         let fx = fixture();
         let (space, entry) = ctx_and_entry(&fx);
-        let resolve = |_: StmtIdx| CallResolution::External;
-        let ctx = TransferCtx {
-            method: &fx.program.methods[fx.mid],
-            space: &space,
-            resolve_call: &resolve,
-        };
+        let sites = SiteSummaries::default();
+        let ctx = TransferCtx { method: &fx.program.methods[fx.mid], space: &space, sites: &sites };
         // L0 then L1 then L2.
         let (f0, _) = ctx.transfer(StmtIdx(0), entry.view());
         let (f1, e1) = ctx.transfer(StmtIdx(1), f0.view());
@@ -450,12 +435,8 @@ mod tests {
     fn null_assign_kills_strongly() {
         let fx = fixture();
         let (space, entry) = ctx_and_entry(&fx);
-        let resolve = |_: StmtIdx| CallResolution::External;
-        let ctx = TransferCtx {
-            method: &fx.program.methods[fx.mid],
-            space: &space,
-            resolve_call: &resolve,
-        };
+        let sites = SiteSummaries::default();
+        let ctx = TransferCtx { method: &fx.program.methods[fx.mid], space: &space, sites: &sites };
         let (f0, _) = ctx.transfer(StmtIdx(0), entry.view());
         let (f1, _) = ctx.transfer(StmtIdx(1), f0.view());
         let (f2, _) = ctx.transfer(StmtIdx(2), f1.view());
@@ -468,12 +449,8 @@ mod tests {
     fn external_call_returns_fresh_instance() {
         let fx = fixture();
         let (space, entry) = ctx_and_entry(&fx);
-        let resolve = |_: StmtIdx| CallResolution::External;
-        let ctx = TransferCtx {
-            method: &fx.program.methods[fx.mid],
-            space: &space,
-            resolve_call: &resolve,
-        };
+        let sites = SiteSummaries::default();
+        let ctx = TransferCtx { method: &fx.program.methods[fx.mid], space: &space, sites: &sites };
         let (out, _) = ctx.transfer(StmtIdx(4), entry.view());
         let s_slot = space.slot(Slot::Local(fx.s)).unwrap();
         let ret = space.instance(Instance::CallRet(StmtIdx(4))).unwrap();
@@ -496,8 +473,8 @@ mod tests {
         entry.set(Fact { slot: r_slot, instance: alloc });
 
         let method = &fx.program.methods[fx.mid];
-        let resolve = |_: StmtIdx| CallResolution::Summary(&summary);
-        let ctx = TransferCtx { method, space: &space, resolve_call: &resolve };
+        let sites = SiteSummaries::default();
+        let ctx = TransferCtx { method, space: &space, sites: &sites };
         // Apply the summary manually with explicit args.
         let mut out = entry.clone();
         let mut effort = TransferEffort::default();
@@ -526,8 +503,8 @@ mod tests {
         let mut summary = MethodSummary::default();
         summary.field_writes.insert((Token::Formal(0), fx.f, Token::Fresh));
         let method = &fx.program.methods[fx.mid];
-        let resolve = |_: StmtIdx| CallResolution::Summary(&summary);
-        let ctx = TransferCtx { method, space: &space, resolve_call: &resolve };
+        let sites = SiteSummaries::default();
+        let ctx = TransferCtx { method, space: &space, sites: &sites };
         let mut out = entry.clone();
         let mut effort = TransferEffort::default();
         ctx.apply_summary(
@@ -549,12 +526,8 @@ mod tests {
     fn control_statements_are_identity() {
         let fx = fixture();
         let (space, entry) = ctx_and_entry(&fx);
-        let resolve = |_: StmtIdx| CallResolution::External;
-        let ctx = TransferCtx {
-            method: &fx.program.methods[fx.mid],
-            space: &space,
-            resolve_call: &resolve,
-        };
+        let sites = SiteSummaries::default();
+        let ctx = TransferCtx { method: &fx.program.methods[fx.mid], space: &space, sites: &sites };
         let (out, effort) = ctx.transfer(StmtIdx(5), entry.view()); // return
         assert_eq!(out, entry);
         assert_eq!(effort, TransferEffort::default());
@@ -565,12 +538,8 @@ mod tests {
         // transfer(in1 ∪ extra) ⊇ transfer(in1) — the MER soundness property.
         let fx = fixture();
         let (space, entry) = ctx_and_entry(&fx);
-        let resolve = |_: StmtIdx| CallResolution::External;
-        let ctx = TransferCtx {
-            method: &fx.program.methods[fx.mid],
-            space: &space,
-            resolve_call: &resolve,
-        };
+        let sites = SiteSummaries::default();
+        let ctx = TransferCtx { method: &fx.program.methods[fx.mid], space: &space, sites: &sites };
         let (small_out, _) = ctx.transfer(StmtIdx(2), entry.view());
         let mut bigger = entry.clone();
         // Add heap facts the load at L2 will pick up.

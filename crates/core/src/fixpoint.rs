@@ -28,11 +28,11 @@ use crate::engine::EngineAnalysis;
 use crate::stats::{GpuRunStats, WorklistProfile};
 use gdroid_analysis::{
     derive_summary, merge_site_summaries, Geometry, MatrixStore, MethodSpace, MethodSummary,
-    Presolved, SummaryMap, WorklistTelemetry,
+    Presolved, SiteSummaries, SummaryMap, WorklistTelemetry,
 };
 use gdroid_gpusim::{BlockCtx, BlockFn, SanReport};
 use gdroid_icfg::{CallGraph, CallLayers, Cfg};
-use gdroid_ir::{Method, MethodId, Program, StmtIdx};
+use gdroid_ir::{Method, MethodId, Program};
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
@@ -48,7 +48,7 @@ pub struct MethodBlock<'a> {
     /// Its CFG.
     pub cfg: &'a Cfg,
     /// Callee summaries merged per call site, as of this round.
-    pub sites: HashMap<StmtIdx, Option<MethodSummary>>,
+    pub sites: SiteSummaries,
     /// The node facts, entry facts seeded.
     pub store: MatrixStore,
 }

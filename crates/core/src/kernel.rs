@@ -18,10 +18,10 @@
 use crate::fixpoint::MethodBlock;
 use crate::layout::MethodLayout;
 use crate::opts::OptConfig;
-use gdroid_analysis::{CallResolution, NodeFacts, NodeView, TransferCtx, WorklistTelemetry};
+use gdroid_analysis::{NodeFacts, NodeView, TransferCtx, WorklistTelemetry};
 use gdroid_gpusim::{segment_of, AccessOrder, BlockCtx, LaneWork};
 use gdroid_icfg::Cfg;
-use gdroid_ir::{Method, StmtIdx};
+use gdroid_ir::Method;
 
 /// Branch partition of a node in the plain kernel: statement partitions
 /// 0..25, entry/exit nodes take partition 25 (the identity path).
@@ -61,6 +61,10 @@ pub(crate) fn cell_stride(method: &Method) -> u64 {
 /// form until the lane's divergence group is counted.
 #[derive(Clone, Copy, Debug, Default)]
 struct Propagation {
+    /// Facts in the lane's input bitmap.
+    facts_in: usize,
+    /// Facts in its OUT bitmap.
+    facts_out: usize,
     /// Successors the OUT bitmap was unioned into.
     succs: u32,
     /// The largest `inserted` of those unions (the written OUT prefix).
@@ -69,109 +73,124 @@ struct Propagation {
     sum_inserted: usize,
 }
 
+impl Propagation {
+    /// A lane's propagation before its unions, with its read bitmap built
+    /// into `read`: `input`, ORed with `out` if the node has a successor.
+    fn start(read: &mut NodeFacts, input: NodeView<'_>, out: &NodeFacts, succs: bool) -> Self {
+        if succs {
+            let (facts_in, facts_out) = read.assign_union(input, out.view());
+            Propagation { facts_in, facts_out, ..Propagation::default() }
+        } else {
+            read.assign(input);
+            Propagation { facts_in: input.count(), ..Propagation::default() }
+        }
+    }
+}
+
 /// The counted lane form's coalescing count under MAT: the distinct
 /// transaction lines a divergence group's cell accesses touch, read
 /// straight off the lanes' bitmaps instead of built as addresses and
-/// hashed. One epoch stamp per line of the method's planned matrix
-/// (`layout.facts`); a group's reads take one epoch and its writes the
-/// next, so no stamp is cleared between groups.
+/// hashed. A group's read (or write) bitmaps are ORed into one buffer and
+/// walked once in ascending bit order, in which a line is new exactly
+/// when it differs from the previous bit's.
 struct LineCounter {
-    stamps: Vec<u32>,
-    epoch: u32,
+    /// The group's union, one node bitmap wide, reused by every group.
+    union: Vec<u64>,
     base: u64,
-    first_line: u64,
     cell_bytes: u64,
     line_bytes: u64,
 }
 
 impl LineCounter {
-    /// A counter over the lines of `layout.facts`, allocated once per block.
-    fn new(layout: &MethodLayout, cell_bytes: u64, line_bytes: u64) -> LineCounter {
-        let facts = layout.facts;
-        let first_line = segment_of(line_bytes, facts.base);
-        let last_line = segment_of(line_bytes, facts.base + facts.len.max(1) - 1);
-        LineCounter {
-            stamps: vec![0; (last_line - first_line + 1) as usize],
-            epoch: 0,
-            base: facts.base,
-            first_line,
-            cell_bytes,
-            line_bytes,
-        }
+    /// A counter over `layout.facts`' cells, allocated once per block.
+    fn new(layout: &MethodLayout, words: usize, cell_bytes: u64, line_bytes: u64) -> LineCounter {
+        LineCounter { union: vec![0; words], base: layout.facts.base, cell_bytes, line_bytes }
     }
 
     /// The group's `(transactions, useful bytes)` — what the address form
     /// counts over `cell_addrs` of each member's input, `cell_addrs` of
     /// its OUT per successor and the first `inserted` OUT cells per
-    /// successor. The reads are the lines of the input bits and, for a
-    /// member with a successor, of the OUT bits; the writes are the lines
-    /// of the first `max_inserted` OUT bits. Each bitmap is walked once,
-    /// however many successors it reached.
+    /// successor. The reads are the lines of each member's read bitmap
+    /// (its input, ORed with its OUT if it has a successor); the writes
+    /// are the lines of the first `max_inserted` OUT bits. The bytes come
+    /// from the popcounts.
     fn count(
         &mut self,
         group: &[u32],
-        ins: &[NodeFacts],
+        reads: &[NodeFacts],
         outs: &[NodeFacts],
         props: &[Propagation],
     ) -> (u64, u64) {
-        let (mut cells, mut tx) = (0, 0);
-        let read = self.next_epoch();
-        for &i in group {
-            let (input, out, p) = (&ins[i as usize], &outs[i as usize], props[i as usize]);
-            let (c, t) = self.mark(input.view().bits(), read);
-            cells += c;
-            tx += t;
-            if p.succs > 0 {
-                let (c, t) = self.mark(out.view().bits(), read);
-                cells += c * u64::from(p.succs);
-                tx += t;
+        let members = || group.iter().map(|&i| i as usize);
+        let cells: usize = members()
+            .map(|i| props[i])
+            .map(|p| p.facts_in + p.succs as usize * p.facts_out + p.sum_inserted)
+            .sum();
+        let mut reads = members().map(|i| reads[i].words());
+        self.union.copy_from_slice(reads.next().expect("a divergence group has a member"));
+        for words in reads {
+            for (u, &w) in self.union.iter_mut().zip(words) {
+                *u |= w;
             }
         }
-        let write = self.next_epoch();
-        for &i in group {
-            let (out, p) = (&outs[i as usize], props[i as usize]);
-            let (c, t) = self.mark(out.view().bits().take(p.max_inserted), write);
-            debug_assert_eq!(
-                c, p.max_inserted as u64,
-                "a union inserted more facts than OUT holds"
-            );
-            cells += p.sum_inserted as u64;
-            tx += t;
+        let mut tx = self.lines();
+        if members().any(|i| props[i].max_inserted > 0) {
+            self.union.fill(0);
+            for i in members() {
+                let n = props[i].max_inserted;
+                let taken = or_prefix(&mut self.union, outs[i].words(), n);
+                debug_assert_eq!(taken, n, "a union inserted more facts than OUT holds");
+            }
+            tx += self.lines();
         }
-        (tx, cells * self.cell_bytes)
+        (tx, cells as u64 * self.cell_bytes)
     }
 
-    /// Stamps the line of each of `bits`' cells with `epoch`; returns the
-    /// bits walked and the lines newly stamped.
-    fn mark(&mut self, bits: impl Iterator<Item = usize>, epoch: u32) -> (u64, u64) {
-        let (mut cells, mut lines) = (0, 0);
-        let mut last = u64::MAX;
-        for bit in bits {
-            cells += 1;
-            let addr = self.base + bit as u64 * self.cell_bytes;
-            let line = segment_of(self.line_bytes, addr) - self.first_line;
-            // Bits ascend, so a line's cells come in one run.
-            if line != last {
-                last = line;
-                let stamp = &mut self.stamps[line as usize];
-                if *stamp != epoch {
-                    *stamp = epoch;
+    /// The distinct lines the union's cells fall in.
+    fn lines(&self) -> u64 {
+        let (mut lines, mut last) = (0, u64::MAX);
+        for (wi, &word) in self.union.iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                let bit = wi as u64 * 64 + u64::from(w.trailing_zeros());
+                w &= w - 1;
+                let line = segment_of(self.line_bytes, self.base + bit * self.cell_bytes);
+                if line != last {
+                    last = line;
                     lines += 1;
                 }
             }
         }
-        (cells, lines)
+        lines
     }
+}
 
-    /// A stamp no line holds yet.
-    fn next_epoch(&mut self) -> u32 {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamps.fill(0);
-            self.epoch = 1;
+/// ORs the lowest `n` set bits of `src` into `dst`; returns how many it
+/// found (fewer than `n` only if `src` holds fewer).
+fn or_prefix(dst: &mut [u64], src: &[u64], n: usize) -> usize {
+    let mut left = n;
+    for (d, &s) in dst.iter_mut().zip(src) {
+        if left == 0 {
+            break;
         }
-        self.epoch
+        if s == 0 {
+            continue;
+        }
+        let ones = s.count_ones() as usize;
+        if ones <= left {
+            *d |= s;
+            left -= ones;
+        } else {
+            // Keep the word's lowest `left` set bits.
+            let mut w = s;
+            for _ in 0..left {
+                *d |= w & w.wrapping_neg();
+                w &= w - 1;
+            }
+            left = 0;
+        }
     }
+    n - left
 }
 
 /// Runs one method's worklist to its fixed point inside one thread block.
@@ -188,7 +207,7 @@ pub fn run_method_block(
     opts: OptConfig,
 ) -> WorklistTelemetry {
     let (method, space, cfg) = (block.method, block.space, block.cfg);
-    let (site_summaries, store) = (&block.sites, &mut block.store);
+    let (sites, store) = (&block.sites, &mut block.store);
     let warp = ctx.config().warp_size;
     let line_bytes = ctx.config().transaction_bytes;
     let geometry = store.geometry();
@@ -197,17 +216,13 @@ pub fn run_method_block(
     // Under MAT on a block the sanitizer does not watch, lanes carry no
     // addresses: each divergence group's coalescing is counted off the
     // bitmaps (the counted lane form). The sanitizer needs every access.
-    let mut lines =
-        (opts.mat && !ctx.sanitizing()).then(|| LineCounter::new(layout, cell_bytes, line_bytes));
+    let mut lines = (opts.mat && !ctx.sanitizing())
+        .then(|| LineCounter::new(layout, geometry.words(), cell_bytes, line_bytes));
     let counted = lines.is_some();
     let mut telemetry =
         WorklistTelemetry { words_per_node: geometry.words(), ..Default::default() };
 
-    let resolve = |idx: StmtIdx| match site_summaries.get(&idx) {
-        Some(Some(s)) => CallResolution::Summary(s),
-        _ => CallResolution::External,
-    };
-    let tctx = TransferCtx { method, space, resolve_call: &resolve };
+    let tctx = TransferCtx { method, space, sites };
 
     // Each node's branch partition under this configuration.
     let partition_of = if opts.grp { grp_partition } else { plain_partition };
@@ -219,8 +234,9 @@ pub fn run_method_block(
     let grp_overhead = if opts.grp { 14 } else { 0 };
 
     // Device-side set chunks (plain layout only).
-    let mut set_states: Vec<SetState> = vec![SetState::default(); cfg.len()];
+    let mut set_states: Vec<SetState> = Vec::new();
     if !opts.mat {
+        set_states.resize(cfg.len(), SetState::default());
         // Alg. 2 line 1: the initial per-node set chunks are allocated by
         // the kernel (entry facts land in node 0's chunk).
         let entry_len = store.fact_count(cfg.entry() as usize) as u64;
@@ -241,11 +257,12 @@ pub fn run_method_block(
     let mut in_next = vec![false; cfg.len()];
     // One OUT bitmap and one lane descriptor per head-list position, kept
     // (with their allocations) from round to round. The counted form adds
-    // a copy of each input bitmap (propagation changes the store before
-    // the lane's group is counted) and each lane's propagation counts.
+    // each lane's read bitmap, built at transfer time (propagation changes
+    // the store before the lane's group is counted), and its propagation
+    // counts.
     let mut outs: Vec<NodeFacts> = Vec::new();
     let mut lanes: Vec<LaneWork> = Vec::new();
-    let mut ins: Vec<NodeFacts> = Vec::new();
+    let mut reads: Vec<NodeFacts> = Vec::new();
     let mut props: Vec<Propagation> = Vec::new();
 
     while !current.is_empty() {
@@ -270,7 +287,7 @@ pub fn run_method_block(
             lanes.resize_with(head_len, LaneWork::default);
             props.resize(head_len, Propagation::default());
             if counted {
-                ins.resize_with(head_len, || NodeFacts::empty(geometry));
+                reads.resize_with(head_len, || NodeFacts::empty(geometry));
             }
         }
 
@@ -282,7 +299,9 @@ pub fn run_method_block(
         // then removes by postponing the tail.) So the whole head list is
         // transferred, straight out of the store, before anything is
         // propagated.
-        for (pos, ((&node, out), lane)) in head.iter().zip(&mut outs).zip(&mut lanes).enumerate() {
+        for (pos, (((&node, out), lane), prop)) in
+            head.iter().zip(&mut outs).zip(&mut lanes).zip(&mut props).enumerate()
+        {
             let input = store.node(node as usize);
             let effort = match cfg.stmt_of(node) {
                 Some(stmt_idx) => tctx.transfer_into(stmt_idx, input, out),
@@ -315,10 +334,11 @@ pub fn run_method_block(
             // not to the matrix size — the paper's fixed-size "entry
             // looking-up" (§IV-A). (Without MAT the whole set chunk is
             // scanned — as it stands when the lane runs, below.) The
-            // counted form keeps the input bitmap for its line counter.
+            // counted form keeps the cells the lane reads for its line
+            // counter: the input's, and the OUT's if it is propagated.
             lane.bytes_read = 0;
             if counted {
-                ins[pos].assign(input);
+                *prop = Propagation::start(&mut reads[pos], input, out, !cfg.succ(node).is_empty());
             } else if opts.mat {
                 lane.bytes_read =
                     cell_addrs(&mut lane.reads, layout, input, cell_bytes, line_bytes);
@@ -338,7 +358,6 @@ pub fn run_method_block(
                     let s = set_states[node as usize];
                     lane.bytes_read += stream_addrs(&mut lane.reads, s.base, s.cap * 8, line_bytes);
                 }
-                *prop = Propagation::default();
 
                 // Propagate to successors.
                 for &succ in cfg.succ(node) {
@@ -428,7 +447,7 @@ pub fn run_method_block(
             let warp_lanes = &lanes[start..end];
             match lines.as_mut() {
                 Some(lines) => ctx.warp_process_counted(warp_lanes, &mut |group| {
-                    lines.count(group, &ins[start..end], &outs[start..end], &props[start..end])
+                    lines.count(group, &reads[start..end], &outs[start..end], &props[start..end])
                 }),
                 None => ctx.warp_process(warp_lanes),
             }
@@ -660,12 +679,10 @@ mod tests {
         }
 
         /// The line counter's `(transactions, bytes)` for a divergence
-        /// group equal the coalescing definition over the address form:
-        /// `gdroid_gpusim::transactions` of the group's reads (`cell_addrs`
-        /// of each input and, per successor, of its OUT) plus that of its
-        /// writes (the first `inserted` OUT cells per successor), and the
-        /// address form's byte formula — for any cell size, line size and
-        /// base alignment.
+        /// group equal the coalescing definition (see `check_counter`) for
+        /// any cell size, line size and base alignment, with members that
+        /// repeat their predecessor's bitmaps, overlap, or have no
+        /// successor.
         #[test]
         fn line_counter_matches_the_coalescing_definition(
             (slots, insts) in (1usize..30, 1usize..30),
@@ -677,60 +694,119 @@ mod tests {
                 ),
                 1..33,
             ),
-            member_mask in proptest::any::<u32>(),
+            (member_mask, repeat_mask) in (proptest::any::<u32>(), proptest::any::<u32>()),
             (cell_bytes, line_pick) in (1u64..200, 0usize..3),
             base in 0u64..1 << 20,
         ) {
             let line_bytes = [128, 96, 32][line_pick];
             let geometry = Geometry { slots, insts };
-            let layout = matrix_layout(geometry, base, cell_bytes);
-            let ins: Vec<NodeFacts> = lanes.iter().map(|(i, _, _)| bitmap(geometry, i)).collect();
-            let outs: Vec<NodeFacts> = lanes.iter().map(|(_, o, _)| bitmap(geometry, o)).collect();
-            // A union never inserts more facts than the OUT bitmap holds.
-            let inserted: Vec<Vec<usize>> = lanes
-                .iter()
-                .zip(&outs)
-                .map(|((_, _, picks), out)| picks.iter().map(|p| p % (out.count() + 1)).collect())
-                .collect();
-            let props: Vec<Propagation> = inserted
-                .iter()
-                .map(|ins| Propagation {
-                    succs: ins.len() as u32,
-                    max_inserted: ins.iter().copied().max().unwrap_or(0),
-                    sum_inserted: ins.iter().sum(),
-                })
-                .collect();
+            let mut members: Vec<(NodeFacts, NodeFacts, Vec<usize>)> = Vec::new();
+            for (i, (input, out, picks)) in lanes.iter().enumerate() {
+                let (input, out) = match members.last() {
+                    Some((pi, po, _)) if repeat_mask >> i & 1 == 1 => (pi.clone(), po.clone()),
+                    _ => (bitmap(geometry, input), bitmap(geometry, out)),
+                };
+                // A union never inserts more facts than the OUT bitmap holds.
+                let inserted = picks.iter().map(|p| p % (out.count() + 1)).collect();
+                members.push((input, out, inserted));
+            }
             // Any ascending subset of the lanes can be a divergence group.
             let mut group: Vec<u32> =
                 (0..lanes.len() as u32).filter(|&i| member_mask >> i & 1 == 1).collect();
             if group.is_empty() {
                 group.push(0);
             }
-
-            let (mut reads, mut writes, mut bytes) = (Vec::new(), Vec::new(), 0);
-            for &i in &group {
-                let (input, out) = (&ins[i as usize], &outs[i as usize]);
-                bytes += cell_addrs(&mut reads, &layout, input.view(), cell_bytes, line_bytes);
-                for &k in &inserted[i as usize] {
-                    bytes += cell_addrs(&mut reads, &layout, out.view(), cell_bytes, line_bytes);
-                    let before = writes.len();
-                    writes.extend(
-                        out.view().bits().take(k).map(|bit| cell_addr(&layout, bit, cell_bytes)),
-                    );
-                    bytes += (writes.len() - before) as u64 * cell_bytes;
-                }
-            }
-            let config = DeviceConfig { transaction_bytes: line_bytes, ..DeviceConfig::tiny() };
-            let expected = gdroid_gpusim::transactions(&config, &reads)
-                + gdroid_gpusim::transactions(&config, &writes);
-
-            let mut lines = LineCounter::new(&layout, cell_bytes, line_bytes);
-            // A counter reused across groups (as within one block) counts
-            // each group afresh.
-            let first = lines.count(&group, &ins, &outs, &props);
-            proptest::prop_assert_eq!(first, (expected, bytes));
-            proptest::prop_assert_eq!(lines.count(&group, &ins, &outs, &props), first);
+            let (got, expected) =
+                check_counter(geometry, &members, &group, base, cell_bytes, line_bytes);
+            proptest::prop_assert_eq!(got, expected);
         }
+    }
+
+    /// The counter's answer for `group` of `members` — `(input, OUT, the
+    /// inserted count of each union)` — twice from one counter (a counter
+    /// reused across groups, as within one block, counts each group
+    /// afresh), and the coalescing definition's:
+    /// `gdroid_gpusim::transactions` of the group's reads (`cell_addrs` of
+    /// each input and, per successor, of its OUT) plus that of its writes
+    /// (the first `inserted` OUT cells per successor), and the address
+    /// form's byte formula. Read bitmaps and propagations are built as
+    /// `run_method_block` builds them.
+    fn check_counter(
+        geometry: Geometry,
+        members: &[(NodeFacts, NodeFacts, Vec<usize>)],
+        group: &[u32],
+        base: u64,
+        cell_bytes: u64,
+        line_bytes: u64,
+    ) -> ((u64, u64), (u64, u64)) {
+        let layout = matrix_layout(geometry, base, cell_bytes);
+        let (mut reads, mut outs, mut props) = (Vec::new(), Vec::new(), Vec::new());
+        for (input, out, inserted) in members {
+            let mut read = NodeFacts::empty(geometry);
+            let start = Propagation::start(&mut read, input.view(), out, !inserted.is_empty());
+            reads.push(read);
+            outs.push(out.clone());
+            props.push(Propagation {
+                succs: inserted.len() as u32,
+                max_inserted: inserted.iter().copied().max().unwrap_or(0),
+                sum_inserted: inserted.iter().sum(),
+                ..start
+            });
+        }
+
+        let (mut read_addrs, mut write_addrs, mut bytes) = (Vec::new(), Vec::new(), 0);
+        for &i in group {
+            let (input, out, inserted) = &members[i as usize];
+            bytes += cell_addrs(&mut read_addrs, &layout, input.view(), cell_bytes, line_bytes);
+            for &k in inserted {
+                bytes += cell_addrs(&mut read_addrs, &layout, out.view(), cell_bytes, line_bytes);
+                let before = write_addrs.len();
+                write_addrs.extend(
+                    out.view().bits().take(k).map(|bit| cell_addr(&layout, bit, cell_bytes)),
+                );
+                bytes += (write_addrs.len() - before) as u64 * cell_bytes;
+            }
+        }
+        let config = DeviceConfig { transaction_bytes: line_bytes, ..DeviceConfig::tiny() };
+        let expected = gdroid_gpusim::transactions(&config, &read_addrs)
+            + gdroid_gpusim::transactions(&config, &write_addrs);
+
+        let mut lines = LineCounter::new(&layout, geometry.words(), cell_bytes, line_bytes);
+        let first = lines.count(group, &reads, &outs, &props);
+        assert_eq!(lines.count(group, &reads, &outs, &props), first, "a reused counter drifted");
+        (first, (expected, bytes))
+    }
+
+    #[test]
+    fn line_counter_counts_identical_overlapping_and_successorless_members() {
+        let geometry = Geometry { slots: 12, insts: 9 };
+        let a = bitmap(geometry, &[(0, 0), (0, 1), (3, 4), (7, 8), (11, 2)]);
+        let b = bitmap(geometry, &[(0, 1), (3, 5), (9, 0)]);
+        let c = bitmap(geometry, &[(1, 1), (3, 4), (11, 8)]);
+        let members = [
+            (a.clone(), b.clone(), vec![2, 1]),
+            // Identical to lane 0.
+            (a.clone(), b.clone(), vec![2, 1]),
+            // Overlaps lanes 0 and 1 in input and OUT.
+            (c.clone(), a.clone(), vec![5]),
+            // No successor: only its input is read, nothing is written.
+            (b.clone(), c.clone(), vec![]),
+        ];
+        let groups: [&[u32]; 6] = [&[0], &[0, 1], &[0, 2], &[3], &[2, 3], &[0, 1, 2, 3]];
+        for (cell_bytes, line_bytes) in [(2, 32), (16, 128), (7, 96), (150, 32)] {
+            for group in groups {
+                let (got, expected) =
+                    check_counter(geometry, &members, group, 4096 + 3, cell_bytes, line_bytes);
+                assert_eq!(
+                    got, expected,
+                    "group {group:?}, {cell_bytes} B cells, {line_bytes} B lines"
+                );
+            }
+        }
+        // A member with no successor reads no OUT cells: the group of lane
+        // 3 alone costs exactly its input's.
+        let (only_input, _) = check_counter(geometry, &members, &[3], 0, 1, 32);
+        assert_eq!(only_input.1, b.count() as u64);
     }
 
     /// A bitmap with the given `(slot, instance)` facts, wrapped into the

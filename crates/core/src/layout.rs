@@ -185,9 +185,8 @@ mod tests {
 
     /// The kernel strides its cells by `method.len()` statements, the
     /// layout sizes them by `cfg.len()` nodes (DESIGN.md §5): the kernel's
-    /// cells must still fit the planned matrix, or the counted lane form's
-    /// line table — sized from `layout.facts` — would be indexed past its
-    /// end.
+    /// cells must still fit the planned matrix, or the lanes' cell
+    /// addresses, counted or listed, would reach past `layout.facts`.
     #[test]
     fn kernel_cells_fit_the_planned_matrix() {
         for seed in [555, 556, 557, 558, 559, 560] {
