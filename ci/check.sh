@@ -74,6 +74,7 @@ retired+='|shared_stores|shared-store|StoreComparison|run_store_comparison|store
 retired+='|try_submit|QueueFull'
 retired+='|\.fallback\(\)|PlanRefusal|check_or_exit'
 retired+='|SetStore|FactStore'
+retired+='|AnalysisEngine|WorklistEngine|CpuEngine|analysis_engine|EngineCaps'
 if grep -rnE "$retired" --include='*.rs' crates src tests examples; then
   echo "retired-names ratchet: a retired name is back (EXPERIMENTS.md, \"Retired: …\")" >&2
   exit 1
@@ -152,6 +153,22 @@ ratchet 1 'TaintAnalysis::new(' "$pipe_hint" crates src
 ratchet 1 'prepare_app(' "$pipe_hint" \
   crates/vetting/src crates/bench/src crates/serve/src crates/campaign/src src
 ratchet 0 'analyze_app(' "$pipe_hint" crates/bench/src crates/vetting/src/assess.rs src
+
+echo "==> shim-confinement ratchet: the frozen harness's names grow no new code"
+# core::{EngineKind, ExecMode, engine_for_mode} are kept only for
+# benchmark/ until ROADMAP 3k (DESIGN.md §14): outside the shim module and
+# the core and vetting re-exports, no non-test line names them.
+ratchet_name=shim-confinement
+shim_hint="select with core::Engine and run Engine::analyze_on; the shim is benchmark/'s"
+for name in EngineKind ExecMode engine_for_mode; do
+  shim_sites=$(non_test_sites "$name" crates/core/src/engine.rs crates/core/src/lib.rs \
+    crates/vetting/src/lib.rs)
+  [ "$shim_sites" -gt 0 ] || {
+    echo "shim-confinement ratchet: no \`$name\` in the shim — point the ratchet at it" >&2
+    exit 1
+  }
+  ratchet "$shim_sites" "$name" "$shim_hint" crates src examples
+done
 
 echo "==> prep-stage ratchet: the host front end stays linear in app size"
 # What the service's prep worker runs per job (generate, call graph) does

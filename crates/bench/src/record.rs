@@ -1,6 +1,6 @@
 //! Per-app experiment records: every engine run once per app.
 
-use gdroid_analysis::{CpuCostModel, MatrixStore};
+use gdroid_analysis::MatrixStore;
 use gdroid_apk::{AppStats, Corpus};
 use gdroid_core::{OptConfig, WorklistProfile};
 use gdroid_gpusim::{Device, DeviceConfig};
@@ -76,15 +76,16 @@ fn run_engine(prep: &PreparedApp, engine: Engine) -> Executed {
         .expect("a fresh device has no fault plan")
 }
 
-/// Runs every engine on one corpus app: the Amandroid pipeline (Fig. 1,
-/// and — one run under two cost models — Fig. 4's CPU side), then the four
-/// ladder rungs.
+/// Runs every engine on one corpus app: the Amandroid pipeline (Fig. 1),
+/// the multithreaded-C baseline (Fig. 4's CPU side), then the four ladder
+/// rungs.
 pub fn run_app(corpus: &Corpus, index: usize) -> AppRecord {
     let app = corpus.generate(index);
     let app_stats = AppStats::of(&app);
     let prep = prepare_vetting(app);
 
     let cpu = run_engine(&prep, Engine::AmandroidCpu).run;
+    let cpu_mt = run_engine(&prep, Engine::MultithreadedCpu).run;
     let gpu = OptConfig::ladder().map(|opts| {
         let run = run_engine(&prep, Engine::Gpu(opts));
         let (stats, telemetry) = (run.gpu.expect("a GPU rung ran"), run.run.outcome.telemetry);
@@ -120,7 +121,7 @@ pub fn run_app(corpus: &Corpus, index: usize) -> AppRecord {
         mean_slots,
         amandroid_ns: cpu.outcome.timing.total_ns(),
         amandroid_idfg_ns: cpu.outcome.timing.idfg_ns,
-        cpu_mt_ns: CpuCostModel::multithreaded_c().parallel_ns(&cpu.analysis),
+        cpu_mt_ns: cpu_mt.outcome.timing.idfg_ns,
         gpu,
         set_bytes: cpu.outcome.store_bytes,
         // The `amandroid` run is charged the replayed sets; its facts are matrices.

@@ -1,12 +1,12 @@
-//! The `AnalysisEngine` boundary: both IDFG constructors in the
-//! repository — the worklist-GPU driver and the CPU reference solver —
-//! sit behind one trait, so vetting, serving, and campaigns can select
-//! the engine per job.
+//! One engine selector: [`Engine`] names every IDFG construction a run can
+//! select — the paper's worklist-GPU kernels at a ladder rung, or the CPU
+//! solver under one of its three cost profiles — and
+//! [`Engine::analyze_on`] is the one dispatch.
 //!
-//! The contract every implementation must honor (and the tier-1 gates
-//! enforce): for the same prepared app, presolved set, and slice, the
-//! returned **facts and summaries are byte-identical** across engines.
-//! Engines differ only in modeled cost (`stats`, `idfg_ns`) and telemetry
+//! The contract every engine honors (and the tier-1 gates enforce): for
+//! the same prepared app, presolved set and slice, the returned **facts
+//! and summaries are byte-identical** across engines. Engines differ only
+//! in modeled cost (`stats`, `idfg_ns`, `store_bytes`) and telemetry
 //! shape — the fixpoint is unique, the road to it is not.
 
 use crate::driver::gpu_analyze_app_on;
@@ -22,53 +22,134 @@ use gdroid_icfg::{CallGraph, Cfg};
 use gdroid_ir::{MethodId, Program};
 use std::collections::{HashMap, HashSet};
 
-/// Retired launch-policy selector, kept only because the frozen
-/// `benchmark/` harness names its variants until ROADMAP 3f. Only
-/// `gdroid_vetting::engine_for_mode` takes it, and ignores it: every
-/// variant runs the one launch policy (one kernel launch per fixpoint
-/// round, the paper's loop).
+/// Which engine constructs the IDFG.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One kernel launch per fixpoint round.
-    MultiLaunch,
-    /// The retired persistent kernel; runs as [`ExecMode::MultiLaunch`].
-    Persistent,
+pub enum Engine {
+    /// Sequential Amandroid-style CPU run (Fig. 1): hash-set fact stores,
+    /// Scala-calibrated cost model.
+    AmandroidCpu,
+    /// The multithreaded-C CPU baseline (Fig. 4's CPU side): the same run,
+    /// costed per layer.
+    MultithreadedCpu,
+    /// The paper's worklist-GPU kernels at the given optimization rung;
+    /// `Gpu(OptConfig::gdroid())` is the production default, spelled
+    /// `worklist` (or `gdroid`) on the command line.
+    Gpu(OptConfig),
+    /// The sequential CPU reference solver on matrix stores — the
+    /// differential oracle.
+    CpuReference,
 }
 
-/// The selectable engines, in CLI order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum EngineKind {
-    /// The paper's worklist-GPU driver (`gpu_analyze_app_on`).
-    Worklist,
-    /// The sequential CPU reference solver (`gdroid_analysis::solver`).
-    Cpu,
-}
-
-impl EngineKind {
-    /// All engines, in the order `gdroid engines` lists them.
-    pub const ALL: [EngineKind; 2] = [EngineKind::Worklist, EngineKind::Cpu];
+impl Engine {
+    /// Every named engine, in the order `gdroid engines` lists them: the
+    /// two a service selects between first, then the ladder rungs and the
+    /// legacy CPU baselines.
+    pub fn all() -> [Engine; 7] {
+        [
+            Engine::Gpu(OptConfig::gdroid()),
+            Engine::CpuReference,
+            Engine::Gpu(OptConfig::plain()),
+            Engine::Gpu(OptConfig::mat()),
+            Engine::Gpu(OptConfig::mat_grp()),
+            Engine::MultithreadedCpu,
+            Engine::AmandroidCpu,
+        ]
+    }
 
     /// The CLI spelling.
-    pub fn as_str(self) -> &'static str {
+    pub fn name(self) -> &'static str {
         match self {
-            EngineKind::Worklist => "worklist",
-            EngineKind::Cpu => "cpu",
+            Engine::AmandroidCpu => "amandroid",
+            Engine::MultithreadedCpu => "mtcpu",
+            Engine::CpuReference => "cpu",
+            Engine::Gpu(opts) => match (opts.mat, opts.grp, opts.mer) {
+                (true, true, true) => "worklist",
+                (false, false, false) => "plain",
+                (true, false, false) => "mat",
+                (true, true, false) => "matgrp",
+                _ => "gpu-custom",
+            },
         }
     }
 
-    /// Parses the CLI spelling.
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        match s {
-            "worklist" => Some(EngineKind::Worklist),
-            "cpu" => Some(EngineKind::Cpu),
-            _ => None,
+    /// Parses the CLI spelling; `gdroid` is an alias of `worklist`.
+    pub fn parse(s: &str) -> Option<Engine> {
+        let s = if s == "gdroid" { "worklist" } else { s };
+        Engine::all().into_iter().find(|e| e.name() == s)
+    }
+
+    /// Whether the engine takes co-resident multi-app batching with
+    /// solo-identical timing: the device rungs free of kernel-side
+    /// `malloc`. Every engine takes the slice and the store.
+    pub fn batches(self) -> bool {
+        matches!(self, Engine::Gpu(opts) if opts.mat)
+    }
+
+    /// One-line description for `gdroid engines`.
+    pub fn note(self) -> &'static str {
+        match self {
+            Engine::Gpu(opts) if opts == OptConfig::gdroid() => {
+                "the paper's worklist-GPU kernels (MAT+GRP+MER); the default"
+            }
+            Engine::Gpu(_) => "a worklist-GPU ladder rung below full GDroid (Figs. 9 and 11)",
+            Engine::CpuReference => "sequential CPU reference solver — the differential oracle",
+            Engine::MultithreadedCpu => {
+                "multithreaded-C CPU baseline (Fig. 4): amandroid's run, costed per layer"
+            }
+            Engine::AmandroidCpu => "sequential Amandroid-style CPU baseline (Figs. 1 and 10)",
         }
+    }
+
+    /// Constructs the IDFG on `device`. The CPU engines never touch it;
+    /// they take it so every caller runs one dispatch and a service
+    /// executor needs no special case.
+    ///
+    /// `presolved` injects summary-store hits; `slice`, when `Some`,
+    /// restricts the schedule to the given methods (targeted vetting).
+    /// Every engine accepts both. The three CPU engines are one solve
+    /// under their store kind and cost model.
+    pub fn analyze_on(
+        self,
+        device: &mut Device,
+        program: &Program,
+        cg: &CallGraph,
+        roots: &[MethodId],
+        presolved: &Presolved,
+        slice: Option<&HashSet<MethodId>>,
+    ) -> Result<EngineAnalysis, DeviceFault> {
+        let store_kind = match self {
+            Engine::Gpu(opts) => {
+                let input = AppInput { program, cg, roots, presolved, slice };
+                return gpu_analyze_app_on(device, &input, opts);
+            }
+            Engine::CpuReference => StoreKind::Matrix,
+            Engine::AmandroidCpu | Engine::MultithreadedCpu => StoreKind::Set,
+        };
+        let analysis = analyze_app_presolved(program, cg, roots, store_kind, presolved, slice);
+        let idfg_ns = if self == Engine::MultithreadedCpu {
+            CpuCostModel::multithreaded_c().parallel_ns(&analysis)
+        } else {
+            CpuCostModel::amandroid().sequential_ns(&analysis)
+        };
+        let mut stats = GpuRunStats::default();
+        stats.total_ns = idfg_ns;
+        Ok(EngineAnalysis {
+            facts: analysis.facts,
+            summaries: analysis.summaries,
+            spaces: analysis.spaces,
+            cfgs: analysis.cfgs,
+            telemetry: analysis.telemetry,
+            stats,
+            idfg_ns,
+            store_bytes: analysis.store_bytes,
+            sanitizer: None,
+        })
     }
 }
 
-impl std::fmt::Display for EngineKind {
+impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+        f.write_str(self.name())
     }
 }
 
@@ -90,93 +171,54 @@ pub struct EngineAnalysis {
     pub stats: GpuRunStats,
     /// Modeled IDFG-stage time, ns.
     pub idfg_ns: f64,
+    /// Bytes of the host fact stores the run is charged for, by its store
+    /// kind; 0 for a device run, whose memory is device allocations.
+    pub store_bytes: usize,
     /// `simcheck` report when the device sanitized (GPU engine only).
     pub sanitizer: Option<SanReport>,
 }
 
-/// One IDFG construction backend. Implementations must be deterministic
-/// and must produce the identical facts/summaries for identical inputs —
-/// only `stats`/`idfg_ns`/`telemetry` may differ between engines.
-pub trait AnalysisEngine: Send + Sync {
-    /// Which engine this is (capability lookups, dispatch, reporting).
-    fn kind(&self) -> EngineKind;
+// The frozen-harness shim: nothing outside this block, its test and the
+// crate-root and `gdroid_vetting` re-exports names these three
+// (ci/check.sh's shim-confinement ratchet).
 
-    /// Constructs the IDFG on `device` (CPU engines ignore it; they still
-    /// take it so every engine runs through one dispatch path and a
-    /// service executor needs no special case).
-    ///
-    /// `presolved` injects summary-store hits; `slice`, when `Some`,
-    /// restricts the schedule to the given methods (targeted vetting).
-    /// Every engine accepts both.
-    fn analyze_on(
-        &self,
-        device: &mut Device,
-        program: &Program,
-        cg: &CallGraph,
-        roots: &[MethodId],
-        presolved: &Presolved,
-        slice: Option<&HashSet<MethodId>>,
-    ) -> Result<EngineAnalysis, DeviceFault>;
+/// Kept only for `benchmark/` until ROADMAP 3k: the retired
+/// launch-policy selector, which [`engine_for_mode`] ignores.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ExecMode {
+    /// One kernel launch per fixpoint round.
+    MultiLaunch,
+    /// The retired persistent kernel; runs as [`ExecMode::MultiLaunch`].
+    Persistent,
 }
 
-/// The worklist-GPU engine: `gpu_analyze_app_on` behind the trait.
-pub struct WorklistEngine {
-    /// Optimization-ladder rung the kernels run at.
-    pub opts: OptConfig,
+/// Kept only for `benchmark/` until ROADMAP 3k: the two engines the
+/// harness names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EngineKind {
+    /// [`Engine::Gpu`] at full GDroid.
+    Worklist,
+    /// [`Engine::CpuReference`].
+    Cpu,
 }
 
-impl AnalysisEngine for WorklistEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Worklist
-    }
-
-    fn analyze_on(
-        &self,
-        device: &mut Device,
-        program: &Program,
-        cg: &CallGraph,
-        roots: &[MethodId],
-        presolved: &Presolved,
-        slice: Option<&HashSet<MethodId>>,
-    ) -> Result<EngineAnalysis, DeviceFault> {
-        let input = AppInput { program, cg, roots, presolved, slice };
-        gpu_analyze_app_on(device, &input, self.opts)
+impl EngineKind {
+    /// Parses the CLI spelling.
+    pub fn parse(s: &str) -> Option<EngineKind> {
+        match s {
+            "worklist" => Some(EngineKind::Worklist),
+            "cpu" => Some(EngineKind::Cpu),
+            _ => None,
+        }
     }
 }
 
-/// The sequential CPU reference solver behind the engine boundary: the
-/// differential-testing oracle the GPU engine is gated against.
-pub struct CpuEngine;
-
-impl AnalysisEngine for CpuEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Cpu
-    }
-
-    fn analyze_on(
-        &self,
-        _device: &mut Device,
-        program: &Program,
-        cg: &CallGraph,
-        roots: &[MethodId],
-        presolved: &Presolved,
-        slice: Option<&HashSet<MethodId>>,
-    ) -> Result<EngineAnalysis, DeviceFault> {
-        let analysis =
-            analyze_app_presolved(program, cg, roots, StoreKind::Matrix, presolved, slice);
-        let idfg_ns = CpuCostModel::amandroid().sequential_ns(&analysis);
-        let mut stats = GpuRunStats::default();
-        stats.total_ns = idfg_ns;
-        Ok(EngineAnalysis {
-            facts: analysis.facts,
-            summaries: analysis.summaries,
-            spaces: analysis.spaces,
-            cfgs: analysis.cfgs,
-            telemetry: analysis.telemetry,
-            stats,
-            idfg_ns,
-            sanitizer: None,
-        })
+/// Kept only for `benchmark/` until ROADMAP 3k: the [`Engine`] a kind
+/// names; every [`ExecMode`] runs the one multi-launch policy.
+pub fn engine_for_mode(kind: EngineKind, _mode: ExecMode) -> Engine {
+    match kind {
+        EngineKind::Worklist => Engine::Gpu(OptConfig::gdroid()),
+        EngineKind::Cpu => Engine::CpuReference,
     }
 }
 
@@ -187,32 +229,73 @@ mod tests {
     use gdroid_gpusim::DeviceConfig;
     use gdroid_icfg::prepare_app;
 
+    /// The one dispatch: every engine reproduces the CPU reference's
+    /// summaries and fact words, and each CPU engine is charged its cost
+    /// model applied to the same solve.
     #[test]
-    fn kind_parse_roundtrips() {
-        for kind in EngineKind::ALL {
-            assert_eq!(EngineKind::parse(kind.as_str()), Some(kind));
-            assert_eq!(format!("{kind}"), kind.as_str());
-        }
-        assert_eq!(EngineKind::parse("gdroid"), None);
-    }
-
-    #[test]
-    fn worklist_and_cpu_engines_agree_on_facts() {
+    fn every_engine_agrees_with_the_reference_and_cpu_engines_pay_their_cost_model() {
         let mut app = generate_app(0, 8601, &GenConfig::tiny());
         let (envs, cg) = prepare_app(&mut app);
         let roots: Vec<MethodId> = envs.iter().map(|e| e.method).collect();
-        let mut device = Device::new(DeviceConfig::tiny());
-        let none = HashMap::new();
-        let gpu = WorklistEngine { opts: OptConfig::gdroid() }
-            .analyze_on(&mut device, &app.program, &cg, &roots, &none, None)
-            .unwrap();
-        let cpu =
-            CpuEngine.analyze_on(&mut device, &app.program, &cg, &roots, &none, None).unwrap();
-        assert_eq!(gpu.summaries, cpu.summaries);
-        assert_eq!(gpu.facts.len(), cpu.facts.len());
-        for (mid, g) in &gpu.facts {
-            assert_eq!(g.flat_words(), cpu.facts[mid].flat_words(), "facts differ at {mid:?}");
+        let none = Presolved::new();
+        let analyze = |engine: Engine| {
+            let mut device = Device::new(DeviceConfig::tiny());
+            engine.analyze_on(&mut device, &app.program, &cg, &roots, &none, None).unwrap()
+        };
+        let reference = analyze(Engine::CpuReference);
+        let solve = |kind| analyze_app_presolved(&app.program, &cg, &roots, kind, &none, None);
+        let (matrix, set) = (solve(StoreKind::Matrix), solve(StoreKind::Set));
+        for engine in Engine::all() {
+            let got = analyze(engine);
+            assert_eq!(got.summaries, reference.summaries, "{engine}");
+            assert_eq!(got.facts.len(), reference.facts.len(), "{engine}");
+            for (mid, facts) in &reference.facts {
+                assert_eq!(got.facts[mid].flat_words(), facts.flat_words(), "{engine} {mid:?}");
+            }
+            let (idfg_ns, store_bytes) = match engine {
+                Engine::Gpu(_) => {
+                    assert!(got.idfg_ns > 0.0 && got.stats.launches > 0, "{engine}");
+                    assert_eq!(got.store_bytes, 0, "{engine}: a device run has no host stores");
+                    continue;
+                }
+                Engine::CpuReference => {
+                    (CpuCostModel::amandroid().sequential_ns(&matrix), matrix.store_bytes)
+                }
+                Engine::AmandroidCpu => {
+                    (CpuCostModel::amandroid().sequential_ns(&set), set.store_bytes)
+                }
+                Engine::MultithreadedCpu => {
+                    (CpuCostModel::multithreaded_c().parallel_ns(&set), set.store_bytes)
+                }
+            };
+            assert_eq!((got.idfg_ns, got.stats.total_ns), (idfg_ns, idfg_ns), "{engine}");
+            assert_eq!(got.store_bytes, store_bytes, "{engine}");
         }
-        assert!(gpu.idfg_ns > 0.0 && cpu.idfg_ns > 0.0);
+    }
+
+    #[test]
+    fn engine_names_roundtrip_and_gdroid_is_worklist() {
+        for engine in Engine::all() {
+            assert_eq!(Engine::parse(engine.name()), Some(engine));
+        }
+        assert_eq!(Engine::parse("gdroid"), Engine::parse("worklist"));
+        assert_eq!(Engine::parse("resident"), None);
+    }
+
+    /// The frozen-harness shim: every [`ExecMode`] runs the one
+    /// multi-launch policy, and no spelling selects the retired
+    /// relational engine.
+    #[test]
+    fn engine_for_mode_ignores_the_retired_mode() {
+        for mode in [ExecMode::MultiLaunch, ExecMode::Persistent] {
+            assert_eq!(
+                engine_for_mode(EngineKind::Worklist, mode),
+                Engine::parse("worklist").unwrap()
+            );
+            assert_eq!(engine_for_mode(EngineKind::Cpu, mode), Engine::CpuReference);
+        }
+        assert_eq!(EngineKind::parse("worklist"), Some(EngineKind::Worklist));
+        assert_eq!(EngineKind::parse("cpu"), Some(EngineKind::Cpu));
+        assert_eq!(EngineKind::parse("rel"), None);
     }
 }

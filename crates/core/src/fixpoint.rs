@@ -299,6 +299,7 @@ impl<'a> Fixpoint<'a> {
             telemetry: self.telemetry,
             idfg_ns: stats.total_ns,
             stats,
+            store_bytes: 0,
             sanitizer,
         }
     }

@@ -20,8 +20,8 @@
 //!   one launch per round through the dual-buffering pipeline) and
 //!   [`batch`] (co-resident apps sharing launches,
 //!   attributed per app by re-packing);
-//! * [`engine`] — the `AnalysisEngine` boundary the vetting layers select
-//!   an engine through;
+//! * [`engine`] — [`Engine`], the one engine selector, and its one
+//!   dispatch [`Engine::analyze_on`];
 //! * [`stats`] — the measured quantities behind Figs. 4 and 8–12 and
 //!   Table II.
 //!
@@ -39,7 +39,7 @@ pub mod opts;
 pub mod stats;
 
 pub use batch::{gpu_analyze_batch_on, BatchStats};
-pub use engine::{AnalysisEngine, CpuEngine, EngineAnalysis, EngineKind, ExecMode, WorklistEngine};
+pub use engine::{engine_for_mode, Engine, EngineAnalysis, EngineKind, ExecMode};
 
 pub use driver::{gpu_analyze_app, gpu_analyze_app_on};
 pub use fixpoint::AppInput;

@@ -40,13 +40,13 @@ use crate::metrics::{Counters, ServiceMetrics, ServiceReport};
 use crate::queue::{SubmitError, SubmitQueue};
 use crate::scheduler::{block_demand, work_estimate, DispatchHeap, ReadyJob};
 use gdroid_apk::{generate_app, parse_bundle, read_bundle, App, BundleError, BundleText};
-use gdroid_core::EngineKind;
 use gdroid_gpusim::{Device, DeviceConfig, FaultPlan};
 use gdroid_sumstore::SumStore;
 use gdroid_vetting::{
-    execute, execute_coresident, prepare_vetting, ExecCtx, ExecPlan, Executed, PreparedApp,
+    execute, execute_coresident, prepare_vetting, Engine, ExecCtx, ExecPlan, PreparedApp,
     VettingRun,
 };
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -449,7 +449,7 @@ fn exec_loop(state: &ServiceState, device: &mut Device) {
         // popped as a co-resident.
         let mut group = vec![job];
         let plan = group[0].plan;
-        if state.coresident > 1 && plan.engine.caps().batching && group[0].warm.is_none() {
+        if state.coresident > 1 && plan.engine.batches() && group[0].warm.is_none() {
             let mut demand = group[0].block_demand;
             while group.len() < state.coresident && demand < block_slots {
                 let room = block_slots - demand;
@@ -486,29 +486,37 @@ fn try_incremental(state: &ServiceState, job: &mut ReadyJob) {
 /// [`execute_coresident`] against the service's store. Members' results equal
 /// solo runs' (the batch driver repacks each app's own blocks), so the
 /// cache stays coherent. A device fault or an overrun budget fails the
-/// whole attempt: every member retries individually.
+/// whole attempt: every member retries individually. A panic fails every
+/// member for good — it would panic again — and the executor resets its
+/// device and goes on.
 fn exec_group(state: &ServiceState, device: &mut Device, group: Vec<ReadyJob>) {
     let counters = &state.metrics.counters;
     let t = Instant::now();
     let plan = group[0].plan;
     let shared = state.sumstore.as_deref();
-    let attempt: Result<Vec<Executed>, _> = if let [job] = &group[..] {
-        // A warm start does not consult the service's store.
-        let ctx = &mut ExecCtx { store: job.warm.as_ref().or(shared), ..ExecCtx::new(device) };
-        execute(&job.prep, plan, ctx).map(|done| vec![done])
-    } else {
-        let preps: Vec<&PreparedApp> = group.iter().map(|j| &j.prep).collect();
-        let ctx = &mut ExecCtx { store: shared, ..ExecCtx::new(device) };
-        execute_coresident(&preps, plan, ctx).map(|(done, _batch)| {
-            Counters::bump(&counters.batches);
-            done
-        })
-    };
+    let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        if group.iter().any(|job| job.identity.package == tests::PANICKING_PACKAGE) {
+            panic!("injected for {}", tests::PANICKING_PACKAGE);
+        }
+        if let [job] = &group[..] {
+            // A warm start does not consult the service's store.
+            let ctx = &mut ExecCtx { store: job.warm.as_ref().or(shared), ..ExecCtx::new(device) };
+            execute(&job.prep, plan, ctx).map(|done| vec![done])
+        } else {
+            let preps: Vec<&PreparedApp> = group.iter().map(|j| &j.prep).collect();
+            let ctx = &mut ExecCtx { store: shared, ..ExecCtx::new(device) };
+            execute_coresident(&preps, plan, ctx).map(|(done, _batch)| {
+                Counters::bump(&counters.batches);
+                done
+            })
+        }
+    }));
     let elapsed = t.elapsed();
     let exec_wall_ns = elapsed.as_nanos() as u64;
     let batched = group.len() > 1;
     match attempt {
-        Ok(done) => {
+        Ok(Ok(done)) => {
             let timed_out = elapsed > state.timeout;
             for (mut job, done) in group.into_iter().zip(done) {
                 let mut cache = CacheDisposition::Miss;
@@ -543,11 +551,31 @@ fn exec_group(state: &ServiceState, device: &mut Device, group: Vec<ReadyJob>) {
                 }
             }
         }
-        Err(_fault) => {
+        Ok(Err(_fault)) => {
             for mut job in group {
                 job.identity.faults_seen += 1;
                 Counters::bump(&counters.faults);
                 retry_or_quarantine(state, job, exec_wall_ns);
+            }
+        }
+        Err(payload) => {
+            device.reset();
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("a non-string payload");
+            for mut job in group {
+                job.identity.attempts += 1;
+                let status = JobStatus::Failed(format!("executor panicked: {message}"));
+                let result = JobResult::new(
+                    job.identity,
+                    status,
+                    CacheDisposition::Miss,
+                    None,
+                    exec_wall_ns,
+                );
+                state.deliver(result);
             }
         }
     }
@@ -563,7 +591,7 @@ fn finish(
     state.metrics.exec_wall.record(exec_wall_ns);
     state.metrics.kernel_model.record(run.outcome.timing.idfg_ns as u64);
     state.metrics.taint_model.record(run.outcome.timing.taint_ns as u64);
-    if job.plan.engine.kind() == Some(EngineKind::Cpu) {
+    if job.plan.engine == Engine::CpuReference {
         Counters::bump(&state.metrics.counters.cpu_jobs);
     }
     let outcome = run.outcome.clone();
@@ -660,6 +688,46 @@ mod tests {
         }
     }
 
+    /// The package whose jobs [`exec_group`] panics on: no real input
+    /// panics in `execute`.
+    pub(super) const PANICKING_PACKAGE: &str = "com.gen.app9999";
+
+    /// A panic on an executor fails its job, or every member of its group,
+    /// once and for all; the executor goes on serving and drain returns.
+    #[test]
+    fn a_panicking_job_fails_and_the_executor_keeps_serving() {
+        for coresident in [1, 4] {
+            let svc = VettingService::start(ServiceConfig {
+                prep_workers: 1,
+                devices: 1,
+                coresident,
+                ..ServiceConfig::default()
+            });
+            svc.submit(Priority::Expedited, seed_source(9999, 5400)).unwrap();
+            for seed in 0..4u64 {
+                svc.submit(Priority::Standard, seed_source(seed as usize, 5401 + seed)).unwrap();
+            }
+            let (report, results) = svc.drain();
+            assert_eq!(results.len(), 5, "coresident {coresident}");
+            assert_eq!(report.counters.retries, 0, "a panic is not retried");
+            for r in &results {
+                let what = format!("coresident {coresident} {}", r.package);
+                match &r.status {
+                    JobStatus::Failed(reason) => {
+                        assert_eq!(reason, "executor panicked: injected for com.gen.app9999");
+                        assert_eq!(r.attempts, 1, "{what}");
+                        // Alone, only the panicking job fails.
+                        assert!(coresident > 1 || r.package == PANICKING_PACKAGE, "{what}");
+                    }
+                    status => {
+                        assert_eq!(*status, JobStatus::Completed, "{what}");
+                        assert_ne!(r.package, PANICKING_PACKAGE, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn faults_are_retried_not_dropped() {
         let svc = VettingService::start(ServiceConfig {
@@ -722,7 +790,7 @@ mod tests {
         let svc = VettingService::start(ServiceConfig {
             prep_workers: 1,
             devices: 1,
-            plan: ExecPlan::new(EngineKind::Cpu),
+            plan: ExecPlan::new(Engine::CpuReference),
             coresident: 4,
             ..ServiceConfig::default()
         });
@@ -768,7 +836,7 @@ mod tests {
             prep_workers: 1,
             devices: 1,
             sumstore: Some(Arc::new(library_store(&config))),
-            plan: ExecPlan::new(EngineKind::Cpu),
+            plan: ExecPlan::new(Engine::CpuReference),
             coresident: 4,
             ..ServiceConfig::default()
         });

@@ -7,10 +7,12 @@
 
 use crate::json::JsonWriter;
 use crate::pipeline::prepare_vetting;
-use crate::plan::{vet_prepared, Engine, ExecPlan};
+use crate::plan::{vet_prepared, ExecPlan};
+
 use crate::plugins::{hardcoded_payloads, intent_exposure, permission_audit};
 use crate::registry::SourceSinkRegistry;
 use gdroid_apk::App;
+use gdroid_core::Engine;
 
 /// One scored signal contributing to the verdict.
 #[derive(Clone, Debug, PartialEq)]

@@ -12,11 +12,11 @@
 //! * [`report`] — leak reports and verdicts;
 //! * [`pipeline`] — the stages around the IDFG (environment → call graph
 //!   → … → taint) with the per-stage timing behind Fig. 1;
-//! * [`plan`] — [`ExecPlan`] (engine × targeted), the engines'
-//!   batching table, and [`execute`], the one function that runs a
-//!   plan against an [`ExecCtx`] (device, summary store, tracer) with
-//!   byte-identical reports across every combination — and
-//!   [`execute_coresident`], its steps for a co-resident group;
+//! * [`plan`] — [`ExecPlan`] (engine × targeted) and [`execute`], the
+//!   one function that runs a plan against an [`ExecCtx`] (device,
+//!   summary store, tracer) with byte-identical reports across every
+//!   combination — and [`execute_coresident`], its steps for a
+//!   co-resident group;
 //! * [`store_exec`] — the summary-store step of a run: store-hit methods
 //!   are pre-solved and never scheduled; no run writes the
 //!   [`gdroid_sumstore::SumStore`]. Its two builders: [`library_store`]
@@ -55,14 +55,12 @@ pub mod taint;
 pub mod targeted;
 
 pub use assess::{assess_app, Assessment, RiskBand, Signal};
+pub use gdroid_core::{engine_for_mode, Engine};
 pub use pipeline::{
     prepare_vetting, trace_stage_spans, vet_app, PreparedApp, VettingOutcome, VettingRun,
     VettingTiming,
 };
-pub use plan::{
-    engine_for_mode, execute, execute_coresident, vet_prepared, Engine, EngineCaps, ExecCtx,
-    ExecPlan, Executed,
-};
+pub use plan::{execute, execute_coresident, vet_prepared, ExecCtx, ExecPlan, Executed};
 pub use plugins::{
     hardcoded_payloads, intent_exposure, permission_audit, ExposureFinding, HardcodedFinding,
     PermissionAudit,

@@ -7,13 +7,13 @@
 //! paper, IDFG construction takes 58–96% of the total.
 
 use crate::json::JsonWriter;
-use crate::plan::{vet_prepared, Engine, ExecPlan};
+use crate::plan::{vet_prepared, ExecPlan};
 use crate::registry::SourceSinkRegistry;
 use crate::report::VettingReport;
 use crate::taint::TaintAnalysis;
-use gdroid_analysis::{AppAnalysis, MatrixStore, StoreKind};
+use gdroid_analysis::{AppAnalysis, StoreKind};
 use gdroid_apk::App;
-use gdroid_core::{EngineAnalysis, GpuRunStats};
+use gdroid_core::{Engine, EngineAnalysis, GpuRunStats};
 use gdroid_icfg::{prepare_app, CallGraph, EnvironmentInfo};
 use gdroid_ir::MethodId;
 
@@ -172,12 +172,15 @@ pub(crate) fn finish_vetting(
     VettingRun { outcome, analysis }
 }
 
-/// Folds a device run into the CPU-shaped [`AppAnalysis`] the taint
-/// plugin and a summary store consume (the facts/summaries are
-/// bit-identical across engines; only cost models differ), beside its
-/// modeled IDFG time and its device statistics.
-pub(crate) fn to_app_analysis(ea: EngineAnalysis) -> (AppAnalysis, f64, Option<GpuRunStats>) {
-    let store_bytes = ea.facts.values().map(MatrixStore::memory_bytes).sum();
+/// Folds an engine's run into the [`AppAnalysis`] the taint plugin and a
+/// summary store consume (the facts/summaries are bit-identical across
+/// engines; only cost models differ), beside its modeled IDFG time and —
+/// iff an [`Engine::Gpu`] rung ran — its device statistics. The cost is
+/// already applied, so no per-method telemetry or schedule is kept.
+pub(crate) fn to_app_analysis(
+    ea: EngineAnalysis,
+    engine: Engine,
+) -> (AppAnalysis, f64, Option<GpuRunStats>) {
     let analysis = AppAnalysis {
         spaces: ea.spaces,
         cfgs: ea.cfgs,
@@ -185,11 +188,11 @@ pub(crate) fn to_app_analysis(ea: EngineAnalysis) -> (AppAnalysis, f64, Option<G
         summaries: ea.summaries,
         telemetry: ea.telemetry,
         per_method: std::collections::HashMap::new(),
-        store_bytes,
+        store_bytes: ea.store_bytes,
         store_kind: StoreKind::Matrix,
         schedule: Vec::new(),
     };
-    (analysis, ea.idfg_ns, Some(ea.stats))
+    (analysis, ea.idfg_ns, matches!(engine, Engine::Gpu(_)).then_some(ea.stats))
 }
 
 /// Vets one app end to end. The `app` must be freshly generated (not yet

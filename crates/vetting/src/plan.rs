@@ -15,7 +15,7 @@
 //! [`summary_store`](crate::summary_store) attached.
 //!
 //! Every engine composes with the slice and the store, so [`execute`]
-//! refuses nothing; [`Engine::caps`] says which engines may share launches
+//! refuses nothing; [`Engine::batches`] says which engines may share launches
 //! ([`execute_coresident`]), and [`ExecPlan::cacheable`] is the only place
 //! the result-cache lane is allowed.
 
@@ -24,129 +24,13 @@ use crate::pipeline::{
 };
 use crate::store_exec::{collect_presolved, StoreUse};
 use crate::targeted::{compute_vetting_slice, TargetedProvenance};
-use gdroid_analysis::{analyze_app_presolved, AppAnalysis, BackwardSlice, CpuCostModel, StoreKind};
+use gdroid_analysis::{AppAnalysis, BackwardSlice};
 use gdroid_core::{
-    gpu_analyze_batch_on, AnalysisEngine, AppInput, BatchStats, CpuEngine, EngineKind, ExecMode,
-    GpuRunStats, OptConfig, Presolved, WorklistEngine,
+    gpu_analyze_batch_on, AppInput, BatchStats, Engine, GpuRunStats, OptConfig, Presolved,
 };
 use gdroid_gpusim::{Device, DeviceConfig, DeviceFault};
 use gdroid_sumstore::SumStore;
 use gdroid_trace::Tracer;
-
-/// Which engine constructs the IDFG.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// Sequential Amandroid-style CPU run (Fig. 1): hash-set fact stores,
-    /// Scala-calibrated cost model.
-    AmandroidCpu,
-    /// The multithreaded-C CPU baseline (Fig. 4's CPU side).
-    MultithreadedCpu,
-    /// The paper's worklist-GPU kernels at the given optimization rung;
-    /// `Gpu(OptConfig::gdroid())` is the production default, spelled
-    /// `worklist` (or `gdroid`) on the command line.
-    Gpu(OptConfig),
-    /// The sequential CPU reference solver behind the
-    /// [`AnalysisEngine`] trait — the differential oracle.
-    CpuReference,
-}
-
-impl From<EngineKind> for Engine {
-    fn from(kind: EngineKind) -> Engine {
-        match kind {
-            EngineKind::Worklist => Engine::Gpu(OptConfig::gdroid()),
-            EngineKind::Cpu => Engine::CpuReference,
-        }
-    }
-}
-
-/// What an [`Engine`] composes with beyond the slice and the store, which
-/// every engine takes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineCaps {
-    /// Co-resident multi-app batching (serve `coresident > 1`) with
-    /// solo-identical timing: the rungs free of kernel-side `malloc`.
-    pub batching: bool,
-    /// One-line description for `gdroid engines`.
-    pub note: &'static str,
-}
-
-impl Engine {
-    /// Every named engine, in the order `gdroid engines` lists them: the
-    /// two [`EngineKind`]s first, then the ladder rungs and the legacy
-    /// CPU baselines.
-    pub fn all() -> [Engine; 7] {
-        [
-            Engine::Gpu(OptConfig::gdroid()),
-            Engine::CpuReference,
-            Engine::Gpu(OptConfig::plain()),
-            Engine::Gpu(OptConfig::mat()),
-            Engine::Gpu(OptConfig::mat_grp()),
-            Engine::MultithreadedCpu,
-            Engine::AmandroidCpu,
-        ]
-    }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::AmandroidCpu => "amandroid",
-            Engine::MultithreadedCpu => "mtcpu",
-            Engine::CpuReference => "cpu",
-            Engine::Gpu(opts) => match (opts.mat, opts.grp, opts.mer) {
-                (true, true, true) => "worklist",
-                (false, false, false) => "plain",
-                (true, false, false) => "mat",
-                (true, true, false) => "matgrp",
-                _ => "gpu-custom",
-            },
-        }
-    }
-
-    /// Parses the CLI spelling; `gdroid` is an alias of `worklist`.
-    pub fn parse(s: &str) -> Option<Engine> {
-        let s = if s == "gdroid" { "worklist" } else { s };
-        Engine::all().into_iter().find(|e| e.name() == s)
-    }
-
-    /// The [`EngineKind`] this engine is, if it is one of the two the
-    /// service and campaign layers select between.
-    pub fn kind(self) -> Option<EngineKind> {
-        EngineKind::ALL.into_iter().find(|&k| Engine::from(k) == self)
-    }
-
-    /// The capability table: whether this engine batches, and its note.
-    pub fn caps(self) -> EngineCaps {
-        let note = match self {
-            Engine::Gpu(opts) if opts == OptConfig::gdroid() => {
-                "the paper's worklist-GPU kernels (MAT+GRP+MER); the default"
-            }
-            Engine::Gpu(_) => "a worklist-GPU ladder rung below full GDroid (Figs. 9 and 11)",
-            Engine::CpuReference => "sequential CPU reference solver — the differential oracle",
-            Engine::MultithreadedCpu => {
-                "multithreaded-C CPU baseline (Fig. 4): amandroid's run, costed per layer"
-            }
-            Engine::AmandroidCpu => "sequential Amandroid-style CPU baseline (Figs. 1 and 10)",
-        };
-        EngineCaps { batching: matches!(self, Engine::Gpu(opts) if opts.mat), note }
-    }
-
-    /// The trait engine behind this selector (`None` for the two legacy
-    /// CPU baselines, which predate the trait and keep their own cost
-    /// models).
-    fn analysis_engine(self) -> Option<Box<dyn AnalysisEngine>> {
-        match self {
-            Engine::Gpu(opts) => Some(Box::new(WorklistEngine { opts })),
-            Engine::CpuReference => Some(Box::new(CpuEngine)),
-            Engine::AmandroidCpu | Engine::MultithreadedCpu => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// How one app is vetted: every selector of a run, gathered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,8 +52,8 @@ impl Default for ExecPlan {
 
 impl ExecPlan {
     /// A full (untargeted) run on `engine`.
-    pub fn new(engine: impl Into<Engine>) -> ExecPlan {
-        ExecPlan { engine: engine.into(), targeted: false }
+    pub fn new(engine: Engine) -> ExecPlan {
+        ExecPlan { engine, targeted: false }
     }
 
     /// Whether the outcome may be served from, and inserted into, a
@@ -182,14 +66,6 @@ impl ExecPlan {
     pub fn cacheable(self) -> bool {
         matches!(self.engine, Engine::Gpu(_)) && !self.targeted
     }
-}
-
-/// Instantiates the trait engine for a kind — for callers that drive
-/// [`AnalysisEngine::analyze_on`] themselves. The mode is ignored: every
-/// [`ExecMode`] runs the one multi-launch policy (the parameter stays
-/// for the frozen `benchmark/` harness until ROADMAP 3f).
-pub fn engine_for_mode(kind: EngineKind, _mode: ExecMode) -> Box<dyn AnalysisEngine> {
-    Engine::from(kind).analysis_engine().expect("every EngineKind is a trait engine")
 }
 
 static NO_TRACE: Tracer = Tracer::disabled();
@@ -248,20 +124,8 @@ pub fn execute(
     attach_tracer(ctx, &[prep]);
     let staged = stage(prep, plan, ctx);
     let AppInput { program, cg, roots, presolved, slice } = staged.input();
-    let analyzed = if let Some(engine) = plan.engine.analysis_engine() {
-        let ea = engine.analyze_on(ctx.device, program, cg, roots, presolved, slice)?;
-        let (analysis, idfg_ns, gpu) = to_app_analysis(ea);
-        (analysis, idfg_ns, gpu.filter(|_| matches!(plan.engine, Engine::Gpu(_))))
-    } else {
-        // The two CPU baselines are one run under two cost models.
-        let analysis = analyze_app_presolved(program, cg, roots, StoreKind::Set, presolved, slice);
-        let idfg_ns = match plan.engine {
-            Engine::MultithreadedCpu => CpuCostModel::multithreaded_c().parallel_ns(&analysis),
-            _ => CpuCostModel::amandroid().sequential_ns(&analysis),
-        };
-        (analysis, idfg_ns, None)
-    };
-    Ok(finish(staged, analyzed, ctx.tracer, 0))
+    let ea = plan.engine.analyze_on(ctx.device, program, cg, roots, presolved, slice)?;
+    Ok(finish(staged, to_app_analysis(ea, plan.engine), ctx.tracer, 0))
 }
 
 /// [`execute`] for a group of apps sharing kernel launches on one device
@@ -270,20 +134,21 @@ pub fn execute(
 /// member index). Each member's [`Executed`] equals a solo [`execute`]
 /// against the same store. An injected fault aborts the whole group; the
 /// caller retries the members individually.
-/// Panics unless the plan's engine [batches](EngineCaps::batching).
+/// Panics unless the plan's engine [batches](Engine::batches).
 pub fn execute_coresident(
     preps: &[&PreparedApp],
     plan: ExecPlan,
     ctx: &mut ExecCtx<'_>,
 ) -> Result<(Vec<Executed>, BatchStats), DeviceFault> {
-    let (Engine::Gpu(opts), true) = (plan.engine, plan.engine.caps().batching) else {
+    let (Engine::Gpu(opts), true) = (plan.engine, plan.engine.batches()) else {
         panic!("engine {} does not support co-resident batching", plan.engine)
     };
     attach_tracer(ctx, preps);
     let staged: Vec<Staged<'_>> = preps.iter().map(|prep| stage(prep, plan, ctx)).collect();
     let inputs: Vec<AppInput<'_>> = staged.iter().map(Staged::input).collect();
     let (analyses, batch) = gpu_analyze_batch_on(ctx.device, &inputs, opts)?;
-    let members = staged.into_iter().zip(analyses.into_iter().map(to_app_analysis));
+    let analyzed = analyses.into_iter().map(|a| to_app_analysis(a, plan.engine));
+    let members = staged.into_iter().zip(analyzed);
     let done = members.enumerate().map(|(i, (s, a))| finish(s, a, ctx.tracer, i as u32)).collect();
     Ok((done, batch))
 }
@@ -360,8 +225,8 @@ fn stage<'p>(prep: &'p PreparedApp, plan: ExecPlan, ctx: &ExecCtx<'_>) -> Staged
     Staged { prep, slice, presolved, store_use: Some(used) }
 }
 
-/// The finish step: taint, the `store_bytes` and provenance contracts,
-/// and the stage spans on `track`.
+/// The finish step: taint, the provenance contract, and the stage spans
+/// on `track`.
 fn finish(
     staged: Staged<'_>,
     (analysis, idfg_ns, gpu): (AppAnalysis, f64, Option<GpuRunStats>),
@@ -370,11 +235,6 @@ fn finish(
 ) -> Executed {
     let Staged { prep, slice, store_use, .. } = staged;
     let mut run = finish_vetting(prep, analysis, idfg_ns);
-    // A device run reports device memory, not host fact stores — the
-    // historical `store_bytes: 0` contract of `vet_app`.
-    if gpu.is_some() {
-        run.outcome.store_bytes = 0;
-    }
     run.outcome.targeted = slice.as_ref().map(TargetedProvenance::of);
     if tracer.enabled() {
         trace_stage_spans(tracer, &run.outcome.timing, 0, track);
@@ -428,7 +288,7 @@ mod tests {
         let prep = prepare_vetting(generate_app(0, 8700, &config));
         let library = crate::library_store(&config);
         let reference =
-            vet_prepared(&prep, ExecPlan::new(EngineKind::Cpu)).outcome.report.to_json();
+            vet_prepared(&prep, ExecPlan::new(Engine::CpuReference)).outcome.report.to_json();
         let (mut accepted, mut store_cut_launched) = (0, false);
         for engine in Engine::all() {
             let gpu = matches!(engine, Engine::Gpu(_));
@@ -480,7 +340,6 @@ mod tests {
         // selects it.
         assert_eq!(Engine::all().len(), 7);
         assert_eq!(Engine::parse("rel"), None);
-        assert_eq!(EngineKind::parse("rel"), None);
     }
 
     /// The group axis: every plan whose engine batches runs as a group of three apps that share library code, on a
@@ -506,7 +365,7 @@ mod tests {
                     let what = format!("{plan:?} store={with_store}");
                     let expected = matches!(engine, Engine::Gpu(opts) if opts.mat);
                     let store = with_store.then_some(&library);
-                    assert_eq!(engine.caps().batching, expected, "{what}");
+                    assert_eq!(engine.batches(), expected, "{what}");
                     let mut device = Device::new(DeviceConfig::tesla_p40().with_sanitizer());
                     let ctx = &mut ExecCtx { store, ..ExecCtx::new(&mut device) };
                     if !expected {
@@ -647,42 +506,5 @@ mod tests {
             }
         }
         assert_eq!(cacheable, 4, "the four worklist-GPU rungs");
-    }
-
-    #[test]
-    fn engine_names_roundtrip_and_gdroid_is_worklist() {
-        for engine in Engine::all() {
-            assert_eq!(Engine::parse(engine.name()), Some(engine));
-        }
-        assert_eq!(Engine::parse("gdroid"), Engine::parse("worklist"));
-        assert_eq!(Engine::parse("resident"), None);
-        for kind in EngineKind::ALL {
-            assert_eq!(Engine::from(kind).kind(), Some(kind));
-            assert_eq!(Engine::from(kind).name(), kind.as_str());
-        }
-        assert_eq!(Engine::Gpu(OptConfig::mat()).kind(), None);
-    }
-
-    /// The frozen-benchmark shim: every [`ExecMode`] runs the one
-    /// multi-launch policy.
-    #[test]
-    fn engine_for_mode_ignores_the_retired_mode() {
-        let prep = prepare_vetting(generate_app(0, 8710, &GenConfig::tiny()));
-        let none = Presolved::new();
-        let analyze = |mode| {
-            let mut device = Device::new(DeviceConfig::tesla_p40());
-            engine_for_mode(EngineKind::Worklist, mode)
-                .analyze_on(&mut device, &prep.app.program, &prep.cg, &prep.roots, &none, None)
-                .expect("no fault plan")
-        };
-        let (multi, persistent) = (analyze(ExecMode::MultiLaunch), analyze(ExecMode::Persistent));
-        assert_eq!(persistent.summaries, multi.summaries);
-        assert_eq!(persistent.facts.len(), multi.facts.len());
-        for (mid, facts) in &multi.facts {
-            assert_eq!(persistent.facts[mid].flat_words(), facts.flat_words(), "{mid:?}");
-        }
-        assert_eq!(persistent.idfg_ns, multi.idfg_ns);
-        assert_eq!(persistent.stats.launches, multi.stats.launches);
-        assert!(multi.stats.launches > 1, "one launch per round");
     }
 }

@@ -179,8 +179,9 @@ fn solved_store(
 mod tests {
     use super::*;
     use crate::pipeline::{prepare_vetting, VettingRun};
-    use crate::plan::{execute, vet_prepared, Engine, ExecCtx, ExecPlan};
+    use crate::plan::{execute, vet_prepared, ExecCtx, ExecPlan};
     use gdroid_apk::generate_app;
+    use gdroid_core::Engine;
     use gdroid_gpusim::{Device, DeviceConfig};
 
     fn with_store(prep: &PreparedApp, plan: ExecPlan, store: &SumStore) -> (VettingRun, StoreUse) {

@@ -211,9 +211,9 @@ impl<'a> PlanFlags<'a> {
     }
 
     /// The plan of a service-backed verb: its engine must be one of the
-    /// two kinds a service selects between.
+    /// two a service selects between.
     fn service_plan(&self) -> ExecPlan {
-        if self.plan.engine.kind().is_none() {
+        if ![ExecPlan::default().engine, Engine::CpuReference].contains(&self.plan.engine) {
             eprintln!(
                 "engine {} runs under `gdroid vet` only; serve, batch and campaign take \
                  worklist|cpu",
@@ -500,9 +500,8 @@ fn main() {
         "engines" => {
             println!("{:<10} {:<9} note", "engine", "batching");
             for engine in Engine::all() {
-                let caps = engine.caps();
-                let batching = if caps.batching { "yes" } else { "no" };
-                println!("{:<10} {batching:<9} {}", engine.name(), caps.note);
+                let batching = if engine.batches() { "yes" } else { "no" };
+                println!("{:<10} {batching:<9} {}", engine.name(), engine.note());
             }
         }
         "lint" => {

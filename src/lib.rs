@@ -14,7 +14,7 @@
 //! | [`icfg`] | CFGs, CHA call graph, environment methods, SBDA layering |
 //! | [`analysis`] | points-to fact domain, set/matrix stores, transfer functions, CPU solvers |
 //! | [`gpusim`] | warp-synchronous SIMT GPU simulator (TESLA P40 model) |
-//! | [`core`] | the GDroid kernels: plain, MAT, MAT+GRP, full GDroid; the `AnalysisEngine` trait |
+//! | [`core`] | the GDroid kernels: plain, MAT, MAT+GRP, full GDroid; `Engine`, the one engine selector and dispatch |
 //! | [`vetting`] | taint analysis plugin, IDFG-reuse plugins, risk assessment, end-to-end pipeline |
 //! | [`sumstore`] | cross-app shared-library summary store keyed by canonical method hashes |
 //! | [`serve`] | in-process vetting service: priority queue, device scheduler, result cache |

@@ -3,7 +3,8 @@
 //!
 //! * The transfer function allocates nothing per node.
 //! * Generating, preparing and executing (default plan) paper app 0 at
-//!   scale 0.5 make exactly the pinned number of allocations and bytes.
+//!   scale 0.5 make exactly the pinned number of allocations and bytes,
+//!   and so does the taint plugin's run over the executed analysis.
 //!   The device runs one host thread: a launch's helper threads would
 //!   make the counts depend on the machine's core count. Re-pin a row
 //!   deliberately, like `ledger_pin`, in a change that means to move it;
@@ -19,7 +20,9 @@ use gdroid::apk::{generate_app, App, Corpus, GenConfig, PAPER_MASTER_SEED};
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::icfg::prepare_app;
 use gdroid::ir::MethodId;
-use gdroid::vetting::{execute, prepare_vetting, ExecCtx, ExecPlan};
+use gdroid::vetting::{
+    execute, prepare_vetting, ExecCtx, ExecPlan, SourceSinkRegistry, TaintAnalysis,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -115,7 +118,9 @@ fn transfer_into_allocates_nothing_per_node() {
 /// `(allocations, bytes)` of each stage of paper app 0 at scale 0.5.
 const GENERATE: (u64, u64) = (27_988, 4_807_881);
 const PREPARE: (u64, u64) = (6_805, 760_865);
-const EXECUTE: (u64, u64) = (44_679, 12_511_966);
+const EXECUTE: (u64, u64) = (44_678, 12_511_963);
+/// `TaintAnalysis::run` alone, over the executed analysis.
+const TAINT: (u64, u64) = (2_034, 86_899);
 
 #[test]
 fn paper_app_stages_allocate_the_pinned_amounts() {
@@ -129,10 +134,23 @@ fn paper_app_stages_allocate_the_pinned_amounts() {
             .expect("a fresh device has no fault plan")
     });
     assert!(executed.run.outcome.telemetry.nodes_processed > 0);
-    eprintln!("generate {generate:?}, prepare {prepare:?}, execute {execute:?}");
+    let analysis = &executed.run.analysis;
+    let registry = SourceSinkRegistry::for_program(&prep.app.program);
+    let (program, cg) = (&prep.app.program, &prep.cg);
+    let plugin = TaintAnalysis::new(
+        program,
+        cg,
+        &analysis.facts,
+        &analysis.spaces,
+        &analysis.cfgs,
+        &registry,
+    );
+    let ((report, _), taint) = counted(|| plugin.run());
+    assert_eq!(report.to_json(), executed.run.outcome.report.to_json());
+    eprintln!("generate {generate:?}, prepare {prepare:?}, execute {execute:?}, taint {taint:?}");
     assert_eq!(
-        [generate, prepare, execute],
-        [GENERATE, PREPARE, EXECUTE],
-        "a stage's allocations moved: [generate, prepare, execute] (allocations, bytes)"
+        [generate, prepare, execute, taint],
+        [GENERATE, PREPARE, EXECUTE, TAINT],
+        "a stage's allocations moved: [generate, prepare, execute, taint] (allocations, bytes)"
     );
 }
