@@ -361,10 +361,24 @@ fn drive(
     out
 }
 
+/// One member's latest solve in an SCC loop: its inputs and everything
+/// it produced.
+struct LastSolve {
+    sites: SiteSummaries,
+    tele: WorklistTelemetry,
+    summary: MethodSummary,
+    facts: MatrixStore,
+    bytes: usize,
+}
+
 /// Solves one SCC against what the layers below it have published
 /// `so_far`, iterating a recursive SCC until its summaries stabilize.
 /// Returns the telemetry of every solve in execution order, and each
 /// member's final result.
+///
+/// A member whose merged sites equal those of its previous solve would
+/// solve to the same result, so it reuses that solve; its telemetry is
+/// absorbed again, and every cost model charges the repeat as run.
 fn solve_scc(
     program: &Program,
     cg: &CallGraph,
@@ -380,18 +394,22 @@ fn solve_scc(
     }
     let mut telemetry = WorklistTelemetry::default();
     let mut per_member = vec![WorklistTelemetry::default(); scc.members.len()];
-    let mut latest = Vec::with_capacity(scc.members.len());
+    let mut last: Vec<Option<LastSolve>> = scc.members.iter().map(|_| None).collect();
     loop {
-        latest.clear();
         let mut changed = false;
-        for (&mid, accumulated) in scc.members.iter().zip(&mut per_member) {
+        for ((&mid, accumulated), last) in scc.members.iter().zip(&mut per_member).zip(&mut last) {
+            let summaries = if scc.recursive { &view } else { &so_far.summaries };
+            let sites = merge_site_summaries(program, mid, summaries, cg);
+            if let Some(repeat) = last.as_ref().filter(|l| l.sites == sites) {
+                telemetry.absorb(&repeat.tele);
+                accumulated.absorb(&repeat.tele);
+                continue;
+            }
             let (space, cfg) = (&so_far.spaces[&mid], &so_far.cfgs[&mid]);
             let method = &program.methods[mid];
-            let summaries = if scc.recursive { &view } else { &so_far.summaries };
             let mut facts = MatrixStore::new(Geometry::of(space), cfg.len());
             let mut growth =
                 (so_far.store_kind == StoreKind::Set).then(|| SetGrowth::new(cfg.len()));
-            let sites = merge_site_summaries(program, mid, summaries, cg);
             let tele = solve(method, space, cfg, &mut facts, &sites, growth.as_mut());
             let bytes = growth.map_or(facts.memory_bytes(), |g| g.memory_bytes());
             telemetry.absorb(&tele);
@@ -400,13 +418,14 @@ fn solve_scc(
             if scc.recursive {
                 changed |= view.insert(mid, summary.clone()).as_ref() != Some(&summary);
             }
-            latest.push((mid, summary, facts, bytes));
+            *last = Some(LastSolve { sites, tele, summary, facts, bytes });
         }
         if !changed {
             break;
         }
     }
-    let solved = latest.into_iter().zip(per_member).map(|((mid, summary, facts, bytes), t)| {
+    let solved = scc.members.iter().zip(last).zip(per_member).map(|((&mid, last), t)| {
+        let LastSolve { summary, facts, bytes, .. } = last.expect("every member solves once");
         Solved { mid, summary, facts, bytes, telemetry: Some(t) }
     });
     (telemetry, solved.collect())

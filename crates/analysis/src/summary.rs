@@ -79,7 +79,7 @@ pub type SummaryMap = HashMap<MethodId, MethodSummary>;
 /// One method's call sites' merged callee summaries, by statement: what
 /// [`crate::merge_site_summaries`] builds once per solve and the transfer
 /// function reads per call node.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SiteSummaries(pub(crate) Vec<Option<MethodSummary>>);
 
 impl SiteSummaries {

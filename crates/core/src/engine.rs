@@ -143,6 +143,7 @@ impl Engine {
             idfg_ns,
             store_bytes: analysis.store_bytes,
             sanitizer: None,
+            replayed: 0,
         })
     }
 }
@@ -176,6 +177,10 @@ pub struct EngineAnalysis {
     pub store_bytes: usize,
     /// `simcheck` report when the device sanitized (GPU engine only).
     pub sanitizer: Option<SanReport>,
+    /// Blocks the host replayed from their method's previous solve
+    /// instead of solving again; the model charged each as run. Host-side
+    /// only: 0 on a sanitizing device and on the CPU engines.
+    pub replayed: usize,
 }
 
 // The frozen-harness shim: nothing outside this block, its test and the

@@ -22,6 +22,12 @@
 //! threads. Each block reports into its own slot, and
 //! [`Fixpoint::absorb`] folds the slots in pending (launch) order —
 //! telemetry round sizes and trace instants depend on it.
+//!
+//! A recursive SCC's re-launch re-runs members whose call sites did not
+//! change. Such a block is *replayed*: it reports the [`BlockStats`] and
+//! telemetry its method's last solve recorded instead of solving again
+//! (DESIGN.md §18). The modeled device still runs it; only the host skips
+//! work whose result it already has.
 
 use crate::driver::WorklistKernel;
 use crate::engine::EngineAnalysis;
@@ -30,7 +36,7 @@ use gdroid_analysis::{
     derive_summary, merge_site_summaries, Geometry, MatrixStore, MethodSpace, MethodSummary,
     Presolved, SiteSummaries, SummaryMap, WorklistTelemetry,
 };
-use gdroid_gpusim::{BlockCtx, BlockFn, SanReport};
+use gdroid_gpusim::{BlockCtx, BlockFn, BlockStats, SanReport};
 use gdroid_icfg::{CallGraph, CallLayers, Cfg};
 use gdroid_ir::{Method, MethodId, Program};
 use std::collections::{HashMap, HashSet};
@@ -53,12 +59,26 @@ pub struct MethodBlock<'a> {
     pub store: MatrixStore,
 }
 
-/// What one block reports: its method's solved facts, the worklist
-/// telemetry, and the summary derived from the facts.
+/// What one block reports when it solves: its method's solved facts, the
+/// worklist telemetry, the summary derived from the facts, and — when the
+/// block may be replayed — the sites it merged and the stats it ran up.
+/// A replayed block reports `None`: its method's facts and summary stand.
 struct Solved {
     store: MatrixStore,
     tele: WorklistTelemetry,
     summary: MethodSummary,
+    replayable: Option<(SiteSummaries, BlockStats)>,
+}
+
+/// A recursive SCC member's last solve, kept so a re-launch with the same
+/// merged sites can report it again. Recorded only for a block free of
+/// device `malloc` on a non-sanitizing device: its [`BlockStats`] then
+/// depend only on its inputs, not on the heap or the launch's resident
+/// count.
+struct Replay {
+    sites: SiteSummaries,
+    tele: WorklistTelemetry,
+    stats: BlockStats,
 }
 
 /// One layer of the schedule, pre-solved leaves already removed.
@@ -114,8 +134,15 @@ pub struct Fixpoint<'a> {
     round: usize,
     pending: Vec<MethodId>,
     changed: HashSet<MethodId>,
-    /// One slot per pending method, filled by its block.
-    results: Vec<OnceLock<Solved>>,
+    /// One slot per pending method, filled by its block (`None`: replayed).
+    results: Vec<OnceLock<Option<Solved>>>,
+    /// Launchable members of every recursive SCC: the methods that can
+    /// launch twice.
+    recursive: HashSet<MethodId>,
+    /// The current layer's replay records.
+    replays: HashMap<MethodId, Replay>,
+    /// Blocks replayed so far.
+    replayed: usize,
 }
 
 impl<'a> Fixpoint<'a> {
@@ -153,6 +180,7 @@ impl<'a> Fixpoint<'a> {
             .collect();
         let mut methods: Vec<MethodId> = layers.iter().flat_map(|l| &l.methods).copied().collect();
         methods.sort_unstable();
+        let recursive = layers.iter().flat_map(|l| l.recursive.iter().flatten()).copied().collect();
         let built = || methods.iter().chain(presolved.keys());
         let mut fx = Fixpoint {
             program,
@@ -169,6 +197,9 @@ impl<'a> Fixpoint<'a> {
             pending: Vec::new(),
             changed: HashSet::new(),
             results: Vec::new(),
+            recursive,
+            replays: HashMap::new(),
+            replayed: 0,
             layers,
             methods,
         };
@@ -209,33 +240,65 @@ impl<'a> Fixpoint<'a> {
     }
 
     /// One block per pending method, inputs merged from the summaries as
-    /// they stand (no summary changes while a round's blocks run).
+    /// they stand (no summary changes while a round's blocks run). A block
+    /// whose merged sites equal its method's replay record replays it.
     pub(crate) fn blocks<'s>(&'s self, kernel: WorklistKernel<'s>) -> Vec<BlockFn<'s>> {
-        let block_of = |(&mid, slot): (&MethodId, &'s OnceLock<Solved>)| {
+        let block_of = |(&mid, slot): (&MethodId, &'s OnceLock<Option<Solved>>)| {
             Box::new(move |ctx: &mut BlockCtx<'_>| {
-                let (method, space, cfg) =
-                    (&self.program.methods[mid], &self.spaces[&mid], &self.cfgs[&mid]);
                 let sites = merge_site_summaries(self.program, mid, &self.summaries, self.cg);
-                let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
-                store.seed(cfg.entry() as usize, &space.entry_facts(method));
-                let mut block = MethodBlock { mid, method, space, cfg, sites, store };
-                let tele = kernel.run(ctx, &mut block);
-                let summary = derive_summary(method, space, &block.store, cfg.exit() as usize);
-                let fresh = slot.set(Solved { store: block.store, tele, summary }).is_ok();
+                let solved = match self.replays.get(&mid) {
+                    Some(replay) if !ctx.sanitizing() && replay.sites == sites => {
+                        ctx.stats = replay.stats;
+                        None
+                    }
+                    _ => Some(self.solve(kernel, ctx, mid, sites)),
+                };
+                let fresh = slot.set(solved).is_ok();
                 debug_assert!(fresh, "{mid:?} reported twice in one round");
             }) as BlockFn<'s>
         };
         self.pending.iter().zip(&self.results).map(block_of).collect()
     }
 
+    /// Solves `mid`'s block against `sites`: seeds, runs the kernel and
+    /// derives the summary.
+    fn solve(
+        &self,
+        kernel: WorklistKernel<'_>,
+        ctx: &mut BlockCtx<'_>,
+        mid: MethodId,
+        sites: SiteSummaries,
+    ) -> Solved {
+        let (method, space, cfg) =
+            (&self.program.methods[mid], &self.spaces[&mid], &self.cfgs[&mid]);
+        let mut store = MatrixStore::new(Geometry::of(space), cfg.len());
+        store.seed(cfg.entry() as usize, &space.entry_facts(method));
+        let mut block = MethodBlock { mid, method, space, cfg, sites, store };
+        let tele = kernel.run(ctx, &mut block);
+        let summary = derive_summary(method, space, &block.store, cfg.exit() as usize);
+        let replayable =
+            (self.recursive.contains(&mid) && !ctx.sanitizing() && ctx.stats.mallocs == 0)
+                .then_some((block.sites, ctx.stats));
+        Solved { store: block.store, tele, summary, replayable }
+    }
+
     /// Folds the round's block results in, in pending (launch) order, and
     /// notes which summaries changed. `each` sees every block first
-    /// (stats, trace instants).
+    /// (stats, trace instants). A replayed block folds its recorded
+    /// telemetry in again — the model charges the re-run — and changes
+    /// nothing else.
     pub fn absorb(&mut self, mut each: impl FnMut(MethodId, &WorklistTelemetry)) {
         let slots = std::mem::take(&mut self.results);
         for (&mid, slot) in self.pending.iter().zip(slots) {
-            let Solved { store, tele, summary } =
+            let solved =
                 slot.into_inner().unwrap_or_else(|| panic!("{mid:?}'s block never reported"));
+            let Some(Solved { store, tele, summary, replayable }) = solved else {
+                let tele = &self.replays[&mid].tele;
+                each(mid, tele);
+                self.telemetry.absorb(tele);
+                self.replayed += 1;
+                continue;
+            };
             each(mid, &tele);
             self.telemetry.absorb(&tele);
             if self.summaries.get(&mid) != Some(&summary) {
@@ -243,6 +306,10 @@ impl<'a> Fixpoint<'a> {
             }
             self.summaries.insert(mid, summary);
             self.facts.insert(mid, store);
+            match replayable {
+                Some((sites, stats)) => self.replays.insert(mid, Replay { sites, tele, stats }),
+                None => self.replays.remove(&mid),
+            };
         }
     }
 
@@ -262,6 +329,8 @@ impl<'a> Fixpoint<'a> {
         self.pending.sort_unstable();
         self.round += 1;
         if self.pending.is_empty() {
+            // No method of a finished layer launches again.
+            self.replays.clear();
             self.layer += 1;
             self.enter_layer();
         }
@@ -301,6 +370,7 @@ impl<'a> Fixpoint<'a> {
             stats,
             store_bytes: 0,
             sanitizer,
+            replayed: self.replayed,
         }
     }
 }

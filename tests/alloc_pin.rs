@@ -4,7 +4,8 @@
 //! * The transfer function allocates nothing per node.
 //! * Generating, preparing and executing (default plan) paper app 0 at
 //!   scale 0.5 make exactly the pinned number of allocations and bytes,
-//!   and so does the taint plugin's run over the executed analysis.
+//!   and so does the taint plugin's run over the executed analysis, and
+//!   one campaign journal append of the app's record.
 //!   The device runs one host thread: a launch's helper threads would
 //!   make the counts depend on the machine's core count. Re-pin a row
 //!   deliberately, like `ledger_pin`, in a change that means to move it;
@@ -17,11 +18,13 @@ use gdroid::analysis::{
     analyze_app, merge_site_summaries, MethodSummary, NodeFacts, StoreKind, TransferCtx,
 };
 use gdroid::apk::{generate_app, App, Corpus, GenConfig, PAPER_MASTER_SEED};
+use gdroid::campaign::{AppRecord, JournalHeader, RecordStatus, SegmentedJournal, JOURNAL_VERSION};
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::icfg::prepare_app;
 use gdroid::ir::MethodId;
+use gdroid::sumstore::fnv1a;
 use gdroid::vetting::{
-    execute, prepare_vetting, ExecCtx, ExecPlan, SourceSinkRegistry, TaintAnalysis,
+    execute, prepare_vetting, ExecCtx, ExecPlan, SourceSinkRegistry, TaintAnalysis, VettingOutcome,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -118,9 +121,12 @@ fn transfer_into_allocates_nothing_per_node() {
 /// `(allocations, bytes)` of each stage of paper app 0 at scale 0.5.
 const GENERATE: (u64, u64) = (27_988, 4_807_881);
 const PREPARE: (u64, u64) = (6_805, 760_865);
-const EXECUTE: (u64, u64) = (44_678, 12_511_963);
+const EXECUTE: (u64, u64) = (38_392, 10_823_661);
 /// `TaintAnalysis::run` alone, over the executed analysis.
 const TAINT: (u64, u64) = (2_034, 86_899);
+/// One `SegmentedJournal::append` of the app's record to a fresh
+/// single-file journal.
+const APPEND: (u64, u64) = (13, 1_688);
 
 #[test]
 fn paper_app_stages_allocate_the_pinned_amounts() {
@@ -147,10 +153,57 @@ fn paper_app_stages_allocate_the_pinned_amounts() {
     );
     let ((report, _), taint) = counted(|| plugin.run());
     assert_eq!(report.to_json(), executed.run.outcome.report.to_json());
-    eprintln!("generate {generate:?}, prepare {prepare:?}, execute {execute:?}, taint {taint:?}");
-    assert_eq!(
-        [generate, prepare, execute, taint],
-        [GENERATE, PREPARE, EXECUTE, TAINT],
-        "a stage's allocations moved: [generate, prepare, execute, taint] (allocations, bytes)"
+    let append = journal_append(&prep.app.manifest.package, &executed.run.outcome);
+    eprintln!(
+        "generate {generate:?}, prepare {prepare:?}, execute {execute:?}, taint {taint:?}, \
+         append {append:?}"
     );
+    assert_eq!(
+        [generate, prepare, execute, taint, append],
+        [GENERATE, PREPARE, EXECUTE, TAINT, APPEND],
+        "a stage's allocations moved: [generate, prepare, execute, taint, append] \
+         (allocations, bytes)"
+    );
+}
+
+/// The `(allocations, bytes)` of appending `outcome`'s campaign record to
+/// a fresh single-file journal; opening the journal is not counted.
+fn journal_append(package: &str, outcome: &VettingOutcome) -> (u64, u64) {
+    let dir = std::env::temp_dir().join(format!("gdroid-alloc-pin-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let header = JournalHeader {
+        version: JOURNAL_VERSION,
+        master_seed: PAPER_MASTER_SEED,
+        apps: 1,
+        shards: 1,
+        shard: 0,
+        config_digest: 0,
+        update_ppm: 0,
+        update_salt: 0,
+    };
+    let (mut journal, _) =
+        SegmentedJournal::open_or_create(&dir, 0, &header, None).expect("a fresh journal opens");
+    let report = &outcome.report;
+    let record = AppRecord {
+        index: 0,
+        seed: PAPER_MASTER_SEED,
+        package: package.to_owned(),
+        status: RecordStatus::Completed,
+        verdict: format!("{:?}", report.verdict),
+        leaks: report.leaks.len(),
+        report_fnv: fnv1a(report.to_json().as_bytes()),
+        envgen_ns: outcome.timing.envgen_ns,
+        callgraph_ns: outcome.timing.callgraph_ns,
+        idfg_ns: outcome.timing.idfg_ns,
+        taint_ns: outcome.timing.taint_ns,
+        nodes: outcome.telemetry.nodes_processed as u64,
+        rounds: outcome.telemetry.rounds as u64,
+        sliced_micros: None,
+        attempts: 1,
+    };
+    let (appended, append) = counted(|| journal.append(&record));
+    appended.expect("the append reaches the file");
+    drop(journal);
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+    append
 }
