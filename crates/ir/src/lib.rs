@@ -27,9 +27,10 @@
 //!   disk;
 //! * structural [`validate`] checks (branch targets in range, variables
 //!   declared, call arity consistent with signatures);
-//! * a pass-based [`lint`] framework generalizing validation with
-//!   flow-sensitive checks (def-before-use, unreachable code, type
-//!   confusion, dead stores), driven by `gdroid lint`.
+//! * one [`lint`] function over validated IR, [`lint_program`]: four
+//!   flow-sensitive warning checks (def-before-use, unreachable code,
+//!   type confusion, dead stores) plus the caller's dead sinks, printed
+//!   by `gdroid lint`.
 
 pub mod builder;
 pub mod expr;
@@ -45,9 +46,9 @@ pub mod validate;
 pub use builder::{BuilderError, ClassBuilder, MethodBuilder, ProgramBuilder};
 pub use expr::{BinOp, CmpKind, Expr, ExprKind, Literal, UnOp};
 pub use idx::{ClassId, FieldId, MethodId, StmtIdx, Symbol, VarId};
-pub use lint::{lint_program, LintDiagnostic, LintPass, LintRunner, Severity, SinkReachability};
+pub use lint::{lint_program, LintDiagnostic};
 pub use method::{Method, MethodKind, ParamDecl, Signature, VarDecl, Visibility};
 pub use program::{ClassDef, ClassHierarchy, FieldDef, Interner, Program};
 pub use stmt::{CallKind, Lhs, MonitorOp, Stmt, StmtKind};
 pub use types::JType;
-pub use validate::{validate_method, validate_program, ValidationError};
+pub use validate::{validate_program, ValidationError};

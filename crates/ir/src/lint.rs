@@ -1,164 +1,112 @@
-//! Pass-based static lints over the IR.
+//! Static lints over validated IR.
 //!
-//! [`validate`](crate::validate) answers "can the analyses index this
-//! program without bounds anxiety?" — a hard yes/no. This module
-//! generalizes it into a pluggable pass framework that also surfaces
-//! *suspicious but well-formed* IR: uses of may-uninitialized variables,
-//! unreachable statements, reference/primitive type confusion on heap
-//! accesses, and dead stores. The `gdroid lint` subcommand and the
-//! `figures` driver run [`LintRunner::default_passes`] over whole corpora.
+//! [`validate_program`](crate::validate_program) answers "can the analyses
+//! index this program without bounds anxiety?" — a hard yes/no, and every
+//! program reaches the lint only after it said yes. [`lint_program`] then
+//! surfaces *suspicious but well-formed* IR. Four checks run per method,
+//! in this order, over one shared successor table: uses of
+//! may-uninitialized variables (`def-before-use`), statements the entry
+//! cannot reach (`unreachable`), reference/primitive confusion on heap
+//! accesses (`type-confusion`) and stores no path reads (`dead-store`).
+//! The caller may hand in dead sinks (`sink-reachability`), sink call
+//! sites no source reaches; computing them needs the call graph and the
+//! backward slicer, which live above this crate.
 //!
-//! Severity policy: anything [`validate`](crate::validate) rejects is an
-//! [`Severity::Error`]; the flow-sensitive lints are
-//! [`Severity::Warning`]s because the synthetic generator (like real
-//! Dalvik output) legitimately produces, e.g., stores that a later
-//! refactor made dead.
+//! Every finding is a warning: structural breakage is the validator's to
+//! report, and the synthetic generator (like real Dalvik output)
+//! legitimately produces, e.g., stores that a later refactor made dead.
 
+use crate::expr::Expr;
 use crate::idx::{MethodId, StmtIdx, VarId};
 use crate::method::Method;
 use crate::program::Program;
 use crate::stmt::{Lhs, Stmt};
-use crate::validate::validate_method;
+use crate::types::JType;
 use std::fmt;
 
-/// How serious a diagnostic is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Suspicious but analyzable; does not fail `gdroid lint`.
-    Warning,
-    /// Structurally broken; `gdroid lint` (and `figures`) exit nonzero.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
-
-/// One finding of one pass.
+/// One finding: always a warning.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LintDiagnostic {
-    /// Name of the pass that produced the diagnostic.
-    pub pass: &'static str,
-    /// Severity.
-    pub severity: Severity,
+    /// Name of the check that produced the finding.
+    pub check: &'static str,
     /// The offending method.
     pub method: MethodId,
-    /// The offending statement, when the finding is statement-scoped.
-    pub stmt: Option<StmtIdx>,
+    /// The offending statement.
+    pub stmt: StmtIdx,
     /// Human-readable description.
     pub message: String,
 }
 
 impl fmt::Display for LintDiagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.stmt {
-            Some(s) => {
-                write!(
-                    f,
-                    "{}: {}:{}: [{}] {}",
-                    self.severity, self.method, s, self.pass, self.message
-                )
+        write!(f, "warning: {}:{}: [{}] {}", self.method, self.stmt, self.check, self.message)
+    }
+}
+
+/// Lints a program that passed [`validate_program`](crate::validate_program)
+/// (on other IR it may panic), appending one `sink-reachability` finding
+/// per `(method, sink statement, sink name)` of `dead_sinks`.
+///
+/// Findings are sorted by (declaring class, method, statement index) — a
+/// stable sort, so same-statement findings keep check order with the dead
+/// sinks last — which makes `gdroid lint` output byte-deterministic.
+pub fn lint_program(
+    program: &Program,
+    dead_sinks: &[(MethodId, StmtIdx, String)],
+) -> Vec<LintDiagnostic> {
+    let mut out = Vec::new();
+    for (mid, method) in program.methods.iter_enumerated() {
+        let succs = Successors::of(method);
+        let mut warn = |check, stmt, message| {
+            out.push(LintDiagnostic { check, method: mid, stmt, message });
+        };
+        def_before_use(method, &succs, &mut warn);
+        unreachable(method, &succs, &mut warn);
+        type_confusion(program, method, &mut warn);
+        dead_store(method, &succs, &mut warn);
+    }
+    out.extend(dead_sinks.iter().map(|(method, stmt, sink)| LintDiagnostic {
+        check: "sink-reachability",
+        method: *method,
+        stmt: *stmt,
+        message: format!("sink {sink} is not reachable by any taint source"),
+    }));
+    out.sort_by_key(|d| (program.methods[d.method].sig.class, d.method, d.stmt));
+    out
+}
+
+/// Positional successors of every statement of one method, flattened:
+/// fall-through to `i + 1` plus explicit jump targets. `gdroid-icfg` owns
+/// the real CFG, but the lints live below it in the crate graph.
+struct Successors {
+    start: Vec<usize>,
+    to: Vec<usize>,
+}
+
+impl Successors {
+    fn of(method: &Method) -> Successors {
+        let mut start = Vec::with_capacity(method.body.len() + 1);
+        let mut to = Vec::new();
+        let mut targets = Vec::new();
+        start.push(0);
+        for (i, stmt) in method.body.iter().enumerate() {
+            if stmt.falls_through() {
+                to.push(i + 1);
             }
-            None => {
-                write!(f, "{}: {}: [{}] {}", self.severity, self.method, self.pass, self.message)
-            }
+            targets.clear();
+            stmt.jump_targets(&mut targets);
+            to.extend(targets.iter().map(|t| t.index()));
+            start.push(to.len());
         }
+        Successors { start, to }
+    }
+
+    fn of_stmt(&self, i: usize) -> &[usize] {
+        &self.to[self.start[i]..self.start[i + 1]]
     }
 }
 
-/// A lint pass: examines one method at a time.
-pub trait LintPass {
-    /// Stable pass name (shown in diagnostics).
-    fn name(&self) -> &'static str;
-    /// Checks one method, appending diagnostics to `out`.
-    fn check_method(
-        &self,
-        program: &Program,
-        mid: MethodId,
-        method: &Method,
-        out: &mut Vec<LintDiagnostic>,
-    );
-}
-
-/// Runs a sequence of passes over a program.
-#[derive(Default)]
-pub struct LintRunner {
-    passes: Vec<Box<dyn LintPass>>,
-}
-
-impl LintRunner {
-    /// An empty runner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The standard pass pipeline: structural validation, def-before-use,
-    /// unreachable code, type confusion, dead stores.
-    pub fn default_passes() -> Self {
-        Self::new()
-            .with_pass(Structural)
-            .with_pass(DefBeforeUse)
-            .with_pass(UnreachableCode)
-            .with_pass(TypeConfusion)
-            .with_pass(DeadStore)
-    }
-
-    /// Appends a pass.
-    pub fn with_pass(mut self, pass: impl LintPass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Runs every pass over every method. Findings are sorted by
-    /// (declaring class, method, statement index) — a stable sort, so
-    /// same-statement findings keep pass registration order — making
-    /// `gdroid lint` output byte-deterministic regardless of how a pass
-    /// discovered its findings.
-    pub fn run(&self, program: &Program) -> Vec<LintDiagnostic> {
-        let mut out = Vec::new();
-        for (mid, method) in program.methods.iter_enumerated() {
-            for pass in &self.passes {
-                pass.check_method(program, mid, method, &mut out);
-            }
-        }
-        out.sort_by_key(|d| (program.methods[d.method].sig.class, d.method, d.stmt));
-        out
-    }
-}
-
-/// Convenience: run the default pipeline.
-pub fn lint_program(program: &Program) -> Vec<LintDiagnostic> {
-    LintRunner::default_passes().run(program)
-}
-
-// ---------------------------------------------------------------------------
-// Mini-CFG: positional successors. `gdroid-icfg` owns the real CFG, but the
-// lints live below it in the crate graph, and the positional encoding makes
-// successors trivial: fall-through to `i + 1` plus explicit jump targets.
-// Out-of-range targets are dropped here (the structural pass reports them).
-
-fn successors(method: &Method, idx: StmtIdx, out: &mut Vec<usize>) {
-    out.clear();
-    let n = method.body.len();
-    let stmt = &method.body[idx];
-    if stmt.falls_through() && idx.index() + 1 < n {
-        out.push(idx.index() + 1);
-    }
-    let mut targets = Vec::new();
-    stmt.jump_targets(&mut targets);
-    for t in targets {
-        if t.index() < n {
-            out.push(t.index());
-        }
-    }
-}
-
-// --- bitset helpers (nvars is small; one Vec<u64> row per statement) -------
+// --- bitsets: one `words`-wide row of u64 per statement, rows flattened ---
 
 #[inline]
 fn bit_get(row: &[u64], i: usize) -> bool {
@@ -170,183 +118,81 @@ fn bit_set(row: &mut [u64], i: usize) {
     row[i / 64] |= 1 << (i % 64);
 }
 
-/// `dst &= src`; returns whether `dst` changed.
-fn bit_and_assign(dst: &mut [u64], src: &[u64]) -> bool {
+/// `dst = dst op src` word by word; returns whether `dst` changed.
+fn combine(dst: &mut [u64], src: &[u64], op: fn(u64, u64) -> u64) -> bool {
     let mut changed = false;
-    for (d, s) in dst.iter_mut().zip(src) {
-        let nv = *d & *s;
+    for (d, &s) in dst.iter_mut().zip(src) {
+        let nv = op(*d, s);
         changed |= nv != *d;
         *d = nv;
     }
     changed
-}
-
-/// `dst |= src`; returns whether `dst` changed.
-fn bit_or_assign(dst: &mut [u64], src: &[u64]) -> bool {
-    let mut changed = false;
-    for (d, s) in dst.iter_mut().zip(src) {
-        let nv = *d | *s;
-        changed |= nv != *d;
-        *d = nv;
-    }
-    changed
-}
-
-// ---------------------------------------------------------------------------
-
-/// Wraps [`validate_method`]: every structural failure is an error-severity
-/// diagnostic.
-pub struct Structural;
-
-impl LintPass for Structural {
-    fn name(&self) -> &'static str {
-        "structural"
-    }
-
-    fn check_method(
-        &self,
-        program: &Program,
-        mid: MethodId,
-        method: &Method,
-        out: &mut Vec<LintDiagnostic>,
-    ) {
-        let mut errors = Vec::new();
-        validate_method(program, mid, method, &mut errors);
-        out.extend(errors.into_iter().map(|e| LintDiagnostic {
-            pass: self.name(),
-            severity: Severity::Error,
-            method: mid,
-            stmt: None,
-            message: e.to_string(),
-        }));
-    }
 }
 
 /// Forward definite-assignment dataflow: warns when a statement may read a
 /// variable no path has assigned. `this` and parameters are defined at
 /// entry.
-pub struct DefBeforeUse;
-
-impl LintPass for DefBeforeUse {
-    fn name(&self) -> &'static str {
-        "def-before-use"
+fn def_before_use(
+    method: &Method,
+    succs: &Successors,
+    warn: &mut impl FnMut(&'static str, StmtIdx, String),
+) {
+    let words = method.vars.len().div_ceil(64);
+    // Must-analysis: start from the universal set, intersect over
+    // predecessors, iterate down to the greatest fixed point.
+    let mut da_in = vec![u64::MAX; method.body.len() * words];
+    da_in[..words].fill(0);
+    for v in method.this_var.into_iter().chain(method.params.iter().map(|p| p.var)) {
+        bit_set(&mut da_in[..words], v.index());
+    }
+    let mut da_out = vec![0u64; words];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (i, stmt) in method.body.iter().enumerate() {
+            da_out.copy_from_slice(&da_in[i * words..(i + 1) * words]);
+            if let Some(d) = stmt.defined_var() {
+                bit_set(&mut da_out, d.index());
+            }
+            for &s in succs.of_stmt(i) {
+                changed |= combine(&mut da_in[s * words..(s + 1) * words], &da_out, |a, b| a & b);
+            }
+        }
     }
 
-    fn check_method(
-        &self,
-        _program: &Program,
-        mid: MethodId,
-        method: &Method,
-        out: &mut Vec<LintDiagnostic>,
-    ) {
-        let n = method.body.len();
-        let nvars = method.vars.len();
-        if n == 0 || nvars == 0 {
-            return;
-        }
-        let words = nvars.div_ceil(64);
-
-        let mut entry_defined = vec![0u64; words];
-        if let Some(t) = method.this_var {
-            if t.index() < nvars {
-                bit_set(&mut entry_defined, t.index());
-            }
-        }
-        for p in &method.params {
-            if p.var.index() < nvars {
-                bit_set(&mut entry_defined, p.var.index());
-            }
-        }
-
-        // Must-analysis: start from the universal set, intersect over
-        // predecessors, iterate down to the greatest fixed point.
-        let mut da_in = vec![vec![u64::MAX; words]; n];
-        da_in[0] = entry_defined;
-        let mut succs = Vec::new();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..n {
-                let mut da_out = da_in[i].clone();
-                if let Some(d) = method.body[StmtIdx::new(i)].defined_var() {
-                    if d.index() < nvars {
-                        bit_set(&mut da_out, d.index());
-                    }
-                }
-                successors(method, StmtIdx::new(i), &mut succs);
-                for &s in &succs {
-                    changed |= bit_and_assign(&mut da_in[s], &da_out);
-                }
-            }
-        }
-
-        let mut uses = Vec::new();
-        for (idx, stmt) in method.body.iter_enumerated() {
-            uses.clear();
-            stmt.uses(&mut uses);
-            if let Stmt::Assign { lhs, .. } = stmt {
-                lhs.uses(&mut uses);
-            }
-            uses.sort_unstable();
-            uses.dedup();
-            for &v in &uses {
-                if v.index() < nvars && !bit_get(&da_in[idx.index()], v.index()) {
-                    out.push(LintDiagnostic {
-                        pass: self.name(),
-                        severity: Severity::Warning,
-                        method: mid,
-                        stmt: Some(idx),
-                        message: format!("{v} may be read before any assignment"),
-                    });
-                }
-            }
+    let mut uses = Vec::new();
+    for (idx, stmt) in method.body.iter_enumerated() {
+        uses.clear();
+        stmt.uses(&mut uses);
+        uses.sort_unstable();
+        uses.dedup();
+        let defined = &da_in[idx.index() * words..(idx.index() + 1) * words];
+        for &v in uses.iter().filter(|v| !bit_get(defined, v.index())) {
+            warn("def-before-use", idx, format!("{v} may be read before any assignment"));
         }
     }
 }
 
 /// Flags statements no path from the entry reaches.
-pub struct UnreachableCode;
-
-impl LintPass for UnreachableCode {
-    fn name(&self) -> &'static str {
-        "unreachable"
+fn unreachable(
+    method: &Method,
+    succs: &Successors,
+    warn: &mut impl FnMut(&'static str, StmtIdx, String),
+) {
+    let mut reached = vec![false; method.body.len()];
+    let mut stack = vec![0usize];
+    reached[0] = true;
+    while let Some(i) = stack.pop() {
+        for &s in succs.of_stmt(i) {
+            if !reached[s] {
+                reached[s] = true;
+                stack.push(s);
+            }
+        }
     }
-
-    fn check_method(
-        &self,
-        _program: &Program,
-        mid: MethodId,
-        method: &Method,
-        out: &mut Vec<LintDiagnostic>,
-    ) {
-        let n = method.body.len();
-        if n == 0 {
-            return;
-        }
-        let mut reached = vec![false; n];
-        let mut stack = vec![0usize];
-        reached[0] = true;
-        let mut succs = Vec::new();
-        while let Some(i) = stack.pop() {
-            successors(method, StmtIdx::new(i), &mut succs);
-            for s in succs.clone() {
-                if !reached[s] {
-                    reached[s] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        for (i, r) in reached.iter().enumerate() {
-            if !r {
-                out.push(LintDiagnostic {
-                    pass: self.name(),
-                    severity: Severity::Warning,
-                    method: mid,
-                    stmt: Some(StmtIdx::new(i)),
-                    message: "statement is unreachable from the method entry".into(),
-                });
-            }
-        }
+    for (i, _) in reached.iter().enumerate().filter(|(_, r)| !**r) {
+        let message = "statement is unreachable from the method entry".into();
+        warn("unreachable", StmtIdx::new(i), message);
     }
 }
 
@@ -355,121 +201,49 @@ impl LintPass for UnreachableCode {
 /// indices, and field loads into a local must agree with the field's
 /// reference-ness. (Exact class compatibility is the type checker's job —
 /// subtyping makes symbol equality too strict for a lint.)
-pub struct TypeConfusion;
-
-impl TypeConfusion {
-    fn check_ref_base(
-        &self,
-        mid: MethodId,
-        method: &Method,
-        idx: StmtIdx,
-        base: VarId,
-        what: &str,
-        out: &mut Vec<LintDiagnostic>,
-    ) {
-        if let Some(decl) = method.vars.get(base) {
-            if !decl.ty.is_reference() {
-                out.push(LintDiagnostic {
-                    pass: self.name(),
-                    severity: Severity::Warning,
-                    method: mid,
-                    stmt: Some(idx),
-                    message: format!("{what} base {base} has primitive type {}", decl.ty),
-                });
+fn type_confusion(
+    program: &Program,
+    method: &Method,
+    warn: &mut impl FnMut(&'static str, StmtIdx, String),
+) {
+    for (idx, stmt) in method.body.iter_enumerated() {
+        let Stmt::Assign { lhs, rhs } = stmt else { continue };
+        let mut flag = |message| warn("type-confusion", idx, message);
+        let ty = |v: VarId| method.vars[v].ty;
+        // (base, index for an array access, what) of each heap access, in
+        // statement order: the store, then the read.
+        let store = match lhs {
+            Lhs::Field { base, .. } => Some((*base, None, "field store")),
+            Lhs::ArrayElem { base, index } => Some((*base, Some(*index), "array access")),
+            Lhs::Var(_) | Lhs::StaticField { .. } => None,
+        };
+        let read = match rhs {
+            Expr::Access { base, .. } => Some((*base, None, "field read")),
+            Expr::Indexing { base, index } => Some((*base, Some(*index), "array access")),
+            Expr::Length { base } => Some((*base, None, "length read")),
+            _ => None,
+        };
+        for (base, index, what) in store.into_iter().chain(read) {
+            let Some(index) = index else {
+                if !ty(base).is_reference() {
+                    flag(format!("{what} base {base} has primitive type {}", ty(base)));
+                }
+                continue;
+            };
+            if !matches!(ty(base), JType::Array(_)) {
+                flag(format!("{what} base {base} has non-array type {}", ty(base)));
+            }
+            if !ty(index).is_primitive() {
+                flag(format!("array index {index} has non-primitive type {}", ty(index)));
             }
         }
-    }
-
-    fn check_array_access(
-        &self,
-        mid: MethodId,
-        method: &Method,
-        idx: StmtIdx,
-        base: VarId,
-        index: VarId,
-        out: &mut Vec<LintDiagnostic>,
-    ) {
-        if let Some(decl) = method.vars.get(base) {
-            if !matches!(decl.ty, crate::types::JType::Array(_)) {
-                out.push(LintDiagnostic {
-                    pass: self.name(),
-                    severity: Severity::Warning,
-                    method: mid,
-                    stmt: Some(idx),
-                    message: format!("array access base {base} has non-array type {}", decl.ty),
-                });
-            }
-        }
-        if let Some(decl) = method.vars.get(index) {
-            if !decl.ty.is_primitive() {
-                out.push(LintDiagnostic {
-                    pass: self.name(),
-                    severity: Severity::Warning,
-                    method: mid,
-                    stmt: Some(idx),
-                    message: format!("array index {index} has non-primitive type {}", decl.ty),
-                });
-            }
-        }
-    }
-}
-
-impl LintPass for TypeConfusion {
-    fn name(&self) -> &'static str {
-        "type-confusion"
-    }
-
-    fn check_method(
-        &self,
-        program: &Program,
-        mid: MethodId,
-        method: &Method,
-        out: &mut Vec<LintDiagnostic>,
-    ) {
-        use crate::expr::Expr;
-        for (idx, stmt) in method.body.iter_enumerated() {
-            let Stmt::Assign { lhs, rhs } = stmt else { continue };
-            match lhs {
-                Lhs::Field { base, .. } => {
-                    self.check_ref_base(mid, method, idx, *base, "field store", out);
-                }
-                Lhs::ArrayElem { base, index } => {
-                    self.check_array_access(mid, method, idx, *base, *index, out);
-                }
-                Lhs::Var(_) | Lhs::StaticField { .. } => {}
-            }
-            match rhs {
-                Expr::Access { base, .. } => {
-                    self.check_ref_base(mid, method, idx, *base, "field read", out);
-                }
-                Expr::Indexing { base, index } => {
-                    self.check_array_access(mid, method, idx, *base, *index, out);
-                }
-                Expr::Length { base } => {
-                    self.check_ref_base(mid, method, idx, *base, "length read", out);
-                }
-                _ => {}
-            }
-            // Field slot vs. destination local: reference-ness must agree.
-            if let (Lhs::Var(dst), Expr::Access { field, .. } | Expr::StaticField { field }) =
-                (lhs, rhs)
-            {
-                if let (Some(decl), Some(fdef)) =
-                    (method.vars.get(*dst), program.fields.get(*field))
-                {
-                    if decl.ty.is_reference() != fdef.ty.is_reference() {
-                        out.push(LintDiagnostic {
-                            pass: self.name(),
-                            severity: Severity::Warning,
-                            method: mid,
-                            stmt: Some(idx),
-                            message: format!(
-                                "field of type {} loaded into {dst} of type {}",
-                                fdef.ty, decl.ty
-                            ),
-                        });
-                    }
-                }
+        // Field slot vs. destination local: reference-ness must agree.
+        if let (Lhs::Var(dst), Expr::Access { field, .. } | Expr::StaticField { field }) =
+            (lhs, rhs)
+        {
+            let field_ty = program.fields[*field].ty;
+            if ty(*dst).is_reference() != field_ty.is_reference() {
+                flag(format!("field of type {field_ty} loaded into {dst} of type {}", ty(*dst)));
             }
         }
     }
@@ -479,141 +253,57 @@ impl LintPass for TypeConfusion {
 /// before the next write (or the method end). Only side-effect-free
 /// right-hand sides are flagged — heap reads can fault and allocations are
 /// observable to the points-to analysis.
-pub struct DeadStore;
-
-fn rhs_is_pure(rhs: &crate::expr::Expr) -> bool {
-    use crate::expr::Expr;
-    matches!(
-        rhs,
-        Expr::Lit(_)
-            | Expr::Var(_)
-            | Expr::Binary { .. }
-            | Expr::Cmp { .. }
-            | Expr::Unary { .. }
-            | Expr::Null
-            | Expr::ConstClass { .. }
-            | Expr::InstanceOf { .. }
-            | Expr::Tuple { .. }
-    )
-}
-
-impl LintPass for DeadStore {
-    fn name(&self) -> &'static str {
-        "dead-store"
-    }
-
-    fn check_method(
-        &self,
-        _program: &Program,
-        mid: MethodId,
-        method: &Method,
-        out: &mut Vec<LintDiagnostic>,
-    ) {
-        let n = method.body.len();
-        let nvars = method.vars.len();
-        if n == 0 || nvars == 0 {
-            return;
+fn dead_store(
+    method: &Method,
+    succs: &Successors,
+    warn: &mut impl FnMut(&'static str, StmtIdx, String),
+) {
+    let words = method.vars.len().div_ceil(64);
+    let mut live_in = vec![0u64; method.body.len() * words];
+    let mut live = vec![0u64; words];
+    // live_out(i) = ∪ live_in over the successors of i.
+    let live_out = |live_in: &[u64], i: usize, out: &mut [u64]| {
+        out.fill(0);
+        for &s in succs.of_stmt(i) {
+            combine(out, &live_in[s * words..(s + 1) * words], |a, b| a | b);
         }
-        let words = nvars.div_ceil(64);
-        let mut live_in = vec![vec![0u64; words]; n];
-        let mut succs = Vec::new();
-        let mut uses = Vec::new();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in (0..n).rev() {
-                let idx = StmtIdx::new(i);
-                // live_out = ∪ succ live_in
-                let mut live_out = vec![0u64; words];
-                successors(method, idx, &mut succs);
-                for &s in &succs {
-                    bit_or_assign(&mut live_out, &live_in[s]);
-                }
-                // live_in = use ∪ (live_out − def)
-                let stmt = &method.body[idx];
-                if let Some(d) = stmt.defined_var() {
-                    if d.index() < nvars {
-                        live_out[d.index() / 64] &= !(1 << (d.index() % 64));
-                    }
-                }
-                uses.clear();
-                stmt.uses(&mut uses);
-                for &u in &uses {
-                    if u.index() < nvars {
-                        bit_set(&mut live_out, u.index());
-                    }
-                }
-                changed |= bit_or_assign(&mut live_in[i], &live_out);
+    };
+    let mut uses = Vec::new();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (i, stmt) in method.body.iter().enumerate().rev() {
+            // live_in = use ∪ (live_out − def)
+            live_out(&live_in, i, &mut live);
+            if let Some(d) = stmt.defined_var() {
+                live[d.index() / 64] &= !(1 << (d.index() % 64));
             }
-        }
-
-        for (idx, stmt) in method.body.iter_enumerated() {
-            let Stmt::Assign { lhs: Lhs::Var(v), rhs } = stmt else { continue };
-            if !rhs_is_pure(rhs) || v.index() >= nvars {
-                continue;
+            uses.clear();
+            stmt.uses(&mut uses);
+            for &u in &uses {
+                bit_set(&mut live, u.index());
             }
-            // Dead iff the defined var is not live-out of this statement.
-            let mut live_out = vec![0u64; words];
-            successors(method, idx, &mut succs);
-            for &s in &succs {
-                bit_or_assign(&mut live_out, &live_in[s]);
-            }
-            if !bit_get(&live_out, v.index()) {
-                out.push(LintDiagnostic {
-                    pass: self.name(),
-                    severity: Severity::Warning,
-                    method: mid,
-                    stmt: Some(idx),
-                    message: format!("value assigned to {v} is never read"),
-                });
-            }
+            changed |= combine(&mut live_in[i * words..(i + 1) * words], &live, |a, b| a | b);
         }
     }
-}
 
-/// Sink call sites that no inter-procedurally reachable source can feed —
-/// dead sinks a targeted (demand-driven) vetting run still has to slice
-/// for, and a vetting rule author probably mis-modeled.
-///
-/// The reachability computation needs the call graph and the backward
-/// slicer, which live *above* this crate (`gdroid-icfg` /
-/// `gdroid-analysis`), so the pass carries precomputed findings: the
-/// caller (e.g. `gdroid lint`) runs the slicer per sink site and hands
-/// the unreached ones here; the pass only renders them as diagnostics in
-/// the framework's ordering.
-pub struct SinkReachability {
-    findings: Vec<(MethodId, StmtIdx, String)>,
-}
-
-impl SinkReachability {
-    /// Wraps precomputed findings: `(method, sink statement, sink name)`
-    /// triples for sink sites whose backward slice contains no source
-    /// call site.
-    pub fn new(findings: Vec<(MethodId, StmtIdx, String)>) -> SinkReachability {
-        SinkReachability { findings }
-    }
-}
-
-impl LintPass for SinkReachability {
-    fn name(&self) -> &'static str {
-        "sink-reachability"
-    }
-
-    fn check_method(
-        &self,
-        _program: &Program,
-        mid: MethodId,
-        _method: &Method,
-        out: &mut Vec<LintDiagnostic>,
-    ) {
-        for (_, stmt, sink) in self.findings.iter().filter(|(m, _, _)| *m == mid) {
-            out.push(LintDiagnostic {
-                pass: self.name(),
-                severity: Severity::Warning,
-                method: mid,
-                stmt: Some(*stmt),
-                message: format!("sink {sink} is not reachable by any taint source"),
-            });
+    for (idx, stmt) in method.body.iter_enumerated() {
+        let Stmt::Assign { lhs: Lhs::Var(v), rhs } = stmt else { continue };
+        let pure = matches!(
+            rhs,
+            Expr::Lit(_)
+                | Expr::Var(_)
+                | Expr::Binary { .. }
+                | Expr::Cmp { .. }
+                | Expr::Unary { .. }
+                | Expr::Null
+                | Expr::ConstClass { .. }
+                | Expr::InstanceOf { .. }
+                | Expr::Tuple { .. }
+        );
+        live_out(&live_in, idx.index(), &mut live);
+        if pure && !bit_get(&live, v.index()) {
+            warn("dead-store", idx, format!("value assigned to {v} is never read"));
         }
     }
 }
@@ -636,8 +326,8 @@ mod tests {
         pb.finish()
     }
 
-    fn diags_of<'d>(diags: &'d [LintDiagnostic], pass: &str) -> Vec<&'d LintDiagnostic> {
-        diags.iter().filter(|d| d.pass == pass).collect()
+    fn diags_of<'d>(diags: &'d [LintDiagnostic], check: &str) -> Vec<&'d LintDiagnostic> {
+        diags.iter().filter(|d| d.check == check).collect()
     }
 
     #[test]
@@ -649,19 +339,8 @@ mod tests {
             mb.stmt(Stmt::Assign { lhs: Lhs::Var(w), rhs: Expr::Var(v) });
             mb.stmt(Stmt::Return { var: Some(w) });
         });
-        let diags = lint_program(&p);
+        let diags = lint_program(&p, &[]);
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn structural_errors_surface_as_error_severity() {
-        let p = static_method(|mb| {
-            mb.stmt(Stmt::Goto { target: StmtIdx(99) });
-            mb.stmt(Stmt::Return { var: None });
-        });
-        let diags = lint_program(&p);
-        assert!(diags.iter().any(|d| d.severity == Severity::Error));
-        assert_eq!(diags_of(&diags, "structural").len(), 1);
     }
 
     #[test]
@@ -670,11 +349,10 @@ mod tests {
             let v = mb.local("v", JType::Int);
             mb.stmt(Stmt::Return { var: Some(v) });
         });
-        let diags = lint_program(&p);
+        let diags = lint_program(&p, &[]);
         let d = diags_of(&diags, "def-before-use");
         assert_eq!(d.len(), 1, "{diags:?}");
-        assert_eq!(d[0].severity, Severity::Warning);
-        assert_eq!(d[0].stmt, Some(StmtIdx(0)));
+        assert_eq!(d[0].stmt, StmtIdx(0));
     }
 
     #[test]
@@ -688,7 +366,7 @@ mod tests {
         mb.stmt(Stmt::Return { var: Some(x) });
         mb.build();
         let p = pb.finish();
-        assert!(diags_of(&lint_program(&p), "def-before-use").is_empty());
+        assert!(diags_of(&lint_program(&p, &[]), "def-before-use").is_empty());
     }
 
     #[test]
@@ -702,10 +380,10 @@ mod tests {
             mb.stmt(Stmt::Assign { lhs: Lhs::Var(v), rhs: Expr::Lit(Literal::Int(1)) });
             mb.stmt(Stmt::Return { var: Some(v) });
         });
-        let d = lint_program(&p);
+        let d = lint_program(&p, &[]);
         let ub = diags_of(&d, "def-before-use");
         assert_eq!(ub.len(), 1, "{d:?}");
-        assert_eq!(ub[0].stmt, Some(StmtIdx(2)));
+        assert_eq!(ub[0].stmt, StmtIdx(2));
     }
 
     #[test]
@@ -715,10 +393,10 @@ mod tests {
             mb.stmt(Stmt::Empty);
             mb.stmt(Stmt::Return { var: None });
         });
-        let d = lint_program(&p);
+        let d = lint_program(&p, &[]);
         let un = diags_of(&d, "unreachable");
         assert_eq!(un.len(), 2, "{d:?}");
-        assert_eq!(un[0].stmt, Some(StmtIdx(1)));
+        assert_eq!(un[0].stmt, StmtIdx(1));
     }
 
     #[test]
@@ -740,7 +418,7 @@ mod tests {
         mb.stmt(Stmt::Return { var: None });
         mb.build();
         let p = pb.finish();
-        let d = lint_program(&p);
+        let d = lint_program(&p, &[]);
         let tc = diags_of(&d, "type-confusion");
         // primitive field base + non-array base + reference index = 3.
         assert_eq!(tc.len(), 3, "{d:?}");
@@ -763,7 +441,7 @@ mod tests {
         mb.stmt(Stmt::Return { var: None });
         mb.build();
         let p = pb.finish();
-        let d = lint_program(&p);
+        let d = lint_program(&p, &[]);
         assert_eq!(diags_of(&d, "type-confusion").len(), 1, "{d:?}");
     }
 
@@ -775,10 +453,10 @@ mod tests {
             mb.stmt(Stmt::Assign { lhs: Lhs::Var(v), rhs: Expr::Lit(Literal::Int(2)) });
             mb.stmt(Stmt::Return { var: Some(v) });
         });
-        let d = lint_program(&p);
+        let d = lint_program(&p, &[]);
         let ds = diags_of(&d, "dead-store");
         assert_eq!(ds.len(), 1, "{d:?}");
-        assert_eq!(ds[0].stmt, Some(StmtIdx(0)));
+        assert_eq!(ds[0].stmt, StmtIdx(0));
     }
 
     #[test]
@@ -794,7 +472,7 @@ mod tests {
             mb.stmt(Stmt::If { cond: c, target: StmtIdx(1) });
             mb.stmt(Stmt::Return { var: Some(v) });
         });
-        let d = lint_program(&p);
+        let d = lint_program(&p, &[]);
         assert!(diags_of(&d, "dead-store").is_empty(), "{d:?}");
     }
 
@@ -803,22 +481,19 @@ mod tests {
         let p = static_method(|mb| {
             mb.stmt(Stmt::Return { var: None });
         });
-        let mid = MethodId::new(0);
-        let pass =
-            SinkReachability::new(vec![(mid, StmtIdx(0), "Log.d(sink::SINK_LOG)".to_owned())]);
-        let diags = LintRunner::new().with_pass(pass).run(&p);
+        let dead_sinks = [(MethodId::new(0), StmtIdx(0), "Log.d(sink::SINK_LOG)".to_owned())];
+        let diags = lint_program(&p, &dead_sinks);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].pass, "sink-reachability");
-        assert_eq!(diags[0].severity, Severity::Warning);
-        assert_eq!(diags[0].stmt, Some(StmtIdx(0)));
+        assert_eq!(diags[0].check, "sink-reachability");
+        assert_eq!(diags[0].stmt, StmtIdx(0));
         assert!(diags[0].message.contains("SINK_LOG"));
     }
 
     #[test]
     fn findings_are_sorted_by_class_method_statement() {
         // Two classes, interleaved construction: B's method is built
-        // before A2's, so raw pass order would put B first. The runner
-        // must re-sort by (class, method, stmt).
+        // before A's, so raw order would put B first. The lint must
+        // re-sort by (class, method, stmt).
         let mut pb = ProgramBuilder::new();
         let a = pb.class("A").build();
         let b = pb.class("B").build();
@@ -831,28 +506,11 @@ mod tests {
         let p = pb.finish();
         let b_mid = MethodId::new(0);
         let a_mid = MethodId::new(1);
-        let pass = SinkReachability::new(vec![
-            (b_mid, StmtIdx(0), "s1".to_owned()),
-            (a_mid, StmtIdx(0), "s2".to_owned()),
-        ]);
-        let diags = LintRunner::new().with_pass(pass).run(&p);
+        let dead_sinks =
+            [(b_mid, StmtIdx(0), "s1".to_owned()), (a_mid, StmtIdx(0), "s2".to_owned())];
+        let diags = lint_program(&p, &dead_sinks);
         let order: Vec<MethodId> = diags.iter().map(|d| d.method).collect();
         let key = |mid: MethodId| (p.methods[mid].sig.class, mid);
         assert!(key(order[0]) < key(order[1]), "diagnostics must sort by (class, method)");
-    }
-
-    #[test]
-    fn runner_is_composable() {
-        let p = static_method(|mb| {
-            let v = mb.local("v", JType::Int);
-            mb.stmt(Stmt::Return { var: Some(v) });
-        });
-        // Only the unreachable pass: no diagnostics for this method.
-        let diags = LintRunner::new().with_pass(UnreachableCode).run(&p);
-        assert!(diags.is_empty());
-        // Ordering: diagnostics come out grouped per method, pass order.
-        let diags = LintRunner::default_passes().run(&p);
-        assert!(!diags.is_empty());
-        assert!(diags.iter().all(|d| d.severity != Severity::Error));
     }
 }

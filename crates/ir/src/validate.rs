@@ -88,7 +88,7 @@ impl fmt::Display for ValidationError {
 impl std::error::Error for ValidationError {}
 
 /// Validates one method, appending problems to `errors`.
-pub fn validate_method(
+fn validate_method(
     program: &Program,
     mid: MethodId,
     method: &Method,

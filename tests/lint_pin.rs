@@ -10,19 +10,14 @@
 
 use gdroid::apk::{generate_app, GenConfig};
 use gdroid::ir::text::parse_program;
-use gdroid::ir::{validate_program, Program};
+use gdroid::ir::{lint_program, validate_program, Program};
 use gdroid::sumstore::fnv1a_extend;
 use gdroid::vetting::sink_reachability_findings;
 
 /// What `gdroid lint` prints above its summary line.
 fn lint_lines(program: &Program) -> Vec<String> {
     let dead_sinks = sink_reachability_findings(program);
-    gdroid::ir::LintRunner::default_passes()
-        .with_pass(gdroid::ir::SinkReachability::new(dead_sinks))
-        .run(program)
-        .iter()
-        .map(ToString::to_string)
-        .collect()
+    lint_program(program, &dead_sinks).iter().map(ToString::to_string).collect()
 }
 
 /// FNV-1a over the lines, each followed by `\n` — the bytes on stdout.
