@@ -144,6 +144,8 @@ impl Engine {
             store_bytes: analysis.store_bytes,
             sanitizer: None,
             replayed: 0,
+            per_method: analysis.per_method,
+            schedule: analysis.schedule,
         })
     }
 }
@@ -181,6 +183,11 @@ pub struct EngineAnalysis {
     /// instead of solving again; the model charged each as run. Host-side
     /// only: 0 on a sanitizing device and on the CPU engines.
     pub replayed: usize,
+    /// Per-method telemetry of a CPU solve, so one solve can be priced
+    /// under another CPU cost model; empty on a device run.
+    pub per_method: HashMap<MethodId, WorklistTelemetry>,
+    /// The CPU solve's bottom-up layer schedule; empty on a device run.
+    pub schedule: Vec<Vec<MethodId>>,
 }
 
 // The frozen-harness shim: nothing outside this block, its test and the

@@ -371,6 +371,8 @@ impl<'a> Fixpoint<'a> {
             store_bytes: 0,
             sanitizer,
             replayed: self.replayed,
+            per_method: HashMap::new(),
+            schedule: Vec::new(),
         }
     }
 }

@@ -175,8 +175,9 @@ pub(crate) fn finish_vetting(
 /// Folds an engine's run into the [`AppAnalysis`] the taint plugin and a
 /// summary store consume (the facts/summaries are bit-identical across
 /// engines; only cost models differ), beside its modeled IDFG time and —
-/// iff an [`Engine::Gpu`] rung ran — its device statistics. The cost is
-/// already applied, so no per-method telemetry or schedule is kept.
+/// iff an [`Engine::Gpu`] rung ran — its device statistics. A CPU run
+/// keeps its per-method telemetry and layer schedule, so the same solve
+/// can be priced under another CPU cost model.
 pub(crate) fn to_app_analysis(
     ea: EngineAnalysis,
     engine: Engine,
@@ -187,10 +188,10 @@ pub(crate) fn to_app_analysis(
         facts: ea.facts,
         summaries: ea.summaries,
         telemetry: ea.telemetry,
-        per_method: std::collections::HashMap::new(),
+        per_method: ea.per_method,
         store_bytes: ea.store_bytes,
         store_kind: StoreKind::Matrix,
-        schedule: Vec::new(),
+        schedule: ea.schedule,
     };
     (analysis, ea.idfg_ns, matches!(engine, Engine::Gpu(_)).then_some(ea.stats))
 }
