@@ -21,7 +21,7 @@ use crate::idx::{MethodId, StmtIdx, VarId};
 use crate::method::Method;
 use crate::program::Program;
 use crate::stmt::{Lhs, Stmt};
-use crate::types::JType;
+use crate::types::{ArrayElem, JType};
 use std::fmt;
 
 /// One finding: always a warning.
@@ -210,6 +210,7 @@ fn type_confusion(
         let Stmt::Assign { lhs, rhs } = stmt else { continue };
         let mut flag = |message| warn("type-confusion", idx, message);
         let ty = |v: VarId| method.vars[v].ty;
+        let name = |ty: JType| type_name(program, ty);
         // (base, index for an array access, what) of each heap access, in
         // statement order: the store, then the read.
         let store = match lhs {
@@ -226,15 +227,15 @@ fn type_confusion(
         for (base, index, what) in store.into_iter().chain(read) {
             let Some(index) = index else {
                 if !ty(base).is_reference() {
-                    flag(format!("{what} base {base} has primitive type {}", ty(base)));
+                    flag(format!("{what} base {base} has primitive type {}", name(ty(base))));
                 }
                 continue;
             };
             if !matches!(ty(base), JType::Array(_)) {
-                flag(format!("{what} base {base} has non-array type {}", ty(base)));
+                flag(format!("{what} base {base} has non-array type {}", name(ty(base))));
             }
             if !ty(index).is_primitive() {
-                flag(format!("array index {index} has non-primitive type {}", ty(index)));
+                flag(format!("array index {index} has non-primitive type {}", name(ty(index))));
             }
         }
         // Field slot vs. destination local: reference-ness must agree.
@@ -243,9 +244,19 @@ fn type_confusion(
         {
             let field_ty = program.fields[*field].ty;
             if ty(*dst).is_reference() != field_ty.is_reference() {
-                flag(format!("field of type {field_ty} loaded into {dst} of type {}", ty(*dst)));
+                let (field_ty, dst_ty) = (name(field_ty), name(ty(*dst)));
+                flag(format!("field of type {field_ty} loaded into {dst} of type {dst_ty}"));
             }
         }
+    }
+}
+
+/// `ty` as a descriptor with its class named, e.g. `Ljava/lang/Object;`.
+fn type_name(program: &Program, ty: JType) -> String {
+    match ty {
+        JType::Object(class) => format!("L{};", program.interner.resolve(class)),
+        JType::Array(ArrayElem::Object(class)) => format!("[L{};", program.interner.resolve(class)),
+        _ => ty.to_string(),
     }
 }
 
@@ -315,7 +326,7 @@ mod tests {
     use crate::expr::{Expr, Literal};
     use crate::method::MethodKind;
     use crate::stmt::Lhs;
-    use crate::types::JType;
+    use crate::types::{ArrayElem, JType};
 
     fn static_method(build: impl FnOnce(&mut crate::builder::MethodBuilder<'_>)) -> Program {
         let mut pb = ProgramBuilder::new();
@@ -428,21 +439,22 @@ mod tests {
     fn detects_field_reference_ness_mismatch() {
         let mut pb = ProgramBuilder::new();
         let cls = pb.class("A").build();
-        let f = pb.field(cls, "f", JType::object(crate::idx::Symbol(0)), false);
+        let a = pb.intern("A");
+        let f = pb.field(cls, "f", JType::object(a), false);
         let mut mb = pb.method(cls, "m").kind(MethodKind::Static);
-        let o = mb.local("o", JType::object(crate::idx::Symbol(0)));
+        let o = mb.local("o", JType::object(a));
         let i = mb.local("i", JType::Int);
-        mb.stmt(Stmt::Assign {
-            lhs: Lhs::Var(o),
-            rhs: Expr::New { ty: JType::object(crate::idx::Symbol(0)) },
-        });
+        mb.stmt(Stmt::Assign { lhs: Lhs::Var(o), rhs: Expr::New { ty: JType::object(a) } });
         // Reference-typed field loaded into an int local.
         mb.stmt(Stmt::Assign { lhs: Lhs::Var(i), rhs: Expr::Access { base: o, field: f } });
         mb.stmt(Stmt::Return { var: None });
         mb.build();
         let p = pb.finish();
         let d = lint_program(&p, &[]);
-        assert_eq!(diags_of(&d, "type-confusion").len(), 1, "{d:?}");
+        let tc = diags_of(&d, "type-confusion");
+        assert_eq!(tc.len(), 1, "{d:?}");
+        // Class types are named, not printed as interned symbol ids.
+        assert_eq!(tc[0].message, "field of type LA; loaded into v1 of type I");
     }
 
     #[test]

@@ -89,10 +89,10 @@ fn every_check_renders_the_pinned_lines() {
     let expected = [
         "warning: M0:L0: [dead-store] value assigned to v1 is never read",
         "warning: M0:L1: [def-before-use] v2 may be read before any assignment",
-        "warning: M0:L1: [type-confusion] field of type Ls0; loaded into v1 of type I",
+        "warning: M0:L1: [type-confusion] field of type Ljava/lang/Object; loaded into v1 of type I",
         "warning: M0:L2: [def-before-use] v2 may be read before any assignment",
         "warning: M0:L2: [type-confusion] array access base v1 has non-array type I",
-        "warning: M0:L2: [type-confusion] array index v2 has non-primitive type Ls0;",
+        "warning: M0:L2: [type-confusion] array index v2 has non-primitive type Ljava/lang/Object;",
         "warning: M0:L3: [type-confusion] field store base v0 has primitive type I",
         "warning: M0:L4: [def-before-use] v4 may be read before any assignment",
         "warning: M0:L4: [sink-reachability] sink android/util/Log.d is not reachable by any taint source",
