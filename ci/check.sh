@@ -47,7 +47,8 @@ echo "==> retired-names ratchet: what EXPERIMENTS.md retired stays retired"
 # exporters', the device pool's, the second journal writer's, the
 # second method-identity scheme's, the thinner co-resident pipeline's,
 # the live summary store's sharing knobs', the service's load-shedding
-# admission path's or the second fact store's names anywhere.
+# admission path's, the second fact store's or the lint pass framework's
+# names anywhere.
 rel_files=$(find crates/rel/src -type f | sort | tr '\n' ' ')
 [ "$rel_files" = "crates/rel/src/lib.rs " ] || {
   echo "retired-names ratchet: crates/rel/src holds $rel_files(want only lib.rs)" >&2
@@ -75,6 +76,7 @@ retired+='|try_submit|QueueFull'
 retired+='|\.fallback\(\)|PlanRefusal|check_or_exit'
 retired+='|SetStore|FactStore'
 retired+='|AnalysisEngine|WorklistEngine|CpuEngine|analysis_engine|EngineCaps'
+retired+='|LintPass|LintRunner|SinkReachability|Severity::'
 if grep -rnE "$retired" --include='*.rs' crates src tests examples; then
   echo "retired-names ratchet: a retired name is back (EXPERIMENTS.md, \"Retired: …\")" >&2
   exit 1

@@ -80,16 +80,15 @@ pub(crate) fn sink_sites(
     sites
 }
 
-/// Sink call sites that no source call site can reach — the findings
-/// behind the `sink-reachability` lint pass
-/// ([`gdroid_ir::SinkReachability`]).
+/// Sink call sites that no source call site can reach — the dead sinks
+/// [`gdroid_ir::lint_program`] reports as `sink-reachability` findings.
 ///
 /// Reuses the slicer core: every method is treated as a root (lint runs
 /// on the raw program, before environment synthesis), one backward slice
 /// is computed per sink site, and the site is dead iff no source call
 /// site lies in the slice's relevant region
 /// ([`BackwardSlice::contains_site`]). Returned in (method, statement)
-/// order; the lint runner re-sorts by declaring class anyway.
+/// order; the lint re-sorts by declaring class anyway.
 pub fn sink_reachability_findings(program: &Program) -> Vec<(MethodId, StmtIdx, String)> {
     let registry = SourceSinkRegistry::for_program(program);
     let cg = gdroid_icfg::CallGraph::build(program);
