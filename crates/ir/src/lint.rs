@@ -326,7 +326,7 @@ mod tests {
     use crate::expr::{Expr, Literal};
     use crate::method::MethodKind;
     use crate::stmt::Lhs;
-    use crate::types::{ArrayElem, JType};
+    use crate::types::JType;
 
     fn static_method(build: impl FnOnce(&mut crate::builder::MethodBuilder<'_>)) -> Program {
         let mut pb = ProgramBuilder::new();
