@@ -312,8 +312,11 @@ fn dead_store(
                 | Expr::InstanceOf { .. }
                 | Expr::Tuple { .. }
         );
+        if !pure {
+            continue;
+        }
         live_out(&live_in, idx.index(), &mut live);
-        if pure && !bit_get(&live, v.index()) {
+        if !bit_get(&live, v.index()) {
             warn("dead-store", idx, format!("value assigned to {v} is never read"));
         }
     }
