@@ -219,8 +219,6 @@ pub struct AppAnalysis {
     pub per_method: HashMap<MethodId, WorklistTelemetry>,
     /// Bytes the fact stores held, by the store kind used for the run.
     pub store_bytes: usize,
-    /// Which store kind the run used.
-    pub store_kind: StoreKind,
     /// Methods in bottom-up order (layer by layer).
     pub schedule: Vec<Vec<MethodId>>,
 }
@@ -320,7 +318,6 @@ fn drive(
         telemetry: WorklistTelemetry::default(),
         per_method: HashMap::new(),
         store_bytes: 0,
-        store_kind,
         schedule: layers.layers.clone(),
     };
 
@@ -329,7 +326,7 @@ fn drive(
             .iter()
             .map(|scc| {
                 if !scc.members.iter().all(|m| presolved.contains_key(m)) {
-                    return solve_scc(program, cg, &out, scc);
+                    return solve_scc(program, cg, &out, scc, store_kind);
                 }
                 let published = scc.members.iter().map(|&mid| {
                     let (summary, facts) = &presolved[&mid];
@@ -372,7 +369,8 @@ struct LastSolve {
 }
 
 /// Solves one SCC against what the layers below it have published
-/// `so_far`, iterating a recursive SCC until its summaries stabilize.
+/// `so_far`, into stores charged as `store_kind`, iterating a recursive
+/// SCC until its summaries stabilize.
 /// Returns the telemetry of every solve in execution order, and each
 /// member's final result.
 ///
@@ -384,6 +382,7 @@ fn solve_scc(
     cg: &CallGraph,
     so_far: &AppAnalysis,
     scc: &LayerScc<'_>,
+    store_kind: StoreKind,
 ) -> (WorklistTelemetry, Vec<Solved>) {
     // A recursive SCC iterates against a private view: its callees'
     // published summaries plus its members' summaries so far.
@@ -408,8 +407,7 @@ fn solve_scc(
             let (space, cfg) = (&so_far.spaces[&mid], &so_far.cfgs[&mid]);
             let method = &program.methods[mid];
             let mut facts = MatrixStore::new(Geometry::of(space), cfg.len());
-            let mut growth =
-                (so_far.store_kind == StoreKind::Set).then(|| SetGrowth::new(cfg.len()));
+            let mut growth = (store_kind == StoreKind::Set).then(|| SetGrowth::new(cfg.len()));
             let tele = solve(method, space, cfg, &mut facts, &sites, growth.as_mut());
             let bytes = growth.map_or(facts.memory_bytes(), |g| g.memory_bytes());
             telemetry.absorb(&tele);

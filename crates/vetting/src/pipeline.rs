@@ -11,7 +11,7 @@ use crate::plan::{vet_prepared, ExecPlan};
 use crate::registry::SourceSinkRegistry;
 use crate::report::VettingReport;
 use crate::taint::TaintAnalysis;
-use gdroid_analysis::{AppAnalysis, StoreKind};
+use gdroid_analysis::AppAnalysis;
 use gdroid_apk::App;
 use gdroid_core::{Engine, EngineAnalysis, GpuRunStats};
 use gdroid_icfg::{prepare_app, CallGraph, EnvironmentInfo};
@@ -190,7 +190,6 @@ pub(crate) fn to_app_analysis(
         telemetry: ea.telemetry,
         per_method: ea.per_method,
         store_bytes: ea.store_bytes,
-        store_kind: StoreKind::Matrix,
         schedule: ea.schedule,
     };
     (analysis, ea.idfg_ns, matches!(engine, Engine::Gpu(_)).then_some(ea.stats))
