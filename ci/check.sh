@@ -229,10 +229,10 @@ hand_json=$(non_test_sites '{{\"' crates src examples ! -path "$writer")
 }
 
 echo "==> one-journal ratchet: the on-disk layout is campaign::journal's decision"
-# Single file or rotated segments, which file is newest, what a directory
-# in the wrong layout means: one module answers (DESIGN.md, "One journal
-# type, two layouts"). Everything else may *set* `rotate_records`; nothing
-# else branches on it or builds a segment's path.
+# Which file a segment lives in, which one is newest, what a leftover
+# segment 0 from an older build means: one module answers (DESIGN.md,
+# "One journal, one layout"). Everything else may *set* `rotate_records`;
+# nothing else branches on it or builds a segment's path.
 ratchet_name=one-journal
 journal=crates/campaign/src/journal.rs
 journal_hint="ask journal::{SegmentedJournal, read_shard_tail, newest_segment} instead"
@@ -482,14 +482,28 @@ cmp -s "$camp_dir/verdicts-2.txt" "$camp_dir/verdicts-1.txt" || {
   exit 1
 }
 
-echo "==> campaign smoke: a directory journaled in the other layout is refused"
-mixed_status=0
-mixed_err=$(./target/release/gdroid campaign --apps 20 --shards 1 --rotate 4 --scale 0.1 \
-  --journal-dir "$camp_dir/j1" --verdicts "$camp_dir/verdicts-mixed.txt" 2>&1 >/dev/null) ||
-  mixed_status=$?
-[ "$mixed_status" -ne 0 ] && echo "$mixed_err" | grep -q 'shard-0.journal .*--fresh' || {
-  echo "campaign smoke: a rotated run over a single-file directory exited $mixed_status" \
-    "without naming the stale journal" >&2
+echo "==> campaign smoke: a rotated rerun over a plain directory executes nothing"
+# Rotation only decides when a segment seals: the rerun seals what it
+# finds, vets nothing, and reads back the plain run's verdicts.
+rerun_err=$(./target/release/gdroid campaign --apps 20 --shards 1 --rotate 4 \
+  --journal-dir "$camp_dir/j1" --verdicts "$camp_dir/verdicts-rotated.txt" 2>&1 >/dev/null)
+echo "$rerun_err" | grep -q 'this run: 0 executed' || {
+  echo "campaign smoke: the rotated rerun re-vetted apps: $rerun_err" >&2
+  exit 1
+}
+cmp -s "$camp_dir/verdicts-1.txt" "$camp_dir/verdicts-rotated.txt" || {
+  echo "campaign smoke: the rotated rerun's verdicts differ from the plain run's" >&2
+  exit 1
+}
+
+echo "==> campaign smoke: a stray segment 0 from an older build is refused"
+cp "$camp_dir/j1/shard-0.journal" "$camp_dir/j1/shard-0.journal.0"
+stray_status=0
+stray_err=$(./target/release/gdroid campaign --apps 20 --shards 1 \
+  --journal-dir "$camp_dir/j1" 2>&1 >/dev/null) || stray_status=$?
+[ "$stray_status" -ne 0 ] && echo "$stray_err" | grep -q 'shard-0.journal.0 .*--fresh' || {
+  echo "campaign smoke: a stray shard-0.journal.0 exited $stray_status" \
+    "without naming it" >&2
   exit 1
 }
 
@@ -539,8 +553,8 @@ trap 'rm -rf "$trace_dir" "$store_dir" "$composed_dir" "$camp_dir" "$snap_dir"' 
 # Kill twice: first cut the newest shard-0 segment mid-record, resume; then
 # cut the (new) unsealed tail again and resume once more. Both recoveries
 # must converge on the uninterrupted report.
-newest_segment() {
-  for f in "$snap_dir/jr"/shard-0.journal.*; do echo "${f##*.} $f"; done | sort -n | tail -1 | cut -d' ' -f2-
+newest_segment() { # segment 0 is shard-0.journal, which sorts first
+  for f in "$snap_dir/jr"/shard-0.journal*; do echo "${f##*.} $f"; done | sort -n | tail -1 | cut -d' ' -f2-
 }
 newest=$(newest_segment)
 head -c $(( $(wc -c < "$newest") - 40 )) "$newest" > "$snap_dir/cut" && mv "$snap_dir/cut" "$newest"

@@ -53,7 +53,8 @@ fn snapshot_config(apps: usize, dir: PathBuf) -> CampaignConfig {
 
 /// Segments currently on disk for each shard of a rotated campaign.
 fn segments_per_shard(dir: &Path, shards: usize) -> Vec<usize> {
-    (0..shards).map(|shard| newest_segment(dir, shard).map_or(0, |newest| newest + 1)).collect()
+    let newest = |shard| newest_segment(dir, shard).expect("snapshot journals are readable");
+    (0..shards).map(|shard| newest(shard).map_or(0, |newest| newest + 1)).collect()
 }
 
 /// The incremental-fold gate: re-reads every segment monolithically and

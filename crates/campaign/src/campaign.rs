@@ -2,14 +2,15 @@
 //! submission with bounded memory, durable per-app checkpointing, and
 //! the final journal → [`FleetReport`] fold.
 //!
-//! Snapshot mode (`rotate_records`) has [`crate::journal`] rotate each
-//! shard journal into sealed segments, so resume and the fleet fold read
-//! one file per shard; `sumstore` builds the corpus's frozen library store
-//! once and hands the one `Arc` to every shard service; `delta_base`
-//! turns the run into a daily-delta campaign that copies forward the base
-//! snapshot's records for apps whose generator seed did not change and
-//! re-vets only the rest.
+//! Snapshot mode (`rotate_records`) has [`crate::journal`] seal each
+//! shard journal into bounded segments, so resume and the fleet fold read
+//! one bounded file per shard; `sumstore` builds the corpus's frozen
+//! library store once and hands the one `Arc` to every shard service;
+//! `delta_base` turns the run into a daily-delta campaign that copies
+//! forward the base snapshot's records for apps whose generator seed did
+//! not change and re-vets only the rest.
 
+use crate::fold::ShardFold;
 use crate::journal::{
     read_campaign_journals, read_shard_tail, AppRecord, JournalError, JournalHeader, RecordStatus,
     SegmentedJournal, JOURNAL_VERSION,
@@ -64,9 +65,11 @@ pub struct CampaignConfig {
     /// Write per-app modeled-time Chrome traces under
     /// `<dir>/shard-<s>/job-<index>.json`.
     pub trace_dir: Option<PathBuf>,
-    /// Snapshot mode: rotate each shard journal every this many records
-    /// (`None` keeps the single-file layout, the default). Resume and the
-    /// fleet fold then read only the one unsealed segment per shard.
+    /// Snapshot mode: seal each shard journal's newest segment every this
+    /// many records (`None`, the default, never seals). Resume and the
+    /// fleet fold read only the newest segment per shard either way. The
+    /// setting decides nothing about what is already on disk, so a
+    /// directory may be resumed under any setting.
     pub rotate_records: Option<usize>,
     /// Daily-delta mode: the journal directory of a finished base
     /// campaign. Apps whose effective per-app seed matches their base
@@ -378,12 +381,9 @@ fn final_records_by_index(
     header: &JournalHeader,
     shard_records: Vec<Vec<AppRecord>>,
 ) -> Result<HashMap<usize, AppRecord>, JournalError> {
-    let fleet = FleetReport::try_from_records(
-        header.master_seed,
-        header.apps,
-        header.config_digest,
-        shard_records,
-    )?;
+    let tails = shard_records.into_iter().map(|r| (ShardFold::default(), r)).collect();
+    let fleet =
+        FleetReport::from_folds(header.master_seed, header.apps, header.config_digest, tails)?;
     Ok(fleet.records.into_iter().map(|r| (r.index, r)).collect())
 }
 

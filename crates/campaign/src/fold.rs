@@ -5,7 +5,8 @@
 //! report paths run through it — the monolithic path folds every record of
 //! every segment, the incremental path starts from a sealed-segment rollup
 //! (a serialized `ShardFold`) and folds only the unsealed tail — so the
-//! two are byte-identical by construction, not by coincidence.
+//! two are byte-identical by construction, not by coincidence. The
+//! fleet-wide totals are the [`ShardFold::merge`] of the shards' folds.
 //!
 //! Folding implements the superseding-record rule: [`RecordStatus::Failed`]
 //! records are *deferred* (held in [`ShardFold::open_failed`], not
@@ -18,7 +19,7 @@
 //! Floats round-trip exactly (bit-pattern hex), so a fold restored from a
 //! footer continues the same f64 accumulation sequence the live fold ran.
 
-use crate::journal::{AppRecord, RecordStatus};
+use crate::journal::{field_req, hex, parsed, AppRecord, RecordStatus};
 use crate::report::STRAGGLER_COUNT;
 use gdroid_serve::{fnv1a, Histogram};
 use std::collections::{BTreeMap, BTreeSet};
@@ -121,7 +122,6 @@ macro_rules! tally {
         $total = $total.checked_add($n).ok_or(concat!($what, " overflows the running total"))?
     };
 }
-pub(crate) use tally;
 
 /// The verdict line of one record, without its trailing newline — the
 /// unit the order-independent verdict digest sums over and what
@@ -214,6 +214,37 @@ impl ShardFold {
         }
     }
 
+    /// Merges `other`, the fold of a disjoint index set (another shard's),
+    /// into this one: tallies add — an overflow is `Err`, as in
+    /// [`Self::fold`] — indices and open failures unite, and the top apps
+    /// of the union are kept (top-k selection is associative).
+    pub fn merge(&mut self, other: &ShardFold) -> Result<(), String> {
+        tally!(self.completed, other.completed, "completed");
+        tally!(self.suspicious, other.suspicious, "suspicious");
+        tally!(self.clean, other.clean, "clean");
+        tally!(self.unknown, other.unknown, "unknown");
+        tally!(self.quarantined, other.quarantined, "quarantined");
+        tally!(self.leaks, other.leaks, "leaks");
+        tally!(self.nodes, other.nodes, "nodes");
+        tally!(self.rounds, other.rounds, "rounds");
+        self.modeled_total_ns += other.modeled_total_ns;
+        tally!(self.retried, other.retried, "retried");
+        tally!(self.targeted, other.targeted, "targeted");
+        tally!(self.sliced_micros_sum, other.sliced_micros_sum, "slicedsum");
+        for (bucket, &n) in self.hist_buckets.iter_mut().zip(&other.hist_buckets) {
+            tally!(*bucket, n, "hist");
+        }
+        tally!(self.hist_sum, other.hist_sum, "hsum");
+        self.hist_max = self.hist_max.max(other.hist_max);
+        self.verdict_fold = self.verdict_fold.wrapping_add(other.verdict_fold);
+        self.top.extend(other.top.iter().cloned());
+        self.top.sort_by(|a, b| b.total_ns.total_cmp(&a.total_ns).then(a.index.cmp(&b.index)));
+        self.top.truncate(STRAGGLER_COUNT);
+        self.indices.extend(&other.indices);
+        self.open_failed.extend(other.open_failed.iter().map(|(&i, o)| (i, o.clone())));
+        Ok(())
+    }
+
     /// Every index with a record (the shard's app count).
     pub fn apps(&self) -> usize {
         self.indices.len()
@@ -224,9 +255,12 @@ impl ShardFold {
         self.open_failed.len()
     }
 
-    /// Retried-app tally including still-open failures.
-    pub fn final_retried(&self) -> usize {
-        self.retried + self.open_failed.values().filter(|o| o.attempts > 1).count()
+    /// Retried-app tally including still-open failures; `Err` when a
+    /// restored rollup's count overflows it.
+    pub fn final_retried(&self) -> Result<usize, String> {
+        let mut retried = self.retried;
+        tally!(retried, self.open_failed.values().filter(|o| o.attempts > 1).count(), "retried");
+        Ok(retried)
     }
 
     /// The shard's verdict-digest contribution with open failures folded
@@ -289,19 +323,8 @@ impl ShardFold {
         if !body.starts_with("rollup ") {
             return Err("not a rollup line".into());
         }
-        let req = |key: &str| -> Result<&str, String> {
-            body.split(' ')
-                .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
-                .ok_or_else(|| format!("missing rollup field {key}"))
-        };
-        let num = |key: &str| -> Result<u64, String> {
-            req(key)?.parse::<u64>().map_err(|e| format!("{key}: {e}"))
-        };
-        let hex = |key: &str| -> Result<u64, String> {
-            u64::from_str_radix(req(key)?, 16).map_err(|e| format!("{key}: {e}"))
-        };
         let mut hist_buckets = [0u64; 17];
-        let hist_text = req("hist")?;
+        let hist_text = field_req(body, "hist")?;
         let parts: Vec<&str> = hist_text.split(',').collect();
         if parts.len() != hist_buckets.len() {
             return Err(format!("hist has {} buckets, expected 17", parts.len()));
@@ -310,7 +333,7 @@ impl ShardFold {
             *slot = part.parse::<u64>().map_err(|e| format!("hist: {e}"))?;
         }
         let entries = |key: &str| -> Result<Vec<(usize, String, String)>, String> {
-            let text = req(key)?;
+            let text = field_req(body, key)?;
             if text == "-" {
                 return Ok(Vec::new());
             }
@@ -354,24 +377,24 @@ impl ShardFold {
             })
             .collect::<Result<BTreeMap<_, _>, String>>()?;
         Ok(ShardFold {
-            completed: num("completed")? as usize,
-            suspicious: num("suspicious")? as usize,
-            clean: num("clean")? as usize,
-            unknown: num("unknown")? as usize,
-            quarantined: num("quarantined")? as usize,
-            leaks: num("leaks")? as usize,
-            nodes: num("nodes")?,
-            rounds: num("rounds")?,
-            modeled_total_ns: f64::from_bits(hex("modeled")?),
-            retried: num("retried")? as usize,
-            targeted: num("targeted")? as usize,
-            sliced_micros_sum: num("slicedsum")?,
+            completed: parsed(body, "completed")?,
+            suspicious: parsed(body, "suspicious")?,
+            clean: parsed(body, "clean")?,
+            unknown: parsed(body, "unknown")?,
+            quarantined: parsed(body, "quarantined")?,
+            leaks: parsed(body, "leaks")?,
+            nodes: parsed(body, "nodes")?,
+            rounds: parsed(body, "rounds")?,
+            modeled_total_ns: f64::from_bits(hex(body, "modeled")?),
+            retried: parsed(body, "retried")?,
+            targeted: parsed(body, "targeted")?,
+            sliced_micros_sum: parsed(body, "slicedsum")?,
             hist_buckets,
-            hist_sum: num("hsum")?,
-            hist_max: num("hmax")?,
-            verdict_fold: hex("vfold")?,
+            hist_sum: parsed(body, "hsum")?,
+            hist_max: parsed(body, "hmax")?,
+            verdict_fold: hex(body, "vfold")?,
             top,
-            indices: parse_index_runs(req("idx")?, apps)?,
+            indices: parse_index_runs(field_req(body, "idx")?, apps)?,
             open_failed: open,
         })
     }
@@ -493,12 +516,12 @@ mod tests {
         assert_eq!(fold.fold(&failed), Ok(FoldOutcome::Recorded));
         assert_eq!(fold.completed, 0);
         assert_eq!(fold.failed(), 1);
-        assert_eq!(fold.final_retried(), 1);
+        assert_eq!(fold.final_retried(), Ok(1));
         // A re-failure replaces the open entry (last failure wins).
         let mut refailed = failed.clone();
         refailed.attempts = 1;
         assert_eq!(fold.fold(&refailed), Ok(FoldOutcome::Replaced));
-        assert_eq!(fold.final_retried(), 0);
+        assert_eq!(fold.final_retried(), Ok(0));
         // A later completion supersedes the failure entirely.
         let done = record(4, RecordStatus::Completed, "Clean", 2.0);
         assert_eq!(fold.fold(&done), Ok(FoldOutcome::Replaced));
@@ -543,6 +566,47 @@ mod tests {
             );
             assert_eq!(resumed.final_verdict_fold(), whole.final_verdict_fold());
         }
+    }
+
+    #[test]
+    fn merging_shard_folds_equals_folding_their_union() {
+        // Whole-millisecond timings: every f64 sum is exact in any order.
+        let records: Vec<AppRecord> = (0..24)
+            .map(|i| {
+                let status = match i % 7 {
+                    3 => RecordStatus::Failed,
+                    5 => RecordStatus::Quarantined,
+                    _ => RecordStatus::Completed,
+                };
+                let verdict = match (status, i % 3) {
+                    (RecordStatus::Completed, 0) => "Suspicious",
+                    (RecordStatus::Completed, 1) => "Clean",
+                    (RecordStatus::Completed, _) => "Odd",
+                    _ => "-",
+                };
+                record(i, status, verdict, (i * 37 % 11 + 1) as f64)
+            })
+            .collect();
+        let mut union = ShardFold::default();
+        for r in &records {
+            union.fold(r).unwrap();
+        }
+        for shards in [1, 2, 3, 5] {
+            let mut merged = ShardFold::default();
+            for shard in 0..shards {
+                let mut fold = ShardFold::default();
+                for r in records.iter().filter(|r| r.index % shards == shard) {
+                    fold.fold(r).unwrap();
+                }
+                merged.merge(&fold).unwrap();
+            }
+            assert_eq!(merged, union, "{shards} shard(s)");
+            assert_eq!(merged.final_verdict_fold(), union.final_verdict_fold());
+            assert_eq!(merged.final_retried(), union.final_retried());
+        }
+        // A tally the merge would overflow is an error, not a wrap.
+        let brim = ShardFold { nodes: u64::MAX, ..ShardFold::default() };
+        assert!(union.clone().merge(&brim).unwrap_err().contains("nodes"));
     }
 
     #[test]

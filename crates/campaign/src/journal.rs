@@ -23,25 +23,26 @@
 //! killed campaign converges to the same journal contents — and therefore
 //! the byte-identical fleet report — an uninterrupted run produces.
 //!
-//! ## One journal type, two layouts
+//! ## One journal, one layout
 //!
 //! [`SegmentedJournal`] is the only thing that opens, resumes, appends to
-//! and seals a shard's journal. Under rotation (snapshot mode) it writes
-//! size-bounded segments `shard-<s>.journal.<k>`: when a segment reaches
-//! the rotation threshold it is *sealed* — a `rollup` footer line, a
-//! serialized [`ShardFold`] covering **every record of every segment so
-//! far**, is appended — and the next segment is created carrying the same
-//! rollup as its second line. Resume and the fleet-report fold therefore
-//! read only the one unsealed segment ([`read_shard_tail`]): its embedded
-//! rollup stands in for all sealed history, byte-exactly
-//! ([`crate::fold`]). Without rotation the journal is the same thing with
-//! a segment that never seals: one file `shard-<s>.journal`, no
-//! `segment=` token, the tail is the whole history.
+//! and seals a shard's journal. A shard's journal is a chain of segments:
+//! segment 0 is `shard-<s>.journal`, segment `k ≥ 1` is
+//! `shard-<s>.journal.<k>` and carries a ` segment=k` header token. When a
+//! segment reaches the rotation threshold it is *sealed* — a `rollup`
+//! footer line, a serialized [`ShardFold`] covering **every record of
+//! every segment so far**, is appended — and the next segment is created
+//! carrying the same rollup as its second line. Resume and the
+//! fleet-report fold therefore read only the newest segment
+//! ([`read_shard_tail`]): its embedded rollup stands in for all sealed
+//! history, byte-exactly ([`crate::fold`]). Without rotation the newest
+//! segment simply never seals, so the threshold may change from one run
+//! to the next over the same directory.
 //!
-//! The layout is this module's decision alone. A directory that holds a
-//! shard in both layouts, or in the one the opener was not asked for, is
-//! refused ([`JournalError::Layout`]) by the opener and by every reader —
-//! which file would win is not something to guess.
+//! Builds before this layout named segment 0 `shard-<s>.journal.0`. Such
+//! a leftover file is refused ([`JournalError::Layout`]) by the opener
+//! and by every reader — which file holds the shard's first records is
+//! not something to guess.
 
 use crate::fold::ShardFold;
 use gdroid_serve::fnv1a;
@@ -49,6 +50,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// Journal format version; bumped on any line-format change. Version 2
 /// added the per-record generator seed (`seed=`) and the header's
@@ -178,8 +180,8 @@ pub enum JournalError {
         /// What the journal holds.
         found: Box<JournalHeader>,
     },
-    /// The directory holds the shard's journal in both layouts, or in
-    /// the one the caller did not ask for; the message names the files.
+    /// The directory holds a `shard-<s>.journal.0` from an older build;
+    /// the message names it.
     Layout(String),
     /// A line before the final one failed its checksum; a checksummed
     /// line — wherever it stands — does not parse; or checksummed counts
@@ -234,20 +236,35 @@ fn unseal(line: &str) -> Option<&str> {
     (u64::from_str_radix(crc, 16).ok()? == fnv1a(body.as_bytes())).then_some(body)
 }
 
-/// Extracts `key=` fields from a record body.
-fn field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    body.split(' ').find_map(|tok| tok.strip_prefix(key)?.strip_prefix('=').or(None))
+/// The value of a line body's `key=` token — the one field reader for
+/// header, record and rollup lines.
+pub(crate) fn field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
+    body.split(' ').find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
 }
 
-fn field_req<'a>(body: &'a str, key: &str) -> Result<&'a str, String> {
+/// [`field`], required.
+pub(crate) fn field_req<'a>(body: &'a str, key: &str) -> Result<&'a str, String> {
     field(body, key).ok_or_else(|| format!("missing field {key}"))
 }
 
-/// Renders the header line; rotated segments append their segment index
+/// [`field_req`], parsed as `T`.
+pub(crate) fn parsed<T: FromStr>(body: &str, key: &str) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    field_req(body, key)?.parse().map_err(|e| format!("{key}: {e}"))
+}
+
+/// [`field_req`], parsed as hexadecimal.
+pub(crate) fn hex(body: &str, key: &str) -> Result<u64, String> {
+    u64::from_str_radix(field_req(body, key)?, 16).map_err(|e| format!("{key}: {e}"))
+}
+
+/// Renders the header line; segments past the first append their index
 /// (an extra token the header parser ignores, so header equality checks
 /// compare campaign identity, not segment position).
-fn header_line(h: &JournalHeader, segment: Option<usize>) -> String {
-    let seg = segment.map(|s| format!(" segment={s}")).unwrap_or_default();
+fn header_line(h: &JournalHeader, segment: usize) -> String {
+    let seg = if segment > 0 { format!(" segment={segment}") } else { String::new() };
     seal(format!(
         "gdroid-campaign v={} seed={:016x} apps={} shards={} shard={} config={:016x} upd={} \
          usalt={:016x}{}",
@@ -268,17 +285,14 @@ fn parse_header(body: &str) -> Result<JournalHeader, String> {
         return Err("not a gdroid-campaign journal".into());
     }
     Ok(JournalHeader {
-        version: field_req(body, "v")?.parse().map_err(|e| format!("v: {e}"))?,
-        master_seed: u64::from_str_radix(field_req(body, "seed")?, 16)
-            .map_err(|e| format!("seed: {e}"))?,
-        apps: field_req(body, "apps")?.parse().map_err(|e| format!("apps: {e}"))?,
-        shards: field_req(body, "shards")?.parse().map_err(|e| format!("shards: {e}"))?,
-        shard: field_req(body, "shard")?.parse().map_err(|e| format!("shard: {e}"))?,
-        config_digest: u64::from_str_radix(field_req(body, "config")?, 16)
-            .map_err(|e| format!("config: {e}"))?,
-        update_ppm: field_req(body, "upd")?.parse().map_err(|e| format!("upd: {e}"))?,
-        update_salt: u64::from_str_radix(field_req(body, "usalt")?, 16)
-            .map_err(|e| format!("usalt: {e}"))?,
+        version: parsed(body, "v")?,
+        master_seed: hex(body, "seed")?,
+        apps: parsed(body, "apps")?,
+        shards: parsed(body, "shards")?,
+        shard: parsed(body, "shard")?,
+        config_digest: hex(body, "config")?,
+        update_ppm: parsed(body, "upd")?,
+        update_salt: hex(body, "usalt")?,
     })
 }
 
@@ -317,43 +331,35 @@ fn parse_record(body: &str) -> Result<AppRecord, String> {
     if !body.starts_with("app ") {
         return Err("not an app record".into());
     }
-    let f64_field = |key: &str| -> Result<f64, String> {
-        field_req(body, key)?.parse::<f64>().map_err(|e| format!("{key}: {e}"))
-    };
     Ok(AppRecord {
-        index: field_req(body, "i")?.parse().map_err(|e| format!("i: {e}"))?,
-        seed: u64::from_str_radix(field_req(body, "seed")?, 16)
-            .map_err(|e| format!("seed: {e}"))?,
+        index: parsed(body, "i")?,
+        seed: hex(body, "seed")?,
         package: field_req(body, "pkg")?.to_owned(),
         status: RecordStatus::parse(field_req(body, "status")?)
             .ok_or_else(|| "bad status".to_owned())?,
         verdict: field_req(body, "verdict")?.to_owned(),
-        leaks: field_req(body, "leaks")?.parse().map_err(|e| format!("leaks: {e}"))?,
-        report_fnv: u64::from_str_radix(field_req(body, "report")?, 16)
-            .map_err(|e| format!("report: {e}"))?,
-        envgen_ns: f64_field("envgen")?,
-        callgraph_ns: f64_field("cg")?,
-        idfg_ns: f64_field("idfg")?,
-        taint_ns: f64_field("taint")?,
-        nodes: field_req(body, "nodes")?.parse().map_err(|e| format!("nodes: {e}"))?,
-        rounds: field_req(body, "rounds")?.parse().map_err(|e| format!("rounds: {e}"))?,
-        sliced_micros: match field(body, "sliced") {
-            Some(m) => Some(m.parse().map_err(|e| format!("sliced: {e}"))?),
-            None => None,
-        },
-        attempts: field_req(body, "attempts")?.parse().map_err(|e| format!("attempts: {e}"))?,
+        leaks: parsed(body, "leaks")?,
+        report_fnv: hex(body, "report")?,
+        envgen_ns: parsed(body, "envgen")?,
+        callgraph_ns: parsed(body, "cg")?,
+        idfg_ns: parsed(body, "idfg")?,
+        taint_ns: parsed(body, "taint")?,
+        nodes: parsed(body, "nodes")?,
+        rounds: parsed(body, "rounds")?,
+        sliced_micros: field(body, "sliced").map(|_| parsed(body, "sliced")).transpose()?,
+        attempts: parsed(body, "attempts")?,
     })
 }
 
-/// The parsed contents of one shard journal (or one rotated segment).
+/// The parsed contents of one journal segment.
 #[derive(Debug)]
 pub struct JournalContents {
     /// The campaign header.
     pub header: JournalHeader,
-    /// Rotated segment index (`None` for a single-file journal).
-    pub segment: Option<usize>,
-    /// The cumulative rollup a rotated segment ≥ 1 carries as its second
-    /// line — the fold of every record in every earlier segment.
+    /// Segment index (0 when the header carries no `segment=` token).
+    pub segment: usize,
+    /// The cumulative rollup a segment ≥ 1 carries as its second line —
+    /// the fold of every record in every earlier segment.
     pub base: Option<ShardFold>,
     /// Valid records, in append (completion) order.
     pub records: Vec<AppRecord>,
@@ -367,10 +373,10 @@ pub struct JournalContents {
     pub truncated: bool,
 }
 
-/// Reads a journal file (single-file or one rotated segment), tolerating
-/// a torn final line (reported via [`JournalContents::truncated`]).
-/// Corruption before the tail is a [`JournalError::Corrupt`]; a file with
-/// no complete line at all is [`JournalError::TornHeader`].
+/// Reads one journal segment file, tolerating a torn final line
+/// (reported via [`JournalContents::truncated`]). Corruption before the
+/// tail is a [`JournalError::Corrupt`]; a file with no complete line at
+/// all is [`JournalError::TornHeader`].
 pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
     let mut text = String::new();
     File::open(path)?.read_to_string(&mut text).map_err(JournalError::Io)?;
@@ -384,19 +390,12 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
         // its header line. Nothing durable is lost by recreating it.
         return Err(JournalError::TornHeader);
     };
-    let (header, segment) = match unseal(first) {
-        Some(body) => {
-            let header = parse_header(body).map_err(JournalError::BadHeader)?;
-            let segment = match field(body, "segment") {
-                Some(s) => Some(
-                    s.parse::<usize>()
-                        .map_err(|e| JournalError::BadHeader(format!("segment: {e}")))?,
-                ),
-                None => None,
-            };
-            (header, segment)
-        }
-        None => return Err(JournalError::BadHeader("line 1 failed its checksum".into())),
+    let body = unseal(first)
+        .ok_or_else(|| JournalError::BadHeader("line 1 failed its checksum".into()))?;
+    let header = parse_header(body).map_err(JournalError::BadHeader)?;
+    let segment = match field(body, "segment") {
+        Some(_) => parsed(body, "segment").map_err(JournalError::BadHeader)?,
+        None => 0,
     };
     let mut base = None;
     let mut records = Vec::new();
@@ -410,7 +409,7 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
                 // never a torn tail to drop.
                 let fold = ShardFold::parse_body(body, header.apps)
                     .map_err(|reason| JournalError::Corrupt { line: k + 1, reason })?;
-                if k == 1 && segment.is_some_and(|s| s > 0) {
+                if k == 1 && segment > 0 {
                     // Line 2 of a later segment: the carried base.
                     base = Some(fold);
                 } else if k + 1 != lines.len() {
@@ -462,7 +461,7 @@ impl Journal {
     /// file).
     pub fn create(path: &Path, header: &JournalHeader) -> Result<Journal, JournalError> {
         let mut file = File::create(path)?;
-        file.write_all(header_line(header, None).as_bytes())?;
+        file.write_all(header_line(header, 0).as_bytes())?;
         file.flush()?;
         Ok(Journal { writer: BufWriter::new(file), path: path.to_owned() })
     }
@@ -481,71 +480,52 @@ impl Journal {
     }
 }
 
-/// The path of shard `shard`'s journal in the single-file layout.
+/// The path of segment 0 of shard `shard`'s journal — the file every
+/// shard journal starts in.
 pub fn journal_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.journal"))
 }
 
-/// The path of rotated segment `segment` of shard `shard`.
+/// The path of segment `segment` of shard `shard`: [`journal_path`] for
+/// segment 0, `shard-<s>.journal.<k>` past it.
 pub fn segment_path(dir: &Path, shard: usize, segment: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}.journal.{segment}"))
+    match segment {
+        0 => journal_path(dir, shard),
+        k => dir.join(format!("shard-{shard}.journal.{k}")),
+    }
 }
 
-/// The file segment `segment` lives in: its own numbered file under
-/// rotation (`Some`), the one un-numbered file otherwise.
-fn layout_path(dir: &Path, shard: usize, segment: Option<usize>) -> PathBuf {
-    segment.map_or_else(|| journal_path(dir, shard), |k| segment_path(dir, shard, k))
-}
-
-/// The newest rotated segment of `shard` on disk; `None` when the shard
-/// has no rotated journal there.
-pub fn newest_segment(dir: &Path, shard: usize) -> Option<usize> {
+/// The newest segment of `shard` on disk — the one file resume and the
+/// fleet fold read — or `None` when nothing is journaled yet. A leftover
+/// `shard-<s>.journal.0` from an older build is refused.
+pub fn newest_segment(dir: &Path, shard: usize) -> Result<Option<usize>, JournalError> {
+    let stale = dir.join(format!("shard-{shard}.journal.0"));
+    if stale.exists() {
+        return Err(JournalError::Layout(format!(
+            "{} is segment 0 as an older build named it — rename it to {} or rerun with --fresh \
+             to discard the directory",
+            stale.display(),
+            journal_path(dir, shard).display()
+        )));
+    }
     let mut last = 0;
     while segment_path(dir, shard, last + 1).exists() {
         last += 1;
     }
-    (last > 0 || segment_path(dir, shard, 0).exists()).then_some(last)
+    Ok((last > 0 || journal_path(dir, shard).exists()).then_some(last))
 }
 
-/// The one file resume and the fleet fold read for `shard` — the single
-/// file (`None`) or the newest rotated segment (`Some`) — or `None` when
-/// nothing is journaled yet. Both layouts side by side are refused.
-fn newest_file(dir: &Path, shard: usize) -> Result<Option<(PathBuf, Option<usize>)>, JournalError> {
-    let single = journal_path(dir, shard);
-    match (single.exists(), newest_segment(dir, shard)) {
-        (true, Some(k)) => Err(layout_error(&single, "sits beside", &segment_path(dir, shard, k))),
-        (true, None) => Ok(Some((single, None))),
-        (false, newest) => Ok(newest.map(|k| (segment_path(dir, shard, k), Some(k)))),
-    }
-}
-
-fn layout_error(found: &Path, relation: &str, other: &Path) -> JournalError {
-    JournalError::Layout(format!(
-        "{} {relation} {}: a shard is journaled in one layout — rerun with the --rotate/--snapshot \
-         setting the directory was written under, or with --fresh to discard it",
-        found.display(),
-        other.display()
-    ))
-}
-
-fn no_journal(dir: &Path, shard: usize) -> JournalError {
-    JournalError::Io(std::io::Error::new(
-        std::io::ErrorKind::NotFound,
-        format!("no journal for shard {shard} in {}", dir.display()),
-    ))
-}
-
-/// A shard's checkpoint journal, in either layout. Records append to the
-/// current segment; under rotation every `rotate` records the segment
-/// seals (its cumulative [`ShardFold`] rollup becomes its footer) and the
-/// next segment opens carrying that rollup as its second line, so the
-/// fold of everything durably journaled is always reconstructible from
-/// the newest file alone. Without rotation the one segment never seals.
+/// A shard's checkpoint journal. Records append to the newest segment;
+/// under rotation every `rotate` records the segment seals (its
+/// cumulative [`ShardFold`] rollup becomes its footer) and the next
+/// segment opens carrying that rollup as its second line, so the fold of
+/// everything durably journaled is always reconstructible from the
+/// newest file alone. Without rotation the newest segment never seals.
 pub struct SegmentedJournal {
     dir: PathBuf,
     shard: usize,
     header: JournalHeader,
-    /// Records per segment; `None` is the single-file layout.
+    /// Records per segment; `None` never seals.
     rotate: Option<usize>,
     writer: BufWriter<File>,
     segment: usize,
@@ -554,37 +534,39 @@ pub struct SegmentedJournal {
 }
 
 impl SegmentedJournal {
-    /// Opens (resuming) or creates the journal of `shard` under `dir` —
-    /// rotated segments sealing every `rotate` records, or with `None`
-    /// the single file. Returns the journal plus the fold of everything
-    /// already durably on disk (the resume state). The header is checked
-    /// against `header`; torn tails are truncated; a newest file torn
-    /// inside its header or carried-rollup line is recreated (a later
-    /// segment from its predecessor's sealed footer); a directory holding
-    /// the other layout is refused.
+    /// Opens (resuming) or creates the journal of `shard` under `dir`,
+    /// sealing segments every `rotate` records (`None`: never). Returns
+    /// the journal plus the fold of everything already durably on disk
+    /// (the resume state). The header is checked against `header`; torn
+    /// tails are truncated; a newest file torn inside its header or
+    /// carried-rollup line is recreated (a later segment from its
+    /// predecessor's sealed footer); a newest segment holding `rotate` or
+    /// more records is sealed now. The directory may have been written
+    /// under any rotation setting.
     pub fn open_or_create(
         dir: &Path,
         shard: usize,
         header: &JournalHeader,
         rotate: Option<usize>,
     ) -> Result<(SegmentedJournal, ShardFold), JournalError> {
-        let rotate = rotate.map(|r| r.max(1));
-        let with_fold = |journal: SegmentedJournal| {
-            let fold = journal.fold.clone();
-            (journal, fold)
+        let journal = |writer, segment, in_segment, fold| SegmentedJournal {
+            dir: dir.to_owned(),
+            shard,
+            header: header.clone(),
+            rotate: rotate.map(|r| r.max(1)),
+            writer,
+            segment,
+            in_segment,
+            fold,
         };
-        let create = |segment, base| {
-            SegmentedJournal::create_segment(dir, shard, header, rotate, segment, base)
-                .map(with_fold)
+        let create = |segment, base: ShardFold| {
+            let writer = create_segment(dir, shard, header, segment, &base)?;
+            Ok((journal(writer, segment, 0, base.clone()), base))
         };
-        let Some((path, newest)) = newest_file(dir, shard)? else {
+        let Some(last) = newest_segment(dir, shard)? else {
             return create(0, ShardFold::default());
         };
-        if newest.is_some() != rotate.is_some() {
-            let wanted = layout_path(dir, shard, rotate.map(|_| 0));
-            return Err(layout_error(&path, "is on disk but this campaign writes", &wanted));
-        }
-        let last = newest.unwrap_or(0);
+        let path = segment_path(dir, shard, last);
         let contents = match read_journal(&path) {
             Ok(c) if last == 0 || c.base.is_some() || c.sealed.is_some() => c,
             // A newest file with no usable prefix (torn header, or a later
@@ -620,19 +602,13 @@ impl SegmentedJournal {
                 found: Box::new(contents.header),
             });
         }
-        // Records follow the header and, past segment 0, the carried base.
-        let first_record_line = 2 + usize::from(contents.base.is_some());
         if let Some(sealed) = contents.sealed {
-            if rotate.is_none() {
-                return Err(JournalError::Corrupt {
-                    line: first_record_line + contents.records.len(),
-                    reason: "rollup footer in a single-file journal".into(),
-                });
-            }
             // Sealed but the crash hit before the successor was created:
             // open the successor fresh.
             return create(last + 1, sealed);
         }
+        // Records follow the header and, past segment 0, the carried base.
+        let first_record_line = 2 + usize::from(contents.base.is_some());
         let mut fold = contents.base.unwrap_or_default();
         for (k, record) in contents.records.iter().enumerate() {
             fold.fold(record)
@@ -643,49 +619,13 @@ impl SegmentedJournal {
         file.set_len(contents.valid_len)?;
         let mut writer = BufWriter::new(file);
         writer.seek(SeekFrom::End(0))?;
-        let mut journal = SegmentedJournal {
-            dir: dir.to_owned(),
-            shard,
-            header: header.clone(),
-            rotate,
-            writer,
-            segment: last,
-            in_segment: contents.records.len(),
-            fold,
-        };
-        // A crash after the threshold but before the footer reached disk:
-        // finish the seal now so segments stay bounded.
+        let mut journal = journal(writer, last, contents.records.len(), fold);
+        // A crash after the threshold but before the footer reached disk,
+        // or a run that did not rotate: finish the seal now so segments
+        // stay bounded.
         journal.seal_if_full()?;
-        Ok(with_fold(journal))
-    }
-
-    /// Creates segment `segment` fresh: header line, then (for segments
-    /// past the first) the carried cumulative rollup.
-    fn create_segment(
-        dir: &Path,
-        shard: usize,
-        header: &JournalHeader,
-        rotate: Option<usize>,
-        segment: usize,
-        base: ShardFold,
-    ) -> Result<SegmentedJournal, JournalError> {
-        let numbered = rotate.map(|_| segment);
-        let mut file = File::create(layout_path(dir, shard, numbered))?;
-        file.write_all(header_line(header, numbered).as_bytes())?;
-        if segment > 0 {
-            file.write_all(seal(base.serialize_body()).as_bytes())?;
-        }
-        file.flush()?;
-        Ok(SegmentedJournal {
-            dir: dir.to_owned(),
-            shard,
-            header: header.clone(),
-            rotate,
-            writer: BufWriter::new(file),
-            segment,
-            in_segment: 0,
-            fold: base,
-        })
+        let fold = journal.fold.clone();
+        Ok((journal, fold))
     }
 
     /// Appends one record and flushes it to the OS — the checkpoint
@@ -719,16 +659,9 @@ impl SegmentedJournal {
         }
         self.writer.write_all(seal(self.fold.serialize_body()).as_bytes())?;
         self.writer.flush()?;
-        let next = SegmentedJournal::create_segment(
-            &self.dir,
-            self.shard,
-            &self.header,
-            self.rotate,
-            self.segment + 1,
-            self.fold.clone(),
-        )?;
-        self.writer = next.writer;
-        self.segment = next.segment;
+        let next = self.segment + 1;
+        self.writer = create_segment(&self.dir, self.shard, &self.header, next, &self.fold)?;
+        self.segment = next;
         self.in_segment = 0;
         Ok(())
     }
@@ -744,33 +677,59 @@ impl SegmentedJournal {
     }
 }
 
-/// The incremental read of a shard journal in whichever layout is on
-/// disk: the carried rollup of all sealed history plus the unsealed
-/// tail's records — only the newest file is opened. A single-file journal
-/// has no sealed history: its rollup is empty and its tail is everything.
+/// Creates segment `segment` of `shard` fresh: header line, then (past
+/// segment 0) the carried cumulative rollup `base`.
+fn create_segment(
+    dir: &Path,
+    shard: usize,
+    header: &JournalHeader,
+    segment: usize,
+    base: &ShardFold,
+) -> Result<BufWriter<File>, JournalError> {
+    let mut file = File::create(segment_path(dir, shard, segment))?;
+    file.write_all(header_line(header, segment).as_bytes())?;
+    if segment > 0 {
+        file.write_all(seal(base.serialize_body()).as_bytes())?;
+    }
+    file.flush()?;
+    Ok(BufWriter::new(file))
+}
+
+/// The newest segment of `shard`, which must exist.
+fn newest_existing(dir: &Path, shard: usize) -> Result<usize, JournalError> {
+    newest_segment(dir, shard)?.ok_or_else(|| {
+        JournalError::Io(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            format!("no journal for shard {shard} in {}", dir.display()),
+        ))
+    })
+}
+
+/// The incremental read of a shard journal: the carried rollup of all
+/// sealed history plus the unsealed tail's records — only the newest
+/// segment is opened. A journal that never sealed has no sealed history:
+/// its rollup is empty and its tail is everything.
 pub fn read_shard_tail(
     dir: &Path,
     shard: usize,
 ) -> Result<(ShardFold, Vec<AppRecord>), JournalError> {
-    let (path, _) = newest_file(dir, shard)?.ok_or_else(|| no_journal(dir, shard))?;
-    let contents = read_journal(&path)?;
+    let contents = read_journal(&segment_path(dir, shard, newest_existing(dir, shard)?))?;
     if let Some(sealed) = contents.sealed {
         return Ok((sealed, Vec::new()));
     }
     Ok((contents.base.unwrap_or_default(), contents.records))
 }
 
-/// Reads every record of one shard, oldest first, across whichever layout
-/// the journal uses — the single file `shard-<s>.journal` or the rotated
-/// segments `shard-<s>.journal.<k>`. The monolithic view the incremental
-/// tail read is gated against.
+/// Reads every record of one shard, oldest first, across all its
+/// segments — the monolithic view the incremental tail read is gated
+/// against.
 pub fn read_shard_records(
     dir: &Path,
     shard: usize,
 ) -> Result<(JournalHeader, Vec<AppRecord>), JournalError> {
-    let (_, newest) = newest_file(dir, shard)?.ok_or_else(|| no_journal(dir, shard))?;
-    let mut contents = read_journal(&layout_path(dir, shard, newest.map(|_| 0)))?;
-    for segment in 1..=newest.unwrap_or(0) {
+    let newest = newest_existing(dir, shard)?;
+    let mut contents = read_journal(&journal_path(dir, shard))?;
+    for segment in 1..=newest {
         contents.records.extend(read_journal(&segment_path(dir, shard, segment))?.records);
     }
     Ok((contents.header, contents.records))
@@ -848,7 +807,7 @@ mod tests {
         let c = read_journal(&path).unwrap();
         assert_eq!(c.header, header());
         assert!(!c.truncated);
-        assert!(c.segment.is_none() && c.base.is_none() && c.sealed.is_none());
+        assert!(c.segment == 0 && c.base.is_none() && c.sealed.is_none());
         assert_eq!(c.records.len(), 4);
         for (i, r) in c.records.iter().enumerate() {
             assert_eq!(r, &record(i), "record {i} did not round-trip");
@@ -879,7 +838,7 @@ mod tests {
         drop(j);
         let c = read_journal(&path).unwrap();
         assert!(!c.truncated);
-        assert!(c.segment.is_none(), "a single-file journal writes no segment= token");
+        assert!(!std::fs::read_to_string(&path).unwrap().contains("segment="));
         assert_eq!(c.records.len(), 4);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -888,7 +847,7 @@ mod tests {
     fn header_torn_inside_line_one_is_reported_and_recreated() {
         let path = tmp("torn-header");
         // A header line cut before its '\n' ever reached disk.
-        let full = header_line(&header(), None);
+        let full = header_line(&header(), 0);
         std::fs::write(&path, &full.as_bytes()[..full.len() - 9]).unwrap();
         match read_journal(&path) {
             Err(JournalError::TornHeader) => {}
@@ -978,31 +937,81 @@ mod tests {
     }
 
     #[test]
-    fn a_directory_in_the_other_layout_or_in_both_is_refused() {
-        let layout = |r: Result<_, JournalError>| match r {
+    fn rotation_may_change_between_opens() {
+        // One directory, three settings and a kill: the fold, the tail read
+        // and the monolithic read all end where one unrotated run does.
+        let dir = tmp("rotate-change").parent().unwrap().to_owned();
+        let header = JournalHeader { apps: 10, ..header() };
+        let open = |rotate| SegmentedJournal::open_or_create(&dir, 0, &header, rotate).unwrap();
+        let (mut j, _) = open(None);
+        for i in 0..4 {
+            j.append(&record(i)).unwrap();
+        }
+        drop(j);
+        // Four records already exceed the threshold: opening seals them.
+        let (mut j, fold) = open(Some(3));
+        assert_eq!((fold.apps(), j.segments()), (4, 2));
+        for i in 4..8 {
+            j.append(&record(i)).unwrap();
+        }
+        assert_eq!(j.segments(), 3);
+        drop(j);
+        // Kill: cut segment 2's one record.
+        let newest = segment_path(&dir, 0, 2);
+        let bytes = std::fs::read(&newest).unwrap();
+        std::fs::write(&newest, &bytes[..bytes.len() - 5]).unwrap();
+        let (mut j, fold) = open(None);
+        assert_eq!(fold.apps(), 7, "record 7 was cut");
+        for i in 7..10 {
+            j.append(&record(i)).unwrap();
+        }
+        assert_eq!(j.segments(), 3, "an unrotated run never seals");
+        let live = j.fold().clone();
+        drop(j);
+
+        let mut uninterrupted = ShardFold::default();
+        for i in 0..10 {
+            uninterrupted.fold(&record(i)).unwrap();
+        }
+        assert_eq!(live, uninterrupted);
+        let (base, tail) = read_shard_tail(&dir, 0).unwrap();
+        let mut incremental = base;
+        for r in &tail {
+            incremental.fold(r).unwrap();
+        }
+        assert_eq!(incremental, uninterrupted);
+        let (_, records) = read_shard_records(&dir, 0).unwrap();
+        assert_eq!(records, (0..10).map(record).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_leftover_segment_zero_from_an_older_build_is_refused() {
+        let (dir, header) = rotated_twelve("leftover");
+        let stale = dir.join("shard-0.journal.0");
+        std::fs::rename(journal_path(&dir, 0), &stale).unwrap();
+        let layout = |r: Result<(), JournalError>| match r {
             Err(JournalError::Layout(message)) => message,
-            Err(other) => panic!("expected a layout refusal, got {other}"),
-            Ok(()) => panic!("expected a layout refusal"),
+            other => panic!("expected a layout refusal, got {other:?}"),
         };
-        let dir = tmp("layout").parent().unwrap().to_owned();
-        let open = |rotate| SegmentedJournal::open_or_create(&dir, 0, &header(), rotate).map(drop);
-        open(None).unwrap();
-        let message = layout(open(Some(3)));
-        assert!(message.contains("shard-0.journal ") && message.contains("shard-0.journal.0"));
-        assert!(message.contains("--fresh"), "{message}");
-        // Both at once: no reader guesses which file wins.
-        std::fs::copy(journal_path(&dir, 0), segment_path(&dir, 0, 0)).unwrap();
         for message in [
-            layout(open(None)),
-            layout(open(Some(3))),
+            layout(SegmentedJournal::open_or_create(&dir, 0, &header, None).map(drop)),
+            layout(SegmentedJournal::open_or_create(&dir, 0, &header, Some(5)).map(drop)),
             layout(read_shard_tail(&dir, 0).map(drop)),
             layout(read_shard_records(&dir, 0).map(drop)),
             layout(read_campaign_journals(&dir).map(drop)),
         ] {
-            assert!(message.contains("shard-0.journal sits beside"), "{message}");
+            assert!(message.contains("shard-0.journal.0 ") && message.contains("--fresh"));
         }
-        std::fs::remove_file(journal_path(&dir, 0)).unwrap();
-        layout(open(None));
+        assert!(!journal_path(&dir, 0).exists(), "a refused open creates nothing");
+        // An older build's segment 0 differs only in its name and its
+        // ` segment=0` header token: renamed, it resumes.
+        rewrite_line(&stale, 0, |line| {
+            resealed(line, |body| [body, b" segment=0".as_slice()].concat())
+        });
+        std::fs::rename(&stale, journal_path(&dir, 0)).unwrap();
+        let (_, fold) = SegmentedJournal::open_or_create(&dir, 0, &header, Some(5)).unwrap();
+        assert_eq!(fold.apps(), 12);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1019,12 +1028,13 @@ mod tests {
         assert_eq!(j.segments(), 3);
         let whole_fold = j.fold().clone();
         drop(j);
-        let s0 = read_journal(&segment_path(&dir, 0, 0)).unwrap();
-        assert_eq!(s0.segment, Some(0));
+        let s0 = read_journal(&journal_path(&dir, 0)).unwrap();
+        assert_eq!(s0.segment, 0);
         assert!(s0.base.is_none());
         assert_eq!(s0.records.len(), 3);
         assert!(s0.sealed.is_some());
         let s2 = read_journal(&segment_path(&dir, 0, 2)).unwrap();
+        assert_eq!(s2.segment, 2);
         assert_eq!(s2.records.len(), 2);
         assert!(s2.sealed.is_none());
         // Incremental tail read: base rollup + tail == fold of all 8.
@@ -1115,22 +1125,6 @@ mod tests {
         twelve(name, Some(5))
     }
 
-    #[test]
-    fn a_sealed_segment_posing_as_a_single_file_is_corrupt_not_appended_to() {
-        let (dir, header) = rotated_twelve("posing");
-        std::fs::rename(segment_path(&dir, 0, 0), journal_path(&dir, 0)).unwrap();
-        for k in 1..3 {
-            std::fs::remove_file(segment_path(&dir, 0, k)).unwrap();
-        }
-        match SegmentedJournal::open_or_create(&dir, 0, &header, None).err() {
-            Some(JournalError::Corrupt { line: 7, reason }) => {
-                assert!(reason.contains("rollup footer"), "{reason}")
-            }
-            other => panic!("a single-file journal has no footer to resume past: {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Rewrites line `k` of a journal file through `edit`, which gets the
     /// line without its newline; every other byte is kept.
     fn rewrite_line(path: &Path, k: usize, edit: impl FnOnce(&[u8]) -> Vec<u8>) {
@@ -1204,7 +1198,8 @@ mod tests {
             }
             other => panic!("resume folded an overflowing tally: {other:?}"),
         }
-        let fleet = crate::report::FleetReport::try_from_records(0xD401D, 8, 0, vec![records]);
+        let tails = vec![(ShardFold::default(), records)];
+        let fleet = crate::report::FleetReport::from_folds(0xD401D, 8, 0, tails);
         assert!(matches!(fleet, Err(JournalError::Corrupt { .. })), "{:?}", fleet.err());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1281,7 +1276,7 @@ mod tests {
                     let (segment, k) = lines[pick % lines.len()];
                     for reseal in [false, true] {
                         let (dir, header) = twelve(&format!("hostile-{kind}-{reseal}"), rotate);
-                        let path = layout_path(&dir, 0, rotate.map(|_| segment));
+                        let path = segment_path(&dir, 0, segment);
                         rewrite_line(&path, k, |line| {
                             let edit = |bytes: &[u8]| mangle(bytes, op, a, b, byte);
                             if reseal { resealed(line, edit) } else { edit(line) }

@@ -42,4 +42,4 @@ pub use journal::{
     read_shard_tail, segment_path, AppRecord, Journal, JournalContents, JournalError,
     JournalHeader, RecordStatus, SegmentedJournal, JOURNAL_VERSION,
 };
-pub use report::{FleetReport, ShardSummary, Straggler, STRAGGLER_COUNT};
+pub use report::{FleetReport, Straggler, STRAGGLER_COUNT};

@@ -13,49 +13,19 @@
 //! runs every record of every shard through a [`ShardFold`];
 //! [`FleetReport::from_folds`] starts each shard from a sealed-segment
 //! rollup (a deserialized `ShardFold`, empty for a journal that never
-//! sealed) and folds only the unsealed tail. Both finish through the same
-//! aggregation, so the incremental report is byte-identical to the
-//! monolithic one by construction — a property the snapshot bench and
-//! `tests/resume_gate.rs` assert outright.
+//! sealed) and folds only the unsealed tail. Both finish by merging the
+//! shards' folds ([`ShardFold::merge`]), so the incremental report is
+//! byte-identical to the monolithic one by construction — a property the
+//! snapshot bench and `tests/resume_gate.rs` assert outright.
 
 use crate::campaign::DeltaReport;
-use crate::fold::{tally, verdict_line, ShardFold};
+use crate::fold::{verdict_line, ShardFold};
 use crate::journal::{AppRecord, JournalError};
 use gdroid_serve::HistogramSnapshot;
 use gdroid_vetting::json::JsonWriter;
 
 /// How many stragglers (slowest apps fleet-wide) the report lists.
 pub const STRAGGLER_COUNT: usize = 5;
-
-/// Per-shard rollup of journal records.
-#[derive(Clone, Debug)]
-pub struct ShardSummary {
-    /// Shard index.
-    pub shard: usize,
-    /// Apps with a terminal record.
-    pub apps: usize,
-    /// Completed apps.
-    pub completed: usize,
-    /// Suspicious verdicts.
-    pub suspicious: usize,
-    /// Clean verdicts (tallied explicitly, not inferred by subtraction).
-    pub clean: usize,
-    /// Completed apps whose verdict is neither `Clean` nor `Suspicious`.
-    pub unknown: usize,
-    /// Quarantined apps.
-    pub quarantined: usize,
-    /// Failed apps.
-    pub failed: usize,
-    /// Total leaks found.
-    pub leaks: usize,
-    /// Summed modeled pipeline time of completed apps (ns) — the shard's
-    /// modeled busy time on a one-device node.
-    pub modeled_total_ns: f64,
-    /// Worklist node processings.
-    pub nodes: u64,
-    /// Fixpoint rounds.
-    pub rounds: u64,
-}
 
 /// One of the fleet's slowest apps.
 #[derive(Clone, Debug)]
@@ -87,15 +57,13 @@ pub struct FleetReport {
     /// the incremental ([`Self::from_folds`]) path this holds only the
     /// unsealed-tail records — see [`Self::records_complete`].
     pub records: Vec<AppRecord>,
-    /// Owning shard of each entry in `records` (parallel vec).
-    pub record_shards: Vec<usize>,
     /// Whether `records` covers every tallied app (`false` when some
     /// shard's fold started from a sealed-segment rollup, which carries
     /// aggregates but not individual records). Every tally and digest in
     /// the report covers all apps either way.
     pub records_complete: bool,
-    /// Per-shard rollups, by shard index.
-    pub per_shard: Vec<ShardSummary>,
+    /// Each shard's fold, by shard index.
+    pub per_shard: Vec<ShardFold>,
     /// Completed apps fleet-wide.
     pub completed: usize,
     /// Suspicious verdicts fleet-wide.
@@ -145,28 +113,16 @@ impl FleetReport {
     /// any other duplicate keeps the first record.
     ///
     /// For records this process produced or already folded once; panics
-    /// where [`Self::try_from_records`] reports corruption.
+    /// where [`Self::from_folds`] reports corruption.
     pub fn from_records(
         master_seed: u64,
         apps: usize,
         config_digest: u64,
         shard_records: Vec<Vec<AppRecord>>,
     ) -> FleetReport {
-        FleetReport::try_from_records(master_seed, apps, config_digest, shard_records)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::from_records`] for records read from journal files, whose
-    /// checksummed counts may be anything: a tally they overflow — per
-    /// shard or fleet-wide — is [`JournalError::Corrupt`], not a panic.
-    pub fn try_from_records(
-        master_seed: u64,
-        apps: usize,
-        config_digest: u64,
-        shard_records: Vec<Vec<AppRecord>>,
-    ) -> Result<FleetReport, JournalError> {
         let shards = shard_records.into_iter().map(|r| (ShardFold::default(), r)).collect();
-        FleetReport::merge(master_seed, apps, config_digest, shards).map_err(total_corrupt)
+        FleetReport::from_folds(master_seed, apps, config_digest, shards)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The incremental fold: element `i` is shard `i`'s sealed-history
@@ -176,124 +132,78 @@ impl FleetReport {
     /// was read — so [`Self::records`] holds tail records only, and
     /// [`Self::records_complete`] says whether that is all of them.
     /// Rollups and tails come from files: an overflowing tally is
-    /// [`JournalError::Corrupt`].
+    /// [`JournalError::Corrupt`]; per-shard ones name their shard.
     pub fn from_folds(
         master_seed: u64,
         apps: usize,
         config_digest: u64,
         shard_tails: Vec<(ShardFold, Vec<AppRecord>)>,
     ) -> Result<FleetReport, JournalError> {
-        FleetReport::merge(master_seed, apps, config_digest, shard_tails).map_err(total_corrupt)
-    }
-
-    /// Folds each shard's records into its starting fold, then merges the
-    /// shards; `Err` names the tally that overflowed.
-    fn merge(
-        master_seed: u64,
-        apps: usize,
-        config_digest: u64,
-        shard_tails: Vec<(ShardFold, Vec<AppRecord>)>,
-    ) -> Result<FleetReport, String> {
+        let corrupt = |reason| JournalError::Corrupt { line: 0, reason };
         let shards = shard_tails.len().max(1);
         let records_complete = shard_tails.iter().all(|(fold, _)| fold.indices.is_empty());
         let mut per_shard = Vec::with_capacity(shard_tails.len());
-        let mut merged: Vec<(usize, AppRecord)> = Vec::new();
-        let mut hist_buckets = [0u64; 17];
-        let mut hist_sum = 0u64;
-        let mut hist_max = 0u64;
-        let (mut completed, mut suspicious, mut clean, mut unknown) =
-            (0usize, 0usize, 0usize, 0usize);
-        let (mut quarantined, mut failed, mut leaks) = (0usize, 0usize, 0usize);
-        let mut retried_apps = 0usize;
-        let mut targeted_apps = 0usize;
-        let mut sliced_micros_sum = 0u64;
-        let mut verdict_digest = 0u64;
-        let mut top: Vec<Straggler> = Vec::new();
+        let mut records = Vec::new();
+        let mut total = ShardFold::default();
         for (shard, (mut fold, tail)) in shard_tails.into_iter().enumerate() {
             let kept = fold_keeping_records(&mut fold, tail)
-                .map_err(|reason| format!("shard {shard}: {reason}"))?;
-            per_shard.push(ShardSummary {
-                shard,
-                apps: fold.apps(),
-                completed: fold.completed,
-                suspicious: fold.suspicious,
-                clean: fold.clean,
-                unknown: fold.unknown,
-                quarantined: fold.quarantined,
-                failed: fold.failed(),
-                leaks: fold.leaks,
-                modeled_total_ns: fold.modeled_total_ns,
-                nodes: fold.nodes,
-                rounds: fold.rounds,
-            });
-            for (i, &b) in fold.hist_buckets.iter().enumerate() {
-                tally!(hist_buckets[i], b, "hist");
-            }
-            tally!(hist_sum, fold.hist_sum, "hsum");
-            hist_max = hist_max.max(fold.hist_max);
-            tally!(completed, fold.completed, "completed");
-            tally!(suspicious, fold.suspicious, "suspicious");
-            tally!(clean, fold.clean, "clean");
-            tally!(unknown, fold.unknown, "unknown");
-            tally!(quarantined, fold.quarantined, "quarantined");
-            tally!(failed, fold.failed(), "failed");
-            tally!(leaks, fold.leaks, "leaks");
-            tally!(retried_apps, fold.final_retried(), "retried");
-            tally!(targeted_apps, fold.targeted, "targeted");
-            tally!(sliced_micros_sum, fold.sliced_micros_sum, "slicedsum");
-            verdict_digest = verdict_digest.wrapping_add(fold.final_verdict_fold());
-            top.extend(fold.top.iter().map(|t| Straggler {
+                .map_err(|reason| corrupt(format!("shard {shard}: {reason}")))?;
+            records.extend(kept);
+            total.merge(&fold).map_err(corrupt)?;
+            per_shard.push(fold);
+        }
+        records.sort_by_key(|r| r.index);
+        // Indices are unique across shards: a straggler's owner is the
+        // shard whose top apps hold its index.
+        let stragglers = total
+            .top
+            .iter()
+            .map(|t| Straggler {
                 index: t.index,
                 package: t.package.clone(),
-                shard,
+                shard: per_shard
+                    .iter()
+                    .position(|f| f.top.iter().any(|s| s.index == t.index))
+                    .expect("every fleet top app is some shard's top app"),
                 total_ns: t.total_ns,
-            }));
-            merged.extend(kept.into_iter().map(|r| (shard, r)));
-        }
-        merged.sort_by_key(|(_, r)| r.index);
-        // Top-k selection is associative: the fleet's exact slowest apps
-        // are among the union of per-shard tops (indices are unique
-        // across shards, so the tie-break is total).
-        top.sort_by(|a, b| b.total_ns.total_cmp(&a.total_ns).then(a.index.cmp(&b.index)));
-        top.truncate(STRAGGLER_COUNT);
-
-        let mean_sliced_fraction = if targeted_apps == 0 {
+            })
+            .collect();
+        let mean_sliced_fraction = if total.targeted == 0 {
             1.0
         } else {
-            sliced_micros_sum as f64 / 1e6 / targeted_apps as f64
+            total.sliced_micros_sum as f64 / 1e6 / total.targeted as f64
         };
-
-        let modeled_serial_ns: f64 = per_shard.iter().map(|s| s.modeled_total_ns).sum();
         let modeled_makespan_ns = per_shard.iter().map(|s| s.modeled_total_ns).fold(0.0, f64::max);
-        let mean_shard = modeled_serial_ns / shards as f64;
+        let mean_shard = total.modeled_total_ns / shards as f64;
         let imbalance = if mean_shard > 0.0 { modeled_makespan_ns / mean_shard } else { 1.0 };
-
-        let (record_shards, records): (Vec<usize>, Vec<AppRecord>) = merged.into_iter().unzip();
         Ok(FleetReport {
             master_seed,
             apps,
             shards,
             config_digest,
             records,
-            record_shards,
             records_complete,
-            per_shard,
-            completed,
-            suspicious,
-            clean,
-            unknown,
-            quarantined,
-            failed,
-            leaks,
-            retried_apps,
-            targeted_apps,
+            completed: total.completed,
+            suspicious: total.suspicious,
+            clean: total.clean,
+            unknown: total.unknown,
+            quarantined: total.quarantined,
+            failed: total.failed(),
+            leaks: total.leaks,
+            retried_apps: total.final_retried().map_err(corrupt)?,
+            targeted_apps: total.targeted,
             mean_sliced_fraction,
-            modeled_serial_ns,
+            modeled_serial_ns: total.modeled_total_ns,
             modeled_makespan_ns,
             imbalance,
-            app_model: HistogramSnapshot::from_buckets(hist_buckets, hist_sum, hist_max),
-            stragglers: top,
-            verdict_digest,
+            app_model: HistogramSnapshot::from_buckets(
+                total.hist_buckets,
+                total.hist_sum,
+                total.hist_max,
+            ),
+            stragglers,
+            verdict_digest: total.final_verdict_fold(),
+            per_shard,
         })
     }
 
@@ -301,7 +211,7 @@ impl FleetReport {
     /// completeness check callers use instead of `records.len()`, which
     /// undercounts in the incremental fold.
     pub fn tallied_apps(&self) -> usize {
-        self.per_shard.iter().map(|s| s.apps).sum()
+        self.per_shard.iter().map(ShardFold::apps).sum()
     }
 
     /// One line per kept record, sorted by corpus index:
@@ -351,16 +261,16 @@ impl FleetReport {
                 self.app_model.write_json(w.key("app_model"));
             });
             w.key("per_shard").array(|w| {
-                for s in &self.per_shard {
+                for (shard, s) in self.per_shard.iter().enumerate() {
                     w.object(|w| {
-                        w.key("shard").int(s.shard);
-                        w.key("apps").int(s.apps);
+                        w.key("shard").int(shard);
+                        w.key("apps").int(s.apps());
                         w.key("completed").int(s.completed);
                         w.key("suspicious").int(s.suspicious);
                         w.key("clean").int(s.clean);
                         w.key("unknown").int(s.unknown);
                         w.key("quarantined").int(s.quarantined);
-                        w.key("failed").int(s.failed);
+                        w.key("failed").int(s.failed());
                         w.key("leaks").int(s.leaks);
                         w.key("modeled_total_ns").fixed(s.modeled_total_ns, 1);
                         w.key("nodes").int(s.nodes);
@@ -409,12 +319,12 @@ impl FleetReport {
             self.imbalance
         )
         .unwrap();
-        for s in &self.per_shard {
+        for (shard, s) in self.per_shard.iter().enumerate() {
             writeln!(
                 out,
                 "  shard {}: {} apps, {} suspicious, modeled {:.1} ms",
-                s.shard,
-                s.apps,
+                shard,
+                s.apps(),
                 s.suspicious,
                 s.modeled_total_ns / 1e6
             )
@@ -434,11 +344,6 @@ impl FleetReport {
         writeln!(out, "verdict digest: {:016x}", self.verdict_digest).unwrap();
         out
     }
-}
-
-/// An overflowing fleet tally has no one line to blame.
-fn total_corrupt(reason: String) -> JournalError {
-    JournalError::Corrupt { line: 0, reason }
 }
 
 /// Folds `records` into `fold` while maintaining the kept-record list
@@ -603,15 +508,31 @@ mod tests {
     fn counts_that_overflow_the_fleet_merge_are_corrupt_not_a_panic() {
         // Each shard's tally holds; their fleet-wide sum does not.
         let brim = AppRecord { leaks: usize::MAX, ..record(0, "Suspicious", 1.0) };
-        let shards = vec![vec![brim], vec![record(1, "Suspicious", 1.0)]];
-        match FleetReport::try_from_records(3, 2, 8, shards.clone()) {
+        let shards = [vec![brim], vec![record(1, "Suspicious", 1.0)]];
+        let tails = shards.into_iter().map(|r| (ShardFold::default(), r)).collect();
+        match FleetReport::from_folds(3, 2, 8, tails) {
             Err(JournalError::Corrupt { line: 0, reason }) => {
                 assert!(reason.contains("leaks"), "{reason}")
             }
             other => panic!("the merge summed past usize::MAX: {:?}", other.err()),
         }
-        let tails = shards.into_iter().map(|r| (ShardFold::default(), r)).collect();
-        assert!(FleetReport::from_folds(3, 2, 8, tails).is_err());
+    }
+
+    #[test]
+    fn a_restored_retried_count_that_overflows_is_corrupt_not_a_panic() {
+        // A resealed rollup may claim any count; an open retried failure
+        // on top of a brim-full tally used to overflow the final sum.
+        let mut failed = record(3, "-", 0.0);
+        (failed.status, failed.attempts) = (RecordStatus::Failed, 2);
+        let mut fold = ShardFold { retried: usize::MAX, ..ShardFold::default() };
+        fold.fold(&failed).unwrap();
+        let fold = ShardFold::parse_body(&fold.serialize_body(), 4).unwrap();
+        match FleetReport::from_folds(0, 4, 0, vec![(fold, Vec::new())]) {
+            Err(JournalError::Corrupt { line: 0, reason }) => {
+                assert!(reason.contains("retried"), "{reason}")
+            }
+            other => panic!("the retried tally wrapped: {:?}", other.map(|r| r.retried_apps)),
+        }
     }
 
     #[test]

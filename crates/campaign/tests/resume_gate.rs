@@ -5,10 +5,10 @@
 
 use gdroid_apk::{Corpus, GenConfig};
 use gdroid_campaign::{
-    config_digest, effective_seed, journal_path, newest_segment, read_shard_records,
-    read_shard_tail, run_campaign, segment_path, AppRecord, CampaignConfig, CampaignError,
-    FleetReport, Journal, JournalError, JournalHeader, RecordStatus, SegmentedJournal, ShardFold,
-    JOURNAL_VERSION,
+    config_digest, effective_seed, journal_path, newest_segment, read_campaign_journals,
+    read_shard_records, read_shard_tail, run_campaign, segment_path, AppRecord, CampaignConfig,
+    CampaignError, FleetReport, Journal, JournalError, JournalHeader, RecordStatus,
+    SegmentedJournal, ShardFold, JOURNAL_VERSION,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -201,7 +201,7 @@ fn rotated_campaign_folds_incrementally_and_survives_kills() {
     let kill_dir = tmp_dir("rotate-kill-tail");
     let kill_cfg = rotated_campaign(kill_dir.clone(), 10, 2, 3);
     run_campaign(&kill_cfg).unwrap();
-    let newest = newest_segment(&kill_dir, 0).unwrap();
+    let newest = newest_segment(&kill_dir, 0).unwrap().unwrap();
     let tail = segment_path(&kill_dir, 0, newest);
     let bytes = std::fs::read(&tail).unwrap();
     std::fs::write(&tail, &bytes[..bytes.len().saturating_sub(40)]).unwrap();
@@ -221,7 +221,7 @@ fn rotated_campaign_folds_incrementally_and_survives_kills() {
 
     // Kill inside the newest segment's header line: recreated from the
     // predecessor footer, same outcome.
-    let newest = newest_segment(&kill_dir, 0).unwrap();
+    let newest = newest_segment(&kill_dir, 0).unwrap().unwrap();
     std::fs::write(segment_path(&kill_dir, 0, newest), b"gdroid-camp").unwrap();
     let resumed = run_campaign(&kill_cfg).unwrap();
     assert_eq!(resumed.fleet.to_json(), reference.fleet.to_json());
@@ -233,7 +233,7 @@ fn rotated_campaign_folds_incrementally_and_survives_kills() {
 
 #[test]
 fn from_folds_over_a_single_file_campaign_is_records_complete() {
-    // One fold path for both layouts: a journal that never sealed hands
+    // One fold path for every journal: one that never sealed hands
     // the fold every record, so the report can print its own verdicts; a
     // sealed segment's rollup cannot.
     let dir = tmp_dir("complete-single");
@@ -256,38 +256,76 @@ fn from_folds_over_a_single_file_campaign_is_records_complete() {
 }
 
 #[test]
-fn a_directory_in_the_other_layout_is_refused_not_read_past() {
+fn rotation_may_change_between_runs_over_one_directory() {
+    let ref_dir = tmp_dir("rerotate-ref");
+    let reference = run_campaign(&tiny_campaign(ref_dir.clone(), 12, 2)).unwrap();
+
+    // Plain, killed mid-record; resumed rotating every 3 records, killed
+    // again inside its newest segment; resumed plain.
+    let dir = tmp_dir("rerotate");
+    let plain = tiny_campaign(dir.clone(), 12, 2);
+    let rotated = rotated_campaign(dir.clone(), 12, 2, 3);
+    run_campaign(&plain).unwrap();
+    let journal = journal_path(&dir, 0);
+    let bytes = std::fs::read(&journal).unwrap();
+    std::fs::write(&journal, &bytes[..bytes.len() - 250]).unwrap();
+    let resumed = run_campaign(&rotated).unwrap();
+    assert!(resumed.executed >= 1, "the cut records are re-vetted under rotation");
+    assert!(segment_path(&dir, 0, 1).exists(), "the resumed run seals what it found");
+    assert_eq!(resumed.fleet.to_json(), reference.fleet.to_json());
+    let newest = segment_path(&dir, 0, newest_segment(&dir, 0).unwrap().unwrap());
+    let bytes = std::fs::read(&newest).unwrap();
+    std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
+    let last = run_campaign(&plain).unwrap();
+    assert_eq!(last.fleet.to_json(), reference.fleet.to_json());
+    let (header, records) = read_campaign_journals(&dir).unwrap();
+    let on_disk =
+        FleetReport::from_records(header.master_seed, header.apps, header.config_digest, records);
+    assert_eq!(on_disk.verdict_lines(), reference.fleet.verdict_lines());
+    // A rerun under either setting then has nothing left to do.
+    for config in [&plain, &rotated] {
+        let noop = run_campaign(config).unwrap();
+        assert_eq!((noop.executed, noop.resumed), (0, 12));
+        assert_eq!(noop.fleet.to_json(), reference.fleet.to_json());
+    }
+
+    std::fs::remove_dir_all(ref_dir).ok();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_rerun_under_another_scale_is_refused_not_read_past() {
     // Regression: `campaign --apps 12 --journal-dir D` followed by
     // `campaign --apps 12 --rotate 4 --scale 0.1 --journal-dir D
-    // --verdicts V` used to exit 0 — the rotated writer never looked at
-    // `shard-0.journal`, no header check saw the profile change, and the
-    // verdict dump re-read the stale single file.
-    let refused = |config: &CampaignConfig| match run_campaign(config) {
-        Err(CampaignError::Journal(JournalError::Layout(message))) => message,
-        other => panic!(
-            "a mixed-layout directory must be refused, got {:?}",
-            other.map(|o| o.fleet.verdict_lines()).map_err(|e| e.to_string())
-        ),
-    };
-    let dir = tmp_dir("mixed");
+    // --verdicts V` once exited 0 and dumped the first run's verdicts.
+    // The rerun opens the same segment 0 and its header check refuses it.
+    let dir = tmp_dir("rescale");
     let plain = tiny_campaign(dir.clone(), 12, 1);
     let stale = run_campaign(&plain).unwrap().fleet.verdict_lines();
-    let mut rotated = rotated_campaign(dir.clone(), 12, 1, 4);
-    rotated.gen.scale *= 0.1;
-    let message = refused(&rotated);
-    assert!(message.contains("shard-0.journal ") && message.contains("--fresh"), "{message}");
-    assert!(!segment_path(&dir, 0, 0).exists(), "a refused campaign journals nothing");
-    // The directory is still the first campaign's, untouched.
+    let mut rescaled = rotated_campaign(dir.clone(), 12, 1, 4);
+    rescaled.gen.scale *= 0.1;
+    match run_campaign(&rescaled) {
+        Err(CampaignError::Journal(JournalError::HeaderMismatch { .. })) => {}
+        other => panic!(
+            "a profile change must be refused, got {:?}",
+            other.map(|o| o.fleet.verdict_lines()).map_err(|e| e.to_string())
+        ),
+    }
+    assert!(!segment_path(&dir, 0, 1).exists(), "a refused campaign journals nothing");
     assert_eq!(run_campaign(&plain).unwrap().fleet.verdict_lines(), stale);
 
-    // A delta base holding a shard in both layouts is refused the same
-    // way: which file's records would be copied forward is not a guess.
-    std::fs::copy(journal_path(&dir, 0), segment_path(&dir, 0, 0)).unwrap();
-    let delta_dir = tmp_dir("mixed-delta");
+    // A delta base holding segment 0 under an older build's name is
+    // refused too: which file holds the first records is not a guess.
+    std::fs::copy(journal_path(&dir, 0), dir.join("shard-0.journal.0")).unwrap();
+    let delta_dir = tmp_dir("rescale-delta");
     let mut delta = tiny_campaign(delta_dir.clone(), 12, 1);
     delta.delta_base = Some(dir.clone());
-    let message = refused(&delta);
-    assert!(message.contains("shard-0.journal.0"), "{message}");
+    match run_campaign(&delta) {
+        Err(CampaignError::Journal(JournalError::Layout(message))) => {
+            assert!(message.contains("shard-0.journal.0"), "{message}")
+        }
+        other => panic!("a leftover segment 0 must be refused, got {:?}", other.err()),
+    }
 
     std::fs::remove_dir_all(dir).ok();
     std::fs::remove_dir_all(delta_dir).ok();
@@ -500,7 +538,7 @@ proptest! {
 
         // Kill: chop the newest segment at a random byte offset, recover
         // by reopening, and re-compare.
-        let tail_path = segment_path(&dir, 0, newest_segment(&dir, 0).unwrap());
+        let tail_path = segment_path(&dir, 0, newest_segment(&dir, 0).unwrap().unwrap());
         let bytes = std::fs::read(&tail_path).unwrap();
         let cut = (bytes.len() * kill_pm as usize) / 1000;
         std::fs::write(&tail_path, &bytes[..cut]).unwrap();

@@ -256,7 +256,7 @@ counters! {
     /// (not pre-divided) so shard merges reproduce the exact fleet-wide
     /// mean instead of averaging per-shard means.
     sliced_fraction_micros,
-    /// Jobs executed under the CPU reference engine.
+    /// Jobs executed under a CPU engine.
     cpu_jobs,
     /// Methods this service's runs pre-solved from its summary store.
     store_hits,

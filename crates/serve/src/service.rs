@@ -591,7 +591,7 @@ fn finish(
     state.metrics.exec_wall.record(exec_wall_ns);
     state.metrics.kernel_model.record(run.outcome.timing.idfg_ns as u64);
     state.metrics.taint_model.record(run.outcome.timing.taint_ns as u64);
-    if job.plan.engine == Engine::CpuReference {
+    if !matches!(job.plan.engine, Engine::Gpu(_)) {
         Counters::bump(&state.metrics.counters.cpu_jobs);
     }
     let outcome = run.outcome.clone();
@@ -787,42 +787,45 @@ mod tests {
 
     #[test]
     fn cpu_engine_jobs_bypass_the_cache_and_match_worklist_reports() {
-        let svc = VettingService::start(ServiceConfig {
-            prep_workers: 1,
-            devices: 1,
-            plan: ExecPlan::new(Engine::CpuReference),
-            coresident: 4,
-            ..ServiceConfig::default()
-        });
-        for seed in 0..3u64 {
-            svc.submit(Priority::Standard, seed_source(seed as usize, 5400 + seed)).unwrap();
+        // Every CPU engine counts as a cpu job.
+        for engine in [Engine::CpuReference, Engine::AmandroidCpu, Engine::MultithreadedCpu] {
+            let svc = VettingService::start(ServiceConfig {
+                prep_workers: 1,
+                devices: 1,
+                plan: ExecPlan::new(engine),
+                coresident: 4,
+                ..ServiceConfig::default()
+            });
+            for seed in 0..3u64 {
+                svc.submit(Priority::Standard, seed_source(seed as usize, 5400 + seed)).unwrap();
+            }
+            // Resubmit the same apps: a worklist service would serve cache
+            // hits, a cpu service must re-analyze every one.
+            svc.wait_for(3);
+            for seed in 0..3u64 {
+                svc.submit(Priority::Standard, seed_source(seed as usize, 5400 + seed)).unwrap();
+            }
+            let (report, results) = svc.drain();
+            assert_eq!(results.len(), 6);
+            assert!(results.iter().all(|r| r.status == JobStatus::Completed));
+            assert_eq!(report.cache.hits, 0, "cpu jobs must never be served from the cache");
+            assert_eq!(report.counters.cpu_jobs, 6);
+            assert_eq!(report.counters.batched_jobs, 0, "cpu jobs never join a batch");
+            // The vetting report itself is engine-invariant byte for byte.
+            for r in &results {
+                let reference = vet_app(
+                    generate_app(r.id as usize % 3, 5400 + r.id % 3, &GenConfig::tiny()),
+                    gdroid_vetting::Engine::Gpu(OptConfig::gdroid()),
+                );
+                assert_eq!(
+                    r.outcome.as_ref().unwrap().report.to_json(),
+                    reference.report.to_json(),
+                    "{engine} job {} diverged from the worklist reference",
+                    r.id
+                );
+            }
+            assert!(json(&report).contains("\"cpu_jobs\":6"));
         }
-        // Resubmit the same apps: a worklist service would serve cache
-        // hits, a cpu service must re-analyze every one.
-        svc.wait_for(3);
-        for seed in 0..3u64 {
-            svc.submit(Priority::Standard, seed_source(seed as usize, 5400 + seed)).unwrap();
-        }
-        let (report, results) = svc.drain();
-        assert_eq!(results.len(), 6);
-        assert!(results.iter().all(|r| r.status == JobStatus::Completed));
-        assert_eq!(report.cache.hits, 0, "cpu jobs must never be served from the cache");
-        assert_eq!(report.counters.cpu_jobs, 6);
-        assert_eq!(report.counters.batched_jobs, 0, "cpu jobs never join a batch");
-        // The vetting report itself is engine-invariant byte for byte.
-        for r in &results {
-            let reference = vet_app(
-                generate_app(r.id as usize % 3, 5400 + r.id % 3, &GenConfig::tiny()),
-                gdroid_vetting::Engine::Gpu(OptConfig::gdroid()),
-            );
-            assert_eq!(
-                r.outcome.as_ref().unwrap().report.to_json(),
-                reference.report.to_json(),
-                "job {} diverged from the worklist reference",
-                r.id
-            );
-        }
-        assert!(json(&report).contains("\"cpu_jobs\":6"));
     }
 
     /// A CPU-engine service composes with its library store and the

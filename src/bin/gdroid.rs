@@ -85,12 +85,13 @@
 //! parsed once (`PlanFlags`) into the `ExecPlan` every vetting verb runs.
 //! `--engine` selects how the IDFG fixpoint is computed: `worklist` (the
 //! full-GDroid rung; `gdroid` is the same value), `cpu` (the sequential
-//! reference solver), and — for `vet` only — the lower ladder rungs
-//! `plain|mat|matgrp` and the CPU baselines `mtcpu|amandroid`. Facts and
+//! reference solver), the lower ladder rungs `plain|mat|matgrp` and the
+//! CPU baselines `mtcpu|amandroid`; a service runs its one engine for
+//! every job, so a result cache never mixes cost profiles. Facts and
 //! verdicts are byte-identical across engines; only modeled timing
 //! differs. Every engine composes with `--targeted` and `--sumstore`;
 //! `gdroid engines` prints which ones join a co-resident batch (not the
-//! CPU engines, not `plain`). Only full worklist-GPU jobs use the result
+//! CPU engines, not `plain`). Only full jobs on a GPU rung use the result
 //! cache and the incremental warm start. A flag value that starts with
 //! `--`, or a `--sumstore` with no directory outside `campaign`, exits 2.
 //!
@@ -124,15 +125,15 @@ const USAGE: &str = "usage:\n  gdroid gen <seed> [out.jil]\n  gdroid vet <app.ji
      gdroid corpus <n>\n  gdroid dot <app.jil|seed> [out.dot]\n  gdroid export <n> <dir>\n  \
      gdroid assess <app.jil|seed> [--json]\n  \
      gdroid serve --apps N [--workers K] [--devices D] [--coresident C] [--faults P:B] \
-     [--engine worklist|cpu] [--targeted-lane] \
+     [--engine plain|mat|matgrp|gdroid|worklist|cpu|mtcpu|amandroid] [--targeted-lane] \
      [--sumstore <dir>] [--trace-dir <dir>] [--digest] [--json]\n  \
      gdroid batch <bundle-dir> [--workers K] [--devices D] [--coresident C] \
-     [--engine worklist|cpu] [--sumstore <dir>] \
+     [--engine plain|mat|matgrp|gdroid|worklist|cpu|mtcpu|amandroid] [--sumstore <dir>] \
      [--trace-dir <dir>] [--digest] [--json]\n  \
      gdroid sumstore build|stats|clear <dir> [--apps N]\n  \
      gdroid campaign --apps N [--shards S] [--seed X] [--workers K] [--devices D] \
-     [--coresident C] [--engine worklist|cpu] [--targeted] \
-     [--sumstore] [--scale F] \
+     [--coresident C] [--engine plain|mat|matgrp|gdroid|worklist|cpu|mtcpu|amandroid] \
+     [--targeted] [--sumstore] [--scale F] \
      [--snapshot] [--rotate N] [--delta DIR] [--updates PPM[:SALT]] \
      [--journal-dir DIR] [--out FILE] [--verdicts FILE] [--trace-dir DIR] [--fresh] [--json]";
 
@@ -210,20 +211,6 @@ impl<'a> PlanFlags<'a> {
         }
     }
 
-    /// The plan of a service-backed verb: its engine must be one of the
-    /// two a service selects between.
-    fn service_plan(&self) -> ExecPlan {
-        if ![ExecPlan::default().engine, Engine::CpuReference].contains(&self.plan.engine) {
-            eprintln!(
-                "engine {} runs under `gdroid vet` only; serve, batch and campaign take \
-                 worklist|cpu",
-                self.plan.engine
-            );
-            exit(2)
-        }
-        self.plan
-    }
-
     /// The service configuration `serve` and `batch` share.
     fn service_config(&self, args: &[String]) -> ServiceConfig {
         ServiceConfig {
@@ -231,7 +218,7 @@ impl<'a> PlanFlags<'a> {
             devices: flag_value(args, "--devices").unwrap_or(2),
             sumstore: self.store_dir.map(|dir| Arc::new(open_sumstore(dir))),
             coresident: flag_value(args, "--coresident").unwrap_or(1),
-            plan: self.service_plan(),
+            plan: self.plan,
             ..ServiceConfig::default()
         }
     }
@@ -728,7 +715,7 @@ fn main() {
                 devices: flag_value(&args, "--devices").unwrap_or(2),
                 coresident: flag_value(&args, "--coresident").unwrap_or(1),
                 sumstore: flags.sumstore,
-                plan: flags.service_plan(),
+                plan: flags.plan,
                 trace_dir: flags.trace.map(Into::into),
                 rotate_records,
                 delta_base: flag_str(&args, "--delta").map(Into::into),
@@ -755,15 +742,16 @@ fn main() {
                 let lines = if fleet.records_complete {
                     fleet.verdict_lines()
                 } else {
-                    let refold = gdroid::campaign::read_campaign_journals(journal_dir.as_ref())
-                        .and_then(|(_, shard_records)| {
-                            gdroid::campaign::FleetReport::try_from_records(
-                                fleet.master_seed,
-                                fleet.apps,
-                                fleet.config_digest,
-                                shard_records,
-                            )
-                        });
+                    use gdroid::campaign::{read_campaign_journals, FleetReport, ShardFold};
+                    let refold = read_campaign_journals(journal_dir.as_ref()).and_then(|(_, r)| {
+                        let tails = r.into_iter().map(|r| (ShardFold::default(), r)).collect();
+                        FleetReport::from_folds(
+                            fleet.master_seed,
+                            fleet.apps,
+                            fleet.config_digest,
+                            tails,
+                        )
+                    });
                     refold
                         .unwrap_or_else(|e| {
                             eprintln!("cannot re-read journals: {e}");
