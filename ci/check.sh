@@ -186,6 +186,12 @@ ratchet 0 'subtree_of(' "walk the ClassHierarchy that CallGraph::build indexes o
 # parse_program.
 ratchet 0 '(String)' "make the payload a &'a str slice of the source" \
   crates/ir/src/text/lexer.rs
+# Every seed job is hashed: the hash folds the printer's pieces and never
+# builds the text. An executor with an empty heap preps the next
+# submission; it sleeps on the heap's condvar and `submit` wakes it, so
+# nothing in the service polls.
+ratchet 0 'print_program(' "fold print_program_into into the hash (cache::Fnv1a)" crates/serve/src
+ratchet 0 'wait_timeout(' "wait on the queue's condvar; the submitter wakes it" crates/serve/src
 if grep -nE 'pub use .*\b(Lexer|Token|TokenKind|Parser)\b' crates/ir/src/text/mod.rs; then
   echo "prep-stage ratchet: crates/ir/src/text re-exports a reader internal —" \
     "callers use parse_program" >&2

@@ -14,32 +14,32 @@
 use crate::app::{App, Category};
 use crate::manifest::{Component, ComponentKind, IntentFilter, Manifest, Permission};
 use gdroid_ir::text::{parse_program, print_program};
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
 /// Serializes a manifest to the `manifest.txt` format.
 pub fn manifest_to_text(app: &App) -> String {
     let mut out = String::new();
-    writeln!(out, "package {}", app.manifest.package).unwrap();
-    writeln!(out, "category {}", app.category.name()).unwrap();
-    writeln!(out, "seed {}", app.seed).unwrap();
+    write_manifest(app, &mut out).expect("writing to a String cannot fail");
+    out
+}
+
+/// Writes [`manifest_to_text`]'s text into `out`.
+pub fn write_manifest(app: &App, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+    writeln!(out, "package {}", app.manifest.package)?;
+    writeln!(out, "category {}", app.category.name())?;
+    writeln!(out, "seed {}", app.seed)?;
     for c in &app.manifest.components {
         let class = app.program.interner.resolve(c.class);
         let main =
             if c.intent_filters.iter().any(|f| f.action.ends_with("MAIN")) { " MAIN" } else { "" };
-        writeln!(
-            out,
-            "component {class} {:?} {}{main}",
-            c.kind,
-            if c.exported { "exported" } else { "internal" }
-        )
-        .unwrap();
+        let exported = if c.exported { "exported" } else { "internal" };
+        writeln!(out, "component {class} {:?} {exported}{main}", c.kind)?;
     }
     for p in &app.manifest.permissions {
-        writeln!(out, "permission {}", p.manifest_name()).unwrap();
+        writeln!(out, "permission {}", p.manifest_name())?;
     }
-    out
+    Ok(())
 }
 
 /// Errors from bundle IO/parsing.

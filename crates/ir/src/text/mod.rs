@@ -43,4 +43,4 @@ mod printer;
 
 pub use lexer::LexError;
 pub use parser::{parse_program, ParseError};
-pub use printer::print_program;
+pub use printer::{print_program, print_program_into};

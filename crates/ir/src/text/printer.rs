@@ -1,295 +1,360 @@
 //! Pretty-printer emitting the `.jil` format. Inverse of the parser.
+//!
+//! The printer hands its writer `&str` pieces and writes indices through
+//! its own decimal writer, so a writer that folds the pieces — the
+//! service's content hash — never holds the text; `write!` is left to the
+//! literal arms, whose formatting `std` owns.
 
 use crate::expr::{BinOp, CmpKind, Expr, Literal, UnOp};
-use crate::idx::FieldId;
+use crate::idx::{FieldId, MethodId, Symbol, VarId};
 use crate::method::MethodKind;
 use crate::method::Visibility;
 use crate::program::Program;
 use crate::stmt::{CallKind, Lhs, MonitorOp, Stmt};
 use crate::types::{ArrayElem, JType, PrimKind};
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Prints a whole program in `.jil` syntax.
 pub fn print_program(p: &Program) -> String {
     let mut out = String::new();
-    let mut pr = Printer { p, out: &mut out };
-    pr.program();
+    print_program_into(p, &mut out).expect("writing to a String cannot fail");
     out
 }
 
-struct Printer<'a> {
-    p: &'a Program,
-    out: &'a mut String,
+/// Prints a whole program in `.jil` syntax into `out`, piece by piece:
+/// the pieces concatenate to [`print_program`]'s text.
+pub fn print_program_into<W: Write>(p: &Program, out: &mut W) -> fmt::Result {
+    Printer { p, out }.program()
 }
 
-impl<'a> Printer<'a> {
-    fn program(&mut self) {
-        for class in self.p.classes.iter() {
-            write!(self.out, ".class {}", self.p.interner.resolve(class.name)).unwrap();
+struct Printer<'a, W> {
+    p: &'a Program,
+    out: &'a mut W,
+}
+
+impl<W: Write> Printer<'_, W> {
+    fn s(&mut self, piece: &str) -> fmt::Result {
+        self.out.write_str(piece)
+    }
+
+    /// `n` in decimal, without `fmt`'s machinery.
+    fn num(&mut self, n: u32) -> fmt::Result {
+        let mut digits = [0u8; 10];
+        let mut at = digits.len();
+        let mut rest = n;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        self.s(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+    }
+
+    fn sym(&mut self, sym: Symbol) -> fmt::Result {
+        let p = self.p;
+        self.s(p.interner.resolve(sym))
+    }
+
+    fn var(&mut self, v: VarId) -> fmt::Result {
+        self.s("v")?;
+        self.num(v.0)
+    }
+
+    /// `word` then a variable, as in `throw v3`.
+    fn word_var(&mut self, word: &str, v: VarId) -> fmt::Result {
+        self.s(word)?;
+        self.var(v)
+    }
+
+    /// ` v1 v2 … )` — the tail of an argument or element list.
+    fn vars(&mut self, vars: &[VarId]) -> fmt::Result {
+        for &v in vars {
+            self.word_var(" ", v)?;
+        }
+        self.s(" )")
+    }
+
+    /// `( T1 T2 … ) R` — a signature's parameter and return types.
+    fn sig_types(&mut self, params: &[JType], ret: JType) -> fmt::Result {
+        self.s("(")?;
+        for &ty in params {
+            self.s(" ")?;
+            self.ty(ty)?;
+        }
+        self.s(" ) ")?;
+        self.ty(ret)
+    }
+
+    fn program(&mut self) -> fmt::Result {
+        let p = self.p;
+        for class in p.classes.iter() {
+            self.s(".class ")?;
+            self.sym(class.name)?;
             if let Some(sup) = class.superclass {
-                write!(self.out, " : {}", self.p.interner.resolve(self.p.classes[sup].name))
-                    .unwrap();
+                self.s(" : ")?;
+                self.sym(p.classes[sup].name)?;
             }
-            if class.is_interface {
-                self.out.push_str(" interface");
-            }
-            self.out.push('\n');
+            self.s(if class.is_interface { " interface\n" } else { "\n" })?;
             for &fid in &class.fields {
-                let f = &self.p.fields[fid];
-                write!(self.out, ".field {} ", self.p.interner.resolve(f.name)).unwrap();
-                self.ty(f.ty);
-                self.out.push_str(if f.is_static { " static\n" } else { " instance\n" });
+                let f = &p.fields[fid];
+                self.s(".field ")?;
+                self.sym(f.name)?;
+                self.s(" ")?;
+                self.ty(f.ty)?;
+                self.s(if f.is_static { " static\n" } else { " instance\n" })?;
             }
             for &mid in &class.methods {
-                self.method(mid);
+                self.method(mid)?;
             }
-            self.out.push_str(".endclass\n");
+            self.s(".endclass\n")?;
         }
+        Ok(())
     }
 
-    fn method(&mut self, mid: crate::idx::MethodId) {
+    fn method(&mut self, mid: MethodId) -> fmt::Result {
         let m = &self.p.methods[mid];
-        write!(self.out, ".method {} (", self.p.interner.resolve(m.sig.name)).unwrap();
-        for &ty in &m.sig.params {
-            self.out.push(' ');
-            self.ty(ty);
-        }
-        self.out.push_str(" ) ");
-        self.ty(m.sig.ret);
-        let kind = match m.kind {
-            MethodKind::Instance => "instance",
-            MethodKind::Static => "static",
-            MethodKind::Constructor => "ctor",
-            MethodKind::LifecycleCallback => "lifecycle",
-            MethodKind::Environment => "environment",
-        };
-        let vis = match m.visibility {
-            Visibility::Public => "public",
-            Visibility::Protected => "protected",
-            Visibility::Private => "private",
-        };
-        writeln!(self.out, " {kind} {vis}").unwrap();
+        self.s(".method ")?;
+        self.sym(m.sig.name)?;
+        self.s(" ")?;
+        self.sig_types(&m.sig.params, m.sig.ret)?;
+        self.s(match m.kind {
+            MethodKind::Instance => " instance",
+            MethodKind::Static => " static",
+            MethodKind::Constructor => " ctor",
+            MethodKind::LifecycleCallback => " lifecycle",
+            MethodKind::Environment => " environment",
+        })?;
+        self.s(match m.visibility {
+            Visibility::Public => " public\n",
+            Visibility::Protected => " protected\n",
+            Visibility::Private => " private\n",
+        })?;
         for v in m.vars.iter() {
-            write!(self.out, ".var {} ", self.p.interner.resolve(v.name)).unwrap();
-            self.ty(v.ty);
-            self.out.push('\n');
+            self.s(".var ")?;
+            self.sym(v.name)?;
+            self.s(" ")?;
+            self.ty(v.ty)?;
+            self.s("\n")?;
         }
         for (idx, s) in m.body.iter_enumerated() {
-            write!(self.out, "  # {idx}\n  ").unwrap();
-            self.stmt(s);
-            self.out.push('\n');
+            self.s("  # L")?;
+            self.num(idx.0)?;
+            self.s("\n  ")?;
+            self.stmt(s)?;
+            self.s("\n")?;
         }
-        self.out.push_str(".end\n");
+        self.s(".end\n")
     }
 
-    fn ty(&mut self, ty: JType) {
+    fn ty(&mut self, ty: JType) -> fmt::Result {
         match ty {
-            JType::Void => self.out.push_str("void"),
-            JType::Boolean => self.out.push_str("bool"),
-            JType::Byte => self.out.push_str("byte"),
-            JType::Char => self.out.push_str("char"),
-            JType::Short => self.out.push_str("short"),
-            JType::Int => self.out.push_str("int"),
-            JType::Long => self.out.push_str("long"),
-            JType::Float => self.out.push_str("float"),
-            JType::Double => self.out.push_str("double"),
+            JType::Void => self.s("void"),
+            JType::Boolean => self.s("bool"),
+            JType::Byte => self.s("byte"),
+            JType::Char => self.s("char"),
+            JType::Short => self.s("short"),
+            JType::Int => self.s("int"),
+            JType::Long => self.s("long"),
+            JType::Float => self.s("float"),
+            JType::Double => self.s("double"),
             JType::Object(s) => {
-                write!(self.out, "obj {}", self.p.interner.resolve(s)).unwrap();
+                self.s("obj ")?;
+                self.sym(s)
             }
-            JType::Array(e) => {
-                self.out.push_str("arr ");
-                match e {
-                    ArrayElem::Object(s) => self.out.push_str(self.p.interner.resolve(s)),
-                    ArrayElem::Prim(pk) => self.out.push_str(match pk {
-                        PrimKind::Boolean => "bool",
-                        PrimKind::Byte => "byte",
-                        PrimKind::Char => "char",
-                        PrimKind::Short => "short",
-                        PrimKind::Int => "int",
-                        PrimKind::Long => "long",
-                        PrimKind::Float => "float",
-                        PrimKind::Double => "double",
-                    }),
-                }
+            JType::Array(ArrayElem::Object(s)) => {
+                self.s("arr ")?;
+                self.sym(s)
             }
+            JType::Array(ArrayElem::Prim(pk)) => self.s(match pk {
+                PrimKind::Boolean => "arr bool",
+                PrimKind::Byte => "arr byte",
+                PrimKind::Char => "arr char",
+                PrimKind::Short => "arr short",
+                PrimKind::Int => "arr int",
+                PrimKind::Long => "arr long",
+                PrimKind::Float => "arr float",
+                PrimKind::Double => "arr double",
+            }),
         }
     }
 
-    fn field_ref(&mut self, fid: FieldId) {
+    fn field_ref(&mut self, fid: FieldId) -> fmt::Result {
         let f = &self.p.fields[fid];
-        let cls = self.p.classes[f.class].name;
-        write!(
-            self.out,
-            "{{ {} {} }}",
-            self.p.interner.resolve(cls),
-            self.p.interner.resolve(f.name)
-        )
-        .unwrap();
+        self.s("{ ")?;
+        self.sym(self.p.classes[f.class].name)?;
+        self.s(" ")?;
+        self.sym(f.name)?;
+        self.s(" }")
     }
 
-    fn stmt(&mut self, s: &Stmt) {
+    /// `base . { C f }`
+    fn access(&mut self, base: VarId, field: FieldId) -> fmt::Result {
+        self.var(base)?;
+        self.s(" . ")?;
+        self.field_ref(field)
+    }
+
+    /// `base [ index ]`
+    fn indexing(&mut self, base: VarId, index: VarId) -> fmt::Result {
+        self.var(base)?;
+        self.word_var(" [ ", index)?;
+        self.s(" ]")
+    }
+
+    fn stmt(&mut self, s: &Stmt) -> fmt::Result {
         match s {
-            Stmt::Empty => self.out.push_str("nop"),
-            Stmt::Monitor { op, var } => {
-                let op = match op {
-                    MonitorOp::Enter => "enter",
-                    MonitorOp::Exit => "exit",
-                };
-                write!(self.out, "monitor {op} {var}").unwrap();
+            Stmt::Empty => self.s("nop"),
+            Stmt::Monitor { op: MonitorOp::Enter, var } => self.word_var("monitor enter ", *var),
+            Stmt::Monitor { op: MonitorOp::Exit, var } => self.word_var("monitor exit ", *var),
+            Stmt::Throw { var } => self.word_var("throw ", *var),
+            Stmt::Goto { target } => {
+                self.s("goto ")?;
+                self.num(target.0)
             }
-            Stmt::Throw { var } => write!(self.out, "throw {var}").unwrap(),
-            Stmt::Goto { target } => write!(self.out, "goto {}", target.0).unwrap(),
-            Stmt::If { cond, target } => write!(self.out, "if {cond} goto {}", target.0).unwrap(),
-            Stmt::Return { var } => match var {
-                Some(v) => write!(self.out, "return {v}").unwrap(),
-                None => self.out.push_str("return _"),
-            },
+            Stmt::If { cond, target } => {
+                self.word_var("if ", *cond)?;
+                self.s(" goto ")?;
+                self.num(target.0)
+            }
+            Stmt::Return { var: Some(v) } => self.word_var("return ", *v),
+            Stmt::Return { var: None } => self.s("return _"),
             Stmt::Switch { var, targets, default } => {
-                write!(self.out, "switch {var} (").unwrap();
+                self.word_var("switch ", *var)?;
+                self.s(" (")?;
                 for t in targets {
-                    write!(self.out, " {}", t.0).unwrap();
+                    self.s(" ")?;
+                    self.num(t.0)?;
                 }
-                write!(self.out, " ) default {}", default.0).unwrap();
+                self.s(" ) default ")?;
+                self.num(default.0)
             }
             Stmt::Call { ret, kind, sig, args } => {
-                let kind = match kind {
-                    CallKind::Virtual => "virtual",
-                    CallKind::Static => "static",
-                    CallKind::Direct => "direct",
-                    CallKind::Interface => "interface",
-                };
-                write!(
-                    self.out,
-                    "call {kind} {} {} (",
-                    self.p.interner.resolve(sig.class),
-                    self.p.interner.resolve(sig.name)
-                )
-                .unwrap();
-                for &ty in &sig.params {
-                    self.out.push(' ');
-                    self.ty(ty);
-                }
-                self.out.push_str(" ) ");
-                self.ty(sig.ret);
-                self.out.push_str(" args (");
-                for a in args {
-                    write!(self.out, " {a}").unwrap();
-                }
-                self.out.push_str(" ) ret ");
+                self.s(match kind {
+                    CallKind::Virtual => "call virtual ",
+                    CallKind::Static => "call static ",
+                    CallKind::Direct => "call direct ",
+                    CallKind::Interface => "call interface ",
+                })?;
+                self.sym(sig.class)?;
+                self.s(" ")?;
+                self.sym(sig.name)?;
+                self.s(" ")?;
+                self.sig_types(&sig.params, sig.ret)?;
+                self.s(" args (")?;
+                self.vars(args)?;
+                self.s(" ret ")?;
                 match ret {
-                    Some(v) => write!(self.out, "{v}").unwrap(),
-                    None => self.out.push('_'),
+                    Some(v) => self.var(*v),
+                    None => self.s("_"),
                 }
             }
             Stmt::Assign { lhs, rhs } => {
                 match lhs {
-                    Lhs::Var(v) => write!(self.out, "{v}").unwrap(),
-                    Lhs::Field { base, field } => {
-                        write!(self.out, "{base} . ").unwrap();
-                        self.field_ref(*field);
-                    }
-                    Lhs::StaticField { field } => self.field_ref(*field),
-                    Lhs::ArrayElem { base, index } => {
-                        write!(self.out, "{base} [ {index} ]").unwrap();
-                    }
+                    Lhs::Var(v) => self.var(*v)?,
+                    Lhs::Field { base, field } => self.access(*base, *field)?,
+                    Lhs::StaticField { field } => self.field_ref(*field)?,
+                    Lhs::ArrayElem { base, index } => self.indexing(*base, *index)?,
                 }
-                self.out.push_str(" = ");
-                self.expr(rhs);
+                self.s(" = ")?;
+                self.expr(rhs)
             }
         }
     }
 
-    fn expr(&mut self, e: &Expr) {
+    fn expr(&mut self, e: &Expr) -> fmt::Result {
         match e {
-            Expr::Access { base, field } => {
-                write!(self.out, "{base} . ").unwrap();
-                self.field_ref(*field);
-            }
+            Expr::Access { base, field } => self.access(*base, *field),
             Expr::Binary { op, lhs, rhs } => {
+                self.var(*lhs)?;
                 let op = match op {
-                    BinOp::Add => "add",
-                    BinOp::Sub => "sub",
-                    BinOp::Mul => "mul",
-                    BinOp::Div => "div",
-                    BinOp::Rem => "rem",
-                    BinOp::And => "and",
-                    BinOp::Or => "or",
-                    BinOp::Xor => "xor",
-                    BinOp::Shl => "shl",
-                    BinOp::Shr => "shr",
+                    BinOp::Add => " add ",
+                    BinOp::Sub => " sub ",
+                    BinOp::Mul => " mul ",
+                    BinOp::Div => " div ",
+                    BinOp::Rem => " rem ",
+                    BinOp::And => " and ",
+                    BinOp::Or => " or ",
+                    BinOp::Xor => " xor ",
+                    BinOp::Shl => " shl ",
+                    BinOp::Shr => " shr ",
                 };
-                write!(self.out, "{lhs} {op} {rhs}").unwrap();
+                self.word_var(op, *rhs)
             }
-            Expr::CallRhs { ret } => write!(self.out, "callrhs {ret}").unwrap(),
+            Expr::CallRhs { ret } => self.word_var("callrhs ", *ret),
             Expr::Cast { ty, operand } => {
-                self.out.push_str("cast ");
-                self.ty(*ty);
-                write!(self.out, " {operand}").unwrap();
+                self.s("cast ")?;
+                self.ty(*ty)?;
+                self.word_var(" ", *operand)
             }
             Expr::Cmp { kind, lhs, rhs } => {
-                let k = match kind {
-                    CmpKind::Cmp => "cmp",
-                    CmpKind::Cmpl => "cmpl",
-                    CmpKind::Cmpg => "cmpg",
+                let kind = match kind {
+                    CmpKind::Cmp => "cmp ",
+                    CmpKind::Cmpl => "cmpl ",
+                    CmpKind::Cmpg => "cmpg ",
                 };
-                write!(self.out, "{k} {lhs} {rhs}").unwrap();
+                self.word_var(kind, *lhs)?;
+                self.word_var(" ", *rhs)
             }
             Expr::ConstClass { ty } => {
-                self.out.push_str("constclass ");
-                self.ty(*ty);
+                self.s("constclass ")?;
+                self.ty(*ty)
             }
-            Expr::Exception => self.out.push_str("exception"),
-            Expr::Indexing { base, index } => {
-                write!(self.out, "{base} [ {index} ]").unwrap();
-            }
+            Expr::Exception => self.s("exception"),
+            Expr::Indexing { base, index } => self.indexing(*base, *index),
             Expr::InstanceOf { operand, ty } => {
-                write!(self.out, "instanceof {operand} ").unwrap();
-                self.ty(*ty);
+                self.word_var("instanceof ", *operand)?;
+                self.s(" ")?;
+                self.ty(*ty)
             }
-            Expr::Length { base } => write!(self.out, "length {base}").unwrap(),
+            Expr::Length { base } => self.word_var("length ", *base),
             Expr::Lit(lit) => {
-                self.out.push_str("lit ");
-                match lit {
-                    Literal::Int(v) => write!(self.out, "{v}").unwrap(),
-                    Literal::Float(v) => {
-                        // Always include a decimal point + `f` suffix so the
-                        // lexer reads it back as a float.
-                        if v.fract() == 0.0 && v.is_finite() {
-                            write!(self.out, "{v:.1}f").unwrap();
-                        } else {
-                            write!(self.out, "{v}f").unwrap();
-                        }
-                    }
-                    Literal::Str(s) => {
-                        let raw = self.p.interner.resolve(*s);
-                        let escaped =
-                            raw.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
-                        write!(self.out, "\"{escaped}\"").unwrap();
-                    }
-                    Literal::Bool(b) => write!(self.out, "{b}").unwrap(),
-                }
+                self.s("lit ")?;
+                self.literal(*lit)
             }
-            Expr::Var(v) => write!(self.out, "{v}").unwrap(),
+            Expr::Var(v) => self.var(*v),
             Expr::StaticField { field } => self.field_ref(*field),
             Expr::New { ty } => {
-                self.out.push_str("new ");
-                self.ty(*ty);
+                self.s("new ")?;
+                self.ty(*ty)
             }
-            Expr::Null => self.out.push_str("null"),
+            Expr::Null => self.s("null"),
             Expr::Tuple { elems } => {
-                self.out.push_str("tuple (");
-                for v in elems {
-                    write!(self.out, " {v}").unwrap();
+                self.s("tuple (")?;
+                self.vars(elems)
+            }
+            Expr::Unary { op: UnOp::Neg, operand } => self.word_var("neg ", *operand),
+            Expr::Unary { op: UnOp::Not, operand } => self.word_var("not ", *operand),
+        }
+    }
+
+    fn literal(&mut self, lit: Literal) -> fmt::Result {
+        match lit {
+            Literal::Int(v) => write!(self.out, "{v}"),
+            // Always a decimal point + `f` suffix, so the lexer reads it
+            // back as a float.
+            Literal::Float(v) if v.fract() == 0.0 && v.is_finite() => write!(self.out, "{v:.1}f"),
+            Literal::Float(v) => write!(self.out, "{v}f"),
+            Literal::Str(s) => {
+                // Backslash, quote and newline escaped; the runs between
+                // them written as they are.
+                let mut rest = self.p.interner.resolve(s);
+                self.s("\"")?;
+                while let Some(at) = rest.find(['\\', '"', '\n']) {
+                    self.s(&rest[..at])?;
+                    self.s(match rest.as_bytes()[at] {
+                        b'\\' => "\\\\",
+                        b'"' => "\\\"",
+                        _ => "\\n",
+                    })?;
+                    rest = &rest[at + 1..];
                 }
-                self.out.push_str(" )");
+                self.s(rest)?;
+                self.s("\"")
             }
-            Expr::Unary { op, operand } => {
-                let op = match op {
-                    UnOp::Neg => "neg",
-                    UnOp::Not => "not",
-                };
-                write!(self.out, "{op} {operand}").unwrap();
-            }
+            Literal::Bool(b) => self.s(if b { "true" } else { "false" }),
         }
     }
 }

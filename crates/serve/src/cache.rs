@@ -17,22 +17,38 @@
 //! names, not on interned symbol indices, so a version that interns in
 //! another order still warm-starts.
 
-use gdroid_apk::bundle::manifest_to_text;
+use gdroid_apk::bundle::write_manifest;
 use gdroid_apk::{App, BundleText};
-use gdroid_ir::text::print_program;
+use gdroid_ir::text::print_program_into;
 use gdroid_sumstore::SumStore;
 pub use gdroid_sumstore::{fnv1a, fnv1a_extend};
 use gdroid_vetting::{summary_store, PreparedApp, VettingOutcome, VettingRun};
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Mutex;
 
 /// Content hash of an app bundle, computed *before* environment
 /// synthesis mutates the program. Byte-identical bundles — whether
 /// generated in process or loaded from disk — hash identically.
+///
+/// The printer's pieces and the manifest's lines are folded as they are
+/// written: the hash equals [`fnv1a`] over the bundle's text, which is
+/// never built.
 pub fn app_content_hash(app: &App) -> u64 {
-    let mut h = fnv1a(print_program(&app.program).as_bytes());
-    h = fnv1a_extend(h, manifest_to_text(app).as_bytes());
-    h
+    let mut fold = Fnv1a(fnv1a(&[]));
+    print_program_into(&app.program, &mut fold).expect("an FNV-1a fold cannot fail");
+    write_manifest(app, &mut fold).expect("an FNV-1a fold cannot fail");
+    fold.0
+}
+
+/// A writer that folds every byte written into a 64-bit FNV-1a state.
+pub struct Fnv1a(pub u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a_extend(self.0, s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Content hash of a bundle as read from disk: the same fold as

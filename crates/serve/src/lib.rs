@@ -51,7 +51,7 @@ mod scheduler;
 pub mod service;
 pub mod trace;
 
-pub use cache::{app_content_hash, bundle_content_hash, fnv1a, CacheStats, ResultCache};
+pub use cache::{app_content_hash, bundle_content_hash, fnv1a, CacheStats, Fnv1a, ResultCache};
 pub use job::{CacheDisposition, JobResult, JobSource, JobSpec, JobStatus, Priority};
 pub use metrics::{
     Counters, CountersSnapshot, Histogram, HistogramSnapshot, ServiceMetrics, ServiceReport,

@@ -7,7 +7,9 @@
 //! priority, then heaviest work estimate.
 //!
 //! Producers block in [`BestFirst::push`] while `capacity` items wait
-//! (backpressure); consumers block in [`BestFirst::pop`] while none do.
+//! (backpressure); consumers block in [`BestFirst::pop`] while none do, or
+//! in [`BestFirst::pop_or`], which falls back to a second queue (an
+//! executor preps a submission when no prepared job waits).
 //! [`BestFirst::close`] stops admission: pending items still drain, then
 //! `pop` returns `None`. [`BestFirst::requeue`] ignores both the bound
 //! and close — a retry must never deadlock against a full queue, and a
@@ -168,6 +170,39 @@ impl<T: Rank> BestFirst<T> {
         Some(item)
     }
 
+    /// Takes the greatest-ranked item or, when none waits, the
+    /// greatest-ranked item of `fallback` — taken while this queue's lock
+    /// is held, so a [`Self::wake`] after a push to `fallback` cannot be
+    /// missed. Blocks while both are empty; `None` once this queue is
+    /// closed and both are drained.
+    ///
+    /// Callers take this queue's lock, then `fallback`'s, and no code
+    /// takes them the other way round.
+    pub(crate) fn pop_or<U: Rank>(&self, fallback: &BestFirst<U>) -> Option<Popped<T, U>> {
+        let mut inner = self.lock();
+        loop {
+            if let Some(item) = inner.take(|_| true) {
+                self.not_full.notify_one();
+                return Some(Popped::Own(item));
+            }
+            if let Some(item) = fallback.try_pop_where(|_| true) {
+                return Some(Popped::Fallback(item));
+            }
+            if inner.closed {
+                return None;
+            }
+            inner =
+                self.not_empty.wait(inner).expect("queue mutex poisoned while waiting for work");
+        }
+    }
+
+    /// Wakes every consumer blocked in [`Self::pop_or`] so it looks at its
+    /// fallback again: call after pushing to the fallback.
+    pub(crate) fn wake(&self) {
+        let _inner = self.lock();
+        self.not_empty.notify_all();
+    }
+
     /// Closes the queue: pending items still drain, new pushes fail.
     pub(crate) fn close(&self) {
         self.lock().closed = true;
@@ -186,6 +221,13 @@ impl<T: Rank> BestFirst<T> {
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// What [`BestFirst::pop_or`] took: an item of its own queue or of the
+/// fallback.
+pub(crate) enum Popped<T, U> {
+    Own(T),
+    Fallback(U),
 }
 
 /// The submit stage: admitted jobs waiting for a prep worker.
@@ -287,6 +329,45 @@ mod tests {
         assert_eq!(q.pop().unwrap().id, 1);
         producer.join().unwrap().unwrap();
         assert_eq!(q.pop().unwrap().id, 2);
+    }
+
+    fn popped(p: Option<Popped<JobSpec, JobSpec>>) -> Option<(&'static str, u64)> {
+        p.map(|p| match p {
+            Popped::Own(j) => ("own", j.id),
+            Popped::Fallback(j) => ("fallback", j.id),
+        })
+    }
+
+    /// A consumer asleep in `pop_or` on an empty queue takes an item pushed
+    /// to the fallback once the pusher wakes the queue.
+    #[test]
+    fn pop_or_takes_the_fallback_after_a_wake() {
+        let own = Arc::new(SubmitQueue::new(4));
+        let fallback = Arc::new(SubmitQueue::new(4));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let (own, fallback) = (Arc::clone(&own), Arc::clone(&fallback));
+            std::thread::spawn(move || tx.send(popped(own.pop_or(&fallback))).unwrap())
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        fallback.submit(job(7, Priority::Standard)).unwrap();
+        own.wake();
+        let got = rx.recv_timeout(Duration::from_secs(10));
+        // Closing wakes a waiter that missed the wake, so a failure
+        // reports instead of hanging.
+        own.close();
+        waiter.join().unwrap();
+        assert_eq!(got, Ok(Some(("fallback", 7))), "the wake after a fallback push was lost");
+
+        // Own items first, then the fallback's; `None` once the queue is
+        // closed and both are drained.
+        let (own, fallback) = (SubmitQueue::new(4), SubmitQueue::new(4));
+        fallback.submit(job(2, Priority::Expedited)).unwrap();
+        own.submit(job(1, Priority::Background)).unwrap();
+        own.close();
+        assert_eq!(popped(own.pop_or(&fallback)), Some(("own", 1)));
+        assert_eq!(popped(own.pop_or(&fallback)), Some(("fallback", 2)));
+        assert_eq!(popped(own.pop_or(&fallback)), None);
     }
 
     #[test]

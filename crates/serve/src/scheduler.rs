@@ -17,8 +17,8 @@
 //! `capacity` prepared apps are waiting, which is the double-buffer
 //! overlap — at steady state each device executes one app while the prep
 //! workers hold the next few ready behind it, and prep never runs
-//! unboundedly ahead of execution. Retries re-enter through
-//! [`BestFirst::requeue`].
+//! unboundedly ahead of execution. Retries, and jobs an executor prepped
+//! itself, re-enter through [`BestFirst::requeue`].
 //!
 //! For co-resident batching, executors top up a popped job with
 //! [`DispatchHeap::try_pop_coresident`]: a non-blocking pop restricted to

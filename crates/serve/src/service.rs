@@ -6,8 +6,9 @@
 //!
 //! ```text
 //! submit() ──► SubmitQueue (bounded; priority class, then admission order)
-//!                 │  K prep workers: read → hash → cache lookup →
-//!                 │  parse → env/callgraph synthesis → work estimate
+//!                 │  K prep workers, and any executor whose heap is
+//!                 │  empty: read → hash → cache lookup → parse →
+//!                 │  env/callgraph synthesis → work estimate
 //!                 ▼
 //!              DispatchHeap (bounded — double-buffers prep vs execution;
 //!                 │          aged, then priority, then heaviest)
@@ -16,6 +17,11 @@
 //!                 ▼
 //!              results + ResultCache + ServiceMetrics
 //! ```
+//!
+//! An executor with no ready job preps a submitted one itself
+//! ([`DispatchHeap::pop_or`]) and requeues it into the heap, so a device
+//! idles only while both queues are empty. `submit` wakes the executors
+//! after admission ([`DispatchHeap::wake`]).
 //!
 //! There is one admission path: [`VettingService::submit`] (and its
 //! targeted form) blocks while the submit queue is full, and fails only
@@ -37,7 +43,7 @@ use crate::job::{
     CacheDisposition, JobIdentity, JobResult, JobSource, JobSpec, JobStatus, Priority,
 };
 use crate::metrics::{Counters, ServiceMetrics, ServiceReport};
-use crate::queue::{SubmitError, SubmitQueue};
+use crate::queue::{Popped, SubmitError, SubmitQueue};
 use crate::scheduler::{block_demand, work_estimate, DispatchHeap, ReadyJob};
 use gdroid_apk::{generate_app, parse_bundle, read_bundle, App, BundleError, BundleText};
 use gdroid_gpusim::{Device, DeviceConfig, FaultPlan};
@@ -59,7 +65,9 @@ pub struct ServiceConfig {
     /// (campaign shards pass `shard-<s>` so merged fleet reports keep
     /// per-shard hit counts).
     pub label: String,
-    /// Host-side prep worker threads (K).
+    /// Host-side prep worker threads (K). An executor whose dispatch heap
+    /// is empty preps the next submission too, so prep runs on up to
+    /// K + D threads while the devices wait for work.
     pub prep_workers: usize,
     /// Simulated devices and executor threads (D).
     pub devices: usize,
@@ -135,6 +143,7 @@ impl ServiceConfig {
 
 struct ServiceState {
     label: String,
+    submit: SubmitQueue,
     dispatch: DispatchHeap,
     cache: ResultCache,
     metrics: ServiceMetrics,
@@ -161,7 +170,6 @@ impl ServiceState {
 
 /// The running service. Submit jobs, then [`VettingService::drain`].
 pub struct VettingService {
-    queue: Arc<SubmitQueue>,
     state: Arc<ServiceState>,
     prep_handles: Vec<JoinHandle<()>>,
     /// Each executor returns the device it owned.
@@ -172,10 +180,10 @@ pub struct VettingService {
 impl VettingService {
     /// Starts the worker and executor threads.
     pub fn start(config: ServiceConfig) -> VettingService {
-        let queue = Arc::new(SubmitQueue::new(config.queue_capacity));
         let devices = config.executor_devices();
         let state = Arc::new(ServiceState {
             label: config.label,
+            submit: SubmitQueue::new(config.queue_capacity),
             // One executing plus one buffered app per device.
             dispatch: DispatchHeap::new(2 * devices.len()),
             cache: ResultCache::new(),
@@ -190,9 +198,8 @@ impl VettingService {
         });
         let prep_handles = (0..config.prep_workers.max(1))
             .map(|_| {
-                let queue = Arc::clone(&queue);
                 let state = Arc::clone(&state);
-                std::thread::spawn(move || prep_loop(&queue, &state))
+                std::thread::spawn(move || prep_loop(&state))
             })
             .collect();
         let exec_handles = devices
@@ -205,24 +212,31 @@ impl VettingService {
                 })
             })
             .collect();
-        VettingService { queue, state, prep_handles, exec_handles, next_id: AtomicU64::new(0) }
+        VettingService { state, prep_handles, exec_handles, next_id: AtomicU64::new(0) }
     }
 
-    fn spec(&self, priority: Priority, source: JobSource, targeted: bool) -> JobSpec {
+    /// Admits a job (blocking while the queue is full) and wakes the
+    /// executors, which prep it if no prepared job is waiting.
+    fn admit(
+        &self,
+        priority: Priority,
+        source: JobSource,
+        targeted: bool,
+    ) -> Result<u64, SubmitError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let plan = ExecPlan { targeted, ..self.state.plan };
         // `submitted_at` is stamped again when the queue admits the job.
-        JobSpec { id, priority, source, submitted_at: Instant::now(), plan }
+        let spec = JobSpec { id, priority, source, submitted_at: Instant::now(), plan };
+        self.state.submit.submit(spec)?;
+        self.state.dispatch.wake();
+        Counters::bump(&self.state.metrics.counters.submitted);
+        Ok(id)
     }
 
     /// Blocking submission (backpressure when the queue is full).
     /// Returns the assigned job id.
     pub fn submit(&self, priority: Priority, source: JobSource) -> Result<u64, SubmitError> {
-        let spec = self.spec(priority, source, false);
-        let id = spec.id;
-        self.queue.submit(spec)?;
-        Counters::bump(&self.state.metrics.counters.submitted);
-        Ok(id)
+        self.admit(priority, source, false)
     }
 
     /// Fast-lane submission: the job runs demand-driven (backward sink
@@ -232,11 +246,7 @@ impl VettingService {
     /// as, a full vetting. Targeted jobs also skip the warm start and
     /// share co-resident batches only with other targeted jobs.
     pub fn submit_targeted(&self, source: JobSource) -> Result<u64, SubmitError> {
-        let spec = self.spec(Priority::Expedited, source, true);
-        let id = spec.id;
-        self.queue.submit(spec)?;
-        Counters::bump(&self.state.metrics.counters.submitted);
-        Ok(id)
+        self.admit(Priority::Expedited, source, true)
     }
 
     /// Takes every terminal result produced so far, leaving the buffer
@@ -275,7 +285,7 @@ impl VettingService {
     /// every thread, and returns the report plus per-job results sorted
     /// by id.
     pub fn drain(self) -> (ServiceReport, Vec<JobResult>) {
-        self.queue.close();
+        self.state.submit.close();
         for h in self.prep_handles {
             h.join().expect("prep worker panicked");
         }
@@ -296,81 +306,11 @@ impl VettingService {
     }
 }
 
-/// Prep worker: queue → read → hash → cache lookup → parse → prepare →
-/// dispatch.
-///
-/// Everything here is host time the device waits behind, so the stage does
-/// only what the job's plan reads (DESIGN.md §21): the content hash always
-/// (every result publishes it), and the cache lookup for cacheable plans —
-/// on a bundle's bytes, before they are parsed.
-fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
-    while let Some(job) = queue.pop() {
-        let queue_wait_ns = job.submitted_at.elapsed().as_nanos() as u64;
-        state.metrics.queue_wait.record(queue_wait_ns);
-        let prep_start = Instant::now();
-        let mut identity =
-            JobIdentity { id: job.id, priority: job.priority, queue_wait_ns, ..Default::default() };
-        // A job that cannot be started reports the bundle it named and no
-        // content hash.
-        let fail = |identity: JobIdentity, (dir, e): (String, BundleError)| {
-            let status = JobStatus::Failed(format!("bundle {dir}: {e}"));
-            let identity = JobIdentity {
-                package: dir,
-                content_hash: 0,
-                prep_ns: prep_start.elapsed().as_nanos() as u64,
-                ..identity
-            };
-            state.deliver(JobResult::new(identity, status, CacheDisposition::Miss, None, 0));
-        };
-
-        let loaded = match Loaded::read(job.source) {
-            Ok(loaded) => loaded,
-            Err(failure) => {
-                fail(identity, failure);
-                continue;
-            }
-        };
-        identity.content_hash = loaded.content_hash();
-
-        if job.plan.cacheable() {
-            if let Some(outcome) = state.cache.lookup(identity.content_hash) {
-                Counters::bump(&state.metrics.counters.cache_hits);
-                identity.package = loaded.package().to_owned();
-                identity.prep_ns = prep_start.elapsed().as_nanos() as u64;
-                state.deliver(JobResult::new(
-                    identity,
-                    JobStatus::Completed,
-                    CacheDisposition::Hit,
-                    Some(outcome),
-                    0,
-                ));
-                continue;
-            }
-        }
-
-        let app = match loaded.into_app() {
-            Ok(app) => app,
-            Err(failure) => {
-                fail(identity, failure);
-                continue;
-            }
-        };
-        identity.package = app.manifest.package.clone();
-
-        let prep = prepare_vetting(app);
-        let estimate = work_estimate(&prep);
-        identity.prep_ns = prep_start.elapsed().as_nanos() as u64;
-        state.metrics.prep.record(identity.prep_ns);
-        Counters::bump(&state.metrics.counters.prepared);
-
-        let ready = ReadyJob {
-            identity,
-            plan: job.plan,
-            estimate,
-            block_demand: block_demand(&prep),
-            prep,
-            warm: None,
-        };
+/// Prep worker: pops submissions and hands each prepared job to the
+/// dispatch heap.
+fn prep_loop(state: &ServiceState) {
+    while let Some(job) = state.submit.pop() {
+        let Some(ready) = prep_job(job, state) else { continue };
         // Blocks while `2 × devices` apps are already buffered —
         // this is the double-buffer coupling of prep to execution.
         if let Err(lost) = state.dispatch.push(ready) {
@@ -382,6 +322,83 @@ fn prep_loop(queue: &SubmitQueue, state: &ServiceState) {
             state.deliver(JobResult::new(identity, status, CacheDisposition::Miss, None, 0));
         }
     }
+}
+
+/// Preps one submission: read → hash → cache lookup → parse → prepare.
+/// `None` when the job is already answered — a cache hit or a bundle that
+/// cannot be read or parsed delivers its result here.
+///
+/// Everything here is host time the device waits behind, so the stage does
+/// only what the job's plan reads (DESIGN.md §21): the content hash always
+/// (every result publishes it), and the cache lookup for cacheable plans —
+/// on a bundle's bytes, before they are parsed.
+fn prep_job(job: JobSpec, state: &ServiceState) -> Option<ReadyJob> {
+    let queue_wait_ns = job.submitted_at.elapsed().as_nanos() as u64;
+    state.metrics.queue_wait.record(queue_wait_ns);
+    let prep_start = Instant::now();
+    let mut identity =
+        JobIdentity { id: job.id, priority: job.priority, queue_wait_ns, ..Default::default() };
+    // A job that cannot be started reports the bundle it named and no
+    // content hash.
+    let fail = |identity: JobIdentity, (dir, e): (String, BundleError)| {
+        let status = JobStatus::Failed(format!("bundle {dir}: {e}"));
+        let identity = JobIdentity {
+            package: dir,
+            content_hash: 0,
+            prep_ns: prep_start.elapsed().as_nanos() as u64,
+            ..identity
+        };
+        state.deliver(JobResult::new(identity, status, CacheDisposition::Miss, None, 0));
+    };
+
+    let loaded = match Loaded::read(job.source) {
+        Ok(loaded) => loaded,
+        Err(failure) => {
+            fail(identity, failure);
+            return None;
+        }
+    };
+    identity.content_hash = loaded.content_hash();
+
+    if job.plan.cacheable() {
+        if let Some(outcome) = state.cache.lookup(identity.content_hash) {
+            Counters::bump(&state.metrics.counters.cache_hits);
+            identity.package = loaded.package().to_owned();
+            identity.prep_ns = prep_start.elapsed().as_nanos() as u64;
+            state.deliver(JobResult::new(
+                identity,
+                JobStatus::Completed,
+                CacheDisposition::Hit,
+                Some(outcome),
+                0,
+            ));
+            return None;
+        }
+    }
+
+    let app = match loaded.into_app() {
+        Ok(app) => app,
+        Err(failure) => {
+            fail(identity, failure);
+            return None;
+        }
+    };
+    identity.package = app.manifest.package.clone();
+
+    let prep = prepare_vetting(app);
+    let estimate = work_estimate(&prep);
+    identity.prep_ns = prep_start.elapsed().as_nanos() as u64;
+    state.metrics.prep.record(identity.prep_ns);
+    Counters::bump(&state.metrics.counters.prepared);
+
+    Some(ReadyJob {
+        identity,
+        plan: job.plan,
+        estimate,
+        block_demand: block_demand(&prep),
+        prep,
+        warm: None,
+    })
 }
 
 /// A job's source as far as the cache lookup needs it: an app in memory,
@@ -434,11 +451,22 @@ impl Loaded {
 }
 
 /// Executor: LPT pop → warm-start lookup → (co-resident top-up) → run on
-/// this executor's device → retry/quarantine on failure.
+/// this executor's device → retry/quarantine on failure. With no ready
+/// job it preps a submitted one and requeues it — `requeue` ignores the
+/// bound, so a lone executor never blocks on its own full heap.
 fn exec_loop(state: &ServiceState, device: &mut Device) {
     // The budget co-resident top-ups must fit into.
     let block_slots = device.config.block_slots() as u64;
-    while let Some(mut job) = state.dispatch.pop() {
+    while let Some(popped) = state.dispatch.pop_or(&state.submit) {
+        let mut job = match popped {
+            Popped::Own(job) => job,
+            Popped::Fallback(spec) => {
+                if let Some(ready) = prep_job(spec, state) {
+                    state.dispatch.requeue(ready);
+                }
+                continue;
+            }
+        };
         try_incremental(state, &mut job);
 
         // Batch-forming: top the device up with further ready jobs under
@@ -892,30 +920,49 @@ mod tests {
         }
     }
 
-    /// One executor driven directly over a pre-filled, closed heap: with
-    /// every job already ready, batch forming is deterministic (no prep
-    /// race).
-    fn run_executor(
+    /// What a test hands an executor: a ready job goes into the dispatch
+    /// heap, a submission into the submit queue.
+    trait Queued {
+        fn enqueue(self, state: &ServiceState);
+    }
+
+    impl Queued for ReadyJob {
+        fn enqueue(self, state: &ServiceState) {
+            assert!(state.dispatch.push(self).is_ok());
+        }
+    }
+
+    impl Queued for JobSpec {
+        fn enqueue(self, state: &ServiceState) {
+            state.submit.submit(self).unwrap();
+        }
+    }
+
+    /// One executor, and no prep worker, driven directly over pre-filled,
+    /// closed queues: with every job already queued, batch forming is
+    /// deterministic (no prep race).
+    fn run_executor<J: Queued>(
         coresident: usize,
         max_retries: u32,
         timeout: Duration,
-        jobs: Vec<ReadyJob>,
+        jobs: Vec<J>,
     ) -> ServiceState {
         run_executor_on(ResultCache::new(), None, coresident, max_retries, timeout, jobs)
     }
 
     /// [`run_executor`] with a given result cache (hand a previous run's
     /// `state.cache` on to warm it) and summary store.
-    fn run_executor_on(
+    fn run_executor_on<J: Queued>(
         cache: ResultCache,
         sumstore: Option<Arc<SumStore>>,
         coresident: usize,
         max_retries: u32,
         timeout: Duration,
-        jobs: Vec<ReadyJob>,
+        jobs: Vec<J>,
     ) -> ServiceState {
         let state = ServiceState {
             label: "test".to_owned(),
+            submit: SubmitQueue::new(64),
             dispatch: DispatchHeap::new(8),
             cache,
             metrics: ServiceMetrics::new(),
@@ -928,11 +975,66 @@ mod tests {
             plan: ExecPlan::default(),
         };
         for job in jobs {
-            assert!(state.dispatch.push(job).is_ok());
+            job.enqueue(&state);
         }
+        state.submit.close();
         state.dispatch.close();
         exec_loop(&state, &mut Device::new(DeviceConfig::tesla_p40()));
         state
+    }
+
+    /// With no prep worker, a lone executor preps every submission itself
+    /// and runs each exactly once, as `vet_app` would.
+    #[test]
+    fn a_lone_executor_preps_and_runs_every_submission_once() {
+        let specs = (0..6u64)
+            .map(|id| JobSpec {
+                id,
+                priority: Priority::ALL[id as usize % 3],
+                source: seed_source(id as usize, 5700 + id),
+                submitted_at: Instant::now(),
+                plan: ExecPlan { targeted: id % 2 == 1, ..ExecPlan::default() },
+            })
+            .collect();
+        let state = run_executor(1, 3, JOB_TIMEOUT, specs);
+        let mut results = std::mem::take(&mut *state.results.lock().unwrap());
+        results.sort_by_key(|r| r.id);
+        assert_eq!(results.iter().map(|r| r.id).collect::<Vec<_>>(), (0..6).collect::<Vec<_>>());
+        let c = state.metrics.counters.snapshot();
+        assert_eq!((c.prepared, c.executed, c.retries), (6, 6, 0), "{c:?}");
+        for r in &results {
+            assert_eq!((&r.status, r.attempts), (&JobStatus::Completed, 1), "job {}", r.id);
+            let reference = vet_app(
+                generate_app(r.id as usize, 5700 + r.id, &GenConfig::tiny()),
+                gdroid_vetting::Engine::Gpu(OptConfig::gdroid()),
+            );
+            let outcome = r.outcome.as_ref().expect("a completed job has an outcome");
+            assert_eq!(outcome.report.to_json(), reference.report.to_json(), "job {}", r.id);
+        }
+    }
+
+    /// A closed loop with one job outstanding: each submission waits in the
+    /// submit queue while the executor sleeps on an empty heap, so only
+    /// `submit`'s wake — not a timed poll — gets it run.
+    #[test]
+    fn a_closed_loop_with_one_job_outstanding_finishes() {
+        let svc = VettingService::start(ServiceConfig {
+            prep_workers: 1,
+            devices: 1,
+            ..ServiceConfig::default()
+        });
+        let mut done = 0;
+        for id in 0..40u64 {
+            svc.submit(Priority::Standard, seed_source(id as usize, 5800 + id)).unwrap();
+            svc.wait_for(1);
+            let results = svc.take_results();
+            assert_eq!(results.iter().map(|r| r.id).collect::<Vec<_>>(), vec![id]);
+            assert_eq!(results[0].status, JobStatus::Completed, "job {id}");
+            done += results.len();
+        }
+        let (report, rest) = svc.drain();
+        assert!(rest.is_empty());
+        assert_eq!((done, report.counters.completed), (40, 40));
     }
 
     #[test]

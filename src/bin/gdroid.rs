@@ -112,8 +112,32 @@ use gdroid::vetting::{
     execute, prepare_vetting, sink_reachability_findings, summary_store, vet_prepared, Engine,
     ExecCtx, ExecPlan,
 };
+use std::io::Write as _;
 use std::process::exit;
 use std::sync::Arc;
+
+/// `print!` to stdout through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` to stdout through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Writes to stdout. A reader that closed the pipe (`gdroid vet 42 | head
+/// -1`) has all it wants, so a broken pipe ends the process quietly with
+/// exit 0; any other write error exits 1.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(0)
+        }
+        eprintln!("gdroid: cannot write to stdout: {e}");
+        exit(1)
+    }
+}
 
 /// One line per verb; [`verb_flags`] reads the accepted flags off it.
 const USAGE: &str = "usage:\n  gdroid gen <seed> [out.jil]\n  gdroid vet <app.jil|seed> \
@@ -277,7 +301,7 @@ fn finish_service(
                 w.key("jobs").array(|w| results.iter().for_each(|r| r.write_json(w)));
             })
         });
-        println!("{envelope}");
+        outln!("{envelope}");
     }
     if digest {
         let mut lines: Vec<String> = results
@@ -289,7 +313,7 @@ fn finish_service(
             .collect();
         lines.sort();
         for line in lines {
-            println!("{line}");
+            outln!("{line}");
         }
     }
     for r in &results {
@@ -312,7 +336,7 @@ fn finish_service(
                     } else {
                         ""
                     };
-                    println!(
+                    outln!(
                         "job {:>3} {:<22} {:<10} {}{}{}",
                         r.id,
                         r.package,
@@ -432,7 +456,7 @@ fn main() {
                         app.program.total_statements()
                     );
                 }
-                None => print!("{text}"),
+                None => out!("{text}"),
             }
         }
         "vet" => {
@@ -462,17 +486,17 @@ fn main() {
                 eprintln!("wrote {path}");
             }
             if args.iter().any(|a| a == "--json") {
-                println!("{}", outcome.to_json());
+                outln!("{}", outcome.to_json());
             } else {
-                print!("{}", outcome.report.render());
-                println!(
+                out!("{}", outcome.report.render());
+                outln!(
                     "IDFG {:.3} ms | total {:.3} ms | {} node processings",
                     outcome.timing.idfg_ns / 1e6,
                     outcome.timing.total_ns() / 1e6,
                     outcome.telemetry.nodes_processed
                 );
                 if let Some(t) = &outcome.targeted {
-                    println!(
+                    outln!(
                         "targeted: {} of {} reachable methods analyzed ({:.1}% sliced, \
                          {} sink methods, {} partial roots)",
                         t.slice_methods,
@@ -485,10 +509,10 @@ fn main() {
             }
         }
         "engines" => {
-            println!("{:<10} {:<9} note", "engine", "batching");
+            outln!("{:<10} {:<9} note", "engine", "batching");
             for engine in Engine::all() {
                 let batching = if engine.batches() { "yes" } else { "no" };
-                println!("{:<10} {batching:<9} {}", engine.name(), engine.note());
+                outln!("{:<10} {batching:<9} {}", engine.name(), engine.note());
             }
         }
         "lint" => {
@@ -499,10 +523,10 @@ fn main() {
             let dead_sinks = sink_reachability_findings(&app.program);
             let diags = gdroid::ir::lint_program(&app.program, &dead_sinks);
             for d in &diags {
-                println!("{d}");
+                outln!("{d}");
             }
             // `load_app` rejected invalid IR, so no finding is an error.
-            println!(
+            outln!(
                 "{}: 0 error(s), {} warning(s) over {} method(s)",
                 app.name,
                 diags.len(),
@@ -513,19 +537,19 @@ fn main() {
             let Some(target) = args.get(1) else { usage() };
             let app = load_app(target);
             let stats = AppStats::of(&app);
-            println!("app:              {}", app.name);
-            println!("classes:          {}", stats.app_classes);
-            println!("methods:          {}", stats.methods);
-            println!("statements:       {}", stats.cfg_nodes);
-            println!("variables:        {} ({} reference)", stats.variables, stats.ref_variables);
-            println!("allocation sites: {}", stats.allocation_sites);
-            println!("call sites:       {}", stats.call_sites);
-            println!("branches:         {} ({} back edges)", stats.branches, stats.back_edges);
+            outln!("app:              {}", app.name);
+            outln!("classes:          {}", stats.app_classes);
+            outln!("methods:          {}", stats.methods);
+            outln!("statements:       {}", stats.cfg_nodes);
+            outln!("variables:        {} ({} reference)", stats.variables, stats.ref_variables);
+            outln!("allocation sites: {}", stats.allocation_sites);
+            outln!("call sites:       {}", stats.call_sites);
+            outln!("branches:         {} ({} back edges)", stats.branches, stats.back_edges);
             let prep = prepare_vetting(app);
             let analysis = vet_prepared(&prep, ExecPlan::new(Engine::CpuReference)).analysis;
-            println!("reachable:        {} methods", analysis.spaces.len());
-            println!("facts at fixpoint: {}", analysis.total_facts());
-            println!("max worklist:     {}", analysis.telemetry.max_worklist);
+            outln!("reachable:        {} methods", analysis.spaces.len());
+            outln!("facts at fixpoint: {}", analysis.total_facts());
+            outln!("max worklist:     {}", analysis.telemetry.max_worklist);
         }
         "dot" => {
             let Some(target) = args.get(1) else { usage() };
@@ -539,7 +563,7 @@ fn main() {
                     });
                     eprintln!("wrote {path}");
                 }
-                None => print!("{dot}"),
+                None => out!("{dot}"),
             }
         }
         "assess" => {
@@ -547,9 +571,9 @@ fn main() {
             let app = load_app(target);
             let assessment = gdroid::vetting::assess_app(app);
             if args.iter().any(|a| a == "--json") {
-                println!("{}", assessment.to_json());
+                outln!("{}", assessment.to_json());
             } else {
-                print!("{}", assessment.render());
+                out!("{}", assessment.render());
             }
         }
         "serve" => {
@@ -651,9 +675,9 @@ fn main() {
                     let file =
                         std::path::Path::new(dir).join(gdroid::sumstore::persist::STORE_FILE);
                     let bytes = std::fs::metadata(&file).map(|m| m.len()).unwrap_or(0);
-                    println!("store:   {}", file.display());
-                    println!("entries: {}", store.len());
-                    println!("bytes:   {bytes}");
+                    outln!("store:   {}", file.display());
+                    outln!("entries: {}", store.len());
+                    outln!("bytes:   {bytes}");
                 }
                 "clear" => {
                     save_sumstore(&SumStore::new(), dir);
@@ -768,9 +792,9 @@ fn main() {
             if args.iter().any(|a| a == "--json") {
                 // One JSON document: a delta campaign's report carries its
                 // delta as a last member rather than printing a second line.
-                println!("{}", JsonWriter::render(|w| fleet.write_json(w, outcome.delta.as_ref())));
+                outln!("{}", JsonWriter::render(|w| fleet.write_json(w, outcome.delta.as_ref())));
             } else {
-                print!("{}", fleet.render());
+                out!("{}", fleet.render());
             }
             // Live (wall-clock) side — informational only, never part of
             // the canonical report: it varies with resume and scheduling.
@@ -811,13 +835,13 @@ fn main() {
             let corpus = Corpus::paper_sized(n);
             let stats: Vec<AppStats> = corpus.iter().map(|a| AppStats::of(&a)).collect();
             let agg = CorpusStats::aggregate(&stats);
-            println!("apps:            {}", agg.apps);
-            println!("mean CFG nodes:  {:.0}", agg.mean_cfg_nodes);
-            println!("mean methods:    {:.0}", agg.mean_methods);
-            println!("max CFG nodes:   {}", agg.max_cfg_nodes);
-            println!("mean alloc sites: {:.0}", agg.mean_alloc_sites);
-            println!("mean call sites: {:.0}", agg.mean_call_sites);
-            println!("mean back edges: {:.0}", agg.mean_back_edges);
+            outln!("apps:            {}", agg.apps);
+            outln!("mean CFG nodes:  {:.0}", agg.mean_cfg_nodes);
+            outln!("mean methods:    {:.0}", agg.mean_methods);
+            outln!("max CFG nodes:   {}", agg.max_cfg_nodes);
+            outln!("mean alloc sites: {:.0}", agg.mean_alloc_sites);
+            outln!("mean call sites: {:.0}", agg.mean_call_sites);
+            outln!("mean back edges: {:.0}", agg.mean_back_edges);
         }
         _ => usage(),
     }

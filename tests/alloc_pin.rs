@@ -2,10 +2,11 @@
 //! time is not, so they gate host cost without a quiet machine.
 //!
 //! * The transfer function allocates nothing per node.
-//! * Generating, preparing and executing (default plan) paper app 0 at
-//!   scale 0.5 make exactly the pinned number of allocations and bytes,
-//!   and so does the taint plugin's run over the executed analysis, and
-//!   one campaign journal append of the app's record.
+//! * Generating, hashing (the service's content hash), preparing and
+//!   executing (default plan) paper app 0 at scale 0.5 make exactly the
+//!   pinned number of allocations and bytes, and so does the taint
+//!   plugin's run over the executed analysis, and one campaign journal
+//!   append of the app's record.
 //!   The device runs one host thread: a launch's helper threads would
 //!   make the counts depend on the machine's core count. Re-pin a row
 //!   deliberately, like `ledger_pin`, in a change that means to move it;
@@ -22,6 +23,7 @@ use gdroid::campaign::{AppRecord, JournalHeader, RecordStatus, SegmentedJournal,
 use gdroid::gpusim::{Device, DeviceConfig};
 use gdroid::icfg::prepare_app;
 use gdroid::ir::MethodId;
+use gdroid::serve::app_content_hash;
 use gdroid::sumstore::fnv1a;
 use gdroid::vetting::{
     execute, prepare_vetting, ExecCtx, ExecPlan, SourceSinkRegistry, TaintAnalysis, VettingOutcome,
@@ -120,6 +122,9 @@ fn transfer_into_allocates_nothing_per_node() {
 
 /// `(allocations, bytes)` of each stage of paper app 0 at scale 0.5.
 const GENERATE: (u64, u64) = (27_988, 4_807_881);
+/// `app_content_hash`: the printed program and the manifest are folded as
+/// they are written, so no text is built.
+const HASH: (u64, u64) = (0, 0);
 const PREPARE: (u64, u64) = (6_805, 760_865);
 const EXECUTE: (u64, u64) = (38_392, 10_823_661);
 /// `TaintAnalysis::run` alone, over the executed analysis.
@@ -132,6 +137,7 @@ const APPEND: (u64, u64) = (13, 1_688);
 fn paper_app_stages_allocate_the_pinned_amounts() {
     build_process_wide_lazies();
     let (app, generate) = counted(paper_app_0);
+    let (_, hash) = counted(|| app_content_hash(&app));
     let (prep, prepare) = counted(|| prepare_vetting(app));
     let mut device = Device::new(DeviceConfig::tesla_p40());
     device.set_host_threads(1);
@@ -155,13 +161,13 @@ fn paper_app_stages_allocate_the_pinned_amounts() {
     assert_eq!(report.to_json(), executed.run.outcome.report.to_json());
     let append = journal_append(&prep.app.manifest.package, &executed.run.outcome);
     eprintln!(
-        "generate {generate:?}, prepare {prepare:?}, execute {execute:?}, taint {taint:?}, \
-         append {append:?}"
+        "generate {generate:?}, hash {hash:?}, prepare {prepare:?}, execute {execute:?}, \
+         taint {taint:?}, append {append:?}"
     );
     assert_eq!(
-        [generate, prepare, execute, taint, append],
-        [GENERATE, PREPARE, EXECUTE, TAINT, APPEND],
-        "a stage's allocations moved: [generate, prepare, execute, taint, append] \
+        [generate, hash, prepare, execute, taint, append],
+        [GENERATE, HASH, PREPARE, EXECUTE, TAINT, APPEND],
+        "a stage's allocations moved: [generate, hash, prepare, execute, taint, append] \
          (allocations, bytes)"
     );
 }
